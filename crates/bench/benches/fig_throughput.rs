@@ -372,9 +372,9 @@ fn main() {
                 use_seed_cache: false,
                 ..BatchEngineConfig::default()
             },
+            &octopus,
             &mesh,
-        )
-        .expect("engine");
+        );
         let epoch = mesh.restructure_epoch();
         let qps = measure(shared_queries.len(), || {
             let results = engine.execute(&mut pool, &octopus, &mesh, &shared_queries, epoch, 0.0);

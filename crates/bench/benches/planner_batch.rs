@@ -17,7 +17,7 @@
 //! more than the effect, interleaving cancels that.
 
 use octopus_bench::workload::QueryGen;
-use octopus_core::{CostModel, Planner};
+use octopus_core::{CostModel, Planner, SurfaceIndex};
 use octopus_meshgen::{neuron, NeuroLevel};
 use std::time::{Duration, Instant};
 
@@ -50,6 +50,7 @@ fn time_pair(
 
 fn main() {
     let mesh = neuron(NeuroLevel::L3, 0.6).expect("neuron");
+    let surface = SurfaceIndex::build(&mesh).expect("surface");
     let mut gen = QueryGen::new(&mesh, 0x9A7C);
     println!(
         "planner_batch: {} vertices, batch {BATCH}, {ROUNDS} rounds",
@@ -59,7 +60,7 @@ fn main() {
         ("bucket-heavy (res 16, sel 1%)", 16usize, 0.01f64),
         ("sub-bucket   (res 16, sel 0.01%)", 16, 0.0001),
     ] {
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), res).expect("planner");
+        let planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), res);
         let batch = gen.batch_with_selectivity(BATCH, sel);
         // Sanity: both paths agree (to the documented f32-precision
         // tolerance of the reciprocal-volume hoist) before we time

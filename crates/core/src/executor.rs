@@ -342,9 +342,32 @@ impl Octopus {
     /// a snapshot ring gives each retained connectivity generation its
     /// own executor — older pinned snapshots stay queryable while newer
     /// steps restructure ahead of them.
+    ///
+    /// Only `mesh`'s adjacency and positions are read (for the
+    /// component map), never its surface or face table: a
+    /// [`Mesh::snapshot`] is all the ring needs to hand in, and the
+    /// executor's own index is from here on the only holder of S on the
+    /// serving side.
     pub fn restructured(&self, mesh: &Mesh, delta: &SurfaceDelta) -> Octopus {
         let mut surface = self.surface.clone();
         surface.apply_delta(delta);
+        self.derived(surface, mesh)
+    }
+
+    /// The executor for `mesh` = this executor's mesh relabelled by
+    /// `perm` (vertex `old` became `perm[old]`, as
+    /// [`Mesh::permute_vertices`] does): the surface index is mapped
+    /// through the permutation and the component map recomputed over
+    /// the relabelled adjacency. Like [`Octopus::restructured`] it
+    /// derives instead of extracting, so a re-layout costs the monitor
+    /// no surface extraction and cannot fail.
+    pub fn relabelled(&self, mesh: &Mesh, perm: &[VertexId]) -> Octopus {
+        self.derived(self.surface.permuted(perm), mesh)
+    }
+
+    /// A new executor over `surface` for `mesh`, inheriting strategy,
+    /// crawl order and telemetry.
+    fn derived(&self, surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
         let components = ComponentMap::build(mesh, &surface);
         let mut scratch = QueryScratch::new(
             mesh.num_vertices(),

@@ -8,9 +8,10 @@
 
 use crate::cost_model::CostModel;
 use crate::shape::QueryShape;
+use crate::surface_index::SurfaceIndex;
 use octopus_geom::{Aabb, ConvexRegion, Point3};
 use octopus_index::SelectivityHistogram;
-use octopus_mesh::{Mesh, MeshError, MeshStats};
+use octopus_mesh::Mesh;
 
 /// The strategy chosen for a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,18 +60,27 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Builds a planner for `mesh`: computes S and M, builds the
+    /// Builds a planner for `mesh`, whose surface `surface` indexes:
+    /// reads S off the index and M off the adjacency, and builds the
     /// selectivity histogram (resolution `hist_res³` buckets) over the
-    /// current positions.
-    pub fn new(mesh: &Mesh, model: CostModel, hist_res: usize) -> Result<Planner, MeshError> {
-        let stats = MeshStats::compute(mesh)?;
+    /// current positions. The surface is an argument because whoever
+    /// plans queries already holds the executor's delta-maintained
+    /// index ([`crate::Octopus::surface_index`]); extracting it again
+    /// from the cells is the single most expensive thing a planner
+    /// could do, and a ring snapshot ([`Mesh::snapshot`]) has no cheaper
+    /// way to answer it.
+    pub fn new(mesh: &Mesh, surface: &SurfaceIndex, model: CostModel, hist_res: usize) -> Planner {
         let histogram =
             SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), hist_res);
-        let mut planner =
-            Planner::from_parts(model, histogram, stats.surface_ratio, stats.mesh_degree);
+        let mut planner = Planner::from_parts(
+            model,
+            histogram,
+            surface.ratio(mesh.num_vertices()),
+            mesh.adjacency().average_degree(),
+        );
         planner.epoch = Some(mesh.restructure_epoch());
         planner.hist_res = Some(hist_res);
-        Ok(planner)
+        planner
     }
 
     /// Builds from explicit workload characteristics (no mesh pass).
@@ -96,22 +106,21 @@ impl Planner {
     /// restructure epoch. When the epoch has advanced since the planner
     /// was built (or the planner has no recorded provenance), S, M, the
     /// Eq.-6 crossover — and, when the planner built its own histogram,
-    /// the histogram — are recomputed from the current mesh; otherwise
-    /// this is a two-word comparison. Returns whether a recompute
-    /// happened.
+    /// the histogram — are recomputed from the current mesh and its
+    /// `surface` index (see [`Planner::new`]); otherwise this is a
+    /// two-word comparison. Returns whether a recompute happened.
     ///
     /// Long-running monitor sessions call this once per restructuring
     /// step (the epoch makes it free on every other step); skipping it
     /// leaves decisions on the ingest-time crossover, which a
     /// restructure-heavy run can push across the Eq.-6 boundary — see
     /// `stale_crossover_flips_after_heavy_restructuring`.
-    pub fn refresh_if_restructured(&mut self, mesh: &Mesh) -> Result<bool, MeshError> {
+    pub fn refresh_if_restructured(&mut self, mesh: &Mesh, surface: &SurfaceIndex) -> bool {
         if self.epoch == Some(mesh.restructure_epoch()) {
-            return Ok(false);
+            return false;
         }
-        let stats = MeshStats::compute(mesh)?;
-        self.surface_ratio = stats.surface_ratio;
-        self.mesh_degree = stats.mesh_degree;
+        self.surface_ratio = surface.ratio(mesh.num_vertices());
+        self.mesh_degree = mesh.adjacency().average_degree();
         self.crossover = self
             .model
             .crossover_selectivity(self.surface_ratio, self.mesh_degree);
@@ -120,7 +129,7 @@ impl Planner {
                 SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), res);
         }
         self.epoch = Some(mesh.restructure_epoch());
-        Ok(true)
+        true
     }
 
     /// Decides the strategy for query `q` (Eq. 6).
@@ -308,10 +317,15 @@ mod tests {
         octopus_meshgen::tet::tetrahedralize(&VoxelRegion::solid_box(&bounds, n, n, n)).unwrap()
     }
 
+    fn paper_planner(mesh: &octopus_mesh::Mesh, hist_res: usize) -> Planner {
+        let surface = SurfaceIndex::build(mesh).unwrap();
+        Planner::new(mesh, &surface, CostModel::paper_constants(), hist_res)
+    }
+
     #[test]
     fn tiny_queries_choose_octopus_huge_choose_scan() {
         let mesh = box_mesh(10);
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let planner = paper_planner(&mesh, 8);
         let tiny = planner.decide(&Aabb::cube(Point3::splat(0.5), 0.01));
         assert_eq!(tiny.strategy, Strategy::Octopus);
         assert!(tiny.predicted_speedup > 1.0);
@@ -323,7 +337,7 @@ mod tests {
     #[test]
     fn decision_is_consistent_with_the_model() {
         let mesh = box_mesh(8);
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 6).unwrap();
+        let planner = paper_planner(&mesh, 6);
         let d = planner.decide(&Aabb::cube(Point3::splat(0.4), 0.1));
         let expected = planner
             .model()
@@ -342,7 +356,7 @@ mod tests {
     #[test]
     fn decide_batch_matches_per_query_decisions() {
         let mesh = box_mesh(8);
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let planner = paper_planner(&mesh, 8);
         let queries: Vec<Aabb> = (1..=10)
             .map(|i| Aabb::cube(Point3::splat(0.5), 0.05 * i as f32))
             .collect();
@@ -368,7 +382,7 @@ mod tests {
         // share one code path and are asserted bit-identical
         // elsewhere.)
         let mesh = box_mesh(9);
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let planner = paper_planner(&mesh, 8);
         let queries: Vec<Aabb> = (1..=32)
             .map(|i| Aabb::cube(Point3::new(0.03 * i as f32, 0.5, 0.5), 0.012 * i as f32))
             .collect();
@@ -402,7 +416,7 @@ mod tests {
         // constant the decision flips from OCTOPUS to LinearScan at most
         // once along the sweep.
         let mesh = box_mesh(10);
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let planner = paper_planner(&mesh, 8);
         let queries: Vec<Aabb> = (1..=40)
             .map(|i| Aabb::cube(Point3::splat(0.5), 0.02 * i as f32))
             .collect();
@@ -436,19 +450,21 @@ mod tests {
         // one query's strategy decision flips once refreshed.
         let mut mesh = box_mesh(6);
         mesh.enable_restructuring().unwrap();
-        let mut planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let mut surface = SurfaceIndex::build(&mesh).unwrap();
+        let mut planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), 8);
         let stale = planner.clone();
 
         // No restructuring yet: refresh is a no-op.
-        assert!(!planner.refresh_if_restructured(&mesh).unwrap());
+        assert!(!planner.refresh_if_restructured(&mesh, &surface));
 
-        // Remove a large fraction of the cells.
+        // Remove a large fraction of the cells, maintaining the surface
+        // index by deltas as a monitor does.
         let mut rng = octopus_geom::rng::SplitMix64::new(0xFEED);
         let target = mesh.num_cells() / 5;
         while mesh.num_cells() > target {
             let c = rng.index(mesh.cell_capacity()) as u32;
             if mesh.is_cell_alive(c) {
-                mesh.remove_cell(c).unwrap();
+                surface.apply_delta(&mesh.remove_cell(c).unwrap());
             }
         }
 
@@ -459,11 +475,14 @@ mod tests {
             stale.decide(&q).crossover_selectivity
         );
 
-        assert!(planner.refresh_if_restructured(&mesh).unwrap());
+        assert!(planner.refresh_if_restructured(&mesh, &surface));
         assert!(
-            !planner.refresh_if_restructured(&mesh).unwrap(),
+            !planner.refresh_if_restructured(&mesh, &surface),
             "second refresh at the same epoch must be a no-op"
         );
+        // The delta-maintained index gives the refresh the S a fresh
+        // extraction would.
+        assert_eq!(planner.surface_ratio(), mesh.surface().unwrap().ratio());
         assert!(
             planner.decide(&q).crossover_selectivity < stale.decide(&q).crossover_selectivity,
             "coarsening raises S, which must shrink the crossover: {} -> {}",
@@ -490,7 +509,7 @@ mod tests {
         use octopus_geom::{Halfspace, Vec3};
         let mesh = box_mesh(10);
         let v = mesh.num_vertices();
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8).unwrap();
+        let planner = paper_planner(&mesh, 8);
 
         // Box and Aggregate share the same estimate.
         let q = Aabb::cube(Point3::splat(0.5), 0.2);

@@ -50,7 +50,11 @@ impl SurfaceIndex {
 
     /// Builds the index from an already extracted [`Surface`].
     pub fn from_surface(surface: &Surface) -> SurfaceIndex {
-        let dense: Vec<VertexId> = surface.vertices().to_vec();
+        SurfaceIndex::from_dense(surface.vertices().to_vec())
+    }
+
+    /// The index probing `dense` (distinct ids) in the given order.
+    fn from_dense(dense: Vec<VertexId>) -> SurfaceIndex {
         let slots = dense
             .iter()
             .enumerate()
@@ -113,6 +117,30 @@ impl SurfaceIndex {
         }
         for &v in &delta.added {
             self.insert(v);
+        }
+    }
+
+    /// The index of the same surface after a vertex relabelling (vertex
+    /// `old` becomes `perm[old]`): every id is mapped through `perm` and
+    /// the probe order re-sorted ascending, as a fresh build has it. A
+    /// relabelling is a re-layout, and the probe reads positions in
+    /// this order: delta maintenance (swap-remove, append) scrambles it
+    /// over time, and this is where it follows the new layout again.
+    /// O(S log S), no extraction.
+    pub fn permuted(&self, perm: &[VertexId]) -> SurfaceIndex {
+        let mut dense: Vec<VertexId> = self.dense.iter().map(|&v| perm[v as usize]).collect();
+        dense.sort_unstable();
+        SurfaceIndex::from_dense(dense)
+    }
+
+    /// Surface-to-volume ratio `S` over a mesh of `num_vertices`
+    /// vertices (0 for the empty mesh) — the probe-cost factor of Eq. 1,
+    /// read off the maintained index instead of a fresh extraction.
+    pub fn ratio(&self, num_vertices: usize) -> f64 {
+        if num_vertices == 0 {
+            0.0
+        } else {
+            self.dense.len() as f64 / num_vertices as f64
         }
     }
 

@@ -8,7 +8,7 @@
 use octopus_geom::VertexId;
 
 /// Immutable CSR graph over `n` vertices.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes `targets` for vertex `v`.
     offsets: Vec<u32>,
@@ -55,14 +55,87 @@ impl Csr {
         csr
     }
 
+    /// Returns the graph over `n ≥ self.num_vertices()` vertices in
+    /// which every vertex of `touched` has its neighbour list replaced
+    /// by its targets among the `directed` `(source, target)` pairs, and
+    /// every other list is kept (vertices beyond the old count start
+    /// empty). This is the restructuring patch (§IV-E2): a removed or
+    /// added cell changes only its own vertices' lists, so the new CSR
+    /// is the old one plus those few lists — one sequential copy, no
+    /// global sort.
+    ///
+    /// Every source in `directed` must be in `touched`; duplicate pairs
+    /// are dropped, so the caller may enumerate cell edges as they come
+    /// (an edge shared by several cells comes several times). Replacing
+    /// a list does *not* touch the reverse entries: the caller replaces
+    /// both endpoints' lists of every edge it creates or destroys.
+    pub fn with_lists_replaced(
+        &self,
+        n: usize,
+        touched: &[VertexId],
+        directed: impl Iterator<Item = (VertexId, VertexId)>,
+    ) -> Csr {
+        let old_n = self.num_vertices();
+        assert!(n >= old_n, "a CSR patch cannot drop vertices");
+        let mut touched = touched.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut packed: Vec<u64> = directed
+            .map(|(a, b)| (u64::from(a) << 32) | u64::from(b))
+            .collect();
+        packed.sort_unstable();
+        packed.dedup();
+
+        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut targets: Vec<VertexId> = Vec::with_capacity(self.targets.len() + packed.len());
+        offsets.push(0);
+        // Copies the untouched run `from..to` of the old graph: one
+        // slice copy of the targets, offsets shifted by the run's new
+        // base; vertices the old graph does not have get empty lists.
+        let copy_run =
+            |offsets: &mut Vec<u32>, targets: &mut Vec<VertexId>, from: usize, to: usize| {
+                let kept = to.min(old_n);
+                if from < kept {
+                    let (lo, hi) = (self.offsets[from], self.offsets[kept]);
+                    let base = targets.len() as u32;
+                    targets.extend_from_slice(&self.targets[lo as usize..hi as usize]);
+                    offsets.extend(self.offsets[from + 1..=kept].iter().map(|o| o - lo + base));
+                }
+                let end = targets.len() as u32;
+                offsets.extend((from.max(kept)..to).map(|_| end));
+            };
+        let mut next = 0usize;
+        let mut cursor = 0usize;
+        for &t in &touched {
+            assert!((t as usize) < n, "touched vertex out of range");
+            copy_run(&mut offsets, &mut targets, next, t as usize);
+            while cursor < packed.len() && (packed[cursor] >> 32) as VertexId == t {
+                targets.push(packed[cursor] as VertexId);
+                cursor += 1;
+            }
+            offsets.push(targets.len() as u32);
+            next = t as usize + 1;
+        }
+        copy_run(&mut offsets, &mut targets, next, n);
+        assert_eq!(
+            cursor,
+            packed.len(),
+            "every replaced entry's source must be a touched vertex"
+        );
+        let csr = Csr { offsets, targets };
+        csr.debug_assert_sorted();
+        csr
+    }
+
     /// Debug-build check of the sorted-neighbour-list invariant.
     ///
     /// Each list is sorted (strictly ascending — duplicates were
     /// dedup'ed) as a *by-product* of the packed `(src, dst)` sort in
-    /// [`Csr::from_undirected_edges`]; [`Csr::has_edge`]'s binary search
-    /// depends on it, so any future construction path that skips the
-    /// packed sort must fail loudly here rather than silently degrade
-    /// `has_edge` to garbage answers.
+    /// [`Csr::from_undirected_edges`] and [`Csr::with_lists_replaced`],
+    /// and of the per-list sort in [`Csr::permuted`];
+    /// [`Csr::has_edge`]'s binary search depends on it, so any
+    /// construction path that skips the sort must fail loudly here
+    /// rather than silently degrade `has_edge` to garbage answers.
     fn debug_assert_sorted(&self) {
         if cfg!(debug_assertions) {
             for v in 0..self.num_vertices() {
@@ -135,17 +208,39 @@ impl Csr {
     ///
     /// `perm` must be a bijection over `0..n`. Used by the Hilbert layout
     /// optimisation to co-locate spatially close vertices.
+    ///
+    /// A relabelling keeps every list's length, so the new offsets are a
+    /// prefix sum over the degrees scattered to their new sources, and
+    /// each list is mapped through `perm` and sorted on its own:
+    /// O(E log d) for list length d, instead of a global sort of every
+    /// edge.
     pub fn permuted(&self, perm: &[VertexId]) -> Csr {
         let n = self.num_vertices();
         assert_eq!(perm.len(), n, "permutation length mismatch");
-        let edges = (0..n).flat_map(|old| {
-            let new_src = perm[old];
-            self.neighbors(old as u32)
-                .iter()
-                .filter(move |&&t| (t as usize) > old) // each undirected edge once
-                .map(move |&t| (new_src, perm[t as usize]))
-        });
-        Csr::from_undirected_edges(n, edges)
+        let mut offsets = vec![0u32; n + 1];
+        for (old, &new) in perm.iter().enumerate() {
+            offsets[new as usize + 1] = self.degree(old as VertexId) as u32;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        assert_eq!(
+            offsets[n] as usize,
+            self.targets.len(),
+            "perm is not a bijection"
+        );
+        let mut targets = vec![0 as VertexId; self.targets.len()];
+        for (old, &new) in perm.iter().enumerate() {
+            let list =
+                &mut targets[offsets[new as usize] as usize..offsets[new as usize + 1] as usize];
+            for (slot, &t) in list.iter_mut().zip(self.neighbors(old as VertexId)) {
+                *slot = perm[t as usize];
+            }
+            list.sort_unstable();
+        }
+        let csr = Csr { offsets, targets };
+        csr.debug_assert_sorted();
+        csr
     }
 
     /// Connected components; returns `(component_id_per_vertex, count)`.
@@ -266,6 +361,55 @@ mod tests {
             }
             assert!(!csr.has_edge(0, 0));
         }
+    }
+
+    #[test]
+    fn replaced_lists_splice_into_the_untouched_runs() {
+        // Path 0-1-2-3-4; drop edge (1,2), add edge (1,3), grow by
+        // vertex 5 hanging off 3: lists of 1, 2, 3 and 5 are replaced.
+        let g = Csr::from_undirected_edges(5, [(0u32, 1u32), (1, 2), (2, 3), (3, 4)].into_iter());
+        let directed = [
+            (1u32, 0u32),
+            (1, 3),
+            (2, 3),
+            (3, 1),
+            (3, 2),
+            (3, 4),
+            (3, 5),
+            (5, 3),
+        ];
+        // Duplicates are tolerated.
+        let noisy = directed.into_iter().chain([(3, 5), (1, 0)]);
+        let patched = g.with_lists_replaced(6, &[3, 1, 2, 5, 3], noisy);
+        let rebuilt = Csr::from_undirected_edges(
+            6,
+            [(0u32, 1u32), (1, 3), (2, 3), (3, 4), (3, 5)].into_iter(),
+        );
+        assert_eq!(patched, rebuilt);
+        assert_eq!(patched.neighbors(0), &[1]);
+        assert_eq!(patched.neighbors(4), &[3]);
+    }
+
+    #[test]
+    fn replaced_lists_can_empty_a_vertex_and_keep_the_rest() {
+        let g = triangle_plus_isolated();
+        // Orphan vertex 2: its list empties, 0 and 1 lose it.
+        let patched = g.with_lists_replaced(4, &[0, 1, 2], [(0u32, 1u32), (1, 0)].into_iter());
+        assert_eq!(
+            patched,
+            Csr::from_undirected_edges(4, [(0u32, 1u32)].into_iter())
+        );
+        // No replacement at all is a plain copy (plus empty growth).
+        let grown = g.with_lists_replaced(6, &[], std::iter::empty());
+        assert_eq!(grown.num_vertices(), 6);
+        assert_eq!(grown.neighbors(1), g.neighbors(1));
+        assert_eq!(grown.degree(5), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "touched vertex")]
+    fn replaced_entries_must_belong_to_touched_vertices() {
+        triangle_plus_isolated().with_lists_replaced(4, &[0], [(1u32, 0u32)].into_iter());
     }
 
     #[test]

@@ -175,6 +175,18 @@ impl FaceKey {
         FaceKey(v)
     }
 
+    /// The key of the same face after a vertex relabelling (vertex
+    /// `old` becomes `perm[old]`).
+    #[inline]
+    pub fn permuted(&self, perm: &[VertexId]) -> FaceKey {
+        let v = |i: usize| perm[self.0[i] as usize];
+        if self.arity() == 3 {
+            FaceKey::tri(v(0), v(1), v(2))
+        } else {
+            FaceKey::quad(v(0), v(1), v(2), v(3))
+        }
+    }
+
     /// Number of vertices on the face (3 or 4).
     #[inline]
     pub fn arity(&self) -> usize {

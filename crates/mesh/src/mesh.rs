@@ -39,7 +39,14 @@ impl SurfaceDelta {
 /// * **Restructuring** — [`Mesh::remove_cell`] / [`Mesh::refine_tet`]
 ///   change connectivity. These require [`Mesh::enable_restructuring`]
 ///   (which builds the persistent global face list) and return a
-///   [`SurfaceDelta`] for incremental surface-index maintenance.
+///   [`SurfaceDelta`] for incremental surface-index maintenance. Each
+///   operation patches the adjacency lists of the touched cell's own
+///   vertices; nothing is rebuilt from the cell array.
+///
+/// The restructuring state (the [`FaceTable`] hash map) belongs to the
+/// mesh that runs those operations. A reader that only needs positions
+/// and connectivity takes a [`Mesh::snapshot`], which leaves it behind;
+/// `Mesh: Clone` stays a full copy.
 #[derive(Debug)]
 pub struct Mesh {
     kind: CellKind,
@@ -86,19 +93,11 @@ struct RestructureState {
 
 impl Clone for Mesh {
     fn clone(&self) -> Mesh {
+        // The SoA mirror is derived state: a copy starts unsynced and
+        // rebuilds on its first crawl.
         Mesh {
-            kind: self.kind,
-            positions: self.positions.clone(),
-            cells: self.cells.clone(),
-            alive: self.alive.clone(),
-            num_live: self.num_live,
-            adjacency: self.adjacency.clone(),
             restructure: self.restructure.clone(),
-            restructure_epoch: self.restructure_epoch,
-            // The SoA mirror is derived state: a clone starts unsynced
-            // and rebuilds on its first crawl.
-            deform_stamp: 0,
-            blocks: RwLock::new(BlockMirror::default()),
+            ..self.snapshot()
         }
     }
 }
@@ -119,6 +118,31 @@ impl Deref for PositionBlocksRef<'_> {
 }
 
 impl Mesh {
+    /// A copy of positions, cells and adjacency *without* the
+    /// restructuring state: what a monitor's snapshot ring retains.
+    /// The copy answers every read ([`Mesh::neighbors`],
+    /// [`Mesh::positions`], [`Mesh::is_vertex_active`],
+    /// [`Mesh::restructure_epoch`] — carried over) but reports
+    /// [`Mesh::restructuring_enabled`] `false`: its [`Mesh::surface`]
+    /// is a from-scratch extraction, and restructuring it needs
+    /// [`Mesh::enable_restructuring`] first, which rebuilds the face
+    /// table. Holders that need the surface keep a delta-maintained
+    /// index instead of asking the snapshot.
+    pub fn snapshot(&self) -> Mesh {
+        Mesh {
+            kind: self.kind,
+            positions: self.positions.clone(),
+            cells: self.cells.clone(),
+            alive: self.alive.clone(),
+            num_live: self.num_live,
+            adjacency: self.adjacency.clone(),
+            restructure: None,
+            restructure_epoch: self.restructure_epoch,
+            deform_stamp: 0,
+            blocks: RwLock::new(BlockMirror::default()),
+        }
+    }
+
     /// Builds a mesh from a flat cell array (`kind.arity()` vertex ids per
     /// cell). Validates id ranges and per-cell degeneracy and constructs
     /// the adjacency.
@@ -438,8 +462,11 @@ impl Mesh {
 
     /// Transactionally removes `remove` cells and appends `add` cells,
     /// maintaining the face table and boundary counts, and returning the
-    /// net surface delta. Rebuilds the adjacency (restructuring is rare;
-    /// the paper amortises this cost the same way).
+    /// net surface delta. The adjacency is patched, not rebuilt: every
+    /// edge a removed or added cell can create or destroy has both
+    /// endpoints among that cell's vertices, so only those vertices'
+    /// lists are recomputed (see [`Mesh::patch_adjacency`]). Debug
+    /// builds cross-check the patch against the full rebuild.
     fn apply_restructure(
         &mut self,
         remove: &[CellId],
@@ -535,24 +562,60 @@ impl Mesh {
         delta.removed.dedup();
 
         // Commit the cell array changes.
+        let mut touched: Vec<VertexId> = Vec::new();
         for &c in remove {
+            touched.extend_from_slice(&self.cells[c as usize * arity..(c as usize + 1) * arity]);
             self.alive[c as usize] = false;
             self.num_live -= 1;
         }
         for cell in add {
+            touched.extend_from_slice(cell);
             self.cells.extend_from_slice(cell);
             self.alive.push(true);
             self.num_live += 1;
         }
 
-        self.adjacency = build_adjacency(
-            self.kind,
-            self.positions.len(),
-            &self.cells,
-            Some(&self.alive),
+        self.patch_adjacency(&touched);
+        debug_assert!(
+            self.adjacency
+                == build_adjacency(
+                    self.kind,
+                    self.positions.len(),
+                    &self.cells,
+                    Some(&self.alive)
+                ),
+            "patched adjacency diverged from the rebuild"
         );
         self.restructure_epoch += 1;
         Ok(delta)
+    }
+
+    /// Recomputes the neighbour lists of the `touched` vertices from the
+    /// live cells that contain them and splices them into the CSR
+    /// ([`Csr::with_lists_replaced`]); every other list is copied as is.
+    /// One sequential pass over the cell array finds those cells — no
+    /// per-vertex or per-edge incidence structure is kept for it — and
+    /// the result is bit-identical to rebuilding from all live cells: a
+    /// touched vertex whose last cell went away gets an empty list, a
+    /// freshly appended vertex gets its first one.
+    fn patch_adjacency(&mut self, touched: &[VertexId]) {
+        let kind = self.kind;
+        let mut is_touched = vec![false; self.positions.len()];
+        for &v in touched {
+            is_touched[v as usize] = true;
+        }
+        let is_touched = &is_touched;
+        let directed = self
+            .cells
+            .chunks_exact(kind.arity())
+            .zip(&self.alive)
+            .filter(|(cell, &alive)| alive && cell.iter().any(|&v| is_touched[v as usize]))
+            .flat_map(|(cell, _)| kind.edges(cell))
+            .flat_map(|(a, b)| [(a, b), (b, a)])
+            .filter(|&(src, _)| is_touched[src as usize]);
+        self.adjacency =
+            self.adjacency
+                .with_lists_replaced(self.positions.len(), touched, directed);
     }
 
     /// Returns a mesh with vertices relabelled by `perm`
@@ -578,25 +641,16 @@ impl Mesh {
             positions[new as usize] = self.positions[old];
         }
         let cells: Vec<VertexId> = self.cells.iter().map(|&v| perm[v as usize]).collect();
-        let adjacency = build_adjacency(self.kind, n, &cells, Some(&self.alive));
-        let restructure = self.restructure.as_ref().map(|_| {
-            let faces = FaceTable::build(
-                self.kind,
-                cells
-                    .chunks_exact(self.kind.arity())
-                    .enumerate()
-                    .filter(|(i, _)| self.alive[*i])
-                    .map(|(i, c)| (i as CellId, c)),
-            )
-            .expect("permuted mesh stays manifold");
+        // Relabelled, not rebuilt: the face table's canonical keys
+        // change with the labels, so re-keying it is inherent; the
+        // per-vertex counts just move with their vertices.
+        let restructure = self.restructure.as_ref().map(|rs| {
             let mut boundary_face_count = vec![0u32; n];
-            for key in faces.boundary_faces() {
-                for &v in key.vertices() {
-                    boundary_face_count[v as usize] += 1;
-                }
+            for (old, &new) in perm.iter().enumerate() {
+                boundary_face_count[new as usize] = rs.boundary_face_count[old];
             }
             RestructureState {
-                faces,
+                faces: rs.faces.permuted(perm),
                 boundary_face_count,
             }
         });
@@ -606,7 +660,7 @@ impl Mesh {
             cells,
             alive: self.alive.clone(),
             num_live: self.num_live,
-            adjacency,
+            adjacency: self.adjacency.permuted(perm),
             restructure,
             restructure_epoch: self.restructure_epoch,
             deform_stamp: 0,
@@ -638,7 +692,10 @@ impl Mesh {
     }
 }
 
-/// Builds CSR adjacency from the flat cell array (live cells only).
+/// Builds CSR adjacency from the flat cell array (live cells only): the
+/// global edge sort. Only the constructor runs it; restructuring and
+/// relabelling derive the new CSR from the old one, and debug builds
+/// use this as their oracle.
 fn build_adjacency(kind: CellKind, n: usize, cells: &[VertexId], alive: Option<&[bool]>) -> Csr {
     let arity = kind.arity();
     let edges = cells

@@ -14,6 +14,10 @@
 use crate::{CellKind, FaceKey, MeshError};
 use octopus_geom::{CellId, VertexId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Process-wide count of [`Surface::extract`] runs.
+static EXTRACT_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// The set of surface (boundary) vertices of a mesh.
 #[derive(Clone, Debug, Default)]
@@ -34,6 +38,8 @@ impl Surface {
         num_vertices: usize,
         cells: impl Iterator<Item = &'a [VertexId]>,
     ) -> Result<Surface, MeshError> {
+        // relaxed: a statistic; it publishes no other data.
+        EXTRACT_CALLS.fetch_add(1, Ordering::Relaxed);
         let mut counts: HashMap<FaceKey, u8> = HashMap::new();
         for cell in cells {
             for key in kind.face_keys(cell) {
@@ -65,6 +71,16 @@ impl Surface {
             vertices,
             num_boundary_faces,
         })
+    }
+
+    /// How many times [`Surface::extract`] has run in this process.
+    /// Tests use the count to prove that a serving path stays on the
+    /// delta-maintained structures and never falls back to the
+    /// from-scratch O(cells) extraction.
+    #[doc(hidden)]
+    pub fn extract_calls() -> usize {
+        // relaxed: a statistic; it publishes no other data.
+        EXTRACT_CALLS.load(Ordering::Relaxed)
     }
 
     /// Builds a surface directly from a membership bitmap (used by
@@ -155,6 +171,17 @@ impl FaceTable {
             table.insert_cell(kind, id, cell)?;
         }
         Ok(table)
+    }
+
+    /// The table of the same cells after a vertex relabelling (vertex
+    /// `old` becomes `perm[old]`; cell ids are unchanged). The canonical
+    /// keys change with the labels, so every entry is re-keyed — into a
+    /// map presized to the known face count, with no twin matching or
+    /// manifold check to redo.
+    pub fn permuted(&self, perm: &[VertexId]) -> FaceTable {
+        let mut map = HashMap::with_capacity(self.map.len());
+        map.extend(self.map.iter().map(|(key, rec)| (key.permuted(perm), *rec)));
+        FaceTable { map }
     }
 
     /// Registers all faces of a cell.

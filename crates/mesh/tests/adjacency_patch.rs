@@ -1,0 +1,314 @@
+//! Restructuring and relabelling derive the adjacency from the old one
+//! (a local list patch, a per-list relabel); this suite holds both to
+//! the oracle they replaced: `Csr::from_undirected_edges` over the live
+//! cells, compared bit for bit (offsets and targets) after *every*
+//! operation. CI runs it under `--release`, where the in-crate
+//! `debug_assertions` cross-check is compiled out.
+
+use octopus_geom::rng::SplitMix64;
+use octopus_geom::{Point3, VertexId};
+use octopus_mesh::{CellKind, Csr, Mesh, Surface};
+use proptest::prelude::*;
+
+fn lattice_points(n: usize) -> Vec<Point3> {
+    let mut points = Vec::new();
+    for z in 0..=n {
+        for y in 0..=n {
+            for x in 0..=n {
+                points.push(Point3::new(x as f32, y as f32, z as f32));
+            }
+        }
+    }
+    points
+}
+
+fn lattice_id(n: usize, x: usize, y: usize, z: usize) -> VertexId {
+    (x + (n + 1) * (y + (n + 1) * z)) as VertexId
+}
+
+/// `n³` cubes, each split into the six Kuhn tetrahedra (conforming
+/// across cube faces).
+fn tet_grid(n: usize) -> Mesh {
+    const AXIS_ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let mut tets = Vec::new();
+    for z in 0..n {
+        for y in 0..n {
+            for x in 0..n {
+                for order in AXIS_ORDERS {
+                    let mut at = [x, y, z];
+                    let mut tet = [lattice_id(n, x, y, z); 4];
+                    for (corner, axis) in order.into_iter().enumerate() {
+                        at[axis] += 1;
+                        tet[corner + 1] = lattice_id(n, at[0], at[1], at[2]);
+                    }
+                    tets.push(tet);
+                }
+            }
+        }
+    }
+    Mesh::from_tets(lattice_points(n), tets).unwrap()
+}
+
+/// `n³` hexahedra in VTK vertex numbering.
+fn hex_grid(n: usize) -> Mesh {
+    let mut hexes = Vec::new();
+    for z in 0..n {
+        for y in 0..n {
+            for x in 0..n {
+                let v = |dx, dy, dz| lattice_id(n, x + dx, y + dy, z + dz);
+                hexes.push([
+                    v(0, 0, 0),
+                    v(1, 0, 0),
+                    v(1, 1, 0),
+                    v(0, 1, 0),
+                    v(0, 0, 1),
+                    v(1, 0, 1),
+                    v(1, 1, 1),
+                    v(0, 1, 1),
+                ]);
+            }
+        }
+    }
+    Mesh::from_hexes(lattice_points(n), hexes).unwrap()
+}
+
+/// The oracle: the global sort over every live cell's edges.
+fn rebuilt_adjacency(mesh: &Mesh) -> Csr {
+    let kind = mesh.kind();
+    Csr::from_undirected_edges(
+        mesh.num_vertices(),
+        mesh.live_cells().flat_map(|(_, cell)| kind.edges(cell)),
+    )
+}
+
+/// Adjacency ≡ rebuild, and the maintained surface ≡ extraction.
+fn assert_matches_rebuild(mesh: &Mesh, ctx: &str) {
+    assert!(
+        mesh.adjacency() == &rebuilt_adjacency(mesh),
+        "{ctx}: patched adjacency differs from the rebuild"
+    );
+    let extracted = Surface::extract(
+        mesh.kind(),
+        mesh.num_vertices(),
+        mesh.live_cells().map(|(_, cell)| cell),
+    )
+    .unwrap();
+    assert_eq!(
+        mesh.surface().unwrap().vertices(),
+        extracted.vertices(),
+        "{ctx}: maintained surface differs from the extraction"
+    );
+}
+
+fn random_live_cell(mesh: &Mesh, rng: &mut SplitMix64) -> u32 {
+    loop {
+        let c = rng.index(mesh.cell_capacity()) as u32;
+        if mesh.is_cell_alive(c) {
+            return c;
+        }
+    }
+}
+
+/// One random operation (refine only where the kind allows it).
+fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> String {
+    let c = random_live_cell(mesh, rng);
+    if mesh.kind() == CellKind::Tet4 && rng.chance(0.4) {
+        mesh.refine_tet(c).unwrap();
+        format!("refine {c}")
+    } else {
+        mesh.remove_cell(c).unwrap();
+        format!("remove {c}")
+    }
+}
+
+fn shuffled_identity(n: usize, rng: &mut SplitMix64) -> Vec<VertexId> {
+    let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
+    rng.shuffle(&mut perm);
+    perm
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Seeded random `remove_cell` / `refine_tet` sequences on a tet
+    /// grid, run until one cell is left.
+    #[test]
+    fn tet_patch_equals_rebuild_after_every_op(n in 1usize..4, seed in 0u64..10_000) {
+        let mut mesh = tet_grid(n);
+        mesh.enable_restructuring().unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let mut ops = 0;
+        while mesh.num_cells() > 1 && ops < 120 {
+            let op = random_op(&mut mesh, &mut rng);
+            ops += 1;
+            assert_matches_rebuild(&mesh, &format!("n {n} seed {seed} op {ops} ({op})"));
+        }
+    }
+
+    /// `remove_cell` on a hex grid (12 edges a cell, not all vertex
+    /// pairs: the patch must enumerate edges, not pairs).
+    #[test]
+    fn hex_patch_equals_rebuild_after_every_op(n in 1usize..4, seed in 0u64..10_000) {
+        let mut mesh = hex_grid(n);
+        mesh.enable_restructuring().unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let mut ops = 0;
+        while mesh.num_cells() > 1 {
+            let op = random_op(&mut mesh, &mut rng);
+            ops += 1;
+            assert_matches_rebuild(&mesh, &format!("n {n} seed {seed} op {ops} ({op})"));
+        }
+    }
+
+    /// `permute_vertices` after a mixed sequence: the relabelled CSR
+    /// equals the rebuild of the permuted cells, and the relabelled
+    /// restructuring state keeps later operations exact.
+    #[test]
+    fn permutation_after_mixed_ops_equals_rebuild(
+        n in 2usize..4,
+        seed in 0u64..10_000,
+        hex in proptest::bool::ANY,
+    ) {
+        let mut mesh = if hex { hex_grid(n) } else { tet_grid(n) };
+        mesh.enable_restructuring().unwrap();
+        let mut rng = SplitMix64::new(seed);
+        // Six ops leave at least two of the ≥ 8 cells.
+        for _ in 0..6 {
+            random_op(&mut mesh, &mut rng);
+        }
+        let perm = shuffled_identity(mesh.num_vertices(), &mut rng);
+        let mut permuted = mesh.permute_vertices(&perm);
+        assert_matches_rebuild(&permuted, "right after the permutation");
+        prop_assert!(permuted.adjacency() == &mesh.adjacency().permuted(&perm));
+        for v in 0..mesh.num_vertices() as VertexId {
+            prop_assert_eq!(
+                mesh.is_vertex_active(v),
+                permuted.is_vertex_active(perm[v as usize])
+            );
+        }
+        for op in 0..10 {
+            if permuted.num_cells() <= 1 {
+                break;
+            }
+            random_op(&mut permuted, &mut rng);
+            assert_matches_rebuild(&permuted, &format!("op {op} after the permutation"));
+        }
+    }
+}
+
+fn p(x: f32, y: f32, z: f32) -> Point3 {
+    Point3::new(x, y, z)
+}
+
+/// Two tets that touch only along edge (0, 1): no face is shared, so a
+/// face-twin lookup finds no neighbour — yet removing one tet must keep
+/// the edge, because the other still has it.
+#[test]
+fn shared_edge_survives_removing_one_of_its_two_tets() {
+    let positions = vec![
+        p(0.0, 0.0, 0.0),
+        p(0.0, 0.0, 1.0),
+        p(1.0, 0.0, 0.0),
+        p(1.0, 1.0, 0.0),
+        p(-1.0, 0.0, 0.0),
+        p(-1.0, -1.0, 0.0),
+    ];
+    let mut mesh = Mesh::from_tets(positions, vec![[0, 1, 2, 3], [0, 1, 4, 5]]).unwrap();
+    mesh.enable_restructuring().unwrap();
+    mesh.remove_cell(0).unwrap();
+    assert_matches_rebuild(&mesh, "after removing tet 0");
+    assert_eq!(mesh.neighbors(0), &[1, 4, 5]);
+    assert_eq!(mesh.neighbors(1), &[0, 4, 5]);
+    assert!(!mesh.is_vertex_active(2) && !mesh.is_vertex_active(3));
+}
+
+/// Removing the only cell that references a vertex orphans it: empty
+/// list, `is_vertex_active` flips, every former neighbour forgets it.
+#[test]
+fn removal_that_orphans_a_vertex_empties_its_list() {
+    let mut mesh = tet_grid(1);
+    mesh.enable_restructuring().unwrap();
+    // Vertex 1 = (1, 0, 0) belongs to only some of the six Kuhn tets
+    // (what they all share is the 0–7 diagonal).
+    let victim: VertexId = 1;
+    assert!(mesh.is_vertex_active(victim));
+    let cells: Vec<u32> = mesh
+        .live_cells()
+        .filter(|(_, cell)| cell.contains(&victim))
+        .map(|(id, _)| id)
+        .collect();
+    assert!(!cells.is_empty() && cells.len() < mesh.num_cells());
+    for c in cells {
+        mesh.remove_cell(c).unwrap();
+        assert_matches_rebuild(&mesh, &format!("after removing cell {c}"));
+    }
+    assert!(!mesh.is_vertex_active(victim), "last cell gone: orphaned");
+    assert_eq!(mesh.neighbors(victim), &[] as &[VertexId]);
+    for v in 0..mesh.num_vertices() as VertexId {
+        assert!(!mesh.neighbors(v).contains(&victim));
+    }
+}
+
+/// Refine, then remove one of the four children: the appended centroid
+/// first gets its four corners, then loses exactly the corner only the
+/// removed child connected it to.
+#[test]
+fn refine_then_remove_one_child() {
+    let mut mesh = tet_grid(1);
+    mesh.enable_restructuring().unwrap();
+    let corners: Vec<VertexId> = mesh.cell(0).to_vec();
+    let first_child = mesh.cell_capacity() as u32;
+    let (centroid, _) = mesh.refine_tet(0).unwrap();
+    assert_matches_rebuild(&mesh, "after the refine");
+    let mut sorted = corners.clone();
+    sorted.sort_unstable();
+    assert_eq!(mesh.neighbors(centroid), &sorted[..]);
+
+    // The first child is (a, b, c, centroid): d stays connected to the
+    // centroid through the other three children.
+    mesh.remove_cell(first_child).unwrap();
+    assert_matches_rebuild(&mesh, "after removing the first child");
+    assert_eq!(mesh.neighbors(centroid), &sorted[..]);
+    // Remove the remaining children that contain corner `a`: the
+    // centroid then keeps b, c, d only.
+    for child in first_child + 1..first_child + 3 {
+        assert!(mesh.cell(child).contains(&corners[0]));
+        mesh.remove_cell(child).unwrap();
+        assert_matches_rebuild(&mesh, &format!("after removing child {child}"));
+    }
+    assert!(!mesh.neighbors(centroid).contains(&corners[0]));
+    assert_eq!(mesh.neighbors(centroid).len(), 3);
+}
+
+/// Removing down to one cell: the survivor's vertices keep exactly the
+/// cell's own edges, everything else is orphaned.
+#[test]
+fn removing_down_to_one_cell() {
+    for mut mesh in [tet_grid(2), hex_grid(2)] {
+        mesh.enable_restructuring().unwrap();
+        let survivor = 3u32;
+        for c in 0..mesh.cell_capacity() as u32 {
+            if c != survivor {
+                mesh.remove_cell(c).unwrap();
+                assert_matches_rebuild(&mesh, &format!("after removing cell {c}"));
+            }
+        }
+        assert_eq!(mesh.num_cells(), 1);
+        let cell = mesh.cell(survivor).to_vec();
+        let active = (0..mesh.num_vertices() as VertexId)
+            .filter(|&v| mesh.is_vertex_active(v))
+            .count();
+        assert_eq!(active, cell.len());
+        assert_eq!(
+            mesh.adjacency().num_directed_edges(),
+            2 * mesh.kind().edges_per_cell()
+        );
+    }
+}

@@ -45,7 +45,7 @@ use octopus_core::{
 };
 use octopus_geom::hilbert::hilbert_center_key;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
-use octopus_mesh::{Mesh, MeshError};
+use octopus_mesh::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -191,19 +191,21 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Builds an engine for `mesh` (planner histogram + seed-cache
-    /// margin are derived from its current state).
-    pub fn new(cfg: BatchEngineConfig, mesh: &Mesh) -> Result<BatchEngine, MeshError> {
+    /// Builds an engine for `mesh` and the executor `octopus` serving
+    /// it (planner histogram + seed-cache margin are derived from the
+    /// mesh's current state; the planner's S comes from the executor's
+    /// maintained surface index, so attaching an engine extracts
+    /// nothing).
+    pub fn new(cfg: BatchEngineConfig, octopus: &Octopus, mesh: &Mesh) -> BatchEngine {
         let bounds = mesh.bounding_box();
-        let planner = if cfg.use_planner {
-            Some(Planner::new(
+        let planner = cfg.use_planner.then(|| {
+            Planner::new(
                 mesh,
+                octopus.surface_index(),
                 CostModel::paper_constants(),
                 cfg.planner_hist_res.max(1),
-            )?)
-        } else {
-            None
-        };
+            )
+        });
         let cache = cfg.use_seed_cache.then(|| {
             let typical_edge = (bounds.volume() / mesh.num_vertices().max(1) as f64)
                 .cbrt()
@@ -215,7 +217,7 @@ impl BatchEngine {
                 mesh.restructure_epoch(),
             )
         });
-        Ok(BatchEngine {
+        BatchEngine {
             cfg,
             planner,
             cache,
@@ -223,7 +225,7 @@ impl BatchEngine {
             num_vertices: mesh.num_vertices(),
             report: EngineReport::default(),
             telemetry: None,
-        })
+        }
     }
 
     /// Attaches registry handles: every executed batch records grouping,
@@ -298,10 +300,9 @@ impl BatchEngine {
     ) -> Vec<QueryResult> {
         self.num_vertices = mesh.num_vertices();
         // Epoch-refresh the planner (a two-word comparison between
-        // restructuring events). A failed recompute keeps the stale
-        // crossover — routing quality degrades, correctness does not.
+        // restructuring events).
         if let Some(p) = &mut self.planner {
-            let _ = p.refresh_if_restructured(mesh);
+            p.refresh_if_restructured(mesh, octopus.surface_index());
         }
         if let Some(c) = &mut self.cache {
             c.begin_epoch(epoch);
@@ -402,7 +403,7 @@ impl BatchEngine {
         } else if let Some(p) = &mut self.planner {
             // `execute` epoch-refreshes the planner; an all-non-box
             // batch has to do it here.
-            let _ = p.refresh_if_restructured(mesh);
+            p.refresh_if_restructured(mesh, octopus.surface_index());
         }
         for (i, shape) in shapes.iter().enumerate() {
             if out[i].is_some() {

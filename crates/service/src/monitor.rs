@@ -25,12 +25,22 @@
 //! channel; the monitor copies it into a recycled slot mesh (zero
 //! allocation in steady state). On the rare restructuring step
 //! (detected exactly via the mesh's
-//! [`octopus_mesh::Mesh::restructure_epoch`]) it sends a full mesh
-//! clone instead, and the monitor *derives* the slot's executor from
-//! the previous one by surface-delta replay
-//! ([`octopus_core::Octopus::restructured`]) — older retained slots
-//! keep their own connectivity generation's executor, so queries
-//! against pre-restructuring steps stay exact.
+//! [`octopus_mesh::Mesh::restructure_epoch`]) it sends a
+//! [`octopus_mesh::Mesh::snapshot`] — positions and connectivity,
+//! nothing else — plus the step's surface delta, and the monitor
+//! *derives* the slot's executor from the previous one by replaying
+//! that delta ([`octopus_core::Octopus::restructured`]) — older
+//! retained slots keep their own connectivity generation's executor,
+//! so queries against pre-restructuring steps stay exact.
+//!
+//! **Who owns what.** The face table (the hash map restructuring
+//! operations run on) lives only in the [`Simulation`]'s mesh; no ring
+//! slot carries one. The serving side's knowledge of the surface is
+//! each slot executor's delta-maintained
+//! [`octopus_core::SurfaceIndex`], which the planner reads S from as
+//! well. After set-up nothing on this side extracts a surface or
+//! rebuilds an adjacency: a restructure costs a copy plus the delta, a
+//! re-layout a relabelling.
 //!
 //! **Reclamation and back-pressure.** Publishing into a full ring
 //! recycles the *oldest* slot — deterministically, and only when no
@@ -433,7 +443,9 @@ enum Cmd {
 enum Update {
     /// Deformation only: positions changed, connectivity did not.
     Deformed { step: u32, positions: Vec<Point3> },
-    /// Restructuring fired: full mesh hand-off + surface delta replay.
+    /// Restructuring fired: connectivity + positions hand-off (a
+    /// [`Mesh::snapshot`], without the simulation's face table) +
+    /// surface delta replay.
     Restructured {
         step: u32,
         mesh: Box<Mesh>,
@@ -467,6 +479,9 @@ struct Slot {
     /// *and* re-layout): slot meshes are only recycled within a
     /// generation, and executors are only shared within one.
     conn_gen: u64,
+    /// Positions and connectivity at `step` — always a
+    /// [`Mesh::snapshot`], never the restructuring state: the surface
+    /// of this slot is `exec`'s index.
     mesh: Mesh,
     /// Shared within a connectivity generation (deformation steps
     /// change positions only; the executor is position-free).
@@ -601,9 +616,12 @@ impl MonitorLoop {
             sim.permute_vertices(&perm);
             Arc::new(perm)
         });
-        let mesh = sim.mesh().clone();
+        // The ingest executor is built from the simulation's own mesh,
+        // which in restructuring mode answers `surface()` from its
+        // maintained counts; the ring then keeps the stripped copy.
+        let exec = Arc::new(Octopus::new(sim.mesh())?);
+        let mesh = sim.mesh().snapshot();
         let step = sim.current_step();
-        let exec = Arc::new(Octopus::new(&mesh)?);
         let scratch = exec.make_scratch(&mesh);
         let tracker = match policy.trigger() {
             RelayoutTrigger::LocalityDrift {
@@ -720,8 +738,13 @@ impl MonitorLoop {
     /// grouping, shared-frontier crawls, Eq.-6 planner routing and the
     /// temporal seed cache, and `query`/`query_at` warm-start from the
     /// seed cache — all returning exactly what the plain paths return.
+    ///
+    /// Cannot fail since the planner reads S off the latest slot's
+    /// surface index instead of extracting it; the `Result` is what
+    /// existing callers match on.
     pub fn set_batch_engine(&mut self, cfg: BatchEngineConfig) -> Result<(), ServiceError> {
-        let mut engine = BatchEngine::new(cfg, &self.latest().mesh)?;
+        let latest = self.latest();
+        let mut engine = BatchEngine::new(cfg, &latest.exec, &latest.mesh);
         if let Some(t) = &self.telemetry {
             engine.attach_metrics(&t.engine);
         }
@@ -923,6 +946,7 @@ impl MonitorLoop {
                 self.push_slot(slot);
             }
             Update::Restructured { step, mesh, delta } => {
+                let absorb_start = Instant::now();
                 let latest = self.slots.back().expect("ring is never empty");
                 // Derive (not mutate): older retained slots keep their
                 // generation's executor.
@@ -961,6 +985,11 @@ impl MonitorLoop {
                     translation,
                     cum_drift,
                 });
+                if let Some(t) = &self.telemetry {
+                    t.monitor
+                        .restructure_ns
+                        .record_duration(absorb_start.elapsed());
+                }
                 self.update_relayout_pending();
             }
             Update::Failed(e) => return Err(ServiceError::Mesh(e)),
@@ -1062,37 +1091,37 @@ impl MonitorLoop {
     /// re-laid-out latest snapshot.
     fn apply_relayout(&mut self) -> Result<(), ServiceError> {
         debug_assert!(self.in_flight == 0 && !self.any_pins());
-        self.relayout_pending = false;
-        self.restructures_since_layout = 0;
         let Some(curve) = self.policy.curve() else {
+            self.relayout_pending = false;
             return Ok(());
         };
+        // A known-dead simulation cannot take the permutation; the
+        // request stays pending for its replacement.
+        self.check_sim_alive()?;
         let relayout_start = Instant::now();
         let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
         let _span = tracer.as_ref().map(|tr| tr.span("monitor.relayout"));
+        let perm = curve_permutation(&self.latest().mesh, curve);
+        // The only step that can fail, taken before any monitor state
+        // changes: either both sides relabel or neither does (a refused
+        // send, like the dead simulation above, leaves the request
+        // pending). The channel orders the relabelling before any later
+        // `Step`, so both sides stay in the same id space.
+        self.cmd_tx
+            .send(Cmd::Relayout(perm.clone()))
+            .map_err(|_| ServiceError::SimulationStopped)?;
+        self.relayout_pending = false;
+        self.restructures_since_layout = 0;
         while self.slots.len() > 1 {
             self.slots.pop_front();
         }
         self.ledger.drop_all_but_latest();
-        let perm = curve_permutation(&self.slots.back().expect("ring is never empty").mesh, curve);
-        // The channel orders the relabelling before any later `Step`,
-        // so both sides stay in the same id space.
-        self.cmd_tx
-            .send(Cmd::Relayout(perm.clone()))
-            .map_err(|_| ServiceError::SimulationStopped)?;
         let latest = self.slots.back_mut().expect("ring is never empty");
         latest.mesh = latest.mesh.permute_vertices(&perm);
-        // Ids changed wholesale: the surface index and component map
-        // must be rebuilt, not delta-patched.
-        latest.exec = Arc::new(Octopus::with_strategy(
-            &latest.mesh,
-            latest.exec.visited_strategy(),
-        )?);
-        // A rebuilt executor starts with an empty metrics cell; re-wire
-        // it so the new connectivity generation keeps recording.
-        if let Some(t) = &self.telemetry {
-            latest.exec.attach_metrics(&t.executor);
-        }
+        // Ids changed wholesale, connectivity did not: the executor is
+        // relabelled through the permutation, not rebuilt (the slot
+        // mesh could only offer a from-scratch extraction).
+        latest.exec = Arc::new(latest.exec.relabelled(&latest.mesh, &perm));
         if let Some(t) = &latest.translation {
             latest.translation = Some(Arc::new(
                 t.iter().map(|&v| perm[v as usize]).collect::<Vec<_>>(),
@@ -1572,7 +1601,10 @@ impl MonitorLoop {
     /// The factory sees the snapshot in the monitor's *current* id
     /// space (post-layout); its rest configuration restarts at the
     /// snapshot positions, which is inherent to resuming from a
-    /// snapshot rather than replaying the lost trajectory.
+    /// snapshot rather than replaying the lost trajectory. Ring
+    /// snapshots carry no face table, so a factory that restructures
+    /// goes through [`Simulation::with_restructuring`] as at ingest,
+    /// which rebuilds the table for the new simulation's own mesh.
     pub fn restart_simulation<F>(&mut self, make: F) -> Result<u32, ServiceError>
     where
         F: FnOnce(&Mesh) -> Result<Simulation, MeshError>,
@@ -1816,7 +1848,7 @@ fn sim_thread(
                     last_epoch = outcome.restructure_epoch;
                     Update::Restructured {
                         step: outcome.step,
-                        mesh: Box::new(sim.mesh().clone()),
+                        mesh: Box::new(sim.mesh().snapshot()),
                         delta: outcome.delta,
                     }
                 } else {

@@ -214,6 +214,10 @@ pub struct MonitorMetrics {
     /// re-permutations and their durations.
     pub(crate) relayouts: Counter,
     pub(crate) relayout_ns: Histogram,
+    /// `ring_restructure_ns` — time to absorb a restructured update:
+    /// derive the slot executor by delta replay and publish the slot
+    /// (what a connectivity event costs the serving side).
+    pub(crate) restructure_ns: Histogram,
     /// `drift_meter` gauge — cumulative max-displacement meter of the
     /// newest snapshot (the seed-cache/subscription validity currency).
     pub(crate) drift_meter: Gauge,
@@ -251,6 +255,7 @@ impl MonitorMetrics {
             pin_waits: registry.counter("ring_pin_wait_total"),
             relayouts: registry.counter("ring_relayouts_total"),
             relayout_ns: registry.histogram("ring_relayout_ns"),
+            restructure_ns: registry.histogram("ring_restructure_ns"),
             drift_meter: registry.gauge("drift_meter"),
             locality_drift: registry.gauge("locality_drift"),
             subscriptions: registry.gauge("standing_subscriptions"),

@@ -35,6 +35,13 @@ fn sequential_reference(
         .collect()
 }
 
+/// An engine for `mesh`, its planner reading S off a fresh executor's
+/// surface index (as `MonitorLoop::set_batch_engine` does off the
+/// latest slot's).
+fn engine_for(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
+    BatchEngine::new(cfg, &Octopus::new(mesh).unwrap(), mesh)
+}
+
 fn assert_engine_equivalent(
     engine: &mut BatchEngine,
     pool: &mut ParallelExecutor,
@@ -90,7 +97,7 @@ proptest! {
             VisitedStrategy::EpochArray
         };
         let queries = mixed_workload(&mesh, seed, clusters, 4);
-        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh).unwrap();
+        let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(workers);
         // Twice: the second batch runs warm (every query seeds from the
         // cache at zero drift) and must still be exact.
@@ -113,7 +120,7 @@ proptest! {
             VisitedStrategy::EpochArray
         };
         let queries = mixed_workload(&mesh, seed, 2, 3);
-        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh).unwrap();
+        let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(2);
         let mut rng = SplitMix64::new(seed ^ 0xD1F7);
         let mut cum_drift = 0.0f32;
@@ -224,7 +231,7 @@ fn planner_routed_batches_match_sequential() {
     // Broad queries: high selectivity ⇒ LinearScan decisions.
     queries.push(Aabb::new(Point3::splat(-0.1), Point3::splat(1.1)));
     queries.push(Aabb::new(Point3::splat(0.1), Point3::splat(0.95)));
-    let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh).unwrap();
+    let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
     let mut pool = ParallelExecutor::new(3);
     assert_engine_equivalent(
         &mut engine,
@@ -310,14 +317,13 @@ fn group_fallback_counts_no_phantom_hits() {
     let q2 = Aabb::new(Point3::splat(0.35), Point3::splat(0.7));
     // A third, also overlapping, that the first batch never caches.
     let q3 = Aabb::new(Point3::splat(0.3), Point3::splat(0.65));
-    let mut engine = BatchEngine::new(
+    let mut engine = engine_for(
         BatchEngineConfig {
             use_planner: false,
             ..BatchEngineConfig::default()
         },
         &mesh,
-    )
-    .unwrap();
+    );
     let mut pool = ParallelExecutor::new(2);
     let octopus = Octopus::new(&mesh).unwrap();
     let epoch = mesh.restructure_epoch();
@@ -357,14 +363,13 @@ fn low_shard_threshold_routes_singletons_to_sharded_crawl() {
         Aabb::cube(Point3::splat(0.2), 0.07),
         Aabb::cube(Point3::splat(0.8), 0.07),
     ];
-    let mut engine = BatchEngine::new(
+    let mut engine = engine_for(
         BatchEngineConfig {
             shard_min_results: 1,
             ..BatchEngineConfig::default()
         },
         &mesh,
-    )
-    .unwrap();
+    );
     let mut pool = ParallelExecutor::new(2);
     assert_engine_equivalent(
         &mut engine,
@@ -417,15 +422,14 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
 
     // Planner off isolates the shared-frontier counter (no scan
     // rerouting); cache off isolates it from warm starts.
-    let mut engine = BatchEngine::new(
+    let mut engine = engine_for(
         BatchEngineConfig {
             use_planner: false,
             use_seed_cache: false,
             ..BatchEngineConfig::default()
         },
         &mesh,
-    )
-    .unwrap();
+    );
     let mut pool = ParallelExecutor::new(2);
     assert_engine_equivalent(
         &mut engine,

@@ -47,8 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The planner applies Eq. 6 per query using histogram selectivity.
-    let planner = Planner::new(&mesh, model, 12)?;
+    // It reads S off the executor's surface index (no second extraction).
     let mut engine = Octopus::new(&mesh)?;
+    let planner = Planner::new(&mesh, engine.surface_index(), model, 12);
     let scan = LinearScan::new();
     let bounds = mesh.bounding_box();
     let mut rng = SplitMix64::new(5);

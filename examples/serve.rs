@@ -580,6 +580,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "planner_decisions_",
         "seed_cache_",
         "ring_",
+        "ring_restructure_ns",
         "standing_",
         "monitor_steps_total",
         "admission_",

@@ -114,7 +114,8 @@ proptest! {
         let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 5, 5, 5);
         let mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 6).unwrap();
+        let surface = SurfaceIndex::build(&mesh).unwrap();
+        let planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), 6);
         let mut rng = octopus::geom::rng::SplitMix64::new(seed);
         let q = Aabb::cube(
             Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
