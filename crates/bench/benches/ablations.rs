@@ -1,20 +1,12 @@
 //! Ablation benches for the design choices called out in `DESIGN.md` §5:
 //!
-//! * `ablation_visited` — epoch-stamped array vs hash-set visited set;
-//! * `ablation_crawl_order` — BFS (paper) vs DFS expansion;
 //! * `ablation_surface_layout` — dense id vector vs hash-map iteration
 //!   during the probe;
 //! * `ablation_tuning` — octree bucket capacity and R-tree fanout sweeps
 //!   (the paper's §V-A parameter sweeps).
-//!
-//! The planner-batch hoisting ablation lives in its own
-//! `planner_batch` bench: it uses interleaved A/B windows to stay
-//! above this container's scheduler jitter, which the group's shared
-//! criterion budget cannot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use octopus_bench::workload::QueryGen;
-use octopus_core::{CrawlOrder, Octopus, VisitedStrategy};
 use octopus_geom::{Aabb, VertexId};
 use octopus_index::rtree::{point_key, LeafEntry};
 use octopus_index::{DynamicIndex, Octree, RTree};
@@ -24,42 +16,7 @@ use std::collections::HashMap;
 fn benches(c: &mut Criterion) {
     let mesh = neuron(NeuroLevel::L3, 0.6).expect("neuron");
     let mut gen = QueryGen::new(&mesh, 3);
-    // Crawl-heavy queries for the traversal ablations.
     let queries = gen.batch_with_selectivity(10, 0.01);
-
-    // --- Visited-set strategy.
-    for (name, strategy) in [
-        ("epoch_array", VisitedStrategy::EpochArray),
-        ("hash_set", VisitedStrategy::HashSet),
-    ] {
-        let mut octopus = Octopus::with_strategy(&mesh, strategy).expect("surface");
-        c.bench_function(&format!("ablation_visited/{name}"), |b| {
-            let mut out = Vec::new();
-            b.iter(|| {
-                for q in &queries {
-                    out.clear();
-                    octopus.query(&mesh, q, &mut out);
-                }
-                out.len()
-            })
-        });
-    }
-
-    // --- Crawl order.
-    for (name, order) in [("bfs", CrawlOrder::Bfs), ("dfs", CrawlOrder::Dfs)] {
-        let mut octopus = Octopus::new(&mesh).expect("surface");
-        octopus.set_crawl_order(order);
-        c.bench_function(&format!("ablation_crawl_order/{name}"), |b| {
-            let mut out = Vec::new();
-            b.iter(|| {
-                for q in &queries {
-                    out.clear();
-                    octopus.query(&mesh, q, &mut out);
-                }
-                out.len()
-            })
-        });
-    }
 
     // --- Surface iteration layout: dense sorted id vector (the
     // SurfaceIndex design) vs iterating a HashMap directly (the paper's

@@ -1,22 +1,16 @@
-//! `fig13_hilbert`: crawl cost under five vertex layouts — identity
+//! `fig13_hilbert`: crawl cost under four vertex layouts — identity
 //! (generator order), scrambled (worst case, an arbitrary application
-//! order), Morton, Hilbert (the paper's §IV-H1 choice), and the v2
-//! cache-oblivious adjacency bisection.
+//! order), Morton, and Hilbert (the paper's §IV-H1 choice, the layout
+//! the service applies).
 //!
 //! Fig. 13's claim is that sorting vertices along a space-filling curve
 //! makes the crawl's pointer-chasing cache-friendly. Each layout is
 //! benchmarked with the same geometry and the same queries; alongside
-//! the timings two locality models are reported per layout:
-//!
-//! * `adjacency_locality` — the **legacy v1 proxy** (mean adjacent-id
-//!   distance). Kept deliberately: it is the metric under which Hilbert
-//!   looks ~2× better than identity while crawling slower — the
-//!   paradox that motivated the v2 metric.
-//! * the **v2 cache-line model** (`cache_line_stats` +
-//!   `reuse_distance_histogram`) — line-crossing ratio, mean distinct
-//!   foreign 64-byte lines per neighbourhood, and the fraction of
-//!   simulated-crawl line touches with LRU stack distance < 512 lines
-//!   (a 32 KiB L1's worth).
+//! the timings the cache-line model (`cache_line_stats` +
+//! `reuse_distance_histogram`) is reported per layout: line-crossing
+//! ratio, mean distinct foreign 64-byte lines per neighbourhood, and
+//! the fraction of simulated-crawl line touches with LRU stack distance
+//! < 512 lines (a 32 KiB L1's worth).
 //!
 //! Run directly, or with `--json <path>` to record the committed
 //! `BENCH_fig13.json` artifact:
@@ -28,8 +22,7 @@
 
 use octopus_bench::workload::QueryGen;
 use octopus_core::layout::{
-    adjacency_locality, cache_line_stats, cache_oblivious_layout, hilbert_layout, morton_layout,
-    reuse_distance_histogram,
+    cache_line_stats, hilbert_layout, morton_layout, reuse_distance_histogram,
 };
 use octopus_core::Octopus;
 use octopus_geom::VertexId;
@@ -49,7 +42,6 @@ const L1_LINES: u64 = 512;
 
 struct Entry {
     layout: &'static str,
-    locality: f64,
     crossing_ratio: f64,
     extra_lines: f64,
     reuse_within_l1: f64,
@@ -75,7 +67,6 @@ fn main() {
     let scrambled = identity.permute_vertices(&perm);
     let (hilbert, _) = hilbert_layout(&scrambled);
     let (morton, _) = morton_layout(&scrambled);
-    let (cache_oblivious, _) = cache_oblivious_layout(&scrambled);
 
     // Same geometry in every layout → identical query boxes apply.
     let mut gen = QueryGen::new(&scrambled, 5);
@@ -87,24 +78,15 @@ fn main() {
         queries.len()
     );
     println!(
-        "{:<16} {:>10} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8}",
-        "layout",
-        "id-dist",
-        "crossing",
-        "xlines",
-        "reuse<L1",
-        "crawl µs/q",
-        "total µs/q",
-        "vs scr",
-        "vs id"
+        "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8}",
+        "layout", "crossing", "xlines", "reuse<L1", "crawl µs/q", "total µs/q", "vs scr", "vs id"
     );
 
-    let layouts: [(&'static str, &Mesh); 5] = [
+    let layouts: [(&'static str, &Mesh); 4] = [
         ("scrambled", &scrambled),
         ("identity", &identity),
         ("morton", &morton),
         ("hilbert", &hilbert),
-        ("cache_oblivious", &cache_oblivious),
     ];
     // Passes are interleaved round-robin across layouts, not measured
     // one layout at a time: machine-level drift (frequency scaling,
@@ -123,8 +105,8 @@ fn main() {
             octopus.query(mesh, q, &mut out);
         }
     }
-    let mut crawl = [Duration::ZERO; 5];
-    let mut total = [Duration::ZERO; 5];
+    let mut crawl = [Duration::ZERO; 4];
+    let mut total = [Duration::ZERO; 4];
     let t0 = Instant::now();
     let mut passes = 0u32;
     while t0.elapsed() < BUDGET.saturating_mul(layouts.len() as u32) || passes == 0 {
@@ -146,7 +128,6 @@ fn main() {
         let hist = reuse_distance_histogram(mesh);
         entries.push(Entry {
             layout: name,
-            locality: adjacency_locality(mesh),
             crossing_ratio: line_stats.crossing_ratio,
             extra_lines: line_stats.extra_lines_per_vertex,
             reuse_within_l1: hist.fraction_within(L1_LINES),
@@ -162,9 +143,8 @@ fn main() {
         e.speedup_vs_scrambled = scrambled_crawl / e.crawl_us_per_query;
         e.speedup_vs_identity = identity_crawl / e.crawl_us_per_query;
         println!(
-            "{:<16} {:>10.1} {:>9.3} {:>9.2} {:>9.3} {:>11.1} {:>11.1} {:>7.2}x {:>7.2}x",
+            "{:<16} {:>9.3} {:>9.2} {:>9.3} {:>11.1} {:>11.1} {:>7.2}x {:>7.2}x",
             e.layout,
-            e.locality,
             e.crossing_ratio,
             e.extra_lines,
             e.reuse_within_l1,
@@ -175,29 +155,18 @@ fn main() {
         );
     }
 
-    // The finding the v2 metric exists, and the crawl hot path was
-    // rebuilt, to explain: the id-distance proxy said Hilbert should
-    // crush identity, yet under the original branchy crawl identity won
-    // every time. The confounder was never memory at all — it was the
-    // visited-check branch, whose outcome under the generator order
-    // correlates with BFS wave arrival (predictable) and under any
-    // locality-optimised order does not (a coin flip per neighbour).
-    // The branchless SoA hot path removes that cost, and the clock then
-    // follows the cache-line metric: fewer extra lines per vertex means
-    // a faster crawl, and the cache-oblivious layout beats identity.
+    // Why the crawl hot path is branchless: under a branchy crawl
+    // identity won every time, and the confounder was never memory — it
+    // was the visited-check branch, whose outcome under the generator
+    // order correlates with BFS wave arrival (predictable) and under
+    // any locality-optimised order does not (a coin flip per
+    // neighbour). Without that branch the clock follows the cache-line
+    // metric: fewer extra lines per vertex means a faster crawl.
     let diagnosis = format!(
-        "id-distance proxy misleads twice: hilbert improves it {:.1}x over identity, \
-         yet under the old branchy crawl identity still won — the visited-check \
-         branch predicts well only when neighbour order correlates with BFS wave \
-         arrival (true for the generator order, false for any locality-optimised \
-         permutation), a cost no locality metric can see. With the branchless SoA \
-         hot path the clock follows the cache-line metric instead: identity touches \
-         {:.2} extra lines/vertex, cache_oblivious {:.2}, and cache_oblivious \
-         crawls {:.2}x faster than identity.",
-        entries[1].locality / entries[3].locality,
-        entries[1].extra_lines,
-        entries[4].extra_lines,
-        entries[4].speedup_vs_identity,
+        "with the branchless SoA hot path the clock follows the cache-line metric: \
+         identity touches {:.2} extra lines/vertex, hilbert {:.2}, and hilbert crawls \
+         {:.2}x faster than identity.",
+        entries[1].extra_lines, entries[3].extra_lines, entries[3].speedup_vs_identity,
     );
     println!("diagnosis: {diagnosis}");
 
@@ -208,19 +177,21 @@ fn main() {
         let _ = writeln!(json, "  \"queries\": {QUERIES},");
         let _ = writeln!(json, "  \"selectivity\": {SELECTIVITY},");
         let _ = writeln!(json, "  \"reuse_window_lines\": {L1_LINES},");
+        let hardware_threads =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
         let _ = writeln!(json, "  \"diagnosis\": \"{diagnosis}\",");
         let _ = writeln!(json, "  \"entries\": [");
         for (i, e) in entries.iter().enumerate() {
             let comma = if i + 1 == entries.len() { "" } else { "," };
             let _ = writeln!(
                 json,
-                "    {{\"layout\": \"{}\", \"adjacency_locality\": {:.1}, \
+                "    {{\"layout\": \"{}\", \
                  \"line_crossing_ratio\": {:.4}, \"extra_lines_per_vertex\": {:.3}, \
                  \"reuse_within_l1\": {:.4}, \"crawl_us_per_query\": {:.2}, \
                  \"total_us_per_query\": {:.2}, \"crawl_speedup_vs_scrambled\": {:.3}, \
                  \"crawl_speedup_vs_identity\": {:.3}}}{comma}",
                 e.layout,
-                e.locality,
                 e.crossing_ratio,
                 e.extra_lines,
                 e.reuse_within_l1,

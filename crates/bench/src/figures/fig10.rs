@@ -1,16 +1,16 @@
 //! Fig. 10 — OCTOPUS overhead analysis.
 //!
 //! (a) per-phase execution-time breakdown across dataset sizes;
-//! (b) memory footprint vs number of query results (with the
-//! result-proportional `HashSet` visited strategy, matching the paper's
-//! accounting), plus the one-time surface-index build cost (§VI-A text).
+//! (b) memory footprint vs number of query results — fixed part (surface
+//! index + 4 B/vertex visited stamps) and result-proportional part (the
+//! crawl queue) — plus the one-time surface-index build cost (§VI-A text).
 
 use super::FigureOutput;
 use crate::runner::{fixed_selectivity_supplier, run_scenario, Approach};
 use crate::table::{ms, Table};
 use crate::workload::QueryGen;
 use crate::Config;
-use octopus_core::{Octopus, SurfaceIndex, VisitedStrategy};
+use octopus_core::{Octopus, SurfaceIndex};
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_sim::{Simulation, SmoothRandomField};
 use std::time::Instant;
@@ -58,17 +58,16 @@ pub fn run(config: &Config) -> FigureOutput {
     // ---- (b): memory footprint vs result count.
     let mut mem_table = Table::new(
         "Fig. 10(b): memory footprint vs number of query results",
-        &["Results", "Footprint [KiB]", "of which surface index [KiB]"],
+        &["Results", "Footprint [KiB]", "fixed [KiB]", "queue [KiB]"],
     );
     {
         let mesh = neuron(NeuroLevel::L5, config.scale).expect("neuron generation");
         let n = mesh.num_vertices() as f64;
+        let stamps = mesh.num_vertices() * std::mem::size_of::<u32>();
         let mut gen = QueryGen::new(&mesh, config.seed ^ 0xAB);
         for fraction in [0.002f64, 0.01, 0.05, 0.15, 0.3] {
-            // Fresh executor per point: footprint reflects this workload
-            // only (HashSet strategy: memory tracks touched vertices).
-            let mut octopus =
-                Octopus::with_strategy(&mesh, VisitedStrategy::HashSet).expect("surface");
+            // Fresh executor per point: footprint reflects this workload only.
+            let mut octopus = Octopus::new(&mesh).expect("surface");
             let mut out = Vec::new();
             let mut results = 0usize;
             for _ in 0..15 {
@@ -77,13 +76,13 @@ pub fn run(config: &Config) -> FigureOutput {
                 octopus.query(&mesh, &q, &mut out);
                 results += out.len();
             }
+            let total = octopus.memory_bytes();
+            let fixed = octopus.surface_index().memory_bytes() + stamps;
             mem_table.push_row(vec![
                 results.to_string(),
-                format!("{:.1}", octopus.memory_bytes() as f64 / 1024.0),
-                format!(
-                    "{:.1}",
-                    octopus.surface_index().memory_bytes() as f64 / 1024.0
-                ),
+                format!("{:.1}", total as f64 / 1024.0),
+                format!("{:.1}", fixed as f64 / 1024.0),
+                format!("{:.1}", (total - fixed) as f64 / 1024.0),
             ]);
         }
     }
@@ -98,9 +97,9 @@ pub fn run(config: &Config) -> FigureOutput {
              result count. Surface-index build: one-time 62 s for the 33 GB mesh."
                 .into(),
             "Paper Fig. 10(b): footprint ∝ results (1.9 MB traversal state + 27 MB \
-             surface index for 480 k results on 208 M vertices). The HashSet visited \
-             strategy reproduces the proportionality; the default EpochArray strategy \
-             trades O(V) memory for faster crawls (ablation_visited bench)."
+             surface index for 480 k results on 208 M vertices). That fully result-\
+             proportional footprint corresponds to a hash-set visited set we do not carry: \
+             the epoch stamps are a fixed 4 B/vertex and only the crawl queue grows."
                 .into(),
         ],
     }

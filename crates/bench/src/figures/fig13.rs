@@ -11,7 +11,7 @@ use super::FigureOutput;
 use crate::table::{ms, Table};
 use crate::workload::QueryGen;
 use crate::Config;
-use octopus_core::layout::{adjacency_locality, hilbert_layout};
+use octopus_core::layout::{cache_line_stats, hilbert_layout};
 use octopus_core::{Octopus, PhaseTimings};
 use octopus_geom::Aabb;
 use octopus_mesh::Mesh;
@@ -39,8 +39,8 @@ pub fn run(config: &Config) -> FigureOutput {
     octopus_geom::rng::SplitMix64::new(config.seed ^ 13).shuffle(&mut scramble);
     let unsorted = base.permute_vertices(&scramble);
     let (sorted, _) = hilbert_layout(&unsorted);
-    let loc_before = adjacency_locality(&unsorted);
-    let loc_after = adjacency_locality(&sorted);
+    let loc_before = cache_line_stats(&unsorted).extra_lines_per_vertex;
+    let loc_after = cache_line_stats(&sorted).extra_lines_per_vertex;
 
     let mut table = Table::new(
         "Fig. 13: Hilbert layout — phase times [ms] and crawl speedup",
@@ -84,8 +84,8 @@ pub fn run(config: &Config) -> FigureOutput {
         tables: vec![table],
         notes: vec![
             format!(
-                "Mean adjacent-id distance: {loc_before:.0} (scrambled) → {loc_after:.0} \
-                 (Hilbert) — the locality the crawl's cache behaviour depends on."
+                "Distinct foreign cache lines per neighbourhood: {loc_before:.2} (scrambled) → \
+                 {loc_after:.2} (Hilbert) — the locality the crawl's cache behaviour depends on."
             ),
             "Paper: the layout speeds up crawling (up to ~50 % at 0.2 % selectivity, \
              growing with result size) and leaves the surface probe unchanged."

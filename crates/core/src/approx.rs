@@ -8,7 +8,7 @@
 //! simulation." Visualization monitors tolerate the (usually tiny)
 //! accuracy loss — Fig. 12 quantifies the trade-off.
 
-use crate::crawler::{Crawler, VisitedStrategy};
+use crate::crawler::Crawler;
 use crate::executor::PhaseTimings;
 use crate::surface_index::SurfaceIndex;
 use octopus_geom::rng::SplitMix64;
@@ -69,7 +69,7 @@ impl ApproxOctopus {
             sample: ids,
             fraction,
             full_surface_len: surface.len(),
-            crawler: Crawler::new(num_vertices, VisitedStrategy::default()),
+            crawler: Crawler::new(num_vertices),
         }
     }
 

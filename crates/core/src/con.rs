@@ -9,7 +9,7 @@
 //! chooses a starting point; correctness comes from the walk + crawl on
 //! live data.
 
-use crate::crawler::{Crawler, VisitedStrategy};
+use crate::crawler::Crawler;
 use crate::executor::PhaseTimings;
 use octopus_geom::{Aabb, VertexId};
 use octopus_index::{DynamicIndex, UniformGrid};
@@ -40,7 +40,7 @@ impl OctopusCon {
         let bounds = mesh.bounding_box();
         OctopusCon {
             grid: UniformGrid::build(mesh.positions(), &bounds, res),
-            crawler: Crawler::new(mesh.num_vertices(), VisitedStrategy::default()),
+            crawler: Crawler::new(mesh.num_vertices()),
         }
     }
 

@@ -7,7 +7,6 @@
 
 use octopus_geom::{Region, VertexId};
 use octopus_mesh::{Mesh, BLOCK_LANES};
-use std::collections::HashSet;
 
 #[cfg(test)]
 use octopus_geom::Aabb;
@@ -18,18 +17,12 @@ use octopus_geom::Aabb;
 /// where the whole array is cleared so stamps from the previous counter
 /// cycle can never alias a future generation. All epoch-stamped scratch
 /// in the workspace (the crawler's visited set, the executor's
-/// per-component seeding scratch, the per-worker shard scratch of
-/// `octopus-service`) shares this one audited implementation.
+/// per-component seeding scratch) shares this one audited
+/// implementation.
 #[derive(Clone, Debug)]
 pub(crate) struct EpochStamps {
     epoch: u32,
     stamps: Vec<u32>,
-}
-
-impl Default for EpochStamps {
-    fn default() -> EpochStamps {
-        EpochStamps::with_len(0)
-    }
 }
 
 impl EpochStamps {
@@ -91,66 +84,10 @@ impl EpochStamps {
     }
 }
 
-/// Read-only view of a query's visited set, shareable across worker
-/// threads while they expand frontier chunks in parallel (the master
-/// set is only mutated between rounds, on the merging thread).
-#[derive(Clone, Copy, Debug)]
-pub struct VisitedView<'a>(VisitedViewInner<'a>);
-
-#[derive(Clone, Copy, Debug)]
-enum VisitedViewInner<'a> {
-    Stamps { stamps: &'a [u32], epoch: u32 },
-    Set(&'a HashSet<VertexId>),
-}
-
-impl VisitedView<'_> {
-    /// True when `v` is already part of the current query's visited set.
-    #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        match self.0 {
-            VisitedViewInner::Stamps { stamps, epoch } => stamps[v as usize] == epoch,
-            VisitedViewInner::Set(set) => set.contains(&v),
-        }
-    }
-}
-
-/// How the crawl remembers visited vertices.
-///
-/// The paper's C++ implementation keeps memory proportional to the query
-/// result (Fig. 10b), which corresponds to a hash set. An epoch-stamped
-/// dense array trades O(V) memory for faster lookups; `DESIGN.md` lists
-/// this as an ablation (`ablation_visited` bench).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VisitedStrategy {
-    /// Dense `Vec<u32>` of epoch stamps — O(V) memory, O(1) reset, fastest.
-    #[default]
-    EpochArray,
-    /// `HashSet<VertexId>` — memory proportional to vertices touched by
-    /// the query (the paper's reported footprint behaviour).
-    HashSet,
-}
-
-/// Order in which the crawl expands the frontier.
-///
-/// The paper chose breadth-first; depth-first visits the same vertex set
-/// (the stop criterion only depends on membership), differing only in
-/// memory-access pattern. The `ablation_crawl_order` bench compares them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CrawlOrder {
-    /// Breadth-first (paper's choice, §IV-B).
-    #[default]
-    Bfs,
-    /// Depth-first (ablation).
-    Dfs,
-}
-
 /// Reusable traversal scratch state.
 #[derive(Debug)]
 pub(crate) struct Crawler {
-    strategy: VisitedStrategy,
-    pub(crate) order: CrawlOrder,
     visited: EpochStamps,
-    set: HashSet<VertexId>,
     queue: Vec<VertexId>,
     /// Vertices examined by the last crawl (inside + frontier outside).
     pub crawl_visited: usize,
@@ -162,16 +99,9 @@ pub(crate) struct Crawler {
 }
 
 impl Crawler {
-    pub(crate) fn new(num_vertices: usize, strategy: VisitedStrategy) -> Crawler {
-        let visited = match strategy {
-            VisitedStrategy::EpochArray => EpochStamps::with_len(num_vertices),
-            VisitedStrategy::HashSet => EpochStamps::default(),
-        };
+    pub(crate) fn new(num_vertices: usize) -> Crawler {
         Crawler {
-            strategy,
-            order: CrawlOrder::Bfs,
-            visited,
-            set: HashSet::new(),
+            visited: EpochStamps::with_len(num_vertices),
             queue: Vec::new(),
             crawl_visited: 0,
             walk_visited: 0,
@@ -179,38 +109,14 @@ impl Crawler {
         }
     }
 
-    /// Prepares for a new query: O(1) for the epoch array (O(V) on the
-    /// rare epoch wrap, see [`EpochStamps::begin`]), O(touched) for the
-    /// hash set.
+    /// Prepares for a new query: O(1) (O(V) on the rare epoch wrap, see
+    /// [`EpochStamps::begin`]).
     pub(crate) fn begin_query(&mut self, num_vertices: usize) {
-        match self.strategy {
-            // Restructuring may have added vertices; `begin` resizes.
-            VisitedStrategy::EpochArray => self.visited.begin(num_vertices),
-            VisitedStrategy::HashSet => self.set.clear(),
-        }
+        // Restructuring may have added vertices; `begin` resizes.
+        self.visited.begin(num_vertices);
         self.queue.clear();
         self.crawl_visited = 0;
         self.walk_visited = 0;
-    }
-
-    #[inline]
-    pub(crate) fn mark(&mut self, v: VertexId) -> bool {
-        match self.strategy {
-            VisitedStrategy::EpochArray => self.visited.mark(v as usize),
-            VisitedStrategy::HashSet => self.set.insert(v),
-        }
-    }
-
-    /// Read-only view of the visited set, shareable across threads while
-    /// no `mark`/`seed`/`crawl` call is in flight.
-    pub(crate) fn visited_view(&self) -> VisitedView<'_> {
-        match self.strategy {
-            VisitedStrategy::EpochArray => VisitedView(VisitedViewInner::Stamps {
-                stamps: &self.visited.stamps,
-                epoch: self.visited.epoch,
-            }),
-            VisitedStrategy::HashSet => VisitedView(VisitedViewInner::Set(&self.set)),
-        }
     }
 
     /// Test hook for the epoch-wrap regression tests.
@@ -224,7 +130,7 @@ impl Crawler {
     /// query's result) — in that case it is also appended to `out`.
     #[inline]
     pub(crate) fn seed(&mut self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        if self.mark(v) {
+        if self.visited.mark(v as usize) {
             out.push(v);
             self.queue.push(v);
             true
@@ -257,109 +163,58 @@ impl Crawler {
     ) {
         // The crawl reads positions through the blocked SoA mirror
         // (rebuilt lazily here if deformation outdated it): one block =
-        // three cache lines shared by 16 consecutive ids, which the
-        // cache-oblivious layout packs neighbourhoods into.
+        // three cache lines shared by 16 consecutive ids, which a
+        // locality-optimised layout packs neighbourhoods into.
         let blocks = mesh.position_blocks();
         let blk = blocks.blocks();
-        // The queue is a grow-only Vec: BFS pops advance `head`, DFS
-        // pops the tail. Keeping popped ids in place costs nothing (the
-        // buffer is result-sized either way) and buys the branchless
-        // append below.
+        // The hot path is *branchless* on freshness and containment.
+        // Whether a neighbour was already visited is decided by the
+        // crawl wavefront, which under a locality-optimised layout is
+        // uncorrelated with the id order of the adjacency list — a
+        // `if !visited` branch there is a coin flip that costs a
+        // pipeline flush per miss and made every well-packed layout
+        // measure *slower* than the generator order. Instead: the stamp
+        // store is unconditional (re-marking is idempotent), freshness
+        // and containment fold to 0/1 integers, and the conditional
+        // queue append becomes an always-write with a 0/1 tail bump.
+        let epoch = self.visited.epoch;
+        let stamps = &mut self.visited.stamps[..];
+        // The queue is a grow-only Vec: BFS pops advance `head`. Keeping
+        // popped ids in place costs nothing (the buffer is result-sized
+        // either way) and buys the branchless append below.
+        let queue = &mut self.queue;
         let mut head = 0usize;
-        match self.strategy {
-            // The hot path is *branchless* on freshness and containment.
-            // Whether a neighbour was already visited is decided by the
-            // crawl wavefront, which under a locality-optimised layout
-            // is uncorrelated with the id order of the adjacency list —
-            // a `if !visited` branch there is a coin flip that costs a
-            // pipeline flush per miss and made every well-packed layout
-            // measure *slower* than the generator order. Instead: the
-            // stamp store is unconditional (re-marking is idempotent),
-            // freshness and containment fold to 0/1 integers, and the
-            // conditional queue append becomes an always-write with a
-            // 0/1 tail bump.
-            VisitedStrategy::EpochArray => {
-                let epoch = self.visited.epoch;
-                let stamps = &mut self.visited.stamps[..];
-                let queue = &mut self.queue;
-                let mut popped = 0usize;
-                let mut rejected = 0usize;
-                loop {
-                    let v = match self.order {
-                        CrawlOrder::Bfs => {
-                            if head == queue.len() {
-                                break;
-                            }
-                            head += 1;
-                            queue[head - 1]
-                        }
-                        CrawlOrder::Dfs => match queue.pop() {
-                            Some(v) => v,
-                            None => break,
-                        },
-                    };
-                    popped += 1;
-                    let neighbors = mesh.neighbors(v);
-                    let start = queue.len();
-                    // Room for the worst case up front, so the inner
-                    // loop writes unconditionally and the final length
-                    // is just `truncate`d back.
-                    queue.resize(start + neighbors.len(), 0);
-                    let mut tail = start;
-                    for &w in neighbors {
-                        let wi = w as usize;
-                        let slot = &mut stamps[wi];
-                        let fresh = (*slot != epoch) as usize;
-                        *slot = epoch;
-                        let block = &blk[wi / BLOCK_LANES];
-                        let l = wi % BLOCK_LANES;
-                        let inside =
-                            q.contains_coords(block.xs()[l], block.ys()[l], block.zs()[l]) as usize;
-                        let take = fresh & inside;
-                        queue[tail] = w;
-                        tail += take;
-                        rejected += fresh - take;
-                    }
-                    queue.truncate(tail);
-                    for &w in &queue[start..tail] {
-                        visit(w);
-                    }
-                }
-                self.crawl_visited += popped + rejected;
+        let mut rejected = 0usize;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            let neighbors = mesh.neighbors(v);
+            let start = queue.len();
+            // Room for the worst case up front, so the inner loop
+            // writes unconditionally and the final length is just
+            // `truncate`d back.
+            queue.resize(start + neighbors.len(), 0);
+            let mut tail = start;
+            for &w in neighbors {
+                let wi = w as usize;
+                let slot = &mut stamps[wi];
+                let fresh = (*slot != epoch) as usize;
+                *slot = epoch;
+                let block = &blk[wi / BLOCK_LANES];
+                let l = wi % BLOCK_LANES;
+                let inside =
+                    q.contains_coords(block.xs()[l], block.ys()[l], block.zs()[l]) as usize;
+                let take = fresh & inside;
+                queue[tail] = w;
+                tail += take;
+                rejected += fresh - take;
             }
-            // The hash-set ablation keeps the straightforward loop: its
-            // per-probe cost dwarfs a mispredict, and `insert` cannot be
-            // made unconditional.
-            VisitedStrategy::HashSet => loop {
-                let v = match self.order {
-                    CrawlOrder::Bfs => {
-                        if head == self.queue.len() {
-                            break;
-                        }
-                        head += 1;
-                        self.queue[head - 1]
-                    }
-                    CrawlOrder::Dfs => match self.queue.pop() {
-                        Some(v) => v,
-                        None => break,
-                    },
-                };
-                self.crawl_visited += 1;
-                for &w in mesh.neighbors(v) {
-                    if self.set.insert(w) {
-                        let wi = w as usize;
-                        let block = &blk[wi / BLOCK_LANES];
-                        let l = wi % BLOCK_LANES;
-                        if q.contains_coords(block.xs()[l], block.ys()[l], block.zs()[l]) {
-                            visit(w);
-                            self.queue.push(w);
-                        } else {
-                            self.crawl_visited += 1;
-                        }
-                    }
-                }
-            },
+            queue.truncate(tail);
+            for &w in &queue[start..tail] {
+                visit(w);
+            }
         }
+        self.crawl_visited += head + rejected;
     }
 
     /// The directed walk (§IV-D): from `start`, repeatedly move to the
@@ -388,16 +243,7 @@ impl Crawler {
     /// hot path added no crawl-owned state beyond the queue it always
     /// had.
     pub(crate) fn memory_bytes(&self) -> usize {
-        let visited = match self.strategy {
-            VisitedStrategy::EpochArray => self.visited.heap_bytes(),
-            VisitedStrategy::HashSet => hash_set_heap_bytes(&self.set),
-        };
-        visited + self.queue.capacity() * std::mem::size_of::<VertexId>()
-    }
-
-    /// The configured visited-set strategy.
-    pub(crate) fn strategy(&self) -> VisitedStrategy {
-        self.strategy
+        self.visited.heap_bytes() + self.queue.capacity() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -450,24 +296,6 @@ pub(crate) fn greedy_walk<R: Region>(
     }
 }
 
-/// Heap estimate for std's hashbrown-backed `HashSet`. `capacity()` is
-/// the *usable* capacity — the table actually allocates
-/// `buckets = next_power_of_two(ceil(capacity · 8/7))` slots (7/8 max
-/// load factor, power-of-two table sizes), each costing one element
-/// plus one control byte, with a small constant for the header and
-/// control-byte group padding. The previous `capacity · (elem + 1)`
-/// formula silently dropped both the load-factor headroom and the
-/// power-of-two round-up — an undercount of up to ~2× right after a
-/// table growth.
-fn hash_set_heap_bytes(set: &HashSet<VertexId>) -> usize {
-    const HEADER_SLOP: usize = 32;
-    if set.capacity() == 0 {
-        return 0;
-    }
-    let buckets = (set.capacity() * 8).div_ceil(7).next_power_of_two();
-    buckets * (std::mem::size_of::<VertexId>() + 1) + HEADER_SLOP
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,21 +330,19 @@ mod tests {
     }
 
     #[test]
-    fn crawl_collects_exactly_the_contained_vertices_both_strategies() {
+    fn crawl_collects_exactly_the_contained_vertices() {
         let mesh = box_mesh(5);
         let q = Aabb::new(Point3::splat(0.15), Point3::splat(0.75));
-        for strategy in [VisitedStrategy::EpochArray, VisitedStrategy::HashSet] {
-            let mut c = Crawler::new(mesh.num_vertices(), strategy);
-            let mut got = crawl_from_all_inside(&mut c, &mesh, &q);
-            got.sort_unstable();
-            assert_eq!(got, scan(&mesh, &q), "{strategy:?}");
-        }
+        let mut c = Crawler::new(mesh.num_vertices());
+        let mut got = crawl_from_all_inside(&mut c, &mesh, &q);
+        got.sort_unstable();
+        assert_eq!(got, scan(&mesh, &q));
     }
 
     #[test]
     fn consecutive_queries_reuse_scratch_state_correctly() {
         let mesh = box_mesh(4);
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         for step in 0..5 {
             let lo = 0.1 + 0.05 * step as f32;
             let q = Aabb::new(Point3::splat(lo), Point3::splat(lo + 0.5));
@@ -530,7 +356,7 @@ mod tests {
     fn directed_walk_reaches_query_on_convex_mesh() {
         let mesh = box_mesh(6);
         let q = Aabb::new(Point3::splat(0.4), Point3::splat(0.6));
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         c.begin_query(mesh.num_vertices());
         // Start from the far corner (vertex at (0,0,0) exists in lattice).
         let start = 0;
@@ -545,7 +371,7 @@ mod tests {
     fn directed_walk_returns_none_for_disjoint_query() {
         let mesh = box_mesh(4);
         let q = Aabb::new(Point3::splat(5.0), Point3::splat(6.0));
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         c.begin_query(mesh.num_vertices());
         assert_eq!(c.directed_walk(&mesh, &q, 0), None);
     }
@@ -554,7 +380,7 @@ mod tests {
     fn walk_starting_inside_returns_immediately() {
         let mesh = box_mesh(4);
         let q = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         c.begin_query(mesh.num_vertices());
         assert_eq!(c.directed_walk(&mesh, &q, 3), Some(3));
         assert_eq!(c.walk_visited, 1);
@@ -563,7 +389,7 @@ mod tests {
     #[test]
     fn seed_deduplicates() {
         let mesh = box_mesh(2);
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::HashSet);
+        let mut c = Crawler::new(mesh.num_vertices());
         c.begin_query(mesh.num_vertices());
         let mut out = Vec::new();
         assert!(c.seed(5, &mut out));
@@ -574,7 +400,7 @@ mod tests {
     #[test]
     fn epoch_array_grows_after_restructuring_adds_vertices() {
         let mut mesh = box_mesh(2);
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         let q = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         let _ = crawl_from_all_inside(&mut c, &mesh, &q);
         mesh.enable_restructuring().unwrap();
@@ -605,16 +431,9 @@ mod tests {
         // marked (epoch and stamps both starting at 0 would).
         let s = EpochStamps::with_len(3);
         assert!(!s.is_marked(0));
-        let mut s = EpochStamps::default();
+        let mut s = EpochStamps::with_len(0);
         s.begin(2);
         assert!(s.mark(1));
-
-        // Same property surfaced through the public scratch API.
-        let mesh = box_mesh(2);
-        let octopus = crate::Octopus::new(&mesh).unwrap();
-        let mut scratch = octopus.make_scratch(&mesh);
-        assert!(!scratch.visited().contains(0), "pristine scratch");
-        assert!(scratch.mark_visited(0));
     }
 
     #[test]
@@ -639,7 +458,7 @@ mod tests {
         // return an empty result.
         let mesh = box_mesh(4);
         let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.9));
-        let mut c = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
+        let mut c = Crawler::new(mesh.num_vertices());
         let expected = scan(&mesh, &q);
         let mut first = crawl_from_all_inside(&mut c, &mesh, &q); // epoch 1
         first.sort_unstable();
@@ -651,55 +470,5 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, expected, "query {round} after the wrap");
         }
-    }
-
-    #[test]
-    fn hash_set_accounting_covers_bucket_overhead() {
-        // A query touching every vertex puts the whole mesh in the
-        // visited set of both strategies — the apples-to-apples point
-        // for the two accounting arms.
-        let mesh = box_mesh(6);
-        let universe = Aabb::new(Point3::splat(-1.0), Point3::splat(2.0));
-        let mut dense = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
-        let mut sparse = Crawler::new(mesh.num_vertices(), VisitedStrategy::HashSet);
-        let a = crawl_from_all_inside(&mut dense, &mesh, &universe);
-        let b = crawl_from_all_inside(&mut sparse, &mesh, &universe);
-        assert_eq!(a.len(), mesh.num_vertices());
-        assert_eq!(a.len(), b.len());
-
-        // The estimate must cover at least the real table: ≥ 8/7 of the
-        // usable capacity in buckets, ≥ 5 bytes per bucket. The old
-        // `capacity·(4+1)` formula fails this by exactly the load-factor
-        // headroom.
-        let cap = sparse.set.capacity();
-        assert!(cap >= mesh.num_vertices());
-        let sparse_bytes = hash_set_heap_bytes(&sparse.set);
-        assert!(
-            sparse_bytes >= (cap * 8).div_ceil(7) * (std::mem::size_of::<VertexId>() + 1),
-            "estimate {sparse_bytes} undercounts the load-factor headroom (capacity {cap})"
-        );
-
-        // Against the EpochArray arm: a full hash table costs strictly
-        // more per vertex (5 bytes per bucket at ≤ 7/8 load) than the
-        // 4-byte epoch stamp, so the dense strategy must report less.
-        assert!(
-            dense.memory_bytes() < sparse.memory_bytes(),
-            "dense {} vs sparse {}: full-coverage hash set must cost more than stamps",
-            dense.memory_bytes(),
-            sparse.memory_bytes()
-        );
-    }
-
-    #[test]
-    fn memory_accounting_differs_between_strategies() {
-        let mesh = box_mesh(6);
-        let q = Aabb::new(Point3::splat(0.45), Point3::splat(0.55));
-        let mut dense = Crawler::new(mesh.num_vertices(), VisitedStrategy::EpochArray);
-        let mut sparse = Crawler::new(mesh.num_vertices(), VisitedStrategy::HashSet);
-        let _ = crawl_from_all_inside(&mut dense, &mesh, &q);
-        let _ = crawl_from_all_inside(&mut sparse, &mesh, &q);
-        // Dense pays for all vertices; sparse only for touched ones.
-        assert!(dense.memory_bytes() >= mesh.num_vertices() * 4);
-        assert!(sparse.memory_bytes() < dense.memory_bytes());
     }
 }

@@ -1,6 +1,6 @@
 //! The OCTOPUS query executor (Algorithm 1).
 
-use crate::crawler::{greedy_walk, Crawler, EpochStamps, VisitedStrategy, VisitedView};
+use crate::crawler::{greedy_walk, Crawler, EpochStamps};
 use crate::frontier::{GroupScratch, MAX_GROUP};
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
@@ -133,26 +133,12 @@ pub struct QueryScratch {
 }
 
 impl QueryScratch {
-    fn new(num_vertices: usize, components: usize, strategy: VisitedStrategy) -> QueryScratch {
+    fn new(num_vertices: usize, components: usize) -> QueryScratch {
         QueryScratch {
-            crawler: Crawler::new(num_vertices, strategy),
+            crawler: Crawler::new(num_vertices),
             seeded: EpochStamps::with_len(components),
             shape_buf: Vec::new(),
         }
-    }
-
-    /// Read-only view of the current query's visited set. Shareable
-    /// across threads (the view borrows the scratch, so no mutation can
-    /// happen while it is alive).
-    pub fn visited(&self) -> VisitedView<'_> {
-        self.crawler.visited_view()
-    }
-
-    /// Marks `v` visited in the current query; returns `true` when it
-    /// was fresh. Used by the frontier-merge step of the sharded crawl.
-    #[inline]
-    pub fn mark_visited(&mut self, v: VertexId) -> bool {
-        self.crawler.mark(v)
     }
 
     /// Heap bytes of the scratch structures.
@@ -160,13 +146,6 @@ impl QueryScratch {
         self.crawler.memory_bytes()
             + self.seeded.heap_bytes()
             + self.shape_buf.capacity() * std::mem::size_of::<VertexId>()
-    }
-
-    /// The visited-set strategy this scratch was built with. Pools
-    /// caching scratches across executors use it to detect a strategy
-    /// mismatch and rebuild.
-    pub fn visited_strategy(&self) -> VisitedStrategy {
-        self.crawler.strategy()
     }
 }
 
@@ -223,10 +202,9 @@ impl ComponentMap {
 
 /// Samples ~1000 vertices' first edges for the typical edge length.
 ///
-/// **Isolated-vertex convention** (shared with
-/// [`crate::layout::adjacency_locality`]): vertices with no adjacency
-/// edges carry no length information and are skipped *without consuming
-/// a sample slot*. On meshes where coarsening has orphaned many
+/// **Isolated-vertex convention**: vertices with no adjacency edges
+/// carry no length information and are skipped *without consuming a
+/// sample slot*. On meshes where coarsening has orphaned many
 /// vertices a strided pass can land exclusively on orphans — in that
 /// case a dense fallback scan finds the surviving edges, so the scale
 /// is `0.0` only when the mesh truly has no edges (and never because
@@ -266,15 +244,9 @@ fn sample_edge_scale(mesh: &Mesh) -> f32 {
 impl Octopus {
     /// Builds the executor for `mesh` (extracts the surface once).
     pub fn new(mesh: &Mesh) -> Result<Octopus, MeshError> {
-        Octopus::with_strategy(mesh, VisitedStrategy::default())
-    }
-
-    /// Builds with an explicit visited-set strategy (see
-    /// [`VisitedStrategy`]).
-    pub fn with_strategy(mesh: &Mesh, strategy: VisitedStrategy) -> Result<Octopus, MeshError> {
         let surface = SurfaceIndex::build(mesh)?;
         let components = ComponentMap::build(mesh, &surface);
-        let scratch = QueryScratch::new(mesh.num_vertices(), components.count, strategy);
+        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
         Ok(Octopus {
             surface,
             components,
@@ -283,22 +255,12 @@ impl Octopus {
         })
     }
 
-    /// Switches the crawl expansion order (BFS default; DFS for the
-    /// `ablation_crawl_order` bench). Both visit the same vertex set.
-    pub fn set_crawl_order(&mut self, order: crate::crawler::CrawlOrder) {
-        self.scratch.crawler.order = order;
-    }
-
     /// Builds from a pre-extracted surface index (avoids re-extraction
     /// when the caller already has one, e.g. when sweeping approximation
     /// fractions).
     pub fn from_surface_index(surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
         let components = ComponentMap::build(mesh, &surface);
-        let scratch = QueryScratch::new(
-            mesh.num_vertices(),
-            components.count,
-            VisitedStrategy::default(),
-        );
+        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
         Octopus {
             surface,
             components,
@@ -307,18 +269,11 @@ impl Octopus {
         }
     }
 
-    /// Creates an additional scratch for `mesh`, matching this
-    /// executor's visited-set strategy and crawl order. Concurrent
-    /// callers give each worker its own scratch and share the executor
-    /// itself behind `&Octopus` (see [`Octopus::query_with`]).
+    /// Creates an additional scratch for `mesh`. Concurrent callers
+    /// give each worker its own scratch and share the executor itself
+    /// behind `&Octopus` (see [`Octopus::query_with`]).
     pub fn make_scratch(&self, mesh: &Mesh) -> QueryScratch {
-        let mut scratch = QueryScratch::new(
-            mesh.num_vertices(),
-            self.components.count,
-            self.scratch.crawler.strategy(),
-        );
-        scratch.crawler.order = self.scratch.crawler.order;
-        scratch
+        QueryScratch::new(mesh.num_vertices(), self.components.count)
     }
 
     /// The surface index (inspection / tests).
@@ -338,7 +293,7 @@ impl Octopus {
     /// *new* executor for the post-restructuring `mesh` while `self`
     /// keeps answering for the pre-restructuring snapshot. The surface
     /// index is cloned and delta-patched (O(surface + delta), no
-    /// re-extraction); strategy and crawl order carry over. This is how
+    /// re-extraction). This is how
     /// a snapshot ring gives each retained connectivity generation its
     /// own executor — older pinned snapshots stay queryable while newer
     /// steps restructure ahead of them.
@@ -365,16 +320,10 @@ impl Octopus {
         self.derived(self.surface.permuted(perm), mesh)
     }
 
-    /// A new executor over `surface` for `mesh`, inheriting strategy,
-    /// crawl order and telemetry.
+    /// A new executor over `surface` for `mesh`, inheriting telemetry.
     fn derived(&self, surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
         let components = ComponentMap::build(mesh, &surface);
-        let mut scratch = QueryScratch::new(
-            mesh.num_vertices(),
-            components.count,
-            self.scratch.crawler.strategy(),
-        );
-        scratch.crawler.order = self.scratch.crawler.order;
+        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
         Octopus {
             surface,
             components,
@@ -411,7 +360,6 @@ impl Octopus {
             mesh,
             q,
             out,
-            true,
             ProbeSource::Surface,
         );
         self.note(ExecMode::Fresh, &t);
@@ -437,7 +385,6 @@ impl Octopus {
             mesh,
             q,
             out,
-            true,
             ProbeSource::Surface,
         );
         self.note(ExecMode::Fresh, &t);
@@ -474,7 +421,6 @@ impl Octopus {
             mesh,
             q,
             out,
-            true,
             ProbeSource::Cached(candidates),
         );
         self.note(ExecMode::Seeded, &t);
@@ -505,7 +451,6 @@ impl Octopus {
             mesh,
             q,
             out,
-            true,
             ProbeSource::Collect {
                 margin,
                 into: candidates,
@@ -537,28 +482,6 @@ impl Octopus {
             mesh,
             region,
             out,
-            true,
-            ProbeSource::Surface,
-        );
-        self.note(ExecMode::Region, &t);
-        t
-    }
-
-    /// [`Octopus::query_region`] through the executor's own scratch.
-    pub fn query_region_mut<R: Region>(
-        &mut self,
-        mesh: &Mesh,
-        region: &R,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            &mut self.scratch,
-            mesh,
-            region,
-            out,
-            true,
             ProbeSource::Surface,
         );
         self.note(ExecMode::Region, &t);
@@ -598,27 +521,6 @@ impl Octopus {
         t
     }
 
-    /// [`Octopus::query_knn`] through the executor's own scratch.
-    pub fn query_knn_mut(
-        &mut self,
-        mesh: &Mesh,
-        k: usize,
-        point: Point3,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_knn(
-            &self.surface,
-            &self.components,
-            &mut self.scratch,
-            mesh,
-            k,
-            point,
-            out,
-        );
-        self.note(ExecMode::Knn, &t);
-        t
-    }
-
     /// Aggregate query over `q`: the count (and, for
     /// [`AggregateKind::Centroid`], the mean position) of the vertices
     /// inside `q`, computed **without materialising the result set** —
@@ -634,25 +536,6 @@ impl Octopus {
         kind: AggregateKind,
     ) -> (AggregateValue, PhaseTimings) {
         let (value, t) = run_aggregate(&self.surface, &self.components, scratch, mesh, q, kind);
-        self.note(ExecMode::Aggregate, &t);
-        (value, t)
-    }
-
-    /// [`Octopus::query_aggregate`] through the executor's own scratch.
-    pub fn query_aggregate_mut(
-        &mut self,
-        mesh: &Mesh,
-        q: &Aabb,
-        kind: AggregateKind,
-    ) -> (AggregateValue, PhaseTimings) {
-        let (value, t) = run_aggregate(
-            &self.surface,
-            &self.components,
-            &mut self.scratch,
-            mesh,
-            q,
-            kind,
-        );
         self.note(ExecMode::Aggregate, &t);
         (value, t)
     }
@@ -686,35 +569,6 @@ impl Octopus {
                 (ShapeResult::Aggregate(value), t)
             }
         }
-    }
-
-    /// Runs only the seeding phases of Algorithm 1 (surface probe +
-    /// component-aware directed walks), appending the crawl seeds to
-    /// `out` and marking them visited in `scratch` — the
-    /// seed-partitioned crawl entry point. The caller owns the crawl:
-    /// either sequentially via repeated seeding + [`Octopus::query`]'s
-    /// machinery, or by sharding the frontier across workers (see
-    /// `octopus-service`), using [`QueryScratch::visited`] /
-    /// [`QueryScratch::mark_visited`] as the master visited set.
-    pub fn seed_query(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        q: &Aabb,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            q,
-            out,
-            false,
-            ProbeSource::Surface,
-        );
-        self.note(ExecMode::Seed, &t);
-        t
     }
 
     /// Executes a whole **overlap group** of ≤ [`MAX_GROUP`] queries as
@@ -768,11 +622,6 @@ impl Octopus {
         self.surface.memory_bytes() + self.scratch.memory_bytes()
     }
 
-    /// The configured visited-set strategy.
-    pub fn visited_strategy(&self) -> VisitedStrategy {
-        self.scratch.crawler.strategy()
-    }
-
     /// Attaches a telemetry sink; from now on every query entry point
     /// records its [`PhaseTimings`] into the registry-backed histograms
     /// of `metrics`. Works through `&self` (executors are shared behind
@@ -824,9 +673,7 @@ enum ProbeSource<'a> {
 
 /// Algorithm 1 over split borrows: the immutable assets (`surface`,
 /// `components`) may be shared across threads while each worker drives
-/// its own `scratch`. With `crawl == false` only the seeding phases run
-/// (probe + walks) and `out` holds the seed set on return.
-#[allow(clippy::too_many_arguments)]
+/// its own `scratch`.
 fn run_query<R: Region>(
     surface: &SurfaceIndex,
     components: &ComponentMap,
@@ -834,7 +681,28 @@ fn run_query<R: Region>(
     mesh: &Mesh,
     q: &R,
     out: &mut Vec<VertexId>,
-    crawl: bool,
+    probe: ProbeSource<'_>,
+) -> PhaseTimings {
+    let mut stats = run_seeding(surface, components, scratch, mesh, q, out, probe);
+
+    // Phase 3: crawling.
+    let t2 = Instant::now();
+    scratch.crawler.crawl(mesh, q, out);
+    stats.crawling = t2.elapsed();
+    stats.crawl_visited = scratch.crawler.crawl_visited;
+    stats.results = out.len();
+    stats
+}
+
+/// The seeding phases of Algorithm 1 (probe + walks): `out` holds the
+/// seed set on return and the caller owns the crawl.
+fn run_seeding<R: Region>(
+    surface: &SurfaceIndex,
+    components: &ComponentMap,
+    scratch: &mut QueryScratch,
+    mesh: &Mesh,
+    q: &R,
+    out: &mut Vec<VertexId>,
     probe: ProbeSource<'_>,
 ) -> PhaseTimings {
     let mut stats = PhaseTimings::default();
@@ -954,15 +822,6 @@ fn run_query<R: Region>(
         stats.walk_visited = scratch.crawler.walk_visited;
         stats.directed_walk = t1.elapsed();
     }
-
-    // Phase 3: crawling (skipped for seed-only callers).
-    if crawl {
-        let t2 = Instant::now();
-        scratch.crawler.crawl(mesh, q, out);
-        stats.crawling = t2.elapsed();
-        stats.crawl_visited = scratch.crawler.crawl_visited;
-    }
-    stats.results = out.len();
     stats
 }
 
@@ -1238,7 +1097,6 @@ fn run_knn(
             mesh,
             &cube,
             &mut buf,
-            true,
             ProbeSource::Surface,
         );
         total.accumulate(&stats);
@@ -1279,14 +1137,13 @@ fn run_aggregate(
 ) -> (AggregateValue, PhaseTimings) {
     let mut seeds = std::mem::take(&mut scratch.shape_buf);
     seeds.clear();
-    let mut stats = run_query(
+    let mut stats = run_seeding(
         surface,
         components,
         scratch,
         mesh,
         q,
         &mut seeds,
-        false,
         ProbeSource::Surface,
     );
     let t = Instant::now();
@@ -1543,8 +1400,10 @@ mod tests {
                 mesh.remove_cell(c).unwrap();
             }
         }
-        let stats = crate::layout::adjacency_locality_stats(&mesh);
-        assert!(stats.isolated > 0, "coarsening must orphan vertices");
+        let orphans = (0..mesh.num_vertices() as u32)
+            .filter(|&v| mesh.neighbors(v).is_empty())
+            .count();
+        assert!(orphans > 0, "coarsening must orphan vertices");
         assert!(
             sample_edge_scale(&mesh) > 0.0,
             "one live cell left => edges exist => scale must be positive"
@@ -1692,12 +1551,8 @@ mod tests {
         }
     }
 
-    fn group_reference(
-        mesh: &Mesh,
-        strategy: VisitedStrategy,
-        queries: &[Aabb],
-    ) -> Vec<Vec<VertexId>> {
-        let mut o = Octopus::with_strategy(mesh, strategy).unwrap();
+    fn group_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+        let mut o = Octopus::new(mesh).unwrap();
         queries
             .iter()
             .map(|q| {
@@ -1726,22 +1581,20 @@ mod tests {
             // Include an interior query and a miss.
             queries.push(Aabb::new(Point3::splat(0.4), Point3::splat(0.6)));
             queries.push(Aabb::new(Point3::splat(5.0), Point3::splat(6.0)));
-            for strategy in [VisitedStrategy::EpochArray, VisitedStrategy::HashSet] {
-                let expected = group_reference(&mesh, strategy, &queries);
-                let o = Octopus::with_strategy(&mesh, strategy).unwrap();
-                let mut group = crate::GroupScratch::new();
-                let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
-                o.query_group(
-                    &mut group,
-                    &mesh,
-                    &queries,
-                    crate::GroupProbe::Surface,
-                    &mut results,
-                );
-                for (j, (mut got, want)) in results.into_iter().zip(expected).enumerate() {
-                    got.sort_unstable();
-                    assert_eq!(got, want, "{strategy:?} query {j}");
-                }
+            let expected = group_reference(&mesh, &queries);
+            let o = Octopus::new(&mesh).unwrap();
+            let mut group = crate::GroupScratch::new();
+            let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
+            o.query_group(
+                &mut group,
+                &mesh,
+                &queries,
+                crate::GroupProbe::Surface,
+                &mut results,
+            );
+            for (j, (mut got, want)) in results.into_iter().zip(expected).enumerate() {
+                got.sort_unstable();
+                assert_eq!(got, want, "query {j}");
             }
         }
     }
@@ -1832,7 +1685,8 @@ mod tests {
     fn convex_region_query_equals_halfspace_filtered_scan() {
         use octopus_geom::{ConvexRegion, Halfspace, Region, Vec3};
         let mesh = neuron(NeuroLevel::L1, 0.5).unwrap();
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
+        let mut scratch = o.make_scratch(&mesh);
         let mut rng = SplitMix64::new(0xC0DE);
         let bounds = mesh.bounding_box();
         for i in 0..20 {
@@ -1853,7 +1707,7 @@ mod tests {
                 ],
             );
             let mut out = Vec::new();
-            o.query_region_mut(&mesh, &region, &mut out);
+            o.query_region(&mut scratch, &mesh, &region, &mut out);
             out.sort_unstable();
             let expected: Vec<VertexId> = mesh
                 .positions()

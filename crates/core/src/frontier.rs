@@ -1,93 +1,9 @@
-//! Seed-partitioned frontier expansion: the single-threaded building
-//! block of the frontier-sharded parallel crawl.
-//!
-//! The sharded crawl (driven by `octopus-service`) runs the crawl phase
-//! of Algorithm 1 as a level-synchronous BFS: each round, the current
-//! frontier is split into contiguous chunks and every worker expands
-//! one chunk through its own [`ShardWorker`]. During a round the master
-//! visited set ([`crate::executor::QueryScratch`]) is only *read*
-//! (via [`VisitedView`]), so workers share it freely; deduplication
-//! within a round happens against each worker's epoch-stamped local
-//! set, and the sequential merge step folds the per-worker candidate
-//! lists back into the master in chunk order — which makes the result
-//! order deterministic regardless of thread scheduling.
+//! The shared-frontier group crawl: one BFS over a group of overlapping
+//! queries (see [`GroupScratch`]), driven by
+//! [`crate::Octopus::query_group`].
 
-use crate::crawler::{EpochStamps, VisitedView};
 use octopus_geom::{Aabb, VertexId};
 use octopus_mesh::Mesh;
-
-/// Per-worker scratch for one shard of the frontier.
-///
-/// The local visited set is an epoch-stamped dense array (O(V) memory
-/// per worker, O(1) reset per query — the same trade the sequential
-/// crawler's `EpochArray` strategy makes), so reusing a worker across
-/// queries is free.
-#[derive(Debug, Default)]
-pub struct ShardWorker {
-    local: EpochStamps,
-    /// Fresh inside-query vertices proposed by the last
-    /// [`ShardWorker::expand`] call, in discovery order.
-    pub candidates: Vec<VertexId>,
-    /// Vertices examined by this worker so far this query (frontier
-    /// vertices expanded + outside-query neighbours rejected), the
-    /// sharded counterpart of `PhaseTimings::crawl_visited`. Summed
-    /// over workers this is an *upper bound* on the sequential
-    /// counter: an outside-query vertex bordering two workers' chunks
-    /// is rejected (and counted) once per worker, where the sequential
-    /// crawl's shared visited set counts it once.
-    pub examined: usize,
-}
-
-impl ShardWorker {
-    /// A fresh worker (sized lazily on first use).
-    pub fn new() -> ShardWorker {
-        ShardWorker::default()
-    }
-
-    /// Prepares for a new query over a mesh with `num_vertices`
-    /// vertices.
-    pub fn begin_query(&mut self, num_vertices: usize) {
-        self.local.begin(num_vertices);
-        self.candidates.clear();
-        self.examined = 0;
-    }
-
-    /// Expands one frontier chunk: examines every neighbour of every
-    /// chunk vertex and collects the fresh in-query ones into
-    /// [`ShardWorker::candidates`] (cleared first). `master` is the
-    /// query's visited set as of the start of this round; vertices
-    /// already in it are skipped, and the worker's local set
-    /// deduplicates within the round (and against this worker's earlier
-    /// rounds — anything it proposed before is either in the master by
-    /// now or was proposed by another worker and merged from there).
-    pub fn expand(&mut self, mesh: &Mesh, q: &Aabb, chunk: &[VertexId], master: VisitedView<'_>) {
-        self.candidates.clear();
-        let positions = mesh.positions();
-        for &v in chunk {
-            self.examined += 1;
-            let neighbors = mesh.neighbors(v);
-            // Neighbour positions are random accesses; hint them all
-            // before testing (lists are short — the mesh degree).
-            for &w in neighbors {
-                octopus_geom::mem::prefetch_read(positions, w as usize);
-            }
-            for &w in neighbors {
-                if !master.contains(w) && self.local.mark(w as usize) {
-                    if q.contains(positions[w as usize]) {
-                        self.candidates.push(w);
-                    } else {
-                        self.examined += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Heap bytes of the worker's scratch.
-    pub fn memory_bytes(&self) -> usize {
-        self.local.heap_bytes() + self.candidates.capacity() * std::mem::size_of::<VertexId>()
-    }
-}
 
 /// Maximum queries per overlap group of the shared-frontier batch crawl:
 /// the per-vertex membership mask is a `u64`, one bit per group member.
@@ -110,7 +26,7 @@ pub const MAX_GROUP: usize = 64;
 /// one position load), while the per-member counters sum to what k
 /// independent crawls would have paid.
 ///
-/// All mask arrays are epoch-stamped (the [`EpochStamps`] trick):
+/// All mask arrays are epoch-stamped (the `EpochStamps` trick):
 /// starting a new group is O(1) and a vertex's masks are lazily zeroed
 /// on first touch, so one scratch serves any number of groups.
 #[derive(Debug, Default)]
@@ -328,93 +244,9 @@ impl GroupScratch {
             + self.queue.capacity() * std::mem::size_of::<VertexId>()
     }
 
-    /// Test hook mirroring [`EpochStamps::force_epoch`].
+    /// Test hook mirroring `EpochStamps::force_epoch`.
     #[cfg(test)]
     pub(crate) fn force_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Octopus;
-    use octopus_geom::Point3;
-    use octopus_meshgen::voxel::VoxelRegion;
-
-    fn box_mesh(n: usize) -> Mesh {
-        let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
-        octopus_meshgen::tet::tetrahedralize(&VoxelRegion::solid_box(&bounds, n, n, n)).unwrap()
-    }
-
-    /// Drives the full sharded-crawl protocol single-threaded, with the
-    /// round structure of the service layer: seed → expand chunks →
-    /// merge in chunk order → next frontier.
-    fn sharded_reference(
-        octopus: &Octopus,
-        mesh: &Mesh,
-        q: &Aabb,
-        workers: &mut [ShardWorker],
-    ) -> Vec<VertexId> {
-        let mut scratch = octopus.make_scratch(mesh);
-        let mut out = Vec::new();
-        octopus.seed_query(&mut scratch, mesh, q, &mut out);
-        for w in workers.iter_mut() {
-            w.begin_query(mesh.num_vertices());
-        }
-        let mut frontier = out.clone();
-        while !frontier.is_empty() {
-            let chunk = frontier.len().div_ceil(workers.len());
-            for (w, c) in workers.iter_mut().zip(frontier.chunks(chunk)) {
-                w.expand(mesh, q, c, scratch.visited());
-            }
-            let mut next = Vec::new();
-            for w in workers.iter_mut().take(frontier.len().div_ceil(chunk)) {
-                for &cand in &w.candidates {
-                    if scratch.mark_visited(cand) {
-                        out.push(cand);
-                        next.push(cand);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        out
-    }
-
-    #[test]
-    fn sharded_protocol_matches_sequential_crawl() {
-        let mesh = box_mesh(6);
-        let mut octopus = Octopus::new(&mesh).unwrap();
-        for workers in [1usize, 2, 3, 5] {
-            let mut pool: Vec<ShardWorker> = (0..workers).map(|_| ShardWorker::new()).collect();
-            for q in [
-                Aabb::new(Point3::splat(0.15), Point3::splat(0.8)),
-                Aabb::new(Point3::splat(0.4), Point3::splat(0.6)), // interior
-                Aabb::new(Point3::splat(3.0), Point3::splat(4.0)), // empty
-            ] {
-                let mut seq = Vec::new();
-                octopus.query(&mesh, &q, &mut seq);
-                let mut got = sharded_reference(&octopus, &mesh, &q, &mut pool);
-                seq.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, seq, "{workers} workers, query {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_reuse_across_queries_is_clean() {
-        let mesh = box_mesh(5);
-        let octopus = Octopus::new(&mesh).unwrap();
-        let mut pool = vec![ShardWorker::new(), ShardWorker::new()];
-        let a = Aabb::new(Point3::splat(0.1), Point3::splat(0.5));
-        let b = Aabb::new(Point3::splat(0.45), Point3::splat(0.95));
-        let first = sharded_reference(&octopus, &mesh, &a, &mut pool);
-        let second = sharded_reference(&octopus, &mesh, &b, &mut pool);
-        let mut fresh_pool = vec![ShardWorker::new(), ShardWorker::new()];
-        let second_fresh = sharded_reference(&octopus, &mesh, &b, &mut fresh_pool);
-        assert_eq!(second, second_fresh);
-        assert_ne!(first, second);
     }
 }

@@ -6,29 +6,23 @@
 //! curve to sort the vertices and organize spatially close vertices,
 //! close together in memory."
 //!
-//! # Why mean adjacent-id distance was a bad proxy (layout engine v2)
+//! # What predicts crawl time
 //!
-//! The v1 metric ([`adjacency_locality`], retained as the legacy proxy)
-//! scored a layout by the mean |v − w| over adjacent vertex ids. The
-//! fig. 13 ablation exposed its failure mode: Hilbert ordering halves
-//! the mean id distance over the generator's native order, yet crawls
-//! *slower*. Id distance is the wrong unit — the cache does not fetch
-//! ids, it fetches 64-byte lines. Shrinking a neighbour gap from 400
-//! ids to 40 ids improves the proxy 10× and the cache not at all: both
-//! gaps cross a line boundary. Conversely the generator's native order
-//! is near-BFS — a vertex's neighbours sit in a handful of *runs*, and
-//! runs share lines regardless of their id span. What predicts crawl
-//! time is (a) how many **distinct cache lines** a neighbourhood scan
-//! touches ([`cache_line_stats`]) and (b) how soon lines are re-touched
-//! during a crawl ([`reuse_distance_histogram`]). Both are first-class
-//! here; [`LocalityTracker`] drifts on the line-based metric.
+//! Mean |v − w| over adjacent vertex ids — the obvious locality score —
+//! is the wrong unit: the cache does not fetch ids, it fetches 64-byte
+//! lines. Shrinking a neighbour gap from 400 ids to 40 ids improves
+//! that score 10× and the cache not at all: both gaps cross a line
+//! boundary. Conversely the generator's native order is near-BFS — a
+//! vertex's neighbours sit in a handful of *runs*, and runs share lines
+//! regardless of their id span. What predicts crawl time is (a) how
+//! many **distinct cache lines** a neighbourhood scan touches
+//! ([`cache_line_stats`]) and (b) how soon lines are re-touched during
+//! a crawl ([`reuse_distance_histogram`]). [`LocalityTracker`] drifts
+//! on the former.
 //!
-//! Three layouts are exposed: [`hilbert_layout`] (the paper's choice),
-//! [`morton_layout`] (cheaper curve, ablation) and
-//! [`cache_oblivious_layout`] — recursive balanced graph bisection over
-//! the adjacency itself, recursing to cache-line-sized leaf blocks, so
-//! the id space mirrors the line hierarchy at every scale (in the
-//! spirit of cache-oblivious mesh layouts, see PAPERS.md).
+//! Two layouts are exposed: [`hilbert_layout`] (the paper's choice, the
+//! one the service applies) and [`morton_layout`] (cheaper curve, kept
+//! for the fig. 13 roster).
 
 use octopus_geom::{hilbert, morton, VertexId};
 use octopus_mesh::{Mesh, BLOCK_LANES};
@@ -41,11 +35,6 @@ pub enum CurveKind {
     Hilbert,
     /// Morton / Z-order (cheaper to compute, worse locality).
     Morton,
-    /// Recursive adjacency bisection down to cache-line-sized leaf
-    /// blocks (not a space-filling curve: orders by connectivity, not
-    /// position, so it needs no bounding box and survives geometry the
-    /// curves quantise badly).
-    CacheOblivious,
 }
 
 /// Bits per axis for curve quantisation: 2^10 = 1024 lattice cells per
@@ -55,9 +44,6 @@ const CURVE_BITS: u32 = 10;
 /// Computes the permutation `perm[old] = new` that sorts vertices along
 /// the chosen curve evaluated at their *current* positions.
 pub fn curve_permutation(mesh: &Mesh, curve: CurveKind) -> Vec<VertexId> {
-    if curve == CurveKind::CacheOblivious {
-        return cache_oblivious_permutation(mesh);
-    }
     let bounds = mesh.bounding_box();
     let mut keyed: Vec<(u64, VertexId)> = mesh
         .positions()
@@ -67,8 +53,6 @@ pub fn curve_permutation(mesh: &Mesh, curve: CurveKind) -> Vec<VertexId> {
             let key = match curve {
                 CurveKind::Hilbert => hilbert::hilbert_index_for_point(*p, &bounds, CURVE_BITS),
                 CurveKind::Morton => morton::morton_index_for_point(*p, &bounds, CURVE_BITS),
-                // Handled by the early return above (no positional key).
-                CurveKind::CacheOblivious => unreachable!(),
             };
             (key, i as VertexId)
         })
@@ -100,417 +84,6 @@ pub fn morton_layout(mesh: &Mesh) -> (Mesh, Vec<VertexId>) {
     (mesh.permute_vertices(&perm), perm)
 }
 
-/// Returns the mesh re-laid-out by recursive adjacency bisection
-/// together with the applied permutation (`perm[old] = new`).
-///
-/// Connected neighbourhoods end up packed into the same
-/// [`BLOCK_LANES`]-sized leaf block — exactly the unit the blocked SoA
-/// position store serves from one set of cache lines — and the
-/// recursion makes the property hold at every granularity above the
-/// leaf too (block pairs, quads, …), which is what "cache-oblivious"
-/// buys: no level of the hierarchy is special-cased.
-pub fn cache_oblivious_layout(mesh: &Mesh) -> (Mesh, Vec<VertexId>) {
-    let perm = cache_oblivious_permutation(mesh);
-    (mesh.permute_vertices(&perm), perm)
-}
-
-/// [`cache_oblivious_permutation_stats`] without the accounting.
-pub fn cache_oblivious_permutation(mesh: &Mesh) -> Vec<VertexId> {
-    cache_oblivious_permutation_stats(mesh).0
-}
-
-/// Split accounting for the recursive bisection — lets tests pin the
-/// balance invariant and the bench report the work done.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BisectionStats {
-    /// Number of internal splits performed.
-    pub splits: u64,
-    /// Number of leaf blocks emitted (each ≤ [`BLOCK_LANES`] vertices).
-    pub leaves: u64,
-    /// Worst `| |left| − |right| |` over all splits. The grow step
-    /// takes exactly `ceil(n/2)` vertices and refinement swaps pairs,
-    /// so this is ≤ 1 by construction; the stat exists so tests can
-    /// prove it rather than trust the comment.
-    pub max_imbalance: usize,
-    /// Directed adjacency pairs crossing a split boundary, summed over
-    /// all splits (after refinement) — the bisection's own cut-quality
-    /// signal.
-    pub cut_edges: u64,
-}
-
-/// Leaf size of the recursion: one blocked-SoA block.
-const BISECT_LEAF: usize = BLOCK_LANES;
-
-/// Boundary-swap refinement passes per split (FM-lite: gains are not
-/// recomputed between the paired swaps of one pass, so passes are kept
-/// short and few — the win is trimming the worst offenders, not an
-/// optimal cut).
-const REFINE_PASSES: usize = 2;
-
-/// Computes the cache-oblivious permutation (`perm[old] = new`) and the
-/// split accounting behind it.
-///
-/// Each split seeds a restricted BFS at a pseudo-peripheral vertex
-/// (double-BFS), grows the left half to exactly `ceil(n/2)` members in
-/// pop order (re-seeding if the subset is disconnected), then runs
-/// [`REFINE_PASSES`] boundary-swap passes that trade equal numbers of
-/// high-exterior-degree vertices across the cut. Recursion stops at
-/// [`BISECT_LEAF`]-sized leaves.
-pub fn cache_oblivious_permutation_stats(mesh: &Mesh) -> (Vec<VertexId>, BisectionStats) {
-    let n = mesh.num_vertices();
-    let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut b = Bisector {
-        mesh,
-        member: vec![0; n],
-        member_epoch: 0,
-        left: vec![0; n],
-        left_epoch: 0,
-        seen: vec![0; n],
-        seen_epoch: 0,
-        queue: VecDeque::new(),
-        heap: std::collections::BinaryHeap::new(),
-        conn: vec![0; n],
-        grown: Vec::new(),
-        scratch: Vec::new(),
-        order: Vec::with_capacity(n),
-        stats: BisectionStats::default(),
-    };
-    if n > 0 {
-        // Global entry: a pseudo-peripheral vertex, so numbering starts
-        // at the mesh boundary and sweeps across — the same property
-        // that makes the generator's own BFS order stream well.
-        b.member_epoch += 1;
-        let me = b.member_epoch;
-        for v in 0..n {
-            b.member[v] = me;
-        }
-        let s1 = b.farthest(ids[0]);
-        let entry = b.farthest(s1);
-        b.bisect(&mut ids, entry);
-    }
-    debug_assert_eq!(b.order.len(), n);
-    let mut perm = vec![0 as VertexId; n];
-    for (new, &old) in b.order.iter().enumerate() {
-        perm[old as usize] = new as VertexId;
-    }
-    (perm, b.stats)
-}
-
-/// Working state of one bisection run. The three epoch arrays replace
-/// per-split `HashSet`s: membership, side and BFS-visited checks are
-/// all O(1) stamps that never need clearing between splits.
-struct Bisector<'a> {
-    mesh: &'a Mesh,
-    /// `member[v] == member_epoch` ⇔ v belongs to the set being split.
-    member: Vec<u32>,
-    member_epoch: u32,
-    /// `left[v] == left_epoch` ⇔ v was assigned to the left half.
-    left: Vec<u32>,
-    left_epoch: u32,
-    /// BFS visited stamps (seed search) / taken-this-grow stamps.
-    seen: Vec<u32>,
-    seen_epoch: u32,
-    queue: VecDeque<VertexId>,
-    /// Frontier of the greedy grow step, keyed by gain (entries go
-    /// stale when a later take bumps a neighbour's connectivity; pops
-    /// revalidate lazily).
-    heap: std::collections::BinaryHeap<(i64, VertexId)>,
-    /// `conn[v]` — how many of v's neighbours the current grow step has
-    /// already taken. Reset for the member set at each split.
-    conn: Vec<u32>,
-    /// Take order of the current grow step (a graph path, roughly).
-    grown: Vec<VertexId>,
-    scratch: Vec<VertexId>,
-    /// `order[new] = old` — leaves appended left-to-right.
-    order: Vec<VertexId>,
-    stats: BisectionStats,
-}
-
-impl Bisector<'_> {
-    /// Splits `set` around `entry` and appends its leaves to the order.
-    ///
-    /// `entry` is the continuity anchor: the left half is grown from it,
-    /// recursion descends into that half first, and the right half's
-    /// entry is a cut-edge endpoint — so the first vertex of every leaf
-    /// is graph-adjacent to the leaf emitted just before it. Without
-    /// this threading the leaves are individually tight but globally
-    /// shuffled, and the crawl's CSR adjacency reads lose the streaming
-    /// pattern that makes the generator's BFS order fast.
-    fn bisect(&mut self, set: &mut [VertexId], entry: VertexId) {
-        if set.len() <= BISECT_LEAF {
-            self.stats.leaves += 1;
-            self.order.extend_from_slice(set);
-            return;
-        }
-        self.stats.splits += 1;
-        self.member_epoch += 1;
-        let me = self.member_epoch;
-        for &v in set.iter() {
-            self.member[v as usize] = me;
-            self.conn[v as usize] = 0;
-        }
-        let half = set.len().div_ceil(2);
-
-        // Grow the left half greedily: always take the frontier vertex
-        // whose move shrinks the boundary most (gain = taken neighbours
-        // minus untaken ones). On a tube-like mesh this follows one
-        // branch to its end before opening the next — the property that
-        // keeps a box query's result in a few contiguous id runs — where
-        // plain BFS would interleave every branch at each distance
-        // shell. Re-seeds from the next untaken member when the subset
-        // is disconnected.
-        self.left_epoch += 1;
-        let le = self.left_epoch;
-        self.seen_epoch += 1;
-        let se = self.seen_epoch;
-        self.heap.clear();
-        self.grown.clear();
-        self.heap.push((0, entry));
-        let mut taken = 0usize;
-        let mut cursor = 0usize;
-        while taken < half {
-            let v = match self.heap.pop() {
-                Some((gain, v)) => {
-                    if self.left[v as usize] == le {
-                        continue; // stale: already taken
-                    }
-                    let g = self.gain(v, me, le);
-                    if g != gain {
-                        self.heap.push((g, v)); // stale: revalidate
-                        continue;
-                    }
-                    v
-                }
-                None => {
-                    // The grown region is a whole component; an untaken
-                    // member must exist because taken < half ≤ |set|.
-                    while self.left[set[cursor] as usize] == le {
-                        cursor += 1;
-                    }
-                    set[cursor]
-                }
-            };
-            self.left[v as usize] = le;
-            self.seen[v as usize] = se; // "taken by this grow step"
-            self.grown.push(v);
-            taken += 1;
-            for &w in self.mesh.neighbors(v) {
-                if self.member[w as usize] == me && self.left[w as usize] != le {
-                    self.conn[w as usize] += 1;
-                    self.heap.push((self.gain(w, me, le), w));
-                }
-            }
-        }
-
-        self.refine(set, me, le, entry);
-
-        // Partition left-first. The left half keeps the grow step's
-        // take order (the branch-following path), so the recursion
-        // refines an already path-shaped arrangement instead of
-        // rediscovering it; refinement's few swaps land at the end.
-        self.scratch.clear();
-        for i in 0..self.grown.len() {
-            let v = self.grown[i];
-            if self.left[v as usize] == le {
-                self.scratch.push(v);
-            }
-        }
-        for &v in set.iter() {
-            // Swapped into the left half by refinement (never grown).
-            if self.left[v as usize] == le && self.seen[v as usize] != se {
-                self.scratch.push(v);
-            }
-        }
-        let nl = self.scratch.len();
-        for &v in set.iter() {
-            if self.left[v as usize] != le {
-                self.scratch.push(v);
-            }
-        }
-        set.copy_from_slice(&self.scratch);
-        let nr = set.len() - nl;
-        self.stats.max_imbalance = self.stats.max_imbalance.max(nl.abs_diff(nr));
-        let mut cut = 0u64;
-        for &v in set[..nl].iter() {
-            for &w in self.mesh.neighbors(v) {
-                if self.member[w as usize] == me && self.left[w as usize] != le {
-                    cut += 1;
-                }
-            }
-        }
-        self.stats.cut_edges += 2 * cut; // directed: count both ways
-
-        // The right half's entry: a cut-edge endpoint, so its first leaf
-        // abuts the left half it follows in the output order. Falls back
-        // to the first right vertex when the halves are disconnected
-        // (possible on a disconnected member subset).
-        let mut right_entry = set[nl];
-        'scan: for &v in set[..nl].iter() {
-            for &w in self.mesh.neighbors(v) {
-                if self.member[w as usize] == me && self.left[w as usize] != le {
-                    right_entry = w;
-                    break 'scan;
-                }
-            }
-        }
-
-        let (l, r) = set.split_at_mut(nl);
-        self.bisect(l, entry);
-        self.bisect(r, right_entry);
-    }
-
-    /// Boundary-swap refinement: pair off equal numbers of left/right
-    /// vertices whose exterior degree exceeds their interior degree and
-    /// swap their sides — cut goes down, balance is untouched.
-    fn refine(&mut self, set: &[VertexId], me: u32, le: u32, pin: VertexId) {
-        for _ in 0..REFINE_PASSES {
-            let mut lcand: Vec<(i64, VertexId)> = Vec::new();
-            let mut rcand: Vec<(i64, VertexId)> = Vec::new();
-            for &v in set.iter() {
-                if v == pin {
-                    // The entry vertex anchors the output order to the
-                    // preceding leaf; moving it right would break the
-                    // continuity the recursion threads through it.
-                    continue;
-                }
-                let v_left = self.left[v as usize] == le;
-                let mut gain = 0i64;
-                for &w in self.mesh.neighbors(v) {
-                    if self.member[w as usize] != me {
-                        continue;
-                    }
-                    if (self.left[w as usize] == le) == v_left {
-                        gain -= 1;
-                    } else {
-                        gain += 1;
-                    }
-                }
-                if gain > 0 {
-                    if v_left {
-                        lcand.push((gain, v));
-                    } else {
-                        rcand.push((gain, v));
-                    }
-                }
-            }
-            let swaps = lcand.len().min(rcand.len());
-            if swaps == 0 {
-                return;
-            }
-            lcand.sort_unstable_by(|a, b| b.cmp(a));
-            rcand.sort_unstable_by(|a, b| b.cmp(a));
-            for i in 0..swaps {
-                // 0 is safe as "not left": left_epoch starts at 1.
-                self.left[lcand[i].1 as usize] = 0;
-                self.left[rcand[i].1 as usize] = le;
-            }
-        }
-    }
-
-    /// Grow-step gain of taking `v` into the left half: taken
-    /// neighbours minus untaken member neighbours. Maximal for vertices
-    /// whose move shrinks the boundary (tube interiors), so the greedy
-    /// grow walks branches end-to-end instead of fanning out.
-    #[inline]
-    fn gain(&self, v: VertexId, me: u32, le: u32) -> i64 {
-        let mut g = 0i64;
-        for &w in self.mesh.neighbors(v) {
-            if self.member[w as usize] != me {
-                continue;
-            }
-            if self.left[w as usize] == le {
-                g += 1;
-            } else {
-                g -= 1;
-            }
-        }
-        g
-    }
-
-    /// Last vertex popped by a BFS restricted to the current member
-    /// set — one arm of the double-BFS pseudo-peripheral search.
-    fn farthest(&mut self, start: VertexId) -> VertexId {
-        self.seen_epoch += 1;
-        let se = self.seen_epoch;
-        self.queue.clear();
-        self.queue.push_back(start);
-        self.seen[start as usize] = se;
-        let mut last = start;
-        while let Some(v) = self.queue.pop_front() {
-            last = v;
-            for &w in self.mesh.neighbors(v) {
-                if self.member[w as usize] == self.member_epoch && self.seen[w as usize] != se {
-                    self.seen[w as usize] = se;
-                    self.queue.push_back(w);
-                }
-            }
-        }
-        last
-    }
-}
-
-/// Mean absolute id distance between adjacent vertices — the **legacy
-/// v1 proxy** for crawl cache locality (lower is better). Kept for the
-/// fig. 13 ablation precisely because it is misleading: it rewards
-/// shrinking id gaps that never mattered to the cache (see the module
-/// docs). New code should read [`cache_line_stats`]; the adaptive
-/// re-layout trigger drifts on [`LocalityTracker`]'s v2 metric.
-///
-/// **Isolated-vertex convention.** Vertices with no adjacency edges
-/// (orphaned by aggressive coarsening — see
-/// [`octopus_mesh::Mesh::is_vertex_active`]) contribute no terms: the
-/// crawl never reaches them over edges, so their memory placement
-/// cannot affect its cache behaviour. They are *excluded from the
-/// denominator*, not counted as distance-0 pairs — counting them would
-/// deflate the mean and mask real locality decay exactly on the
-/// coarsening-heavy meshes where drift matters most. A mesh whose
-/// vertices are all isolated reports `0.0` (no adjacency traffic at
-/// all). [`adjacency_locality_stats`] exposes the isolated count
-/// alongside the mean for callers that need to reason about it.
-pub fn adjacency_locality(mesh: &Mesh) -> f64 {
-    adjacency_locality_stats(mesh).mean
-}
-
-/// The full accounting behind [`adjacency_locality`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LocalityStats {
-    /// Mean |v − w| over all directed adjacent pairs (0 when none).
-    pub mean: f64,
-    /// Number of directed adjacent pairs (each undirected edge twice).
-    pub pairs: u64,
-    /// Vertices with zero adjacency edges, excluded from the mean (see
-    /// the isolated-vertex convention on [`adjacency_locality`]).
-    pub isolated: usize,
-}
-
-/// Computes [`adjacency_locality`] together with the pair count and the
-/// number of isolated vertices it excluded.
-pub fn adjacency_locality_stats(mesh: &Mesh) -> LocalityStats {
-    let mut total = 0.0f64;
-    let mut pairs = 0u64;
-    let mut isolated = 0usize;
-    for v in 0..mesh.num_vertices() as u32 {
-        let neighbors = mesh.neighbors(v);
-        if neighbors.is_empty() {
-            isolated += 1;
-            continue;
-        }
-        for &w in neighbors {
-            total += f64::from(v.abs_diff(w));
-            pairs += 1;
-        }
-    }
-    LocalityStats {
-        mean: if pairs == 0 {
-            0.0
-        } else {
-            total / pairs as f64
-        },
-        pairs,
-        isolated,
-    }
-}
-
 /// The 64-byte line a vertex's position data lands on in the blocked
 /// SoA store: [`BLOCK_LANES`] consecutive ids share each coordinate
 /// lane (and, to first order, their CSR adjacency rows — both arrays
@@ -520,7 +93,7 @@ pub fn cache_line_of(v: VertexId) -> u32 {
     v / BLOCK_LANES as VertexId
 }
 
-/// The cache-line-aware locality model (layout-engine v2 metric).
+/// The cache-line-aware locality model.
 ///
 /// Two scalars, both pure functions of ids and adjacency (deformation
 /// cannot move them):
@@ -536,8 +109,14 @@ pub fn cache_line_of(v: VertexId) -> u32 {
 ///   miss; repeats within a scan are near-certain hits), it does not
 ///   saturate, and it is what [`LocalityTracker`] drifts on.
 ///
-/// Isolated vertices follow the convention documented on
-/// [`adjacency_locality`]: excluded from both denominators.
+/// **Isolated-vertex convention.** Vertices with no adjacency edges
+/// (orphaned by aggressive coarsening — see
+/// [`octopus_mesh::Mesh::is_vertex_active`]) contribute no terms: the
+/// crawl never reaches them over edges, so their memory placement
+/// cannot affect its cache behaviour. They are *excluded from both
+/// denominators*, not counted as zero-cost neighbourhoods — counting
+/// them would deflate the means and mask real locality decay exactly on
+/// the coarsening-heavy meshes where drift matters most.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheLineStats {
     /// Crossing directed pairs / total directed pairs (0 when none).
@@ -599,8 +178,8 @@ pub fn cache_line_stats(mesh: &Mesh) -> CacheLineStats {
     }
 }
 
-/// The per-vertex contribution the v2 metric and [`LocalityTracker`]
-/// share: distinct foreign cache lines in `v`'s neighbour list.
+/// The per-vertex contribution [`cache_line_stats`] and
+/// [`LocalityTracker`] share: distinct foreign cache lines in `v`'s neighbour list.
 fn extra_lines_of(v: VertexId, neighbors: &[VertexId], scratch: &mut Vec<u32>) -> f64 {
     let own = cache_line_of(v);
     scratch.clear();
@@ -752,7 +331,7 @@ impl Fenwick {
     }
 }
 
-/// Incrementally tracked v2 locality ([`CacheLineStats`]'s
+/// Incrementally tracked locality ([`CacheLineStats`]'s
 /// `extra_lines_per_vertex`) with an at-ingest (or at-last-re-layout)
 /// baseline — the §IV-H1 adaptive re-layout signal.
 ///
@@ -770,8 +349,8 @@ impl Fenwick {
 /// component-map rebuild every restructuring step already pays.)
 ///
 /// Isolated vertices follow the convention documented on
-/// [`adjacency_locality`]: a vertex whose edges all disappeared drops
-/// out of both the numerator and the denominator.
+/// [`CacheLineStats`]: a vertex whose edges all disappeared drops out
+/// of both the numerator and the denominator.
 #[derive(Clone, Debug)]
 pub struct LocalityTracker {
     /// Per-vertex (distinct foreign cache lines in the neighbour list,
@@ -947,18 +526,18 @@ mod tests {
     }
 
     #[test]
-    fn hilbert_layout_improves_adjacency_locality() {
+    fn hilbert_layout_improves_cache_line_locality() {
         // Scramble the mesh first so the input order is genuinely bad.
         let mesh = box_mesh(8);
         let mut scramble: Vec<VertexId> = (0..mesh.num_vertices() as u32).collect();
         octopus_geom::rng::SplitMix64::new(3).shuffle(&mut scramble);
         let scrambled = mesh.permute_vertices(&scramble);
-        let before = adjacency_locality(&scrambled);
+        let before = cache_line_stats(&scrambled).extra_lines_per_vertex;
         let (sorted, _) = hilbert_layout(&scrambled);
-        let after = adjacency_locality(&sorted);
+        let after = cache_line_stats(&sorted).extra_lines_per_vertex;
         assert!(
             after < before * 0.5,
-            "Hilbert layout must at least halve the mean id distance: {before} -> {after}"
+            "Hilbert layout must at least halve the foreign lines per vertex: {before} -> {after}"
         );
     }
 
@@ -967,7 +546,10 @@ mod tests {
         let mesh = box_mesh(8);
         let (h, _) = hilbert_layout(&mesh);
         let (m, _) = morton_layout(&mesh);
-        let (lh, lm) = (adjacency_locality(&h), adjacency_locality(&m));
+        let (lh, lm) = (
+            cache_line_stats(&h).extra_lines_per_vertex,
+            cache_line_stats(&m).extra_lines_per_vertex,
+        );
         assert!(
             lh <= lm * 1.1,
             "hilbert {lh} should not be much worse than morton {lm}"
@@ -992,59 +574,6 @@ mod tests {
         o.query(&sorted, &q, &mut out);
         out.sort_unstable();
         assert_eq!(out, expected_new);
-    }
-
-    #[test]
-    fn isolated_vertices_do_not_dilute_the_locality_mean() {
-        // The same connectivity with extra never-referenced vertices
-        // appended must report the same mean: isolated vertices are
-        // excluded from the denominator, not counted as distance-0
-        // pairs.
-        let mesh = box_mesh(4);
-        let stats = adjacency_locality_stats(&mesh);
-        assert_eq!(stats.isolated, 0);
-        assert!(stats.pairs > 0);
-
-        let mut positions = mesh.positions().to_vec();
-        for i in 0..7 {
-            positions.push(Point3::splat(2.0 + i as f32));
-        }
-        let cells: Vec<[VertexId; 4]> = mesh
-            .live_cells()
-            .map(|(_, c)| [c[0], c[1], c[2], c[3]])
-            .collect();
-        let padded = Mesh::from_tets(positions, cells).unwrap();
-        let padded_stats = adjacency_locality_stats(&padded);
-        assert_eq!(padded_stats.isolated, 7);
-        assert_eq!(padded_stats.pairs, stats.pairs);
-        assert_eq!(adjacency_locality(&padded), adjacency_locality(&mesh));
-    }
-
-    #[test]
-    fn coarsening_orphans_count_as_isolated() {
-        // Aggressive coarsening orphans vertices (remove_cell drops the
-        // last cell referencing them); they must show up in `isolated`
-        // and leave the mean defined by the surviving edges only.
-        let mut mesh = box_mesh(2);
-        mesh.enable_restructuring().unwrap();
-        let mut removed = 0;
-        for c in (0..mesh.cell_capacity() as u32).rev() {
-            if mesh.num_cells() <= 2 {
-                break;
-            }
-            if mesh.is_cell_alive(c) {
-                mesh.remove_cell(c).unwrap();
-                removed += 1;
-            }
-        }
-        assert!(removed > 0);
-        let stats = adjacency_locality_stats(&mesh);
-        assert!(
-            stats.isolated > 0,
-            "coarsening down to 2 cells must orphan vertices"
-        );
-        assert!(stats.pairs > 0);
-        assert!(stats.mean > 0.0);
     }
 
     #[test]
@@ -1142,10 +671,8 @@ mod tests {
                 false
             }))
             .unwrap();
-        assert_eq!(adjacency_locality(&empty), 0.0);
         assert!(curve_permutation(&empty, CurveKind::Hilbert).is_empty());
         assert_eq!(cache_line_stats(&empty), CacheLineStats::default());
-        assert!(curve_permutation(&empty, CurveKind::CacheOblivious).is_empty());
         let hist = reuse_distance_histogram(&empty);
         assert_eq!(hist.accesses, 0);
         assert_eq!(hist.fraction_within(8), 1.0);
@@ -1159,47 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_oblivious_permutation_is_a_bijection() {
-        let mesh = scrambled_box(5, 11);
-        let perm = curve_permutation(&mesh, CurveKind::CacheOblivious);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        let expect: Vec<VertexId> = (0..mesh.num_vertices() as u32).collect();
-        assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn bisection_keeps_every_split_balanced() {
-        let mesh = scrambled_box(6, 7);
-        let (_, stats) = cache_oblivious_permutation_stats(&mesh);
-        assert!(stats.splits > 0);
-        assert!(stats.leaves > stats.splits);
-        assert!(
-            stats.max_imbalance <= 1,
-            "split imbalance {} exceeds 1",
-            stats.max_imbalance
-        );
-    }
-
-    #[test]
-    fn cache_oblivious_improves_the_line_metric_over_scrambled() {
-        let scrambled = scrambled_box(7, 3);
-        let before = cache_line_stats(&scrambled);
-        let (laid_out, _) = cache_oblivious_layout(&scrambled);
-        let after = cache_line_stats(&laid_out);
-        assert!(
-            after.extra_lines_per_vertex < before.extra_lines_per_vertex * 0.6,
-            "bisection must sharply cut foreign lines per vertex: {} -> {}",
-            before.extra_lines_per_vertex,
-            after.extra_lines_per_vertex
-        );
-        assert!(after.crossing_ratio <= before.crossing_ratio);
-    }
-
-    #[test]
     fn reuse_histogram_concentrates_low_for_good_layouts() {
         let scrambled = scrambled_box(6, 9);
-        let (laid_out, _) = cache_oblivious_layout(&scrambled);
+        let (laid_out, _) = hilbert_layout(&scrambled);
         let bad = reuse_distance_histogram(&scrambled);
         let good = reuse_distance_histogram(&laid_out);
         // Same access count (same mesh, same BFS structure up to
@@ -1214,27 +703,12 @@ mod tests {
     }
 
     #[test]
-    fn queries_translate_via_perm_for_cache_oblivious() {
-        let mesh = scrambled_box(5, 21);
-        let (sorted, perm) = cache_oblivious_layout(&mesh);
-        let q = Aabb::new(Point3::splat(0.15), Point3::splat(0.65));
-        let mut expected: Vec<VertexId> =
-            scan(&mesh, &q).iter().map(|&v| perm[v as usize]).collect();
-        expected.sort_unstable();
-        let mut o = crate::Octopus::new(&sorted).unwrap();
-        let mut out = Vec::new();
-        o.query(&sorted, &q, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn crossing_ratio_saturates_but_extra_lines_does_not() {
         // The documented reason the tracker drifts on extra-lines: on a
         // scrambled mesh both metrics are bad, but after layout the
         // crossing ratio stays near 1 while extra-lines collapses.
         let scrambled = scrambled_box(7, 5);
-        let (laid_out, _) = cache_oblivious_layout(&scrambled);
+        let (laid_out, _) = hilbert_layout(&scrambled);
         let s = cache_line_stats(&scrambled);
         let l = cache_line_stats(&laid_out);
         let crossing_gain = s.crossing_ratio / l.crossing_ratio;

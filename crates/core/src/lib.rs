@@ -50,10 +50,9 @@ pub mod surface_index;
 pub use approx::ApproxOctopus;
 pub use con::OctopusCon;
 pub use cost_model::CostModel;
-pub use crawler::{CrawlOrder, VisitedStrategy, VisitedView};
 pub use executor::{GroupPhase, GroupProbe, Octopus, PhaseTimings, QueryScratch};
 pub use fault::{FaultAction, FaultCell, FaultHook, FaultSite};
-pub use frontier::{GroupScratch, ShardWorker, MAX_GROUP};
+pub use frontier::{GroupScratch, MAX_GROUP};
 pub use metrics::{ExecMode, ExecutorMetrics};
 pub use planner::{Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};

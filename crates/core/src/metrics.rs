@@ -36,21 +36,17 @@ pub enum ExecMode {
     /// Materialisation-free aggregate
     /// ([`crate::Octopus::query_aggregate`]).
     Aggregate,
-    /// Seed-only execution for sharded crawls
-    /// ([`crate::Octopus::seed_query`]).
-    Seed,
     /// Shared-frontier overlap group ([`crate::Octopus::query_group`]).
     Group,
 }
 
-const MODES: [(ExecMode, &str); 8] = [
+const MODES: [(ExecMode, &str); 7] = [
     (ExecMode::Fresh, "fresh"),
     (ExecMode::Seeded, "seeded"),
     (ExecMode::Collect, "collect"),
     (ExecMode::Region, "region"),
     (ExecMode::Knn, "knn"),
     (ExecMode::Aggregate, "aggregate"),
-    (ExecMode::Seed, "seed"),
     (ExecMode::Group, "group"),
 ];
 

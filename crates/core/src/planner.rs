@@ -223,9 +223,7 @@ impl Planner {
     /// visited bucket), the Eq.-5 speedup factors
     /// ([`crate::CostModel::speedup_terms`]), and the cached Eq.-6
     /// crossover. Routing a mixed batch therefore costs one histogram
-    /// probe per query and nothing else (the `planner_batch`
-    /// micro-benchmark quantifies the win over the naive per-query
-    /// loop).
+    /// probe per query and nothing else.
     ///
     /// [`SelectivityHistogram::grid`]: octopus_index::SelectivityHistogram::grid
     pub fn decide_batch(&self, queries: &[Aabb]) -> Vec<Decision> {
@@ -234,36 +232,6 @@ impl Planner {
         queries
             .iter()
             .map(|q| self.decide_hoisted(&grid, &terms, q))
-            .collect()
-    }
-
-    /// Naive per-query mapping kept as the micro-benchmark baseline for
-    /// the hoisted [`Planner::decide_batch`] (identical output; each
-    /// query re-derives the per-batch invariants, and each visited
-    /// histogram bucket re-divides its geometry — the pre-hoisting
-    /// behaviour, preserved verbatim in
-    /// `SelectivityHistogram::estimate_selectivity_unhoisted`).
-    #[doc(hidden)]
-    pub fn decide_batch_unhoisted(&self, queries: &[Aabb]) -> Vec<Decision> {
-        queries
-            .iter()
-            .map(|q| {
-                let sel = self.histogram.estimate_selectivity_unhoisted(q);
-                Decision {
-                    strategy: if sel < self.crossover {
-                        Strategy::Octopus
-                    } else {
-                        Strategy::LinearScan
-                    },
-                    estimated_selectivity: sel,
-                    crossover_selectivity: self.crossover,
-                    predicted_speedup: self.model.speedup(
-                        self.surface_ratio,
-                        self.mesh_degree,
-                        sel,
-                    ),
-                }
-            })
             .collect()
     }
 
@@ -367,45 +335,7 @@ mod tests {
             assert_eq!(d.strategy, single.strategy);
             assert_eq!(d.estimated_selectivity, single.estimated_selectivity);
             assert_eq!(d.crossover_selectivity, single.crossover_selectivity);
-        }
-    }
-
-    #[test]
-    fn hoisted_batch_decisions_equal_the_naive_loop() {
-        // The hoisted path replaces the per-bucket volume division by a
-        // precomputed reciprocal of the *exact* bucket sizes, where the
-        // pre-hoisting baseline divided by an f32-rounded box extent —
-        // estimates therefore differ at f32 precision (~1e-7 relative;
-        // both are equally valid, the histogram is f32-precise by
-        // construction). Strategies and crossovers must be identical,
-        // estimates equal to 1e-5 relative. (`decide` vs `decide_batch`
-        // share one code path and are asserted bit-identical
-        // elsewhere.)
-        let mesh = box_mesh(9);
-        let planner = paper_planner(&mesh, 8);
-        let queries: Vec<Aabb> = (1..=32)
-            .map(|i| Aabb::cube(Point3::new(0.03 * i as f32, 0.5, 0.5), 0.012 * i as f32))
-            .collect();
-        let hoisted = planner.decide_batch(&queries);
-        let naive = planner.decide_batch_unhoisted(&queries);
-        for (h, n) in hoisted.iter().zip(&naive) {
-            assert_eq!(h.strategy, n.strategy);
-            assert_eq!(h.crossover_selectivity, n.crossover_selectivity);
-            let rel = (h.estimated_selectivity - n.estimated_selectivity).abs()
-                / n.estimated_selectivity.max(1e-300);
-            assert!(
-                rel < 1e-5,
-                "{} vs {}",
-                h.estimated_selectivity,
-                n.estimated_selectivity
-            );
-            let rel = (h.predicted_speedup - n.predicted_speedup).abs() / n.predicted_speedup;
-            assert!(
-                rel < 1e-5,
-                "{} vs {}",
-                h.predicted_speedup,
-                n.predicted_speedup
-            );
+            assert_eq!(d.predicted_speedup, single.predicted_speedup);
         }
     }
 

@@ -1,13 +1,10 @@
-//! Properties of the v2 layout engine (cache-oblivious recursive
-//! bisection + blocked-SoA hot path): the permutation is a true
-//! permutation with balanced splits, relabelling is invisible to query
-//! results on both random and neuron meshes, and the SoA position
-//! mirror stays equal to the canonical `Vec<Point3>` through
-//! deformation, restructuring and re-layout.
+//! Properties of the layout engine (Hilbert relabelling + blocked-SoA
+//! hot path): the permutation is a true permutation, relabelling is
+//! invisible to query results on both random and neuron meshes, and the
+//! SoA position mirror stays equal to the canonical `Vec<Point3>`
+//! through deformation, restructuring and re-layout.
 
-use octopus_core::layout::{
-    cache_oblivious_layout, cache_oblivious_permutation_stats, curve_permutation, CurveKind,
-};
+use octopus_core::layout::{curve_permutation, hilbert_layout, CurveKind};
 use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
@@ -55,23 +52,16 @@ fn assert_layout_invisible(original: &Mesh, laid_out: &Mesh, perm: &[VertexId], 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cache-oblivious order is a bijection on vertex ids for
-    /// arbitrary (often multi-component) random meshes, and every
-    /// split it took was balanced to within one vertex.
+    /// The Hilbert order is a bijection on vertex ids for arbitrary
+    /// (often multi-component) random meshes.
     #[test]
-    fn permutation_is_a_balanced_bijection(seed in 0u64..10_000, fill in 0.3f64..1.0) {
+    fn permutation_is_a_bijection(seed in 0u64..10_000, fill in 0.3f64..1.0) {
         let mesh = random_mesh(4, fill, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let (perm, stats) = cache_oblivious_permutation_stats(&mesh);
-        let mut seen = perm.clone();
+        let mut seen = curve_permutation(&mesh, CurveKind::Hilbert);
         seen.sort_unstable();
         let expect: Vec<VertexId> = (0..mesh.num_vertices() as u32).collect();
         prop_assert_eq!(seen, expect, "not a permutation");
-        prop_assert!(
-            stats.max_imbalance <= 1,
-            "split imbalance {} exceeds 1",
-            stats.max_imbalance
-        );
     }
 
     /// Re-laying out a random mesh never changes what a query answers:
@@ -85,7 +75,7 @@ proptest! {
     ) {
         let mesh = random_mesh(4, fill, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let (laid_out, perm) = cache_oblivious_layout(&mesh);
+        let (laid_out, perm) = hilbert_layout(&mesh);
         let q = probe_box(&mesh, seed ^ 0xA5A5, half);
         assert_layout_invisible(&mesh, &laid_out, &perm, &q);
     }
@@ -125,7 +115,7 @@ proptest! {
             }
         }
         // Re-layout: a full relabelling rebuilds every block.
-        let (laid_out, _) = cache_oblivious_layout(&mesh);
+        let (laid_out, _) = hilbert_layout(&mesh);
         for m in [&mesh, &laid_out] {
             let blocks = m.position_blocks();
             prop_assert_eq!(blocks.len(), m.positions().len());
@@ -141,18 +131,18 @@ proptest! {
     }
 }
 
-/// The neuron mesh (the bench's geometry): the cache-oblivious order
-/// is a bijection and queries are layout invariant. One deterministic
+/// The neuron mesh (the bench's geometry): the Hilbert order is a
+/// bijection and queries are layout invariant. One deterministic
 /// case — the mesh is too expensive to regenerate per proptest case.
 #[test]
 fn neuron_queries_are_layout_invariant() {
     let mesh = neuron(NeuroLevel::L1, 0.5).expect("neuron");
-    let perm = curve_permutation(&mesh, CurveKind::CacheOblivious);
+    let perm = curve_permutation(&mesh, CurveKind::Hilbert);
     let mut seen = perm.clone();
     seen.sort_unstable();
     let expect: Vec<VertexId> = (0..mesh.num_vertices() as u32).collect();
     assert_eq!(seen, expect, "not a permutation");
-    let (laid_out, perm) = cache_oblivious_layout(&mesh);
+    let (laid_out, perm) = hilbert_layout(&mesh);
     for (seed, half) in [(1u64, 0.1f32), (2, 0.2), (3, 0.3)] {
         let q = probe_box(&mesh, seed, half);
         assert_layout_invisible(&mesh, &laid_out, &perm, &q);

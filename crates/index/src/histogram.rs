@@ -155,50 +155,6 @@ impl SelectivityHistogram {
         (expected / self.total as f64).clamp(0.0, 1.0)
     }
 
-    /// The pre-hoisting estimator, kept verbatim as the
-    /// `ablation_decide_batch` baseline: grid geometry re-derived per
-    /// query and bucket sizes re-divided per visited bucket — exactly
-    /// what every probe paid before [`SelectivityHistogram::grid`]
-    /// existed. Same expressions in the same order, so the estimates
-    /// are bit-identical to the hoisted path.
-    #[doc(hidden)]
-    pub fn estimate_selectivity_unhoisted(&self, q: &Aabb) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let r = self.res;
-        let e = self.bounds.extent();
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for axis in 0..3 {
-            let len = e[axis].max(f32::MIN_POSITIVE);
-            let t0 = ((q.min[axis] - self.bounds.min[axis]) / len * r as f32).floor();
-            let t1 = ((q.max[axis] - self.bounds.min[axis]) / len * r as f32).floor();
-            lo[axis] = (t0.max(0.0) as usize).min(r - 1);
-            hi[axis] = (t1.max(0.0) as usize).min(r - 1);
-        }
-        let mut expected = 0.0f64;
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                for x in lo[0]..=hi[0] {
-                    let count = self.counts[x + r * (y + r * z)];
-                    if count == 0 {
-                        continue;
-                    }
-                    let (sx, sy, sz) = (e.x / r as f32, e.y / r as f32, e.z / r as f32);
-                    let min = Point3::new(
-                        self.bounds.min.x + x as f32 * sx,
-                        self.bounds.min.y + y as f32 * sy,
-                        self.bounds.min.z + z as f32 * sz,
-                    );
-                    let b = Aabb::new(min, Point3::new(min.x + sx, min.y + sy, min.z + sz));
-                    expected += f64::from(count) * b.overlap_fraction(q);
-                }
-            }
-        }
-        (expected / self.total as f64).clamp(0.0, 1.0)
-    }
-
     /// Estimated number of result vertices for `q`.
     pub fn estimate_count(&self, q: &Aabb) -> f64 {
         self.estimate_selectivity(q) * self.total as f64
@@ -217,6 +173,64 @@ mod tests {
 
     fn unit_bounds() -> Aabb {
         Aabb::new(Point3::ORIGIN, Point3::splat(1.0))
+    }
+
+    /// Reference estimator: grid geometry re-derived per query, bucket
+    /// sizes re-divided per visited bucket and the exact
+    /// `overlap_fraction` per bucket — no [`HistogramGrid`].
+    fn estimate_selectivity_naive(h: &SelectivityHistogram, q: &Aabb) -> f64 {
+        if h.total == 0 {
+            return 0.0;
+        }
+        let r = h.res;
+        let e = h.bounds.extent();
+        let mut lo = [0usize; 3];
+        let mut hi = [0usize; 3];
+        for axis in 0..3 {
+            let len = e[axis].max(f32::MIN_POSITIVE);
+            let t0 = ((q.min[axis] - h.bounds.min[axis]) / len * r as f32).floor();
+            let t1 = ((q.max[axis] - h.bounds.min[axis]) / len * r as f32).floor();
+            lo[axis] = (t0.max(0.0) as usize).min(r - 1);
+            hi[axis] = (t1.max(0.0) as usize).min(r - 1);
+        }
+        let mut expected = 0.0f64;
+        for z in lo[2]..=hi[2] {
+            for y in lo[1]..=hi[1] {
+                for x in lo[0]..=hi[0] {
+                    let count = h.counts[x + r * (y + r * z)];
+                    if count == 0 {
+                        continue;
+                    }
+                    let (sx, sy, sz) = (e.x / r as f32, e.y / r as f32, e.z / r as f32);
+                    let min = Point3::new(
+                        h.bounds.min.x + x as f32 * sx,
+                        h.bounds.min.y + y as f32 * sy,
+                        h.bounds.min.z + z as f32 * sz,
+                    );
+                    let b = Aabb::new(min, Point3::new(min.x + sx, min.y + sy, min.z + sz));
+                    expected += f64::from(count) * b.overlap_fraction(q);
+                }
+            }
+        }
+        (expected / h.total as f64).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn hoisted_estimate_equals_the_naive_reference() {
+        // The hoisted path multiplies by a precomputed reciprocal of the
+        // exact bucket volume where the reference divides per bucket, so
+        // the two agree at f32 precision, not bit for bit.
+        let pts = random_points(20_000, 54);
+        let h = SelectivityHistogram::build(&pts, &unit_bounds(), 8);
+        for i in 1..=32 {
+            let q = Aabb::cube(Point3::new(0.03 * i as f32, 0.5, 0.5), 0.012 * i as f32);
+            let (hoisted, naive) = (
+                h.estimate_selectivity(&q),
+                estimate_selectivity_naive(&h, &q),
+            );
+            let rel = (hoisted - naive).abs() / naive.max(1e-300);
+            assert!(rel < 1e-5, "query {i}: {hoisted} vs {naive}");
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! into one 64-byte-aligned [`PositionBlock`]: an `x` lane, a `y` lane
 //! and a `z` lane of 16 `f32` each, so one lane is exactly one cache
 //! line and one block is exactly three. A layout that packs a vertex's
-//! neighbours into its own block (the cache-oblivious recursive
-//! bisection in `octopus_core::layout`) then re-uses those three lines
-//! for the whole neighbourhood, and the per-lane containment test
+//! neighbours into its own block (the Hilbert order of
+//! `octopus_core::layout`) then re-uses those three lines for the
+//! whole neighbourhood, and the per-lane containment test
 //! (`x ≥ min.x && …`) reads each lane sequentially — the form the
 //! compiler can vectorise.
 //!
@@ -99,8 +99,7 @@ impl PositionBlock {
 /// The blocked SoA position store: `ceil(len / 16)` aligned blocks.
 ///
 /// Vertex `v` lives in block `v / 16`, lane `v % 16` (see
-/// [`block_lane`]), so consecutive ids share blocks — the
-/// cache-oblivious layout's leaf blocks map one-to-one onto these.
+/// [`block_lane`]), so consecutive ids share blocks.
 #[derive(Clone, Debug, Default)]
 pub struct PositionBlocks {
     blocks: Vec<PositionBlock>,

@@ -1,11 +1,11 @@
 //! The parallel batch executor: a persistent worker pool over a shared
 //! `&Octopus`, allocation-free in steady state.
 
-use crate::pool::{record_spawn, Task, WorkerPool};
+use crate::pool::{Task, WorkerPool};
 use crate::recycle::{RecycleStats, ResultRecycler};
 use crate::telemetry::PoolMetrics;
 use octopus_core::fault::FaultHook;
-use octopus_core::{Octopus, PhaseTimings, QueryScratch, ShardWorker};
+use octopus_core::{Octopus, PhaseTimings, QueryScratch};
 use octopus_geom::{Aabb, VertexId};
 use octopus_mesh::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,15 +65,14 @@ impl BatchStats {
 }
 
 /// A reusable pool of worker threads + per-worker scratch state
-/// executing query batches (and frontier-sharded single queries)
-/// against a shared [`Octopus`] + [`Mesh`].
+/// executing query batches against a shared [`Octopus`] + [`Mesh`].
 ///
 /// The executor owns a persistent [`WorkerPool`]: workers are spawned
 /// once at construction and park between calls, so steady-state serving
-/// performs **zero thread spawns** — `execute_batch` and the sharded
-/// crawl's BFS rounds are task submissions, not `thread::scope` spawns.
-/// All per-worker scratch (visited arrays, BFS queues, shard-local
-/// epoch stamps) persists across calls, and result buffers cycle
+/// performs **zero thread spawns** — `execute_batch` is a task
+/// submission, not a `thread::scope` spawn. All per-worker scratch
+/// (visited arrays, BFS queues) persists across calls, and result
+/// buffers cycle
 /// through a generation-checked free list ([`ParallelExecutor::recycle`]),
 /// so a warmed-up executor also performs **zero result-buffer
 /// allocations** per batch. Queries are distributed by work stealing —
@@ -104,10 +103,6 @@ pub struct ParallelExecutor {
     pub(crate) threads: usize,
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) scratches: Vec<QueryScratch>,
-    pub(crate) shard_workers: Vec<ShardWorker>,
-    /// Frontier double-buffer for the sharded crawl.
-    pub(crate) frontier: Vec<VertexId>,
-    pub(crate) next_frontier: Vec<VertexId>,
     /// Generation-checked free list feeding result buffers back into
     /// `execute_batch` (shared with the batch engine's plan executor).
     pub(crate) recycler: ResultRecycler,
@@ -141,9 +136,6 @@ impl ParallelExecutor {
             threads: pool.threads(),
             pool,
             scratches: Vec::new(),
-            shard_workers: Vec::new(),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
             recycler: ResultRecycler::default(),
             worker_outs: Vec::new(),
             slots: Vec::new(),
@@ -185,21 +177,6 @@ impl ParallelExecutor {
     }
 
     pub(crate) fn ensure_scratches(&mut self, octopus: &Octopus, mesh: &Mesh, n: usize) {
-        // A pool may serve different executors over its lifetime; keep
-        // the cached scratches only while their visited-set strategy
-        // matches (an EpochArray scratch serving a HashSet executor
-        // would silently pin O(V) stamp arrays — correct results,
-        // wrong memory profile).
-        if self
-            .scratches
-            .first()
-            .is_some_and(|s| s.visited_strategy() != octopus.visited_strategy())
-        {
-            self.scratches.clear();
-            // Reconfiguration: outstanding leases are from the old
-            // serving regime — invalidate them.
-            self.recycler.bump();
-        }
         while self.scratches.len() < n {
             self.scratches.push(octopus.make_scratch(mesh));
         }
@@ -288,83 +265,6 @@ impl ParallelExecutor {
         results
     }
 
-    /// PR 2's spawn-per-batch execution, kept verbatim as the ablation
-    /// baseline for the `fig_throughput` spawn-vs-pool comparison: scoped
-    /// threads are spawned (and joined) for every call and each query
-    /// allocates a fresh result vector. Results are identical to
-    /// [`ParallelExecutor::execute_batch`].
-    pub fn execute_batch_spawning(
-        &mut self,
-        octopus: &Octopus,
-        mesh: &Mesh,
-        queries: &[Aabb],
-    ) -> Vec<QueryResult> {
-        let workers = self.threads.min(queries.len()).max(1);
-        self.ensure_scratches(octopus, mesh, workers);
-
-        let cursor = AtomicUsize::new(0);
-        let run = |scratch: &mut QueryScratch| {
-            let mut mine: Vec<(usize, QueryResult)> = Vec::new();
-            loop {
-                // relaxed: work-stealing cursor (see query_batch) —
-                // claim-once comes from the atomic RMW itself; the
-                // scope join publishes the results.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(q) = queries.get(i) else { break };
-                let mut vertices = Vec::new();
-                let timings = octopus.query_with(scratch, mesh, q, &mut vertices);
-                mine.push((
-                    i,
-                    QueryResult {
-                        vertices,
-                        timings,
-                        // Never leased: generation 0 keeps these out of
-                        // the free list if recycled.
-                        generation: 0,
-                    },
-                ));
-            }
-            mine
-        };
-
-        let mut slots: Vec<Option<QueryResult>> = vec![None; queries.len()];
-        if workers == 1 {
-            for (i, r) in run(&mut self.scratches[0]) {
-                slots[i] = Some(r);
-            }
-        } else {
-            let per_worker = std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .scratches
-                    .iter_mut()
-                    .take(workers)
-                    .map(|scratch| {
-                        record_spawn();
-                        s.spawn(|| run(scratch))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // Re-raise a worker's panic with its original
-                        // payload instead of a generic join() message,
-                        // so the caller's catch_unwind (or the test
-                        // harness) sees the real failure.
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (i, r) in per_worker.into_iter().flatten() {
-                slots[i] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("work stealing covers every query"))
-            .collect()
-    }
-
     /// Returns a finished batch's buffers to the executor's free lists:
     /// each result's vertex vector (generation-checked) plus the outer
     /// vector itself. After one warm-up batch, a recycle-per-batch loop
@@ -390,13 +290,6 @@ impl ParallelExecutor {
             .iter()
             .map(QueryScratch::memory_bytes)
             .sum::<usize>()
-            + self
-                .shard_workers
-                .iter()
-                .map(ShardWorker::memory_bytes)
-                .sum::<usize>()
-            + (self.frontier.capacity() + self.next_frontier.capacity())
-                * std::mem::size_of::<VertexId>()
             + self
                 .group_scratches
                 .iter()

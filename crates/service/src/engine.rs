@@ -21,10 +21,8 @@
 //!    [`octopus_core::Planner`] (refreshed against the snapshot's
 //!    restructure epoch) decides each query via Eq. 6: `LinearScan`
 //!    members are split off into a **shared scan** group (one pass over
-//!    the positions, testing every member), and large singleton crawls
-//!    are routed to the frontier-sharded crawl
-//!    ([`crate::ParallelExecutor::query_sharded`]) instead of the
-//!    sequential one — per-group routing instead of one global mode.
+//!    the positions, testing every member) — per-group routing instead
+//!    of one global mode.
 //!    The [`SeedCache`] warm-starts repeated/drifted queries from the
 //!    previous step's boundary-vertex sample, skipping the full surface
 //!    probe while provably preserving exactness (see
@@ -33,7 +31,7 @@
 //! Every path returns, per query, exactly what the sequential
 //! [`octopus_core::Octopus::query`] returns — the batch-engine property
 //! suite asserts this against random meshes, restructuring steps,
-//! mid-run re-layouts, both visited strategies and ring depths 1 and 3.
+//! mid-run re-layouts and ring depths 1 and 3.
 
 use crate::batch::{ParallelExecutor, QueryResult};
 use crate::pool::Task;
@@ -58,15 +56,10 @@ pub struct BatchEngineConfig {
     /// fallback for batches that would overflow the mask).
     pub max_group: usize,
     /// Route groups through the Eq.-6 planner (shared linear scan for
-    /// `LinearScan` decisions, frontier-sharded crawl for huge singleton
-    /// crawls).
+    /// `LinearScan` decisions).
     pub use_planner: bool,
     /// Histogram resolution of the planner's selectivity estimator.
     pub planner_hist_res: usize,
-    /// Estimated result count above which a *singleton* crawl-routed
-    /// query uses the frontier-sharded crawl instead of the sequential
-    /// one.
-    pub shard_min_results: usize,
     /// Warm-start repeated/drifted queries from the temporal seed cache.
     pub use_seed_cache: bool,
     /// Seed-cache dilation margin, in multiples of the mesh's typical
@@ -83,7 +76,6 @@ impl Default for BatchEngineConfig {
             max_group: MAX_GROUP,
             use_planner: true,
             planner_hist_res: 8,
-            shard_min_results: 262_144,
             use_seed_cache: true,
             seed_margin_edges: 8.0,
             cache_capacity: 4096,
@@ -102,8 +94,6 @@ pub struct EngineReport {
     pub grouped_queries: usize,
     /// Queries routed to the shared linear scan by the planner.
     pub scan_queries: usize,
-    /// Singleton queries routed to the frontier-sharded crawl.
-    pub sharded_queries: usize,
     /// Distinct traversal events of the shared crawls (each costing one
     /// neighbour-list scan or one boundary position load).
     pub shared_visited: usize,
@@ -153,9 +143,6 @@ struct GroupPlan {
 /// The prepared execution plan of one batch.
 struct EnginePlan {
     groups: Vec<GroupPlan>,
-    /// Singleton queries routed to the frontier-sharded crawl (whole
-    /// pool each; executed outside the group fan-out).
-    sharded: Vec<u32>,
     margin: f32,
     /// The per-query planner decisions the plan was routed on, kept so
     /// telemetry can compare estimates against measured selectivities
@@ -316,19 +303,14 @@ impl BatchEngine {
         }
         self.report.queries = queries.len();
         self.report.groups = plan.groups.len();
-        self.report.sharded_queries = plan.sharded.len();
         let cache_stats = self.cache.as_ref().map(SeedCache::stats);
         if let Some(t) = &mut self.telemetry {
             t.batches.inc();
             for g in &plan.groups {
                 t.group_size.record(g.members.len() as u64);
             }
-            for _ in &plan.sharded {
-                t.group_size.record(1);
-            }
             t.grouped_queries.add(self.report.grouped_queries as u64);
             t.scan_queries.add(self.report.scan_queries as u64);
-            t.sharded_queries.add(self.report.sharded_queries as u64);
             t.shared_visited.add(self.report.shared_visited as u64);
             t.attributed_visited
                 .add(self.report.attributed_visited as u64);
@@ -458,7 +440,6 @@ impl BatchEngine {
         let margin = self.cache.as_ref().map_or(0.0, SeedCache::margin);
         let mut plan = EnginePlan {
             groups: Vec::new(),
-            sharded: Vec::new(),
             margin,
             decisions: None,
         };
@@ -485,16 +466,6 @@ impl BatchEngine {
             }
             if crawl.is_empty() {
                 continue;
-            }
-            // Huge singleton crawls go to the frontier-sharded path.
-            if crawl.len() == 1 {
-                if let Some(d) = &decisions {
-                    let est = d[crawl[0] as usize].estimated_selectivity * self.num_vertices as f64;
-                    if est >= self.cfg.shard_min_results as f64 {
-                        plan.sharded.push(crawl[0]);
-                        continue;
-                    }
-                }
             }
             let route = Route::Crawl(self.probe_plan(queries, &crawl, cum_drift));
             plan.groups.push(GroupPlan {
@@ -640,11 +611,10 @@ fn sweep_groups(queries: &[Aabb], bounds: &Aabb, max_group: usize) -> Vec<Vec<u3
 }
 
 impl ParallelExecutor {
-    /// Executes a prepared [`EnginePlan`]: sharded-crawl singletons run
-    /// on the whole pool, then the remaining groups fan out across the
-    /// workers (stolen in curve order), and everything is reassembled in
-    /// input order. Returns the results plus the seed-cache refills the
-    /// workers collected.
+    /// Executes a prepared [`EnginePlan`]: the groups fan out across
+    /// the workers (stolen in curve order), and everything is
+    /// reassembled in input order. Returns the results plus the
+    /// seed-cache refills the workers collected.
     fn execute_plan(
         &mut self,
         octopus: &Octopus,
@@ -654,21 +624,6 @@ impl ParallelExecutor {
         report: &mut EngineReport,
     ) -> (Vec<QueryResult>, Vec<(u32, Vec<VertexId>)>) {
         *report = EngineReport::default();
-
-        // Frontier-sharded singletons first (each uses the whole pool).
-        let mut sharded_results: Vec<(u32, QueryResult)> = Vec::new();
-        for &qi in &plan.sharded {
-            let (generation, mut vertices) = self.recycler.lease();
-            let timings = self.query_sharded(octopus, mesh, &queries[qi as usize], &mut vertices);
-            sharded_results.push((
-                qi,
-                QueryResult {
-                    vertices,
-                    timings,
-                    generation,
-                },
-            ));
-        }
 
         let workers = self.threads.min(plan.groups.len()).max(1);
         self.ensure_scratches(octopus, mesh, workers);
@@ -737,9 +692,6 @@ impl ParallelExecutor {
                 self.slots[i as usize] = Some(r);
             }
             refills.append(&mut out.refills);
-        }
-        for (i, r) in sharded_results {
-            self.slots[i as usize] = Some(r);
         }
         for group in &plan.groups {
             if group.members.len() >= 2 && matches!(group.route, Route::Crawl(_)) {

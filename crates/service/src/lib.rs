@@ -6,9 +6,9 @@
 //! query-*serving* engine along both axes the ROADMAP names:
 //!
 //! * [`WorkerPool`] — a **persistent pool** of parked worker threads
-//!   (channel/condvar based) with scoped task submission: batches and
-//!   BFS rounds are submissions, not `thread::scope` spawns, so steady
-//!   state performs zero thread spawns.
+//!   (channel/condvar based) with scoped task submission: batches are
+//!   submissions, not `thread::scope` spawns, so steady state performs
+//!   zero thread spawns.
 //! * [`ParallelExecutor`] — batch execution over the pool. The
 //!   epoch-stamped scratch design makes per-worker state reuse free:
 //!   workers share one immutable [`octopus_core::Octopus`] + `&Mesh`,
@@ -16,12 +16,6 @@
 //!   cycle through a generation-checked free list
 //!   ([`ParallelExecutor::recycle`]) — a warmed-up serving loop
 //!   allocates no result buffers per batch.
-//! * [`ParallelExecutor::query_sharded`] — a **frontier-sharded crawl**
-//!   for one large query: the BFS frontier is split into chunks each
-//!   round, pool workers expand chunks against a shared read-only view
-//!   of the visited set, dedupe locally in epoch-stamped per-worker
-//!   arrays, and a sequential merge folds candidates back in chunk
-//!   order — result order is deterministic regardless of scheduling.
 //! * [`MonitorLoop`] — a **pipelined snapshot-ring monitor**: the
 //!   simulation runs on its own thread and publishes per-step
 //!   snapshots into a ring of configurable depth K (plus
@@ -48,8 +42,8 @@
 //!   ([`SeedCacheStats`]) warm-starts repeated/drifted monitoring
 //!   queries from the previous step's boundary-vertex sample instead of
 //!   a full surface probe, and `Planner::decide_batch` routes each
-//!   group (shared linear scan vs. sequential vs. frontier-sharded
-//!   crawl) per its Eq.-6 decision instead of one global mode.
+//!   group (shared linear scan vs. crawl) per its Eq.-6 decision
+//!   instead of one global mode.
 //!   [`MonitorLoop::set_batch_engine`] wires it into the monitor's
 //!   query paths; cache entries are invalidated by
 //!   `Mesh::restructure_epoch` and translated through the layout
@@ -69,9 +63,9 @@
 //!
 //! All concurrency is `std` threads + channels; results are
 //! bit-identical to the sequential executor (the crate's property
-//! suite verifies batch, sharded and engine-routed execution against
+//! suite verifies batch and engine-routed execution against
 //! [`octopus_core::Octopus::query`] on random and layout-permuted
-//! meshes under both visited-set strategies).
+//! meshes).
 
 #![deny(missing_docs)]
 // The workspace denies `unsafe_code`; the one opt-in in this crate
@@ -89,7 +83,6 @@ mod pool;
 mod recycle;
 mod ring;
 mod seed_cache;
-mod shard;
 pub mod subscribe;
 pub mod telemetry;
 

@@ -199,20 +199,6 @@ pub enum LayoutPolicy {
         /// erodes the curve order on long-running simulations.
         trigger: RelayoutTrigger,
     },
-    /// Morton/Z-order variant (cheaper keys, worse locality — the
-    /// layout ablation).
-    Morton {
-        /// Same as [`LayoutPolicy::Hilbert::trigger`].
-        trigger: RelayoutTrigger,
-    },
-    /// Recursive adjacency bisection down to cache-line-sized leaf
-    /// blocks ([`octopus_core::layout::cache_oblivious_layout`]) —
-    /// orders by connectivity instead of a positional curve, packing
-    /// each neighbourhood into the blocked-SoA lines the crawl reads.
-    CacheOblivious {
-        /// Same as [`LayoutPolicy::Hilbert::trigger`].
-        trigger: RelayoutTrigger,
-    },
 }
 
 impl LayoutPolicy {
@@ -231,27 +217,10 @@ impl LayoutPolicy {
         }
     }
 
-    /// Cache-oblivious bisection at ingest, no mid-run re-layout.
-    pub fn cache_oblivious() -> LayoutPolicy {
-        LayoutPolicy::CacheOblivious {
-            trigger: RelayoutTrigger::Never,
-        }
-    }
-
-    /// Cache-oblivious bisection at ingest with the default adaptive
-    /// drift trigger ([`RelayoutTrigger::adaptive`]).
-    pub fn cache_oblivious_adaptive() -> LayoutPolicy {
-        LayoutPolicy::CacheOblivious {
-            trigger: RelayoutTrigger::adaptive(),
-        }
-    }
-
     fn curve(self) -> Option<CurveKind> {
         match self {
             LayoutPolicy::Preserve => None,
             LayoutPolicy::Hilbert { .. } => Some(CurveKind::Hilbert),
-            LayoutPolicy::Morton { .. } => Some(CurveKind::Morton),
-            LayoutPolicy::CacheOblivious { .. } => Some(CurveKind::CacheOblivious),
         }
     }
 
@@ -260,9 +229,7 @@ impl LayoutPolicy {
     pub fn trigger(self) -> RelayoutTrigger {
         match self {
             LayoutPolicy::Preserve => RelayoutTrigger::Never,
-            LayoutPolicy::Hilbert { trigger }
-            | LayoutPolicy::Morton { trigger }
-            | LayoutPolicy::CacheOblivious { trigger } => trigger,
+            LayoutPolicy::Hilbert { trigger } => trigger,
         }
     }
 }
@@ -1435,13 +1402,6 @@ impl MonitorLoop {
         self.pool.recycle_stats()
     }
 
-    /// Answers one large query against the latest snapshot with the
-    /// frontier-sharded crawl.
-    pub fn query_sharded(&mut self, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        let slot = self.slots.back().expect("ring is never empty");
-        self.pool.query_sharded(&slot.exec, &slot.mesh, q, out)
-    }
-
     /// Registers a standing query against the latest snapshot and
     /// returns its handle. The subscription's *band* — how much
     /// cumulative drift its candidate list absorbs before a full
@@ -1761,16 +1721,27 @@ impl Drop for MonitorLoop {
 /// Largest per-vertex displacement between two position snapshots of
 /// the same length — one O(V) pass (squared distances; one sqrt at the
 /// end), advancing the seed cache's cumulative drift meter.
+///
+/// A non-finite displacement (a vertex moved to or from NaN/∞) compares
+/// false against every maximum, so it is tracked separately and
+/// saturates the meter to `∞`: no drift bound holds for that vertex,
+/// and every consumer of the meter must take its exact refresh path.
 fn max_displacement(before: &[Point3], after: &[Point3]) -> f32 {
     debug_assert_eq!(before.len(), after.len());
     let mut max_sq = 0.0f32;
+    let mut bad = false;
     for (a, b) in before.iter().zip(after) {
         let d = a.dist_sq(*b);
+        bad |= !d.is_finite();
         if d > max_sq {
             max_sq = d;
         }
     }
-    max_sq.sqrt()
+    if bad {
+        f32::INFINITY
+    } else {
+        max_sq.sqrt()
+    }
 }
 
 /// The simulation thread: steps on demand and hands snapshots back.

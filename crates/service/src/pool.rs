@@ -1,12 +1,10 @@
 //! The persistent worker pool: long-lived, parked worker threads shared
-//! by the batch executor and the frontier-sharded crawl.
+//! by the batch executor and the batch engine.
 //!
-//! PR 2's service layer spawned scoped threads per batch (and per BFS
-//! round in the sharded crawl). The spawn itself — stack allocation,
-//! kernel thread creation, TLS setup, join teardown — is a fixed cost
-//! paid on every call, which is exactly why the parallel paths lost to
-//! the sequential executor at small batches (`BENCH_throughput.json`,
-//! `baseline_pr2`). [`WorkerPool`] pays it once: workers are spawned at
+//! Spawning scoped threads per batch — stack allocation, kernel thread
+//! creation, TLS setup, join teardown — is a fixed cost paid on every
+//! call, large enough to lose to the sequential executor at small
+//! batches. [`WorkerPool`] pays it once: workers are spawned at
 //! construction, park in a channel `recv` (condvar-based under the
 //! hood) between submissions, and live until the pool is dropped.
 //!
@@ -76,9 +74,8 @@ fn inject_task_fault(fault: &FaultCell) {
 }
 
 /// Process-wide count of worker threads ever spawned by the service
-/// layer — both by [`WorkerPool`]s and by the legacy spawn-per-batch
-/// path kept for the throughput ablation. The steady-state tests assert
-/// this stays flat across pool-mode batches. A telemetry
+/// layer's [`WorkerPool`]s. The steady-state tests assert this stays
+/// flat across batches. A telemetry
 /// [`StaticCounter`] rather than a hand-rolled atomic so it can be
 /// mirrored into registry snapshots as `pool_threads_spawned_total`.
 static THREADS_SPAWNED: StaticCounter = StaticCounter::new();
@@ -87,10 +84,6 @@ static THREADS_SPAWNED: StaticCounter = StaticCounter::new();
 /// process (instrumentation; see [`THREADS_SPAWNED`]'s doc).
 pub fn threads_spawned_total() -> usize {
     THREADS_SPAWNED.value() as usize
-}
-
-pub(crate) fn record_spawn() {
-    THREADS_SPAWNED.inc();
 }
 
 /// Completion latch for one `run` call: counts outstanding submitted
@@ -188,7 +181,7 @@ impl WorkerPool {
         for _ in 1..threads {
             let (tx, rx) = channel::<Job>();
             let metrics = Arc::clone(&metrics);
-            record_spawn();
+            THREADS_SPAWNED.inc();
             handles.push(std::thread::spawn(move || {
                 // Parked here between submissions; exits when the pool
                 // drops its sender. `execute` contains any unwind, so

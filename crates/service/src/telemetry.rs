@@ -83,11 +83,10 @@ pub struct EngineMetrics {
     pub(crate) batches: Counter,
     /// `engine_group_size` — members per overlap group.
     pub(crate) group_size: Histogram,
-    /// `engine_grouped_queries_total` / `engine_scan_queries_total` /
-    /// `engine_sharded_queries_total` — per-route query counts.
+    /// `engine_grouped_queries_total` / `engine_scan_queries_total` —
+    /// per-route query counts.
     pub(crate) grouped_queries: Counter,
     pub(crate) scan_queries: Counter,
-    pub(crate) sharded_queries: Counter,
     /// `engine_shared_visited_total` / `engine_attributed_visited_total`
     /// / `engine_frontier_savings_total` — shared-frontier accounting
     /// (savings = attributed − shared).
@@ -122,7 +121,6 @@ impl EngineMetrics {
             group_size: registry.histogram("engine_group_size"),
             grouped_queries: registry.counter("engine_grouped_queries_total"),
             scan_queries: registry.counter("engine_scan_queries_total"),
-            sharded_queries: registry.counter("engine_sharded_queries_total"),
             shared_visited: registry.counter("engine_shared_visited_total"),
             attributed_visited: registry.counter("engine_attributed_visited_total"),
             frontier_savings: registry.counter("engine_frontier_savings_total"),

@@ -2,12 +2,11 @@
 //! groups + temporal seed cache + Eq.-6 planner routing must return,
 //! per query, exactly what the sequential `Octopus::query` returns —
 //! on random meshes and workloads, across deformation and restructuring
-//! steps, mid-run re-layouts, both visited strategies, and snapshot-ring
-//! depths 1 and 3. Plus the deterministic visited-vertex counter: on an
+//! steps, mid-run re-layouts, and snapshot-ring depths 1 and 3. Plus the deterministic visited-vertex counter: on an
 //! overlapping batch, the shared crawl performs strictly fewer traversal
 //! events than independent crawls.
 
-use octopus_core::{Octopus, VisitedStrategy};
+use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
@@ -19,12 +18,8 @@ use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_testkit::{box_mesh, mixed_workload, sorted};
 use proptest::prelude::*;
 
-fn sequential_reference(
-    mesh: &Mesh,
-    strategy: VisitedStrategy,
-    queries: &[Aabb],
-) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::with_strategy(mesh, strategy).unwrap();
+fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    let mut octopus = Octopus::new(mesh).unwrap();
     queries
         .iter()
         .map(|q| {
@@ -46,13 +41,12 @@ fn assert_engine_equivalent(
     engine: &mut BatchEngine,
     pool: &mut ParallelExecutor,
     mesh: &Mesh,
-    strategy: VisitedStrategy,
     queries: &[Aabb],
     cum_drift: f32,
     ctx: &str,
 ) {
-    let expected = sequential_reference(mesh, strategy, queries);
-    let octopus = Octopus::with_strategy(mesh, strategy).unwrap();
+    let expected = sequential_reference(mesh, queries);
+    let octopus = Octopus::new(mesh).unwrap();
     let results = engine.execute(
         pool,
         &octopus,
@@ -75,15 +69,14 @@ fn assert_engine_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Engine ≡ sequential on random meshes/workloads, both strategies,
-    /// planner + cache + grouping all enabled (static snapshot).
+    /// Engine ≡ sequential on random meshes/workloads, planner + cache
+    /// + grouping all enabled (static snapshot).
     #[test]
     fn engine_matches_sequential_on_random_workloads(
         n in 3usize..7,
         seed in 0u64..1000,
         workers in 1usize..4,
         clusters in 1usize..4,
-        use_hash in proptest::bool::ANY,
         use_neuron in proptest::bool::ANY,
     ) {
         let mesh = if use_neuron {
@@ -91,18 +84,13 @@ proptest! {
         } else {
             box_mesh(n)
         };
-        let strategy = if use_hash {
-            VisitedStrategy::HashSet
-        } else {
-            VisitedStrategy::EpochArray
-        };
         let queries = mixed_workload(&mesh, seed, clusters, 4);
         let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(workers);
         // Twice: the second batch runs warm (every query seeds from the
         // cache at zero drift) and must still be exact.
-        assert_engine_equivalent(&mut engine, &mut pool, &mesh, strategy, &queries, 0.0, "cold");
-        assert_engine_equivalent(&mut engine, &mut pool, &mesh, strategy, &queries, 0.0, "warm");
+        assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "cold");
+        assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "warm");
         prop_assert!(engine.cache_stats().hits > 0, "warm batch must hit the cache");
     }
 
@@ -111,14 +99,8 @@ proptest! {
     #[test]
     fn engine_stays_exact_across_deformation_with_cache_hits(
         seed in 0u64..500,
-        use_hash in proptest::bool::ANY,
     ) {
         let mut mesh = box_mesh(6);
-        let strategy = if use_hash {
-            VisitedStrategy::HashSet
-        } else {
-            VisitedStrategy::EpochArray
-        };
         let queries = mixed_workload(&mesh, seed, 2, 3);
         let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(2);
@@ -126,7 +108,7 @@ proptest! {
         let mut cum_drift = 0.0f32;
         for step in 0..5 {
             assert_engine_equivalent(
-                &mut engine, &mut pool, &mesh, strategy, &queries, cum_drift,
+                &mut engine, &mut pool, &mesh, &queries, cum_drift,
                 &format!("step {step}"),
             );
             // Deform; meter the true max displacement like the monitor.
@@ -237,7 +219,6 @@ fn planner_routed_batches_match_sequential() {
         &mut engine,
         &mut pool,
         &mesh,
-        VisitedStrategy::EpochArray,
         &queries,
         0.0,
         "planner-routed",
@@ -348,45 +329,6 @@ fn group_fallback_counts_no_phantom_hits() {
     assert_eq!(engine.report().cache_seeded, 2);
 }
 
-/// Dropping the shard threshold routes big singleton crawls to the
-/// frontier-sharded path — still exact, and visibly reported.
-#[test]
-fn low_shard_threshold_routes_singletons_to_sharded_crawl() {
-    let mesh = box_mesh(7);
-    // Far-apart, non-overlapping, *small* queries: singleton groups
-    // whose selectivity stays below the Eq.-6 crossover (small box
-    // meshes have a high surface ratio, so the crossover sits under
-    // 1 %), i.e. crawl-routed.
-    // (half 0.07 ⇒ ~0.3 % selectivity: above one estimated result
-    // vertex, below the crossover.)
-    let queries = [
-        Aabb::cube(Point3::splat(0.2), 0.07),
-        Aabb::cube(Point3::splat(0.8), 0.07),
-    ];
-    let mut engine = engine_for(
-        BatchEngineConfig {
-            shard_min_results: 1,
-            ..BatchEngineConfig::default()
-        },
-        &mesh,
-    );
-    let mut pool = ParallelExecutor::new(2);
-    assert_engine_equivalent(
-        &mut engine,
-        &mut pool,
-        &mesh,
-        VisitedStrategy::EpochArray,
-        &queries,
-        0.0,
-        "sharded-route",
-    );
-    assert!(
-        engine.report().sharded_queries >= 1,
-        "threshold 1 must shard crawl-routed singletons: {:?}",
-        engine.report()
-    );
-}
-
 /// The acceptance counter: batch of 64 with ≥ 30 % pairwise overlap
 /// inside clusters — the shared-frontier path performs measurably fewer
 /// traversal events than independent crawls (deterministic counters,
@@ -431,15 +373,7 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
         &mesh,
     );
     let mut pool = ParallelExecutor::new(2);
-    assert_engine_equivalent(
-        &mut engine,
-        &mut pool,
-        &mesh,
-        VisitedStrategy::EpochArray,
-        &queries,
-        0.0,
-        "overlap-64",
-    );
+    assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "overlap-64");
     let report = *engine.report();
     assert!(
         report.grouped_queries >= 48,

@@ -178,28 +178,6 @@ fn ring_depth_equivalence_with_mid_run_relayouts() {
 }
 
 #[test]
-fn ring_depth_equivalence_with_cache_oblivious_relayouts() {
-    // The v2 layout engine through the full pipeline: bisection order
-    // at ingest plus mid-run re-layouts across restructuring, and every
-    // retained-step answer still equals the stop-the-world reference.
-    for depth in [1, 2] {
-        let monitor = ring_equivalence_run(
-            depth,
-            123,
-            Some((3, 2, 0xD1CE)),
-            LayoutPolicy::CacheOblivious {
-                trigger: RelayoutTrigger::AfterRestructures(2),
-            },
-            12,
-        );
-        assert!(
-            monitor.relayouts() >= 1,
-            "depth {depth}: 4 restructuring events at threshold 2 must re-layout"
-        );
-    }
-}
-
-#[test]
 fn depth_one_reproduces_the_double_buffer() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 5)));
@@ -583,21 +561,6 @@ fn step_and_query_convenience_answers_at_the_pre_step_snapshot() {
     assert_eq!(answered_at, 0, "first call answers at the initial state");
     assert_eq!(monitor.snapshot_step(), 1);
     assert!(!results[0].vertices.is_empty());
-}
-
-#[test]
-fn sharded_query_through_the_monitor() {
-    let mesh = box_mesh(6);
-    let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 9)));
-    let mut monitor = MonitorLoop::new(sim, 3).unwrap();
-    monitor.begin_step().unwrap();
-    monitor.finish_step().unwrap();
-    let q = Aabb::new(Point3::splat(0.05), Point3::splat(0.95));
-    let mut sharded = Vec::new();
-    monitor.query_sharded(&q, &mut sharded);
-    let mut sequential = Vec::new();
-    monitor.query(&q, &mut sequential);
-    assert_eq!(sorted(sharded), sorted(sequential));
 }
 
 #[test]

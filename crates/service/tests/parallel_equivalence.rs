@@ -1,12 +1,11 @@
 //! Property suite: parallel execution ≡ sequential execution.
 //!
-//! For random meshes and query boxes, the parallel batch executor and
-//! the frontier-sharded crawl must return vertex sets identical to the
-//! sequential [`Octopus`] executor (order-insensitive), under both
-//! [`VisitedStrategy`] variants. This is the contract that makes the
-//! service layer a drop-in scale-out of the paper's Algorithm 1.
+//! For random meshes and query boxes, the parallel batch executor must
+//! return vertex sets identical to the sequential [`Octopus`] executor
+//! (order-insensitive). This is the contract that makes the service
+//! layer a drop-in scale-out of the paper's Algorithm 1.
 
-use octopus_core::{Octopus, VisitedStrategy};
+use octopus_core::Octopus;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
@@ -14,12 +13,8 @@ use octopus_service::ParallelExecutor;
 use octopus_testkit::{box_mesh, sorted};
 use proptest::prelude::*;
 
-fn sequential_reference(
-    mesh: &Mesh,
-    strategy: VisitedStrategy,
-    queries: &[Aabb],
-) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::with_strategy(mesh, strategy).unwrap();
+fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    let mut octopus = Octopus::new(mesh).unwrap();
     queries
         .iter()
         .map(|q| {
@@ -30,16 +25,11 @@ fn sequential_reference(
         .collect()
 }
 
-/// Asserts batch and sharded execution match the sequential executor on
-/// `mesh` for `queries`, for a given strategy and worker count.
-fn assert_equivalent(
-    mesh: &Mesh,
-    strategy: VisitedStrategy,
-    workers: usize,
-    queries: &[Aabb],
-) -> Result<(), TestCaseError> {
-    let expected = sequential_reference(mesh, strategy, queries);
-    let octopus = Octopus::with_strategy(mesh, strategy).unwrap();
+/// Asserts batch execution matches the sequential executor on `mesh`
+/// for `queries`, for a given worker count.
+fn assert_equivalent(mesh: &Mesh, workers: usize, queries: &[Aabb]) -> Result<(), TestCaseError> {
+    let expected = sequential_reference(mesh, queries);
+    let octopus = Octopus::new(mesh).unwrap();
     let mut pool = ParallelExecutor::new(workers);
 
     let batch = pool.execute_batch(&octopus, mesh, queries);
@@ -48,22 +38,8 @@ fn assert_equivalent(
         prop_assert_eq!(
             &sorted(got.vertices.clone()),
             want,
-            "batch query {} ({:?}, {} workers)",
+            "batch query {} ({} workers)",
             i,
-            strategy,
-            workers
-        );
-    }
-
-    for (i, (q, want)) in queries.iter().zip(&expected).enumerate() {
-        let mut out = Vec::new();
-        pool.query_sharded(&octopus, mesh, q, &mut out);
-        prop_assert_eq!(
-            &sorted(out),
-            want,
-            "sharded query {} ({:?}, {} workers)",
-            i,
-            strategy,
             workers
         );
     }
@@ -81,14 +57,8 @@ proptest! {
         cy in 0.0f32..1.0,
         cz in 0.0f32..1.0,
         half in 0.02f32..0.6,
-        use_hash in proptest::bool::ANY,
     ) {
         let mesh = box_mesh(n);
-        let strategy = if use_hash {
-            VisitedStrategy::HashSet
-        } else {
-            VisitedStrategy::EpochArray
-        };
         let queries = vec![
             Aabb::cube(Point3::new(cx, cy, cz), half),
             // Interior query (directed-walk path) and a miss.
@@ -97,7 +67,7 @@ proptest! {
             // Everything.
             Aabb::new(Point3::splat(-1.0), Point3::splat(2.0)),
         ];
-        assert_equivalent(&mesh, strategy, workers, &queries)?;
+        assert_equivalent(&mesh, workers, &queries)?;
     }
 
     #[test]
@@ -120,9 +90,7 @@ proptest! {
             Aabb::cube(c, half),
             Aabb::new(Point3::new(0.0, 0.3, 0.0), Point3::new(1.0, 0.7, 1.0)),
         ];
-        for strategy in [VisitedStrategy::EpochArray, VisitedStrategy::HashSet] {
-            assert_equivalent(&mesh, strategy, workers, &queries)?;
-        }
+        assert_equivalent(&mesh, workers, &queries)?;
     }
 }
 
@@ -157,52 +125,12 @@ fn pool_scratch_reuse_across_batches_and_meshes() {
             Aabb::cube(Point3::splat(0.5), 0.2),
         ];
         for round in 0..3 {
-            let expected = sequential_reference(&mesh, VisitedStrategy::EpochArray, &queries);
+            let expected = sequential_reference(&mesh, &queries);
             let got = pool.execute_batch(&octopus, &mesh, &queries);
             for (g, w) in got.iter().zip(&expected) {
                 assert_eq!(&sorted(g.vertices.clone()), w, "mesh {n}, round {round}");
             }
         }
-    }
-}
-
-#[test]
-fn pool_rebuilds_scratches_when_executor_strategy_changes() {
-    let mesh = box_mesh(5);
-    let dense = Octopus::with_strategy(&mesh, VisitedStrategy::EpochArray).unwrap();
-    let sparse = Octopus::with_strategy(&mesh, VisitedStrategy::HashSet).unwrap();
-    let queries = vec![Aabb::cube(Point3::splat(0.5), 0.15)];
-    let mut pool = ParallelExecutor::new(2);
-
-    pool.execute_batch(&dense, &mesh, &queries);
-    let dense_bytes = pool.memory_bytes();
-    pool.execute_batch(&sparse, &mesh, &queries);
-    // HashSet scratches keep memory proportional to the query result,
-    // not O(V): a pool still holding EpochArray scratches would not
-    // shrink here.
-    assert!(
-        pool.memory_bytes() < dense_bytes,
-        "scratches must be rebuilt for the HashSet executor ({} vs {dense_bytes} bytes)",
-        pool.memory_bytes()
-    );
-    let expected = sequential_reference(&mesh, VisitedStrategy::HashSet, &queries);
-    let got = pool.execute_batch(&sparse, &mesh, &queries);
-    assert_eq!(sorted(got[0].vertices.clone()), expected[0]);
-}
-
-#[test]
-fn sharded_crawl_is_deterministic_across_runs() {
-    let mesh = box_mesh(8);
-    let octopus = Octopus::new(&mesh).unwrap();
-    let q = Aabb::new(Point3::splat(0.05), Point3::splat(0.95));
-    let mut pool = ParallelExecutor::new(4);
-    let mut first = Vec::new();
-    pool.query_sharded(&octopus, &mesh, &q, &mut first);
-    for _ in 0..3 {
-        let mut again = Vec::new();
-        pool.query_sharded(&octopus, &mesh, &q, &mut again);
-        // Not just the same set: the same order, every run.
-        assert_eq!(again, first);
     }
 }
 

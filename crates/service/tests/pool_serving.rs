@@ -7,7 +7,7 @@
 //! cannot move the counters mid-measurement.)
 
 use octopus_core::layout::{hilbert_layout, morton_layout};
-use octopus_core::{Octopus, VisitedStrategy};
+use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
@@ -16,12 +16,8 @@ use octopus_testkit::{box_mesh, scan, sorted};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn sequential_reference(
-    mesh: &Mesh,
-    strategy: VisitedStrategy,
-    queries: &[Aabb],
-) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::with_strategy(mesh, strategy).unwrap();
+fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    let mut octopus = Octopus::new(mesh).unwrap();
     queries
         .iter()
         .map(|q| {
@@ -35,7 +31,7 @@ fn sequential_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pool-based batch + sharded execution ≡ sequential executor on
+    /// Pool-based batch execution ≡ sequential executor on
     /// meshes whose vertices were scrambled and then re-laid-out along
     /// a space-filling curve — the serving configuration the layout
     /// policy produces.
@@ -43,7 +39,6 @@ proptest! {
     fn pool_matches_sequential_on_layout_permuted_meshes(
         n in 3usize..6,
         workers in 1usize..5,
-        use_hash in proptest::bool::ANY,
         use_hilbert in proptest::bool::ANY,
         half in 0.1f32..0.5,
     ) {
@@ -55,11 +50,6 @@ proptest! {
             hilbert_layout(&scrambled)
         } else {
             morton_layout(&scrambled)
-        };
-        let strategy = if use_hash {
-            VisitedStrategy::HashSet
-        } else {
-            VisitedStrategy::EpochArray
         };
         let queries = vec![
             Aabb::cube(Point3::splat(0.5), half),
@@ -80,26 +70,19 @@ proptest! {
             prop_assert_eq!(translated, sorted(scan(&mesh, q)));
         }
 
-        let expected = sequential_reference(&mesh, strategy, &queries);
-        let octopus = Octopus::with_strategy(&mesh, strategy).unwrap();
+        let expected = sequential_reference(&mesh, &queries);
+        let octopus = Octopus::new(&mesh).unwrap();
         let mut pool = ParallelExecutor::new(workers);
         let results = pool.execute_batch(&octopus, &mesh, &queries);
         for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
             prop_assert_eq!(
                 &sorted(got.vertices.clone()),
                 want,
-                "batch query {} ({:?}, {} workers, hilbert={})",
+                "batch query {} ({} workers, hilbert={})",
                 i,
-                strategy,
                 workers,
                 use_hilbert
             );
-        }
-        pool.recycle(results);
-        for (i, (q, want)) in queries.iter().zip(&expected).enumerate() {
-            let mut out = Vec::new();
-            pool.query_sharded(&octopus, &mesh, q, &mut out);
-            prop_assert_eq!(&sorted(out), want, "sharded query {}", i);
         }
     }
 }
@@ -123,8 +106,8 @@ fn executors_share_one_worker_pool() {
     for round in 0..3 {
         let ra = a.execute_batch(&oct_a, &mesh_a, &queries);
         let rb = b.execute_batch(&oct_b, &mesh_b, &queries);
-        let wa = sequential_reference(&mesh_a, VisitedStrategy::EpochArray, &queries);
-        let wb = sequential_reference(&mesh_b, VisitedStrategy::EpochArray, &queries);
+        let wa = sequential_reference(&mesh_a, &queries);
+        let wb = sequential_reference(&mesh_b, &queries);
         for ((g, w), mesh) in ra.iter().zip(&wa).map(|p| (p, "a")) {
             assert_eq!(&sorted(g.vertices.clone()), w, "round {round} mesh {mesh}");
         }
@@ -146,7 +129,7 @@ fn pool_panic_does_not_poison_later_batches() {
     let octopus = Octopus::new(&mesh).unwrap();
     let mut pool = ParallelExecutor::new(3);
     let queries = vec![Aabb::new(Point3::splat(0.1), Point3::splat(0.9))];
-    let expected = sequential_reference(&mesh, VisitedStrategy::EpochArray, &queries);
+    let expected = sequential_reference(&mesh, &queries);
 
     let before = pool.execute_batch(&octopus, &mesh, &queries);
     assert_eq!(sorted(before[0].vertices.clone()), expected[0]);
@@ -201,31 +184,6 @@ fn recycled_buffers_are_reused_not_reallocated() {
         );
         assert_eq!(s.reused, (round + 1) * queries.len(), "round {round}");
     }
-}
-
-#[test]
-fn recycling_is_generation_checked_across_reconfiguration() {
-    let mesh = box_mesh(4);
-    let dense = Octopus::with_strategy(&mesh, VisitedStrategy::EpochArray).unwrap();
-    let sparse = Octopus::with_strategy(&mesh, VisitedStrategy::HashSet).unwrap();
-    let queries = vec![Aabb::cube(Point3::splat(0.5), 0.3)];
-    let mut pool = ParallelExecutor::new(2);
-
-    let old = pool.execute_batch(&dense, &mesh, &queries);
-    // Strategy switch rebuilds the scratches and bumps the free-list
-    // generation…
-    let fresh = pool.execute_batch(&sparse, &mesh, &queries);
-    // …so buffers leased before the switch are dropped, not pooled.
-    pool.recycle(old);
-    assert_eq!(
-        pool.recycle_stats().free,
-        0,
-        "stale-generation buffers must not enter the free list"
-    );
-    // Current-generation buffers still recycle normally.
-    let n = fresh.len();
-    pool.recycle(fresh);
-    assert_eq!(pool.recycle_stats().free, n);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! (`threads_spawned_total`) is process-global, so it must be the only
 //! code creating pools in its binary while the deltas are measured.
 
-use octopus_core::{Octopus, VisitedStrategy};
+use octopus_core::Octopus;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_service::{threads_spawned_total, ParallelExecutor};
 use octopus_testkit::{box_mesh, sorted};
@@ -19,12 +19,11 @@ fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
     let queries: Vec<Aabb> = (1..=8)
         .map(|i| Aabb::cube(Point3::splat(0.5), 0.06 * i as f32))
         .collect();
-    let big = Aabb::new(Point3::splat(0.05), Point3::splat(0.95));
 
     let mut pool = ParallelExecutor::new(4);
     // Ground truth once, sequentially.
     let expected: Vec<Vec<VertexId>> = {
-        let mut seq = Octopus::with_strategy(&mesh, VisitedStrategy::EpochArray).unwrap();
+        let mut seq = Octopus::new(&mesh).unwrap();
         queries
             .iter()
             .map(|q| {
@@ -36,12 +35,9 @@ fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
     };
 
     // Warm-up: first batch allocates buffers and (at construction time,
-    // already counted) the pool spawned its workers; first sharded
-    // query sizes the shard scratch.
+    // already counted) the pool spawned its workers.
     let first = pool.execute_batch(&octopus, &mesh, &queries);
     pool.recycle(first);
-    let mut out = Vec::new();
-    pool.query_sharded(&octopus, &mesh, &big, &mut out);
 
     let spawned_after_warmup = threads_spawned_total();
     let allocated_after_warmup = pool.recycle_stats().allocated;
@@ -56,9 +52,6 @@ fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
             );
         }
         pool.recycle(results);
-        out.clear();
-        pool.query_sharded(&octopus, &mesh, &big, &mut out);
-        assert!(!out.is_empty());
     }
 
     assert_eq!(
@@ -75,18 +68,5 @@ fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
         stats.reused,
         12 * queries.len(),
         "every steady-state lease must come from the free list"
-    );
-
-    // Contrast: the PR 2 spawn-per-batch path pays the spawn cost on
-    // every call — that is the fixed overhead the pool amortises.
-    let before_legacy = threads_spawned_total();
-    for _ in 0..3 {
-        let results = pool.execute_batch_spawning(&octopus, &mesh, &queries);
-        pool.recycle(results); // generation 0: dropped, not pooled
-    }
-    assert_eq!(
-        threads_spawned_total(),
-        before_legacy + 3 * pool.threads().min(queries.len()),
-        "the legacy path must spawn per batch — the ablation the pool is measured against"
     );
 }

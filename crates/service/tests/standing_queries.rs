@@ -14,7 +14,7 @@
 
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_service::{LayoutPolicy, MonitorLoop, RelayoutTrigger, SubscriptionId};
-use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
+use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_testkit::{box_mesh, scan_active, sorted};
 
 /// The standing boxes under test: one whose boundary threads straight
@@ -323,4 +323,93 @@ fn deltas_report_entered_and_left_vertices() {
     assert!(entered > 0, "no vertex ever entered the standing box");
     assert!(left > 0, "no vertex ever left the standing box");
     assert!(monitor.subscription_stats(id).unwrap().delta_polls > 0);
+}
+
+/// A smooth field that additionally sends one vertex to NaN at exactly
+/// one step (it comes back with the next step's field).
+struct PoisonAt {
+    field: SmoothRandomField,
+    step: u32,
+    vertex: VertexId,
+}
+
+impl Deformation for PoisonAt {
+    fn name(&self) -> &'static str {
+        "poison-at"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        self.field.apply_step(step, rest, positions);
+        if step == self.step {
+            positions[self.vertex as usize] = Point3::splat(f32::NAN);
+        }
+    }
+}
+
+#[test]
+fn non_finite_displacement_forces_the_exact_refresh_path() {
+    // A deep-interior member of the standing box goes NaN at step k.
+    // The δ-re-test only looks near the boundary, so a drift meter that
+    // ignores the non-finite displacement keeps reporting the vertex;
+    // a saturated meter refreshes, and keeps refreshing (∞ − ∞ is NaN,
+    // which validates nothing) for the seed cache as well.
+    let k = 4;
+    let mesh = box_mesh(4);
+    let q = Aabb::cube(Point3::splat(0.5), 0.25);
+    let centre = (0..mesh.num_vertices() as VertexId)
+        .min_by(|&a, &b| {
+            let d = |v| mesh.position(v).dist_sq(Point3::splat(0.5));
+            d(a).total_cmp(&d(b))
+        })
+        .unwrap();
+    let sim = Simulation::new(
+        mesh,
+        Box::new(PoisonAt {
+            field: SmoothRandomField::new(0.01, 3, 42),
+            step: k,
+            vertex: centre,
+        }),
+    );
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    // Planner off: on a mesh this small Eq. 6 would scan-route the box
+    // past the seed cache.
+    monitor
+        .set_batch_engine(octopus_service::BatchEngineConfig {
+            use_planner: false,
+            ..Default::default()
+        })
+        .unwrap();
+    let id = monitor.subscribe(&q);
+    let mut mirror = Mirror::new(&monitor, id);
+    assert!(mirror.members.contains(&centre), "test premise");
+
+    let mut hits_before_poison = 0;
+    for step in 1..=k + 3 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        for (_, delta) in monitor.poll_subscriptions() {
+            mirror.apply(&delta.entered, &delta.left);
+        }
+        let truth = scan_active(monitor.snapshot(), &q);
+        assert_eq!(truth.contains(&centre), step != k, "step {step}: premise");
+        assert_eq!(mirror.members, truth, "step {step}: mirror diverged");
+        // The repeated box drives the seed cache off the same meter.
+        let batch = monitor.query_batch(&[q]);
+        monitor.recycle(batch);
+        if step == k - 1 {
+            hits_before_poison = monitor.seed_cache_stats().unwrap().hits;
+            assert!(hits_before_poison > 0, "the repeated box must warm-start");
+        }
+    }
+    let stats = monitor.subscription_stats(id).unwrap();
+    assert_eq!(
+        stats.delta_polls,
+        u64::from(k) - 1,
+        "every poll from step {k} on must refresh ({stats:?})"
+    );
+    assert_eq!(
+        monitor.seed_cache_stats().unwrap().hits,
+        hits_before_poison,
+        "no cache entry validates against a saturated meter"
+    );
 }

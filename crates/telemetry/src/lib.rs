@@ -16,9 +16,8 @@
 //! Every recording call is a handful of `Relaxed` atomic operations on
 //! a cache-line-private shard — no locks, no allocation. A registry
 //! constructed with `Registry::new(false)` turns all of them into a
-//! single predictable branch, which is the disabled/enabled overhead
-//! toggle required by the < 3 % qps budget (measured by the
-//! `telemetry_on`/`telemetry_off` modes of `fig_throughput`).
+//! single predictable branch — the disabled/enabled overhead toggle
+//! behind the < 3 % qps budget.
 //!
 //! ## Consistency
 //!

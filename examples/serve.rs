@@ -54,7 +54,7 @@
 //!    check in 4. still holds bit-for-bit.
 //!
 //! ```bash
-//! cargo run --release --example serve [-- <steps> [workers] [preserve|hilbert|morton] [depth] [--inject-faults]]
+//! cargo run --release --example serve [-- <steps> [workers] [preserve|hilbert] [depth] [--inject-faults]]
 //! ```
 
 use octopus::mesh::MeshError;
@@ -169,12 +169,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let policy = match args.next().as_deref() {
         None | Some("hilbert") => LayoutPolicy::Hilbert { trigger },
-        Some("morton") => LayoutPolicy::Morton { trigger },
-        Some("cache-oblivious") => LayoutPolicy::CacheOblivious { trigger },
         Some("preserve") => LayoutPolicy::Preserve,
-        Some(other) => {
-            panic!("unknown layout policy {other:?} (preserve|hilbert|morton|cache-oblivious)")
-        }
+        Some(other) => panic!("unknown layout policy {other:?} (preserve|hilbert)"),
     };
     let depth: usize = args.next().map_or(1, |s| s.parse().expect("ring depth"));
     if inject_faults {

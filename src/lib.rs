@@ -24,12 +24,12 @@
 //!   neighbour, aggregates);
 //! * [`service`] — concurrent query serving: the persistent worker
 //!   pool ([`prelude::WorkerPool`]), the parallel batch executor
-//!   ([`prelude::ParallelExecutor`]), the frontier-sharded crawl, the
-//!   pipelined snapshot-ring SIMULATE ∥ MONITOR loop
-//!   ([`prelude::MonitorLoop`]) with its cache-conscious vertex-layout
-//!   policy ([`prelude::LayoutPolicy`]), adaptive drift-triggered
-//!   re-layout ([`prelude::RelayoutTrigger`]), and standing queries
-//!   that stream incremental result deltas
+//!   ([`prelude::ParallelExecutor`]), the pipelined snapshot-ring
+//!   SIMULATE ∥ MONITOR loop ([`prelude::MonitorLoop`]) with its
+//!   cache-conscious vertex-layout policy ([`prelude::LayoutPolicy`]),
+//!   adaptive drift-triggered re-layout
+//!   ([`prelude::RelayoutTrigger`]), and standing queries that stream
+//!   incremental result deltas
 //!   ([`prelude::MonitorLoop::subscribe`] → [`prelude::ResultDelta`]).
 //!
 //! ## Quickstart

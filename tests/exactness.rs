@@ -126,9 +126,10 @@ proptest! {
             bounds,
             vec![Halfspace::through(Point3::new(px, py, pz), normal)],
         );
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
         let mut out = Vec::new();
-        octopus.query_region_mut(&mesh, &region, &mut out);
+        octopus.query_region(&mut scratch, &mesh, &region, &mut out);
         out.sort_unstable();
         let expected: Vec<VertexId> = scan(&mesh, &bounds)
             .into_iter()
@@ -151,10 +152,11 @@ proptest! {
     ) {
         let mesh = random_mesh(5, fill, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
         let p = Point3::new(px, py, pz);
         let mut out = Vec::new();
-        octopus.query_knn_mut(&mesh, k, p, &mut out);
+        octopus.query_knn(&mut scratch, &mesh, k, p, &mut out);
         prop_assert_eq!(out, knn_scan(&mesh, k, p));
     }
 
@@ -170,16 +172,18 @@ proptest! {
     ) {
         let mesh = random_mesh(5, fill, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
         let q = Aabb::cube(Point3::new(cx, cy, cz), half);
         let mut out = Vec::new();
-        octopus.query(&mesh, &q, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &q, &mut out);
 
-        let (count, _) = octopus.query_aggregate_mut(&mesh, &q, AggregateKind::Count);
+        let (count, _) = octopus.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Count);
         prop_assert_eq!(count.count, out.len());
         prop_assert!(count.centroid.is_none(), "Count never materialises a centroid");
 
-        let (cen, _) = octopus.query_aggregate_mut(&mesh, &q, AggregateKind::Centroid);
+        let (cen, _) =
+            octopus.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Centroid);
         prop_assert_eq!(cen.count, out.len());
         if out.is_empty() {
             prop_assert!(cen.centroid.is_none());
@@ -199,31 +203,6 @@ proptest! {
                     (f64::from(*got) - want / n).abs() < 1e-4,
                     "centroid {:?} vs mean {:?}", c, [sum[0] / n, sum[1] / n, sum[2] / n]
                 );
-            }
-        }
-    }
-
-    /// Every visited-set strategy and crawl order yields identical results.
-    #[test]
-    fn strategies_and_orders_agree(
-        seed in 0u64..1_000,
-        half in 0.05f32..0.5,
-    ) {
-        let mesh = random_mesh(4, 0.7, seed);
-        prop_assume!(mesh.num_vertices() > 0);
-        let q = Aabb::cube(Point3::splat(0.5), half);
-        let expected = scan(&mesh, &q);
-        for strategy in [
-            octopus::core::VisitedStrategy::EpochArray,
-            octopus::core::VisitedStrategy::HashSet,
-        ] {
-            for order in [octopus::core::CrawlOrder::Bfs, octopus::core::CrawlOrder::Dfs] {
-                let mut o = Octopus::with_strategy(&mesh, strategy).unwrap();
-                o.set_crawl_order(order);
-                let mut out = Vec::new();
-                o.query(&mesh, &q, &mut out);
-                out.sort_unstable();
-                prop_assert_eq!(&out, &expected, "strategy {:?} order {:?}", strategy, order);
             }
         }
     }
@@ -273,7 +252,8 @@ fn knn_ties_break_by_ascending_id() {
     let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
     let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 4, 4, 4);
     let mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
-    let mut octopus = Octopus::new(&mesh).unwrap();
+    let octopus = Octopus::new(&mesh).unwrap();
+    let mut scratch = octopus.make_scratch(&mesh);
     // Centre of the cell [0.25, 0.5]³ on the 0.25-spaced grid.
     let p = Point3::splat(0.375);
     let corners = knn_scan(&mesh, 8, p);
@@ -286,10 +266,10 @@ fn knn_ties_break_by_ascending_id() {
     );
     for k in 1..=8 {
         let mut out = Vec::new();
-        octopus.query_knn_mut(&mesh, k, p, &mut out);
+        octopus.query_knn(&mut scratch, &mesh, k, p, &mut out);
         assert_eq!(out, corners[..k], "k = {k}: tie must cut by ascending id");
         let mut again = Vec::new();
-        octopus.query_knn_mut(&mesh, k, p, &mut again);
+        octopus.query_knn(&mut scratch, &mesh, k, p, &mut again);
         assert_eq!(out, again, "k = {k}: k-NN must be deterministic");
     }
 }

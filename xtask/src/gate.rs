@@ -1,21 +1,23 @@
 //! The bench-artifact sanity gate (`cargo run -p xtask -- bench-gate`).
 //!
 //! The committed `BENCH_fig13.json` is the layout engine's acceptance
-//! evidence: the cache-oblivious layout must actually crawl faster
-//! than the generator (identity) order, or the whole v2 layout path is
-//! regressed. CI runs this gate so the artifact cannot silently rot —
-//! a re-recorded file that loses the speedup fails the build, exactly
-//! like a failing test.
+//! evidence: the Hilbert layout — the one the service and the
+//! `analysis-burst` benchmark workload run — must actually crawl faster
+//! than the generator (identity) order. CI runs this gate so the
+//! artifact cannot silently rot — a re-recorded file that loses the
+//! speedup fails the build, exactly like a failing test.
 //!
 //! Checks, in order:
 //! 1. the artifact parses and is the fig13 bench;
-//! 2. the layout roster covers `scrambled`, `identity` and
-//!    `cache_oblivious` (the two baselines and the subject);
+//! 2. the layout roster covers `scrambled`, `identity` and `hilbert`
+//!    (the two baselines and the subject);
 //! 3. every entry's timings and speedups are finite and positive;
-//! 4. `cache_oblivious` beats `identity` on crawl time
-//!    (`crawl_speedup_vs_identity > 1.0`) — the tentpole claim;
-//! 5. `scrambled` is not *faster* than `cache_oblivious` (a scrambled
-//!    win would mean the measurement itself is broken).
+//! 4. `hilbert` beats `identity` on crawl time
+//!    (`crawl_speedup_vs_identity > 1.0`);
+//! 5. `scrambled` is not *faster* than `hilbert` (a scrambled win would
+//!    mean the measurement itself is broken);
+//! 6. `BENCHMARK.json` (read-only) parses, declares ≥ 2 workloads and
+//!    gives every `end_to_end` metric a regression `bound` in (0, 1).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -25,25 +27,70 @@ use serde_json::Value;
 /// The artifact the gate audits, workspace-root-relative.
 const ARTIFACT: &str = "BENCH_fig13.json";
 
+/// The repository benchmark's declaration, workspace-root-relative.
+const BENCHMARK: &str = "BENCHMARK.json";
+
 /// Runs the gate rooted at `root` and reports on stderr.
 pub fn run_cli(root: &Path) -> ExitCode {
-    let path = root.join(ARTIFACT);
-    match audit(&path) {
-        Ok(summary) => {
-            eprintln!("xtask bench-gate: {summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask bench-gate: {}: {e}", path.display());
-            ExitCode::FAILURE
+    let mut code = ExitCode::SUCCESS;
+    for (file, check) in [
+        (ARTIFACT, audit as fn(&Path) -> Result<String, String>),
+        (BENCHMARK, audit_benchmark),
+    ] {
+        let path = root.join(file);
+        match check(&path) {
+            Ok(summary) => eprintln!("xtask bench-gate: {summary}"),
+            Err(e) => {
+                eprintln!("xtask bench-gate: {}: {e}", path.display());
+                code = ExitCode::FAILURE;
+            }
         }
     }
+    code
+}
+
+fn load(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse failed: {e}"))
+}
+
+/// Audits the benchmark declaration; `Ok` carries a one-line summary.
+pub fn audit_benchmark(path: &Path) -> Result<String, String> {
+    let doc = load(path)?;
+    let workloads = doc
+        .get("workloads")
+        .and_then(Value::as_array)
+        .ok_or("missing `workloads` array")?;
+    if workloads.len() < 2 {
+        return Err(format!(
+            "{} workload(s) — a benchmark needs one that exercises a mechanism and one that bypasses it",
+            workloads.len()
+        ));
+    }
+    let metrics = doc
+        .get("end_to_end")
+        .and_then(Value::as_array)
+        .ok_or("missing `end_to_end` array")?;
+    for m in metrics {
+        let name = m.get("name").and_then(Value::as_str).unwrap_or("?");
+        let bound = m
+            .get("bound")
+            .and_then(Value::as_f64)
+            .ok_or(format!("`{name}`: `bound` missing or not a number"))?;
+        if !(bound > 0.0 && bound < 1.0) {
+            return Err(format!("`{name}`: bound {bound} is not in (0, 1)"));
+        }
+    }
+    Ok(format!(
+        "{BENCHMARK} ok — {} workloads, {} bounded end-to-end metrics",
+        workloads.len(),
+        metrics.len()
+    ))
 }
 
 /// Audits one artifact file; `Ok` carries a one-line summary.
 pub fn audit(path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc: Value = serde_json::from_str(&text).map_err(|e| format!("parse failed: {e}"))?;
+    let doc = load(path)?;
     if doc.get("bench").and_then(Value::as_str) != Some("fig13_hilbert") {
         return Err("not a fig13_hilbert artifact".to_string());
     }
@@ -80,23 +127,23 @@ pub fn audit(path: &Path) -> Result<String, String> {
     }
     get("scrambled")?;
     get("identity")?;
-    let subject = get("cache_oblivious")?;
+    let subject = get("hilbert")?;
     let speedup = field(subject, "crawl_speedup_vs_identity")?;
     if speedup <= 1.0 {
         return Err(format!(
-            "cache_oblivious crawl_speedup_vs_identity = {speedup:.3} — \
+            "hilbert crawl_speedup_vs_identity = {speedup:.3} — \
              the layout engine no longer beats the generator order"
         ));
     }
     let vs_scrambled = field(subject, "crawl_speedup_vs_scrambled")?;
     if vs_scrambled <= 1.0 {
         return Err(format!(
-            "cache_oblivious crawl_speedup_vs_scrambled = {vs_scrambled:.3} — \
+            "hilbert crawl_speedup_vs_scrambled = {vs_scrambled:.3} — \
              a scrambled mesh wins, the measurement is broken"
         ));
     }
     Ok(format!(
-        "{ARTIFACT} ok — cache_oblivious {speedup:.3}x vs identity, \
+        "{ARTIFACT} ok — hilbert {speedup:.3}x vs identity, \
          {vs_scrambled:.3}x vs scrambled"
     ))
 }
@@ -119,12 +166,12 @@ mod tests {
         )
     }
 
-    fn artifact(co_vs_identity: f64) -> String {
+    fn artifact(hilbert_vs_identity: f64) -> String {
         format!(
             "{{\"bench\": \"fig13_hilbert\", \"entries\": [{}, {}, {}]}}",
             entry("scrambled", 0.3),
             entry("identity", 1.0),
-            entry("cache_oblivious", co_vs_identity)
+            entry("hilbert", hilbert_vs_identity)
         )
     }
 
@@ -157,7 +204,7 @@ mod tests {
         );
         let p = write(&dir, &body);
         let err = audit(&p).expect_err("fails");
-        assert!(err.contains("cache_oblivious"), "err: {err}");
+        assert!(err.contains("hilbert"), "err: {err}");
     }
 
     #[test]
@@ -167,5 +214,30 @@ mod tests {
             .expect("xtask sits in the workspace root")
             .to_path_buf();
         audit(&root.join(ARTIFACT)).expect("committed BENCH_fig13.json passes its own gate");
+        audit_benchmark(&root.join(BENCHMARK)).expect("committed BENCHMARK.json is well-formed");
+    }
+
+    #[test]
+    fn benchmark_declaration_needs_two_workloads_and_unit_bounds() {
+        let dir = std::env::temp_dir().join("gate_benchmark");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let p = dir.join(BENCHMARK);
+        let decl = |workloads: &str, bound: &str| {
+            format!(
+                "{{\"workloads\": [{workloads}], \
+                 \"end_to_end\": [{{\"name\": \"lat\", \"bound\": {bound}}}]}}"
+            )
+        };
+        let two = "{\"name\": \"a\"}, {\"name\": \"b\"}";
+        std::fs::write(&p, decl(two, "0.2")).expect("fixture write");
+        audit_benchmark(&p).expect("passes");
+        std::fs::write(&p, decl("{\"name\": \"a\"}", "0.2")).expect("fixture write");
+        let err = audit_benchmark(&p).expect_err("one workload");
+        assert!(err.contains("1 workload"), "err: {err}");
+        for bad in ["0.0", "1.0", "\"tight\""] {
+            std::fs::write(&p, decl(two, bad)).expect("fixture write");
+            let err = audit_benchmark(&p).expect_err("bad bound");
+            assert!(err.contains("`lat`"), "err: {err}");
+        }
     }
 }
