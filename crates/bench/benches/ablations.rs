@@ -1,12 +1,14 @@
-//! Ablation benches for the design choices called out in `DESIGN.md` §5:
+//! Ablation benches for two design choices:
 //!
-//! * `ablation_surface_layout` — dense id vector vs hash-map iteration
-//!   during the probe;
+//! * `ablation_surface_layout` — the executor's probe
+//!   (`octopus_geom::mem::gather` over the dense id vector) vs
+//!   hash-map iteration, the paper's literal description;
 //! * `ablation_tuning` — octree bucket capacity and R-tree fanout sweeps
 //!   (the paper's §V-A parameter sweeps).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use octopus_bench::workload::QueryGen;
+use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, VertexId};
 use octopus_index::rtree::{point_key, LeafEntry};
 use octopus_index::{DynamicIndex, Octree, RTree};
@@ -30,15 +32,9 @@ fn benches(c: &mut Criterion) {
         c.bench_function("ablation_surface_layout/dense_vec", |b| {
             b.iter(|| {
                 let mut hits = 0u32;
-                for (i, &v) in dense.iter().enumerate() {
-                    if i + octopus_geom::mem::PREFETCH_DISTANCE < dense.len() {
-                        octopus_geom::mem::prefetch_read(
-                            positions,
-                            dense[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize,
-                        );
-                    }
-                    hits += u32::from(probe_q.contains(positions[v as usize]));
-                }
+                gather(&dense, positions, |_, p| {
+                    hits += u32::from(probe_q.contains(p))
+                });
                 hits
             })
         });

@@ -112,7 +112,7 @@ pub fn run(config: &Config) -> FigureOutput {
             "Paper: model predictions within 2 % of measurements; scan ∝ V; OCTOPUS grows \
              with S·V + M·sel·V."
                 .into(),
-            "Model refinement (DESIGN.md): the probe is charged at the calibrated gather \
+            "Model refinement (`CostModel::calibrate`): the probe is charged at the calibrated gather \
              constant C_P instead of the paper's C_S — on modern vectorising CPUs the \
              sequential scan is ~3× cheaper per vertex than a gather, which the paper's \
              2011 hardware (and S ≤ 0.07) hid."

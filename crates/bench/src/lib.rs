@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each `figures::figN` module reproduces one table/figure of the
-//! evaluation (see `DESIGN.md` §4 for the full index); the `experiments`
+//! evaluation (`experiments --help` lists them); the `experiments`
 //! binary runs them and prints paper-style tables:
 //!
 //! ```text

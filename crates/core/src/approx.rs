@@ -9,8 +9,9 @@
 //! accuracy loss — Fig. 12 quantifies the trade-off.
 
 use crate::crawler::Crawler;
-use crate::executor::PhaseTimings;
+use crate::executor::{closest_of, PhaseTimings};
 use crate::surface_index::SurfaceIndex;
+use octopus_geom::mem::gather;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, VertexId};
 use octopus_mesh::{Mesh, MeshError};
@@ -97,33 +98,21 @@ impl ApproxOctopus {
         let positions = mesh.positions();
         self.crawler.begin_query(mesh.num_vertices());
 
-        // Two-pass probe over the sample, mirroring `Octopus::query`.
+        // Two-pass probe over the sample: the executor's gather first,
+        // the closest-vertex search only when nothing seeded.
         let t0 = Instant::now();
         let mut seeds = 0usize;
-        for (i, &v) in self.sample.iter().enumerate() {
-            if i + octopus_geom::mem::PREFETCH_DISTANCE < self.sample.len() {
-                let ahead = self.sample[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                octopus_geom::mem::prefetch_read(positions, ahead);
-            }
-            if q.contains(positions[v as usize]) && self.crawler.seed(v, out) {
+        gather(&self.sample, positions, |v, p| {
+            if q.contains(p) && self.crawler.seed(v, out) {
                 seeds += 1;
             }
-        }
+        });
         stats.start_vertices = seeds;
         stats.surface_probe = t0.elapsed();
 
         if seeds == 0 {
             let t1 = Instant::now();
-            let mut min_vertex: Option<VertexId> = None;
-            let mut min_dist = f32::INFINITY;
-            for &v in &self.sample {
-                let d = q.dist_sq(positions[v as usize]);
-                if d < min_dist {
-                    min_dist = d;
-                    min_vertex = Some(v);
-                }
-            }
-            if let Some(sv) = min_vertex {
+            if let Some(sv) = closest_of(self.sample.iter(), positions, q) {
                 if let Some(inside) = self.crawler.directed_walk(mesh, q, sv) {
                     self.crawler.seed(inside, out);
                     stats.start_vertices = 1;

@@ -23,6 +23,7 @@
 //! machine the way the paper does: "averaging a long run of a linear
 //! scan and graph traversal over the smallest dataset".
 
+use octopus_geom::mem::gather;
 use octopus_geom::Aabb;
 use octopus_mesh::Mesh;
 use std::time::Instant;
@@ -161,34 +162,23 @@ impl CostModel {
         let cr = t1.elapsed().as_secs_f64() / edge_touches.max(1) as f64;
         std::hint::black_box(&visited);
 
-        // --- C_P: gather probe over the surface ids with the same
-        // prefetch + branchless test as the executor's probe loop.
-        let surface = mesh
+        // --- C_P: the executor's probe itself — its prefetching gather
+        // over the surface ids with the branchless containment test.
+        let ids = mesh
             .surface()
             .map(|s| s.vertices().to_vec())
             .unwrap_or_default();
-        let ids: &[u32] = if surface.is_empty() {
-            // Degenerate mesh: fall back to every 4th vertex.
-            &[]
-        } else {
-            &surface
-        };
         let cp = if ids.is_empty() {
+            // Degenerate mesh without a surface: charge the probe at C_S.
             cs
         } else {
-            let mut hits2 = 0u64;
-            let passes = repeats.max(2_000_000 / ids.len().max(1) + 1);
+            let mut hits = 0u64;
+            let passes = repeats.max(2_000_000 / ids.len() + 1);
             let t2 = Instant::now();
             for _ in 0..passes {
-                for (i, &v) in ids.iter().enumerate() {
-                    if i + octopus_geom::mem::PREFETCH_DISTANCE < ids.len() {
-                        let ahead = ids[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                        octopus_geom::mem::prefetch_read(positions, ahead);
-                    }
-                    hits2 += u64::from(probe.contains(positions[v as usize]));
-                }
+                gather(&ids, positions, |_, p| hits += u64::from(probe.contains(p)));
             }
-            std::hint::black_box(hits2);
+            std::hint::black_box(hits);
             t2.elapsed().as_secs_f64() / (passes * ids.len()) as f64
         };
 

@@ -93,9 +93,6 @@ pub(crate) struct Crawler {
     pub crawl_visited: usize,
     /// Vertices stepped through by the last directed walk.
     pub walk_visited: usize,
-    /// Squared distance to the query at the last walk's termination
-    /// (0 on success, ∞ before any walk). Gates walk-retry heuristics.
-    pub last_walk_end_dist_sq: f32,
 }
 
 impl Crawler {
@@ -105,7 +102,6 @@ impl Crawler {
             queue: Vec::new(),
             crawl_visited: 0,
             walk_visited: 0,
-            last_walk_end_dist_sq: f32::INFINITY,
         }
     }
 
@@ -231,9 +227,8 @@ impl Crawler {
         q: &R,
         start: VertexId,
     ) -> Option<VertexId> {
-        let (found, steps, end_dist_sq) = greedy_walk(mesh, q, start);
+        let (found, steps, _) = greedy_walk(mesh, q, start);
         self.walk_visited += steps;
-        self.last_walk_end_dist_sq = end_dist_sq;
         found
     }
 
@@ -255,9 +250,9 @@ impl Crawler {
 /// on failure.
 ///
 /// Termination: the distance to `q` strictly decreases every step, so
-/// the walk can never revisit a vertex. Shared by the single-query
-/// [`Crawler`] and the multi-query group seeder, which runs one walk per
-/// (query, unseeded component) pair without owning a `Crawler`.
+/// the walk can never revisit a vertex. Shared by [`Crawler`] and the
+/// executor's component walk, which runs one walk per (query, unseeded
+/// component) pair for the single and the group seeder alike.
 ///
 /// Generic over [`Region`]: the walk only compares distances, so any
 /// guidance metric that is zero exactly on containment preserves both

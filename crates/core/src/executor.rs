@@ -5,6 +5,7 @@ use crate::frontier::{GroupScratch, MAX_GROUP};
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 use crate::surface_index::SurfaceIndex;
+use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
 use octopus_mesh::{Mesh, MeshError, SurfaceDelta};
 use std::sync::{Arc, OnceLock};
@@ -118,14 +119,19 @@ pub struct Octopus {
 // each worker owning one `QueryScratch`.
 
 /// Per-thread scratch state for query execution: the crawl's visited
-/// set / BFS queue plus the per-component seeding stamps. Obtained from
+/// set / BFS queue plus the per-component seeding stamps, and the mask
+/// arrays of the shared-frontier group crawl. Obtained from
 /// [`Octopus::make_scratch`]; every scratch may serve any number of
-/// queries, in any order, against the `Octopus` it came from.
+/// queries and groups, in any order, against the `Octopus` it came from.
 #[derive(Debug)]
 pub struct QueryScratch {
     crawler: Crawler,
     /// Per-component "has a seed" stamps for the current query.
     seeded: EpochStamps,
+    /// The group crawl's state: empty until the first group of ≥ 2, and
+    /// boxed so the executor-owned scratch of sequential callers, which
+    /// never run a group, stays small.
+    group: Box<GroupScratch>,
     /// Reusable staging buffer for the shape queries (k-nearest
     /// candidate sets, aggregate seed lists) so they stay
     /// allocation-free in steady state like the box path.
@@ -137,6 +143,7 @@ impl QueryScratch {
         QueryScratch {
             crawler: Crawler::new(num_vertices),
             seeded: EpochStamps::with_len(components),
+            group: Box::default(),
             shape_buf: Vec::new(),
         }
     }
@@ -145,6 +152,7 @@ impl QueryScratch {
     pub fn memory_bytes(&self) -> usize {
         self.crawler.memory_bytes()
             + self.seeded.heap_bytes()
+            + self.group.memory_bytes()
             + self.shape_buf.capacity() * std::mem::size_of::<VertexId>()
     }
 }
@@ -244,28 +252,33 @@ fn sample_edge_scale(mesh: &Mesh) -> f32 {
 impl Octopus {
     /// Builds the executor for `mesh` (extracts the surface once).
     pub fn new(mesh: &Mesh) -> Result<Octopus, MeshError> {
-        let surface = SurfaceIndex::build(mesh)?;
-        let components = ComponentMap::build(mesh, &surface);
-        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
-        Ok(Octopus {
-            surface,
-            components,
-            scratch,
-            metrics: OnceLock::new(),
-        })
+        Ok(Octopus::from_surface_index(
+            SurfaceIndex::build(mesh)?,
+            mesh,
+        ))
     }
 
     /// Builds from a pre-extracted surface index (avoids re-extraction
     /// when the caller already has one, e.g. when sweeping approximation
     /// fractions).
     pub fn from_surface_index(surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
+        Octopus::assemble(surface, mesh, OnceLock::new())
+    }
+
+    /// The one constructor body: component map and scratch for
+    /// `surface` over `mesh`, recording into `metrics`.
+    fn assemble(
+        surface: SurfaceIndex,
+        mesh: &Mesh,
+        metrics: OnceLock<Arc<ExecutorMetrics>>,
+    ) -> Octopus {
         let components = ComponentMap::build(mesh, &surface);
         let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
         Octopus {
             surface,
             components,
             scratch,
-            metrics: OnceLock::new(),
+            metrics,
         }
     }
 
@@ -302,11 +315,12 @@ impl Octopus {
     /// component map), never its surface or face table: a
     /// [`Mesh::snapshot`] is all the ring needs to hand in, and the
     /// executor's own index is from here on the only holder of S on the
-    /// serving side.
+    /// serving side. Telemetry carries over: every ring generation
+    /// keeps recording into the same metric family.
     pub fn restructured(&self, mesh: &Mesh, delta: &SurfaceDelta) -> Octopus {
         let mut surface = self.surface.clone();
         surface.apply_delta(delta);
-        self.derived(surface, mesh)
+        Octopus::assemble(surface, mesh, self.metrics.clone())
     }
 
     /// The executor for `mesh` = this executor's mesh relabelled by
@@ -314,24 +328,11 @@ impl Octopus {
     /// [`Mesh::permute_vertices`] does): the surface index is mapped
     /// through the permutation and the component map recomputed over
     /// the relabelled adjacency. Like [`Octopus::restructured`] it
-    /// derives instead of extracting, so a re-layout costs the monitor
-    /// no surface extraction and cannot fail.
+    /// derives instead of extracting (and inherits telemetry), so a
+    /// re-layout costs the monitor no surface extraction and cannot
+    /// fail.
     pub fn relabelled(&self, mesh: &Mesh, perm: &[VertexId]) -> Octopus {
-        self.derived(self.surface.permuted(perm), mesh)
-    }
-
-    /// A new executor over `surface` for `mesh`, inheriting telemetry.
-    fn derived(&self, surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
-        let components = ComponentMap::build(mesh, &surface);
-        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
-        Octopus {
-            surface,
-            components,
-            scratch,
-            // Telemetry carries over: every ring generation keeps
-            // recording into the same metric family.
-            metrics: self.metrics.clone(),
-        }
+        Octopus::assemble(self.surface.permuted(perm), mesh, self.metrics.clone())
     }
 
     /// Executes a range query, appending all vertices of `mesh` whose
@@ -343,15 +344,16 @@ impl Octopus {
     /// inside `q`) → **crawling** (BFS bounded by the query region).
     ///
     /// # Accuracy
-    /// Extends Algorithm 1 with a **component-aware** directed walk (see
-    /// [`ComponentInfo`]): the walk runs for every connected component
-    /// that produced no probe seed, not only when no seed exists at all.
-    /// Exact whenever each query-intersecting piece of each component
-    /// either supplies a surface vertex inside `q` or is reachable by a
-    /// greedy walk — the residual gap (a concave same-component pocket
-    /// fully inside `q`-free space, or queries smaller than the local
-    /// cell size) is inherited from the paper and documented in
-    /// `DESIGN.md`.
+    /// Extends Algorithm 1 with a **component-aware** directed walk (the
+    /// reproduction finding documented on `ComponentMap` in
+    /// `crates/core/src/executor.rs`): the walk runs for every connected
+    /// component that produced no probe seed, not only when no seed
+    /// exists at all. Exact whenever each query-intersecting piece of
+    /// each component either supplies a surface vertex inside `q` or is
+    /// reachable by a greedy walk — the residual gap (a concave
+    /// same-component pocket fully inside `q`-free space, or queries
+    /// smaller than the local cell size) is inherited from the paper and
+    /// pinned by `tests/surface_maintenance.rs::inherited_algorithm1_gap_is_pinned`.
     pub fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
         let t = run_query(
             &self.surface,
@@ -360,121 +362,50 @@ impl Octopus {
             mesh,
             q,
             out,
-            ProbeSource::Surface,
+            Probe::Surface,
         );
         self.note(ExecMode::Fresh, &t);
         t
     }
 
     /// [`Octopus::query`] through a shared reference, using
-    /// caller-provided scratch (from [`Octopus::make_scratch`]). This is
-    /// the concurrent entry point: many threads may call it
-    /// simultaneously on one `&Octopus` + one `&Mesh`, each with its own
-    /// scratch and output vector.
-    pub fn query_with(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        q: &Aabb,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            q,
-            out,
-            ProbeSource::Surface,
-        );
-        self.note(ExecMode::Fresh, &t);
-        t
-    }
-
-    /// [`Octopus::query_with`] warm-started from a cached candidate
-    /// list: the surface probe scans `candidates` instead of the whole
-    /// surface index (its time lands in [`PhaseTimings::cache_probe`]).
-    /// Every other phase — component-aware directed walks, crawl — runs
-    /// unchanged.
+    /// caller-provided scratch (from [`Octopus::make_scratch`]), over
+    /// any [`Region`] — a box, or the generalised crawl predicate behind
+    /// [`QueryShape::Convex`]. This is the concurrent entry point: many
+    /// threads may call it simultaneously on one `&Octopus` + one
+    /// `&Mesh`, each with its own scratch and output vector.
     ///
-    /// # Exactness contract
-    /// Results equal [`Octopus::query`] **iff** `candidates` is a
-    /// superset of `surface ∩ q` at the mesh's *current* positions: the
-    /// probe seeds are then exactly the surface vertices inside `q`
-    /// (extraneous candidates are filtered by the same containment
-    /// test). The temporal seed cache of `octopus-service` guarantees
-    /// the superset property by collecting candidates inside a dilated
-    /// box and bounding the accumulated deformation drift against the
-    /// dilation margin.
-    pub fn query_seeded(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        q: &Aabb,
-        candidates: &[VertexId],
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            q,
-            out,
-            ProbeSource::Cached(candidates),
-        );
-        self.note(ExecMode::Seeded, &t);
-        t
-    }
-
-    /// [`Octopus::query_with`] that additionally collects every surface
-    /// vertex inside `q.dilated(margin)` into `candidates` (cleared
-    /// first) while the full probe runs — the refill pass of the
-    /// temporal seed cache. The collected list satisfies
-    /// [`Octopus::query_seeded`]'s superset contract for any later query
-    /// box `q'` with `q'.dilated(drift) ⊆ q.dilated(margin)`, where
-    /// `drift` bounds the per-vertex displacement accumulated since this
-    /// call.
-    pub fn query_collecting(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        q: &Aabb,
-        margin: f32,
-        candidates: &mut Vec<VertexId>,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            q,
-            out,
-            ProbeSource::Collect {
-                margin,
-                into: candidates,
-            },
-        );
-        self.note(ExecMode::Collect, &t);
-        t
-    }
-
-    /// Range query over an arbitrary [`Region`] — the generalised
-    /// crawl predicate behind [`QueryShape::Convex`]. Identical
-    /// machinery to [`Octopus::query_with`] (monomorphised per region
-    /// type, so the box path pays nothing): probe and crawl test the
-    /// region's containment, the component-aware directed walks follow
-    /// its guidance distance. Exactness needs `region.dist_sq` to be
-    /// zero exactly on containment, which both [`Aabb`] and
+    /// Monomorphised per region type, so the box path pays nothing for
+    /// the generality: probe and crawl test the region's containment,
+    /// the component-aware directed walks follow its guidance distance.
+    /// Exactness needs `region.dist_sq` to be zero exactly on
+    /// containment, which both [`Aabb`] and
     /// [`octopus_geom::ConvexRegion`] guarantee.
-    pub fn query_region<R: Region>(
+    pub fn query_with<R: Region>(
         &self,
         scratch: &mut QueryScratch,
         mesh: &Mesh,
         region: &R,
         out: &mut Vec<VertexId>,
     ) -> PhaseTimings {
+        self.run_probed(scratch, mesh, region, out, Probe::Surface)
+    }
+
+    /// Algorithm 1 for one region under `probe`, recorded under the
+    /// probe's [`ExecMode`].
+    fn run_probed<R: Region>(
+        &self,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        region: &R,
+        out: &mut Vec<VertexId>,
+        probe: Probe<'_>,
+    ) -> PhaseTimings {
+        let mode = match probe {
+            Probe::Surface => ExecMode::Fresh,
+            Probe::Cached(_) => ExecMode::Seeded,
+            Probe::Collect { .. } => ExecMode::Collect,
+        };
         let t = run_query(
             &self.surface,
             &self.components,
@@ -482,9 +413,9 @@ impl Octopus {
             mesh,
             region,
             out,
-            ProbeSource::Surface,
+            probe,
         );
-        self.note(ExecMode::Region, &t);
+        self.note(mode, &t);
         t
     }
 
@@ -541,79 +472,94 @@ impl Octopus {
     }
 
     /// Answers any [`QueryShape`] — the uniform dispatch point the
-    /// batch engine and monitor route non-box shapes through.
+    /// monitor serves shape batches through.
     pub fn query_shape(
         &self,
         scratch: &mut QueryScratch,
         mesh: &Mesh,
         shape: &QueryShape,
     ) -> (ShapeResult, PhaseTimings) {
-        match shape {
-            QueryShape::Box(q) => {
-                let mut out = Vec::new();
-                let t = self.query_with(scratch, mesh, q, &mut out);
-                (ShapeResult::Vertices(out), t)
-            }
-            QueryShape::Convex(r) => {
-                let mut out = Vec::new();
-                let t = self.query_region(scratch, mesh, r, &mut out);
-                (ShapeResult::Vertices(out), t)
-            }
+        let mut out = Vec::new();
+        let t = match shape {
+            QueryShape::Box(q) => self.query_with(scratch, mesh, q, &mut out),
+            QueryShape::Convex(r) => self.query_with(scratch, mesh, r, &mut out),
             QueryShape::KNearest { k, point } => {
-                let mut out = Vec::new();
-                let t = self.query_knn(scratch, mesh, *k, *point, &mut out);
-                (ShapeResult::Vertices(out), t)
+                self.query_knn(scratch, mesh, *k, *point, &mut out)
             }
             QueryShape::Aggregate { region, kind } => {
                 let (value, t) = self.query_aggregate(scratch, mesh, region, *kind);
-                (ShapeResult::Aggregate(value), t)
+                return (ShapeResult::Aggregate(value), t);
             }
-        }
+        };
+        (ShapeResult::Vertices(out), t)
     }
 
-    /// Executes a whole **overlap group** of ≤ [`MAX_GROUP`] queries as
-    /// one shared-frontier crawl: a single surface probe over the
-    /// group's union box, per-query component-aware directed walks, and
-    /// one BFS over the union region with a per-vertex membership
-    /// bitmask ([`GroupScratch`]), demultiplexing results into
-    /// `results[i]` for query `queries[i]`.
+    /// Executes a **group** of ≤ [`MAX_GROUP`] box queries under one
+    /// [`Probe`], appending query `i`'s result to `results[i]` and
+    /// writing its statistics to `timings[i]` — the probed entry point
+    /// the service's plan runner calls once per group. The crawl is
+    /// picked from the group size:
+    ///
+    /// * **One query** runs Algorithm 1 as [`Octopus::query_with`] does
+    ///   (sequential branchless crawl), seeded from `probe`.
+    /// * **Two or more** run one shared-frontier crawl: a single probe
+    ///   pass tested against the group's union box first and the members
+    ///   second, per-query component-aware directed walks, and one BFS
+    ///   over the union region with a per-vertex membership bitmask, so
+    ///   a vertex inside k overlapping queries is loaded and expanded
+    ///   once, not k times.
     ///
     /// Per-query results are identical (as sets, and deterministically
-    /// ordered) to running [`Octopus::query`] per query; the saving is
-    /// that a vertex inside k overlapping queries is loaded and expanded
-    /// once, not k times — compare [`GroupScratch::shared_visited`]
-    /// against the summed per-member [`GroupScratch::visited`] counters.
+    /// ordered) to running [`Octopus::query`] per query, and so are the
+    /// per-query work counters of `timings` (`start_vertices`,
+    /// `walk_visited`, `crawl_visited`, `results`). **Shared phases are
+    /// attributed to the group's first member**: the wall times of the
+    /// probe, the walks and the crawl are paid once per group, so they
+    /// sit on `timings[0]` and are zero on the other members — summing a
+    /// batch's timings then sums real time.
     ///
-    /// `probe` selects the seed source exactly like the single-query
-    /// entry points: the full surface, a cached candidate list (which
-    /// must satisfy [`Octopus::query_seeded`]'s superset contract for
-    /// *every* member), or the full surface plus per-member candidate
-    /// collection for the seed cache's refill pass.
+    /// Returns the number of distinct traversal events of the crawl
+    /// (each costing one neighbour-list scan or one boundary position
+    /// load): compare against the members' summed `crawl_visited` for
+    /// what sharing saved (equal for a group of one).
+    ///
+    /// # Exactness contract of the probes
+    /// [`Probe::Cached`] results equal [`Probe::Surface`] results
+    /// **iff** the candidate list is a superset of `surface ∩ q` at the
+    /// mesh's *current* positions, for every member `q` (extraneous
+    /// candidates are filtered by the same containment test).
+    /// [`Probe::Collect`] lists satisfy that for any later box `q'` with
+    /// `q'.dilated(drift) ⊆ q.dilated(margin)`, where `drift` bounds the
+    /// per-vertex displacement accumulated since the collecting call.
     ///
     /// # Panics
-    /// When `queries.len() > MAX_GROUP`, or `results`/`Collect` arities
-    /// don't match `queries`.
+    /// When `queries.len() > MAX_GROUP`, or the `results`, `timings` or
+    /// [`Probe::Collect`] arities don't match `queries`.
     pub fn query_group(
         &self,
-        group: &mut GroupScratch,
+        scratch: &mut QueryScratch,
         mesh: &Mesh,
         queries: &[Aabb],
-        probe: GroupProbe<'_>,
+        probe: Probe<'_>,
         results: &mut [Vec<VertexId>],
-    ) -> GroupPhase {
-        let g = run_group_query(
-            &self.surface,
-            &self.components,
-            group,
-            mesh,
-            queries,
-            probe,
-            results,
-        );
-        if let Some(m) = self.metrics.get() {
-            m.record_group(&g, queries.len());
+        timings: &mut [PhaseTimings],
+    ) -> usize {
+        assert_eq!(results.len(), queries.len(), "one result list per query");
+        assert_eq!(timings.len(), queries.len(), "one timing record per query");
+        match queries {
+            [] => 0,
+            [q] => {
+                timings[0] = self.run_probed(scratch, mesh, q, &mut results[0], probe);
+                timings[0].crawl_visited
+            }
+            _ => {
+                self.run_group(&mut scratch.group, mesh, queries, probe, results, timings);
+                if let Some(m) = self.metrics.get() {
+                    m.record_group(&timings[0], queries.len());
+                }
+                scratch.group.shared_visited()
+            }
         }
-        g
     }
 
     /// Heap bytes: surface index + traversal scratch (the two components
@@ -656,18 +602,26 @@ impl Octopus {
     }
 }
 
-/// Seed source of the probe phase (Algorithm 1's phase 1).
-enum ProbeSource<'a> {
-    /// Scan the full surface index (the paper's probe).
+/// Which seeds the probe phase (Algorithm 1's phase 1) uses — for one
+/// query or for a whole group (see [`Octopus::query_group`]).
+pub enum Probe<'a> {
+    /// One scan of the full surface index (the paper's probe).
     Surface,
-    /// Scan a cached candidate list instead — exact iff it is a
-    /// superset of `surface ∩ q` (see [`Octopus::query_seeded`]).
+    /// Scan a candidate list instead — exact iff it is a superset of
+    /// `surface ∩ q` for **every** member `q` (concatenating each
+    /// member's cached list satisfies this; duplicates are deduplicated
+    /// by the visited marks). The probe's time lands in
+    /// [`PhaseTimings::cache_probe`].
     Cached(&'a [VertexId]),
-    /// Full surface scan that also collects `surface ∩ q.dilated(margin)`
-    /// — the seed cache's refill pass.
+    /// Full surface scan that also collects, per member `i`, every
+    /// surface vertex inside `queries[i].dilated(margin)` into
+    /// `into[i]` (each cleared first) — the refill pass of the temporal
+    /// seed cache.
     Collect {
+        /// Dilation margin of the collected candidate boxes.
         margin: f32,
-        into: &'a mut Vec<VertexId>,
+        /// One candidate list per group member.
+        into: &'a mut [Vec<VertexId>],
     },
 }
 
@@ -681,7 +635,7 @@ fn run_query<R: Region>(
     mesh: &Mesh,
     q: &R,
     out: &mut Vec<VertexId>,
-    probe: ProbeSource<'_>,
+    probe: Probe<'_>,
 ) -> PhaseTimings {
     let mut stats = run_seeding(surface, components, scratch, mesh, q, out, probe);
 
@@ -703,68 +657,55 @@ fn run_seeding<R: Region>(
     mesh: &Mesh,
     q: &R,
     out: &mut Vec<VertexId>,
-    probe: ProbeSource<'_>,
+    probe: Probe<'_>,
 ) -> PhaseTimings {
     let mut stats = PhaseTimings::default();
     let positions = mesh.positions();
     scratch.crawler.begin_query(mesh.num_vertices());
     scratch.seeded.begin(components.count);
 
-    // Phase 1: surface probe. The hot pass is a pure membership test:
-    // the id list is known in advance so the gathered position loads
-    // are prefetched ahead, and the branchless containment keeps the
-    // loop pipeline-friendly. The closest-vertex bookkeeping of
-    // Algorithm 1 is only needed when *no* surface vertex is inside
-    // the query (the rare directed-walk case), so it runs as a
-    // separate second pass instead of burdening every probe.
+    // Phase 1: surface probe. The hot pass is a pure membership test
+    // over a prefetching gather ([`gather`]); the branchless containment
+    // keeps the loop pipeline-friendly. The closest-vertex bookkeeping
+    // of Algorithm 1 is only needed when *no* surface vertex is inside
+    // the query (the rare directed-walk case), so it runs as a separate
+    // second pass instead of burdening every probe.
     let t0 = Instant::now();
-    let mut seeds = 0usize;
     let mut seeded_components = 0usize;
-    let mut cached = false;
-    match probe {
-        ProbeSource::Surface | ProbeSource::Cached(_) => {
-            let ids = match probe {
-                ProbeSource::Cached(candidates) => {
-                    cached = true;
-                    candidates
-                }
-                _ => surface.ids(),
-            };
-            for (i, &v) in ids.iter().enumerate() {
-                if i + octopus_geom::mem::PREFETCH_DISTANCE < ids.len() {
-                    let ahead = ids[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                    octopus_geom::mem::prefetch_read(positions, ahead);
-                }
-                if q.contains(positions[v as usize]) && scratch.crawler.seed(v, out) {
-                    seeds += 1;
-                    let c = components.component_of[v as usize] as usize;
-                    seeded_components += usize::from(scratch.seeded.mark(c));
+    let mut seed = |v: VertexId| {
+        if scratch.crawler.seed(v, out) {
+            stats.start_vertices += 1;
+            let c = components.component_of[v as usize] as usize;
+            seeded_components += usize::from(scratch.seeded.mark(c));
+        }
+    };
+    let ids = match probe {
+        Probe::Cached(candidates) => candidates,
+        _ => surface.ids(),
+    };
+    let cached = matches!(probe, Probe::Cached(_));
+    if let Probe::Collect { margin, into } = probe {
+        let [into] = into else {
+            panic!("one candidate list per query");
+        };
+        into.clear();
+        let dilated = q.dilated(margin);
+        gather(ids, positions, |v, p| {
+            if dilated.contains(p) {
+                into.push(v);
+                // q ⊆ dilated, so containment in q implies this arm.
+                if q.contains(p) {
+                    seed(v);
                 }
             }
-        }
-        ProbeSource::Collect { margin, into } => {
-            into.clear();
-            let dilated = q.dilated(margin);
-            let ids = surface.ids();
-            for (i, &v) in ids.iter().enumerate() {
-                if i + octopus_geom::mem::PREFETCH_DISTANCE < ids.len() {
-                    let ahead = ids[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                    octopus_geom::mem::prefetch_read(positions, ahead);
-                }
-                let p = positions[v as usize];
-                if dilated.contains(p) {
-                    into.push(v);
-                    // q ⊆ dilated, so containment in q implies this arm.
-                    if q.contains(p) && scratch.crawler.seed(v, out) {
-                        seeds += 1;
-                        let c = components.component_of[v as usize] as usize;
-                        seeded_components += usize::from(scratch.seeded.mark(c));
-                    }
-                }
+        });
+    } else {
+        gather(ids, positions, |v, p| {
+            if q.contains(p) {
+                seed(v);
             }
-        }
+        });
     }
-    stats.start_vertices = seeds;
     if cached {
         stats.cache_probe = t0.elapsed();
         stats.cache_seeded = 1;
@@ -774,94 +715,64 @@ fn run_seeding<R: Region>(
 
     // Phase 2: component-aware directed walks. Every component whose
     // surface produced no seed may still intersect the query with
-    // fully interior material (or not at all — the walk decides). A
-    // *strided* scan picks a near-closest surface vertex of that
-    // component as the walk start: any start yields the correct
-    // result (exactness comes from walk + crawl, §IV-D); the closest
-    // is only a walk-shortening heuristic, so sampling every k-th
-    // candidate trades a slightly longer walk for a cheaper start
-    // search. A failed walk retries once from the exact closest
-    // vertex before concluding this component contributes nothing.
+    // fully interior material (or not at all — the walk decides).
     if seeded_components < components.count {
         let t1 = Instant::now();
         for c in 0..components.count {
             if scratch.seeded.is_marked(c) {
                 continue;
             }
-            let comp_ids = &components.surface_by_component[c];
-            if comp_ids.is_empty() {
-                continue;
-            }
-            // Sparse-sample start + walk; a failed walk retries once
-            // from a denser sample, but only when the stall happened
-            // *near* the query (within a few edge lengths) — a stall
-            // far away means this component simply does not reach the
-            // query, the overwhelmingly common case on
-            // multi-component meshes, and a denser start would walk
-            // to the same frontier. A full O(S·V) scan per unseeded
-            // component would dominate such workloads.
-            let mut found = None;
-            let near = 4.0 * components.edge_scale;
-            let near_sq = near * near;
-            for sample_target in [512usize, 4096] {
-                let stride = (comp_ids.len() / sample_target).max(1);
-                if let Some(sv) = closest_of(comp_ids.iter().step_by(stride), positions, q) {
-                    found = scratch.crawler.directed_walk(mesh, q, sv);
-                }
-                if found.is_some() || stride == 1 || scratch.crawler.last_walk_end_dist_sq > near_sq
-                {
-                    break;
-                }
-            }
+            let (found, steps) = walk_component(components, c, mesh, q);
+            stats.walk_visited += steps;
             if let Some(inside) = found {
                 if scratch.crawler.seed(inside, out) {
                     stats.start_vertices += 1;
                 }
             }
         }
-        stats.walk_visited = scratch.crawler.walk_visited;
         stats.directed_walk = t1.elapsed();
     }
     stats
 }
 
-/// Seed source of a group query's shared probe (the multi-query
-/// counterpart of the single-query probe variants).
-pub enum GroupProbe<'a> {
-    /// One scan of the full surface index, tested against the group's
-    /// union box first and the members second.
-    Surface,
-    /// Scan a shared candidate list instead — exact iff it is a superset
-    /// of `surface ∩ q_i` for **every** member `q_i` (concatenating each
-    /// member's cached list satisfies this; duplicates are deduplicated
-    /// by the membership mask).
-    Cached(&'a [VertexId]),
-    /// Full surface scan that also collects, per member `i`, every
-    /// surface vertex inside `queries[i].dilated(margin)` into
-    /// `into[i]` (each cleared first) — the group refill pass of the
-    /// temporal seed cache.
-    Collect {
-        /// Dilation margin of the collected candidate boxes.
-        margin: f32,
-        /// One candidate list per group member.
-        into: &'a mut [Vec<VertexId>],
-    },
-}
-
-/// Shared-phase wall times of one group query. Per-member work counters
-/// (seeds, visited, walk steps) are read from the [`GroupScratch`]
-/// accessors after the call — they follow the sequential per-query
-/// conventions exactly, while these durations are paid once per group.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GroupPhase {
-    /// Shared surface-index probe time (zero on the cached path).
-    pub surface_probe: Duration,
-    /// Shared candidate-list probe time (zero on the surface path).
-    pub cache_probe: Duration,
-    /// Per-member component-aware directed walks, summed.
-    pub directed_walk: Duration,
-    /// The shared-frontier crawl.
-    pub crawling: Duration,
+/// The walk policy for one component the probe left seedless: a
+/// *strided* scan picks a near-closest surface vertex of the component
+/// as the walk start. Any start yields the correct result (exactness
+/// comes from walk + crawl, §IV-D); the closest is only a
+/// walk-shortening heuristic, so sampling every k-th candidate trades a
+/// slightly longer walk for a cheaper start search. A failed walk
+/// retries once from a denser sample, but only when the stall happened
+/// *near* the query (within a few edge lengths) — a stall far away
+/// means this component simply does not reach the query, the
+/// overwhelmingly common case on multi-component meshes, and a denser
+/// start would walk to the same frontier. A full O(S·V) scan per
+/// unseeded component would dominate such workloads.
+///
+/// Returns the in-region vertex the walk reached, if any, and the
+/// vertices stepped through; the single and the group seeder each apply
+/// their own sink.
+fn walk_component<R: Region>(
+    components: &ComponentMap,
+    c: usize,
+    mesh: &Mesh,
+    q: &R,
+) -> (Option<VertexId>, usize) {
+    let comp_ids = &components.surface_by_component[c];
+    let near = 4.0 * components.edge_scale;
+    let near_sq = near * near;
+    let mut steps = 0usize;
+    for sample_target in [512usize, 4096] {
+        let stride = (comp_ids.len() / sample_target).max(1);
+        let Some(start) = closest_of(comp_ids.iter().step_by(stride), mesh.positions(), q) else {
+            break;
+        };
+        let (found, walked, end_dist_sq) = greedy_walk(mesh, q, start);
+        steps += walked;
+        if found.is_some() || stride == 1 || end_dist_sq > near_sq {
+            return (found, steps);
+        }
+    }
+    (None, steps)
 }
 
 /// Membership bitmask of `p` over the group's queries (bit `i` ⇔
@@ -875,84 +786,115 @@ fn member_mask(queries: &[Aabb], p: Point3) -> u64 {
     mask
 }
 
-/// The shared-frontier group query (see [`Octopus::query_group`]).
-fn run_group_query(
-    surface: &SurfaceIndex,
-    components: &ComponentMap,
-    group: &mut GroupScratch,
-    mesh: &Mesh,
-    queries: &[Aabb],
-    probe: GroupProbe<'_>,
-    results: &mut [Vec<VertexId>],
-) -> GroupPhase {
-    assert!(
-        queries.len() <= MAX_GROUP,
-        "group of {} exceeds MAX_GROUP = {MAX_GROUP}",
-        queries.len()
-    );
-    assert_eq!(results.len(), queries.len(), "one result list per query");
-    let mut phase = GroupPhase::default();
-    if queries.is_empty() {
-        return phase;
-    }
-    let positions = mesh.positions();
-    group.begin_group(mesh.num_vertices(), components.count, queries.len());
-    let union = queries.iter().fold(
-        Aabb::EMPTY,
-        |acc, q| if acc.is_empty() { *q } else { acc.union(q) },
-    );
+impl Octopus {
+    /// The shared-frontier group query (see [`Octopus::query_group`]).
+    fn run_group(
+        &self,
+        group: &mut GroupScratch,
+        mesh: &Mesh,
+        queries: &[Aabb],
+        probe: Probe<'_>,
+        results: &mut [Vec<VertexId>],
+        timings: &mut [PhaseTimings],
+    ) {
+        assert!(
+            queries.len() <= MAX_GROUP,
+            "group of {} exceeds MAX_GROUP = {MAX_GROUP}",
+            queries.len()
+        );
+        let components = &self.components;
+        group.begin_group(mesh.num_vertices(), components.count, queries.len());
+        let cached = matches!(probe, Probe::Cached(_));
 
-    // Phase 1: shared probe. The union box rejects out-of-group
-    // vertices with one test instead of k; survivors are tested against
-    // each member and seeded under their bits.
-    let t0 = Instant::now();
-    let mut cached = false;
-    match probe {
-        GroupProbe::Surface | GroupProbe::Cached(_) => {
-            let ids = match probe {
-                GroupProbe::Cached(candidates) => {
-                    cached = true;
-                    candidates
-                }
-                _ => surface.ids(),
-            };
-            for (i, &v) in ids.iter().enumerate() {
-                if i + octopus_geom::mem::PREFETCH_DISTANCE < ids.len() {
-                    let ahead = ids[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                    octopus_geom::mem::prefetch_read(positions, ahead);
-                }
-                let p = positions[v as usize];
-                if !union.contains(p) {
+        // Phase 1: the shared probe.
+        let t0 = Instant::now();
+        self.probe_group(group, mesh.positions(), queries, probe, results);
+        let probe_time = t0.elapsed();
+
+        // Phase 2: per-member component-aware directed walks, for every
+        // (member, component) pair the probe left seedless.
+        let t1 = Instant::now();
+        for (j, q) in queries.iter().enumerate() {
+            for c in 0..components.count {
+                if group.component_seeded(c, j as u32) {
                     continue;
                 }
-                let mask = member_mask(queries, p);
-                if mask == 0 {
-                    continue;
+                let (found, steps) = walk_component(components, c, mesh, q);
+                group.per_walk[j] += steps;
+                if let Some(inside) = found {
+                    group.seed(inside, j as u32, results);
                 }
-                let mut bits = mask;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    group.seed(v, bit, results);
-                }
-                group.mark_component(components.component_of[v as usize] as usize, mask);
             }
         }
-        GroupProbe::Collect { margin, into } => {
+        let walk_time = t1.elapsed();
+
+        // Phase 3: the shared-frontier crawl.
+        let t2 = Instant::now();
+        group.crawl(mesh, queries, results);
+        let crawl_time = t2.elapsed();
+
+        for (j, t) in timings.iter_mut().enumerate() {
+            *t = PhaseTimings {
+                start_vertices: group.per_seeds[j],
+                walk_visited: group.per_walk[j],
+                crawl_visited: group.per_visited[j],
+                cache_seeded: usize::from(cached),
+                results: results[j].len(),
+                ..PhaseTimings::default()
+            };
+        }
+        let first = &mut timings[0];
+        if cached {
+            first.cache_probe = probe_time;
+        } else {
+            first.surface_probe = probe_time;
+        }
+        first.directed_walk = walk_time;
+        first.crawling = crawl_time;
+    }
+
+    /// Phase 1 of a group query: one pass over the probe's id list. The
+    /// union box rejects out-of-group vertices with one test instead of
+    /// k; survivors are tested against each member and seeded under
+    /// their bits.
+    ///
+    /// Out of line on purpose: inlined into `run_group`, the gather loop
+    /// competes for registers with the walk and crawl phases and reloads
+    /// its slice pointers and bounds from the stack every iteration —
+    /// measured 5–7 % on the probe of a four-member group over 39 k
+    /// surface ids, 2 % of an `analysis-burst` request.
+    #[inline(never)]
+    fn probe_group(
+        &self,
+        group: &mut GroupScratch,
+        positions: &[Point3],
+        queries: &[Aabb],
+        probe: Probe<'_>,
+        results: &mut [Vec<VertexId>],
+    ) {
+        let union = queries.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
+        let mut seed = |v: VertexId, mask: u64| {
+            let mut bits = mask;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                group.seed(v, bit, results);
+            }
+            group.mark_component(self.components.component_of[v as usize] as usize, mask);
+        };
+        let ids = match probe {
+            Probe::Cached(candidates) => candidates,
+            _ => self.surface.ids(),
+        };
+        if let Probe::Collect { margin, into } = probe {
             assert_eq!(into.len(), queries.len(), "one candidate list per query");
             for c in into.iter_mut() {
                 c.clear();
             }
             let dilated_union = union.dilated(margin);
-            let ids = surface.ids();
-            for (i, &v) in ids.iter().enumerate() {
-                if i + octopus_geom::mem::PREFETCH_DISTANCE < ids.len() {
-                    let ahead = ids[i + octopus_geom::mem::PREFETCH_DISTANCE] as usize;
-                    octopus_geom::mem::prefetch_read(positions, ahead);
-                }
-                let p = positions[v as usize];
+            gather(ids, positions, |v, p| {
                 if !dilated_union.contains(p) {
-                    continue;
+                    return;
                 }
                 let mut mask = 0u64;
                 for (j, q) in queries.iter().enumerate() {
@@ -964,64 +906,20 @@ fn run_group_query(
                     }
                 }
                 if mask != 0 {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        group.seed(v, bit, results);
+                    seed(v, mask);
+                }
+            });
+        } else {
+            gather(ids, positions, |v, p| {
+                if union.contains(p) {
+                    let mask = member_mask(queries, p);
+                    if mask != 0 {
+                        seed(v, mask);
                     }
-                    group.mark_component(components.component_of[v as usize] as usize, mask);
                 }
-            }
+            });
         }
     }
-    if cached {
-        phase.cache_probe = t0.elapsed();
-    } else {
-        phase.surface_probe = t0.elapsed();
-    }
-
-    // Phase 2: per-member component-aware directed walks — the same
-    // strided retry policy as the sequential path (see `run_query`), run
-    // for every (member, component) pair the probe left seedless.
-    let t1 = Instant::now();
-    for (j, q) in queries.iter().enumerate() {
-        for c in 0..components.count {
-            if group.component_seeded(c, j as u32) {
-                continue;
-            }
-            let comp_ids = &components.surface_by_component[c];
-            if comp_ids.is_empty() {
-                continue;
-            }
-            let mut found = None;
-            let near = 4.0 * components.edge_scale;
-            let near_sq = near * near;
-            let mut end_dist_sq = f32::INFINITY;
-            for sample_target in [512usize, 4096] {
-                let stride = (comp_ids.len() / sample_target).max(1);
-                if let Some(sv) = closest_of(comp_ids.iter().step_by(stride), positions, q) {
-                    let (walked, steps, end) = greedy_walk(mesh, q, sv);
-                    group.add_walk(j as u32, steps);
-                    found = walked;
-                    end_dist_sq = end;
-                }
-                if found.is_some() || stride == 1 || end_dist_sq > near_sq {
-                    break;
-                }
-            }
-            if let Some(inside) = found {
-                group.seed(inside, j as u32, results);
-            }
-        }
-    }
-    phase.directed_walk = t1.elapsed();
-
-    // Phase 3: the shared-frontier crawl.
-    let t2 = Instant::now();
-    group.crawl(mesh, queries, results);
-    phase.crawling = t2.elapsed();
-    phase
 }
 
 // The concurrent service layer shares `&Octopus` and `&Mesh` across its
@@ -1037,7 +935,7 @@ const _: () = {
 
 /// Surface vertex among `ids` closest to `q` (squared guidance
 /// distance), or `None` for an empty iterator.
-fn closest_of<'a, R: Region>(
+pub(crate) fn closest_of<'a, R: Region>(
     ids: impl Iterator<Item = &'a VertexId>,
     positions: &[octopus_geom::Point3],
     q: &R,
@@ -1097,7 +995,7 @@ fn run_knn(
             mesh,
             &cube,
             &mut buf,
-            ProbeSource::Surface,
+            Probe::Surface,
         );
         total.accumulate(&stats);
         let r_sq = r * r;
@@ -1144,7 +1042,7 @@ fn run_aggregate(
         mesh,
         q,
         &mut seeds,
-        ProbeSource::Surface,
+        Probe::Surface,
     );
     let t = Instant::now();
     let positions = mesh.positions();
@@ -1483,8 +1381,38 @@ mod tests {
         assert_eq!(total.total(), Duration::from_micros(44));
     }
 
+    /// One group through the unified entry point: per-member sorted
+    /// results, timings, and the shared event count.
+    fn grouped(
+        o: &Octopus,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        queries: &[Aabb],
+        probe: Probe<'_>,
+    ) -> (Vec<Vec<VertexId>>, Vec<PhaseTimings>, usize) {
+        let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
+        let mut timings = vec![PhaseTimings::default(); queries.len()];
+        let shared = o.query_group(scratch, mesh, queries, probe, &mut results, &mut timings);
+        for r in &mut results {
+            r.sort_unstable();
+        }
+        (results, timings, shared)
+    }
+
+    /// A group of one under `probe`: the entry point's single-query arm.
+    fn probed(
+        o: &Octopus,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        q: &Aabb,
+        probe: Probe<'_>,
+    ) -> (Vec<VertexId>, PhaseTimings) {
+        let (mut results, timings, _) = grouped(o, scratch, mesh, std::slice::from_ref(q), probe);
+        (results.remove(0), timings[0])
+    }
+
     #[test]
-    fn query_seeded_matches_full_probe_given_superset_candidates() {
+    fn cached_probe_matches_full_probe_given_superset_candidates() {
         let mesh = neuron(NeuroLevel::L1, 0.5).unwrap();
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
@@ -1497,10 +1425,12 @@ mod tests {
                 rng.range_f32(bounds.min.z, bounds.max.z),
             );
             let q = Aabb::cube(c, rng.range_f32(0.02, 0.15));
-            let mut full = Vec::new();
-            let mut cands = Vec::new();
-            let full_stats =
-                o.query_collecting(&mut scratch, &mesh, &q, 0.05, &mut cands, &mut full);
+            let mut cands = [Vec::new()];
+            let collect = Probe::Collect {
+                margin: 0.05,
+                into: &mut cands,
+            };
+            let (full, full_stats) = probed(&o, &mut scratch, &mesh, &q, collect);
             assert_eq!(full_stats.cache_seeded, 0);
             assert!(full_stats.surface_probe >= full_stats.cache_probe);
             // The collected list really is a superset of surface ∩ q.
@@ -1510,21 +1440,18 @@ mod tests {
                 .iter()
                 .filter(|&&v| q.contains(mesh.position(v)))
                 .count();
-            assert!(cands.len() >= surface_in_q, "query {i}");
+            assert!(cands[0].len() >= surface_in_q, "query {i}");
 
-            let mut warm = Vec::new();
-            let warm_stats = o.query_seeded(&mut scratch, &mesh, &q, &cands, &mut warm);
+            let (warm, warm_stats) = probed(&o, &mut scratch, &mesh, &q, Probe::Cached(&cands[0]));
             assert_eq!(warm_stats.cache_seeded, 1);
             assert_eq!(warm_stats.surface_probe, Duration::ZERO);
-            full.sort_unstable();
-            warm.sort_unstable();
             assert_eq!(warm, full, "query {i}: warm start diverged");
             assert_eq!(warm, scan(&mesh, &q), "query {i}: exactness");
         }
     }
 
     #[test]
-    fn query_seeded_stays_exact_under_bounded_drift() {
+    fn cached_probe_stays_exact_under_bounded_drift() {
         // Collect candidates, deform by less than the margin, re-query
         // the *drifted* mesh from the stale candidate list: the dilation
         // absorbs the motion, so results must still be exact.
@@ -1532,10 +1459,12 @@ mod tests {
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
         let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.55));
-        let margin = 0.06;
-        let mut out = Vec::new();
-        let mut cands = Vec::new();
-        o.query_collecting(&mut scratch, &mesh, &q, margin, &mut cands, &mut out);
+        let mut cands = [Vec::new()];
+        let collect = Probe::Collect {
+            margin: 0.06,
+            into: &mut cands,
+        };
+        probed(&o, &mut scratch, &mesh, &q, collect);
         let mut rng = SplitMix64::new(5);
         for step in 0..3 {
             for p in mesh.positions_mut() {
@@ -1544,9 +1473,7 @@ mod tests {
                 p.z += rng.range_f32(-0.015, 0.015);
             }
             // Total drift ≤ 3 · 0.015 · √3 < margin.
-            let mut warm = Vec::new();
-            o.query_seeded(&mut scratch, &mesh, &q, &cands, &mut warm);
-            warm.sort_unstable();
+            let (warm, _) = probed(&o, &mut scratch, &mesh, &q, Probe::Cached(&cands[0]));
             assert_eq!(warm, scan(&mesh, &q), "step {step}");
         }
     }
@@ -1583,17 +1510,10 @@ mod tests {
             queries.push(Aabb::new(Point3::splat(5.0), Point3::splat(6.0)));
             let expected = group_reference(&mesh, &queries);
             let o = Octopus::new(&mesh).unwrap();
-            let mut group = crate::GroupScratch::new();
-            let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
-            o.query_group(
-                &mut group,
-                &mesh,
-                &queries,
-                crate::GroupProbe::Surface,
-                &mut results,
-            );
-            for (j, (mut got, want)) in results.into_iter().zip(expected).enumerate() {
-                got.sort_unstable();
+            let mut scratch = o.make_scratch(&mesh);
+            let (results, timings, _) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
+            for (j, (got, want)) in results.into_iter().zip(expected).enumerate() {
+                assert_eq!(timings[j].results, want.len(), "query {j}: stats.results");
                 assert_eq!(got, want, "query {j}");
             }
         }
@@ -1610,31 +1530,28 @@ mod tests {
             })
             .collect();
         let mut seq = Octopus::new(&mesh).unwrap();
-        let mut independent = 0usize;
-        for q in &queries {
-            let mut out = Vec::new();
-            independent += seq.query(&mesh, q, &mut out).crawl_visited;
-        }
+        let sequential: Vec<PhaseTimings> = queries
+            .iter()
+            .map(|q| seq.query(&mesh, q, &mut Vec::new()))
+            .collect();
+        let independent: usize = sequential.iter().map(|t| t.crawl_visited).sum();
 
         let o = Octopus::new(&mesh).unwrap();
-        let mut group = crate::GroupScratch::new();
-        let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
-        o.query_group(
-            &mut group,
-            &mesh,
-            &queries,
-            crate::GroupProbe::Surface,
-            &mut results,
-        );
+        let mut scratch = o.make_scratch(&mesh);
+        let (_, timings, shared) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
         // Per-member attribution reproduces the sequential counters...
-        let attributed: usize = (0..queries.len()).map(|i| group.visited(i)).sum();
-        assert_eq!(attributed, independent, "attribution must match sequential");
+        for (j, (got, want)) in timings.iter().zip(&sequential).enumerate() {
+            assert_eq!(got.crawl_visited, want.crawl_visited, "member {j}");
+            assert_eq!(got.start_vertices, want.start_vertices, "member {j}");
+            assert_eq!(got.walk_visited, want.walk_visited, "member {j}");
+        }
+        // ...the shared wall times sit on the first member only...
+        assert!(timings[0].surface_probe > Duration::ZERO);
+        assert!(timings[1..].iter().all(|t| t.total() == Duration::ZERO));
         // ...while the distinct-event counter shows the actual sharing.
         assert!(
-            group.shared_visited() < independent,
-            "shared {} must beat independent {}",
-            group.shared_visited(),
-            independent
+            shared < independent,
+            "shared {shared} must beat independent {independent}"
         );
     }
 
@@ -1642,35 +1559,22 @@ mod tests {
     fn group_scratch_reuse_and_epoch_wrap_are_clean() {
         let mesh = box_mesh(5);
         let o = Octopus::new(&mesh).unwrap();
-        let mut group = crate::GroupScratch::new();
+        let mut scratch = o.make_scratch(&mesh);
         let queries = [
             Aabb::new(Point3::splat(0.1), Point3::splat(0.6)),
             Aabb::new(Point3::splat(0.3), Point3::splat(0.9)),
         ];
-        let run = |group: &mut crate::GroupScratch| {
-            let mut results: Vec<Vec<VertexId>> = vec![Vec::new(); queries.len()];
-            o.query_group(
-                group,
-                &mesh,
-                &queries,
-                crate::GroupProbe::Surface,
-                &mut results,
-            );
-            results
-                .into_iter()
-                .map(|mut r| {
-                    r.sort_unstable();
-                    r
-                })
-                .collect::<Vec<_>>()
-        };
-        let first = run(&mut group);
+        let (first, _, _) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
         assert_eq!(first[0], scan(&mesh, &queries[0]));
         assert_eq!(first[1], scan(&mesh, &queries[1]));
-        // Reuse across groups, including across the epoch wrap.
-        group.force_epoch(u32::MAX);
+        // Reuse across groups — and interleaved single queries on the
+        // same scratch — including across the epoch wrap.
+        scratch.group.force_epoch(u32::MAX);
         for round in 0..3 {
-            assert_eq!(run(&mut group), first, "round {round} after the wrap");
+            let (again, _, _) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
+            assert_eq!(again, first, "round {round} after the wrap");
+            let (single, _) = probed(&o, &mut scratch, &mesh, &queries[0], Probe::Surface);
+            assert_eq!(single, first[0], "round {round}: group of one");
         }
     }
 
@@ -1707,7 +1611,7 @@ mod tests {
                 ],
             );
             let mut out = Vec::new();
-            o.query_region(&mut scratch, &mesh, &region, &mut out);
+            o.query_with(&mut scratch, &mesh, &region, &mut out);
             out.sort_unstable();
             let expected: Vec<VertexId> = mesh
                 .positions()

@@ -1,6 +1,6 @@
 //! The shared-frontier group crawl: one BFS over a group of overlapping
-//! queries (see [`GroupScratch`]), driven by
-//! [`crate::Octopus::query_group`].
+//! queries, driven by [`crate::Octopus::query_group`] for groups of two
+//! or more (a single query runs the sequential crawl instead).
 
 use octopus_geom::{Aabb, VertexId};
 use octopus_mesh::Mesh;
@@ -21,16 +21,18 @@ pub const MAX_GROUP: usize = 64;
 /// query `j` alone would have marked/collected it (reached from `j`'s
 /// seeds through vertices inside `q_j`), so demultiplexed results equal
 /// the per-query baseline. The sharing shows up in the *event* counters:
-/// [`GroupScratch::expansions`] + [`GroupScratch::rejected`] count
-/// distinct traversal events (each costing one neighbour-list scan or
-/// one position load), while the per-member counters sum to what k
-/// independent crawls would have paid.
+/// `expansions` + `rejected` count distinct traversal events (each
+/// costing one neighbour-list scan or one position load), while the
+/// per-member counters sum to what k independent crawls would have
+/// paid.
 ///
 /// All mask arrays are epoch-stamped (the `EpochStamps` trick):
 /// starting a new group is O(1) and a vertex's masks are lazily zeroed
-/// on first touch, so one scratch serves any number of groups.
+/// on first touch, so one scratch serves any number of groups. Sized
+/// lazily on first use: a scratch that only ever runs single queries
+/// holds no heap memory here.
 #[derive(Debug, Default)]
-pub struct GroupScratch {
+pub(crate) struct GroupScratch {
     epoch: u32,
     /// Per-vertex epoch stamp gating `visited`/`pending`.
     stamp: Vec<u32>,
@@ -44,27 +46,22 @@ pub struct GroupScratch {
     /// Member bits that obtained a probe seed in this component.
     comp_seeded: Vec<u64>,
     /// Per-member seed counts (crawl entry points) for the current group.
-    per_seeds: Vec<usize>,
+    pub(crate) per_seeds: Vec<usize>,
     /// Per-member visited counts, matching the sequential
     /// `PhaseTimings::crawl_visited` convention (expansions + rejected
     /// boundary marks, attributed to each member they served).
-    per_visited: Vec<usize>,
+    pub(crate) per_visited: Vec<usize>,
     /// Per-member directed-walk step counts.
-    per_walk: Vec<usize>,
+    pub(crate) per_walk: Vec<usize>,
     /// Distinct expansion events of the shared BFS — each popped vertex
     /// counts once, however many member queries it served.
-    pub expansions: usize,
+    expansions: usize,
     /// Distinct rejected-neighbour events — each examination that marked
     /// a neighbour outside ≥ 1 member query counts once.
-    pub rejected: usize,
+    rejected: usize,
 }
 
 impl GroupScratch {
-    /// A fresh scratch (sized lazily on first use).
-    pub fn new() -> GroupScratch {
-        GroupScratch::default()
-    }
-
     /// Prepares for a new group of `k ≤ MAX_GROUP` queries over a mesh
     /// with `num_vertices` vertices and `num_components` connected
     /// components. O(1) amortised (O(V) only on resize or on the rare
@@ -147,12 +144,6 @@ impl GroupScratch {
         self.comp_stamp[c] == self.epoch && self.comp_seeded[c] & (1u64 << bit) != 0
     }
 
-    /// Accounts `steps` directed-walk vertices to member `bit`.
-    #[inline]
-    pub(crate) fn add_walk(&mut self, bit: u32, steps: usize) {
-        self.per_walk[bit as usize] += steps;
-    }
-
     /// The shared crawl: one level-less BFS over the union region. Each
     /// queue entry expands once per wave of newly arrived member bits;
     /// neighbours are tested against exactly the members that reached
@@ -212,31 +203,15 @@ impl GroupScratch {
         }
     }
 
-    /// Crawl seeds found for member `i` of the last group.
-    pub fn seeds(&self, i: usize) -> usize {
-        self.per_seeds[i]
-    }
-
-    /// Visited-vertex count attributed to member `i` (equals what the
-    /// sequential crawl of that query alone reports as `crawl_visited`).
-    pub fn visited(&self, i: usize) -> usize {
-        self.per_visited[i]
-    }
-
-    /// Directed-walk steps attributed to member `i`.
-    pub fn walk_steps(&self, i: usize) -> usize {
-        self.per_walk[i]
-    }
-
     /// Distinct traversal events of the last shared crawl — the
     /// deterministic "how much work did sharing save" counter (compare
-    /// against the sum of per-member [`GroupScratch::visited`]).
-    pub fn shared_visited(&self) -> usize {
+    /// against the sum of the per-member `per_visited`).
+    pub(crate) fn shared_visited(&self) -> usize {
         self.expansions + self.rejected
     }
 
     /// Heap bytes of the scratch structures.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.stamp.capacity() * std::mem::size_of::<u32>()
             + (self.visited.capacity() + self.pending.capacity()) * std::mem::size_of::<u64>()
             + self.comp_stamp.capacity() * std::mem::size_of::<u32>()

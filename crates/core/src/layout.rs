@@ -196,7 +196,7 @@ fn extra_lines_of(v: VertexId, neighbors: &[VertexId], scratch: &mut Vec<u32>) -
 
 /// LRU stack-distance histogram of cache-line touches during a
 /// simulated full-mesh crawl (BFS from vertex 0, restarting per
-/// component — the access pattern [`crate::Crawler`] generates: every
+/// component — the access pattern the executor's crawl generates: every
 /// pop touches the vertex's own line, then one touch per neighbour).
 ///
 /// `buckets[i]` counts warm accesses whose stack distance `d`

@@ -13,6 +13,12 @@
 //! Query execution ([`Octopus::query`]) runs the three phases of
 //! Algorithm 1: **surface probe** → **directed walk** (only when no
 //! surface vertex falls inside the query) → **crawling** (bounded BFS).
+//! Each phase is written once: the probe is one prefetching gather
+//! ([`octopus_geom::mem::gather`]) seeded from one of three sources
+//! ([`Probe`]), the walk one per-component policy, and the crawl is
+//! picked from the number of queries run together
+//! ([`Octopus::query_group`]: sequential BFS for one, shared frontier
+//! for more).
 //!
 //! Variants and tooling:
 //!
@@ -24,8 +30,7 @@
 //! * [`CostModel`] — the analytical model (Eq. 1–6) with on-machine
 //!   calibration of the `C_S`/`C_R` constants.
 //! * [`Planner`] — the Eq.-6 decision rule (OCTOPUS vs. linear scan)
-//!   driven by histogram selectivity estimates, with per-shape
-//!   estimation ([`Planner::decide_shape`]).
+//!   driven by histogram selectivity estimates.
 //! * [`QueryShape`] — query shapes beyond the box: bounded convex
 //!   regions, exact k-nearest-neighbour, and materialisation-free
 //!   aggregates, all running on the same probe → walk → crawl
@@ -50,9 +55,9 @@ pub mod surface_index;
 pub use approx::ApproxOctopus;
 pub use con::OctopusCon;
 pub use cost_model::CostModel;
-pub use executor::{GroupPhase, GroupProbe, Octopus, PhaseTimings, QueryScratch};
+pub use executor::{Octopus, PhaseTimings, Probe, QueryScratch};
 pub use fault::{FaultAction, FaultCell, FaultHook, FaultSite};
-pub use frontier::{GroupScratch, MAX_GROUP};
+pub use frontier::MAX_GROUP;
 pub use metrics::{ExecMode, ExecutorMetrics};
 pub use planner::{Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};

@@ -6,45 +6,43 @@
 //! [`crate::Octopus`] executors (snapshot-ring generations share one
 //! bundle — the handles are `Arc`-shared and lock-free). Every query
 //! entry point then feeds its [`crate::PhaseTimings`] into log2
-//! histograms, which is what the self-tuning planner (ROADMAP item 4)
-//! regresses its cost-model coefficients from.
+//! histograms — the measured side of the Eq.-6 coefficients.
 
 use std::fmt;
 use std::sync::Arc;
 
 use octopus_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::executor::{GroupPhase, PhaseTimings};
+use crate::executor::PhaseTimings;
 
 /// Which entry point executed a query — the key of the per-mode
 /// `executor_query_ns_*` latency histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Fresh box query probing the full surface index
-    /// ([`crate::Octopus::query`] / `query_with`).
+    /// One region (box or convex) probing the full surface index
+    /// ([`crate::Octopus::query`] / [`crate::Octopus::query_with`], or a
+    /// group of one under [`crate::Probe::Surface`]).
     Fresh,
-    /// Warm-started from a seed-cache candidate list
-    /// ([`crate::Octopus::query_seeded`]).
+    /// A group of one warm-started from a candidate list
+    /// ([`crate::Probe::Cached`]).
     Seeded,
-    /// Full probe that also refills a candidate list
-    /// ([`crate::Octopus::query_collecting`]).
+    /// A group of one on a full probe that also refills a candidate
+    /// list ([`crate::Probe::Collect`]).
     Collect,
-    /// Arbitrary convex region ([`crate::Octopus::query_region`]).
-    Region,
     /// k-nearest-neighbour ([`crate::Octopus::query_knn`]).
     Knn,
     /// Materialisation-free aggregate
     /// ([`crate::Octopus::query_aggregate`]).
     Aggregate,
-    /// Shared-frontier overlap group ([`crate::Octopus::query_group`]).
+    /// Shared-frontier overlap group of two or more
+    /// ([`crate::Octopus::query_group`]).
     Group,
 }
 
-const MODES: [(ExecMode, &str); 7] = [
+const MODES: [(ExecMode, &str); 6] = [
     (ExecMode::Fresh, "fresh"),
     (ExecMode::Seeded, "seeded"),
     (ExecMode::Collect, "collect"),
-    (ExecMode::Region, "region"),
     (ExecMode::Knn, "knn"),
     (ExecMode::Aggregate, "aggregate"),
     (ExecMode::Group, "group"),
@@ -106,13 +104,7 @@ impl ExecutorMetrics {
     pub fn record(&self, mode: ExecMode, t: &PhaseTimings) {
         self.queries.inc();
         self.cache_seeded.add(t.cache_seeded as u64);
-        self.record_phases(
-            t.surface_probe.as_nanos() as u64,
-            t.cache_probe.as_nanos() as u64,
-            t.linear_scan.as_nanos() as u64,
-            t.directed_walk.as_nanos() as u64,
-            t.crawling.as_nanos() as u64,
-        );
+        self.record_phases(t);
         self.query_ns[mode as usize].record_duration(t.total());
         self.results.record(t.results as u64);
         self.start_vertices.record(t.start_vertices as u64);
@@ -125,47 +117,37 @@ impl ExecutorMetrics {
     }
 
     /// Record one shared-frontier group execution covering `members`
-    /// queries (the group's shared phases are paid once, so they land
-    /// in the phase histograms once).
-    pub fn record_group(&self, g: &GroupPhase, members: usize) {
+    /// queries. `first` is the first member's timings, which carry the
+    /// group's shared phases: they are paid once, so they land in the
+    /// phase histograms once.
+    pub fn record_group(&self, first: &PhaseTimings, members: usize) {
         self.queries.add(members as u64);
-        self.record_phases(
-            g.surface_probe.as_nanos() as u64,
-            g.cache_probe.as_nanos() as u64,
-            0,
-            g.directed_walk.as_nanos() as u64,
-            g.crawling.as_nanos() as u64,
-        );
-        self.query_ns[ExecMode::Group as usize]
-            .record_duration(g.surface_probe + g.cache_probe + g.directed_walk + g.crawling);
+        self.record_phases(first);
+        self.query_ns[ExecMode::Group as usize].record_duration(first.total());
     }
 
-    fn record_phases(&self, probe: u64, cache: u64, scan: u64, walk: u64, crawl: u64) {
-        if probe > 0 {
-            self.phase_surface_probe_ns.record(probe);
-        }
-        if cache > 0 {
-            self.phase_cache_probe_ns.record(cache);
-        }
-        if scan > 0 {
-            self.phase_linear_scan_ns.record(scan);
-        }
-        if walk > 0 {
-            self.phase_directed_walk_ns.record(walk);
-        }
-        if crawl > 0 {
-            self.phase_crawling_ns.record(crawl);
+    /// Each phase that actually ran (non-zero duration).
+    fn record_phases(&self, t: &PhaseTimings) {
+        for (histogram, phase) in [
+            (&self.phase_surface_probe_ns, t.surface_probe),
+            (&self.phase_cache_probe_ns, t.cache_probe),
+            (&self.phase_linear_scan_ns, t.linear_scan),
+            (&self.phase_directed_walk_ns, t.directed_walk),
+            (&self.phase_crawling_ns, t.crawling),
+        ] {
+            if !phase.is_zero() {
+                histogram.record_duration(phase);
+            }
         }
     }
 
-    /// Record a planner-routed linear scan that bypassed the
-    /// probe/walk/crawl machinery entirely.
-    pub fn record_scan(&self, duration_ns: u64, results: usize) {
+    /// Record one member of a planner-routed shared linear scan, which
+    /// bypassed the probe/walk/crawl machinery entirely (the pass's
+    /// wall time sits on the scan group's first member).
+    pub fn record_scan(&self, t: &PhaseTimings) {
         self.queries.inc();
-        if duration_ns > 0 {
-            self.phase_linear_scan_ns.record(duration_ns);
-        }
-        self.results.record(results as u64);
+        self.record_phases(t);
+        self.results.record(t.results as u64);
     }
 
     /// Publish the executor memory footprint gauges (surface index and

@@ -4,12 +4,12 @@
 //! that we know workload characteristics (M and S) and also the runtime
 //! constants on the particular hardware used (C_S/C_R)" (§IV-G). The
 //! planner packages that decision: per query it estimates selectivity
-//! with the spatial histogram ([2]) and picks OCTOPUS or the linear scan.
+//! with the spatial histogram (the paper's reference \[2\]) and picks
+//! OCTOPUS or the linear scan.
 
 use crate::cost_model::CostModel;
-use crate::shape::QueryShape;
 use crate::surface_index::SurfaceIndex;
-use octopus_geom::{Aabb, ConvexRegion, Point3};
+use octopus_geom::Aabb;
 use octopus_index::SelectivityHistogram;
 use octopus_mesh::Mesh;
 
@@ -166,52 +166,6 @@ impl Planner {
         }
     }
 
-    /// Decides the strategy for any [`QueryShape`] — per-shape
-    /// selectivity estimation over the same Eq.-6 crossover:
-    ///
-    /// * **Box / Aggregate** — the histogram estimate of the region
-    ///   (an aggregate visits exactly the box's vertices, it just skips
-    ///   materialising them).
-    /// * **Convex** — the histogram estimate of the bounding box scaled
-    ///   by the fraction of 9 sample points (8 corners + centre) that
-    ///   satisfy every half-space: a cheap, index-free proxy for the
-    ///   clipped volume fraction.
-    /// * **KNearest** — the result size is known *a priori*: exactly
-    ///   `k` of the dataset's `num_vertices` vertices, so the
-    ///   selectivity needs no histogram at all.
-    pub fn decide_shape(&self, shape: &QueryShape, num_vertices: usize) -> Decision {
-        match shape {
-            QueryShape::Box(q) => self.decide(q),
-            QueryShape::Aggregate { region, .. } => self.decide(region),
-            QueryShape::KNearest { k, .. } => {
-                let sel = if num_vertices == 0 {
-                    0.0
-                } else {
-                    (*k as f64 / num_vertices as f64).min(1.0)
-                };
-                self.decision_at(sel)
-            }
-            QueryShape::Convex(r) => {
-                let boxed = self.decide(&r.bounds);
-                self.decision_at(boxed.estimated_selectivity * clip_sample_fraction(r))
-            }
-        }
-    }
-
-    /// A [`Decision`] at an externally supplied selectivity estimate.
-    fn decision_at(&self, sel: f64) -> Decision {
-        Decision {
-            strategy: if sel < self.crossover {
-                Strategy::Octopus
-            } else {
-                Strategy::LinearScan
-            },
-            estimated_selectivity: sel,
-            crossover_selectivity: self.crossover,
-            predicted_speedup: self.speedup_terms().eval(sel),
-        }
-    }
-
     /// Decides a whole batch at once, one [`Decision`] per query in
     /// input order — the entry point the service layer's batch engine
     /// uses to route overlap groups between the crawl paths and the
@@ -251,33 +205,10 @@ impl Planner {
     }
 }
 
-/// Fraction of the bounding box's 8 corners + centre satisfying every
-/// half-space of `r` — the planner's clipped-volume proxy. `1.0` for a
-/// plane-free region (the box itself).
-fn clip_sample_fraction(r: &ConvexRegion) -> f64 {
-    if r.halfspaces.is_empty() {
-        return 1.0;
-    }
-    let (lo, hi) = (r.bounds.min, r.bounds.max);
-    let mut inside = 0usize;
-    let mut samples = 0usize;
-    for i in 0..8u32 {
-        let p = Point3::new(
-            if i & 1 == 0 { lo.x } else { hi.x },
-            if i & 2 == 0 { lo.y } else { hi.y },
-            if i & 4 == 0 { lo.z } else { hi.z },
-        );
-        samples += 1;
-        inside += usize::from(r.halfspaces.iter().all(|h| h.contains(p)));
-    }
-    samples += 1;
-    inside += usize::from(r.halfspaces.iter().all(|h| h.contains(r.bounds.center())));
-    inside as f64 / samples as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_geom::Point3;
     use octopus_meshgen::voxel::VoxelRegion;
 
     fn box_mesh(n: usize) -> octopus_mesh::Mesh {
@@ -431,68 +362,6 @@ mod tests {
             flipped,
             "a restructure-heavy run must flip at least one decision"
         );
-    }
-
-    #[test]
-    fn decide_shape_per_shape_selectivities() {
-        use crate::shape::{AggregateKind, QueryShape};
-        use octopus_geom::{Halfspace, Vec3};
-        let mesh = box_mesh(10);
-        let v = mesh.num_vertices();
-        let planner = paper_planner(&mesh, 8);
-
-        // Box and Aggregate share the same estimate.
-        let q = Aabb::cube(Point3::splat(0.5), 0.2);
-        let boxed = planner.decide_shape(&QueryShape::Box(q), v);
-        let agg = planner.decide_shape(
-            &QueryShape::Aggregate {
-                region: q,
-                kind: AggregateKind::Centroid,
-            },
-            v,
-        );
-        assert_eq!(boxed.estimated_selectivity, agg.estimated_selectivity);
-        assert_eq!(boxed.strategy, agg.strategy);
-
-        // KNearest selectivity is exactly k / V: tiny k → Octopus,
-        // k = V → LinearScan.
-        let near = planner.decide_shape(
-            &QueryShape::KNearest {
-                k: 1,
-                point: Point3::splat(0.5),
-            },
-            v,
-        );
-        assert_eq!(near.strategy, Strategy::Octopus);
-        assert!((near.estimated_selectivity - 1.0 / v as f64).abs() < 1e-12);
-        let all = planner.decide_shape(
-            &QueryShape::KNearest {
-                k: v,
-                point: Point3::splat(0.5),
-            },
-            v,
-        );
-        assert_eq!(all.estimated_selectivity, 1.0);
-        assert_eq!(all.strategy, Strategy::LinearScan);
-
-        // Convex: clipping planes can only shrink the estimate.
-        let convex = planner.decide_shape(
-            &QueryShape::Convex(octopus_geom::ConvexRegion::new(
-                q,
-                vec![Halfspace::through(
-                    Point3::splat(0.5),
-                    Vec3::new(1.0, 1.0, 1.0),
-                )],
-            )),
-            v,
-        );
-        assert!(convex.estimated_selectivity <= boxed.estimated_selectivity);
-        // A plane-free convex region estimates exactly like its box.
-        let free = planner.decide_shape(
-            &QueryShape::Convex(octopus_geom::ConvexRegion::from_box(q)),
-            v,
-        );
-        assert_eq!(free.estimated_selectivity, boxed.estimated_selectivity);
     }
 
     #[test]

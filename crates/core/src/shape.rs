@@ -6,10 +6,9 @@
 //! such as the earthquake example ([`QueryShape::Convex`]), and for
 //! summaries where the caller never needs the ids at all
 //! ([`QueryShape::Aggregate`]). All of them execute on the same
-//! probe → walk → crawl machinery; this module is the common vocabulary
-//! threaded through [`crate::Octopus::query_shape`],
-//! [`crate::Planner::decide_shape`] and the service layer's batch
-//! engine.
+//! probe → walk → crawl machinery through
+//! [`crate::Octopus::query_shape`], which is also how the service
+//! layer's monitor answers them.
 
 use octopus_geom::{Aabb, ConvexRegion, Point3, VertexId};
 
@@ -36,27 +35,6 @@ pub enum QueryShape {
         /// Which summary to compute.
         kind: AggregateKind,
     },
-}
-
-impl QueryShape {
-    /// A box bounding the shape's result locus: the region itself for
-    /// boxes/convex/aggregate shapes, a degenerate point box for
-    /// k-nearest (whose true extent is data dependent). Used by the
-    /// batch engine's Hilbert sweep and the planner's histogram probe.
-    pub fn bounds(&self) -> Aabb {
-        match self {
-            QueryShape::Box(q) => *q,
-            QueryShape::Convex(r) => r.bounds,
-            QueryShape::KNearest { point, .. } => Aabb::new(*point, *point),
-            QueryShape::Aggregate { region, .. } => *region,
-        }
-    }
-
-    /// True for the plain box shape — the only shape eligible for the
-    /// batch engine's shared-frontier overlap groups and seed cache.
-    pub fn is_box(&self) -> bool {
-        matches!(self, QueryShape::Box(_))
-    }
 }
 
 /// Which summary an aggregate query computes.

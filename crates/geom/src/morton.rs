@@ -1,7 +1,8 @@
 //! 3-D Morton (Z-order) codes.
 //!
-//! Used by the layout ablation (`DESIGN.md` §5) as the cheap alternative
-//! to the Hilbert order: Morton has worse locality at octant boundaries
+//! Used by the layout ablation (`octopus_core::layout::morton_layout`,
+//! the `fig13_hilbert` bench) as the cheap alternative to the Hilbert
+//! order: Morton has worse locality at octant boundaries
 //! but is branch-free to compute.
 
 use crate::{Aabb, Point3};

@@ -1,7 +1,7 @@
 //! Equi-width spatial histogram for selectivity estimation.
 //!
 //! The analytical model (§IV-G) needs an estimate of query selectivity:
-//! "we use the histogram based estimation technique proposed in [2]".
+//! "we use the histogram based estimation technique proposed in \[2\]".
 //! This is the baseline equi-width member of that family: bucket counts
 //! over a uniform 3-D grid, with partial-overlap interpolation (a query
 //! covering 30 % of a bucket's volume is charged 30 % of its count).

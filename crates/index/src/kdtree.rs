@@ -1,7 +1,7 @@
 //! Throwaway median-split k-d tree, rebuilt at every time step.
 //!
 //! The second lightweight rebuild-from-scratch option the paper cites
-//! (Bentley [4], §II-A). Compared to the octree it adapts to skewed
+//! (Bentley \[4\], §II-A). Compared to the octree it adapts to skewed
 //! point distributions (median splits) at a slightly higher build cost.
 
 use crate::DynamicIndex;

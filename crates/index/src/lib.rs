@@ -5,30 +5,30 @@
 //!
 //! * [`LinearScan`] — the maintenance-free baseline; O(V) per query.
 //! * [`Octree`] — a bucketed PR octree rebuilt from scratch at every time
-//!   step (the "throwaway index" strategy of Dittrich et al. [8]); bucket
+//!   step (the "throwaway index" strategy of Dittrich et al. \[8\]); bucket
 //!   capacity 10 000 as tuned in the paper.
 //! * [`KdTree`] — median-split k-d tree, also rebuilt per step (the
-//!   second lightweight throwaway option the paper cites [4]).
+//!   second lightweight throwaway option the paper cites \[4\]).
 //! * [`RTree`] — in-memory R-tree with fanout 110 (the paper's setting),
 //!   STR bulk loading, quadratic split and condense-on-delete. Substrate
 //!   for the two spatio-temporal competitors:
-//! * [`LurTree`] — the Lazy Update R-tree of Kwon et al. [13]: a position
+//! * [`LurTree`] — the Lazy Update R-tree of Kwon et al. \[13\]: a position
 //!   update that stays inside its leaf MBR is applied in place; only
 //!   escapes pay delete + reinsert.
 //! * [`QuTrade`] — the workload-aware grace-window index of Tzoumas et
-//!   al. [24]: vertices are indexed by an enlarged box; updates only
+//!   al. \[24\]: vertices are indexed by an enlarged box; updates only
 //!   touch the tree when a vertex exits its window, and the window size
 //!   adapts so fewer than 1 % of updates do (the paper's tuning).
-//! * [`LuGrid`] — the update-tolerant grid of Xiong et al. [25]: eager
+//! * [`LuGrid`] — the update-tolerant grid of Xiong et al. \[25\]: eager
 //!   insert into the new cell, *lazy* deletion from the old one, with
 //!   stale-entry invalidation at query time and threshold compaction.
 //! * [`TwoLevelHash`] — the adaptive two-level hashing of Kwon et
-//!   al. [12]: slow objects live in a fine grid, fast objects in a
+//!   al. \[12\]: slow objects live in a fine grid, fast objects in a
 //!   coarse one, with adaptive promotion/demotion by observed escapes.
 //! * [`UniformGrid`] — the stale grid OCTOPUS-CON uses to find a start
 //!   vertex near the query (§IV-F); built once, never updated.
 //! * [`SelectivityHistogram`] — equi-width spatial histogram for the cost
-//!   model's selectivity input ([2], §IV-G).
+//!   model's selectivity input (\[2\], §IV-G).
 //!
 //! Everything implements [`DynamicIndex`], whose contract separates
 //! `on_step` (per-time-step maintenance — what the paper bills as index

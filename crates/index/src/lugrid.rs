@@ -1,6 +1,6 @@
-//! LU-Grid: update-tolerant grid indexing (Xiong, Mokbel, Aref [25]).
+//! LU-Grid: update-tolerant grid indexing (Xiong, Mokbel, Aref \[25\]).
 //!
-//! "The LU-Grid … reduce[s] the update cost by avoiding expensive index
+//! "The LU-Grid … reduce\[s\] the update cost by avoiding expensive index
 //! maintenance if the change in location of the updated object is very
 //! low" (§II-A). The disk-era design defers the expensive half of an
 //! update: when an object moves to a new grid cell, it is inserted there

@@ -1,4 +1,4 @@
-//! The Lazy Update R-tree (LUR-Tree) of Kwon et al. [13].
+//! The Lazy Update R-tree (LUR-Tree) of Kwon et al. \[13\].
 //!
 //! "The LUR-Tree … avoids costly R-Tree insertions if the object remains
 //! inside the minimum bounding rectangle of the leaf node" (§II-A). At

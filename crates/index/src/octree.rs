@@ -1,6 +1,6 @@
 //! Throwaway bucket PR octree, rebuilt from scratch at every time step.
 //!
-//! This is the paper's "lightweight throw-away spatial index [8]"
+//! This is the paper's "lightweight throw-away spatial index \[8\]"
 //! competitor: since almost every vertex moves at every step, rebuilding
 //! beats updating. "The Octree implementation uses a bucket strategy,
 //! where a node is split into eight children if it contains more than

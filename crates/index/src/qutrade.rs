@@ -1,4 +1,4 @@
-//! QU-Trade: workload-aware grace-window indexing (Tzoumas et al. [24]).
+//! QU-Trade: workload-aware grace-window indexing (Tzoumas et al. \[24\]).
 //!
 //! "Instead of indexing the moving objects, QU-Trade indexes a grace
 //! window within which the objects are expected to move. The bigger the

@@ -1,5 +1,5 @@
 //! Adaptive two-level hashing for moving objects (Kwon, Lee, Choi,
-//! Lee [12]).
+//! Lee \[12\]).
 //!
 //! "The adaptive two-level hashing approach classifies objects according
 //! to their speed of movement. Slow moving objects are indexed with a

@@ -6,7 +6,7 @@
 //! faces agree between neighbouring voxels, so the resulting tetrahedral
 //! complex is conforming: two adjacent tets share a whole triangular
 //! face. Interior vertices of a fully solid grid have degree 14, matching
-//! the paper's tetrahedral mesh degree (Fig. 4, [16]).
+//! the paper's tetrahedral mesh degree (Fig. 4, \[16\]).
 
 use crate::voxel::VoxelRegion;
 use octopus_geom::{Point3, VertexId};

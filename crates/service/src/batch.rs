@@ -1,15 +1,24 @@
-//! The parallel batch executor: a persistent worker pool over a shared
+//! The parallel plan runner: a persistent worker pool over a shared
 //! `&Octopus`, allocation-free in steady state.
+//!
+//! Every box query the service answers is a [`Plan`] run here: groups
+//! of batch indices, each with a [`Route`], claimed by the workers off
+//! one atomic cursor and reassembled in input order
+//! ([`ParallelExecutor::run_plan`]). [`ParallelExecutor::execute_batch`]
+//! runs the plan of singletons on the full surface probe; the batch
+//! engine ([`crate::BatchEngine`]) plans overlap groups, scan routes and
+//! cached probes and runs them through the same function.
 
 use crate::pool::{Task, WorkerPool};
 use crate::recycle::{RecycleStats, ResultRecycler};
 use crate::telemetry::PoolMetrics;
 use octopus_core::fault::FaultHook;
-use octopus_core::{Octopus, PhaseTimings, QueryScratch};
+use octopus_core::{Octopus, PhaseTimings, Probe, QueryScratch};
 use octopus_geom::{Aabb, VertexId};
-use octopus_mesh::Mesh;
+use octopus_mesh::{Mesh, BLOCK_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One query's answer: the matching vertex ids plus the per-phase
 /// execution statistics.
@@ -64,6 +73,209 @@ impl BatchStats {
     }
 }
 
+/// How one [`Group`] of a plan executes.
+pub(crate) enum Route {
+    /// One [`Octopus::query_group`] call (sequential crawl for a
+    /// singleton, shared frontier for more) seeded from this source.
+    Crawl(ProbePlan),
+    /// One shared pass over the positions, testing every member.
+    Scan,
+}
+
+/// Probe source of a crawl-routed group.
+pub(crate) enum ProbePlan {
+    /// Full surface probe; optionally collect seed-cache refills.
+    Surface { collect: bool },
+    /// Warm start from cached candidates (every member hit).
+    Cached(Vec<VertexId>),
+}
+
+/// Queries of one batch that execute together.
+pub(crate) struct Group {
+    /// Indices into the batch.
+    pub(crate) members: Vec<u32>,
+    pub(crate) route: Route,
+}
+
+/// The execution plan of one batch: its groups cover every batch index
+/// exactly once, and the workers claim them in this order.
+pub(crate) struct Plan {
+    pub(crate) groups: Vec<Group>,
+    /// Dilation margin of the refills `collect` probes gather.
+    pub(crate) margin: f32,
+}
+
+/// What running a [`Plan`] produced.
+pub(crate) struct PlanRun {
+    /// Per-query results, in input order.
+    pub(crate) results: Vec<QueryResult>,
+    /// Candidate lists gathered by `collect` probes, by batch index.
+    pub(crate) refills: Vec<(u32, Vec<VertexId>)>,
+    /// Distinct traversal events of the shared crawls (groups of ≥ 2);
+    /// their per-member attribution is the members' `crawl_visited`.
+    pub(crate) shared_visited: usize,
+}
+
+/// One worker's state, kept across batches so steady state reuses every
+/// capacity: the traversal scratch, what the worker staged for the
+/// current batch, and the argument arrays of the group it is executing.
+#[derive(Debug)]
+struct Worker {
+    scratch: QueryScratch,
+    /// Groups this worker's cursor fetches won in the current batch.
+    claimed: usize,
+    /// (batch index, result) pairs produced in the current batch.
+    staged: Vec<(u32, QueryResult)>,
+    refills: Vec<(u32, Vec<VertexId>)>,
+    shared_visited: usize,
+    /// The current group's member boxes, leased result buffers with
+    /// their lease generations, and per-member timings.
+    boxes: Vec<Aabb>,
+    bufs: Vec<Vec<VertexId>>,
+    generations: Vec<u32>,
+    timings: Vec<PhaseTimings>,
+}
+
+impl Worker {
+    fn new(scratch: QueryScratch) -> Worker {
+        Worker {
+            scratch,
+            claimed: 0,
+            staged: Vec::new(),
+            refills: Vec::new(),
+            shared_visited: 0,
+            boxes: Vec::new(),
+            bufs: Vec::new(),
+            generations: Vec::new(),
+            timings: Vec::new(),
+        }
+    }
+
+    /// Executes one group and stages its members' results.
+    fn run_group(
+        &mut self,
+        octopus: &Octopus,
+        mesh: &Mesh,
+        queries: &[Aabb],
+        group: &Group,
+        margin: f32,
+        recycler: &ResultRecycler,
+    ) {
+        let members = &group.members;
+        self.claimed += 1;
+        self.boxes.clear();
+        self.boxes
+            .extend(members.iter().map(|&i| queries[i as usize]));
+        self.bufs.clear();
+        self.generations.clear();
+        for _ in members {
+            let (generation, buf) = recycler.lease();
+            self.generations.push(generation);
+            self.bufs.push(buf);
+        }
+        self.timings.clear();
+        self.timings.resize(members.len(), PhaseTimings::default());
+
+        match &group.route {
+            Route::Scan => {
+                scan_group(mesh, &self.boxes, &mut self.bufs, &mut self.timings);
+                if let Some(m) = octopus.metrics() {
+                    for t in &self.timings {
+                        m.record_scan(t);
+                    }
+                }
+            }
+            Route::Crawl(plan) => {
+                let mut candidates = Vec::new();
+                let probe = match plan {
+                    ProbePlan::Surface { collect: false } => Probe::Surface,
+                    ProbePlan::Surface { collect: true } => {
+                        candidates.resize_with(members.len(), Vec::new);
+                        Probe::Collect {
+                            margin,
+                            into: &mut candidates,
+                        }
+                    }
+                    ProbePlan::Cached(c) => Probe::Cached(c),
+                };
+                let shared = octopus.query_group(
+                    &mut self.scratch,
+                    mesh,
+                    &self.boxes,
+                    probe,
+                    &mut self.bufs,
+                    &mut self.timings,
+                );
+                if members.len() >= 2 {
+                    self.shared_visited += shared;
+                }
+                self.refills.extend(members.iter().copied().zip(candidates));
+            }
+        }
+
+        let leases = self.bufs.drain(..).zip(&self.generations);
+        for ((&i, (vertices, &generation)), &timings) in
+            members.iter().zip(leases).zip(&self.timings)
+        {
+            self.staged.push((
+                i,
+                QueryResult {
+                    vertices,
+                    timings,
+                    generation,
+                },
+            ));
+        }
+    }
+}
+
+/// One shared linear scan over the positions, demultiplexed into the
+/// member `boxes`; the pass's wall time is attributed to the first
+/// member, so batch aggregation sums real time. Matches crawl semantics
+/// on orphaned vertices: range queries are defined over *active*
+/// vertices, so zero-degree position slots left behind by restructuring
+/// are skipped.
+fn scan_group(
+    mesh: &Mesh,
+    boxes: &[Aabb],
+    results: &mut [Vec<VertexId>],
+    timings: &mut [PhaseTimings],
+) {
+    let t0 = Instant::now();
+    let union = boxes.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
+    // Batched containment over the blocked SoA store: one
+    // [`PositionBlock::region_mask`] answers 16 consecutive ids against
+    // the union box in a handful of vectorisable compares, and a zero
+    // mask skips the whole block — the common case for selective
+    // queries. Per-member routing then runs only on the surviving
+    // lanes. Tail padding lanes are NaN, so their mask bits are never
+    // set and the id range needs no separate length check.
+    let blocks = mesh.position_blocks();
+    for (b, block) in blocks.blocks().iter().enumerate() {
+        let mut mask = block.region_mask(&union);
+        while mask != 0 {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let v = (b * BLOCK_LANES + l) as VertexId;
+            if mesh.neighbors(v).is_empty() {
+                continue;
+            }
+            let p = block.lane(l);
+            for (q, out) in boxes.iter().zip(results.iter_mut()) {
+                if q.contains(p) {
+                    out.push(v);
+                }
+            }
+        }
+    }
+    for (t, r) in timings.iter_mut().zip(results.iter()) {
+        t.results = r.len();
+    }
+    if let Some(first) = timings.first_mut() {
+        first.linear_scan = t0.elapsed();
+    }
+}
+
 /// A reusable pool of worker threads + per-worker scratch state
 /// executing query batches against a shared [`Octopus`] + [`Mesh`].
 ///
@@ -75,9 +287,9 @@ impl BatchStats {
 /// buffers cycle
 /// through a generation-checked free list ([`ParallelExecutor::recycle`]),
 /// so a warmed-up executor also performs **zero result-buffer
-/// allocations** per batch. Queries are distributed by work stealing —
-/// an atomic cursor over the batch — so skewed batches (one huge query
-/// among many small ones) still balance.
+/// allocations** per batch. Work is distributed by work stealing — an
+/// atomic cursor over the plan's groups — so skewed batches (one huge
+/// query among many small ones) still balance.
 ///
 /// ```
 /// use octopus_core::Octopus;
@@ -100,26 +312,18 @@ impl BatchStats {
 /// ```
 #[derive(Debug)]
 pub struct ParallelExecutor {
-    pub(crate) threads: usize,
-    pub(crate) pool: Arc<WorkerPool>,
-    pub(crate) scratches: Vec<QueryScratch>,
+    pool: Arc<WorkerPool>,
+    /// Per-worker state, grown lazily to the widest fan-out so far.
+    workers: Vec<Worker>,
     /// Generation-checked free list feeding result buffers back into
-    /// `execute_batch` (shared with the batch engine's plan executor).
-    pub(crate) recycler: ResultRecycler,
-    /// Per-worker staging of (query index, result) pairs, kept across
-    /// batches so steady state reuses their capacity.
-    worker_outs: Vec<Vec<(usize, QueryResult)>>,
+    /// the next plan's leases.
+    recycler: ResultRecycler,
     /// Input-order reassembly buffer, kept across batches.
-    pub(crate) slots: Vec<Option<QueryResult>>,
+    slots: Vec<Option<QueryResult>>,
     /// Recycled outer result vectors (capacity ≥ recent batch sizes).
-    pub(crate) free_batches: Vec<Vec<QueryResult>>,
-    /// Per-worker shared-frontier scratch for the batch engine's
-    /// overlap groups (sized lazily, reused across batches).
-    pub(crate) group_scratches: Vec<octopus_core::GroupScratch>,
-    /// Per-worker staging of the batch engine's plan executor.
-    pub(crate) plan_outs: Vec<crate::engine::PlanOut>,
+    free_batches: Vec<Vec<QueryResult>>,
     /// Pool metrics (steal accounting), attached by the telemetry layer.
-    pub(crate) metrics: Option<PoolMetrics>,
+    metrics: Option<PoolMetrics>,
 }
 
 impl ParallelExecutor {
@@ -133,21 +337,17 @@ impl ParallelExecutor {
     /// — e.g. serving different meshes — can share one set of threads).
     pub fn with_pool(pool: Arc<WorkerPool>) -> ParallelExecutor {
         ParallelExecutor {
-            threads: pool.threads(),
             pool,
-            scratches: Vec::new(),
+            workers: Vec::new(),
             recycler: ResultRecycler::default(),
-            worker_outs: Vec::new(),
             slots: Vec::new(),
             free_batches: Vec::new(),
-            group_scratches: Vec::new(),
-            plan_outs: Vec::new(),
             metrics: None,
         }
     }
 
-    /// Attaches pool metrics: from here on, batch executions record how
-    /// much imbalance the work-stealing cursor absorbed
+    /// Attaches pool metrics: from here on, plan runs record how much
+    /// imbalance the work-stealing cursor absorbed
     /// (`pool_steals_total`) on top of the pool's own submission
     /// counters.
     pub fn attach_metrics(&mut self, metrics: &PoolMetrics) {
@@ -157,7 +357,7 @@ impl ParallelExecutor {
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// The underlying persistent worker pool.
@@ -176,15 +376,10 @@ impl ParallelExecutor {
         self.pool.disarm_faults();
     }
 
-    pub(crate) fn ensure_scratches(&mut self, octopus: &Octopus, mesh: &Mesh, n: usize) {
-        while self.scratches.len() < n {
-            self.scratches.push(octopus.make_scratch(mesh));
-        }
-    }
-
     /// Executes every query in `queries` and returns their results in
-    /// input order. Workers share `octopus` and `mesh` immutably; each
-    /// owns one scratch, so results are identical to running
+    /// input order: the plan of singletons, each on the full surface
+    /// probe. Workers share `octopus` and `mesh` immutably; each owns
+    /// one scratch, so results are identical to running
     /// [`Octopus::query`] sequentially per query (the equivalence
     /// property suite asserts this, order-insensitively).
     ///
@@ -197,10 +392,33 @@ impl ParallelExecutor {
         mesh: &Mesh,
         queries: &[Aabb],
     ) -> Vec<QueryResult> {
-        let workers = self.threads.min(queries.len()).max(1);
-        self.ensure_scratches(octopus, mesh, workers);
-        while self.worker_outs.len() < workers {
-            self.worker_outs.push(Vec::new());
+        let groups = (0..queries.len() as u32)
+            .map(|i| Group {
+                members: vec![i],
+                route: Route::Crawl(ProbePlan::Surface { collect: false }),
+            })
+            .collect();
+        let plan = Plan {
+            groups,
+            margin: 0.0,
+        };
+        self.run_plan(octopus, mesh, queries, &plan).results
+    }
+
+    /// The fan-out: the plan's groups are claimed by the workers off an
+    /// atomic cursor (stolen in plan order), each group executes per its
+    /// route into leased result buffers, and everything is reassembled
+    /// in input order.
+    pub(crate) fn run_plan(
+        &mut self,
+        octopus: &Octopus,
+        mesh: &Mesh,
+        queries: &[Aabb],
+        plan: &Plan,
+    ) -> PlanRun {
+        let fan_out = self.threads().min(plan.groups.len()).max(1);
+        while self.workers.len() < fan_out {
+            self.workers.push(Worker::new(octopus.make_scratch(mesh)));
         }
 
         let cursor = AtomicUsize::new(0);
@@ -208,61 +426,62 @@ impl ParallelExecutor {
         {
             let cursor = &cursor;
             let tasks: Vec<Task<'_>> = self
-                .scratches
+                .workers
                 .iter_mut()
-                .zip(self.worker_outs.iter_mut())
-                .take(workers)
-                .map(|(scratch, mine)| {
-                    mine.clear();
+                .take(fan_out)
+                .map(|worker| {
+                    worker.claimed = 0;
+                    worker.staged.clear();
+                    worker.refills.clear();
+                    worker.shared_visited = 0;
                     Box::new(move || loop {
                         // relaxed: a work-stealing cursor — fetch_add
-                        // alone guarantees each index is claimed once;
+                        // alone guarantees each group is claimed once;
                         // results flow back through the pool's channel,
                         // which provides the ordering.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(q) = queries.get(i) else { break };
-                        let (generation, mut vertices) = recycler.lease();
-                        let timings = octopus.query_with(scratch, mesh, q, &mut vertices);
-                        mine.push((
-                            i,
-                            QueryResult {
-                                vertices,
-                                timings,
-                                generation,
-                            },
-                        ));
+                        let g = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(group) = plan.groups.get(g) else {
+                            break;
+                        };
+                        worker.run_group(octopus, mesh, queries, group, plan.margin, recycler);
                     }) as Task<'_>
                 })
                 .collect();
             self.pool.run(tasks);
         }
 
+        let workers = &mut self.workers[..fan_out];
         if let Some(m) = &self.metrics {
-            // Each worker's staged count is the number of queries its
-            // cursor fetches won; anything above an equal share was
-            // stolen from a slower worker's notional allotment.
+            // Anything a worker claimed above an equal share was stolen
+            // from a slower worker's notional allotment.
             m.record_steals(
-                self.worker_outs.iter().take(workers).map(Vec::len),
-                queries.len(),
-                workers,
+                workers.iter().map(|w| w.claimed),
+                plan.groups.len(),
+                fan_out,
             );
         }
 
         // Reassemble in input order through the persistent slot buffer.
         self.slots.clear();
         self.slots.resize_with(queries.len(), || None);
-        for mine in self.worker_outs.iter_mut().take(workers) {
-            for (i, r) in mine.drain(..) {
-                self.slots[i] = Some(r);
+        let mut run = PlanRun {
+            results: self.free_batches.pop().unwrap_or_default(),
+            refills: Vec::new(),
+            shared_visited: 0,
+        };
+        for worker in workers {
+            run.shared_visited += worker.shared_visited;
+            for (i, r) in worker.staged.drain(..) {
+                self.slots[i as usize] = Some(r);
             }
+            run.refills.append(&mut worker.refills);
         }
-        let mut results = self.free_batches.pop().unwrap_or_default();
-        results.extend(
+        run.results.extend(
             self.slots
                 .drain(..)
-                .map(|r| r.expect("work stealing covers every query")),
+                .map(|r| r.expect("the plan covers every query")),
         );
-        results
+        run
     }
 
     /// Returns a finished batch's buffers to the executor's free lists:
@@ -286,15 +505,10 @@ impl ParallelExecutor {
 
     /// Heap bytes of all pooled scratch state.
     pub fn memory_bytes(&self) -> usize {
-        self.scratches
+        self.workers
             .iter()
-            .map(QueryScratch::memory_bytes)
+            .map(|w| w.scratch.memory_bytes())
             .sum::<usize>()
-            + self
-                .group_scratches
-                .iter()
-                .map(octopus_core::GroupScratch::memory_bytes)
-                .sum::<usize>()
             + self.recycler.memory_bytes()
     }
 }

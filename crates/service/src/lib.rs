@@ -9,13 +9,15 @@
 //!   (channel/condvar based) with scoped task submission: batches are
 //!   submissions, not `thread::scope` spawns, so steady state performs
 //!   zero thread spawns.
-//! * [`ParallelExecutor`] — batch execution over the pool. The
-//!   epoch-stamped scratch design makes per-worker state reuse free:
-//!   workers share one immutable [`octopus_core::Octopus`] + `&Mesh`,
-//!   each owns a [`octopus_core::QueryScratch`], and result buffers
-//!   cycle through a generation-checked free list
-//!   ([`ParallelExecutor::recycle`]) — a warmed-up serving loop
-//!   allocates no result buffers per batch.
+//! * [`ParallelExecutor`] — the **plan runner**: every box query the
+//!   crate answers is a plan (groups of queries, each with a route and
+//!   a probe source) fanned out over the pool by one work-stealing
+//!   cursor and reassembled in input order. The epoch-stamped scratch
+//!   design makes per-worker state reuse free: workers share one
+//!   immutable [`octopus_core::Octopus`] + `&Mesh`, each owns a
+//!   [`octopus_core::QueryScratch`], and result buffers cycle through a
+//!   generation-checked free list ([`ParallelExecutor::recycle`]) — a
+//!   warmed-up serving loop allocates no result buffers per batch.
 //! * [`MonitorLoop`] — a **pipelined snapshot-ring monitor**: the
 //!   simulation runs on its own thread and publishes per-step
 //!   snapshots into a ring of configurable depth K (plus
@@ -33,7 +35,7 @@
 //!   tracked per retained step, and the permutation never racing an
 //!   in-flight step (pending re-layouts drain the pipeline first).
 //!
-//! * [`BatchEngine`] — the **batch query engine**: incoming batches are
+//! * [`BatchEngine`] — the **batch planner**: incoming batches are
 //!   sorted by the Hilbert key of each query's centroid and swept into
 //!   *overlap groups*; each group of ≥ 2 intersecting queries runs one
 //!   **shared-frontier crawl** (one BFS over the union region with a
@@ -43,11 +45,21 @@
 //!   queries from the previous step's boundary-vertex sample instead of
 //!   a full surface probe, and `Planner::decide_batch` routes each
 //!   group (shared linear scan vs. crawl) per its Eq.-6 decision
-//!   instead of one global mode.
+//!   instead of one global mode. The engine only *plans* a batch and
+//!   *absorbs* what its run produced (cache refills, the
+//!   [`EngineReport`], telemetry); the run itself is the plan runner's.
 //!   [`MonitorLoop::set_batch_engine`] wires it into the monitor's
-//!   query paths; cache entries are invalidated by
+//!   request path; cache entries are invalidated by
 //!   `Mesh::restructure_epoch` and translated through the layout
 //!   permutation on re-layout.
+//!
+//! **One request path.** `MonitorLoop::{query, query_at, query_batch,
+//! query_batch_at, step_and_query, drain_admitted}` all resolve a ring
+//! slot to a [`Snapshot`], plan the batch (the engine's plan, or the
+//! plan of singletons on the full surface probe), run it on the pool
+//! and hand the caller results to [`MonitorLoop::recycle`]. Two more
+//! routes reach the executor: the sequential shape dispatch below and a
+//! subscription's refresh crawl.
 //!
 //! * **Standing queries** ([`MonitorLoop::subscribe`]) — a registered
 //!   range query is answered per step with an incremental
@@ -58,8 +70,8 @@
 //!   invalidates the candidate set (see [`subscribe`]). Heterogeneous
 //!   [`octopus_core::QueryShape`] batches (convex regions, exact k-NN,
 //!   materialisation-free aggregates) run through
-//!   [`MonitorLoop::query_shapes`] with per-shape planner routing
-//!   ([`BatchEngine::execute_shapes`]).
+//!   [`MonitorLoop::query_shapes`]: the sequential
+//!   [`octopus_core::Octopus::query_shape`] dispatch, shape by shape.
 //!
 //! All concurrency is `std` threads + channels; results are
 //! bit-identical to the sequential executor (the crate's property
@@ -83,6 +95,7 @@ mod pool;
 mod recycle;
 mod ring;
 mod seed_cache;
+mod snapshot;
 pub mod subscribe;
 pub mod telemetry;
 
@@ -91,8 +104,10 @@ pub use admission::{
     ShedTicket, TicketId,
 };
 pub use batch::{BatchStats, ParallelExecutor, QueryResult};
-pub use engine::{BatchEngine, BatchEngineConfig, EngineReport, ShapeQueryResult};
-pub use monitor::{LayoutPolicy, MonitorLoop, Overload, RelayoutTrigger, ServiceError};
+pub use engine::{BatchEngine, BatchEngineConfig, EngineReport};
+pub use monitor::{
+    LayoutPolicy, MonitorLoop, Overload, RelayoutTrigger, ServiceError, ShapeQueryResult,
+};
 // Fault-injection primitives live in `octopus-core` (so every layer can
 // fire them); re-exported here because the service layer is where test
 // harnesses arm them ([`MonitorLoop::set_fault_hook`]).
@@ -101,6 +116,7 @@ pub use pool::{threads_spawned_total, Task, WorkerPool};
 pub use recycle::{RecycleStats, ResultRecycler};
 pub use ring::{PinError, RingLedger};
 pub use seed_cache::SeedCacheStats;
+pub use snapshot::Snapshot;
 pub use subscribe::{ResultDelta, SubscriptionId, SubscriptionStats};
 pub use telemetry::{EngineMetrics, MonitorMetrics, PoolMetrics, ServiceTelemetry};
 

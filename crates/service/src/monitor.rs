@@ -112,15 +112,16 @@ use crate::admission::{
     Admission, AdmissionConfig, AdmissionStats, AdmittedBatch, DrainOutcome, TicketId,
 };
 use crate::batch::{ParallelExecutor, QueryResult};
-use crate::engine::{BatchEngine, BatchEngineConfig, EngineReport, ShapeQueryResult};
+use crate::engine::{BatchEngine, BatchEngineConfig, EngineReport};
 use crate::recycle::RecycleStats;
 use crate::ring::RingLedger;
-use crate::seed_cache::SeedCacheStats;
+use crate::seed_cache::{self, SeedCacheStats};
+use crate::snapshot::Snapshot;
 use crate::subscribe::{ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats};
 use crate::telemetry::ServiceTelemetry;
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 use octopus_core::layout::{curve_permutation, CurveKind, LocalityTracker};
-use octopus_core::{Octopus, PhaseTimings, QueryScratch, QueryShape};
+use octopus_core::{Octopus, PhaseTimings, QueryScratch, QueryShape, ShapeResult};
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, MeshError, SurfaceDelta};
 use octopus_sim::Simulation;
@@ -266,8 +267,9 @@ impl std::fmt::Display for Overload {
 
 /// Errors surfaced by the service layer.
 ///
-/// See the [module-level failure-mode catalogue](crate::monitor#failure-mode-catalogue)
-/// for each variant's cause and the recommended caller action.
+/// The failure-mode catalogue at the top of
+/// `crates/service/src/monitor.rs` gives each variant's cause and the
+/// recommended caller action.
 #[derive(Debug)]
 pub enum ServiceError {
     /// The underlying mesh/simulation operation failed.
@@ -457,13 +459,34 @@ struct Slot {
     /// [`LayoutPolicy::Preserve`]); shared across slots until a
     /// restructuring extension or re-layout changes it.
     translation: Option<Arc<Vec<VertexId>>>,
-    /// Cumulative maximum-displacement meter at this step: per step, the
-    /// largest distance any vertex moved, summed since ingest. Two
-    /// meter readings bound the displacement of *every* vertex between
-    /// those steps — the temporal seed cache's validity gate. Only
-    /// maintained while a batch engine with an active seed cache is
-    /// attached (0 otherwise).
+    /// Cumulative maximum-displacement meter at this step (see
+    /// [`Snapshot::cum_drift`]). Only advanced while a consumer — an
+    /// engine with an active seed cache, or a subscription — is
+    /// attached.
     cum_drift: f32,
+}
+
+impl Slot {
+    /// The borrowed view every query path runs against.
+    fn view(&self) -> Snapshot<'_> {
+        Snapshot {
+            step: self.step,
+            mesh: &self.mesh,
+            exec: &self.exec,
+            cum_drift: self.cum_drift,
+        }
+    }
+}
+
+/// A shape query's answer plus its phase timings — the heterogeneous
+/// counterpart of [`QueryResult`], returned by
+/// [`MonitorLoop::query_shapes`].
+#[derive(Clone, Debug)]
+pub struct ShapeQueryResult {
+    /// The shape's answer.
+    pub result: ShapeResult,
+    /// Phase timings of the execution that produced it.
+    pub timings: PhaseTimings,
 }
 
 /// The overlapped monitor loop: owns a simulation (running on its own
@@ -552,15 +575,6 @@ impl MonitorLoop {
     /// deeper pipelines.
     pub fn new(sim: Simulation, threads: usize) -> Result<MonitorLoop, MeshError> {
         MonitorLoop::with_config(sim, threads, LayoutPolicy::Preserve, 1)
-    }
-
-    /// Like [`MonitorLoop::new`] with a layout policy, at ring depth 1.
-    pub fn with_policy(
-        sim: Simulation,
-        threads: usize,
-        policy: LayoutPolicy,
-    ) -> Result<MonitorLoop, MeshError> {
-        MonitorLoop::with_config(sim, threads, policy, 1)
     }
 
     /// Full configuration: `policy` optionally permutes the
@@ -695,16 +709,13 @@ impl MonitorLoop {
             t.admission.queue_depth.set_u64(adm.queue_depth() as u64);
         }
         let _ = latest.exec.publish_memory();
-        if let Some(engine) = &mut self.engine {
-            engine.publish_cache_metrics();
-        }
     }
 
-    /// Attaches a [`BatchEngine`] built for the latest snapshot:
-    /// `query_batch`/`query_batch_at` then route through overlap
-    /// grouping, shared-frontier crawls, Eq.-6 planner routing and the
-    /// temporal seed cache, and `query`/`query_at` warm-start from the
-    /// seed cache — all returning exactly what the plain paths return.
+    /// Attaches a [`BatchEngine`] built for the latest snapshot: every
+    /// box query — single, batch, pinned-step or admitted — is from then
+    /// on planned by it (overlap grouping, shared-frontier crawls,
+    /// Eq.-6 planner routing, seed-cache warm starts), returning exactly
+    /// what the engine-less plan of singletons returns.
     ///
     /// Cannot fail since the planner reads S off the latest slot's
     /// surface index instead of extracting it; the `Result` is what
@@ -735,11 +746,6 @@ impl MonitorLoop {
         }
         self.engine = Some(engine);
         Ok(())
-    }
-
-    /// The attached batch engine, if any.
-    pub fn batch_engine(&self) -> Option<&BatchEngine> {
-        self.engine.as_ref()
     }
 
     /// What the engine did with the last batch (`None` without an
@@ -1165,7 +1171,7 @@ impl MonitorLoop {
     ) -> Result<(Vec<QueryResult>, u32), ServiceError> {
         self.begin_step()?;
         let answered_at = self.snapshot_step();
-        let results = self.query_batch(queries);
+        let results = self.serve(self.slots.len() - 1, queries);
         if self.in_flight > 0 {
             if let Err(e) = self.finish_step() {
                 self.recycle(results);
@@ -1313,81 +1319,69 @@ impl MonitorLoop {
         self.ledger.pins(step)
     }
 
-    /// Answers one query against the latest snapshot (sequential
-    /// executor; warm-started from the seed cache when a batch engine
-    /// is attached).
-    pub fn query(&mut self, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        self.query_index(self.slots.len() - 1, q, out)
+    /// The one box-query path: resolve the slot's snapshot, plan the
+    /// batch (the attached engine's plan, or the plan of singletons on
+    /// the full surface probe), and run it on the pool. The caller owns
+    /// the results and recycles them.
+    fn serve(&mut self, slot: usize, queries: &[Aabb]) -> Vec<QueryResult> {
+        let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
+        let _span = tracer.as_ref().map(|tr| tr.span("monitor.query_batch"));
+        let snap = self.slots[slot].view();
+        match &mut self.engine {
+            Some(engine) => engine.execute(&mut self.pool, &snap, queries),
+            None => self.pool.execute_batch(snap.exec, snap.mesh, queries),
+        }
     }
 
-    /// Answers one query against the snapshot retained for `step`
-    /// (sequential executor). Any retained step may be targeted while
-    /// newer steps compute ahead — the pipelined generalisation of the
-    /// latest-step API. With a batch engine attached, repeated or
-    /// drifted queries warm-start from the temporal seed cache instead
-    /// of re-probing the surface index (results are identical — the
-    /// cache only serves provably valid candidate supersets).
+    /// A batch of one through [`MonitorLoop::serve`], copied out.
+    fn serve_one(&mut self, slot: usize, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
+        let results = self.serve(slot, std::slice::from_ref(q));
+        out.extend_from_slice(&results[0].vertices);
+        let timings = results[0].timings;
+        self.pool.recycle(results);
+        timings
+    }
+
+    /// Answers one query against the latest snapshot, appending the
+    /// matching vertices to `out` — a batch of one on the request path
+    /// every batch takes (it runs inline on the calling thread).
+    pub fn query(&mut self, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
+        self.serve_one(self.slots.len() - 1, q, out)
+    }
+
+    /// Answers one query against the snapshot retained for `step`. Any
+    /// retained step may be targeted while newer steps compute ahead —
+    /// the pipelined generalisation of the latest-step API. With a
+    /// batch engine attached, repeated or drifted queries warm-start
+    /// from the temporal seed cache instead of re-probing the surface
+    /// index (results are identical — the cache only serves provably
+    /// valid candidate supersets).
     pub fn query_at(
         &mut self,
         step: u32,
         q: &Aabb,
         out: &mut Vec<VertexId>,
     ) -> Result<PhaseTimings, ServiceError> {
-        let i = self.slot_index(step)?;
-        Ok(self.query_index(i, q, out))
-    }
-
-    fn query_index(&mut self, i: usize, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
-        let _span = tracer.as_ref().map(|tr| tr.span("monitor.query"));
-        let slot = &self.slots[i];
-        if let Some(engine) = &mut self.engine {
-            return engine.query_cached(
-                &slot.exec,
-                &slot.mesh,
-                q,
-                &mut self.scratch,
-                slot.mesh.restructure_epoch(),
-                slot.cum_drift,
-                out,
-            );
-        }
-        slot.exec.query_with(&mut self.scratch, &slot.mesh, q, out)
+        let slot = self.slot_index(step)?;
+        Ok(self.serve_one(slot, q, out))
     }
 
     /// Answers a batch against the latest snapshot on the worker pool —
-    /// through the batch engine (overlap grouping, shared frontiers,
+    /// planned by the batch engine (overlap grouping, shared frontiers,
     /// seed cache, planner routing) when one is attached.
     pub fn query_batch(&mut self, queries: &[Aabb]) -> Vec<QueryResult> {
-        self.query_batch_index(self.slots.len() - 1, queries)
+        self.serve(self.slots.len() - 1, queries)
     }
 
     /// Answers a batch against the snapshot retained for `step` on the
-    /// worker pool (engine-routed when a batch engine is attached).
+    /// worker pool (engine-planned when a batch engine is attached).
     pub fn query_batch_at(
         &mut self,
         step: u32,
         queries: &[Aabb],
     ) -> Result<Vec<QueryResult>, ServiceError> {
-        let i = self.slot_index(step)?;
-        Ok(self.query_batch_index(i, queries))
-    }
-
-    fn query_batch_index(&mut self, i: usize, queries: &[Aabb]) -> Vec<QueryResult> {
-        let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
-        let _span = tracer.as_ref().map(|tr| tr.span("monitor.query_batch"));
-        let slot = &self.slots[i];
-        match &mut self.engine {
-            Some(engine) => engine.execute(
-                &mut self.pool,
-                &slot.exec,
-                &slot.mesh,
-                queries,
-                slot.mesh.restructure_epoch(),
-                slot.cum_drift,
-            ),
-            None => self.pool.execute_batch(&slot.exec, &slot.mesh, queries),
-        }
+        let slot = self.slot_index(step)?;
+        Ok(self.serve(slot, queries))
     }
 
     /// Returns a finished batch's buffers to the executor's free lists
@@ -1406,32 +1400,21 @@ impl MonitorLoop {
     /// returns its handle. The subscription's *band* — how much
     /// cumulative drift its candidate list absorbs before a full
     /// re-crawl — defaults to 8× the mesh's typical edge length (the
-    /// seed cache's default margin). The initial result set is computed
+    /// seed cache's margin). The initial result set is computed
     /// now ([`MonitorLoop::subscription_result`]); subsequent
     /// [`MonitorLoop::poll_subscriptions`] calls return only the
     /// entered/left deltas.
     pub fn subscribe(&mut self, q: &Aabb) -> SubscriptionId {
-        let mesh = &self.latest().mesh;
-        let typical_edge = (mesh.bounding_box().volume() / mesh.num_vertices().max(1) as f64)
-            .cbrt()
-            .max(f64::MIN_POSITIVE) as f32;
-        self.subscribe_with_band(q, 8.0 * typical_edge)
+        let band = seed_cache::default_margin(&self.latest().mesh);
+        self.subscribe_with_band(q, band)
     }
 
     /// [`MonitorLoop::subscribe`] with an explicit drift band (clamped
     /// to ≥ 0; a zero band degenerates to a full re-crawl per poll —
     /// still exact, never fast).
     pub fn subscribe_with_band(&mut self, q: &Aabb, band: f32) -> SubscriptionId {
-        let slot = self.slots.back().expect("ring is never empty");
-        self.subs.subscribe(
-            *q,
-            band,
-            &slot.exec,
-            &slot.mesh,
-            &mut self.scratch,
-            slot.mesh.restructure_epoch(),
-            slot.cum_drift,
-        )
+        let snap = self.slots.back().expect("ring is never empty").view();
+        self.subs.subscribe(*q, band, &snap, &mut self.scratch)
     }
 
     /// Cancels a standing query; returns whether it existed.
@@ -1454,15 +1437,8 @@ impl MonitorLoop {
         let _span = tracer
             .as_ref()
             .map(|tr| tr.span("monitor.poll_subscriptions"));
-        let slot = self.slots.back().expect("ring is never empty");
-        let deltas = self.subs.poll_all(
-            &slot.exec,
-            &slot.mesh,
-            &mut self.scratch,
-            slot.mesh.restructure_epoch(),
-            slot.cum_drift,
-            slot.step,
-        );
+        let snap = self.slots.back().expect("ring is never empty").view();
+        let deltas = self.subs.poll_all(&snap, &mut self.scratch);
         if let Some(t) = &mut self.telemetry {
             t.monitor.subscriptions.set_u64(self.subs.len() as u64);
             t.monitor.sync_subscriptions(&self.subs.total_stats());
@@ -1481,40 +1457,19 @@ impl MonitorLoop {
         self.subs.stats(id)
     }
 
-    /// Answers one [`QueryShape`] against the latest snapshot
-    /// (engine-routed when a batch engine is attached).
+    /// Answers one [`QueryShape`] against the latest snapshot.
     pub fn query_shape(&mut self, shape: &QueryShape) -> ShapeQueryResult {
-        self.query_shapes(std::slice::from_ref(shape))
-            .pop()
-            .expect("one shape in, one result out")
+        let slot = self.slots.back().expect("ring is never empty");
+        let (result, timings) = slot.exec.query_shape(&mut self.scratch, &slot.mesh, shape);
+        ShapeQueryResult { result, timings }
     }
 
-    /// Answers a heterogeneous shape batch against the latest snapshot.
-    /// With a batch engine attached, box shapes travel the grouped
-    /// shared-frontier/seed-cache path and the other shapes are routed
-    /// per-shape by the Eq.-6 planner
-    /// ([`BatchEngine::execute_shapes`]); without one, every shape runs
-    /// the sequential [`octopus_core::Octopus::query_shape`].
+    /// Answers a heterogeneous shape batch against the latest snapshot,
+    /// in input order: every shape runs the sequential
+    /// [`octopus_core::Octopus::query_shape`] dispatch, with or without
+    /// a batch engine attached (the engine plans box batches only).
     pub fn query_shapes(&mut self, shapes: &[QueryShape]) -> Vec<ShapeQueryResult> {
-        let slot = self.slots.back().expect("ring is never empty");
-        match &mut self.engine {
-            Some(engine) => engine.execute_shapes(
-                &mut self.pool,
-                &slot.exec,
-                &slot.mesh,
-                shapes,
-                slot.mesh.restructure_epoch(),
-                slot.cum_drift,
-                &mut self.scratch,
-            ),
-            None => shapes
-                .iter()
-                .map(|s| {
-                    let (result, timings) = slot.exec.query_shape(&mut self.scratch, &slot.mesh, s);
-                    ShapeQueryResult { result, timings }
-                })
-                .collect(),
-        }
+        shapes.iter().map(|s| self.query_shape(s)).collect()
     }
 
     /// Stops the simulation thread and returns the simulation in its
@@ -1626,23 +1581,22 @@ impl MonitorLoop {
         self.admission = Some(adm);
     }
 
-    /// Whether an admission front is attached.
-    pub fn admission_enabled(&self) -> bool {
-        self.admission.is_some()
-    }
-
     /// Admission counters (`None` without admission attached).
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
         self.admission.as_ref().map(Admission::stats)
     }
 
+    /// The attached admission front, or [`ServiceError::AdmissionDisabled`].
+    fn admission(&self) -> Result<&Admission, ServiceError> {
+        self.admission
+            .as_ref()
+            .ok_or(ServiceError::AdmissionDisabled)
+    }
+
     /// Sets `tenant`'s fair-share weight (≥ 1; admitted throughput is
     /// proportional to it).
     pub fn set_tenant_weight(&mut self, tenant: u32, weight: u32) -> Result<(), ServiceError> {
-        self.admission
-            .as_ref()
-            .ok_or(ServiceError::AdmissionDisabled)?
-            .set_weight(tenant, weight);
+        self.admission()?.set_weight(tenant, weight);
         Ok(())
     }
 
@@ -1657,9 +1611,7 @@ impl MonitorLoop {
         queries: Vec<Aabb>,
         deadline: Option<Duration>,
     ) -> Result<TicketId, ServiceError> {
-        self.admission
-            .as_ref()
-            .ok_or(ServiceError::AdmissionDisabled)?
+        self.admission()?
             .enqueue(tenant, queries, deadline, Instant::now())
     }
 
@@ -1669,19 +1621,15 @@ impl MonitorLoop {
     /// everything deadline shedding dropped on the way. Recycle each
     /// batch's buffers via [`MonitorLoop::recycle`].
     pub fn drain_admitted(&mut self, max_batches: usize) -> Result<DrainOutcome, ServiceError> {
-        // Taken out for the duration of the drain: `query_batch` needs
-        // `&mut self` while the front is borrowed. The front's methods
-        // are all `&self` (internally locked), so this is purely a
-        // borrow-checker accommodation, not a concurrency requirement.
-        let Some(adm) = self.admission.take() else {
-            return Err(ServiceError::AdmissionDisabled);
-        };
+        // The front is only ever borrowed, one call at a time: a worker
+        // panic re-thrown out of `serve` leaves it — and every batch
+        // still queued in it — in place.
         let mut out = DrainOutcome::default();
         while out.batches.len() < max_batches {
-            let Some(a) = adm.next_admitted(Instant::now()) else {
+            let Some(a) = self.admission()?.next_admitted(Instant::now()) else {
                 break;
             };
-            let results = self.query_batch(&a.queries);
+            let results = self.serve(self.slots.len() - 1, &a.queries);
             out.batches.push(AdmittedBatch {
                 ticket: a.ticket,
                 tenant: a.tenant,
@@ -1689,8 +1637,7 @@ impl MonitorLoop {
                 results,
             });
         }
-        out.shed = adm.take_shed();
-        self.admission = Some(adm);
+        out.shed = self.admission()?.take_shed();
         Ok(out)
     }
 }

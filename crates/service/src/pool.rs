@@ -81,7 +81,7 @@ fn inject_task_fault(fault: &FaultCell) {
 static THREADS_SPAWNED: StaticCounter = StaticCounter::new();
 
 /// Total worker threads spawned by the service layer so far in this
-/// process (instrumentation; see [`THREADS_SPAWNED`]'s doc).
+/// process (instrumentation behind the zero-spawn steady-state tests).
 pub fn threads_spawned_total() -> usize {
     THREADS_SPAWNED.value() as usize
 }

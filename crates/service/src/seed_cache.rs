@@ -6,14 +6,14 @@
 //! near-perfect seed set. The cache stores, per quantised query box, the
 //! **boundary-vertex sample** collected by the last full probe: every
 //! surface vertex inside the query box dilated by a fixed margin
-//! ([`octopus_core::Octopus::query_collecting`]). A later lookup is a
+//! ([`octopus_core::Probe::Collect`]). A later lookup is a
 //! *hit* when the dilation still provably covers the query after the
 //! deformation drift accumulated since the entry was collected — a
 //! vertex can have moved at most the per-step maximum displacement
 //! summed over the elapsed steps, so
 //! `q.dilated(drift) ⊆ entry.q.dilated(margin)` guarantees the cached
 //! sample is a superset of `surface ∩ q` at the *current* positions.
-//! That is exactly [`octopus_core::Octopus::query_seeded`]'s exactness
+//! That is exactly [`octopus_core::Probe::Cached`]'s exactness
 //! contract: warm-started results equal the full probe, always.
 //!
 //! Invalidation rules:
@@ -28,9 +28,21 @@
 //!   full probe, which refills the entry.
 
 use octopus_geom::{hilbert::quantize, Aabb, VertexId};
+use octopus_mesh::Mesh;
 use std::collections::{HashMap, VecDeque};
 
-/// Hit/miss/invalidation counters of a [`SeedCache`].
+/// How much cumulative drift a candidate list collected on `mesh`
+/// absorbs by default: 8 typical edge lengths. Larger, and entries
+/// survive more drift but candidate lists grow. The seed cache's
+/// dilation margin and a standing query's default band are both this.
+pub(crate) fn default_margin(mesh: &Mesh) -> f32 {
+    let typical_edge = (mesh.bounding_box().volume() / mesh.num_vertices().max(1) as f64)
+        .cbrt()
+        .max(f64::MIN_POSITIVE) as f32;
+    8.0 * typical_edge
+}
+
+/// Hit/miss/invalidation counters of the temporal seed cache.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SeedCacheStats {
     /// Lookups that found a provably still-valid entry.

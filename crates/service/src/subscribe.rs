@@ -4,8 +4,8 @@
 //! A monitoring client that re-issues the same range query every step
 //! pays a full probe → walk → crawl per step even though almost nothing
 //! changed: per-step vertex displacement is tiny relative to the query
-//! extent (the same observation the temporal seed cache exploits, see
-//! [`crate::seed_cache`]). A *subscription* turns that repeated query
+//! extent (the same observation the batch engine's temporal seed cache
+//! exploits). A *subscription* turns that repeated query
 //! into a standing one and answers each poll with a
 //! [`ResultDelta`] — the vertices that entered and left the result set
 //! since the previous poll — computed without re-executing the query:
@@ -41,9 +41,9 @@
 //! verifies that cumulatively applied deltas reproduce a fresh full
 //! query at every polled step, across restructures and re-layouts.
 
-use octopus_core::{Octopus, QueryScratch};
+use crate::snapshot::Snapshot;
+use octopus_core::QueryScratch;
 use octopus_geom::{Aabb, VertexId};
-use octopus_mesh::Mesh;
 
 /// Opaque handle of a standing query registered with
 /// [`crate::MonitorLoop::subscribe`].
@@ -143,16 +143,12 @@ impl SubscriptionRegistry {
 
     /// Registers a standing query and runs its initial refresh against
     /// the given snapshot.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn subscribe(
         &mut self,
         query: Aabb,
         band: f32,
-        exec: &Octopus,
-        mesh: &Mesh,
+        snap: &Snapshot<'_>,
         scratch: &mut QueryScratch,
-        epoch: u64,
-        cum_drift: f32,
     ) -> SubscriptionId {
         let id = self.next_id;
         self.next_id += 1;
@@ -160,22 +156,14 @@ impl SubscriptionRegistry {
             id,
             query,
             band: band.max(0.0),
-            ref_drift: cum_drift,
-            ref_epoch: epoch,
+            ref_drift: snap.cum_drift,
+            ref_epoch: snap.mesh.restructure_epoch(),
             needs_refresh: false,
             candidates: Vec::new(),
             members: Vec::new(),
             stats: SubscriptionStats::default(),
         };
-        refresh(
-            &mut sub,
-            &mut self.buf,
-            exec,
-            mesh,
-            scratch,
-            epoch,
-            cum_drift,
-        );
+        refresh(&mut sub, &mut self.buf, snap, scratch);
         sub.members = sub
             .candidates
             .iter()
@@ -251,28 +239,23 @@ impl SubscriptionRegistry {
 
     /// Polls every subscription against one snapshot, returning each
     /// subscription's delta since its previous poll.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn poll_all(
         &mut self,
-        exec: &Octopus,
-        mesh: &Mesh,
+        snap: &Snapshot<'_>,
         scratch: &mut QueryScratch,
-        epoch: u64,
-        cum_drift: f32,
-        step: u32,
     ) -> Vec<(SubscriptionId, ResultDelta)> {
         let mut out = Vec::with_capacity(self.subs.len());
         for sub in &mut self.subs {
             sub.stats.polls += 1;
+            let drift = snap.cum_drift - sub.ref_drift;
             let delta_valid = !sub.needs_refresh
-                && epoch == sub.ref_epoch
-                && cum_drift >= sub.ref_drift
-                && (cum_drift - sub.ref_drift) < sub.band;
+                && snap.mesh.restructure_epoch() == sub.ref_epoch
+                && snap.cum_drift >= sub.ref_drift
+                && drift < sub.band;
             if delta_valid {
                 // Fast path: only the prefix within the accumulated
                 // drift of the boundary can have changed membership.
-                let drift = cum_drift - sub.ref_drift;
-                let positions = mesh.positions();
+                let positions = snap.mesh.positions();
                 let mut retested = 0u64;
                 for c in sub.candidates.iter_mut() {
                     if c.boundary_dist > drift {
@@ -284,7 +267,7 @@ impl SubscriptionRegistry {
                 sub.stats.delta_polls += 1;
                 sub.stats.retested += retested;
             } else {
-                refresh(sub, &mut self.buf, exec, mesh, scratch, epoch, cum_drift);
+                refresh(sub, &mut self.buf, snap, scratch);
             }
             let mut now: Vec<VertexId> = sub
                 .candidates
@@ -300,7 +283,7 @@ impl SubscriptionRegistry {
             out.push((
                 SubscriptionId(sub.id),
                 ResultDelta {
-                    step,
+                    step: snap.step,
                     entered,
                     left,
                 },
@@ -315,16 +298,13 @@ impl SubscriptionRegistry {
 fn refresh(
     sub: &mut Subscription,
     buf: &mut Vec<VertexId>,
-    exec: &Octopus,
-    mesh: &Mesh,
+    snap: &Snapshot<'_>,
     scratch: &mut QueryScratch,
-    epoch: u64,
-    cum_drift: f32,
 ) {
     buf.clear();
     let dilated = sub.query.dilated(sub.band);
-    exec.query_with(scratch, mesh, &dilated, buf);
-    let positions = mesh.positions();
+    snap.exec.query_with(scratch, snap.mesh, &dilated, buf);
+    let positions = snap.mesh.positions();
     sub.candidates.clear();
     sub.candidates.reserve(buf.len());
     for &v in buf.iter() {
@@ -340,8 +320,8 @@ fn refresh(
             .total_cmp(&b.boundary_dist)
             .then(a.v.cmp(&b.v))
     });
-    sub.ref_drift = cum_drift;
-    sub.ref_epoch = epoch;
+    sub.ref_drift = snap.cum_drift;
+    sub.ref_epoch = snap.mesh.restructure_epoch();
     sub.needs_refresh = false;
     sub.stats.full_refreshes += 1;
 }

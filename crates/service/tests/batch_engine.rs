@@ -6,16 +6,18 @@
 //! overlapping batch, the shared crawl performs strictly fewer traversal
 //! events than independent crawls.
 
-use octopus_core::Octopus;
+use octopus_core::{AggregateKind, ExecutorMetrics, Octopus, QueryShape, ShapeResult};
 use octopus_geom::rng::SplitMix64;
-use octopus_geom::{Aabb, Point3, VertexId};
+use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_service::{
-    BatchEngine, BatchEngineConfig, LayoutPolicy, MonitorLoop, ParallelExecutor, RelayoutTrigger,
+    BatchEngine, BatchEngineConfig, EngineMetrics, LayoutPolicy, MonitorLoop, ParallelExecutor,
+    RelayoutTrigger, Snapshot,
 };
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
-use octopus_testkit::{box_mesh, mixed_workload, sorted};
+use octopus_telemetry::Registry;
+use octopus_testkit::{box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sorted};
 use proptest::prelude::*;
 
 fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
@@ -37,6 +39,17 @@ fn engine_for(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
     BatchEngine::new(cfg, &Octopus::new(mesh).unwrap(), mesh)
 }
 
+/// `mesh` as the engine sees a retained step, at meter reading
+/// `cum_drift`.
+fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, cum_drift: f32) -> Snapshot<'a> {
+    Snapshot {
+        step: 0,
+        mesh,
+        exec,
+        cum_drift,
+    }
+}
+
 fn assert_engine_equivalent(
     engine: &mut BatchEngine,
     pool: &mut ParallelExecutor,
@@ -45,16 +58,20 @@ fn assert_engine_equivalent(
     cum_drift: f32,
     ctx: &str,
 ) {
-    let expected = sequential_reference(mesh, queries);
     let octopus = Octopus::new(mesh).unwrap();
-    let results = engine.execute(
-        pool,
-        &octopus,
-        mesh,
-        queries,
-        mesh.restructure_epoch(),
-        cum_drift,
-    );
+    let snap = static_snapshot(&octopus, mesh, cum_drift);
+    assert_engine_equivalent_at(engine, pool, &snap, queries, ctx);
+}
+
+fn assert_engine_equivalent_at(
+    engine: &mut BatchEngine,
+    pool: &mut ParallelExecutor,
+    snap: &Snapshot<'_>,
+    queries: &[Aabb],
+    ctx: &str,
+) {
+    let expected = sequential_reference(snap.mesh, queries);
+    let results = engine.execute(pool, snap, queries);
     assert_eq!(results.len(), queries.len(), "{ctx}");
     for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
         assert_eq!(
@@ -205,7 +222,9 @@ proptest! {
 
 /// Planner routing (incl. the shared linear scan and the hoisted
 /// `decide_batch`) on a deformation-only workload: big queries cross the
-/// Eq.-6 crossover and route to the scan, small ones crawl — all exact.
+/// Eq.-6 crossover and route to the scan, small ones crawl — all exact,
+/// and all of them — scan-routed included — visible to the executor's
+/// telemetry.
 #[test]
 fn planner_routed_batches_match_sequential() {
     let mesh = box_mesh(8);
@@ -213,15 +232,33 @@ fn planner_routed_batches_match_sequential() {
     // Broad queries: high selectivity ⇒ LinearScan decisions.
     queries.push(Aabb::new(Point3::splat(-0.1), Point3::splat(1.1)));
     queries.push(Aabb::new(Point3::splat(0.1), Point3::splat(0.95)));
-    let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
+    let registry = Registry::new(true);
+    let octopus = Octopus::new(&mesh).unwrap();
+    octopus.attach_metrics(&ExecutorMetrics::register(&registry));
+    let mut engine = BatchEngine::new(BatchEngineConfig::default(), &octopus, &mesh);
+    engine.attach_metrics(&EngineMetrics::register(&registry));
     let mut pool = ParallelExecutor::new(3);
-    assert_engine_equivalent(
+    assert_engine_equivalent_at(
         &mut engine,
         &mut pool,
-        &mesh,
+        &static_snapshot(&octopus, &mesh, 0.0),
         &queries,
-        0.0,
         "planner-routed",
+    );
+    let telemetry = registry.snapshot();
+    assert_eq!(
+        telemetry.counter("executor_queries_total"),
+        queries.len() as u64,
+        "every query of the batch is an executed query, whatever its route"
+    );
+    assert!(telemetry.counter("engine_scan_queries_total") >= 2);
+    assert!(
+        telemetry
+            .histogram("executor_phase_ns_linear_scan")
+            .unwrap()
+            .count
+            >= 1,
+        "the shared scan pass must land in the linear-scan phase histogram"
     );
     let report = engine.report();
     assert!(
@@ -257,8 +294,14 @@ fn pre_attach_ring_snapshots_never_share_cache_entries() {
     }
     let retained = monitor.retained_steps();
     assert!(retained.end() - retained.start() >= 2, "need ≥3 slots");
+    // Planner off: a single query takes the same request path as a
+    // batch, and Eq. 6 would send this broad box to the scan, which
+    // never consults the cache under test.
     monitor
-        .set_batch_engine(BatchEngineConfig::default())
+        .set_batch_engine(BatchEngineConfig {
+            use_planner: false,
+            ..BatchEngineConfig::default()
+        })
         .unwrap();
 
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
@@ -307,22 +350,22 @@ fn group_fallback_counts_no_phantom_hits() {
     );
     let mut pool = ParallelExecutor::new(2);
     let octopus = Octopus::new(&mesh).unwrap();
-    let epoch = mesh.restructure_epoch();
+    let snap = static_snapshot(&octopus, &mesh, 0.0);
 
-    let r = engine.execute(&mut pool, &octopus, &mesh, &[q1, q2], epoch, 0.0);
+    let r = engine.execute(&mut pool, &snap, &[q1, q2]);
     pool.recycle(r);
     assert_eq!(engine.cache_stats().hits, 0, "cold batch");
 
     // q3 has no entry: the [q1, q3] group must fall back — q1's valid
     // entry is not used, so hits stay 0 and both queries count misses.
-    let r = engine.execute(&mut pool, &octopus, &mesh, &[q1, q3], epoch, 0.0);
+    let r = engine.execute(&mut pool, &snap, &[q1, q3]);
     pool.recycle(r);
     let stats = engine.cache_stats();
     assert_eq!(stats.hits, 0, "no member warm-started: {stats:?}");
     assert_eq!(engine.report().cache_seeded, 0);
 
     // Now everything is cached: the same batch hits for both members.
-    let r = engine.execute(&mut pool, &octopus, &mesh, &[q1, q3], epoch, 0.0);
+    let r = engine.execute(&mut pool, &snap, &[q1, q3]);
     pool.recycle(r);
     let stats = engine.cache_stats();
     assert_eq!(stats.hits, 2, "fully cached group warm-starts: {stats:?}");
@@ -368,7 +411,6 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
         BatchEngineConfig {
             use_planner: false,
             use_seed_cache: false,
-            ..BatchEngineConfig::default()
         },
         &mesh,
     );
@@ -513,5 +555,98 @@ fn engine_serves_retained_ring_steps_exactly() {
             }
             monitor.recycle(again);
         }
+    }
+}
+
+/// The shape entry point: `MonitorLoop::query_shapes` over every shape
+/// kind equals brute force over the snapshot's active vertices, with
+/// and without a batch engine attached, before and after a
+/// restructuring step.
+#[test]
+fn query_shapes_match_brute_force_with_and_without_an_engine() {
+    let centre = Point3::splat(0.45);
+    let region = Aabb::cube(centre, 0.3);
+    let clipped = ConvexRegion::new(
+        region,
+        vec![Halfspace::through(centre, Vec3::new(1.0, 0.5, 0.25))],
+    );
+    let shapes = [
+        QueryShape::Box(region),
+        QueryShape::Convex(clipped),
+        QueryShape::KNearest {
+            k: 9,
+            point: centre,
+        },
+        QueryShape::KNearest {
+            k: 5,
+            point: Point3::splat(2.0),
+        },
+        QueryShape::Aggregate {
+            region,
+            kind: AggregateKind::Count,
+        },
+        QueryShape::Aggregate {
+            region,
+            kind: AggregateKind::Centroid,
+        },
+    ];
+    for with_engine in [false, true] {
+        let mut base = box_mesh(5);
+        base.enable_restructuring().unwrap();
+        let sim = Simulation::new(base, Box::new(SmoothRandomField::new(0.006, 3, 0x5A)))
+            .with_restructuring(RestructureSchedule::new(2, 2, 0xC4))
+            .unwrap();
+        let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+        if with_engine {
+            monitor
+                .set_batch_engine(BatchEngineConfig::default())
+                .unwrap();
+        }
+        let ingest_epoch = monitor.snapshot().restructure_epoch();
+        for step in 0..=2u32 {
+            if step > 0 {
+                monitor.begin_step().unwrap();
+                monitor.finish_step().unwrap();
+            }
+            let answers = monitor.query_shapes(&shapes);
+            let mesh = monitor.snapshot();
+            for (i, (shape, answer)) in shapes.iter().zip(&answers).enumerate() {
+                let ctx = format!("engine {with_engine}, step {step}, shape {i}");
+                let ids = || sorted(answer.result.vertices().expect("an id list").to_vec());
+                match shape {
+                    QueryShape::Box(q) => assert_eq!(ids(), scan_active(mesh, q), "{ctx}"),
+                    QueryShape::Convex(r) => assert_eq!(ids(), scan_region(mesh, r), "{ctx}"),
+                    QueryShape::KNearest { k, point } => assert_eq!(
+                        answer.result.vertices().expect("an id list"),
+                        knn_scan(mesh, *k, *point),
+                        "{ctx}: ascending (distance, id)"
+                    ),
+                    QueryShape::Aggregate { region, kind } => {
+                        let members = scan_active(mesh, region);
+                        let ShapeResult::Aggregate(value) = &answer.result else {
+                            panic!("{ctx}: aggregates materialise no ids");
+                        };
+                        assert_eq!(value.count, members.len(), "{ctx}");
+                        assert_eq!(
+                            value.centroid.is_some(),
+                            *kind == AggregateKind::Centroid,
+                            "{ctx}"
+                        );
+                        if let Some(c) = value.centroid {
+                            let n = members.len() as f32;
+                            let mean = members.iter().fold(Vec3::new(0.0, 0.0, 0.0), |acc, &v| {
+                                acc + mesh.position(v).to_vec() * (1.0 / n)
+                            });
+                            assert!((c.to_vec() - mean).length() < 1e-4, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_ne!(
+            monitor.snapshot().restructure_epoch(),
+            ingest_epoch,
+            "the last step must have restructured"
+        );
     }
 }

@@ -14,7 +14,7 @@ use octopus_service::{
 };
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
-use octopus_testkit::{box_mesh, sorted, with_watchdog, FailPoint};
+use octopus_testkit::{box_mesh, scan, sorted, with_watchdog, FailPoint};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -543,6 +543,52 @@ fn recycler_stays_coherent_across_sim_death_and_restart() {
             "free list survived the death/restart cycle: {s:?}"
         );
         assert!(s.free <= s.leased);
+        monitor.shutdown().unwrap();
+    });
+}
+
+// ---------------------------------------------------------------------
+// Worker-task panic under admission: the front outlives the unwind.
+// ---------------------------------------------------------------------
+
+#[test]
+fn admission_front_survives_a_contained_worker_panic() {
+    with_watchdog("admission_panic", WATCHDOG, || {
+        let mut monitor =
+            MonitorLoop::with_config(make_sim(box_mesh(4), 67), 2, LayoutPolicy::Preserve, 1)
+                .unwrap();
+        monitor.set_admission(AdmissionConfig::default());
+        monitor.enqueue(0, step_queries(1), None).unwrap();
+        monitor.enqueue(0, step_queries(2), None).unwrap();
+
+        // The pool re-throws a worker-task panic on the caller by
+        // design; a caller that contains it must find the front — and
+        // the batch still queued in it — where it left them.
+        let fp = Arc::new(FailPoint::new().worker_panic_on_task(1));
+        monitor.set_fault_hook(Arc::clone(&fp) as Arc<_>);
+        let drained = catch_unwind(AssertUnwindSafe(|| monitor.drain_admitted(1)));
+        assert!(drained.is_err(), "the injected panic reaches the caller");
+        assert_eq!(fp.worker_panics(), 1);
+        monitor.clear_fault_hook();
+
+        let stats = monitor
+            .admission_stats()
+            .expect("the admission front must survive the unwind");
+        assert_eq!(stats.queue_depth, 1, "the second batch is still queued");
+        monitor
+            .enqueue(0, step_queries(3), None)
+            .expect("and the front still admits");
+        let out = monitor.drain_admitted(usize::MAX).unwrap();
+        assert_eq!(out.batches.len(), 2);
+        for (batch, step) in out.batches.iter().zip([2, 3]) {
+            for (i, (got, q)) in batch.results.iter().zip(&step_queries(step)).enumerate() {
+                assert_eq!(
+                    sorted(got.vertices.clone()),
+                    scan(monitor.snapshot(), q),
+                    "surviving batch {step}, query {i}"
+                );
+            }
+        }
         monitor.shutdown().unwrap();
     });
 }

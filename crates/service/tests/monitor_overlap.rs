@@ -438,12 +438,13 @@ fn hilbert_layout_policy_matches_reference_through_translation() {
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 123)))
         .with_restructuring(RestructureSchedule::new(3, 2, 0xD1CE))
         .unwrap();
-    let mut monitor = MonitorLoop::with_policy(
+    let mut monitor = MonitorLoop::with_config(
         sim,
         2,
         LayoutPolicy::Hilbert {
             trigger: RelayoutTrigger::AfterRestructures(2),
         },
+        1,
     )
     .unwrap();
     assert!(monitor.vertex_translation().is_some());

@@ -102,7 +102,7 @@ impl Tracer {
     }
 
     /// Export retained spans as a chrome://tracing JSON document
-    /// (load via chrome://tracing or https://ui.perfetto.dev). Events
+    /// (load via chrome://tracing or <https://ui.perfetto.dev>). Events
     /// are complete-phase (`"ph":"X"`) with microsecond timestamps,
     /// sorted by start time.
     pub fn chrome_trace_json(&self) -> String {

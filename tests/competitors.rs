@@ -1,4 +1,4 @@
-//! Cross-validation of every competitor index (DESIGN.md §7.3): all
+//! Cross-validation of every competitor index: all
 //! exact approaches must return scan-identical results after arbitrary
 //! update patterns — the precondition for any of the paper's performance
 //! comparisons to be meaningful.

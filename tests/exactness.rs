@@ -1,4 +1,4 @@
-//! THE core invariant of the reproduction (DESIGN.md §7.1):
+//! THE core invariant of the reproduction:
 //! `Octopus::query` returns exactly the linear-scan ground truth — on
 //! arbitrary (random, non-convex, multi-component) meshes, under
 //! arbitrary deformation, for arbitrary queries.
@@ -129,7 +129,7 @@ proptest! {
         let octopus = Octopus::new(&mesh).unwrap();
         let mut scratch = octopus.make_scratch(&mesh);
         let mut out = Vec::new();
-        octopus.query_region(&mut scratch, &mesh, &region, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &region, &mut out);
         out.sort_unstable();
         let expected: Vec<VertexId> = scan(&mesh, &bounds)
             .into_iter()

@@ -1,5 +1,5 @@
-//! Cost-model identities (DESIGN.md §7.5), Hilbert-curve bijectivity
-//! (§7.4) and layout-permutation equivalence, over randomised inputs.
+//! Cost-model identities, Hilbert-curve bijectivity and
+//! layout-permutation equivalence, over randomised inputs.
 
 use octopus::geom::{hilbert, morton};
 use octopus::prelude::*;

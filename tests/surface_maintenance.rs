@@ -1,4 +1,4 @@
-//! Surface invariance and incremental maintenance (DESIGN.md §7.2):
+//! Surface invariance and incremental maintenance:
 //! deformation never changes the surface; restructuring deltas applied to
 //! a [`SurfaceIndex`] always equal a from-scratch rebuild.
 
@@ -252,7 +252,8 @@ fn inherited_algorithm1_gap_is_pinned() {
     );
 }
 
-/// The component-aware extension (DESIGN.md): a query clipping component
+/// The component-aware extension (the reproduction finding documented on
+/// `ComponentMap` in `crates/core/src/executor.rs`): a query clipping component
 /// A's surface while enclosing interior material of component B — with
 /// B's intervening surface vertices deformed out of the query — must
 /// still return B's interior vertices. Plain Algorithm 1 skips the walk
