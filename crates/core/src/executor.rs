@@ -4,6 +4,7 @@ use crate::crawler::{greedy_walk, Crawler, EpochStamps};
 use crate::frontier::{GroupScratch, MAX_GROUP};
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
+use crate::surface_grid::SurfaceGrid;
 use crate::surface_index::SurfaceIndex;
 use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
@@ -15,13 +16,11 @@ use std::time::{Duration, Instant};
 /// material of the paper's Fig. 9(b) and Fig. 10(a) breakdowns.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Time spent scanning the surface index (zero when the query was
-    /// seeded from a cached candidate list instead).
+    /// Time spent in the surface probe, whichever [`Probe`] ran it.
     pub surface_probe: Duration,
-    /// Time spent probing a seed-cache candidate list instead of the
-    /// full surface index (zero on the surface-probe path) — kept
-    /// separate so aggregated bench output attributes seed-cache hits
-    /// and surface-index probes to distinct phases.
+    /// Always zero: no probe runs from a cached candidate list any
+    /// more. The field stays because the repository benchmark's
+    /// recorder reads it; it goes when a benchmark change drops it.
     pub cache_probe: Duration,
     /// Time spent in a planner-routed shared linear scan (zero on the
     /// probe/crawl path).
@@ -37,9 +36,10 @@ pub struct PhaseTimings {
     pub walk_visited: usize,
     /// Vertices examined during the crawl (result + frontier).
     pub crawl_visited: usize,
-    /// Queries whose seeds came from a cached candidate list (0 or 1
-    /// for a single query; additive under accumulation).
-    pub cache_seeded: usize,
+    /// Surface ids a [`Probe::Grid`] visited (zero under
+    /// [`Probe::Surface`], which visits all S) — against S it is what
+    /// the grid saved.
+    pub grid_candidates: usize,
     /// Result size.
     pub results: usize,
 }
@@ -64,7 +64,7 @@ impl PhaseTimings {
         self.start_vertices += other.start_vertices;
         self.walk_visited += other.walk_visited;
         self.crawl_visited += other.crawl_visited;
-        self.cache_seeded += other.cache_seeded;
+        self.grid_candidates += other.grid_candidates;
         self.results += other.results;
     }
 }
@@ -371,9 +371,10 @@ impl Octopus {
     /// [`Octopus::query`] through a shared reference, using
     /// caller-provided scratch (from [`Octopus::make_scratch`]), over
     /// any [`Region`] — a box, or the generalised crawl predicate behind
-    /// [`QueryShape::Convex`]. This is the concurrent entry point: many
-    /// threads may call it simultaneously on one `&Octopus` + one
-    /// `&Mesh`, each with its own scratch and output vector.
+    /// [`QueryShape::Convex`] — seeded by `probe`. This is the
+    /// concurrent entry point: many threads may call it simultaneously
+    /// on one `&Octopus` + one `&Mesh`, each with its own scratch and
+    /// output vector.
     ///
     /// Monomorphised per region type, so the box path pays nothing for
     /// the generality: probe and crawl test the region's containment,
@@ -386,26 +387,9 @@ impl Octopus {
         scratch: &mut QueryScratch,
         mesh: &Mesh,
         region: &R,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        self.run_probed(scratch, mesh, region, out, Probe::Surface)
-    }
-
-    /// Algorithm 1 for one region under `probe`, recorded under the
-    /// probe's [`ExecMode`].
-    fn run_probed<R: Region>(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        region: &R,
-        out: &mut Vec<VertexId>,
         probe: Probe<'_>,
+        out: &mut Vec<VertexId>,
     ) -> PhaseTimings {
-        let mode = match probe {
-            Probe::Surface => ExecMode::Fresh,
-            Probe::Cached(_) => ExecMode::Seeded,
-            Probe::Collect { .. } => ExecMode::Collect,
-        };
         let t = run_query(
             &self.surface,
             &self.components,
@@ -415,7 +399,7 @@ impl Octopus {
             out,
             probe,
         );
-        self.note(mode, &t);
+        self.note(ExecMode::Fresh, &t);
         t
     }
 
@@ -437,17 +421,10 @@ impl Octopus {
         mesh: &Mesh,
         k: usize,
         point: Point3,
+        probe: Probe<'_>,
         out: &mut Vec<VertexId>,
     ) -> PhaseTimings {
-        let t = run_knn(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            k,
-            point,
-            out,
-        );
+        let t = run_knn(self, scratch, mesh, k, point, out, probe);
         self.note(ExecMode::Knn, &t);
         t
     }
@@ -465,29 +442,32 @@ impl Octopus {
         mesh: &Mesh,
         q: &Aabb,
         kind: AggregateKind,
+        probe: Probe<'_>,
     ) -> (AggregateValue, PhaseTimings) {
-        let (value, t) = run_aggregate(&self.surface, &self.components, scratch, mesh, q, kind);
+        let (value, t) = run_aggregate(self, scratch, mesh, q, kind, probe);
         self.note(ExecMode::Aggregate, &t);
         (value, t)
     }
 
     /// Answers any [`QueryShape`] — the uniform dispatch point the
-    /// monitor serves shape batches through.
+    /// monitor serves shape batches through; every box query the shape
+    /// reduces to is seeded by `probe`.
     pub fn query_shape(
         &self,
         scratch: &mut QueryScratch,
         mesh: &Mesh,
         shape: &QueryShape,
+        probe: Probe<'_>,
     ) -> (ShapeResult, PhaseTimings) {
         let mut out = Vec::new();
         let t = match shape {
-            QueryShape::Box(q) => self.query_with(scratch, mesh, q, &mut out),
-            QueryShape::Convex(r) => self.query_with(scratch, mesh, r, &mut out),
+            QueryShape::Box(q) => self.query_with(scratch, mesh, q, probe, &mut out),
+            QueryShape::Convex(r) => self.query_with(scratch, mesh, r, probe, &mut out),
             QueryShape::KNearest { k, point } => {
-                self.query_knn(scratch, mesh, *k, *point, &mut out)
+                self.query_knn(scratch, mesh, *k, *point, probe, &mut out)
             }
             QueryShape::Aggregate { region, kind } => {
-                let (value, t) = self.query_aggregate(scratch, mesh, region, *kind);
+                let (value, t) = self.query_aggregate(scratch, mesh, region, *kind, probe);
                 return (ShapeResult::Aggregate(value), t);
             }
         };
@@ -524,17 +504,20 @@ impl Octopus {
     /// what sharing saved (equal for a group of one).
     ///
     /// # Exactness contract of the probes
-    /// [`Probe::Cached`] results equal [`Probe::Surface`] results
-    /// **iff** the candidate list is a superset of `surface ∩ q` at the
-    /// mesh's *current* positions, for every member `q` (extraneous
-    /// candidates are filtered by the same containment test).
-    /// [`Probe::Collect`] lists satisfy that for any later box `q'` with
-    /// `q'.dilated(drift) ⊆ q.dilated(margin)`, where `drift` bounds the
-    /// per-vertex displacement accumulated since the collecting call.
+    /// [`Probe::Grid`] results equal [`Probe::Surface`] results **iff**
+    /// `reach` is at least the largest per-axis distance any surface
+    /// vertex of `mesh` lies from its anchor in `grid`
+    /// ([`SurfaceGrid::reach`] at the mesh's *current* positions) and
+    /// `grid` buckets exactly this executor's surface ids: the cells
+    /// overlapping a member box dilated by `reach` then hold every
+    /// surface vertex inside the box, and every visited id passes the
+    /// same containment test the full probe applies (see
+    /// [`crate::surface_grid`]). A group probes the cells of its union
+    /// box once.
     ///
     /// # Panics
-    /// When `queries.len() > MAX_GROUP`, or the `results`, `timings` or
-    /// [`Probe::Collect`] arities don't match `queries`.
+    /// When `queries.len() > MAX_GROUP`, or the `results` or `timings`
+    /// arities don't match `queries`.
     pub fn query_group(
         &self,
         scratch: &mut QueryScratch,
@@ -549,7 +532,7 @@ impl Octopus {
         match queries {
             [] => 0,
             [q] => {
-                timings[0] = self.run_probed(scratch, mesh, q, &mut results[0], probe);
+                timings[0] = self.query_with(scratch, mesh, q, probe, &mut results[0]);
                 timings[0].crawl_visited
             }
             _ => {
@@ -602,27 +585,60 @@ impl Octopus {
     }
 }
 
-/// Which seeds the probe phase (Algorithm 1's phase 1) uses — for one
-/// query or for a whole group (see [`Octopus::query_group`]).
+/// Which surface ids the probe phase (Algorithm 1's phase 1) visits —
+/// for one query or for a whole group (see [`Octopus::query_group`]).
+/// Every visited id is tested against the query at its current
+/// position; the variants differ only in how many they visit.
+#[derive(Clone, Copy, Debug)]
 pub enum Probe<'a> {
-    /// One scan of the full surface index (the paper's probe).
+    /// The full surface index (the paper's probe): O(S).
     Surface,
-    /// Scan a candidate list instead — exact iff it is a superset of
-    /// `surface ∩ q` for **every** member `q` (concatenating each
-    /// member's cached list satisfies this; duplicates are deduplicated
-    /// by the visited marks). The probe's time lands in
-    /// [`PhaseTimings::cache_probe`].
-    Cached(&'a [VertexId]),
-    /// Full surface scan that also collects, per member `i`, every
-    /// surface vertex inside `queries[i].dilated(margin)` into
-    /// `into[i]` (each cleared first) — the refill pass of the temporal
-    /// seed cache.
-    Collect {
-        /// Dilation margin of the collected candidate boxes.
-        margin: f32,
-        /// One candidate list per group member.
-        into: &'a mut [Vec<VertexId>],
+    /// The cells of `grid` overlapping the query's bounds dilated by
+    /// `reach`: O(box). Exact iff `reach` bounds the snapshot's
+    /// displacement from the grid's anchors — see the contract on
+    /// [`Octopus::query_group`].
+    Grid {
+        /// The executor's surface ids, bucketed by anchor position.
+        grid: &'a SurfaceGrid,
+        /// [`SurfaceGrid::reach`] of the mesh being queried.
+        reach: f32,
     },
+}
+
+impl Probe<'_> {
+    /// Runs `visit(v, positions[v])` over the ids this probe visits
+    /// for a region bounded by `bounds` (all of `surface` for
+    /// [`Probe::Surface`]). Returns the ids a grid visited, zero for
+    /// the full probe.
+    ///
+    /// Both variants feed one [`gather`] call site — the full surface
+    /// is one id run, a grid probe a run per cell row — so `visit` has a
+    /// single caller and is inlined into the loop; gathering in each
+    /// arm of a match left the seeding closure out of line and made the
+    /// full probe four times slower.
+    #[inline]
+    fn run(
+        self,
+        surface: &SurfaceIndex,
+        positions: &[Point3],
+        bounds: &Aabb,
+        mut visit: impl FnMut(VertexId, Point3),
+    ) -> usize {
+        let (full, cells) = match self {
+            Probe::Surface => (Some(surface.ids()), None),
+            Probe::Grid { grid, reach } => (None, Some(grid.runs(bounds, reach))),
+        };
+        let mut grid_visited = 0;
+        for ids in full.into_iter().chain(cells.into_iter().flatten()) {
+            grid_visited += ids.len();
+            gather(ids, positions, &mut visit);
+        }
+        if full.is_some() {
+            0
+        } else {
+            grid_visited
+        }
+    }
 }
 
 /// Algorithm 1 over split borrows: the immutable assets (`surface`,
@@ -679,39 +695,13 @@ fn run_seeding<R: Region>(
             seeded_components += usize::from(scratch.seeded.mark(c));
         }
     };
-    let ids = match probe {
-        Probe::Cached(candidates) => candidates,
-        _ => surface.ids(),
-    };
-    let cached = matches!(probe, Probe::Cached(_));
-    if let Probe::Collect { margin, into } = probe {
-        let [into] = into else {
-            panic!("one candidate list per query");
-        };
-        into.clear();
-        let dilated = q.dilated(margin);
-        gather(ids, positions, |v, p| {
-            if dilated.contains(p) {
-                into.push(v);
-                // q ⊆ dilated, so containment in q implies this arm.
-                if q.contains(p) {
-                    seed(v);
-                }
-            }
-        });
-    } else {
-        gather(ids, positions, |v, p| {
-            if q.contains(p) {
-                seed(v);
-            }
-        });
-    }
-    if cached {
-        stats.cache_probe = t0.elapsed();
-        stats.cache_seeded = 1;
-    } else {
-        stats.surface_probe = t0.elapsed();
-    }
+    let grid_candidates = probe.run(surface, positions, &q.bounds(), |v, p| {
+        if q.contains(p) {
+            seed(v);
+        }
+    });
+    stats.grid_candidates = grid_candidates;
+    stats.surface_probe = t0.elapsed();
 
     // Phase 2: component-aware directed walks. Every component whose
     // surface produced no seed may still intersect the query with
@@ -804,11 +794,10 @@ impl Octopus {
         );
         let components = &self.components;
         group.begin_group(mesh.num_vertices(), components.count, queries.len());
-        let cached = matches!(probe, Probe::Cached(_));
 
         // Phase 1: the shared probe.
         let t0 = Instant::now();
-        self.probe_group(group, mesh.positions(), queries, probe, results);
+        let grid_candidates = self.probe_group(group, mesh.positions(), queries, probe, results);
         let probe_time = t0.elapsed();
 
         // Phase 2: per-member component-aware directed walks, for every
@@ -838,25 +827,22 @@ impl Octopus {
                 start_vertices: group.per_seeds[j],
                 walk_visited: group.per_walk[j],
                 crawl_visited: group.per_visited[j],
-                cache_seeded: usize::from(cached),
                 results: results[j].len(),
                 ..PhaseTimings::default()
             };
         }
         let first = &mut timings[0];
-        if cached {
-            first.cache_probe = probe_time;
-        } else {
-            first.surface_probe = probe_time;
-        }
+        first.surface_probe = probe_time;
+        first.grid_candidates = grid_candidates;
         first.directed_walk = walk_time;
         first.crawling = crawl_time;
     }
 
-    /// Phase 1 of a group query: one pass over the probe's id list. The
-    /// union box rejects out-of-group vertices with one test instead of
-    /// k; survivors are tested against each member and seeded under
-    /// their bits.
+    /// Phase 1 of a group query: one pass over the ids the probe visits
+    /// for the group's union box. The union box rejects out-of-group
+    /// vertices with one test instead of k; survivors are tested against
+    /// each member and seeded under their bits. Returns the ids a grid
+    /// visited.
     ///
     /// Out of line on purpose: inlined into `run_group`, the gather loop
     /// competes for registers with the walk and crawl phases and reloads
@@ -871,7 +857,7 @@ impl Octopus {
         queries: &[Aabb],
         probe: Probe<'_>,
         results: &mut [Vec<VertexId>],
-    ) {
+    ) -> usize {
         let union = queries.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
         let mut seed = |v: VertexId, mask: u64| {
             let mut bits = mask;
@@ -882,43 +868,14 @@ impl Octopus {
             }
             group.mark_component(self.components.component_of[v as usize] as usize, mask);
         };
-        let ids = match probe {
-            Probe::Cached(candidates) => candidates,
-            _ => self.surface.ids(),
-        };
-        if let Probe::Collect { margin, into } = probe {
-            assert_eq!(into.len(), queries.len(), "one candidate list per query");
-            for c in into.iter_mut() {
-                c.clear();
-            }
-            let dilated_union = union.dilated(margin);
-            gather(ids, positions, |v, p| {
-                if !dilated_union.contains(p) {
-                    return;
-                }
-                let mut mask = 0u64;
-                for (j, q) in queries.iter().enumerate() {
-                    if q.dilated(margin).contains(p) {
-                        into[j].push(v);
-                        if q.contains(p) {
-                            mask |= 1u64 << j;
-                        }
-                    }
-                }
+        probe.run(&self.surface, positions, &union, |v, p| {
+            if union.contains(p) {
+                let mask = member_mask(queries, p);
                 if mask != 0 {
                     seed(v, mask);
                 }
-            });
-        } else {
-            gather(ids, positions, |v, p| {
-                if union.contains(p) {
-                    let mask = member_mask(queries, p);
-                    if mask != 0 {
-                        seed(v, mask);
-                    }
-                }
-            });
-        }
+            }
+        })
     }
 }
 
@@ -955,14 +912,15 @@ pub(crate) fn closest_of<'a, R: Region>(
 /// Exact k-nearest-neighbour search by expanding cube queries (see
 /// [`Octopus::query_knn`] for the correctness argument).
 fn run_knn(
-    surface: &SurfaceIndex,
-    components: &ComponentMap,
+    octopus: &Octopus,
     scratch: &mut QueryScratch,
     mesh: &Mesh,
     k: usize,
     point: Point3,
     out: &mut Vec<VertexId>,
+    probe: Probe<'_>,
 ) -> PhaseTimings {
+    let (surface, components) = (&octopus.surface, &octopus.components);
     let mut total = PhaseTimings::default();
     if k == 0 || mesh.num_vertices() == 0 || surface.ids().is_empty() {
         return total;
@@ -988,15 +946,7 @@ fn run_knn(
     loop {
         buf.clear();
         let cube = Aabb::cube(point, r);
-        let stats = run_query(
-            surface,
-            components,
-            scratch,
-            mesh,
-            &cube,
-            &mut buf,
-            Probe::Surface,
-        );
+        let stats = run_query(surface, components, scratch, mesh, &cube, &mut buf, probe);
         total.accumulate(&stats);
         let r_sq = r * r;
         let within = buf
@@ -1026,24 +976,17 @@ fn run_knn(
 /// Aggregate execution: seeds-only Algorithm 1, then a fold-crawl that
 /// never materialises result ids (see [`Octopus::query_aggregate`]).
 fn run_aggregate(
-    surface: &SurfaceIndex,
-    components: &ComponentMap,
+    octopus: &Octopus,
     scratch: &mut QueryScratch,
     mesh: &Mesh,
     q: &Aabb,
     kind: AggregateKind,
+    probe: Probe<'_>,
 ) -> (AggregateValue, PhaseTimings) {
+    let (surface, components) = (&octopus.surface, &octopus.components);
     let mut seeds = std::mem::take(&mut scratch.shape_buf);
     seeds.clear();
-    let mut stats = run_seeding(
-        surface,
-        components,
-        scratch,
-        mesh,
-        q,
-        &mut seeds,
-        Probe::Surface,
-    );
+    let mut stats = run_seeding(surface, components, scratch, mesh, q, &mut seeds, probe);
     let t = Instant::now();
     let positions = mesh.positions();
     let want_centroid = kind == AggregateKind::Centroid;
@@ -1371,13 +1314,13 @@ mod tests {
             start_vertices: 2,
             walk_visited: 3,
             crawl_visited: 20,
-            cache_seeded: 1,
+            grid_candidates: 7,
             results: 15,
         };
         total.accumulate(&a);
         total.accumulate(&a);
         assert_eq!(total.results, 30);
-        assert_eq!(total.cache_seeded, 2);
+        assert_eq!(total.grid_candidates, 14);
         assert_eq!(total.total(), Duration::from_micros(44));
     }
 
@@ -1412,59 +1355,16 @@ mod tests {
     }
 
     #[test]
-    fn cached_probe_matches_full_probe_given_superset_candidates() {
-        let mesh = neuron(NeuroLevel::L1, 0.5).unwrap();
-        let o = Octopus::new(&mesh).unwrap();
-        let mut scratch = o.make_scratch(&mesh);
-        let mut rng = SplitMix64::new(99);
-        let bounds = mesh.bounding_box();
-        for i in 0..20 {
-            let c = Point3::new(
-                rng.range_f32(bounds.min.x, bounds.max.x),
-                rng.range_f32(bounds.min.y, bounds.max.y),
-                rng.range_f32(bounds.min.z, bounds.max.z),
-            );
-            let q = Aabb::cube(c, rng.range_f32(0.02, 0.15));
-            let mut cands = [Vec::new()];
-            let collect = Probe::Collect {
-                margin: 0.05,
-                into: &mut cands,
-            };
-            let (full, full_stats) = probed(&o, &mut scratch, &mesh, &q, collect);
-            assert_eq!(full_stats.cache_seeded, 0);
-            assert!(full_stats.surface_probe >= full_stats.cache_probe);
-            // The collected list really is a superset of surface ∩ q.
-            let surface_in_q = o
-                .surface_index()
-                .ids()
-                .iter()
-                .filter(|&&v| q.contains(mesh.position(v)))
-                .count();
-            assert!(cands[0].len() >= surface_in_q, "query {i}");
-
-            let (warm, warm_stats) = probed(&o, &mut scratch, &mesh, &q, Probe::Cached(&cands[0]));
-            assert_eq!(warm_stats.cache_seeded, 1);
-            assert_eq!(warm_stats.surface_probe, Duration::ZERO);
-            assert_eq!(warm, full, "query {i}: warm start diverged");
-            assert_eq!(warm, scan(&mesh, &q), "query {i}: exactness");
-        }
-    }
-
-    #[test]
-    fn cached_probe_stays_exact_under_bounded_drift() {
-        // Collect candidates, deform by less than the margin, re-query
-        // the *drifted* mesh from the stale candidate list: the dilation
-        // absorbs the motion, so results must still be exact.
+    fn grid_probe_matches_full_probe_under_drift() {
+        // Bucket once, then deform without telling the grid: with the
+        // snapshot's reach the grid probe seeds what the full probe
+        // seeds, from a fraction of the ids. (The property suite
+        // `tests/surface_grid_properties.rs` covers the corner cases.)
         let mut mesh = box_mesh(6);
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
+        let grid = SurfaceGrid::build(o.surface_index().ids(), mesh.positions(), 0.3);
         let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.55));
-        let mut cands = [Vec::new()];
-        let collect = Probe::Collect {
-            margin: 0.06,
-            into: &mut cands,
-        };
-        probed(&o, &mut scratch, &mesh, &q, collect);
         let mut rng = SplitMix64::new(5);
         for step in 0..3 {
             for p in mesh.positions_mut() {
@@ -1472,9 +1372,17 @@ mod tests {
                 p.y += rng.range_f32(-0.015, 0.015);
                 p.z += rng.range_f32(-0.015, 0.015);
             }
-            // Total drift ≤ 3 · 0.015 · √3 < margin.
-            let (warm, _) = probed(&o, &mut scratch, &mesh, &q, Probe::Cached(&cands[0]));
-            assert_eq!(warm, scan(&mesh, &q), "step {step}");
+            let reach = grid.reach(mesh.positions());
+            assert!(reach > 0.0 && reach <= 0.045 * (step + 1) as f32);
+            let probe = Probe::Grid { grid: &grid, reach };
+            let (full, full_stats) = probed(&o, &mut scratch, &mesh, &q, Probe::Surface);
+            let (got, stats) = probed(&o, &mut scratch, &mesh, &q, probe);
+            assert_eq!(got, full, "step {step}");
+            assert_eq!(got, scan(&mesh, &q), "step {step}");
+            assert_eq!(stats.start_vertices, full_stats.start_vertices);
+            assert_eq!(full_stats.grid_candidates, 0);
+            assert!(stats.grid_candidates >= stats.start_vertices);
+            assert!(stats.grid_candidates < o.surface_index().len());
         }
     }
 
@@ -1611,7 +1519,7 @@ mod tests {
                 ],
             );
             let mut out = Vec::new();
-            o.query_with(&mut scratch, &mesh, &region, &mut out);
+            o.query_with(&mut scratch, &mesh, &region, Probe::Surface, &mut out);
             out.sort_unstable();
             let expected: Vec<VertexId> = mesh
                 .positions()
@@ -1639,7 +1547,7 @@ mod tests {
                 Point3::splat(4.0), // far outside the mesh
             ] {
                 let mut got = Vec::new();
-                let stats = o.query_knn(&mut scratch, &mesh, k, point, &mut got);
+                let stats = o.query_knn(&mut scratch, &mesh, k, point, Probe::Surface, &mut got);
                 let mut expected: Vec<(f32, VertexId)> = positions
                     .iter()
                     .enumerate()
@@ -1666,12 +1574,20 @@ mod tests {
             &mesh,
             mesh.num_vertices() * 2,
             Point3::splat(0.5),
+            Probe::Surface,
             &mut got,
         );
         assert_eq!(got.len(), mesh.num_vertices());
         // k = 0 is a no-op.
         let mut none = Vec::new();
-        o.query_knn(&mut scratch, &mesh, 0, Point3::splat(0.5), &mut none);
+        o.query_knn(
+            &mut scratch,
+            &mesh,
+            0,
+            Point3::splat(0.5),
+            Probe::Surface,
+            &mut none,
+        );
         assert!(none.is_empty());
     }
 
@@ -1690,14 +1606,24 @@ mod tests {
             );
             let q = Aabb::cube(c, rng.range_f32(0.05, 0.4));
             let mut ids = Vec::new();
-            o.query_with(&mut scratch, &mesh, &q, &mut ids);
-            let (count_only, stats) =
-                o.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Count);
+            o.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut ids);
+            let (count_only, stats) = o.query_aggregate(
+                &mut scratch,
+                &mesh,
+                &q,
+                AggregateKind::Count,
+                Probe::Surface,
+            );
             assert_eq!(count_only.count, ids.len(), "query {i}: count");
             assert_eq!(count_only.centroid, None);
             assert_eq!(stats.results, ids.len());
-            let (with_centroid, _) =
-                o.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Centroid);
+            let (with_centroid, _) = o.query_aggregate(
+                &mut scratch,
+                &mesh,
+                &q,
+                AggregateKind::Centroid,
+                Probe::Surface,
+            );
             assert_eq!(with_centroid.count, ids.len());
             if ids.is_empty() {
                 assert_eq!(with_centroid.centroid, None);
@@ -1725,9 +1651,10 @@ mod tests {
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
         let q = Aabb::cube(Point3::splat(0.4), 0.3);
-        let (via_shape, _) = o.query_shape(&mut scratch, &mesh, &QueryShape::Box(q));
+        let (via_shape, _) =
+            o.query_shape(&mut scratch, &mesh, &QueryShape::Box(q), Probe::Surface);
         let mut direct = Vec::new();
-        o.query_with(&mut scratch, &mesh, &q, &mut direct);
+        o.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut direct);
         let mut got = via_shape.vertices().unwrap().to_vec();
         got.sort_unstable();
         direct.sort_unstable();
@@ -1737,9 +1664,16 @@ mod tests {
             k: 7,
             point: Point3::splat(0.2),
         };
-        let (knn, _) = o.query_shape(&mut scratch, &mesh, &shape);
+        let (knn, _) = o.query_shape(&mut scratch, &mesh, &shape, Probe::Surface);
         let mut direct = Vec::new();
-        o.query_knn(&mut scratch, &mesh, 7, Point3::splat(0.2), &mut direct);
+        o.query_knn(
+            &mut scratch,
+            &mesh,
+            7,
+            Point3::splat(0.2),
+            Probe::Surface,
+            &mut direct,
+        );
         assert_eq!(knn.vertices().unwrap(), &direct[..]);
         assert_eq!(knn.len(), 7);
         assert!(!knn.is_empty());
@@ -1748,7 +1682,7 @@ mod tests {
             region: q,
             kind: AggregateKind::Count,
         };
-        let (agg_res, _) = o.query_shape(&mut scratch, &mesh, &agg);
+        let (agg_res, _) = o.query_shape(&mut scratch, &mesh, &agg, Probe::Surface);
         assert_eq!(
             agg_res.len(),
             got.len(),

@@ -14,8 +14,11 @@
 //! Algorithm 1: **surface probe** → **directed walk** (only when no
 //! surface vertex falls inside the query) → **crawling** (bounded BFS).
 //! Each phase is written once: the probe is one prefetching gather
-//! ([`octopus_geom::mem::gather`]) seeded from one of three sources
-//! ([`Probe`]), the walk one per-component policy, and the crawl is
+//! ([`octopus_geom::mem::gather`]) over the ids its [`Probe`] visits —
+//! the whole surface index (the paper's probe, and what the library
+//! entry points use), or the cells of a [`SurfaceGrid`] around the
+//! query when the caller holds one for the snapshot — the walk one
+//! per-component policy, and the crawl is
 //! picked from the number of queries run together
 //! ([`Octopus::query_group`]: sequential BFS for one, shared frontier
 //! for more).
@@ -50,6 +53,7 @@ pub mod layout;
 pub mod metrics;
 pub mod planner;
 pub mod shape;
+pub mod surface_grid;
 pub mod surface_index;
 
 pub use approx::ApproxOctopus;
@@ -61,4 +65,5 @@ pub use frontier::MAX_GROUP;
 pub use metrics::{ExecMode, ExecutorMetrics};
 pub use planner::{Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
+pub use surface_grid::SurfaceGrid;
 pub use surface_index::SurfaceIndex;

@@ -19,16 +19,10 @@ use crate::executor::PhaseTimings;
 /// `executor_query_ns_*` latency histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One region (box or convex) probing the full surface index
+    /// One region, box or convex, under either [`crate::Probe`]
     /// ([`crate::Octopus::query`] / [`crate::Octopus::query_with`], or a
-    /// group of one under [`crate::Probe::Surface`]).
+    /// group of one).
     Fresh,
-    /// A group of one warm-started from a candidate list
-    /// ([`crate::Probe::Cached`]).
-    Seeded,
-    /// A group of one on a full probe that also refills a candidate
-    /// list ([`crate::Probe::Collect`]).
-    Collect,
     /// k-nearest-neighbour ([`crate::Octopus::query_knn`]).
     Knn,
     /// Materialisation-free aggregate
@@ -39,10 +33,8 @@ pub enum ExecMode {
     Group,
 }
 
-const MODES: [(ExecMode, &str); 6] = [
+const MODES: [(ExecMode, &str); 4] = [
     (ExecMode::Fresh, "fresh"),
-    (ExecMode::Seeded, "seeded"),
-    (ExecMode::Collect, "collect"),
     (ExecMode::Knn, "knn"),
     (ExecMode::Aggregate, "aggregate"),
     (ExecMode::Group, "group"),
@@ -58,22 +50,23 @@ impl ExecMode {
 /// Registry handles for everything the executor records. See the
 /// metric catalogue in the workspace README ("Telemetry").
 pub struct ExecutorMetrics {
-    /// Per-phase wall-time histograms (ns): surface_probe, cache_probe,
+    /// Per-phase wall-time histograms (ns): surface_probe,
     /// linear_scan, directed_walk, crawling. A phase is recorded only
     /// when it actually ran (non-zero duration).
     phase_surface_probe_ns: Histogram,
-    phase_cache_probe_ns: Histogram,
     phase_linear_scan_ns: Histogram,
     phase_directed_walk_ns: Histogram,
     phase_crawling_ns: Histogram,
     /// Whole-query latency keyed by [`ExecMode`].
     query_ns: [Histogram; MODES.len()],
     queries: Counter,
-    cache_seeded: Counter,
     results: Histogram,
     start_vertices: Histogram,
     walk_visited: Histogram,
     crawl_visited: Histogram,
+    /// `surface_grid_candidates` — ids visited per grid probe; against
+    /// the surface size it is what the grid saved.
+    grid_candidates: Histogram,
     surface_index_bytes: Gauge,
     scratch_bytes: Gauge,
 }
@@ -83,18 +76,17 @@ impl ExecutorMetrics {
     pub fn register(registry: &Registry) -> Arc<ExecutorMetrics> {
         Arc::new(ExecutorMetrics {
             phase_surface_probe_ns: registry.histogram("executor_phase_ns_surface_probe"),
-            phase_cache_probe_ns: registry.histogram("executor_phase_ns_cache_probe"),
             phase_linear_scan_ns: registry.histogram("executor_phase_ns_linear_scan"),
             phase_directed_walk_ns: registry.histogram("executor_phase_ns_directed_walk"),
             phase_crawling_ns: registry.histogram("executor_phase_ns_crawling"),
             query_ns: MODES
                 .map(|(_, name)| registry.histogram(&format!("executor_query_ns_{name}"))),
             queries: registry.counter("executor_queries_total"),
-            cache_seeded: registry.counter("executor_cache_seeded_total"),
             results: registry.histogram("executor_results"),
             start_vertices: registry.histogram("executor_start_vertices"),
             walk_visited: registry.histogram("executor_walk_visited"),
             crawl_visited: registry.histogram("executor_crawl_visited"),
+            grid_candidates: registry.histogram("surface_grid_candidates"),
             surface_index_bytes: registry.gauge("executor_surface_index_bytes"),
             scratch_bytes: registry.gauge("executor_scratch_bytes"),
         })
@@ -103,7 +95,6 @@ impl ExecutorMetrics {
     /// Record one executed query's timings under `mode`.
     pub fn record(&self, mode: ExecMode, t: &PhaseTimings) {
         self.queries.inc();
-        self.cache_seeded.add(t.cache_seeded as u64);
         self.record_phases(t);
         self.query_ns[mode as usize].record_duration(t.total());
         self.results.record(t.results as u64);
@@ -126,11 +117,14 @@ impl ExecutorMetrics {
         self.query_ns[ExecMode::Group as usize].record_duration(first.total());
     }
 
-    /// Each phase that actually ran (non-zero duration).
+    /// Each phase that actually ran (non-zero duration), and what a
+    /// grid probe visited.
     fn record_phases(&self, t: &PhaseTimings) {
+        if t.grid_candidates > 0 {
+            self.grid_candidates.record(t.grid_candidates as u64);
+        }
         for (histogram, phase) in [
             (&self.phase_surface_probe_ns, t.surface_probe),
-            (&self.phase_cache_probe_ns, t.cache_probe),
             (&self.phase_linear_scan_ns, t.linear_scan),
             (&self.phase_directed_walk_ns, t.directed_walk),
             (&self.phase_crawling_ns, t.crawling),
@@ -186,6 +180,7 @@ mod tests {
             crawling: Duration::from_nanos(50),
             start_vertices: 2,
             crawl_visited: 9,
+            grid_candidates: 40,
             results: 5,
             ..Default::default()
         };
@@ -199,9 +194,10 @@ mod tests {
             1
         );
         assert!(snap
-            .histogram("executor_phase_ns_cache_probe")
+            .histogram("executor_phase_ns_linear_scan")
             .unwrap()
             .is_empty());
+        assert_eq!(snap.histogram("surface_grid_candidates").unwrap().sum, 40);
         assert_eq!(snap.histogram("executor_query_ns_fresh").unwrap().count, 1);
         assert_eq!(snap.histogram("executor_results").unwrap().sum, 5);
     }

@@ -1,16 +1,19 @@
 //! The parallel plan runner: a persistent worker pool over a shared
 //! `&Octopus`, allocation-free in steady state.
 //!
-//! Every box query the service answers is a [`Plan`] run here: groups
-//! of batch indices, each with a [`Route`], claimed by the workers off
-//! one atomic cursor and reassembled in input order
-//! ([`ParallelExecutor::run_plan`]). [`ParallelExecutor::execute_batch`]
-//! runs the plan of singletons on the full surface probe; the batch
-//! engine ([`crate::BatchEngine`]) plans overlap groups, scan routes and
-//! cached probes and runs them through the same function.
+//! Every box query the service answers is a [`Plan`] run here against
+//! one [`Snapshot`]: groups of batch indices, each with a [`Route`],
+//! claimed by the workers off one atomic cursor and reassembled in
+//! input order ([`ParallelExecutor::run_plan`]); crawl-routed groups
+//! seed from the snapshot's probe. The engine-less request path runs
+//! the plan of singletons ([`ParallelExecutor::execute_batch`] is that
+//! plan on the full surface probe, for callers without a snapshot); the
+//! batch engine ([`crate::BatchEngine`]) plans overlap groups and scan
+//! routes and runs them through the same function.
 
 use crate::pool::{Task, WorkerPool};
 use crate::recycle::{RecycleStats, ResultRecycler};
+use crate::snapshot::Snapshot;
 use crate::telemetry::PoolMetrics;
 use octopus_core::fault::FaultHook;
 use octopus_core::{Octopus, PhaseTimings, Probe, QueryScratch};
@@ -76,18 +79,10 @@ impl BatchStats {
 /// How one [`Group`] of a plan executes.
 pub(crate) enum Route {
     /// One [`Octopus::query_group`] call (sequential crawl for a
-    /// singleton, shared frontier for more) seeded from this source.
-    Crawl(ProbePlan),
+    /// singleton, shared frontier for more) under the snapshot's probe.
+    Crawl,
     /// One shared pass over the positions, testing every member.
     Scan,
-}
-
-/// Probe source of a crawl-routed group.
-pub(crate) enum ProbePlan {
-    /// Full surface probe; optionally collect seed-cache refills.
-    Surface { collect: bool },
-    /// Warm start from cached candidates (every member hit).
-    Cached(Vec<VertexId>),
 }
 
 /// Queries of one batch that execute together.
@@ -101,16 +96,12 @@ pub(crate) struct Group {
 /// exactly once, and the workers claim them in this order.
 pub(crate) struct Plan {
     pub(crate) groups: Vec<Group>,
-    /// Dilation margin of the refills `collect` probes gather.
-    pub(crate) margin: f32,
 }
 
 /// What running a [`Plan`] produced.
 pub(crate) struct PlanRun {
     /// Per-query results, in input order.
     pub(crate) results: Vec<QueryResult>,
-    /// Candidate lists gathered by `collect` probes, by batch index.
-    pub(crate) refills: Vec<(u32, Vec<VertexId>)>,
     /// Distinct traversal events of the shared crawls (groups of ≥ 2);
     /// their per-member attribution is the members' `crawl_visited`.
     pub(crate) shared_visited: usize,
@@ -126,7 +117,6 @@ struct Worker {
     claimed: usize,
     /// (batch index, result) pairs produced in the current batch.
     staged: Vec<(u32, QueryResult)>,
-    refills: Vec<(u32, Vec<VertexId>)>,
     shared_visited: usize,
     /// The current group's member boxes, leased result buffers with
     /// their lease generations, and per-member timings.
@@ -142,7 +132,6 @@ impl Worker {
             scratch,
             claimed: 0,
             staged: Vec::new(),
-            refills: Vec::new(),
             shared_visited: 0,
             boxes: Vec::new(),
             bufs: Vec::new(),
@@ -154,11 +143,9 @@ impl Worker {
     /// Executes one group and stages its members' results.
     fn run_group(
         &mut self,
-        octopus: &Octopus,
-        mesh: &Mesh,
+        snap: &Snapshot<'_>,
         queries: &[Aabb],
         group: &Group,
-        margin: f32,
         recycler: &ResultRecycler,
     ) {
         let members = &group.members;
@@ -178,38 +165,25 @@ impl Worker {
 
         match &group.route {
             Route::Scan => {
-                scan_group(mesh, &self.boxes, &mut self.bufs, &mut self.timings);
-                if let Some(m) = octopus.metrics() {
+                scan_group(snap.mesh, &self.boxes, &mut self.bufs, &mut self.timings);
+                if let Some(m) = snap.exec.metrics() {
                     for t in &self.timings {
                         m.record_scan(t);
                     }
                 }
             }
-            Route::Crawl(plan) => {
-                let mut candidates = Vec::new();
-                let probe = match plan {
-                    ProbePlan::Surface { collect: false } => Probe::Surface,
-                    ProbePlan::Surface { collect: true } => {
-                        candidates.resize_with(members.len(), Vec::new);
-                        Probe::Collect {
-                            margin,
-                            into: &mut candidates,
-                        }
-                    }
-                    ProbePlan::Cached(c) => Probe::Cached(c),
-                };
-                let shared = octopus.query_group(
+            Route::Crawl => {
+                let shared = snap.exec.query_group(
                     &mut self.scratch,
-                    mesh,
+                    snap.mesh,
                     &self.boxes,
-                    probe,
+                    snap.probe,
                     &mut self.bufs,
                     &mut self.timings,
                 );
                 if members.len() >= 2 {
                     self.shared_visited += shared;
                 }
-                self.refills.extend(members.iter().copied().zip(candidates));
             }
         }
 
@@ -392,17 +366,30 @@ impl ParallelExecutor {
         mesh: &Mesh,
         queries: &[Aabb],
     ) -> Vec<QueryResult> {
+        let snap = Snapshot {
+            step: 0,
+            mesh,
+            exec: octopus,
+            probe: Probe::Surface,
+            cum_drift: 0.0,
+        };
+        self.execute_singletons(&snap, queries)
+    }
+
+    /// The plan of singletons against `snap`, under its probe: the
+    /// request path of a monitor without a batch engine.
+    pub(crate) fn execute_singletons(
+        &mut self,
+        snap: &Snapshot<'_>,
+        queries: &[Aabb],
+    ) -> Vec<QueryResult> {
         let groups = (0..queries.len() as u32)
             .map(|i| Group {
                 members: vec![i],
-                route: Route::Crawl(ProbePlan::Surface { collect: false }),
+                route: Route::Crawl,
             })
             .collect();
-        let plan = Plan {
-            groups,
-            margin: 0.0,
-        };
-        self.run_plan(octopus, mesh, queries, &plan).results
+        self.run_plan(snap, queries, &Plan { groups }).results
     }
 
     /// The fan-out: the plan's groups are claimed by the workers off an
@@ -411,14 +398,14 @@ impl ParallelExecutor {
     /// in input order.
     pub(crate) fn run_plan(
         &mut self,
-        octopus: &Octopus,
-        mesh: &Mesh,
+        snap: &Snapshot<'_>,
         queries: &[Aabb],
         plan: &Plan,
     ) -> PlanRun {
         let fan_out = self.threads().min(plan.groups.len()).max(1);
         while self.workers.len() < fan_out {
-            self.workers.push(Worker::new(octopus.make_scratch(mesh)));
+            self.workers
+                .push(Worker::new(snap.exec.make_scratch(snap.mesh)));
         }
 
         let cursor = AtomicUsize::new(0);
@@ -432,7 +419,6 @@ impl ParallelExecutor {
                 .map(|worker| {
                     worker.claimed = 0;
                     worker.staged.clear();
-                    worker.refills.clear();
                     worker.shared_visited = 0;
                     Box::new(move || loop {
                         // relaxed: a work-stealing cursor — fetch_add
@@ -443,7 +429,7 @@ impl ParallelExecutor {
                         let Some(group) = plan.groups.get(g) else {
                             break;
                         };
-                        worker.run_group(octopus, mesh, queries, group, plan.margin, recycler);
+                        worker.run_group(snap, queries, group, recycler);
                     }) as Task<'_>
                 })
                 .collect();
@@ -466,7 +452,6 @@ impl ParallelExecutor {
         self.slots.resize_with(queries.len(), || None);
         let mut run = PlanRun {
             results: self.free_batches.pop().unwrap_or_default(),
-            refills: Vec::new(),
             shared_visited: 0,
         };
         for worker in workers {
@@ -474,7 +459,6 @@ impl ParallelExecutor {
             for (i, r) in worker.staged.drain(..) {
                 self.slots[i as usize] = Some(r);
             }
-            run.refills.append(&mut worker.refills);
         }
         run.results.extend(
             self.slots

@@ -10,9 +10,9 @@
 //!   submissions, not `thread::scope` spawns, so steady state performs
 //!   zero thread spawns.
 //! * [`ParallelExecutor`] — the **plan runner**: every box query the
-//!   crate answers is a plan (groups of queries, each with a route and
-//!   a probe source) fanned out over the pool by one work-stealing
-//!   cursor and reassembled in input order. The epoch-stamped scratch
+//!   crate answers is a plan (groups of queries, each with a route)
+//!   run against one [`Snapshot`], fanned out over the pool by one
+//!   work-stealing cursor and reassembled in input order. The epoch-stamped scratch
 //!   design makes per-worker state reuse free: workers share one
 //!   immutable [`octopus_core::Octopus`] + `&Mesh`, each owns a
 //!   [`octopus_core::QueryScratch`], and result buffers cycle through a
@@ -34,31 +34,34 @@
 //!   ([`RelayoutTrigger::LocalityDrift`]) — with id translation
 //!   tracked per retained step, and the permutation never racing an
 //!   in-flight step (pending re-layouts drain the pipeline first).
+//!   Every slot also holds its executor's surface ids bucketed into an
+//!   anchored grid ([`octopus_core::SurfaceGrid`]): the probe of every
+//!   query the slot answers visits the cells around the query box,
+//!   dilated by how far the slot's positions lie from the anchors,
+//!   instead of all S surface vertices — exact at any drift, never
+//!   maintained by deformation, rebuilt with the executor and when the
+//!   newest slot has drifted past one cell.
 //!
 //! * [`BatchEngine`] — the **batch planner**: incoming batches are
 //!   sorted by the Hilbert key of each query's centroid and swept into
 //!   *overlap groups*; each group of ≥ 2 intersecting queries runs one
-//!   **shared-frontier crawl** (one BFS over the union region with a
-//!   per-vertex membership bitmask — a vertex inside k overlapping
-//!   queries is visited once, not k times), a **temporal seed cache**
-//!   ([`SeedCacheStats`]) warm-starts repeated/drifted monitoring
-//!   queries from the previous step's boundary-vertex sample instead of
-//!   a full surface probe, and `Planner::decide_batch` routes each
-//!   group (shared linear scan vs. crawl) per its Eq.-6 decision
-//!   instead of one global mode. The engine only *plans* a batch and
-//!   *absorbs* what its run produced (cache refills, the
-//!   [`EngineReport`], telemetry); the run itself is the plan runner's.
-//!   [`MonitorLoop::set_batch_engine`] wires it into the monitor's
-//!   request path; cache entries are invalidated by
-//!   `Mesh::restructure_epoch` and translated through the layout
-//!   permutation on re-layout.
+//!   **shared-frontier crawl** (one probe and one BFS over the union
+//!   region with a per-vertex membership bitmask — a vertex inside k
+//!   overlapping queries is visited once, not k times), and
+//!   `Planner::decide_batch` routes each group (shared linear scan vs.
+//!   crawl) per its Eq.-6 decision instead of one global mode. The
+//!   engine only *plans* a batch and *absorbs* what its run produced
+//!   (the [`EngineReport`], telemetry); the run itself is the plan
+//!   runner's. [`MonitorLoop::set_batch_engine`] wires it into the
+//!   monitor's request path.
 //!
 //! **One request path.** `MonitorLoop::{query, query_at, query_batch,
 //! query_batch_at, step_and_query, drain_admitted}` all resolve a ring
-//! slot to a [`Snapshot`], plan the batch (the engine's plan, or the
-//! plan of singletons on the full surface probe), run it on the pool
-//! and hand the caller results to [`MonitorLoop::recycle`]. Two more
-//! routes reach the executor: the sequential shape dispatch below and a
+//! slot to a [`Snapshot`] (measuring its grid reach on first use), plan
+//! the batch (the engine's plan, or the plan of singletons), run it on
+//! the pool under the snapshot's probe and hand the caller results to
+//! [`MonitorLoop::recycle`]. Two more routes reach the executor, under
+//! the same probe: the sequential shape dispatch below and a
 //! subscription's refresh crawl.
 //!
 //! * **Standing queries** ([`MonitorLoop::subscribe`]) — a registered
@@ -94,7 +97,6 @@ mod monitor;
 mod pool;
 mod recycle;
 mod ring;
-mod seed_cache;
 mod snapshot;
 pub mod subscribe;
 pub mod telemetry;
@@ -115,10 +117,9 @@ pub use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 pub use pool::{threads_spawned_total, Task, WorkerPool};
 pub use recycle::{RecycleStats, ResultRecycler};
 pub use ring::{PinError, RingLedger};
-pub use seed_cache::SeedCacheStats;
 pub use snapshot::Snapshot;
 pub use subscribe::{ResultDelta, SubscriptionId, SubscriptionStats};
-pub use telemetry::{EngineMetrics, MonitorMetrics, PoolMetrics, ServiceTelemetry};
+pub use telemetry::{EngineMetrics, MonitorMetrics, PoolMetrics, SeedCacheStats, ServiceTelemetry};
 
 /// Default number of worker threads: the machine's available
 /// parallelism, or 1 when it cannot be determined.

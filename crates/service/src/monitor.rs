@@ -42,6 +42,22 @@
 //! rebuilds an adjacency: a restructure costs a copy plus the delta, a
 //! re-layout a relabelling.
 //!
+//! **The surface grid.** Beside its executor every slot holds that
+//! executor's surface ids bucketed by position
+//! ([`octopus_core::SurfaceGrid`]), which is the probe of every query
+//! the slot answers. Ownership follows the executor: deformation slots
+//! share the grid they inherited, and the three sites that build an
+//! executor (set-up, a restructuring step, a re-layout) build a fresh
+//! grid from its ids and the slot's positions — rebuilt, never patched.
+//! Deformation does not maintain it: when a slot is first resolved for
+//! a request its *reach* — how far its positions lie from the grid's
+//! anchors — is measured once (O(S)) and cached, and the probe dilates
+//! by it, which keeps every answer exact at any drift. When the newest
+//! slot's reach has outgrown one grid cell the grid is rebuilt from
+//! that slot and later slots inherit it; an older pinned slot keeps the
+//! grid it was born with. A slot no finite reach bounds (a NaN/∞
+//! surface position) is answered by the full surface probe.
+//!
 //! **Reclamation and back-pressure.** Publishing into a full ring
 //! recycles the *oldest* slot — deterministically, and only when no
 //! outstanding query pins it ([`MonitorLoop::pin_step`] /
@@ -115,13 +131,14 @@ use crate::batch::{ParallelExecutor, QueryResult};
 use crate::engine::{BatchEngine, BatchEngineConfig, EngineReport};
 use crate::recycle::RecycleStats;
 use crate::ring::RingLedger;
-use crate::seed_cache::{self, SeedCacheStats};
 use crate::snapshot::Snapshot;
 use crate::subscribe::{ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats};
-use crate::telemetry::ServiceTelemetry;
+use crate::telemetry::{SeedCacheStats, ServiceTelemetry};
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 use octopus_core::layout::{curve_permutation, CurveKind, LocalityTracker};
-use octopus_core::{Octopus, PhaseTimings, QueryScratch, QueryShape, ShapeResult};
+use octopus_core::{
+    Octopus, PhaseTimings, Probe, QueryScratch, QueryShape, ShapeResult, SurfaceGrid,
+};
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, MeshError, SurfaceDelta};
 use octopus_sim::Simulation;
@@ -455,27 +472,71 @@ struct Slot {
     /// Shared within a connectivity generation (deformation steps
     /// change positions only; the executor is position-free).
     exec: Arc<Octopus>,
+    /// `exec`'s surface ids bucketed by anchor position; shared by the
+    /// slots that inherited it, replaced wherever `exec` is and when
+    /// the newest slot's reach outgrows a cell.
+    grid: Arc<SurfaceGrid>,
+    /// [`SurfaceGrid::reach`] of `mesh` against `grid`, measured when
+    /// the slot is first resolved for a request (`None` until then, and
+    /// `∞` when nothing bounds it).
+    reach: Option<f32>,
     /// Ingest-time id → this slot's id space (`None` under
     /// [`LayoutPolicy::Preserve`]); shared across slots until a
     /// restructuring extension or re-layout changes it.
     translation: Option<Arc<Vec<VertexId>>>,
     /// Cumulative maximum-displacement meter at this step (see
-    /// [`Snapshot::cum_drift`]). Only advanced while a consumer — an
-    /// engine with an active seed cache, or a subscription — is
-    /// attached.
+    /// [`Snapshot::cum_drift`]). Only advanced while subscriptions
+    /// exist.
     cum_drift: f32,
 }
 
 impl Slot {
-    /// The borrowed view every query path runs against.
+    /// The borrowed view every query path runs against: the grid probe
+    /// at the slot's measured reach, the full surface probe while no
+    /// finite reach is known.
     fn view(&self) -> Snapshot<'_> {
+        let probe = match self.reach {
+            Some(reach) if reach.is_finite() => Probe::Grid {
+                grid: &self.grid,
+                reach,
+            },
+            _ => Probe::Surface,
+        };
         Snapshot {
             step: self.step,
             mesh: &self.mesh,
             exec: &self.exec,
+            probe,
             cum_drift: self.cum_drift,
         }
     }
+}
+
+/// Typical edge length of `mesh`: the cube root of its bounding volume
+/// per vertex. The scale both derived constants below are stated in.
+fn typical_edge(mesh: &Mesh) -> f32 {
+    (mesh.bounding_box().volume() / mesh.num_vertices().max(1) as f64)
+        .cbrt()
+        .max(f64::MIN_POSITIVE) as f32
+}
+
+/// Cell edge of a slot's surface grid, in typical edges (2 and 8
+/// measured within 2× of this at every reach — nothing to tune). One
+/// cell is also the reach above which the newest slot rebuilds.
+const GRID_CELL_EDGES: f32 = 4.0;
+
+/// How much cumulative drift a standing query's candidate band absorbs
+/// by default, in typical edges. Larger, and subscriptions refresh less
+/// often but re-test more candidates per poll.
+const DEFAULT_BAND_EDGES: f32 = 8.0;
+
+/// The surface grid of `exec` anchored at `mesh`'s positions.
+fn build_grid(exec: &Octopus, mesh: &Mesh) -> Arc<SurfaceGrid> {
+    Arc::new(SurfaceGrid::build(
+        exec.surface_index().ids(),
+        mesh.positions(),
+        GRID_CELL_EDGES * typical_edge(mesh),
+    ))
 }
 
 /// A shape query's answer plus its phase timings — the heterogeneous
@@ -553,10 +614,13 @@ pub struct MonitorLoop {
     /// boundary.
     relayout_pending: bool,
     /// The batch query engine (overlap grouping + shared frontiers +
-    /// temporal seed cache + planner routing); `None` until
+    /// planner routing); `None` until
     /// [`MonitorLoop::set_batch_engine`] attaches one, in which case
     /// the batch and sequential query paths route through it.
     engine: Option<BatchEngine>,
+    /// What the surface grids did so far (see
+    /// [`MonitorLoop::seed_cache_stats`]).
+    grid_stats: SeedCacheStats,
     /// Standing queries answered with incremental deltas off the drift
     /// meter (see [`crate::subscribe`]).
     subs: SubscriptionRegistry,
@@ -602,6 +666,7 @@ impl MonitorLoop {
         // maintained counts; the ring then keeps the stripped copy.
         let exec = Arc::new(Octopus::new(sim.mesh())?);
         let mesh = sim.mesh().snapshot();
+        let grid = build_grid(&exec, &mesh);
         let step = sim.current_step();
         let scratch = exec.make_scratch(&mesh);
         let tracker = match policy.trigger() {
@@ -621,6 +686,8 @@ impl MonitorLoop {
             conn_gen: 0,
             mesh,
             exec,
+            grid,
+            reach: None,
             translation,
             cum_drift: 0.0,
         });
@@ -646,6 +713,10 @@ impl MonitorLoop {
             relayouts: 0,
             relayout_pending: false,
             engine: None,
+            grid_stats: SeedCacheStats {
+                insertions: 1,
+                ..SeedCacheStats::default()
+            },
             subs: SubscriptionRegistry::default(),
             telemetry: None,
         })
@@ -692,13 +763,23 @@ impl MonitorLoop {
     }
 
     /// Publishes the gauges that mirror monitor state: ring occupancy
-    /// and in-flight depth, drift meters, subscription aggregates,
-    /// seed-cache rates and executor memory.
+    /// and in-flight depth, the surface grid's counters, reach and
+    /// memory, drift meters, subscription aggregates and executor
+    /// memory.
     fn publish_gauges(&mut self) {
         let Some(t) = &mut self.telemetry else { return };
         t.monitor.ring_occupancy.set_u64(self.slots.len() as u64);
         t.monitor.ring_in_flight.set_u64(self.in_flight as u64);
         let latest = self.slots.back().expect("ring is never empty");
+        t.monitor.sync_grid(&self.grid_stats);
+        if let Some(reach) = latest.reach {
+            t.monitor
+                .grid_reach
+                .set(f64::from(reach / latest.grid.cell()));
+        }
+        t.monitor
+            .grid_bytes
+            .set_u64(latest.grid.memory_bytes() as u64);
         t.monitor.drift_meter.set(f64::from(latest.cum_drift));
         if let Some(tracker) = &self.tracker {
             t.monitor.locality_drift.set(tracker.drift_ratio());
@@ -714,8 +795,10 @@ impl MonitorLoop {
     /// Attaches a [`BatchEngine`] built for the latest snapshot: every
     /// box query — single, batch, pinned-step or admitted — is from then
     /// on planned by it (overlap grouping, shared-frontier crawls,
-    /// Eq.-6 planner routing, seed-cache warm starts), returning exactly
-    /// what the engine-less plan of singletons returns.
+    /// Eq.-6 planner routing), returning exactly what the engine-less
+    /// plan of singletons returns. Nothing else changes hands: the
+    /// probe is the snapshot's with or without an engine, and standing
+    /// queries keep their delta path across an attach.
     ///
     /// Cannot fail since the planner reads S off the latest slot's
     /// surface index instead of extracting it; the `Result` is what
@@ -725,24 +808,6 @@ impl MonitorLoop {
         let mut engine = BatchEngine::new(cfg, &latest.exec, &latest.mesh);
         if let Some(t) = &self.telemetry {
             engine.attach_metrics(&t.engine);
-        }
-        // Snapshots retained from before the engine attached carry no
-        // displacement history (their meters were never advanced), so a
-        // candidate list collected on one of them must never validate
-        // against another: space their meter readings further apart
-        // than the cache margin. Same-slot reuse (drift 0) stays valid
-        // — positions there really are identical — and post-attach
-        // steps accumulate real displacement on top of the latest
-        // reading, keeping the meter consistent from here on.
-        if engine.cache_enabled() {
-            let gap = 2.0 * engine.cache_margin();
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                slot.cum_drift = gap * i as f32;
-            }
-            // The rescale makes subscription reference readings
-            // incomparable to future meter values: force every standing
-            // query through a full refresh at its next poll.
-            self.subs.invalidate_all();
         }
         self.engine = Some(engine);
         Ok(())
@@ -754,9 +819,14 @@ impl MonitorLoop {
         self.engine.as_ref().map(|e| *e.report())
     }
 
-    /// Seed-cache counters (`None` without an engine).
+    /// The surface grid's counters, under the name and in the struct
+    /// the repository benchmark reads them by (always `Some`; a shim
+    /// until a benchmark change renames it): `hits` are queries probed
+    /// through the grid, `misses` queries that fell back to the full
+    /// surface probe, `stale` drift-triggered rebuilds, `insertions`
+    /// grid builds of any cause, `evictions` zero.
     pub fn seed_cache_stats(&self) -> Option<SeedCacheStats> {
-        self.engine.as_ref().map(BatchEngine::cache_stats)
+        Some(self.grid_stats)
     }
 
     /// Kicks off the next simulation step on the simulation thread and
@@ -887,15 +957,12 @@ impl MonitorLoop {
         match update {
             Update::Deformed { step, positions } => {
                 // Advance the cumulative max-displacement meter (the
-                // validity gate of both the seed cache and the standing
-                // queries' delta path) before the copy overwrites the
-                // previous step's positions. Only paid when a consumer
-                // of the meter is actually attached.
-                let track = self.engine.as_ref().is_some_and(BatchEngine::cache_enabled)
-                    || !self.subs.is_empty();
+                // validity gate of the standing queries' delta path)
+                // before the copy overwrites the previous step's
+                // positions. Only paid while subscriptions exist.
                 let latest = self.slots.back().expect("ring is never empty");
                 let cum_drift = latest.cum_drift
-                    + if track {
+                    + if !self.subs.is_empty() {
                         max_displacement(latest.mesh.positions(), &positions)
                     } else {
                         0.0
@@ -910,6 +977,8 @@ impl MonitorLoop {
                     conn_gen: self.conn_gen,
                     mesh,
                     exec: Arc::clone(&latest.exec),
+                    grid: Arc::clone(&latest.grid),
+                    reach: None,
                     translation: latest.translation.clone(),
                     cum_drift,
                 };
@@ -922,8 +991,10 @@ impl MonitorLoop {
                 let absorb_start = Instant::now();
                 let latest = self.slots.back().expect("ring is never empty");
                 // Derive (not mutate): older retained slots keep their
-                // generation's executor.
+                // generation's executor and its grid.
                 let exec = Arc::new(latest.exec.restructured(&mesh, &delta));
+                let grid = build_grid(&exec, &mesh);
+                self.grid_stats.insertions += 1;
                 // Restructuring appends new vertices at the end of the
                 // id space in both the original and the permuted run,
                 // so the translation extends with identity entries.
@@ -946,8 +1017,8 @@ impl MonitorLoop {
                 }
                 self.restructures_since_layout += 1;
                 // The restructuring step may also have moved positions,
-                // but its epoch advance drops every seed-cache entry —
-                // entries never span a restructure, so the meter can
+                // but its epoch advance refreshes every subscription —
+                // no delta path spans a restructure, so the meter can
                 // carry over unchanged.
                 let cum_drift = self.slots.back().expect("ring is never empty").cum_drift;
                 self.push_slot(Slot {
@@ -955,6 +1026,8 @@ impl MonitorLoop {
                     conn_gen: self.conn_gen,
                     mesh: *mesh,
                     exec,
+                    grid,
+                    reach: None,
                     translation,
                     cum_drift,
                 });
@@ -1095,6 +1168,9 @@ impl MonitorLoop {
         // relabelled through the permutation, not rebuilt (the slot
         // mesh could only offer a from-scratch extraction).
         latest.exec = Arc::new(latest.exec.relabelled(&latest.mesh, &perm));
+        latest.grid = build_grid(&latest.exec, &latest.mesh);
+        latest.reach = None;
+        self.grid_stats.insertions += 1;
         if let Some(t) = &latest.translation {
             latest.translation = Some(Arc::new(
                 t.iter().map(|&v| perm[v as usize]).collect::<Vec<_>>(),
@@ -1103,12 +1179,9 @@ impl MonitorLoop {
         if let Some(tracker) = &mut self.tracker {
             tracker.rebaseline(&latest.mesh);
         }
-        // Seed-cache entries and subscriptions survive a re-layout:
-        // candidate ids are translated through the permutation
-        // (geometry and drift meters are untouched by a relabelling).
-        if let Some(engine) = &mut self.engine {
-            engine.translate_cache(&perm);
-        }
+        // Subscriptions survive a re-layout: candidate ids are
+        // translated through the permutation (geometry and drift meters
+        // are untouched by a relabelling).
         self.subs.translate(&perm);
         // The re-laid-out slot opens the new connectivity generation:
         // subsequent deformation slots share its executor and may
@@ -1319,18 +1392,63 @@ impl MonitorLoop {
         self.ledger.pins(step)
     }
 
-    /// The one box-query path: resolve the slot's snapshot, plan the
-    /// batch (the attached engine's plan, or the plan of singletons on
-    /// the full surface probe), and run it on the pool. The caller owns
-    /// the results and recycles them.
+    /// Where a slot becomes a [`Snapshot`]: the first request against it
+    /// measures its reach against its grid. When that is the newest
+    /// slot and the reach has outgrown one cell, the grid is rebuilt
+    /// from the slot (anchors = now) for it and every later slot to
+    /// inherit — under a bounded displacement field this never fires
+    /// after set-up, under a monotone one every few steps at O(S).
+    ///
+    /// Over the two fields it touches, so that the snapshot borrows the
+    /// ring alone and the caller keeps the engine, pool and scratch.
+    fn resolve<'a>(
+        slots: &'a mut VecDeque<Slot>,
+        stats: &mut SeedCacheStats,
+        slot: usize,
+    ) -> Snapshot<'a> {
+        let newest = slot + 1 == slots.len();
+        let s = &mut slots[slot];
+        if s.reach.is_none() {
+            let mut reach = s.grid.reach(s.mesh.positions());
+            if newest && reach > s.grid.cell() {
+                s.grid = build_grid(&s.exec, &s.mesh);
+                stats.stale += 1;
+                stats.insertions += 1;
+                // Zero, unless a position is not finite right now.
+                reach = s.grid.reach(s.mesh.positions());
+            }
+            s.reach = Some(reach);
+        }
+        s.view()
+    }
+
+    /// Counts `queries` answered under `probe` towards the grid's
+    /// probe / fallback counters.
+    fn count_probed(stats: &mut SeedCacheStats, probe: Probe<'_>, queries: usize) {
+        match probe {
+            Probe::Grid { .. } => stats.hits += queries as u64,
+            Probe::Surface => stats.misses += queries as u64,
+        }
+    }
+
+    /// The one box-query path: resolve the slot's snapshot (and its
+    /// reach), plan the batch (the attached engine's plan, or the plan
+    /// of singletons), and run it on the pool under the snapshot's
+    /// probe. The caller owns the results and recycles them.
     fn serve(&mut self, slot: usize, queries: &[Aabb]) -> Vec<QueryResult> {
         let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
         let _span = tracer.as_ref().map(|tr| tr.span("monitor.query_batch"));
-        let snap = self.slots[slot].view();
-        match &mut self.engine {
-            Some(engine) => engine.execute(&mut self.pool, &snap, queries),
-            None => self.pool.execute_batch(snap.exec, snap.mesh, queries),
-        }
+        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, slot);
+        let (results, scanned) = match &mut self.engine {
+            Some(engine) => {
+                let results = engine.execute(&mut self.pool, &snap, queries);
+                (results, engine.report().scan_queries)
+            }
+            None => (self.pool.execute_singletons(&snap, queries), 0),
+        };
+        // Scan-routed queries probe nothing.
+        Self::count_probed(&mut self.grid_stats, snap.probe, queries.len() - scanned);
+        results
     }
 
     /// A batch of one through [`MonitorLoop::serve`], copied out.
@@ -1351,11 +1469,9 @@ impl MonitorLoop {
 
     /// Answers one query against the snapshot retained for `step`. Any
     /// retained step may be targeted while newer steps compute ahead —
-    /// the pipelined generalisation of the latest-step API. With a
-    /// batch engine attached, repeated or drifted queries warm-start
-    /// from the temporal seed cache instead of re-probing the surface
-    /// index (results are identical — the cache only serves provably
-    /// valid candidate supersets).
+    /// the pipelined generalisation of the latest-step API; an older
+    /// step is probed through the grid it was published with, at its
+    /// own reach.
     pub fn query_at(
         &mut self,
         step: u32,
@@ -1368,7 +1484,7 @@ impl MonitorLoop {
 
     /// Answers a batch against the latest snapshot on the worker pool —
     /// planned by the batch engine (overlap grouping, shared frontiers,
-    /// seed cache, planner routing) when one is attached.
+    /// planner routing) when one is attached.
     pub fn query_batch(&mut self, queries: &[Aabb]) -> Vec<QueryResult> {
         self.serve(self.slots.len() - 1, queries)
     }
@@ -1399,13 +1515,13 @@ impl MonitorLoop {
     /// Registers a standing query against the latest snapshot and
     /// returns its handle. The subscription's *band* — how much
     /// cumulative drift its candidate list absorbs before a full
-    /// re-crawl — defaults to 8× the mesh's typical edge length (the
-    /// seed cache's margin). The initial result set is computed
+    /// re-crawl — defaults to 8× the mesh's typical edge length. The
+    /// initial result set is computed
     /// now ([`MonitorLoop::subscription_result`]); subsequent
     /// [`MonitorLoop::poll_subscriptions`] calls return only the
     /// entered/left deltas.
     pub fn subscribe(&mut self, q: &Aabb) -> SubscriptionId {
-        let band = seed_cache::default_margin(&self.latest().mesh);
+        let band = DEFAULT_BAND_EDGES * typical_edge(&self.latest().mesh);
         self.subscribe_with_band(q, band)
     }
 
@@ -1413,7 +1529,8 @@ impl MonitorLoop {
     /// to ≥ 0; a zero band degenerates to a full re-crawl per poll —
     /// still exact, never fast).
     pub fn subscribe_with_band(&mut self, q: &Aabb, band: f32) -> SubscriptionId {
-        let snap = self.slots.back().expect("ring is never empty").view();
+        let latest = self.slots.len() - 1;
+        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
         self.subs.subscribe(*q, band, &snap, &mut self.scratch)
     }
 
@@ -1437,7 +1554,8 @@ impl MonitorLoop {
         let _span = tracer
             .as_ref()
             .map(|tr| tr.span("monitor.poll_subscriptions"));
-        let snap = self.slots.back().expect("ring is never empty").view();
+        let latest = self.slots.len() - 1;
+        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
         let deltas = self.subs.poll_all(&snap, &mut self.scratch);
         if let Some(t) = &mut self.telemetry {
             t.monitor.subscriptions.set_u64(self.subs.len() as u64);
@@ -1457,10 +1575,15 @@ impl MonitorLoop {
         self.subs.stats(id)
     }
 
-    /// Answers one [`QueryShape`] against the latest snapshot.
+    /// Answers one [`QueryShape`] against the latest snapshot, every
+    /// box it reduces to seeded by the snapshot's probe.
     pub fn query_shape(&mut self, shape: &QueryShape) -> ShapeQueryResult {
-        let slot = self.slots.back().expect("ring is never empty");
-        let (result, timings) = slot.exec.query_shape(&mut self.scratch, &slot.mesh, shape);
+        let latest = self.slots.len() - 1;
+        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
+        let (result, timings) =
+            snap.exec
+                .query_shape(&mut self.scratch, snap.mesh, shape, snap.probe);
+        Self::count_probed(&mut self.grid_stats, snap.probe, 1);
         ShapeQueryResult { result, timings }
     }
 
@@ -1667,29 +1790,45 @@ impl Drop for MonitorLoop {
 
 /// Largest per-vertex displacement between two position snapshots of
 /// the same length — one O(V) pass (squared distances; one sqrt at the
-/// end), advancing the seed cache's cumulative drift meter.
+/// end), advancing the standing queries' cumulative drift meter.
 ///
 /// A non-finite displacement (a vertex moved to or from NaN/∞) compares
 /// false against every maximum, so it is tracked separately and
 /// saturates the meter to `∞`: no drift bound holds for that vertex,
 /// and every consumer of the meter must take its exact refresh path.
+///
+/// Folded over [`DISPLACEMENT_LANES`] independent accumulators so the
+/// compiler vectorises it (one running maximum and one `|=` flag is a
+/// serial dependency chain: 163 µs against 118 µs on 90 k vertices). A
+/// maximum is exact in any order, so the value is bit-identical to the
+/// one-accumulator loop's.
 fn max_displacement(before: &[Point3], after: &[Point3]) -> f32 {
     debug_assert_eq!(before.len(), after.len());
-    let mut max_sq = 0.0f32;
-    let mut bad = false;
-    for (a, b) in before.iter().zip(after) {
-        let d = a.dist_sq(*b);
-        bad |= !d.is_finite();
-        if d > max_sq {
-            max_sq = d;
+    let mut max_sq = [0.0f32; DISPLACEMENT_LANES];
+    let mut finite = [true; DISPLACEMENT_LANES];
+    let mut before = before.chunks_exact(DISPLACEMENT_LANES);
+    let mut after = after.chunks_exact(DISPLACEMENT_LANES);
+    for (a, b) in before.by_ref().zip(after.by_ref()) {
+        for lane in 0..DISPLACEMENT_LANES {
+            let d = a[lane].dist_sq(b[lane]);
+            finite[lane] &= d.is_finite();
+            max_sq[lane] = max_sq[lane].max(d);
         }
     }
-    if bad {
+    for (a, b) in before.remainder().iter().zip(after.remainder()) {
+        let d = a.dist_sq(*b);
+        finite[0] &= d.is_finite();
+        max_sq[0] = max_sq[0].max(d);
+    }
+    if finite.contains(&false) {
         f32::INFINITY
     } else {
-        max_sq.sqrt()
+        max_sq.into_iter().fold(0.0, f32::max).sqrt()
     }
 }
+
+/// Independent accumulators of [`max_displacement`]'s fold.
+const DISPLACEMENT_LANES: usize = 8;
 
 /// The simulation thread: steps on demand and hands snapshots back.
 /// The restructure epoch decides the hand-off flavour exactly: a step
@@ -1791,4 +1930,67 @@ fn sim_thread(
         }
     }
     Ok(sim)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one-accumulator loop the chunked fold replaced.
+    fn max_displacement_scalar(before: &[Point3], after: &[Point3]) -> f32 {
+        let mut max_sq = 0.0f32;
+        let mut bad = false;
+        for (a, b) in before.iter().zip(after) {
+            let d = a.dist_sq(*b);
+            bad |= !d.is_finite();
+            if d > max_sq {
+                max_sq = d;
+            }
+        }
+        if bad {
+            f32::INFINITY
+        } else {
+            max_sq.sqrt()
+        }
+    }
+
+    #[test]
+    fn chunked_max_displacement_is_bit_identical_to_the_scalar_loop() {
+        let mut rng = octopus_geom::rng::SplitMix64::new(0xD15);
+        let mut point = |scale: f32| {
+            Point3::new(
+                rng.range_f32(-scale, scale),
+                rng.range_f32(-scale, scale),
+                rng.range_f32(-scale, scale),
+            )
+        };
+        for len in [0usize, 1, 7, 8, 9, 1000] {
+            let before: Vec<Point3> = (0..len).map(|_| point(10.0)).collect();
+            let after: Vec<Point3> = before
+                .iter()
+                .map(|p| *p + (point(0.1) - Point3::ORIGIN))
+                .collect();
+            let want = max_displacement_scalar(&before, &after);
+            assert_eq!(
+                max_displacement(&before, &after).to_bits(),
+                want.to_bits(),
+                "len {len}"
+            );
+            assert_eq!(want == 0.0, len == 0, "len {len}: premise");
+            // A non-finite coordinate anywhere — the head, a full
+            // chunk's interior, the remainder — saturates the meter.
+            for at in [0, len / 2, len.saturating_sub(1)] {
+                for bad in [f32::NAN, f32::INFINITY] {
+                    if len == 0 {
+                        continue;
+                    }
+                    let mut poisoned = after.clone();
+                    poisoned[at].y = bad;
+                    assert_eq!(max_displacement(&before, &poisoned), f32::INFINITY);
+                    assert_eq!(max_displacement(&poisoned, &after), f32::INFINITY);
+                    assert_eq!(max_displacement_scalar(&before, &poisoned), f32::INFINITY);
+                }
+            }
+        }
+    }
 }

@@ -4,14 +4,14 @@
 //! A monitoring client that re-issues the same range query every step
 //! pays a full probe → walk → crawl per step even though almost nothing
 //! changed: per-step vertex displacement is tiny relative to the query
-//! extent (the same observation the batch engine's temporal seed cache
-//! exploits). A *subscription* turns that repeated query
+//! extent. A *subscription* turns that repeated query
 //! into a standing one and answers each poll with a
 //! [`ResultDelta`] — the vertices that entered and left the result set
 //! since the previous poll — computed without re-executing the query:
 //!
 //! * **Refresh** (the slow path): one crawl of the query dilated by the
-//!   subscription's *band* collects every active vertex within `band`
+//!   subscription's *band*, seeded by the snapshot's probe like any
+//!   other query, collects every active vertex within `band`
 //!   of the query, each stamped with the distance from its position to
 //!   the query's boundary ([`octopus_geom::Aabb::boundary_dist`]) and
 //!   its membership, sorted ascending by that distance. The monitor's
@@ -33,7 +33,7 @@
 //!   vertices, and `δ ≥ band` exhausts the band — either forces a full
 //!   refresh at the next poll. A mid-run re-layout only relabels ids,
 //!   so subscriptions survive it by translating their candidate and
-//!   member ids through the permutation, exactly like the seed cache.
+//!   member ids through the permutation.
 //!
 //! The registry is owned by [`crate::MonitorLoop`]
 //! ([`crate::MonitorLoop::subscribe`] /
@@ -114,8 +114,6 @@ struct Subscription {
     ref_drift: f32,
     /// Restructure epoch at the last refresh.
     ref_epoch: u64,
-    /// Forced refresh (meter rescale by an engine attach, etc.).
-    needs_refresh: bool,
     /// Sorted ascending by `boundary_dist`.
     candidates: Vec<Candidate>,
     /// Current result set, sorted ascending by id.
@@ -158,7 +156,6 @@ impl SubscriptionRegistry {
             band: band.max(0.0),
             ref_drift: snap.cum_drift,
             ref_epoch: snap.mesh.restructure_epoch(),
-            needs_refresh: false,
             candidates: Vec::new(),
             members: Vec::new(),
             stats: SubscriptionStats::default(),
@@ -182,15 +179,6 @@ impl SubscriptionRegistry {
         let before = self.subs.len();
         self.subs.retain(|s| s.id != id.0);
         self.subs.len() != before
-    }
-
-    /// Forces every subscription onto the refresh path at its next poll
-    /// (the drift meter was rescaled and reference readings are no
-    /// longer comparable).
-    pub(crate) fn invalidate_all(&mut self) {
-        for sub in &mut self.subs {
-            sub.needs_refresh = true;
-        }
     }
 
     /// Applies a re-layout permutation (old id → new id) to every
@@ -248,8 +236,7 @@ impl SubscriptionRegistry {
         for sub in &mut self.subs {
             sub.stats.polls += 1;
             let drift = snap.cum_drift - sub.ref_drift;
-            let delta_valid = !sub.needs_refresh
-                && snap.mesh.restructure_epoch() == sub.ref_epoch
+            let delta_valid = snap.mesh.restructure_epoch() == sub.ref_epoch
                 && snap.cum_drift >= sub.ref_drift
                 && drift < sub.band;
             if delta_valid {
@@ -303,7 +290,8 @@ fn refresh(
 ) {
     buf.clear();
     let dilated = sub.query.dilated(sub.band);
-    snap.exec.query_with(scratch, snap.mesh, &dilated, buf);
+    snap.exec
+        .query_with(scratch, snap.mesh, &dilated, snap.probe, buf);
     let positions = snap.mesh.positions();
     sub.candidates.clear();
     sub.candidates.reserve(buf.len());
@@ -322,7 +310,6 @@ fn refresh(
     });
     sub.ref_drift = snap.cum_drift;
     sub.ref_epoch = snap.mesh.restructure_epoch();
-    sub.needs_refresh = false;
     sub.stats.full_refreshes += 1;
 }
 

@@ -4,7 +4,7 @@
 //! subscription registry when telemetry is attached.
 //!
 //! The bundles deduplicate the previously hand-rolled stats plumbing:
-//! the seed cache's [`crate::SeedCacheStats`], the standing-query
+//! the surface grid's counters ([`SeedCacheStats`]), the standing-query
 //! [`crate::SubscriptionStats`] and the pool spawn counter all publish
 //! through the same `octopus-telemetry` counter/gauge/histogram types,
 //! so consumers read one [`octopus_telemetry::TelemetrySnapshot`]
@@ -16,8 +16,34 @@ use octopus_core::ExecutorMetrics;
 use octopus_telemetry::{ratio, Counter, Gauge, Histogram, Registry, Tracer};
 
 use crate::pool::threads_spawned_total;
-use crate::seed_cache::SeedCacheStats;
 use crate::subscribe::SubscriptionStats;
+
+/// The surface grid's counters, under the names the repository
+/// benchmark's adapter reads them by — a shim kept until a benchmark
+/// change renames it (the temporal seed cache these fields were named
+/// for is gone; the grid answers the fresh boxes it never could).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SeedCacheStats {
+    /// Box and shape queries probed through the surface grid.
+    pub hits: u64,
+    /// Box and shape queries that fell back to the full surface probe
+    /// (no finite reach bounded their snapshot).
+    pub misses: u64,
+    /// Grid rebuilds: the newest snapshot's reach had outgrown one cell.
+    pub stale: u64,
+    /// Grid builds of any cause (set-up, restructure, re-layout,
+    /// rebuild).
+    pub insertions: u64,
+    /// Always zero: a grid is replaced, never trimmed.
+    pub evictions: u64,
+}
+
+impl SeedCacheStats {
+    /// Fraction of queries probed through the grid (0 when none ran).
+    pub fn hit_rate(&self) -> f64 {
+        hit_rate(self.hits, self.hits + self.misses)
+    }
+}
 
 /// Worker-pool metrics: submission shape and worker lifecycle.
 #[derive(Clone)]
@@ -75,8 +101,8 @@ impl PoolMetrics {
     }
 }
 
-/// Batch-engine metrics: grouping, routing, shared-frontier savings,
-/// seed cache and planner mis-routes.
+/// Batch-engine metrics: grouping, routing, shared-frontier savings
+/// and planner mis-routes.
 #[derive(Clone)]
 pub struct EngineMetrics {
     /// `engine_batches_total`.
@@ -101,16 +127,6 @@ pub struct EngineMetrics {
     /// selectivity fell on the other side of the crossover than the
     /// estimate (the decision-vs-actual-winner counter).
     pub(crate) planner_misroutes: Counter,
-    /// `seed_cache_*_total` counters + `seed_cache_hit_rate` gauge.
-    pub(crate) cache_hits: Counter,
-    pub(crate) cache_misses: Counter,
-    pub(crate) cache_stale: Counter,
-    pub(crate) cache_insertions: Counter,
-    pub(crate) cache_evictions: Counter,
-    pub(crate) cache_hit_rate: Gauge,
-    /// Cumulative [`SeedCacheStats`] already published, so re-syncing
-    /// adds only deltas.
-    synced: SeedCacheStats,
 }
 
 impl EngineMetrics {
@@ -127,35 +143,7 @@ impl EngineMetrics {
             planner_octopus: registry.counter("planner_decisions_octopus_total"),
             planner_scan: registry.counter("planner_decisions_scan_total"),
             planner_misroutes: registry.counter("planner_misroutes_total"),
-            cache_hits: registry.counter("seed_cache_hits_total"),
-            cache_misses: registry.counter("seed_cache_misses_total"),
-            cache_stale: registry.counter("seed_cache_stale_total"),
-            cache_insertions: registry.counter("seed_cache_insertions_total"),
-            cache_evictions: registry.counter("seed_cache_evictions_total"),
-            cache_hit_rate: registry.gauge("seed_cache_hit_rate"),
-            synced: SeedCacheStats::default(),
         }
-    }
-
-    /// Publish the seed cache's cumulative counters: registry counters
-    /// advance by the delta since the last sync, and the
-    /// `seed_cache_hit_rate` gauge takes the cache's lifetime hit rate
-    /// (the first-class gauge `serve` asserts on).
-    pub(crate) fn sync_cache(&mut self, stats: &SeedCacheStats) {
-        // Saturating: swapping in a fresh engine resets the source
-        // counters below the last synced reading.
-        self.cache_hits
-            .add(stats.hits.saturating_sub(self.synced.hits));
-        self.cache_misses
-            .add(stats.misses.saturating_sub(self.synced.misses));
-        self.cache_stale
-            .add(stats.stale.saturating_sub(self.synced.stale));
-        self.cache_insertions
-            .add(stats.insertions.saturating_sub(self.synced.insertions));
-        self.cache_evictions
-            .add(stats.evictions.saturating_sub(self.synced.evictions));
-        self.synced = *stats;
-        self.cache_hit_rate.set(stats.hit_rate());
     }
 }
 
@@ -195,8 +183,8 @@ impl AdmissionMetrics {
     }
 }
 
-/// Monitor-loop metrics: snapshot ring, re-layouts, drift meters and
-/// the standing-query delta path.
+/// Monitor-loop metrics: snapshot ring, re-layouts, surface grid, drift
+/// meters and the standing-query delta path.
 #[derive(Clone)]
 pub struct MonitorMetrics {
     /// `monitor_steps_total` — simulation steps absorbed.
@@ -216,8 +204,20 @@ pub struct MonitorMetrics {
     /// derive the slot executor by delta replay and publish the slot
     /// (what a connectivity event costs the serving side).
     pub(crate) restructure_ns: Histogram,
+    /// `surface_grid_{probes,fallbacks,rebuilds}_total` — queries probed
+    /// through the surface grid, queries that fell back to the full
+    /// surface probe, and drift-triggered grid rebuilds.
+    pub(crate) grid_probes: Counter,
+    pub(crate) grid_fallbacks: Counter,
+    pub(crate) grid_rebuilds: Counter,
+    /// `surface_grid_reach` gauge — the newest snapshot's reach in cell
+    /// edges (what the probes dilate by; a rebuild fires above 1), as of
+    /// its last query — and `surface_grid_bytes`, the newest grid's heap
+    /// bytes.
+    pub(crate) grid_reach: Gauge,
+    pub(crate) grid_bytes: Gauge,
     /// `drift_meter` gauge — cumulative max-displacement meter of the
-    /// newest snapshot (the seed-cache/subscription validity currency).
+    /// newest snapshot (the subscriptions' validity currency).
     pub(crate) drift_meter: Gauge,
     /// `locality_drift` gauge — the layout tracker's drift ratio (what
     /// re-layout triggers compare against their threshold).
@@ -241,6 +241,8 @@ pub struct MonitorMetrics {
     pub(crate) sim_restarts: Counter,
     /// Cumulative [`SubscriptionStats`] already published.
     synced: SubscriptionStats,
+    /// Cumulative grid counters already published.
+    synced_grid: SeedCacheStats,
 }
 
 impl MonitorMetrics {
@@ -254,6 +256,11 @@ impl MonitorMetrics {
             relayouts: registry.counter("ring_relayouts_total"),
             relayout_ns: registry.histogram("ring_relayout_ns"),
             restructure_ns: registry.histogram("ring_restructure_ns"),
+            grid_probes: registry.counter("surface_grid_probes_total"),
+            grid_fallbacks: registry.counter("surface_grid_fallbacks_total"),
+            grid_rebuilds: registry.counter("surface_grid_rebuilds_total"),
+            grid_reach: registry.gauge("surface_grid_reach"),
+            grid_bytes: registry.gauge("surface_grid_bytes"),
             drift_meter: registry.gauge("drift_meter"),
             locality_drift: registry.gauge("locality_drift"),
             subscriptions: registry.gauge("standing_subscriptions"),
@@ -265,11 +272,22 @@ impl MonitorMetrics {
             sim_failures: registry.counter("sim_failures_total"),
             sim_restarts: registry.counter("sim_restarts_total"),
             synced: SubscriptionStats::default(),
+            synced_grid: SeedCacheStats::default(),
         }
     }
 
+    /// Publish the surface grid's cumulative counters: registry counters
+    /// advance by the delta since the last sync.
+    pub(crate) fn sync_grid(&mut self, stats: &SeedCacheStats) {
+        self.grid_probes.add(stats.hits - self.synced_grid.hits);
+        self.grid_fallbacks
+            .add(stats.misses - self.synced_grid.misses);
+        self.grid_rebuilds.add(stats.stale - self.synced_grid.stale);
+        self.synced_grid = *stats;
+    }
+
     /// Publish the subscription registry's cumulative counters (delta
-    /// advance, like [`EngineMetrics::sync_cache`]) and refresh the
+    /// advance, like [`MonitorMetrics::sync_grid`]) and refresh the
     /// `standing_delta_hit_rate` gauge.
     pub(crate) fn sync_subscriptions(&mut self, stats: &SubscriptionStats) {
         // Saturating: an unsubscribe removes that subscription's share
@@ -300,7 +318,7 @@ pub struct ServiceTelemetry {
     pub(crate) executor: Arc<ExecutorMetrics>,
     /// Pool submission/lifecycle metrics.
     pub(crate) pool: PoolMetrics,
-    /// Engine grouping/routing/cache metrics.
+    /// Engine grouping/routing metrics.
     pub(crate) engine: EngineMetrics,
     /// Ring/drift/standing-query metrics.
     pub(crate) monitor: MonitorMetrics,
@@ -339,8 +357,8 @@ impl ServiceTelemetry {
     }
 }
 
-/// Shared hit-rate definition re-exported for the stats structs (one
-/// formula behind `SeedCacheStats::hit_rate` and
+/// Shared hit-rate definition for the stats structs (one formula
+/// behind `SeedCacheStats::hit_rate` and
 /// `SubscriptionStats::delta_hit_rate`).
 pub(crate) fn hit_rate(hits: u64, total: u64) -> f64 {
     ratio(hits, total)

@@ -1,12 +1,18 @@
 //! Property suite of the batch query engine: shared-frontier overlap
-//! groups + temporal seed cache + Eq.-6 planner routing must return,
-//! per query, exactly what the sequential `Octopus::query` returns —
-//! on random meshes and workloads, across deformation and restructuring
-//! steps, mid-run re-layouts, and snapshot-ring depths 1 and 3. Plus the deterministic visited-vertex counter: on an
-//! overlapping batch, the shared crawl performs strictly fewer traversal
-//! events than independent crawls.
+//! groups + Eq.-6 planner routing, under the full surface probe and
+//! under the surface grid's, must return, per query, exactly what the
+//! sequential `Octopus::query` returns — on random meshes and
+//! workloads, across deformation and restructuring steps, mid-run
+//! re-layouts, and snapshot-ring depths 1 and 3. Plus the deterministic
+//! visited-vertex counter: on an overlapping batch, the shared crawl
+//! performs strictly fewer traversal events than independent crawls.
+//! And the surface grid's life cycle through the monitor: no rebuild
+//! under a bounded displacement field, rebuilds under a monotone one,
+//! a fresh grid behind every restructure and re-layout.
 
-use octopus_core::{AggregateKind, ExecutorMetrics, Octopus, QueryShape, ShapeResult};
+use octopus_core::{
+    AggregateKind, ExecutorMetrics, Octopus, Probe, QueryShape, ShapeResult, SurfaceGrid,
+};
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
 use octopus_mesh::Mesh;
@@ -15,7 +21,7 @@ use octopus_service::{
     BatchEngine, BatchEngineConfig, EngineMetrics, LayoutPolicy, MonitorLoop, ParallelExecutor,
     RelayoutTrigger, Snapshot,
 };
-use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
+use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
 use octopus_testkit::{box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sorted};
 use proptest::prelude::*;
@@ -39,28 +45,39 @@ fn engine_for(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
     BatchEngine::new(cfg, &Octopus::new(mesh).unwrap(), mesh)
 }
 
-/// `mesh` as the engine sees a retained step, at meter reading
-/// `cum_drift`.
-fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, cum_drift: f32) -> Snapshot<'a> {
+/// `mesh` as the engine sees a retained step, under `probe`.
+fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, probe: Probe<'a>) -> Snapshot<'a> {
     Snapshot {
         step: 0,
         mesh,
         exec,
-        cum_drift,
+        probe,
+        cum_drift: 0.0,
     }
 }
 
+/// Runs `queries` through the engine against `mesh` — under the full
+/// surface probe, or under `grid` at its reach for `mesh` — and checks
+/// every answer against the sequential baseline. Returns the ids the
+/// batch's grid probes visited.
 fn assert_engine_equivalent(
     engine: &mut BatchEngine,
     pool: &mut ParallelExecutor,
     mesh: &Mesh,
+    grid: Option<&SurfaceGrid>,
     queries: &[Aabb],
-    cum_drift: f32,
     ctx: &str,
-) {
+) -> usize {
     let octopus = Octopus::new(mesh).unwrap();
-    let snap = static_snapshot(&octopus, mesh, cum_drift);
-    assert_engine_equivalent_at(engine, pool, &snap, queries, ctx);
+    let probe = match grid {
+        None => Probe::Surface,
+        Some(grid) => Probe::Grid {
+            grid,
+            reach: grid.reach(mesh.positions()),
+        },
+    };
+    let snap = static_snapshot(&octopus, mesh, probe);
+    assert_engine_equivalent_at(engine, pool, &snap, queries, ctx)
 }
 
 fn assert_engine_equivalent_at(
@@ -69,7 +86,7 @@ fn assert_engine_equivalent_at(
     snap: &Snapshot<'_>,
     queries: &[Aabb],
     ctx: &str,
-) {
+) -> usize {
     let expected = sequential_reference(snap.mesh, queries);
     let results = engine.execute(pool, snap, queries);
     assert_eq!(results.len(), queries.len(), "{ctx}");
@@ -80,14 +97,23 @@ fn assert_engine_equivalent_at(
             "{ctx}: query {i} diverged from the sequential baseline"
         );
     }
+    let grid_candidates = results.iter().map(|r| r.timings.grid_candidates).sum();
     pool.recycle(results);
+    grid_candidates
+}
+
+/// The surface grid of a fresh executor for `mesh`, anchored where the
+/// mesh is now, at a cell of `cell`.
+fn grid_for(mesh: &Mesh, cell: f32) -> SurfaceGrid {
+    let octopus = Octopus::new(mesh).unwrap();
+    SurfaceGrid::build(octopus.surface_index().ids(), mesh.positions(), cell)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Engine ≡ sequential on random meshes/workloads, planner + cache
-    /// + grouping all enabled (static snapshot).
+    /// Engine ≡ sequential on random meshes/workloads, planner +
+    /// grouping enabled, under both probes (static snapshot).
     #[test]
     fn engine_matches_sequential_on_random_workloads(
         n in 3usize..7,
@@ -104,43 +130,44 @@ proptest! {
         let queries = mixed_workload(&mesh, seed, clusters, 4);
         let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(workers);
-        // Twice: the second batch runs warm (every query seeds from the
-        // cache at zero drift) and must still be exact.
-        assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "cold");
-        assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "warm");
-        prop_assert!(engine.cache_stats().hits > 0, "warm batch must hit the cache");
+        let grid = grid_for(&mesh, 0.2);
+        let full =
+            assert_engine_equivalent(&mut engine, &mut pool, &mesh, None, &queries, "surface");
+        let cells =
+            assert_engine_equivalent(&mut engine, &mut pool, &mesh, Some(&grid), &queries, "grid");
+        prop_assert_eq!(full, 0, "the full probe visits no grid cell");
+        prop_assert!(
+            cells > 0 || engine.report().scan_queries == queries.len(),
+            "crawl-routed queries must have probed through the grid"
+        );
     }
 
-    /// Engine ≡ sequential across deformation steps: the seed cache
-    /// serves drifting positions under its accumulated-drift gate.
+    /// Engine ≡ sequential across deformation steps: a grid anchored at
+    /// step 0 serves the drifting positions at each step's reach.
     #[test]
-    fn engine_stays_exact_across_deformation_with_cache_hits(
+    fn engine_stays_exact_across_deformation_through_the_grid(
         seed in 0u64..500,
     ) {
         let mut mesh = box_mesh(6);
         let queries = mixed_workload(&mesh, seed, 2, 3);
         let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(2);
+        let grid = grid_for(&mesh, 0.2);
         let mut rng = SplitMix64::new(seed ^ 0xD1F7);
-        let mut cum_drift = 0.0f32;
+        let mut probed = 0;
         for step in 0..5 {
-            assert_engine_equivalent(
-                &mut engine, &mut pool, &mesh, &queries, cum_drift,
+            probed += assert_engine_equivalent(
+                &mut engine, &mut pool, &mesh, Some(&grid), &queries,
                 &format!("step {step}"),
             );
-            // Deform; meter the true max displacement like the monitor.
-            let mut max_sq = 0.0f32;
+            prop_assert!(grid.reach(mesh.positions()) <= 0.004 * step as f32 + 1e-6);
             for p in mesh.positions_mut() {
-                let before = *p;
                 p.x += rng.range_f32(-0.004, 0.004);
                 p.y += rng.range_f32(-0.004, 0.004);
                 p.z += rng.range_f32(-0.004, 0.004);
-                max_sq = max_sq.max(before.dist_sq(*p));
             }
-            cum_drift += max_sq.sqrt();
         }
-        let stats = engine.cache_stats();
-        prop_assert!(stats.hits > 0, "drifting repeats must hit: {stats:?}");
+        prop_assert!(probed > 0, "drifting repeats must probe through the grid");
     }
 
     /// The full monitor path — snapshot ring (K ∈ {1, 3}), restructuring
@@ -172,10 +199,7 @@ proptest! {
             LayoutPolicy::Preserve,
             depth,
         ).unwrap();
-        monitor.set_batch_engine(BatchEngineConfig {
-            use_planner: false,
-            ..BatchEngineConfig::default()
-        }).unwrap();
+        monitor.set_batch_engine(BatchEngineConfig { use_planner: false }).unwrap();
 
         let mut sim = make_sim(base);
         let mut reference = Octopus::new(sim.mesh()).unwrap();
@@ -212,10 +236,11 @@ proptest! {
             prop_assert_eq!(sorted(single), sorted(want), "sequential path, step {}", step);
         }
         let stats = monitor.seed_cache_stats().unwrap();
-        prop_assert!(stats.hits > 0, "repeated workload must hit: {stats:?}");
+        prop_assert!(stats.hits > 0, "every query probes through the grid: {stats:?}");
+        prop_assert_eq!(stats.misses, 0, "nothing falls back: {:?}", stats);
         prop_assert!(
-            stats.stale > 0,
-            "restructuring must have invalidated entries: {stats:?}"
+            stats.insertions > 1,
+            "restructuring must have built fresh grids: {stats:?}"
         );
     }
 }
@@ -241,7 +266,7 @@ fn planner_routed_batches_match_sequential() {
     assert_engine_equivalent_at(
         &mut engine,
         &mut pool,
-        &static_snapshot(&octopus, &mesh, 0.0),
+        &static_snapshot(&octopus, &mesh, Probe::Surface),
         &queries,
         "planner-routed",
     );
@@ -269,107 +294,6 @@ fn planner_routed_batches_match_sequential() {
         report.grouped_queries > 0,
         "clustered queries must share frontiers: {report:?}"
     );
-}
-
-/// A cache entry created on one pre-attach snapshot must never validate
-/// against another: those slots predate the displacement meter, so the
-/// monitor spaces their readings past the margin at attach time. The
-/// positions of retained pre-attach steps genuinely differ, and serving
-/// stale candidates across them would silently drop result vertices.
-#[test]
-fn pre_attach_ring_snapshots_never_share_cache_entries() {
-    let depth = 3usize;
-    let base = box_mesh(5);
-    let make_sim =
-        |mesh: Mesh| Simulation::new(mesh, Box::new(SmoothRandomField::new(0.02, 3, 0x99)));
-    let mut monitor =
-        MonitorLoop::with_config(make_sim(base), 2, LayoutPolicy::Preserve, depth).unwrap();
-    // Deform for a few steps with NO engine attached: the retained
-    // slots accumulate real displacement their meters know nothing
-    // about.
-    monitor.fill_pipeline().unwrap();
-    for _ in 0..depth {
-        monitor.finish_step().unwrap();
-        monitor.fill_pipeline().unwrap();
-    }
-    let retained = monitor.retained_steps();
-    assert!(retained.end() - retained.start() >= 2, "need ≥3 slots");
-    // Planner off: a single query takes the same request path as a
-    // batch, and Eq. 6 would send this broad box to the scan, which
-    // never consults the cache under test.
-    monitor
-        .set_batch_engine(BatchEngineConfig {
-            use_planner: false,
-            ..BatchEngineConfig::default()
-        })
-        .unwrap();
-
-    let q = Aabb::cube(Point3::splat(0.5), 0.25);
-    let (a, b) = (*retained.start(), *retained.end());
-    // Same-slot repeats may warm-start (positions identical), but the
-    // cross-slot switch must force a miss + refill: the sentinel-spaced
-    // meters invalidate A's entry for B (and vice versa), and every
-    // answer must be exact for its own snapshot.
-    for step in [a, a, b, b] {
-        let mut got = Vec::new();
-        monitor.query_at(step, &q, &mut got).unwrap();
-        let snap = monitor.snapshot_at(step).unwrap();
-        let want: Vec<VertexId> = snap
-            .positions()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| q.contains(**p))
-            .map(|(i, _)| i as VertexId)
-            .collect();
-        assert_eq!(sorted(got), want, "step {step}");
-    }
-    let stats = monitor.seed_cache_stats().unwrap();
-    assert_eq!(
-        stats.hits, 2,
-        "only the same-slot repeats may hit (A→A, B→B): {stats:?}"
-    );
-}
-
-/// Seed-cache hit accounting must reflect actual warm starts: when one
-/// member of an overlap group misses, the whole group runs the full
-/// probe and *no* member counts as a hit.
-#[test]
-fn group_fallback_counts_no_phantom_hits() {
-    let mesh = box_mesh(6);
-    // Two overlapping boxes — one locality group.
-    let q1 = Aabb::new(Point3::splat(0.2), Point3::splat(0.55));
-    let q2 = Aabb::new(Point3::splat(0.35), Point3::splat(0.7));
-    // A third, also overlapping, that the first batch never caches.
-    let q3 = Aabb::new(Point3::splat(0.3), Point3::splat(0.65));
-    let mut engine = engine_for(
-        BatchEngineConfig {
-            use_planner: false,
-            ..BatchEngineConfig::default()
-        },
-        &mesh,
-    );
-    let mut pool = ParallelExecutor::new(2);
-    let octopus = Octopus::new(&mesh).unwrap();
-    let snap = static_snapshot(&octopus, &mesh, 0.0);
-
-    let r = engine.execute(&mut pool, &snap, &[q1, q2]);
-    pool.recycle(r);
-    assert_eq!(engine.cache_stats().hits, 0, "cold batch");
-
-    // q3 has no entry: the [q1, q3] group must fall back — q1's valid
-    // entry is not used, so hits stay 0 and both queries count misses.
-    let r = engine.execute(&mut pool, &snap, &[q1, q3]);
-    pool.recycle(r);
-    let stats = engine.cache_stats();
-    assert_eq!(stats.hits, 0, "no member warm-started: {stats:?}");
-    assert_eq!(engine.report().cache_seeded, 0);
-
-    // Now everything is cached: the same batch hits for both members.
-    let r = engine.execute(&mut pool, &snap, &[q1, q3]);
-    pool.recycle(r);
-    let stats = engine.cache_stats();
-    assert_eq!(stats.hits, 2, "fully cached group warm-starts: {stats:?}");
-    assert_eq!(engine.report().cache_seeded, 2);
 }
 
 /// The acceptance counter: batch of 64 with ≥ 30 % pairwise overlap
@@ -406,16 +330,10 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
     }
 
     // Planner off isolates the shared-frontier counter (no scan
-    // rerouting); cache off isolates it from warm starts.
-    let mut engine = engine_for(
-        BatchEngineConfig {
-            use_planner: false,
-            use_seed_cache: false,
-        },
-        &mesh,
-    );
+    // rerouting).
+    let mut engine = engine_for(BatchEngineConfig { use_planner: false }, &mesh);
     let mut pool = ParallelExecutor::new(2);
-    assert_engine_equivalent(&mut engine, &mut pool, &mesh, &queries, 0.0, "overlap-64");
+    assert_engine_equivalent(&mut engine, &mut pool, &mesh, None, &queries, "overlap-64");
     let report = *engine.report();
     assert!(
         report.grouped_queries >= 48,
@@ -442,12 +360,12 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
     );
 }
 
-/// Seed-cache invalidation regression: a mid-run re-layout permutes the
-/// id space; cached candidate lists must be translated, not dropped —
-/// and stay exact afterwards. Runs in release in CI (service release
+/// A mid-run re-layout permutes the id space: the relabelled slot gets
+/// a grid rebuilt from its relabelled executor, and every answer is
+/// exact in the new id space. Runs in release in CI (service release
 /// test step).
 #[test]
-fn seed_cache_survives_mid_run_relayout_via_translation() {
+fn grid_is_rebuilt_by_a_mid_run_relayout() {
     let steps = 6u32;
     let mut base = box_mesh(5);
     base.enable_restructuring().unwrap();
@@ -463,10 +381,7 @@ fn seed_cache_survives_mid_run_relayout_via_translation() {
     };
     let mut monitor = MonitorLoop::with_config(make_sim(base.clone()), 2, policy, 1).unwrap();
     monitor
-        .set_batch_engine(BatchEngineConfig {
-            use_planner: false,
-            ..BatchEngineConfig::default()
-        })
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
         .unwrap();
 
     let mut sim = make_sim(base);
@@ -475,6 +390,7 @@ fn seed_cache_survives_mid_run_relayout_via_translation() {
         Aabb::cube(Point3::splat(0.4), 0.18),
         Aabb::cube(Point3::splat(0.65), 0.12),
     ];
+    let mut restructures = 0u64;
     for step in 1..=steps {
         monitor.begin_step().unwrap();
         if monitor.step_in_flight() {
@@ -484,6 +400,7 @@ fn seed_cache_survives_mid_run_relayout_via_translation() {
         assert_eq!(outcome.step, monitor.snapshot_step());
         if outcome.restructured {
             reference.on_restructure(sim.mesh(), &outcome.delta);
+            restructures += 1;
         }
         let translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
         for (i, q) in queries.iter().enumerate() {
@@ -508,12 +425,131 @@ fn seed_cache_survives_mid_run_relayout_via_translation() {
         "the trigger must actually have re-laid out mid-run"
     );
     let stats = monitor.seed_cache_stats().unwrap();
-    assert!(stats.hits > 0, "repeated queries must hit: {stats:?}");
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (u64::from(steps) * queries.len() as u64, 0),
+        "every query probes through its slot's grid: {stats:?}"
+    );
+    assert_eq!(
+        stats.insertions,
+        1 + restructures + u64::from(monitor.relayouts()),
+        "one grid at set-up, one per restructure, one per re-layout: {stats:?}"
+    );
+}
+
+/// `rest + step · velocity`: every vertex moves the same way for ever,
+/// so the distance from any anchor grows without bound.
+struct Translate(Point3);
+
+impl Deformation for Translate {
+    fn name(&self) -> &'static str {
+        "translate"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        let s = step as f32;
+        for (p, r) in positions.iter_mut().zip(rest) {
+            *p = Point3::new(r.x + s * self.0.x, r.y + s * self.0.y, r.z + s * self.0.z);
+        }
+    }
+}
+
+/// Steps `monitor` `steps` times; after each step a batch is answered
+/// and compared with a scan of the snapshot, and the newest slot's
+/// reach (in cells, as the gauge publishes it) is handed to `check`.
+fn assert_grid_lifecycle(monitor: &mut MonitorLoop, steps: u32, check: impl Fn(u32, f64)) {
+    let registry = Registry::new(true);
+    monitor.attach_telemetry(&registry);
+    for step in 1..=steps {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        // Boxes that follow the mesh, wherever it has gone.
+        let bounds = monitor.snapshot().bounding_box();
+        let e = bounds.extent();
+        let queries = [
+            Aabb::cube(bounds.center(), 0.25 * e.x),
+            Aabb::new(bounds.min, bounds.center()),
+            Aabb::cube(bounds.max, 0.3 * e.x),
+        ];
+        let results = monitor.query_batch(&queries);
+        for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
+            assert_eq!(
+                sorted(r.vertices.clone()),
+                scan_active(monitor.snapshot(), q),
+                "step {step}, box {i}"
+            );
+        }
+        monitor.recycle(results);
+        let telemetry = monitor.telemetry_snapshot().unwrap();
+        check(step, telemetry.gauge("surface_grid_reach"));
+    }
+}
+
+/// (i) Under a bounded displacement field the grid built at set-up
+/// serves every step: nothing is rebuilt, nothing falls back.
+#[test]
+fn grid_never_rebuilds_under_a_bounded_field() {
+    for with_engine in [false, true] {
+        let sim = Simulation::new(
+            box_mesh(6),
+            Box::new(SmoothRandomField::new(0.01, 3, 0x6121D)),
+        );
+        let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+        if with_engine {
+            monitor
+                .set_batch_engine(BatchEngineConfig { use_planner: false })
+                .unwrap();
+        }
+        assert_grid_lifecycle(&mut monitor, 50, |step, reach| {
+            assert!(reach > 0.0 && reach <= 1.0, "step {step}: reach {reach}");
+        });
+        let stats = monitor.seed_cache_stats().unwrap();
+        assert_eq!(stats.stale, 0, "no rebuild after set-up: {stats:?}");
+        assert_eq!(stats.insertions, 1, "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (150, 0), "{stats:?}");
+        let telemetry = monitor.telemetry_snapshot().unwrap();
+        assert_eq!(telemetry.counter("surface_grid_probes_total"), 150);
+        assert_eq!(telemetry.counter("surface_grid_fallbacks_total"), 0);
+        assert_eq!(telemetry.counter("surface_grid_rebuilds_total"), 0);
+        assert!(telemetry.gauge("surface_grid_bytes") > 0.0);
+        let candidates = telemetry.histogram("surface_grid_candidates").unwrap();
+        // One record per grid probe: a query each without an engine,
+        // an overlap group each with one.
+        if with_engine {
+            assert!((50..=150).contains(&candidates.count), "{candidates:?}");
+        } else {
+            assert_eq!(candidates.count, 150);
+        }
+    }
+}
+
+/// (ii) Under a monotone field the reach outgrows a cell every few
+/// steps: the newest slot rebuilds, later slots inherit, and the reach
+/// a query dilates by never exceeds one cell.
+#[test]
+fn grid_rebuilds_under_a_monotone_field() {
+    let sim = Simulation::new(
+        box_mesh(6),
+        Box::new(Translate(Point3::new(0.11, -0.07, 0.05))),
+    );
+    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    assert_grid_lifecycle(&mut monitor, 30, |step, reach| {
+        assert!(reach <= 1.0, "step {step}: reach {reach} cells");
+    });
+    let stats = monitor.seed_cache_stats().unwrap();
+    assert!(stats.stale >= 3, "the drift must force rebuilds: {stats:?}");
+    assert_eq!(stats.insertions, 1 + stats.stale, "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (90, 0), "{stats:?}");
+    let telemetry = monitor.telemetry_snapshot().unwrap();
+    assert_eq!(
+        telemetry.counter("surface_grid_rebuilds_total"),
+        stats.stale
+    );
 }
 
 /// Ring-depth interplay: retained-step queries (`query_batch_at`) keep
-/// answering exactly for *older* steps while the engine serves them —
-/// including the seed cache's epoch guard when generations differ.
+/// answering exactly for *older* steps while the engine serves them,
+/// each step at its own reach from the grid the slots share.
 #[test]
 fn engine_serves_retained_ring_steps_exactly() {
     let depth = 3usize;

@@ -325,12 +325,63 @@ fn deltas_report_entered_and_left_vertices() {
     assert!(monitor.subscription_stats(id).unwrap().delta_polls > 0);
 }
 
-/// A smooth field that additionally sends one vertex to NaN at exactly
-/// one step (it comes back with the next step's field).
+/// Attaching (or re-attaching) a batch engine mid-run changes how box
+/// batches are planned and nothing else: standing queries keep their
+/// reference readings and stay on the delta path. (The attach used to
+/// rescale every slot's drift meter for the seed cache's sake and force
+/// a full refresh of every subscription.)
+#[test]
+fn attaching_an_engine_keeps_subscriptions_on_the_delta_path() {
+    let sim = Simulation::new(box_mesh(4), Box::new(SmoothRandomField::new(0.01, 3, 9)));
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let boxes = standing_boxes();
+    let mut mirrors: Vec<Mirror> = boxes
+        .iter()
+        .map(|q| {
+            let id = monitor.subscribe(q);
+            Mirror::new(&monitor, id)
+        })
+        .collect();
+    let step_and_poll = |monitor: &mut MonitorLoop, mirrors: &mut Vec<Mirror>| {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        for (id, delta) in monitor.poll_subscriptions() {
+            let m = mirrors.iter_mut().find(|m| m.id == id).unwrap();
+            m.apply(&delta.entered, &delta.left);
+        }
+        for (m, q) in mirrors.iter().zip(&boxes) {
+            assert_eq!(m.members, scan_active(monitor.snapshot(), q));
+        }
+    };
+    for attach in 0..3 {
+        step_and_poll(&mut monitor, &mut mirrors);
+        step_and_poll(&mut monitor, &mut mirrors);
+        let before: Vec<_> = mirrors
+            .iter()
+            .map(|m| monitor.subscription_stats(m.id).unwrap())
+            .collect();
+        monitor.set_batch_engine(Default::default()).unwrap();
+        step_and_poll(&mut monitor, &mut mirrors);
+        for (m, before) in mirrors.iter().zip(&before) {
+            let after = monitor.subscription_stats(m.id).unwrap();
+            assert_eq!(
+                after.full_refreshes, before.full_refreshes,
+                "attach {attach}: no refresh beyond the one at subscribe"
+            );
+            assert_eq!(after.full_refreshes, 1);
+            assert_eq!(after.delta_polls, before.delta_polls + 1, "attach {attach}");
+        }
+    }
+}
+
+/// A smooth field that additionally sends one interior vertex to NaN at
+/// exactly one step (it comes back with the next step's field) and one
+/// surface vertex to NaN from that step on.
 struct PoisonAt {
     field: SmoothRandomField,
     step: u32,
     vertex: VertexId,
+    surface_vertex: VertexId,
 }
 
 impl Deformation for PoisonAt {
@@ -343,6 +394,9 @@ impl Deformation for PoisonAt {
         if step == self.step {
             positions[self.vertex as usize] = Point3::splat(f32::NAN);
         }
+        if step >= self.step {
+            positions[self.surface_vertex as usize].y = f32::NAN;
+        }
     }
 }
 
@@ -352,7 +406,9 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
     // The δ-re-test only looks near the boundary, so a drift meter that
     // ignores the non-finite displacement keeps reporting the vertex;
     // a saturated meter refreshes, and keeps refreshing (∞ − ∞ is NaN,
-    // which validates nothing) for the seed cache as well.
+    // which validates nothing). From the same step on a surface vertex
+    // far from the box is NaN as well: no reach bounds that snapshot,
+    // so its queries fall back to the full surface probe.
     let k = 4;
     let mesh = box_mesh(4);
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
@@ -362,28 +418,29 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
             d(a).total_cmp(&d(b))
         })
         .unwrap();
+    let corner = (0..mesh.num_vertices() as VertexId)
+        .find(|&v| mesh.position(v) == Point3::ORIGIN)
+        .expect("the lattice has a vertex at the origin");
     let sim = Simulation::new(
         mesh,
         Box::new(PoisonAt {
             field: SmoothRandomField::new(0.01, 3, 42),
             step: k,
             vertex: centre,
+            surface_vertex: corner,
         }),
     );
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
     // Planner off: on a mesh this small Eq. 6 would scan-route the box
-    // past the seed cache.
+    // past the probe under test.
     monitor
-        .set_batch_engine(octopus_service::BatchEngineConfig {
-            use_planner: false,
-            ..Default::default()
-        })
+        .set_batch_engine(octopus_service::BatchEngineConfig { use_planner: false })
         .unwrap();
     let id = monitor.subscribe(&q);
     let mut mirror = Mirror::new(&monitor, id);
     assert!(mirror.members.contains(&centre), "test premise");
 
-    let mut hits_before_poison = 0;
+    let mut before_poison = None;
     for step in 1..=k + 3 {
         monitor.begin_step().unwrap();
         monitor.finish_step().unwrap();
@@ -393,12 +450,25 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
         let truth = scan_active(monitor.snapshot(), &q);
         assert_eq!(truth.contains(&centre), step != k, "step {step}: premise");
         assert_eq!(mirror.members, truth, "step {step}: mirror diverged");
-        // The repeated box drives the seed cache off the same meter.
+        // The same box as a query: through the grid while a reach
+        // bounds the snapshot, on the full probe afterwards — and
+        // either way what the paper's Algorithm 1 answers (not the
+        // scan: the plain crawl's corner-island gap is not the probe's).
         let batch = monitor.query_batch(&[q]);
+        let mut plain = Vec::new();
+        octopus_core::Octopus::new(monitor.snapshot())
+            .unwrap()
+            .query(monitor.snapshot(), &q, &mut plain);
+        assert_eq!(
+            sorted(batch[0].vertices.clone()),
+            sorted(plain),
+            "step {step}"
+        );
         monitor.recycle(batch);
         if step == k - 1 {
-            hits_before_poison = monitor.seed_cache_stats().unwrap().hits;
-            assert!(hits_before_poison > 0, "the repeated box must warm-start");
+            let stats = monitor.seed_cache_stats().unwrap();
+            assert_eq!((stats.hits, stats.misses), (u64::from(k) - 1, 0));
+            before_poison = Some(stats);
         }
     }
     let stats = monitor.subscription_stats(id).unwrap();
@@ -407,9 +477,11 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
         u64::from(k) - 1,
         "every poll from step {k} on must refresh ({stats:?})"
     );
+    let before = before_poison.expect("the loop passed step k - 1");
+    let after = monitor.seed_cache_stats().unwrap();
     assert_eq!(
-        monitor.seed_cache_stats().unwrap().hits,
-        hits_before_poison,
-        "no cache entry validates against a saturated meter"
+        (after.hits, after.misses),
+        (before.hits, 4),
+        "no grid probe is exact for an unbounded snapshot: {after:?}"
     );
 }

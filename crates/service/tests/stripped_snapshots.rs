@@ -2,7 +2,8 @@
 //! face table stays with the simulation, and the serving side's surface
 //! is each slot executor's delta-maintained index. These tests hold the
 //! service to that contract where it could leak: old generations kept
-//! alive by a pin while newer ones restructure and a re-layout waits, a
+//! alive by a pin while newer ones restructure and a re-layout waits
+//! (each probed through the surface grid of its own generation), a
 //! simulation restarted from a face-table-free snapshot, and a
 //! re-layout whose hand-over to the simulation fails.
 
@@ -51,10 +52,12 @@ fn assert_exact_at(monitor: &mut MonitorLoop, step: u32, ctx: &str) {
 }
 
 /// (a) A pinned old-generation slot keeps answering exactly — in its
-/// own id space, from its own generation's executor — while two later
-/// steps restructure past it and a requested re-layout waits for the
-/// pin; once released, the re-layout relabels and the latest slot is
-/// exact too.
+/// own id space, from its own generation's executor and through the
+/// surface grid it was published with — while two later steps
+/// restructure past it and a requested re-layout waits for the pin;
+/// once released, the re-layout relabels and the latest slot is exact
+/// too. Every executor built on the way got its own grid, and no query
+/// fell back to the full surface probe.
 #[test]
 fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
     with_watchdog("pinned_old_generation", WATCHDOG, || {
@@ -63,8 +66,11 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
             trigger: RelayoutTrigger::Never,
         };
         let mut monitor = MonitorLoop::with_config(sim, 2, policy, 3).unwrap();
+        // Planner off: Eq. 6 would send boxes this wide on a mesh this
+        // small to the shared scan, past the executors and grids under
+        // test.
         monitor
-            .set_batch_engine(BatchEngineConfig::default())
+            .set_batch_engine(BatchEngineConfig { use_planner: false })
             .unwrap();
         assert!(
             !monitor.snapshot().restructuring_enabled(),
@@ -120,6 +126,19 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
         assert_exact_at(&mut monitor, relabelled, "relabelled latest");
         let after = monitor.finish_step().unwrap();
         assert_exact_at(&mut monitor, after, "first step after the re-layout");
+        let stats = monitor.seed_cache_stats().unwrap();
+        // 8 `assert_exact_at` calls × 3 boxes × (query_at + query_batch_at).
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (48, 0),
+            "every slot probes its own grid: {stats:?}"
+        );
+        assert_eq!(
+            stats.insertions,
+            1 + 4 + 1,
+            "set-up, four restructuring steps, one re-layout: {stats:?}"
+        );
+        assert_eq!(stats.stale, 0, "no drift rebuild in six steps: {stats:?}");
         monitor.shutdown().unwrap();
     });
 }

@@ -30,8 +30,9 @@
 //!    the memory order, not the answers;
 //! 5. the whole run is observed through one lock-free telemetry
 //!    [`Registry`](octopus::telemetry::Registry): executor phase
-//!    histograms, pool queue depth, engine/planner counters, seed-cache
-//!    and standing-query hit rates all land in a single
+//!    histograms, pool queue depth, engine/planner counters, the
+//!    surface grid's probe counters and reach, and the standing-query
+//!    hit rate all land in a single
 //!    [`TelemetrySnapshot`](octopus::telemetry::TelemetrySnapshot) —
 //!    a per-step stats line and an end-of-run report are printed from
 //!    it, the report assertions read the snapshot (not bespoke stats
@@ -375,10 +376,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // same numbers a scrape of the Prometheus rendering would see.
         let live = monitor.telemetry_snapshot().expect("telemetry attached");
         println!(
-            "  step {step:>3}: {} queries | seed cache {:>5.1}% | delta path {:>3.0}% | \
+            "  step {step:>3}: {} queries | grid reach {:.2} cells | delta path {:>3.0}% | \
              ring {}/{} | drift {:.3} | pool runs {}",
             live.counter("executor_queries_total"),
-            100.0 * live.gauge("seed_cache_hit_rate"),
+            live.gauge("surface_grid_reach"),
             100.0 * live.gauge("standing_delta_hit_rate"),
             live.gauge("ring_occupancy"),
             depth,
@@ -410,7 +411,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let final_drift = monitor.locality_drift();
     let recycle_stats = monitor.recycle_stats();
     let relayouts = monitor.relayouts();
-    let cache_stats = monitor.seed_cache_stats().expect("engine attached");
+    let grid_stats = monitor.seed_cache_stats().expect("always reported");
     let engine_report = monitor.engine_report().expect("engine attached");
     let sub_stats = monitor
         .subscription_stats(sub_id)
@@ -511,27 +512,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             String::new()
         }
     );
+    let candidates = telemetry
+        .histogram("surface_grid_candidates")
+        .expect("the executor records what its grid probes visit");
     println!(
-        "  seed cache: {} hits / {} misses / {} stale (hit rate {:.1}%), {} inserted; \
+        "  surface grid: {} queries probed / {} fell back / {} rebuilds of {} builds; \
+         {:.0} of {} surface ids visited per probe; \
          last batch: {} group(s), {} grouped, {} scan-routed",
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_stats.stale,
-        100.0 * cache_stats.hit_rate(),
-        cache_stats.insertions,
+        grid_stats.hits,
+        grid_stats.misses,
+        grid_stats.stale,
+        grid_stats.insertions,
+        candidates.sum as f64 / candidates.count.max(1) as f64,
+        octopus.surface_index().len(),
         engine_report.groups,
         engine_report.grouped_queries,
         engine_report.scan_queries
     );
-    // The registry is the source of truth: the seed-cache gate reads
-    // the snapshot, not the engine's stats struct.
+    // The registry is the source of truth: the grid gate reads the
+    // snapshot, not the monitor's stats struct. Exactness of every
+    // answer was asserted above, batch by batch.
     assert!(
-        telemetry.counter("seed_cache_hits_total") > 0
-            && telemetry.gauge("seed_cache_hit_rate") > 0.0,
-        "a repeated monitoring batch must produce seed-cache hits \
-         (snapshot: {} hits, rate {})",
-        telemetry.counter("seed_cache_hits_total"),
-        telemetry.gauge("seed_cache_hit_rate")
+        telemetry.counter("surface_grid_probes_total") > 0
+            && telemetry.counter("surface_grid_fallbacks_total") == 0
+            && candidates.count > 0,
+        "every crawl-routed query must probe through the surface grid \
+         (snapshot: {} probed, {} fell back, {} probes recorded)",
+        telemetry.counter("surface_grid_probes_total"),
+        telemetry.counter("surface_grid_fallbacks_total"),
+        candidates.count
     );
     println!(
         "  standing query: {} polls, {} on the delta path (hit rate {:.0}%), {} full \
@@ -574,7 +583,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "pool_",
         "engine_",
         "planner_decisions_",
-        "seed_cache_",
+        "surface_grid_probes_total",
+        "surface_grid_fallbacks_total",
+        "surface_grid_rebuilds_total",
+        "surface_grid_reach",
+        "surface_grid_bytes",
+        "surface_grid_candidates",
         "ring_",
         "ring_restructure_ns",
         "standing_",
@@ -591,7 +605,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let phase_ns: u64 = [
         "executor_phase_ns_surface_probe",
-        "executor_phase_ns_cache_probe",
         "executor_phase_ns_linear_scan",
         "executor_phase_ns_directed_walk",
         "executor_phase_ns_crawling",
@@ -643,11 +656,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("planner_misroutes_total")
     );
     println!(
-        "    monitor: {} steps, {} re-layouts, {} pin waits; seed cache {:.1}%, delta path {:.0}%",
+        "    monitor: {} steps, {} re-layouts, {} pin waits; grid {:.1} KiB at reach {:.2} cells, \
+         delta path {:.0}%",
         telemetry.counter("monitor_steps_total"),
         telemetry.counter("ring_relayouts_total"),
         telemetry.counter("ring_pin_wait_total"),
-        100.0 * telemetry.gauge("seed_cache_hit_rate"),
+        telemetry.gauge("surface_grid_bytes") / 1024.0,
+        telemetry.gauge("surface_grid_reach"),
         100.0 * telemetry.gauge("standing_delta_hit_rate")
     );
 

@@ -69,7 +69,7 @@ pub use octopus_telemetry as telemetry;
 pub mod prelude {
     pub use octopus_core::{
         AggregateKind, AggregateValue, ApproxOctopus, CostModel, Octopus, OctopusCon, Planner,
-        QueryScratch, QueryShape, ShapeResult, Strategy, SurfaceIndex,
+        Probe, QueryScratch, QueryShape, ShapeResult, Strategy, SurfaceIndex,
     };
     pub use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Region, Vec3, VertexId};
     pub use octopus_index::{DynamicIndex, LinearScan};

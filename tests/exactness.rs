@@ -129,7 +129,7 @@ proptest! {
         let octopus = Octopus::new(&mesh).unwrap();
         let mut scratch = octopus.make_scratch(&mesh);
         let mut out = Vec::new();
-        octopus.query_with(&mut scratch, &mesh, &region, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &region, Probe::Surface, &mut out);
         out.sort_unstable();
         let expected: Vec<VertexId> = scan(&mesh, &bounds)
             .into_iter()
@@ -156,7 +156,7 @@ proptest! {
         let mut scratch = octopus.make_scratch(&mesh);
         let p = Point3::new(px, py, pz);
         let mut out = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, &mut out);
+        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut out);
         prop_assert_eq!(out, knn_scan(&mesh, k, p));
     }
 
@@ -176,14 +176,26 @@ proptest! {
         let mut scratch = octopus.make_scratch(&mesh);
         let q = Aabb::cube(Point3::new(cx, cy, cz), half);
         let mut out = Vec::new();
-        octopus.query_with(&mut scratch, &mesh, &q, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
 
-        let (count, _) = octopus.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Count);
+        let (count, _) = octopus.query_aggregate(
+            &mut scratch,
+            &mesh,
+            &q,
+            AggregateKind::Count,
+            Probe::Surface,
+        );
         prop_assert_eq!(count.count, out.len());
         prop_assert!(count.centroid.is_none(), "Count never materialises a centroid");
 
         let (cen, _) =
-            octopus.query_aggregate(&mut scratch, &mesh, &q, AggregateKind::Centroid);
+            octopus.query_aggregate(
+            &mut scratch,
+            &mesh,
+            &q,
+            AggregateKind::Centroid,
+            Probe::Surface,
+        );
         prop_assert_eq!(cen.count, out.len());
         if out.is_empty() {
             prop_assert!(cen.centroid.is_none());
@@ -266,10 +278,10 @@ fn knn_ties_break_by_ascending_id() {
     );
     for k in 1..=8 {
         let mut out = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, &mut out);
+        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut out);
         assert_eq!(out, corners[..k], "k = {k}: tie must cut by ascending id");
         let mut again = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, &mut again);
+        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut again);
         assert_eq!(out, again, "k = {k}: k-NN must be deterministic");
     }
 }
