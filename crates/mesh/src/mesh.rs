@@ -343,6 +343,13 @@ impl Mesh {
     ///
     /// Every vertex of a live cell has at least `arity − 1 ≥ 3` adjacency
     /// edges, so zero degree is equivalent to "in no live cell".
+    ///
+    /// An orphan stays one: new cells are built from a live cell's
+    /// vertices plus appended ids, and no operation moves another
+    /// vertex's position. Standing queries rely on it — they drop
+    /// orphaned candidates and adopt the appended ids instead of
+    /// re-crawling (`tests/adjacency_patch.rs` holds every op sequence
+    /// to it).
     #[inline]
     pub fn is_vertex_active(&self, v: VertexId) -> bool {
         self.adjacency.degree(v) > 0
@@ -402,7 +409,11 @@ impl Mesh {
     /// have identical connectivity up to the relabelling. Consumers
     /// that cache connectivity-derived state (the Eq.-6 planner
     /// crossover, surface statistics) compare epochs to detect
-    /// staleness instead of re-deriving per call.
+    /// staleness instead of re-deriving per call. Standing queries do
+    /// not: the monitor tells them of each restructured step as it
+    /// absorbs it (which it detects by this epoch), and they rely on
+    /// what an operation can do to the vertex set
+    /// ([`Mesh::is_vertex_active`]).
     #[inline]
     pub fn restructure_epoch(&self) -> u64 {
         self.restructure_epoch

@@ -4,6 +4,10 @@
 //! cells, compared bit for bit (offsets and targets) after *every*
 //! operation. CI runs it under `--release`, where the in-crate
 //! `debug_assertions` cross-check is compiled out.
+//!
+//! The same op sequences hold the vertex set to what standing queries
+//! patch their candidate lists by ([`VertexLedger`]): restructuring
+//! only ever orphans existing vertices and appends new ids.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Point3, VertexId};
@@ -107,6 +111,43 @@ fn assert_matches_rebuild(mesh: &Mesh, ctx: &str) {
     );
 }
 
+/// What a restructuring operation may do to the vertex set, checked
+/// after every one: an orphaned id never becomes active again, new ids
+/// are exactly the tail of the id space, and no existing position
+/// moves.
+struct VertexLedger {
+    active: Vec<bool>,
+    positions: Vec<Point3>,
+}
+
+impl VertexLedger {
+    fn new(mesh: &Mesh) -> VertexLedger {
+        VertexLedger {
+            active: (0..mesh.num_vertices() as VertexId)
+                .map(|v| mesh.is_vertex_active(v))
+                .collect(),
+            positions: mesh.positions().to_vec(),
+        }
+    }
+
+    fn observe(&mut self, mesh: &Mesh, ctx: &str) {
+        let old_n = self.positions.len();
+        assert!(mesh.num_vertices() >= old_n, "{ctx}: an id disappeared");
+        assert_eq!(
+            &mesh.positions()[..old_n],
+            &self.positions[..],
+            "{ctx}: an existing position changed"
+        );
+        for (v, was_active) in self.active.iter().enumerate() {
+            assert!(
+                *was_active || !mesh.is_vertex_active(v as VertexId),
+                "{ctx}: orphaned vertex {v} became active again"
+            );
+        }
+        *self = VertexLedger::new(mesh);
+    }
+}
+
 fn random_live_cell(mesh: &Mesh, rng: &mut SplitMix64) -> u32 {
     loop {
         let c = rng.index(mesh.cell_capacity()) as u32;
@@ -144,11 +185,14 @@ proptest! {
         let mut mesh = tet_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
+        let mut ledger = VertexLedger::new(&mesh);
         let mut ops = 0;
         while mesh.num_cells() > 1 && ops < 120 {
             let op = random_op(&mut mesh, &mut rng);
             ops += 1;
-            assert_matches_rebuild(&mesh, &format!("n {n} seed {seed} op {ops} ({op})"));
+            let ctx = format!("n {n} seed {seed} op {ops} ({op})");
+            assert_matches_rebuild(&mesh, &ctx);
+            ledger.observe(&mesh, &ctx);
         }
     }
 
@@ -159,11 +203,14 @@ proptest! {
         let mut mesh = hex_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
+        let mut ledger = VertexLedger::new(&mesh);
         let mut ops = 0;
         while mesh.num_cells() > 1 {
             let op = random_op(&mut mesh, &mut rng);
             ops += 1;
-            assert_matches_rebuild(&mesh, &format!("n {n} seed {seed} op {ops} ({op})"));
+            let ctx = format!("n {n} seed {seed} op {ops} ({op})");
+            assert_matches_rebuild(&mesh, &ctx);
+            ledger.observe(&mesh, &ctx);
         }
     }
 

@@ -371,7 +371,6 @@ impl ParallelExecutor {
             mesh,
             exec: octopus,
             probe: Probe::Surface,
-            cum_drift: 0.0,
         };
         self.execute_singletons(&snap, queries)
     }

@@ -66,11 +66,12 @@
 //!
 //! * **Standing queries** ([`MonitorLoop::subscribe`]) — a registered
 //!   range query is answered per step with an incremental
-//!   [`ResultDelta`] (entered/left vertices) computed off the ring's
-//!   cumulative max-displacement meter: only candidates within the
-//!   accumulated drift of the query boundary are re-tested, with a full
-//!   re-crawl only when the drift band is exhausted or a restructure
-//!   invalidates the candidate set (see [`subscribe`]). Heterogeneous
+//!   [`ResultDelta`] (entered/left vertices) computed off an exact
+//!   drift bound — how far any vertex lies from a retained anchor copy
+//!   of the positions: only candidates within that bound of the query
+//!   boundary are re-tested, with a full re-crawl only when it exhausts
+//!   the candidate band; a restructure patches the candidate set (see
+//!   [`subscribe`]). Heterogeneous
 //!   [`octopus_core::QueryShape`] batches (convex regions, exact k-NN,
 //!   materialisation-free aggregates) run through
 //!   [`MonitorLoop::query_shapes`]: the sequential

@@ -484,10 +484,6 @@ struct Slot {
     /// [`LayoutPolicy::Preserve`]); shared across slots until a
     /// restructuring extension or re-layout changes it.
     translation: Option<Arc<Vec<VertexId>>>,
-    /// Cumulative maximum-displacement meter at this step (see
-    /// [`Snapshot::cum_drift`]). Only advanced while subscriptions
-    /// exist.
-    cum_drift: f32,
 }
 
 impl Slot {
@@ -507,7 +503,6 @@ impl Slot {
             mesh: &self.mesh,
             exec: &self.exec,
             probe,
-            cum_drift: self.cum_drift,
         }
     }
 }
@@ -525,9 +520,10 @@ fn typical_edge(mesh: &Mesh) -> f32 {
 /// cell is also the reach above which the newest slot rebuilds.
 const GRID_CELL_EDGES: f32 = 4.0;
 
-/// How much cumulative drift a standing query's candidate band absorbs
-/// by default, in typical edges. Larger, and subscriptions refresh less
-/// often but re-test more candidates per poll.
+/// How far vertices may lie from where a standing query last crawled
+/// before its candidate band is used up, by default, in typical edges.
+/// Larger, and subscriptions refresh less often but retain (and, as
+/// drift grows, re-test) more candidates.
 const DEFAULT_BAND_EDGES: f32 = 8.0;
 
 /// The surface grid of `exec` anchored at `mesh`'s positions.
@@ -621,8 +617,9 @@ pub struct MonitorLoop {
     /// What the surface grids did so far (see
     /// [`MonitorLoop::seed_cache_stats`]).
     grid_stats: SeedCacheStats,
-    /// Standing queries answered with incremental deltas off the drift
-    /// meter (see [`crate::subscribe`]).
+    /// Standing queries answered with incremental deltas, and the
+    /// anchor their drift bound is measured from (see
+    /// [`crate::subscribe`]).
     subs: SubscriptionRegistry,
     /// Registry handles wired through every layer by
     /// [`MonitorLoop::attach_telemetry`]; `None` records nothing.
@@ -689,7 +686,6 @@ impl MonitorLoop {
             grid,
             reach: None,
             translation,
-            cum_drift: 0.0,
         });
         Ok(MonitorLoop {
             cmd_tx,
@@ -764,8 +760,8 @@ impl MonitorLoop {
 
     /// Publishes the gauges that mirror monitor state: ring occupancy
     /// and in-flight depth, the surface grid's counters, reach and
-    /// memory, drift meters, subscription aggregates and executor
-    /// memory.
+    /// memory, the locality drift, the standing-query registry and
+    /// executor memory.
     fn publish_gauges(&mut self) {
         let Some(t) = &mut self.telemetry else { return };
         t.monitor.ring_occupancy.set_u64(self.slots.len() as u64);
@@ -780,12 +776,10 @@ impl MonitorLoop {
         t.monitor
             .grid_bytes
             .set_u64(latest.grid.memory_bytes() as u64);
-        t.monitor.drift_meter.set(f64::from(latest.cum_drift));
         if let Some(tracker) = &self.tracker {
             t.monitor.locality_drift.set(tracker.drift_ratio());
         }
-        t.monitor.subscriptions.set_u64(self.subs.len() as u64);
-        t.monitor.sync_subscriptions(&self.subs.total_stats());
+        t.monitor.sync_subscriptions(&self.subs);
         if let Some(adm) = &self.admission {
             t.admission.queue_depth.set_u64(adm.queue_depth() as u64);
         }
@@ -956,17 +950,8 @@ impl MonitorLoop {
         self.in_flight -= 1;
         match update {
             Update::Deformed { step, positions } => {
-                // Advance the cumulative max-displacement meter (the
-                // validity gate of the standing queries' delta path)
-                // before the copy overwrites the previous step's
-                // positions. Only paid while subscriptions exist.
+                self.subs.deformed(&positions);
                 let latest = self.slots.back().expect("ring is never empty");
-                let cum_drift = latest.cum_drift
-                    + if !self.subs.is_empty() {
-                        max_displacement(latest.mesh.positions(), &positions)
-                    } else {
-                        0.0
-                    };
                 let mut mesh = match self.spare_meshes.pop() {
                     Some(m) => m,
                     None => latest.mesh.clone(),
@@ -980,7 +965,6 @@ impl MonitorLoop {
                     grid: Arc::clone(&latest.grid),
                     reach: None,
                     translation: latest.translation.clone(),
-                    cum_drift,
                 };
                 if self.spare_bufs.len() < self.depth {
                     self.spare_bufs.push(positions);
@@ -1016,11 +1000,10 @@ impl MonitorLoop {
                     tracker.apply_delta(&mesh, &delta);
                 }
                 self.restructures_since_layout += 1;
-                // The restructuring step may also have moved positions,
-                // but its epoch advance refreshes every subscription —
-                // no delta path spans a restructure, so the meter can
-                // carry over unchanged.
-                let cum_drift = self.slots.back().expect("ring is never empty").cum_drift;
+                // Told while the appended ids are still the tail of the
+                // id space: the re-layout this event may trigger
+                // relabels them.
+                self.subs.restructured(&mesh);
                 self.push_slot(Slot {
                     step,
                     conn_gen: self.conn_gen,
@@ -1029,7 +1012,6 @@ impl MonitorLoop {
                     grid,
                     reach: None,
                     translation,
-                    cum_drift,
                 });
                 if let Some(t) = &self.telemetry {
                     t.monitor
@@ -1179,9 +1161,9 @@ impl MonitorLoop {
         if let Some(tracker) = &mut self.tracker {
             tracker.rebaseline(&latest.mesh);
         }
-        // Subscriptions survive a re-layout: candidate ids are
-        // translated through the permutation (geometry and drift meters
-        // are untouched by a relabelling).
+        // Subscriptions survive a re-layout: their ids and the anchor
+        // are translated through the permutation (geometry is untouched
+        // by a relabelling).
         self.subs.translate(&perm);
         // The re-laid-out slot opens the new connectivity generation:
         // subsequent deformation slots share its executor and may
@@ -1513,9 +1495,9 @@ impl MonitorLoop {
     }
 
     /// Registers a standing query against the latest snapshot and
-    /// returns its handle. The subscription's *band* — how much
-    /// cumulative drift its candidate list absorbs before a full
-    /// re-crawl — defaults to 8× the mesh's typical edge length. The
+    /// returns its handle. The subscription's *band* — how far vertices
+    /// may lie from where they were at its last crawl before it must
+    /// crawl again — defaults to 8× the mesh's typical edge length. The
     /// initial result set is computed
     /// now ([`MonitorLoop::subscription_result`]); subsequent
     /// [`MonitorLoop::poll_subscriptions`] calls return only the
@@ -1546,7 +1528,7 @@ impl MonitorLoop {
 
     /// Polls every subscription against the latest snapshot: each
     /// standing query's result-set change since its previous poll,
-    /// served from the delta fast path whenever the drift meter proves
+    /// served from the delta fast path whenever the drift bound proves
     /// the candidate band still covers every possible boundary
     /// crossing (see [`crate::subscribe`]).
     pub fn poll_subscriptions(&mut self) -> Vec<(SubscriptionId, ResultDelta)> {
@@ -1555,11 +1537,16 @@ impl MonitorLoop {
             .as_ref()
             .map(|tr| tr.span("monitor.poll_subscriptions"));
         let latest = self.slots.len() - 1;
-        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
+        // Only a crawl probes: a poll of delta paths alone leaves the
+        // slot's reach to the first request that needs it.
+        let snap = if self.subs.must_crawl() {
+            Self::resolve(&mut self.slots, &mut self.grid_stats, latest)
+        } else {
+            self.slots[latest].view()
+        };
         let deltas = self.subs.poll_all(&snap, &mut self.scratch);
         if let Some(t) = &mut self.telemetry {
-            t.monitor.subscriptions.set_u64(self.subs.len() as u64);
-            t.monitor.sync_subscriptions(&self.subs.total_stats());
+            t.monitor.sync_subscriptions(&self.subs);
         }
         deltas
     }
@@ -1788,48 +1775,6 @@ impl Drop for MonitorLoop {
     }
 }
 
-/// Largest per-vertex displacement between two position snapshots of
-/// the same length — one O(V) pass (squared distances; one sqrt at the
-/// end), advancing the standing queries' cumulative drift meter.
-///
-/// A non-finite displacement (a vertex moved to or from NaN/∞) compares
-/// false against every maximum, so it is tracked separately and
-/// saturates the meter to `∞`: no drift bound holds for that vertex,
-/// and every consumer of the meter must take its exact refresh path.
-///
-/// Folded over [`DISPLACEMENT_LANES`] independent accumulators so the
-/// compiler vectorises it (one running maximum and one `|=` flag is a
-/// serial dependency chain: 163 µs against 118 µs on 90 k vertices). A
-/// maximum is exact in any order, so the value is bit-identical to the
-/// one-accumulator loop's.
-fn max_displacement(before: &[Point3], after: &[Point3]) -> f32 {
-    debug_assert_eq!(before.len(), after.len());
-    let mut max_sq = [0.0f32; DISPLACEMENT_LANES];
-    let mut finite = [true; DISPLACEMENT_LANES];
-    let mut before = before.chunks_exact(DISPLACEMENT_LANES);
-    let mut after = after.chunks_exact(DISPLACEMENT_LANES);
-    for (a, b) in before.by_ref().zip(after.by_ref()) {
-        for lane in 0..DISPLACEMENT_LANES {
-            let d = a[lane].dist_sq(b[lane]);
-            finite[lane] &= d.is_finite();
-            max_sq[lane] = max_sq[lane].max(d);
-        }
-    }
-    for (a, b) in before.remainder().iter().zip(after.remainder()) {
-        let d = a.dist_sq(*b);
-        finite[0] &= d.is_finite();
-        max_sq[0] = max_sq[0].max(d);
-    }
-    if finite.contains(&false) {
-        f32::INFINITY
-    } else {
-        max_sq.into_iter().fold(0.0, f32::max).sqrt()
-    }
-}
-
-/// Independent accumulators of [`max_displacement`]'s fold.
-const DISPLACEMENT_LANES: usize = 8;
-
 /// The simulation thread: steps on demand and hands snapshots back.
 /// The restructure epoch decides the hand-off flavour exactly: a step
 /// whose epoch did not advance left connectivity untouched (even when a
@@ -1930,67 +1875,4 @@ fn sim_thread(
         }
     }
     Ok(sim)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The one-accumulator loop the chunked fold replaced.
-    fn max_displacement_scalar(before: &[Point3], after: &[Point3]) -> f32 {
-        let mut max_sq = 0.0f32;
-        let mut bad = false;
-        for (a, b) in before.iter().zip(after) {
-            let d = a.dist_sq(*b);
-            bad |= !d.is_finite();
-            if d > max_sq {
-                max_sq = d;
-            }
-        }
-        if bad {
-            f32::INFINITY
-        } else {
-            max_sq.sqrt()
-        }
-    }
-
-    #[test]
-    fn chunked_max_displacement_is_bit_identical_to_the_scalar_loop() {
-        let mut rng = octopus_geom::rng::SplitMix64::new(0xD15);
-        let mut point = |scale: f32| {
-            Point3::new(
-                rng.range_f32(-scale, scale),
-                rng.range_f32(-scale, scale),
-                rng.range_f32(-scale, scale),
-            )
-        };
-        for len in [0usize, 1, 7, 8, 9, 1000] {
-            let before: Vec<Point3> = (0..len).map(|_| point(10.0)).collect();
-            let after: Vec<Point3> = before
-                .iter()
-                .map(|p| *p + (point(0.1) - Point3::ORIGIN))
-                .collect();
-            let want = max_displacement_scalar(&before, &after);
-            assert_eq!(
-                max_displacement(&before, &after).to_bits(),
-                want.to_bits(),
-                "len {len}"
-            );
-            assert_eq!(want == 0.0, len == 0, "len {len}: premise");
-            // A non-finite coordinate anywhere — the head, a full
-            // chunk's interior, the remainder — saturates the meter.
-            for at in [0, len / 2, len.saturating_sub(1)] {
-                for bad in [f32::NAN, f32::INFINITY] {
-                    if len == 0 {
-                        continue;
-                    }
-                    let mut poisoned = after.clone();
-                    poisoned[at].y = bad;
-                    assert_eq!(max_displacement(&before, &poisoned), f32::INFINITY);
-                    assert_eq!(max_displacement(&poisoned, &after), f32::INFINITY);
-                    assert_eq!(max_displacement_scalar(&before, &poisoned), f32::INFINITY);
-                }
-            }
-        }
-    }
 }

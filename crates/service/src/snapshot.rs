@@ -4,16 +4,14 @@ use octopus_core::{Octopus, Probe};
 use octopus_mesh::Mesh;
 
 /// One retained step, borrowed as a whole: the mesh state at the end of
-/// `step`, the executor of its connectivity generation, the probe that
-/// is exact for exactly this pair, and the step's reading of the
-/// cumulative max-displacement meter. The monitor builds one per
+/// `step`, the executor of its connectivity generation and the probe
+/// that is exact for exactly this pair. The monitor builds one per
 /// request from the ring slot it resolved, so a slot's executor can
-/// never meet another slot's mesh, grid reach or meter; the restructure
-/// epoch a consumer compares against is `mesh.restructure_epoch()`.
+/// never meet another slot's mesh or grid reach; the restructure epoch
+/// a consumer compares against is `mesh.restructure_epoch()`.
 ///
 /// Public so [`crate::BatchEngine::execute`] can be driven standalone:
-/// without a grid use `probe: Probe::Surface`, and on a static mesh
-/// `cum_drift: 0.0`.
+/// without a grid use `probe: Probe::Surface`.
 #[derive(Clone, Copy, Debug)]
 pub struct Snapshot<'a> {
     /// The time step this state belongs to.
@@ -26,9 +24,4 @@ pub struct Snapshot<'a> {
     /// grid at the reach of `mesh`'s positions, or the full surface
     /// probe when no finite reach bounds them.
     pub probe: Probe<'a>,
-    /// Per step, the largest distance any vertex moved, summed since
-    /// ingest: two readings bound the displacement of *every* vertex
-    /// between their steps — the validity gate of the standing queries'
-    /// delta path. Advanced only while subscriptions exist.
-    pub cum_drift: f32,
 }

@@ -16,7 +16,7 @@ use octopus_core::ExecutorMetrics;
 use octopus_telemetry::{ratio, Counter, Gauge, Histogram, Registry, Tracer};
 
 use crate::pool::threads_spawned_total;
-use crate::subscribe::SubscriptionStats;
+use crate::subscribe::{SubscriptionRegistry, SubscriptionStats};
 
 /// The surface grid's counters, under the names the repository
 /// benchmark's adapter reads them by — a shim kept until a benchmark
@@ -184,7 +184,7 @@ impl AdmissionMetrics {
 }
 
 /// Monitor-loop metrics: snapshot ring, re-layouts, surface grid, drift
-/// meters and the standing-query delta path.
+/// gauges and the standing-query delta path.
 #[derive(Clone)]
 pub struct MonitorMetrics {
     /// `monitor_steps_total` — simulation steps absorbed.
@@ -216,8 +216,8 @@ pub struct MonitorMetrics {
     /// bytes.
     pub(crate) grid_reach: Gauge,
     pub(crate) grid_bytes: Gauge,
-    /// `drift_meter` gauge — cumulative max-displacement meter of the
-    /// newest snapshot (the subscriptions' validity currency).
+    /// `drift_meter` gauge — largest distance of any vertex from the
+    /// standing-query anchor (0 without subscriptions).
     pub(crate) drift_meter: Gauge,
     /// `locality_drift` gauge — the layout tracker's drift ratio (what
     /// re-layout triggers compare against their threshold).
@@ -229,6 +229,14 @@ pub struct MonitorMetrics {
     pub(crate) delta_polls: Counter,
     pub(crate) full_refreshes: Counter,
     pub(crate) retested: Counter,
+    /// `standing_reanchors_total` — rebuilds that moved the anchor — and
+    /// `standing_patched_events_total` — connectivity events patched
+    /// into the candidate lists instead of re-crawled.
+    pub(crate) reanchors: Counter,
+    pub(crate) patched_events: Counter,
+    /// `standing_candidates` gauge — candidates retained across all
+    /// subscriptions (what the bands cost in memory: 12 B each).
+    pub(crate) candidates: Gauge,
     /// `standing_delta_hit_rate` gauge — fraction of polls served by
     /// the delta fast path (the first-class gauge `serve` asserts on).
     pub(crate) delta_hit_rate: Gauge,
@@ -241,6 +249,9 @@ pub struct MonitorMetrics {
     pub(crate) sim_restarts: Counter,
     /// Cumulative [`SubscriptionStats`] already published.
     synced: SubscriptionStats,
+    /// Registry-wide re-anchors and patched events already published.
+    synced_reanchors: u64,
+    synced_patched_events: u64,
     /// Cumulative grid counters already published.
     synced_grid: SeedCacheStats,
 }
@@ -268,10 +279,15 @@ impl MonitorMetrics {
             delta_polls: registry.counter("standing_delta_polls_total"),
             full_refreshes: registry.counter("standing_full_refreshes_total"),
             retested: registry.counter("standing_retested_total"),
+            reanchors: registry.counter("standing_reanchors_total"),
+            patched_events: registry.counter("standing_patched_events_total"),
+            candidates: registry.gauge("standing_candidates"),
             delta_hit_rate: registry.gauge("standing_delta_hit_rate"),
             sim_failures: registry.counter("sim_failures_total"),
             sim_restarts: registry.counter("sim_restarts_total"),
             synced: SubscriptionStats::default(),
+            synced_reanchors: 0,
+            synced_patched_events: 0,
             synced_grid: SeedCacheStats::default(),
         }
     }
@@ -287,9 +303,10 @@ impl MonitorMetrics {
     }
 
     /// Publish the subscription registry's cumulative counters (delta
-    /// advance, like [`MonitorMetrics::sync_grid`]) and refresh the
-    /// `standing_delta_hit_rate` gauge.
-    pub(crate) fn sync_subscriptions(&mut self, stats: &SubscriptionStats) {
+    /// advance, like [`MonitorMetrics::sync_grid`]) and refresh its
+    /// gauges.
+    pub(crate) fn sync_subscriptions(&mut self, subs: &SubscriptionRegistry) {
+        let stats = subs.total_stats();
         // Saturating: an unsubscribe removes that subscription's share
         // from the aggregate, which may dip below the synced reading.
         self.polls
@@ -303,7 +320,15 @@ impl MonitorMetrics {
         );
         self.retested
             .add(stats.retested.saturating_sub(self.synced.retested));
-        self.synced = *stats;
+        self.synced = stats;
+        self.reanchors.add(subs.reanchors() - self.synced_reanchors);
+        self.synced_reanchors = subs.reanchors();
+        self.patched_events
+            .add(subs.patched_events() - self.synced_patched_events);
+        self.synced_patched_events = subs.patched_events();
+        self.subscriptions.set_u64(subs.len() as u64);
+        self.candidates.set_u64(stats.candidates as u64);
+        self.drift_meter.set(f64::from(subs.drift()));
         self.delta_hit_rate.set(stats.delta_hit_rate());
     }
 }

@@ -52,7 +52,6 @@ fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, probe: Probe<'a>) -> S
         mesh,
         exec,
         probe,
-        cum_drift: 0.0,
     }
 }
 

@@ -1,9 +1,11 @@
 //! Standing queries: the cumulative result of a subscription — its
 //! initial set plus every polled delta — must equal the linear-scan
 //! ground truth at every step, while the delta fast path (drift-bounded
-//! boundary re-tests) serves most polls without a crawl. The
-//! equivalence must hold across restructuring steps (forced refresh),
-//! mid-run re-layouts (id translation) and subscribe/unsubscribe churn.
+//! boundary re-tests) serves every poll the drift bound allows without
+//! a crawl. The equivalence must hold across restructuring steps (the
+//! candidate list is patched), mid-run re-layouts (id translation) and
+//! subscribe/unsubscribe churn; one seeded scenario at the end of the
+//! file draws all of them at once.
 //!
 //! The referee is [`octopus_testkit::scan_active`], not a fresh
 //! `MonitorLoop::query`: the plain crawl inherits the paper's
@@ -12,10 +14,15 @@
 //! subscription's band-dilated candidate crawl does not share at these
 //! band widths — so the scan is the one answer both paths owe.
 
-use octopus_geom::{Aabb, Point3, VertexId};
-use octopus_service::{LayoutPolicy, MonitorLoop, RelayoutTrigger, SubscriptionId};
+use octopus_geom::rng::SplitMix64;
+use octopus_geom::{Aabb, Point3, Vec3, VertexId};
+use octopus_service::{
+    LayoutPolicy, MonitorLoop, RelayoutTrigger, ResultDelta, SubscriptionId, SubscriptionStats,
+};
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
+use octopus_telemetry::Registry;
 use octopus_testkit::{box_mesh, scan_active, sorted};
+use proptest::prelude::*;
 
 /// The standing boxes under test: one whose boundary threads straight
 /// through grid shells (heavy enter/leave traffic), one clipping the
@@ -34,15 +41,21 @@ fn standing_boxes() -> Vec<Aabb> {
 /// registry's internal set.
 struct Mirror {
     id: SubscriptionId,
+    query: Aabb,
     members: Vec<VertexId>,
 }
 
 impl Mirror {
-    fn new(monitor: &MonitorLoop, id: SubscriptionId) -> Mirror {
-        Mirror {
-            id,
-            members: monitor.subscription_result(id).unwrap().to_vec(),
-        }
+    /// Subscribes `query` (at the default band, or `band`) and mirrors
+    /// the initial result, which is already owed to the scan.
+    fn subscribe(monitor: &mut MonitorLoop, query: Aabb, band: Option<f32>) -> Mirror {
+        let id = match band {
+            Some(band) => monitor.subscribe_with_band(&query, band),
+            None => monitor.subscribe(&query),
+        };
+        let members = monitor.subscription_result(id).unwrap().to_vec();
+        assert_eq!(members, scan_active(monitor.snapshot(), &query));
+        Mirror { id, query, members }
     }
 
     fn apply(&mut self, entered: &[VertexId], left: &[VertexId]) {
@@ -79,9 +92,72 @@ fn relayout_map(before: &[VertexId], after: &[VertexId]) -> Vec<VertexId> {
     map
 }
 
-/// Drives `steps` steps at ring depth `depth`, polling after every
-/// finish and asserting, for every subscription: delta-applied mirror ==
-/// registry result == linear-scan ground truth at that step.
+/// One step of every suite below: advances the ring to `step`, carries
+/// the mirrors across a re-layout, polls, applies the deltas and holds
+/// every mirror — and the registry's own result — to the linear scan of
+/// the new snapshot. A live subscription nobody mirrors (a zero band
+/// owes the plain crawl, not the scan) is polled along and left to the
+/// caller. Returns the poll's deltas.
+fn step_and_check(
+    monitor: &mut MonitorLoop,
+    mirrors: &mut [Mirror],
+    step: u32,
+    ctx: &str,
+) -> Vec<(SubscriptionId, ResultDelta)> {
+    let translation_before = monitor.vertex_translation().map(<[VertexId]>::to_vec);
+    let relayouts_before = monitor.relayouts();
+    monitor.fill_pipeline().unwrap();
+    assert_eq!(monitor.finish_step().unwrap(), step);
+    if monitor.relayouts() > relayouts_before {
+        let map = relayout_map(
+            &translation_before.expect("re-layout requires a curve policy"),
+            monitor.vertex_translation().unwrap(),
+        );
+        for m in mirrors.iter_mut() {
+            m.translate(&map);
+        }
+    }
+    let deltas = monitor.poll_subscriptions();
+    assert_eq!(deltas.len(), monitor.subscriptions(), "{ctx} step {step}");
+    for (id, delta) in &deltas {
+        assert_eq!(delta.step, step, "deltas are stamped with the poll step");
+        if let Some(m) = mirrors.iter_mut().find(|m| m.id == *id) {
+            m.apply(&delta.entered, &delta.left);
+        }
+    }
+    for m in mirrors.iter() {
+        let truth = scan_active(monitor.snapshot(), &m.query);
+        assert_eq!(
+            m.members, truth,
+            "{ctx} step {step}: delta-applied mirror diverged"
+        );
+        assert_eq!(
+            monitor.subscription_result(m.id).unwrap(),
+            truth,
+            "{ctx} step {step}: registry result diverged"
+        );
+    }
+    deltas
+}
+
+/// `box_mesh(n)` under `field`, restructuring `ops` random operations
+/// every `period` steps when asked to.
+fn simulation(
+    n: usize,
+    field: Box<dyn Deformation>,
+    restructure: Option<(u32, usize, u64)>,
+) -> Simulation {
+    let sim = Simulation::new(box_mesh(n), field);
+    match restructure {
+        Some((period, ops, seed)) => sim
+            .with_restructuring(RestructureSchedule::new(period, ops, seed))
+            .unwrap(),
+        None => sim,
+    }
+}
+
+/// Drives `steps` steps at ring depth `depth` over the three standing
+/// boxes, checking every step with [`step_and_check`].
 fn run_equivalence(
     depth: usize,
     field_seed: u64,
@@ -90,72 +166,21 @@ fn run_equivalence(
     policy: LayoutPolicy,
     steps: u32,
 ) -> (MonitorLoop, Vec<SubscriptionId>) {
-    let mesh = {
-        let mut m = box_mesh(4);
-        if restructure.is_some() {
-            m.enable_restructuring().unwrap();
-        }
-        m
-    };
-    let mut sim = Simulation::new(
-        mesh,
+    let sim = simulation(
+        4,
         Box::new(SmoothRandomField::new(amplitude, 3, field_seed)),
+        restructure,
     );
-    if let Some((period, ops, seed)) = restructure {
-        sim = sim
-            .with_restructuring(RestructureSchedule::new(period, ops, seed))
-            .unwrap();
-    }
     let mut monitor = MonitorLoop::with_config(sim, 2, policy, depth).unwrap();
-
-    let ids: Vec<SubscriptionId> = standing_boxes()
-        .iter()
-        .map(|q| monitor.subscribe(q))
+    let mut mirrors: Vec<Mirror> = standing_boxes()
+        .into_iter()
+        .map(|q| Mirror::subscribe(&mut monitor, q, None))
         .collect();
-    assert_eq!(monitor.subscriptions(), ids.len());
-    let boxes = standing_boxes();
-    let mut mirrors: Vec<Mirror> = ids.iter().map(|&id| Mirror::new(&monitor, id)).collect();
-    // The initial result is already the ground truth.
-    for (id, q) in ids.iter().zip(&boxes) {
-        assert_eq!(
-            monitor.subscription_result(*id).unwrap(),
-            scan_active(monitor.snapshot(), q)
-        );
-    }
-
+    assert_eq!(monitor.subscriptions(), mirrors.len());
     for step in 1..=steps {
-        let translation_before = monitor.vertex_translation().map(<[VertexId]>::to_vec);
-        let relayouts_before = monitor.relayouts();
-        monitor.fill_pipeline().unwrap();
-        assert_eq!(monitor.finish_step().unwrap(), step);
-        if monitor.relayouts() > relayouts_before {
-            let map = relayout_map(
-                &translation_before.expect("re-layout requires a curve policy"),
-                monitor.vertex_translation().unwrap(),
-            );
-            for m in &mut mirrors {
-                m.translate(&map);
-            }
-        }
-        let deltas = monitor.poll_subscriptions();
-        for (id, delta) in &deltas {
-            assert_eq!(delta.step, step, "deltas are stamped with the poll step");
-            let m = mirrors.iter_mut().find(|m| m.id == *id).unwrap();
-            m.apply(&delta.entered, &delta.left);
-        }
-        for (m, q) in mirrors.iter().zip(&boxes) {
-            let truth = scan_active(monitor.snapshot(), q);
-            assert_eq!(
-                m.members, truth,
-                "depth {depth} step {step}: delta-applied mirror diverged"
-            );
-            assert_eq!(
-                monitor.subscription_result(m.id).unwrap(),
-                truth,
-                "depth {depth} step {step}: registry result diverged"
-            );
-        }
+        step_and_check(&mut monitor, &mut mirrors, step, &format!("depth {depth}"));
     }
+    let ids = mirrors.iter().map(|m| m.id).collect();
     (monitor, ids)
 }
 
@@ -194,11 +219,11 @@ fn deltas_stay_exact_across_restructuring() {
         );
         for id in ids {
             let stats = monitor.subscription_stats(id).unwrap();
-            // Every restructuring step bumps the epoch and forces a full
-            // refresh (beyond the one at subscribe).
-            assert!(
-                stats.full_refreshes > 1,
-                "depth {depth}: restructures must force refreshes ({stats:?})"
+            // A restructuring step patches the candidate list; nothing
+            // crawls beyond the one refresh at subscribe.
+            assert_eq!(
+                stats.full_refreshes, 1,
+                "depth {depth}: a restructure must not force a refresh ({stats:?})"
             );
         }
     }
@@ -337,10 +362,7 @@ fn attaching_an_engine_keeps_subscriptions_on_the_delta_path() {
     let boxes = standing_boxes();
     let mut mirrors: Vec<Mirror> = boxes
         .iter()
-        .map(|q| {
-            let id = monitor.subscribe(q);
-            Mirror::new(&monitor, id)
-        })
+        .map(|q| Mirror::subscribe(&mut monitor, *q, None))
         .collect();
     let step_and_poll = |monitor: &mut MonitorLoop, mirrors: &mut Vec<Mirror>| {
         monitor.begin_step().unwrap();
@@ -374,14 +396,25 @@ fn attaching_an_engine_keeps_subscriptions_on_the_delta_path() {
     }
 }
 
+/// The member of `cube(0.5, 0.25)` nearest its centre: deep inside, so
+/// no δ-re-test near the boundary ever looks at it.
+fn centre_vertex(mesh: &octopus_mesh::Mesh) -> VertexId {
+    (0..mesh.num_vertices() as VertexId)
+        .min_by(|&a, &b| {
+            let d = |v| mesh.position(v).dist_sq(Point3::splat(0.5));
+            d(a).total_cmp(&d(b))
+        })
+        .unwrap()
+}
+
 /// A smooth field that additionally sends one interior vertex to NaN at
-/// exactly one step (it comes back with the next step's field) and one
-/// surface vertex to NaN from that step on.
+/// exactly one step (it comes back with the next step's field) and,
+/// when given one, a surface vertex to NaN from that step on.
 struct PoisonAt {
     field: SmoothRandomField,
     step: u32,
     vertex: VertexId,
-    surface_vertex: VertexId,
+    surface_vertex: Option<VertexId>,
 }
 
 impl Deformation for PoisonAt {
@@ -394,8 +427,8 @@ impl Deformation for PoisonAt {
         if step == self.step {
             positions[self.vertex as usize] = Point3::splat(f32::NAN);
         }
-        if step >= self.step {
-            positions[self.surface_vertex as usize].y = f32::NAN;
+        if let Some(v) = self.surface_vertex.filter(|_| step >= self.step) {
+            positions[v as usize].y = f32::NAN;
         }
     }
 }
@@ -405,19 +438,15 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
     // A deep-interior member of the standing box goes NaN at step k.
     // The δ-re-test only looks near the boundary, so a drift meter that
     // ignores the non-finite displacement keeps reporting the vertex;
-    // a saturated meter refreshes, and keeps refreshing (∞ − ∞ is NaN,
-    // which validates nothing). From the same step on a surface vertex
-    // far from the box is NaN as well: no reach bounds that snapshot,
-    // so its queries fall back to the full surface probe.
+    // a saturated meter refreshes, and keeps refreshing while a NaN
+    // lasts (every rebuild anchors at it). From the same step on a
+    // surface vertex far from the box is NaN for good: no reach bounds
+    // those snapshots, so their queries fall back to the full surface
+    // probe, and no later poll rides the delta path.
     let k = 4;
     let mesh = box_mesh(4);
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
-    let centre = (0..mesh.num_vertices() as VertexId)
-        .min_by(|&a, &b| {
-            let d = |v| mesh.position(v).dist_sq(Point3::splat(0.5));
-            d(a).total_cmp(&d(b))
-        })
-        .unwrap();
+    let centre = centre_vertex(&mesh);
     let corner = (0..mesh.num_vertices() as VertexId)
         .find(|&v| mesh.position(v) == Point3::ORIGIN)
         .expect("the lattice has a vertex at the origin");
@@ -427,7 +456,7 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
             field: SmoothRandomField::new(0.01, 3, 42),
             step: k,
             vertex: centre,
-            surface_vertex: corner,
+            surface_vertex: Some(corner),
         }),
     );
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
@@ -436,8 +465,8 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
     monitor
         .set_batch_engine(octopus_service::BatchEngineConfig { use_planner: false })
         .unwrap();
-    let id = monitor.subscribe(&q);
-    let mut mirror = Mirror::new(&monitor, id);
+    let mut mirror = Mirror::subscribe(&mut monitor, q, None);
+    let id = mirror.id;
     assert!(mirror.members.contains(&centre), "test premise");
 
     let mut before_poison = None;
@@ -484,4 +513,415 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
         (before.hits, 4),
         "no grid probe is exact for an unbounded snapshot: {after:?}"
     );
+}
+
+#[test]
+fn a_transient_nan_costs_refreshes_only_while_it_lasts() {
+    // The interior member is NaN at step k only. The poll at k crawls
+    // (no bound holds) and anchors at the NaN, so the poll at k + 1
+    // crawls as well and anchors at finite positions; from k + 2 on the
+    // delta path is back. (A summed meter stays at ∞ for the life of
+    // the ring.)
+    let (k, steps) = (4u32, 10u32);
+    let mesh = box_mesh(4);
+    let centre = centre_vertex(&mesh);
+    let sim = Simulation::new(
+        mesh,
+        Box::new(PoisonAt {
+            field: SmoothRandomField::new(0.01, 3, 42),
+            step: k,
+            vertex: centre,
+            surface_vertex: None,
+        }),
+    );
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let mut mirrors = [Mirror::subscribe(
+        &mut monitor,
+        Aabb::cube(Point3::splat(0.5), 0.25),
+        None,
+    )];
+    assert!(mirrors[0].members.contains(&centre), "test premise");
+    for step in 1..=steps {
+        let deltas = step_and_check(&mut monitor, &mut mirrors, step, "transient NaN");
+        assert_eq!(deltas[0].1.left.contains(&centre), step == k);
+        assert_eq!(deltas[0].1.entered.contains(&centre), step == k + 1);
+    }
+    let stats = monitor.subscription_stats(mirrors[0].id).unwrap();
+    assert_eq!(
+        (stats.delta_polls, stats.full_refreshes),
+        (u64::from(steps) - 2, 3),
+        "only the polls at {k} and {} may crawl ({stats:?})",
+        k + 1
+    );
+}
+
+/// Pure translation, the same for every vertex, accumulated in place:
+/// displacement grows without bound, so every finite band really is
+/// used up — and every vertex moves exactly as far as the bound says,
+/// the tightest case for its rounding.
+struct Creep(Vec3);
+
+impl Deformation for Creep {
+    fn name(&self) -> &'static str {
+        "creep"
+    }
+
+    fn apply_step(&mut self, _step: u32, _rest: &[Point3], positions: &mut [Point3]) {
+        for p in positions {
+            *p += self.0;
+        }
+    }
+}
+
+/// The meter this suite's bounds are stated against: per step, the
+/// largest distance any vertex moved.
+fn max_step_displacement(before: &[Point3], after: &[Point3]) -> f32 {
+    before
+        .iter()
+        .zip(after)
+        .map(|(a, b)| a.dist(*b))
+        .fold(0.0, f32::max)
+}
+
+/// Most refreshes a band may need over steps whose maximum
+/// displacements sum to `total`: the one at subscribe plus one per band
+/// used up.
+fn refresh_bound(total: f32, band: f32) -> u64 {
+    1 + (total / band).ceil() as u64
+}
+
+#[test]
+fn a_bounded_field_never_refreshes_after_subscribe() {
+    // Named case (i): 200 steps displacing around the rest state by up
+    // to 0.05. No vertex is ever farther than 0.1 from the anchor — a
+    // sixteenth of the default band — while the per-step maxima sum to
+    // several bands.
+    let sim = simulation(4, Box::new(SmoothRandomField::new(0.05, 3, 5)), None);
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let registry = Registry::new(true);
+    monitor.attach_telemetry(&registry);
+    let mut mirrors: Vec<Mirror> = standing_boxes()
+        .into_iter()
+        .map(|q| Mirror::subscribe(&mut monitor, q, None))
+        .collect();
+    let band = 8.0 * (1.0f32 / 125.0).cbrt();
+    let mut summed = 0.0;
+    for step in 1..=200 {
+        let before = monitor.snapshot().positions().to_vec();
+        step_and_check(&mut monitor, &mut mirrors, step, "bounded field");
+        summed += max_step_displacement(&before, monitor.snapshot().positions());
+    }
+    assert!(
+        refresh_bound(summed, band) > 3,
+        "premise: the summed meter refreshes ({summed} against a band of {band})"
+    );
+    let mut candidates = 0;
+    for m in &mirrors {
+        let stats = monitor.subscription_stats(m.id).unwrap();
+        assert_eq!((stats.full_refreshes, stats.delta_polls), (1, 200));
+        candidates += stats.candidates;
+    }
+    let telemetry = monitor.telemetry_snapshot().unwrap();
+    assert_eq!(telemetry.counter("standing_reanchors_total"), 0);
+    assert_eq!(telemetry.counter("standing_patched_events_total"), 0);
+    assert_eq!(telemetry.gauge("standing_candidates"), candidates as f64);
+    assert!((0.0..=0.1 + 1e-6).contains(&telemetry.gauge("drift_meter")));
+}
+
+#[test]
+fn a_creeping_field_refreshes_no_more_often_than_the_summed_meter() {
+    // Named cases (ii) and (iii): under steady translation the drift is
+    // monotone, the bound through the anchor equals the sum, and bands
+    // are used up at exactly the rate the sum predicts — with or
+    // without a zero-band neighbour whose every poll moves the anchor.
+    for with_zero_band in [false, true] {
+        let sim = simulation(4, Box::new(Creep(Vec3::new(0.03, 0.02, 0.0))), None);
+        let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+        let registry = Registry::new(true);
+        monitor.attach_telemetry(&registry);
+        let band = 0.5;
+        let mut mirrors: Vec<Mirror> = standing_boxes()
+            .into_iter()
+            .map(|q| Mirror::subscribe(&mut monitor, q, Some(band)))
+            .collect();
+        // Not mirrored against the scan: a zero band is the plain
+        // crawl, corner-island gap included.
+        let tiny_q = Aabb::cube(Point3::splat(0.6), 0.3);
+        let tiny = with_zero_band.then(|| monitor.subscribe_with_band(&tiny_q, 0.0));
+        let (steps, mut summed) = (40u64, 0.0);
+        for step in 1..=steps as u32 {
+            let before = monitor.snapshot().positions().to_vec();
+            step_and_check(&mut monitor, &mut mirrors, step, "creep");
+            if let Some(id) = tiny {
+                let mut fresh = Vec::new();
+                monitor.query(&tiny_q, &mut fresh);
+                assert_eq!(monitor.subscription_result(id).unwrap(), sorted(fresh));
+            }
+            summed += max_step_displacement(&before, monitor.snapshot().positions());
+        }
+        for m in &mirrors {
+            let stats = monitor.subscription_stats(m.id).unwrap();
+            assert!(
+                (2..=refresh_bound(summed, band)).contains(&stats.full_refreshes),
+                "zero band {with_zero_band}: {summed} of drift against a band of {band} \
+                 ({stats:?})"
+            );
+        }
+        let reanchors = monitor
+            .telemetry_snapshot()
+            .unwrap()
+            .counter("standing_reanchors_total");
+        if let Some(id) = tiny {
+            let stats = monitor.subscription_stats(id).unwrap();
+            assert_eq!((stats.delta_polls, stats.full_refreshes), (0, steps + 1));
+            assert_eq!(reanchors, steps, "every poll of the zero band re-anchors");
+        } else {
+            assert!((1..steps).contains(&reanchors));
+        }
+    }
+}
+
+#[test]
+fn connectivity_events_patch_the_candidate_list() {
+    // Named cases (iv) and (v). The box holds the whole mesh, so every
+    // centroid a `refine_tet` appends is born inside it and every
+    // vertex a `remove_cell` orphans was a member: the first must be
+    // `entered`, the second `left`, at the poll after the event — and
+    // nothing may crawl for it. Under the Hilbert policy every event
+    // also triggers a re-layout that lands in the same `finish_step`
+    // (ring depth 1), before the poll: the patch must have happened in
+    // the old id space and what it owes must be relabelled with the
+    // rest.
+    for policy in [
+        LayoutPolicy::Preserve,
+        LayoutPolicy::Hilbert {
+            trigger: RelayoutTrigger::AfterRestructures(1),
+        },
+    ] {
+        // A mesh coarse enough that random removals do strand vertices.
+        let sim = simulation(
+            2,
+            Box::new(SmoothRandomField::new(0.01, 3, 11)),
+            Some((2, 12, 0xFACE)),
+        );
+        let mut monitor = MonitorLoop::with_config(sim, 2, policy, 1).unwrap();
+        let registry = Registry::new(true);
+        monitor.attach_telemetry(&registry);
+        let mut mirrors = [Mirror::subscribe(
+            &mut monitor,
+            Aabb::cube(Point3::splat(0.5), 0.6),
+            None,
+        )];
+        let active = |mesh: &octopus_mesh::Mesh| {
+            (0..mesh.num_vertices() as VertexId)
+                .filter(|&v| mesh.is_vertex_active(v))
+                .count()
+        };
+        let (mut born, mut orphaned) = (0, 0);
+        for step in 1..=12 {
+            let before = monitor.snapshot().clone();
+            let deltas = step_and_check(&mut monitor, &mut mirrors, step, "patch");
+            let (_, delta) = &deltas[0];
+            let after = monitor.snapshot();
+            // Nothing crosses this box's boundary: the delta is the
+            // event.
+            assert_eq!(
+                active(&before) + delta.entered.len() - delta.left.len(),
+                active(after)
+            );
+            born += delta.entered.len();
+            orphaned += delta.left.len();
+            if policy == LayoutPolicy::Preserve {
+                let appended = before.num_vertices() as VertexId..after.num_vertices() as VertexId;
+                for v in appended {
+                    assert_eq!(delta.entered.contains(&v), after.is_vertex_active(v));
+                }
+                for &v in &delta.left {
+                    assert!(before.is_vertex_active(v) && !after.is_vertex_active(v));
+                }
+            }
+        }
+        assert!(
+            born > 0 && orphaned > 0,
+            "premise: {born} born, {orphaned} orphaned"
+        );
+        let relayouts = if policy == LayoutPolicy::Preserve {
+            0
+        } else {
+            6
+        };
+        assert_eq!(monitor.relayouts(), relayouts, "one per restructuring step");
+        let stats = monitor.subscription_stats(mirrors[0].id).unwrap();
+        assert_eq!((stats.full_refreshes, stats.delta_polls), (1, 12));
+        let telemetry = monitor.telemetry_snapshot().unwrap();
+        assert_eq!(telemetry.counter("standing_patched_events_total"), 6);
+        assert_eq!(
+            telemetry.gauge("standing_candidates"),
+            stats.candidates as f64
+        );
+    }
+}
+
+/// The whole mesh swaying along x around its rest state: the drift
+/// returns to zero twice a period.
+struct Sway {
+    amplitude: f32,
+    period: f32,
+}
+
+impl Deformation for Sway {
+    fn name(&self) -> &'static str {
+        "sway"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        let dx = self.amplitude * (std::f32::consts::TAU * step as f32 / self.period).sin();
+        for (p, r) in positions.iter_mut().zip(rest) {
+            *p = *r + Vec3::new(dx, 0.0, 0.0);
+        }
+    }
+}
+
+#[test]
+fn the_retested_prefix_is_the_running_maximum_of_the_bound() {
+    // The lattice planes x = 0.25 and x = 0.75 lie 0.05 inside the box:
+    // their vertices leave at one peak of the sway, come back as it
+    // passes through rest — where the bound is 0 again, far below their
+    // boundary distance — and never reach the other boundary. A prefix
+    // cut at the *current* bound would not look at them on the way
+    // back.
+    let sim = simulation(
+        4,
+        Box::new(Sway {
+            amplitude: 0.1,
+            period: 8.0,
+        }),
+        None,
+    );
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let mut mirrors = [Mirror::subscribe(
+        &mut monitor,
+        Aabb::cube(Point3::splat(0.5), 0.3),
+        None,
+    )];
+    let (mut entered, mut left) = (0, 0);
+    for step in 1..=24 {
+        let deltas = step_and_check(&mut monitor, &mut mirrors, step, "sway");
+        entered += deltas[0].1.entered.len();
+        left += deltas[0].1.left.len();
+    }
+    assert!(
+        entered > 0 && left > 0,
+        "premise: {entered} entered, {left} left"
+    );
+    let stats = monitor.subscription_stats(mirrors[0].id).unwrap();
+    assert_eq!((stats.full_refreshes, stats.delta_polls), (1, 24));
+}
+
+/// What one case of the scenario below draws.
+#[derive(Clone, Copy, Debug)]
+struct Scenario {
+    creeping: bool,
+    restructuring: bool,
+    relayout: bool,
+    /// `box_mesh(2)` under heavy restructuring (removals strand
+    /// vertices) instead of `box_mesh(4)` under light.
+    coarse: bool,
+    depth: usize,
+    seed: u64,
+}
+
+/// One seeded run: a field, optionally restructuring and re-layouts, a
+/// mesh, a ring depth and a random script of late subscribes (two band
+/// widths) and unsubscribes — including *unsubscribe all → step → subscribe
+/// again*, which must not meet a stale anchor. After every step every
+/// live mirror ≡ `subscription_result` ≡ `scan_active`.
+fn run_scenario(sc: Scenario) {
+    const STEPS: u32 = 14;
+    let mut rng = SplitMix64::new(sc.seed);
+    let field: Box<dyn Deformation> = if sc.creeping {
+        Box::new(Creep(Vec3::new(0.04, 0.01, -0.02)))
+    } else {
+        Box::new(SmoothRandomField::new(0.02, 3, sc.seed))
+    };
+    let (n, period, ops) = if sc.coarse { (2, 2, 10) } else { (4, 3, 4) };
+    let sim = simulation(
+        n,
+        field,
+        sc.restructuring.then_some((period, ops, sc.seed ^ 0xD1CE)),
+    );
+    // Wider than the longest edge, so that the band-dilated crawl does
+    // not inherit the plain one's corner-island gap.
+    let narrow_band = 2.4 / n as f32;
+    let policy = if sc.relayout {
+        LayoutPolicy::Hilbert {
+            trigger: RelayoutTrigger::AfterRestructures(2),
+        }
+    } else {
+        LayoutPolicy::Preserve
+    };
+    let mut monitor = MonitorLoop::with_config(sim, 2, policy, sc.depth).unwrap();
+    let mut mirrors: Vec<Mirror> = Vec::new();
+    let mut past: Vec<SubscriptionStats> = Vec::new();
+    let vacate_at = 2 + rng.index(STEPS as usize - 2) as u32;
+    for step in 1..=STEPS {
+        if step == vacate_at {
+            for m in mirrors.drain(..) {
+                past.push(monitor.subscription_stats(m.id).unwrap());
+                assert!(monitor.unsubscribe(m.id));
+            }
+            assert_eq!(monitor.subscriptions(), 0);
+        } else {
+            if !mirrors.is_empty() && rng.chance(0.2) {
+                let m = mirrors.swap_remove(rng.index(mirrors.len()));
+                past.push(monitor.subscription_stats(m.id).unwrap());
+                assert!(monitor.unsubscribe(m.id));
+            }
+            if mirrors.is_empty() || rng.chance(0.4) {
+                let centre = Point3::new(
+                    rng.range_f32(0.1, 1.2),
+                    rng.range_f32(0.1, 0.9),
+                    rng.range_f32(0.0, 0.9),
+                );
+                let q = Aabb::cube(centre, rng.range_f32(0.15, 0.4));
+                let band = rng.chance(0.5).then_some(narrow_band);
+                mirrors.push(Mirror::subscribe(&mut monitor, q, band));
+            }
+        }
+        step_and_check(&mut monitor, &mut mirrors, step, &format!("{sc:?}"));
+    }
+    past.extend(
+        mirrors
+            .iter()
+            .map(|m| monitor.subscription_stats(m.id).unwrap()),
+    );
+    if !sc.creeping {
+        // 0.04 of drift at most: nothing but the subscribe ever crawls.
+        for stats in &past {
+            assert_eq!(stats.full_refreshes, 1, "{sc:?}: {stats:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_scenario_keeps_every_mirror_exact(
+        creeping in proptest::bool::ANY,
+        restructuring in proptest::bool::ANY,
+        relayout in proptest::bool::ANY,
+        coarse in proptest::bool::ANY,
+        deep in proptest::bool::ANY,
+        seed in 0u64..10_000,
+    ) {
+        run_scenario(Scenario {
+            creeping,
+            restructuring,
+            relayout,
+            coarse,
+            depth: if deep { 3 } else { 1 },
+            seed,
+        });
+    }
 }

@@ -7,8 +7,8 @@ use octopus_telemetry::{span, Registry};
 #[test]
 fn snapshot_json_round_trips_through_serde_json() {
     let reg = Registry::new(true);
-    reg.counter("surface_grid_probes_total").add(41);
-    reg.gauge("surface_grid_reach").set(0.75);
+    reg.counter("standing_patched_events_total").add(41);
+    reg.gauge("drift_meter").set(0.75);
     let h = reg.histogram("executor_phase_ns_crawling");
     for v in [0u64, 3, 900, 1 << 40] {
         h.record(v);
@@ -22,14 +22,14 @@ fn snapshot_json_round_trips_through_serde_json() {
     assert_eq!(
         value
             .get("counters")
-            .and_then(|c| c.get("surface_grid_probes_total"))
+            .and_then(|c| c.get("standing_patched_events_total"))
             .and_then(|v| v.as_u64()),
         Some(41)
     );
     assert_eq!(
         value
             .get("gauges")
-            .and_then(|g| g.get("surface_grid_reach"))
+            .and_then(|g| g.get("drift_meter"))
             .and_then(|v| v.as_f64()),
         Some(0.75)
     );

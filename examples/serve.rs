@@ -21,8 +21,9 @@
 //!    incremental [`octopus::service::ResultDelta`], a client-side
 //!    mirror applies the deltas (translating ids across re-layouts),
 //!    and the mirror is checked against a full scan of the snapshot —
-//!    the run asserts that most polls ride the drift-bounded delta
-//!    fast path instead of re-crawling;
+//!    the run asserts that every poll rides the drift-bounded delta
+//!    fast path: restructures are patched into the candidate list, so
+//!    nothing after the subscribe re-crawls;
 //! 4. the exact same schedule is then replayed stop-the-world
 //!    (step, then query the live mesh) and every result set is checked
 //!    for equality (translated through the layout permutation), so the
@@ -542,16 +543,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("surface_grid_fallbacks_total"),
         candidates.count
     );
+    let patched_events = telemetry.counter("standing_patched_events_total");
     println!(
         "  standing query: {} polls, {} on the delta path (hit rate {:.0}%), {} full \
-         refreshes, {} boundary re-tests over {} tracked candidates; mirror matched the \
-         snapshot scan every step ✓",
+         refresh(es), {} connectivity events patched in, {} boundary re-tests over {} tracked \
+         candidates; mirror matched the snapshot scan every step ✓",
         sub_stats.polls,
         sub_stats.delta_polls,
         100.0 * sub_stats.delta_hit_rate(),
         sub_stats.full_refreshes,
+        patched_events,
         sub_stats.retested,
         sub_stats.candidates
+    );
+    // The field displaces around its rest state, far inside the band,
+    // and a restructure patches the candidate list: nothing but the
+    // subscribe may have crawled, and the anchor never moved.
+    assert_eq!(
+        (
+            sub_stats.full_refreshes,
+            telemetry.counter("standing_reanchors_total")
+        ),
+        (1, 0),
+        "the standing query re-crawled across {patched_events} restructures"
+    );
+    assert!(
+        patched_events > 0,
+        "the run's restructures never reached the subscription registry"
     );
     assert!(
         telemetry.counter("standing_delta_polls_total") > 0
@@ -592,6 +610,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "ring_",
         "ring_restructure_ns",
         "standing_",
+        "standing_reanchors_total",
+        "standing_patched_events_total",
+        "standing_candidates",
+        "drift_meter",
         "monitor_steps_total",
         "admission_",
         "deadline_miss_total",
