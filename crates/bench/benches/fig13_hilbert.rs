@@ -163,9 +163,9 @@ fn main() {
     // neighbour). Without that branch the clock follows the cache-line
     // metric: fewer extra lines per vertex means a faster crawl.
     let diagnosis = format!(
-        "with the branchless SoA hot path the clock follows the cache-line metric: \
-         identity touches {:.2} extra lines/vertex, hilbert {:.2}, and hilbert crawls \
-         {:.2}x faster than identity.",
+        "with the branchless crawl over the position array the clock follows the \
+         cache-line metric: identity touches {:.2} extra lines/vertex, hilbert {:.2}, \
+         and hilbert crawls {:.2}x faster than identity.",
         entries[1].extra_lines, entries[3].extra_lines, entries[3].speedup_vs_identity,
     );
     println!("diagnosis: {diagnosis}");

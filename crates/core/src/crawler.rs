@@ -6,7 +6,7 @@
 //! structures used during crawling" whose footprint Fig. 10(b) reports.
 
 use octopus_geom::{Region, VertexId};
-use octopus_mesh::{Mesh, BLOCK_LANES};
+use octopus_mesh::Mesh;
 
 #[cfg(test)]
 use octopus_geom::Aabb;
@@ -157,12 +157,12 @@ impl Crawler {
         q: &R,
         mut visit: impl FnMut(VertexId),
     ) {
-        // The crawl reads positions through the blocked SoA mirror
-        // (rebuilt lazily here if deformation outdated it): one block =
-        // three cache lines shared by 16 consecutive ids, which a
-        // locality-optimised layout packs neighbourhoods into.
-        let blocks = mesh.position_blocks();
-        let blk = blocks.blocks();
+        // Positions are read in place, from the array the simulation
+        // wrote: one vertex is one 12-byte load, and nothing derived
+        // from positions is built or locked for a crawl. How many lines
+        // a crawl touches is set by the vertex *order* (see
+        // `crate::layout`), not by a second copy of the coordinates.
+        let positions = mesh.positions();
         // The hot path is *branchless* on freshness and containment.
         // Whether a neighbour was already visited is decided by the
         // crawl wavefront, which under a locality-optimised layout is
@@ -196,10 +196,8 @@ impl Crawler {
                 let slot = &mut stamps[wi];
                 let fresh = (*slot != epoch) as usize;
                 *slot = epoch;
-                let block = &blk[wi / BLOCK_LANES];
-                let l = wi % BLOCK_LANES;
-                let inside =
-                    q.contains_coords(block.xs()[l], block.ys()[l], block.zs()[l]) as usize;
+                let p = positions[wi];
+                let inside = q.contains_coords(p.x, p.y, p.z) as usize;
                 let take = fresh & inside;
                 queue[tail] = w;
                 tail += take;
@@ -232,11 +230,9 @@ impl Crawler {
         found
     }
 
-    /// Heap bytes of the scratch structures. The blocked SoA position
-    /// store the crawl reads through is *dataset* memory, owned and
-    /// accounted (padding included) by [`Mesh::memory_bytes`] — the v2
-    /// hot path added no crawl-owned state beyond the queue it always
-    /// had.
+    /// Heap bytes of the scratch structures: the visited stamps and
+    /// the queue. The crawl reads [`Mesh::positions`] in place, so it
+    /// owns no position state and adds none to the mesh.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.visited.heap_bytes() + self.queue.capacity() * std::mem::size_of::<VertexId>()
     }
@@ -332,6 +328,36 @@ mod tests {
         let mut got = crawl_from_all_inside(&mut c, &mesh, &q);
         got.sort_unstable();
         assert_eq!(got, scan(&mesh, &q));
+    }
+
+    #[test]
+    fn nan_vertex_is_never_reported_and_does_not_block_the_crawl() {
+        let mut mesh = box_mesh(4);
+        let q = Aabb::new(Point3::splat(-0.1), Point3::splat(1.1));
+        let center = Point3::splat(0.5);
+        let poisoned = (0..mesh.num_vertices() as VertexId)
+            .find(|&v| mesh.position(v) == center)
+            .expect("a 4³ lattice has a vertex at the centre");
+        let around = mesh.neighbors(poisoned).to_vec();
+        // Each coordinate alone must fail containment.
+        for axis in 0..3 {
+            let mut p = center;
+            match axis {
+                0 => p.x = f32::NAN,
+                1 => p.y = f32::NAN,
+                _ => p.z = f32::NAN,
+            }
+            mesh.positions_mut()[poisoned as usize] = p;
+            let mut c = Crawler::new(mesh.num_vertices());
+            let mut got = crawl_from_all_inside(&mut c, &mesh, &q);
+            got.sort_unstable();
+            // `scan` applies the same closed comparisons, so it skips
+            // the NaN vertex too: everything else is reached around it.
+            assert_eq!(got, scan(&mesh, &q), "axis {axis}");
+            assert!(!got.contains(&poisoned), "axis {axis}");
+            assert_eq!(got.len(), mesh.num_vertices() - 1, "axis {axis}");
+            assert!(around.iter().all(|w| got.contains(w)), "axis {axis}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! for the fig. 13 roster).
 
 use octopus_geom::{hilbert, morton, VertexId};
-use octopus_mesh::{Mesh, BLOCK_LANES};
+use octopus_mesh::Mesh;
 use std::collections::VecDeque;
 
 /// Curve used to order vertices.
@@ -84,13 +84,19 @@ pub fn morton_layout(mesh: &Mesh) -> (Mesh, Vec<VertexId>) {
     (mesh.permute_vertices(&perm), perm)
 }
 
-/// The 64-byte line a vertex's position data lands on in the blocked
-/// SoA store: [`BLOCK_LANES`] consecutive ids share each coordinate
-/// lane (and, to first order, their CSR adjacency rows — both arrays
-/// are id-contiguous, so the id→line map is the shared model).
+/// Ids per modelled 64-byte line (see [`cache_line_of`]).
+const IDS_PER_LINE: usize = 16;
+
+/// The modelled 64-byte line vertex `v` lands on: 16 consecutive ids
+/// share one. That is what the crawl's 4-byte per-vertex arrays (the
+/// visited stamps, the CSR offsets) pack. Positions are 12 bytes — 5⅓
+/// per line — and are read in place from an array that is
+/// id-contiguous too, so the order that packs a neighbourhood into few
+/// 16-id lines packs its positions as well; fig. 13 shows the crawl
+/// clock following the 16-id count.
 #[inline]
 pub fn cache_line_of(v: VertexId) -> u32 {
-    v / BLOCK_LANES as VertexId
+    v / IDS_PER_LINE as VertexId
 }
 
 /// The cache-line-aware locality model.
@@ -255,7 +261,7 @@ pub fn reuse_distance_histogram(mesh: &Mesh) -> ReuseHistogram {
     if n == 0 {
         return hist;
     }
-    let num_lines = n.div_ceil(BLOCK_LANES);
+    let num_lines = n.div_ceil(IDS_PER_LINE);
     let total: usize = n
         + (0..n as VertexId)
             .map(|v| mesh.neighbors(v).len())

@@ -1,8 +1,9 @@
-//! Properties of the layout engine (Hilbert relabelling + blocked-SoA
-//! hot path): the permutation is a true permutation, relabelling is
-//! invisible to query results on both random and neuron meshes, and the
-//! SoA position mirror stays equal to the canonical `Vec<Point3>`
-//! through deformation, restructuring and re-layout.
+//! Properties of the layout engine (Hilbert relabelling): the
+//! permutation is a true permutation, relabelling is invisible to query
+//! results on both random and neuron meshes, and the SoA position
+//! mirror (no query path reads it since PR 21; the repository benchmark
+//! still times it) stays equal to the canonical `Vec<Point3>` through
+//! deformation, restructuring and re-layout.
 
 use octopus_core::layout::{curve_permutation, hilbert_layout, CurveKind};
 use octopus_core::Octopus;

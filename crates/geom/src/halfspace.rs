@@ -31,12 +31,11 @@ pub trait Region {
         Self: Sized;
     /// A box containing the whole region.
     fn bounds(&self) -> Aabb;
-    /// Containment on raw SoA coordinates — must agree exactly with
+    /// Containment on raw coordinates — must agree exactly with
     /// `self.contains(Point3::new(x, y, z))`, which is what the default
-    /// does. Exists so blocked-SoA consumers can test a whole
-    /// coordinate lane without reassembling points; NaN coordinates
-    /// must fail (every closed comparison does naturally), which the
-    /// blocked store's padding lanes rely on.
+    /// does. The crawl's inner loop calls this. NaN coordinates must
+    /// fail (every closed comparison does naturally): that is what keeps
+    /// a vertex with a non-finite position out of every result.
     #[inline]
     fn contains_coords(&self, x: f32, y: f32, z: f32) -> bool {
         self.contains(Point3::new(x, y, z))

@@ -66,15 +66,15 @@ pub struct Mesh {
     /// surface statistics, snapshot executors) can compare epochs
     /// instead of diffing the mesh.
     restructure_epoch: u64,
-    /// Bumped by every mutable-position access ([`Mesh::positions_mut`],
-    /// [`Mesh::refine_tet`]'s centroid append) — the staleness stamp of
-    /// the blocked-SoA mirror below.
+    /// Bumped by every position write ([`Mesh::positions_mut`],
+    /// [`Mesh::replace_positions`], [`Mesh::refine_tet`]'s centroid
+    /// append) — the staleness stamp of the blocked-SoA mirror below.
     deform_stamp: u64,
-    /// Lazily synced blocked-SoA mirror of `positions` (the crawl hot
-    /// path, see [`crate::soa`]). Interior mutability is required
-    /// because the mirror is (re)built on first read after a
-    /// deformation, from `&self` query paths; a `RwLock` keeps the
-    /// concurrent-query fast path to one uncontended read lock.
+    /// Lazily synced blocked-SoA mirror of `positions` (see
+    /// [`crate::soa`]). No query path reads it since PR 21; it is built
+    /// only when [`Mesh::position_blocks`] is called, which the
+    /// repository benchmark's `mesh.soa_rebuild_us` still does.
+    /// Interior mutability because it is (re)built from `&self`.
     blocks: RwLock<BlockMirror>,
 }
 
@@ -94,7 +94,7 @@ struct RestructureState {
 impl Clone for Mesh {
     fn clone(&self) -> Mesh {
         // The SoA mirror is derived state: a copy starts unsynced and
-        // rebuilds on its first crawl.
+        // rebuilds if `position_blocks` is ever called on it.
         Mesh {
             restructure: self.restructure.clone(),
             ..self.snapshot()
@@ -278,11 +278,38 @@ impl Mesh {
         &mut self.positions
     }
 
-    /// The blocked-SoA view of the current positions (the crawl hot
-    /// path, see [`crate::soa`]). Lazily rebuilt: the first call after a
-    /// [`Mesh::positions_mut`] borrow (or a vertex-appending
-    /// restructure) pays one O(V) resync under a write lock; every
-    /// other call is one uncontended read lock. Always consistent with
+    /// Deformation by hand-over: the mesh takes ownership of `new` as
+    /// its position array and returns the storage it held before —
+    /// nothing is copied and nothing allocated. This is how a snapshot
+    /// ring publishes a deformation step: the buffer the simulation
+    /// filled becomes the slot's positions, and the returned one is the
+    /// simulation's next buffer. Marks the blocked-SoA mirror stale,
+    /// like [`Mesh::positions_mut`].
+    ///
+    /// # Panics
+    /// Panics when `new.len()` differs from [`Mesh::num_vertices`]:
+    /// connectivity addresses positions by id, so a deformation cannot
+    /// change their number.
+    pub fn replace_positions(&mut self, new: Vec<Point3>) -> Vec<Point3> {
+        assert_eq!(
+            new.len(),
+            self.positions.len(),
+            "replace_positions: a deformation keeps the vertex count"
+        );
+        self.deform_stamp += 1;
+        std::mem::replace(&mut self.positions, new)
+    }
+
+    /// The blocked-SoA view of the current positions (see
+    /// [`crate::soa`]). **No query path reads this since PR 21** — the
+    /// crawl and the shared scan read [`Mesh::positions`] in place. It
+    /// is kept for the repository benchmark's `mesh.soa_rebuild_us`
+    /// (`benchmark/src/adapter.rs::soa_blocks`), which a crate change
+    /// may not edit; do not add callers. Lazily rebuilt: the first call
+    /// after a position write ([`Mesh::positions_mut`],
+    /// [`Mesh::replace_positions`], a vertex-appending restructure)
+    /// pays one O(V) resync under a write lock; every other call is one
+    /// uncontended read lock. Always consistent with
     /// [`Mesh::positions`] — mutation requires `&mut Mesh`, which the
     /// returned guard's borrow excludes.
     pub fn position_blocks(&self) -> PositionBlocksRef<'_> {
@@ -996,6 +1023,34 @@ mod tests {
         let blocks = m.position_blocks();
         assert_eq!(blocks.len(), before + 1);
         assert_eq!(blocks.get(before), m.positions()[before]);
+    }
+
+    #[test]
+    fn replace_positions_hands_the_storage_over() {
+        let mut m = two_tet_mesh();
+        let _ = m.position_blocks(); // a built mirror must go stale
+        let old_ptr = m.positions().as_ptr();
+        let old = m.positions().to_vec();
+        let new: Vec<Point3> = old.iter().map(|q| p(q.x + 1.0, q.y, q.z)).collect();
+        let (new_ptr, expected) = (new.as_ptr(), new.clone());
+        let back = m.replace_positions(new);
+        assert_eq!(back.as_ptr(), old_ptr, "the previous storage comes back");
+        assert_eq!(back, old);
+        assert_eq!(m.positions().as_ptr(), new_ptr, "no copy: same allocation");
+        assert_eq!(m.positions(), &expected[..]);
+        let blocks = m.position_blocks();
+        for (v, pos) in expected.iter().enumerate() {
+            assert_eq!(blocks.get(v), *pos, "mirror reflects the hand-over");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps the vertex count")]
+    fn replace_positions_rejects_a_length_mismatch() {
+        let mut m = two_tet_mesh();
+        let mut short = m.positions().to_vec();
+        short.pop();
+        m.replace_positions(short);
     }
 
     #[test]

@@ -1,29 +1,31 @@
-//! Blocked structure-of-arrays position store — the crawl's hot-path
-//! memory layout.
+//! Blocked structure-of-arrays position store — a derived mirror of
+//! [`crate::Mesh::positions`] that **no query path reads since PR 21**.
 //!
-//! The crawl's inner loop gathers neighbour positions at random ids;
-//! with the [`crate::Mesh`]'s array-of-structs `Vec<Point3>` every
-//! gather costs one (sometimes two — a 12-byte `Point3` can straddle)
-//! cache lines that are shared with at most four neighbouring ids. The
-//! blocked SoA form groups [`BLOCK_LANES`] = 16 consecutive vertex ids
-//! into one 64-byte-aligned [`PositionBlock`]: an `x` lane, a `y` lane
-//! and a `z` lane of 16 `f32` each, so one lane is exactly one cache
-//! line and one block is exactly three. A layout that packs a vertex's
-//! neighbours into its own block (the Hilbert order of
-//! `octopus_core::layout`) then re-uses those three lines for the
-//! whole neighbourhood, and the per-lane containment test
-//! (`x ≥ min.x && …`) reads each lane sequentially — the form the
-//! compiler can vectorise.
+//! It is kept only because the repository benchmark times its rebuild
+//! (`mesh.soa_rebuild_us`, through `benchmark/src/adapter.rs`'s
+//! `soa_blocks` and `touch_positions`), and a crate change may not edit
+//! `benchmark/`. Do not add callers: when a benchmark change drops
+//! that metric, this module, `Mesh::position_blocks`, the
+//! `deform_stamp` and `xtask lint`'s `soa-accessor` rule are deleted
+//! together.
 //!
-//! The store is a *derived mirror* of the canonical `Vec<Point3>`:
-//! [`crate::Mesh::positions`]/[`crate::Mesh::positions_mut`] keep their
-//! exact signatures, and the mesh rebuilds the mirror lazily (stamped,
-//! see `Mesh::position_blocks`) after deformation. Lane data is
-//! therefore never mutated directly — the `soa_xs`/`soa_ys`/`soa_zs`
-//! fields are crate-private and `xtask lint`'s `soa-accessor` rule
-//! additionally forbids naming them outside `crates/mesh`, so every
-//! consumer goes through the read accessors and can never desync the
-//! mirror.
+//! Why it lost: a deformation step rewrites every position, so the
+//! mirror was rebuilt in full (O(V), under a write lock) by the first
+//! crawl after every step — for a request that touches a few percent of
+//! the vertices — and even a warm mirror crawled *slower* than the
+//! array-of-structs `Vec<Point3>` on every layout of fig. 13
+//! (CHANGES.md, PR 21), where one vertex is one 12-byte read instead of
+//! three lines of a 192-byte block. Crawl cost is set by the vertex order
+//! (`octopus_core::layout`), not by a second copy of the coordinates.
+//!
+//! The form: [`BLOCK_LANES`] = 16 consecutive vertex ids share one
+//! 64-byte-aligned [`PositionBlock`] — an `x`, a `y` and a `z` lane of
+//! 16 `f32`, one cache line each. The mesh rebuilds the mirror lazily
+//! (stamped, see `Mesh::position_blocks`) after any position write.
+//! Lane data is never mutated directly — the `soa_xs`/`soa_ys`/`soa_zs`
+//! fields are crate-private and the `soa-accessor` rule forbids naming
+//! them outside `crates/mesh`, so every consumer goes through the read
+//! accessors and cannot desync the mirror.
 
 use octopus_geom::{Point3, Region};
 

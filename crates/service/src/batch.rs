@@ -18,7 +18,7 @@ use crate::telemetry::PoolMetrics;
 use octopus_core::fault::FaultHook;
 use octopus_core::{Octopus, PhaseTimings, Probe, QueryScratch};
 use octopus_geom::{Aabb, VertexId};
-use octopus_mesh::{Mesh, BLOCK_LANES};
+use octopus_mesh::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -217,28 +217,18 @@ fn scan_group(
 ) {
     let t0 = Instant::now();
     let union = boxes.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
-    // Batched containment over the blocked SoA store: one
-    // [`PositionBlock::region_mask`] answers 16 consecutive ids against
-    // the union box in a handful of vectorisable compares, and a zero
-    // mask skips the whole block — the common case for selective
-    // queries. Per-member routing then runs only on the surviving
-    // lanes. Tail padding lanes are NaN, so their mask bits are never
-    // set and the id range needs no separate length check.
-    let blocks = mesh.position_blocks();
-    for (b, block) in blocks.blocks().iter().enumerate() {
-        let mut mask = block.region_mask(&union);
-        while mask != 0 {
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let v = (b * BLOCK_LANES + l) as VertexId;
-            if mesh.neighbors(v).is_empty() {
-                continue;
-            }
-            let p = block.lane(l);
-            for (q, out) in boxes.iter().zip(results.iter_mut()) {
-                if q.contains(p) {
-                    out.push(v);
-                }
+    // One pass over the positions in place. The union box rejects most
+    // vertices of a selective group in one branchless test; per-member
+    // routing runs only on the survivors. A NaN coordinate fails every
+    // closed comparison, so such a vertex is in no result.
+    for (v, &p) in mesh.positions().iter().enumerate() {
+        let v = v as VertexId;
+        if !union.contains(p) || mesh.neighbors(v).is_empty() {
+            continue;
+        }
+        for (q, out) in boxes.iter().zip(results.iter_mut()) {
+            if q.contains(p) {
+                out.push(v);
             }
         }
     }

@@ -22,8 +22,12 @@
 //!
 //! **Hand-off.** On a deformation step the simulation thread fills a
 //! recycled `Vec<Point3>` with the new positions and sends it over a
-//! channel; the monitor copies it into a recycled slot mesh (zero
-//! allocation in steady state). On the rare restructuring step
+//! channel; the monitor hands that buffer to a recycled slot mesh as
+//! its position array ([`octopus_mesh::Mesh::replace_positions`]) and
+//! recycles the storage the mesh held before. Positions move once per
+//! step — the simulation thread's copy, overlapped with queries — and
+//! the monitor thread copies and allocates nothing in steady state. On
+//! the rare restructuring step
 //! (detected exactly via the mesh's
 //! [`octopus_mesh::Mesh::restructure_epoch`]) it sends a
 //! [`octopus_mesh::Mesh::snapshot`] — positions and connectivity,
@@ -41,6 +45,17 @@
 //! well. After set-up nothing on this side extracts a surface or
 //! rebuilds an adjacency: a restructure costs a copy plus the delta, a
 //! re-layout a relabelling.
+//!
+//! Position buffers rotate: simulation thread (fills one per step) →
+//! the new slot's mesh → when that mesh is recycled and takes its next
+//! buffer, the storage it held goes to `spare_bufs` → back to the
+//! simulation thread with the next `begin_step`. At most `3 · depth`
+//! exist (one per slot, one per spare mesh, and `depth` between
+//! `spare_bufs` and the steps in flight), each with exactly one
+//! holder. Within a connectivity generation all have the same length;
+//! across a restructure or a re-layout `spare_meshes` is cleared (its
+//! connectivity is stale) and a shorter buffer left in `spare_bufs`
+//! simply grows when the simulation refills it.
 //!
 //! **The surface grid.** Beside its executor every slot holds that
 //! executor's surface ids bucketed by position
@@ -594,7 +609,8 @@ pub struct MonitorLoop {
     /// Scratch for the sequential query paths (resizes itself across
     /// slots of different vertex/component counts).
     scratch: QueryScratch,
-    /// Recycled position buffers for the sim thread's hand-offs.
+    /// Recycled position buffers for the sim thread's hand-offs: the
+    /// storage slot meshes gave up when they took a step's buffer.
     spare_bufs: Vec<Vec<Point3>>,
     /// Recycled slot meshes of the *current* connectivity generation.
     spare_meshes: Vec<Mesh>,
@@ -878,9 +894,10 @@ impl MonitorLoop {
     }
 
     /// Waits for the oldest in-flight step and publishes its state into
-    /// the ring (positions memcpy into a recycled slot on deformation
-    /// steps; mesh replace + surface-delta-derived executor on
-    /// restructuring steps). When the ring is at capacity the oldest
+    /// the ring (on a deformation step the received position buffer is
+    /// handed to a recycled slot mesh — no copy, no allocation; on a
+    /// restructuring step mesh replace + surface-delta-derived
+    /// executor). When the ring is at capacity the oldest
     /// retained slot is recycled — deterministically, and only if no
     /// query pin holds it ([`ServiceError::RingFull`] otherwise; the
     /// update stays queued and the call can be retried after
@@ -948,6 +965,7 @@ impl MonitorLoop {
             Err(_) => return Err(self.harvest_sim_exit()),
         };
         self.in_flight -= 1;
+        let absorb_start = Instant::now();
         match update {
             Update::Deformed { step, positions } => {
                 self.subs.deformed(&positions);
@@ -956,7 +974,10 @@ impl MonitorLoop {
                     Some(m) => m,
                     None => latest.mesh.clone(),
                 };
-                mesh.positions_mut().copy_from_slice(&positions);
+                // The hand-over: the buffer the simulation filled becomes
+                // the slot's position array, and the storage the mesh held
+                // is the simulation's next buffer. Nothing is copied.
+                let positions = mesh.replace_positions(positions);
                 let slot = Slot {
                     step,
                     conn_gen: self.conn_gen,
@@ -970,9 +991,11 @@ impl MonitorLoop {
                     self.spare_bufs.push(positions);
                 }
                 self.push_slot(slot);
+                if let Some(t) = &self.telemetry {
+                    t.monitor.publish_ns.record_duration(absorb_start.elapsed());
+                }
             }
             Update::Restructured { step, mesh, delta } => {
-                let absorb_start = Instant::now();
                 let latest = self.slots.back().expect("ring is never empty");
                 // Derive (not mutate): older retained slots keep their
                 // generation's executor and its grid.

@@ -204,6 +204,10 @@ pub struct MonitorMetrics {
     /// derive the slot executor by delta replay and publish the slot
     /// (what a connectivity event costs the serving side).
     pub(crate) restructure_ns: Histogram,
+    /// `ring_publish_ns` — time to absorb a deformation update, from
+    /// update received to slot pushed: the standing queries' drift pass
+    /// plus the buffer hand-over (what a step costs the serving side).
+    pub(crate) publish_ns: Histogram,
     /// `surface_grid_{probes,fallbacks,rebuilds}_total` — queries probed
     /// through the surface grid, queries that fell back to the full
     /// surface probe, and drift-triggered grid rebuilds.
@@ -267,6 +271,7 @@ impl MonitorMetrics {
             relayouts: registry.counter("ring_relayouts_total"),
             relayout_ns: registry.histogram("ring_relayout_ns"),
             restructure_ns: registry.histogram("ring_restructure_ns"),
+            publish_ns: registry.histogram("ring_publish_ns"),
             grid_probes: registry.counter("surface_grid_probes_total"),
             grid_fallbacks: registry.counter("surface_grid_fallbacks_total"),
             grid_rebuilds: registry.counter("surface_grid_rebuilds_total"),

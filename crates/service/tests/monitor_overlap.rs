@@ -7,7 +7,9 @@
 use octopus_core::Octopus;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
-use octopus_service::{LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError};
+use octopus_service::{
+    BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError,
+};
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_testkit::{box_mesh, sorted};
 
@@ -69,6 +71,19 @@ fn ring_equivalence_run(
     policy: LayoutPolicy,
     steps: u32,
 ) -> MonitorLoop {
+    ring_equivalence_run_observed(depth, field_seed, restructure, policy, steps, |_| {})
+}
+
+/// [`ring_equivalence_run`], calling `published(&monitor)` right after
+/// each step is published and before it is queried.
+fn ring_equivalence_run_observed(
+    depth: usize,
+    field_seed: u64,
+    restructure: Option<(u32, usize, u64)>,
+    policy: LayoutPolicy,
+    steps: u32,
+    mut published: impl FnMut(&MonitorLoop),
+) -> MonitorLoop {
     let mesh = {
         let mut m = box_mesh(4);
         if restructure.is_some() {
@@ -98,6 +113,7 @@ fn ring_equivalence_run(
         if step < steps {
             monitor.fill_pipeline().unwrap();
         }
+        published(&monitor);
         let retained = monitor.retained_steps();
         assert!(retained.contains(&step), "latest step is retained");
         assert!(
@@ -149,6 +165,88 @@ fn ring_depth_equivalence_without_restructuring() {
         // The pipeline may have computed ahead of the last finished step.
         assert!(sim.current_step() >= 10);
     }
+}
+
+/// A deformation publish hands the simulation's buffer to the slot mesh
+/// and recycles the one it held: after warm-up the position arrays the
+/// ring serves from are a fixed set that rotates — nothing is allocated
+/// per step, and (an address being one buffer) nothing is copied into a
+/// second one — while every retained step still equals the reference.
+#[test]
+fn deformation_publish_rotates_a_fixed_set_of_position_buffers() {
+    const STEPS: u32 = 24;
+    for depth in [1usize, 3] {
+        let mut seen: Vec<*const Point3> = Vec::new();
+        let mut distinct_after = Vec::new();
+        ring_equivalence_run_observed(depth, 77, None, LayoutPolicy::Preserve, STEPS, |monitor| {
+            let ptr = monitor.snapshot().positions().as_ptr();
+            if !seen.contains(&ptr) {
+                seen.push(ptr);
+            }
+            distinct_after.push(seen.len());
+        });
+        assert!(
+            seen.len() <= 3 * depth + 1,
+            "depth {depth}: {} position buffers for slots, spare meshes and \
+             buffers in flight: {distinct_after:?}",
+            seen.len()
+        );
+        assert!(
+            seen.len() >= 2,
+            "depth {depth}: consecutive steps cannot share one array"
+        );
+        let warm = distinct_after[STEPS as usize / 2 - 1];
+        assert_eq!(
+            distinct_after[STEPS as usize - 1],
+            warm,
+            "depth {depth}: a publish after warm-up allocated: {distinct_after:?}"
+        );
+    }
+}
+
+/// No query path derives anything from the positions: the mesh of the
+/// newest slot owns exactly as many heap bytes after singleton queries,
+/// a grouped engine batch and a planner-routed shared scan as before
+/// them (`Mesh::memory_bytes` counts the blocked-SoA mirror's capacity,
+/// so a path that still built it shows here).
+#[test]
+fn no_query_path_builds_the_position_mirror() {
+    let sim = Simulation::new(box_mesh(12), Box::new(SmoothRandomField::new(0.01, 3, 21)));
+    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    let untouched = monitor.snapshot().memory_bytes();
+    // Two overlapping boxes (one shared-frontier group) and one box
+    // wide enough for Eq. 6 to prefer the shared scan.
+    let batch = [
+        Aabb::cube(Point3::splat(0.4), 0.08),
+        Aabb::cube(Point3::splat(0.45), 0.08),
+        Aabb::new(Point3::splat(-0.5), Point3::splat(1.5)),
+    ];
+    for step in 1..=4 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        if step == 3 {
+            monitor
+                .set_batch_engine(BatchEngineConfig::default())
+                .unwrap();
+        }
+        let mut out = Vec::new();
+        monitor.query(&batch[0], &mut out);
+        assert!(!out.is_empty());
+        monitor.query_at(step, &batch[1], &mut out).unwrap();
+        let results = monitor.query_batch(&batch);
+        assert_eq!(results[2].vertices.len(), monitor.snapshot().num_vertices());
+        monitor.recycle(results);
+        if let Some(report) = monitor.engine_report() {
+            assert_eq!(report.grouped_queries, 2, "{report:?}");
+            assert_eq!(report.scan_queries, 1, "{report:?}");
+        }
+        assert_eq!(
+            monitor.snapshot().memory_bytes(),
+            untouched,
+            "step {step}: a query path grew the snapshot mesh"
+        );
+    }
+    assert!(monitor.engine_report().is_some());
 }
 
 #[test]

@@ -132,7 +132,10 @@ impl Simulation {
     /// the other half of the snapshot hand-off: the simulation thread
     /// fills a recycled buffer right after [`Simulation::step_outcome`]
     /// and sends it to the monitor, which swaps it into its snapshot
-    /// mesh while the next step already runs.
+    /// mesh ([`octopus_mesh::Mesh::replace_positions`], no second copy) and sends the
+    /// buffer that mesh held back for a later step. `buf` may be
+    /// shorter than the mesh (left over from before a restructure); it
+    /// grows.
     pub fn snapshot_positions_into(&self, buf: &mut Vec<Point3>) {
         buf.clear();
         buf.extend_from_slice(self.mesh.positions());

@@ -9,7 +9,7 @@ fn snapshot_json_round_trips_through_serde_json() {
     let reg = Registry::new(true);
     reg.counter("standing_patched_events_total").add(41);
     reg.gauge("drift_meter").set(0.75);
-    let h = reg.histogram("executor_phase_ns_crawling");
+    let h = reg.histogram("ring_publish_ns");
     for v in [0u64, 3, 900, 1 << 40] {
         h.record(v);
     }
@@ -35,7 +35,7 @@ fn snapshot_json_round_trips_through_serde_json() {
     );
     let hist = value
         .get("histograms")
-        .and_then(|h| h.get("executor_phase_ns_crawling"))
+        .and_then(|h| h.get("ring_publish_ns"))
         .expect("histogram family present");
     assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(4));
     let buckets = hist.get("buckets").and_then(|b| b.as_array()).unwrap();

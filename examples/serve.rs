@@ -609,6 +609,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "surface_grid_candidates",
         "ring_",
         "ring_restructure_ns",
+        "ring_publish_ns",
         "standing_",
         "standing_reanchors_total",
         "standing_patched_events_total",
@@ -677,10 +678,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("planner_decisions_scan_total"),
         telemetry.counter("planner_misroutes_total")
     );
+    let publish = telemetry
+        .histogram("ring_publish_ns")
+        .expect("publish cost must be in the snapshot");
+    assert!(publish.count > 0, "no deformation step was published");
     println!(
-        "    monitor: {} steps, {} re-layouts, {} pin waits; grid {:.1} KiB at reach {:.2} cells, \
-         delta path {:.0}%",
+        "    monitor: {} steps ({} deformation publishes, median {:.1}µs), {} re-layouts, \
+         {} pin waits; grid {:.1} KiB at reach {:.2} cells, delta path {:.0}%",
         telemetry.counter("monitor_steps_total"),
+        publish.count,
+        publish.quantile(0.5) as f64 / 1e3,
         telemetry.counter("ring_relayouts_total"),
         telemetry.counter("ring_pin_wait_total"),
         telemetry.gauge("surface_grid_bytes") / 1024.0,
