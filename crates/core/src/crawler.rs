@@ -163,6 +163,9 @@ impl Crawler {
         // a crawl touches is set by the vertex *order* (see
         // `crate::layout`), not by a second copy of the coordinates.
         let positions = mesh.positions();
+        // Likewise the adjacency, resolved once: the mesh holds it
+        // behind a shared handle, a hop the loop need not repeat.
+        let adjacency = mesh.adjacency();
         // The hot path is *branchless* on freshness and containment.
         // Whether a neighbour was already visited is decided by the
         // crawl wavefront, which under a locality-optimised layout is
@@ -184,7 +187,7 @@ impl Crawler {
         while head < queue.len() {
             let v = queue[head];
             head += 1;
-            let neighbors = mesh.neighbors(v);
+            let neighbors = adjacency.neighbors(v);
             let start = queue.len();
             // Room for the worst case up front, so the inner loop
             // writes unconditionally and the final length is just

@@ -150,6 +150,7 @@ impl GroupScratch {
     /// them, and fresh inside-members are demultiplexed into `results`.
     pub(crate) fn crawl(&mut self, mesh: &Mesh, queries: &[Aabb], results: &mut [Vec<VertexId>]) {
         let positions = mesh.positions();
+        let adjacency = mesh.adjacency();
         while let Some(v) = self.queue.pop_front() {
             let i = v as usize;
             let m = self.pending[i];
@@ -162,7 +163,7 @@ impl GroupScratch {
                 pop_bits &= pop_bits - 1;
                 self.per_visited[bit] += 1;
             }
-            let neighbors = mesh.neighbors(v);
+            let neighbors = adjacency.neighbors(v);
             // Neighbour positions are random accesses; hint them all
             // before testing (lists are short — the mesh degree).
             for &w in neighbors {

@@ -7,8 +7,6 @@
 //! * [`Octree`] — a bucketed PR octree rebuilt from scratch at every time
 //!   step (the "throwaway index" strategy of Dittrich et al. \[8\]); bucket
 //!   capacity 10 000 as tuned in the paper.
-//! * [`KdTree`] — median-split k-d tree, also rebuilt per step (the
-//!   second lightweight throwaway option the paper cites \[4\]).
 //! * [`RTree`] — in-memory R-tree with fanout 110 (the paper's setting),
 //!   STR bulk loading, quadratic split and condense-on-delete. Substrate
 //!   for the two spatio-temporal competitors:
@@ -19,12 +17,6 @@
 //!   al. \[24\]: vertices are indexed by an enlarged box; updates only
 //!   touch the tree when a vertex exits its window, and the window size
 //!   adapts so fewer than 1 % of updates do (the paper's tuning).
-//! * [`LuGrid`] — the update-tolerant grid of Xiong et al. \[25\]: eager
-//!   insert into the new cell, *lazy* deletion from the old one, with
-//!   stale-entry invalidation at query time and threshold compaction.
-//! * [`TwoLevelHash`] — the adaptive two-level hashing of Kwon et
-//!   al. \[12\]: slow objects live in a fine grid, fast objects in a
-//!   coarse one, with adaptive promotion/demotion by observed escapes.
 //! * [`UniformGrid`] — the stale grid OCTOPUS-CON uses to find a start
 //!   vertex near the query (§IV-F); built once, never updated.
 //! * [`SelectivityHistogram`] — equi-width spatial histogram for the cost
@@ -40,27 +32,21 @@
 
 pub mod grid;
 pub mod histogram;
-pub mod kdtree;
 pub mod linear_scan;
-pub mod lugrid;
 pub mod lur;
 pub mod octree;
 pub mod qutrade;
 pub mod rtree;
 mod traits;
-pub mod twolevel;
 
 pub use grid::UniformGrid;
 pub use histogram::{HistogramGrid, SelectivityHistogram};
-pub use kdtree::KdTree;
 pub use linear_scan::LinearScan;
-pub use lugrid::LuGrid;
 pub use lur::LurTree;
 pub use octree::Octree;
 pub use qutrade::QuTrade;
 pub use rtree::RTree;
 pub use traits::DynamicIndex;
-pub use twolevel::TwoLevelHash;
 
 #[cfg(test)]
 pub(crate) mod test_support {

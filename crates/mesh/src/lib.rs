@@ -24,7 +24,6 @@
 pub mod adjacency;
 pub mod cell;
 mod error;
-pub mod io;
 mod mesh;
 pub mod soa;
 pub mod stats;

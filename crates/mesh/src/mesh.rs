@@ -6,7 +6,7 @@ use crate::{CellKind, Csr, FaceKey, MeshError, Surface};
 use octopus_geom::{Aabb, CellId, Point3, VertexId};
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Change to the surface vertex set caused by a restructuring operation.
 ///
@@ -43,23 +43,24 @@ impl SurfaceDelta {
 ///   operation patches the adjacency lists of the touched cell's own
 ///   vertices; nothing is rebuilt from the cell array.
 ///
-/// The restructuring state (the [`FaceTable`] hash map) belongs to the
-/// mesh that runs those operations. A reader that only needs positions
-/// and connectivity takes a [`Mesh::snapshot`], which leaves it behind;
-/// `Mesh: Clone` stays a full copy.
+/// **A mesh owns its positions and shares everything else.** The cell
+/// arrays, the CSR and the restructuring state (the [`FaceTable`] hash
+/// map) sit behind shared handles, so [`Mesh::snapshot`],
+/// [`Mesh::with_positions`] and `clone()` copy the position array and
+/// nothing more — deformation never touches what they share. A
+/// restructuring operation copies on write: where a handle is shared
+/// it copies the cell arrays (and the face table) once, and it installs
+/// the CSR it builds per operation anyway, so no holder sees another's
+/// edit. Sharing shows only in pointer identity, cost and memory.
 #[derive(Debug)]
 pub struct Mesh {
     kind: CellKind,
     positions: Vec<Point3>,
-    /// Flat cell array, `kind.arity()` ids per cell. Removed cells stay as
-    /// tombstones so `CellId`s remain stable across restructuring.
-    cells: Vec<VertexId>,
-    alive: Vec<bool>,
-    num_live: usize,
-    adjacency: Csr,
+    cells: Arc<Cells>,
+    adjacency: Arc<Csr>,
     /// Restructuring mode state: global face list + per-vertex count of
     /// boundary faces (surface membership ⇔ count > 0).
-    restructure: Option<RestructureState>,
+    restructure: Option<Arc<RestructureState>>,
     /// Monotone count of committed restructuring operations — the
     /// connectivity generation. Deformation never advances it, so any
     /// consumer caching connectivity-derived state (planner crossover,
@@ -67,8 +68,8 @@ pub struct Mesh {
     /// instead of diffing the mesh.
     restructure_epoch: u64,
     /// Bumped by every position write ([`Mesh::positions_mut`],
-    /// [`Mesh::replace_positions`], [`Mesh::refine_tet`]'s centroid
-    /// append) — the staleness stamp of the blocked-SoA mirror below.
+    /// [`Mesh::refine_tet`]'s centroid append) — the staleness stamp of
+    /// the blocked-SoA mirror below.
     deform_stamp: u64,
     /// Lazily synced blocked-SoA mirror of `positions` (see
     /// [`crate::soa`]). No query path reads it since PR 21; it is built
@@ -76,6 +77,16 @@ pub struct Mesh {
     /// repository benchmark's `mesh.soa_rebuild_us` still does.
     /// Interior mutability because it is (re)built from `&self`.
     blocks: RwLock<BlockMirror>,
+}
+
+/// The cell arrays, shared between a mesh and its snapshots.
+#[derive(Clone, Debug)]
+struct Cells {
+    /// Flat cell array, `kind.arity()` ids per cell. Removed cells stay as
+    /// tombstones so `CellId`s remain stable across restructuring.
+    flat: Vec<VertexId>,
+    alive: Vec<bool>,
+    num_live: usize,
 }
 
 #[derive(Debug, Default)]
@@ -91,10 +102,12 @@ struct RestructureState {
     boundary_face_count: Vec<u32>,
 }
 
+/// A copy of the positions sharing everything else, the restructuring
+/// state included — [`Mesh::snapshot`] plus the ability to restructure.
+/// The blocked-SoA mirror is derived state: the copy starts unsynced
+/// and rebuilds if `position_blocks` is ever called on it.
 impl Clone for Mesh {
     fn clone(&self) -> Mesh {
-        // The SoA mirror is derived state: a copy starts unsynced and
-        // rebuilds if `position_blocks` is ever called on it.
         Mesh {
             restructure: self.restructure.clone(),
             ..self.snapshot()
@@ -118,9 +131,9 @@ impl Deref for PositionBlocksRef<'_> {
 }
 
 impl Mesh {
-    /// A copy of positions, cells and adjacency *without* the
-    /// restructuring state: what a monitor's snapshot ring retains.
-    /// The copy answers every read ([`Mesh::neighbors`],
+    /// The mesh as a read-only consumer retains it: a copy of the
+    /// positions, the connectivity shared, the restructuring state left
+    /// behind. It answers every read ([`Mesh::neighbors`],
     /// [`Mesh::positions`], [`Mesh::is_vertex_active`],
     /// [`Mesh::restructure_epoch`] — carried over) but reports
     /// [`Mesh::restructuring_enabled`] `false`: its [`Mesh::surface`]
@@ -129,18 +142,41 @@ impl Mesh {
     /// table. Holders that need the surface keep a delta-maintained
     /// index instead of asking the snapshot.
     pub fn snapshot(&self) -> Mesh {
+        self.with_positions(self.positions.clone())
+    }
+
+    /// [`Mesh::snapshot`] with `positions` in place of a copy of this
+    /// mesh's: the same connectivity (shared, nothing is copied) at
+    /// another deformation state. This is how a snapshot ring publishes
+    /// a deformation step — the buffer the simulation filled becomes
+    /// the new slot's position array.
+    ///
+    /// # Panics
+    /// Panics when `positions.len()` differs from
+    /// [`Mesh::num_vertices`]: connectivity addresses positions by id,
+    /// so a deformation cannot change their number.
+    pub fn with_positions(&self, positions: Vec<Point3>) -> Mesh {
+        assert_eq!(
+            positions.len(),
+            self.positions.len(),
+            "with_positions: a deformation keeps the vertex count"
+        );
         Mesh {
             kind: self.kind,
-            positions: self.positions.clone(),
-            cells: self.cells.clone(),
-            alive: self.alive.clone(),
-            num_live: self.num_live,
-            adjacency: self.adjacency.clone(),
+            positions,
+            cells: Arc::clone(&self.cells),
+            adjacency: Arc::clone(&self.adjacency),
             restructure: None,
             restructure_epoch: self.restructure_epoch,
             deform_stamp: 0,
             blocks: RwLock::new(BlockMirror::default()),
         }
+    }
+
+    /// Gives up the mesh for the one array it does not share — a
+    /// retired snapshot's buffer is the next one the simulation fills.
+    pub fn into_positions(self) -> Vec<Point3> {
+        self.positions
     }
 
     /// Builds a mesh from a flat cell array (`kind.arity()` vertex ids per
@@ -184,10 +220,12 @@ impl Mesh {
         Ok(Mesh {
             kind,
             positions,
-            cells,
-            alive: vec![true; num_cells],
-            num_live: num_cells,
-            adjacency,
+            cells: Arc::new(Cells {
+                flat: cells,
+                alive: vec![true; num_cells],
+                num_live: num_cells,
+            }),
+            adjacency: Arc::new(adjacency),
             restructure: None,
             restructure_epoch: 0,
             deform_stamp: 0,
@@ -225,20 +263,20 @@ impl Mesh {
     /// Number of live (non-removed) cells.
     #[inline]
     pub fn num_cells(&self) -> usize {
-        self.num_live
+        self.cells.num_live
     }
 
     /// Total cell slots including tombstones (exclusive upper bound on
     /// valid [`CellId`]s).
     #[inline]
     pub fn cell_capacity(&self) -> usize {
-        self.alive.len()
+        self.cells.alive.len()
     }
 
     /// True when cell `c` exists and has not been removed.
     #[inline]
     pub fn is_cell_alive(&self, c: CellId) -> bool {
-        (c as usize) < self.alive.len() && self.alive[c as usize]
+        (c as usize) < self.cells.alive.len() && self.cells.alive[c as usize]
     }
 
     /// Vertex ids of cell `c`.
@@ -249,16 +287,17 @@ impl Mesh {
     #[inline]
     pub fn cell(&self, c: CellId) -> &[VertexId] {
         let a = self.kind.arity();
-        &self.cells[c as usize * a..(c as usize + 1) * a]
+        &self.cells.flat[c as usize * a..(c as usize + 1) * a]
     }
 
     /// Iterates `(id, vertices)` over live cells.
     pub fn live_cells(&self) -> impl Iterator<Item = (CellId, &[VertexId])> {
-        let a = self.kind.arity();
-        self.cells
-            .chunks_exact(a)
+        let cells = &*self.cells;
+        cells
+            .flat
+            .chunks_exact(self.kind.arity())
             .enumerate()
-            .filter(move |(i, _)| self.alive[*i])
+            .filter(move |(i, _)| cells.alive[*i])
             .map(|(i, c)| (i as CellId, c))
     }
 
@@ -278,38 +317,16 @@ impl Mesh {
         &mut self.positions
     }
 
-    /// Deformation by hand-over: the mesh takes ownership of `new` as
-    /// its position array and returns the storage it held before —
-    /// nothing is copied and nothing allocated. This is how a snapshot
-    /// ring publishes a deformation step: the buffer the simulation
-    /// filled becomes the slot's positions, and the returned one is the
-    /// simulation's next buffer. Marks the blocked-SoA mirror stale,
-    /// like [`Mesh::positions_mut`].
-    ///
-    /// # Panics
-    /// Panics when `new.len()` differs from [`Mesh::num_vertices`]:
-    /// connectivity addresses positions by id, so a deformation cannot
-    /// change their number.
-    pub fn replace_positions(&mut self, new: Vec<Point3>) -> Vec<Point3> {
-        assert_eq!(
-            new.len(),
-            self.positions.len(),
-            "replace_positions: a deformation keeps the vertex count"
-        );
-        self.deform_stamp += 1;
-        std::mem::replace(&mut self.positions, new)
-    }
-
     /// The blocked-SoA view of the current positions (see
     /// [`crate::soa`]). **No query path reads this since PR 21** — the
     /// crawl and the shared scan read [`Mesh::positions`] in place. It
     /// is kept for the repository benchmark's `mesh.soa_rebuild_us`
     /// (`benchmark/src/adapter.rs::soa_blocks`), which a crate change
     /// may not edit; do not add callers. Lazily rebuilt: the first call
-    /// after a position write ([`Mesh::positions_mut`],
-    /// [`Mesh::replace_positions`], a vertex-appending restructure)
-    /// pays one O(V) resync under a write lock; every other call is one
-    /// uncontended read lock. Always consistent with
+    /// after a position write ([`Mesh::positions_mut`], a
+    /// vertex-appending restructure) pays one O(V) resync under a write
+    /// lock; every other call is one uncontended read lock. Always
+    /// consistent with
     /// [`Mesh::positions`] — mutation requires `&mut Mesh`, which the
     /// returned guard's borrow excludes.
     pub fn position_blocks(&self) -> PositionBlocksRef<'_> {
@@ -415,10 +432,10 @@ impl Mesh {
                 boundary_face_count[v as usize] += 1;
             }
         }
-        self.restructure = Some(RestructureState {
+        self.restructure = Some(Arc::new(RestructureState {
             faces,
             boundary_face_count,
-        });
+        }));
         Ok(())
     }
 
@@ -490,7 +507,7 @@ impl Mesh {
         self.positions.push(centroid);
         self.deform_stamp += 1; // the SoA mirror must grow a lane
         if let Some(rs) = &mut self.restructure {
-            rs.boundary_face_count.push(0);
+            Arc::make_mut(rs).boundary_face_count.push(0);
         }
         let [a, b, cc, d] = cell;
         let new_cells = [[a, b, cc, e], [a, b, d, e], [a, cc, d, e], [b, cc, d, e]];
@@ -510,10 +527,14 @@ impl Mesh {
         remove: &[CellId],
         add: &[Vec<VertexId>],
     ) -> Result<SurfaceDelta, MeshError> {
-        let rs = self
-            .restructure
-            .as_mut()
-            .ok_or(MeshError::RestructuringDisabled)?;
+        // Copy-on-write: a handle some snapshot or clone still shares is
+        // copied here, once; an unshared one is edited in place.
+        let rs = Arc::make_mut(
+            self.restructure
+                .as_mut()
+                .ok_or(MeshError::RestructuringDisabled)?,
+        );
+        let cells = Arc::make_mut(&mut self.cells);
         let arity = self.kind.arity();
 
         // Validate additions before mutating anything.
@@ -527,14 +548,14 @@ impl Mesh {
             for (li, &v) in cell.iter().enumerate() {
                 if v as usize >= self.positions.len() {
                     return Err(MeshError::VertexOutOfRange {
-                        cell: self.alive.len() as CellId,
+                        cell: cells.alive.len() as CellId,
                         vertex: v,
                         num_vertices: self.positions.len(),
                     });
                 }
                 if cell[..li].contains(&v) {
                     return Err(MeshError::DegenerateCell {
-                        cell: self.alive.len() as CellId,
+                        cell: cells.alive.len() as CellId,
                         vertex: v,
                     });
                 }
@@ -546,7 +567,7 @@ impl Mesh {
         for &c in remove {
             for key in self
                 .kind
-                .face_keys(&self.cells[c as usize * arity..(c as usize + 1) * arity])
+                .face_keys(&cells.flat[c as usize * arity..(c as usize + 1) * arity])
             {
                 affected
                     .entry(key)
@@ -563,10 +584,10 @@ impl Mesh {
 
         // Apply to the face table.
         for &c in remove {
-            let cell = &self.cells[c as usize * arity..(c as usize + 1) * arity];
+            let cell = &cells.flat[c as usize * arity..(c as usize + 1) * arity];
             rs.faces.remove_cell(self.kind, c, cell);
         }
-        let first_new_id = self.alive.len() as CellId;
+        let first_new_id = cells.alive.len() as CellId;
         for (i, cell) in add.iter().enumerate() {
             rs.faces
                 .insert_cell(self.kind, first_new_id + i as CellId, cell)?;
@@ -602,25 +623,25 @@ impl Mesh {
         // Commit the cell array changes.
         let mut touched: Vec<VertexId> = Vec::new();
         for &c in remove {
-            touched.extend_from_slice(&self.cells[c as usize * arity..(c as usize + 1) * arity]);
-            self.alive[c as usize] = false;
-            self.num_live -= 1;
+            touched.extend_from_slice(&cells.flat[c as usize * arity..(c as usize + 1) * arity]);
+            cells.alive[c as usize] = false;
+            cells.num_live -= 1;
         }
         for cell in add {
             touched.extend_from_slice(cell);
-            self.cells.extend_from_slice(cell);
-            self.alive.push(true);
-            self.num_live += 1;
+            cells.flat.extend_from_slice(cell);
+            cells.alive.push(true);
+            cells.num_live += 1;
         }
 
         self.patch_adjacency(&touched);
         debug_assert!(
-            self.adjacency
+            *self.adjacency
                 == build_adjacency(
                     self.kind,
                     self.positions.len(),
-                    &self.cells,
-                    Some(&self.alive)
+                    &self.cells.flat,
+                    Some(&self.cells.alive)
                 ),
             "patched adjacency diverged from the rebuild"
         );
@@ -630,7 +651,9 @@ impl Mesh {
 
     /// Recomputes the neighbour lists of the `touched` vertices from the
     /// live cells that contain them and splices them into the CSR
-    /// ([`Csr::with_lists_replaced`]); every other list is copied as is.
+    /// ([`Csr::with_lists_replaced`]); every other list is copied as is
+    /// — into a new CSR behind a new handle: an operation's one CSR
+    /// construction, whether or not the old one is shared.
     /// One sequential pass over the cell array finds those cells — no
     /// per-vertex or per-edge incidence structure is kept for it — and
     /// the result is bit-identical to rebuilding from all live cells: a
@@ -645,15 +668,18 @@ impl Mesh {
         let is_touched = &is_touched;
         let directed = self
             .cells
+            .flat
             .chunks_exact(kind.arity())
-            .zip(&self.alive)
+            .zip(&self.cells.alive)
             .filter(|(cell, &alive)| alive && cell.iter().any(|&v| is_touched[v as usize]))
             .flat_map(|(cell, _)| kind.edges(cell))
             .flat_map(|(a, b)| [(a, b), (b, a)])
             .filter(|&(src, _)| is_touched[src as usize]);
-        self.adjacency =
-            self.adjacency
-                .with_lists_replaced(self.positions.len(), touched, directed);
+        self.adjacency = Arc::new(self.adjacency.with_lists_replaced(
+            self.positions.len(),
+            touched,
+            directed,
+        ));
     }
 
     /// Returns a mesh with vertices relabelled by `perm`
@@ -678,7 +704,7 @@ impl Mesh {
         for (old, &new) in perm.iter().enumerate() {
             positions[new as usize] = self.positions[old];
         }
-        let cells: Vec<VertexId> = self.cells.iter().map(|&v| perm[v as usize]).collect();
+        let flat: Vec<VertexId> = self.cells.flat.iter().map(|&v| perm[v as usize]).collect();
         // Relabelled, not rebuilt: the face table's canonical keys
         // change with the labels, so re-keying it is inherent; the
         // per-vertex counts just move with their vertices.
@@ -687,18 +713,20 @@ impl Mesh {
             for (old, &new) in perm.iter().enumerate() {
                 boundary_face_count[new as usize] = rs.boundary_face_count[old];
             }
-            RestructureState {
+            Arc::new(RestructureState {
                 faces: rs.faces.permuted(perm),
                 boundary_face_count,
-            }
+            })
         });
         Mesh {
             kind: self.kind,
             positions,
-            cells,
-            alive: self.alive.clone(),
-            num_live: self.num_live,
-            adjacency: self.adjacency.permuted(perm),
+            cells: Arc::new(Cells {
+                flat,
+                alive: self.cells.alive.clone(),
+                num_live: self.cells.num_live,
+            }),
+            adjacency: Arc::new(self.adjacency.permuted(perm)),
             restructure,
             restructure_epoch: self.restructure_epoch,
             deform_stamp: 0,
@@ -706,15 +734,17 @@ impl Mesh {
         }
     }
 
-    /// Bytes of heap memory held by the mesh structure (positions, cells,
+    /// Bytes of heap memory the mesh structure reaches (positions, cells,
     /// adjacency, tombstones, restructuring state, and the blocked-SoA
     /// position mirror — alignment padding included). This is the
     /// "dataset size" denominator of the paper's memory-overhead
     /// comparisons: index footprints are reported *relative to* it.
+    /// Shared arrays are counted in full by every holder: the sizes of
+    /// a mesh and its snapshots add up to more than the process holds.
     pub fn memory_bytes(&self) -> usize {
         let mut total = self.positions.capacity() * std::mem::size_of::<Point3>()
-            + self.cells.capacity() * std::mem::size_of::<VertexId>()
-            + self.alive.capacity()
+            + self.cells.flat.capacity() * std::mem::size_of::<VertexId>()
+            + self.cells.alive.capacity()
             + self.adjacency.memory_bytes()
             + self
                 .blocks
@@ -1025,32 +1055,94 @@ mod tests {
         assert_eq!(blocks.get(before), m.positions()[before]);
     }
 
+    /// Pointer identity of the two shared arrays: the CSR and the flat
+    /// cell array (cell 0's slice starts it).
+    fn shares_connectivity(a: &Mesh, b: &Mesh) -> bool {
+        std::ptr::eq(a.adjacency(), b.adjacency()) && std::ptr::eq(a.cell(0), b.cell(0))
+    }
+
     #[test]
-    fn replace_positions_hands_the_storage_over() {
+    fn snapshot_clone_and_with_positions_share_connectivity() {
         let mut m = two_tet_mesh();
-        let _ = m.position_blocks(); // a built mirror must go stale
-        let old_ptr = m.positions().as_ptr();
-        let old = m.positions().to_vec();
-        let new: Vec<Point3> = old.iter().map(|q| p(q.x + 1.0, q.y, q.z)).collect();
-        let (new_ptr, expected) = (new.as_ptr(), new.clone());
-        let back = m.replace_positions(new);
-        assert_eq!(back.as_ptr(), old_ptr, "the previous storage comes back");
-        assert_eq!(back, old);
-        assert_eq!(m.positions().as_ptr(), new_ptr, "no copy: same allocation");
-        assert_eq!(m.positions(), &expected[..]);
-        let blocks = m.position_blocks();
-        for (v, pos) in expected.iter().enumerate() {
-            assert_eq!(blocks.get(v), *pos, "mirror reflects the hand-over");
+        m.enable_restructuring().unwrap();
+        let moved: Vec<Point3> = m
+            .positions()
+            .iter()
+            .map(|q| p(q.x + 1.0, q.y, q.z))
+            .collect();
+        let moved_ptr = moved.as_ptr();
+        let (snap, copy, other) = (m.snapshot(), m.clone(), m.with_positions(moved));
+        for (name, shared) in [
+            ("snapshot", &snap),
+            ("clone", &copy),
+            ("with_positions", &other),
+        ] {
+            assert!(
+                shares_connectivity(&m, shared),
+                "{name} copied connectivity"
+            );
+            assert_ne!(
+                shared.positions().as_ptr(),
+                m.positions().as_ptr(),
+                "{name}"
+            );
+            assert_eq!(shared.restructure_epoch(), m.restructure_epoch(), "{name}");
         }
+        assert_eq!(snap.positions(), m.positions());
+        assert!(copy.restructuring_enabled() && !snap.restructuring_enabled());
+        // The vector handed in is the position array, and comes back out.
+        assert_eq!(other.positions().as_ptr(), moved_ptr);
+        assert_eq!(other.position(0), p(1.0, 0.0, 0.0));
+        assert!(!other.restructuring_enabled());
+        let back = other.into_positions();
+        assert_eq!(back.as_ptr(), moved_ptr);
     }
 
     #[test]
     #[should_panic(expected = "keeps the vertex count")]
-    fn replace_positions_rejects_a_length_mismatch() {
-        let mut m = two_tet_mesh();
+    fn with_positions_rejects_a_length_mismatch() {
+        let m = two_tet_mesh();
         let mut short = m.positions().to_vec();
         short.pop();
-        m.replace_positions(short);
+        let _ = m.with_positions(short);
+    }
+
+    #[test]
+    fn first_restructuring_op_on_a_shared_mesh_unshares() {
+        let mut m = two_tet_mesh();
+        m.enable_restructuring().unwrap();
+        let snap = m.snapshot();
+        let (adjacency, cells) = (snap.adjacency() as *const Csr, snap.cell(0).as_ptr());
+        m.refine_tet(0).unwrap();
+        assert!(!shares_connectivity(&m, &snap));
+        // The snapshot kept its arrays, untouched.
+        assert!(std::ptr::eq(snap.adjacency(), adjacency));
+        assert_eq!(snap.cell(0).as_ptr(), cells);
+        assert_eq!((snap.num_cells(), snap.num_vertices()), (2, 5));
+        assert!(snap.is_cell_alive(0));
+        assert_eq!(snap.neighbors(0), &[1, 2, 3]);
+        assert_eq!((m.num_cells(), m.num_vertices()), (5, 6));
+        // A clone's face table is its own from its first op on.
+        let mut copy = m.clone();
+        copy.remove_cell(1).unwrap();
+        assert!(m.is_cell_alive(1) && !copy.is_cell_alive(1));
+        m.remove_cell(1).unwrap();
+        assert_eq!(
+            m.surface().unwrap().vertices(),
+            copy.surface().unwrap().vertices()
+        );
+    }
+
+    #[test]
+    fn unshared_mesh_restructures_in_place() {
+        let mut m = two_tet_mesh();
+        m.enable_restructuring().unwrap();
+        let cells = m.cell(0).as_ptr();
+        m.remove_cell(0).unwrap();
+        assert_eq!(m.cell(0).as_ptr(), cells, "nobody shares: no copy");
+        drop(m.snapshot());
+        m.remove_cell(1).unwrap();
+        assert_eq!(m.cell(0).as_ptr(), cells, "the sharer is gone: no copy");
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! (a local list patch, a per-list relabel); this suite holds both to
 //! the oracle they replaced: `Csr::from_undirected_edges` over the live
 //! cells, compared bit for bit (offsets and targets) after *every*
-//! operation. CI runs it under `--release`, where the in-crate
-//! `debug_assertions` cross-check is compiled out.
+//! operation. CI runs the crate's suites under `--release` too, where
+//! the in-crate `debug_assertions` cross-check is compiled out.
 //!
 //! The same op sequences hold the vertex set to what standing queries
 //! patch their candidate lists by ([`VertexLedger`]): restructuring
-//! only ever orphans existing vertices and appends new ids.
+//! only ever orphans existing vertices and appends new ids. And they
+//! hold the sharing contract ([`Held`]): a snapshot or clone taken
+//! mid-sequence shares the connectivity it was taken from, and no later
+//! operation on the source writes through to it.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Point3, VertexId};
@@ -148,6 +151,63 @@ impl VertexLedger {
     }
 }
 
+/// A snapshot (or clone) taken mid-sequence, with a deep copy of what
+/// it answered then: copy-on-write must leave it answering the same.
+struct Held {
+    mesh: Mesh,
+    taken_at: String,
+    positions: Vec<Point3>,
+    cell_capacity: usize,
+    live_cells: Vec<(u32, Vec<VertexId>)>,
+    neighbors: Vec<Vec<VertexId>>,
+    epoch: u64,
+}
+
+impl Held {
+    /// Alternates between the two ways of sharing a mesh.
+    fn take(source: &Mesh, nth: usize, ctx: &str) -> Held {
+        let mesh = if nth.is_multiple_of(2) {
+            source.snapshot()
+        } else {
+            source.clone()
+        };
+        assert!(
+            std::ptr::eq(mesh.adjacency(), source.adjacency())
+                && std::ptr::eq(mesh.cell(0), source.cell(0)),
+            "{ctx}: taking a snapshot copied connectivity"
+        );
+        Held {
+            taken_at: ctx.to_string(),
+            positions: mesh.positions().to_vec(),
+            cell_capacity: mesh.cell_capacity(),
+            live_cells: mesh.live_cells().map(|(c, v)| (c, v.to_vec())).collect(),
+            neighbors: (0..mesh.num_vertices() as VertexId)
+                .map(|v| mesh.neighbors(v).to_vec())
+                .collect(),
+            epoch: mesh.restructure_epoch(),
+            mesh,
+        }
+    }
+
+    fn assert_untouched(&self) {
+        let (mesh, at) = (&self.mesh, &self.taken_at);
+        assert_eq!(mesh.positions(), &self.positions[..], "taken {at}");
+        assert_eq!(mesh.cell_capacity(), self.cell_capacity, "taken {at}");
+        assert_eq!(mesh.num_cells(), self.live_cells.len(), "taken {at}");
+        assert_eq!(mesh.restructure_epoch(), self.epoch, "taken {at}");
+        let live: Vec<_> = mesh.live_cells().map(|(c, v)| (c, v.to_vec())).collect();
+        assert_eq!(live, self.live_cells, "taken {at}");
+        for (v, list) in self.neighbors.iter().enumerate() {
+            let v = v as VertexId;
+            assert_eq!(mesh.neighbors(v), &list[..], "taken {at}: vertex {v}");
+            assert_eq!(mesh.is_vertex_active(v), !list.is_empty(), "taken {at}");
+        }
+    }
+}
+
+/// Ops between two [`Held`] snapshots of a sequence.
+const HOLD_EVERY: usize = 5;
+
 fn random_live_cell(mesh: &Mesh, rng: &mut SplitMix64) -> u32 {
     loop {
         let c = rng.index(mesh.cell_capacity()) as u32;
@@ -176,7 +236,7 @@ fn shuffled_identity(n: usize, rng: &mut SplitMix64) -> Vec<VertexId> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Seeded random `remove_cell` / `refine_tet` sequences on a tet
     /// grid, run until one cell is left.
@@ -186,14 +246,19 @@ proptest! {
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
         let mut ledger = VertexLedger::new(&mesh);
+        let mut held = Vec::new();
         let mut ops = 0;
         while mesh.num_cells() > 1 && ops < 120 {
+            if ops % HOLD_EVERY == 0 {
+                held.push(Held::take(&mesh, held.len(), &format!("n {n} seed {seed} op {ops}")));
+            }
             let op = random_op(&mut mesh, &mut rng);
             ops += 1;
             let ctx = format!("n {n} seed {seed} op {ops} ({op})");
             assert_matches_rebuild(&mesh, &ctx);
             ledger.observe(&mesh, &ctx);
         }
+        held.iter().for_each(Held::assert_untouched);
     }
 
     /// `remove_cell` on a hex grid (12 edges a cell, not all vertex
@@ -204,19 +269,25 @@ proptest! {
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
         let mut ledger = VertexLedger::new(&mesh);
+        let mut held = Vec::new();
         let mut ops = 0;
         while mesh.num_cells() > 1 {
+            if ops % HOLD_EVERY == 0 {
+                held.push(Held::take(&mesh, held.len(), &format!("n {n} seed {seed} op {ops}")));
+            }
             let op = random_op(&mut mesh, &mut rng);
             ops += 1;
             let ctx = format!("n {n} seed {seed} op {ops} ({op})");
             assert_matches_rebuild(&mesh, &ctx);
             ledger.observe(&mesh, &ctx);
         }
+        held.iter().for_each(Held::assert_untouched);
     }
 
     /// `permute_vertices` after a mixed sequence: the relabelled CSR
-    /// equals the rebuild of the permuted cells, and the relabelled
-    /// restructuring state keeps later operations exact.
+    /// equals the rebuild of the permuted cells, the relabelled
+    /// restructuring state keeps later operations exact, and neither
+    /// the relabelling nor those operations reach what was held before.
     #[test]
     fn permutation_after_mixed_ops_equals_rebuild(
         n in 2usize..4,
@@ -231,6 +302,7 @@ proptest! {
             random_op(&mut mesh, &mut rng);
         }
         let perm = shuffled_identity(mesh.num_vertices(), &mut rng);
+        let mut held = vec![Held::take(&mesh, 0, "before the permutation")];
         let mut permuted = mesh.permute_vertices(&perm);
         assert_matches_rebuild(&permuted, "right after the permutation");
         prop_assert!(permuted.adjacency() == &mesh.adjacency().permuted(&perm));
@@ -244,9 +316,13 @@ proptest! {
             if permuted.num_cells() <= 1 {
                 break;
             }
+            if op % HOLD_EVERY == 0 {
+                held.push(Held::take(&permuted, held.len(), &format!("op {op} after the permutation")));
+            }
             random_op(&mut permuted, &mut rng);
             assert_matches_rebuild(&permuted, &format!("op {op} after the permutation"));
         }
+        held.iter().for_each(Held::assert_untouched);
     }
 }
 

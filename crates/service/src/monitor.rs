@@ -20,42 +20,48 @@
 //! the classic double buffer: one retained snapshot, one step in
 //! flight.
 //!
-//! **Hand-off.** On a deformation step the simulation thread fills a
-//! recycled `Vec<Point3>` with the new positions and sends it over a
-//! channel; the monitor hands that buffer to a recycled slot mesh as
-//! its position array ([`octopus_mesh::Mesh::replace_positions`]) and
-//! recycles the storage the mesh held before. Positions move once per
+//! **Hand-off.** After every step the simulation thread fills a
+//! recycled `Vec<Point3>` with the new positions. On a deformation step
+//! it sends that buffer over a channel and the new slot is the latest
+//! slot's mesh with it as position array
+//! ([`octopus_mesh::Mesh::with_positions`]). Positions move once per
 //! step — the simulation thread's copy, overlapped with queries — and
-//! the monitor thread copies and allocates nothing in steady state. On
-//! the rare restructuring step
-//! (detected exactly via the mesh's
-//! [`octopus_mesh::Mesh::restructure_epoch`]) it sends a
-//! [`octopus_mesh::Mesh::snapshot`] — positions and connectivity,
-//! nothing else — plus the step's surface delta, and the monitor
-//! *derives* the slot's executor from the previous one by replaying
-//! that delta ([`octopus_core::Octopus::restructured`]) — older
-//! retained slots keep their own connectivity generation's executor,
-//! so queries against pre-restructuring steps stay exact.
+//! the monitor thread copies and allocates nothing. On the rare
+//! restructuring step (detected exactly via the mesh's
+//! [`octopus_mesh::Mesh::restructure_epoch`]) it sends its own mesh's
+//! connectivity handles around the same buffer, plus the step's surface
+//! delta, and the monitor *derives* the slot's executor from the
+//! previous one by replaying that delta
+//! ([`octopus_core::Octopus::restructured`]) — older retained slots
+//! keep their own connectivity and its executor, so queries against
+//! pre-restructuring steps stay exact.
 //!
-//! **Who owns what.** The face table (the hash map restructuring
-//! operations run on) lives only in the [`Simulation`]'s mesh; no ring
-//! slot carries one. The serving side's knowledge of the surface is
-//! each slot executor's delta-maintained
+//! **Who owns what.** A slot owns one thing, its position array. What
+//! derives from connectivity it shares behind handles with the slots
+//! published since the last restructure or re-layout: the cell arrays
+//! and the CSR (inside its [`Mesh`] — shared with the [`Simulation`]'s
+//! mesh too, whose next restructuring operation copies the cell arrays
+//! once and leaves the ring's untouched), the executor, the surface
+//! grid and the id translation. The face table (the hash
+//! map restructuring operations run on) lives only in the simulation's
+//! mesh; no ring slot carries one. The serving side's knowledge of the
+//! surface is each slot executor's delta-maintained
 //! [`octopus_core::SurfaceIndex`], which the planner reads S from as
-//! well. After set-up nothing on this side extracts a surface or
-//! rebuilds an adjacency: a restructure costs a copy plus the delta, a
+//! well. After set-up nothing on this side extracts a surface, rebuilds
+//! an adjacency or copies one: a restructure costs the delta, a
 //! re-layout a relabelling.
 //!
 //! Position buffers rotate: simulation thread (fills one per step) →
-//! the new slot's mesh → when that mesh is recycled and takes its next
-//! buffer, the storage it held goes to `spare_bufs` → back to the
-//! simulation thread with the next `begin_step`. At most `3 · depth`
-//! exist (one per slot, one per spare mesh, and `depth` between
-//! `spare_bufs` and the steps in flight), each with exactly one
-//! holder. Within a connectivity generation all have the same length;
-//! across a restructure or a re-layout `spare_meshes` is cleared (its
-//! connectivity is stale) and a shorter buffer left in `spare_bufs`
-//! simply grows when the simulation refills it.
+//! the new slot → when the slot is retired, `spare_bufs` → back to the
+//! simulation thread with the next `begin_step` (a step that fails
+//! sends its buffer back unfilled). At most `2 · depth` exist — one per
+//! slot, and `depth` between `spare_bufs` and the steps in flight: the
+//! simulation thread allocates only when `spare_bufs` was empty, so
+//! those two never hold more than `depth` together — each with exactly
+//! one holder. A buffer shorter than the mesh (from before a
+//! vertex-appending restructure) simply grows when the simulation
+//! refills it; a re-layout drops the slots it truncates, buffers
+//! included.
 //!
 //! **The surface grid.** Beside its executor every slot holds that
 //! executor's surface ids bucketed by position
@@ -242,14 +248,6 @@ impl LayoutPolicy {
         }
     }
 
-    /// Hilbert at ingest with the default adaptive drift trigger
-    /// ([`RelayoutTrigger::adaptive`]).
-    pub fn hilbert_adaptive() -> LayoutPolicy {
-        LayoutPolicy::Hilbert {
-            trigger: RelayoutTrigger::adaptive(),
-        }
-    }
-
     fn curve(self) -> Option<CurveKind> {
         match self {
             LayoutPolicy::Preserve => None,
@@ -429,8 +427,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 enum Cmd {
-    /// Advance one step, recycling `reuse` as the outgoing snapshot
-    /// buffer when possible.
+    /// Advance one step, recycling `reuse` as the outgoing positions
+    /// buffer (it comes back unfilled if the step fails).
     Step {
         reuse: Option<Vec<Point3>>,
     },
@@ -444,17 +442,21 @@ enum Cmd {
 enum Update {
     /// Deformation only: positions changed, connectivity did not.
     Deformed { step: u32, positions: Vec<Point3> },
-    /// Restructuring fired: connectivity + positions hand-off (a
-    /// [`Mesh::snapshot`], without the simulation's face table) +
-    /// surface delta replay.
+    /// Restructuring fired: the simulation's connectivity handles
+    /// around the positions buffer ([`Mesh::with_positions`], without
+    /// the simulation's face table) + surface delta replay.
     Restructured {
         step: u32,
-        mesh: Box<Mesh>,
+        mesh: Mesh,
         delta: SurfaceDelta,
     },
     /// The step failed recoverably: the simulation thread is alive and
     /// its state untouched (e.g. an injected restructure failure).
-    Failed(MeshError),
+    /// `reuse` is the step's buffer, coming back unfilled.
+    Failed {
+        error: MeshError,
+        reuse: Option<Vec<Point3>>,
+    },
     /// The simulation thread panicked while stepping; it sent this and
     /// exited. The string is the rendered panic payload.
     Panicked(String),
@@ -473,18 +475,15 @@ enum SimState {
 }
 
 /// One retained snapshot: the mesh state at the end of `step` plus the
-/// executor for its connectivity generation.
+/// executor for its connectivity.
 struct Slot {
     step: u32,
-    /// Monitor-local connectivity generation (bumped on restructuring
-    /// *and* re-layout): slot meshes are only recycled within a
-    /// generation, and executors are only shared within one.
-    conn_gen: u64,
-    /// Positions and connectivity at `step` — always a
-    /// [`Mesh::snapshot`], never the restructuring state: the surface
-    /// of this slot is `exec`'s index.
+    /// Positions (this slot's own array) and connectivity (shared with
+    /// the slots a deformation step derived from it or it was derived
+    /// from) at `step` — never the restructuring state: the surface of
+    /// this slot is `exec`'s index.
     mesh: Mesh,
-    /// Shared within a connectivity generation (deformation steps
+    /// Shared exactly as far as the connectivity is (deformation steps
     /// change positions only; the executor is position-free).
     exec: Arc<Octopus>,
     /// `exec`'s surface ids bucketed by anchor position; shared by the
@@ -604,16 +603,13 @@ pub struct MonitorLoop {
     ledger: RingLedger,
     /// Steps commanded but not yet absorbed (≤ `depth`).
     in_flight: usize,
-    conn_gen: u64,
     pool: ParallelExecutor,
     /// Scratch for the sequential query paths (resizes itself across
     /// slots of different vertex/component counts).
     scratch: QueryScratch,
     /// Recycled position buffers for the sim thread's hand-offs: the
-    /// storage slot meshes gave up when they took a step's buffer.
+    /// storage of retired slots.
     spare_bufs: Vec<Vec<Point3>>,
-    /// Recycled slot meshes of the *current* connectivity generation.
-    spare_meshes: Vec<Mesh>,
     policy: LayoutPolicy,
     /// Incremental locality metric (present only for
     /// [`RelayoutTrigger::LocalityDrift`] policies).
@@ -696,7 +692,6 @@ impl MonitorLoop {
         let mut slots = VecDeque::with_capacity(depth);
         slots.push_back(Slot {
             step,
-            conn_gen: 0,
             mesh,
             exec,
             grid,
@@ -714,11 +709,9 @@ impl MonitorLoop {
             slots,
             ledger: RingLedger::new(depth, step),
             in_flight: 0,
-            conn_gen: 0,
             pool: ParallelExecutor::new(threads),
             scratch,
             spare_bufs: Vec::new(),
-            spare_meshes: Vec::new(),
             policy,
             tracker,
             restructures_since_layout: 0,
@@ -761,7 +754,7 @@ impl MonitorLoop {
     }
 
     /// The attached telemetry bundle, if any — the hook a self-tuning
-    /// planner (ROADMAP item 4) reads executor/engine feedback from.
+    /// planner (ROADMAP item 9(a)) reads executor/engine feedback from.
     pub fn telemetry(&self) -> Option<&ServiceTelemetry> {
         self.telemetry.as_ref()
     }
@@ -894,14 +887,14 @@ impl MonitorLoop {
     }
 
     /// Waits for the oldest in-flight step and publishes its state into
-    /// the ring (on a deformation step the received position buffer is
-    /// handed to a recycled slot mesh — no copy, no allocation; on a
-    /// restructuring step mesh replace + surface-delta-derived
-    /// executor). When the ring is at capacity the oldest
-    /// retained slot is recycled — deterministically, and only if no
-    /// query pin holds it ([`ServiceError::RingFull`] otherwise; the
-    /// update stays queued and the call can be retried after
-    /// unpinning). Returns the ring's new latest step number.
+    /// the ring (on a deformation step the received position buffer
+    /// becomes the new slot's position array — no copy, no allocation;
+    /// on a restructuring step the received mesh + a
+    /// surface-delta-derived executor). When the ring is at capacity
+    /// the oldest retained slot is recycled — deterministically, and
+    /// only if no query pin holds it ([`ServiceError::RingFull`]
+    /// otherwise; the update stays queued and the call can be retried
+    /// after unpinning). Returns the ring's new latest step number.
     pub fn finish_step(&mut self) -> Result<u32, ServiceError> {
         if self.in_flight == 0 {
             return Err(ServiceError::NoStepInFlight);
@@ -970,26 +963,17 @@ impl MonitorLoop {
             Update::Deformed { step, positions } => {
                 self.subs.deformed(&positions);
                 let latest = self.slots.back().expect("ring is never empty");
-                let mut mesh = match self.spare_meshes.pop() {
-                    Some(m) => m,
-                    None => latest.mesh.clone(),
-                };
-                // The hand-over: the buffer the simulation filled becomes
-                // the slot's position array, and the storage the mesh held
-                // is the simulation's next buffer. Nothing is copied.
-                let positions = mesh.replace_positions(positions);
+                // The hand-over: the buffer the simulation filled is the
+                // new slot's position array; everything else it shares
+                // with the latest slot. Nothing is copied.
                 let slot = Slot {
                     step,
-                    conn_gen: self.conn_gen,
-                    mesh,
+                    mesh: latest.mesh.with_positions(positions),
                     exec: Arc::clone(&latest.exec),
                     grid: Arc::clone(&latest.grid),
                     reach: None,
                     translation: latest.translation.clone(),
                 };
-                if self.spare_bufs.len() < self.depth {
-                    self.spare_bufs.push(positions);
-                }
                 self.push_slot(slot);
                 if let Some(t) = &self.telemetry {
                     t.monitor.publish_ns.record_duration(absorb_start.elapsed());
@@ -998,7 +982,7 @@ impl MonitorLoop {
             Update::Restructured { step, mesh, delta } => {
                 let latest = self.slots.back().expect("ring is never empty");
                 // Derive (not mutate): older retained slots keep their
-                // generation's executor and its grid.
+                // connectivity's executor and its grid.
                 let exec = Arc::new(latest.exec.restructured(&mesh, &delta));
                 let grid = build_grid(&exec, &mesh);
                 self.grid_stats.insertions += 1;
@@ -1017,8 +1001,6 @@ impl MonitorLoop {
                         Arc::clone(t)
                     }
                 });
-                self.conn_gen += 1;
-                self.spare_meshes.clear();
                 if let Some(tracker) = &mut self.tracker {
                     tracker.apply_delta(&mesh, &delta);
                 }
@@ -1029,8 +1011,7 @@ impl MonitorLoop {
                 self.subs.restructured(&mesh);
                 self.push_slot(Slot {
                     step,
-                    conn_gen: self.conn_gen,
-                    mesh: *mesh,
+                    mesh,
                     exec,
                     grid,
                     reach: None,
@@ -1043,7 +1024,10 @@ impl MonitorLoop {
                 }
                 self.update_relayout_pending();
             }
-            Update::Failed(e) => return Err(ServiceError::Mesh(e)),
+            Update::Failed { error, reuse } => {
+                self.spare_bufs.extend(reuse);
+                return Err(ServiceError::Mesh(error));
+            }
             Update::Panicked(msg) => return Err(self.sim_died(msg)),
         }
         if let Some(t) = &self.telemetry {
@@ -1091,10 +1075,10 @@ impl MonitorLoop {
         let published = self.ledger.try_publish(slot.step);
         debug_assert!(published.is_ok(), "publish raced a pin: {published:?}");
         if self.slots.len() == self.depth {
+            // The retired slot's position storage is the simulation's
+            // next buffer.
             let old = self.slots.pop_front().expect("ring is never empty");
-            if old.conn_gen == self.conn_gen && self.spare_meshes.len() < self.depth {
-                self.spare_meshes.push(old.mesh);
-            }
+            self.spare_bufs.push(old.mesh.into_positions());
         }
         self.slots.push_back(slot);
     }
@@ -1188,12 +1172,6 @@ impl MonitorLoop {
         // are translated through the permutation (geometry is untouched
         // by a relabelling).
         self.subs.translate(&perm);
-        // The re-laid-out slot opens the new connectivity generation:
-        // subsequent deformation slots share its executor and may
-        // recycle its mesh.
-        self.conn_gen += 1;
-        latest.conn_gen = self.conn_gen;
-        self.spare_meshes.clear();
         self.relayouts += 1;
         if let Some(t) = &self.telemetry {
             t.monitor.relayouts.inc();
@@ -1801,7 +1779,9 @@ impl Drop for MonitorLoop {
 /// The simulation thread: steps on demand and hands snapshots back.
 /// The restructure epoch decides the hand-off flavour exactly: a step
 /// whose epoch did not advance left connectivity untouched (even when a
-/// schedule "fired" zero ops), so a positions-only copy suffices.
+/// schedule "fired" zero ops), so the positions buffer alone suffices;
+/// one that did sends the simulation mesh's connectivity handles around
+/// the same buffer.
 ///
 /// Supervised: the step computation runs under `catch_unwind`, so a
 /// panic (genuine or injected) is reported to the monitor as
@@ -1829,6 +1809,7 @@ fn sim_thread(
             Cmd::Stop => break,
         };
         let mut injected_panic = None;
+        let mut refused = None;
         if fault.armed() {
             let next = sim.current_step() + 1;
             let site = if sim.restructure_scheduled(next) {
@@ -1840,52 +1821,38 @@ fn sim_thread(
                 FaultAction::Proceed => {}
                 FaultAction::DelayMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
                 FaultAction::Panic(msg) => injected_panic = Some(msg),
-                FaultAction::Fail(msg) => {
-                    if upd_tx
-                        .send(Update::Failed(MeshError::External(msg)))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                FaultAction::Deny => {
-                    let msg = format!("step {next} refused by fault hook");
-                    if upd_tx
-                        .send(Update::Failed(MeshError::External(msg)))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
+                FaultAction::Fail(msg) => refused = Some(msg),
+                FaultAction::Deny => refused = Some(format!("step {next} refused by fault hook")),
             }
         }
-        let stepped = panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(msg) = injected_panic {
-                panic!("{msg}");
-            }
-            sim.step_outcome()
-        }));
+        let stepped = match refused {
+            Some(msg) => Ok(Err(MeshError::External(msg))),
+            None => panic::catch_unwind(AssertUnwindSafe(|| {
+                if let Some(msg) = injected_panic {
+                    panic!("{msg}");
+                }
+                sim.step_outcome()
+            })),
+        };
         let update = match stepped {
             Ok(Ok(outcome)) => {
+                let mut positions = reuse.unwrap_or_default();
+                sim.snapshot_positions_into(&mut positions);
                 if outcome.restructure_epoch != last_epoch {
                     last_epoch = outcome.restructure_epoch;
                     Update::Restructured {
                         step: outcome.step,
-                        mesh: Box::new(sim.mesh().snapshot()),
+                        mesh: sim.mesh().with_positions(positions),
                         delta: outcome.delta,
                     }
                 } else {
-                    let mut buf = reuse.unwrap_or_default();
-                    sim.snapshot_positions_into(&mut buf);
                     Update::Deformed {
                         step: outcome.step,
-                        positions: buf,
+                        positions,
                     }
                 }
             }
-            Ok(Err(e)) => Update::Failed(e),
+            Ok(Err(error)) => Update::Failed { error, reuse },
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
                 // Best effort: the monitor may already be gone.

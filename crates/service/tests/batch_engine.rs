@@ -23,20 +23,10 @@ use octopus_service::{
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
-use octopus_testkit::{box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sorted};
+use octopus_testkit::{
+    box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sequential_reference, sorted,
+};
 use proptest::prelude::*;
-
-fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::new(mesh).unwrap();
-    queries
-        .iter()
-        .map(|q| {
-            let mut out = Vec::new();
-            octopus.query(mesh, q, &mut out);
-            sorted(out)
-        })
-        .collect()
-}
 
 /// An engine for `mesh`, its planner reading S off a fresh executor's
 /// surface index (as `MonitorLoop::set_batch_engine` does off the

@@ -14,7 +14,9 @@ use octopus_service::{
 };
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
-use octopus_testkit::{box_mesh, scan, sorted, with_watchdog, FailPoint};
+use octopus_testkit::{
+    box_mesh, reference_run, scan, sorted, step_queries, with_watchdog, FailPoint,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,52 +25,8 @@ use std::time::Duration;
 /// genuine deadlock, not to race healthy runs.
 const WATCHDOG: Duration = Duration::from_secs(60);
 
-fn step_queries(step: u32) -> Vec<Aabb> {
-    let t = f32::from(step as u16 % 8) * 0.05;
-    vec![
-        Aabb::cube(Point3::splat(0.3 + t), 0.2),
-        Aabb::new(Point3::splat(0.1), Point3::splat(0.9)),
-        Aabb::cube(Point3::splat(0.5), 0.15),
-    ]
-}
-
 fn make_sim(mesh: Mesh, field_seed: u64) -> Simulation {
     Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, field_seed)))
-}
-
-/// Stop-the-world fault-free reference: per step, the sorted results of
-/// [`step_queries`] against the live mesh.
-fn reference_run(
-    mesh: Mesh,
-    field_seed: u64,
-    restructure: Option<(u32, usize, u64)>,
-    steps: u32,
-) -> Vec<Vec<Vec<VertexId>>> {
-    let mut sim = make_sim(mesh, field_seed);
-    if let Some((period, ops, seed)) = restructure {
-        sim = sim
-            .with_restructuring(RestructureSchedule::new(period, ops, seed))
-            .unwrap();
-    }
-    let mut octopus = Octopus::new(sim.mesh()).unwrap();
-    let mut per_step = Vec::new();
-    for _ in 0..steps {
-        let outcome = sim.step_outcome().unwrap();
-        if outcome.restructured {
-            octopus.on_restructure(sim.mesh(), &outcome.delta);
-        }
-        per_step.push(
-            step_queries(outcome.step)
-                .iter()
-                .map(|q| {
-                    let mut out = Vec::new();
-                    octopus.query(sim.mesh(), q, &mut out);
-                    sorted(out)
-                })
-                .collect(),
-        );
-    }
-    per_step
 }
 
 /// Asserts the monitor's latest snapshot answers [`step_queries`]

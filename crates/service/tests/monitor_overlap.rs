@@ -4,60 +4,13 @@
 //! restructuring steps (surface-delta-derived per-slot executors) and
 //! mid-run re-layouts (pipeline drained first, ring truncated).
 
-use octopus_core::Octopus;
 use octopus_geom::{Aabb, Point3, VertexId};
-use octopus_mesh::Mesh;
 use octopus_service::{
     BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError,
 };
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
-use octopus_testkit::{box_mesh, sorted};
-
-fn step_queries(step: u32) -> Vec<Aabb> {
-    let t = f32::from(step as u16 % 8) * 0.05;
-    vec![
-        Aabb::cube(Point3::splat(0.3 + t), 0.2),
-        Aabb::new(Point3::splat(0.1), Point3::splat(0.9)),
-        Aabb::cube(Point3::splat(0.5), 0.15),
-    ]
-}
-
-/// Stop-the-world reference: same mesh, same field, same seeds — step,
-/// then query the live mesh, exactly as the paper's Fig. 1(e) loop.
-fn reference_run(
-    mesh: Mesh,
-    field_seed: u64,
-    restructure: Option<(u32, usize, u64)>,
-    steps: u32,
-) -> Vec<Vec<Vec<VertexId>>> {
-    let mut sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, field_seed)));
-    if let Some((period, ops, seed)) = restructure {
-        sim = sim
-            .with_restructuring(RestructureSchedule::new(period, ops, seed))
-            .unwrap();
-    }
-    let mut octopus = Octopus::new(sim.mesh()).unwrap();
-    let mut per_step = Vec::new();
-    for _ in 0..steps {
-        let outcome = sim.step_outcome().unwrap();
-        if outcome.restructured {
-            // Stop-the-world maintenance needs a rebuild only because
-            // the executor's component map depends on connectivity; the
-            // surface index itself replays the delta.
-            octopus.on_restructure(sim.mesh(), &outcome.delta);
-        }
-        let results = step_queries(outcome.step)
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                octopus.query(sim.mesh(), q, &mut out);
-                sorted(out)
-            })
-            .collect();
-        per_step.push(results);
-    }
-    per_step
-}
+use octopus_testkit::{box_mesh, reference_run, sorted, step_queries, FailPoint};
+use std::sync::Arc;
 
 /// The ring-depth property: a pipelined run at depth K, with queries
 /// issued against **every retained step** at every iteration (both the
@@ -167,11 +120,14 @@ fn ring_depth_equivalence_without_restructuring() {
     }
 }
 
-/// A deformation publish hands the simulation's buffer to the slot mesh
-/// and recycles the one it held: after warm-up the position arrays the
-/// ring serves from are a fixed set that rotates — nothing is allocated
-/// per step, and (an address being one buffer) nothing is copied into a
-/// second one — while every retained step still equals the reference.
+/// A deformation publish makes the simulation's buffer the new slot's
+/// position array and shares everything else with the slot before it:
+/// every retained slot has the latest's connectivity by pointer, and
+/// after warm-up the position arrays the ring serves from are a fixed
+/// set that rotates — one per slot and one per step in flight, nothing
+/// allocated per step, and (an address being one buffer) nothing copied
+/// into a second one — while every retained step still equals the
+/// reference.
 #[test]
 fn deformation_publish_rotates_a_fixed_set_of_position_buffers() {
     const STEPS: u32 = 24;
@@ -179,16 +135,25 @@ fn deformation_publish_rotates_a_fixed_set_of_position_buffers() {
         let mut seen: Vec<*const Point3> = Vec::new();
         let mut distinct_after = Vec::new();
         ring_equivalence_run_observed(depth, 77, None, LayoutPolicy::Preserve, STEPS, |monitor| {
-            let ptr = monitor.snapshot().positions().as_ptr();
+            let latest = monitor.snapshot();
+            let ptr = latest.positions().as_ptr();
             if !seen.contains(&ptr) {
                 seen.push(ptr);
             }
             distinct_after.push(seen.len());
+            for s in monitor.retained_steps() {
+                let slot = monitor.snapshot_at(s).unwrap();
+                assert!(
+                    std::ptr::eq(slot.adjacency(), latest.adjacency())
+                        && std::ptr::eq(slot.cell(0), latest.cell(0)),
+                    "depth {depth}: the slot of step {s} holds a connectivity copy"
+                );
+            }
         });
         assert!(
-            seen.len() <= 3 * depth + 1,
-            "depth {depth}: {} position buffers for slots, spare meshes and \
-             buffers in flight: {distinct_after:?}",
+            seen.len() <= 2 * depth,
+            "depth {depth}: {} position buffers for slots and steps in flight: \
+             {distinct_after:?}",
             seen.len()
         );
         assert!(
@@ -204,11 +169,78 @@ fn deformation_publish_rotates_a_fixed_set_of_position_buffers() {
     }
 }
 
+/// The rotation survives the steps that publish no deformation: a
+/// restructuring step fills the recycled buffer like any other, and a
+/// refused step sends its buffer back. Once every buffer has grown past
+/// the first vertex-appending event, each published position array is
+/// one the ring has held before — by address, and by capacity: a buffer
+/// that was refilled past its length doubled, a freshly allocated one
+/// (which the allocator may well place at a freed address) is exactly
+/// as long as the mesh.
+#[test]
+fn restructuring_and_refused_steps_keep_the_buffers_rotating() {
+    const STEPS: u32 = 40;
+    const PERIOD: u32 = 4;
+    for depth in [1usize, 2] {
+        let mut mesh = box_mesh(4);
+        mesh.enable_restructuring().unwrap();
+        let ingest_vertices = mesh.num_vertices();
+        let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 7)))
+            .with_restructuring(RestructureSchedule::new(PERIOD, 6, 0xD1CE))
+            .unwrap();
+        let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, depth).unwrap();
+        let refusal = Arc::new(FailPoint::new().fail_sim_at(3 * PERIOD + 1));
+        monitor.set_fault_hook(Arc::clone(&refusal) as Arc<_>);
+
+        let mut held = vec![monitor.snapshot().positions().as_ptr()];
+        let mut step = 0;
+        while step < STEPS {
+            monitor.fill_pipeline().unwrap();
+            match monitor.finish_step() {
+                Ok(published) => step = published,
+                Err(ServiceError::Mesh(_)) => continue,
+                Err(e) => panic!("depth {depth} after step {step}: {e}"),
+            }
+            let latest = monitor.snapshot();
+            if step == PERIOD {
+                assert!(
+                    latest.num_vertices() > ingest_vertices,
+                    "first event refines"
+                );
+            }
+            let ptr = latest.positions().as_ptr();
+            if step > 2 * PERIOD {
+                assert!(
+                    held.contains(&ptr),
+                    "depth {depth} step {step}: published from storage the ring never held"
+                );
+                // A clone's position array is exactly as long as the
+                // mesh and it shares the rest: the difference is this
+                // array's spare capacity.
+                assert!(
+                    latest.memory_bytes() > latest.clone().memory_bytes(),
+                    "depth {depth} step {step}: a freshly allocated position array"
+                );
+            } else if !held.contains(&ptr) {
+                held.push(ptr);
+            }
+        }
+        assert_eq!(refusal.sim_failures(), 1, "depth {depth}");
+        assert!(
+            held.len() <= 2 * (2 * depth),
+            "depth {depth}: each of the 2 · depth buffers regrows once: {}",
+            held.len()
+        );
+    }
+}
+
 /// No query path derives anything from the positions: the mesh of the
-/// newest slot owns exactly as many heap bytes after singleton queries,
-/// a grouped engine batch and a planner-routed shared scan as before
-/// them (`Mesh::memory_bytes` counts the blocked-SoA mirror's capacity,
-/// so a path that still built it shows here).
+/// newest slot reaches exactly as many heap bytes after singleton
+/// queries, a grouped engine batch and a planner-routed shared scan as
+/// before them (`Mesh::memory_bytes` counts the blocked-SoA mirror's
+/// capacity, so a path that still built it shows here; the shared
+/// connectivity is in both readings, and every position array of this
+/// restructure-free run is exactly as long as the mesh).
 #[test]
 fn no_query_path_builds_the_position_mirror() {
     let sim = Simulation::new(box_mesh(12), Box::new(SmoothRandomField::new(0.01, 3, 21)));

@@ -6,24 +6,12 @@
 //! layer a drop-in scale-out of the paper's Algorithm 1.
 
 use octopus_core::Octopus;
-use octopus_geom::{Aabb, Point3, VertexId};
+use octopus_geom::{Aabb, Point3};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_service::ParallelExecutor;
-use octopus_testkit::{box_mesh, sorted};
+use octopus_testkit::{box_mesh, sequential_reference, sorted};
 use proptest::prelude::*;
-
-fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::new(mesh).unwrap();
-    queries
-        .iter()
-        .map(|q| {
-            let mut out = Vec::new();
-            octopus.query(mesh, q, &mut out);
-            sorted(out)
-        })
-        .collect()
-}
 
 /// Asserts batch execution matches the sequential executor on `mesh`
 /// for `queries`, for a given worker count.

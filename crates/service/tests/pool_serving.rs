@@ -10,23 +10,10 @@ use octopus_core::layout::{hilbert_layout, morton_layout};
 use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
-use octopus_mesh::Mesh;
 use octopus_service::{ParallelExecutor, WorkerPool};
-use octopus_testkit::{box_mesh, scan, sorted};
+use octopus_testkit::{box_mesh, scan, sequential_reference, sorted};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::new(mesh).unwrap();
-    queries
-        .iter()
-        .map(|q| {
-            let mut out = Vec::new();
-            octopus.query(mesh, q, &mut out);
-            sorted(out)
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

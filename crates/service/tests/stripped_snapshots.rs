@@ -52,7 +52,8 @@ fn assert_exact_at(monitor: &mut MonitorLoop, step: u32, ctx: &str) {
 }
 
 /// (a) A pinned old-generation slot keeps answering exactly — in its
-/// own id space, from its own generation's executor and through the
+/// own id space, from its own connectivity (the very arrays it was
+/// published with), its own generation's executor and through the
 /// surface grid it was published with — while two later steps
 /// restructure past it and a requested re-layout waits for the pin;
 /// once released, the re-layout relabels and the latest slot is exact
@@ -86,6 +87,11 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
             .unwrap()
             .to_vec();
         assert_exact_at(&mut monitor, pinned, "freshly pinned");
+        // What the pinned slot holds, by address: later restructures
+        // publish new connectivity, they never write into this one.
+        let held = monitor.snapshot_at(pinned).unwrap();
+        let (pinned_adjacency, pinned_cells) =
+            (std::ptr::from_ref(held.adjacency()), held.cell(0).as_ptr());
 
         // Two later restructuring steps fill the ring behind the pin.
         for later in 1..=2 {
@@ -98,6 +104,17 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
                 "every step of this schedule restructures"
             );
             assert!(!monitor.snapshot().restructuring_enabled());
+            let held = monitor.snapshot_at(pinned).unwrap();
+            assert!(
+                std::ptr::eq(held.adjacency(), pinned_adjacency)
+                    && held.cell(0).as_ptr() == pinned_cells,
+                "the pinned slot's connectivity was replaced"
+            );
+            assert!(
+                !std::ptr::eq(monitor.snapshot().adjacency(), pinned_adjacency)
+                    && monitor.snapshot().cell(0).as_ptr() != pinned_cells,
+                "a restructured slot shares the pinned slot's connectivity"
+            );
             assert_exact_at(&mut monitor, pinned, "behind later restructures");
             assert_exact_at(&mut monitor, latest, "latest generation");
         }

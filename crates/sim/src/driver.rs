@@ -131,9 +131,11 @@ impl Simulation {
     /// Copies the current positions into `buf` (cleared first). This is
     /// the other half of the snapshot hand-off: the simulation thread
     /// fills a recycled buffer right after [`Simulation::step_outcome`]
-    /// and sends it to the monitor, which swaps it into its snapshot
-    /// mesh ([`octopus_mesh::Mesh::replace_positions`], no second copy) and sends the
-    /// buffer that mesh held back for a later step. `buf` may be
+    /// and sends it to the monitor — as it is on a deformation step, as
+    /// the position array of a mesh sharing this one's connectivity
+    /// ([`octopus_mesh::Mesh::with_positions`]) on a restructuring step
+    /// — which publishes it without a second copy and sends the buffer
+    /// of the slot it retires back for a later step. `buf` may be
     /// shorter than the mesh (left over from before a restructure); it
     /// grows.
     pub fn snapshot_positions_into(&self, buf: &mut Vec<Point3>) {
@@ -205,19 +207,9 @@ impl Simulation {
         &self.mesh
     }
 
-    /// Mutable access (used by harnesses that restructure manually).
-    pub fn mesh_mut(&mut self) -> &mut Mesh {
-        &mut self.mesh
-    }
-
     /// The rest (initial) configuration.
     pub fn rest_positions(&self) -> &[Point3] {
         &self.rest
-    }
-
-    /// Consumes the simulation, returning the mesh in its final state.
-    pub fn into_mesh(self) -> Mesh {
-        self.mesh
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Every differential suite in the workspace needs the same three
 //! ingredients: a mesh to query (regular or adversarial), a workload of
-//! queries, and a linear-scan ground truth to compare against. They
-//! used to be copy-pasted per test file; this crate is the single
-//! home. It is a **dev-dependency only** — nothing in the shipped
+//! queries, and a ground truth to compare against — a linear scan, the
+//! sequential executor ([`sequential_reference`]) or a stop-the-world
+//! simulation run ([`reference_run`]). They used to be copy-pasted per
+//! test file; this crate is the single home. It is a **dev-dependency only** — nothing in the shipped
 //! crates links it.
 //!
 //! Ground-truth semantics: OCTOPUS queries are defined over *active*
@@ -21,11 +22,13 @@
 pub mod fault;
 pub use fault::{with_watchdog, FailPoint};
 
+use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::tet::tetrahedralize;
 use octopus_meshgen::voxel::VoxelRegion;
+use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 
 /// Tetrahedralized solid unit box on an `n³` voxel grid — the regular,
 /// single-component fixture.
@@ -95,6 +98,67 @@ pub fn knn_scan(mesh: &Mesh, k: usize, point: Point3) -> Vec<VertexId> {
     ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     ranked.truncate(k);
     ranked.into_iter().map(|(_, v)| v).collect()
+}
+
+/// The sequential executor's answer to each query on `mesh`, sorted —
+/// what every parallel, pooled or engine-planned path must equal.
+pub fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    let mut octopus = Octopus::new(mesh).expect("test meshes are manifold");
+    sequential_answers(&mut octopus, mesh, queries)
+}
+
+fn sequential_answers(octopus: &mut Octopus, mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut out = Vec::new();
+            octopus.query(mesh, q, &mut out);
+            sorted(out)
+        })
+        .collect()
+}
+
+/// The three boxes a monitor suite asks at `step` (one of them drifting
+/// with the step number).
+pub fn step_queries(step: u32) -> Vec<Aabb> {
+    let t = f32::from(step as u16 % 8) * 0.05;
+    vec![
+        Aabb::cube(Point3::splat(0.3 + t), 0.2),
+        Aabb::new(Point3::splat(0.1), Point3::splat(0.9)),
+        Aabb::cube(Point3::splat(0.5), 0.15),
+    ]
+}
+
+/// Stop-the-world reference, exactly the paper's Fig. 1(e) loop: step
+/// `mesh` under `SmoothRandomField::new(0.01, 3, field_seed)` (and the
+/// `(period, ops, seed)` restructuring schedule, if any), then answer
+/// [`step_queries`] on the live mesh. One entry per step, sorted.
+pub fn reference_run(
+    mesh: Mesh,
+    field_seed: u64,
+    restructure: Option<(u32, usize, u64)>,
+    steps: u32,
+) -> Vec<Vec<Vec<VertexId>>> {
+    let mut sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, field_seed)));
+    if let Some((period, ops, seed)) = restructure {
+        sim = sim
+            .with_restructuring(RestructureSchedule::new(period, ops, seed))
+            .expect("test meshes are manifold");
+    }
+    let mut octopus = Octopus::new(sim.mesh()).expect("test meshes are manifold");
+    let mut per_step = Vec::new();
+    for _ in 0..steps {
+        let outcome = sim.step_outcome().expect("reference runs inject no fault");
+        if outcome.restructured {
+            // Stop-the-world maintenance needs a rebuild only because
+            // the executor's component map depends on connectivity; the
+            // surface index itself replays the delta.
+            octopus.on_restructure(sim.mesh(), &outcome.delta);
+        }
+        let queries = step_queries(outcome.step);
+        per_step.push(sequential_answers(&mut octopus, sim.mesh(), &queries));
+    }
+    per_step
 }
 
 /// A batch workload mixing clustered (overlapping), interior, miss and

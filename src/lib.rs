@@ -15,8 +15,8 @@
 //! * [`meshgen`] — synthetic dataset generators (neuron arbors, convex
 //!   basins, animation bodies);
 //! * [`sim`] — the black-box simulation driver and deformation fields;
-//! * [`index`] — competitor indexes (linear scan, throwaway octree /
-//!   k-d tree, R-tree, LUR-Tree, QU-Trade, stale uniform grid);
+//! * [`index`] — competitor indexes (linear scan, throwaway octree,
+//!   R-tree, LUR-Tree, QU-Trade, stale uniform grid);
 //! * [`core`] — OCTOPUS itself: [`prelude::Octopus`],
 //!   [`prelude::OctopusCon`], [`prelude::ApproxOctopus`], the Hilbert
 //!   layout, the cost model and planner, and the query shapes beyond

@@ -3,10 +3,7 @@
 //! update patterns — the precondition for any of the paper's performance
 //! comparisons to be meaningful.
 
-use octopus::index::{
-    DynamicIndex, KdTree, LinearScan, LuGrid, LurTree, Octree, QuTrade, RTree, TwoLevelHash,
-    UniformGrid,
-};
+use octopus::index::{DynamicIndex, LinearScan, LurTree, Octree, QuTrade, RTree, UniformGrid};
 use octopus::prelude::*;
 use proptest::prelude::*;
 
@@ -28,16 +25,12 @@ fn scan(q: &Aabb, positions: &[Point3]) -> Vec<VertexId> {
 
 /// The exact competitor roster (no stale grid — it is a heuristic).
 fn roster() -> Vec<Box<dyn DynamicIndex>> {
-    let bounds = Aabb::new(Point3::splat(-1.0), Point3::splat(2.0));
     vec![
         Box::new(LinearScan::new()),
         Box::new(Octree::with_bucket_capacity(128)),
-        Box::new(KdTree::with_leaf_capacity(32)),
         Box::new(RTree::with_fanout(16)),
         Box::new(LurTree::with_fanout(16)),
         Box::new(QuTrade::with_fanout(16, 0.02)),
-        Box::new(LuGrid::new(&bounds, 6)),
-        Box::new(TwoLevelHash::new(&bounds, 9, 3)),
     ]
 }
 
@@ -161,7 +154,6 @@ fn end_to_end_monitor_loop_cross_checks() {
         Approach::Octopus(Octopus::new(&mesh).unwrap()),
         Approach::Index(Box::new(LinearScan::new())),
         Approach::Index(Box::new(Octree::with_bucket_capacity(512))),
-        Approach::Index(Box::new(KdTree::new())),
         Approach::Index(Box::new(LurTree::with_fanout(32))),
         Approach::Index(Box::new(QuTrade::with_fanout(32, 0.01))),
     ];
