@@ -25,15 +25,23 @@ pub struct PhaseTimings {
     /// Time spent in a planner-routed shared linear scan (zero on the
     /// probe/crawl path).
     pub linear_scan: Duration,
-    /// Time spent in the directed walk (zero when start vertices were
-    /// found on the surface — the common case the paper reports).
+    /// Time spent in directed walks: from the first walk that ran to
+    /// the end of phase 2, zero when `walks` is (every component was
+    /// seeded by the probe or skipped by the bound).
     pub directed_walk: Duration,
     /// Time spent crawling (BFS).
     pub crawling: Duration,
     /// Surface vertices found inside the query (crawl seeds).
     pub start_vertices: usize,
-    /// Vertices stepped through by the directed walk.
+    /// Vertices stepped through by the directed walks.
     pub walk_visited: usize,
+    /// Components walked: those the probe left seedless and the probe's
+    /// component bound ([`Probe::Grid`] has one, [`Probe::Surface`]
+    /// none) could not rule out.
+    pub walks: usize,
+    /// Seedless components the bound ruled out, so no walk ran:
+    /// `walks + walks_pruned` is what [`Probe::Surface`] walks.
+    pub walks_pruned: usize,
     /// Vertices examined during the crawl (result + frontier).
     pub crawl_visited: usize,
     /// Surface ids a [`Probe::Grid`] visited (zero under
@@ -63,6 +71,8 @@ impl PhaseTimings {
         self.crawling += other.crawling;
         self.start_vertices += other.start_vertices;
         self.walk_visited += other.walk_visited;
+        self.walks += other.walks;
+        self.walks_pruned += other.walks_pruned;
         self.crawl_visited += other.crawl_visited;
         self.grid_candidates += other.grid_candidates;
         self.results += other.results;
@@ -178,6 +188,19 @@ impl QueryScratch {
 /// of the *same* component that it also clips elsewhere, or in-query
 /// vertices whose graph neighbours all lie outside a sub-cell-sized
 /// query) remains a documented limitation inherited from the paper.
+///
+/// **What it costs, and who prunes it.** A walk per seedless component
+/// is a strided start search over that component's surface plus a
+/// greedy descent (`walk_component`) — 6–7 µs per query and component
+/// on the two-neuron meshes, nearly always to learn that the component
+/// is nowhere near the box. Under [`Probe::Surface`] every seedless
+/// component is walked. Under [`Probe::Grid`] the grid — built by
+/// [`Octopus::surface_grid`] with these labels — holds the bounding
+/// box of each component's surface anchors, and phase 2 first asks
+/// whether the component can hold a vertex inside the query's bounds
+/// at all ([`SurfaceGrid::component_in_reach`]): a comparison per
+/// component instead of a walk, exact under the premise stated in
+/// [`crate::surface_grid`].
 #[derive(Debug, Default)]
 struct ComponentMap {
     /// Component id per vertex.
@@ -292,6 +315,23 @@ impl Octopus {
     /// The surface index (inspection / tests).
     pub fn surface_index(&self) -> &SurfaceIndex {
         &self.surface
+    }
+
+    /// This executor's [`SurfaceGrid`] anchored at `positions`: its
+    /// surface ids bucketed into cells of edge `cell`, and each of its
+    /// connected components bounded by its surface anchors — the grid
+    /// every [`Probe::Grid`] handed to this executor must come from.
+    /// Valid until the next [`Octopus::on_restructure`]; an executor
+    /// derived by [`Octopus::restructured`] or [`Octopus::relabelled`]
+    /// needs its own.
+    pub fn surface_grid(&self, positions: &[Point3], cell: f32) -> SurfaceGrid {
+        SurfaceGrid::build(
+            self.surface.ids(),
+            positions,
+            &self.components.component_of,
+            self.components.count,
+            cell,
+        )
     }
 
     /// Applies a restructuring delta to the surface index and recomputes
@@ -538,7 +578,7 @@ impl Octopus {
             _ => {
                 self.run_group(&mut scratch.group, mesh, queries, probe, results, timings);
                 if let Some(m) = self.metrics.get() {
-                    m.record_group(&timings[0], queries.len());
+                    m.record_group(timings);
                 }
                 scratch.group.shared_visited()
             }
@@ -585,20 +625,26 @@ impl Octopus {
     }
 }
 
-/// Which surface ids the probe phase (Algorithm 1's phase 1) visits —
-/// for one query or for a whole group (see [`Octopus::query_group`]).
-/// Every visited id is tested against the query at its current
-/// position; the variants differ only in how many they visit.
+/// What the seeding phases of Algorithm 1 know about where the surface
+/// is — for one query or for a whole group (see
+/// [`Octopus::query_group`]): which surface ids phase 1 visits, and
+/// which seedless components phase 2 need not walk. Every visited id
+/// is tested against the query at its current position and every walk
+/// that runs is the same walk; the variants differ only in how much
+/// they skip.
 #[derive(Clone, Copy, Debug)]
 pub enum Probe<'a> {
-    /// The full surface index (the paper's probe): O(S).
+    /// The full surface index (the paper's probe): O(S), and a walk
+    /// into every component the probe left seedless.
     Surface,
     /// The cells of `grid` overlapping the query's bounds dilated by
-    /// `reach`: O(box). Exact iff `reach` bounds the snapshot's
-    /// displacement from the grid's anchors — see the contract on
+    /// `reach`: O(box), and a walk only into the seedless components
+    /// whose anchor box those dilated bounds intersect. Exact iff
+    /// `reach` bounds the snapshot's displacement from the grid's
+    /// anchors and `grid` came from this executor — see the contract on
     /// [`Octopus::query_group`].
     Grid {
-        /// The executor's surface ids, bucketed by anchor position.
+        /// [`Octopus::surface_grid`] of the executor being queried.
         grid: &'a SurfaceGrid,
         /// [`SurfaceGrid::reach`] of the mesh being queried.
         reach: f32,
@@ -637,6 +683,18 @@ impl Probe<'_> {
             0
         } else {
             grid_visited
+        }
+    }
+
+    /// Phase 2's question: can component `c` hold a vertex inside
+    /// `bounds`? The full probe bounds nothing and says yes; the grid
+    /// intersects the component's anchor box with `bounds` dilated by
+    /// `reach` ([`SurfaceGrid::component_in_reach`]).
+    #[inline]
+    fn reaches(self, c: usize, bounds: &Aabb) -> bool {
+        match self {
+            Probe::Surface => true,
+            Probe::Grid { grid, reach } => grid.component_in_reach(c, bounds, reach),
         }
     }
 }
@@ -703,15 +761,23 @@ fn run_seeding<R: Region>(
     stats.grid_candidates = grid_candidates;
     stats.surface_probe = t0.elapsed();
 
-    // Phase 2: component-aware directed walks. Every component whose
-    // surface produced no seed may still intersect the query with
-    // fully interior material (or not at all — the walk decides).
+    // Phase 2: component-aware directed walks. A component whose
+    // surface produced no seed may still intersect the query with fully
+    // interior material — unless the probe's bound rules it out, the
+    // walk decides. The clock starts with the first walk that runs.
     if seeded_components < components.count {
-        let t1 = Instant::now();
+        let bounds = q.bounds();
+        let mut started = None;
         for c in 0..components.count {
             if scratch.seeded.is_marked(c) {
                 continue;
             }
+            if !probe.reaches(c, &bounds) {
+                stats.walks_pruned += 1;
+                continue;
+            }
+            started.get_or_insert_with(Instant::now);
+            stats.walks += 1;
             let (found, steps) = walk_component(components, c, mesh, q);
             stats.walk_visited += steps;
             if let Some(inside) = found {
@@ -720,12 +786,15 @@ fn run_seeding<R: Region>(
                 }
             }
         }
-        stats.directed_walk = t1.elapsed();
+        if let Some(t1) = started {
+            stats.directed_walk = t1.elapsed();
+        }
     }
     stats
 }
 
-/// The walk policy for one component the probe left seedless: a
+/// The walk policy for one component the probe left seedless and its
+/// bound ([`Probe::reaches`]) could not rule out: a
 /// *strided* scan picks a near-closest surface vertex of the component
 /// as the walk start. Any start yields the correct result (exactness
 /// comes from walk + crawl, §IV-D); the closest is only a
@@ -733,9 +802,10 @@ fn run_seeding<R: Region>(
 /// slightly longer walk for a cheaper start search. A failed walk
 /// retries once from a denser sample, but only when the stall happened
 /// *near* the query (within a few edge lengths) — a stall far away
-/// means this component simply does not reach the query, the
-/// overwhelmingly common case on multi-component meshes, and a denser
-/// start would walk to the same frontier. A full O(S·V) scan per
+/// means this component simply does not reach the query (the common
+/// case on multi-component meshes under [`Probe::Surface`], which has
+/// no bound to say so beforehand), and a denser start would walk to
+/// the same frontier. A full O(S·V) scan per
 /// unseeded component would dominate such workloads.
 ///
 /// Returns the in-region vertex the walk reached, if any, and the
@@ -801,21 +871,30 @@ impl Octopus {
         let probe_time = t0.elapsed();
 
         // Phase 2: per-member component-aware directed walks, for every
-        // (member, component) pair the probe left seedless.
-        let t1 = Instant::now();
-        for (j, q) in queries.iter().enumerate() {
+        // (member, component) pair the probe left seedless and the
+        // member's bound cannot rule out. The counters go straight into
+        // the member's timings; the clock starts with the first walk.
+        let mut started = None;
+        for (j, (q, t)) in queries.iter().zip(timings.iter_mut()).enumerate() {
+            *t = PhaseTimings::default();
             for c in 0..components.count {
                 if group.component_seeded(c, j as u32) {
                     continue;
                 }
+                if !probe.reaches(c, q) {
+                    t.walks_pruned += 1;
+                    continue;
+                }
+                started.get_or_insert_with(Instant::now);
+                t.walks += 1;
                 let (found, steps) = walk_component(components, c, mesh, q);
-                group.per_walk[j] += steps;
+                t.walk_visited += steps;
                 if let Some(inside) = found {
                     group.seed(inside, j as u32, results);
                 }
             }
         }
-        let walk_time = t1.elapsed();
+        let walk_time = started.map_or(Duration::ZERO, |t1| t1.elapsed());
 
         // Phase 3: the shared-frontier crawl.
         let t2 = Instant::now();
@@ -823,13 +902,9 @@ impl Octopus {
         let crawl_time = t2.elapsed();
 
         for (j, t) in timings.iter_mut().enumerate() {
-            *t = PhaseTimings {
-                start_vertices: group.per_seeds[j],
-                walk_visited: group.per_walk[j],
-                crawl_visited: group.per_visited[j],
-                results: results[j].len(),
-                ..PhaseTimings::default()
-            };
+            t.start_vertices = group.per_seeds[j];
+            t.crawl_visited = group.per_visited[j];
+            t.results = results[j].len();
         }
         let first = &mut timings[0];
         first.surface_probe = probe_time;
@@ -1313,6 +1388,8 @@ mod tests {
             crawling: Duration::from_micros(10),
             start_vertices: 2,
             walk_visited: 3,
+            walks: 1,
+            walks_pruned: 4,
             crawl_visited: 20,
             grid_candidates: 7,
             results: 15,
@@ -1320,6 +1397,7 @@ mod tests {
         total.accumulate(&a);
         total.accumulate(&a);
         assert_eq!(total.results, 30);
+        assert_eq!((total.walks, total.walks_pruned), (2, 8));
         assert_eq!(total.grid_candidates, 14);
         assert_eq!(total.total(), Duration::from_micros(44));
     }
@@ -1363,7 +1441,7 @@ mod tests {
         let mut mesh = box_mesh(6);
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
-        let grid = SurfaceGrid::build(o.surface_index().ids(), mesh.positions(), 0.3);
+        let grid = o.surface_grid(mesh.positions(), 0.3);
         let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.55));
         let mut rng = SplitMix64::new(5);
         for step in 0..3 {

@@ -51,8 +51,6 @@ pub(crate) struct GroupScratch {
     /// `PhaseTimings::crawl_visited` convention (expansions + rejected
     /// boundary marks, attributed to each member they served).
     pub(crate) per_visited: Vec<usize>,
-    /// Per-member directed-walk step counts.
-    pub(crate) per_walk: Vec<usize>,
     /// Distinct expansion events of the shared BFS — each popped vertex
     /// counts once, however many member queries it served.
     expansions: usize,
@@ -91,8 +89,6 @@ impl GroupScratch {
         self.per_seeds.resize(k, 0);
         self.per_visited.clear();
         self.per_visited.resize(k, 0);
-        self.per_walk.clear();
-        self.per_walk.resize(k, 0);
         self.expansions = 0;
         self.rejected = 0;
     }

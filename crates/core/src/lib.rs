@@ -11,14 +11,17 @@
 //!   traverses to collect the result.
 //!
 //! Query execution ([`Octopus::query`]) runs the three phases of
-//! Algorithm 1: **surface probe** → **directed walk** (only when no
-//! surface vertex falls inside the query) → **crawling** (bounded BFS).
+//! Algorithm 1: **surface probe** → **directed walk** (into each
+//! connected component the probe left without a seed) → **crawling**
+//! (bounded BFS).
 //! Each phase is written once: the probe is one prefetching gather
 //! ([`octopus_geom::mem::gather`]) over the ids its [`Probe`] visits —
 //! the whole surface index (the paper's probe, and what the library
 //! entry points use), or the cells of a [`SurfaceGrid`] around the
-//! query when the caller holds one for the snapshot — the walk one
-//! per-component policy, and the crawl is
+//! query when the caller holds one for the snapshot
+//! ([`Octopus::surface_grid`]) — the walk one per-component policy,
+//! skipped for the components the grid's bounds put out of the
+//! query's reach, and the crawl is
 //! picked from the number of queries run together
 //! ([`Octopus::query_group`]: sequential BFS for one, shared frontier
 //! for more).

@@ -64,6 +64,11 @@ pub struct ExecutorMetrics {
     start_vertices: Histogram,
     walk_visited: Histogram,
     crawl_visited: Histogram,
+    /// `executor_walks_total` / `executor_walks_pruned_total` —
+    /// seedless components walked, and those the probe's component
+    /// bound skipped.
+    walks: Counter,
+    walks_pruned: Counter,
     /// `surface_grid_candidates` — ids visited per grid probe; against
     /// the surface size it is what the grid saved.
     grid_candidates: Histogram,
@@ -86,6 +91,8 @@ impl ExecutorMetrics {
             start_vertices: registry.histogram("executor_start_vertices"),
             walk_visited: registry.histogram("executor_walk_visited"),
             crawl_visited: registry.histogram("executor_crawl_visited"),
+            walks: registry.counter("executor_walks_total"),
+            walks_pruned: registry.counter("executor_walks_pruned_total"),
             grid_candidates: registry.histogram("surface_grid_candidates"),
             surface_index_bytes: registry.gauge("executor_surface_index_bytes"),
             scratch_bytes: registry.gauge("executor_scratch_bytes"),
@@ -95,6 +102,7 @@ impl ExecutorMetrics {
     /// Record one executed query's timings under `mode`.
     pub fn record(&self, mode: ExecMode, t: &PhaseTimings) {
         self.queries.inc();
+        self.record_walks(t);
         self.record_phases(t);
         self.query_ns[mode as usize].record_duration(t.total());
         self.results.record(t.results as u64);
@@ -107,14 +115,23 @@ impl ExecutorMetrics {
         }
     }
 
-    /// Record one shared-frontier group execution covering `members`
-    /// queries. `first` is the first member's timings, which carry the
-    /// group's shared phases: they are paid once, so they land in the
-    /// phase histograms once.
-    pub fn record_group(&self, first: &PhaseTimings, members: usize) {
-        self.queries.add(members as u64);
-        self.record_phases(first);
-        self.query_ns[ExecMode::Group as usize].record_duration(first.total());
+    /// Record one shared-frontier group execution, `members` holding
+    /// one timings record per member query (at least one). The first
+    /// member's carry the group's shared phases: they are paid once, so
+    /// they land in the phase histograms once. Walks are counted per
+    /// member.
+    pub fn record_group(&self, members: &[PhaseTimings]) {
+        self.queries.add(members.len() as u64);
+        for t in members {
+            self.record_walks(t);
+        }
+        self.record_phases(&members[0]);
+        self.query_ns[ExecMode::Group as usize].record_duration(members[0].total());
+    }
+
+    fn record_walks(&self, t: &PhaseTimings) {
+        self.walks.add(t.walks as u64);
+        self.walks_pruned.add(t.walks_pruned as u64);
     }
 
     /// Each phase that actually ran (non-zero duration), and what a
@@ -181,6 +198,7 @@ mod tests {
             start_vertices: 2,
             crawl_visited: 9,
             grid_candidates: 40,
+            walks_pruned: 1,
             results: 5,
             ..Default::default()
         };
@@ -200,5 +218,31 @@ mod tests {
         assert_eq!(snap.histogram("surface_grid_candidates").unwrap().sum, 40);
         assert_eq!(snap.histogram("executor_query_ns_fresh").unwrap().count, 1);
         assert_eq!(snap.histogram("executor_results").unwrap().sum, 5);
+        // No walk ran: counted as pruned, and the walk phase is silent.
+        assert_eq!(snap.counter("executor_walks_total"), 0);
+        assert_eq!(snap.counter("executor_walks_pruned_total"), 1);
+        assert!(snap
+            .histogram("executor_phase_ns_directed_walk")
+            .unwrap()
+            .is_empty());
+
+        // A group counts every member's walks; the clock is the first's.
+        let walked = PhaseTimings {
+            directed_walk: Duration::from_nanos(70),
+            walks: 2,
+            walks_pruned: 3,
+            ..t
+        };
+        m.record_group(&[walked, t, walked]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("executor_queries_total"), 4);
+        assert_eq!(snap.counter("executor_walks_total"), 4);
+        assert_eq!(snap.counter("executor_walks_pruned_total"), 8);
+        assert_eq!(
+            snap.histogram("executor_phase_ns_directed_walk")
+                .unwrap()
+                .count,
+            1
+        );
     }
 }

@@ -30,17 +30,63 @@
 //!   the grid, vertices displaced outside the build-time bounds, and
 //!   non-finite inputs alike.
 //!
-//! The grid holds ids and positions but no connectivity: whoever owns an
-//! executor's [`crate::SurfaceIndex`] builds the grid from its ids and
-//! rebuilds it when the ids change ([`SurfaceGrid::build`] is one
-//! gather and two sequential passes over S; nothing is patched).
+//! **The component bound.** Algorithm 1's phase 2 walks into every
+//! connected component the probe left seedless (the executor's
+//! component-aware extension), and on a multi-component mesh most of
+//! those components are nowhere near the box. So the grid also keeps,
+//! per component label, the bounding box of the anchors of that
+//! component's surface vertices — 24 bytes per component, folded into
+//! the min/max pass the build makes anyway — and answers the one
+//! question phase 2 needs ([`SurfaceGrid::component_in_reach`]): can
+//! component `c` hold a vertex inside these bounds? The argument is the
+//! probe's plus one premise:
+//!
+//! * a vertex that is extremal along an axis within its component has
+//!   all its incident cells on one side of it, so it lies on the
+//!   boundary of the component: it is a surface vertex. Hence every
+//!   vertex of a component — interior ones included — lies inside the
+//!   bounding box of that component's *surface* vertices at the same
+//!   positions;
+//! * each of those surface vertices is within `reach` of its anchor on
+//!   every axis, so that box lies inside the component's anchor box
+//!   dilated by `reach`; a box `q` that holds a vertex of the component
+//!   therefore intersects the dilated anchor box, i.e. `q` dilated by
+//!   `reach` — under the same ulp padding as the probe's — intersects
+//!   the anchor box. A component whose anchor box it misses holds
+//!   nothing inside `q`, and the walk into it is skipped.
+//!
+//! The premise is that no cell is inverted: a mesh whose interior
+//! vertices have been pushed through their own surface has no inside
+//! for the first step to speak of. It is the premise §IV-C's "each
+//! sub-mesh contains a surface vertex" — and with it Algorithm 1 —
+//! already rests on; inverted cells void the bound as they void the
+//! algorithm (the bound can then skip a walk that would have stumbled
+//! on such a vertex: its answers are a subset of the full probe's,
+//! never more). A component whose bound passes is walked exactly as
+//! under the full probe; a label no surface id carries (an orphaned
+//! vertex) has an empty box and is never in reach — the walk would have
+//! had nowhere to start; a reach that is not a finite non-negative
+//! number bounds nothing and every component is in reach.
+//!
+//! **Finite in, finite out.** Anchors and component boxes are copies
+//! and comparisons of the positions handed to the build, so they are
+//! finite whenever those positions were; the service rebuilds a grid
+//! only from a snapshot whose reach is finite, so a non-finite position
+//! never becomes an anchor there.
+//!
+//! The grid holds ids, anchors and a box per component label, but no
+//! connectivity: the executor that owns the [`crate::SurfaceIndex`] and
+//! the component labels builds it ([`crate::Octopus::surface_grid`])
+//! and whoever owns the executor rebuilds it when either changes
+//! ([`SurfaceGrid::build`] is one gather and two sequential passes over
+//! S; nothing is patched).
 
 use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, VertexId};
 
 /// The surface ids bucketed into a uniform grid by their build-time
 /// positions (see the module docs). 20 bytes per surface vertex plus 4
-/// per cell.
+/// per cell and 24 per connected component.
 #[derive(Debug)]
 pub struct SurfaceGrid {
     /// Minimum corner of cell (0, 0, 0): the component-wise minimum of
@@ -62,10 +108,32 @@ pub struct SurfaceGrid {
     /// costs five full probes instead of one.
     ids: Vec<VertexId>,
     anchors: Vec<Point3>,
+    /// Per component label, the `[min, max]` corners of the bounding
+    /// box of the anchors of that component's ids; NaN for a label no
+    /// id carries, which no comparison finds in reach.
+    component_bounds: Vec<[[f32; 3]; 2]>,
+}
+
+/// Grows the `[min, max]` corners of `bounds` to cover `[min, max]`.
+/// Comparisons, not `f32::min`: they skip NaN just the same and cost a
+/// third.
+#[inline]
+fn widen(bounds: &mut [[f32; 3]; 2], min: [f32; 3], max: [f32; 3]) {
+    let [lo, hi] = bounds;
+    for axis in 0..3 {
+        if min[axis] < lo[axis] {
+            lo[axis] = min[axis];
+        }
+        if max[axis] > hi[axis] {
+            hi[axis] = max[axis];
+        }
+    }
 }
 
 impl SurfaceGrid {
-    /// Buckets `ids` by `positions[id]` into cells of edge `cell`.
+    /// Buckets `ids` by `positions[id]` into cells of edge `cell`, and
+    /// bounds each of the `components` labels of `component_of` (one
+    /// label per vertex of the mesh) by the anchors of its ids.
     ///
     /// The cell edge only steers cost (a non-positive or non-finite one
     /// is replaced by 1), and it is doubled until the grid has at most
@@ -75,22 +143,43 @@ impl SurfaceGrid {
     /// every id is in exactly one cell, wherever the clamped cell
     /// expression sends it — and [`SurfaceGrid::reach`] reports the
     /// snapshot as unbounded.
-    pub fn build(ids: &[VertexId], positions: &[Point3], cell: f32) -> SurfaceGrid {
+    ///
+    /// # Panics
+    /// When an id has no position or no label, or a label is not below
+    /// `components`.
+    pub fn build(
+        ids: &[VertexId],
+        positions: &[Point3],
+        component_of: &[u32],
+        components: usize,
+        cell: f32,
+    ) -> SurfaceGrid {
         let anchors: Vec<Point3> = ids.iter().map(|&v| positions[v as usize]).collect();
-        // Comparisons, not `f32::min`: they skip NaN just the same and
-        // cost a third. An infinite anchor makes an infinite frame,
+        // One pass bounds every component; the frame is the union of
+        // those boxes. An infinite anchor makes an infinite frame,
         // which the loop below folds into one cell.
-        let (mut lo, mut hi) = ([f32::INFINITY; 3], [f32::NEG_INFINITY; 3]);
-        for a in &anchors {
-            for (axis, x) in [a.x, a.y, a.z].into_iter().enumerate() {
-                if x < lo[axis] {
-                    lo[axis] = x;
-                }
-                if x > hi[axis] {
-                    hi[axis] = x;
-                }
+        let mut component_bounds = vec![[[f32::INFINITY; 3], [f32::NEG_INFINITY; 3]]; components];
+        for (&v, a) in ids.iter().zip(&anchors) {
+            let at = [a.x, a.y, a.z];
+            widen(
+                &mut component_bounds[component_of[v as usize] as usize],
+                at,
+                at,
+            );
+        }
+        let mut frame = [[f32::INFINITY; 3], [f32::NEG_INFINITY; 3]];
+        for bounds in &mut component_bounds {
+            let [min, max] = *bounds;
+            if (0..3).all(|axis| min[axis] <= max[axis]) {
+                widen(&mut frame, min, max);
+            } else {
+                // No id (or none with a position): NaN, which no
+                // comparison — not even with an unbounded box — finds
+                // in reach.
+                *bounds = [[f32::NAN; 3]; 2];
             }
         }
+        let [lo, hi] = frame;
         let (origin, extent) = if (0..3).all(|axis| lo[axis] <= hi[axis]) {
             (
                 Point3::new(lo[0], lo[1], lo[2]),
@@ -127,6 +216,7 @@ impl SurfaceGrid {
             cell_ids: vec![0; ids.len()],
             ids: ids.to_vec(),
             anchors,
+            component_bounds,
         };
         // Counting sort by cell: count, prefix-sum, scatter.
         let cells: Vec<u32> = grid.anchors.iter().map(|&a| grid.cell_index(a)).collect();
@@ -210,6 +300,16 @@ impl SurfaceGrid {
         }
     }
 
+    /// `[min, max]` on `axis` dilated by `reach` plus the ulp padding
+    /// of the module docs: the interval every anchor of a vertex now
+    /// inside `[min, max]` lies in. One expression for the probe and
+    /// the component bound, so the two cannot disagree at a face.
+    #[inline]
+    fn dilate(min: f32, max: f32, reach: f32) -> (f32, f32) {
+        let pad = reach + 4.0 * f32::EPSILON * (min.abs().max(max.abs()) + reach);
+        (min - pad, max + pad)
+    }
+
     /// The non-empty id runs of the cells overlapping `bounds` dilated
     /// by `reach` (padded as the module docs describe). The ids of all
     /// runs are a superset of the bucketed vertices inside `bounds` at
@@ -220,10 +320,9 @@ impl SurfaceGrid {
         let reach = if reach >= 0.0 { reach } else { f32::INFINITY };
         let (mut lo, mut hi) = ([0usize; 3], [0usize; 3]);
         for axis in 0..3 {
-            let (min, max) = (bounds.min[axis], bounds.max[axis]);
-            let pad = reach + 4.0 * f32::EPSILON * (min.abs().max(max.abs()) + reach);
-            lo[axis] = self.cell_of(axis, min - pad) as usize;
-            hi[axis] = self.cell_of(axis, max + pad) as usize;
+            let (min, max) = Self::dilate(bounds.min[axis], bounds.max[axis], reach);
+            lo[axis] = self.cell_of(axis, min) as usize;
+            hi[axis] = self.cell_of(axis, max) as usize;
         }
         let [nx, ny, _] = self.dims.map(|d| d as usize);
         (lo[2]..=hi[2])
@@ -236,11 +335,38 @@ impl SurfaceGrid {
             })
     }
 
-    /// Heap bytes: both id orders, anchors and cell offsets.
+    /// Whether component `label` can hold a vertex inside `bounds` at
+    /// any positions within `reach` of the anchors: its anchor box
+    /// intersects `bounds` dilated as [`SurfaceGrid::runs`] dilates it
+    /// (the module docs give the argument and its premise). `false` is
+    /// a proof — the walk into the component can be skipped — `true`
+    /// promises nothing. A label no id carries is never in reach; a
+    /// label the grid was not built with, and any `reach` that is not a
+    /// finite non-negative number (which bounds nothing), always are.
+    /// Bounds with a NaN corner, [`Aabb::EMPTY`] among them, contain no
+    /// point and are in reach of nothing; a finite inverted box may
+    /// pass, and the walk then finds what the box holds: nothing.
+    #[inline]
+    pub fn component_in_reach(&self, label: usize, bounds: &Aabb, reach: f32) -> bool {
+        let Some([lo, hi]) = self.component_bounds.get(label) else {
+            return true;
+        };
+        if !(0.0..f32::INFINITY).contains(&reach) {
+            return true;
+        }
+        (0..3).all(|axis| {
+            let (min, max) = Self::dilate(bounds.min[axis], bounds.max[axis], reach);
+            lo[axis] <= max && hi[axis] >= min
+        })
+    }
+
+    /// Heap bytes: both id orders, anchors, cell offsets and component
+    /// boxes.
     pub fn memory_bytes(&self) -> usize {
         (self.ids.capacity() + self.cell_ids.capacity()) * std::mem::size_of::<VertexId>()
             + self.anchors.capacity() * std::mem::size_of::<Point3>()
             + self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.component_bounds.capacity() * std::mem::size_of::<[[f32; 3]; 2]>()
     }
 }
 
@@ -260,6 +386,11 @@ mod tests {
         points
     }
 
+    /// A grid over `ids` with every vertex in component 0.
+    fn one_component(ids: &[VertexId], points: &[Point3], cell: f32) -> SurfaceGrid {
+        SurfaceGrid::build(ids, points, &vec![0; points.len()], 1, cell)
+    }
+
     fn candidates(grid: &SurfaceGrid, q: &Aabb, reach: f32) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = grid.runs(q, reach).flatten().copied().collect();
         out.sort_unstable();
@@ -270,7 +401,7 @@ mod tests {
     fn every_id_lands_in_exactly_one_cell_with_its_anchor() {
         let points = lattice(5);
         let ids: Vec<VertexId> = (0..points.len() as VertexId).rev().collect();
-        let grid = SurfaceGrid::build(&ids, &points, 1.5);
+        let grid = one_component(&ids, &points, 1.5);
         assert_eq!(grid.len(), ids.len());
         assert_eq!(*grid.starts.last().unwrap() as usize, ids.len());
         for (&v, a) in grid.ids.iter().zip(&grid.anchors) {
@@ -292,7 +423,7 @@ mod tests {
     fn runs_cover_the_dilated_box_and_little_else() {
         let points = lattice(8);
         let ids: Vec<VertexId> = (0..points.len() as VertexId).collect();
-        let grid = SurfaceGrid::build(&ids, &points, 2.0);
+        let grid = one_component(&ids, &points, 2.0);
         let q = Aabb::new(Point3::splat(2.0), Point3::splat(3.0));
         let inside = |q: &Aabb| -> Vec<VertexId> {
             ids.iter()
@@ -319,16 +450,16 @@ mod tests {
     fn the_cell_budget_bounds_degenerate_geometry() {
         let points: Vec<Point3> = (0..100).map(|i| Point3::new(i as f32, 0.0, 0.0)).collect();
         let ids: Vec<VertexId> = (0..100).collect();
-        let grid = SurfaceGrid::build(&ids, &points, f32::MIN_POSITIVE);
+        let grid = one_component(&ids, &points, f32::MIN_POSITIVE);
         assert!(grid.starts.len() <= 4 * 100 + 65);
         assert!(grid.cell() > f32::MIN_POSITIVE);
         let q = Aabb::new(Point3::new(9.5, -1.0, -1.0), Point3::new(20.5, 1.0, 1.0));
         let got = candidates(&grid, &q, 0.0);
         assert!((10..=20).all(|v| got.binary_search(&v).is_ok()));
         for bad in [0.0, -3.0, f32::NAN, f32::INFINITY] {
-            assert_eq!(SurfaceGrid::build(&ids, &points, bad).cell(), 1.0);
+            assert_eq!(one_component(&ids, &points, bad).cell(), 1.0);
         }
-        let empty = SurfaceGrid::build(&[], &points, 1.0);
+        let empty = one_component(&[], &points, 1.0);
         assert!(empty.is_empty());
         assert_eq!(empty.reach(&points), 0.0);
         assert!(candidates(&empty, &q, 5.0).is_empty());
@@ -338,7 +469,7 @@ mod tests {
     fn reach_is_the_largest_axis_displacement_and_saturates() {
         let mut points = lattice(3);
         let ids: Vec<VertexId> = (0..points.len() as VertexId).collect();
-        let grid = SurfaceGrid::build(&ids, &points, 1.0);
+        let grid = one_component(&ids, &points, 1.0);
         points[4].y -= 0.25;
         points[20].z += 0.75;
         assert_eq!(grid.reach(&points), 0.75);
@@ -347,9 +478,148 @@ mod tests {
             poisoned[7].x = bad;
             assert_eq!(grid.reach(&poisoned), f32::INFINITY);
             // A non-finite anchor never bounds anything either.
-            let at_build = SurfaceGrid::build(&ids, &poisoned, 1.0);
+            let at_build = one_component(&ids, &poisoned, 1.0);
             assert_eq!(at_build.len(), ids.len());
             assert_eq!(at_build.reach(&points), f32::INFINITY);
         }
+    }
+
+    /// Two slabs of a lattice as components 0 and 2; label 1 is carried
+    /// by no id (an orphaned vertex's label).
+    fn two_slabs() -> (Vec<Point3>, Vec<u32>, SurfaceGrid) {
+        let points = lattice(6);
+        let labels: Vec<u32> = points
+            .iter()
+            .map(|p| if p.x < 3.0 { 0 } else { 2 })
+            .collect();
+        let ids: Vec<VertexId> = (0..points.len() as VertexId).rev().collect();
+        let grid = SurfaceGrid::build(&ids, &points, &labels, 3, 1.5);
+        (points, labels, grid)
+    }
+
+    #[test]
+    fn each_label_is_bounded_by_exactly_its_anchors() {
+        let (points, labels, grid) = two_slabs();
+        for label in [0u32, 2] {
+            let [lo, hi] = grid.component_bounds[label as usize];
+            let want = Aabb::from_points(
+                points
+                    .iter()
+                    .zip(&labels)
+                    .filter(|(_, &l)| l == label)
+                    .map(|(p, _)| *p),
+            );
+            assert_eq!(Point3::new(lo[0], lo[1], lo[2]), want.min, "label {label}");
+            assert_eq!(Point3::new(hi[0], hi[1], hi[2]), want.max, "label {label}");
+        }
+        assert_eq!(grid.component_bounds[0][1][0], 2.0);
+        assert_eq!(grid.component_bounds[2][0][0], 3.0);
+        // The frame is still the box of all anchors.
+        assert_eq!(grid.origin, Point3::ORIGIN);
+        assert_eq!(grid.memory_bytes(), {
+            let per_id = 2 * std::mem::size_of::<VertexId>() + std::mem::size_of::<Point3>();
+            grid.len() * per_id + grid.starts.capacity() * 4 + 3 * 24
+        });
+    }
+
+    #[test]
+    fn the_bound_is_closed_at_the_dilated_face_and_open_one_pad_beyond() {
+        let (_, _, grid) = two_slabs();
+        let slab =
+            |lo: f32, hi: f32| Aabb::new(Point3::new(lo, 1.0, 1.0), Point3::new(hi, 4.0, 4.0));
+        // Component 0 ends at x = 2, component 2 starts at x = 3.
+        for reach in [0.0f32, 0.5] {
+            let on_the_face = slab(2.0 + reach, 2.25 + reach);
+            assert!(grid.component_in_reach(0, &on_the_face, reach), "{reach}");
+            let pad = 4.0 * f32::EPSILON * (2.25 + 2.0 * reach);
+            let beyond = slab(2.0 + reach + 2.0 * pad, 2.25 + reach);
+            assert!(beyond.min.x > on_the_face.min.x, "premise: a real step");
+            assert!(!grid.component_in_reach(0, &beyond, reach), "{reach}");
+            // And from the other side, against component 2's low face.
+            let below = slab(2.5 - reach, 3.0 - reach);
+            assert!(grid.component_in_reach(2, &below, reach), "{reach}");
+            let short = slab(2.5 - reach, 3.0 - reach - 2.0 * pad);
+            assert!(!grid.component_in_reach(2, &short, reach), "{reach}");
+        }
+        // A box in the gap reaches neither, one across it both; y and z
+        // bound like x.
+        for (q, reached) in [(slab(2.25, 2.75), false), (slab(1.5, 3.5), true)] {
+            assert_eq!(grid.component_in_reach(0, &q, 0.0), reached);
+            assert_eq!(grid.component_in_reach(2, &q, 0.0), reached);
+        }
+        let above = Aabb::new(Point3::new(0.0, 5.5, 0.0), Point3::new(5.0, 6.0, 5.0));
+        assert!(!grid.component_in_reach(0, &above, 0.25));
+        assert!(grid.component_in_reach(0, &above, 0.5));
+    }
+
+    /// `the_dilation_is_padded_for_f32_rounding` of the property suite,
+    /// for the bound: the vertex moved from 0.99999 to exactly 1000 has
+    /// a reach that rounds down to 999, and `1000 − 999 = 1` lies above
+    /// its component's anchor box. The padding keeps the component in.
+    #[test]
+    fn the_bound_is_padded_for_f32_rounding() {
+        let at = |x: f32| Point3::new(x, 0.0, 0.0);
+        let anchors = [at(0.0), at(0.99999), at(3.0)];
+        let grid = SurfaceGrid::build(&[0, 1, 2], &anchors, &[0, 1, 0], 2, 1.0);
+        let reach = grid.reach(&[at(0.0), at(1000.0), at(3.0)]);
+        assert_eq!(reach, 999.0, "premise: the true distance is 999.00001");
+        let q = Aabb::new(
+            Point3::new(1000.0, -1.0, -1.0),
+            Point3::new(1001.0, 1.0, 1.0),
+        );
+        assert!(
+            q.min.x - reach > anchors[1].x,
+            "premise: unpadded, it is out"
+        );
+        assert!(grid.component_in_reach(1, &q, reach));
+    }
+
+    #[test]
+    fn what_the_bound_does_not_know_it_does_not_prune() {
+        let (_, _, grid) = two_slabs();
+        let far = Aabb::cube(Point3::splat(40.0), 1.0);
+        let universe = Aabb::new(
+            Point3::splat(f32::NEG_INFINITY),
+            Point3::splat(f32::INFINITY),
+        );
+        assert!(!grid.component_in_reach(0, &far, 0.0));
+        assert!(!grid.component_in_reach(0, &far, 30.0));
+        assert!(grid.component_in_reach(0, &far, 40.0));
+        // A reach that is no bound prunes nothing, as in `runs`.
+        for reach in [-1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for label in 0..4 {
+                assert!(
+                    grid.component_in_reach(label, &far, reach),
+                    "{label} at {reach}"
+                );
+            }
+        }
+        // A label no id carries is in reach of nothing, not even of
+        // everything; a label the grid never heard of is not bounded.
+        for q in [far, universe, Aabb::cube(Point3::splat(2.5), 9.0)] {
+            assert!(!grid.component_in_reach(1, &q, 0.0), "{q:?}");
+            assert!(!grid.component_in_reach(1, &q, 1.0e6), "{q:?}");
+            assert!(grid.component_in_reach(3, &q, 0.0), "{q:?}");
+        }
+        assert!(grid.component_in_reach(0, &universe, 0.0));
+        assert!(grid.component_in_reach(2, &universe, 0.5));
+        // Boxes that contain no point: `EMPTY` (NaN once dilated) is in
+        // reach of nothing, as it visits at most a corner cell in
+        // `runs`; so is an inverted box away from the component (one
+        // inside it may pass — whatever is walked for it finds
+        // nothing).
+        for label in 0..3 {
+            assert!(!grid.component_in_reach(label, &Aabb::EMPTY, 0.0));
+            assert!(!grid.component_in_reach(label, &Aabb::EMPTY, 7.0));
+        }
+        let inverted = Aabb {
+            min: Point3::splat(40.0),
+            max: Point3::splat(30.0),
+        };
+        assert!(!grid.component_in_reach(0, &inverted, 0.0));
+        // An empty grid bounds every label it was given by nothing.
+        let empty = SurfaceGrid::build(&[], &[], &[], 2, 1.0);
+        assert!(!empty.component_in_reach(0, &universe, 0.0));
+        assert!(!empty.component_in_reach(1, &universe, 0.0));
     }
 }

@@ -38,9 +38,10 @@
 //!   anchored grid ([`octopus_core::SurfaceGrid`]): the probe of every
 //!   query the slot answers visits the cells around the query box,
 //!   dilated by how far the slot's positions lie from the anchors,
-//!   instead of all S surface vertices — exact at any drift, never
-//!   maintained by deformation, rebuilt with the executor and when the
-//!   newest slot has drifted past one cell.
+//!   instead of all S surface vertices, and walks only into the
+//!   connected components whose surface box that dilated box touches —
+//!   exact at any drift, never maintained by deformation, rebuilt with
+//!   the executor and when the newest slot has drifted past one cell.
 //!
 //! * [`BatchEngine`] — the **batch planner**: incoming batches are
 //!   sorted by the Hilbert key of each query's centroid and swept into

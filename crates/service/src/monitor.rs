@@ -64,12 +64,16 @@
 //! included.
 //!
 //! **The surface grid.** Beside its executor every slot holds that
-//! executor's surface ids bucketed by position
-//! ([`octopus_core::SurfaceGrid`]), which is the probe of every query
-//! the slot answers. Ownership follows the executor: deformation slots
-//! share the grid they inherited, and the three sites that build an
-//! executor (set-up, a restructuring step, a re-layout) build a fresh
-//! grid from its ids and the slot's positions — rebuilt, never patched.
+//! executor's surface ids bucketed by position, and the bounding box
+//! of each connected component's surface
+//! ([`octopus_core::SurfaceGrid`], built by
+//! [`octopus_core::Octopus::surface_grid`]), which is the probe of
+//! every query the slot answers and what spares it the directed walk
+//! into components its box cannot touch. Ownership follows the
+//! executor: deformation slots share the grid they inherited, and the
+//! three sites that build an executor (set-up, a restructuring step, a
+//! re-layout) build a fresh grid from its ids, its component labels
+//! and the slot's positions — rebuilt, never patched.
 //! Deformation does not maintain it: when a slot is first resolved for
 //! a request its *reach* — how far its positions lie from the grid's
 //! anchors — is measured once (O(S)) and cached, and the probe dilates
@@ -77,7 +81,8 @@
 //! slot's reach has outgrown one grid cell the grid is rebuilt from
 //! that slot and later slots inherit it; an older pinned slot keeps the
 //! grid it was born with. A slot no finite reach bounds (a NaN/∞
-//! surface position) is answered by the full surface probe.
+//! surface position) is answered by the full surface probe and never
+//! rebuilds: its positions must not become anchors.
 //!
 //! **Reclamation and back-pressure.** Publishing into a full ring
 //! recycles the *oldest* slot — deterministically, and only when no
@@ -540,13 +545,11 @@ const GRID_CELL_EDGES: f32 = 4.0;
 /// drift grows, re-test) more candidates.
 const DEFAULT_BAND_EDGES: f32 = 8.0;
 
-/// The surface grid of `exec` anchored at `mesh`'s positions.
+/// The surface grid of `exec` anchored at `mesh`'s positions — surface
+/// ids bucketed, components bounded. The single site behind set-up,
+/// restructure, re-layout and drift rebuild.
 fn build_grid(exec: &Octopus, mesh: &Mesh) -> Arc<SurfaceGrid> {
-    Arc::new(SurfaceGrid::build(
-        exec.surface_index().ids(),
-        mesh.positions(),
-        GRID_CELL_EDGES * typical_edge(mesh),
-    ))
+    Arc::new(exec.surface_grid(mesh.positions(), GRID_CELL_EDGES * typical_edge(mesh)))
 }
 
 /// A shape query's answer plus its phase timings — the heterogeneous
@@ -1381,6 +1384,11 @@ impl MonitorLoop {
     /// from the slot (anchors = now) for it and every later slot to
     /// inherit — under a bounded displacement field this never fires
     /// after set-up, under a monotone one every few steps at O(S).
+    /// Only a *finite* reach rebuilds: a slot with a non-finite surface
+    /// position would only anchor the new grid at it and leave every
+    /// later slot unbounded too, so it keeps the old anchors, is
+    /// answered by the full probe, and the grid is back the moment the
+    /// positions are finite again.
     ///
     /// Over the two fields it touches, so that the snapshot borrows the
     /// ring alone and the caller keeps the engine, pool and scratch.
@@ -1393,12 +1401,12 @@ impl MonitorLoop {
         let s = &mut slots[slot];
         if s.reach.is_none() {
             let mut reach = s.grid.reach(s.mesh.positions());
-            if newest && reach > s.grid.cell() {
+            if newest && reach.is_finite() && reach > s.grid.cell() {
                 s.grid = build_grid(&s.exec, &s.mesh);
                 stats.stale += 1;
                 stats.insertions += 1;
-                // Zero, unless a position is not finite right now.
-                reach = s.grid.reach(s.mesh.positions());
+                // Every surface position is finite and is its own anchor.
+                reach = 0.0;
             }
             s.reach = Some(reach);
         }

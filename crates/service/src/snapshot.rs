@@ -20,8 +20,10 @@ pub struct Snapshot<'a> {
     pub mesh: &'a Mesh,
     /// The executor for `mesh`'s connectivity generation.
     pub exec: &'a Octopus,
-    /// Phase 1 of every query against this snapshot: the slot's surface
-    /// grid at the reach of `mesh`'s positions, or the full surface
-    /// probe when no finite reach bounds them.
+    /// The seeding of every query against this snapshot: the slot's
+    /// surface grid (`exec`'s own, [`Octopus::surface_grid`]) at the
+    /// reach of `mesh`'s positions — phase 1 visits the cells around the
+    /// box, phase 2 walks only into components the box can touch — or
+    /// the full surface probe when no finite reach bounds them.
     pub probe: Probe<'a>,
 }

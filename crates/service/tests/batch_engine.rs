@@ -8,10 +8,13 @@
 //! performs strictly fewer traversal events than independent crawls.
 //! And the surface grid's life cycle through the monitor: no rebuild
 //! under a bounded displacement field, rebuilds under a monotone one,
-//! a fresh grid behind every restructure and re-layout.
+//! none from a snapshot with a non-finite surface position, a fresh
+//! grid — with component bounds for the new labelling — behind every
+//! restructure, re-layout and drift rebuild.
 
 use octopus_core::{
-    AggregateKind, ExecutorMetrics, Octopus, Probe, QueryShape, ShapeResult, SurfaceGrid,
+    AggregateKind, ExecutorMetrics, Octopus, PhaseTimings, Probe, QueryShape, ShapeResult,
+    SurfaceGrid,
 };
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
@@ -94,8 +97,9 @@ fn assert_engine_equivalent_at(
 /// The surface grid of a fresh executor for `mesh`, anchored where the
 /// mesh is now, at a cell of `cell`.
 fn grid_for(mesh: &Mesh, cell: f32) -> SurfaceGrid {
-    let octopus = Octopus::new(mesh).unwrap();
-    SurfaceGrid::build(octopus.surface_index().ids(), mesh.positions(), cell)
+    Octopus::new(mesh)
+        .unwrap()
+        .surface_grid(mesh.positions(), cell)
 }
 
 proptest! {
@@ -349,24 +353,29 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
     );
 }
 
-/// A mid-run re-layout permutes the id space: the relabelled slot gets
-/// a grid rebuilt from its relabelled executor, and every answer is
-/// exact in the new id space. Runs in release in CI (service release
-/// test step).
-#[test]
-fn grid_is_rebuilt_by_a_mid_run_relayout() {
-    let steps = 6u32;
-    let mut base = box_mesh(5);
+/// Steps a monitor under a Hilbert policy that re-lays out after every
+/// `relayout_after` restructuring events (`ops` operations every second
+/// step), beside a stop-the-world twin whose executor is maintained in
+/// place. After each step `queries` are answered as a batch and one by
+/// one and compared with the twin's full-probe answers, translated into
+/// the slot's id space; at the end every query must have probed through
+/// a grid, and a fresh grid must stand behind set-up, every restructure
+/// and every re-layout. Returns the timings of every answer.
+fn assert_relayout_lifecycle(
+    mut base: Mesh,
+    ops: usize,
+    relayout_after: u32,
+    steps: u32,
+    queries: &[Aabb],
+) -> Vec<PhaseTimings> {
     base.enable_restructuring().unwrap();
     let make_sim = |mesh: Mesh| {
         Simulation::new(mesh, Box::new(SmoothRandomField::new(0.004, 3, 0x11)))
-            .with_restructuring(RestructureSchedule::new(2, 1, 0x22))
+            .with_restructuring(RestructureSchedule::new(2, ops, 0x22))
             .unwrap()
     };
     let policy = LayoutPolicy::Hilbert {
-        // Re-layout after every restructuring event: maximal churn on
-        // the id space.
-        trigger: RelayoutTrigger::AfterRestructures(1),
+        trigger: RelayoutTrigger::AfterRestructures(relayout_after),
     };
     let mut monitor = MonitorLoop::with_config(make_sim(base.clone()), 2, policy, 1).unwrap();
     monitor
@@ -375,11 +384,8 @@ fn grid_is_rebuilt_by_a_mid_run_relayout() {
 
     let mut sim = make_sim(base);
     let mut reference = Octopus::new(sim.mesh()).unwrap();
-    let queries = [
-        Aabb::cube(Point3::splat(0.4), 0.18),
-        Aabb::cube(Point3::splat(0.65), 0.12),
-    ];
     let mut restructures = 0u64;
+    let mut timings = Vec::new();
     for step in 1..=steps {
         monitor.begin_step().unwrap();
         if monitor.step_in_flight() {
@@ -392,31 +398,36 @@ fn grid_is_rebuilt_by_a_mid_run_relayout() {
             restructures += 1;
         }
         let translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
+        let batch = monitor.query_batch(queries);
         for (i, q) in queries.iter().enumerate() {
-            let mut got = Vec::new();
-            monitor.query(q, &mut got);
+            let mut single = Vec::new();
+            timings.push(monitor.query(q, &mut single));
+            timings.push(batch[i].timings);
             let mut want = Vec::new();
             reference.query(sim.mesh(), q, &mut want);
-            let want: Vec<VertexId> = match &translation {
+            let want = sorted(match &translation {
                 Some(t) => want.iter().map(|&v| t[v as usize]).collect(),
                 None => want,
-            };
-            assert_eq!(
-                sorted(got),
-                sorted(want),
-                "step {step} query {i} (relayouts so far: {})",
-                monitor.relayouts()
-            );
+            });
+            for (path, got) in [("batch", batch[i].vertices.clone()), ("single", single)] {
+                assert_eq!(
+                    sorted(got),
+                    want,
+                    "step {step} query {i}, {path} ({restructures} restructures, {} relayouts)",
+                    monitor.relayouts()
+                );
+            }
         }
+        monitor.recycle(batch);
     }
     assert!(
-        monitor.relayouts() > 0,
+        restructures > 0 && monitor.relayouts() > 0,
         "the trigger must actually have re-laid out mid-run"
     );
     let stats = monitor.seed_cache_stats().unwrap();
     assert_eq!(
         (stats.hits, stats.misses),
-        (u64::from(steps) * queries.len() as u64, 0),
+        (timings.len() as u64, 0),
         "every query probes through its slot's grid: {stats:?}"
     );
     assert_eq!(
@@ -424,6 +435,21 @@ fn grid_is_rebuilt_by_a_mid_run_relayout() {
         1 + restructures + u64::from(monitor.relayouts()),
         "one grid at set-up, one per restructure, one per re-layout: {stats:?}"
     );
+    timings
+}
+
+/// A mid-run re-layout permutes the id space: the relabelled slot gets
+/// a grid rebuilt from its relabelled executor, and every answer is
+/// exact in the new id space — with a re-layout after every
+/// restructuring event, maximal churn on the id space. Runs in release
+/// in CI (service release test step).
+#[test]
+fn grid_is_rebuilt_by_a_mid_run_relayout() {
+    let queries = [
+        Aabb::cube(Point3::splat(0.4), 0.18),
+        Aabb::cube(Point3::splat(0.65), 0.12),
+    ];
+    assert_relayout_lifecycle(box_mesh(5), 1, 1, 6, &queries);
 }
 
 /// `rest + step · velocity`: every vertex moves the same way for ever,
@@ -534,6 +560,253 @@ fn grid_rebuilds_under_a_monotone_field() {
         telemetry.counter("surface_grid_rebuilds_total"),
         stats.stale
     );
+}
+
+/// A bounded field under which one surface vertex — the lattice corner
+/// at the origin — is NaN on the steps of `poisoned`.
+struct PoisonedCorner {
+    field: SmoothRandomField,
+    corner: VertexId,
+    poisoned: std::ops::RangeInclusive<u32>,
+}
+
+impl Deformation for PoisonedCorner {
+    fn name(&self) -> &'static str {
+        "poisoned-corner"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        self.field.apply_step(step, rest, positions);
+        if self.poisoned.contains(&step) {
+            positions[self.corner as usize] = Point3::splat(f32::NAN);
+        }
+    }
+}
+
+/// (iii) A snapshot with a non-finite surface position has no finite
+/// reach: it is answered by the full probe and must not rebuild — the
+/// new grid would be anchored at the NaN, leave the next snapshot
+/// unbounded too, and cost the first finite one a rebuild to get rid
+/// of. The old anchors stay and serve again the moment positions are
+/// finite.
+#[test]
+fn a_poisoned_snapshot_never_reanchors_the_grid() {
+    let mesh = box_mesh(5);
+    let corner = (0..mesh.num_vertices() as VertexId)
+        .find(|&v| mesh.position(v) == Point3::ORIGIN)
+        .expect("the lattice has a vertex at the origin");
+    let poisoned = 3..=6u32;
+    let sim = Simulation::new(
+        mesh,
+        Box::new(PoisonedCorner {
+            field: SmoothRandomField::new(0.01, 3, 0xBAD),
+            corner,
+            poisoned: poisoned.clone(),
+        }),
+    );
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let q = Aabb::new(Point3::splat(-0.1), Point3::splat(0.45));
+    let (mut probes, mut fallbacks) = (0, 0);
+    for step in 1..=10u32 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        let mut got = Vec::new();
+        monitor.query(&q, &mut got);
+        let mut want = Vec::new();
+        Octopus::new(monitor.snapshot())
+            .unwrap()
+            .query(monitor.snapshot(), &q, &mut want);
+        assert_eq!(sorted(got), sorted(want), "step {step}");
+        if poisoned.contains(&step) {
+            fallbacks += 1;
+        } else {
+            probes += 1;
+        }
+        let stats = monitor.seed_cache_stats().unwrap();
+        assert_eq!(
+            (stats.stale, stats.insertions),
+            (0, 1),
+            "step {step}: the set-up grid serves the whole run: {stats:?}"
+        );
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (probes, fallbacks),
+            "step {step}: full probe while poisoned, grid before and after: {stats:?}"
+        );
+    }
+    assert_eq!((probes, fallbacks), (6, 4));
+}
+
+/// A surface vertex of arbor A (x < 0.46) of `mesh` near the middle of
+/// its half: where the boxes that must not walk arbor B are dropped.
+fn arbor_a_anchor(mesh: &Mesh) -> Point3 {
+    let target = Point3::new(0.25, 0.5, 0.5);
+    Octopus::new(mesh)
+        .unwrap()
+        .surface_index()
+        .ids()
+        .iter()
+        .map(|&v| mesh.position(v))
+        .min_by(|a, b| a.dist_sq(target).total_cmp(&b.dist_sq(target)))
+        .expect("the neuron mesh has a surface")
+}
+
+/// Every answer went through a grid that ruled arbor B out.
+fn assert_all_pruned<'a>(timings: impl IntoIterator<Item = &'a PhaseTimings>, ctx: &str) {
+    for (i, t) in timings.into_iter().enumerate() {
+        assert!(t.walks_pruned > 0, "{ctx}: query {i} pruned nothing: {t:?}");
+    }
+}
+
+/// (iv) A restructure relabels the components and a re-layout the
+/// vertices: the grid behind each carries bounds for the new labelling
+/// — every answer equals the stop-the-world replay's (full probe, every
+/// seedless component walked) and every query on arbor A, grouped or
+/// alone, still skips arbor B.
+#[test]
+fn component_bounds_follow_restructures_and_relayouts() {
+    let base = neuron(NeuroLevel::L1, 0.4).unwrap();
+    let anchor = arbor_a_anchor(&base);
+    // Two overlapping boxes (one group) and one apart (a singleton).
+    let queries = [
+        Aabb::cube(anchor, 0.1),
+        Aabb::cube(
+            Point3::new(anchor.x - 0.03, anchor.y, anchor.z + 0.02),
+            0.08,
+        ),
+        Aabb::cube(Point3::new(0.2, 0.2, 0.2), 0.09),
+    ];
+    let timings = assert_relayout_lifecycle(base, 3, 2, 8, &queries);
+    assert_all_pruned(&timings, "across restructures and re-layouts");
+    assert!(
+        timings.iter().any(|t| t.results > 0),
+        "the boxes must hold neuron material"
+    );
+}
+
+/// (v) A drift rebuild re-anchors the component boxes with the cells:
+/// under a field that carries both arbors away for ever every answer
+/// equals the full probe's on a fresh executor at whatever reach, and
+/// on each step that rebuilt — the reach is zero again — boxes that
+/// follow arbor A skip arbor B. (In between the bound is as loose as
+/// the reach: a box dilated across the gap walks, and finds nothing.)
+#[test]
+fn component_bounds_follow_a_drift_rebuild() {
+    let mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
+    let anchor = arbor_a_anchor(&mesh);
+    let velocity = Point3::new(0.13, -0.06, 0.04);
+    let sim = Simulation::new(mesh, Box::new(Translate(velocity)));
+    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    let (mut found, mut rebuilds) = (0, 0);
+    for step in 1..=12u32 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        let s = step as f32;
+        let here = Point3::new(
+            anchor.x + s * velocity.x,
+            anchor.y + s * velocity.y,
+            anchor.z + s * velocity.z,
+        );
+        let queries = [Aabb::cube(here, 0.1), Aabb::cube(here, 0.05)];
+        let mut fresh = Octopus::new(monitor.snapshot()).unwrap();
+        let results = monitor.query_batch(&queries);
+        for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
+            let mut want = Vec::new();
+            let full = fresh.query(monitor.snapshot(), q, &mut want);
+            assert_eq!(
+                sorted(r.vertices.clone()),
+                sorted(want),
+                "step {step}, query {i}"
+            );
+            let t = &r.timings;
+            assert_eq!(
+                t.walks + t.walks_pruned,
+                full.walks,
+                "step {step}, query {i}"
+            );
+            found += r.vertices.len();
+        }
+        let stale = monitor.seed_cache_stats().unwrap().stale;
+        if stale > rebuilds {
+            rebuilds = stale;
+            assert_all_pruned(
+                results.iter().map(|r| &r.timings),
+                &format!("step {step}, rebuilt"),
+            );
+        }
+        monitor.recycle(results);
+    }
+    assert!(found > 0, "the boxes must follow the neuron");
+    assert!(rebuilds >= 2, "the drift must force rebuilds");
+    let stats = monitor.seed_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (24, 0), "{stats:?}");
+}
+
+/// The shapes that reduce to box queries inherit the bound: k-nearest
+/// and aggregates on the two-neuron mesh, through the monitor's grid,
+/// equal what the full probe answers on a fresh executor — and skipped
+/// walks the full probe ran.
+#[test]
+fn shapes_on_the_two_neuron_mesh_equal_their_full_probe_answers() {
+    let mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
+    let anchor = arbor_a_anchor(&mesh);
+    let region = Aabb::cube(anchor, 0.12);
+    let shapes = [
+        QueryShape::KNearest {
+            k: 12,
+            point: anchor,
+        },
+        QueryShape::KNearest {
+            k: 3,
+            point: Point3::new(-0.5, 0.5, 0.5),
+        },
+        QueryShape::Aggregate {
+            region,
+            kind: AggregateKind::Count,
+        },
+        QueryShape::Aggregate {
+            region,
+            kind: AggregateKind::Centroid,
+        },
+    ];
+    let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.006, 3, 0x2E)));
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    for step in 1..=3u32 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        let answers = monitor.query_shapes(&shapes);
+        let snapshot = monitor.snapshot();
+        let fresh = Octopus::new(snapshot).unwrap();
+        let mut scratch = fresh.make_scratch(snapshot);
+        for (i, (shape, answer)) in shapes.iter().zip(&answers).enumerate() {
+            let ctx = format!("step {step}, shape {i}");
+            let (want, full) = fresh.query_shape(&mut scratch, snapshot, shape, Probe::Surface);
+            match (&answer.result, &want) {
+                (ShapeResult::Vertices(got), ShapeResult::Vertices(want)) => {
+                    assert_eq!(got, want, "{ctx}");
+                    assert!(!got.is_empty(), "{ctx}");
+                }
+                (ShapeResult::Aggregate(got), ShapeResult::Aggregate(want)) => {
+                    assert_eq!(
+                        (got.count, got.centroid),
+                        (want.count, want.centroid),
+                        "{ctx}"
+                    );
+                    assert!(got.count > 0, "{ctx}");
+                }
+                _ => panic!("{ctx}: the answer changed kind"),
+            }
+            let t = &answer.timings;
+            assert_eq!(
+                (t.walks + t.walks_pruned, full.walks_pruned),
+                (full.walks, 0),
+                "{ctx}"
+            );
+            assert!(t.walks_pruned > 0, "{ctx}: {t:?}");
+        }
+    }
+    let stats = monitor.seed_cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (12, 0), "{stats:?}");
 }
 
 /// Ring-depth interplay: retained-step queries (`query_batch_at`) keep

@@ -7,7 +7,7 @@ use octopus_telemetry::{span, Registry};
 #[test]
 fn snapshot_json_round_trips_through_serde_json() {
     let reg = Registry::new(true);
-    reg.counter("standing_patched_events_total").add(41);
+    reg.counter("executor_walks_pruned_total").add(41);
     reg.gauge("drift_meter").set(0.75);
     let h = reg.histogram("ring_publish_ns");
     for v in [0u64, 3, 900, 1 << 40] {
@@ -22,7 +22,7 @@ fn snapshot_json_round_trips_through_serde_json() {
     assert_eq!(
         value
             .get("counters")
-            .and_then(|c| c.get("standing_patched_events_total"))
+            .and_then(|c| c.get("executor_walks_pruned_total"))
             .and_then(|v| v.as_u64()),
         Some(41)
     );

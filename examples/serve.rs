@@ -530,6 +530,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine_report.grouped_queries,
         engine_report.scan_queries
     );
+    let (walks, walks_pruned) = (
+        telemetry.counter("executor_walks_total"),
+        telemetry.counter("executor_walks_pruned_total"),
+    );
+    println!(
+        "  directed walks: {walks} ran, {walks_pruned} ruled out by the grid's component bounds"
+    );
+    assert!(
+        walks_pruned > 0,
+        "on the two-neuron mesh the grid must spare queries the walk into the other arbor"
+    );
     // The registry is the source of truth: the grid gate reads the
     // snapshot, not the monitor's stats struct. Exactness of every
     // answer was asserted above, batch by batch.
@@ -598,6 +609,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for family in [
         "executor_phase_ns_",
         "executor_queries_total",
+        "executor_walks_total",
+        "executor_walks_pruned_total",
         "pool_",
         "engine_",
         "planner_decisions_",
