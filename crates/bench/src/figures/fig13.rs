@@ -51,6 +51,8 @@ pub fn run(config: &Config) -> FigureOutput {
             "Probe (Hilbert)",
             "Crawl (Hilbert)",
             "Crawl speedup [%]",
+            "Surface probed",
+            "Probe seeds",
         ],
     );
 
@@ -66,6 +68,11 @@ pub fn run(config: &Config) -> FigureOutput {
         let (p_un, _) = run_queries(&unsorted, &mut o_unsorted, &queries);
         let (p_so, _) = run_queries(&sorted, &mut o_sorted, &queries);
         assert_eq!(p_un.results, p_so.results, "layouts must agree on results");
+        // What "the layout leaves the probe unchanged" means exactly:
+        // it examines the same surface and finds the same seeds.
+        let probed = o_unsorted.surface_index().len();
+        assert_eq!(probed, o_sorted.surface_index().len());
+        assert_eq!(p_un.start_vertices, p_so.start_vertices);
         let crawl_speedup =
             (p_un.crawling.as_secs_f64() / p_so.crawling.as_secs_f64().max(1e-12) - 1.0) * 100.0;
         table.push_row(vec![
@@ -75,6 +82,8 @@ pub fn run(config: &Config) -> FigureOutput {
             ms(p_so.surface_probe),
             ms(p_so.crawling),
             format!("{crawl_speedup:.1}"),
+            probed.to_string(),
+            p_un.start_vertices.to_string(),
         ]);
     }
 
@@ -111,17 +120,16 @@ mod tests {
         let out = run(&Config::quick());
         let t = &out.tables[0];
         assert_eq!(t.rows.len(), 5);
+        // `run` itself asserts that both layouts probe the same surface
+        // and seed the crawl with as many vertices (the two last
+        // columns); the probe *times* are printed, not compared — a
+        // ratio of two sub-microsecond timings follows the box's load.
         for row in &t.rows {
             let probe_un: f64 = row[1].parse().unwrap();
             let probe_so: f64 = row[3].parse().unwrap();
-            // Probe scans the same number of surface vertices either way;
-            // allow generous noise but same order of magnitude.
             assert!(probe_un > 0.0 && probe_so > 0.0);
-            let ratio = probe_un / probe_so;
-            assert!(
-                (0.2..5.0).contains(&ratio),
-                "probe ratio {ratio} (row {row:?})"
-            );
+            assert!(row[6].parse::<usize>().unwrap() > 0, "row {row:?}");
+            assert!(row[7].parse::<usize>().is_ok(), "row {row:?}");
         }
     }
 }
