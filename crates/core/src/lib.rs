@@ -36,7 +36,8 @@
 //! * [`CostModel`] — the analytical model (Eq. 1–6) with on-machine
 //!   calibration of the `C_S`/`C_R` constants.
 //! * [`Planner`] — the Eq.-6 decision rule (OCTOPUS vs. linear scan)
-//!   driven by histogram selectivity estimates.
+//!   driven by histogram selectivity estimates and the
+//!   [`Characteristics`] (S, M) of the snapshot queried.
 //! * [`QueryShape`] — query shapes beyond the box: bounded convex
 //!   regions, exact k-nearest-neighbour, and materialisation-free
 //!   aggregates, all running on the same probe → walk → crawl
@@ -66,7 +67,7 @@ pub use executor::{Octopus, PhaseTimings, Probe, QueryScratch};
 pub use fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 pub use frontier::MAX_GROUP;
 pub use metrics::{ExecMode, ExecutorMetrics};
-pub use planner::{Decision, Planner, Strategy};
+pub use planner::{Characteristics, Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 pub use surface_grid::SurfaceGrid;
 pub use surface_index::SurfaceIndex;

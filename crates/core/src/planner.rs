@@ -5,12 +5,16 @@
 //! constants on the particular hardware used (C_S/C_R)" (§IV-G). The
 //! planner packages that decision: per query it estimates selectivity
 //! with the spatial histogram (the paper's reference \[2\]) and picks
-//! OCTOPUS or the linear scan.
+//! OCTOPUS or the linear scan. S and M are not planner state: the
+//! caller passes the [`Characteristics`] of the snapshot the queries run
+//! against, two O(1) reads off its executor's delta-maintained surface
+//! index and its CSR, so one planner serves every connectivity
+//! generation a snapshot ring holds.
 
-use crate::cost_model::CostModel;
+use crate::cost_model::{CostModel, SpeedupTerms};
 use crate::surface_index::SurfaceIndex;
 use octopus_geom::Aabb;
-use octopus_index::SelectivityHistogram;
+use octopus_index::{HistogramGrid, SelectivityHistogram};
 use octopus_mesh::Mesh;
 
 /// The strategy chosen for a query.
@@ -35,168 +39,109 @@ pub struct Decision {
     pub predicted_speedup: f64,
 }
 
+/// The dataset characteristics Eq. 5 and 6 read (§IV-G).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Characteristics {
+    /// Surface-to-volume ratio `S`.
+    pub surface_ratio: f64,
+    /// Mesh degree `M`.
+    pub mesh_degree: f64,
+}
+
+impl Characteristics {
+    /// S and M of `mesh`, whose surface `surface` indexes: S off the
+    /// index, M off the adjacency — two divisions, no mesh pass. The
+    /// surface is an argument because whoever plans queries holds the
+    /// executor's delta-maintained index ([`crate::Octopus::surface_index`]),
+    /// and a ring snapshot ([`Mesh::snapshot`]) has no cheaper way to
+    /// answer it.
+    pub fn of(mesh: &Mesh, surface: &SurfaceIndex) -> Characteristics {
+        Characteristics {
+            surface_ratio: surface.ratio(mesh.num_vertices()),
+            mesh_degree: mesh.adjacency().average_degree(),
+        }
+    }
+}
+
 /// Chooses between OCTOPUS and the linear scan per query.
 #[derive(Clone, Debug)]
 pub struct Planner {
     model: CostModel,
+    /// Built once, over the positions the planner was built from.
+    /// Restructuring adds or orphans a handful of vertices while
+    /// deformation moves every vertex every step, so a rebuild per
+    /// connectivity generation would not keep it current either.
     histogram: SelectivityHistogram,
-    surface_ratio: f64,
-    mesh_degree: f64,
-    /// Eq.-6 crossover, a function of (S, M, C_S, C_R) only — computed
-    /// once per connectivity generation so per-query (and per-batch)
-    /// decisions never recompute mesh statistics. Restructuring changes
-    /// both S and M, so the cache is keyed on the mesh's restructure
-    /// epoch and invalidated through
-    /// [`Planner::refresh_if_restructured`].
+}
+
+/// The per-batch invariants of [`Planner::decide_hoisted`].
+struct Hoisted {
+    grid: HistogramGrid,
+    terms: SpeedupTerms,
     crossover: f64,
-    /// The [`Mesh::restructure_epoch`] the cached (S, M, crossover,
-    /// histogram) were derived at; `None` when built from explicit
-    /// parts (no mesh provenance — the first refresh recomputes).
-    epoch: Option<u64>,
-    /// Histogram resolution to rebuild with on refresh (`None` when the
-    /// histogram was supplied by the caller via
-    /// [`Planner::from_parts`]).
-    hist_res: Option<usize>,
 }
 
 impl Planner {
-    /// Builds a planner for `mesh`, whose surface `surface` indexes:
-    /// reads S off the index and M off the adjacency, and builds the
-    /// selectivity histogram (resolution `hist_res³` buckets) over the
-    /// current positions. The surface is an argument because whoever
-    /// plans queries already holds the executor's delta-maintained
-    /// index ([`crate::Octopus::surface_index`]); extracting it again
-    /// from the cells is the single most expensive thing a planner
-    /// could do, and a ring snapshot ([`Mesh::snapshot`]) has no cheaper
-    /// way to answer it.
-    pub fn new(mesh: &Mesh, surface: &SurfaceIndex, model: CostModel, hist_res: usize) -> Planner {
+    /// Builds a planner whose selectivity histogram (`resolution³`
+    /// buckets) covers `mesh`'s current positions.
+    pub fn new(mesh: &Mesh, model: CostModel, resolution: usize) -> Planner {
         let histogram =
-            SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), hist_res);
-        let mut planner = Planner::from_parts(
-            model,
-            histogram,
-            surface.ratio(mesh.num_vertices()),
-            mesh.adjacency().average_degree(),
-        );
-        planner.epoch = Some(mesh.restructure_epoch());
-        planner.hist_res = Some(hist_res);
-        planner
+            SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), resolution);
+        Planner::from_parts(model, histogram)
     }
 
-    /// Builds from explicit workload characteristics (no mesh pass).
-    pub fn from_parts(
-        model: CostModel,
-        histogram: SelectivityHistogram,
-        surface_ratio: f64,
-        mesh_degree: f64,
-    ) -> Planner {
-        let crossover = model.crossover_selectivity(surface_ratio, mesh_degree);
-        Planner {
-            model,
-            histogram,
-            surface_ratio,
-            mesh_degree,
-            crossover,
-            epoch: None,
-            hist_res: None,
+    /// Builds from a caller-supplied histogram (no mesh pass).
+    pub fn from_parts(model: CostModel, histogram: SelectivityHistogram) -> Planner {
+        Planner { model, histogram }
+    }
+
+    /// Decides the strategy for query `q` on a dataset of `data` (Eq. 6).
+    pub fn decide(&self, data: Characteristics, q: &Aabb) -> Decision {
+        self.decide_hoisted(&self.hoist(data), q)
+    }
+
+    /// The histogram's grid geometry, Eq. 5's factors and Eq. 6's
+    /// crossover for `data`: a few flops, paid once per batch.
+    fn hoist(&self, data: Characteristics) -> Hoisted {
+        let (s, m) = (data.surface_ratio, data.mesh_degree);
+        Hoisted {
+            grid: self.histogram.grid(),
+            terms: self.model.speedup_terms(s, m),
+            crossover: self.model.crossover_selectivity(s, m),
         }
-    }
-
-    /// Revalidates the cached dataset characteristics against `mesh`'s
-    /// restructure epoch. When the epoch has advanced since the planner
-    /// was built (or the planner has no recorded provenance), S, M, the
-    /// Eq.-6 crossover — and, when the planner built its own histogram,
-    /// the histogram — are recomputed from the current mesh and its
-    /// `surface` index (see [`Planner::new`]); otherwise this is a
-    /// two-word comparison. Returns whether a recompute happened.
-    ///
-    /// Long-running monitor sessions call this once per restructuring
-    /// step (the epoch makes it free on every other step); skipping it
-    /// leaves decisions on the ingest-time crossover, which a
-    /// restructure-heavy run can push across the Eq.-6 boundary — see
-    /// `stale_crossover_flips_after_heavy_restructuring`.
-    pub fn refresh_if_restructured(&mut self, mesh: &Mesh, surface: &SurfaceIndex) -> bool {
-        if self.epoch == Some(mesh.restructure_epoch()) {
-            return false;
-        }
-        self.surface_ratio = surface.ratio(mesh.num_vertices());
-        self.mesh_degree = mesh.adjacency().average_degree();
-        self.crossover = self
-            .model
-            .crossover_selectivity(self.surface_ratio, self.mesh_degree);
-        if let Some(res) = self.hist_res {
-            self.histogram =
-                SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), res);
-        }
-        self.epoch = Some(mesh.restructure_epoch());
-        true
-    }
-
-    /// Decides the strategy for query `q` (Eq. 6).
-    pub fn decide(&self, q: &Aabb) -> Decision {
-        self.decide_hoisted(&self.histogram.grid(), &self.speedup_terms(), q)
-    }
-
-    /// The hoisted Eq. 5 factors for this dataset's (S, M).
-    fn speedup_terms(&self) -> crate::cost_model::SpeedupTerms {
-        self.model
-            .speedup_terms(self.surface_ratio, self.mesh_degree)
     }
 
     /// One decision under caller-hoisted per-batch invariants. Both
     /// [`Planner::decide`] and [`Planner::decide_batch`] route through
     /// this, so their outputs are bit-identical.
     #[inline]
-    fn decide_hoisted(
-        &self,
-        grid: &octopus_index::HistogramGrid,
-        terms: &crate::cost_model::SpeedupTerms,
-        q: &Aabb,
-    ) -> Decision {
-        let sel = self.histogram.estimate_selectivity_with(grid, q);
+    fn decide_hoisted(&self, h: &Hoisted, q: &Aabb) -> Decision {
+        let sel = self.histogram.estimate_selectivity_with(&h.grid, q);
         Decision {
-            strategy: if sel < self.crossover {
+            strategy: if sel < h.crossover {
                 Strategy::Octopus
             } else {
                 Strategy::LinearScan
             },
             estimated_selectivity: sel,
-            crossover_selectivity: self.crossover,
-            predicted_speedup: terms.eval(sel),
+            crossover_selectivity: h.crossover,
+            predicted_speedup: h.terms.eval(sel),
         }
     }
 
-    /// Decides a whole batch at once, one [`Decision`] per query in
-    /// input order — the entry point the service layer's batch engine
-    /// uses to route overlap groups between the crawl paths and the
-    /// shared linear scan.
+    /// Decides a whole batch on a dataset of `data` at once, one
+    /// [`Decision`] per query in input order — the entry point the
+    /// service layer's batch engine uses to route overlap groups
+    /// between the crawl paths and the shared linear scan.
     ///
     /// All per-batch invariants are hoisted out of the loop: the
-    /// histogram's grid geometry ([`SelectivityHistogram::grid`] —
-    /// previously re-derived per query, including three divisions per
-    /// visited bucket), the Eq.-5 speedup factors
-    /// ([`crate::CostModel::speedup_terms`]), and the cached Eq.-6
-    /// crossover. Routing a mixed batch therefore costs one histogram
-    /// probe per query and nothing else.
-    ///
-    /// [`SelectivityHistogram::grid`]: octopus_index::SelectivityHistogram::grid
-    pub fn decide_batch(&self, queries: &[Aabb]) -> Vec<Decision> {
-        let grid = self.histogram.grid();
-        let terms = self.speedup_terms();
-        queries
-            .iter()
-            .map(|q| self.decide_hoisted(&grid, &terms, q))
-            .collect()
-    }
-
-    /// The dataset's surface-to-volume ratio `S`.
-    pub fn surface_ratio(&self) -> f64 {
-        self.surface_ratio
-    }
-
-    /// The dataset's mesh degree `M`.
-    pub fn mesh_degree(&self) -> f64 {
-        self.mesh_degree
+    /// histogram's grid geometry ([`SelectivityHistogram::grid`]), the
+    /// Eq.-5 speedup factors ([`CostModel::speedup_terms`]) and the
+    /// Eq.-6 crossover. Routing a mixed batch therefore costs one
+    /// histogram probe per query and nothing else.
+    pub fn decide_batch(&self, data: Characteristics, queries: &[Aabb]) -> Vec<Decision> {
+        let h = self.hoist(data);
+        queries.iter().map(|q| self.decide_hoisted(&h, q)).collect()
     }
 
     /// The underlying cost model.
@@ -211,24 +156,41 @@ mod tests {
     use octopus_geom::Point3;
     use octopus_meshgen::voxel::VoxelRegion;
 
-    fn box_mesh(n: usize) -> octopus_mesh::Mesh {
+    fn box_mesh(n: usize) -> Mesh {
         let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         octopus_meshgen::tet::tetrahedralize(&VoxelRegion::solid_box(&bounds, n, n, n)).unwrap()
     }
 
-    fn paper_planner(mesh: &octopus_mesh::Mesh, hist_res: usize) -> Planner {
+    /// A paper-constant planner for `mesh` and the mesh's S and M.
+    fn paper_planner(mesh: &Mesh, resolution: usize) -> (Planner, Characteristics) {
         let surface = SurfaceIndex::build(mesh).unwrap();
-        Planner::new(mesh, &surface, CostModel::paper_constants(), hist_res)
+        (
+            Planner::new(mesh, CostModel::paper_constants(), resolution),
+            Characteristics::of(mesh, &surface),
+        )
+    }
+
+    /// Removes random cells of `mesh` until a fifth is left, maintaining
+    /// `surface` by deltas as a monitor does.
+    fn coarsen(mesh: &mut Mesh, surface: &mut SurfaceIndex) {
+        let mut rng = octopus_geom::rng::SplitMix64::new(0xFEED);
+        let target = mesh.num_cells() / 5;
+        while mesh.num_cells() > target {
+            let c = rng.index(mesh.cell_capacity()) as u32;
+            if mesh.is_cell_alive(c) {
+                surface.apply_delta(&mesh.remove_cell(c).unwrap());
+            }
+        }
     }
 
     #[test]
     fn tiny_queries_choose_octopus_huge_choose_scan() {
         let mesh = box_mesh(10);
-        let planner = paper_planner(&mesh, 8);
-        let tiny = planner.decide(&Aabb::cube(Point3::splat(0.5), 0.01));
+        let (planner, data) = paper_planner(&mesh, 8);
+        let tiny = planner.decide(data, &Aabb::cube(Point3::splat(0.5), 0.01));
         assert_eq!(tiny.strategy, Strategy::Octopus);
         assert!(tiny.predicted_speedup > 1.0);
-        let huge = planner.decide(&Aabb::new(Point3::ORIGIN, Point3::splat(1.0)));
+        let huge = planner.decide(data, &Aabb::new(Point3::ORIGIN, Point3::splat(1.0)));
         assert_eq!(huge.strategy, Strategy::LinearScan);
         assert!(huge.estimated_selectivity > huge.crossover_selectivity);
     }
@@ -236,11 +198,11 @@ mod tests {
     #[test]
     fn decision_is_consistent_with_the_model() {
         let mesh = box_mesh(8);
-        let planner = paper_planner(&mesh, 6);
-        let d = planner.decide(&Aabb::cube(Point3::splat(0.4), 0.1));
+        let (planner, data) = paper_planner(&mesh, 6);
+        let d = planner.decide(data, &Aabb::cube(Point3::splat(0.4), 0.1));
         let expected = planner
             .model()
-            .crossover_selectivity(planner.surface_ratio(), planner.mesh_degree());
+            .crossover_selectivity(data.surface_ratio, data.mesh_degree);
         assert_eq!(d.crossover_selectivity, expected);
         assert_eq!(
             d.strategy,
@@ -255,14 +217,14 @@ mod tests {
     #[test]
     fn decide_batch_matches_per_query_decisions() {
         let mesh = box_mesh(8);
-        let planner = paper_planner(&mesh, 8);
+        let (planner, data) = paper_planner(&mesh, 8);
         let queries: Vec<Aabb> = (1..=10)
             .map(|i| Aabb::cube(Point3::splat(0.5), 0.05 * i as f32))
             .collect();
-        let batch = planner.decide_batch(&queries);
+        let batch = planner.decide_batch(data, &queries);
         assert_eq!(batch.len(), queries.len());
         for (d, q) in batch.iter().zip(&queries) {
-            let single = planner.decide(q);
+            let single = planner.decide(data, q);
             assert_eq!(d.strategy, single.strategy);
             assert_eq!(d.estimated_selectivity, single.estimated_selectivity);
             assert_eq!(d.crossover_selectivity, single.crossover_selectivity);
@@ -277,11 +239,11 @@ mod tests {
         // constant the decision flips from OCTOPUS to LinearScan at most
         // once along the sweep.
         let mesh = box_mesh(10);
-        let planner = paper_planner(&mesh, 8);
+        let (planner, data) = paper_planner(&mesh, 8);
         let queries: Vec<Aabb> = (1..=40)
             .map(|i| Aabb::cube(Point3::splat(0.5), 0.02 * i as f32))
             .collect();
-        let decisions = planner.decide_batch(&queries);
+        let decisions = planner.decide_batch(data, &queries);
         let mut flipped = false;
         for pair in decisions.windows(2) {
             assert!(
@@ -304,63 +266,128 @@ mod tests {
 
     #[test]
     fn stale_crossover_flips_after_heavy_restructuring() {
-        // Ingest-time planner on a solid box; then coarsen aggressively
-        // (raising the surface-to-volume ratio, which shrinks the Eq.-6
-        // crossover) and verify (a) the cache really is stale until
-        // refreshed, (b) the refresh is epoch-gated, and (c) at least
-        // one query's strategy decision flips once refreshed.
+        // A solid box, then an aggressive coarsening (raising the
+        // surface-to-volume ratio, which shrinks the Eq.-6 crossover).
+        // Verify that (a) the delta-maintained index gives the S a fresh
+        // extraction would, (b) one planner handed the pre- and then the
+        // post-restructure snapshot's S and M returns the ingest-time
+        // crossover and then the coarsened one, and (c) at least one
+        // query's strategy decision flips between the two.
         let mut mesh = box_mesh(6);
         mesh.enable_restructuring().unwrap();
         let mut surface = SurfaceIndex::build(&mesh).unwrap();
-        let mut planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), 8);
-        let stale = planner.clone();
+        let planner = Planner::new(&mesh, CostModel::paper_constants(), 8);
+        let (ingest_mesh, ingest_surface) = (mesh.snapshot(), surface.clone());
 
-        // No restructuring yet: refresh is a no-op.
-        assert!(!planner.refresh_if_restructured(&mesh, &surface));
+        coarsen(&mut mesh, &mut surface);
 
-        // Remove a large fraction of the cells, maintaining the surface
-        // index by deltas as a monitor does.
-        let mut rng = octopus_geom::rng::SplitMix64::new(0xFEED);
-        let target = mesh.num_cells() / 5;
-        while mesh.num_cells() > target {
-            let c = rng.index(mesh.cell_capacity()) as u32;
-            if mesh.is_cell_alive(c) {
-                surface.apply_delta(&mesh.remove_cell(c).unwrap());
-            }
-        }
-
-        // The cache is stale until told: same crossover as at ingest.
+        let ingest = Characteristics::of(&ingest_mesh, &ingest_surface);
+        let coarse = Characteristics::of(&mesh, &surface);
+        assert_eq!(coarse.surface_ratio, mesh.surface().unwrap().ratio());
+        let model = planner.model();
         let q = Aabb::cube(Point3::splat(0.5), 0.2);
+        let (before, after) = (planner.decide(ingest, &q), planner.decide(coarse, &q));
         assert_eq!(
-            planner.decide(&q).crossover_selectivity,
-            stale.decide(&q).crossover_selectivity
+            before.crossover_selectivity,
+            model.crossover_selectivity(ingest.surface_ratio, ingest.mesh_degree)
         );
-
-        assert!(planner.refresh_if_restructured(&mesh, &surface));
-        assert!(
-            !planner.refresh_if_restructured(&mesh, &surface),
-            "second refresh at the same epoch must be a no-op"
+        assert_eq!(
+            after.crossover_selectivity,
+            model.crossover_selectivity(coarse.surface_ratio, coarse.mesh_degree)
         );
-        // The delta-maintained index gives the refresh the S a fresh
-        // extraction would.
-        assert_eq!(planner.surface_ratio(), mesh.surface().unwrap().ratio());
         assert!(
-            planner.decide(&q).crossover_selectivity < stale.decide(&q).crossover_selectivity,
+            after.crossover_selectivity < before.crossover_selectivity,
             "coarsening raises S, which must shrink the crossover: {} -> {}",
-            stale.decide(&q).crossover_selectivity,
-            planner.decide(&q).crossover_selectivity
+            before.crossover_selectivity,
+            after.crossover_selectivity
         );
 
-        // Somewhere along a size sweep, the stale planner still says
-        // OCTOPUS while the refreshed one has crossed to LinearScan.
+        // Somewhere along a size sweep, the ingest-time characteristics
+        // still say OCTOPUS while the coarsened ones cross to LinearScan.
         let flipped = (1..=60).any(|i| {
             let q = Aabb::cube(Point3::splat(0.5), 0.015 * i as f32);
-            stale.decide(&q).strategy == Strategy::Octopus
-                && planner.decide(&q).strategy == Strategy::LinearScan
+            planner.decide(ingest, &q).strategy == Strategy::Octopus
+                && planner.decide(coarse, &q).strategy == Strategy::LinearScan
         });
         assert!(
             flipped,
             "a restructure-heavy run must flip at least one decision"
+        );
+    }
+
+    #[test]
+    fn alternating_generations_decide_as_a_planner_per_generation() {
+        // A ring answers slots of different connectivity generations in
+        // any order. One planner handed generations A, B, A decides bit
+        // for bit as a planner per generation over the same histogram —
+        // batched on one side, query by query on the other.
+        let mut mesh = box_mesh(6);
+        mesh.enable_restructuring().unwrap();
+        let mut surface = SurfaceIndex::build(&mesh).unwrap();
+        let histogram = SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), 8);
+        let a = Characteristics::of(&mesh, &surface);
+        coarsen(&mut mesh, &mut surface);
+        let b = Characteristics::of(&mesh, &surface);
+        assert_ne!(a, b);
+
+        let model = CostModel::paper_constants();
+        let shared = Planner::from_parts(model, histogram.clone());
+        let queries: Vec<Aabb> = (1..=30)
+            .map(|i| Aabb::cube(Point3::new(0.3, 0.5, 0.6), 0.02 * i as f32))
+            .collect();
+        for data in [a, b, a] {
+            let own = Planner::from_parts(model, histogram.clone());
+            for (d, q) in shared.decide_batch(data, &queries).iter().zip(&queries) {
+                let want = own.decide(data, q);
+                assert_eq!(d.strategy, want.strategy);
+                assert_eq!(
+                    [
+                        d.estimated_selectivity,
+                        d.crossover_selectivity,
+                        d.predicted_speedup
+                    ]
+                    .map(f64::to_bits),
+                    [
+                        want.estimated_selectivity,
+                        want.crossover_selectivity,
+                        want.predicted_speedup
+                    ]
+                    .map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_restructure_leaves_the_estimate_unchanged() {
+        // The histogram is built once: refining every tet around a box
+        // adds vertices inside it, and the estimate for that box stays
+        // what it was at ingest — where a planner built on the refined
+        // mesh would count the new vertices.
+        let mut mesh = box_mesh(6);
+        mesh.enable_restructuring().unwrap();
+        let (planner, ingest) = paper_planner(&mesh, 8);
+        let q = Aabb::cube(Point3::splat(0.5), 0.25);
+        let at_ingest = planner.decide(ingest, &q).estimated_selectivity;
+
+        let inside: Vec<u32> = mesh
+            .live_cells()
+            .filter(|(_, vs)| vs.iter().all(|&v| q.contains(mesh.position(v))))
+            .map(|(c, _)| c)
+            .collect();
+        assert!(!inside.is_empty(), "the box must hold whole tets");
+        for c in inside {
+            mesh.refine_tet(c).unwrap();
+        }
+        let refined = paper_planner(&mesh, 8);
+        assert_ne!(
+            refined.0.decide(refined.1, &q).estimated_selectivity,
+            at_ingest,
+            "refinement must change what a fresh histogram counts"
+        );
+        assert_eq!(
+            planner.decide(refined.1, &q).estimated_selectivity,
+            at_ingest
         );
     }
 
@@ -372,8 +399,12 @@ mod tests {
             2,
         );
         // S = 1 → crossover = 0 → always scan.
-        let p = Planner::from_parts(CostModel::paper_constants(), hist, 1.0, 14.0);
-        let d = p.decide(&Aabb::cube(Point3::splat(0.1), 0.01));
+        let p = Planner::from_parts(CostModel::paper_constants(), hist);
+        let data = Characteristics {
+            surface_ratio: 1.0,
+            mesh_degree: 14.0,
+        };
+        let d = p.decide(data, &Aabb::cube(Point3::splat(0.1), 0.01));
         assert_eq!(d.strategy, Strategy::LinearScan);
     }
 }

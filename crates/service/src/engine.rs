@@ -11,9 +11,9 @@
 //!    once in key order: a query joins the current *overlap group*
 //!    while it intersects the group's union box (and the group is under
 //!    the [`octopus_core::MAX_GROUP`] mask width); otherwise it starts a
-//!    new group. When enabled, a [`octopus_core::Planner`] (refreshed
-//!    against the snapshot's restructure epoch) decides each query via
-//!    Eq. 6, and `LinearScan` members are split off into a **shared
+//!    new group. When enabled, a [`octopus_core::Planner`] decides each
+//!    query via Eq. 6 under the S and M of the snapshot the batch runs
+//!    against, and `LinearScan` members are split off into a **shared
 //!    scan** group — per-group routing instead of one global mode.
 //! 2. **Run.** Groups execute in parallel over the worker pool, stolen
 //!    in curve order. A crawl group is one
@@ -35,7 +35,7 @@
 use crate::batch::{Group, ParallelExecutor, Plan, QueryResult, Route};
 use crate::snapshot::Snapshot;
 use crate::telemetry::EngineMetrics;
-use octopus_core::{CostModel, Decision, Octopus, Planner, Strategy, MAX_GROUP};
+use octopus_core::{Characteristics, CostModel, Decision, Planner, Strategy, MAX_GROUP};
 use octopus_geom::hilbert::hilbert_center_key;
 use octopus_geom::Aabb;
 use octopus_mesh::Mesh;
@@ -94,20 +94,15 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Builds an engine for `mesh` and the executor `octopus` serving
-    /// it (the planner histogram is derived from the mesh's current
-    /// state; the planner's S comes from the executor's maintained
-    /// surface index, so attaching an engine extracts nothing).
-    pub fn new(cfg: BatchEngineConfig, octopus: &Octopus, mesh: &Mesh) -> BatchEngine {
+    /// Builds an engine for `mesh`: the planner's histogram covers its
+    /// current positions, once. S and M are read per batch off the
+    /// snapshot the batch runs against, so attaching an engine extracts
+    /// nothing.
+    pub fn new(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
         let bounds = mesh.bounding_box();
-        let planner = cfg.use_planner.then(|| {
-            Planner::new(
-                mesh,
-                octopus.surface_index(),
-                CostModel::paper_constants(),
-                PLANNER_HIST_RES,
-            )
-        });
+        let planner = cfg
+            .use_planner
+            .then(|| Planner::new(mesh, CostModel::paper_constants(), PLANNER_HIST_RES));
         BatchEngine {
             planner,
             key_bounds: bounds,
@@ -128,21 +123,22 @@ impl BatchEngine {
     }
 
     /// Executes `queries` against `snap` on `pool`, with grouping and
-    /// routing, returning per-query results in input
-    /// order — identical (as sets) to running [`Octopus::query`] per
-    /// query.
+    /// routing, returning per-query results in input order — identical
+    /// (as sets) to running [`octopus_core::Octopus::query`] per query.
     pub fn execute(
         &mut self,
         pool: &mut ParallelExecutor,
         snap: &Snapshot<'_>,
         queries: &[Aabb],
     ) -> Vec<QueryResult> {
-        // Plan. The planner refresh is a two-word comparison between
-        // restructuring events.
-        if let Some(p) = &mut self.planner {
-            p.refresh_if_restructured(snap.mesh, snap.exec.surface_index());
-        }
-        let decisions = self.planner.as_ref().map(|p| p.decide_batch(queries));
+        // Plan, under the S and M of this snapshot's generation: two
+        // divisions, whichever slot the batch asks.
+        let decisions = self.planner.as_ref().map(|p| {
+            p.decide_batch(
+                Characteristics::of(snap.mesh, snap.exec.surface_index()),
+                queries,
+            )
+        });
         let plan = self.plan(queries, decisions.as_deref());
 
         // Run.

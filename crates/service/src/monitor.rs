@@ -806,12 +806,12 @@ impl MonitorLoop {
     /// probe is the snapshot's with or without an engine, and standing
     /// queries keep their delta path across an attach.
     ///
-    /// Cannot fail since the planner reads S off the latest slot's
-    /// surface index instead of extracting it; the `Result` is what
-    /// existing callers match on.
+    /// Cannot fail: the planner builds its histogram here and reads S
+    /// and M per batch off the slot asked, extracting nothing; the
+    /// `Result` is what existing callers match on.
     pub fn set_batch_engine(&mut self, cfg: BatchEngineConfig) -> Result<(), ServiceError> {
         let latest = self.latest();
-        let mut engine = BatchEngine::new(cfg, &latest.exec, &latest.mesh);
+        let mut engine = BatchEngine::new(cfg, &latest.mesh);
         if let Some(t) = &self.telemetry {
             engine.attach_metrics(&t.engine);
         }

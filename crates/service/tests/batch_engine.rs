@@ -13,16 +13,16 @@
 //! restructure, re-layout and drift rebuild.
 
 use octopus_core::{
-    AggregateKind, ExecutorMetrics, Octopus, PhaseTimings, Probe, QueryShape, ShapeResult,
-    SurfaceGrid,
+    AggregateKind, Characteristics, CostModel, Decision, ExecutorMetrics, Octopus, PhaseTimings,
+    Planner, Probe, QueryShape, ShapeResult, Strategy, SurfaceGrid, SurfaceIndex,
 };
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_service::{
-    BatchEngine, BatchEngineConfig, EngineMetrics, LayoutPolicy, MonitorLoop, ParallelExecutor,
-    RelayoutTrigger, Snapshot,
+    BatchEngine, BatchEngineConfig, EngineMetrics, EngineReport, LayoutPolicy, MonitorLoop,
+    ParallelExecutor, QueryResult, RelayoutTrigger, Snapshot,
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
@@ -30,13 +30,7 @@ use octopus_testkit::{
     box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sequential_reference, sorted,
 };
 use proptest::prelude::*;
-
-/// An engine for `mesh`, its planner reading S off a fresh executor's
-/// surface index (as `MonitorLoop::set_batch_engine` does off the
-/// latest slot's).
-fn engine_for(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
-    BatchEngine::new(cfg, &Octopus::new(mesh).unwrap(), mesh)
-}
+use std::collections::HashSet;
 
 /// `mesh` as the engine sees a retained step, under `probe`.
 fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, probe: Probe<'a>) -> Snapshot<'a> {
@@ -121,7 +115,7 @@ proptest! {
             box_mesh(n)
         };
         let queries = mixed_workload(&mesh, seed, clusters, 4);
-        let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
+        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(workers);
         let grid = grid_for(&mesh, 0.2);
         let full =
@@ -143,7 +137,7 @@ proptest! {
     ) {
         let mut mesh = box_mesh(6);
         let queries = mixed_workload(&mesh, seed, 2, 3);
-        let mut engine = engine_for(BatchEngineConfig::default(), &mesh);
+        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
         let mut pool = ParallelExecutor::new(2);
         let grid = grid_for(&mesh, 0.2);
         let mut rng = SplitMix64::new(seed ^ 0xD1F7);
@@ -253,7 +247,7 @@ fn planner_routed_batches_match_sequential() {
     let registry = Registry::new(true);
     let octopus = Octopus::new(&mesh).unwrap();
     octopus.attach_metrics(&ExecutorMetrics::register(&registry));
-    let mut engine = BatchEngine::new(BatchEngineConfig::default(), &octopus, &mesh);
+    let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
     engine.attach_metrics(&EngineMetrics::register(&registry));
     let mut pool = ParallelExecutor::new(3);
     assert_engine_equivalent_at(
@@ -324,7 +318,7 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
 
     // Planner off isolates the shared-frontier counter (no scan
     // rerouting).
-    let mut engine = engine_for(BatchEngineConfig { use_planner: false }, &mesh);
+    let mut engine = BatchEngine::new(BatchEngineConfig { use_planner: false }, &mesh);
     let mut pool = ParallelExecutor::new(2);
     assert_engine_equivalent(&mut engine, &mut pool, &mesh, None, &queries, "overlap-64");
     let report = *engine.report();
@@ -854,6 +848,158 @@ fn engine_serves_retained_ring_steps_exactly() {
             monitor.recycle(again);
         }
     }
+}
+
+/// Checks one engine-routed batch answered against `mesh`: `decisions`
+/// are the routes an independent planner took under `mesh`'s own S and
+/// M. Scan-routed answers equal a scan of the active vertices;
+/// crawl-routed ones may differ only by Algorithm 1's blind spot — a
+/// subset of the scan in which no missing vertex has a returned
+/// neighbour. The engine's report must count what it routed.
+fn assert_routed_batch(
+    mesh: &Mesh,
+    queries: &[Aabb],
+    decisions: &[Decision],
+    results: &[QueryResult],
+    report: EngineReport,
+    ctx: &str,
+) {
+    assert_eq!(results.len(), queries.len(), "{ctx}");
+    for (i, ((q, d), r)) in queries.iter().zip(decisions).zip(results).enumerate() {
+        let got = sorted(r.vertices.clone());
+        let want = scan_active(mesh, q);
+        if d.strategy == Strategy::LinearScan {
+            assert_eq!(got, want, "{ctx}: scan-routed query {i}");
+            continue;
+        }
+        let returned: HashSet<VertexId> = got.iter().copied().collect();
+        assert!(
+            got.iter().all(|v| want.binary_search(v).is_ok()),
+            "{ctx}: crawl-routed query {i} returned a vertex the scan did not"
+        );
+        for &v in want.iter().filter(|v| !returned.contains(v)) {
+            assert!(
+                !mesh.neighbors(v).iter().any(|w| returned.contains(w)),
+                "{ctx}: crawl-routed query {i} missed {v} beside a returned neighbour"
+            );
+        }
+    }
+    let scanned = decisions
+        .iter()
+        .filter(|d| d.strategy == Strategy::LinearScan)
+        .count();
+    assert_eq!(report.queries, queries.len(), "{ctx}: {report:?}");
+    assert_eq!(report.scan_queries, scanned, "{ctx}: {report:?}");
+    assert!(
+        report.grouped_queries <= queries.len() - scanned,
+        "{ctx}: only crawl-routed queries share a frontier: {report:?}"
+    );
+    assert!(
+        (1..=queries.len()).contains(&report.groups),
+        "{ctx}: {report:?}"
+    );
+    if report.grouped_queries == 0 {
+        assert_eq!(report.attributed_visited, 0, "{ctx}: {report:?}");
+    }
+}
+
+/// The churn request shape with the planner on: ring depth 2,
+/// restructuring every 3rd step, one re-layout, and each round a
+/// latest-step batch plus a batch pinned to the oldest retained step.
+/// Every batch is routed under the S and M of the slot it asks — after
+/// a restructure the two batches of a round see different generations
+/// — and every answer is checked against a scan of that slot.
+#[test]
+fn churn_rounds_route_each_batch_by_its_own_snapshot() {
+    let mut base = box_mesh(7);
+    base.enable_restructuring().unwrap();
+    let sim = Simulation::new(base, Box::new(SmoothRandomField::new(0.006, 3, 0xC0)))
+        .with_restructuring(RestructureSchedule::new(3, 4, 0xC1))
+        .unwrap();
+    let policy = LayoutPolicy::Hilbert {
+        trigger: RelayoutTrigger::AfterRestructures(2),
+    };
+    let mut monitor = MonitorLoop::with_config(sim, 2, policy, 2).unwrap();
+    monitor
+        .set_batch_engine(BatchEngineConfig::default())
+        .unwrap();
+    // What the engine's planner is: paper constants over a histogram of
+    // the positions at attach.
+    let planner = Planner::new(monitor.snapshot(), CostModel::paper_constants(), 8);
+    let characteristics =
+        |mesh: &Mesh| Characteristics::of(mesh, &SurfaceIndex::build(mesh).unwrap());
+    let decide = |mesh: &Mesh, queries: &[Aabb]| {
+        let data = characteristics(mesh);
+        (planner.decide_batch(data, queries), data)
+    };
+    let ingest = characteristics(monitor.snapshot());
+    // Nested boxes whose estimates straddle the crossover as
+    // restructuring moves it.
+    let sweep: Vec<Aabb> = (0..24)
+        .map(|i| Aabb::cube(Point3::splat(0.5), 0.08 + 0.0015 * i as f32))
+        .collect();
+
+    let (mut scanned, mut crawled, mut split_rounds, mut moved) = (0, 0, 0, 0);
+    for step in 1..=10u32 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+
+        let mut fresh = mixed_workload(monitor.snapshot(), u64::from(step), 3, 3);
+        fresh.extend_from_slice(&sweep);
+        let (decisions, latest) = decide(monitor.snapshot(), &fresh);
+        moved += fresh
+            .iter()
+            .zip(&decisions)
+            .filter(|(q, d)| planner.decide(ingest, q).strategy != d.strategy)
+            .count();
+        let results = monitor.query_batch(&fresh);
+        let ctx = format!("step {step}, latest");
+        let report = monitor.engine_report().unwrap();
+        assert_routed_batch(
+            monitor.snapshot(),
+            &fresh,
+            &decisions,
+            &results,
+            report,
+            &ctx,
+        );
+        monitor.recycle(results);
+        for d in &decisions {
+            match d.strategy {
+                Strategy::LinearScan => scanned += 1,
+                Strategy::Octopus => crawled += 1,
+            }
+        }
+
+        let oldest = *monitor.retained_steps().start();
+        let mut old = mixed_workload(monitor.snapshot(), u64::from(step) ^ 0x01D, 2, 2);
+        old.extend_from_slice(&sweep);
+        monitor.pin_step(oldest).unwrap();
+        let results = monitor.query_batch_at(oldest, &old).unwrap();
+        let mesh = monitor.snapshot_at(oldest).unwrap();
+        let (decisions, pinned) = decide(mesh, &old);
+        let ctx = format!("step {step}, pinned step {oldest}");
+        let report = monitor.engine_report().unwrap();
+        assert_routed_batch(mesh, &old, &decisions, &results, report, &ctx);
+        monitor.recycle(results);
+        monitor.unpin_step(oldest).unwrap();
+        if pinned != latest {
+            split_rounds += 1;
+        }
+    }
+    assert_eq!(monitor.relayouts(), 1, "the schedule re-lays out once");
+    assert!(
+        split_rounds >= 2,
+        "restructure rounds must ask two generations"
+    );
+    assert!(
+        scanned > 0 && crawled > 0,
+        "both routes must run: {scanned} scan-routed, {crawled} crawl-routed"
+    );
+    assert!(
+        moved > 0,
+        "some box must route differently under the restructured S and M"
+    );
 }
 
 /// The shape entry point: `MonitorLoop::query_shapes` over every shape

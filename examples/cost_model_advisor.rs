@@ -46,10 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         crossover * 100.0
     );
 
-    // The planner applies Eq. 6 per query using histogram selectivity.
-    // It reads S off the executor's surface index (no second extraction).
+    // The planner applies Eq. 6 per query using histogram selectivity,
+    // with S read off the executor's surface index (no second extraction).
     let mut engine = Octopus::new(&mesh)?;
-    let planner = Planner::new(&mesh, engine.surface_index(), model, 12);
+    let planner = Planner::new(&mesh, model, 12);
+    let data = Characteristics::of(&mesh, engine.surface_index());
     let scan = LinearScan::new();
     let bounds = mesh.bounding_box();
     let mut rng = SplitMix64::new(5);
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rng.range_f32(bounds.min.z, bounds.max.z),
         );
         let q = Aabb::cube(c, rng.range_f32(0.02, 0.45));
-        let d = planner.decide(&q);
+        let d = planner.decide(data, &q);
         let mut out = Vec::new();
         match d.strategy {
             Strategy::Octopus => {

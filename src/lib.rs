@@ -68,8 +68,8 @@ pub use octopus_telemetry as telemetry;
 /// The most common imports in one place.
 pub mod prelude {
     pub use octopus_core::{
-        AggregateKind, AggregateValue, ApproxOctopus, CostModel, Octopus, OctopusCon, Planner,
-        Probe, QueryScratch, QueryShape, ShapeResult, Strategy, SurfaceIndex,
+        AggregateKind, AggregateValue, ApproxOctopus, Characteristics, CostModel, Octopus,
+        OctopusCon, Planner, Probe, QueryScratch, QueryShape, ShapeResult, Strategy, SurfaceIndex,
     };
     pub use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Region, Vec3, VertexId};
     pub use octopus_index::{DynamicIndex, LinearScan};

@@ -122,18 +122,18 @@ fn planner_switches_strategy_with_query_size() {
     // *calibrated* model on this coarse quick-scale mesh (S ≈ 0.4) can
     // legitimately conclude OCTOPUS never wins (crossover clamps to 0) —
     // machine-dependent, so not a stable test premise.
-    let surface = SurfaceIndex::build(&mesh).unwrap();
-    let planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), 10);
+    let data = Characteristics::of(&mesh, &SurfaceIndex::build(&mesh).unwrap());
+    let planner = Planner::new(&mesh, CostModel::paper_constants(), 10);
     let bounds = mesh.bounding_box();
-    let tiny = planner.decide(&Aabb::cube(bounds.center(), 0.02));
-    let huge = planner.decide(&bounds);
+    let tiny = planner.decide(data, &Aabb::cube(bounds.center(), 0.02));
+    let huge = planner.decide(data, &bounds);
     assert_eq!(tiny.strategy, Strategy::Octopus);
     assert_eq!(huge.strategy, Strategy::LinearScan);
     assert!(tiny.predicted_speedup > huge.predicted_speedup);
 
     // The calibrated model still yields a well-formed, self-consistent
     // decision (whatever it is on this machine).
-    let calibrated = Planner::new(&mesh, &surface, CostModel::calibrate(&mesh, 1), 10);
-    let d = calibrated.decide(&Aabb::cube(bounds.center(), 0.02));
+    let calibrated = Planner::new(&mesh, CostModel::calibrate(&mesh, 1), 10);
+    let d = calibrated.decide(data, &Aabb::cube(bounds.center(), 0.02));
     assert!(d.predicted_speedup.is_finite() && d.crossover_selectivity >= 0.0);
 }

@@ -115,13 +115,14 @@ proptest! {
         let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 5, 5, 5);
         let mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
         let surface = SurfaceIndex::build(&mesh).unwrap();
-        let planner = Planner::new(&mesh, &surface, CostModel::paper_constants(), 6);
+        let planner = Planner::new(&mesh, CostModel::paper_constants(), 6);
+        let data = Characteristics::of(&mesh, &surface);
         let mut rng = octopus::geom::rng::SplitMix64::new(seed);
         let q = Aabb::cube(
             Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
             half,
         );
-        let d = planner.decide(&q);
+        let d = planner.decide(data, &q);
         let expect_octopus = d.estimated_selectivity < d.crossover_selectivity;
         prop_assert_eq!(
             matches!(d.strategy, octopus::prelude::Strategy::Octopus),
