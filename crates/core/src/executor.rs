@@ -8,7 +8,9 @@ use crate::surface_grid::SurfaceGrid;
 use crate::surface_index::SurfaceIndex;
 use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
-use octopus_mesh::{Mesh, MeshError, SurfaceDelta};
+use octopus_mesh::{Csr, Mesh, MeshError, SurfaceDelta};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -201,34 +203,325 @@ impl QueryScratch {
 /// at all ([`SurfaceGrid::component_in_reach`]): a comparison per
 /// component instead of a walk, exact under the premise stated in
 /// [`crate::surface_grid`].
-#[derive(Debug, Default)]
+///
+/// **How it follows the mesh.** Built once by a search over every
+/// vertex ([`Csr::connected_components`]); after that a restructuring
+/// delta *patches* it ([`ComponentMap::patch`], O(what the operations
+/// touched)) and a relabelling *maps* it ([`ComponentMap::relabelled`]).
+/// The search runs again only when a patch cannot vouch for its result
+/// — a delta that skips an operation, a cut edge whose ends do not meet
+/// again within [`MEET_BUDGET`] — and the executor's metrics count each
+/// time it does.
+/// Ids are the search's on a fresh build and after a relabelling;
+/// patched ones are the same partition under other numbers.
+///
+/// [`Csr::connected_components`]: octopus_mesh::Csr::connected_components
+#[derive(Clone, Debug, Default)]
 struct ComponentMap {
     /// Component id per vertex.
     component_of: Vec<u32>,
-    /// Number of components.
-    count: usize,
-    /// Surface vertex ids grouped by component.
+    /// Surface vertex ids grouped by component, each list ascending;
+    /// its length is the number of components.
     surface_by_component: Vec<Vec<VertexId>>,
-    /// Typical edge length (sampled at build time) — the scale against
-    /// which a failed walk's stall distance is judged. Deformation
-    /// drifts it, which is fine: it only gates a retry heuristic.
+    /// Typical edge length (sampled when the executor was first built)
+    /// — the scale against which a failed walk's stall distance is
+    /// judged. Deformation and restructuring drift it, which is fine:
+    /// it only gates a retry heuristic.
     edge_scale: f32,
+    /// [`Mesh::restructure_epoch`] of the mesh the map describes: a
+    /// delta must advance it to the next mesh's for a patch to apply.
+    epoch: u64,
 }
 
+/// The id of a vertex a patch has not placed (never left in a map).
+const UNPLACED: u32 = u32::MAX;
+
+/// Vertices [`still_joined`] may visit before it gives up on confirming
+/// that a cut left its component whole.
+const MEET_BUDGET: usize = 1024;
+
 impl ComponentMap {
-    fn build(mesh: &Mesh, surface: &SurfaceIndex) -> ComponentMap {
+    /// The map of `mesh`, by a search over every vertex.
+    fn build(mesh: &Mesh, surface: &SurfaceIndex, edge_scale: f32) -> ComponentMap {
         let (component_of, count) = mesh.adjacency().connected_components();
         let mut surface_by_component = vec![Vec::new(); count];
         for &v in surface.ids() {
             surface_by_component[component_of[v as usize] as usize].push(v);
         }
+        for ids in &mut surface_by_component {
+            ids.sort_unstable();
+        }
         ComponentMap {
             component_of,
-            count,
             surface_by_component,
-            edge_scale: sample_edge_scale(mesh),
+            edge_scale,
+            epoch: mesh.restructure_epoch(),
         }
     }
+
+    /// Number of components.
+    #[inline]
+    fn count(&self) -> usize {
+        self.surface_by_component.len()
+    }
+
+    /// Brings the map to `mesh`, the mesh it describes after `delta`'s
+    /// operations (`surface` already carries them): patched when
+    /// [`ComponentMap::patch`] vouches for it, searched afresh
+    /// otherwise. Returns whether it patched.
+    fn follow(&mut self, mesh: &Mesh, delta: &SurfaceDelta, surface: &SurfaceIndex) -> bool {
+        let patched = self.patch(mesh, delta);
+        if !patched {
+            *self = ComponentMap::build(mesh, surface, self.edge_scale);
+        }
+        debug_assert!(
+            self.matches_rebuild(mesh, surface),
+            "the patched component map diverged from the search"
+        );
+        patched
+    }
+
+    /// Patches the map into the map of `mesh`, given that `delta`
+    /// carries every operation between the mesh the map describes and
+    /// `mesh`. Returns `false` — the map is then half-patched and must be
+    /// rebuilt — when it cannot vouch for the result: `delta` does not
+    /// account for every epoch in between, or a cut may have split a
+    /// component.
+    ///
+    /// It rests on the operations' shape: none joins two components (a
+    /// removal only deletes edges; a refinement's new edges all end at
+    /// its new vertex, inside the refined cell), and the edges they
+    /// delete are `delta.cut`, all between `delta.touched` vertices. So
+    /// * a new vertex joins its smallest neighbour's component (an older
+    ///   vertex: a refinement appends its centroid after the corners);
+    /// * a touched vertex left in no live cell is a component of its
+    ///   own, as the search has it: the first such vertex of a component
+    ///   nothing else of survives keeps the old id, any other gets a
+    ///   fresh one;
+    /// * every other vertex keeps its component, unless a cut split it —
+    ///   which it did not if the ends of the cut edges that are still in
+    ///   a live cell meet again, group by group where cut edges chain
+    ///   into each other (an old path between two surviving vertices
+    ///   detours around every cut run it used). [`cuts_rejoined`] checks
+    ///   that by searches that stop as soon as their ends have met; most
+    ///   operations cut nothing and search nothing.
+    ///
+    /// Surface lists follow `delta.removed` / `delta.added`.
+    fn patch(&mut self, mesh: &Mesh, delta: &SurfaceDelta) -> bool {
+        let (old_n, n) = (self.component_of.len(), mesh.num_vertices());
+        if self.epoch + delta.ops != mesh.restructure_epoch()
+            || n < old_n
+            || !cuts_rejoined(mesh.adjacency(), &delta.cut)
+        {
+            return false;
+        }
+        // Vertices that left the surface go while their ids still name
+        // their lists (an orphan below may get a new one).
+        for &v in &delta.removed {
+            let Some(&k) = self.component_of.get(v as usize) else {
+                return false;
+            };
+            let ids = &mut self.surface_by_component[k as usize];
+            match ids.binary_search(&v) {
+                Ok(at) => ids.remove(at),
+                Err(_) => return false,
+            };
+        }
+        self.component_of.resize(n, UNPLACED);
+        for v in old_n..n {
+            self.component_of[v] = match mesh.neighbors(v as VertexId).first() {
+                Some(&w) => self.component_of[w as usize],
+                None => self.fresh_id(),
+            };
+        }
+        if self.component_of[old_n..].contains(&UNPLACED) {
+            return false;
+        }
+        // The components that kept a touched vertex in a live cell keep
+        // their ids; a touched vertex without one is an orphan.
+        let (mut kept, mut orphans) = (Vec::new(), Vec::new());
+        for &v in &delta.touched {
+            match self.component_of.get(v as usize) {
+                None => return false,
+                Some(&k) if mesh.is_vertex_active(v) => kept.push(k),
+                Some(_) => orphans.push(v),
+            }
+        }
+        kept.sort_unstable();
+        for v in orphans.into_iter().filter(|&v| (v as usize) < old_n) {
+            let k = self.component_of[v as usize];
+            if kept.binary_search(&k).is_ok() {
+                self.component_of[v as usize] = self.fresh_id();
+            } else {
+                kept.insert(kept.partition_point(|&j| j < k), k);
+            }
+        }
+        for &v in &delta.added {
+            let ids = &mut self.surface_by_component[self.component_of[v as usize] as usize];
+            match ids.binary_search(&v) {
+                Ok(_) => return false,
+                Err(at) => ids.insert(at, v),
+            }
+        }
+        self.epoch = mesh.restructure_epoch();
+        true
+    }
+
+    /// A new component with no surface vertex yet; returns its id.
+    fn fresh_id(&mut self) -> u32 {
+        self.surface_by_component.push(Vec::new());
+        self.count() as u32 - 1
+    }
+
+    /// The map of the same mesh after a vertex relabelling (`old`
+    /// became `perm[old]`): every id moves with its vertex, the ids are
+    /// renumbered in the order of each component's smallest vertex —
+    /// the order the search numbers them in — and the surface lists are
+    /// mapped and re-sorted. O(V + S log S) and no search: equal to a
+    /// fresh build of the relabelled mesh.
+    fn relabelled(&self, perm: &[VertexId]) -> ComponentMap {
+        let mut component_of = vec![UNPLACED; self.component_of.len()];
+        for (old, &new) in perm.iter().enumerate() {
+            component_of[new as usize] = self.component_of[old];
+        }
+        let mut renumbered = vec![UNPLACED; self.count()];
+        let mut next = 0;
+        for k in &mut component_of {
+            let id = &mut renumbered[*k as usize];
+            if *id == UNPLACED {
+                *id = next;
+                next += 1;
+            }
+            *k = *id;
+        }
+        let mut surface_by_component = vec![Vec::new(); self.count()];
+        for (ids, &k) in self.surface_by_component.iter().zip(&renumbered) {
+            let mut moved: Vec<VertexId> = ids.iter().map(|&v| perm[v as usize]).collect();
+            moved.sort_unstable();
+            surface_by_component[k as usize] = moved;
+        }
+        ComponentMap {
+            component_of,
+            surface_by_component,
+            ..*self
+        }
+    }
+
+    /// True when the map is the search's over `mesh` up to the
+    /// numbering: the same partition, and the same surface vertices in
+    /// each part. The debug builds' cross-check of every patch.
+    fn matches_rebuild(&self, mesh: &Mesh, surface: &SurfaceIndex) -> bool {
+        let fresh = ComponentMap::build(mesh, surface, self.edge_scale);
+        if fresh.count() != self.count() || fresh.component_of.len() != self.component_of.len() {
+            return false;
+        }
+        let mut to_fresh = vec![UNPLACED; self.count()];
+        for (&ours, &theirs) in self.component_of.iter().zip(&fresh.component_of) {
+            let slot = &mut to_fresh[ours as usize];
+            if *slot != UNPLACED && *slot != theirs {
+                return false;
+            }
+            *slot = theirs;
+        }
+        let mut image = to_fresh.clone();
+        image.sort_unstable();
+        image.dedup();
+        image.len() == self.count()
+            && !image.contains(&UNPLACED)
+            && to_fresh
+                .iter()
+                .zip(&self.surface_by_component)
+                .all(|(&k, ids)| fresh.surface_by_component[k as usize] == *ids)
+    }
+}
+
+/// Whether deleting the `cut` edges left every component whole: the
+/// ends of edges that chain into each other (share an end) form a
+/// group, and each group's ends still in a live cell must still meet
+/// ([`still_joined`]). Ends without a live cell are orphans, which the
+/// caller makes components of their own; a chain through one joins the
+/// ends on either side into one group, as a path through it did.
+fn cuts_rejoined(adjacency: &Csr, cut: &[(VertexId, VertexId)]) -> bool {
+    let mut ends: Vec<VertexId> = cut.iter().flat_map(|&(a, b)| [a, b]).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let at = |v: VertexId| ends.binary_search(&v).expect("every end is listed");
+    let mut parent: Vec<usize> = (0..ends.len()).collect();
+    for &(a, b) in cut {
+        let (ra, rb) = (root(&mut parent, at(a)), root(&mut parent, at(b)));
+        parent[ra] = rb;
+    }
+    let mut groups: Vec<(usize, VertexId)> = Vec::new();
+    for (i, &v) in ends.iter().enumerate() {
+        if adjacency.degree(v) > 0 {
+            groups.push((root(&mut parent, i), v));
+        }
+    }
+    groups.sort_unstable();
+    groups
+        .chunk_by(|a, b| a.0 == b.0)
+        .all(|run| run.len() < 2 || still_joined(adjacency, run.iter().map(|&(_, v)| v)))
+}
+
+/// The representative of `i`'s set in a union-find forest, halving the
+/// path on the way.
+fn root(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// Whether `sources` — distinct vertices of one component before the
+/// cut — still lie in one component. A search grows from each source in
+/// turn, one vertex at a time; searches that reach each other's
+/// vertices merge, and the answer is yes as soon as one search holds
+/// every source. No when a search runs out of vertices before that (its
+/// source's piece was cut off), or when the searches visited
+/// [`MEET_BUDGET`] vertices without meeting: a caller that cannot tell
+/// those apart searches the whole mesh anyway.
+fn still_joined(adjacency: &Csr, sources: impl Iterator<Item = VertexId>) -> bool {
+    let mut owner: HashMap<VertexId, usize> = HashMap::new();
+    let mut queues: Vec<VecDeque<VertexId>> = Vec::new();
+    for (i, v) in sources.enumerate() {
+        owner.insert(v, i);
+        queues.push(VecDeque::from([v]));
+    }
+    // Union-find over the searches; only a root's queue is in use.
+    let mut parent: Vec<usize> = (0..queues.len()).collect();
+    let mut searches = queues.len();
+    while searches > 1 && owner.len() <= MEET_BUDGET {
+        for i in 0..queues.len() {
+            if parent[i] != i {
+                continue;
+            }
+            let Some(v) = queues[i].pop_front() else {
+                return false;
+            };
+            for &w in adjacency.neighbors(v) {
+                match owner.entry(w) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(i);
+                        queues[i].push_back(w);
+                    }
+                    Entry::Occupied(slot) => {
+                        let other = root(&mut parent, *slot.get());
+                        if other != i {
+                            parent[other] = i;
+                            let merged = std::mem::take(&mut queues[other]);
+                            queues[i].extend(merged);
+                            searches -= 1;
+                            if searches == 1 {
+                                return true;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    searches <= 1
 }
 
 /// Samples ~1000 vertices' first edges for the typical edge length.
@@ -288,15 +581,26 @@ impl Octopus {
         Octopus::assemble(surface, mesh, OnceLock::new())
     }
 
-    /// The one constructor body: component map and scratch for
-    /// `surface` over `mesh`, recording into `metrics`.
+    /// The constructor body of a first build: the component map by a
+    /// search over `mesh`, and the typical edge length sampled.
     fn assemble(
         surface: SurfaceIndex,
         mesh: &Mesh,
         metrics: OnceLock<Arc<ExecutorMetrics>>,
     ) -> Octopus {
-        let components = ComponentMap::build(mesh, &surface);
-        let scratch = QueryScratch::new(mesh.num_vertices(), components.count);
+        let components = ComponentMap::build(mesh, &surface, sample_edge_scale(mesh));
+        Octopus::from_parts(surface, components, mesh, metrics)
+    }
+
+    /// The executor over `surface` and `components` for `mesh`, with a
+    /// fresh scratch, recording into `metrics`.
+    fn from_parts(
+        surface: SurfaceIndex,
+        components: ComponentMap,
+        mesh: &Mesh,
+        metrics: OnceLock<Arc<ExecutorMetrics>>,
+    ) -> Octopus {
+        let scratch = QueryScratch::new(mesh.num_vertices(), components.count());
         Octopus {
             surface,
             components,
@@ -309,7 +613,7 @@ impl Octopus {
     /// give each worker its own scratch and share the executor itself
     /// behind `&Octopus` (see [`Octopus::query_with`]).
     pub fn make_scratch(&self, mesh: &Mesh) -> QueryScratch {
-        QueryScratch::new(mesh.num_vertices(), self.components.count)
+        QueryScratch::new(mesh.num_vertices(), self.components.count())
     }
 
     /// The surface index (inspection / tests).
@@ -329,29 +633,37 @@ impl Octopus {
             self.surface.ids(),
             positions,
             &self.components.component_of,
-            self.components.count,
+            self.components.count(),
             cell,
         )
     }
 
-    /// Applies a restructuring delta to the surface index and recomputes
-    /// the component map (§IV-E2; connectivity changed, positions are
-    /// irrelevant). Not needed for deformation.
+    /// Applies a restructuring delta to the surface index and patches
+    /// the component map from it (§IV-E2; connectivity changed,
+    /// positions are irrelevant) — O(what the operations touched), with
+    /// a search over the whole mesh only where a patch cannot vouch for
+    /// itself (see `ComponentMap::patch`; the attached metrics count
+    /// both outcomes). `delta` must carry every operation since the mesh
+    /// this executor last followed; one that skips an operation costs
+    /// the search, never a stale map. Not needed for deformation.
     pub fn on_restructure(&mut self, mesh: &Mesh, delta: &SurfaceDelta) {
         self.surface.apply_delta(delta);
-        self.components = ComponentMap::build(mesh, &self.surface);
+        let patched = self.components.follow(mesh, delta, &self.surface);
+        self.note_component_map(patched);
     }
 
     /// Non-destructive sibling of [`Octopus::on_restructure`]: returns a
     /// *new* executor for the post-restructuring `mesh` while `self`
     /// keeps answering for the pre-restructuring snapshot. The surface
-    /// index is cloned and delta-patched (O(surface + delta), no
-    /// re-extraction). This is how
-    /// a snapshot ring gives each retained connectivity generation its
-    /// own executor — older pinned snapshots stay queryable while newer
-    /// steps restructure ahead of them.
+    /// index and the component map are copied and delta-patched, as
+    /// [`Octopus::on_restructure`] patches them (no re-extraction, and
+    /// a search over the mesh only where the patch cannot vouch for
+    /// itself). This is how a snapshot ring gives each retained
+    /// connectivity generation its own executor — older pinned
+    /// snapshots stay queryable while newer steps restructure ahead of
+    /// them.
     ///
-    /// Only `mesh`'s adjacency and positions are read (for the
+    /// Only `mesh`'s adjacency and restructure epoch are read (for the
     /// component map), never its surface or face table: a
     /// [`Mesh::snapshot`] is all the ring needs to hand in, and the
     /// executor's own index is from here on the only holder of S on the
@@ -360,19 +672,49 @@ impl Octopus {
     pub fn restructured(&self, mesh: &Mesh, delta: &SurfaceDelta) -> Octopus {
         let mut surface = self.surface.clone();
         surface.apply_delta(delta);
-        Octopus::assemble(surface, mesh, self.metrics.clone())
+        let mut components = self.components.clone();
+        let patched = components.follow(mesh, delta, &surface);
+        self.note_component_map(patched);
+        Octopus::from_parts(surface, components, mesh, self.metrics.clone())
     }
 
     /// The executor for `mesh` = this executor's mesh relabelled by
     /// `perm` (vertex `old` became `perm[old]`, as
-    /// [`Mesh::permute_vertices`] does): the surface index is mapped
-    /// through the permutation and the component map recomputed over
-    /// the relabelled adjacency. Like [`Octopus::restructured`] it
-    /// derives instead of extracting (and inherits telemetry), so a
-    /// re-layout costs the monitor no surface extraction and cannot
-    /// fail.
+    /// [`Mesh::permute_vertices`] does): the surface index and the
+    /// component map are mapped through the permutation, which leaves
+    /// both equal to a fresh build's. Like [`Octopus::restructured`] it
+    /// derives instead of extracting or searching (and inherits
+    /// telemetry), so a re-layout costs the monitor no surface
+    /// extraction and cannot fail. A `mesh` of another connectivity
+    /// generation than this executor's gets a search, counted as
+    /// [`Octopus::on_restructure`] counts one.
     pub fn relabelled(&self, mesh: &Mesh, perm: &[VertexId]) -> Octopus {
-        Octopus::assemble(self.surface.permuted(perm), mesh, self.metrics.clone())
+        let surface = self.surface.permuted(perm);
+        let map = &self.components;
+        let relabels = mesh.restructure_epoch() == map.epoch
+            && mesh.num_vertices() == map.component_of.len()
+            && perm.len() == map.component_of.len();
+        let components = if relabels {
+            map.relabelled(perm)
+        } else {
+            ComponentMap::build(mesh, &surface, map.edge_scale)
+        };
+        debug_assert!(components.matches_rebuild(mesh, &surface));
+        self.note_component_map(relabels);
+        Octopus::from_parts(surface, components, mesh, self.metrics.clone())
+    }
+
+    /// The component map, for tests: each vertex's component id, and
+    /// each component's surface vertices, ascending (one list per
+    /// component). Ids are arbitrary up to renumbering; the partition
+    /// and the lists are what [`octopus_mesh::Csr::connected_components`]
+    /// gives.
+    #[doc(hidden)]
+    pub fn component_map(&self) -> (&[u32], &[Vec<VertexId>]) {
+        (
+            &self.components.component_of,
+            &self.components.surface_by_component,
+        )
     }
 
     /// Executes a range query, appending all vertices of `mesh` whose
@@ -616,6 +958,14 @@ impl Octopus {
         surface + scratch
     }
 
+    /// Count how the component map followed a restructure or a
+    /// relabelling, when a sink is attached.
+    fn note_component_map(&self, patched: bool) {
+        if let Some(m) = self.metrics.get() {
+            m.record_component_map(patched);
+        }
+    }
+
     /// Feed one query's timings to the sink, when attached.
     #[inline]
     fn note(&self, mode: ExecMode, t: &PhaseTimings) {
@@ -736,7 +1086,7 @@ fn run_seeding<R: Region>(
     let mut stats = PhaseTimings::default();
     let positions = mesh.positions();
     scratch.crawler.begin_query(mesh.num_vertices());
-    scratch.seeded.begin(components.count);
+    scratch.seeded.begin(components.count());
 
     // Phase 1: surface probe. The hot pass is a pure membership test
     // over a prefetching gather ([`gather`]); the branchless containment
@@ -765,10 +1115,10 @@ fn run_seeding<R: Region>(
     // surface produced no seed may still intersect the query with fully
     // interior material — unless the probe's bound rules it out, the
     // walk decides. The clock starts with the first walk that runs.
-    if seeded_components < components.count {
+    if seeded_components < components.count() {
         let bounds = q.bounds();
         let mut started = None;
-        for c in 0..components.count {
+        for c in 0..components.count() {
             if scratch.seeded.is_marked(c) {
                 continue;
             }
@@ -863,7 +1213,7 @@ impl Octopus {
             queries.len()
         );
         let components = &self.components;
-        group.begin_group(mesh.num_vertices(), components.count, queries.len());
+        group.begin_group(mesh.num_vertices(), components.count(), queries.len());
 
         // Phase 1: the shared probe.
         let t0 = Instant::now();
@@ -877,7 +1227,7 @@ impl Octopus {
         let mut started = None;
         for (j, (q, t)) in queries.iter().zip(timings.iter_mut()).enumerate() {
             *t = PhaseTimings::default();
-            for c in 0..components.count {
+            for c in 0..components.count() {
                 if group.component_seeded(c, j as u32) {
                     continue;
                 }

@@ -72,6 +72,12 @@ pub struct ExecutorMetrics {
     /// `surface_grid_candidates` — ids visited per grid probe; against
     /// the surface size it is what the grid saved.
     grid_candidates: Histogram,
+    /// `executor_component_patches_total` /
+    /// `executor_component_rebuilds_total` — restructures and
+    /// relabellings the component map followed by a patch, and those
+    /// that needed a search over the whole mesh instead.
+    component_patches: Counter,
+    component_rebuilds: Counter,
     surface_index_bytes: Gauge,
     scratch_bytes: Gauge,
 }
@@ -94,6 +100,8 @@ impl ExecutorMetrics {
             walks: registry.counter("executor_walks_total"),
             walks_pruned: registry.counter("executor_walks_pruned_total"),
             grid_candidates: registry.histogram("surface_grid_candidates"),
+            component_patches: registry.counter("executor_component_patches_total"),
+            component_rebuilds: registry.counter("executor_component_rebuilds_total"),
             surface_index_bytes: registry.gauge("executor_surface_index_bytes"),
             scratch_bytes: registry.gauge("executor_scratch_bytes"),
         })
@@ -159,6 +167,16 @@ impl ExecutorMetrics {
         self.queries.inc();
         self.record_phases(t);
         self.results.record(t.results as u64);
+    }
+
+    /// Record how the component map followed one restructure or
+    /// relabelling: patched, or searched afresh.
+    pub fn record_component_map(&self, patched: bool) {
+        if patched {
+            self.component_patches.inc();
+        } else {
+            self.component_rebuilds.inc();
+        }
     }
 
     /// Publish the executor memory footprint gauges (surface index and

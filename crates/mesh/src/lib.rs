@@ -33,7 +33,7 @@ pub mod validate;
 pub use adjacency::Csr;
 pub use cell::{CellKind, FaceKey};
 pub use error::MeshError;
-pub use mesh::{Mesh, PositionBlocksRef, SurfaceDelta};
+pub use mesh::{Mesh, PositionBlocksRef, SurfaceDelta, CELLS_PER_BLOCK};
 pub use octopus_geom::{CellId, VertexId};
 pub use soa::{block_lane, PositionBlock, PositionBlocks, BLOCK_LANES};
 pub use stats::MeshStats;

@@ -32,7 +32,10 @@
 //! mode*, with the same filing kept permanently: it supports
 //! O(faces-per-cell) cell insertion/removal and answers "is this face
 //! boundary" / "which cell is the twin" queries by scanning one short
-//! bucket, from which [`crate::Mesh`] derives exact surface deltas.
+//! bucket, from which [`crate::Mesh`] derives exact surface deltas, and
+//! "which cells contain this vertex" by scanning the few buckets its
+//! faces can be filed under ([`FaceTable::cells_around`]), from which it
+//! patches the adjacency.
 
 use crate::{CellKind, FaceKey, MeshError};
 use octopus_geom::{CellId, VertexId};
@@ -414,6 +417,24 @@ impl FaceTable {
     #[inline]
     pub fn is_boundary(&self, key: &FaceKey) -> bool {
         self.count(key) == 1
+    }
+
+    /// Appends to `out` the cells of every face containing `v` that is
+    /// filed under `v` or under a vertex of `lower` — every live cell
+    /// containing `v` when `lower` holds every smaller vertex a face
+    /// containing `v` can be filed under (its smallest vertex). A cell
+    /// comes once per such face, so `out` may repeat it. This is how a
+    /// restructuring operation finds the cells around the vertices it
+    /// touched ([`crate::Mesh`]'s adjacency patch): by scanning a few
+    /// short buckets, without a per-vertex incidence list.
+    pub fn cells_around(&self, v: VertexId, lower: &[VertexId], out: &mut Vec<CellId>) {
+        for &u in std::iter::once(&v).chain(lower) {
+            for rec in self.buckets.get(u as usize).into_iter().flatten() {
+                if u == v || rec.tail.contains(&v) {
+                    out.extend_from_slice(&rec.cells[..usize::from(rec.count)]);
+                }
+            }
+        }
     }
 
     /// The cell on the other side of `key` from `cell`, if any.

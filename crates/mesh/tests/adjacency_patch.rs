@@ -5,17 +5,29 @@
 //! operation. CI runs the crate's suites under `--release` too, where
 //! the in-crate `debug_assertions` cross-check is compiled out.
 //!
+//! The patch finds the cells around the touched vertices through the
+//! face table, in the buckets their faces can be filed under: one hop
+//! from a touched vertex on tetrahedra, two on hexahedra, where a quad
+//! can be filed under the vertex diagonally across from it
+//! ([`hex_face_filed_under_the_far_corner`] is the case a one-hop
+//! look-up misses). The op sequences run on lattices of both kinds and
+//! on the `meshgen` neuron mesh.
+//!
 //! The same op sequences hold the vertex set to what standing queries
 //! patch their candidate lists by ([`VertexLedger`]): restructuring
 //! only ever orphans existing vertices and appends new ids. And they
 //! hold the sharing contract ([`Held`]): a snapshot or clone taken
-//! mid-sequence shares the connectivity it was taken from, and no later
-//! operation on the source writes through to it.
+//! mid-sequence shares the connectivity it was taken from, no later
+//! operation on the source writes through to it, and the source copies
+//! only the cell blocks its operations write — every other block stays
+//! shared by pointer.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Point3, VertexId};
-use octopus_mesh::{CellKind, Csr, Mesh, Surface};
+use octopus_mesh::{CellKind, Csr, Mesh, Surface, SurfaceDelta, CELLS_PER_BLOCK};
+use octopus_meshgen::{neuron, NeuroLevel};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn lattice_points(n: usize) -> Vec<Point3> {
     let mut points = Vec::new();
@@ -158,9 +170,14 @@ struct Held {
     taken_at: String,
     positions: Vec<Point3>,
     cell_capacity: usize,
+    /// `cell(c)` of every slot, tombstones included.
+    cells: Vec<Vec<VertexId>>,
     live_cells: Vec<(u32, Vec<VertexId>)>,
     neighbors: Vec<Vec<VertexId>>,
     epoch: u64,
+    /// Cell blocks the source's operations wrote since: the only ones
+    /// it may have copied.
+    written: BTreeSet<usize>,
 }
 
 impl Held {
@@ -180,12 +197,16 @@ impl Held {
             taken_at: ctx.to_string(),
             positions: mesh.positions().to_vec(),
             cell_capacity: mesh.cell_capacity(),
+            cells: (0..mesh.cell_capacity() as u32)
+                .map(|c| mesh.cell(c).to_vec())
+                .collect(),
             live_cells: mesh.live_cells().map(|(c, v)| (c, v.to_vec())).collect(),
             neighbors: (0..mesh.num_vertices() as VertexId)
                 .map(|v| mesh.neighbors(v).to_vec())
                 .collect(),
             epoch: mesh.restructure_epoch(),
             mesh,
+            written: BTreeSet::new(),
         }
     }
 
@@ -195,6 +216,9 @@ impl Held {
         assert_eq!(mesh.cell_capacity(), self.cell_capacity, "taken {at}");
         assert_eq!(mesh.num_cells(), self.live_cells.len(), "taken {at}");
         assert_eq!(mesh.restructure_epoch(), self.epoch, "taken {at}");
+        for (c, cell) in self.cells.iter().enumerate() {
+            assert_eq!(mesh.cell(c as u32), &cell[..], "taken {at}: cell {c}");
+        }
         let live: Vec<_> = mesh.live_cells().map(|(c, v)| (c, v.to_vec())).collect();
         assert_eq!(live, self.live_cells, "taken {at}");
         for (v, list) in self.neighbors.iter().enumerate() {
@@ -202,6 +226,50 @@ impl Held {
             assert_eq!(mesh.neighbors(v), &list[..], "taken {at}: vertex {v}");
             assert_eq!(mesh.is_vertex_active(v), !list.is_empty(), "taken {at}");
         }
+    }
+
+    /// `source` — the mesh this one was taken from, since operated on —
+    /// still shares every cell block no operation wrote.
+    fn assert_shares_unwritten_blocks(&self, source: &Mesh) {
+        for b in 0..self.cell_capacity.div_ceil(CELLS_PER_BLOCK) {
+            let first = (b * CELLS_PER_BLOCK) as u32;
+            let shared = std::ptr::eq(self.mesh.cell(first), source.cell(first));
+            assert_eq!(
+                shared,
+                !self.written.contains(&b),
+                "taken {}: block {b} (written: {:?})",
+                self.taken_at,
+                self.written
+            );
+        }
+    }
+}
+
+/// Takes a [`Held`] every [`HOLD_EVERY`] ops, runs `ops` random ops on
+/// `mesh` (fewer once one cell is left), checks the patch against the
+/// rebuild and the vertex ledger after each, then holds every snapshot
+/// to what it answered and to the blocks it shares with `mesh`.
+fn run_sequence(mut mesh: Mesh, rng: &mut SplitMix64, ops: usize, ctx: &str) {
+    let mut ledger = VertexLedger::new(&mesh);
+    let mut held: Vec<Held> = Vec::new();
+    for op in 0..ops {
+        if mesh.num_cells() <= 1 {
+            break;
+        }
+        if op % HOLD_EVERY == 0 {
+            held.push(Held::take(&mesh, held.len(), &format!("{ctx} op {op}")));
+        }
+        let (what, written) = random_op(&mut mesh, rng);
+        for h in &mut held {
+            h.written.extend(&written);
+        }
+        let ctx = format!("{ctx} op {op} ({what})");
+        assert_matches_rebuild(&mesh, &ctx);
+        ledger.observe(&mesh, &ctx);
+    }
+    for h in &held {
+        h.assert_untouched();
+        h.assert_shares_unwritten_blocks(&mesh);
     }
 }
 
@@ -217,16 +285,51 @@ fn random_live_cell(mesh: &Mesh, rng: &mut SplitMix64) -> u32 {
     }
 }
 
-/// One random operation (refine only where the kind allows it).
-fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> String {
+/// One random operation (refine only where the kind allows it), and
+/// the cell blocks it wrote: the operated cell's (tombstoned) and those
+/// its new cells went to. Checks the delta's account of connectivity
+/// against the adjacency before and after ([`assert_delta_accounts`]).
+fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> (String, Vec<usize>) {
     let c = random_live_cell(mesh, rng);
-    if mesh.kind() == CellKind::Tet4 && rng.chance(0.4) {
-        mesh.refine_tet(c).unwrap();
-        format!("refine {c}")
+    let before = mesh.cell_capacity();
+    let old = mesh.adjacency().clone();
+    let (what, delta) = if mesh.kind() == CellKind::Tet4 && rng.chance(0.4) {
+        (format!("refine {c}"), mesh.refine_tet(c).unwrap().1)
     } else {
-        mesh.remove_cell(c).unwrap();
-        format!("remove {c}")
+        (format!("remove {c}"), mesh.remove_cell(c).unwrap())
+    };
+    assert_delta_accounts(&old, mesh, &delta, &what);
+    let written = std::iter::once(c as usize)
+        .chain(before..mesh.cell_capacity())
+        .map(|cell| cell / CELLS_PER_BLOCK)
+        .collect();
+    (what, written)
+}
+
+/// One operation's delta names every vertex whose neighbour list
+/// changed (new vertices included) in `touched`, exactly the deleted
+/// edges in `cut`, and one operation in `ops`.
+fn assert_delta_accounts(old: &Csr, mesh: &Mesh, delta: &SurfaceDelta, ctx: &str) {
+    assert_eq!(delta.ops, 1, "{ctx}");
+    assert!(delta.touched.windows(2).all(|w| w[0] < w[1]), "{ctx}");
+    let new = mesh.adjacency();
+    let mut cut = Vec::new();
+    for v in 0..mesh.num_vertices() as VertexId {
+        let was: &[VertexId] = if (v as usize) < old.num_vertices() {
+            old.neighbors(v)
+        } else {
+            &[]
+        };
+        if was != new.neighbors(v) {
+            assert!(delta.touched.binary_search(&v).is_ok(), "{ctx}: {v}");
+        }
+        cut.extend(
+            was.iter()
+                .filter(|&&w| v < w && !new.has_edge(v, w))
+                .map(|&w| (v, w)),
+        );
     }
+    assert_eq!(delta.cut, cut, "{ctx}: cut edges");
 }
 
 fn shuffled_identity(n: usize, rng: &mut SplitMix64) -> Vec<VertexId> {
@@ -245,43 +348,18 @@ proptest! {
         let mut mesh = tet_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
-        let mut ledger = VertexLedger::new(&mesh);
-        let mut held = Vec::new();
-        let mut ops = 0;
-        while mesh.num_cells() > 1 && ops < 120 {
-            if ops % HOLD_EVERY == 0 {
-                held.push(Held::take(&mesh, held.len(), &format!("n {n} seed {seed} op {ops}")));
-            }
-            let op = random_op(&mut mesh, &mut rng);
-            ops += 1;
-            let ctx = format!("n {n} seed {seed} op {ops} ({op})");
-            assert_matches_rebuild(&mesh, &ctx);
-            ledger.observe(&mesh, &ctx);
-        }
-        held.iter().for_each(Held::assert_untouched);
+        run_sequence(mesh, &mut rng, 120, &format!("n {n} seed {seed}"));
     }
 
     /// `remove_cell` on a hex grid (12 edges a cell, not all vertex
-    /// pairs: the patch must enumerate edges, not pairs).
+    /// pairs: the patch must enumerate edges, not pairs), until one
+    /// cell is left.
     #[test]
     fn hex_patch_equals_rebuild_after_every_op(n in 1usize..4, seed in 0u64..10_000) {
         let mut mesh = hex_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
-        let mut ledger = VertexLedger::new(&mesh);
-        let mut held = Vec::new();
-        let mut ops = 0;
-        while mesh.num_cells() > 1 {
-            if ops % HOLD_EVERY == 0 {
-                held.push(Held::take(&mesh, held.len(), &format!("n {n} seed {seed} op {ops}")));
-            }
-            let op = random_op(&mut mesh, &mut rng);
-            ops += 1;
-            let ctx = format!("n {n} seed {seed} op {ops} ({op})");
-            assert_matches_rebuild(&mesh, &ctx);
-            ledger.observe(&mesh, &ctx);
-        }
-        held.iter().for_each(Held::assert_untouched);
+        run_sequence(mesh, &mut rng, usize::MAX, &format!("n {n} seed {seed}"));
     }
 
     /// `permute_vertices` after a mixed sequence: the relabelled CSR
@@ -301,6 +379,7 @@ proptest! {
         for _ in 0..6 {
             random_op(&mut mesh, &mut rng);
         }
+        // The relabelled mesh owns new blocks: nothing to share there.
         let perm = shuffled_identity(mesh.num_vertices(), &mut rng);
         let mut held = vec![Held::take(&mesh, 0, "before the permutation")];
         let mut permuted = mesh.permute_vertices(&perm);
@@ -319,10 +398,84 @@ proptest! {
             if op % HOLD_EVERY == 0 {
                 held.push(Held::take(&permuted, held.len(), &format!("op {op} after the permutation")));
             }
-            random_op(&mut permuted, &mut rng);
+            let (_, written) = random_op(&mut permuted, &mut rng);
+            for h in &mut held[1..] {
+                h.written.extend(&written);
+            }
             assert_matches_rebuild(&permuted, &format!("op {op} after the permutation"));
         }
         held.iter().for_each(Held::assert_untouched);
+        held[0].assert_shares_unwritten_blocks(&mesh);
+        for h in &held[1..] {
+            h.assert_shares_unwritten_blocks(&permuted);
+        }
+    }
+}
+
+/// The neuron mesh: two non-convex arbors over several cell blocks, so
+/// an operation writes some blocks and shares the rest.
+#[test]
+fn neuron_patch_equals_rebuild_after_every_op() {
+    let mut mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
+    mesh.enable_restructuring().unwrap();
+    assert!(
+        mesh.cell_capacity() > 4 * CELLS_PER_BLOCK,
+        "test premise: several cell blocks"
+    );
+    for seed in [1u64, 2] {
+        let mut rng = SplitMix64::new(seed);
+        run_sequence(mesh.clone(), &mut rng, 30, &format!("neuron seed {seed}"));
+    }
+}
+
+/// Two hexahedra sharing one vertex `v`, numbered so that each of the
+/// three quads of the kept hexahedron at `v` has the corner diagonally
+/// across from `v` as its smallest id: its faces at `v` are filed under
+/// vertices that are neither `v`, nor `v`'s neighbours, nor touched by
+/// removing the other hexahedron — two hops away. A one-hop look-up
+/// loses the kept cell's edges from `v`'s list.
+#[test]
+fn hex_face_filed_under_the_far_corner() {
+    let corner = |x: f32, y: f32, z: f32| p(x, y, z);
+    // Kept hex in VTK order: v = 3, its edge neighbours 4, 5, 6, the
+    // diagonals of its three quads 0, 1, 2, and the far corner 7.
+    let kept = [3, 4, 0, 5, 6, 1, 7, 2];
+    let mut positions = vec![Point3::ORIGIN; 15];
+    for (&v, at) in kept.iter().zip([
+        corner(0.0, 0.0, 0.0),
+        corner(1.0, 0.0, 0.0),
+        corner(1.0, 1.0, 0.0),
+        corner(0.0, 1.0, 0.0),
+        corner(0.0, 0.0, 1.0),
+        corner(1.0, 0.0, 1.0),
+        corner(1.0, 1.0, 1.0),
+        corner(0.0, 1.0, 1.0),
+    ]) {
+        positions[v as usize] = at;
+    }
+    // The other hex touches the kept one at v only (its corner 6).
+    let other = [8, 9, 10, 11, 12, 13, 3, 14];
+    for (&v, at) in other.iter().zip([
+        corner(-1.0, -1.0, -1.0),
+        corner(0.0, -1.0, -1.0),
+        corner(0.0, 0.0, -1.0),
+        corner(-1.0, 0.0, -1.0),
+        corner(-1.0, -1.0, 0.0),
+        corner(0.0, -1.0, 0.0),
+        corner(0.0, 0.0, 0.0),
+        corner(-1.0, 0.0, 0.0),
+    ]) {
+        positions[v as usize] = at;
+    }
+    for removed in [1u32, 0] {
+        let mut mesh = Mesh::from_hexes(positions.clone(), vec![kept, other]).unwrap();
+        mesh.enable_restructuring().unwrap();
+        let survivor = mesh.cell(1 - removed).to_vec();
+        mesh.remove_cell(removed).unwrap();
+        assert_matches_rebuild(&mesh, &format!("after removing hex {removed}"));
+        // v keeps exactly its three edges in the survivor.
+        assert_eq!(mesh.neighbors(3).len(), 3, "removed hex {removed}");
+        assert!(mesh.neighbors(3).iter().all(|w| survivor.contains(w)));
     }
 }
 

@@ -40,16 +40,17 @@
 //! derives from connectivity it shares behind handles with the slots
 //! published since the last restructure or re-layout: the cell arrays
 //! and the CSR (inside its [`Mesh`] — shared with the [`Simulation`]'s
-//! mesh too, whose next restructuring operation copies the cell arrays
-//! once and leaves the ring's untouched), the executor, the surface
-//! grid and the id translation. The face table (the hash
-//! map restructuring operations run on) lives only in the simulation's
-//! mesh; no ring slot carries one. The serving side's knowledge of the
-//! surface is each slot executor's delta-maintained
-//! [`octopus_core::SurfaceIndex`], which the planner reads S from as
-//! well. After set-up nothing on this side extracts a surface, rebuilds
-//! an adjacency or copies one: a restructure costs the delta, a
-//! re-layout a relabelling.
+//! mesh too, whose next restructuring operation copies only the cell
+//! blocks it writes and leaves the ring's untouched), the executor, the
+//! surface grid and the id translation. The face table (the per-vertex
+//! buckets restructuring operations file faces in and find the cells
+//! around a vertex by) lives only in the simulation's mesh; no ring
+//! slot carries one. The serving side's knowledge of the surface and of
+//! the connected components is each slot executor's delta-maintained
+//! [`octopus_core::SurfaceIndex`] and component map (the planner reads
+//! S from the index as well). After set-up nothing on this side
+//! extracts a surface, rebuilds an adjacency or copies one: a
+//! restructure costs the delta, a re-layout a relabelling.
 //!
 //! Position buffers rotate: simulation thread (fills one per step) →
 //! the new slot → when the slot is retired, `spare_bufs` → back to the

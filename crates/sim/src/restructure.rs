@@ -94,8 +94,16 @@ impl RestructureSchedule {
 }
 
 /// Net effect of two deltas applied in sequence: a vertex added then
-/// removed (or vice versa) cancels out.
+/// removed (or vice versa) cancels out; the touched vertices and the cut
+/// edges unite, the operation counts add up.
 fn merge_delta(acc: &mut SurfaceDelta, next: SurfaceDelta) {
+    acc.ops += next.ops;
+    acc.touched.extend(next.touched);
+    acc.touched.sort_unstable();
+    acc.touched.dedup();
+    acc.cut.extend(next.cut);
+    acc.cut.sort_unstable();
+    acc.cut.dedup();
     for v in next.added {
         if let Some(pos) = acc.removed.iter().position(|&r| r == v) {
             acc.removed.swap_remove(pos);
@@ -178,18 +186,46 @@ mod tests {
         let mut acc = SurfaceDelta {
             added: vec![1, 2],
             removed: vec![3],
+            touched: vec![1, 2, 3, 9],
+            cut: vec![(2, 9)],
+            ops: 1,
         };
         merge_delta(
             &mut acc,
             SurfaceDelta {
                 added: vec![3, 4],
                 removed: vec![1],
+                touched: vec![1, 3, 4, 7],
+                cut: vec![(1, 7), (2, 9)],
+                ops: 2,
             },
         );
         acc.added.sort_unstable();
         acc.removed.sort_unstable();
         assert_eq!(acc.added, vec![2, 4]);
         assert!(acc.removed.is_empty());
+        // Touched vertices and cut edges unite (sorted, distinct);
+        // operations add up.
+        assert_eq!(acc.touched, vec![1, 2, 3, 4, 7, 9]);
+        assert_eq!(acc.cut, vec![(1, 7), (2, 9)]);
+        assert_eq!(acc.ops, 3);
+    }
+
+    #[test]
+    fn a_fired_event_accounts_for_every_epoch_it_advanced() {
+        let mut m = small_mesh();
+        let mut s = RestructureSchedule::new(1, 3, 5);
+        for step in 1..=6 {
+            let before = m.restructure_epoch();
+            let delta = s.maybe_fire(step, &mut m).unwrap();
+            assert_eq!(before + delta.ops, m.restructure_epoch(), "step {step}");
+            assert_eq!(delta.ops, 3, "step {step}");
+            assert!(delta.touched.windows(2).all(|w| w[0] < w[1]));
+            assert!(
+                delta.touched.len() >= 4,
+                "step {step}: a cell's vertices at least"
+            );
+        }
     }
 
     #[test]

@@ -150,9 +150,8 @@ pub fn reference_run(
     for _ in 0..steps {
         let outcome = sim.step_outcome().expect("reference runs inject no fault");
         if outcome.restructured {
-            // Stop-the-world maintenance needs a rebuild only because
-            // the executor's component map depends on connectivity; the
-            // surface index itself replays the delta.
+            // Stop-the-world maintenance: the surface index replays the
+            // delta and the component map is patched from it.
             octopus.on_restructure(sim.mesh(), &outcome.delta);
         }
         let queries = step_queries(outcome.step);

@@ -537,6 +537,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  directed walks: {walks} ran, {walks_pruned} ruled out by the grid's component bounds"
     );
+    println!(
+        "  component map: {} restructures/re-layouts patched, {} searched the whole mesh",
+        telemetry.counter("executor_component_patches_total"),
+        telemetry.counter("executor_component_rebuilds_total")
+    );
     assert!(
         walks_pruned > 0,
         "on the two-neuron mesh the grid must spare queries the walk into the other arbor"
@@ -611,6 +616,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "executor_queries_total",
         "executor_walks_total",
         "executor_walks_pruned_total",
+        "executor_component_patches_total",
+        "executor_component_rebuilds_total",
         "pool_",
         "engine_",
         "planner_decisions_",
