@@ -17,8 +17,8 @@
 //! regardless of their id span. What predicts crawl time is (a) how
 //! many **distinct cache lines** a neighbourhood scan touches
 //! ([`cache_line_stats`]) and (b) how soon lines are re-touched during
-//! a crawl ([`reuse_distance_histogram`]). [`LocalityTracker`] drifts
-//! on the former.
+//! a crawl ([`reuse_distance_histogram`]). Both are diagnostics: the
+//! fig. 13 bench records them beside the crawl clock.
 //!
 //! Two layouts are exposed: [`hilbert_layout`] (the paper's choice, the
 //! one the service applies) and [`morton_layout`] (cheaper curve, kept
@@ -112,8 +112,8 @@ pub fn cache_line_of(v: VertexId) -> u32 {
 /// * **`extra_lines_per_vertex`** — mean number of *distinct* foreign
 ///   lines a vertex's neighbour scan touches. This is the quantity the
 ///   crawl actually pays for (each distinct line is one potential
-///   miss; repeats within a scan are near-certain hits), it does not
-///   saturate, and it is what [`LocalityTracker`] drifts on.
+///   miss; repeats within a scan are near-certain hits), and it does
+///   not saturate.
 ///
 /// **Isolated-vertex convention.** Vertices with no adjacency edges
 /// (orphaned by aggressive coarsening — see
@@ -122,7 +122,7 @@ pub fn cache_line_of(v: VertexId) -> u32 {
 /// cannot affect its cache behaviour. They are *excluded from both
 /// denominators*, not counted as zero-cost neighbourhoods — counting
 /// them would deflate the means and mask real locality decay exactly on
-/// the coarsening-heavy meshes where drift matters most.
+/// the coarsening-heavy meshes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheLineStats {
     /// Crossing directed pairs / total directed pairs (0 when none).
@@ -182,22 +182,6 @@ pub fn cache_line_stats(mesh: &Mesh) -> CacheLineStats {
         pairs,
         isolated,
     }
-}
-
-/// The per-vertex contribution [`cache_line_stats`] and
-/// [`LocalityTracker`] share: distinct foreign cache lines in `v`'s neighbour list.
-fn extra_lines_of(v: VertexId, neighbors: &[VertexId], scratch: &mut Vec<u32>) -> f64 {
-    let own = cache_line_of(v);
-    scratch.clear();
-    for &w in neighbors {
-        let lw = cache_line_of(w);
-        if lw != own {
-            scratch.push(lw);
-        }
-    }
-    scratch.sort_unstable();
-    scratch.dedup();
-    scratch.len() as f64
 }
 
 /// LRU stack-distance histogram of cache-line touches during a
@@ -337,169 +321,6 @@ impl Fenwick {
     }
 }
 
-/// Incrementally tracked locality ([`CacheLineStats`]'s
-/// `extra_lines_per_vertex`) with an at-ingest (or at-last-re-layout)
-/// baseline — the §IV-H1 adaptive re-layout signal.
-///
-/// Restructuring is the only event that moves the metric (it is a pure
-/// function of ids and adjacency; deformation cannot touch it), so the
-/// tracker is updated once per restructuring step from the surface
-/// delta: the per-vertex contributions of every vertex the delta names
-/// (plus vertices appended by the operation and their new neighbours)
-/// are re-derived from the new adjacency. That set does not always
-/// cover both endpoints of every changed edge — removing an interior
-/// cell can drop edges whose endpoints stay off the surface — so the
-/// delta update is an *estimate*; every `recompute_every` updates the
-/// tracker re-derives the metric exactly from the mesh, bounding the
-/// accumulated error. (A full recompute is O(E), the same order as the
-/// component-map rebuild every restructuring step already pays.)
-///
-/// Isolated vertices follow the convention documented on
-/// [`CacheLineStats`]: a vertex whose edges all disappeared drops out
-/// of both the numerator and the denominator.
-#[derive(Clone, Debug)]
-pub struct LocalityTracker {
-    /// Per-vertex (distinct foreign cache lines in the neighbour list,
-    /// degree). Degree 0 ⇔ isolated ⇔ excluded from the denominator.
-    per_vertex: Vec<(f64, u32)>,
-    total: f64,
-    /// Non-isolated vertex count (the metric's denominator).
-    counted: u64,
-    baseline: f64,
-    recompute_every: u32,
-    deltas_since_recompute: u32,
-    /// Line-dedup scratch for [`extra_lines_of`].
-    scratch: Vec<u32>,
-}
-
-impl LocalityTracker {
-    /// Builds the tracker from `mesh`'s current adjacency and sets the
-    /// drift baseline to its current locality. `recompute_every` is the
-    /// exact-recompute cadence (in [`LocalityTracker::apply_delta`]
-    /// calls; `1` makes every update exact, `0` is treated as `1`).
-    pub fn new(mesh: &Mesh, recompute_every: u32) -> LocalityTracker {
-        let mut tracker = LocalityTracker {
-            per_vertex: Vec::new(),
-            total: 0.0,
-            counted: 0,
-            baseline: 0.0,
-            recompute_every: recompute_every.max(1),
-            deltas_since_recompute: 0,
-            scratch: Vec::new(),
-        };
-        tracker.recompute(mesh);
-        tracker.baseline = tracker.current();
-        tracker
-    }
-
-    /// The tracked mean distinct-foreign-lines-per-vertex (see
-    /// [`CacheLineStats::extra_lines_per_vertex`]; exact right after
-    /// construction, [`LocalityTracker::recompute`] or
-    /// [`LocalityTracker::rebaseline`]; an estimate between periodic
-    /// recomputes otherwise).
-    pub fn current(&self) -> f64 {
-        if self.counted == 0 {
-            0.0
-        } else {
-            self.total / self.counted as f64
-        }
-    }
-
-    /// The baseline the drift ratio is measured against.
-    pub fn baseline(&self) -> f64 {
-        self.baseline
-    }
-
-    /// Current locality relative to the baseline (> 1 means the order
-    /// has decayed). Defined as `1.0` while the baseline is zero — a
-    /// mesh that started with no adjacency traffic has nothing to
-    /// drift from.
-    pub fn drift_ratio(&self) -> f64 {
-        if self.baseline == 0.0 {
-            1.0
-        } else {
-            self.current() / self.baseline
-        }
-    }
-
-    /// Applies one restructuring step's surface delta: re-derives the
-    /// contributions of all delta-named vertices, appended vertices and
-    /// their (new-adjacency) neighbours. Every `recompute_every` calls
-    /// the estimate is replaced by an exact recompute.
-    pub fn apply_delta(&mut self, mesh: &Mesh, delta: &octopus_mesh::SurfaceDelta) {
-        self.deltas_since_recompute += 1;
-        if self.deltas_since_recompute >= self.recompute_every {
-            self.recompute(mesh);
-            return;
-        }
-        let appended = self.per_vertex.len() as VertexId..mesh.num_vertices() as VertexId;
-        self.per_vertex.resize(mesh.num_vertices(), (0.0, 0));
-        let mut touched: Vec<VertexId> = delta
-            .added
-            .iter()
-            .chain(&delta.removed)
-            .copied()
-            .chain(appended)
-            .collect();
-        // One hop out from the seed set (the range is fixed before the
-        // loop, so the expansion itself is not re-expanded): added
-        // edges change the far endpoint's row too.
-        for i in 0..touched.len() {
-            touched.extend_from_slice(mesh.neighbors(touched[i]));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for &v in &touched {
-            let (old_sum, old_deg) = self.per_vertex[v as usize];
-            if old_deg > 0 {
-                self.total -= old_sum;
-                self.counted -= 1;
-            }
-            let neighbors = mesh.neighbors(v);
-            let sum = extra_lines_of(v, neighbors, &mut self.scratch);
-            self.per_vertex[v as usize] = (sum, neighbors.len() as u32);
-            if !neighbors.is_empty() {
-                self.total += sum;
-                self.counted += 1;
-            }
-        }
-    }
-
-    /// Replaces the estimate with an exact recompute from `mesh`
-    /// (leaves the baseline untouched).
-    pub fn recompute(&mut self, mesh: &Mesh) {
-        self.per_vertex.clear();
-        self.per_vertex.resize(mesh.num_vertices(), (0.0, 0));
-        self.total = 0.0;
-        self.counted = 0;
-        for v in 0..mesh.num_vertices() as u32 {
-            let neighbors = mesh.neighbors(v);
-            let sum = extra_lines_of(v, neighbors, &mut self.scratch);
-            self.per_vertex[v as usize] = (sum, neighbors.len() as u32);
-            if !neighbors.is_empty() {
-                self.total += sum;
-                self.counted += 1;
-            }
-        }
-        self.deltas_since_recompute = 0;
-    }
-
-    /// Exact recompute *and* baseline reset — called right after a
-    /// re-layout so subsequent drift is measured against the fresh
-    /// curve order.
-    pub fn rebaseline(&mut self, mesh: &Mesh) {
-        self.recompute(mesh);
-        self.baseline = self.current();
-    }
-
-    /// Heap bytes of the per-vertex contribution table (plus the line
-    /// scratch).
-    pub fn memory_bytes(&self) -> usize {
-        self.per_vertex.capacity() * std::mem::size_of::<(f64, u32)>()
-            + self.scratch.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,93 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn tracker_is_exact_for_refinement_deltas() {
-        // Every edge changed by a centroid refinement touches the
-        // appended vertex or its one-hop neighbourhood, so the delta
-        // update is exact for refine-only sequences even far from the
-        // periodic recompute.
-        let mut mesh = box_mesh(3);
-        mesh.enable_restructuring().unwrap();
-        let mut tracker = LocalityTracker::new(&mesh, 1000);
-        for i in 0..6 {
-            let c = (0..mesh.cell_capacity() as u32)
-                .find(|&c| mesh.is_cell_alive(c))
-                .unwrap();
-            let (_, delta) = mesh.refine_tet(c).unwrap();
-            tracker.apply_delta(&mesh, &delta);
-            let exact = cache_line_stats(&mesh).extra_lines_per_vertex;
-            assert!(
-                (tracker.current() - exact).abs() < 1e-9,
-                "refine {i}: tracker {} vs exact {exact}",
-                tracker.current()
-            );
-        }
-    }
-
-    #[test]
-    fn tracker_periodic_recompute_bounds_the_estimate_error() {
-        // Cell removals can change edges whose endpoints the delta
-        // never names — the estimate may drift, but every
-        // `recompute_every` updates it snaps back to exact.
-        let mut mesh = box_mesh(3);
-        mesh.enable_restructuring().unwrap();
-        let cadence = 4u32;
-        let mut tracker = LocalityTracker::new(&mesh, cadence);
-        let mut rng = octopus_geom::rng::SplitMix64::new(0xD81F7);
-        for round in 0..3 {
-            for _ in 0..cadence - 1 {
-                let c = loop {
-                    let c = rng.index(mesh.cell_capacity()) as u32;
-                    if mesh.is_cell_alive(c) {
-                        break c;
-                    }
-                };
-                let delta = mesh.remove_cell(c).unwrap();
-                tracker.apply_delta(&mesh, &delta);
-            }
-            // The cadence-th update recomputes exactly.
-            let c = (0..mesh.cell_capacity() as u32)
-                .find(|&c| mesh.is_cell_alive(c))
-                .unwrap();
-            let delta = mesh.remove_cell(c).unwrap();
-            tracker.apply_delta(&mesh, &delta);
-            let exact = cache_line_stats(&mesh).extra_lines_per_vertex;
-            assert!(
-                (tracker.current() - exact).abs() < 1e-9,
-                "round {round}: periodic recompute must be exact: {} vs {exact}",
-                tracker.current()
-            );
-        }
-    }
-
-    #[test]
-    fn tracker_drift_ratio_detects_scrambling_and_rebaselines() {
-        let mesh = box_mesh(6);
-        let (sorted, _) = hilbert_layout(&mesh);
-        let mut tracker = LocalityTracker::new(&sorted, 8);
-        assert!((tracker.drift_ratio() - 1.0).abs() < 1e-12);
-
-        // Simulate decay: measure a scrambled relabelling against the
-        // sorted baseline.
-        let mut scramble: Vec<VertexId> = (0..sorted.num_vertices() as u32).collect();
-        octopus_geom::rng::SplitMix64::new(5).shuffle(&mut scramble);
-        let scrambled = sorted.permute_vertices(&scramble);
-        tracker.recompute(&scrambled);
-        assert!(
-            tracker.drift_ratio() > 1.5,
-            "scrambling must blow the drift ratio up: {}",
-            tracker.drift_ratio()
-        );
-
-        // Re-layout → rebaseline → drift back to 1.
-        let (resorted, _) = hilbert_layout(&scrambled);
-        tracker.rebaseline(&resorted);
-        assert!((tracker.drift_ratio() - 1.0).abs() < 1e-12);
-        assert!(tracker.baseline() > 0.0);
-        assert!(tracker.memory_bytes() > 0);
-    }
-
-    #[test]
     fn empty_mesh_locality_is_zero() {
         let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         let empty =
@@ -710,7 +444,7 @@ mod tests {
 
     #[test]
     fn crossing_ratio_saturates_but_extra_lines_does_not() {
-        // The documented reason the tracker drifts on extra-lines: on a
+        // The documented reason to score layouts by extra-lines: on a
         // scrambled mesh both metrics are bad, but after layout the
         // crossing ratio stays near 1 while extra-lines collapses.
         let scrambled = scrambled_box(7, 5);

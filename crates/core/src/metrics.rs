@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn record_feeds_phase_and_mode_histograms() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let m = ExecutorMetrics::register(&reg);
         let t = PhaseTimings {
             surface_probe: Duration::from_nanos(100),

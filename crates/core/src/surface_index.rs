@@ -10,9 +10,8 @@
 //! touches it, and restructuring applies O(delta) hash inserts/deletes
 //! ([`SurfaceIndex::apply_delta`]). For cache-friendly probing the ids
 //! are additionally kept in a dense vector (the hash map stores each id's
-//! slot so deletion stays O(1) via swap-remove); the
-//! `ablation_surface_layout` bench quantifies the difference against
-//! iterating the hash map directly.
+//! slot so deletion stays O(1) via swap-remove), so a probe streams a
+//! contiguous array instead of iterating the hash map.
 
 use octopus_geom::VertexId;
 use octopus_mesh::{Mesh, MeshError, Surface, SurfaceDelta};

@@ -37,7 +37,7 @@ use proptest::prelude::*;
 /// An executor recording into its own registry, so a test can read how
 /// its component map followed the mesh.
 fn counted(mesh: &Mesh) -> (Octopus, Registry) {
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     let octopus = Octopus::new(mesh).unwrap();
     octopus.attach_metrics(&ExecutorMetrics::register(&registry));
     (octopus, registry)

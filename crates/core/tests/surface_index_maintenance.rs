@@ -152,7 +152,7 @@ fn interior_refinement_then_removal_promotes_centroid() {
 fn memory_gauges_track_memory_bytes_monotonically() {
     let mut mesh = random_mesh(5, 1.0, 7);
     let mut octopus = Octopus::new(&mesh).unwrap();
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     let metrics = ExecutorMetrics::register(&registry);
     octopus.attach_metrics(&metrics);
 

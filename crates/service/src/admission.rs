@@ -14,11 +14,12 @@
 //!   Enqueueing into a full queue is refused with
 //!   [`crate::ServiceError::RetryAfter`] carrying a suggested backoff,
 //!   so callers can retry politely ([`Backoff`]) instead of spinning.
-//! * **Weighted fair dequeue** — stride scheduling: each tenant carries
-//!   a *pass* value advanced by `STRIDE / weight` per admitted batch;
-//!   the non-empty tenant with the smallest pass is served next
-//!   (deterministic tie-break on tenant id), so long-run service is
-//!   proportional to weight regardless of arrival order.
+//! * **Fair dequeue** — round robin by count: each tenant carries a
+//!   *pass*, the number of batches admitted for it (a late arrival
+//!   starts at the current minimum); the non-empty tenant with the
+//!   smallest pass is served next (deterministic tie-break on tenant
+//!   id), so every busy tenant gets an equal share regardless of
+//!   arrival order.
 //! * **Deadline shedding** — a batch may carry a deadline; if it
 //!   expires while queued, dequeue drops it *before* it reaches the
 //!   pool, counts it (`admission_shed_total`, `deadline_miss_total`)
@@ -49,11 +50,6 @@ use octopus_sync::{Mutex, PoisonError};
 use crate::batch::QueryResult;
 use crate::monitor::{Overload, ServiceError};
 use crate::telemetry::AdmissionMetrics;
-
-/// Stride-scheduling scale: per admitted batch a tenant's pass advances
-/// by `STRIDE_SCALE / weight`, so relative pass growth is inversely
-/// proportional to weight.
-const STRIDE_SCALE: u64 = 1 << 20;
 
 /// Admission-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -92,10 +88,9 @@ struct Pending {
     deadline: Option<Instant>,
 }
 
-/// One tenant's bounded FIFO plus its stride-scheduler state.
+/// One tenant's bounded FIFO plus its place in the fair order.
 struct TenantQueue {
     tenant: u32,
-    weight: u32,
     pass: u64,
     queue: VecDeque<Pending>,
 }
@@ -143,7 +138,7 @@ pub struct AdmittedBatch {
 /// dropped on the way.
 #[derive(Debug, Default)]
 pub struct DrainOutcome {
-    /// Executed batches, in weighted-fair dequeue order.
+    /// Executed batches, in fair dequeue order.
     pub batches: Vec<AdmittedBatch>,
     /// Batches dropped because their deadline expired while queued.
     pub shed: Vec<ShedTicket>,
@@ -196,7 +191,6 @@ impl AdmissionState {
         let pass = self.tenants.iter().map(|t| t.pass).min().unwrap_or(0);
         self.tenants.push(TenantQueue {
             tenant,
-            weight: 1,
             pass,
             queue: VecDeque::new(),
         });
@@ -210,8 +204,8 @@ impl AdmissionState {
     }
 }
 
-/// The admission front: bounded per-tenant queues, stride-scheduled
-/// weighted fair dequeue, deadline shedding (see the module docs).
+/// The admission front: bounded per-tenant queues, round-robin fair
+/// dequeue, deadline shedding (see the module docs).
 /// All methods take `&self` — the state lives behind one mutex, so
 /// the front can be shared between an enqueueing edge and a draining
 /// execution loop.
@@ -222,7 +216,7 @@ pub struct Admission {
 
 impl Admission {
     /// New admission front with no tenants registered (tenants appear
-    /// on first enqueue, at weight 1).
+    /// on first enqueue).
     pub fn new(cfg: AdmissionConfig) -> Admission {
         Admission {
             cfg,
@@ -257,12 +251,6 @@ impl Admission {
     /// Total batches currently queued across all tenants.
     pub fn queue_depth(&self) -> usize {
         self.lock().depth
-    }
-
-    /// Sets `tenant`'s fair-share weight (clamped to ≥ 1; default 1).
-    /// Long-run admitted throughput is proportional to weight.
-    pub fn set_weight(&self, tenant: u32, weight: u32) {
-        self.lock().tenant_mut(tenant).weight = weight.max(1);
     }
 
     /// The suggested backoff for the current pressure level: the base,
@@ -330,7 +318,7 @@ impl Admission {
         Ok(ticket)
     }
 
-    /// Weighted fair dequeue: pops the next non-expired batch from the
+    /// Fair dequeue: pops the next non-expired batch from the
     /// non-empty tenant with the smallest pass, shedding every expired
     /// batch it encounters on the way (counted and logged; shed batches
     /// do not advance the tenant's pass — fairness charges for work
@@ -367,8 +355,7 @@ impl Admission {
                 });
                 continue;
             }
-            let t = &mut st.tenants[idx];
-            t.pass += STRIDE_SCALE / u64::from(t.weight.max(1));
+            st.tenants[idx].pass += 1;
             st.admitted += 1;
             if let Some(m) = &st.metrics {
                 m.admitted.inc();
@@ -505,29 +492,6 @@ mod tests {
                 Aabb::new(Point3::new(o, o, o), Point3::new(o + 0.2, o + 0.2, o + 0.2))
             })
             .collect()
-    }
-
-    #[test]
-    fn fair_dequeue_respects_weights() {
-        let adm = Admission::new(AdmissionConfig {
-            queue_capacity: 32,
-            ..AdmissionConfig::default()
-        });
-        adm.set_weight(0, 2);
-        adm.set_weight(1, 1);
-        let now = Instant::now();
-        for _ in 0..12 {
-            adm.enqueue(0, boxes(1), None, now).unwrap();
-            adm.enqueue(1, boxes(1), None, now).unwrap();
-        }
-        // Over the first 9 admissions, tenant 0 (weight 2) must get
-        // ~2/3 of the service.
-        let mut share = [0usize; 2];
-        for _ in 0..9 {
-            let a = adm.next_admitted(now).unwrap();
-            share[a.tenant as usize] += 1;
-        }
-        assert_eq!(share, [6, 3], "stride schedule serves 2:1");
     }
 
     #[test]

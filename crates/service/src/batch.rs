@@ -276,7 +276,7 @@ fn scan_group(
 /// ```
 #[derive(Debug)]
 pub struct ParallelExecutor {
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     /// Per-worker state, grown lazily to the widest fan-out so far.
     workers: Vec<Worker>,
     /// Generation-checked free list feeding result buffers back into
@@ -294,14 +294,8 @@ impl ParallelExecutor {
     /// An executor answering queries on `threads` workers (min 1),
     /// backed by its own freshly spawned [`WorkerPool`].
     pub fn new(threads: usize) -> ParallelExecutor {
-        ParallelExecutor::with_pool(Arc::new(WorkerPool::new(threads)))
-    }
-
-    /// An executor sharing an existing [`WorkerPool`] (several executors
-    /// — e.g. serving different meshes — can share one set of threads).
-    pub fn with_pool(pool: Arc<WorkerPool>) -> ParallelExecutor {
         ParallelExecutor {
-            pool,
+            pool: WorkerPool::new(threads),
             workers: Vec::new(),
             recycler: ResultRecycler::default(),
             slots: Vec::new(),
@@ -325,7 +319,7 @@ impl ParallelExecutor {
     }
 
     /// The underlying persistent worker pool.
-    pub fn worker_pool(&self) -> &Arc<WorkerPool> {
+    pub fn worker_pool(&self) -> &WorkerPool {
         &self.pool
     }
 

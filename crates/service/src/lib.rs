@@ -29,11 +29,11 @@
 //!   pinned oldest slot back-pressures the pipeline. K = 1 is the
 //!   classic double buffer. A [`LayoutPolicy`] optionally
 //!   Hilbert-sorts the vertices at ingest (§IV-H1's cache-locality
-//!   argument) and re-lays-out mid-run — on a fixed churn count or
-//!   adaptively on measured adjacency-locality drift
-//!   ([`RelayoutTrigger::LocalityDrift`]) — with id translation
-//!   tracked per retained step, and the permutation never racing an
-//!   in-flight step (pending re-layouts drain the pipeline first).
+//!   argument) and re-lays-out mid-run after a fixed number of
+//!   restructuring events ([`RelayoutTrigger::AfterRestructures`]) —
+//!   with id translation tracked per retained step, and the permutation
+//!   never racing an in-flight step (pending re-layouts drain the
+//!   pipeline first).
 //!   Every slot also holds its executor's surface ids bucketed into an
 //!   anchored grid ([`octopus_core::SurfaceGrid`]): the probe of every
 //!   query the slot answers visits the cells around the query box,

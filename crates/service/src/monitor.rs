@@ -94,13 +94,8 @@
 //! [`MonitorLoop::begin_step`] refuses to run more than K steps ahead.
 //!
 //! **Re-layout.** A [`LayoutPolicy`] optionally applies the §IV-H1
-//! curve order at ingest and re-applies it mid-run, triggered either by
-//! a fixed restructuring count
-//! ([`RelayoutTrigger::AfterRestructures`]) or **adaptively** by
-//! measured cache-line locality drift
-//! ([`octopus_core::layout::cache_line_stats`]) over the at-ingest
-//! baseline ([`RelayoutTrigger::LocalityDrift`],
-//! delta-tracked incrementally with periodic exact recomputes).
+//! curve order at ingest and re-applies it mid-run after a fixed number
+//! of restructuring events ([`RelayoutTrigger::AfterRestructures`]).
 //! Re-layout changes the id space wholesale, so it is *never* raced
 //! against in-flight steps: the trigger only marks it pending, new
 //! steps stall, and the permutation is applied at the first step
@@ -123,7 +118,7 @@
 //! from the newest published snapshot (continuing the step numbering).
 //! [`MonitorLoop::shutdown`] reports the join outcome instead of
 //! discarding it. [`MonitorLoop::set_admission`] fronts the query paths
-//! with bounded, weighted-fair, deadline-shedding queues
+//! with bounded, fair, deadline-shedding queues
 //! ([`crate::Admission`]) and converts ring back-pressure into
 //! structured [`ServiceError::RetryAfter`] responses.
 //!
@@ -144,6 +139,7 @@
 //! | [`ServiceError::AdmissionDisabled`] | [`MonitorLoop::enqueue`]/[`MonitorLoop::drain_admitted`] without [`MonitorLoop::set_admission`]. | Attach admission first, or use the direct `query_batch` paths. |
 //! | [`ServiceError::StepNotRetained`] | Query targeted a step outside the ring's retained window. | Re-issue against [`MonitorLoop::retained_steps`]; deepen the ring if the window is too short. |
 //! | [`ServiceError::StepNotPinned`] | [`MonitorLoop::unpin_step`] on a step with no pins. | Fix pin/unpin pairing in the caller. |
+//! | [`ServiceError::VertexOutOfRange`] | [`MonitorLoop::translate_vertex`] / [`MonitorLoop::translate_vertex_at`] got an id at or past the snapshot's vertex count, under any layout policy. | Fix the caller: pass an id below the [`Mesh::num_vertices`] of the step asked ([`MonitorLoop::snapshot_at`]). |
 //!
 //! `RetryAfter` semantics: the operation was *refused before doing any
 //! work* — nothing was partially executed, so the retry is safe and
@@ -162,7 +158,7 @@ use crate::snapshot::Snapshot;
 use crate::subscribe::{ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats};
 use crate::telemetry::{SeedCacheStats, ServiceTelemetry};
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
-use octopus_core::layout::{curve_permutation, CurveKind, LocalityTracker};
+use octopus_core::layout::{curve_permutation, CurveKind};
 use octopus_core::{
     Octopus, PhaseTimings, Probe, QueryScratch, QueryShape, ShapeResult, SurfaceGrid,
 };
@@ -186,40 +182,8 @@ pub enum RelayoutTrigger {
     /// Only lay out at ingest.
     #[default]
     Never,
-    /// Re-apply after this many restructuring events (the fixed churn
-    /// counter — blind to whether those events actually degraded the
-    /// order).
+    /// Re-apply after this many restructuring events.
     AfterRestructures(u32),
-    /// Re-apply when the cache-line locality metric (mean distinct
-    /// foreign 64-byte lines per vertex neighbourhood,
-    /// [`octopus_core::layout::cache_line_stats`]) has drifted past
-    /// `ratio_pct` percent of its at-ingest (or post-re-layout)
-    /// baseline. The metric is delta-updated from restructuring
-    /// surface deltas and recomputed exactly every `recompute_every`
-    /// restructuring steps to bound the estimate error
-    /// ([`octopus_core::layout::LocalityTracker`]). Deformation cannot
-    /// move the metric (it is a pure function of ids and adjacency),
-    /// so this trigger fires on measured locality decay — never on
-    /// step count.
-    LocalityDrift {
-        /// Fire when `current / baseline ≥ ratio_pct / 100` (e.g. 150
-        /// = fire once locality is 1.5× worse than at ingest).
-        ratio_pct: u32,
-        /// Exact-recompute cadence of the drift tracker, in
-        /// restructuring steps.
-        recompute_every: u32,
-    },
-}
-
-impl RelayoutTrigger {
-    /// The default adaptive trigger: re-layout at 1.5× locality decay,
-    /// exact recompute every 8 restructuring steps.
-    pub fn adaptive() -> RelayoutTrigger {
-        RelayoutTrigger::LocalityDrift {
-            ratio_pct: 150,
-            recompute_every: 8,
-        }
-    }
 }
 
 /// Vertex-layout policy applied by the service setup (§IV-H1).
@@ -229,8 +193,8 @@ impl RelayoutTrigger {
 /// the L1 and L2 data cache hit rate" — the crawl walks mesh edges, so
 /// neighbouring vertices should sit close in memory. A curve policy
 /// permutes the simulation's vertices once at ingest (and, per its
-/// [`RelayoutTrigger`], again whenever restructuring has degraded the
-/// order); all query results are then in the permuted id space, and
+/// [`RelayoutTrigger`], again after a set number of restructuring
+/// events); all query results are then in the permuted id space, and
 /// [`MonitorLoop::translate_vertex`] maps ingest-time ids forward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LayoutPolicy {
@@ -356,6 +320,14 @@ pub enum ServiceError {
         /// The step in question.
         step: u32,
     },
+    /// A vertex id at or past the snapshot's vertex count was asked to
+    /// be translated.
+    VertexOutOfRange {
+        /// The offending (ingest-time) vertex id.
+        vertex: VertexId,
+        /// Number of vertices in the snapshot asked.
+        num_vertices: usize,
+    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -392,6 +364,13 @@ impl std::fmt::Display for ServiceError {
             ServiceError::StepNotPinned { step } => {
                 write!(f, "step {step} has no outstanding pins")
             }
+            ServiceError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            } => write!(
+                f,
+                "vertex {vertex} is out of range (the snapshot has {num_vertices} vertices)"
+            ),
         }
     }
 }
@@ -525,6 +504,18 @@ impl Slot {
             probe,
         }
     }
+
+    /// Maps ingest-time id `v` into this slot's id space.
+    fn translate(&self, v: VertexId) -> Result<VertexId, ServiceError> {
+        let num_vertices = self.mesh.num_vertices();
+        if v as usize >= num_vertices {
+            return Err(ServiceError::VertexOutOfRange {
+                vertex: v,
+                num_vertices,
+            });
+        }
+        Ok(self.translation.as_ref().map_or(v, |t| t[v as usize]))
+    }
 }
 
 /// Typical edge length of `mesh`: the cube root of its bounding volume
@@ -615,9 +606,6 @@ pub struct MonitorLoop {
     /// storage of retired slots.
     spare_bufs: Vec<Vec<Point3>>,
     policy: LayoutPolicy,
-    /// Incremental locality metric (present only for
-    /// [`RelayoutTrigger::LocalityDrift`] policies).
-    tracker: Option<LocalityTracker>,
     restructures_since_layout: u32,
     relayouts: u32,
     /// A re-layout has been requested (by trigger or caller) but not
@@ -682,12 +670,6 @@ impl MonitorLoop {
         let grid = build_grid(&exec, &mesh);
         let step = sim.current_step();
         let scratch = exec.make_scratch(&mesh);
-        let tracker = match policy.trigger() {
-            RelayoutTrigger::LocalityDrift {
-                recompute_every, ..
-            } => Some(LocalityTracker::new(&mesh, recompute_every)),
-            _ => None,
-        };
         let fault = Arc::new(FaultCell::new());
         let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
         let (upd_tx, upd_rx) = std::sync::mpsc::channel();
@@ -717,7 +699,6 @@ impl MonitorLoop {
             scratch,
             spare_bufs: Vec::new(),
             policy,
-            tracker,
             restructures_since_layout: 0,
             relayouts: 0,
             relayout_pending: false,
@@ -757,8 +738,7 @@ impl MonitorLoop {
         self.telemetry.as_ref().expect("just attached")
     }
 
-    /// The attached telemetry bundle, if any — the hook a self-tuning
-    /// planner (ROADMAP item 9(a)) reads executor/engine feedback from.
+    /// The attached telemetry bundle, if any.
     pub fn telemetry(&self) -> Option<&ServiceTelemetry> {
         self.telemetry.as_ref()
     }
@@ -773,8 +753,7 @@ impl MonitorLoop {
 
     /// Publishes the gauges that mirror monitor state: ring occupancy
     /// and in-flight depth, the surface grid's counters, reach and
-    /// memory, the locality drift, the standing-query registry and
-    /// executor memory.
+    /// memory, the standing-query registry and executor memory.
     fn publish_gauges(&mut self) {
         let Some(t) = &mut self.telemetry else { return };
         t.monitor.ring_occupancy.set_u64(self.slots.len() as u64);
@@ -789,9 +768,6 @@ impl MonitorLoop {
         t.monitor
             .grid_bytes
             .set_u64(latest.grid.memory_bytes() as u64);
-        if let Some(tracker) = &self.tracker {
-            t.monitor.locality_drift.set(tracker.drift_ratio());
-        }
         t.monitor.sync_subscriptions(&self.subs);
         if let Some(adm) = &self.admission {
             t.admission.queue_depth.set_u64(adm.queue_depth() as u64);
@@ -1005,9 +981,6 @@ impl MonitorLoop {
                         Arc::clone(t)
                     }
                 });
-                if let Some(tracker) = &mut self.tracker {
-                    tracker.apply_delta(&mesh, &delta);
-                }
                 self.restructures_since_layout += 1;
                 // Told while the appended ids are still the tail of the
                 // id space: the re-layout this event may trigger
@@ -1095,10 +1068,6 @@ impl MonitorLoop {
         let fire = match self.policy.trigger() {
             RelayoutTrigger::Never => false,
             RelayoutTrigger::AfterRestructures(k) => self.restructures_since_layout >= k,
-            RelayoutTrigger::LocalityDrift { ratio_pct, .. } => self
-                .tracker
-                .as_ref()
-                .is_some_and(|t| t.drift_ratio() * 100.0 >= f64::from(ratio_pct)),
         };
         if fire {
             self.relayout_pending = true;
@@ -1168,9 +1137,6 @@ impl MonitorLoop {
             latest.translation = Some(Arc::new(
                 t.iter().map(|&v| perm[v as usize]).collect::<Vec<_>>(),
             ));
-        }
-        if let Some(tracker) = &mut self.tracker {
-            tracker.rebaseline(&latest.mesh);
         }
         // Subscriptions survive a re-layout: their ids and the anchor
         // are translated through the permutation (geometry is untouched
@@ -1311,33 +1277,23 @@ impl MonitorLoop {
     }
 
     /// Maps an ingest-time vertex id to the latest snapshot's id space
-    /// (identity under [`LayoutPolicy::Preserve`]).
-    pub fn translate_vertex(&self, v: VertexId) -> VertexId {
-        match &self.latest().translation {
-            Some(t) => t[v as usize],
-            None => v,
-        }
+    /// (identity under [`LayoutPolicy::Preserve`]). An id at or past the
+    /// snapshot's vertex count is [`ServiceError::VertexOutOfRange`]
+    /// under every policy.
+    pub fn translate_vertex(&self, v: VertexId) -> Result<VertexId, ServiceError> {
+        self.latest().translate(v)
     }
 
     /// [`MonitorLoop::translate_vertex`] against the id space of a
     /// retained `step`.
     pub fn translate_vertex_at(&self, step: u32, v: VertexId) -> Result<VertexId, ServiceError> {
-        Ok(match &self.slot_at(step)?.translation {
-            Some(t) => t[v as usize],
-            None => v,
-        })
+        self.slot_at(step)?.translate(v)
     }
 
     /// How many times the layout policy has re-permuted the mesh after
-    /// ingest (churn- or drift-triggered re-layouts).
+    /// ingest (triggered or requested re-layouts).
     pub fn relayouts(&self) -> u32 {
         self.relayouts
-    }
-
-    /// The drift tracker's current locality-decay ratio (`None` unless
-    /// the policy uses [`RelayoutTrigger::LocalityDrift`]).
-    pub fn locality_drift(&self) -> Option<f64> {
-        self.tracker.as_ref().map(LocalityTracker::drift_ratio)
     }
 
     /// Number of steps currently computing ahead on the simulation
@@ -1690,7 +1646,7 @@ impl MonitorLoop {
 
     /// Attaches the admission front ([`crate::Admission`]): queries may
     /// then be queued per tenant via [`MonitorLoop::enqueue`] and
-    /// executed in weighted-fair order via
+    /// executed in fair (round-robin) order via
     /// [`MonitorLoop::drain_admitted`]; ring back-pressure surfaces as
     /// [`ServiceError::RetryAfter`] from here on.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
@@ -1713,13 +1669,6 @@ impl MonitorLoop {
             .ok_or(ServiceError::AdmissionDisabled)
     }
 
-    /// Sets `tenant`'s fair-share weight (≥ 1; admitted throughput is
-    /// proportional to it).
-    pub fn set_tenant_weight(&mut self, tenant: u32, weight: u32) -> Result<(), ServiceError> {
-        self.admission()?.set_weight(tenant, weight);
-        Ok(())
-    }
-
     /// Queues a query batch for `tenant` behind admission control.
     /// `deadline` is relative to now (default:
     /// [`crate::AdmissionConfig::default_deadline`]); batches whose
@@ -1735,7 +1684,7 @@ impl MonitorLoop {
             .enqueue(tenant, queries, deadline, Instant::now())
     }
 
-    /// Dequeues up to `max_batches` batches in weighted-fair order,
+    /// Dequeues up to `max_batches` batches in fair order,
     /// executes each against the latest snapshot (through the batch
     /// engine when attached), and reports both the executed batches and
     /// everything deadline shedding dropped on the way. Recycle each

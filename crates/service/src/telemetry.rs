@@ -154,7 +154,7 @@ pub struct AdmissionMetrics {
     /// `admission_enqueued_total` — batches accepted into a queue.
     pub(crate) enqueued: Counter,
     /// `admission_admitted_total` — batches handed to the pool by the
-    /// weighted fair dequeue.
+    /// fair dequeue.
     pub(crate) admitted: Counter,
     /// `admission_shed_total` — batches dropped by deadline shedding
     /// before reaching the pool.
@@ -223,9 +223,6 @@ pub struct MonitorMetrics {
     /// `drift_meter` gauge — largest distance of any vertex from the
     /// standing-query anchor (0 without subscriptions).
     pub(crate) drift_meter: Gauge,
-    /// `locality_drift` gauge — the layout tracker's drift ratio (what
-    /// re-layout triggers compare against their threshold).
-    pub(crate) locality_drift: Gauge,
     /// `standing_subscriptions` gauge + `standing_*_total` counters —
     /// the standing-query registry's poll accounting.
     pub(crate) subscriptions: Gauge,
@@ -278,7 +275,6 @@ impl MonitorMetrics {
             grid_reach: registry.gauge("surface_grid_reach"),
             grid_bytes: registry.gauge("surface_grid_bytes"),
             drift_meter: registry.gauge("drift_meter"),
-            locality_drift: registry.gauge("locality_drift"),
             subscriptions: registry.gauge("standing_subscriptions"),
             polls: registry.counter("standing_polls_total"),
             delta_polls: registry.counter("standing_delta_polls_total"),

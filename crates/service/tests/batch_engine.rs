@@ -244,7 +244,7 @@ fn planner_routed_batches_match_sequential() {
     // Broad queries: high selectivity ⇒ LinearScan decisions.
     queries.push(Aabb::new(Point3::splat(-0.1), Point3::splat(1.1)));
     queries.push(Aabb::new(Point3::splat(0.1), Point3::splat(0.95)));
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     let octopus = Octopus::new(&mesh).unwrap();
     octopus.attach_metrics(&ExecutorMetrics::register(&registry));
     let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
@@ -467,7 +467,7 @@ impl Deformation for Translate {
 /// and compared with a scan of the snapshot, and the newest slot's
 /// reach (in cells, as the gauge publishes it) is handed to `check`.
 fn assert_grid_lifecycle(monitor: &mut MonitorLoop, steps: u32, check: impl Fn(u32, f64)) {
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     monitor.attach_telemetry(&registry);
     for step in 1..=steps {
         monitor.begin_step().unwrap();

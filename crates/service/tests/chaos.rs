@@ -118,7 +118,7 @@ fn sim_panic_degrades_gracefully_and_restarts_from_snapshot() {
         let mesh = box_mesh(4);
         let expected = reference_run(mesh.clone(), seed, None, 5);
 
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         let mut monitor =
             MonitorLoop::with_config(make_sim(mesh, seed), 2, LayoutPolicy::Preserve, 3).unwrap();
         monitor.attach_telemetry(&registry);
@@ -263,7 +263,7 @@ fn forced_ring_full_surfaces_retry_after_and_backoff_recovers() {
         let mesh = box_mesh(4);
         let expected = reference_run(mesh.clone(), seed, None, 4);
 
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         let mut monitor =
             MonitorLoop::with_config(make_sim(mesh, seed), 2, LayoutPolicy::Preserve, 2).unwrap();
         monitor.attach_telemetry(&registry);
@@ -560,7 +560,7 @@ fn admission_front_survives_a_contained_worker_panic() {
 fn shed_and_queue_full_counts_are_exact() {
     with_watchdog("admission_counts", WATCHDOG, || {
         let mesh = box_mesh(4);
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         let mut monitor =
             MonitorLoop::with_config(make_sim(mesh, 61), 2, LayoutPolicy::Preserve, 2).unwrap();
         monitor.attach_telemetry(&registry);

@@ -449,7 +449,11 @@ fn relayout_drains_in_flight_steps_instead_of_racing() {
         }
         let results = monitor.query_batch(&step_queries(step));
         for (i, (got, want)) in results.iter().zip(&expected[step as usize - 1]).enumerate() {
-            let want = sorted(want.iter().map(|&v| monitor.translate_vertex(v)).collect());
+            let want = sorted(
+                want.iter()
+                    .map(|&v| monitor.translate_vertex(v).unwrap())
+                    .collect(),
+            );
             assert_eq!(
                 sorted(got.vertices.clone()),
                 want,
@@ -490,67 +494,6 @@ fn relayout_defers_while_snapshots_are_pinned() {
 }
 
 #[test]
-fn adaptive_trigger_fires_on_locality_drift_not_step_count() {
-    let drift_policy = LayoutPolicy::Hilbert {
-        trigger: RelayoutTrigger::LocalityDrift {
-            ratio_pct: 105,
-            recompute_every: 4,
-        },
-    };
-
-    // Control: four times as many steps, pure deformation. The metric
-    // is a function of ids and adjacency only, so no amount of
-    // stepping can move it — the trigger must never fire.
-    let mesh = box_mesh(4);
-    let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 64)));
-    let mut monitor = MonitorLoop::with_config(sim, 2, drift_policy, 2).unwrap();
-    for _ in 0..48 {
-        monitor.begin_step().unwrap();
-        monitor.finish_step().unwrap();
-    }
-    assert_eq!(
-        monitor.relayouts(),
-        0,
-        "48 deformation steps must not trigger (drift {:?})",
-        monitor.locality_drift()
-    );
-    let drift = monitor.locality_drift().unwrap();
-    assert!((drift - 1.0).abs() < 1e-12, "no restructuring => no drift");
-
-    // Churn-heavy run: a quarter of the steps, but every step fires
-    // restructuring ops that erode the ingest-time Hilbert order
-    // (refinement appends far-id vertices; removals delete short
-    // edges). The drift crosses 1.05 and the trigger re-lays-out.
-    let mesh = {
-        let mut m = box_mesh(4);
-        m.enable_restructuring().unwrap();
-        m
-    };
-    let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 64)))
-        .with_restructuring(RestructureSchedule::new(1, 3, 0xC0DE))
-        .unwrap();
-    let mut monitor = MonitorLoop::with_config(sim, 2, drift_policy, 2).unwrap();
-    // Observable drift peaks *between* steps understate the trigger
-    // point: the re-layout rebaselines the tracker to 1.0 inside the
-    // very finish_step that crossed the threshold. Track the max of
-    // what is visible anyway for the failure message.
-    let mut peak_drift = 1.0f64;
-    for _ in 0..12 {
-        monitor.begin_step().unwrap();
-        monitor.finish_step().unwrap();
-        peak_drift = peak_drift.max(monitor.locality_drift().unwrap());
-    }
-    assert!(
-        monitor.relayouts() >= 1,
-        "churn must push drift past 1.05 and fire (peak seen {peak_drift:.4})"
-    );
-    assert!(
-        monitor.locality_drift().unwrap() < 1.05,
-        "after a re-layout the baseline is the fresh curve order"
-    );
-}
-
-#[test]
 fn hilbert_layout_policy_matches_reference_through_translation() {
     // The Hilbert policy permutes the simulation's vertices at ingest
     // and — with `AfterRestructures(2)` and restructures every 3
@@ -586,7 +529,7 @@ fn hilbert_layout_policy_matches_reference_through_translation() {
         for (i, (got, want)) in results.iter().zip(&expected[step as usize - 1]).enumerate() {
             let want_translated = sorted(
                 want.iter()
-                    .map(|&v| monitor.translate_vertex(v))
+                    .map(|&v| monitor.translate_vertex(v).unwrap())
                     .collect::<Vec<_>>(),
             );
             assert_eq!(
@@ -675,11 +618,41 @@ fn preserve_policy_is_the_identity_translation() {
     let mut monitor = MonitorLoop::new(sim, 1).unwrap();
     assert_eq!(monitor.layout_policy(), LayoutPolicy::Preserve);
     assert!(monitor.vertex_translation().is_none());
-    assert_eq!(monitor.translate_vertex(17), 17);
+    assert_eq!(monitor.translate_vertex(17).unwrap(), 17);
     assert_eq!(monitor.relayouts(), 0);
-    assert!(monitor.locality_drift().is_none());
     // Preserve has no curve: a re-layout request is meaningless.
     assert!(!monitor.request_relayout().unwrap());
+}
+
+#[test]
+fn translate_vertex_rejects_out_of_range_ids_under_every_policy() {
+    for policy in [LayoutPolicy::Preserve, LayoutPolicy::hilbert()] {
+        let sim = Simulation::new(box_mesh(3), Box::new(SmoothRandomField::new(0.01, 3, 2)));
+        let mut monitor = MonitorLoop::with_config(sim, 1, policy, 2).unwrap();
+        monitor.begin_step().unwrap();
+        let step = monitor.finish_step().unwrap();
+        let n = monitor.snapshot().num_vertices() as VertexId;
+        assert!(monitor.translate_vertex(n - 1).unwrap() < n, "{policy:?}");
+        assert!(
+            monitor.translate_vertex_at(0, n - 1).unwrap() < n,
+            "{policy:?}"
+        );
+        for v in [n, n + 1, VertexId::MAX] {
+            for got in [
+                monitor.translate_vertex(v),
+                monitor.translate_vertex_at(step, v),
+                monitor.translate_vertex_at(0, v),
+            ] {
+                match got {
+                    Err(ServiceError::VertexOutOfRange {
+                        vertex,
+                        num_vertices,
+                    }) => assert_eq!((vertex, num_vertices), (v, n as usize), "{policy:?}"),
+                    other => panic!("{policy:?}: id {v} of {n} gave {other:?}"),
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@ fn no_service_call_extracts_a_surface_after_setup() {
     let policy = LayoutPolicy::Hilbert {
         trigger: RelayoutTrigger::AfterRestructures(2),
     };
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     let mut monitor = MonitorLoop::with_config(sim, 2, policy, 2).unwrap();
     monitor.attach_telemetry(&registry);
     monitor

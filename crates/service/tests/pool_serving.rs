@@ -1,6 +1,5 @@
 //! Pool-based serving properties: equivalence on layout-permuted
-//! meshes, pool sharing across executors, panic recovery, and the
-//! generation-checked buffer recycling.
+//! meshes, panic recovery, and the generation-checked buffer recycling.
 //!
 //! (The process-global spawn/allocation instrumentation assertions live
 //! in `pool_steady_state.rs`, alone in their binary so concurrent tests
@@ -10,10 +9,9 @@ use octopus_core::layout::{hilbert_layout, morton_layout};
 use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
-use octopus_service::{ParallelExecutor, WorkerPool};
+use octopus_service::ParallelExecutor;
 use octopus_testkit::{box_mesh, scan, sequential_reference, sorted};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -72,42 +70,6 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn executors_share_one_worker_pool() {
-    let shared = Arc::new(WorkerPool::new(3));
-    let mut a = ParallelExecutor::with_pool(Arc::clone(&shared));
-    let mut b = ParallelExecutor::with_pool(Arc::clone(&shared));
-    assert_eq!(a.threads(), 3);
-    assert!(Arc::ptr_eq(a.worker_pool(), b.worker_pool()));
-
-    let mesh_a = box_mesh(4);
-    let mesh_b = box_mesh(5);
-    let oct_a = Octopus::new(&mesh_a).unwrap();
-    let oct_b = Octopus::new(&mesh_b).unwrap();
-    let queries = vec![
-        Aabb::new(Point3::splat(0.1), Point3::splat(0.9)),
-        Aabb::cube(Point3::splat(0.5), 0.2),
-    ];
-    for round in 0..3 {
-        let ra = a.execute_batch(&oct_a, &mesh_a, &queries);
-        let rb = b.execute_batch(&oct_b, &mesh_b, &queries);
-        let wa = sequential_reference(&mesh_a, &queries);
-        let wb = sequential_reference(&mesh_b, &queries);
-        for ((g, w), mesh) in ra.iter().zip(&wa).map(|p| (p, "a")) {
-            assert_eq!(&sorted(g.vertices.clone()), w, "round {round} mesh {mesh}");
-        }
-        for ((g, w), mesh) in rb.iter().zip(&wb).map(|p| (p, "b")) {
-            assert_eq!(&sorted(g.vertices.clone()), w, "round {round} mesh {mesh}");
-        }
-        a.recycle(ra);
-        b.recycle(rb);
-    }
-    // One executor going away must not tear the shared pool down.
-    drop(a);
-    let rb = b.execute_batch(&oct_b, &mesh_b, &queries);
-    assert!(!rb[0].vertices.is_empty());
 }
 
 #[test]

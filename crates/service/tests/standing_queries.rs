@@ -598,7 +598,7 @@ fn a_bounded_field_never_refreshes_after_subscribe() {
     // several bands.
     let sim = simulation(4, Box::new(SmoothRandomField::new(0.05, 3, 5)), None);
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     monitor.attach_telemetry(&registry);
     let mut mirrors: Vec<Mirror> = standing_boxes()
         .into_iter()
@@ -637,7 +637,7 @@ fn a_creeping_field_refreshes_no_more_often_than_the_summed_meter() {
     for with_zero_band in [false, true] {
         let sim = simulation(4, Box::new(Creep(Vec3::new(0.03, 0.02, 0.0))), None);
         let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         monitor.attach_telemetry(&registry);
         let band = 0.5;
         let mut mirrors: Vec<Mirror> = standing_boxes()
@@ -705,7 +705,7 @@ fn connectivity_events_patch_the_candidate_list() {
             Some((2, 12, 0xFACE)),
         );
         let mut monitor = MonitorLoop::with_config(sim, 2, policy, 1).unwrap();
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         monitor.attach_telemetry(&registry);
         let mut mirrors = [Mirror::subscribe(
             &mut monitor,

@@ -250,7 +250,10 @@ fn failed_relayout_keeps_monitor_and_simulation_in_one_id_space() {
         assert_eq!(monitor.vertex_translation().unwrap(), &translation[..]);
         assert_eq!(monitor.snapshot().positions(), &positions[..]);
         for v in 0..translation.len() as VertexId {
-            assert_eq!(monitor.translate_vertex(v), translation[v as usize]);
+            assert_eq!(
+                monitor.translate_vertex(v).unwrap(),
+                translation[v as usize]
+            );
         }
 
         // The restarted simulation takes the pending relabelling at its

@@ -69,7 +69,7 @@ proptest! {
             reference.record(v);
         }
 
-        let registry = Registry::new(true);
+        let registry = Registry::new();
         let hist = registry.histogram("test_pool_hist");
         let counter = registry.counter("test_pool_records_total");
         let pool = WorkerPool::new(threads);

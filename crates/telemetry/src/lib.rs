@@ -8,16 +8,14 @@
 //! The crate is dependency-free and layering-neutral: `octopus-core`
 //! records executor phase timings into it, `octopus-service` records
 //! engine/monitor/pool behaviour, and consumers (the `serve` example,
-//! benches, the future self-tuning planner of ROADMAP item 4) read one
-//! merged snapshot.
+//! the service's tests) read one merged snapshot.
 //!
 //! ## Hot-path cost
 //!
 //! Every recording call is a handful of `Relaxed` atomic operations on
-//! a cache-line-private shard — no locks, no allocation. A registry
-//! constructed with `Registry::new(false)` turns all of them into a
-//! single predictable branch — the disabled/enabled overhead toggle
-//! behind the < 3 % qps budget.
+//! a cache-line-private shard — no locks, no allocation. A component
+//! with no registry attached records nothing at all: there is no
+//! disabled registry, only an absent one.
 //!
 //! ## Consistency
 //!

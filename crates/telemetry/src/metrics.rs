@@ -89,34 +89,30 @@ struct CounterCore {
 #[derive(Clone)]
 pub struct Counter {
     core: Arc<CounterCore>,
-    enabled: bool,
 }
 
 impl Counter {
     /// A fresh counter. Normally obtained from a
     /// [`crate::Registry`]; public so the model-check suites can
     /// construct one directly.
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         Counter {
             core: Arc::new(CounterCore {
                 shards: std::array::from_fn(|_| PadCell::new(0)),
             }),
-            enabled,
         }
     }
 
-    /// Add `n` to the counter. A no-op on a disabled registry.
+    /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled {
-            // relaxed: each shard cell is an independent monotone
-            // total; per-location coherence alone makes repeated
-            // reads of any one shard non-decreasing, which is all
-            // `value` needs (see model_metrics.rs).
-            self.core.shards[shard_index()]
-                .0
-                .fetch_add(n, Ordering::Relaxed);
-        }
+        // relaxed: each shard cell is an independent monotone total;
+        // per-location coherence alone makes repeated reads of any one
+        // shard non-decreasing, which is all `value` needs (see
+        // model_metrics.rs).
+        self.core.shards[shard_index()]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -135,6 +131,12 @@ impl Counter {
             // term (and hence the sum of monotone terms) monotone.
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
+    }
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter::new()
     }
 }
 
@@ -179,27 +181,22 @@ impl Default for StaticCounter {
 #[derive(Clone)]
 pub struct Gauge {
     core: Arc<AtomicU64>,
-    enabled: bool,
 }
 
 impl Gauge {
-    /// A fresh gauge. Normally obtained from a [`crate::Registry`];
-    /// public so the model-check suites can construct one directly.
-    pub fn new(enabled: bool) -> Self {
+    /// A fresh gauge, handed out by [`crate::Registry::gauge`].
+    pub(crate) fn new() -> Self {
         Gauge {
             core: Arc::new(AtomicU64::new(0f64.to_bits())),
-            enabled,
         }
     }
 
-    /// Set the gauge. A no-op on a disabled registry.
+    /// Set the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if self.enabled {
-            // relaxed: last-write-wins sample; readers want *a*
-            // recent value, not ordering against other memory.
-            self.core.store(v.to_bits(), Ordering::Relaxed);
-        }
+        // relaxed: last-write-wins sample; readers want *a* recent
+        // value, not ordering against other memory.
+        self.core.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Set from an integer (exact up to 2^53).
@@ -248,24 +245,21 @@ struct HistCore {
 #[derive(Clone)]
 pub struct Histogram {
     core: Arc<HistCore>,
-    enabled: bool,
 }
 
 impl Histogram {
     /// A fresh histogram. Normally obtained from a
     /// [`crate::Registry`]; public so the model-check suites can
     /// construct one directly.
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         Histogram {
             core: Arc::new(HistCore {
                 shards: std::array::from_fn(|_| HistShard::new()),
             }),
-            enabled,
         }
     }
 
-    /// Record one value. Five atomic ops on the caller's shard; a
-    /// no-op on a disabled registry.
+    /// Record one value. Five atomic ops on the caller's shard.
     ///
     /// Protocol: the bucket cell is bumped *before* `count`, and
     /// `count` is the only `Release` op. Paired with the `Acquire`
@@ -273,9 +267,6 @@ impl Histogram {
     /// invariant "bucket total >= count" in every interleaving.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.enabled {
-            return;
-        }
         let s = &self.core.shards[shard_index()];
         // relaxed: ordered against readers by the Release on `count`
         // below, not by this op itself.
@@ -326,6 +317,12 @@ impl Histogram {
             }
         }
         out
+    }
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
     }
 }
 
@@ -426,21 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let c = Counter::new(false);
-        c.add(5);
-        assert_eq!(c.value(), 0);
-        let h = Histogram::new(false);
-        h.record(9);
-        assert!(h.snapshot().is_empty());
-        let g = Gauge::new(false);
-        g.set(1.5);
-        assert_eq!(g.value(), 0.0);
-    }
-
-    #[test]
     fn histogram_tracks_exact_count_sum_min_max() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         for v in [0u64, 1, 7, 1024, 1025] {
             h.record(v);
         }
@@ -455,7 +439,7 @@ mod tests {
 
     #[test]
     fn quantile_is_bucket_resolution() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }

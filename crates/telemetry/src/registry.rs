@@ -42,37 +42,28 @@ enum Metric {
 }
 
 struct Inner {
-    enabled: bool,
     metrics: Mutex<BTreeMap<String, Metric>>,
     tracer: Tracer,
 }
 
 /// A cheaply cloneable handle to a metrics registry.
 ///
-/// Construct with [`Registry::new`]; a registry built disabled turns
-/// every handle it hands out into a no-op recorder (one predictable
-/// branch per call), which is the overhead-budget toggle.
+/// Construct with [`Registry::new`]. A component records only once a
+/// registry is attached to it; without one it records nothing.
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<Inner>,
 }
 
 impl Registry {
-    /// Create a registry. `enabled == false` makes all recording
-    /// no-ops while keeping the full API usable.
-    pub fn new(enabled: bool) -> Self {
+    /// Create an empty registry.
+    pub fn new() -> Self {
         Registry {
             inner: Arc::new(Inner {
-                enabled,
                 metrics: Mutex::new(BTreeMap::new()),
-                tracer: Tracer::new(enabled),
+                tracer: Tracer::new(),
             }),
         }
-    }
-
-    /// Whether this registry records anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// The registry's span tracer.
@@ -88,7 +79,7 @@ impl Registry {
         let mut map = self.inner.metrics.lock().unwrap();
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new(self.inner.enabled)))
+            .or_insert_with(|| Metric::Counter(Counter::new()))
         {
             Metric::Counter(c) => c.clone(),
             _ => panic!("metric {name:?} already registered with a different kind"),
@@ -103,7 +94,7 @@ impl Registry {
         let mut map = self.inner.metrics.lock().unwrap();
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new(self.inner.enabled)))
+            .or_insert_with(|| Metric::Gauge(Gauge::new()))
         {
             Metric::Gauge(g) => g.clone(),
             _ => panic!("metric {name:?} already registered with a different kind"),
@@ -118,7 +109,7 @@ impl Registry {
         let mut map = self.inner.metrics.lock().unwrap();
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(self.inner.enabled)))
+            .or_insert_with(|| Metric::Histogram(Histogram::new()))
         {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric {name:?} already registered with a different kind"),
@@ -148,13 +139,19 @@ impl Registry {
     }
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registration_is_idempotent_and_shared() {
-        let r = Registry::new(true);
+        let r = Registry::new();
         let a = r.counter("x");
         let b = r.counter("x");
         a.add(2);
@@ -165,14 +162,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_mismatch_panics() {
-        let r = Registry::new(true);
+        let r = Registry::new();
         r.counter("x");
         r.gauge("x");
     }
 
     #[test]
     fn snapshot_collects_all_kinds() {
-        let r = Registry::new(true);
+        let r = Registry::new();
         r.counter("c").add(1);
         r.gauge("g").set(0.25);
         r.histogram("h").record(42);

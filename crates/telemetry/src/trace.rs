@@ -38,7 +38,6 @@ struct SpanRing {
 }
 
 struct TracerInner {
-    enabled: bool,
     epoch: Instant,
     rings: [Mutex<SpanRing>; SHARDS],
 }
@@ -50,11 +49,11 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Create a tracer; disabled tracers hand out no-op guards.
-    pub fn new(enabled: bool) -> Self {
+    /// A tracer with empty rings, handed out by
+    /// [`crate::Registry::tracer`].
+    pub(crate) fn new() -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
-                enabled,
                 epoch: Instant::now(),
                 rings: std::array::from_fn(|_| Mutex::new(SpanRing::default())),
             }),
@@ -66,11 +65,7 @@ impl Tracer {
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard {
-            tracer: if self.inner.enabled {
-                Some(&self.inner)
-            } else {
-                None
-            },
+            tracer: &self.inner,
             name,
             start: Instant::now(),
         }
@@ -128,14 +123,14 @@ impl Tracer {
 
 /// RAII guard produced by [`Tracer::span`]; records the span on drop.
 pub struct SpanGuard<'a> {
-    tracer: Option<&'a TracerInner>,
+    tracer: &'a TracerInner,
     name: &'static str,
     start: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(inner) = self.tracer else { return };
+        let inner = self.tracer;
         let event = SpanEvent {
             name: self.name,
             start_us: self
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn spans_record_on_drop() {
-        let t = Tracer::new(true);
+        let t = Tracer::new();
         {
             let _g = crate::span!(t, "outer");
             let _h = crate::span!(t, "inner");
@@ -183,16 +178,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(false);
-        let _g = t.span("noop");
-        drop(_g);
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let t = Tracer::new(true);
+        let t = Tracer::new();
         for _ in 0..RING_CAPACITY + 10 {
             drop(t.span("s"));
         }
@@ -206,7 +193,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_json_shaped() {
-        let t = Tracer::new(true);
+        let t = Tracer::new();
         drop(t.span("a\"b"));
         let json = t.chrome_trace_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -64,7 +64,7 @@ proptest! {
     /// Single-threaded: the sharded histogram equals the reference.
     #[test]
     fn sharded_equals_reference_sequential(seed in 0u64..10_000, n in 1usize..2_000) {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let h = reg.histogram("h");
         let mut model = Reference::new();
         for v in values(seed, n) {
@@ -79,7 +79,7 @@ proptest! {
     /// built from the full multiset.
     #[test]
     fn sharded_equals_reference_concurrent(seed in 0u64..10_000, n in 1usize..4_000, threads in 2usize..8) {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let h = reg.histogram("h");
         let vals = values(seed, n);
         let mut model = Reference::new();
@@ -103,7 +103,7 @@ proptest! {
     /// Counters merge exactly too.
     #[test]
     fn counter_total_is_exact_concurrent(per_thread in 1u64..5_000, threads in 2usize..8) {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let c = reg.counter("c");
         std::thread::scope(|scope| {
             for _ in 0..threads {

@@ -26,14 +26,14 @@ use octopus_telemetry::{Counter, Histogram};
 /// sequence (the assignment ticket is process-global state that would
 /// otherwise differ between the first and later executions).
 fn warm_main_shard() {
-    Counter::new(true).inc();
+    Counter::new().inc();
 }
 
 #[test]
 fn counter_total_is_monotone_and_exact() {
     warm_main_shard();
     model(|| {
-        let c = Counter::new(true);
+        let c = Counter::new();
         let (c1, c2) = (c.clone(), c.clone());
         let t1 = thread::spawn(move || c1.inc());
         let t2 = thread::spawn(move || c2.inc());
@@ -50,7 +50,7 @@ fn counter_total_is_monotone_and_exact() {
 fn histogram_snapshot_count_never_exceeds_bucket_total() {
     warm_main_shard();
     model(|| {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         let (h1, h2) = (h.clone(), h.clone());
         let t1 = thread::spawn(move || h1.record(3));
         let t2 = thread::spawn(move || h2.record(700));

@@ -6,8 +6,8 @@
 //! 1. a [`Simulation`] (smooth random deformation + rare restructuring)
 //!    runs on its own thread inside a [`MonitorLoop`]; with the
 //!    (default) `hilbert` layout policy its vertices are Hilbert-sorted
-//!    at ingest and re-sorted adaptively when the measured
-//!    adjacency-locality drift crosses the trigger threshold (§IV-H1);
+//!    at ingest and re-sorted after every restructuring event (§IV-H1),
+//!    and the run asserts that at least one re-layout happened mid-run;
 //! 2. each iteration, the pipeline is filled up to the ring depth K
 //!    and a batch of range queries is answered by the pool-backed
 //!    parallel executor against the stable snapshot of the latest
@@ -72,6 +72,9 @@ use std::time::{Duration, Instant};
 
 const FIELD_SEED: u64 = 0x0C70_9005;
 
+/// The simulation restructures every this many steps.
+const RESTRUCTURE_EVERY: u32 = 7;
+
 /// Finishes the oldest in-flight step, riding out injected turbulence:
 /// `RetryAfter`/`RingFull` back-pressure is retried on the backoff
 /// schedule, and an injected step refusal (`Mesh(External)`) re-begins
@@ -106,7 +109,7 @@ fn finish_step_resilient(
 /// the newest snapshot — all reflected in `sim_failures_total` /
 /// `sim_restarts_total`.
 fn supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     let sim = Simulation::new(
         box_mesh(3),
         Box::new(SmoothRandomField::new(0.01, 3, FIELD_SEED)),
@@ -163,12 +166,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_or_else(octopus::service::default_workers, |s| {
             s.parse().expect("workers")
         });
-    // Adaptive §IV-H1 re-layout: fire as soon as the tracked cache-line
-    // locality has decayed ≥ 2% past the ingest-time order.
-    let trigger = RelayoutTrigger::LocalityDrift {
-        ratio_pct: 102,
-        recompute_every: 2,
-    };
+    // §IV-H1 re-layout after every restructuring event. It waits for
+    // the depth − 1 steps still in flight behind the restructure to
+    // finish, so a run re-lays out mid-run once it lasts
+    // `RESTRUCTURE_EVERY + depth − 1` steps (asserted below).
+    let trigger = RelayoutTrigger::AfterRestructures(1);
     let policy = match args.next().as_deref() {
         None | Some("hilbert") => LayoutPolicy::Hilbert { trigger },
         Some("preserve") => LayoutPolicy::Preserve,
@@ -207,7 +209,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let make_sim = |mesh: Mesh| -> Result<Simulation, octopus::mesh::MeshError> {
         Simulation::new(mesh, Box::new(SmoothRandomField::new(0.008, 4, FIELD_SEED)))
-            .with_restructuring(RestructureSchedule::new(7, 3, 0xBEEF))
+            .with_restructuring(RestructureSchedule::new(RESTRUCTURE_EVERY, 3, 0xBEEF))
     };
 
     // ---- Overlapped (pipelined) run -------------------------------
@@ -220,7 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // pool scheduling, engine grouping, planner routing, the snapshot
     // ring and the standing queries — and feeds the span tracer whose
     // chrome://tracing export is checked at the end of the run.
-    let registry = Registry::new(true);
+    let registry = Registry::new();
     monitor.attach_telemetry(&registry);
     // Admission front: every batch below is enqueued for tenant 0 and
     // drained in fair order rather than executed directly, so the
@@ -409,7 +411,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let admission_stats = monitor.admission_stats().expect("admission attached");
-    let final_drift = monitor.locality_drift();
     let recycle_stats = monitor.recycle_stats();
     let relayouts = monitor.relayouts();
     let grid_stats = monitor.seed_cache_stats().expect("always reported");
@@ -483,12 +484,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          by design; {ring_checks} retained-step ring spot-checks passed"
     );
     println!(
-        "  layout: {relayouts} drift-triggered re-layout(s){}; pool: {spawned_during_run} thread \
-         spawns during serving, {} of {} result buffers recycled",
-        final_drift.map_or(String::new(), |d| format!(" (final drift ratio {d:.3})")),
-        recycle_stats.reused,
-        recycle_stats.leased
+        "  layout: {relayouts} restructure-triggered re-layout(s); pool: {spawned_during_run} \
+         thread spawns during serving, {} of {} result buffers recycled",
+        recycle_stats.reused, recycle_stats.leased
     );
+    if policy != LayoutPolicy::Preserve && steps + 1 >= RESTRUCTURE_EVERY + depth as u32 {
+        assert!(relayouts >= 1, "no re-layout ran mid-run");
+    }
     assert_eq!(
         spawned_during_run, 0,
         "steady-state serving must not spawn threads"

@@ -27,7 +27,7 @@
 //!   ([`prelude::ParallelExecutor`]), the pipelined snapshot-ring
 //!   SIMULATE ∥ MONITOR loop ([`prelude::MonitorLoop`]) with its
 //!   cache-conscious vertex-layout policy ([`prelude::LayoutPolicy`]),
-//!   adaptive drift-triggered re-layout
+//!   restructure-triggered re-layout
 //!   ([`prelude::RelayoutTrigger`]), and standing queries that stream
 //!   incremental result deltas
 //!   ([`prelude::MonitorLoop::subscribe`] → [`prelude::ResultDelta`]).
