@@ -1084,63 +1084,206 @@ fn run_seeding<R: Region>(
     probe: Probe<'_>,
 ) -> PhaseTimings {
     let mut stats = PhaseTimings::default();
-    let positions = mesh.positions();
     scratch.crawler.begin_query(mesh.num_vertices());
     scratch.seeded.begin(components.count());
-
-    // Phase 1: surface probe. The hot pass is a pure membership test
-    // over a prefetching gather ([`gather`]); the branchless containment
-    // keeps the loop pipeline-friendly. The closest-vertex bookkeeping
-    // of Algorithm 1 is only needed when *no* surface vertex is inside
-    // the query (the rare directed-walk case), so it runs as a separate
-    // second pass instead of burdening every probe.
-    let t0 = Instant::now();
-    let mut seeded_components = 0usize;
-    let mut seed = |v: VertexId| {
-        if scratch.crawler.seed(v, out) {
-            stats.start_vertices += 1;
-            let c = components.component_of[v as usize] as usize;
-            seeded_components += usize::from(scratch.seeded.mark(c));
-        }
+    let mut seeds = QuerySeeds {
+        q,
+        crawler: &mut scratch.crawler,
+        seeded: &mut scratch.seeded,
+        out,
+        start_vertices: 0,
     };
-    let grid_candidates = probe.run(surface, positions, &q.bounds(), |v, p| {
-        if q.contains(p) {
-            seed(v);
-        }
-    });
-    stats.grid_candidates = grid_candidates;
+    // Phase 1: the surface probe.
+    let t0 = Instant::now();
+    stats.grid_candidates = probe_seeds(probe, surface, components, mesh.positions(), &mut seeds);
     stats.surface_probe = t0.elapsed();
+    // Phase 2: walks into the components phase 1 left seedless.
+    let walks = std::slice::from_mut(&mut stats);
+    let walk_time = walk_seedless(probe, components, mesh, &mut seeds, walks);
+    stats.directed_walk = walk_time;
+    stats.start_vertices = seeds.start_vertices;
+    stats
+}
 
-    // Phase 2: component-aware directed walks. A component whose
-    // surface produced no seed may still intersect the query with fully
-    // interior material — unless the probe's bound rules it out, the
-    // walk decides. The clock starts with the first walk that runs.
-    if seeded_components < components.count() {
-        let bounds = q.bounds();
-        let mut started = None;
+/// Where the seeding phases of Algorithm 1 put what they find, for the
+/// members of one run: a single query ([`QuerySeeds`]) or a group
+/// ([`GroupSeeds`]). Phase 1 ([`probe_seeds`]) and phase 2
+/// ([`walk_seedless`]) are written once against it and monomorphise to
+/// each form's own loop. Member `j` is bit `j` of a mask.
+trait Seeds {
+    type Region: Region;
+    /// Member `j`'s region.
+    fn region(&self, j: usize) -> &Self::Region;
+    /// The bounds phase 1 probes: every member's region lies inside.
+    fn bounds(&self) -> Aabb;
+    /// The members whose region contains `p`.
+    fn members(&self, p: Point3) -> u64;
+    /// Seeds `v`, known inside the regions of the members in `mask`.
+    fn seed(&mut self, v: VertexId, mask: u64);
+    /// Records that phase 1 seeded the members in `mask` in component
+    /// `c`.
+    fn mark_component(&mut self, c: usize, mask: u64);
+    /// Whether phase 1 seeded member `j` in component `c`.
+    fn component_seeded(&self, c: usize, j: usize) -> bool;
+}
+
+/// One query's seeds: the sequential crawler's frontier, and a stamp
+/// per component phase 1 seeded.
+struct QuerySeeds<'a, R> {
+    q: &'a R,
+    crawler: &'a mut Crawler,
+    seeded: &'a mut EpochStamps,
+    out: &'a mut Vec<VertexId>,
+    start_vertices: usize,
+}
+
+impl<R: Region> Seeds for QuerySeeds<'_, R> {
+    type Region = R;
+
+    fn region(&self, _: usize) -> &R {
+        self.q
+    }
+
+    fn bounds(&self) -> Aabb {
+        self.q.bounds()
+    }
+
+    fn members(&self, p: Point3) -> u64 {
+        u64::from(self.q.contains(p))
+    }
+
+    fn seed(&mut self, v: VertexId, _: u64) {
+        if self.crawler.seed(v, self.out) {
+            self.start_vertices += 1;
+        }
+    }
+
+    fn mark_component(&mut self, c: usize, _: u64) {
+        self.seeded.mark(c);
+    }
+
+    fn component_seeded(&self, c: usize, _: usize) -> bool {
+        self.seeded.is_marked(c)
+    }
+}
+
+/// A group's seeds: the shared frontier's member masks. Phase 1 tests
+/// the group's union box first, so an out-of-group vertex costs one
+/// test instead of k.
+struct GroupSeeds<'a> {
+    queries: &'a [Aabb],
+    union: Aabb,
+    group: &'a mut GroupScratch,
+    results: &'a mut [Vec<VertexId>],
+}
+
+impl Seeds for GroupSeeds<'_> {
+    type Region = Aabb;
+
+    fn region(&self, j: usize) -> &Aabb {
+        &self.queries[j]
+    }
+
+    fn bounds(&self) -> Aabb {
+        self.union
+    }
+
+    fn members(&self, p: Point3) -> u64 {
+        let mut mask = 0;
+        if self.union.contains(p) {
+            for (j, q) in self.queries.iter().enumerate() {
+                mask |= u64::from(q.contains(p)) << j;
+            }
+        }
+        mask
+    }
+
+    fn seed(&mut self, v: VertexId, mask: u64) {
+        let mut bits = mask;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            self.group.seed(v, bit, self.results);
+        }
+    }
+
+    fn mark_component(&mut self, c: usize, mask: u64) {
+        self.group.mark_component(c, mask);
+    }
+
+    fn component_seeded(&self, c: usize, j: usize) -> bool {
+        self.group.component_seeded(c, j as u32)
+    }
+}
+
+/// Phase 1 of Algorithm 1, the surface probe: one pass over the ids
+/// `probe` visits for the members' bounds, seeding every id inside a
+/// member under that member. Returns the ids a grid visited.
+///
+/// The hot pass is a pure membership test over a prefetching gather
+/// ([`gather`]); the branchless containment keeps the loop
+/// pipeline-friendly. The closest-vertex bookkeeping of Algorithm 1 is
+/// only needed when *no* surface vertex is inside the query (the rare
+/// directed-walk case), so it is phase 2's start search instead of a
+/// burden on every probe.
+///
+/// Out of line on purpose: inlined into the group seeder, the gather
+/// loop competed for registers with the walk and crawl phases and
+/// reloaded its slice pointers and bounds from the stack every
+/// iteration — measured 5–7 % on the probe of a four-member group over
+/// 39 k surface ids, 2 % of an `analysis-burst` request.
+#[inline(never)]
+fn probe_seeds<S: Seeds>(
+    probe: Probe<'_>,
+    surface: &SurfaceIndex,
+    components: &ComponentMap,
+    positions: &[Point3],
+    seeds: &mut S,
+) -> usize {
+    let bounds = seeds.bounds();
+    probe.run(surface, positions, &bounds, |v, p| {
+        let mask = seeds.members(p);
+        if mask != 0 {
+            seeds.seed(v, mask);
+            seeds.mark_component(components.component_of[v as usize] as usize, mask);
+        }
+    })
+}
+
+/// Phase 2 of Algorithm 1, component-aware directed walks: for every
+/// (member, component) pair phase 1 left seedless, a component that may
+/// still intersect the member's region with fully interior material is
+/// walked — unless the probe's bound rules it out. The counters go to
+/// the member's `timings`; returns the wall time from the first walk
+/// that ran.
+fn walk_seedless<S: Seeds>(
+    probe: Probe<'_>,
+    components: &ComponentMap,
+    mesh: &Mesh,
+    seeds: &mut S,
+    timings: &mut [PhaseTimings],
+) -> Duration {
+    let mut started = None;
+    for (j, t) in timings.iter_mut().enumerate() {
+        let bounds = seeds.region(j).bounds();
         for c in 0..components.count() {
-            if scratch.seeded.is_marked(c) {
+            if seeds.component_seeded(c, j) {
                 continue;
             }
             if !probe.reaches(c, &bounds) {
-                stats.walks_pruned += 1;
+                t.walks_pruned += 1;
                 continue;
             }
             started.get_or_insert_with(Instant::now);
-            stats.walks += 1;
-            let (found, steps) = walk_component(components, c, mesh, q);
-            stats.walk_visited += steps;
+            t.walks += 1;
+            let (found, steps) = walk_component(components, c, mesh, seeds.region(j));
+            t.walk_visited += steps;
             if let Some(inside) = found {
-                if scratch.crawler.seed(inside, out) {
-                    stats.start_vertices += 1;
-                }
+                seeds.seed(inside, 1 << j);
             }
         }
-        if let Some(t1) = started {
-            stats.directed_walk = t1.elapsed();
-        }
     }
-    stats
+    started.map_or(Duration::ZERO, |t1| t1.elapsed())
 }
 
 /// The walk policy for one component the probe left seedless and its
@@ -1159,8 +1302,7 @@ fn run_seeding<R: Region>(
 /// unseeded component would dominate such workloads.
 ///
 /// Returns the in-region vertex the walk reached, if any, and the
-/// vertices stepped through; the single and the group seeder each apply
-/// their own sink.
+/// vertices stepped through.
 fn walk_component<R: Region>(
     components: &ComponentMap,
     c: usize,
@@ -1185,17 +1327,6 @@ fn walk_component<R: Region>(
     (None, steps)
 }
 
-/// Membership bitmask of `p` over the group's queries (bit `i` ⇔
-/// `queries[i]` contains `p`).
-#[inline]
-fn member_mask(queries: &[Aabb], p: Point3) -> u64 {
-    let mut mask = 0u64;
-    for (i, q) in queries.iter().enumerate() {
-        mask |= u64::from(q.contains(p)) << i;
-    }
-    mask
-}
-
 impl Octopus {
     /// The shared-frontier group query (see [`Octopus::query_group`]).
     fn run_group(
@@ -1214,37 +1345,24 @@ impl Octopus {
         );
         let components = &self.components;
         group.begin_group(mesh.num_vertices(), components.count(), queries.len());
-
-        // Phase 1: the shared probe.
+        timings.fill(PhaseTimings::default());
+        let mut seeds = GroupSeeds {
+            queries,
+            union: queries.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q)),
+            group: &mut *group,
+            results: &mut *results,
+        };
+        // Phase 1: the shared probe; phase 2: per-member walks.
         let t0 = Instant::now();
-        let grid_candidates = self.probe_group(group, mesh.positions(), queries, probe, results);
+        let grid_candidates = probe_seeds(
+            probe,
+            &self.surface,
+            components,
+            mesh.positions(),
+            &mut seeds,
+        );
         let probe_time = t0.elapsed();
-
-        // Phase 2: per-member component-aware directed walks, for every
-        // (member, component) pair the probe left seedless and the
-        // member's bound cannot rule out. The counters go straight into
-        // the member's timings; the clock starts with the first walk.
-        let mut started = None;
-        for (j, (q, t)) in queries.iter().zip(timings.iter_mut()).enumerate() {
-            *t = PhaseTimings::default();
-            for c in 0..components.count() {
-                if group.component_seeded(c, j as u32) {
-                    continue;
-                }
-                if !probe.reaches(c, q) {
-                    t.walks_pruned += 1;
-                    continue;
-                }
-                started.get_or_insert_with(Instant::now);
-                t.walks += 1;
-                let (found, steps) = walk_component(components, c, mesh, q);
-                t.walk_visited += steps;
-                if let Some(inside) = found {
-                    group.seed(inside, j as u32, results);
-                }
-            }
-        }
-        let walk_time = started.map_or(Duration::ZERO, |t1| t1.elapsed());
+        let walk_time = walk_seedless(probe, components, mesh, &mut seeds, timings);
 
         // Phase 3: the shared-frontier crawl.
         let t2 = Instant::now();
@@ -1261,46 +1379,6 @@ impl Octopus {
         first.grid_candidates = grid_candidates;
         first.directed_walk = walk_time;
         first.crawling = crawl_time;
-    }
-
-    /// Phase 1 of a group query: one pass over the ids the probe visits
-    /// for the group's union box. The union box rejects out-of-group
-    /// vertices with one test instead of k; survivors are tested against
-    /// each member and seeded under their bits. Returns the ids a grid
-    /// visited.
-    ///
-    /// Out of line on purpose: inlined into `run_group`, the gather loop
-    /// competes for registers with the walk and crawl phases and reloads
-    /// its slice pointers and bounds from the stack every iteration —
-    /// measured 5–7 % on the probe of a four-member group over 39 k
-    /// surface ids, 2 % of an `analysis-burst` request.
-    #[inline(never)]
-    fn probe_group(
-        &self,
-        group: &mut GroupScratch,
-        positions: &[Point3],
-        queries: &[Aabb],
-        probe: Probe<'_>,
-        results: &mut [Vec<VertexId>],
-    ) -> usize {
-        let union = queries.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
-        let mut seed = |v: VertexId, mask: u64| {
-            let mut bits = mask;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                group.seed(v, bit, results);
-            }
-            group.mark_component(self.components.component_of[v as usize] as usize, mask);
-        };
-        probe.run(&self.surface, positions, &union, |v, p| {
-            if union.contains(p) {
-                let mask = member_mask(queries, p);
-                if mask != 0 {
-                    seed(v, mask);
-                }
-            }
-        })
     }
 }
 
@@ -1829,6 +1907,9 @@ mod tests {
 
     #[test]
     fn group_query_matches_per_query_baseline() {
+        // Walks run and walks pruned, summed per probe over both meshes:
+        // both branches of phase 2 must be exercised.
+        let (mut walked, mut pruned) = (0, 0);
         for mesh in [box_mesh(7), neuron(NeuroLevel::L1, 0.5).unwrap()] {
             let mut rng = SplitMix64::new(0xBA7C);
             let bounds = mesh.bounding_box();
@@ -1847,12 +1928,31 @@ mod tests {
             let expected = group_reference(&mesh, &queries);
             let o = Octopus::new(&mesh).unwrap();
             let mut scratch = o.make_scratch(&mesh);
-            let (results, timings, _) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
-            for (j, (got, want)) in results.into_iter().zip(expected).enumerate() {
-                assert_eq!(timings[j].results, want.len(), "query {j}: stats.results");
-                assert_eq!(got, want, "query {j}");
+            let grid = o.surface_grid(mesh.positions(), 0.1);
+            let reach = grid.reach(mesh.positions());
+            let probes = [
+                ("surface", Probe::Surface),
+                ("grid", Probe::Grid { grid: &grid, reach }),
+            ];
+            // What each member's seeding and crawl did, as `query_with`
+            // counts it for the query alone.
+            let work = |t: &PhaseTimings| {
+                let walks = (t.walks, t.walks_pruned, t.walk_visited);
+                (t.start_vertices, walks, t.crawl_visited, t.results)
+            };
+            for (name, probe) in probes {
+                let (results, timings, _) = grouped(&o, &mut scratch, &mesh, &queries, probe);
+                for (j, (got, want)) in results.into_iter().zip(&expected).enumerate() {
+                    assert_eq!(&got, want, "{name}: query {j}");
+                    let mut out = Vec::new();
+                    let alone = o.query_with(&mut scratch, &mesh, &queries[j], probe, &mut out);
+                    assert_eq!(work(&timings[j]), work(&alone), "{name}: query {j}");
+                    walked += alone.walks;
+                    pruned += alone.walks_pruned;
+                }
             }
         }
+        assert!(walked > 0 && pruned > 0, "walks {walked}, pruned {pruned}");
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! Algorithm 1: **surface probe** → **directed walk** (into each
 //! connected component the probe left without a seed) → **crawling**
 //! (bounded BFS).
-//! Each phase is written once: the probe is one prefetching gather
+//! Each phase is written once, for one query and for a group of them
+//! alike: the probe is one prefetching gather
 //! ([`octopus_geom::mem::gather`]) over the ids its [`Probe`] visits —
 //! the whole surface index (the paper's probe, and what the library
 //! entry points use), or the cells of a [`SurfaceGrid`] around the
 //! query when the caller holds one for the snapshot
-//! ([`Octopus::surface_grid`]) — the walk one per-component policy,
+//! ([`Octopus::surface_grid`]) — the walk one per-component loop,
 //! skipped for the components the grid's bounds put out of the
-//! query's reach, and the crawl is
-//! picked from the number of queries run together
+//! query's reach; the two differ only in where a seed is recorded.
+//! The crawl is picked from the number of queries run together
 //! ([`Octopus::query_group`]: sequential BFS for one, shared frontier
 //! for more).
 //!

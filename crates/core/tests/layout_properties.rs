@@ -1,9 +1,6 @@
 //! Properties of the layout engine (Hilbert relabelling): the
-//! permutation is a true permutation, relabelling is invisible to query
-//! results on both random and neuron meshes, and the SoA position
-//! mirror (no query path reads it since PR 21; the repository benchmark
-//! still times it) stays equal to the canonical `Vec<Point3>` through
-//! deformation, restructuring and re-layout.
+//! permutation is a true permutation, and relabelling is invisible to
+//! query results on both random and neuron meshes.
 
 use octopus_core::layout::{curve_permutation, hilbert_layout, CurveKind};
 use octopus_core::Octopus;
@@ -11,7 +8,6 @@ use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
-use octopus_sim::{Deformation, SmoothRandomField};
 use octopus_testkit::{random_mesh, scan_active, sorted};
 use proptest::prelude::*;
 
@@ -79,56 +75,6 @@ proptest! {
         let (laid_out, perm) = hilbert_layout(&mesh);
         let q = probe_box(&mesh, seed ^ 0xA5A5, half);
         assert_layout_invisible(&mesh, &laid_out, &perm, &q);
-    }
-
-    /// The blocked SoA mirror answers exactly the canonical positions
-    /// after any deform → restructure → re-layout sequence, including
-    /// the lazily rebuilt mirror of a cloned mesh.
-    #[test]
-    fn soa_mirror_survives_deform_restructure_relayout(
-        seed in 0u64..10_000,
-        amplitude in 0.001f32..0.08,
-        ops in 1usize..12,
-    ) {
-        let mut mesh = random_mesh(3, 1.0, seed); // solid box
-        mesh.enable_restructuring().expect("fresh mesh");
-        // Deform: rewrite every position through the canonical slice.
-        let rest = mesh.positions().to_vec();
-        let mut field = SmoothRandomField::new(amplitude, 3, seed ^ 0x50A);
-        field.apply_step(1, &rest, mesh.positions_mut());
-        // Restructure: random removals/refinements change vertex count
-        // and orphan slots.
-        let mut rng = SplitMix64::new(seed ^ 0xBEEF);
-        for _ in 0..ops {
-            if mesh.num_cells() <= 1 {
-                break;
-            }
-            let cell = loop {
-                let c = rng.index(mesh.cell_capacity()) as u32;
-                if mesh.is_cell_alive(c) {
-                    break c;
-                }
-            };
-            if rng.chance(0.5) {
-                mesh.remove_cell(cell).expect("alive cell");
-            } else {
-                mesh.refine_tet(cell).expect("alive tet");
-            }
-        }
-        // Re-layout: a full relabelling rebuilds every block.
-        let (laid_out, _) = hilbert_layout(&mesh);
-        for m in [&mesh, &laid_out] {
-            let blocks = m.position_blocks();
-            prop_assert_eq!(blocks.len(), m.positions().len());
-            for (v, p) in m.positions().iter().enumerate() {
-                let got = blocks.get(v);
-                prop_assert!(
-                    got == *p,
-                    "SoA mirror desynced at vertex {}: {:?} != {:?}",
-                    v, got, p
-                );
-            }
-        }
     }
 }
 

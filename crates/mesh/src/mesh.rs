@@ -4,8 +4,7 @@ use crate::soa::PositionBlocks;
 use crate::surface::FaceTable;
 use crate::{CellKind, Csr, FaceKey, MeshError, Surface};
 use octopus_geom::{Aabb, CellId, Point3, VertexId};
-use std::ops::Deref;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 /// What a restructuring operation changed: the surface vertex set, and
 /// which vertices' neighbour lists it rewrote.
@@ -86,16 +85,6 @@ pub struct Mesh {
     /// surface statistics, snapshot executors) can compare epochs
     /// instead of diffing the mesh.
     restructure_epoch: u64,
-    /// Bumped by every position write ([`Mesh::positions_mut`],
-    /// [`Mesh::refine_tet`]'s centroid append) — the staleness stamp of
-    /// the blocked-SoA mirror below.
-    deform_stamp: u64,
-    /// Lazily synced blocked-SoA mirror of `positions` (see
-    /// [`crate::soa`]). No query path reads it since PR 21; it is built
-    /// only when [`Mesh::position_blocks`] is called, which the
-    /// repository benchmark's `mesh.soa_rebuild_us` still does.
-    /// Interior mutability because it is (re)built from `&self`.
-    blocks: RwLock<BlockMirror>,
 }
 
 /// Cells per block of a mesh's cell arrays: cell `c` is slot
@@ -261,13 +250,6 @@ impl<'a> Iterator for LiveCells<'a> {
     }
 }
 
-#[derive(Debug, Default)]
-struct BlockMirror {
-    /// The `deform_stamp` the store was built at; `None` = never built.
-    built_at: Option<u64>,
-    store: PositionBlocks,
-}
-
 #[derive(Clone, Debug)]
 struct RestructureState {
     faces: FaceTable,
@@ -276,29 +258,12 @@ struct RestructureState {
 
 /// A copy of the positions sharing everything else, the restructuring
 /// state included — [`Mesh::snapshot`] plus the ability to restructure.
-/// The blocked-SoA mirror is derived state: the copy starts unsynced
-/// and rebuilds if `position_blocks` is ever called on it.
 impl Clone for Mesh {
     fn clone(&self) -> Mesh {
         Mesh {
             restructure: self.restructure.clone(),
             ..self.snapshot()
         }
-    }
-}
-
-/// Read guard over a [`Mesh`]'s blocked-SoA position store (see
-/// [`Mesh::position_blocks`]). Dereferences to [`PositionBlocks`]; the
-/// store is immutable and in sync with [`Mesh::positions`] for the
-/// guard's whole lifetime (position mutation needs `&mut Mesh`, which
-/// the guard's mesh borrow excludes).
-pub struct PositionBlocksRef<'a>(RwLockReadGuard<'a, BlockMirror>);
-
-impl Deref for PositionBlocksRef<'_> {
-    type Target = PositionBlocks;
-    #[inline]
-    fn deref(&self) -> &PositionBlocks {
-        &self.0.store
     }
 }
 
@@ -341,8 +306,6 @@ impl Mesh {
             adjacency: Arc::clone(&self.adjacency),
             restructure: None,
             restructure_epoch: self.restructure_epoch,
-            deform_stamp: 0,
-            blocks: RwLock::new(BlockMirror::default()),
         }
     }
 
@@ -396,8 +359,6 @@ impl Mesh {
             adjacency: Arc::new(adjacency),
             restructure: None,
             restructure_epoch: 0,
-            deform_stamp: 0,
-            blocks: RwLock::new(BlockMirror::default()),
         })
     }
 
@@ -472,48 +433,18 @@ impl Mesh {
 
     /// Mutable vertex positions — the simulation's in-place update target.
     /// Writing here is the "mesh deformation" transformation: surface and
-    /// adjacency remain valid by construction. Marks the blocked-SoA
-    /// mirror stale; the next [`Mesh::position_blocks`] resyncs it.
+    /// adjacency remain valid by construction.
     #[inline]
     pub fn positions_mut(&mut self) -> &mut [Point3] {
-        self.deform_stamp += 1;
         &mut self.positions
     }
 
-    /// The blocked-SoA view of the current positions (see
-    /// [`crate::soa`]). **No query path reads this since PR 21** — the
-    /// crawl and the shared scan read [`Mesh::positions`] in place. It
-    /// is kept for the repository benchmark's `mesh.soa_rebuild_us`
-    /// (`benchmark/src/adapter.rs::soa_blocks`), which a crate change
-    /// may not edit; do not add callers. Lazily rebuilt: the first call
-    /// after a position write ([`Mesh::positions_mut`], a
-    /// vertex-appending restructure) pays one O(V) resync under a write
-    /// lock; every other call is one uncontended read lock. Always
-    /// consistent with
-    /// [`Mesh::positions`] — mutation requires `&mut Mesh`, which the
-    /// returned guard's borrow excludes.
-    pub fn position_blocks(&self) -> PositionBlocksRef<'_> {
-        // Lock poisoning carries no broken invariant here: the mirror
-        // is rebuilt from `positions` below whenever it is stale, so a
-        // panicked builder at worst leaves `built_at` unset.
-        {
-            let guard = self.blocks.read().unwrap_or_else(PoisonError::into_inner);
-            if guard.built_at == Some(self.deform_stamp) {
-                return PositionBlocksRef(guard);
-            }
-        }
-        {
-            let mut guard = self.blocks.write().unwrap_or_else(PoisonError::into_inner);
-            // Double-check: a concurrent reader may have rebuilt while
-            // we waited for the write lock.
-            if guard.built_at != Some(self.deform_stamp) {
-                guard.store.rebuild(&self.positions);
-                guard.built_at = Some(self.deform_stamp);
-            }
-        }
-        // The stamp cannot advance between the rebuild and this
-        // re-acquire: advancing it requires `&mut self`.
-        PositionBlocksRef(self.blocks.read().unwrap_or_else(PoisonError::into_inner))
+    /// The positions in blocked structure-of-arrays form (see
+    /// [`crate::soa`]), built from [`Mesh::positions`] on every call —
+    /// an O(V) copy. No query path reads it; it exists for the
+    /// repository benchmark's `mesh.soa_rebuild_us`.
+    pub fn position_blocks(&self) -> PositionBlocks {
+        PositionBlocks::from_points(&self.positions)
     }
 
     /// Position of vertex `v`.
@@ -671,7 +602,6 @@ impl Mesh {
         }
         let e = self.positions.len() as VertexId;
         self.positions.push(centroid);
-        self.deform_stamp += 1; // the SoA mirror must grow a lane
         if let Some(rs) = &mut self.restructure {
             Arc::make_mut(rs).boundary_face_count.push(0);
         }
@@ -924,14 +854,11 @@ impl Mesh {
             adjacency: Arc::new(self.adjacency.permuted(perm)),
             restructure,
             restructure_epoch: self.restructure_epoch,
-            deform_stamp: 0,
-            blocks: RwLock::new(BlockMirror::default()),
         }
     }
 
     /// Bytes of heap memory the mesh structure reaches (positions, cells,
-    /// adjacency, tombstones, restructuring state, and the blocked-SoA
-    /// position mirror — alignment padding included). This is the
+    /// adjacency, tombstones and restructuring state). This is the
     /// "dataset size" denominator of the paper's memory-overhead
     /// comparisons: index footprints are reported *relative to* it.
     /// Shared arrays are counted in full by every holder: the sizes of
@@ -939,13 +866,7 @@ impl Mesh {
     pub fn memory_bytes(&self) -> usize {
         let mut total = self.positions.capacity() * std::mem::size_of::<Point3>()
             + self.cells.memory_bytes()
-            + self.adjacency.memory_bytes()
-            + self
-                .blocks
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .store
-                .memory_bytes();
+            + self.adjacency.memory_bytes();
         if let Some(rs) = &self.restructure {
             total += rs.faces.memory_bytes()
                 + rs.boundary_face_count.capacity() * std::mem::size_of::<u32>();
@@ -1293,33 +1214,20 @@ mod tests {
     }
 
     #[test]
-    fn position_blocks_mirror_the_aos_store() {
-        let m = two_tet_mesh();
-        let blocks = m.position_blocks();
-        assert_eq!(blocks.len(), m.num_vertices());
-        for (v, pos) in m.positions().iter().enumerate() {
-            assert_eq!(blocks.get(v), *pos);
-        }
-    }
-
-    #[test]
-    fn position_blocks_resync_after_deformation() {
+    fn position_blocks_round_trip_after_deformation_and_refine() {
+        let round_trips = |m: &Mesh| {
+            let blocks = m.position_blocks();
+            assert_eq!(blocks.blocks().len(), m.num_vertices().div_ceil(16));
+            for (v, pos) in m.positions().iter().enumerate() {
+                assert_eq!(blocks.get(v), *pos, "vertex {v}");
+            }
+        };
         let mut m = two_tet_mesh();
-        assert_eq!(m.position_blocks().get(4), p(1.0, 1.0, 1.0));
         m.positions_mut()[4] = p(7.0, 8.0, 9.0);
-        assert_eq!(m.position_blocks().get(4), p(7.0, 8.0, 9.0));
-    }
-
-    #[test]
-    fn position_blocks_resync_after_refine() {
-        let mut m = two_tet_mesh();
+        round_trips(&m);
         m.enable_restructuring().unwrap();
-        let before = m.num_vertices();
-        let _ = m.position_blocks(); // build the mirror at the old length
         m.refine_tet(0).unwrap();
-        let blocks = m.position_blocks();
-        assert_eq!(blocks.len(), before + 1);
-        assert_eq!(blocks.get(before), m.positions()[before]);
+        round_trips(&m);
     }
 
     /// Pointer identity of the two shared arrays: the CSR and the flat
@@ -1410,23 +1318,5 @@ mod tests {
         drop(m.snapshot());
         m.remove_cell(1).unwrap();
         assert_eq!(m.cell(0).as_ptr(), cells, "the sharer is gone: no copy");
-    }
-
-    #[test]
-    fn clone_rebuilds_its_own_mirror() {
-        let mut m = two_tet_mesh();
-        let _ = m.position_blocks();
-        let c = m.clone();
-        m.positions_mut()[0] = p(-5.0, 0.0, 0.0);
-        assert_eq!(c.position_blocks().get(0), p(0.0, 0.0, 0.0));
-        assert_eq!(m.position_blocks().get(0), p(-5.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn memory_bytes_includes_block_mirror_after_build() {
-        let m = two_tet_mesh();
-        let before = m.memory_bytes();
-        let _ = m.position_blocks();
-        assert!(m.memory_bytes() > before, "mirror padding must be counted");
     }
 }

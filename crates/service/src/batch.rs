@@ -25,28 +25,12 @@ use std::time::Instant;
 
 /// One query's answer: the matching vertex ids plus the per-phase
 /// execution statistics.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryResult {
     /// Vertices of the mesh inside the query box.
     pub vertices: Vec<VertexId>,
     /// Per-phase timings and work counters.
     pub timings: PhaseTimings,
-    /// Free-list generation `vertices` was leased under; checked when
-    /// the result is handed back via [`ParallelExecutor::recycle`].
-    pub(crate) generation: u32,
-}
-
-impl Clone for QueryResult {
-    /// Clones the payload but **not** the lease: the clone carries
-    /// generation 0, so recycling both the original and its copy can
-    /// never park more buffers than were leased.
-    fn clone(&self) -> QueryResult {
-        QueryResult {
-            vertices: self.vertices.clone(),
-            timings: self.timings,
-            generation: 0,
-        }
-    }
 }
 
 /// Aggregate statistics over one executed batch.
@@ -118,11 +102,10 @@ struct Worker {
     /// (batch index, result) pairs produced in the current batch.
     staged: Vec<(u32, QueryResult)>,
     shared_visited: usize,
-    /// The current group's member boxes, leased result buffers with
-    /// their lease generations, and per-member timings.
+    /// The current group's member boxes, leased result buffers and
+    /// per-member timings.
     boxes: Vec<Aabb>,
     bufs: Vec<Vec<VertexId>>,
-    generations: Vec<u32>,
     timings: Vec<PhaseTimings>,
 }
 
@@ -135,7 +118,6 @@ impl Worker {
             shared_visited: 0,
             boxes: Vec::new(),
             bufs: Vec::new(),
-            generations: Vec::new(),
             timings: Vec::new(),
         }
     }
@@ -154,12 +136,7 @@ impl Worker {
         self.boxes
             .extend(members.iter().map(|&i| queries[i as usize]));
         self.bufs.clear();
-        self.generations.clear();
-        for _ in members {
-            let (generation, buf) = recycler.lease();
-            self.generations.push(generation);
-            self.bufs.push(buf);
-        }
+        self.bufs.extend(members.iter().map(|_| recycler.lease()));
         self.timings.clear();
         self.timings.resize(members.len(), PhaseTimings::default());
 
@@ -187,18 +164,9 @@ impl Worker {
             }
         }
 
-        let leases = self.bufs.drain(..).zip(&self.generations);
-        for ((&i, (vertices, &generation)), &timings) in
-            members.iter().zip(leases).zip(&self.timings)
-        {
-            self.staged.push((
-                i,
-                QueryResult {
-                    vertices,
-                    timings,
-                    generation,
-                },
-            ));
+        let results = self.bufs.drain(..).zip(&self.timings);
+        for (&i, (vertices, &timings)) in members.iter().zip(results) {
+            self.staged.push((i, QueryResult { vertices, timings }));
         }
     }
 }
@@ -248,8 +216,7 @@ fn scan_group(
 /// performs **zero thread spawns** — `execute_batch` is a task
 /// submission, not a `thread::scope` spawn. All per-worker scratch
 /// (visited arrays, BFS queues) persists across calls, and result
-/// buffers cycle
-/// through a generation-checked free list ([`ParallelExecutor::recycle`]),
+/// buffers cycle through a free list ([`ParallelExecutor::recycle`]),
 /// so a warmed-up executor also performs **zero result-buffer
 /// allocations** per batch. Work is distributed by work stealing — an
 /// atomic cursor over the plan's groups — so skewed batches (one huge
@@ -279,8 +246,8 @@ pub struct ParallelExecutor {
     pool: WorkerPool,
     /// Per-worker state, grown lazily to the widest fan-out so far.
     workers: Vec<Worker>,
-    /// Generation-checked free list feeding result buffers back into
-    /// the next plan's leases.
+    /// Free list feeding result buffers back into the next plan's
+    /// leases.
     recycler: ResultRecycler,
     /// Input-order reassembly buffer, kept across batches.
     slots: Vec<Option<QueryResult>>,
@@ -452,12 +419,11 @@ impl ParallelExecutor {
     }
 
     /// Returns a finished batch's buffers to the executor's free lists:
-    /// each result's vertex vector (generation-checked) plus the outer
-    /// vector itself. After one warm-up batch, a recycle-per-batch loop
-    /// allocates nothing.
+    /// each result's vertex vector plus the outer vector itself. After
+    /// one warm-up batch, a recycle-per-batch loop allocates nothing.
     pub fn recycle(&mut self, mut results: Vec<QueryResult>) {
         for r in results.drain(..) {
-            self.recycler.give_back(r.generation, r.vertices);
+            self.recycler.give_back(r.vertices);
         }
         if self.free_batches.len() < 8 {
             self.free_batches.push(results);

@@ -16,8 +16,8 @@
 //!   design makes per-worker state reuse free: workers share one
 //!   immutable [`octopus_core::Octopus`] + `&Mesh`, each owns a
 //!   [`octopus_core::QueryScratch`], and result buffers cycle through a
-//!   generation-checked free list ([`ParallelExecutor::recycle`]) — a
-//!   warmed-up serving loop allocates no result buffers per batch.
+//!   capped free list ([`ParallelExecutor::recycle`]) — a warmed-up
+//!   serving loop allocates no result buffers per batch.
 //! * [`MonitorLoop`] — a **pipelined snapshot-ring monitor**: the
 //!   simulation runs on its own thread and publishes per-step
 //!   snapshots into a ring of configurable depth K (plus
@@ -117,7 +117,7 @@ pub use monitor::{
 // harnesses arm them ([`MonitorLoop::set_fault_hook`]).
 pub use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 pub use pool::{threads_spawned_total, Task, WorkerPool};
-pub use recycle::{RecycleStats, ResultRecycler};
+pub use recycle::RecycleStats;
 pub use ring::{PinError, RingLedger};
 pub use snapshot::Snapshot;
 pub use subscribe::{ResultDelta, SubscriptionId, SubscriptionStats};

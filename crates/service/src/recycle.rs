@@ -1,22 +1,16 @@
-//! Generation-checked free lists for the serving hot path.
+//! The free list of result buffers for the serving hot path.
 //!
 //! The batch executor hands each query's result out as an owned
 //! `Vec<VertexId>` — the one steady-state allocation PR 2 left in the
 //! hot path. [`ResultRecycler`] closes it: callers return finished
 //! batches via `ParallelExecutor::recycle`, the buffers go onto a free
-//! list, and the next batch leases them instead of allocating.
-//!
-//! Every lease is stamped with the recycler's current **generation**,
-//! and a returned buffer is only accepted when its stamp still matches.
-//! The generation bumps whenever the executor reconfigures (today: a
-//! visited-strategy change rebuilds the scratches) — so buffers leased
-//! under an old configuration are quietly dropped rather than hoarded,
-//! and a caller recycling long-stale results cannot grow the free list
-//! past what the current configuration ever leased.
+//! list, and the next batch leases them instead of allocating. Any
+//! `Vec<VertexId>` may come back (a cloned result's included); the list
+//! holds at most [`MAX_FREE`] of them.
 
 use octopus_geom::VertexId;
-use octopus_sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use octopus_sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on pooled buffers — a backstop against a caller leasing
 /// huge bursts and returning them all at once.
@@ -34,50 +28,22 @@ pub struct RecycleStats {
     pub allocated: usize,
     /// Buffers currently parked on the free list.
     pub free: usize,
-    /// Current free-list generation (bumps on executor reconfiguration).
-    pub generation: u32,
 }
 
-/// The generation-checked free list of result buffers (module docs).
+/// The free list of result buffers (module docs).
 ///
 /// Leasing takes `&self` so pool workers can draw buffers concurrently
-/// mid-batch; generation bumps and returns go through the executor's
-/// `&mut self` API. Public (rather than crate-private) so the
-/// `model_recycler` suite can drive the lease/return/bump protocol
-/// directly under the interleaving explorer.
-#[derive(Debug)]
-pub struct ResultRecycler {
-    /// Current generation; starts at 1 so a `QueryResult::default()`
-    /// (generation 0) can never enter the free list.
-    generation: AtomicU32,
+/// mid-batch; returns go through the executor's `&mut self` API.
+#[derive(Debug, Default)]
+pub(crate) struct ResultRecycler {
     free: Mutex<Vec<Vec<VertexId>>>,
     reused: AtomicUsize,
     allocated: AtomicUsize,
 }
 
-impl Default for ResultRecycler {
-    fn default() -> ResultRecycler {
-        ResultRecycler {
-            generation: AtomicU32::new(1),
-            free: Mutex::new(Vec::new()),
-            reused: AtomicUsize::new(0),
-            allocated: AtomicUsize::new(0),
-        }
-    }
-}
-
 impl ResultRecycler {
-    /// Hands out a cleared buffer (recycled when possible) stamped with
-    /// the current generation.
-    ///
-    /// The stamp is read *before* the pop: if a bump lands in between,
-    /// the buffer carries the old stamp and [`ResultRecycler::give_back`]
-    /// will refuse it — conservative, never unsound.
-    pub fn lease(&self) -> (u32, Vec<VertexId>) {
-        // relaxed: the stamp is only ever compared against this same
-        // cell again; generations are monotone, so a stale read can
-        // only cause a harmless rejection later.
-        let generation = self.generation.load(Ordering::Relaxed);
+    /// Hands out a cleared buffer, recycled when possible.
+    pub(crate) fn lease(&self) -> Vec<VertexId> {
         // The free list holds only plain buffers — a panic while the
         // lock was held cannot leave it inconsistent, so poisoning
         // carries no information here: recover the guard and continue.
@@ -86,7 +52,7 @@ impl ResultRecycler {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop();
-        let buf = match recycled {
+        match recycled {
             Some(buf) => {
                 // relaxed: monotone stats cell, read only by `stats`.
                 self.reused.fetch_add(1, Ordering::Relaxed);
@@ -97,55 +63,21 @@ impl ResultRecycler {
                 self.allocated.fetch_add(1, Ordering::Relaxed);
                 Vec::new()
             }
-        };
-        (generation, buf)
+        }
     }
 
-    /// Returns a leased buffer. Accepted (cleared, capacity kept) only
-    /// when `generation` matches the current one and the free list has
-    /// room; stale or overflow buffers are dropped.
-    pub fn give_back(&self, generation: u32, mut buf: Vec<VertexId>) {
-        // Fast-path reject without the lock. Acquire pairs with the
-        // Release bump so a reject is decided on fully-published
-        // state; the authoritative check is the one under the lock.
-        if generation != self.generation.load(Ordering::Acquire) {
-            return;
-        }
+    /// Returns a buffer: cleared (capacity kept) and parked when the
+    /// free list has room, dropped otherwise.
+    pub(crate) fn give_back(&self, mut buf: Vec<VertexId>) {
         let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        // Regression note (PR-9 concurrency audit): the generation
-        // must be re-checked *under* the free-list lock. The old code
-        // checked only before locking, so a bump could clear the list
-        // between the check and the push and a stale-configuration
-        // buffer would be pooled — and later leased — under the new
-        // generation. crates/service/tests/model_recycler.rs seeds
-        // that exact shape and the model checker finds it.
-        //
-        // relaxed: `bump` writes the generation while holding this
-        // same lock, so the mutex acquisition already orders this
-        // load after any completed bump.
-        if generation != self.generation.load(Ordering::Relaxed) {
-            return;
-        }
         if free.len() < MAX_FREE {
             buf.clear();
             free.push(buf);
         }
     }
 
-    /// Invalidates every outstanding lease and drops the free list.
-    pub fn bump(&self) {
-        // The bump happens while holding the free-list lock, making
-        // it atomic with the clear from `give_back`'s point of view
-        // (no return can slip between the two).
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        // Release: pairs with the Acquire fast-path load in
-        // `give_back` (the under-lock check is ordered by the mutex).
-        self.generation.fetch_add(1, Ordering::Release);
-        free.clear();
-    }
-
     /// Point-in-time counters of the free list (module docs).
-    pub fn stats(&self) -> RecycleStats {
+    pub(crate) fn stats(&self) -> RecycleStats {
         // relaxed: advisory monotone stats, see `lease`.
         let reused = self.reused.load(Ordering::Relaxed);
         let allocated = self.allocated.load(Ordering::Relaxed);
@@ -158,8 +90,6 @@ impl ResultRecycler {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .len(),
-            // relaxed: point-in-time report; monotone cell.
-            generation: self.generation.load(Ordering::Relaxed),
         }
     }
 
@@ -181,12 +111,11 @@ mod tests {
     #[test]
     fn lease_recycles_returned_buffers() {
         let r = ResultRecycler::default();
-        let (g, mut buf) = r.lease();
+        let mut buf = r.lease();
         buf.extend_from_slice(&[1, 2, 3]);
         let cap = buf.capacity();
-        r.give_back(g, buf);
-        let (g2, buf2) = r.lease();
-        assert_eq!(g2, g);
+        r.give_back(buf);
+        let buf2 = r.lease();
         assert!(buf2.is_empty(), "recycled buffers come back cleared");
         assert_eq!(buf2.capacity(), cap, "capacity survives the round trip");
         let s = r.stats();
@@ -194,25 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_generation_buffers_are_dropped() {
+    fn free_list_is_capped() {
         let r = ResultRecycler::default();
-        let (g, buf) = r.lease();
-        r.bump();
-        r.give_back(g, buf);
-        assert_eq!(r.stats().free, 0, "stale buffer must not be pooled");
-        // Generation 0 (a defaulted QueryResult) is never current.
-        r.give_back(0, Vec::new());
-        assert_eq!(r.stats().free, 0);
-    }
-
-    #[test]
-    fn bump_clears_the_free_list() {
-        let r = ResultRecycler::default();
-        let (g, buf) = r.lease();
-        r.give_back(g, buf);
-        assert_eq!(r.stats().free, 1);
-        r.bump();
-        assert_eq!(r.stats().free, 0);
-        assert_eq!(r.stats().generation, 2);
+        for _ in 0..MAX_FREE + 3 {
+            r.give_back(Vec::with_capacity(1));
+        }
+        assert_eq!(r.stats().free, MAX_FREE);
     }
 }

@@ -233,6 +233,9 @@ pub(crate) struct SubscriptionRegistry {
     drift: f32,
     reanchors: u64,
     patched_events: u64,
+    /// The cumulative counters of removed subscriptions (`candidates`
+    /// and `members` stay zero): the registry-wide totals keep them.
+    retired: SubscriptionStats,
 }
 
 impl SubscriptionRegistry {
@@ -329,16 +332,23 @@ impl SubscriptionRegistry {
         SubscriptionId(id)
     }
 
-    /// Removes a subscription; returns whether it existed. The anchor
-    /// goes with the last one: nothing measures against it any more.
+    /// Removes a subscription; returns whether it existed. Its counters
+    /// stay in [`SubscriptionRegistry::total_stats`]. The anchor goes
+    /// with the last one: nothing measures against it any more.
     pub(crate) fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let before = self.subs.len();
-        self.subs.retain(|s| s.id != id.0);
+        let Some(i) = self.subs.iter().position(|s| s.id == id.0) else {
+            return false;
+        };
+        let gone = self.subs.remove(i).stats;
+        self.retired.polls += gone.polls;
+        self.retired.delta_polls += gone.delta_polls;
+        self.retired.full_refreshes += gone.full_refreshes;
+        self.retired.retested += gone.retested;
         if self.subs.is_empty() {
             self.anchor = Vec::new();
             self.drift = 0.0;
         }
-        self.subs.len() != before
+        true
     }
 
     /// Applies a re-layout permutation (old id → new id) to every
@@ -378,10 +388,11 @@ impl SubscriptionRegistry {
         self.subs.iter().find(|s| s.id == id.0).map(|s| s.stats)
     }
 
-    /// Aggregate counters across all live subscriptions (the registry's
-    /// telemetry feed; an unsubscribe drops that subscription's share).
+    /// Aggregate counters (the registry's telemetry feed): the
+    /// cumulative ones over every subscription ever registered, the
+    /// `candidates` and `members` gauges over the live ones.
     pub(crate) fn total_stats(&self) -> SubscriptionStats {
-        let mut total = SubscriptionStats::default();
+        let mut total = self.retired;
         for s in &self.subs {
             total.polls += s.stats.polls;
             total.delta_polls += s.stats.delta_polls;

@@ -308,19 +308,12 @@ impl MonitorMetrics {
     /// gauges.
     pub(crate) fn sync_subscriptions(&mut self, subs: &SubscriptionRegistry) {
         let stats = subs.total_stats();
-        // Saturating: an unsubscribe removes that subscription's share
-        // from the aggregate, which may dip below the synced reading.
-        self.polls
-            .add(stats.polls.saturating_sub(self.synced.polls));
+        self.polls.add(stats.polls - self.synced.polls);
         self.delta_polls
-            .add(stats.delta_polls.saturating_sub(self.synced.delta_polls));
-        self.full_refreshes.add(
-            stats
-                .full_refreshes
-                .saturating_sub(self.synced.full_refreshes),
-        );
-        self.retested
-            .add(stats.retested.saturating_sub(self.synced.retested));
+            .add(stats.delta_polls - self.synced.delta_polls);
+        self.full_refreshes
+            .add(stats.full_refreshes - self.synced.full_refreshes);
+        self.retested.add(stats.retested - self.synced.retested);
         self.synced = stats;
         self.reanchors.add(subs.reanchors() - self.synced_reanchors);
         self.synced_reanchors = subs.reanchors();

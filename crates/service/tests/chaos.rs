@@ -3,7 +3,7 @@
 //! `RingFull` windows, failed restructures — with **exact** results
 //! against a fault-free reference, bounded liveness (every test runs
 //! under a watchdog; a deadlock fails fast instead of hanging CI), no
-//! lost result buffers (recycler generations stay coherent), and
+//! lost result buffers (the recycler's counters stay coherent), and
 //! telemetry counters that reflect the injected counts.
 
 use octopus_core::Octopus;
@@ -82,7 +82,7 @@ fn worker_panic_batch_reissues_exactly_with_recycler_intact() {
         exec.disarm_faults();
 
         // The pool survived: reissuing the batch gives exact results,
-        // repeatedly, and the free list keeps serving (generations
+        // repeatedly, and the free list keeps serving (counters
         // coherent — `leased` always equals `reused + allocated`, and
         // reuse resumes after the crash).
         for round in 0..3 {

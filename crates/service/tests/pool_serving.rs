@@ -1,5 +1,5 @@
 //! Pool-based serving properties: equivalence on layout-permuted
-//! meshes, panic recovery, and the generation-checked buffer recycling.
+//! meshes, panic recovery, and the result-buffer recycling.
 //!
 //! (The process-global spawn/allocation instrumentation assertions live
 //! in `pool_steady_state.rs`, alone in their binary so concurrent tests

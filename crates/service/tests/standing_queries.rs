@@ -301,6 +301,29 @@ fn subscribe_and_unsubscribe_mid_stream() {
 }
 
 #[test]
+fn unsubscribing_keeps_the_polls_already_counted() {
+    let sim = Simulation::new(box_mesh(4), Box::new(SmoothRandomField::new(0.01, 3, 42)));
+    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    let registry = Registry::new();
+    monitor.attach_telemetry(&registry);
+    let a = monitor.subscribe(&Aabb::cube(Point3::splat(0.5), 0.25));
+    monitor.subscribe(&Aabb::cube(Point3::splat(0.3), 0.2));
+    for step in 1..=4 {
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        if step == 3 {
+            // Between a step's gauges and its poll: the poll's sync is
+            // the first to see the registry without `a`.
+            assert!(monitor.unsubscribe(a));
+        }
+        monitor.poll_subscriptions();
+    }
+    // Two polls of two subscriptions, then two of one.
+    let telemetry = monitor.telemetry_snapshot().unwrap();
+    assert_eq!(telemetry.counter("standing_polls_total"), 6);
+}
+
+#[test]
 fn zero_band_subscription_is_exact_but_never_fast() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 7)));

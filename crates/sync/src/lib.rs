@@ -1,9 +1,9 @@
 //! Synchronisation facade for the octopus concurrency protocols.
 //!
 //! Modules that implement cross-thread protocols (the telemetry shard
-//! registry, the result recycler, the snapshot-ring ledger, the
-//! admission queue) import their sync primitives from this crate
-//! instead of `std::sync` — `xtask lint` enforces it. In ordinary
+//! registry, the snapshot-ring ledger, the admission queue) import
+//! their sync primitives from this crate instead of `std::sync` —
+//! `xtask lint` enforces it. In ordinary
 //! builds everything here **is** the `std::sync` type (zero-cost
 //! re-export). Under `RUSTFLAGS="--cfg octopus_model"` the same names
 //! resolve to the vendored loom doubles, so the `model_*` test suites

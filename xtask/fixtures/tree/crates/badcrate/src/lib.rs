@@ -2,7 +2,7 @@
 // `safety-comment`.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn bump(c: &AtomicU64) -> u64 {
+pub fn tick(c: &AtomicU64) -> u64 {
     c.fetch_add(1, Ordering::Relaxed)
 }
 

@@ -11,14 +11,6 @@
 //! | `safety-comment` | every `unsafe` keyword carries a `// SAFETY:` comment on the same line or within 10 lines above |
 //! | `sync-shim` | the model-checked modules (`SHIMMED_MODULES`) never name `std::sync` — they must go through `octopus_sync` so the loom doubles replace their primitives under `cfg(octopus_model)` |
 //! | `service-no-unwrap` | no `.unwrap()` / `.expect(` in `crates/service/src` outside `#[cfg(test)]` — serving code reports errors, it does not abort |
-//! | `soa-accessor` | the blocked SoA store's lane fields (`soa_xs`/`soa_ys`/`soa_zs`) are never named outside `crates/mesh/src` — every consumer goes through the read accessors, so lane data can never be mutated out from under the deformation stamp |
-//!
-//! Scope: `crates/*/src`, `src`, `examples` and `xtask/src` get every
-//! rule; `crates/*/tests` and `crates/*/benches` are additionally
-//! scanned, but only for `soa-accessor` — a test or bench poking the
-//! lane fields would bypass the mirror contract just as surely as
-//! production code, while its ad-hoc `unsafe`/`Relaxed` scaffolding is
-//! not protocol code.
 //!
 //! Diagnostics are machine-readable `file:line: [rule] message` lines
 //! on stdout; the exit code is the contract (0 clean, 1 violations).
@@ -43,18 +35,12 @@ pub const RULE_SAFETY: &str = "safety-comment";
 pub const RULE_SHIM: &str = "sync-shim";
 /// `.unwrap()` / `.expect(` in service production code.
 pub const RULE_UNWRAP: &str = "service-no-unwrap";
-/// A blocked-SoA lane field named outside `crates/mesh/src`.
-pub const RULE_SOA: &str = "soa-accessor";
-
-/// The blocked-SoA lane fields only `crates/mesh` may name.
-const SOA_FIELDS: &[&str] = &["soa_xs", "soa_ys", "soa_zs"];
 
 /// Modules whose sync primitives are model-checked: they must route
 /// every lock/atomic through `octopus_sync` so the loom doubles can
 /// take over under `cfg(octopus_model)`. Workspace-root-relative.
 const SHIMMED_MODULES: &[&str] = &[
     "crates/telemetry/src/metrics.rs",
-    "crates/service/src/recycle.rs",
     "crates/service/src/ring.rs",
     "crates/service/src/admission.rs",
 ];
@@ -161,13 +147,9 @@ pub fn lint_file(rel: &Path, text: &str) -> Vec<Diagnostic> {
     };
     let raw: Vec<&str> = text.lines().collect();
     let stripped = strip_comments_and_strings(text);
-    let in_test = test_region_mask(&stripped);
+    let in_test = cfg_test_lines(&stripped);
     let shimmed = SHIMMED_MODULES.iter().any(|m| rel_str == *m);
     let in_service = rel_str.starts_with("crates/service/src/");
-    let in_mesh = rel_str.starts_with("crates/mesh/src/");
-    // Integration tests and benches are scanned for the SoA contract
-    // only (see module docs).
-    let soa_only = rel_str.contains("/tests/") || rel_str.contains("/benches/");
     let mut out = Vec::new();
     let mut push = |rule: &'static str, line: usize, message: String| {
         out.push(Diagnostic {
@@ -192,23 +174,7 @@ pub fn lint_file(rel: &Path, text: &str) -> Vec<Diagnostic> {
                     .to_string(),
             );
         }
-        // The SoA rule covers the whole file, tests included: lane
-        // fields are an encapsulation boundary, not a prod-only rule.
-        if !in_mesh {
-            for field in SOA_FIELDS {
-                if contains_word(line, field) {
-                    push(
-                        RULE_SOA,
-                        i,
-                        format!(
-                            "`{field}` named outside `crates/mesh/src`; go through the \
-                             `PositionBlock` accessors so the SoA mirror cannot desync"
-                        ),
-                    );
-                }
-            }
-        }
-        if soa_only || in_test[i] {
+        if in_test[i] {
             continue;
         }
         if contains_word(line, "Relaxed") && !window_has(&raw, i, RELAXED_WINDOW, "relaxed:") {
@@ -325,7 +291,7 @@ fn strip_comments_and_strings(text: &str) -> Vec<String> {
 
 /// Marks the lines belonging to `#[cfg(test)]` items by tracking the
 /// braces of the annotated item (usually `mod tests { ... }`).
-fn test_region_mask(stripped: &[String]) -> Vec<bool> {
+fn cfg_test_lines(stripped: &[String]) -> Vec<bool> {
     let mut mask = vec![false; stripped.len()];
     let mut pending = false;
     let mut in_region = false;
@@ -372,9 +338,8 @@ fn test_region_mask(stripped: &[String]) -> Vec<bool> {
 }
 
 /// The `.rs` files the pass covers, root-relative, sorted. Vendored
-/// crates (`vendor/`) and the lint fixtures (`xtask/fixtures/`) are
-/// deliberately out of scope; `crates/*/tests` and `crates/*/benches`
-/// are in scope for the `soa-accessor` rule only (see module docs).
+/// crates (`vendor/`), integration tests and the lint fixtures
+/// (`xtask/fixtures/`) are deliberately out of scope.
 fn collect_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut dirs: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
@@ -386,19 +351,6 @@ fn collect_files(root: &Path) -> Result<Vec<PathBuf>, String> {
             let src = entry.path().join("src");
             if src.is_dir() {
                 dirs.push(src);
-            }
-        }
-    }
-    if crates_dir.is_dir() {
-        let entries =
-            fs::read_dir(&crates_dir).map_err(|e| format!("read {}: {e}", crates_dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("read {}: {e}", crates_dir.display()))?;
-            for aux in ["tests", "benches"] {
-                let dir = entry.path().join(aux);
-                if dir.is_dir() {
-                    dirs.push(dir);
-                }
             }
         }
     }
@@ -488,7 +440,7 @@ mod tests {
     fn fixture_tree_trips_every_rule() {
         let diags = run(&fixture_root()).expect("fixture tree lints");
         let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
-        for rule in [RULE_RELAXED, RULE_SAFETY, RULE_SHIM, RULE_UNWRAP, RULE_SOA] {
+        for rule in [RULE_RELAXED, RULE_SAFETY, RULE_SHIM, RULE_UNWRAP] {
             assert!(rules.contains(&rule), "rule {rule} not tripped: {diags:?}");
         }
         // Every diagnostic is anchored: real path, real line.
@@ -549,30 +501,6 @@ fn f() -> &'static str {
         let diags = lint_file(Path::new("crates/service/src/monitor.rs"), text);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RULE_UNWRAP);
-    }
-
-    #[test]
-    fn soa_rule_is_mesh_scoped() {
-        let text = "fn f(b: &mut PositionBlock) { b.soa_xs[0] = 1.0; }\n";
-        assert!(lint_file(Path::new("crates/mesh/src/soa.rs"), text).is_empty());
-        let diags = lint_file(Path::new("crates/core/src/crawler.rs"), text);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RULE_SOA);
-    }
-
-    #[test]
-    fn integration_tests_get_only_the_soa_rule() {
-        let text = "\
-fn f(v: Option<u32>, b: &PositionBlock) -> f32 {
-    let _ = v.unwrap();
-    // no SAFETY comment, deliberately:
-    unsafe { std::hint::unreachable_unchecked() }
-    b.soa_ys[3]
-}
-";
-        let diags = lint_file(Path::new("crates/service/tests/chaos.rs"), text);
-        assert_eq!(diags.len(), 1, "only soa-accessor fires: {diags:?}");
-        assert_eq!(diags[0].rule, RULE_SOA);
     }
 
     #[test]
