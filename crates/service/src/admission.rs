@@ -31,21 +31,11 @@
 //! [`crate::MonitorLoop::drain_admitted`]; with admission attached,
 //! ring back-pressure is also surfaced as `RetryAfter` instead of the
 //! raw `RingFull`.
-//!
-//! Concurrency: every method takes `&self` — one mutex guards the
-//! whole queue state, so ticket allocation, the capacity check and
-//! the queue push are a single atomic action (no ticket can be issued
-//! without its batch being queued, and no two enqueues can share a
-//! ticket id). The protocol is model-checked in
-//! `crates/service/tests/model_admission.rs`: no ticket is ever lost
-//! or double-drained in any interleaving of concurrent enqueuers and
-//! drainers.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use octopus_geom::Aabb;
-use octopus_sync::{Mutex, PoisonError};
 
 use crate::batch::QueryResult;
 use crate::monitor::{Overload, ServiceError};
@@ -77,7 +67,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Handle of one enqueued batch (unique per [`Admission`] instance).
+/// Handle of one enqueued batch (unique per admission front, see
+/// [`crate::MonitorLoop::set_admission`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TicketId(pub u64);
 
@@ -97,7 +88,7 @@ struct TenantQueue {
 
 /// A batch handed out by the fair dequeue, ready to execute.
 #[derive(Debug)]
-pub struct Admitted {
+pub(crate) struct Admitted {
     /// The ticket issued when the batch was enqueued.
     pub ticket: TicketId,
     /// The tenant that enqueued it.
@@ -163,11 +154,12 @@ pub struct AdmissionStats {
     pub queue_depth: usize,
 }
 
-/// Everything the admission mutex guards: queues, the ticket counter,
-/// counters and the shed log. Keeping the ticket counter *inside*
-/// means issuing a ticket and queueing its batch are one atomic
-/// action — the invariant the `model_admission` suite checks.
-struct AdmissionState {
+/// The admission front: bounded per-tenant queues, round-robin fair
+/// dequeue, deadline shedding (see the module docs). The monitor owns
+/// it and changes it through `&mut self`, so issuing a ticket and
+/// queueing its batch cannot be split by another caller.
+pub(crate) struct Admission {
+    cfg: AdmissionConfig,
     tenants: Vec<TenantQueue>,
     next_ticket: u64,
     depth: usize,
@@ -180,7 +172,25 @@ struct AdmissionState {
     metrics: Option<AdmissionMetrics>,
 }
 
-impl AdmissionState {
+impl Admission {
+    /// New admission front with no tenants registered (tenants appear
+    /// on first enqueue).
+    pub(crate) fn new(cfg: AdmissionConfig) -> Admission {
+        Admission {
+            cfg,
+            tenants: Vec::new(),
+            next_ticket: 0,
+            depth: 0,
+            enqueued: 0,
+            admitted: 0,
+            shed_tickets: 0,
+            deadline_misses: 0,
+            rejected: 0,
+            shed_log: Vec::new(),
+            metrics: None,
+        }
+    }
+
     fn tenant_mut(&mut self, tenant: u32) -> &mut TenantQueue {
         if let Some(i) = self.tenants.iter().position(|t| t.tenant == tenant) {
             return &mut self.tenants[i];
@@ -202,60 +212,19 @@ impl AdmissionState {
             m.queue_depth.set_u64(self.depth as u64);
         }
     }
-}
 
-/// The admission front: bounded per-tenant queues, round-robin fair
-/// dequeue, deadline shedding (see the module docs).
-/// All methods take `&self` — the state lives behind one mutex, so
-/// the front can be shared between an enqueueing edge and a draining
-/// execution loop.
-pub struct Admission {
-    cfg: AdmissionConfig,
-    state: Mutex<AdmissionState>,
-}
-
-impl Admission {
-    /// New admission front with no tenants registered (tenants appear
-    /// on first enqueue).
-    pub fn new(cfg: AdmissionConfig) -> Admission {
-        Admission {
-            cfg,
-            state: Mutex::new(AdmissionState {
-                tenants: Vec::new(),
-                next_ticket: 0,
-                depth: 0,
-                enqueued: 0,
-                admitted: 0,
-                shed_tickets: 0,
-                deadline_misses: 0,
-                rejected: 0,
-                shed_log: Vec::new(),
-                metrics: None,
-            }),
-        }
-    }
-
-    /// The state is plain counters and owned queues — a panic while
-    /// the lock was held cannot leave it inconsistent, so poisoning
-    /// carries no information: recover the guard and continue.
-    fn lock(&self) -> octopus_sync::MutexGuard<'_, AdmissionState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn attach_metrics(&self, metrics: &AdmissionMetrics) {
-        let mut st = self.lock();
-        st.metrics = Some(metrics.clone());
-        st.publish_depth();
+    pub(crate) fn attach_metrics(&mut self, metrics: &AdmissionMetrics) {
+        self.metrics = Some(metrics.clone());
+        self.publish_depth();
     }
 
     /// Total batches currently queued across all tenants.
-    pub fn queue_depth(&self) -> usize {
-        self.lock().depth
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.depth
     }
 
     /// The suggested backoff for the current pressure level: the base,
-    /// doubled once the queue is at capacity, capped. Reads only the
-    /// immutable config, so it needs no lock.
+    /// doubled once the queue is at capacity, capped.
     pub(crate) fn suggested_backoff(&self, queued: usize) -> Duration {
         let base = self.cfg.base_backoff;
         let suggestion = if queued >= self.cfg.queue_capacity {
@@ -268,30 +237,27 @@ impl Admission {
 
     /// Queues `queries` for `tenant`. `deadline` is relative to `now`
     /// (falling back to the configured default); expired batches are
-    /// shed at dequeue, before they reach the pool.
-    ///
-    /// The capacity check, ticket allocation and queue push happen
-    /// under one lock acquisition: a ticket id is never issued without
-    /// its batch landing in the queue, and concurrent enqueues cannot
-    /// share an id (model-checked in `model_admission.rs`).
-    pub fn enqueue(
-        &self,
+    /// shed at dequeue, before they reach the pool. A deadline past
+    /// the clock's range never expires.
+    pub(crate) fn enqueue(
+        &mut self,
         tenant: u32,
         queries: Vec<Aabb>,
         deadline: Option<Duration>,
         now: Instant,
     ) -> Result<TicketId, ServiceError> {
         let capacity = self.cfg.queue_capacity;
-        let deadline = deadline.or(self.cfg.default_deadline).map(|d| now + d);
-        let mut st = self.lock();
-        let queued = st
+        let deadline = deadline
+            .or(self.cfg.default_deadline)
+            .and_then(|d| now.checked_add(d));
+        let queued = self
             .tenants
             .iter()
             .find(|t| t.tenant == tenant)
             .map_or(0, |t| t.queue.len());
         if queued >= capacity {
-            st.rejected += 1;
-            if let Some(m) = &st.metrics {
+            self.rejected += 1;
+            if let Some(m) = &self.metrics {
                 m.retry_after.inc();
             }
             return Err(ServiceError::RetryAfter {
@@ -302,19 +268,19 @@ impl Admission {
                 },
             });
         }
-        let ticket = TicketId(st.next_ticket);
-        st.next_ticket += 1;
-        st.tenant_mut(tenant).queue.push_back(Pending {
+        let ticket = TicketId(self.next_ticket);
+        self.next_ticket += 1;
+        self.tenant_mut(tenant).queue.push_back(Pending {
             ticket,
             queries,
             deadline,
         });
-        st.depth += 1;
-        st.enqueued += 1;
-        if let Some(m) = &st.metrics {
+        self.depth += 1;
+        self.enqueued += 1;
+        if let Some(m) = &self.metrics {
             m.enqueued.inc();
         }
-        st.publish_depth();
+        self.publish_depth();
         Ok(ticket)
     }
 
@@ -323,44 +289,39 @@ impl Admission {
     /// batch it encounters on the way (counted and logged; shed batches
     /// do not advance the tenant's pass — fairness charges for work
     /// executed, not work dropped). `None` when all queues are empty.
-    ///
-    /// One lock acquisition covers the victim selection, the pop and
-    /// the counter updates, so concurrent drainers each pop a distinct
-    /// batch — nothing is handed out twice.
-    pub fn next_admitted(&self, now: Instant) -> Option<Admitted> {
-        let mut st = self.lock();
+    pub(crate) fn next_admitted(&mut self, now: Instant) -> Option<Admitted> {
         loop {
-            let idx = st
+            let idx = self
                 .tenants
                 .iter()
                 .enumerate()
                 .filter(|(_, t)| !t.queue.is_empty())
                 .min_by_key(|(_, t)| (t.pass, t.tenant))
                 .map(|(i, _)| i)?;
-            let t = &mut st.tenants[idx];
+            let t = &mut self.tenants[idx];
             let tenant = t.tenant;
             let pending = t.queue.pop_front().expect("selected queue is non-empty");
-            st.depth -= 1;
+            self.depth -= 1;
             if pending.deadline.is_some_and(|d| now >= d) {
-                st.shed_tickets += 1;
-                st.deadline_misses += pending.queries.len() as u64;
-                if let Some(m) = &st.metrics {
+                self.shed_tickets += 1;
+                self.deadline_misses += pending.queries.len() as u64;
+                if let Some(m) = &self.metrics {
                     m.shed.inc();
                     m.deadline_misses.add(pending.queries.len() as u64);
                 }
-                st.shed_log.push(ShedTicket {
+                self.shed_log.push(ShedTicket {
                     ticket: pending.ticket,
                     tenant,
                     queries: pending.queries.len(),
                 });
                 continue;
             }
-            st.tenants[idx].pass += 1;
-            st.admitted += 1;
-            if let Some(m) = &st.metrics {
+            self.tenants[idx].pass += 1;
+            self.admitted += 1;
+            if let Some(m) = &self.metrics {
                 m.admitted.inc();
             }
-            st.publish_depth();
+            self.publish_depth();
             return Some(Admitted {
                 ticket: pending.ticket,
                 tenant,
@@ -370,41 +331,29 @@ impl Admission {
     }
 
     /// Takes the accumulated shed log (cleared afterwards).
-    pub fn take_shed(&self) -> Vec<ShedTicket> {
-        let mut st = self.lock();
-        st.publish_depth();
-        std::mem::take(&mut st.shed_log)
+    pub(crate) fn take_shed(&mut self) -> Vec<ShedTicket> {
+        self.publish_depth();
+        std::mem::take(&mut self.shed_log)
     }
 
     /// Cumulative counters.
-    pub fn stats(&self) -> AdmissionStats {
-        let st = self.lock();
+    pub(crate) fn stats(&self) -> AdmissionStats {
         AdmissionStats {
-            enqueued: st.enqueued,
-            admitted: st.admitted,
-            shed_tickets: st.shed_tickets,
-            deadline_misses: st.deadline_misses,
-            rejected: st.rejected,
-            queue_depth: st.depth,
+            enqueued: self.enqueued,
+            admitted: self.admitted,
+            shed_tickets: self.shed_tickets,
+            deadline_misses: self.deadline_misses,
+            rejected: self.rejected,
+            queue_depth: self.depth,
         }
     }
 
     /// Counts the ring-back-pressure conversion (`RingFull` →
     /// `RetryAfter`) into the retry-after family.
     pub(crate) fn note_retry_after(&self) {
-        if let Some(m) = &self.lock().metrics {
+        if let Some(m) = &self.metrics {
             m.retry_after.inc();
         }
-    }
-}
-
-impl std::fmt::Debug for Admission {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.lock();
-        f.debug_struct("Admission")
-            .field("tenants", &st.tenants.len())
-            .field("queue_depth", &st.depth)
-            .finish_non_exhaustive()
     }
 }
 
@@ -496,7 +445,7 @@ mod tests {
 
     #[test]
     fn equal_weights_interleave_deterministically() {
-        let adm = Admission::new(AdmissionConfig::default());
+        let mut adm = Admission::new(AdmissionConfig::default());
         let now = Instant::now();
         for _ in 0..3 {
             adm.enqueue(7, boxes(1), None, now).unwrap();
@@ -509,7 +458,7 @@ mod tests {
 
     #[test]
     fn full_queue_is_refused_with_retry_after() {
-        let adm = Admission::new(AdmissionConfig {
+        let mut adm = Admission::new(AdmissionConfig {
             queue_capacity: 2,
             ..AdmissionConfig::default()
         });
@@ -535,7 +484,7 @@ mod tests {
 
     #[test]
     fn expired_batches_are_shed_at_dequeue() {
-        let adm = Admission::new(AdmissionConfig::default());
+        let mut adm = Admission::new(AdmissionConfig::default());
         let now = Instant::now();
         adm.enqueue(0, boxes(3), Some(Duration::ZERO), now).unwrap();
         adm.enqueue(0, boxes(2), None, now).unwrap();
@@ -548,6 +497,33 @@ mod tests {
         assert_eq!(stats.deadline_misses, 3);
         assert_eq!(adm.take_shed().len(), 1);
         assert!(adm.take_shed().is_empty(), "shed log drains");
+    }
+
+    #[test]
+    fn interleaved_enqueues_and_drains_hand_out_every_ticket_once() {
+        let mut adm = Admission::new(AdmissionConfig::default());
+        let now = Instant::now();
+        let mut issued = Vec::new();
+        let mut drained = Vec::new();
+        for round in 0..12u32 {
+            issued.push(adm.enqueue(round % 3, boxes(1), None, now).unwrap());
+            if round % 2 == 1 {
+                drained.extend(adm.next_admitted(now).map(|a| a.ticket));
+            }
+        }
+        drained.extend(std::iter::from_fn(|| {
+            adm.next_admitted(now).map(|a| a.ticket)
+        }));
+        let mut distinct = issued.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), issued.len(), "ticket ids are distinct");
+        drained.sort();
+        assert_eq!(drained, distinct, "every ticket drained exactly once");
+        let stats = adm.stats();
+        assert_eq!(stats.enqueued, stats.admitted);
+        assert_eq!(stats.enqueued, 12);
+        assert_eq!(adm.queue_depth(), 0);
     }
 
     #[test]

@@ -78,11 +78,14 @@
 //!   [`MonitorLoop::query_shapes`]: the sequential
 //!   [`octopus_core::Octopus::query_shape`] dispatch, shape by shape.
 //!
-//! All concurrency is `std` threads + channels; results are
-//! bit-identical to the sequential executor (the crate's property
-//! suite verifies batch and engine-routed execution against
-//! [`octopus_core::Octopus::query`] on random and layout-permuted
-//! meshes).
+//! All concurrency is `std` threads + channels; the one hand-off
+//! threads race on, the pool's completion latch, takes its lock and
+//! condvar from `octopus-sync` so it is model-checked under
+//! `--cfg octopus_model`. The snapshot ring and the admission front are
+//! plain state the monitor owns. Results are bit-identical to the
+//! sequential executor (the crate's property suite verifies batch and
+//! engine-routed execution against [`octopus_core::Octopus::query`] on
+//! random and layout-permuted meshes).
 
 #![deny(missing_docs)]
 // The workspace denies `unsafe_code`; the one opt-in in this crate
@@ -95,17 +98,16 @@
 mod admission;
 mod batch;
 mod engine;
+mod latch;
 mod monitor;
 mod pool;
 mod recycle;
-mod ring;
 mod snapshot;
 pub mod subscribe;
 pub mod telemetry;
 
 pub use admission::{
-    Admission, AdmissionConfig, AdmissionStats, Admitted, AdmittedBatch, Backoff, DrainOutcome,
-    ShedTicket, TicketId,
+    AdmissionConfig, AdmissionStats, AdmittedBatch, Backoff, DrainOutcome, ShedTicket, TicketId,
 };
 pub use batch::{BatchStats, ParallelExecutor, QueryResult};
 pub use engine::{BatchEngine, BatchEngineConfig, EngineReport};
@@ -118,7 +120,6 @@ pub use monitor::{
 pub use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 pub use pool::{threads_spawned_total, Task, WorkerPool};
 pub use recycle::RecycleStats;
-pub use ring::{PinError, RingLedger};
 pub use snapshot::Snapshot;
 pub use subscribe::{ResultDelta, SubscriptionId, SubscriptionStats};
 pub use telemetry::{EngineMetrics, MonitorMetrics, PoolMetrics, SeedCacheStats, ServiceTelemetry};

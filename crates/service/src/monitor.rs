@@ -92,6 +92,9 @@
 //! the pipeline: [`MonitorLoop::finish_step`] returns
 //! [`ServiceError::RingFull`] until the pin is released, and
 //! [`MonitorLoop::begin_step`] refuses to run more than K steps ahead.
+//! Each slot counts its own pins. Only the monitor changes them, through
+//! `&mut self`, so no pin can land between the check that the oldest
+//! slot is unpinned and its eviction.
 //!
 //! **Re-layout.** A [`LayoutPolicy`] optionally applies the §IV-H1
 //! curve order at ingest and re-applies it mid-run after a fixed number
@@ -118,9 +121,8 @@
 //! from the newest published snapshot (continuing the step numbering).
 //! [`MonitorLoop::shutdown`] reports the join outcome instead of
 //! discarding it. [`MonitorLoop::set_admission`] fronts the query paths
-//! with bounded, fair, deadline-shedding queues
-//! ([`crate::Admission`]) and converts ring back-pressure into
-//! structured [`ServiceError::RetryAfter`] responses.
+//! with bounded, fair, deadline-shedding queues and converts ring
+//! back-pressure into structured [`ServiceError::RetryAfter`] responses.
 //!
 //! # Failure-mode catalogue
 //!
@@ -153,7 +155,6 @@ use crate::admission::{
 use crate::batch::{ParallelExecutor, QueryResult};
 use crate::engine::{BatchEngine, BatchEngineConfig, EngineReport};
 use crate::recycle::RecycleStats;
-use crate::ring::RingLedger;
 use crate::snapshot::Snapshot;
 use crate::subscribe::{ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats};
 use crate::telemetry::{SeedCacheStats, ServiceTelemetry};
@@ -483,6 +484,9 @@ struct Slot {
     /// [`LayoutPolicy::Preserve`]); shared across slots until a
     /// restructuring extension or re-layout changes it.
     translation: Option<Arc<Vec<VertexId>>>,
+    /// Outstanding query pins ([`MonitorLoop::pin_step`]): while
+    /// non-zero the slot is neither evicted nor re-laid-out.
+    pins: u32,
 }
 
 impl Slot {
@@ -593,9 +597,6 @@ pub struct MonitorLoop {
     depth: usize,
     /// Retained snapshots, oldest at the front; steps are contiguous.
     slots: VecDeque<Slot>,
-    /// Pin/reclaim bookkeeping, advanced in lockstep with `slots`
-    /// (the model-checked protocol lives in [`crate::ring`]).
-    ledger: RingLedger,
     /// Steps commanded but not yet absorbed (≤ `depth`).
     in_flight: usize,
     pool: ParallelExecutor,
@@ -683,6 +684,7 @@ impl MonitorLoop {
             grid,
             reach: None,
             translation,
+            pins: 0,
         });
         Ok(MonitorLoop {
             cmd_tx,
@@ -693,7 +695,6 @@ impl MonitorLoop {
             admission: None,
             depth,
             slots,
-            ledger: RingLedger::new(depth, step),
             in_flight: 0,
             pool: ParallelExecutor::new(threads),
             scratch,
@@ -730,7 +731,7 @@ impl MonitorLoop {
         if let Some(engine) = &mut self.engine {
             engine.attach_metrics(&t.engine);
         }
-        if let Some(adm) = &self.admission {
+        if let Some(adm) = &mut self.admission {
             adm.attach_metrics(&t.admission);
         }
         self.telemetry = Some(t);
@@ -924,11 +925,15 @@ impl MonitorLoop {
     /// Receives one update and publishes it as the newest slot.
     fn absorb_one(&mut self) -> Result<(), ServiceError> {
         debug_assert!(self.in_flight > 0, "absorb requires an in-flight step");
-        if let Some(pinned_step) = self.ledger.publish_blocker() {
+        // A full ring evicts its oldest slot, which a pin forbids.
+        let oldest = self.slots.front().expect("ring is never empty");
+        if self.slots.len() == self.depth && oldest.pins > 0 {
             if let Some(t) = &self.telemetry {
                 t.monitor.pin_waits.inc();
             }
-            return Err(ServiceError::RingFull { pinned_step });
+            return Err(ServiceError::RingFull {
+                pinned_step: oldest.step,
+            });
         }
         let update = match self.upd_rx.recv() {
             Ok(u) => u,
@@ -953,6 +958,7 @@ impl MonitorLoop {
                     grid: Arc::clone(&latest.grid),
                     reach: None,
                     translation: latest.translation.clone(),
+                    pins: 0,
                 };
                 self.push_slot(slot);
                 if let Some(t) = &self.telemetry {
@@ -993,6 +999,7 @@ impl MonitorLoop {
                     grid,
                     reach: None,
                     translation,
+                    pins: 0,
                 });
                 if let Some(t) = &self.telemetry {
                     t.monitor
@@ -1045,12 +1052,9 @@ impl MonitorLoop {
         }
     }
 
+    /// Publishes `slot` as the newest, evicting the oldest at capacity
+    /// (`absorb_one` has checked that it is unpinned).
     fn push_slot(&mut self, slot: Slot) {
-        // The ledger's atomic pin-check-and-evict is authoritative;
-        // `absorb_one` pre-checked `publish_blocker`, and the monitor
-        // is the ring's only writer, so a refusal here cannot happen.
-        let published = self.ledger.try_publish(slot.step);
-        debug_assert!(published.is_ok(), "publish raced a pin: {published:?}");
         if self.slots.len() == self.depth {
             // The retired slot's position storage is the simulation's
             // next buffer.
@@ -1075,7 +1079,7 @@ impl MonitorLoop {
     }
 
     fn any_pins(&self) -> bool {
-        self.ledger.any_pins()
+        self.slots.iter().any(|s| s.pins > 0)
     }
 
     /// Applies a pending re-layout if (and only if) the pipeline has
@@ -1123,7 +1127,6 @@ impl MonitorLoop {
         while self.slots.len() > 1 {
             self.slots.pop_front();
         }
-        self.ledger.drop_all_but_latest();
         let latest = self.slots.back_mut().expect("ring is never empty");
         latest.mesh = latest.mesh.permute_vertices(&perm);
         // Ids changed wholesale, connectivity did not: the executor is
@@ -1313,26 +1316,25 @@ impl MonitorLoop {
     /// and no re-layout will invalidate its id space until every pin is
     /// released. Pins nest (a counter per slot).
     pub fn pin_step(&mut self, step: u32) -> Result<(), ServiceError> {
-        // `slot_index` produces the retention error (with the window
-        // bounds); the ledger advances in lockstep with the slot
-        // deque, so its own retention check cannot then miss.
-        self.slot_index(step)?;
-        let pinned = self.ledger.pin(step);
-        debug_assert!(pinned.is_ok(), "pin ledger diverged from slot deque");
+        let i = self.slot_index(step)?;
+        self.slots[i].pins += 1;
         Ok(())
     }
 
     /// Releases one pin of `step`.
     pub fn unpin_step(&mut self, step: u32) -> Result<(), ServiceError> {
-        self.slot_index(step)?;
-        self.ledger
-            .unpin(step)
-            .map_err(|_| ServiceError::StepNotPinned { step })
+        let i = self.slot_index(step)?;
+        let slot = &mut self.slots[i];
+        if slot.pins == 0 {
+            return Err(ServiceError::StepNotPinned { step });
+        }
+        slot.pins -= 1;
+        Ok(())
     }
 
     /// Outstanding pins of `step` (0 when unpinned or not retained).
     pub fn pin_count(&self, step: u32) -> u32 {
-        self.ledger.pins(step)
+        self.slot_at(step).map_or(0, |s| s.pins)
     }
 
     /// Where a slot becomes a [`Snapshot`]: the first request against it
@@ -1644,13 +1646,13 @@ impl MonitorLoop {
         self.pool.disarm_faults();
     }
 
-    /// Attaches the admission front ([`crate::Admission`]): queries may
-    /// then be queued per tenant via [`MonitorLoop::enqueue`] and
-    /// executed in fair (round-robin) order via
-    /// [`MonitorLoop::drain_admitted`]; ring back-pressure surfaces as
-    /// [`ServiceError::RetryAfter`] from here on.
+    /// Attaches the admission front: queries may then be queued per
+    /// tenant via [`MonitorLoop::enqueue`] and executed in fair
+    /// (round-robin) order via [`MonitorLoop::drain_admitted`]; ring
+    /// back-pressure surfaces as [`ServiceError::RetryAfter`] from here
+    /// on.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
-        let adm = Admission::new(cfg);
+        let mut adm = Admission::new(cfg);
         if let Some(t) = &self.telemetry {
             adm.attach_metrics(&t.admission);
         }
@@ -1663,9 +1665,9 @@ impl MonitorLoop {
     }
 
     /// The attached admission front, or [`ServiceError::AdmissionDisabled`].
-    fn admission(&self) -> Result<&Admission, ServiceError> {
+    fn admission_mut(&mut self) -> Result<&mut Admission, ServiceError> {
         self.admission
-            .as_ref()
+            .as_mut()
             .ok_or(ServiceError::AdmissionDisabled)
     }
 
@@ -1680,7 +1682,7 @@ impl MonitorLoop {
         queries: Vec<Aabb>,
         deadline: Option<Duration>,
     ) -> Result<TicketId, ServiceError> {
-        self.admission()?
+        self.admission_mut()?
             .enqueue(tenant, queries, deadline, Instant::now())
     }
 
@@ -1695,7 +1697,7 @@ impl MonitorLoop {
         // still queued in it — in place.
         let mut out = DrainOutcome::default();
         while out.batches.len() < max_batches {
-            let Some(a) = self.admission()?.next_admitted(Instant::now()) else {
+            let Some(a) = self.admission_mut()?.next_admitted(Instant::now()) else {
                 break;
             };
             let results = self.serve(self.slots.len() - 1, &a.queries);
@@ -1706,7 +1708,7 @@ impl MonitorLoop {
                 results,
             });
         }
-        out.shed = self.admission()?.take_shed();
+        out.shed = self.admission_mut()?.take_shed();
         Ok(out)
     }
 }

@@ -16,15 +16,15 @@
 //! survives to serve later batches), and the payload is re-thrown on the
 //! calling thread once all of the call's tasks have completed.
 
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 use octopus_telemetry::StaticCounter;
 
+use crate::latch::Latch;
 use crate::telemetry::PoolMetrics;
 
 /// One unit of work for [`WorkerPool::run`]: a closure that may borrow
@@ -84,53 +84,6 @@ static THREADS_SPAWNED: StaticCounter = StaticCounter::new();
 /// process (instrumentation behind the zero-spawn steady-state tests).
 pub fn threads_spawned_total() -> usize {
     THREADS_SPAWNED.value() as usize
-}
-
-/// Completion latch for one `run` call: counts outstanding submitted
-/// tasks and carries the first panic payload back to the caller.
-#[derive(Default)]
-struct Latch {
-    state: Mutex<LatchState>,
-    done: Condvar,
-}
-
-#[derive(Default)]
-struct LatchState {
-    remaining: usize,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl Latch {
-    // Lock poisoning cannot wedge the latch: the critical sections
-    // below never unwind (counter arithmetic and an Option insert), but
-    // a fault-injected panic elsewhere on a worker must not turn into a
-    // poisoned-latch deadlock for every later submission — so every
-    // acquisition recovers the guard instead of unwrapping.
-    fn add(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remaining += 1;
-    }
-
-    fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        s.remaining -= 1;
-        if let Some(p) = panic {
-            s.panic.get_or_insert(p);
-        }
-        if s.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Option<Box<dyn Any + Send>> {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while s.remaining > 0 {
-            s = self.done.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        s.panic.take()
-    }
 }
 
 /// A persistent pool of parked worker threads executing scoped task

@@ -148,7 +148,7 @@ impl EngineMetrics {
 }
 
 /// Admission-layer metrics: queue pressure, fairness outcomes and
-/// back-pressure conversions (see [`crate::Admission`]).
+/// back-pressure conversions (see [`crate::MonitorLoop::set_admission`]).
 #[derive(Clone)]
 pub struct AdmissionMetrics {
     /// `admission_enqueued_total` — batches accepted into a queue.

@@ -617,3 +617,34 @@ fn shed_and_queue_full_counts_are_exact() {
         monitor.shutdown().unwrap();
     });
 }
+
+/// A deadline past the clock's range means the batch never expires:
+/// neither an explicit one nor the configured default may overflow the
+/// `Instant` it is added to.
+#[test]
+fn a_deadline_past_the_clocks_range_never_expires() {
+    with_watchdog("far_deadline", WATCHDOG, || {
+        let mut monitor =
+            MonitorLoop::with_config(make_sim(box_mesh(4), 71), 2, LayoutPolicy::Preserve, 1)
+                .unwrap();
+        monitor.set_admission(AdmissionConfig {
+            default_deadline: Some(Duration::MAX),
+            ..AdmissionConfig::default()
+        });
+        for deadline in [Some(Duration::MAX), None] {
+            let ticket = monitor.enqueue(0, step_queries(1), deadline).unwrap();
+            let out = monitor.drain_admitted(1).unwrap();
+            assert_eq!(
+                out.batches.len(),
+                1,
+                "deadline {deadline:?}: batch answered"
+            );
+            assert_eq!(out.batches[0].ticket, ticket);
+            assert!(out.shed.is_empty(), "deadline {deadline:?}: nothing shed");
+            for b in out.batches {
+                monitor.recycle(b.results);
+            }
+        }
+        monitor.shutdown().unwrap();
+    });
+}

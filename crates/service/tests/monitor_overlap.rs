@@ -346,53 +346,79 @@ fn depth_one_reproduces_the_double_buffer() {
 fn pinning_backpressures_and_releases() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 9)));
-    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    // A curve policy (re-layout only on request) so the end of the test
+    // can re-lay out.
+    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::hilbert(), 3).unwrap();
 
-    // Fill the retained window: steps 1 and 2.
-    for _ in 0..2 {
+    // Fill the retained window: steps 1 to 3.
+    for _ in 0..3 {
         monitor.begin_step().unwrap();
         monitor.finish_step().unwrap();
     }
-    assert_eq!(monitor.retained_steps(), 1..=2);
+    assert_eq!(monitor.retained_steps(), 1..=3);
 
-    // Record step 1's answer, pin it, and let the pipeline race ahead.
+    // A pin on a middle slot does not block a publish: step 4 evicts
+    // the unpinned oldest step 1.
+    monitor.pin_step(2).unwrap();
+    monitor.begin_step().unwrap();
+    assert_eq!(monitor.finish_step().unwrap(), 4);
+    assert_eq!(monitor.retained_steps(), 2..=4);
+    // The evicted step can no longer be pinned.
+    assert!(matches!(
+        monitor.pin_step(1),
+        Err(ServiceError::StepNotRetained {
+            step: 1,
+            oldest: 2,
+            latest: 4
+        })
+    ));
+    assert_eq!(monitor.pin_count(1), 0);
+
+    // Record step 2's answer, pin it again, and let the pipeline race
+    // ahead.
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
     let mut pinned_answer = Vec::new();
-    monitor.query_at(1, &q, &mut pinned_answer).unwrap();
-    monitor.pin_step(1).unwrap();
-    monitor.pin_step(1).unwrap(); // pins nest
-    assert_eq!(monitor.pin_count(1), 2);
+    monitor.query_at(2, &q, &mut pinned_answer).unwrap();
+    monitor.pin_step(2).unwrap(); // pins nest
+    assert_eq!(monitor.pin_count(2), 2);
 
     monitor.fill_pipeline().unwrap();
-    assert_eq!(monitor.in_flight(), 2);
-    // Publishing step 3 would recycle the pinned oldest slot: refused,
+    assert_eq!(monitor.in_flight(), 3);
+    // Publishing step 5 would recycle the pinned oldest slot: refused,
     // deterministically, with the update left queued.
     match monitor.finish_step() {
-        Err(ServiceError::RingFull { pinned_step: 1 }) => {}
-        other => panic!("expected RingFull for pinned step 1, got {other:?}"),
+        Err(ServiceError::RingFull { pinned_step: 2 }) => {}
+        other => panic!("expected RingFull for pinned step 2, got {other:?}"),
     }
-    assert_eq!(monitor.snapshot_step(), 2, "nothing was absorbed");
+    assert_eq!(monitor.snapshot_step(), 4, "nothing was absorbed");
+    assert_eq!(monitor.retained_steps(), 2..=4);
 
     // The pinned snapshot still answers, bit-identically.
     let mut again = Vec::new();
-    monitor.query_at(1, &q, &mut again).unwrap();
+    monitor.query_at(2, &q, &mut again).unwrap();
     assert_eq!(sorted(again), sorted(pinned_answer.clone()));
 
     // One unpin is not enough (counted pins) …
-    monitor.unpin_step(1).unwrap();
+    monitor.unpin_step(2).unwrap();
     assert!(matches!(
         monitor.finish_step(),
-        Err(ServiceError::RingFull { pinned_step: 1 })
+        Err(ServiceError::RingFull { pinned_step: 2 })
     ));
     // … releasing the last pin unblocks the exact same updates.
-    monitor.unpin_step(1).unwrap();
-    assert_eq!(monitor.finish_step().unwrap(), 3);
-    assert_eq!(monitor.finish_step().unwrap(), 4);
-    assert_eq!(monitor.retained_steps(), 3..=4);
+    monitor.unpin_step(2).unwrap();
+    assert_eq!(monitor.finish_step().unwrap(), 5);
+    assert_eq!(monitor.finish_step().unwrap(), 6);
+    assert_eq!(monitor.finish_step().unwrap(), 7);
+    assert_eq!(monitor.retained_steps(), 5..=7);
     assert!(matches!(
-        monitor.unpin_step(3),
-        Err(ServiceError::StepNotPinned { step: 3 })
+        monitor.unpin_step(5),
+        Err(ServiceError::StepNotPinned { step: 5 })
     ));
+
+    // A re-layout releases the history in the old id space: the ring
+    // keeps exactly the latest step.
+    assert!(monitor.request_relayout().unwrap());
+    assert_eq!(monitor.retained_steps(), 7..=7);
 }
 
 /// Regression test for the release-mode re-layout race: the old code

@@ -1,13 +1,13 @@
 //! Synchronisation facade for the octopus concurrency protocols.
 //!
-//! Modules that implement cross-thread protocols (the telemetry shard
-//! registry, the snapshot-ring ledger, the admission queue) import
+//! Modules that implement cross-thread protocols (the telemetry
+//! metrics' shard registry, the worker pool's completion latch) import
 //! their sync primitives from this crate instead of `std::sync` —
 //! `xtask lint` enforces it. In ordinary
 //! builds everything here **is** the `std::sync` type (zero-cost
 //! re-export). Under `RUSTFLAGS="--cfg octopus_model"` the same names
-//! resolve to the vendored loom doubles, so the `model_*` test suites
-//! can exhaustively explore the protocols' interleavings.
+//! resolve to the vendored loom doubles, so the model suites can
+//! exhaustively explore the protocols' interleavings.
 //!
 //! The facade deliberately exposes only the subset the shimmed modules
 //! use: `Mutex`/`Condvar`/`Arc`, the atomic integers + bool, and

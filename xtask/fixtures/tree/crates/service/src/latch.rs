@@ -1,7 +1,8 @@
 // Lint fixture (never compiled): trips `sync-shim` — this path is one
 // of the model-checked modules, which must use `octopus_sync`.
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 pub struct Fixture {
-    queue: Mutex<Vec<u64>>,
+    remaining: Mutex<usize>,
+    done: Condvar,
 }
