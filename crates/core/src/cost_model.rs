@@ -238,11 +238,6 @@ impl CostModel {
     pub fn crossover_selectivity(&self, s: f64, m: f64) -> f64 {
         ((1.0 - (self.cp / self.cs) * s) * (self.cs / self.cr) / m).max(0.0)
     }
-
-    /// `C_S / C_R` — the paper reports ≈ 1/4 on its hardware.
-    pub fn cs_over_cr(&self) -> f64 {
-        self.cs / self.cr
-    }
 }
 
 #[cfg(test)]

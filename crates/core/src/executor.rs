@@ -785,55 +785,12 @@ impl Octopus {
         t
     }
 
-    /// The `k` active vertices nearest `point` (Euclidean distance,
-    /// ties broken by ascending id), appended to `out` in ascending
-    /// (distance, id) order. Returns fewer than `k` ids only when the
-    /// mesh has fewer than `k` active vertices.
-    ///
-    /// Exact expanding-cube reduction to box queries: query the cube of
-    /// half-extent `r` around `point`; once ≥ `k` results lie within
-    /// Euclidean distance `r` (the cube's inscribed ball) the true `k`
-    /// nearest are all among the candidates — any vertex within
-    /// distance `r` is inside the cube. Otherwise `r` doubles; the cube
-    /// eventually covers the whole mesh, so at most O(log) box queries
-    /// run, each warm on the shared probe/walk/crawl machinery.
-    pub fn query_knn(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        k: usize,
-        point: Point3,
-        probe: Probe<'_>,
-        out: &mut Vec<VertexId>,
-    ) -> PhaseTimings {
-        let t = run_knn(self, scratch, mesh, k, point, out, probe);
-        self.note(ExecMode::Knn, &t);
-        t
-    }
-
-    /// Aggregate query over `q`: the count (and, for
-    /// [`AggregateKind::Centroid`], the mean position) of the vertices
-    /// inside `q`, computed **without materialising the result set** —
-    /// the crawl folds straight into the accumulator, so a huge
-    /// aggregate costs no result memory at all. Equal, by construction,
-    /// to aggregating [`Octopus::query`]'s materialised ids (the
-    /// differential suite asserts it).
-    pub fn query_aggregate(
-        &self,
-        scratch: &mut QueryScratch,
-        mesh: &Mesh,
-        q: &Aabb,
-        kind: AggregateKind,
-        probe: Probe<'_>,
-    ) -> (AggregateValue, PhaseTimings) {
-        let (value, t) = run_aggregate(self, scratch, mesh, q, kind, probe);
-        self.note(ExecMode::Aggregate, &t);
-        (value, t)
-    }
-
-    /// Answers any [`QueryShape`] — the uniform dispatch point the
-    /// monitor serves shape batches through; every box query the shape
-    /// reduces to is seeded by `probe`.
+    /// Answers any [`QueryShape`] — the one entry for every shape: a box
+    /// or convex region runs [`Octopus::query_with`], k-NN the exact
+    /// expanding-cube search (`run_knn`), an aggregate the
+    /// materialisation-free fold (`run_aggregate`). Every box query the
+    /// shape reduces to is seeded by `probe`; the monitor serves shape
+    /// batches through it.
     pub fn query_shape(
         &self,
         scratch: &mut QueryScratch,
@@ -846,10 +803,13 @@ impl Octopus {
             QueryShape::Box(q) => self.query_with(scratch, mesh, q, probe, &mut out),
             QueryShape::Convex(r) => self.query_with(scratch, mesh, r, probe, &mut out),
             QueryShape::KNearest { k, point } => {
-                self.query_knn(scratch, mesh, *k, *point, probe, &mut out)
+                let t = run_knn(self, scratch, mesh, *k, *point, &mut out, probe);
+                self.note(ExecMode::Knn, &t);
+                t
             }
             QueryShape::Aggregate { region, kind } => {
-                let (value, t) = self.query_aggregate(scratch, mesh, region, *kind, probe);
+                let (value, t) = run_aggregate(self, scratch, mesh, region, *kind, probe);
+                self.note(ExecMode::Aggregate, &t);
                 return (ShapeResult::Aggregate(value), t);
             }
         };
@@ -1412,8 +1372,18 @@ pub(crate) fn closest_of<'a, R: Region>(
     best
 }
 
-/// Exact k-nearest-neighbour search by expanding cube queries (see
-/// [`Octopus::query_knn`] for the correctness argument).
+/// The `k` active vertices nearest `point` (Euclidean distance, ties
+/// broken by ascending id), appended to `out` in ascending (distance,
+/// id) order — fewer than `k` only when the mesh has fewer than `k`
+/// active vertices. Served as [`QueryShape::KNearest`].
+///
+/// Exact expanding-cube reduction to box queries: query the cube of
+/// half-extent `r` around `point`; once ≥ `k` results lie within
+/// Euclidean distance `r` (the cube's inscribed ball) the true `k`
+/// nearest are all among the candidates — any vertex within distance
+/// `r` is inside the cube. Otherwise `r` doubles; the cube eventually
+/// covers the whole mesh, so at most O(log) box queries run, each warm
+/// on the shared probe/walk/crawl machinery.
 fn run_knn(
     octopus: &Octopus,
     scratch: &mut QueryScratch,
@@ -1476,8 +1446,14 @@ fn run_knn(
     total
 }
 
-/// Aggregate execution: seeds-only Algorithm 1, then a fold-crawl that
-/// never materialises result ids (see [`Octopus::query_aggregate`]).
+/// Aggregate query over `q`: the count (and, for
+/// [`AggregateKind::Centroid`], the mean position) of the vertices
+/// inside `q`, computed **without materialising the result set** —
+/// seeds-only Algorithm 1, then a crawl that folds straight into the
+/// accumulator, so a huge aggregate costs no result memory at all.
+/// Equal, by construction, to aggregating [`Octopus::query`]'s
+/// materialised ids (the differential suite asserts it). Served as
+/// [`QueryShape::Aggregate`].
 fn run_aggregate(
     octopus: &Octopus,
     scratch: &mut QueryScratch,
@@ -2060,6 +2036,38 @@ mod tests {
         }
     }
 
+    /// The `k` nearest active vertices to `point` through the shape
+    /// dispatch, with the execution's timings.
+    fn knn(
+        o: &Octopus,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        k: usize,
+        point: Point3,
+    ) -> (Vec<VertexId>, PhaseTimings) {
+        let shape = QueryShape::KNearest { k, point };
+        let (result, t) = o.query_shape(scratch, mesh, &shape, Probe::Surface);
+        (
+            result.vertices().expect("k-NN materialises ids").to_vec(),
+            t,
+        )
+    }
+
+    /// The `kind` summary of `region` through the shape dispatch.
+    fn aggregate(
+        o: &Octopus,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        region: Aabb,
+        kind: AggregateKind,
+    ) -> (AggregateValue, PhaseTimings) {
+        let shape = QueryShape::Aggregate { region, kind };
+        match o.query_shape(scratch, mesh, &shape, Probe::Surface) {
+            (ShapeResult::Aggregate(value), t) => (value, t),
+            (other, _) => panic!("an aggregate shape answered {other:?}"),
+        }
+    }
+
     #[test]
     fn knn_matches_brute_force_with_deterministic_ties() {
         let mesh = box_mesh(6);
@@ -2074,8 +2082,7 @@ mod tests {
                 Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
                 Point3::splat(4.0), // far outside the mesh
             ] {
-                let mut got = Vec::new();
-                let stats = o.query_knn(&mut scratch, &mesh, k, point, Probe::Surface, &mut got);
+                let (got, stats) = knn(&o, &mut scratch, &mesh, k, point);
                 let mut expected: Vec<(f32, VertexId)> = positions
                     .iter()
                     .enumerate()
@@ -2096,26 +2103,11 @@ mod tests {
         let mesh = box_mesh(3);
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
-        let mut got = Vec::new();
-        o.query_knn(
-            &mut scratch,
-            &mesh,
-            mesh.num_vertices() * 2,
-            Point3::splat(0.5),
-            Probe::Surface,
-            &mut got,
-        );
+        let k = mesh.num_vertices() * 2;
+        let (got, _) = knn(&o, &mut scratch, &mesh, k, Point3::splat(0.5));
         assert_eq!(got.len(), mesh.num_vertices());
         // k = 0 is a no-op.
-        let mut none = Vec::new();
-        o.query_knn(
-            &mut scratch,
-            &mesh,
-            0,
-            Point3::splat(0.5),
-            Probe::Surface,
-            &mut none,
-        );
+        let (none, _) = knn(&o, &mut scratch, &mesh, 0, Point3::splat(0.5));
         assert!(none.is_empty());
     }
 
@@ -2135,23 +2127,11 @@ mod tests {
             let q = Aabb::cube(c, rng.range_f32(0.05, 0.4));
             let mut ids = Vec::new();
             o.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut ids);
-            let (count_only, stats) = o.query_aggregate(
-                &mut scratch,
-                &mesh,
-                &q,
-                AggregateKind::Count,
-                Probe::Surface,
-            );
+            let (count_only, stats) = aggregate(&o, &mut scratch, &mesh, q, AggregateKind::Count);
             assert_eq!(count_only.count, ids.len(), "query {i}: count");
             assert_eq!(count_only.centroid, None);
             assert_eq!(stats.results, ids.len());
-            let (with_centroid, _) = o.query_aggregate(
-                &mut scratch,
-                &mesh,
-                &q,
-                AggregateKind::Centroid,
-                Probe::Surface,
-            );
+            let (with_centroid, _) = aggregate(&o, &mut scratch, &mesh, q, AggregateKind::Centroid);
             assert_eq!(with_centroid.count, ids.len());
             if ids.is_empty() {
                 assert_eq!(with_centroid.centroid, None);
@@ -2173,49 +2153,20 @@ mod tests {
     }
 
     #[test]
-    fn query_shape_dispatch_agrees_with_direct_entry_points() {
-        use crate::shape::QueryShape;
+    fn query_shape_results_report_their_size() {
         let mesh = box_mesh(5);
         let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
         let q = Aabb::cube(Point3::splat(0.4), 0.3);
-        let (via_shape, _) =
-            o.query_shape(&mut scratch, &mesh, &QueryShape::Box(q), Probe::Surface);
-        let mut direct = Vec::new();
-        o.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut direct);
-        let mut got = via_shape.vertices().unwrap().to_vec();
-        got.sort_unstable();
-        direct.sort_unstable();
-        assert_eq!(got, direct);
+        let (boxed, _) = o.query_shape(&mut scratch, &mesh, &QueryShape::Box(q), Probe::Surface);
+        let ids = boxed.vertices().unwrap();
+        assert_eq!(boxed.len(), ids.len());
+        assert!(!boxed.is_empty());
 
-        let shape = QueryShape::KNearest {
-            k: 7,
-            point: Point3::splat(0.2),
-        };
-        let (knn, _) = o.query_shape(&mut scratch, &mesh, &shape, Probe::Surface);
-        let mut direct = Vec::new();
-        o.query_knn(
-            &mut scratch,
-            &mesh,
-            7,
-            Point3::splat(0.2),
-            Probe::Surface,
-            &mut direct,
-        );
-        assert_eq!(knn.vertices().unwrap(), &direct[..]);
-        assert_eq!(knn.len(), 7);
-        assert!(!knn.is_empty());
-
-        let agg = QueryShape::Aggregate {
-            region: q,
-            kind: AggregateKind::Count,
-        };
-        let (agg_res, _) = o.query_shape(&mut scratch, &mesh, &agg, Probe::Surface);
-        assert_eq!(
-            agg_res.len(),
-            got.len(),
-            "aggregate count == box result size"
-        );
-        assert!(agg_res.vertices().is_none());
+        let (count, _) = aggregate(&o, &mut scratch, &mesh, q, AggregateKind::Count);
+        assert_eq!(count.count, ids.len(), "aggregate count == box result size");
+        let agg = ShapeResult::Aggregate(count);
+        assert_eq!(agg.len(), ids.len());
+        assert!(agg.vertices().is_none());
     }
 }

@@ -23,10 +23,11 @@ pub enum ExecMode {
     /// ([`crate::Octopus::query`] / [`crate::Octopus::query_with`], or a
     /// group of one).
     Fresh,
-    /// k-nearest-neighbour ([`crate::Octopus::query_knn`]).
+    /// k-nearest-neighbour ([`crate::QueryShape::KNearest`] through
+    /// [`crate::Octopus::query_shape`]).
     Knn,
-    /// Materialisation-free aggregate
-    /// ([`crate::Octopus::query_aggregate`]).
+    /// Materialisation-free aggregate ([`crate::QueryShape::Aggregate`]
+    /// through [`crate::Octopus::query_shape`]).
     Aggregate,
     /// Shared-frontier overlap group of two or more
     /// ([`crate::Octopus::query_group`]).

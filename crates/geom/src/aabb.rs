@@ -62,15 +62,6 @@ impl Aabb {
         }
     }
 
-    /// Creates a box centred at `center` with per-axis half-extents.
-    #[inline]
-    pub fn from_center_half(center: Point3, half: Vec3) -> Self {
-        Aabb {
-            min: center - half,
-            max: center + half,
-        }
-    }
-
     /// Smallest box containing all `points`; [`Aabb::EMPTY`] for an empty
     /// iterator.
     pub fn from_points<I: IntoIterator<Item = Point3>>(points: I) -> Self {

@@ -109,16 +109,9 @@ impl Surface {
         EXTRACT_CALLS.load(Ordering::Relaxed)
     }
 
-    /// Builds a surface directly from a membership bitmap (used by
-    /// restructuring deltas and tests). [`Surface::num_boundary_faces`]
-    /// reports 0; use [`Surface::from_membership_with_faces`] when the
-    /// face count is known.
-    pub fn from_membership(is_surface: Vec<bool>) -> Surface {
-        Surface::from_membership_with_faces(is_surface, 0)
-    }
-
-    /// [`Surface::from_membership`] with an explicit boundary-face count
-    /// (as maintained by [`FaceTable`] in restructuring mode).
+    /// Builds a surface directly from a membership bitmap and its
+    /// boundary-face count (as maintained by [`FaceTable`] in
+    /// restructuring mode).
     pub fn from_membership_with_faces(is_surface: Vec<bool>, num_boundary_faces: usize) -> Surface {
         let vertices = (0..is_surface.len() as u32)
             .filter(|&v| is_surface[v as usize])
@@ -690,7 +683,7 @@ mod tests {
 
     #[test]
     fn from_membership_lists_true_indices() {
-        let s = Surface::from_membership(vec![true, false, true, false]);
+        let s = Surface::from_membership_with_faces(vec![true, false, true, false], 0);
         assert_eq!(s.vertices(), &[0, 2]);
         assert!(s.contains(0) && !s.contains(1));
         assert_eq!(s.ratio(), 0.5);

@@ -22,15 +22,21 @@
 //!   arrival order.
 //! * **Deadline shedding** — a batch may carry a deadline; if it
 //!   expires while queued, dequeue drops it *before* it reaches the
-//!   pool, counts it (`admission_shed_total`, `deadline_miss_total`)
-//!   and reports it in the drain outcome so the caller can notify the
-//!   client.
+//!   pool, counts it and reports it in the drain outcome so the caller
+//!   can notify the client.
 //!
 //! The monitor front-end is [`crate::MonitorLoop::set_admission`] /
 //! [`crate::MonitorLoop::enqueue`] /
 //! [`crate::MonitorLoop::drain_admitted`]; with admission attached,
 //! ring back-pressure is also surfaced as `RetryAfter` instead of the
 //! raw `RingFull`.
+//!
+//! [`AdmissionStats`] is the only count of what the front did. Attached
+//! telemetry mirrors it — `admission_{enqueued,admitted,shed}_total`,
+//! `deadline_miss_total`, `retry_after_total` and the
+//! `admission_queue_depth` gauge — by the change since its last sync
+//! whenever the monitor publishes its gauges, so a registry attached
+//! late reports the front's whole history.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -39,7 +45,6 @@ use octopus_geom::Aabb;
 
 use crate::batch::QueryResult;
 use crate::monitor::{Overload, ServiceError};
-use crate::telemetry::AdmissionMetrics;
 
 /// Admission-layer tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -135,9 +140,9 @@ pub struct DrainOutcome {
     pub shed: Vec<ShedTicket>,
 }
 
-/// Cumulative admission counters (mirrored into telemetry when
-/// attached; always readable via
-/// [`crate::MonitorLoop::admission_stats`]).
+/// Cumulative admission counters — the front's only count, mirrored
+/// into telemetry when attached (see the module docs) and always
+/// readable via [`crate::MonitorLoop::admission_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Batches accepted into a queue.
@@ -150,6 +155,10 @@ pub struct AdmissionStats {
     pub deadline_misses: u64,
     /// Enqueue attempts refused with `RetryAfter` (queue full).
     pub rejected: u64,
+    /// Ring back-pressure surfaced as `RetryAfter`
+    /// ([`Overload::RingPinned`]); `retry_after_total` counts these plus
+    /// `rejected`.
+    pub ring_pinned: u64,
     /// Batches currently queued across all tenants.
     pub queue_depth: usize,
 }
@@ -162,14 +171,8 @@ pub(crate) struct Admission {
     cfg: AdmissionConfig,
     tenants: Vec<TenantQueue>,
     next_ticket: u64,
-    depth: usize,
-    enqueued: u64,
-    admitted: u64,
-    shed_tickets: u64,
-    deadline_misses: u64,
-    rejected: u64,
+    stats: AdmissionStats,
     shed_log: Vec<ShedTicket>,
-    metrics: Option<AdmissionMetrics>,
 }
 
 impl Admission {
@@ -180,14 +183,8 @@ impl Admission {
             cfg,
             tenants: Vec::new(),
             next_ticket: 0,
-            depth: 0,
-            enqueued: 0,
-            admitted: 0,
-            shed_tickets: 0,
-            deadline_misses: 0,
-            rejected: 0,
+            stats: AdmissionStats::default(),
             shed_log: Vec::new(),
-            metrics: None,
         }
     }
 
@@ -205,22 +202,6 @@ impl Admission {
             queue: VecDeque::new(),
         });
         self.tenants.last_mut().expect("just pushed")
-    }
-
-    fn publish_depth(&self) {
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set_u64(self.depth as u64);
-        }
-    }
-
-    pub(crate) fn attach_metrics(&mut self, metrics: &AdmissionMetrics) {
-        self.metrics = Some(metrics.clone());
-        self.publish_depth();
-    }
-
-    /// Total batches currently queued across all tenants.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.depth
     }
 
     /// The suggested backoff for the current pressure level: the base,
@@ -256,10 +237,7 @@ impl Admission {
             .find(|t| t.tenant == tenant)
             .map_or(0, |t| t.queue.len());
         if queued >= capacity {
-            self.rejected += 1;
-            if let Some(m) = &self.metrics {
-                m.retry_after.inc();
-            }
+            self.stats.rejected += 1;
             return Err(ServiceError::RetryAfter {
                 suggested_backoff: self.suggested_backoff(queued),
                 cause: Overload::QueueFull {
@@ -275,12 +253,8 @@ impl Admission {
             queries,
             deadline,
         });
-        self.depth += 1;
-        self.enqueued += 1;
-        if let Some(m) = &self.metrics {
-            m.enqueued.inc();
-        }
-        self.publish_depth();
+        self.stats.queue_depth += 1;
+        self.stats.enqueued += 1;
         Ok(ticket)
     }
 
@@ -301,14 +275,10 @@ impl Admission {
             let t = &mut self.tenants[idx];
             let tenant = t.tenant;
             let pending = t.queue.pop_front().expect("selected queue is non-empty");
-            self.depth -= 1;
+            self.stats.queue_depth -= 1;
             if pending.deadline.is_some_and(|d| now >= d) {
-                self.shed_tickets += 1;
-                self.deadline_misses += pending.queries.len() as u64;
-                if let Some(m) = &self.metrics {
-                    m.shed.inc();
-                    m.deadline_misses.add(pending.queries.len() as u64);
-                }
+                self.stats.shed_tickets += 1;
+                self.stats.deadline_misses += pending.queries.len() as u64;
                 self.shed_log.push(ShedTicket {
                     ticket: pending.ticket,
                     tenant,
@@ -317,11 +287,7 @@ impl Admission {
                 continue;
             }
             self.tenants[idx].pass += 1;
-            self.admitted += 1;
-            if let Some(m) = &self.metrics {
-                m.admitted.inc();
-            }
-            self.publish_depth();
+            self.stats.admitted += 1;
             return Some(Admitted {
                 ticket: pending.ticket,
                 tenant,
@@ -332,28 +298,18 @@ impl Admission {
 
     /// Takes the accumulated shed log (cleared afterwards).
     pub(crate) fn take_shed(&mut self) -> Vec<ShedTicket> {
-        self.publish_depth();
         std::mem::take(&mut self.shed_log)
     }
 
     /// Cumulative counters.
     pub(crate) fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            enqueued: self.enqueued,
-            admitted: self.admitted,
-            shed_tickets: self.shed_tickets,
-            deadline_misses: self.deadline_misses,
-            rejected: self.rejected,
-            queue_depth: self.depth,
-        }
+        self.stats
     }
 
-    /// Counts the ring-back-pressure conversion (`RingFull` →
-    /// `RetryAfter`) into the retry-after family.
-    pub(crate) fn note_retry_after(&self) {
-        if let Some(m) = &self.metrics {
-            m.retry_after.inc();
-        }
+    /// Counts a ring-back-pressure conversion (`RingFull` →
+    /// `RetryAfter`).
+    pub(crate) fn note_retry_after(&mut self) {
+        self.stats.ring_pinned += 1;
     }
 }
 
@@ -523,7 +479,7 @@ mod tests {
         let stats = adm.stats();
         assert_eq!(stats.enqueued, stats.admitted);
         assert_eq!(stats.enqueued, 12);
-        assert_eq!(adm.queue_depth(), 0);
+        assert_eq!(stats.queue_depth, 0);
     }
 
     #[test]

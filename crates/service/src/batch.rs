@@ -33,33 +33,6 @@ pub struct QueryResult {
     pub timings: PhaseTimings,
 }
 
-/// Aggregate statistics over one executed batch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchStats {
-    /// Number of queries in the batch.
-    pub queries: usize,
-    /// Total result vertices across the batch.
-    pub total_results: usize,
-    /// Accumulated per-phase work (CPU time across workers, not wall
-    /// time: phases of different queries run concurrently).
-    pub phases: PhaseTimings,
-}
-
-impl BatchStats {
-    /// Sums a batch's per-query results into one record.
-    pub fn aggregate(results: &[QueryResult]) -> BatchStats {
-        let mut stats = BatchStats {
-            queries: results.len(),
-            ..BatchStats::default()
-        };
-        for r in results {
-            stats.total_results += r.vertices.len();
-            stats.phases.accumulate(&r.timings);
-        }
-        stats
-    }
-}
-
 /// How one [`Group`] of a plan executes.
 pub(crate) enum Route {
     /// One [`Octopus::query_group`] call (sequential crawl for a

@@ -56,14 +56,18 @@
 //!   runner's. [`MonitorLoop::set_batch_engine`] wires it into the
 //!   monitor's request path.
 //!
-//! **One request path.** `MonitorLoop::{query, query_at, query_batch,
-//! query_batch_at, step_and_query, drain_admitted}` all resolve a ring
-//! slot to a [`Snapshot`] (measuring its grid reach on first use), plan
-//! the batch (the engine's plan, or the plan of singletons), run it on
-//! the pool under the snapshot's probe and hand the caller results to
-//! [`MonitorLoop::recycle`]. Two more routes reach the executor, under
-//! the same probe: the sequential shape dispatch below and a
-//! subscription's refresh crawl.
+//! **One request path.** A request is a batch — a single query is a
+//! batch of one — and each kind has one entry: box batches through
+//! [`MonitorLoop::query_batch`] / [`MonitorLoop::query_batch_at`] or
+//! admitted through [`MonitorLoop::enqueue`] /
+//! [`MonitorLoop::drain_admitted`]; each resolves a ring slot to a
+//! [`Snapshot`] (measuring its grid reach on first use), plans the batch
+//! (the engine's plan, or the plan of singletons), runs it on the pool
+//! under the snapshot's probe and hands the caller results to
+//! [`MonitorLoop::recycle`]. Two more entries reach the executor, under
+//! the same probe: [`MonitorLoop::query_shapes`], the sequential shape
+//! dispatch below, and [`MonitorLoop::subscribe`] /
+//! [`MonitorLoop::poll_subscriptions`], whose refreshes crawl.
 //!
 //! * **Standing queries** ([`MonitorLoop::subscribe`]) — a registered
 //!   range query is answered per step with an incremental
@@ -109,7 +113,7 @@ pub mod telemetry;
 pub use admission::{
     AdmissionConfig, AdmissionStats, AdmittedBatch, Backoff, DrainOutcome, ShedTicket, TicketId,
 };
-pub use batch::{BatchStats, ParallelExecutor, QueryResult};
+pub use batch::{ParallelExecutor, QueryResult};
 pub use engine::{BatchEngine, BatchEngineConfig, EngineReport};
 pub use monitor::{
     LayoutPolicy, MonitorLoop, Overload, RelayoutTrigger, ServiceError, ShapeQueryResult,

@@ -14,9 +14,9 @@
 //!
 //! The simulation thread publishes one snapshot per completed step into
 //! the ring; monitoring queries may target *any* retained step in
-//! `[N−K+1, N]` ([`MonitorLoop::query_at`] /
-//! [`MonitorLoop::query_batch_at`], plus the latest-step API) while up
-//! to K further steps compute ahead. With K = 1 the ring degenerates to
+//! `[N−K+1, N]` ([`MonitorLoop::query_batch_at`], beside the
+//! latest-step [`MonitorLoop::query_batch`]) while up to K further
+//! steps compute ahead. With K = 1 the ring degenerates to
 //! the classic double buffer: one retained snapshot, one step in
 //! flight.
 //!
@@ -569,19 +569,18 @@ pub struct ShapeQueryResult {
 ///
 /// ```text
 /// loop {
-///     monitor.begin_step()?;            // step N+1 starts computing
-///     … monitor.query / query_batch …   // answered against step N
-///     … monitor.query_at(older, …)? …   // any retained step
-///     monitor.finish_step()?;           // ring advances to N+1
+///     monitor.begin_step()?;                  // step N+1 starts computing
+///     … monitor.query_batch(&qs) …            // answered against step N
+///     … monitor.query_batch_at(older, &qs)? … // any retained step
+///     monitor.finish_step()?;                 // ring advances to N+1
 /// }
 /// ```
 ///
-/// [`MonitorLoop::step_and_query`] packages one iteration of exactly
-/// that pattern.
+/// Every result batch goes back through [`MonitorLoop::recycle`].
 pub struct MonitorLoop {
     cmd_tx: Sender<Cmd>,
     upd_rx: Receiver<Update>,
-    handle: Option<JoinHandle<Result<Simulation, String>>>,
+    handle: Option<SimHandle>,
     /// Supervisor state: healthy, panicked (payload retained), or
     /// cleanly exited.
     sim_state: SimState,
@@ -672,10 +671,7 @@ impl MonitorLoop {
         let step = sim.current_step();
         let scratch = exec.make_scratch(&mesh);
         let fault = Arc::new(FaultCell::new());
-        let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-        let (upd_tx, upd_rx) = std::sync::mpsc::channel();
-        let sim_fault = Arc::clone(&fault);
-        let handle = std::thread::spawn(move || sim_thread(sim, &cmd_rx, &upd_tx, &sim_fault));
+        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &fault);
         let mut slots = VecDeque::with_capacity(depth);
         slots.push_back(Slot {
             step,
@@ -731,17 +727,9 @@ impl MonitorLoop {
         if let Some(engine) = &mut self.engine {
             engine.attach_metrics(&t.engine);
         }
-        if let Some(adm) = &mut self.admission {
-            adm.attach_metrics(&t.admission);
-        }
         self.telemetry = Some(t);
         self.publish_gauges();
         self.telemetry.as_ref().expect("just attached")
-    }
-
-    /// The attached telemetry bundle, if any.
-    pub fn telemetry(&self) -> Option<&ServiceTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Refreshes every point-in-time gauge and returns a consistent
@@ -754,7 +742,8 @@ impl MonitorLoop {
 
     /// Publishes the gauges that mirror monitor state: ring occupancy
     /// and in-flight depth, the surface grid's counters, reach and
-    /// memory, the standing-query registry and executor memory.
+    /// memory, the standing-query registry, executor memory and the
+    /// admission front's counters.
     fn publish_gauges(&mut self) {
         let Some(t) = &mut self.telemetry else { return };
         t.monitor.ring_occupancy.set_u64(self.slots.len() as u64);
@@ -771,7 +760,7 @@ impl MonitorLoop {
             .set_u64(latest.grid.memory_bytes() as u64);
         t.monitor.sync_subscriptions(&self.subs);
         if let Some(adm) = &self.admission {
-            t.admission.queue_depth.set_u64(adm.queue_depth() as u64);
+            t.admission.sync(&adm.stats());
         }
         let _ = latest.exec.publish_memory();
     }
@@ -912,7 +901,7 @@ impl MonitorLoop {
         let ServiceError::RingFull { pinned_step } = e else {
             return e;
         };
-        let Some(adm) = &self.admission else {
+        let Some(adm) = &mut self.admission else {
             return ServiceError::RingFull { pinned_step };
         };
         adm.note_retry_after();
@@ -1035,13 +1024,12 @@ impl MonitorLoop {
     /// The update channel disconnected: join the thread to learn why
     /// and record the outcome.
     fn harvest_sim_exit(&mut self) -> ServiceError {
-        let outcome = self.handle.take().map(JoinHandle::join);
+        let outcome = self.handle.take().map(join_sim);
         self.in_flight = 0;
         match outcome {
-            Some(Ok(Err(msg))) => self.sim_died(msg),
-            Some(Err(payload)) => self.sim_died(panic_message(payload.as_ref())),
+            Some(Err(msg)) => self.sim_died(msg),
             // Clean exit (or already harvested): not a panic.
-            Some(Ok(Ok(_))) | None => {
+            Some(Ok(_)) | None => {
                 if self.sim_state == SimState::Running {
                     self.sim_state = SimState::Stopped;
                 }
@@ -1184,32 +1172,6 @@ impl MonitorLoop {
         self.relayout_pending
     }
 
-    /// One overlapped iteration: starts the next step, answers `queries`
-    /// against the latest snapshot while it computes, then advances the
-    /// ring. Returns the results plus the step they were answered at.
-    ///
-    /// Degenerate cases are handled without losing work: while the
-    /// pipeline is stalled (a pending re-layout waiting on a pin) no
-    /// step starts and the answers simply come from the current
-    /// snapshot; and if advancing hits pin back-pressure
-    /// ([`ServiceError::RingFull`]) the already-computed result buffers
-    /// are recycled before the error propagates.
-    pub fn step_and_query(
-        &mut self,
-        queries: &[Aabb],
-    ) -> Result<(Vec<QueryResult>, u32), ServiceError> {
-        self.begin_step()?;
-        let answered_at = self.snapshot_step();
-        let results = self.serve(self.slots.len() - 1, queries);
-        if self.in_flight > 0 {
-            if let Err(e) = self.finish_step() {
-                self.recycle(results);
-                return Err(e);
-            }
-        }
-        Ok((results, answered_at))
-    }
-
     fn latest(&self) -> &Slot {
         self.slots.back().expect("ring is never empty")
     }
@@ -1228,11 +1190,6 @@ impl MonitorLoop {
 
     fn slot_at(&self, step: u32) -> Result<&Slot, ServiceError> {
         Ok(&self.slots[self.slot_index(step)?])
-    }
-
-    /// The configured ring depth K.
-    pub fn ring_depth(&self) -> usize {
-        self.depth
     }
 
     /// Steps currently retained and queryable: `[N−r+1, N]` for the
@@ -1254,11 +1211,6 @@ impl MonitorLoop {
     /// The snapshot retained for `step`, if still in the ring.
     pub fn snapshot_at(&self, step: u32) -> Result<&Mesh, ServiceError> {
         Ok(&self.slot_at(step)?.mesh)
-    }
-
-    /// The configured vertex-layout policy.
-    pub fn layout_policy(&self) -> LayoutPolicy {
-        self.policy
     }
 
     /// Cumulative id map for the latest snapshot, ingest-time id →
@@ -1332,11 +1284,6 @@ impl MonitorLoop {
         Ok(())
     }
 
-    /// Outstanding pins of `step` (0 when unpinned or not retained).
-    pub fn pin_count(&self, step: u32) -> u32 {
-        self.slot_at(step).map_or(0, |s| s.pins)
-    }
-
     /// Where a slot becomes a [`Snapshot`]: the first request against it
     /// measures its reach against its grid. When that is the newest
     /// slot and the reach has outgrown one cell, the grid is rebuilt
@@ -1399,37 +1346,6 @@ impl MonitorLoop {
         // Scan-routed queries probe nothing.
         Self::count_probed(&mut self.grid_stats, snap.probe, queries.len() - scanned);
         results
-    }
-
-    /// A batch of one through [`MonitorLoop::serve`], copied out.
-    fn serve_one(&mut self, slot: usize, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        let results = self.serve(slot, std::slice::from_ref(q));
-        out.extend_from_slice(&results[0].vertices);
-        let timings = results[0].timings;
-        self.pool.recycle(results);
-        timings
-    }
-
-    /// Answers one query against the latest snapshot, appending the
-    /// matching vertices to `out` — a batch of one on the request path
-    /// every batch takes (it runs inline on the calling thread).
-    pub fn query(&mut self, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        self.serve_one(self.slots.len() - 1, q, out)
-    }
-
-    /// Answers one query against the snapshot retained for `step`. Any
-    /// retained step may be targeted while newer steps compute ahead —
-    /// the pipelined generalisation of the latest-step API; an older
-    /// step is probed through the grid it was published with, at its
-    /// own reach.
-    pub fn query_at(
-        &mut self,
-        step: u32,
-        q: &Aabb,
-        out: &mut Vec<VertexId>,
-    ) -> Result<PhaseTimings, ServiceError> {
-        let slot = self.slot_index(step)?;
-        Ok(self.serve_one(slot, q, out))
     }
 
     /// Answers a batch against the latest snapshot on the worker pool —
@@ -1530,24 +1446,26 @@ impl MonitorLoop {
         self.subs.stats(id)
     }
 
-    /// Answers one [`QueryShape`] against the latest snapshot, every
-    /// box it reduces to seeded by the snapshot's probe.
-    pub fn query_shape(&mut self, shape: &QueryShape) -> ShapeQueryResult {
+    /// Answers a heterogeneous shape batch against the latest snapshot,
+    /// in input order: the slot is resolved once, and every shape runs
+    /// the sequential [`octopus_core::Octopus::query_shape`] dispatch
+    /// under its probe, each box it reduces to seeded by that probe —
+    /// with or without a batch engine attached (the engine plans box
+    /// batches only). A single shape is a batch of one.
+    pub fn query_shapes(&mut self, shapes: &[QueryShape]) -> Vec<ShapeQueryResult> {
         let latest = self.slots.len() - 1;
         let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
-        let (result, timings) =
-            snap.exec
-                .query_shape(&mut self.scratch, snap.mesh, shape, snap.probe);
-        Self::count_probed(&mut self.grid_stats, snap.probe, 1);
-        ShapeQueryResult { result, timings }
-    }
-
-    /// Answers a heterogeneous shape batch against the latest snapshot,
-    /// in input order: every shape runs the sequential
-    /// [`octopus_core::Octopus::query_shape`] dispatch, with or without
-    /// a batch engine attached (the engine plans box batches only).
-    pub fn query_shapes(&mut self, shapes: &[QueryShape]) -> Vec<ShapeQueryResult> {
-        shapes.iter().map(|s| self.query_shape(s)).collect()
+        let answers = shapes
+            .iter()
+            .map(|shape| {
+                let (result, timings) =
+                    snap.exec
+                        .query_shape(&mut self.scratch, snap.mesh, shape, snap.probe);
+                ShapeQueryResult { result, timings }
+            })
+            .collect();
+        Self::count_probed(&mut self.grid_stats, snap.probe, shapes.len());
+        answers
     }
 
     /// Stops the simulation thread and returns the simulation in its
@@ -1572,13 +1490,7 @@ impl MonitorLoop {
             None => self
                 .check_sim_alive()
                 .map(|()| unreachable!("no handle while running")),
-            Some(handle) => match handle.join() {
-                Ok(Ok(sim)) => Ok(sim),
-                Ok(Err(msg)) => Err(ServiceError::SimulationFailed(msg)),
-                Err(payload) => Err(ServiceError::SimulationFailed(panic_message(
-                    payload.as_ref(),
-                ))),
-            },
+            Some(handle) => join_sim(handle).map_err(ServiceError::SimulationFailed),
         }
     }
 
@@ -1614,14 +1526,10 @@ impl MonitorLoop {
         let resume_step = self.latest().step;
         let mut sim = make(&self.latest().mesh)?;
         sim.resume_from(resume_step);
-        let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-        let (upd_tx, upd_rx) = std::sync::mpsc::channel();
-        let sim_fault = Arc::clone(&self.fault);
-        self.handle = Some(std::thread::spawn(move || {
-            sim_thread(sim, &cmd_rx, &upd_tx, &sim_fault)
-        }));
+        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &self.fault);
         self.cmd_tx = cmd_tx;
         self.upd_rx = upd_rx;
+        self.handle = Some(handle);
         self.in_flight = 0;
         self.sim_state = SimState::Running;
         if let Some(t) = &self.telemetry {
@@ -1650,13 +1558,15 @@ impl MonitorLoop {
     /// tenant via [`MonitorLoop::enqueue`] and executed in fair
     /// (round-robin) order via [`MonitorLoop::drain_admitted`]; ring
     /// back-pressure surfaces as [`ServiceError::RetryAfter`] from here
-    /// on.
+    /// on. A second call replaces the front, queued batches and
+    /// counters included; the telemetry counters mirroring them keep
+    /// rising across the swap.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
-        let mut adm = Admission::new(cfg);
-        if let Some(t) = &self.telemetry {
-            adm.attach_metrics(&t.admission);
+        self.publish_gauges();
+        if let Some(t) = &mut self.telemetry {
+            t.admission.rebase();
         }
-        self.admission = Some(adm);
+        self.admission = Some(Admission::new(cfg));
     }
 
     /// Admission counters (`None` without admission attached).
@@ -1722,18 +1632,40 @@ impl Drop for MonitorLoop {
             // stderr unless it was already surfaced (`sim_state` left
             // `Running` means nobody saw it). Callers who care use
             // `shutdown()`, which returns the failure properly.
-            let failure = match handle.join() {
-                Ok(Ok(_)) => None,
-                Ok(Err(msg)) => Some(msg),
-                Err(payload) => Some(panic_message(payload.as_ref())),
-            };
-            if let Some(msg) = failure {
+            if let Err(msg) = join_sim(handle) {
                 if matches!(self.sim_state, SimState::Running) {
                     eprintln!("MonitorLoop dropped with unreported sim failure: {msg}");
                 }
             }
         }
     }
+}
+
+/// The simulation thread's handle: joined, the simulation in its final
+/// state, or the rendered payload of the panic that ended it.
+type SimHandle = JoinHandle<Result<Simulation, String>>;
+
+/// Starts `sim` on its own thread ([`sim_thread`], consulting `fault`)
+/// and returns the command sender, the update receiver and the handle —
+/// at construction and on every restart.
+fn spawn_sim(
+    sim: Simulation,
+    fault: &Arc<FaultCell>,
+) -> (Sender<Cmd>, Receiver<Update>, SimHandle) {
+    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
+    let (upd_tx, upd_rx) = std::sync::mpsc::channel();
+    let fault = Arc::clone(fault);
+    let handle = std::thread::spawn(move || sim_thread(sim, &cmd_rx, &upd_tx, &fault));
+    (cmd_tx, upd_rx, handle)
+}
+
+/// Joins the simulation thread: `Ok(sim)` on a clean exit, otherwise
+/// the panic message — whether the step path caught the panic and
+/// returned it, or it escaped and the join carries the payload.
+fn join_sim(handle: SimHandle) -> Result<Simulation, String> {
+    handle
+        .join()
+        .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())))
 }
 
 /// The simulation thread: steps on demand and hands snapshots back.

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use octopus_core::ExecutorMetrics;
 use octopus_telemetry::{ratio, Counter, Gauge, Histogram, Registry, Tracer};
 
+use crate::admission::AdmissionStats;
 use crate::pool::threads_spawned_total;
 use crate::subscribe::{SubscriptionRegistry, SubscriptionStats};
 
@@ -148,9 +149,10 @@ impl EngineMetrics {
 }
 
 /// Admission-layer metrics: queue pressure, fairness outcomes and
-/// back-pressure conversions (see [`crate::MonitorLoop::set_admission`]).
+/// back-pressure conversions (see [`crate::MonitorLoop::set_admission`]),
+/// mirrored from [`AdmissionStats`] — the front counts nothing twice.
 #[derive(Clone)]
-pub struct AdmissionMetrics {
+pub(crate) struct AdmissionMetrics {
     /// `admission_enqueued_total` — batches accepted into a queue.
     pub(crate) enqueued: Counter,
     /// `admission_admitted_total` — batches handed to the pool by the
@@ -167,11 +169,13 @@ pub struct AdmissionMetrics {
     /// `admission_queue_depth` gauge — batches currently queued across
     /// all tenants.
     pub(crate) queue_depth: Gauge,
+    /// Cumulative [`AdmissionStats`] already published.
+    synced: AdmissionStats,
 }
 
 impl AdmissionMetrics {
     /// Register the admission metric family on `registry`.
-    pub fn register(registry: &Registry) -> AdmissionMetrics {
+    fn register(registry: &Registry) -> AdmissionMetrics {
         AdmissionMetrics {
             enqueued: registry.counter("admission_enqueued_total"),
             admitted: registry.counter("admission_admitted_total"),
@@ -179,7 +183,29 @@ impl AdmissionMetrics {
             deadline_misses: registry.counter("deadline_miss_total"),
             retry_after: registry.counter("retry_after_total"),
             queue_depth: registry.gauge("admission_queue_depth"),
+            synced: AdmissionStats::default(),
         }
+    }
+
+    /// Publish the admission front's cumulative counters (delta advance,
+    /// like [`MonitorMetrics::sync_grid`]) and set its depth gauge.
+    pub(crate) fn sync(&mut self, stats: &AdmissionStats) {
+        let was = self.synced;
+        self.enqueued.add(stats.enqueued - was.enqueued);
+        self.admitted.add(stats.admitted - was.admitted);
+        self.shed.add(stats.shed_tickets - was.shed_tickets);
+        self.deadline_misses
+            .add(stats.deadline_misses - was.deadline_misses);
+        self.retry_after
+            .add(stats.rejected - was.rejected + stats.ring_pinned - was.ring_pinned);
+        self.queue_depth.set_u64(stats.queue_depth as u64);
+        self.synced = *stats;
+    }
+
+    /// Restart the baseline for a replacement front, whose counters
+    /// start from zero: the registry's keep rising.
+    pub(crate) fn rebase(&mut self) {
+        self.synced = AdmissionStats::default();
     }
 }
 
@@ -392,12 +418,6 @@ impl std::fmt::Debug for PoolMetrics {
 impl std::fmt::Debug for EngineMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineMetrics").finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for AdmissionMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionMetrics").finish_non_exhaustive()
     }
 }
 

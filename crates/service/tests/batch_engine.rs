@@ -215,12 +215,16 @@ proptest! {
             }
             monitor.recycle(results);
 
-            // The sequential cached path must agree too.
-            let mut single = Vec::new();
-            monitor.query(&queries[0], &mut single);
+            // A batch of one must agree too.
+            let single = monitor.query_batch(&queries[..1]);
             let mut want = Vec::new();
             reference.query(sim.mesh(), &queries[0], &mut want);
-            prop_assert_eq!(sorted(single), sorted(want), "sequential path, step {}", step);
+            prop_assert_eq!(
+                sorted(single[0].vertices.clone()),
+                sorted(want),
+                "batch of one, step {}", step
+            );
+            monitor.recycle(single);
         }
         let stats = monitor.seed_cache_stats().unwrap();
         prop_assert!(stats.hits > 0, "every query probes through the grid: {stats:?}");
@@ -394,8 +398,8 @@ fn assert_relayout_lifecycle(
         let translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
         let batch = monitor.query_batch(queries);
         for (i, q) in queries.iter().enumerate() {
-            let mut single = Vec::new();
-            timings.push(monitor.query(q, &mut single));
+            let single = monitor.query_batch(std::slice::from_ref(q));
+            timings.push(single[0].timings);
             timings.push(batch[i].timings);
             let mut want = Vec::new();
             reference.query(sim.mesh(), q, &mut want);
@@ -403,14 +407,15 @@ fn assert_relayout_lifecycle(
                 Some(t) => want.iter().map(|&v| t[v as usize]).collect(),
                 None => want,
             });
-            for (path, got) in [("batch", batch[i].vertices.clone()), ("single", single)] {
+            for (path, got) in [("batch", &batch[i]), ("single", &single[0])] {
                 assert_eq!(
-                    sorted(got),
+                    sorted(got.vertices.clone()),
                     want,
                     "step {step} query {i}, {path} ({restructures} restructures, {} relayouts)",
                     monitor.relayouts()
                 );
             }
+            monitor.recycle(single);
         }
         monitor.recycle(batch);
     }
@@ -604,13 +609,13 @@ fn a_poisoned_snapshot_never_reanchors_the_grid() {
     for step in 1..=10u32 {
         monitor.begin_step().unwrap();
         monitor.finish_step().unwrap();
-        let mut got = Vec::new();
-        monitor.query(&q, &mut got);
+        let got = monitor.query_batch(&[q]);
         let mut want = Vec::new();
         Octopus::new(monitor.snapshot())
             .unwrap()
             .query(monitor.snapshot(), &q, &mut want);
-        assert_eq!(sorted(got), sorted(want), "step {step}");
+        assert_eq!(sorted(got[0].vertices.clone()), sorted(want), "step {step}");
+        monitor.recycle(got);
         if poisoned.contains(&step) {
             fallbacks += 1;
         } else {

@@ -10,7 +10,8 @@ use octopus_core::Octopus;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, MeshError};
 use octopus_service::{
-    AdmissionConfig, Backoff, LayoutPolicy, MonitorLoop, Overload, ParallelExecutor, ServiceError,
+    AdmissionConfig, AdmissionStats, Backoff, LayoutPolicy, MonitorLoop, Overload,
+    ParallelExecutor, ServiceError,
 };
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
@@ -608,12 +609,99 @@ fn shed_and_queue_full_counts_are_exact() {
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.queue_depth, 0);
 
-        let snap = registry.snapshot();
+        let snap = monitor.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("admission_shed_total"), 2);
         assert_eq!(snap.counter("deadline_miss_total"), 6);
         assert_eq!(snap.counter("retry_after_total"), 1);
         assert_eq!(snap.counter("admission_enqueued_total"), 4);
         assert_eq!(snap.counter("admission_admitted_total"), 2);
+        monitor.shutdown().unwrap();
+    });
+}
+
+/// Moves every admission counter of `monitor`'s front (queue capacity
+/// 2, depth-1 ring) by one — a shed batch, a queue-full refusal, a
+/// ring-pinned `RetryAfter` — admits the batches queued, and leaves one
+/// batch queued.
+fn admission_round(monitor: &mut MonitorLoop) {
+    monitor
+        .enqueue(0, step_queries(1), Some(Duration::ZERO))
+        .unwrap();
+    monitor.enqueue(0, step_queries(2), None).unwrap();
+    monitor.enqueue(0, step_queries(3), None).unwrap_err();
+    std::thread::sleep(Duration::from_millis(2)); // the deadline passes
+    for b in monitor.drain_admitted(usize::MAX).unwrap().batches {
+        monitor.recycle(b.results);
+    }
+    // The publish would evict the only slot, which is pinned.
+    let step = monitor.snapshot_step();
+    monitor.pin_step(step).unwrap();
+    monitor.begin_step().unwrap();
+    monitor.finish_step().unwrap_err();
+    monitor.unpin_step(step).unwrap();
+    monitor.finish_step().unwrap();
+    monitor.enqueue(1, step_queries(4), None).unwrap();
+}
+
+/// Publishes the gauges and asserts the admission metric family equals
+/// what the fronts counted: `retired` (the fronts replaced so far) plus
+/// the attached front's [`AdmissionStats`].
+fn assert_mirrored(monitor: &mut MonitorLoop, retired: AdmissionStats, ctx: &str) {
+    let snap = monitor.telemetry_snapshot().expect("telemetry attached");
+    let now = monitor.admission_stats().expect("admission attached");
+    let sum = |f: fn(&AdmissionStats) -> u64| f(&retired) + f(&now);
+    let want = [
+        ("admission_enqueued_total", sum(|s| s.enqueued)),
+        ("admission_admitted_total", sum(|s| s.admitted)),
+        ("admission_shed_total", sum(|s| s.shed_tickets)),
+        ("deadline_miss_total", sum(|s| s.deadline_misses)),
+        ("retry_after_total", sum(|s| s.rejected + s.ring_pinned)),
+    ];
+    assert_eq!(
+        want.map(|(name, _)| (name, snap.counter(name))),
+        want,
+        "{ctx}"
+    );
+    let depth = snap.gauge("admission_queue_depth");
+    assert_eq!(depth, now.queue_depth as f64, "{ctx}: queue depth");
+}
+
+/// `AdmissionStats` is the only count and the registry mirrors it: a
+/// registry attached after the front has worked reports its whole
+/// history, and replacing the front mid-run keeps the counters rising.
+#[test]
+fn admission_counters_mirror_the_stats_whenever_telemetry_attaches() {
+    with_watchdog("admission_mirror", WATCHDOG, || {
+        let cfg = AdmissionConfig {
+            queue_capacity: 2,
+            ..AdmissionConfig::default()
+        };
+        let mut monitor = MonitorLoop::new(make_sim(box_mesh(4), 83), 2).unwrap();
+        monitor.set_admission(cfg);
+        admission_round(&mut monitor);
+        let s = monitor.admission_stats().unwrap();
+        let moved = (
+            s.enqueued,
+            s.admitted,
+            s.shed_tickets,
+            s.rejected,
+            s.ring_pinned,
+        );
+        assert_eq!((moved, s.queue_depth), ((3, 1, 1, 1, 1), 1), "{s:?}");
+
+        let registry = Registry::new();
+        monitor.attach_telemetry(&registry);
+        assert_mirrored(&mut monitor, AdmissionStats::default(), "late attach");
+        admission_round(&mut monitor);
+        assert_mirrored(&mut monitor, AdmissionStats::default(), "attached");
+
+        // The replacement drops the queued batch and counts from zero.
+        let retired = monitor.admission_stats().unwrap();
+        monitor.set_admission(cfg);
+        assert_eq!(monitor.admission_stats(), Some(AdmissionStats::default()));
+        assert_mirrored(&mut monitor, retired, "replaced");
+        admission_round(&mut monitor);
+        assert_mirrored(&mut monitor, retired, "replacement worked");
         monitor.shutdown().unwrap();
     });
 }

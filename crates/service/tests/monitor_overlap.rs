@@ -13,8 +13,8 @@ use octopus_testkit::{box_mesh, reference_run, sorted, step_queries, FailPoint};
 use std::sync::Arc;
 
 /// The ring-depth property: a pipelined run at depth K, with queries
-/// issued against **every retained step** at every iteration (both the
-/// pool batch path and the sequential `query_at` path), equals the
+/// issued against **every retained step** at every iteration (the whole
+/// batch and a batch of one), equals the
 /// stop-the-world replay — translated through the per-step id map when
 /// a layout policy is active.
 fn ring_equivalence_run(
@@ -53,7 +53,6 @@ fn ring_equivalence_run_observed(
             .unwrap();
     }
     let mut monitor = MonitorLoop::with_config(sim, 2, policy, depth).unwrap();
-    assert_eq!(monitor.ring_depth(), depth);
 
     monitor.fill_pipeline().unwrap();
     assert!(monitor.in_flight() <= depth);
@@ -97,21 +96,21 @@ fn ring_equivalence_run_observed(
                 );
             }
             monitor.recycle(results);
-            // The sequential per-step path answers identically.
-            let mut out = Vec::new();
-            monitor.query_at(s, &queries[0], &mut out).unwrap();
+            // A batch of one answers identically.
+            let single = monitor.query_batch_at(s, &queries[..1]).unwrap();
             assert_eq!(
-                sorted(out),
+                sorted(single[0].vertices.clone()),
                 translated[0],
-                "depth {depth} step {step}: retained step {s} (query_at)"
+                "depth {depth} step {step}: retained step {s} (batch of one)"
             );
+            monitor.recycle(single);
         }
     }
     monitor
 }
 
 #[test]
-fn ring_depth_equivalence_without_restructuring() {
+fn ring_equivalence_without_restructuring() {
     for depth in [1, 2, 3] {
         let monitor = ring_equivalence_run(depth, 77, None, LayoutPolicy::Preserve, 10);
         let sim = monitor.shutdown().unwrap();
@@ -261,10 +260,11 @@ fn no_query_path_builds_the_position_mirror() {
                 .set_batch_engine(BatchEngineConfig::default())
                 .unwrap();
         }
-        let mut out = Vec::new();
-        monitor.query(&batch[0], &mut out);
-        assert!(!out.is_empty());
-        monitor.query_at(step, &batch[1], &mut out).unwrap();
+        let single = monitor.query_batch(&batch[..1]);
+        assert!(!single[0].vertices.is_empty());
+        monitor.recycle(single);
+        let single = monitor.query_batch_at(step, &batch[1..2]).unwrap();
+        monitor.recycle(single);
         let results = monitor.query_batch(&batch);
         assert_eq!(results[2].vertices.len(), monitor.snapshot().num_vertices());
         monitor.recycle(results);
@@ -282,14 +282,14 @@ fn no_query_path_builds_the_position_mirror() {
 }
 
 #[test]
-fn ring_depth_equivalence_across_restructuring() {
+fn ring_equivalence_across_restructuring() {
     for depth in [1, 2, 3] {
         ring_equivalence_run(depth, 123, Some((3, 2, 0xD1CE)), LayoutPolicy::Preserve, 10);
     }
 }
 
 #[test]
-fn ring_depth_equivalence_with_mid_run_relayouts() {
+fn ring_equivalence_with_mid_run_relayouts() {
     for depth in [1, 2, 3] {
         let monitor = ring_equivalence_run(
             depth,
@@ -312,7 +312,6 @@ fn depth_one_reproduces_the_double_buffer() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 5)));
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    assert_eq!(monitor.ring_depth(), 1);
 
     // At most one step in flight: the second begin is a no-op.
     monitor.begin_step().unwrap();
@@ -324,16 +323,19 @@ fn depth_one_reproduces_the_double_buffer() {
     // Exactly one retained snapshot at any time.
     assert_eq!(monitor.finish_step().unwrap(), 1);
     assert_eq!(monitor.retained_steps(), 1..=1);
-    let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.9));
-    let mut latest = Vec::new();
-    monitor.query(&q, &mut latest);
-    let mut at = Vec::new();
-    monitor.query_at(1, &q, &mut at).unwrap();
-    assert_eq!(sorted(latest), sorted(at.clone()));
+    let q = [Aabb::new(Point3::splat(0.1), Point3::splat(0.9))];
+    let latest = monitor.query_batch(&q);
+    let at = monitor.query_batch_at(1, &q).unwrap();
+    assert_eq!(
+        sorted(latest[0].vertices.clone()),
+        sorted(at[0].vertices.clone())
+    );
+    monitor.recycle(latest);
+    monitor.recycle(at);
 
     // The pre-advance snapshot is gone — exactly the double buffer.
     assert!(matches!(
-        monitor.query_at(0, &q, &mut at),
+        monitor.query_batch_at(0, &q),
         Err(ServiceError::StepNotRetained {
             step: 0,
             oldest: 1,
@@ -372,15 +374,12 @@ fn pinning_backpressures_and_releases() {
             latest: 4
         })
     ));
-    assert_eq!(monitor.pin_count(1), 0);
 
     // Record step 2's answer, pin it again, and let the pipeline race
     // ahead.
-    let q = Aabb::cube(Point3::splat(0.5), 0.25);
-    let mut pinned_answer = Vec::new();
-    monitor.query_at(2, &q, &mut pinned_answer).unwrap();
+    let q = [Aabb::cube(Point3::splat(0.5), 0.25)];
+    let pinned_answer = monitor.query_batch_at(2, &q).unwrap();
     monitor.pin_step(2).unwrap(); // pins nest
-    assert_eq!(monitor.pin_count(2), 2);
 
     monitor.fill_pipeline().unwrap();
     assert_eq!(monitor.in_flight(), 3);
@@ -394,9 +393,13 @@ fn pinning_backpressures_and_releases() {
     assert_eq!(monitor.retained_steps(), 2..=4);
 
     // The pinned snapshot still answers, bit-identically.
-    let mut again = Vec::new();
-    monitor.query_at(2, &q, &mut again).unwrap();
-    assert_eq!(sorted(again), sorted(pinned_answer.clone()));
+    let again = monitor.query_batch_at(2, &q).unwrap();
+    assert_eq!(
+        sorted(again[0].vertices.clone()),
+        sorted(pinned_answer[0].vertices.clone())
+    );
+    monitor.recycle(again);
+    monitor.recycle(pinned_answer);
 
     // One unpin is not enough (counted pins) …
     monitor.unpin_step(2).unwrap();
@@ -404,8 +407,13 @@ fn pinning_backpressures_and_releases() {
         monitor.finish_step(),
         Err(ServiceError::RingFull { pinned_step: 2 })
     ));
-    // … releasing the last pin unblocks the exact same updates.
+    // … the second releases the last pin — a third finds none …
     monitor.unpin_step(2).unwrap();
+    assert!(matches!(
+        monitor.unpin_step(2),
+        Err(ServiceError::StepNotPinned { step: 2 })
+    ));
+    // … and the exact same updates are unblocked.
     assert_eq!(monitor.finish_step().unwrap(), 5);
     assert_eq!(monitor.finish_step().unwrap(), 6);
     assert_eq!(monitor.finish_step().unwrap(), 7);
@@ -642,7 +650,6 @@ fn preserve_policy_is_the_identity_translation() {
     let mesh = box_mesh(3);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 2)));
     let mut monitor = MonitorLoop::new(sim, 1).unwrap();
-    assert_eq!(monitor.layout_policy(), LayoutPolicy::Preserve);
     assert!(monitor.vertex_translation().is_none());
     assert_eq!(monitor.translate_vertex(17).unwrap(), 17);
     assert_eq!(monitor.relayouts(), 0);
@@ -679,18 +686,6 @@ fn translate_vertex_rejects_out_of_range_ids_under_every_policy() {
             }
         }
     }
-}
-
-#[test]
-fn step_and_query_convenience_answers_at_the_pre_step_snapshot() {
-    let mesh = box_mesh(4);
-    let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.02, 3, 5)));
-    let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    let queries = vec![Aabb::new(Point3::splat(0.1), Point3::splat(0.9))];
-    let (results, answered_at) = monitor.step_and_query(&queries).unwrap();
-    assert_eq!(answered_at, 0, "first call answers at the initial state");
-    assert_eq!(monitor.snapshot_step(), 1);
-    assert!(!results[0].vertices.is_empty());
 }
 
 #[test]

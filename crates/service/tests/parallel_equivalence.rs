@@ -5,7 +5,7 @@
 //! (order-insensitive). This is the contract that makes the service
 //! layer a drop-in scale-out of the paper's Algorithm 1.
 
-use octopus_core::Octopus;
+use octopus_core::{Octopus, PhaseTimings};
 use octopus_geom::{Aabb, Point3};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
@@ -123,7 +123,7 @@ fn pool_scratch_reuse_across_batches_and_meshes() {
 }
 
 #[test]
-fn batch_stats_aggregate_counts() {
+fn batch_timings_count_the_results_returned() {
     let mesh = box_mesh(4);
     let octopus = Octopus::new(&mesh).unwrap();
     let mut pool = ParallelExecutor::new(2);
@@ -132,11 +132,13 @@ fn batch_stats_aggregate_counts() {
         Aabb::cube(Point3::splat(0.5), 0.25),
     ];
     let results = pool.execute_batch(&octopus, &mesh, &queries);
-    let stats = octopus_service::BatchStats::aggregate(&results);
-    assert_eq!(stats.queries, 2);
+    assert_eq!(results.len(), 2);
+    let mut phases = PhaseTimings::default();
+    for r in &results {
+        phases.accumulate(&r.timings);
+    }
     assert_eq!(
-        stats.total_results,
+        phases.results,
         results.iter().map(|r| r.vertices.len()).sum::<usize>()
     );
-    assert_eq!(stats.phases.results, stats.total_results);
 }

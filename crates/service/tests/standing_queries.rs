@@ -8,7 +8,7 @@
 //! file draws all of them at once.
 //!
 //! The referee is [`octopus_testkit::scan_active`], not a fresh
-//! `MonitorLoop::query`: the plain crawl inherits the paper's
+//! `MonitorLoop::query_batch`: the plain crawl inherits the paper's
 //! documented corner-island gap (an in-box vertex all of whose
 //! neighbours sit outside a small box can be unreachable), which the
 //! subscription's band-dilated candidate crawl does not share at these
@@ -337,13 +337,13 @@ fn zero_band_subscription_is_exact_but_never_fast() {
         // A zero band degenerates to re-running the plain query every
         // poll: compare against exactly that (not the scan — the plain
         // crawl's documented corner-island gap applies to both equally).
-        let mut fresh = Vec::new();
-        monitor.query(&q, &mut fresh);
+        let fresh = monitor.query_batch(&[q]);
         assert_eq!(
             monitor.subscription_result(id).unwrap(),
-            sorted(fresh),
+            sorted(fresh[0].vertices.clone()),
             "step {step}"
         );
+        monitor.recycle(fresh);
     }
     let stats = monitor.subscription_stats(id).unwrap();
     assert_eq!(stats.delta_polls, 0, "a zero band can never validate");
@@ -676,9 +676,12 @@ fn a_creeping_field_refreshes_no_more_often_than_the_summed_meter() {
             let before = monitor.snapshot().positions().to_vec();
             step_and_check(&mut monitor, &mut mirrors, step, "creep");
             if let Some(id) = tiny {
-                let mut fresh = Vec::new();
-                monitor.query(&tiny_q, &mut fresh);
-                assert_eq!(monitor.subscription_result(id).unwrap(), sorted(fresh));
+                let fresh = monitor.query_batch(&[tiny_q]);
+                assert_eq!(
+                    monitor.subscription_result(id).unwrap(),
+                    sorted(fresh[0].vertices.clone())
+                );
+                monitor.recycle(fresh);
             }
             summed += max_step_displacement(&before, monitor.snapshot().positions());
         }

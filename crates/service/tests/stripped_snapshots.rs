@@ -36,19 +36,23 @@ fn restructuring_sim(mesh: Mesh, period: u32, seed: u64) -> Simulation {
 }
 
 fn assert_exact_at(monitor: &mut MonitorLoop, step: u32, ctx: &str) {
-    for (i, q) in wide_boxes().iter().enumerate() {
+    let boxes = wide_boxes();
+    let together = monitor.query_batch_at(step, &boxes).unwrap();
+    for (i, q) in boxes.iter().enumerate() {
         let want = scan_active(monitor.snapshot_at(step).unwrap(), q);
-        let mut got = Vec::new();
-        monitor.query_at(step, q, &mut got).unwrap();
-        assert_eq!(sorted(got), want, "{ctx}: step {step}, box {i} (query_at)");
-        let batch = monitor.query_batch_at(step, &[*q]).unwrap();
-        assert_eq!(
-            sorted(batch[0].vertices.clone()),
-            want,
-            "{ctx}: step {step}, box {i} (query_batch_at)"
-        );
-        monitor.recycle(batch);
+        let alone = monitor
+            .query_batch_at(step, std::slice::from_ref(q))
+            .unwrap();
+        for (path, got) in [("alone", &alone[0]), ("together", &together[i])] {
+            assert_eq!(
+                sorted(got.vertices.clone()),
+                want,
+                "{ctx}: step {step}, box {i} ({path})"
+            );
+        }
+        monitor.recycle(alone);
     }
+    monitor.recycle(together);
 }
 
 /// (a) A pinned old-generation slot keeps answering exactly — in its
@@ -144,7 +148,7 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
         let after = monitor.finish_step().unwrap();
         assert_exact_at(&mut monitor, after, "first step after the re-layout");
         let stats = monitor.seed_cache_stats().unwrap();
-        // 8 `assert_exact_at` calls × 3 boxes × (query_at + query_batch_at).
+        // 8 `assert_exact_at` calls × 3 boxes × (alone + in the batch).
         assert_eq!(
             (stats.hits, stats.misses),
             (48, 0),

@@ -214,9 +214,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Overlapped (pipelined) run -------------------------------
     let mut monitor = MonitorLoop::with_config(make_sim(mesh.clone())?, workers, policy, depth)?;
-    // Batch query engine: overlap grouping + shared frontiers + the
-    // temporal seed cache + Eq.-6 planner routing, wired into
-    // `query_batch`/`query_at`.
+    // Batch query engine: overlap grouping + shared frontiers + Eq.-6
+    // planner routing, wired into `query_batch`/`query_batch_at`.
     monitor.set_batch_engine(octopus::service::BatchEngineConfig::default())?;
     // One lock-free registry observes every layer — executor phases,
     // pool scheduling, engine grouping, planner routing, the snapshot
@@ -364,9 +363,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // id space).
         let oldest = *monitor.retained_steps().start();
         if oldest >= 1 && oldest < step {
-            let mut out = Vec::new();
-            monitor.query_at(oldest, &schedule[oldest as usize - 1][0], &mut out)?;
+            let first = &schedule[oldest as usize - 1][..1];
+            let results = monitor.query_batch_at(oldest, first)?;
+            let mut out = results[0].vertices.clone();
             out.sort_unstable();
+            monitor.recycle(results);
             assert_eq!(
                 out,
                 overlapped[oldest as usize - 1][0],

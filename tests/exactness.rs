@@ -10,6 +10,38 @@ use octopus::sim::SmoothRandomField;
 use octopus_testkit::{knn_scan, random_mesh, scan, scan_region};
 use proptest::prelude::*;
 
+/// The `k` nearest active vertices to `point`, through the shape
+/// dispatch.
+fn knn(
+    octopus: &Octopus,
+    scratch: &mut QueryScratch,
+    mesh: &Mesh,
+    k: usize,
+    point: Point3,
+) -> Vec<VertexId> {
+    let shape = QueryShape::KNearest { k, point };
+    let (result, _) = octopus.query_shape(scratch, mesh, &shape, Probe::Surface);
+    result
+        .vertices()
+        .expect("k-NN materialises its ids")
+        .to_vec()
+}
+
+/// The `kind` summary of `region`, through the shape dispatch.
+fn aggregate(
+    octopus: &Octopus,
+    scratch: &mut QueryScratch,
+    mesh: &Mesh,
+    region: Aabb,
+    kind: AggregateKind,
+) -> AggregateValue {
+    let shape = QueryShape::Aggregate { region, kind };
+    match octopus.query_shape(scratch, mesh, &shape, Probe::Surface).0 {
+        ShapeResult::Aggregate(value) => value,
+        other => panic!("an aggregate shape answered {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -155,9 +187,7 @@ proptest! {
         let octopus = Octopus::new(&mesh).unwrap();
         let mut scratch = octopus.make_scratch(&mesh);
         let p = Point3::new(px, py, pz);
-        let mut out = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut out);
-        prop_assert_eq!(out, knn_scan(&mesh, k, p));
+        prop_assert_eq!(knn(&octopus, &mut scratch, &mesh, k, p), knn_scan(&mesh, k, p));
     }
 
     /// Aggregates == the count / f64-mean of the materialised box result.
@@ -178,24 +208,11 @@ proptest! {
         let mut out = Vec::new();
         octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
 
-        let (count, _) = octopus.query_aggregate(
-            &mut scratch,
-            &mesh,
-            &q,
-            AggregateKind::Count,
-            Probe::Surface,
-        );
+        let count = aggregate(&octopus, &mut scratch, &mesh, q, AggregateKind::Count);
         prop_assert_eq!(count.count, out.len());
         prop_assert!(count.centroid.is_none(), "Count never materialises a centroid");
 
-        let (cen, _) =
-            octopus.query_aggregate(
-            &mut scratch,
-            &mesh,
-            &q,
-            AggregateKind::Centroid,
-            Probe::Surface,
-        );
+        let cen = aggregate(&octopus, &mut scratch, &mesh, q, AggregateKind::Centroid);
         prop_assert_eq!(cen.count, out.len());
         if out.is_empty() {
             prop_assert!(cen.centroid.is_none());
@@ -277,11 +294,9 @@ fn knn_ties_break_by_ascending_id() {
         "all 8 cell corners must be equidistant from the cell centre"
     );
     for k in 1..=8 {
-        let mut out = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut out);
+        let out = knn(&octopus, &mut scratch, &mesh, k, p);
         assert_eq!(out, corners[..k], "k = {k}: tie must cut by ascending id");
-        let mut again = Vec::new();
-        octopus.query_knn(&mut scratch, &mesh, k, p, Probe::Surface, &mut again);
+        let again = knn(&octopus, &mut scratch, &mesh, k, p);
         assert_eq!(out, again, "k = {k}: k-NN must be deterministic");
     }
 }
