@@ -131,8 +131,10 @@ pub struct Octopus {
 // each worker owning one `QueryScratch`.
 
 /// Per-thread scratch state for query execution: the crawl's visited
-/// set / BFS queue plus the per-component seeding stamps, and the mask
-/// arrays of the shared-frontier group crawl. Obtained from
+/// set / BFS queue plus the per-component seeding stamps, and the
+/// shared-frontier group crawl's member masks (no epoch: zero outside a
+/// group, each group zeroing the vertices it touched when the next one
+/// begins) and its look-ahead queue. Obtained from
 /// [`Octopus::make_scratch`]; every scratch may serve any number of
 /// queries and groups, in any order, against the `Octopus` it came from.
 #[derive(Debug)]
@@ -1868,6 +1870,22 @@ mod tests {
         }
     }
 
+    /// `n` cubes centred uniformly in `mesh`'s bounding box.
+    fn random_cubes(mesh: &Mesh, seed: u64, n: usize) -> Vec<Aabb> {
+        let mut rng = SplitMix64::new(seed);
+        let bounds = mesh.bounding_box();
+        (0..n)
+            .map(|_| {
+                let c = Point3::new(
+                    rng.range_f32(bounds.min.x, bounds.max.x),
+                    rng.range_f32(bounds.min.y, bounds.max.y),
+                    rng.range_f32(bounds.min.z, bounds.max.z),
+                );
+                Aabb::cube(c, rng.range_f32(0.05, 0.3))
+            })
+            .collect()
+    }
+
     fn group_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
         let mut o = Octopus::new(mesh).unwrap();
         queries
@@ -1887,17 +1905,7 @@ mod tests {
         // both branches of phase 2 must be exercised.
         let (mut walked, mut pruned) = (0, 0);
         for mesh in [box_mesh(7), neuron(NeuroLevel::L1, 0.5).unwrap()] {
-            let mut rng = SplitMix64::new(0xBA7C);
-            let bounds = mesh.bounding_box();
-            let mut queries = Vec::new();
-            for _ in 0..12 {
-                let c = Point3::new(
-                    rng.range_f32(bounds.min.x, bounds.max.x),
-                    rng.range_f32(bounds.min.y, bounds.max.y),
-                    rng.range_f32(bounds.min.z, bounds.max.z),
-                );
-                queries.push(Aabb::cube(c, rng.range_f32(0.05, 0.3)));
-            }
+            let mut queries = random_cubes(&mesh, 0xBA7C, 12);
             // Include an interior query and a miss.
             queries.push(Aabb::new(Point3::splat(0.4), Point3::splat(0.6)));
             queries.push(Aabb::new(Point3::splat(5.0), Point3::splat(6.0)));
@@ -1969,8 +1977,28 @@ mod tests {
 
     #[test]
     fn group_scratch_reuse_and_epoch_wrap_are_clean() {
-        let mesh = box_mesh(5);
-        let o = Octopus::new(&mesh).unwrap();
+        // One scratch hops between meshes of different sizes: the masks
+        // the last group touched are zeroed before they are resized, so
+        // nothing it left behind shows in the next group.
+        let big = neuron(NeuroLevel::L1, 0.5).unwrap();
+        let small = box_mesh(5);
+        assert!(small.num_vertices() < big.num_vertices());
+        let on_big = Octopus::new(&big).unwrap();
+        let on_small = Octopus::new(&small).unwrap();
+        let mut scratch = on_big.make_scratch(&big);
+        let big_queries = random_cubes(&big, 0x5CA7, 12);
+        let small_queries = random_cubes(&small, 0x5CA7, 12);
+        for (o, mesh, queries) in [
+            (&on_big, &big, &big_queries),
+            (&on_small, &small, &small_queries),
+            (&on_big, &big, &big_queries),
+        ] {
+            let (got, _, _) = grouped(o, &mut scratch, mesh, queries, Probe::Surface);
+            assert_eq!(got, group_reference(mesh, queries));
+        }
+
+        // The component masks' epoch wraps cleanly.
+        let (o, mesh) = (on_small, small);
         let mut scratch = o.make_scratch(&mesh);
         let queries = [
             Aabb::new(Point3::splat(0.1), Point3::splat(0.6)),
@@ -1987,6 +2015,77 @@ mod tests {
             assert_eq!(again, first, "round {round} after the wrap");
             let (single, _) = probed(&o, &mut scratch, &mesh, &queries[0], Probe::Surface);
             assert_eq!(single, first[0], "round {round}: group of one");
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_never_found_by_the_walk() {
+        // A 6³ tet lattice with the interior vertex (⅓, ⅓, ⅓) poisoned
+        // after the executor is built (a deformation that went NaN).
+        let mut mesh = box_mesh(6);
+        let o = Octopus::new(&mesh).unwrap();
+        let mut scratch = o.make_scratch(&mesh);
+        let grid = o.surface_grid(mesh.positions(), 0.1);
+        let nearest = |mesh: &Mesh, p: Point3| {
+            (0..mesh.num_vertices() as VertexId)
+                .min_by(|&a, &b| {
+                    let (da, db) = (mesh.position(a).dist_sq(p), mesh.position(b).dist_sq(p));
+                    da.total_cmp(&db)
+                })
+                .unwrap()
+        };
+        let poisoned = nearest(&mesh, Point3::splat(1.0 / 3.0));
+        let around = mesh.neighbors(poisoned).to_vec();
+        assert_eq!(around.len(), 14, "an interior lattice vertex");
+        mesh.positions_mut()[poisoned as usize] = Point3::splat(f32::NAN);
+        let reach = grid.reach(mesh.positions());
+        let probes = [
+            ("surface", Probe::Surface),
+            ("grid", Probe::Grid { grid: &grid, reach }),
+        ];
+        // The walk's two ways to read a failed containment as distance
+        // 0: a NaN vertex, and a box with a NaN corner.
+        let nan_corner = Aabb {
+            min: Point3::new(f32::NAN, 0.1, 0.1),
+            max: Point3::splat(0.7),
+        };
+        let interior = mesh.position(nearest(&mesh, Point3::splat(0.5)));
+        let slab_z = mesh.position(nearest(&mesh, Point3::splat(2.0 / 3.0))).z;
+        let mut queries: Vec<Aabb> = around
+            .iter()
+            .map(|&w| Aabb::cube(mesh.position(w), 0.01))
+            .collect();
+        queries.extend([
+            nan_corner,
+            // Inverted: contains nothing.
+            Aabb {
+                min: Point3::splat(0.7),
+                max: Point3::splat(0.3),
+            },
+            // Zero volume, on an interior vertex.
+            Aabb::new(interior, interior),
+            // A flat slab through a lattice plane.
+            Aabb::new(Point3::new(0.1, 0.1, slab_z), Point3::new(0.9, 0.9, slab_z)),
+        ]);
+        for (name, probe) in probes {
+            let mut alone = Vec::new();
+            for (j, q) in queries.iter().enumerate() {
+                let (got, _) = probed(&o, &mut scratch, &mesh, q, probe);
+                assert!(!got.contains(&poisoned), "{name}: query {j}");
+                assert_eq!(got, scan(&mesh, q), "{name}: query {j}");
+                alone.push(got);
+            }
+            // The neighbour cubes one at a time beside the other cases,
+            // as groups, so the group seeder's walk sees each of them.
+            for (k, &cube) in queries[..around.len()].iter().enumerate() {
+                let mut group = vec![cube];
+                group.extend_from_slice(&queries[around.len()..]);
+                let (results, _, _) = grouped(&o, &mut scratch, &mesh, &group, probe);
+                let want = std::iter::once(&alone[k]).chain(&alone[around.len()..]);
+                for (j, (got, want)) in results.iter().zip(want).enumerate() {
+                    assert_eq!(got, want, "{name}: cube {k}, member {j}");
+                }
+            }
         }
     }
 

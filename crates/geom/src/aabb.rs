@@ -181,20 +181,31 @@ impl Aabb {
         }
     }
 
-    /// Squared Euclidean distance from `p` to the box (0 when inside).
+    /// Squared Euclidean distance from `p` to the box: `0` exactly when
+    /// [`Aabb::contains`] holds.
     ///
     /// This is the `distance(v, q)` of the paper's directed walk
     /// (Algorithm 1): the walk minimises the distance from candidate
-    /// vertices to the *query region*, not to its centre.
+    /// vertices to the *query region*, not to its centre, and stops at
+    /// the first vertex at distance 0. `f32::max` drops NaN, so a
+    /// non-finite coordinate (of `p` or of a corner) would make the
+    /// formula read 0 for a point that fails containment; such a point,
+    /// like one whose distance underflows, reads `+∞` instead.
     #[inline]
     pub fn dist_sq(&self, p: Point3) -> f32 {
         let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
         let dz = (self.min.z - p.z).max(0.0).max(p.z - self.max.z);
-        dx * dx + dy * dy + dz * dz
+        let d = dx * dx + dy * dy + dz * dz;
+        if d == 0.0 && !self.contains(p) {
+            f32::INFINITY
+        } else {
+            d
+        }
     }
 
-    /// Euclidean distance from `p` to the box (0 when inside).
+    /// Euclidean distance from `p` to the box: `0` exactly when inside,
+    /// `+∞` for a point [`Aabb::dist_sq`] puts there.
     #[inline]
     pub fn dist(&self, p: Point3) -> f32 {
         self.dist_sq(p).sqrt()
@@ -318,6 +329,39 @@ mod tests {
         // Corner distance.
         let d = b.dist_sq(Point3::new(2.0, 2.0, 2.0));
         assert!((d - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dist_sq_is_zero_exactly_when_contained_even_for_nan() {
+        let b = unit();
+        let nan_point = Point3::new(f32::NAN, 0.5, 0.5);
+        let nan_corner = Aabb {
+            min: Point3::new(f32::NAN, 0.1, 0.1),
+            max: Point3::splat(0.7),
+        };
+        // `f32::max` drops NaN: before the containment guard each of
+        // these read 0, which the directed walk takes for "found".
+        assert!(!b.contains(nan_point));
+        assert_eq!(b.dist_sq(nan_point), f32::INFINITY);
+        assert_eq!(b.dist_sq(Point3::splat(f32::NAN)), f32::INFINITY);
+        assert!(!nan_corner.contains(Point3::splat(0.5)));
+        assert_eq!(nan_corner.dist_sq(Point3::splat(0.5)), f32::INFINITY);
+        // A finite point outside a finite box stays at its true distance.
+        assert_eq!(nan_corner.dist_sq(Point3::new(0.5, 0.5, 1.7)), 1.0);
+        // Underflow: 1e-30 outside squares to 0, yet is not inside.
+        let tiny = Aabb::new(Point3::ORIGIN, Point3::splat(1e-30));
+        let hair = Point3::new(2e-30, 0.0, 0.0);
+        assert!(!tiny.contains(hair));
+        assert_eq!(tiny.dist_sq(hair), f32::INFINITY);
+        // Inverted and zero-volume boxes obey the same contract.
+        let inverted = Aabb {
+            min: Point3::splat(0.7),
+            max: Point3::splat(0.3),
+        };
+        assert!(inverted.dist_sq(Point3::splat(0.5)) > 0.0);
+        let point_box = Aabb::new(Point3::splat(0.5), Point3::splat(0.5));
+        assert_eq!(point_box.dist_sq(Point3::splat(0.5)), 0.0);
+        assert!(point_box.dist_sq(Point3::new(0.5, 0.5, 0.6)) > 0.0);
     }
 
     #[test]

@@ -167,14 +167,21 @@ impl Region for ConvexRegion {
     /// exactly when `p` is contained (every constraint satisfied), which
     /// is all the directed walk's termination test needs; outside, it
     /// under-estimates the true distance to the intersection, which only
-    /// makes the walk's near-miss retry more conservative.
+    /// makes the walk's near-miss retry more conservative. A point the
+    /// formula puts at 0 that fails containment (a NaN excess is dropped
+    /// by `f32::max`) reads `+∞`, as in [`Aabb::dist_sq`].
     #[inline]
     fn dist_sq(&self, p: Point3) -> f32 {
         let mut d = self.bounds.dist(p);
         for h in &self.halfspaces {
             d = d.max(h.excess(p));
         }
-        d * d
+        let d_sq = d * d;
+        if d_sq == 0.0 && !self.contains(p) {
+            f32::INFINITY
+        } else {
+            d_sq
+        }
     }
 
     #[inline]
@@ -241,6 +248,10 @@ mod tests {
         assert!((d - 0.0625).abs() < 1e-6);
         // Outside the box: at least the box distance.
         assert!(Region::dist_sq(&r, Point3::new(-1.0, 0.5, 0.5)) >= 1.0 - 1e-6);
+        // A NaN coordinate fails containment, so it is not at distance 0.
+        let poisoned = Point3::new(0.3, f32::NAN, 0.3);
+        assert!(!r.contains(poisoned));
+        assert_eq!(Region::dist_sq(&r, poisoned), f32::INFINITY);
     }
 
     #[test]

@@ -168,6 +168,25 @@ impl Csr {
         &self.targets[lo..hi]
     }
 
+    /// Hints the cache line holding `v`'s offsets (a pure hint; an
+    /// out-of-range `v` is a no-op). The first half of a BFS
+    /// look-ahead: [`Csr::prefetch_neighbors`] on the same vertex a few
+    /// pops later then finds its offset already loaded.
+    #[inline]
+    pub fn prefetch_offsets(&self, v: VertexId) {
+        octopus_geom::mem::prefetch_read(&self.offsets, v as usize);
+    }
+
+    /// Hints the first cache line of `v`'s neighbour list. Reads `v`'s
+    /// offset to find it, so it pays off once
+    /// [`Csr::prefetch_offsets`] has brought that in.
+    #[inline]
+    pub fn prefetch_neighbors(&self, v: VertexId) {
+        if let Some(&lo) = self.offsets.get(v as usize) {
+            octopus_geom::mem::prefetch_read(&self.targets, lo as usize);
+        }
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
