@@ -629,7 +629,8 @@ impl Octopus {
     /// every [`Probe::Grid`] handed to this executor must come from.
     /// Valid until the next [`Octopus::on_restructure`]; an executor
     /// derived by [`Octopus::restructured`] or [`Octopus::relabelled`]
-    /// needs its own.
+    /// needs its own (the former can patch this one:
+    /// [`Octopus::patched_surface_grid`]).
     pub fn surface_grid(&self, positions: &[Point3], cell: f32) -> SurfaceGrid {
         SurfaceGrid::build(
             self.surface.ids(),
@@ -637,6 +638,29 @@ impl Octopus {
             &self.components.component_of,
             self.components.count(),
             cell,
+        )
+    }
+
+    /// [`Octopus::surface_grid`] of this executor derived from `grid`,
+    /// the grid of the executor this one was [`Octopus::restructured`]
+    /// from by `delta`, instead of built: `delta`'s removed ids
+    /// dropped, its added ids filed at `positions`, and the component
+    /// bounds taken again under this executor's labels
+    /// ([`SurfaceGrid::patched`]). It holds exactly this executor's
+    /// surface ids and keeps `grid`'s cell; O(S) in sequential copies,
+    /// where a build gathers every surface position and sorts.
+    pub fn patched_surface_grid(
+        &self,
+        grid: &SurfaceGrid,
+        positions: &[Point3],
+        delta: &SurfaceDelta,
+    ) -> SurfaceGrid {
+        grid.patched(
+            &delta.removed,
+            &delta.added,
+            positions,
+            &self.components.component_of,
+            self.components.count(),
         )
     }
 

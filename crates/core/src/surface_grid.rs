@@ -71,15 +71,28 @@
 //! **Finite in, finite out.** Anchors and component boxes are copies
 //! and comparisons of the positions handed to the build, so they are
 //! finite whenever those positions were; the service rebuilds a grid
-//! only from a snapshot whose reach is finite, so a non-finite position
-//! never becomes an anchor there.
+//! on drift only from a snapshot whose reach is finite, and a patch
+//! files an added vertex whose position is not finite at the grid's
+//! origin instead (any anchor keeps the probe exact: the reach is
+//! measured against the anchor stored), so a non-finite position it is
+//! handed never stays behind as an anchor.
 //!
 //! The grid holds ids, anchors and a box per component label, but no
 //! connectivity: the executor that owns the [`crate::SurfaceIndex`] and
-//! the component labels builds it ([`crate::Octopus::surface_grid`])
-//! and whoever owns the executor rebuilds it when either changes
-//! ([`SurfaceGrid::build`] is one gather and two sequential passes over
-//! S; nothing is patched).
+//! the component labels builds it ([`crate::Octopus::surface_grid`];
+//! [`SurfaceGrid::build`] is one gather and a counting sort over S).
+//! When a restructure changes both, the grid of the executor it was
+//! derived from is *patched* instead
+//! ([`crate::Octopus::patched_surface_grid`], [`SurfaceGrid::patched`]):
+//! the surface delta's removed ids leave their cells, its added ids are
+//! filed at their positions then — beside ids whose anchors are older,
+//! which is what every anchor already is after deformation — and the
+//! component boxes are taken again over the anchors under the new
+//! labels. The frame stays, so an added anchor outside it clamps into a
+//! border cell: the monotone clamped cell expression above keeps that
+//! exact, and the reach is measured against whichever anchors the grid
+//! holds. Sequential copies of the ids and the cell offsets, with no
+//! gather over the positions and no sort but the delta's.
 
 use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, VertexId};
@@ -130,6 +143,31 @@ fn widen(bounds: &mut [[f32; 3]; 2], min: [f32; 3], max: [f32; 3]) {
     }
 }
 
+/// Per label below `components`, the `[min, max]` corners of the anchors
+/// of the ids `component_of` gives that label: one pass in id order.
+/// A label no id (or none with a comparable anchor) carries is NaN,
+/// which no comparison — not even with an unbounded box — finds in
+/// reach.
+fn bound_components(
+    ids: &[VertexId],
+    anchors: &[Point3],
+    component_of: &[u32],
+    components: usize,
+) -> Vec<[[f32; 3]; 2]> {
+    let mut bounds = vec![[[f32::INFINITY; 3], [f32::NEG_INFINITY; 3]]; components];
+    for (&v, a) in ids.iter().zip(anchors) {
+        let at = [a.x, a.y, a.z];
+        widen(&mut bounds[component_of[v as usize] as usize], at, at);
+    }
+    for bound in &mut bounds {
+        let [min, max] = *bound;
+        if !(0..3).all(|axis| min[axis] <= max[axis]) {
+            *bound = [[f32::NAN; 3]; 2];
+        }
+    }
+    bounds
+}
+
 impl SurfaceGrid {
     /// Buckets `ids` by `positions[id]` into cells of edge `cell`, and
     /// bounds each of the `components` labels of `component_of` (one
@@ -155,28 +193,14 @@ impl SurfaceGrid {
         cell: f32,
     ) -> SurfaceGrid {
         let anchors: Vec<Point3> = ids.iter().map(|&v| positions[v as usize]).collect();
-        // One pass bounds every component; the frame is the union of
-        // those boxes. An infinite anchor makes an infinite frame,
-        // which the loop below folds into one cell.
-        let mut component_bounds = vec![[[f32::INFINITY; 3], [f32::NEG_INFINITY; 3]]; components];
-        for (&v, a) in ids.iter().zip(&anchors) {
-            let at = [a.x, a.y, a.z];
-            widen(
-                &mut component_bounds[component_of[v as usize] as usize],
-                at,
-                at,
-            );
-        }
+        // The frame is the union of the component boxes. An infinite
+        // anchor makes an infinite frame, which the loop below folds
+        // into one cell.
+        let component_bounds = bound_components(ids, &anchors, component_of, components);
         let mut frame = [[f32::INFINITY; 3], [f32::NEG_INFINITY; 3]];
-        for bounds in &mut component_bounds {
-            let [min, max] = *bounds;
+        for &[min, max] in &component_bounds {
             if (0..3).all(|axis| min[axis] <= max[axis]) {
                 widen(&mut frame, min, max);
-            } else {
-                // No id (or none with a position): NaN, which no
-                // comparison — not even with an unbounded box — finds
-                // in reach.
-                *bounds = [[f32::NAN; 3]; 2];
             }
         }
         let [lo, hi] = frame;
@@ -233,6 +257,132 @@ impl SurfaceGrid {
             *slot += 1;
         }
         grid
+    }
+
+    /// The grid of the surface after a restructure, derived from this
+    /// one — the grid of the surface before it — instead of built: the
+    /// `removed` ids are dropped, the `added` ones filed at their
+    /// `positions`, and every component is bounded again over the
+    /// anchors under `component_of` (`components` labels), because the
+    /// labels a restructure leaves are not the ones this grid was
+    /// bounded under. Every other id keeps its anchor; the frame, the
+    /// cell and the dims stay, and an added anchor outside the frame
+    /// clamps into a border cell, which the module docs show keeps
+    /// every probe exact. The reach against the kept anchors grows with
+    /// the drift since they were taken, as it would have on this grid.
+    ///
+    /// `removed` must be ids of this grid and `added` ids it lacks,
+    /// each once (a [`octopus_mesh::SurfaceDelta`]'s net lists are),
+    /// for the result to hold each surface id once (a removed id the
+    /// grid lacks is passed over). The ids keep their order, the added
+    /// ones last. Sequential copies of the ids, the anchors and the
+    /// cell offsets, a search of the ids per removed one and a sort of
+    /// the edits; no position but the added ones' is read.
+    ///
+    /// # Panics
+    /// When an added id has no position, or an id has no label or a
+    /// label is not below `components`.
+    pub fn patched(
+        &self,
+        removed: &[VertexId],
+        added: &[VertexId],
+        positions: &[Point3],
+        component_of: &[u32],
+        components: usize,
+    ) -> SurfaceGrid {
+        // Each removed id's place in the id order, and its slot in its
+        // anchor's cell: a delta removes a handful, so a search of the
+        // ids each and one of a cell's run beats testing every id.
+        let mut dropped: Vec<(usize, usize, usize, VertexId)> = Vec::new();
+        for &v in removed {
+            let Some(at) = self.ids.iter().position(|&u| u == v) else {
+                continue;
+            };
+            let cell = self.cell_index(self.anchors[at]) as usize;
+            let run = self.starts[cell] as usize..self.starts[cell + 1] as usize;
+            let within = self.cell_ids[run.clone()].iter().position(|&u| u == v);
+            let slot = run.start + within.expect("an id is filed in its anchor's cell");
+            dropped.push((at, slot, cell, v));
+        }
+        dropped.sort_unstable();
+        let len = self.ids.len() - dropped.len() + added.len();
+        let (mut ids, mut anchors) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut from = 0;
+        for &(at, ..) in &dropped {
+            ids.extend_from_slice(&self.ids[from..at]);
+            anchors.extend_from_slice(&self.anchors[from..at]);
+            from = at + 1;
+        }
+        ids.extend_from_slice(&self.ids[from..]);
+        anchors.extend_from_slice(&self.anchors[from..]);
+        // The edits in cell order, as `(slot, drop, cell, id)`: an
+        // added id goes at the end of its cell's run (before a drop at
+        // the same slot, which is the next cell's first id), a dropped
+        // one at its own slot.
+        let mut edits: Vec<(usize, bool, usize, VertexId)> = dropped
+            .iter()
+            .map(|&(_, slot, cell, v)| (slot, true, cell, v))
+            .collect();
+        for &v in added {
+            // A non-finite position is no anchor: the origin stands in,
+            // so that once the vertex is finite again the reach is too,
+            // and the drift rule can rebuild the grid.
+            let at = Some(positions[v as usize])
+                .filter(Point3::is_finite)
+                .unwrap_or(self.origin);
+            ids.push(v);
+            anchors.push(at);
+            let cell = self.cell_index(at) as usize;
+            edits.push((self.starts[cell + 1] as usize, false, cell, v));
+        }
+        edits.sort_unstable();
+        // Copy the runs between the edits, and the starts shifted by
+        // what the edits before them added and dropped (the edits' cells
+        // ascend with their slots).
+        let mut cell_ids = Vec::with_capacity(len);
+        let mut starts = Vec::with_capacity(self.starts.len());
+        let (mut from, mut next_cell, mut shift) = (0, 0, 0u32);
+        let mut copy_starts = |starts: &mut Vec<u32>, upto: usize, shift: u32| {
+            let run = &self.starts[next_cell..upto];
+            starts.extend(run.iter().map(|&s| s.wrapping_add(shift)));
+            next_cell = upto;
+        };
+        for (slot, drop, cell, v) in edits {
+            // Every start up to the edited cell's own lies before it.
+            copy_starts(&mut starts, cell + 1, shift);
+            cell_ids.extend_from_slice(&self.cell_ids[from..slot]);
+            if drop {
+                from = slot + 1;
+                shift = shift.wrapping_sub(1);
+            } else {
+                cell_ids.push(v);
+                from = slot;
+                shift = shift.wrapping_add(1);
+            }
+        }
+        copy_starts(&mut starts, self.starts.len(), shift);
+        cell_ids.extend_from_slice(&self.cell_ids[from..]);
+        debug_assert_eq!(cell_ids.len(), ids.len(), "an edit was not an id's");
+        SurfaceGrid {
+            starts,
+            cell_ids,
+            component_bounds: bound_components(&ids, &anchors, component_of, components),
+            ids,
+            anchors,
+            ..*self
+        }
+    }
+
+    /// The bucketed ids, in the order the grid was given them (the
+    /// added ones of each patch last).
+    pub fn ids(&self) -> &[VertexId] {
+        &self.ids
+    }
+
+    /// Each id's anchor — its position when it was filed — beside
+    /// [`SurfaceGrid::ids`].
+    pub fn anchors(&self) -> &[Point3] {
+        &self.anchors
     }
 
     /// The cell coordinate of `x` on `axis`: monotone non-decreasing in
@@ -482,6 +632,100 @@ mod tests {
             assert_eq!(at_build.len(), ids.len());
             assert_eq!(at_build.reach(&points), f32::INFINITY);
         }
+    }
+
+    /// The structure [`SurfaceGrid::build`] leaves: every id in exactly
+    /// one cell, the one its anchor maps to, starts ascending to the
+    /// id count.
+    fn assert_well_filed(grid: &SurfaceGrid) {
+        assert_eq!(grid.ids.len(), grid.anchors.len());
+        assert_eq!(*grid.starts.last().unwrap() as usize, grid.ids.len());
+        assert!(grid.starts.windows(2).all(|w| w[0] <= w[1]));
+        let mut filed = Vec::new();
+        for c in 0..grid.starts.len() - 1 {
+            let run = &grid.cell_ids[grid.starts[c] as usize..grid.starts[c + 1] as usize];
+            filed.extend(run.iter().map(|&v| (v, c as u32)));
+        }
+        filed.sort_unstable();
+        let mut want: Vec<(VertexId, u32)> = grid
+            .ids
+            .iter()
+            .zip(&grid.anchors)
+            .map(|(&v, &a)| (v, grid.cell_index(a)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(filed, want);
+        assert!(
+            want.windows(2).all(|w| w[0].0 < w[1].0),
+            "an id filed twice"
+        );
+    }
+
+    #[test]
+    fn a_patch_files_like_a_build_and_keeps_the_frame() {
+        let mut points = lattice(6);
+        let ids: Vec<VertexId> = (0..100).rev().collect();
+        let grid = one_component(&ids, &points, 1.5);
+        // Drop the first id, the last, and every id of cell 0 (the
+        // corner 2³ of the lattice); add ids inside the frame and three
+        // outside it, one of them not finite.
+        let removed = [99, 0, 1, 6, 7, 36, 37, 42, 43, 57, 58];
+        points[150] = Point3::new(-7.0, 2.0, 40.0);
+        points[151] = Point3::new(f32::NAN, 1.0, 1.0);
+        let added = [150, 100, 151, 215, 101, 200];
+        let labels = vec![0; points.len()];
+        let patched = grid.patched(&removed, &added, &points, &labels, 1);
+        assert_well_filed(&patched);
+        assert_eq!(
+            (patched.origin, patched.cell, patched.dims),
+            (grid.origin, grid.cell, grid.dims)
+        );
+        let mut held = patched.ids.clone();
+        held.sort_unstable();
+        let mut want: Vec<VertexId> = ids
+            .iter()
+            .copied()
+            .filter(|v| !removed.contains(v))
+            .chain(added)
+            .collect();
+        want.sort_unstable();
+        assert_eq!(held, want);
+        assert_eq!(&patched.ids[patched.len() - added.len()..], &added);
+        // Kept ids kept their anchors; an added one is anchored now, or
+        // at the origin when it has no finite position: the reach is
+        // unbounded while it lasts, and bounded once it is finite.
+        for (&v, &a) in patched.ids.iter().zip(&patched.anchors) {
+            let want = if v == 151 {
+                grid.origin
+            } else {
+                points[v as usize]
+            };
+            assert_eq!(a, want, "{v}");
+        }
+        assert_eq!(patched.reach(&points), f32::INFINITY);
+        points[151] = Point3::new(1.0, 1.0, 1.0);
+        assert_eq!(patched.reach(&points), 1.0);
+        // The frame did not grow, but the far anchor is a candidate of
+        // a box around it, and the component bound covers it.
+        let far = Aabb::cube(points[150], 0.5);
+        assert!(candidates(&patched, &far, 0.0).contains(&150));
+        assert!(patched.component_in_reach(0, &far, 0.0));
+        assert!(!grid.component_in_reach(0, &far, 0.0));
+        // Nothing in, nothing out: a patch with no edits is the grid.
+        let same = grid.patched(&[], &[], &points, &labels, 1);
+        assert_eq!(
+            (&same.starts, &same.cell_ids),
+            (&grid.starts, &grid.cell_ids)
+        );
+        // Relabelled bounds: the ids above 50 as a component of their
+        // own.
+        let split: Vec<u32> = (0..points.len() as u32)
+            .map(|v| u32::from(v > 50))
+            .collect();
+        let relabelled = grid.patched(&[], &[], &points, &split, 3);
+        assert_eq!(relabelled.component_bounds[0][1][2], 1.0);
+        assert_eq!(relabelled.component_bounds[1][0][2], 1.0);
+        assert!(relabelled.component_bounds[2][0][0].is_nan());
     }
 
     /// Two slabs of a lattice as components 0 and 2; label 1 is carried

@@ -13,7 +13,13 @@
 //! * a surface grid built on it bounds every component's surface
 //!   anchors;
 //! * every box query equals the scan, up to Algorithm 1's documented
-//!   blind spot (ROADMAP item 1).
+//!   blind spot (ROADMAP item 1);
+//! * the derived chain's surface grid, patched from each delta as the
+//!   monitor patches it (`Octopus::patched_surface_grid`), holds exactly
+//!   the executor's surface ids, each once, bounds every component's
+//!   anchors under the new labels, and at its measured reach seeds what
+//!   a freshly built grid and the full probe seed — and answers as the
+//!   full probe does.
 //!
 //! And the named cases: a removal that splits a component (the search
 //! runs and is counted), orphaned vertices, a delta that does not
@@ -22,7 +28,7 @@
 //! under `--release` too, where the executor's own cross-check of every
 //! patch — a `debug_assert` — is compiled out.
 
-use octopus_core::{ExecutorMetrics, Octopus, Probe};
+use octopus_core::{ExecutorMetrics, Octopus, Probe, SurfaceGrid};
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, SurfaceDelta};
@@ -138,6 +144,103 @@ fn assert_queries_exact(octopus: &Octopus, mesh: &Mesh, rng: &mut SplitMix64, ct
     }
 }
 
+/// What a probe through `grid` at `reach` seeds: the ids of the runs it
+/// visits that pass the containment test, ascending. Panics on an id
+/// visited twice.
+fn grid_seeds(grid: &SurfaceGrid, mesh: &Mesh, q: &Aabb, reach: f32) -> Vec<VertexId> {
+    let seeds = sorted(
+        grid.runs(q, reach)
+            .flatten()
+            .copied()
+            .filter(|&v| q.contains(mesh.position(v)))
+            .collect(),
+    );
+    assert!(seeds.windows(2).all(|w| w[0] < w[1]), "an id visited twice");
+    seeds
+}
+
+/// A grid patched along a chain of deltas is the executor's: its ids
+/// are the surface, each once; each component's bound holds the
+/// anchors the labels give it, and is exactly their box — it rules
+/// components in and out as a grid built at those anchors under the
+/// same labels does; and at the grid's reach, random boxes seed through
+/// it what they seed through a fresh grid and the full probe, and get
+/// the full probe's answer.
+fn assert_patched_grid(
+    octopus: &Octopus,
+    grid: &SurfaceGrid,
+    mesh: &Mesh,
+    rng: &mut SplitMix64,
+    ctx: &str,
+) {
+    let held = sorted(grid.ids().to_vec());
+    assert!(
+        held.windows(2).all(|w| w[0] < w[1]),
+        "{ctx}: an id held twice"
+    );
+    assert_eq!(
+        held,
+        sorted(octopus.surface_index().ids().to_vec()),
+        "{ctx}: the patched grid holds other ids than the surface"
+    );
+    let (label, lists) = octopus.component_map();
+    let mut at_anchors = mesh.positions().to_vec();
+    for (&v, &a) in grid.ids().iter().zip(grid.anchors()) {
+        assert!(
+            grid.component_in_reach(label[v as usize] as usize, &Aabb::new(a, a), 0.0),
+            "{ctx}: anchor of {v} outside its component's bound"
+        );
+        at_anchors[v as usize] = a;
+    }
+    let anchored = SurfaceGrid::build(grid.ids(), &at_anchors, label, lists.len(), grid.cell());
+    let reach = grid.reach(mesh.positions());
+    assert!(reach.is_finite(), "{ctx}: premise: finite positions");
+    let fresh = octopus.surface_grid(mesh.positions(), grid.cell());
+    let bounds = mesh.bounding_box();
+    let extent = bounds.extent();
+    let size = extent.x.max(extent.y).max(extent.z);
+    let mut scratch = octopus.make_scratch(mesh);
+    for i in 0..6 {
+        let c = Point3::new(
+            rng.range_f32(bounds.min.x, bounds.max.x),
+            rng.range_f32(bounds.min.y, bounds.max.y),
+            rng.range_f32(bounds.min.z, bounds.max.z),
+        );
+        let q = Aabb::cube(c, rng.range_f32(0.02, 0.35) * size);
+        let probed: Vec<VertexId> = sorted(
+            octopus
+                .surface_index()
+                .ids()
+                .iter()
+                .copied()
+                .filter(|&v| q.contains(mesh.position(v)))
+                .collect(),
+        );
+        for k in 0..lists.len() {
+            assert_eq!(
+                grid.component_in_reach(k, &q, reach),
+                anchored.component_in_reach(k, &q, reach),
+                "{ctx}: box {i}, the bound of component {k}"
+            );
+        }
+        let seeds = grid_seeds(grid, mesh, &q, reach);
+        assert_eq!(seeds, grid_seeds(&fresh, mesh, &q, 0.0), "{ctx}: box {i}");
+        assert_eq!(seeds, probed, "{ctx}: box {i}");
+        let mut answers = [Vec::new(), Vec::new()];
+        let patched = Probe::Grid { grid, reach };
+        for (probe, out) in [Probe::Surface, patched].into_iter().zip(&mut answers) {
+            octopus.query_with(&mut scratch, mesh, &q, probe, out);
+            out.sort_unstable();
+        }
+        assert_eq!(answers[0], answers[1], "{ctx}: box {i} answers");
+    }
+}
+
+/// The grid cell the monitor uses: four typical edges.
+fn grid_cell(mesh: &Mesh) -> f32 {
+    4.0 * (mesh.bounding_box().volume() / mesh.num_vertices() as f64).cbrt() as f32
+}
+
 fn assert_follows(octopus: &Octopus, mesh: &Mesh, rng: &mut SplitMix64, ctx: &str) {
     assert_map_is_the_search(octopus, mesh, ctx);
     assert_grid_bounds_the_anchors(octopus, mesh, ctx);
@@ -151,14 +254,15 @@ fn hex_box(n: usize) -> Mesh {
 
 /// Runs seeded operations on `mesh` (refinements only on tets), feeding
 /// each delta to an executor maintained in place and to the chain of
-/// executors derived from the previous one by a ring-style snapshot, and
-/// holds both to the search after each. Returns the in-place executor's
-/// `(patches, searches)`.
+/// executors derived from the previous one by a ring-style snapshot,
+/// whose grid is patched along, and holds all three to the search
+/// after each. Returns the in-place executor's `(patches, searches)`.
 fn run_ops(mut mesh: Mesh, seed: u64, ops: usize) -> (u64, u64) {
     mesh.enable_restructuring().unwrap();
     let mut rng = SplitMix64::new(seed);
     let (mut live, registry) = counted(&mesh);
     let mut derived = Octopus::new(&mesh).unwrap();
+    let mut grid = derived.surface_grid(mesh.positions(), grid_cell(&mesh));
     let refines = mesh.kind() == octopus_mesh::CellKind::Tet4;
     for op in 0..ops {
         if mesh.num_cells() <= 1 {
@@ -177,9 +281,11 @@ fn run_ops(mut mesh: Mesh, seed: u64, ops: usize) -> (u64, u64) {
         };
         live.on_restructure(&mesh, &delta);
         derived = derived.restructured(&mesh.snapshot(), &delta);
+        grid = derived.patched_surface_grid(&grid, mesh.positions(), &delta);
         let ctx = format!("seed {seed} op {op}");
         assert_follows(&live, &mesh, &mut rng, &format!("{ctx}, in place"));
         assert_follows(&derived, &mesh, &mut rng, &format!("{ctx}, derived"));
+        assert_patched_grid(&derived, &grid, &mesh, &mut rng, &format!("{ctx}, patched"));
     }
     followed(&registry)
 }
@@ -205,7 +311,9 @@ proptest! {
 
 /// A simulation's scheduled events — three operations merged into one
 /// delta, deformation between them — on the two-arbor neuron mesh. The
-/// search runs for a small share of the events at most.
+/// search runs for a small share of the events at most. The derived
+/// chain's grid is patched along, its kept anchors drifting from the
+/// positions as the monitor's do.
 #[test]
 fn merged_events_on_the_neuron_mesh_follow_the_search() {
     let mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
@@ -214,6 +322,7 @@ fn merged_events_on_the_neuron_mesh_follow_the_search() {
         .unwrap();
     let (mut live, registry) = counted(sim.mesh());
     let mut derived = Octopus::new(sim.mesh()).unwrap();
+    let mut grid = derived.surface_grid(sim.mesh().positions(), grid_cell(sim.mesh()));
     let mut rng = SplitMix64::new(4);
     let events = 40;
     for step in 0..events {
@@ -221,9 +330,16 @@ fn merged_events_on_the_neuron_mesh_follow_the_search() {
         assert!(outcome.restructured && outcome.delta.ops == 3);
         live.on_restructure(sim.mesh(), &outcome.delta);
         derived = derived.restructured(&sim.mesh().snapshot(), &outcome.delta);
+        grid = derived.patched_surface_grid(&grid, sim.mesh().positions(), &outcome.delta);
         assert_follows(&live, sim.mesh(), &mut rng, &format!("step {step}"));
         assert_map_is_the_search(&derived, sim.mesh(), &format!("step {step}, derived"));
+        let ctx = format!("step {step}, patched");
+        assert_patched_grid(&derived, &grid, sim.mesh(), &mut rng, &ctx);
     }
+    assert!(
+        grid.reach(sim.mesh().positions()) > 0.0,
+        "test premise: the kept anchors drifted"
+    );
     let (patches, searches) = followed(&registry);
     assert_eq!(patches + searches, events);
     assert!(
@@ -260,24 +376,45 @@ fn a_removal_that_splits_a_component_takes_the_counted_search() {
     mesh.enable_restructuring().unwrap();
     let (mut octopus, registry) = counted(&mesh);
     assert_eq!(octopus.component_map().1.len(), 1, "bridged: one component");
+    let grid = octopus.surface_grid(mesh.positions(), grid_cell(&mesh));
 
     let delta = mesh.remove_cell(bridge).unwrap();
+    let derived = octopus.restructured(&mesh, &delta);
     octopus.on_restructure(&mesh, &delta);
-    assert_eq!(followed(&registry), (0, 1), "the split took the search");
+    assert_eq!(followed(&registry), (0, 2), "the split took the search");
     assert_eq!(octopus.component_map().1.len(), 2, "split: two components");
-    assert_follows(&octopus, &mesh, &mut SplitMix64::new(1), "after the split");
+    let mut rng = SplitMix64::new(1);
+    assert_follows(&octopus, &mesh, &mut rng, "after the split");
+    // The grid patched across the split bounds each lobe on its own.
+    let patched = derived.patched_surface_grid(&grid, mesh.positions(), &delta);
+    assert_patched_grid(
+        &derived,
+        &patched,
+        &mesh,
+        &mut rng,
+        "patched across the split",
+    );
+    let lobe = |shift: f32| Aabb::cube(Point3::new(0.5 + shift, 0.5, 0.5), 0.25);
+    let (label, _) = derived.component_map();
+    let (a, b) = (label[0] as usize, label[n as usize] as usize);
+    assert_ne!(a, b);
+    assert!(patched.component_in_reach(a, &lobe(0.0), 0.0));
+    assert!(!patched.component_in_reach(a, &lobe(3.0), 0.0));
+    assert!(!patched.component_in_reach(b, &lobe(0.0), 0.0));
 
     // A removal inside a lobe leaves it whole: patched.
     let delta = mesh.remove_cell(7).unwrap();
     octopus.on_restructure(&mesh, &delta);
-    assert_eq!(followed(&registry), (1, 1));
+    assert_eq!(followed(&registry), (1, 2));
     assert_map_is_the_search(&octopus, &mesh, "after an inner removal");
 }
 
 /// Removing every cell around a vertex orphans it — a component of its
 /// own, with a fresh id — and removing a cell apart from everything
 /// orphans all four of its vertices: the first keeps the cell's id, the
-/// others get fresh ones. Both are patched, not searched.
+/// others get fresh ones. Both are patched, not searched — and so is
+/// the grid, whose bounds follow the fresh ids (an orphan is no surface
+/// vertex: its label bounds nothing).
 #[test]
 fn orphaned_vertices_are_patched_into_components_of_their_own() {
     let mut mesh = box_mesh(2);
@@ -300,6 +437,7 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
     let (mut octopus, registry) = counted(&mesh);
     let mut rng = SplitMix64::new(3);
     assert_eq!(octopus.component_map().1.len(), 2);
+    let mut grid = octopus.surface_grid(mesh.positions(), grid_cell(&mesh));
 
     // Vertex 0 is a corner of the lattice: remove every cell at it.
     let around: Vec<u32> = mesh
@@ -310,7 +448,10 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
     for c in around {
         let delta = mesh.remove_cell(c).unwrap();
         octopus.on_restructure(&mesh, &delta);
-        assert_follows(&octopus, &mesh, &mut rng, &format!("after removing {c}"));
+        grid = octopus.patched_surface_grid(&grid, mesh.positions(), &delta);
+        let ctx = format!("after removing {c}");
+        assert_follows(&octopus, &mesh, &mut rng, &ctx);
+        assert_patched_grid(&octopus, &grid, &mesh, &mut rng, &ctx);
     }
     assert!(!mesh.is_vertex_active(0));
     let orphaned = (0..mesh.num_vertices() as VertexId)
@@ -320,7 +461,9 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
 
     let delta = mesh.remove_cell(lone_cell).unwrap();
     octopus.on_restructure(&mesh, &delta);
+    grid = octopus.patched_surface_grid(&grid, mesh.positions(), &delta);
     assert_follows(&octopus, &mesh, &mut rng, "after removing the lone cell");
+    assert_patched_grid(&octopus, &grid, &mesh, &mut rng, "the lone cell's grid");
     let (label, lists) = octopus.component_map();
     assert_eq!(lists.len(), 2 + orphaned + 3, "four orphans, one kept id");
     assert_eq!(label[lone as usize], 1, "the first orphan keeps the id");

@@ -30,7 +30,7 @@ pub mod stats;
 pub mod surface;
 pub mod validate;
 
-pub use adjacency::Csr;
+pub use adjacency::{Csr, VERTICES_PER_BLOCK};
 pub use cell::{CellKind, FaceKey};
 pub use error::MeshError;
 pub use mesh::{Mesh, SurfaceDelta, CELLS_PER_BLOCK};

@@ -61,15 +61,18 @@ impl SurfaceDelta {
 ///
 /// **A mesh owns its positions and shares everything else.** The cell
 /// arrays (in blocks of [`CELLS_PER_BLOCK`] cells, each behind its own
-/// handle), the CSR and the restructuring state (the [`FaceTable`]'s
+/// handle), the CSR (its neighbour lists in blocks of
+/// [`VERTICES_PER_BLOCK`](crate::adjacency::VERTICES_PER_BLOCK)
+/// vertices, likewise) and the restructuring state (the [`FaceTable`]'s
 /// per-vertex buckets) sit behind shared handles, so [`Mesh::snapshot`],
 /// [`Mesh::with_positions`] and `clone()` copy the position array and
 /// nothing more — deformation never touches what they share. A
 /// restructuring operation copies on write: where a handle is shared
 /// it copies the cell blocks it writes (the tombstoned cell's, the
-/// tail the new cells go to) and the face table once, and it installs
-/// the CSR it builds per operation anyway, so no holder sees another's
-/// edit. Sharing shows only in pointer identity, cost and memory.
+/// tail the new cells go to), the CSR's starts and block handles and
+/// the face table once, and it rebuilds only the adjacency blocks that
+/// hold a vertex it touched, so no holder sees another's edit. Sharing
+/// shows only in pointer identity, cost and memory.
 #[derive(Debug)]
 pub struct Mesh {
     kind: CellKind,
@@ -738,9 +741,12 @@ impl Mesh {
 
     /// Recomputes the neighbour lists of the `touched` vertices (sorted,
     /// distinct) from the live cells that contain them and splices them
-    /// into the CSR ([`Csr::with_lists_replaced`]); every other list is
-    /// copied as is — into a new CSR behind a new handle: an operation's
-    /// one CSR construction, whether or not the old one is shared. The
+    /// into the CSR in place ([`Csr::splice`]): only the blocks of
+    /// [`VERTICES_PER_BLOCK`](crate::adjacency::VERTICES_PER_BLOCK)
+    /// vertices that hold a touched vertex are rebuilt. A CSR some
+    /// snapshot still shares is copied first — its starts and block
+    /// handles, not its blocks — so the first operation after a
+    /// snapshot pays 4 bytes a vertex and the next ones nothing. The
     /// result is bit-identical to rebuilding from all live cells: a
     /// touched vertex whose last cell went away gets an empty list, a
     /// freshly appended vertex gets its first one.
@@ -790,6 +796,16 @@ impl Mesh {
         }
         around.sort_unstable();
         around.dedup();
+        // Every edge the splice can delete, kept below if it survives.
+        let mut cut: Vec<(VertexId, VertexId)> = touched
+            .iter()
+            .flat_map(|&v| {
+                old_neighbors(v)
+                    .iter()
+                    .filter(move |&&w| v < w)
+                    .map(move |&w| (v, w))
+            })
+            .collect();
         let arity = kind.arity();
         let cells = &*self.cells;
         let directed = around
@@ -797,18 +813,9 @@ impl Mesh {
             .flat_map(|&c| kind.edges(cells.get(arity, c)))
             .flat_map(|(a, b)| [(a, b), (b, a)])
             .filter(|(src, _)| touched.binary_search(src).is_ok());
-        let patched = old.with_lists_replaced(self.positions.len(), touched, directed);
-        let mut cut = Vec::new();
-        for &v in touched {
-            let kept = patched.neighbors(v);
-            cut.extend(
-                old_neighbors(v)
-                    .iter()
-                    .filter(|&&w| v < w && kept.binary_search(&w).is_err())
-                    .map(|&w| (v, w)),
-            );
-        }
-        self.adjacency = Arc::new(patched);
+        let adjacency = Arc::make_mut(&mut self.adjacency);
+        adjacency.splice(self.positions.len(), touched, directed);
+        cut.retain(|&(v, w)| !adjacency.has_edge(v, w));
         cut
     }
 
@@ -1312,11 +1319,13 @@ mod tests {
     fn unshared_mesh_restructures_in_place() {
         let mut m = two_tet_mesh();
         m.enable_restructuring().unwrap();
-        let cells = m.cell(0).as_ptr();
+        let (cells, adjacency) = (m.cell(0).as_ptr(), m.adjacency() as *const Csr);
         m.remove_cell(0).unwrap();
         assert_eq!(m.cell(0).as_ptr(), cells, "nobody shares: no copy");
+        assert!(std::ptr::eq(m.adjacency(), adjacency), "spliced in place");
         drop(m.snapshot());
         m.remove_cell(1).unwrap();
         assert_eq!(m.cell(0).as_ptr(), cells, "the sharer is gone: no copy");
+        assert!(std::ptr::eq(m.adjacency(), adjacency));
     }
 }

@@ -19,12 +19,16 @@
 //! hold the sharing contract ([`Held`]): a snapshot or clone taken
 //! mid-sequence shares the connectivity it was taken from, no later
 //! operation on the source writes through to it, and the source copies
-//! only the cell blocks its operations write — every other block stays
-//! shared by pointer.
+//! only the cell blocks and adjacency blocks its operations write —
+//! every other block stays shared by pointer. On a mesh nobody shares,
+//! an operation splices the adjacency in place and copies no block it
+//! did not write.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Point3, VertexId};
-use octopus_mesh::{CellKind, Csr, Mesh, Surface, SurfaceDelta, CELLS_PER_BLOCK};
+use octopus_mesh::{
+    CellKind, Csr, Mesh, Surface, SurfaceDelta, CELLS_PER_BLOCK, VERTICES_PER_BLOCK,
+};
 use octopus_meshgen::{neuron, NeuroLevel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -175,9 +179,29 @@ struct Held {
     live_cells: Vec<(u32, Vec<VertexId>)>,
     neighbors: Vec<Vec<VertexId>>,
     epoch: u64,
-    /// Cell blocks the source's operations wrote since: the only ones
-    /// it may have copied.
-    written: BTreeSet<usize>,
+    /// Blocks the source's operations wrote since — cell blocks and
+    /// adjacency blocks: the only ones it may have copied.
+    written: Written,
+}
+
+/// Blocks operations wrote, by kind.
+#[derive(Default)]
+struct Written {
+    cells: BTreeSet<usize>,
+    adjacency: BTreeSet<usize>,
+}
+
+impl Written {
+    fn extend(&mut self, other: &Written) {
+        self.cells.extend(&other.cells);
+        self.adjacency.extend(&other.adjacency);
+    }
+}
+
+/// The address of adjacency block `b`: its first vertex's list starts it.
+fn adjacency_block(mesh: &Mesh, b: usize) -> *const VertexId {
+    mesh.neighbors((b * VERTICES_PER_BLOCK) as VertexId)
+        .as_ptr()
 }
 
 impl Held {
@@ -206,7 +230,7 @@ impl Held {
                 .collect(),
             epoch: mesh.restructure_epoch(),
             mesh,
-            written: BTreeSet::new(),
+            written: Written::default(),
         }
     }
 
@@ -229,17 +253,29 @@ impl Held {
     }
 
     /// `source` — the mesh this one was taken from, since operated on —
-    /// still shares every cell block no operation wrote.
+    /// still shares every cell block and every adjacency block no
+    /// operation wrote, and none that one did.
     fn assert_shares_unwritten_blocks(&self, source: &Mesh) {
+        let written = &self.written;
         for b in 0..self.cell_capacity.div_ceil(CELLS_PER_BLOCK) {
             let first = (b * CELLS_PER_BLOCK) as u32;
             let shared = std::ptr::eq(self.mesh.cell(first), source.cell(first));
             assert_eq!(
                 shared,
-                !self.written.contains(&b),
-                "taken {}: block {b} (written: {:?})",
+                !written.cells.contains(&b),
+                "taken {}: cell block {b} (written: {:?})",
                 self.taken_at,
-                self.written
+                written.cells
+            );
+        }
+        for b in 0..self.neighbors.len().div_ceil(VERTICES_PER_BLOCK) {
+            let shared = adjacency_block(&self.mesh, b) == adjacency_block(source, b);
+            assert_eq!(
+                shared,
+                !written.adjacency.contains(&b),
+                "taken {}: adjacency block {b} (written: {:?})",
+                self.taken_at,
+                written.adjacency
             );
         }
     }
@@ -286,12 +322,14 @@ fn random_live_cell(mesh: &Mesh, rng: &mut SplitMix64) -> u32 {
 }
 
 /// One random operation (refine only where the kind allows it), and
-/// the cell blocks it wrote: the operated cell's (tombstoned) and those
-/// its new cells went to. Checks the delta's account of connectivity
-/// against the adjacency before and after ([`assert_delta_accounts`]).
-fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> (String, Vec<usize>) {
+/// the blocks it wrote: the cell blocks of the operated cell
+/// (tombstoned) and of its new cells, and the adjacency blocks of the
+/// vertices whose lists it replaced and, when it appended a vertex, of
+/// the tail. Checks the delta's account of connectivity against the
+/// adjacency before and after ([`assert_delta_accounts`]).
+fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> (String, Written) {
     let c = random_live_cell(mesh, rng);
-    let before = mesh.cell_capacity();
+    let (cells_before, vertices_before) = (mesh.cell_capacity(), mesh.num_vertices());
     let old = mesh.adjacency().clone();
     let (what, delta) = if mesh.kind() == CellKind::Tet4 && rng.chance(0.4) {
         (format!("refine {c}"), mesh.refine_tet(c).unwrap().1)
@@ -299,11 +337,21 @@ fn random_op(mesh: &mut Mesh, rng: &mut SplitMix64) -> (String, Vec<usize>) {
         (format!("remove {c}"), mesh.remove_cell(c).unwrap())
     };
     assert_delta_accounts(&old, mesh, &delta, &what);
-    let written = std::iter::once(c as usize)
-        .chain(before..mesh.cell_capacity())
+    let cells = std::iter::once(c as usize)
+        .chain(cells_before..mesh.cell_capacity())
         .map(|cell| cell / CELLS_PER_BLOCK)
         .collect();
-    (what, written)
+    // Appending vertices rebuilds the old tail block and every new one.
+    let grew = mesh.num_vertices() > vertices_before;
+    let adjacency = delta
+        .touched
+        .iter()
+        .map(|&v| v as usize)
+        .chain(grew.then_some(vertices_before))
+        .chain(vertices_before..mesh.num_vertices())
+        .map(|v| v / VERTICES_PER_BLOCK)
+        .collect();
+    (what, Written { cells, adjacency })
 }
 
 /// One operation's delta names every vertex whose neighbour list
@@ -422,9 +470,42 @@ fn neuron_patch_equals_rebuild_after_every_op() {
         mesh.cell_capacity() > 4 * CELLS_PER_BLOCK,
         "test premise: several cell blocks"
     );
+    assert!(
+        mesh.num_vertices() > 4 * VERTICES_PER_BLOCK,
+        "test premise: several adjacency blocks"
+    );
     for seed in [1u64, 2] {
         let mut rng = SplitMix64::new(seed);
         run_sequence(mesh.clone(), &mut rng, 30, &format!("neuron seed {seed}"));
+    }
+}
+
+/// On a mesh nobody shares, an operation edits the CSR in place — the
+/// same handle — and every adjacency block it did not write keeps its
+/// address: no block is copied.
+#[test]
+fn an_op_on_an_unshared_mesh_copies_no_block() {
+    let mut mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
+    mesh.enable_restructuring().unwrap();
+    let mut rng = SplitMix64::new(3);
+    for op in 0..30 {
+        let csr: *const Csr = mesh.adjacency();
+        let blocks: Vec<_> = (0..mesh.num_vertices().div_ceil(VERTICES_PER_BLOCK))
+            .map(|b| adjacency_block(&mesh, b))
+            .collect();
+        let (what, written) = random_op(&mut mesh, &mut rng);
+        assert!(std::ptr::eq(mesh.adjacency(), csr), "op {op} ({what})");
+        for (b, &before) in blocks.iter().enumerate() {
+            if !written.adjacency.contains(&b) {
+                assert_eq!(
+                    adjacency_block(&mesh, b),
+                    before,
+                    "op {op} ({what}): block {b}"
+                );
+            }
+        }
+        assert!(written.adjacency.len() < blocks.len(), "op {op}: premise");
+        assert_matches_rebuild(&mesh, &format!("op {op} ({what})"));
     }
 }
 

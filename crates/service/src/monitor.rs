@@ -71,10 +71,14 @@
 //! [`octopus_core::Octopus::surface_grid`]), which is the probe of
 //! every query the slot answers and what spares it the directed walk
 //! into components its box cannot touch. Ownership follows the
-//! executor: deformation slots share the grid they inherited, and the
-//! three sites that build an executor (set-up, a restructuring step, a
-//! re-layout) build a fresh grid from its ids, its component labels
-//! and the slot's positions — rebuilt, never patched.
+//! executor: deformation slots share the grid they inherited, set-up
+//! and a re-layout build a fresh grid from the executor's ids, its
+//! component labels and the slot's positions, and a restructuring step
+//! patches the latest slot's grid from the delta
+//! ([`octopus_core::Octopus::patched_surface_grid`]: the removed ids
+//! dropped, the added ones filed at the slot's positions, the component
+//! bounds taken again under the new labels; the other ids keep their
+//! anchors).
 //! Deformation does not maintain it: when a slot is first resolved for
 //! a request its *reach* — how far its positions lie from the grid's
 //! anchors — is measured once (O(S)) and cached, and the probe dilates
@@ -543,7 +547,7 @@ const DEFAULT_BAND_EDGES: f32 = 8.0;
 
 /// The surface grid of `exec` anchored at `mesh`'s positions — surface
 /// ids bucketed, components bounded. The single site behind set-up,
-/// restructure, re-layout and drift rebuild.
+/// re-layout and drift rebuild; a restructure patches the grid instead.
 fn build_grid(exec: &Octopus, mesh: &Mesh) -> Arc<SurfaceGrid> {
     Arc::new(exec.surface_grid(mesh.positions(), GRID_CELL_EDGES * typical_edge(mesh)))
 }
@@ -797,7 +801,7 @@ impl MonitorLoop {
     /// until a benchmark change renames it): `hits` are queries probed
     /// through the grid, `misses` queries that fell back to the full
     /// surface probe, `stale` drift-triggered rebuilds, `insertions`
-    /// grid builds of any cause, `evictions` zero.
+    /// grids installed, built or patched, `evictions` zero.
     pub fn seed_cache_stats(&self) -> Option<SeedCacheStats> {
         Some(self.grid_stats)
     }
@@ -959,7 +963,20 @@ impl MonitorLoop {
                 // Derive (not mutate): older retained slots keep their
                 // connectivity's executor and its grid.
                 let exec = Arc::new(latest.exec.restructured(&mesh, &delta));
-                let grid = build_grid(&exec, &mesh);
+                // Patched from the latest slot's grid: the new executor's
+                // ids, the kept ones at their old anchors.
+                let grid =
+                    Arc::new(exec.patched_surface_grid(&latest.grid, mesh.positions(), &delta));
+                debug_assert!(
+                    {
+                        let mut held = grid.ids().to_vec();
+                        let mut want = exec.surface_index().ids().to_vec();
+                        held.sort_unstable();
+                        want.sort_unstable();
+                        held == want
+                    },
+                    "the patched grid holds other ids than the executor's surface"
+                );
                 self.grid_stats.insertions += 1;
                 // Restructuring appends new vertices at the end of the
                 // id space in both the original and the permuted run,

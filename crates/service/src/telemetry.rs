@@ -32,8 +32,8 @@ pub struct SeedCacheStats {
     pub misses: u64,
     /// Grid rebuilds: the newest snapshot's reach had outgrown one cell.
     pub stale: u64,
-    /// Grid builds of any cause (set-up, restructure, re-layout,
-    /// rebuild).
+    /// Grids installed, whether built (set-up, re-layout, drift
+    /// rebuild) or patched (a restructure).
     pub insertions: u64,
     /// Always zero: a grid is replaced, never trimmed.
     pub evictions: u64,

@@ -231,7 +231,7 @@ proptest! {
         prop_assert_eq!(stats.misses, 0, "nothing falls back: {:?}", stats);
         prop_assert!(
             stats.insertions > 1,
-            "restructuring must have built fresh grids: {stats:?}"
+            "restructuring must have installed fresh grids: {stats:?}"
         );
     }
 }

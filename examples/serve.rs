@@ -520,7 +520,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .histogram("surface_grid_candidates")
         .expect("the executor records what its grid probes visit");
     println!(
-        "  surface grid: {} queries probed / {} fell back / {} rebuilds of {} builds; \
+        "  surface grid: {} queries probed / {} fell back / {} rebuilds of {} installed; \
          {:.0} of {} surface ids visited per probe; \
          last batch: {} group(s), {} grouped, {} scan-routed",
         grid_stats.hits,
