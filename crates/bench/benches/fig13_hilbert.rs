@@ -24,7 +24,7 @@ use octopus_bench::workload::QueryGen;
 use octopus_core::layout::{
     cache_line_stats, hilbert_layout, morton_layout, reuse_distance_histogram,
 };
-use octopus_core::Octopus;
+use octopus_core::{Octopus, Probe, QueryScratch};
 use octopus_geom::VertexId;
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
@@ -93,16 +93,20 @@ fn main() {
     // noisy neighbours) over the bench's wall time then biases every
     // layout equally instead of whichever one ran during the slow
     // minute — the per-layout *ratios* are what fig. 13 is about.
-    let mut octopi: Vec<Octopus> = layouts
+    let mut octopi: Vec<(Octopus, QueryScratch)> = layouts
         .iter()
-        .map(|(_, mesh)| Octopus::new(mesh).expect("surface"))
+        .map(|(_, mesh)| {
+            let octopus = Octopus::new(mesh).expect("surface");
+            let scratch = octopus.make_scratch(mesh);
+            (octopus, scratch)
+        })
         .collect();
     let mut out = Vec::new();
     // Warm-up pass over every layout.
-    for ((_, mesh), octopus) in layouts.iter().zip(octopi.iter_mut()) {
+    for ((_, mesh), (octopus, scratch)) in layouts.iter().zip(octopi.iter_mut()) {
         for q in &queries {
             out.clear();
-            octopus.query(mesh, q, &mut out);
+            octopus.query_with(scratch, mesh, q, Probe::Surface, &mut out);
         }
     }
     let mut crawl = [Duration::ZERO; 4];
@@ -110,10 +114,12 @@ fn main() {
     let t0 = Instant::now();
     let mut passes = 0u32;
     while t0.elapsed() < BUDGET.saturating_mul(layouts.len() as u32) || passes == 0 {
-        for (k, ((_, mesh), octopus)) in layouts.iter().zip(octopi.iter_mut()).enumerate() {
+        for (k, ((_, mesh), (octopus, scratch))) in
+            layouts.iter().zip(octopi.iter_mut()).enumerate()
+        {
             for q in &queries {
                 out.clear();
-                let stats = octopus.query(mesh, q, &mut out);
+                let stats = octopus.query_with(scratch, mesh, q, Probe::Surface, &mut out);
                 std::hint::black_box(out.len());
                 crawl[k] += stats.crawling;
                 total[k] += stats.total();

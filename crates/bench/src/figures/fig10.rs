@@ -1,16 +1,18 @@
 //! Fig. 10 — OCTOPUS overhead analysis.
 //!
 //! (a) per-phase execution-time breakdown across dataset sizes;
-//! (b) memory footprint vs number of query results — fixed part (surface
-//! index + 4 B/vertex visited stamps) and result-proportional part (the
-//! crawl queue) — plus the one-time surface-index build cost (§VI-A text).
+//! (b) memory footprint vs number of query results — fixed part (the
+//! executor: 4 B/vertex component labels and the per-component surface
+//! lists; plus the scratch's 4 B/vertex visited stamps) and
+//! result-proportional part (the crawl queue) — plus the one-time build
+//! cost of the executor (§VI-A text).
 
 use super::FigureOutput;
 use crate::runner::{fixed_selectivity_supplier, run_scenario, Approach};
 use crate::table::{ms, Table};
 use crate::workload::QueryGen;
 use crate::Config;
-use octopus_core::{Octopus, SurfaceIndex};
+use octopus_core::{Octopus, Probe};
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_sim::{Simulation, SmoothRandomField};
 use std::time::Instant;
@@ -33,11 +35,10 @@ pub fn run(config: &Config) -> FigureOutput {
     for level in NeuroLevel::ALL {
         let mesh = neuron(level, config.scale).expect("neuron generation");
         let b0 = Instant::now();
-        let surface = SurfaceIndex::build(&mesh).expect("surface build");
+        let octopus = Octopus::new(&mesh).expect("surface build");
         let build_ms = b0.elapsed().as_secs_f64() * 1e3;
-        let octopus = Octopus::from_surface_index(surface, &mesh);
         let gen = QueryGen::new(&mesh, config.seed ^ 10);
-        let mut approaches = vec![Approach::Octopus(octopus)];
+        let mut approaches = vec![Approach::octopus(octopus, &mesh)];
         let mut sim = Simulation::new(
             mesh,
             Box::new(SmoothRandomField::new(0.004, 4, config.seed ^ 0xA0)),
@@ -67,17 +68,18 @@ pub fn run(config: &Config) -> FigureOutput {
         let mut gen = QueryGen::new(&mesh, config.seed ^ 0xAB);
         for fraction in [0.002f64, 0.01, 0.05, 0.15, 0.3] {
             // Fresh executor per point: footprint reflects this workload only.
-            let mut octopus = Octopus::new(&mesh).expect("surface");
+            let octopus = Octopus::new(&mesh).expect("surface");
+            let mut scratch = octopus.make_scratch(&mesh);
             let mut out = Vec::new();
             let mut results = 0usize;
             for _ in 0..15 {
                 let q = gen.query_with_count(fraction * n);
                 out.clear();
-                octopus.query(&mesh, &q, &mut out);
+                octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
                 results += out.len();
             }
-            let total = octopus.memory_bytes();
-            let fixed = octopus.surface_index().memory_bytes() + stamps;
+            let total = octopus.memory_bytes() + scratch.memory_bytes();
+            let fixed = octopus.memory_bytes() + stamps;
             mem_table.push_row(vec![
                 results.to_string(),
                 format!("{:.1}", total as f64 / 1024.0),
@@ -94,12 +96,17 @@ pub fn run(config: &Config) -> FigureOutput {
         notes: vec![
             "Paper: probe + crawl dominate; the directed walk barely contributes; probe \
              time grows sub-proportionally with size (S falls); crawl grows with the \
-             result count. Surface-index build: one-time 62 s for the 33 GB mesh."
+             result count. Surface-index build: one-time 62 s for the 33 GB mesh (the \
+             build column here times `Octopus::new`: surface extraction plus the \
+             component search)."
                 .into(),
             "Paper Fig. 10(b): footprint ∝ results (1.9 MB traversal state + 27 MB \
              surface index for 480 k results on 208 M vertices). That fully result-\
              proportional footprint corresponds to a hash-set visited set we do not carry: \
-             the epoch stamps are a fixed 4 B/vertex and only the crawl queue grows."
+             the epoch stamps are a fixed 4 B/vertex and only the crawl queue grows. \
+             Our fixed part has no hash table: the surface is kept as per-component \
+             id lists beside a 4 B/vertex component label, which the paper's executor \
+             does not have."
                 .into(),
         ],
     }
@@ -113,8 +120,9 @@ mod tests {
     fn fig10_walk_is_negligible_and_memory_grows_with_results() {
         let out = run(&Config::quick());
         // (a): walk time does not dominate probe + crawl summed over
-        // levels. (At full scale it is negligible — see EXPERIMENTS.md;
-        // quick-config meshes are tiny, so allow slack.)
+        // levels. (At full scale it is negligible — run the figure
+        // without `--quick`; quick-config meshes are tiny, so allow
+        // slack.)
         let (mut walk, mut rest) = (0.0f64, 0.0f64);
         for row in &out.tables[0].rows {
             walk += row[2].parse::<f64>().unwrap();

@@ -49,7 +49,7 @@ pub fn run(config: &Config) -> FigureOutput {
         let stats = MeshStats::compute(&mesh).expect("stats");
         for sel in [0.0001f64, 0.001, 0.002] {
             let mut approaches = vec![
-                Approach::Octopus(Octopus::new(&mesh).expect("surface")),
+                Approach::octopus(Octopus::new(&mesh).expect("surface"), &mesh),
                 Approach::Index(Box::new(LinearScan::new())),
             ];
             let gen = QueryGen::new(&mesh, config.seed ^ 11);

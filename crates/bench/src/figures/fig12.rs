@@ -9,7 +9,7 @@ use crate::table::Table;
 use crate::workload::QueryGen;
 use crate::Config;
 use octopus_core::approx::result_accuracy;
-use octopus_core::{ApproxOctopus, Octopus, SurfaceIndex};
+use octopus_core::{ApproxOctopus, Octopus, Probe};
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_sim::{Deformation, SmoothRandomField};
 use std::time::{Duration, Instant};
@@ -33,8 +33,8 @@ pub fn run(config: &Config) -> FigureOutput {
     let rest = mesh.positions().to_vec();
     SmoothRandomField::new(0.004, 4, config.seed ^ 12).apply_step(1, &rest, mesh.positions_mut());
 
-    let surface = SurfaceIndex::build(&mesh).expect("surface");
-    let mut exact = Octopus::from_surface_index(surface.clone(), &mesh);
+    let exact = Octopus::new(&mesh).expect("surface");
+    let mut scratch = exact.make_scratch(&mesh);
 
     for sel in [0.0001f64, 0.001] {
         let mut gen = QueryGen::new(&mesh, config.seed ^ 0xC0);
@@ -47,19 +47,15 @@ pub fn run(config: &Config) -> FigureOutput {
         let t0 = Instant::now();
         for q in &queries {
             let mut out = Vec::new();
-            exact.query(&mesh, q, &mut out);
+            exact.query_with(&mut scratch, &mesh, q, Probe::Surface, &mut out);
             out.sort_unstable();
             exact_results.push(out);
         }
         let exact_time = t0.elapsed();
 
         for fraction in [0.00001f64, 0.0001, 0.001, 0.01, 0.1] {
-            let mut approx = ApproxOctopus::from_surface_index(
-                &surface,
-                mesh.num_vertices(),
-                fraction,
-                config.seed ^ 0xC1,
-            );
+            let mut approx =
+                ApproxOctopus::new(&mesh, fraction, config.seed ^ 0xC1).expect("surface");
             let mut acc_sum = 0.0f64;
             let mut time = Duration::ZERO;
             for (q, exact_out) in queries.iter().zip(&exact_results) {

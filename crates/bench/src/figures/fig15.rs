@@ -91,9 +91,9 @@ pub fn run(config: &Config) -> FigureOutput {
         // What the two times are proportional to, as counts per query:
         // the scan tests every vertex, OCTOPUS the surface plus what it
         // walks and crawls.
-        let (scan_visits, probed) = (mesh.num_vertices(), octopus.surface_index().len());
+        let (scan_visits, probed) = (mesh.num_vertices(), octopus.surface_len());
         let mut approaches = vec![
-            Approach::Octopus(octopus),
+            Approach::octopus(octopus, &mesh),
             Approach::Index(Box::new(LinearScan::new())),
         ];
         let gen = QueryGen::new(&mesh, config.seed ^ 0xF0);

@@ -45,7 +45,8 @@ pub fn run(config: &Config) -> FigureOutput {
         notes: vec![
             "Paper: 0.13–1.32 G tets, degree ≈ 14.5, S:V falling 0.07 → 0.03.".into(),
             "Ours: same ×10 relative size spread and falling S:V; absolute S is higher \
-             because S ∝ V^(-1/3) and our V is ~10³ smaller (see EXPERIMENTS.md)."
+             because S ∝ V^(-1/3) and our V is ~10³ smaller (Eq. 5 prices it; Fig. 11 \
+             validates the model at this scale)."
                 .into(),
             "Two disjoint components = the paper's two neuron cells.".into(),
         ],

@@ -25,7 +25,7 @@ pub fn competitors(mesh: &octopus_mesh::Mesh) -> Vec<Approach> {
     let mut qut = QuTrade::new(2.0 * NEURO_AMPLITUDE);
     qut.build(mesh.positions());
     vec![
-        Approach::Octopus(Octopus::new(mesh).expect("surface extraction")),
+        Approach::octopus(Octopus::new(mesh).expect("surface extraction"), mesh),
         Approach::Index(Box::new(LinearScan::new())),
         Approach::Index(Box::new(Octree::new())),
         Approach::Index(Box::new(lur)),
@@ -125,7 +125,7 @@ pub fn run(config: &Config) -> FigureOutput {
                 .into(),
             "Shape to check here: same per-benchmark ordering; our OCTOPUS speedup factor \
              is smaller because laptop-scale meshes have a larger surface ratio (Eq. 5; \
-             see EXPERIMENTS.md for the quantitative bridge)."
+             Fig. 11 validates the model at this scale)."
                 .into(),
         ],
     }

@@ -28,7 +28,7 @@ fn duel(
     mut supplier: impl FnMut(u32, &Mesh) -> Vec<octopus_geom::Aabb>,
 ) -> (f64, f64, f64) {
     let mut approaches = vec![
-        Approach::Octopus(Octopus::new(&mesh).expect("surface extraction")),
+        Approach::octopus(Octopus::new(&mesh).expect("surface extraction"), &mesh),
         Approach::Index(Box::new(LinearScan::new())),
     ];
     let mut sim = Simulation::new(

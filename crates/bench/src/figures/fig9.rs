@@ -47,7 +47,7 @@ pub fn run(config: &Config) -> FigureOutput {
         let mesh = basin(res, config.scale).expect("basin generation");
         let mut approaches = vec![
             Approach::OctopusCon(OctopusCon::new(&mesh)),
-            Approach::Octopus(Octopus::new(&mesh).expect("surface extraction")),
+            Approach::octopus(Octopus::new(&mesh).expect("surface extraction"), &mesh),
             Approach::Index(Box::new(LinearScan::new())),
         ];
         let gen = QueryGen::new(&mesh, config.seed ^ 9);

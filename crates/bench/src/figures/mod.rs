@@ -2,8 +2,7 @@
 //!
 //! Every module exposes `run(config) -> FigureOutput`; the `experiments`
 //! binary dispatches on figure ids. Paper-expected values are embedded in
-//! the output notes so the printed tables can be compared in place
-//! (`EXPERIMENTS.md` records a full run).
+//! the output notes so the printed tables can be compared in place.
 
 use crate::table::Table;
 use crate::Config;

@@ -12,7 +12,7 @@
 //! every query, so a silently wrong competitor fails loudly.
 
 use crate::workload::QueryGen;
-use octopus_core::{ApproxOctopus, Octopus, OctopusCon, PhaseTimings};
+use octopus_core::{ApproxOctopus, Octopus, OctopusCon, PhaseTimings, Probe, QueryScratch};
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, VertexId};
 use octopus_index::DynamicIndex;
@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 /// A query-execution approach under measurement.
 pub enum Approach {
-    /// OCTOPUS (surface probe + walk + crawl).
-    Octopus(Octopus),
+    /// OCTOPUS (surface probe + walk + crawl), with its query scratch.
+    Octopus(Octopus, QueryScratch),
     /// OCTOPUS-CON (stale grid + walk + crawl; convex meshes).
     OctopusCon(OctopusCon),
     /// OCTOPUS with a sampled surface probe (approximate results).
@@ -33,10 +33,17 @@ pub enum Approach {
 }
 
 impl Approach {
+    /// OCTOPUS over `octopus`, the executor of `mesh`, with a scratch of
+    /// its own.
+    pub fn octopus(octopus: Octopus, mesh: &Mesh) -> Approach {
+        let scratch = octopus.make_scratch(mesh);
+        Approach::Octopus(octopus, scratch)
+    }
+
     /// Display name.
     pub fn name(&self) -> String {
         match self {
-            Approach::Octopus(_) => "OCTOPUS".into(),
+            Approach::Octopus(..) => "OCTOPUS".into(),
             Approach::OctopusCon(_) => "OCTOPUS-CON".into(),
             Approach::Approx(a) => format!("OCTOPUS-approx({}%)", a.fraction() * 100.0),
             Approach::Index(i) => i.name().into(),
@@ -64,7 +71,7 @@ impl Approach {
 
     fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
         match self {
-            Approach::Octopus(o) => o.query(mesh, q, out),
+            Approach::Octopus(o, scratch) => o.query_with(scratch, mesh, q, Probe::Surface, out),
             Approach::OctopusCon(o) => o.query(mesh, q, out),
             Approach::Approx(o) => o.query(mesh, q, out),
             Approach::Index(i) => {
@@ -79,16 +86,16 @@ impl Approach {
 
     fn memory_bytes(&self) -> usize {
         match self {
-            Approach::Octopus(o) => o.memory_bytes(),
+            Approach::Octopus(o, scratch) => o.memory_bytes() + scratch.memory_bytes(),
             Approach::OctopusCon(o) => o.memory_bytes(),
             Approach::Approx(o) => o.memory_bytes(),
             Approach::Index(i) => i.memory_bytes(),
         }
     }
 
-    fn on_restructure(&mut self, mesh: &Mesh, delta: &octopus_mesh::SurfaceDelta) {
-        if let Approach::Octopus(o) = self {
-            o.on_restructure(mesh, delta);
+    fn restructured(&mut self, mesh: &Mesh, delta: &octopus_mesh::SurfaceDelta) {
+        if let Approach::Octopus(o, _) = self {
+            *o = o.restructured(mesh, delta);
         }
     }
 }
@@ -189,7 +196,7 @@ pub fn run_scenario(
         let delta = sim.step()?;
         if !delta.is_empty() {
             for a in approaches.iter_mut() {
-                a.on_restructure(sim.mesh(), &delta);
+                a.restructured(sim.mesh(), &delta);
             }
         }
         let step_queries = queries(step, sim.mesh());
@@ -290,11 +297,11 @@ mod tests {
     #[test]
     fn scenario_cross_checks_and_accumulates() {
         let mesh = box_mesh(6);
-        let octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Approach::octopus(Octopus::new(&mesh).unwrap(), &mesh);
         let gen = QueryGen::new(&mesh, 7);
         let mut sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.004, 3, 11)));
         let mut approaches = vec![
-            Approach::Octopus(octopus),
+            octopus,
             Approach::Index(Box::new(LinearScan::new())),
             Approach::Index(Box::new(Octree::with_bucket_capacity(64))),
         ];
@@ -319,13 +326,10 @@ mod tests {
     #[test]
     fn speedup_helper() {
         let mesh = box_mesh(5);
-        let octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Approach::octopus(Octopus::new(&mesh).unwrap(), &mesh);
         let gen = QueryGen::new(&mesh, 9);
         let mut sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.004, 3, 13)));
-        let mut approaches = vec![
-            Approach::Octopus(octopus),
-            Approach::Index(Box::new(LinearScan::new())),
-        ];
+        let mut approaches = vec![octopus, Approach::Index(Box::new(LinearScan::new()))];
         let mut supplier = fixed_selectivity_supplier(gen, 3, 0.005);
         let result = run_scenario(&mut sim, 3, &mut supplier, &mut approaches).unwrap();
         let s = result.speedup_of("OCTOPUS", "LinearScan");

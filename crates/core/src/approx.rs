@@ -10,7 +10,6 @@
 
 use crate::crawler::Crawler;
 use crate::executor::{closest_of, PhaseTimings};
-use crate::surface_index::SurfaceIndex;
 use octopus_geom::mem::gather;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, VertexId};
@@ -39,39 +38,19 @@ impl ApproxOctopus {
             fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0, 1]"
         );
-        let surface = SurfaceIndex::build(mesh)?;
-        Ok(ApproxOctopus::from_surface_index(
-            &surface,
-            mesh.num_vertices(),
-            fraction,
-            seed,
-        ))
-    }
-
-    /// Samples from an existing surface index (avoids re-extraction when
-    /// sweeping fractions, as Fig. 12 does).
-    pub fn from_surface_index(
-        surface: &SurfaceIndex,
-        num_vertices: usize,
-        fraction: f64,
-        seed: u64,
-    ) -> ApproxOctopus {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let mut ids = surface.ids().to_vec();
+        let mut ids = mesh.surface()?.vertices().to_vec();
+        let full_surface_len = ids.len();
         let mut rng = SplitMix64::new(seed);
         rng.shuffle(&mut ids);
         let keep = ((ids.len() as f64 * fraction).round() as usize)
             .clamp(usize::from(!ids.is_empty()), ids.len());
         ids.truncate(keep);
-        ApproxOctopus {
+        Ok(ApproxOctopus {
             sample: ids,
             fraction,
-            full_surface_len: surface.len(),
-            crawler: Crawler::new(num_vertices),
-        }
+            full_surface_len,
+            crawler: Crawler::new(mesh.num_vertices()),
+        })
     }
 
     /// The configured sample fraction.
@@ -90,7 +69,7 @@ impl ApproxOctopus {
     }
 
     /// Executes a range query probing only the sample. Same three phases
-    /// as [`crate::Octopus::query`], but the probe is `fraction` as long
+    /// as [`crate::Octopus::query_with`], but the probe is `fraction` as long
     /// — and the result may be incomplete when a disjoint sub-mesh has no
     /// sampled surface vertex inside `q`.
     pub fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
@@ -159,15 +138,26 @@ mod tests {
         octopus_meshgen::tet::tetrahedralize(&VoxelRegion::solid_box(&bounds, n, n, n)).unwrap()
     }
 
+    /// The exact executor's answer to `q`.
+    fn exact(mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) {
+        let o = crate::Octopus::new(mesh).unwrap();
+        o.query_with(
+            &mut o.make_scratch(mesh),
+            mesh,
+            q,
+            crate::Probe::Surface,
+            out,
+        );
+    }
+
     #[test]
     fn full_fraction_equals_exact_octopus() {
         let mesh = box_mesh(6);
         let mut approx = ApproxOctopus::new(&mesh, 1.0, 1).unwrap();
-        let mut exact = crate::Octopus::new(&mesh).unwrap();
         let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.7));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         approx.query(&mesh, &q, &mut a);
-        exact.query(&mesh, &q, &mut b);
+        exact(&mesh, &q, &mut b);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -177,13 +167,12 @@ mod tests {
     #[test]
     fn results_are_always_a_subset_of_exact() {
         let mesh = box_mesh(6);
-        let mut exact = crate::Octopus::new(&mesh).unwrap();
         for fraction in [0.01, 0.1, 0.5] {
             let mut approx = ApproxOctopus::new(&mesh, fraction, 7).unwrap();
             let q = Aabb::new(Point3::splat(0.2), Point3::splat(0.9));
             let (mut a, mut e) = (Vec::new(), Vec::new());
             approx.query(&mesh, &q, &mut a);
-            exact.query(&mesh, &q, &mut e);
+            exact(&mesh, &q, &mut e);
             let eset: std::collections::HashSet<u32> = e.iter().copied().collect();
             assert!(
                 a.iter().all(|v| eset.contains(v)),
@@ -213,12 +202,11 @@ mod tests {
         // 100 % as long as a sampled surface vertex lands in the query.
         let mesh = box_mesh(8);
         let mut approx = ApproxOctopus::new(&mesh, 0.2, 5).unwrap();
-        let mut exact = crate::Octopus::new(&mesh).unwrap();
         // A large query certainly contains sampled corner-region vertices.
         let q = Aabb::new(Point3::ORIGIN, Point3::splat(0.99));
         let (mut a, mut e) = (Vec::new(), Vec::new());
         approx.query(&mesh, &q, &mut a);
-        exact.query(&mesh, &q, &mut e);
+        exact(&mesh, &q, &mut e);
         assert_eq!(result_accuracy(&a, &e), 1.0);
     }
 

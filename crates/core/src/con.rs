@@ -196,11 +196,12 @@ mod tests {
     fn results_match_octopus_full_on_convex_mesh() {
         let mesh = box_mesh(6);
         let mut con = OctopusCon::new(&mesh);
-        let mut full = crate::Octopus::new(&mesh).unwrap();
+        let full = crate::Octopus::new(&mesh).unwrap();
         let q = Aabb::new(Point3::splat(0.2), Point3::splat(0.8));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         con.query(&mesh, &q, &mut a);
-        full.query(&mesh, &q, &mut b);
+        let probe = crate::Probe::Surface;
+        full.query_with(&mut full.make_scratch(&mesh), &mesh, &q, probe, &mut b);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

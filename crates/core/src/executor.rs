@@ -5,7 +5,6 @@ use crate::frontier::{GroupScratch, MAX_GROUP};
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 use crate::surface_grid::SurfaceGrid;
-use crate::surface_index::SurfaceIndex;
 use octopus_geom::mem::gather;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
 use octopus_mesh::{Csr, Mesh, MeshError, SurfaceDelta};
@@ -83,28 +82,36 @@ impl PhaseTimings {
 
 /// The OCTOPUS query execution strategy (§IV).
 ///
-/// Owns the [`SurfaceIndex`] plus reusable traversal scratch. Queries
-/// take the mesh by reference: OCTOPUS reads the *live* positions
-/// directly from memory and therefore needs no notification of
-/// deformation steps — the paper's central claim. Only restructuring
-/// events require [`Octopus::on_restructure`].
+/// Holds the component map — a component label per vertex, and the
+/// mesh surface as one ascending id list per component — and an
+/// optional telemetry sink; no positions and no scratch. It is
+/// immutable once built: restructuring derives the next generation's
+/// executor ([`Octopus::restructured`]) and a re-layout the relabelled
+/// one ([`Octopus::relabelled`]). Every query brings its own
+/// [`QueryScratch`] ([`Octopus::make_scratch`]) and [`Probe`], so any
+/// number of threads may query one `&Octopus`. Queries take the mesh by
+/// reference: OCTOPUS reads the *live* positions directly from memory
+/// and therefore needs no notification of deformation steps — the
+/// paper's central claim.
 ///
 /// ```
-/// use octopus_core::Octopus;
+/// use octopus_core::{Octopus, Probe};
 /// use octopus_geom::{Aabb, Point3};
 /// use octopus_meshgen::{tet::tetrahedralize, VoxelRegion};
 ///
 /// let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
 /// let mut mesh = tetrahedralize(&VoxelRegion::solid_box(&bounds, 6, 6, 6))?;
-/// let mut engine = Octopus::new(&mesh)?;
+/// let engine = Octopus::new(&mesh)?;
+/// let mut scratch = engine.make_scratch(&mesh);
 ///
 /// // The simulation rewrites positions in place — no maintenance call.
 /// for p in mesh.positions_mut() {
 ///     p.x *= 1.01;
 /// }
 ///
+/// let q = Aabb::cube(Point3::splat(0.5), 0.2);
 /// let mut result = Vec::new();
-/// let stats = engine.query(&mesh, &Aabb::cube(Point3::splat(0.5), 0.2), &mut result);
+/// let stats = engine.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut result);
 /// assert_eq!(stats.results, result.len());
 /// assert!(result.iter().all(|&v| {
 ///     let p = mesh.position(v);
@@ -114,21 +121,13 @@ impl PhaseTimings {
 /// ```
 #[derive(Debug)]
 pub struct Octopus {
-    surface: SurfaceIndex,
     components: ComponentMap,
-    scratch: QueryScratch,
     /// Telemetry sink, attachable once per executor through `&self`
     /// (snapshot-ring generations share an executor behind `Arc`, so
     /// attachment must not need `&mut`). `None` until attached; every
     /// query entry point records into it when present.
     metrics: OnceLock<Arc<ExecutorMetrics>>,
 }
-
-// The executor state splits into an immutable, position-free part
-// (surface index + component map) and per-query scratch. The scratch is
-// its own type so concurrent callers (the `octopus-service` worker
-// pool) can run [`Octopus::query_with`] through a shared `&Octopus`,
-// each worker owning one `QueryScratch`.
 
 /// Per-thread scratch state for query execution: the crawl's visited
 /// set / BFS queue plus the per-component seeding stamps, and the
@@ -143,8 +142,8 @@ pub struct QueryScratch {
     /// Per-component "has a seed" stamps for the current query.
     seeded: EpochStamps,
     /// The group crawl's state: empty until the first group of ≥ 2, and
-    /// boxed so the executor-owned scratch of sequential callers, which
-    /// never run a group, stays small.
+    /// boxed so the scratch of sequential callers, which never run a
+    /// group, stays small.
     group: Box<GroupScratch>,
     /// Reusable staging buffer for the shape queries (k-nearest
     /// candidate sets, aggregate seed lists) so they stay
@@ -218,6 +217,13 @@ impl QueryScratch {
 /// patched ones are the same partition under other numbers.
 ///
 /// [`Csr::connected_components`]: octopus_mesh::Csr::connected_components
+///
+/// **The surface lives here.** The paper keeps the surface in a hash
+/// table so that a restructure can delete from it in O(1) (§IV-E); the
+/// component-aware walk needs the surface split by component anyway,
+/// so these lists are the executor's only copy of it. The full probe
+/// reads them one run per component; a restructure edits them from the
+/// delta, a binary search and a shift per id.
 #[derive(Clone, Debug, Default)]
 struct ComponentMap {
     /// Component id per vertex.
@@ -243,15 +249,13 @@ const UNPLACED: u32 = u32::MAX;
 const MEET_BUDGET: usize = 1024;
 
 impl ComponentMap {
-    /// The map of `mesh`, by a search over every vertex.
-    fn build(mesh: &Mesh, surface: &SurfaceIndex, edge_scale: f32) -> ComponentMap {
+    /// The map of `mesh`, whose surface vertices are `surface`
+    /// (ascending), by a search over every vertex.
+    fn build(mesh: &Mesh, surface: &[VertexId], edge_scale: f32) -> ComponentMap {
         let (component_of, count) = mesh.adjacency().connected_components();
         let mut surface_by_component = vec![Vec::new(); count];
-        for &v in surface.ids() {
+        for &v in surface {
             surface_by_component[component_of[v as usize] as usize].push(v);
-        }
-        for ids in &mut surface_by_component {
-            ids.sort_unstable();
         }
         ComponentMap {
             component_of,
@@ -267,17 +271,43 @@ impl ComponentMap {
         self.surface_by_component.len()
     }
 
+    /// Number of surface vertices, S.
+    fn surface_len(&self) -> usize {
+        self.surface_by_component.iter().map(Vec::len).sum()
+    }
+
+    /// The surface vertices, ascending.
+    fn sorted_surface(&self) -> Vec<VertexId> {
+        let mut ids = self.surface_by_component.concat();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Brings the map to `mesh`, the mesh it describes after `delta`'s
-    /// operations (`surface` already carries them): patched when
-    /// [`ComponentMap::patch`] vouches for it, searched afresh
-    /// otherwise. Returns whether it patched.
-    fn follow(&mut self, mesh: &Mesh, delta: &SurfaceDelta, surface: &SurfaceIndex) -> bool {
+    /// operations: patched when [`ComponentMap::patch`] vouches for it,
+    /// searched afresh otherwise. Returns whether it patched.
+    ///
+    /// The search keeps the surface the lists hold with `delta`
+    /// applied — old surface − `removed` + `added`, as §IV-E2's index
+    /// updates have it. A patch that gave up may have edited some of
+    /// the lists already; the surface comes out the same, since it only
+    /// removed ids of `removed` and inserted ids of `added`.
+    fn follow(&mut self, mesh: &Mesh, delta: &SurfaceDelta) -> bool {
         let patched = self.patch(mesh, delta);
         if !patched {
-            *self = ComponentMap::build(mesh, surface, self.edge_scale);
+            let mut removed = delta.removed.clone();
+            removed.sort_unstable();
+            let mut surface: Vec<VertexId> = (self.surface_by_component.iter().flatten())
+                .filter(|v| removed.binary_search(v).is_err())
+                .chain(&delta.added)
+                .copied()
+                .collect();
+            surface.sort_unstable();
+            surface.dedup();
+            *self = ComponentMap::build(mesh, &surface, self.edge_scale);
         }
         debug_assert!(
-            self.matches_rebuild(mesh, surface),
+            self.matches_rebuild(mesh),
             "the patched component map diverged from the search"
         );
         patched
@@ -410,10 +440,11 @@ impl ComponentMap {
     }
 
     /// True when the map is the search's over `mesh` up to the
-    /// numbering: the same partition, and the same surface vertices in
-    /// each part. The debug builds' cross-check of every patch.
-    fn matches_rebuild(&self, mesh: &Mesh, surface: &SurfaceIndex) -> bool {
-        let fresh = ComponentMap::build(mesh, surface, self.edge_scale);
+    /// numbering: the same partition, and its surface vertices filed
+    /// under the parts the search puts them in. The debug builds'
+    /// cross-check of every patch.
+    fn matches_rebuild(&self, mesh: &Mesh) -> bool {
+        let fresh = ComponentMap::build(mesh, &self.sorted_surface(), self.edge_scale);
         if fresh.count() != self.count() || fresh.component_of.len() != self.component_of.len() {
             return false;
         }
@@ -568,72 +599,49 @@ fn sample_edge_scale(mesh: &Mesh) -> f32 {
 }
 
 impl Octopus {
-    /// Builds the executor for `mesh` (extracts the surface once).
+    /// Builds the executor for `mesh`: extracts the surface once and
+    /// buckets it by connected component (a search over every vertex).
     pub fn new(mesh: &Mesh) -> Result<Octopus, MeshError> {
-        Ok(Octopus::from_surface_index(
-            SurfaceIndex::build(mesh)?,
-            mesh,
-        ))
-    }
-
-    /// Builds from a pre-extracted surface index (avoids re-extraction
-    /// when the caller already has one, e.g. when sweeping approximation
-    /// fractions).
-    pub fn from_surface_index(surface: SurfaceIndex, mesh: &Mesh) -> Octopus {
-        Octopus::assemble(surface, mesh, OnceLock::new())
-    }
-
-    /// The constructor body of a first build: the component map by a
-    /// search over `mesh`, and the typical edge length sampled.
-    fn assemble(
-        surface: SurfaceIndex,
-        mesh: &Mesh,
-        metrics: OnceLock<Arc<ExecutorMetrics>>,
-    ) -> Octopus {
-        let components = ComponentMap::build(mesh, &surface, sample_edge_scale(mesh));
-        Octopus::from_parts(surface, components, mesh, metrics)
-    }
-
-    /// The executor over `surface` and `components` for `mesh`, with a
-    /// fresh scratch, recording into `metrics`.
-    fn from_parts(
-        surface: SurfaceIndex,
-        components: ComponentMap,
-        mesh: &Mesh,
-        metrics: OnceLock<Arc<ExecutorMetrics>>,
-    ) -> Octopus {
-        let scratch = QueryScratch::new(mesh.num_vertices(), components.count());
-        Octopus {
-            surface,
+        let surface = mesh.surface()?;
+        let components = ComponentMap::build(mesh, surface.vertices(), sample_edge_scale(mesh));
+        Ok(Octopus {
             components,
-            scratch,
-            metrics,
-        }
+            metrics: OnceLock::new(),
+        })
     }
 
-    /// Creates an additional scratch for `mesh`. Concurrent callers
-    /// give each worker its own scratch and share the executor itself
-    /// behind `&Octopus` (see [`Octopus::query_with`]).
+    /// Creates a query scratch for `mesh`. Callers give each thread its
+    /// own scratch and share the executor itself behind `&Octopus` (see
+    /// [`Octopus::query_with`]).
     pub fn make_scratch(&self, mesh: &Mesh) -> QueryScratch {
         QueryScratch::new(mesh.num_vertices(), self.components.count())
     }
 
-    /// The surface index (inspection / tests).
-    pub fn surface_index(&self) -> &SurfaceIndex {
-        &self.surface
+    /// Number of surface vertices, S — the probe-cost factor of Eq. 1.
+    pub fn surface_len(&self) -> usize {
+        self.components.surface_len()
+    }
+
+    /// The surface vertex ids in the full probe's order: component by
+    /// component, each component's ids ascending.
+    pub fn surface(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.components
+            .surface_by_component
+            .iter()
+            .flatten()
+            .copied()
     }
 
     /// This executor's [`SurfaceGrid`] anchored at `positions`: its
     /// surface ids bucketed into cells of edge `cell`, and each of its
     /// connected components bounded by its surface anchors — the grid
-    /// every [`Probe::Grid`] handed to this executor must come from.
-    /// Valid until the next [`Octopus::on_restructure`]; an executor
-    /// derived by [`Octopus::restructured`] or [`Octopus::relabelled`]
-    /// needs its own (the former can patch this one:
-    /// [`Octopus::patched_surface_grid`]).
+    /// every [`Probe::Grid`] handed to this executor must come from. An
+    /// executor derived by [`Octopus::restructured`] or
+    /// [`Octopus::relabelled`] needs its own (the former can patch this
+    /// one: [`Octopus::patched_surface_grid`]).
     pub fn surface_grid(&self, positions: &[Point3], cell: f32) -> SurfaceGrid {
         SurfaceGrid::build(
-            self.surface.ids(),
+            &self.components.sorted_surface(),
             positions,
             &self.components.component_of,
             self.components.count(),
@@ -664,58 +672,48 @@ impl Octopus {
         )
     }
 
-    /// Applies a restructuring delta to the surface index and patches
-    /// the component map from it (§IV-E2; connectivity changed,
-    /// positions are irrelevant) — O(what the operations touched), with
-    /// a search over the whole mesh only where a patch cannot vouch for
-    /// itself (see `ComponentMap::patch`; the attached metrics count
-    /// both outcomes). `delta` must carry every operation since the mesh
-    /// this executor last followed; one that skips an operation costs
-    /// the search, never a stale map. Not needed for deformation.
-    pub fn on_restructure(&mut self, mesh: &Mesh, delta: &SurfaceDelta) {
-        self.surface.apply_delta(delta);
-        let patched = self.components.follow(mesh, delta, &self.surface);
-        self.note_component_map(patched);
-    }
-
-    /// Non-destructive sibling of [`Octopus::on_restructure`]: returns a
-    /// *new* executor for the post-restructuring `mesh` while `self`
-    /// keeps answering for the pre-restructuring snapshot. The surface
-    /// index and the component map are copied and delta-patched, as
-    /// [`Octopus::on_restructure`] patches them (no re-extraction, and
-    /// a search over the mesh only where the patch cannot vouch for
-    /// itself). This is how a snapshot ring gives each retained
-    /// connectivity generation its own executor — older pinned
-    /// snapshots stay queryable while newer steps restructure ahead of
-    /// them.
+    /// The executor for the post-restructuring `mesh` (§IV-E2;
+    /// connectivity changed, positions are irrelevant), while `self`
+    /// keeps answering for the pre-restructuring snapshot. The
+    /// component map is copied and patched from `delta`, its surface
+    /// lists by `delta.removed` / `delta.added` — O(what the operations
+    /// touched), no re-extraction, and a search over the mesh only
+    /// where the patch cannot vouch for itself (see
+    /// `ComponentMap::patch`; the attached metrics count both
+    /// outcomes). `delta` must carry every operation since the mesh
+    /// this executor describes; one that skips an operation costs the
+    /// search, never a stale map. Not needed for deformation. This is
+    /// how a snapshot ring gives each retained connectivity generation
+    /// its own executor — older pinned snapshots stay queryable while
+    /// newer steps restructure ahead of them.
     ///
-    /// Only `mesh`'s adjacency and restructure epoch are read (for the
-    /// component map), never its surface or face table: a
-    /// [`Mesh::snapshot`] is all the ring needs to hand in, and the
-    /// executor's own index is from here on the only holder of S on the
-    /// serving side. Telemetry carries over: every ring generation
-    /// keeps recording into the same metric family.
+    /// Only `mesh`'s adjacency and restructure epoch are read, never
+    /// its surface or face table: a [`Mesh::snapshot`] is all the ring
+    /// needs to hand in, and the executor's own lists are from here on
+    /// the only holder of S on the serving side. Telemetry carries
+    /// over: every ring generation keeps recording into the same metric
+    /// family.
     pub fn restructured(&self, mesh: &Mesh, delta: &SurfaceDelta) -> Octopus {
-        let mut surface = self.surface.clone();
-        surface.apply_delta(delta);
         let mut components = self.components.clone();
-        let patched = components.follow(mesh, delta, &surface);
+        let patched = components.follow(mesh, delta);
         self.note_component_map(patched);
-        Octopus::from_parts(surface, components, mesh, self.metrics.clone())
+        Octopus {
+            components,
+            metrics: self.metrics.clone(),
+        }
     }
 
     /// The executor for `mesh` = this executor's mesh relabelled by
     /// `perm` (vertex `old` became `perm[old]`, as
-    /// [`Mesh::permute_vertices`] does): the surface index and the
-    /// component map are mapped through the permutation, which leaves
-    /// both equal to a fresh build's. Like [`Octopus::restructured`] it
+    /// [`Mesh::permute_vertices`] does): the component map and its
+    /// surface lists are mapped through the permutation, which leaves
+    /// them equal to a fresh build's. Like [`Octopus::restructured`] it
     /// derives instead of extracting or searching (and inherits
     /// telemetry), so a re-layout costs the monitor no surface
     /// extraction and cannot fail. A `mesh` of another connectivity
-    /// generation than this executor's gets a search, counted as
-    /// [`Octopus::on_restructure`] counts one.
+    /// generation than this executor's gets a search over the mapped
+    /// surface, counted as a restructure's search is.
     pub fn relabelled(&self, mesh: &Mesh, perm: &[VertexId]) -> Octopus {
-        let surface = self.surface.permuted(perm);
         let map = &self.components;
         let relabels = mesh.restructure_epoch() == map.epoch
             && mesh.num_vertices() == map.component_of.len()
@@ -723,11 +721,16 @@ impl Octopus {
         let components = if relabels {
             map.relabelled(perm)
         } else {
+            let mut surface: Vec<VertexId> = self.surface().map(|v| perm[v as usize]).collect();
+            surface.sort_unstable();
             ComponentMap::build(mesh, &surface, map.edge_scale)
         };
-        debug_assert!(components.matches_rebuild(mesh, &surface));
+        debug_assert!(components.matches_rebuild(mesh));
         self.note_component_map(relabels);
-        Octopus::from_parts(surface, components, mesh, self.metrics.clone())
+        Octopus {
+            components,
+            metrics: self.metrics.clone(),
+        }
     }
 
     /// The component map, for tests: each vertex's component id, and
@@ -743,46 +746,18 @@ impl Octopus {
         )
     }
 
-    /// Executes a range query, appending all vertices of `mesh` whose
-    /// current position lies in `q` to `out`. Returns per-phase timings.
+    /// Executes a query over any [`Region`] — a box, or the generalised
+    /// crawl predicate behind [`QueryShape::Convex`] — seeded by
+    /// `probe`, appending every vertex of `mesh` whose current position
+    /// lies in `region` to `out`. Returns per-phase timings. `scratch`
+    /// is the caller's ([`Octopus::make_scratch`]): many threads may
+    /// call this simultaneously on one `&Octopus` + one `&Mesh`, each
+    /// with its own scratch and output vector.
     ///
-    /// Implements Algorithm 1: **surface probe** (scan all surface
-    /// vertices; those inside `q` seed the crawl; track the closest one
-    /// otherwise) → **directed walk** (only when no surface vertex is
-    /// inside `q`) → **crawling** (BFS bounded by the query region).
-    ///
-    /// # Accuracy
-    /// Extends Algorithm 1 with a **component-aware** directed walk (the
-    /// reproduction finding documented on `ComponentMap` in
-    /// `crates/core/src/executor.rs`): the walk runs for every connected
-    /// component that produced no probe seed, not only when no seed
-    /// exists at all. Exact whenever each query-intersecting piece of
-    /// each component either supplies a surface vertex inside `q` or is
-    /// reachable by a greedy walk — the residual gap (a concave
-    /// same-component pocket fully inside `q`-free space, or queries
-    /// smaller than the local cell size) is inherited from the paper and
-    /// pinned by `tests/surface_maintenance.rs::inherited_algorithm1_gap_is_pinned`.
-    pub fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            &mut self.scratch,
-            mesh,
-            q,
-            out,
-            Probe::Surface,
-        );
-        self.note(ExecMode::Fresh, &t);
-        t
-    }
-
-    /// [`Octopus::query`] through a shared reference, using
-    /// caller-provided scratch (from [`Octopus::make_scratch`]), over
-    /// any [`Region`] — a box, or the generalised crawl predicate behind
-    /// [`QueryShape::Convex`] — seeded by `probe`. This is the
-    /// concurrent entry point: many threads may call it simultaneously
-    /// on one `&Octopus` + one `&Mesh`, each with its own scratch and
-    /// output vector.
+    /// Implements Algorithm 1: **surface probe** (the ids `probe`
+    /// visits — all surface vertices under [`Probe::Surface`], the
+    /// paper's probe; those inside the region seed the crawl) →
+    /// **directed walk** → **crawling** (BFS bounded by the region).
     ///
     /// Monomorphised per region type, so the box path pays nothing for
     /// the generality: probe and crawl test the region's containment,
@@ -790,6 +765,19 @@ impl Octopus {
     /// Exactness needs `region.dist_sq` to be zero exactly on
     /// containment, which both [`Aabb`] and
     /// [`octopus_geom::ConvexRegion`] guarantee.
+    ///
+    /// # Accuracy
+    /// Extends Algorithm 1 with a **component-aware** directed walk (the
+    /// reproduction finding documented on `ComponentMap` in
+    /// `crates/core/src/executor.rs`): the walk runs for every connected
+    /// component that produced no probe seed, not only when no seed
+    /// exists at all. Exact whenever each query-intersecting piece of
+    /// each component either supplies a surface vertex inside the
+    /// region or is reachable by a greedy walk — the residual gap (a
+    /// concave same-component pocket fully inside region-free space, or
+    /// queries smaller than the local cell size) is inherited from the
+    /// paper and pinned by
+    /// `tests/surface_maintenance.rs::inherited_algorithm1_gap_is_pinned`.
     pub fn query_with<R: Region>(
         &self,
         scratch: &mut QueryScratch,
@@ -798,15 +786,7 @@ impl Octopus {
         probe: Probe<'_>,
         out: &mut Vec<VertexId>,
     ) -> PhaseTimings {
-        let t = run_query(
-            &self.surface,
-            &self.components,
-            scratch,
-            mesh,
-            region,
-            out,
-            probe,
-        );
+        let t = run_query(&self.components, scratch, mesh, region, out, probe);
         self.note(ExecMode::Fresh, &t);
         t
     }
@@ -848,8 +828,8 @@ impl Octopus {
     /// the service's plan runner calls once per group. The crawl is
     /// picked from the group size:
     ///
-    /// * **One query** runs Algorithm 1 as [`Octopus::query_with`] does
-    ///   (sequential branchless crawl), seeded from `probe`.
+    /// * **One query** runs [`Octopus::query_with`] (sequential
+    ///   branchless crawl), seeded from `probe`.
     /// * **Two or more** run one shared-frontier crawl: a single probe
     ///   pass tested against the group's union box first and the members
     ///   second, per-query component-aware directed walks, and one BFS
@@ -858,7 +838,7 @@ impl Octopus {
     ///   once, not k times.
     ///
     /// Per-query results are identical (as sets, and deterministically
-    /// ordered) to running [`Octopus::query`] per query, and so are the
+    /// ordered) to running [`Octopus::query_with`] per query, and so are the
     /// per-query work counters of `timings` (`start_vertices`,
     /// `walk_visited`, `crawl_visited`, `results`). **Shared phases are
     /// attributed to the group's first member**: the wall times of the
@@ -913,10 +893,14 @@ impl Octopus {
         }
     }
 
-    /// Heap bytes: surface index + traversal scratch (the two components
-    /// of the paper's OCTOPUS footprint, Fig. 10(b)).
+    /// Heap bytes of the executor: a component label per vertex and the
+    /// per-component surface lists. A query's traversal state is its
+    /// [`QueryScratch`]'s ([`QueryScratch::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
-        self.surface.memory_bytes() + self.scratch.memory_bytes()
+        let map = &self.components;
+        let lists: usize = map.surface_by_component.iter().map(Vec::capacity).sum();
+        (map.component_of.capacity() + lists) * std::mem::size_of::<u32>()
+            + map.surface_by_component.capacity() * std::mem::size_of::<Vec<VertexId>>()
     }
 
     /// Attaches a telemetry sink; from now on every query entry point
@@ -933,15 +917,14 @@ impl Octopus {
         self.metrics.get()
     }
 
-    /// Publishes the executor memory gauges (surface index + crawler
-    /// scratch heap bytes) to the attached sink, returning the total it
-    /// published — the same value as [`Octopus::memory_bytes`].
+    /// Publishes [`Octopus::memory_bytes`] to the attached sink's
+    /// memory gauge, returning it.
     pub fn publish_memory(&self) -> usize {
-        let (surface, scratch) = (self.surface.memory_bytes(), self.scratch.memory_bytes());
+        let bytes = self.memory_bytes();
         if let Some(m) = self.metrics.get() {
-            m.set_memory(surface, scratch);
+            m.set_memory(bytes);
         }
-        surface + scratch
+        bytes
     }
 
     /// Count how the component map followed a restructure or a
@@ -970,8 +953,9 @@ impl Octopus {
 /// they skip.
 #[derive(Clone, Copy, Debug)]
 pub enum Probe<'a> {
-    /// The full surface index (the paper's probe): O(S), and a walk
-    /// into every component the probe left seedless.
+    /// The full surface (the paper's probe): O(S), one ascending run
+    /// per component, and a walk into every component the probe left
+    /// seedless.
     Surface,
     /// The cells of `grid` overlapping the query's bounds dilated by
     /// `reach`: O(box), and a walk only into the seedless components
@@ -989,29 +973,30 @@ pub enum Probe<'a> {
 
 impl Probe<'_> {
     /// Runs `visit(v, positions[v])` over the ids this probe visits
-    /// for a region bounded by `bounds` (all of `surface` for
+    /// for a region bounded by `bounds` (every list of `surface` for
     /// [`Probe::Surface`]). Returns the ids a grid visited, zero for
     /// the full probe.
     ///
     /// Both variants feed one [`gather`] call site — the full surface
-    /// is one id run, a grid probe a run per cell row — so `visit` has a
+    /// is a run per component, a grid probe a run per cell row — so `visit` has a
     /// single caller and is inlined into the loop; gathering in each
     /// arm of a match left the seeding closure out of line and made the
     /// full probe four times slower.
     #[inline]
     fn run(
         self,
-        surface: &SurfaceIndex,
+        surface: &[Vec<VertexId>],
         positions: &[Point3],
         bounds: &Aabb,
         mut visit: impl FnMut(VertexId, Point3),
     ) -> usize {
         let (full, cells) = match self {
-            Probe::Surface => (Some(surface.ids()), None),
+            Probe::Surface => (Some(surface), None),
             Probe::Grid { grid, reach } => (None, Some(grid.runs(bounds, reach))),
         };
         let mut grid_visited = 0;
-        for ids in full.into_iter().chain(cells.into_iter().flatten()) {
+        let runs = full.into_iter().flatten().map(Vec::as_slice);
+        for ids in runs.chain(cells.into_iter().flatten()) {
             grid_visited += ids.len();
             gather(ids, positions, &mut visit);
         }
@@ -1035,11 +1020,10 @@ impl Probe<'_> {
     }
 }
 
-/// Algorithm 1 over split borrows: the immutable assets (`surface`,
-/// `components`) may be shared across threads while each worker drives
-/// its own `scratch`.
+/// Algorithm 1 over split borrows: the immutable `components` (and
+/// their surface lists) may be shared across threads while each worker
+/// drives its own `scratch`.
 fn run_query<R: Region>(
-    surface: &SurfaceIndex,
     components: &ComponentMap,
     scratch: &mut QueryScratch,
     mesh: &Mesh,
@@ -1047,7 +1031,7 @@ fn run_query<R: Region>(
     out: &mut Vec<VertexId>,
     probe: Probe<'_>,
 ) -> PhaseTimings {
-    let mut stats = run_seeding(surface, components, scratch, mesh, q, out, probe);
+    let mut stats = run_seeding(components, scratch, mesh, q, out, probe);
 
     // Phase 3: crawling.
     let t2 = Instant::now();
@@ -1061,7 +1045,6 @@ fn run_query<R: Region>(
 /// The seeding phases of Algorithm 1 (probe + walks): `out` holds the
 /// seed set on return and the caller owns the crawl.
 fn run_seeding<R: Region>(
-    surface: &SurfaceIndex,
     components: &ComponentMap,
     scratch: &mut QueryScratch,
     mesh: &Mesh,
@@ -1081,7 +1064,7 @@ fn run_seeding<R: Region>(
     };
     // Phase 1: the surface probe.
     let t0 = Instant::now();
-    stats.grid_candidates = probe_seeds(probe, surface, components, mesh.positions(), &mut seeds);
+    stats.grid_candidates = probe_seeds(probe, components, mesh.positions(), &mut seeds);
     stats.surface_probe = t0.elapsed();
     // Phase 2: walks into the components phase 1 left seedless.
     let walks = std::slice::from_mut(&mut stats);
@@ -1221,12 +1204,12 @@ impl Seeds for GroupSeeds<'_> {
 #[inline(never)]
 fn probe_seeds<S: Seeds>(
     probe: Probe<'_>,
-    surface: &SurfaceIndex,
     components: &ComponentMap,
     positions: &[Point3],
     seeds: &mut S,
 ) -> usize {
     let bounds = seeds.bounds();
+    let surface = &components.surface_by_component;
     probe.run(surface, positions, &bounds, |v, p| {
         let mask = seeds.members(p);
         if mask != 0 {
@@ -1340,13 +1323,7 @@ impl Octopus {
         };
         // Phase 1: the shared probe; phase 2: per-member walks.
         let t0 = Instant::now();
-        let grid_candidates = probe_seeds(
-            probe,
-            &self.surface,
-            components,
-            mesh.positions(),
-            &mut seeds,
-        );
+        let grid_candidates = probe_seeds(probe, components, mesh.positions(), &mut seeds);
         let probe_time = t0.elapsed();
         let walk_time = walk_seedless(probe, components, mesh, &mut seeds, timings);
 
@@ -1375,7 +1352,6 @@ const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     const fn assert_send<T: Send>() {}
     assert_sync_send::<Octopus>();
-    assert_sync_send::<SurfaceIndex>();
     assert_send::<QueryScratch>();
 };
 
@@ -1401,7 +1377,8 @@ pub(crate) fn closest_of<'a, R: Region>(
 /// The `k` active vertices nearest `point` (Euclidean distance, ties
 /// broken by ascending id), appended to `out` in ascending (distance,
 /// id) order — fewer than `k` only when the mesh has fewer than `k`
-/// active vertices. Served as [`QueryShape::KNearest`].
+/// active vertices, and none for a non-finite `point` (no cube around
+/// it bounds anything). Served as [`QueryShape::KNearest`].
 ///
 /// Exact expanding-cube reduction to box queries: query the cube of
 /// half-extent `r` around `point`; once ≥ `k` results lie within
@@ -1419,9 +1396,9 @@ fn run_knn(
     out: &mut Vec<VertexId>,
     probe: Probe<'_>,
 ) -> PhaseTimings {
-    let (surface, components) = (&octopus.surface, &octopus.components);
+    let components = &octopus.components;
     let mut total = PhaseTimings::default();
-    if k == 0 || mesh.num_vertices() == 0 || surface.ids().is_empty() {
+    if k == 0 || !point.is_finite() || components.surface_len() == 0 {
         return total;
     }
     let bbox = mesh.bounding_box();
@@ -1445,7 +1422,7 @@ fn run_knn(
     loop {
         buf.clear();
         let cube = Aabb::cube(point, r);
-        let stats = run_query(surface, components, scratch, mesh, &cube, &mut buf, probe);
+        let stats = run_query(components, scratch, mesh, &cube, &mut buf, probe);
         total.accumulate(&stats);
         let r_sq = r * r;
         let within = buf
@@ -1477,7 +1454,7 @@ fn run_knn(
 /// inside `q`, computed **without materialising the result set** —
 /// seeds-only Algorithm 1, then a crawl that folds straight into the
 /// accumulator, so a huge aggregate costs no result memory at all.
-/// Equal, by construction, to aggregating [`Octopus::query`]'s
+/// Equal, by construction, to aggregating [`Octopus::query_with`]'s
 /// materialised ids (the differential suite asserts it). Served as
 /// [`QueryShape::Aggregate`].
 fn run_aggregate(
@@ -1488,10 +1465,9 @@ fn run_aggregate(
     kind: AggregateKind,
     probe: Probe<'_>,
 ) -> (AggregateValue, PhaseTimings) {
-    let (surface, components) = (&octopus.surface, &octopus.components);
     let mut seeds = std::mem::take(&mut scratch.shape_buf);
     seeds.clear();
-    let mut stats = run_seeding(surface, components, scratch, mesh, q, &mut seeds, probe);
+    let mut stats = run_seeding(&octopus.components, scratch, mesh, q, &mut seeds, probe);
     let t = Instant::now();
     let positions = mesh.positions();
     let want_centroid = kind == AggregateKind::Centroid;
@@ -1549,9 +1525,14 @@ mod tests {
             .collect()
     }
 
-    fn assert_exact(octopus: &mut Octopus, mesh: &Mesh, q: &Aabb, ctx: &str) {
+    /// The paper's path: the full probe, through a scratch of its own.
+    fn full_probe(o: &Octopus, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
+        o.query_with(&mut o.make_scratch(mesh), mesh, q, Probe::Surface, out)
+    }
+
+    fn assert_exact(octopus: &Octopus, mesh: &Mesh, q: &Aabb, ctx: &str) {
         let mut out = Vec::new();
-        let stats = octopus.query(mesh, q, &mut out);
+        let stats = full_probe(octopus, mesh, q, &mut out);
         out.sort_unstable();
         let expected = scan(mesh, q);
         assert_eq!(out, expected, "{ctx}");
@@ -1561,17 +1542,17 @@ mod tests {
     #[test]
     fn exact_on_box_mesh_queries_touching_surface() {
         let mesh = box_mesh(6);
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         // Query overlapping a corner — surface vertices inside.
         assert_exact(
-            &mut o,
+            &o,
             &mesh,
             &Aabb::new(Point3::ORIGIN, Point3::splat(0.4)),
             "corner",
         );
         // Query covering everything.
         assert_exact(
-            &mut o,
+            &o,
             &mesh,
             &Aabb::new(Point3::splat(-1.0), Point3::splat(2.0)),
             "universe",
@@ -1581,11 +1562,11 @@ mod tests {
     #[test]
     fn interior_query_uses_directed_walk() {
         let mesh = box_mesh(8);
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         // Strictly interior query: no surface vertex inside.
         let q = Aabb::new(Point3::splat(0.4), Point3::splat(0.6));
         let mut out = Vec::new();
-        let stats = o.query(&mesh, &q, &mut out);
+        let stats = full_probe(&o, &mesh, &q, &mut out);
         assert_eq!(stats.start_vertices, 1, "one walk-found seed");
         assert!(stats.walk_visited > 0, "walk must have run");
         out.sort_unstable();
@@ -1595,10 +1576,10 @@ mod tests {
     #[test]
     fn empty_query_returns_empty_without_false_positives() {
         let mesh = box_mesh(4);
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         let q = Aabb::new(Point3::splat(3.0), Point3::splat(4.0));
         let mut out = Vec::new();
-        let stats = o.query(&mesh, &q, &mut out);
+        let stats = full_probe(&o, &mesh, &q, &mut out);
         assert!(out.is_empty());
         assert_eq!(stats.results, 0);
         assert!(stats.walk_visited > 0, "walk ran and gave up");
@@ -1607,7 +1588,7 @@ mod tests {
     #[test]
     fn exact_on_nonconvex_two_component_neuron_mesh() {
         let mesh = neuron(NeuroLevel::L1, 0.5).unwrap();
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         let mut rng = SplitMix64::new(13);
         let bounds = mesh.bounding_box();
         for i in 0..30 {
@@ -1617,19 +1598,19 @@ mod tests {
                 rng.range_f32(bounds.min.z, bounds.max.z),
             );
             let q = Aabb::cube(c, rng.range_f32(0.02, 0.2));
-            assert_exact(&mut o, &mesh, &q, &format!("neuron query {i}"));
+            assert_exact(&o, &mesh, &q, &format!("neuron query {i}"));
         }
     }
 
     #[test]
     fn query_spanning_both_neuron_cells_finds_both_submeshes() {
         let mesh = neuron(NeuroLevel::L1, 0.5).unwrap();
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         // A slab across the middle of the domain usually intersects both
         // cells (they are confined to x < 0.49 and x > 0.51).
         let q = Aabb::new(Point3::new(0.0, 0.3, 0.0), Point3::new(1.0, 0.7, 1.0));
         let mut out = Vec::new();
-        o.query(&mesh, &q, &mut out);
+        full_probe(&o, &mesh, &q, &mut out);
         let expected = scan(&mesh, &q);
         let mut got = out.clone();
         got.sort_unstable();
@@ -1645,7 +1626,7 @@ mod tests {
     #[test]
     fn stays_exact_under_deformation_without_any_maintenance() {
         let mesh = box_mesh(5);
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         let mut mesh = mesh;
         let mut rng = SplitMix64::new(17);
         for step in 0..5 {
@@ -1659,7 +1640,7 @@ mod tests {
                 Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
                 0.25,
             );
-            assert_exact(&mut o, &mesh, &q, &format!("step {step}"));
+            assert_exact(&o, &mesh, &q, &format!("step {step}"));
         }
     }
 
@@ -1668,67 +1649,21 @@ mod tests {
         let mut mesh = box_mesh(3);
         mesh.enable_restructuring().unwrap();
         let mut o = Octopus::new(&mesh).unwrap();
+        let frozen = (mesh.snapshot(), Octopus::new(&mesh).unwrap());
         for c in [0u32, 5, 9] {
             let delta = mesh.remove_cell(c).unwrap();
-            o.on_restructure(&mesh, &delta);
+            o = o.restructured(&mesh, &delta);
         }
         let (_, delta) = mesh.refine_tet(20).unwrap();
-        o.on_restructure(&mesh, &delta);
+        o = o.restructured(&mesh, &delta);
         let q = Aabb::new(Point3::ORIGIN, Point3::splat(0.8));
-        assert_exact(&mut o, &mesh, &q, "after restructuring");
-        // Surface index must equal a fresh build.
-        let fresh = SurfaceIndex::build(&mesh).unwrap();
-        assert_eq!(o.surface_index().len(), fresh.len());
-    }
-
-    #[test]
-    fn restructured_executor_equals_in_place_maintenance() {
-        let mut mesh = box_mesh(4);
-        mesh.enable_restructuring().unwrap();
-        let mut live = Octopus::new(&mesh).unwrap();
-        let frozen_mesh = mesh.clone();
-        let frozen_results: Vec<VertexId> = {
-            let q = Aabb::new(Point3::ORIGIN, Point3::splat(0.7));
-            let mut out = Vec::new();
-            live.query(&frozen_mesh, &q, &mut out);
-            out.sort_unstable();
-            out
-        };
-
-        // Derive executors step by step without mutating the parent.
-        let mut parent = Octopus::new(&mesh).unwrap();
-        let mut derived: Option<Octopus> = None;
-        for c in [0u32, 5, 9, 14] {
-            let delta = mesh.remove_cell(c).unwrap();
-            derived = Some(
-                derived
-                    .as_ref()
-                    .unwrap_or(&parent)
-                    .restructured(&mesh, &delta),
-            );
-            live.on_restructure(&mesh, &delta);
-        }
-        let (_, delta) = mesh.refine_tet(20).unwrap();
-        let mut derived = derived.unwrap().restructured(&mesh, &delta);
-        live.on_restructure(&mesh, &delta);
-
-        assert_eq!(derived.surface_index().len(), live.surface_index().len());
-        let q = Aabb::new(Point3::ORIGIN, Point3::splat(0.7));
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        derived.query(&mesh, &q, &mut a);
-        live.query(&mesh, &q, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "derived executor must answer like the maintained one");
-
-        // The parent generation the derivations branched from is
-        // untouched and still answers for its own (pre-restructuring)
-        // snapshot.
-        let mut c = Vec::new();
-        parent.query(&frozen_mesh, &q, &mut c);
-        c.sort_unstable();
-        assert_eq!(c, frozen_results);
+        assert_exact(&o, &mesh, &q, "after restructuring");
+        let mut surface: Vec<VertexId> = o.surface().collect();
+        surface.sort_unstable();
+        assert_eq!(surface, mesh.surface().unwrap().vertices());
+        // A generation derived from is untouched: it still answers for
+        // its own (pre-restructuring) snapshot.
+        assert_exact(&frozen.1, &frozen.0, &q, "the frozen generation");
     }
 
     #[test]
@@ -1794,11 +1729,12 @@ mod tests {
     #[test]
     fn probe_dominates_for_small_queries_crawl_for_large() {
         let mesh = box_mesh(10);
-        let mut o = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         let mut out = Vec::new();
-        let small = o.query(&mesh, &Aabb::cube(Point3::splat(0.2), 0.05), &mut out);
+        let small = full_probe(&o, &mesh, &Aabb::cube(Point3::splat(0.2), 0.05), &mut out);
         out.clear();
-        let large = o.query(
+        let large = full_probe(
+            &o,
             &mesh,
             &Aabb::new(Point3::splat(0.05), Point3::splat(0.95)),
             &mut out,
@@ -1890,7 +1826,7 @@ mod tests {
             assert_eq!(stats.start_vertices, full_stats.start_vertices);
             assert_eq!(full_stats.grid_candidates, 0);
             assert!(stats.grid_candidates >= stats.start_vertices);
-            assert!(stats.grid_candidates < o.surface_index().len());
+            assert!(stats.grid_candidates < o.surface_len());
         }
     }
 
@@ -1911,12 +1847,12 @@ mod tests {
     }
 
     fn group_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
-        let mut o = Octopus::new(mesh).unwrap();
+        let o = Octopus::new(mesh).unwrap();
         queries
             .iter()
             .map(|q| {
                 let mut out = Vec::new();
-                o.query(mesh, q, &mut out);
+                full_probe(&o, mesh, q, &mut out);
                 out.sort_unstable();
                 out
             })
@@ -1973,14 +1909,13 @@ mod tests {
                 Aabb::new(Point3::new(lo, 0.1, 0.1), Point3::new(lo + 0.5, 0.8, 0.8))
             })
             .collect();
-        let mut seq = Octopus::new(&mesh).unwrap();
+        let o = Octopus::new(&mesh).unwrap();
         let sequential: Vec<PhaseTimings> = queries
             .iter()
-            .map(|q| seq.query(&mesh, q, &mut Vec::new()))
+            .map(|q| full_probe(&o, &mesh, q, &mut Vec::new()))
             .collect();
         let independent: usize = sequential.iter().map(|t| t.crawl_visited).sum();
 
-        let o = Octopus::new(&mesh).unwrap();
         let mut scratch = o.make_scratch(&mesh);
         let (_, timings, shared) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
         // Per-member attribution reproduces the sequential counters...
@@ -2114,10 +2049,33 @@ mod tests {
     }
 
     #[test]
-    fn memory_includes_surface_and_scratch() {
-        let mesh = box_mesh(6);
+    fn memory_gauge_tracks_memory_bytes() {
+        // The executor's footprint is a label per vertex and its surface
+        // lists; the gauge reads it, and a restructure-derived executor
+        // carries the attachment forward and publishes its own.
+        use octopus_telemetry::Registry;
+        let mut mesh = box_mesh(5);
         let o = Octopus::new(&mesh).unwrap();
-        assert!(o.memory_bytes() > o.surface_index().memory_bytes());
+        let id_bytes = std::mem::size_of::<VertexId>();
+        assert!(o.memory_bytes() >= (mesh.num_vertices() + o.surface_len()) * id_bytes);
+        let registry = Registry::new();
+        o.attach_metrics(&ExecutorMetrics::register(&registry));
+        let gauge = || registry.snapshot().gauge("executor_memory_bytes");
+        assert_eq!(o.publish_memory(), o.memory_bytes());
+        assert_eq!(gauge(), o.memory_bytes() as f64);
+        // Queries grow their scratch, never the executor.
+        let mut scratch = o.make_scratch(&mesh);
+        let before = o.memory_bytes();
+        let q = Aabb::new(Point3::splat(0.1), Point3::splat(0.9));
+        o.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut Vec::new());
+        assert_eq!(o.memory_bytes(), before);
+
+        mesh.enable_restructuring().unwrap();
+        let (_, delta) = mesh.refine_tet(0).unwrap();
+        let derived = o.restructured(&mesh, &delta);
+        assert_eq!(derived.publish_memory(), derived.memory_bytes());
+        assert_eq!(gauge(), derived.memory_bytes() as f64);
+        assert!(derived.memory_bytes() > before, "a vertex more to label");
     }
 
     #[test]

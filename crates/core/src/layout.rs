@@ -396,9 +396,10 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, expected_new);
         // OCTOPUS on the laid-out mesh returns the same geometry.
-        let mut o = crate::Octopus::new(&sorted).unwrap();
+        let o = crate::Octopus::new(&sorted).unwrap();
         let mut out = Vec::new();
-        o.query(&sorted, &q, &mut out);
+        let probe = crate::Probe::Surface;
+        o.query_with(&mut o.make_scratch(&sorted), &sorted, &q, probe, &mut out);
         out.sort_unstable();
         assert_eq!(out, expected_new);
     }

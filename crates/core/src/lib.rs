@@ -5,20 +5,22 @@
 //! every simulation time step, *without* maintaining a spatial index over
 //! the moving vertices. Only two position-invariant assets are used:
 //!
-//! * the **mesh surface** — maintained in a [`SurfaceIndex`] hash table
-//!   that only changes on (rare) connectivity restructuring, and
+//! * the **mesh surface** — extracted once, kept as one ascending id
+//!   list per connected component (the lists the component-aware walk
+//!   starts from), and changed only by (rare) connectivity
+//!   restructuring, which derives the next executor from the delta, and
 //! * the **mesh connectivity** — the adjacency list that the crawl
 //!   traverses to collect the result.
 //!
-//! Query execution ([`Octopus::query`]) runs the three phases of
+//! Query execution ([`Octopus::query_with`]) runs the three phases of
 //! Algorithm 1: **surface probe** → **directed walk** (into each
 //! connected component the probe left without a seed) → **crawling**
 //! (bounded BFS).
 //! Each phase is written once, for one query and for a group of them
 //! alike: the probe is one prefetching gather
 //! ([`octopus_geom::mem::gather`]) over the ids its [`Probe`] visits —
-//! the whole surface index (the paper's probe, and what the library
-//! entry points use), or the cells of a [`SurfaceGrid`] around the
+//! the whole surface (the paper's probe, [`Probe::Surface`]), or the
+//! cells of a [`SurfaceGrid`] around the
 //! query when the caller holds one for the snapshot
 //! ([`Octopus::surface_grid`]) — the walk one per-component loop,
 //! skipped for the components the grid's bounds put out of the
@@ -29,7 +31,7 @@
 //!
 //! Variants and tooling:
 //!
-//! * [`OctopusCon`] — the convex-mesh variant (§IV-F): no surface index;
+//! * [`OctopusCon`] — the convex-mesh variant (§IV-F): no surface;
 //!   a *stale* uniform grid seeds the directed walk near the query.
 //! * [`ApproxOctopus`] — the surface-approximation optimisation (§IV-H2):
 //!   probes a sample of the surface, trading accuracy for probe time.
@@ -59,7 +61,6 @@ pub mod metrics;
 pub mod planner;
 pub mod shape;
 pub mod surface_grid;
-pub mod surface_index;
 
 pub use approx::ApproxOctopus;
 pub use con::OctopusCon;
@@ -71,4 +72,3 @@ pub use metrics::{ExecMode, ExecutorMetrics};
 pub use planner::{Characteristics, Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 pub use surface_grid::SurfaceGrid;
-pub use surface_index::SurfaceIndex;

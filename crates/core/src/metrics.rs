@@ -20,8 +20,7 @@ use crate::executor::PhaseTimings;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// One region, box or convex, under either [`crate::Probe`]
-    /// ([`crate::Octopus::query`] / [`crate::Octopus::query_with`], or a
-    /// group of one).
+    /// ([`crate::Octopus::query_with`], or a group of one).
     Fresh,
     /// k-nearest-neighbour ([`crate::QueryShape::KNearest`] through
     /// [`crate::Octopus::query_shape`]).
@@ -79,8 +78,8 @@ pub struct ExecutorMetrics {
     /// that needed a search over the whole mesh instead.
     component_patches: Counter,
     component_rebuilds: Counter,
-    surface_index_bytes: Gauge,
-    scratch_bytes: Gauge,
+    /// `executor_memory_bytes` — [`crate::Octopus::memory_bytes`].
+    memory_bytes: Gauge,
 }
 
 impl ExecutorMetrics {
@@ -103,8 +102,7 @@ impl ExecutorMetrics {
             grid_candidates: registry.histogram("surface_grid_candidates"),
             component_patches: registry.counter("executor_component_patches_total"),
             component_rebuilds: registry.counter("executor_component_rebuilds_total"),
-            surface_index_bytes: registry.gauge("executor_surface_index_bytes"),
-            scratch_bytes: registry.gauge("executor_scratch_bytes"),
+            memory_bytes: registry.gauge("executor_memory_bytes"),
         })
     }
 
@@ -180,11 +178,9 @@ impl ExecutorMetrics {
         }
     }
 
-    /// Publish the executor memory footprint gauges (surface index and
-    /// crawler scratch heap bytes).
-    pub fn set_memory(&self, surface_index_bytes: usize, scratch_bytes: usize) {
-        self.surface_index_bytes.set_u64(surface_index_bytes as u64);
-        self.scratch_bytes.set_u64(scratch_bytes as u64);
+    /// Publish the executor's heap bytes.
+    pub fn set_memory(&self, bytes: usize) {
+        self.memory_bytes.set_u64(bytes as u64);
     }
 }
 

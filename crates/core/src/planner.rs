@@ -7,12 +7,10 @@
 //! with the spatial histogram (the paper's reference \[2\]) and picks
 //! OCTOPUS or the linear scan. S and M are not planner state: the
 //! caller passes the [`Characteristics`] of the snapshot the queries run
-//! against, two O(1) reads off its executor's delta-maintained surface
-//! index and its CSR, so one planner serves every connectivity
-//! generation a snapshot ring holds.
+//! against, read off its executor's surface size and its CSR, so one
+//! planner serves every connectivity generation a snapshot ring holds.
 
 use crate::cost_model::{CostModel, SpeedupTerms};
-use crate::surface_index::SurfaceIndex;
 use octopus_geom::Aabb;
 use octopus_index::{HistogramGrid, SelectivityHistogram};
 use octopus_mesh::Mesh;
@@ -49,15 +47,20 @@ pub struct Characteristics {
 }
 
 impl Characteristics {
-    /// S and M of `mesh`, whose surface `surface` indexes: S off the
-    /// index, M off the adjacency — two divisions, no mesh pass. The
-    /// surface is an argument because whoever plans queries holds the
-    /// executor's delta-maintained index ([`crate::Octopus::surface_index`]),
-    /// and a ring snapshot ([`Mesh::snapshot`]) has no cheaper way to
-    /// answer it.
-    pub fn of(mesh: &Mesh, surface: &SurfaceIndex) -> Characteristics {
+    /// S and M of `mesh`, which has `surface_len` surface vertices: S
+    /// off that count (0 for the empty mesh), M off the adjacency — two
+    /// divisions, no mesh pass. The count is an argument because
+    /// whoever plans queries holds the executor
+    /// ([`crate::Octopus::surface_len`]), and a ring snapshot
+    /// ([`Mesh::snapshot`]) has no cheaper way to answer it.
+    pub fn of(mesh: &Mesh, surface_len: usize) -> Characteristics {
+        let n = mesh.num_vertices();
         Characteristics {
-            surface_ratio: surface.ratio(mesh.num_vertices()),
+            surface_ratio: if n == 0 {
+                0.0
+            } else {
+                surface_len as f64 / n as f64
+            },
             mesh_degree: mesh.adjacency().average_degree(),
         }
     }
@@ -153,6 +156,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Octopus;
     use octopus_geom::Point3;
     use octopus_meshgen::voxel::VoxelRegion;
 
@@ -163,22 +167,23 @@ mod tests {
 
     /// A paper-constant planner for `mesh` and the mesh's S and M.
     fn paper_planner(mesh: &Mesh, resolution: usize) -> (Planner, Characteristics) {
-        let surface = SurfaceIndex::build(mesh).unwrap();
+        let octopus = Octopus::new(mesh).unwrap();
         (
             Planner::new(mesh, CostModel::paper_constants(), resolution),
-            Characteristics::of(mesh, &surface),
+            Characteristics::of(mesh, octopus.surface_len()),
         )
     }
 
-    /// Removes random cells of `mesh` until a fifth is left, maintaining
-    /// `surface` by deltas as a monitor does.
-    fn coarsen(mesh: &mut Mesh, surface: &mut SurfaceIndex) {
+    /// Removes random cells of `mesh` until a fifth is left, deriving
+    /// `octopus` from the deltas as a monitor does.
+    fn coarsen(mesh: &mut Mesh, octopus: &mut Octopus) {
         let mut rng = octopus_geom::rng::SplitMix64::new(0xFEED);
         let target = mesh.num_cells() / 5;
         while mesh.num_cells() > target {
             let c = rng.index(mesh.cell_capacity()) as u32;
             if mesh.is_cell_alive(c) {
-                surface.apply_delta(&mesh.remove_cell(c).unwrap());
+                let delta = mesh.remove_cell(c).unwrap();
+                *octopus = octopus.restructured(mesh, &delta);
             }
         }
     }
@@ -268,21 +273,20 @@ mod tests {
     fn stale_crossover_flips_after_heavy_restructuring() {
         // A solid box, then an aggressive coarsening (raising the
         // surface-to-volume ratio, which shrinks the Eq.-6 crossover).
-        // Verify that (a) the delta-maintained index gives the S a fresh
+        // Verify that (a) the derived executor gives the S a fresh
         // extraction would, (b) one planner handed the pre- and then the
         // post-restructure snapshot's S and M returns the ingest-time
         // crossover and then the coarsened one, and (c) at least one
         // query's strategy decision flips between the two.
         let mut mesh = box_mesh(6);
         mesh.enable_restructuring().unwrap();
-        let mut surface = SurfaceIndex::build(&mesh).unwrap();
+        let mut octopus = Octopus::new(&mesh).unwrap();
         let planner = Planner::new(&mesh, CostModel::paper_constants(), 8);
-        let (ingest_mesh, ingest_surface) = (mesh.snapshot(), surface.clone());
+        let ingest = Characteristics::of(&mesh, octopus.surface_len());
 
-        coarsen(&mut mesh, &mut surface);
+        coarsen(&mut mesh, &mut octopus);
 
-        let ingest = Characteristics::of(&ingest_mesh, &ingest_surface);
-        let coarse = Characteristics::of(&mesh, &surface);
+        let coarse = Characteristics::of(&mesh, octopus.surface_len());
         assert_eq!(coarse.surface_ratio, mesh.surface().unwrap().ratio());
         let model = planner.model();
         let q = Aabb::cube(Point3::splat(0.5), 0.2);
@@ -323,11 +327,11 @@ mod tests {
         // batched on one side, query by query on the other.
         let mut mesh = box_mesh(6);
         mesh.enable_restructuring().unwrap();
-        let mut surface = SurfaceIndex::build(&mesh).unwrap();
+        let mut octopus = Octopus::new(&mesh).unwrap();
         let histogram = SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), 8);
-        let a = Characteristics::of(&mesh, &surface);
-        coarsen(&mut mesh, &mut surface);
-        let b = Characteristics::of(&mesh, &surface);
+        let a = Characteristics::of(&mesh, octopus.surface_len());
+        coarsen(&mut mesh, &mut octopus);
+        let b = Characteristics::of(&mesh, octopus.surface_len());
         assert_ne!(a, b);
 
         let model = CostModel::paper_constants();

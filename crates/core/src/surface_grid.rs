@@ -78,8 +78,8 @@
 //! handed never stays behind as an anchor.
 //!
 //! The grid holds ids, anchors and a box per component label, but no
-//! connectivity: the executor that owns the [`crate::SurfaceIndex`] and
-//! the component labels builds it ([`crate::Octopus::surface_grid`];
+//! connectivity: the executor that owns the surface and the component
+//! labels builds it ([`crate::Octopus::surface_grid`];
 //! [`SurfaceGrid::build`] is one gather and a counting sort over S).
 //! When a restructure changes both, the grid of the executor it was
 //! derived from is *patched* instead
@@ -114,8 +114,8 @@ pub struct SurfaceGrid {
     /// cells is one contiguous run.
     starts: Vec<u32>,
     cell_ids: Vec<VertexId>,
-    /// The ids in the order they were given — the surface index's probe
-    /// order, which follows the memory layout — each with its
+    /// The ids in the order they were given — ascending, the order
+    /// that follows the memory layout — each with its
     /// build-time position. This is what [`SurfaceGrid::reach`] walks:
     /// in cell order the same pass jumps through the position array and
     /// costs five full probes instead of one.

@@ -4,12 +4,12 @@
 //! search it replaced (`Csr::connected_components`) after every
 //! operation of seeded `refine_tet` / `remove_cell` sequences on tet and
 //! hex grids, and of a simulation's merged three-operation events on the
-//! neuron mesh, for the executor maintained in place
-//! (`Octopus::on_restructure`) and for the chain derived from it
-//! (`Octopus::restructured`):
+//! neuron mesh, for the chain of executors each derived from the last by
+//! the operation's delta (`Octopus::restructured`):
 //!
 //! * the same partition of the vertices, up to renumbering, as many
-//!   components, and the same surface vertices in each;
+//!   components, and the same surface vertices in each — together
+//!   exactly the mesh's surface, the executor's only copy of it;
 //! * a surface grid built on it bounds every component's surface
 //!   anchors;
 //! * every box query equals the scan, up to Algorithm 1's documented
@@ -23,8 +23,10 @@
 //!
 //! And the named cases: a removal that splits a component (the search
 //! runs and is counted), orphaned vertices, a delta that does not
-//! account for every operation (the search, counted), and a relabelled
-//! executor (equal to a fresh build, ids included). CI runs the suite
+//! account for every operation (the search, counted), a patch that
+//! gives up halfway through its list edits (the search, counted, and
+//! still the delta's surface), and a relabelled executor (equal to a
+//! fresh build, ids included). CI runs the suite
 //! under `--release` too, where the executor's own cross-check of every
 //! patch — a `debug_assert` — is compiled out.
 
@@ -60,7 +62,8 @@ fn followed(registry: &Registry) -> (u64, u64) {
 
 /// The map is the search's over `mesh` up to the numbering: the same
 /// partition, as many components, and each component's list is exactly
-/// its surface vertices, ascending.
+/// its surface vertices, ascending — all of them together the surface
+/// `mesh` extracts.
 fn assert_map_is_the_search(octopus: &Octopus, mesh: &Mesh, ctx: &str) {
     let (ours, lists) = octopus.component_map();
     let (theirs, count) = mesh.adjacency().connected_components();
@@ -79,7 +82,12 @@ fn assert_map_is_the_search(octopus: &Octopus, mesh: &Mesh, ctx: &str) {
             "{ctx}: vertex {v} shares a component with one it is apart from"
         );
     }
-    let surface = sorted(octopus.surface_index().ids().to_vec());
+    let surface = sorted(octopus.surface().collect());
+    assert_eq!(
+        surface,
+        mesh.surface().unwrap().vertices(),
+        "{ctx}: the executor's surface is the mesh's"
+    );
     for (k, ids) in lists.iter().enumerate() {
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ctx}: list {k}");
         for &v in ids {
@@ -95,7 +103,7 @@ fn assert_map_is_the_search(octopus: &Octopus, mesh: &Mesh, ctx: &str) {
 fn assert_grid_bounds_the_anchors(octopus: &Octopus, mesh: &Mesh, ctx: &str) {
     let grid = octopus.surface_grid(mesh.positions(), 0.25);
     let (label, _) = octopus.component_map();
-    for &v in octopus.surface_index().ids() {
+    for v in octopus.surface() {
         let p = mesh.position(v);
         assert!(
             grid.component_in_reach(label[v as usize] as usize, &Aabb::new(p, p), 0.0),
@@ -136,7 +144,7 @@ fn assert_queries_exact(octopus: &Octopus, mesh: &Mesh, rng: &mut SplitMix64, ct
                     .iter()
                     .any(|w| got.binary_search(w).is_ok());
                 assert!(
-                    !reachable && !octopus.surface_index().contains(v),
+                    !reachable && !octopus.surface().any(|s| s == v),
                     "{ctx}: query {i} lost vertex {v}, no blind spot"
                 );
             }
@@ -180,7 +188,7 @@ fn assert_patched_grid(
     );
     assert_eq!(
         held,
-        sorted(octopus.surface_index().ids().to_vec()),
+        sorted(octopus.surface().collect()),
         "{ctx}: the patched grid holds other ids than the surface"
     );
     let (label, lists) = octopus.component_map();
@@ -209,10 +217,7 @@ fn assert_patched_grid(
         let q = Aabb::cube(c, rng.range_f32(0.02, 0.35) * size);
         let probed: Vec<VertexId> = sorted(
             octopus
-                .surface_index()
-                .ids()
-                .iter()
-                .copied()
+                .surface()
                 .filter(|&v| q.contains(mesh.position(v)))
                 .collect(),
         );
@@ -253,15 +258,14 @@ fn hex_box(n: usize) -> Mesh {
 }
 
 /// Runs seeded operations on `mesh` (refinements only on tets), feeding
-/// each delta to an executor maintained in place and to the chain of
-/// executors derived from the previous one by a ring-style snapshot,
-/// whose grid is patched along, and holds all three to the search
-/// after each. Returns the in-place executor's `(patches, searches)`.
+/// each delta to the chain of executors derived from the previous one
+/// by a ring-style snapshot, whose grid is patched along, and holds
+/// both to the search after each. Returns the chain's
+/// `(patches, searches)`.
 fn run_ops(mut mesh: Mesh, seed: u64, ops: usize) -> (u64, u64) {
     mesh.enable_restructuring().unwrap();
     let mut rng = SplitMix64::new(seed);
-    let (mut live, registry) = counted(&mesh);
-    let mut derived = Octopus::new(&mesh).unwrap();
+    let (mut derived, registry) = counted(&mesh);
     let mut grid = derived.surface_grid(mesh.positions(), grid_cell(&mesh));
     let refines = mesh.kind() == octopus_mesh::CellKind::Tet4;
     for op in 0..ops {
@@ -279,11 +283,9 @@ fn run_ops(mut mesh: Mesh, seed: u64, ops: usize) -> (u64, u64) {
         } else {
             mesh.remove_cell(c).unwrap()
         };
-        live.on_restructure(&mesh, &delta);
         derived = derived.restructured(&mesh.snapshot(), &delta);
         grid = derived.patched_surface_grid(&grid, mesh.positions(), &delta);
         let ctx = format!("seed {seed} op {op}");
-        assert_follows(&live, &mesh, &mut rng, &format!("{ctx}, in place"));
         assert_follows(&derived, &mesh, &mut rng, &format!("{ctx}, derived"));
         assert_patched_grid(&derived, &grid, &mesh, &mut rng, &format!("{ctx}, patched"));
     }
@@ -320,19 +322,16 @@ fn merged_events_on_the_neuron_mesh_follow_the_search() {
     let mut sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 9)))
         .with_restructuring(RestructureSchedule::new(1, 3, 21))
         .unwrap();
-    let (mut live, registry) = counted(sim.mesh());
-    let mut derived = Octopus::new(sim.mesh()).unwrap();
+    let (mut derived, registry) = counted(sim.mesh());
     let mut grid = derived.surface_grid(sim.mesh().positions(), grid_cell(sim.mesh()));
     let mut rng = SplitMix64::new(4);
     let events = 40;
     for step in 0..events {
         let outcome = sim.step_outcome().unwrap();
         assert!(outcome.restructured && outcome.delta.ops == 3);
-        live.on_restructure(sim.mesh(), &outcome.delta);
         derived = derived.restructured(&sim.mesh().snapshot(), &outcome.delta);
         grid = derived.patched_surface_grid(&grid, sim.mesh().positions(), &outcome.delta);
-        assert_follows(&live, sim.mesh(), &mut rng, &format!("step {step}"));
-        assert_map_is_the_search(&derived, sim.mesh(), &format!("step {step}, derived"));
+        assert_follows(&derived, sim.mesh(), &mut rng, &format!("step {step}"));
         let ctx = format!("step {step}, patched");
         assert_patched_grid(&derived, &grid, sim.mesh(), &mut rng, &ctx);
     }
@@ -379,23 +378,22 @@ fn a_removal_that_splits_a_component_takes_the_counted_search() {
     let grid = octopus.surface_grid(mesh.positions(), grid_cell(&mesh));
 
     let delta = mesh.remove_cell(bridge).unwrap();
-    let derived = octopus.restructured(&mesh, &delta);
-    octopus.on_restructure(&mesh, &delta);
-    assert_eq!(followed(&registry), (0, 2), "the split took the search");
+    octopus = octopus.restructured(&mesh, &delta);
+    assert_eq!(followed(&registry), (0, 1), "the split took the search");
     assert_eq!(octopus.component_map().1.len(), 2, "split: two components");
     let mut rng = SplitMix64::new(1);
     assert_follows(&octopus, &mesh, &mut rng, "after the split");
     // The grid patched across the split bounds each lobe on its own.
-    let patched = derived.patched_surface_grid(&grid, mesh.positions(), &delta);
+    let patched = octopus.patched_surface_grid(&grid, mesh.positions(), &delta);
     assert_patched_grid(
-        &derived,
+        &octopus,
         &patched,
         &mesh,
         &mut rng,
         "patched across the split",
     );
     let lobe = |shift: f32| Aabb::cube(Point3::new(0.5 + shift, 0.5, 0.5), 0.25);
-    let (label, _) = derived.component_map();
+    let (label, _) = octopus.component_map();
     let (a, b) = (label[0] as usize, label[n as usize] as usize);
     assert_ne!(a, b);
     assert!(patched.component_in_reach(a, &lobe(0.0), 0.0));
@@ -404,8 +402,8 @@ fn a_removal_that_splits_a_component_takes_the_counted_search() {
 
     // A removal inside a lobe leaves it whole: patched.
     let delta = mesh.remove_cell(7).unwrap();
-    octopus.on_restructure(&mesh, &delta);
-    assert_eq!(followed(&registry), (1, 2));
+    octopus = octopus.restructured(&mesh, &delta);
+    assert_eq!(followed(&registry), (1, 1));
     assert_map_is_the_search(&octopus, &mesh, "after an inner removal");
 }
 
@@ -447,7 +445,7 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
         .collect();
     for c in around {
         let delta = mesh.remove_cell(c).unwrap();
-        octopus.on_restructure(&mesh, &delta);
+        octopus = octopus.restructured(&mesh, &delta);
         grid = octopus.patched_surface_grid(&grid, mesh.positions(), &delta);
         let ctx = format!("after removing {c}");
         assert_follows(&octopus, &mesh, &mut rng, &ctx);
@@ -460,7 +458,7 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
     assert_eq!(octopus.component_map().1.len(), 2 + orphaned);
 
     let delta = mesh.remove_cell(lone_cell).unwrap();
-    octopus.on_restructure(&mesh, &delta);
+    octopus = octopus.restructured(&mesh, &delta);
     grid = octopus.patched_surface_grid(&grid, mesh.positions(), &delta);
     assert_follows(&octopus, &mesh, &mut rng, "after removing the lone cell");
     assert_patched_grid(&octopus, &grid, &mesh, &mut rng, "the lone cell's grid");
@@ -472,8 +470,8 @@ fn orphaned_vertices_are_patched_into_components_of_their_own() {
 
 /// A delta must account for every operation since the map's mesh: one
 /// that skips an operation — a refinement, whose surface delta is empty,
-/// so the surface index stays right — or claims one too many gets the
-/// search, counted, never a stale map.
+/// so the lists with the delta applied are still the surface — or
+/// claims one too many gets the search, counted, never a stale map.
 #[test]
 fn a_delta_that_skips_an_operation_takes_the_counted_search() {
     let mut mesh = box_mesh(3);
@@ -484,7 +482,7 @@ fn a_delta_that_skips_an_operation_takes_the_counted_search() {
     let (centroid, skipped) = mesh.refine_tet(4).unwrap();
     assert!(skipped.is_empty(), "a refinement keeps the surface");
     let delta = mesh.remove_cell(11).unwrap();
-    octopus.on_restructure(&mesh, &delta);
+    octopus = octopus.restructured(&mesh, &delta);
     assert_eq!(followed(&registry), (0, 1), "one operation unaccounted for");
     assert_follows(&octopus, &mesh, &mut rng, "after the skipped refinement");
     assert_eq!(
@@ -501,8 +499,42 @@ fn a_delta_that_skips_an_operation_takes_the_counted_search() {
     let derived = octopus.restructured(&mesh, &overclaimed);
     assert_eq!(followed(&registry), (0, 2), "one operation too many");
     assert_map_is_the_search(&derived, &mesh, "after an over-claiming delta");
-    octopus.on_restructure(&mesh, &delta);
+    let _ = octopus.restructured(&mesh, &delta);
     assert_eq!(followed(&registry), (1, 2), "the true delta patches");
+}
+
+/// A patch that gives up halfway through its list edits — here at an
+/// `added` id already on the surface, after the delta's true ids went
+/// in — takes the counted search, and the search keeps the surface the
+/// delta describes: the lists' ids − `removed` + `added`, neither the
+/// half-edited lists nor a fresh extraction.
+#[test]
+fn a_patch_that_gives_up_midway_keeps_the_delta_surface() {
+    let mut mesh = box_mesh(3);
+    mesh.enable_restructuring().unwrap();
+    let (mut octopus, registry) = counted(&mesh);
+    let mut rng = SplitMix64::new(6);
+    let delta = loop {
+        let c = rng.index(mesh.cell_capacity()) as u32;
+        if !mesh.is_cell_alive(c) {
+            continue;
+        }
+        let delta = mesh.remove_cell(c).unwrap();
+        if !delta.added.is_empty() {
+            break delta;
+        }
+        octopus = octopus.restructured(&mesh, &delta);
+    };
+    let searched = followed(&registry).1;
+    let mut midway = delta.clone();
+    let kept = octopus
+        .surface()
+        .find(|v| !delta.removed.contains(v))
+        .expect("the surface keeps a vertex");
+    midway.added.push(kept);
+    octopus = octopus.restructured(&mesh, &midway);
+    assert_eq!(followed(&registry).1, searched + 1, "the patch gave up");
+    assert_follows(&octopus, &mesh, &mut rng, "after the midway give-up");
 }
 
 /// A relabelled executor — after a sequence of patches, whose ids are
@@ -527,7 +559,7 @@ fn a_relabelled_executor_equals_a_fresh_build() {
         } else {
             mesh.remove_cell(c).unwrap()
         };
-        octopus.on_restructure(&mesh, &delta);
+        octopus = octopus.restructured(&mesh, &delta);
     }
     let searched = Octopus::new(&mesh).unwrap();
     assert!(
@@ -542,11 +574,6 @@ fn a_relabelled_executor_equals_a_fresh_build() {
     let relabelled = octopus.relabelled(&relaid, &perm);
     let fresh = Octopus::new(&relaid).unwrap();
     assert_eq!(relabelled.component_map(), fresh.component_map());
-    assert_eq!(
-        relabelled.surface_index().ids(),
-        fresh.surface_index().ids(),
-        "probe order as a fresh build has it"
-    );
     assert_eq!(followed(&registry), (before.0 + 1, before.1));
     assert_follows(&relabelled, &relaid, &mut rng, "relabelled");
 }

@@ -3,21 +3,17 @@
 //! query results on both random and neuron meshes.
 
 use octopus_core::layout::{curve_permutation, hilbert_layout, CurveKind};
-use octopus_core::Octopus;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
-use octopus_testkit::{random_mesh, scan_active, sorted};
+use octopus_testkit::{random_mesh, scan_active, sequential_reference, sorted};
 use proptest::prelude::*;
 
 /// Queries a mesh through the full executor and returns the sorted
 /// result.
 fn query(mesh: &Mesh, q: &Aabb) -> Vec<VertexId> {
-    let mut octopus = Octopus::new(mesh).expect("surface");
-    let mut out = Vec::new();
-    octopus.query(mesh, q, &mut out);
-    sorted(out)
+    sequential_reference(mesh, std::slice::from_ref(q)).remove(0)
 }
 
 /// A box around a random active vertex, sized to clip a non-trivial

@@ -24,10 +24,7 @@ use proptest::prelude::*;
 fn surface_seeds(octopus: &Octopus, mesh: &Mesh, q: &Aabb) -> Vec<VertexId> {
     sorted(
         octopus
-            .surface_index()
-            .ids()
-            .iter()
-            .copied()
+            .surface()
             .filter(|&v| q.contains(mesh.position(v)))
             .collect(),
     )
@@ -129,7 +126,7 @@ fn assert_grid_equals_surface(
 fn premise_holds(octopus: &Octopus, mesh: &Mesh) -> bool {
     let (label, count) = mesh.adjacency().connected_components();
     let mut boxes = vec![Aabb::EMPTY; count];
-    for &v in octopus.surface_index().ids() {
+    for v in octopus.surface() {
         boxes[label[v as usize] as usize].expand(mesh.position(v));
     }
     (0..mesh.num_vertices() as VertexId).all(|v| {
@@ -182,7 +179,7 @@ fn assert_scan_up_to_the_blind_spot(
             .iter()
             .any(|w| got.binary_search(w).is_ok());
         assert!(
-            !reachable && !octopus.surface_index().contains(v),
+            !reachable && !octopus.surface().any(|s| s == v),
             "{ctx}: vertex {v} is missing and no blind spot"
         );
     }
@@ -345,7 +342,7 @@ proptest! {
         // boxes on.
         let mut on_b = vec![false; count];
         let mut surface_a = Vec::new();
-        for &v in octopus.surface_index().ids() {
+        for v in octopus.surface() {
             if mesh.position(v).x > 0.5 {
                 on_b[label[v as usize] as usize] = true;
             } else if mesh.position(v).x < 0.36 {
@@ -598,7 +595,7 @@ fn degenerate_grids() {
             reach: 0.0,
         },
     );
-    assert_eq!(t.grid_candidates, octopus.surface_index().len());
+    assert_eq!(t.grid_candidates, octopus.surface_len());
 }
 
 /// A NaN or infinite surface position — when the grid is built, or
@@ -609,7 +606,7 @@ fn degenerate_grids() {
 fn non_finite_positions_saturate_the_reach() {
     let clean = box_mesh(3);
     let octopus = Octopus::new(&clean).unwrap();
-    let victim = octopus.surface_index().ids()[3];
+    let victim = octopus.surface().nth(3).unwrap();
     let q = Aabb::cube(Point3::splat(0.4), 0.3);
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         let mut poisoned = clean.clone();
@@ -623,7 +620,7 @@ fn non_finite_positions_saturate_the_reach() {
         // At the build: the id is kept, and nothing bounds it — not
         // even once the vertex is finite again.
         let at_build = grid_of(&octopus, &poisoned, 0.2);
-        assert_eq!(at_build.len(), octopus.surface_index().len());
+        assert_eq!(at_build.len(), octopus.surface_len());
         assert_eq!(at_build.reach(poisoned.positions()), f32::INFINITY);
         assert_eq!(at_build.reach(clean.positions()), f32::INFINITY);
 

@@ -14,8 +14,10 @@
 //! Because the mesh surface grows ~quadratically while volume grows
 //! cubically, the surface-to-volume ratio of the neuron and animation
 //! meshes is `S ∝ V^(-1/3)`: at laptop vertex counts it is inherently
-//! ~5–10× larger than at the paper's billion-tet scale. `EXPERIMENTS.md`
-//! quantifies the effect through the paper's own Eq. 5.
+//! ~5–10× larger than at the paper's billion-tet scale. The paper's own
+//! Eq. 5 (`CostModel::speedup` in `octopus-core`) turns that into a
+//! smaller speedup over the linear scan, and the paper-figure harness's
+//! Fig. 11 checks the model against measured times at this scale.
 
 use crate::masks::{ArborParams, Blob, CapsuleTree};
 use crate::tet::tetrahedralize;

@@ -278,7 +278,7 @@ impl ParallelExecutor {
     /// input order: the plan of singletons, each on the full surface
     /// probe. Workers share `octopus` and `mesh` immutably; each owns
     /// one scratch, so results are identical to running
-    /// [`Octopus::query`] sequentially per query (the equivalence
+    /// [`Octopus::query_with`] sequentially per query (the equivalence
     /// property suite asserts this, order-insensitively).
     ///
     /// Steady state performs no thread spawns (tasks go to the parked

@@ -28,9 +28,9 @@
 //!    mis-routes.
 //!
 //! Every path returns, per query, exactly what the sequential
-//! [`octopus_core::Octopus::query`] returns — the batch-engine property
-//! suite asserts this against random meshes, restructuring steps,
-//! mid-run re-layouts and ring depths 1 and 3.
+//! [`octopus_core::Octopus::query_with`] returns — the batch-engine
+//! property suite asserts this against random meshes, restructuring
+//! steps, mid-run re-layouts and ring depths 1 and 3.
 
 use crate::batch::{Group, ParallelExecutor, Plan, QueryResult, Route};
 use crate::snapshot::Snapshot;
@@ -124,7 +124,7 @@ impl BatchEngine {
 
     /// Executes `queries` against `snap` on `pool`, with grouping and
     /// routing, returning per-query results in input order — identical
-    /// (as sets) to running [`octopus_core::Octopus::query`] per query.
+    /// (as sets) to running [`octopus_core::Octopus::query_with`] per query.
     pub fn execute(
         &mut self,
         pool: &mut ParallelExecutor,
@@ -135,7 +135,7 @@ impl BatchEngine {
         // divisions, whichever slot the batch asks.
         let decisions = self.planner.as_ref().map(|p| {
             p.decide_batch(
-                Characteristics::of(snap.mesh, snap.exec.surface_index()),
+                Characteristics::of(snap.mesh, snap.exec.surface_len()),
                 queries,
             )
         });

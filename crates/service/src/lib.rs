@@ -88,8 +88,9 @@
 //! `--cfg octopus_model`. The snapshot ring and the admission front are
 //! plain state the monitor owns. Results are bit-identical to the
 //! sequential executor (the crate's property suite verifies batch and
-//! engine-routed execution against [`octopus_core::Octopus::query`] on
-//! random and layout-permuted meshes).
+//! engine-routed execution against
+//! [`octopus_core::Octopus::query_with`] on random and layout-permuted
+//! meshes).
 
 #![deny(missing_docs)]
 // The workspace denies `unsafe_code`; the one opt-in in this crate

@@ -46,11 +46,11 @@
 //! buckets restructuring operations file faces in and find the cells
 //! around a vertex by) lives only in the simulation's mesh; no ring
 //! slot carries one. The serving side's knowledge of the surface and of
-//! the connected components is each slot executor's delta-maintained
-//! [`octopus_core::SurfaceIndex`] and component map (the planner reads
-//! S from the index as well). After set-up nothing on this side
-//! extracts a surface, rebuilds an adjacency or copies one: a
-//! restructure costs the delta, a re-layout a relabelling.
+//! the connected components is each slot executor's component map,
+//! whose per-component surface lists a restructure patches from the
+//! delta (the planner reads S off them as well). After set-up nothing
+//! on this side extracts a surface, rebuilds an adjacency or copies
+//! one: a restructure costs the delta, a re-layout a relabelling.
 //!
 //! Position buffers rotate: simulation thread (fills one per step) →
 //! the new slot → when the slot is retired, `spare_bufs` → back to the
@@ -970,7 +970,7 @@ impl MonitorLoop {
                 debug_assert!(
                     {
                         let mut held = grid.ids().to_vec();
-                        let mut want = exec.surface_index().ids().to_vec();
+                        let mut want: Vec<VertexId> = exec.surface().collect();
                         held.sort_unstable();
                         want.sort_unstable();
                         held == want

@@ -9,7 +9,7 @@ use octopus_mesh::Mesh;
 /// request from the ring slot it resolved, so a slot's executor can
 /// never meet another slot's mesh or grid reach, and the planner's S
 /// and M ([`octopus_core::Characteristics::of`]) are always this
-/// generation's: `exec.surface_index()` and `mesh.adjacency()`.
+/// generation's: `exec.surface_len()` and `mesh.adjacency()`.
 ///
 /// Public so [`crate::BatchEngine::execute`] can be driven standalone:
 /// without a grid use `probe: Probe::Surface`.

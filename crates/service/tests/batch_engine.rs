@@ -1,7 +1,7 @@
 //! Property suite of the batch query engine: shared-frontier overlap
 //! groups + Eq.-6 planner routing, under the full surface probe and
 //! under the surface grid's, must return, per query, exactly what the
-//! sequential `Octopus::query` returns — on random meshes and
+//! sequential `Octopus::query_with` returns — on random meshes and
 //! workloads, across deformation and restructuring steps, mid-run
 //! re-layouts, and snapshot-ring depths 1 and 3. Plus the deterministic
 //! visited-vertex counter: on an overlapping batch, the shared crawl
@@ -14,7 +14,7 @@
 
 use octopus_core::{
     AggregateKind, Characteristics, CostModel, Decision, ExecutorMetrics, Octopus, PhaseTimings,
-    Planner, Probe, QueryShape, ShapeResult, Strategy, SurfaceGrid, SurfaceIndex,
+    Planner, Probe, QueryShape, ShapeResult, Strategy, SurfaceGrid,
 };
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
@@ -27,7 +27,8 @@ use octopus_service::{
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
 use octopus_testkit::{
-    box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sequential_reference, sorted,
+    box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sequential_answers,
+    sequential_reference, sorted,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -202,14 +203,13 @@ proptest! {
             let outcome = sim.step_outcome().unwrap();
             prop_assert_eq!(outcome.step, step);
             if outcome.restructured {
-                reference.on_restructure(sim.mesh(), &outcome.delta);
+                reference = reference.restructured(sim.mesh(), &outcome.delta);
             }
-            for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
-                let mut want = Vec::new();
-                reference.query(sim.mesh(), q, &mut want);
+            let wants = sequential_answers(&reference, sim.mesh(), &queries);
+            for (i, (r, want)) in results.iter().zip(&wants).enumerate() {
                 prop_assert_eq!(
-                    sorted(r.vertices.clone()),
-                    sorted(want),
+                    &sorted(r.vertices.clone()),
+                    want,
                     "depth {} step {} query {}", depth, step, i
                 );
             }
@@ -217,11 +217,9 @@ proptest! {
 
             // A batch of one must agree too.
             let single = monitor.query_batch(&queries[..1]);
-            let mut want = Vec::new();
-            reference.query(sim.mesh(), &queries[0], &mut want);
             prop_assert_eq!(
-                sorted(single[0].vertices.clone()),
-                sorted(want),
+                &sorted(single[0].vertices.clone()),
+                &wants[0],
                 "batch of one, step {}", step
             );
             monitor.recycle(single);
@@ -313,11 +311,13 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
     assert_eq!(queries.len(), 64);
 
     // Independent baseline counters.
-    let mut seq = Octopus::new(&mesh).unwrap();
+    let seq = Octopus::new(&mesh).unwrap();
+    let mut scratch = seq.make_scratch(&mesh);
     let mut independent = 0usize;
     for q in &queries {
         let mut out = Vec::new();
-        independent += seq.query(&mesh, q, &mut out).crawl_visited;
+        let t = seq.query_with(&mut scratch, &mesh, q, Probe::Surface, &mut out);
+        independent += t.crawl_visited;
     }
 
     // Planner off isolates the shared-frontier counter (no scan
@@ -392,7 +392,7 @@ fn assert_relayout_lifecycle(
         let outcome = sim.step_outcome().unwrap();
         assert_eq!(outcome.step, monitor.snapshot_step());
         if outcome.restructured {
-            reference.on_restructure(sim.mesh(), &outcome.delta);
+            reference = reference.restructured(sim.mesh(), &outcome.delta);
             restructures += 1;
         }
         let translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
@@ -401,11 +401,10 @@ fn assert_relayout_lifecycle(
             let single = monitor.query_batch(std::slice::from_ref(q));
             timings.push(single[0].timings);
             timings.push(batch[i].timings);
-            let mut want = Vec::new();
-            reference.query(sim.mesh(), q, &mut want);
+            let want = sequential_answers(&reference, sim.mesh(), std::slice::from_ref(q));
             let want = sorted(match &translation {
-                Some(t) => want.iter().map(|&v| t[v as usize]).collect(),
-                None => want,
+                Some(t) => want[0].iter().map(|&v| t[v as usize]).collect(),
+                None => want[0].clone(),
             });
             for (path, got) in [("batch", &batch[i]), ("single", &single[0])] {
                 assert_eq!(
@@ -610,11 +609,8 @@ fn a_poisoned_snapshot_never_reanchors_the_grid() {
         monitor.begin_step().unwrap();
         monitor.finish_step().unwrap();
         let got = monitor.query_batch(&[q]);
-        let mut want = Vec::new();
-        Octopus::new(monitor.snapshot())
-            .unwrap()
-            .query(monitor.snapshot(), &q, &mut want);
-        assert_eq!(sorted(got[0].vertices.clone()), sorted(want), "step {step}");
+        let want = sequential_reference(monitor.snapshot(), &[q]).remove(0);
+        assert_eq!(sorted(got[0].vertices.clone()), want, "step {step}");
         monitor.recycle(got);
         if poisoned.contains(&step) {
             fallbacks += 1;
@@ -642,10 +638,8 @@ fn arbor_a_anchor(mesh: &Mesh) -> Point3 {
     let target = Point3::new(0.25, 0.5, 0.5);
     Octopus::new(mesh)
         .unwrap()
-        .surface_index()
-        .ids()
-        .iter()
-        .map(|&v| mesh.position(v))
+        .surface()
+        .map(|v| mesh.position(v))
         .min_by(|a, b| a.dist_sq(target).total_cmp(&b.dist_sq(target)))
         .expect("the neuron mesh has a surface")
 }
@@ -707,11 +701,18 @@ fn component_bounds_follow_a_drift_rebuild() {
             anchor.z + s * velocity.z,
         );
         let queries = [Aabb::cube(here, 0.1), Aabb::cube(here, 0.05)];
-        let mut fresh = Octopus::new(monitor.snapshot()).unwrap();
+        let fresh = Octopus::new(monitor.snapshot()).unwrap();
+        let mut scratch = fresh.make_scratch(monitor.snapshot());
         let results = monitor.query_batch(&queries);
         for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
             let mut want = Vec::new();
-            let full = fresh.query(monitor.snapshot(), q, &mut want);
+            let full = fresh.query_with(
+                &mut scratch,
+                monitor.snapshot(),
+                q,
+                Probe::Surface,
+                &mut want,
+            );
             assert_eq!(
                 sorted(r.vertices.clone()),
                 sorted(want),
@@ -931,8 +932,7 @@ fn churn_rounds_route_each_batch_by_its_own_snapshot() {
     // What the engine's planner is: paper constants over a histogram of
     // the positions at attach.
     let planner = Planner::new(monitor.snapshot(), CostModel::paper_constants(), 8);
-    let characteristics =
-        |mesh: &Mesh| Characteristics::of(mesh, &SurfaceIndex::build(mesh).unwrap());
+    let characteristics = |mesh: &Mesh| Characteristics::of(mesh, mesh.surface().unwrap().len());
     let decide = |mesh: &Mesh, queries: &[Aabb]| {
         let data = characteristics(mesh);
         (planner.decide_batch(data, queries), data)

@@ -6,7 +6,7 @@
 //! lost result buffers (the recycler's counters stay coherent), and
 //! telemetry counters that reflect the injected counts.
 
-use octopus_core::Octopus;
+use octopus_core::{Octopus, Probe, QueryShape};
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, MeshError};
 use octopus_service::{
@@ -16,7 +16,8 @@ use octopus_service::{
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
 use octopus_testkit::{
-    box_mesh, reference_run, scan, sorted, step_queries, with_watchdog, FailPoint,
+    box_mesh, reference_run, scan, sequential_answers, sequential_reference, sorted, step_queries,
+    with_watchdog, FailPoint,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -52,16 +53,9 @@ fn assert_step_exact(monitor: &mut MonitorLoop, expected: &[Vec<Vec<VertexId>>],
 fn worker_panic_batch_reissues_exactly_with_recycler_intact() {
     with_watchdog("worker_panic", WATCHDOG, || {
         let mesh = box_mesh(4);
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
         let queries = step_queries(3);
-        let expected: Vec<Vec<VertexId>> = queries
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                octopus.query(&mesh, q, &mut out);
-                sorted(out)
-            })
-            .collect();
+        let expected = sequential_answers(&octopus, &mesh, &queries);
 
         let mut exec = ParallelExecutor::new(3);
         // Warm up once so the recycler has leased buffers in flight.
@@ -175,15 +169,8 @@ fn sim_panic_degrades_gracefully_and_restarts_from_snapshot() {
             );
         }
         let held = monitor.subscription_result(sub).unwrap().to_vec();
-        let mut want = Vec::new();
-        Octopus::new(monitor.snapshot())
-            .unwrap()
-            .query(monitor.snapshot(), &standing, &mut want);
-        assert_eq!(
-            sorted(held),
-            sorted(want),
-            "subscription holds last-good result"
-        );
+        let want = sequential_reference(monitor.snapshot(), &[standing]).remove(0);
+        assert_eq!(sorted(held), want, "subscription holds last-good result");
 
         // Restart from the newest published snapshot and continue; the
         // continuation matches a reference replay seeded from that same
@@ -197,19 +184,18 @@ fn sim_panic_degrades_gracefully_and_restarts_from_snapshot() {
 
         let mut ref_sim = make_sim(monitor.snapshot().clone(), restart_seed);
         ref_sim.resume_from(resumed);
-        let mut ref_octopus = Octopus::new(ref_sim.mesh()).unwrap();
+        let ref_octopus = Octopus::new(ref_sim.mesh()).unwrap();
         for step in 6..=9 {
             monitor.begin_step().unwrap();
             assert_eq!(monitor.finish_step().unwrap(), step);
             let outcome = ref_sim.step_outcome().unwrap();
             assert_eq!(outcome.step, step, "restart keeps the step numbering");
             for (i, q) in step_queries(step).iter().enumerate() {
-                let mut want = Vec::new();
-                ref_octopus.query(ref_sim.mesh(), q, &mut want);
+                let want = sequential_answers(&ref_octopus, ref_sim.mesh(), &[*q]).remove(0);
                 let results = monitor.query_batch(&[*q]);
                 assert_eq!(
                     sorted(results[0].vertices.clone()),
-                    sorted(want),
+                    want,
                     "post-restart step {step}, query {i}"
                 );
                 monitor.recycle(results);
@@ -732,6 +718,65 @@ fn a_deadline_past_the_clocks_range_never_expires() {
             for b in out.batches {
                 monitor.recycle(b.results);
             }
+        }
+        monitor.shutdown().unwrap();
+    });
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: a k-NN point that no cube bounds.
+// ---------------------------------------------------------------------
+
+/// A k-nearest query around a NaN or infinite point answers no vertex
+/// and crawls nothing — under both probes and through the monitor's
+/// shape path — where the expanding-cube search used to double its
+/// radius forever. A finite point however far away still answers.
+#[test]
+fn a_knn_point_that_is_not_finite_answers_nothing() {
+    with_watchdog("knn_non_finite", WATCHDOG, || {
+        let mesh = box_mesh(4);
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
+        let grid = octopus.surface_grid(mesh.positions(), 0.25);
+        let probes = [
+            ("surface", Probe::Surface),
+            (
+                "grid",
+                Probe::Grid {
+                    grid: &grid,
+                    reach: 0.0,
+                },
+            ),
+        ];
+        let shapes: Vec<QueryShape> = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .map(|x| QueryShape::KNearest {
+                k: 3,
+                point: Point3::new(x, 0.5, 0.5),
+            })
+            .collect();
+        for (name, probe) in probes {
+            for (i, shape) in shapes.iter().enumerate() {
+                let (result, t) = octopus.query_shape(&mut scratch, &mesh, shape, probe);
+                assert_eq!(result.vertices(), Some(&[][..]), "{name}: point {i}");
+                assert_eq!((t.results, t.crawl_visited), (0, 0), "{name}: point {i}");
+            }
+            let far = QueryShape::KNearest {
+                k: 3,
+                point: Point3::splat(1e30),
+            };
+            let (result, _) = octopus.query_shape(&mut scratch, &mesh, &far, probe);
+            assert_eq!(result.len(), 3, "{name}: a finite far point");
+        }
+
+        let mut monitor = MonitorLoop::new(make_sim(mesh, 5), 2).unwrap();
+        for (i, answer) in monitor.query_shapes(&shapes).iter().enumerate() {
+            assert_eq!(
+                answer.result.vertices(),
+                Some(&[][..]),
+                "monitor: point {i}"
+            );
+            assert_eq!(answer.timings.results, 0, "monitor: point {i}");
         }
         monitor.shutdown().unwrap();
     });

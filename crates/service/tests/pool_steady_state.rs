@@ -8,9 +8,9 @@
 //! code creating pools in its binary while the deltas are measured.
 
 use octopus_core::Octopus;
-use octopus_geom::{Aabb, Point3, VertexId};
+use octopus_geom::{Aabb, Point3};
 use octopus_service::{threads_spawned_total, ParallelExecutor};
-use octopus_testkit::{box_mesh, sorted};
+use octopus_testkit::{box_mesh, sequential_reference, sorted};
 
 #[test]
 fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
@@ -22,17 +22,7 @@ fn steady_state_spawns_no_threads_and_allocates_no_result_buffers() {
 
     let mut pool = ParallelExecutor::new(4);
     // Ground truth once, sequentially.
-    let expected: Vec<Vec<VertexId>> = {
-        let mut seq = Octopus::new(&mesh).unwrap();
-        queries
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                seq.query(&mesh, q, &mut out);
-                sorted(out)
-            })
-            .collect()
-    };
+    let expected = sequential_reference(&mesh, &queries);
 
     // Warm-up: first batch allocates buffers and (at construction time,
     // already counted) the pool spawned its workers.

@@ -21,7 +21,7 @@ use octopus_service::{
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
-use octopus_testkit::{box_mesh, scan_active, sorted};
+use octopus_testkit::{box_mesh, scan_active, sequential_reference, sorted};
 use proptest::prelude::*;
 
 /// The standing boxes under test: one whose boundary threads straight
@@ -507,15 +507,8 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
         // either way what the paper's Algorithm 1 answers (not the
         // scan: the plain crawl's corner-island gap is not the probe's).
         let batch = monitor.query_batch(&[q]);
-        let mut plain = Vec::new();
-        octopus_core::Octopus::new(monitor.snapshot())
-            .unwrap()
-            .query(monitor.snapshot(), &q, &mut plain);
-        assert_eq!(
-            sorted(batch[0].vertices.clone()),
-            sorted(plain),
-            "step {step}"
-        );
+        let plain = sequential_reference(monitor.snapshot(), &[q]).remove(0);
+        assert_eq!(sorted(batch[0].vertices.clone()), plain, "step {step}");
         monitor.recycle(batch);
         if step == k - 1 {
             let stats = monitor.seed_cache_stats().unwrap();

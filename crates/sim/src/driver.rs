@@ -74,7 +74,7 @@ impl Simulation {
     /// Advances one time step: overwrites all vertex positions in place
     /// (and, when scheduled, restructures the mesh). Returns the surface
     /// delta of any restructuring (empty when none fired) so callers can
-    /// incrementally maintain their surface index.
+    /// incrementally maintain their surface.
     pub fn step(&mut self) -> Result<SurfaceDelta, MeshError> {
         self.step += 1;
         self.field

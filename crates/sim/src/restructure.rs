@@ -5,7 +5,7 @@
 //! the number of vertices on the surface, or merged, hence reducing the
 //! vertices on the surface." The paper notes this is rarely implemented;
 //! we inject it deliberately to exercise the incremental insert/delete
-//! maintenance of the surface index.
+//! maintenance of the executor's surface.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_mesh::{CellKind, Mesh, MeshError, SurfaceDelta};

@@ -22,7 +22,7 @@
 pub mod fault;
 pub use fault::{with_watchdog, FailPoint};
 
-use octopus_core::Octopus;
+use octopus_core::{Octopus, Probe};
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, Region, VertexId};
 use octopus_mesh::Mesh;
@@ -103,16 +103,19 @@ pub fn knn_scan(mesh: &Mesh, k: usize, point: Point3) -> Vec<VertexId> {
 /// The sequential executor's answer to each query on `mesh`, sorted —
 /// what every parallel, pooled or engine-planned path must equal.
 pub fn sequential_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
-    let mut octopus = Octopus::new(mesh).expect("test meshes are manifold");
-    sequential_answers(&mut octopus, mesh, queries)
+    let octopus = Octopus::new(mesh).expect("test meshes are manifold");
+    sequential_answers(&octopus, mesh, queries)
 }
 
-fn sequential_answers(octopus: &mut Octopus, mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+/// `octopus`'s answer to each query on `mesh` under the full surface
+/// probe (the paper's path), sorted.
+pub fn sequential_answers(octopus: &Octopus, mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
+    let mut scratch = octopus.make_scratch(mesh);
     queries
         .iter()
         .map(|q| {
             let mut out = Vec::new();
-            octopus.query(mesh, q, &mut out);
+            octopus.query_with(&mut scratch, mesh, q, Probe::Surface, &mut out);
             sorted(out)
         })
         .collect()
@@ -150,12 +153,12 @@ pub fn reference_run(
     for _ in 0..steps {
         let outcome = sim.step_outcome().expect("reference runs inject no fault");
         if outcome.restructured {
-            // Stop-the-world maintenance: the surface index replays the
-            // delta and the component map is patched from it.
-            octopus.on_restructure(sim.mesh(), &outcome.delta);
+            // Stop-the-world maintenance: the next executor is derived
+            // from the delta, its surface lists patched from it.
+            octopus = octopus.restructured(sim.mesh(), &outcome.delta);
         }
         let queries = step_queries(outcome.step);
-        per_step.push(sequential_answers(&mut octopus, sim.mesh(), &queries));
+        per_step.push(sequential_answers(&octopus, sim.mesh(), &queries));
     }
     per_step
 }

@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             AnimationKind::CamelCompress => Box::new(AxialCompression::new(0.15, 16.0, 0)),
         };
 
-        let mut exact = Octopus::new(&mesh)?;
+        let exact = Octopus::new(&mesh)?;
+        let mut scratch = exact.make_scratch(&mesh);
         // Visualization tolerates approximation: probe only 5 % of the
         // surface.
         let mut approx = ApproxOctopus::new(&mesh, 0.05, 11)?;
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let view = Aabb::cube(cam, 0.18 * (bounds.max.x - bounds.min.x));
 
             let (mut full, mut fast) = (Vec::new(), Vec::new());
-            let s_exact = exact.query(mesh, &view, &mut full);
+            let s_exact = exact.query_with(&mut scratch, mesh, &view, Probe::Surface, &mut full);
             let s_fast = approx.query(mesh, &view, &mut fast);
             full.sort_unstable();
             let acc = result_accuracy(&fast, &full);

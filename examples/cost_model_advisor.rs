@@ -47,10 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The planner applies Eq. 6 per query using histogram selectivity,
-    // with S read off the executor's surface index (no second extraction).
-    let mut engine = Octopus::new(&mesh)?;
+    // with S read off the executor's surface size (no second extraction).
+    let engine = Octopus::new(&mesh)?;
+    let mut scratch = engine.make_scratch(&mesh);
     let planner = Planner::new(&mesh, model, 12);
-    let data = Characteristics::of(&mesh, engine.surface_index());
+    let data = Characteristics::of(&mesh, engine.surface_len());
     let scan = LinearScan::new();
     let bounds = mesh.bounding_box();
     let mut rng = SplitMix64::new(5);
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut out = Vec::new();
         match d.strategy {
             Strategy::Octopus => {
-                engine.query(&mesh, &q, &mut out);
+                engine.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
             }
             Strategy::LinearScan => scan.query(&q, mesh.positions(), &mut out),
         }

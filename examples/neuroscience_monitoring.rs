@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("components: {n_comp} (the two cells)");
 
     let mut engine = Octopus::new(&mesh)?;
+    let mut scratch = engine.make_scratch(&mesh);
     let bounds = mesh.bounding_box();
     let mut rng = SplitMix64::new(2024);
 
@@ -60,8 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 delta.removed.len()
             );
         }
-        engine.on_restructure(sim.mesh(), &delta);
+        if delta.ops > 0 {
+            engine = engine.restructured(sim.mesh(), &delta);
+        }
         let mesh = sim.mesh();
+        let mut query = |q: &Aabb, out: &mut Vec<VertexId>| {
+            engine.query_with(&mut scratch, mesh, q, Probe::Surface, out)
+        };
 
         // Monitor 1: structural validation in a random region.
         let center = Point3::new(
@@ -71,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let q1 = Aabb::cube(center, 0.08);
         let mut r1 = Vec::new();
-        engine.query(mesh, &q1, &mut r1);
+        query(&q1, &mut r1);
         println!(
             "step {step}: density near ({:.2},{:.2},{:.2}) = {:.0} verts/unit³",
             center.x,
@@ -86,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Point3::new(0.58, bounds.max.y, bounds.max.z),
         );
         let mut r2 = Vec::new();
-        engine.query(mesh, &q2, &mut r2);
+        query(&q2, &mut r2);
         let artifacts = mesh_quality(mesh, &components, &r2[..r2.len().min(300)], 0.01);
         println!(
             "step {step}: {} vertices in the gap region, {artifacts} contact artifact(s)",
@@ -99,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Point3::new(bounds.max.x, 0.7, 0.7),
         );
         let mut r3 = Vec::new();
-        let s = engine.query(mesh, &q3, &mut r3);
+        let s = query(&q3, &mut r3);
         println!(
             "step {step}: view frustum holds {} vertices (crawl visited {})",
             s.results, s.crawl_visited

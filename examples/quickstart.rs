@@ -14,14 +14,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mesh = octopus::meshgen::tet::tetrahedralize(&region)?;
     println!("mesh: {}", MeshStats::compute(&mesh)?);
 
-    // 2. Build OCTOPUS once. Its surface index never needs maintenance
-    //    while the simulation only moves vertices.
-    let mut engine = Octopus::new(&mesh)?;
+    // 2. Build OCTOPUS once. Its surface never needs maintenance while
+    //    the simulation only moves vertices. Each query runs through a
+    //    scratch of the caller's (one per thread).
+    let engine = Octopus::new(&mesh)?;
+    let mut scratch = engine.make_scratch(&mesh);
     println!(
-        "surface index: {} of {} vertices ({:.1} KiB)",
-        engine.surface_index().len(),
+        "surface: {} of {} vertices (executor {:.1} KiB)",
+        engine.surface_len(),
         mesh.num_vertices(),
-        engine.surface_index().memory_bytes() as f64 / 1024.0
+        engine.memory_bytes() as f64 / 1024.0
     );
 
     // 3. Run a simulation: every step rewrites *every* vertex position.
@@ -35,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // OCTOPUS result…
         let mut octopus_result = Vec::new();
-        let stats = engine.query(mesh, &query, &mut octopus_result);
+        let probe = Probe::Surface;
+        let stats = engine.query_with(&mut scratch, mesh, &query, probe, &mut octopus_result);
 
         // …must equal the brute-force ground truth.
         let mut scan_result = Vec::new();

@@ -201,7 +201,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every step (the monitoring workload the temporal seed cache
     // exists for), so from step 2 on the batch engine warm-starts each
     // query from the previous step's boundary-vertex sample instead of
-    // probing the surface index — and the stop-the-world replay below
+    // probing the surface — and the stop-the-world replay below
     // proves the answers identical anyway.
     let mut gen = QueryGen::new(&mesh, 0xC0FFEE);
     let batch: Vec<Aabb> = gen.batch_with_selectivity(16, 0.002);
@@ -431,6 +431,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Stop-the-world reference ---------------------------------
     let mut sim = make_sim(mesh)?;
     let mut octopus = Octopus::new(sim.mesh())?;
+    let mut scratch = octopus.make_scratch(sim.mesh());
     let mut reference: Vec<Vec<Vec<VertexId>>> = Vec::new();
     let mut sim_busy = Duration::ZERO;
     let t1 = Instant::now();
@@ -439,13 +440,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = sim.step_outcome()?;
         sim_busy += ts.elapsed();
         if outcome.restructured {
-            octopus.on_restructure(sim.mesh(), &outcome.delta);
+            octopus = octopus.restructured(sim.mesh(), &outcome.delta);
         }
         let per_step = schedule[step as usize - 1]
             .iter()
             .map(|q| {
                 let mut out = Vec::new();
-                octopus.query(sim.mesh(), q, &mut out);
+                octopus.query_with(&mut scratch, sim.mesh(), q, Probe::Surface, &mut out);
                 out.sort_unstable();
                 out
             })
@@ -528,7 +529,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         grid_stats.stale,
         grid_stats.insertions,
         candidates.sum as f64 / candidates.count.max(1) as f64,
-        octopus.surface_index().len(),
+        octopus.surface_len(),
         engine_report.groups,
         engine_report.grouped_queries,
         engine_report.scan_queries
@@ -674,13 +675,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.gauges.len(),
         telemetry.histograms.len()
     );
+    let executor_bytes = telemetry.gauge("executor_memory_bytes");
+    assert!(
+        executor_bytes > 0.0,
+        "the newest slot's executor publishes its footprint"
+    );
     println!(
-        "    executor: {} queries, {:.1}ms across phase histograms, {:.1}MB indexed footprint",
+        "    executor: {} queries, {:.1}ms across phase histograms, {:.1}KiB executor footprint",
         telemetry.counter("executor_queries_total"),
         phase_ns as f64 / 1e6,
-        (telemetry.gauge("executor_surface_index_bytes")
-            + telemetry.gauge("executor_scratch_bytes"))
-            / (1024.0 * 1024.0)
+        executor_bytes / 1024.0
     );
     println!(
         "    pool: {} runs of ≤{} tasks, {} parks / {} unparks, {} steals beyond fair share",

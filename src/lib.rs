@@ -44,11 +44,13 @@
 //! )?;
 //!
 //! // Build OCTOPUS once — no maintenance needed while the mesh deforms.
-//! let mut engine = Octopus::new(&mesh)?;
+//! // Each query brings its own scratch (one per thread) and probe.
+//! let engine = Octopus::new(&mesh)?;
+//! let mut scratch = engine.make_scratch(&mesh);
 //!
 //! let query = Aabb::cube(Point3::splat(0.5), 0.3);
 //! let mut result = Vec::new();
-//! let stats = engine.query(&mesh, &query, &mut result);
+//! let stats = engine.query_with(&mut scratch, &mesh, &query, Probe::Surface, &mut result);
 //! assert_eq!(result.len(), stats.results);
 //! # Ok::<(), octopus::mesh::MeshError>(())
 //! ```
@@ -69,7 +71,7 @@ pub use octopus_telemetry as telemetry;
 pub mod prelude {
     pub use octopus_core::{
         AggregateKind, AggregateValue, ApproxOctopus, Characteristics, CostModel, Octopus,
-        OctopusCon, Planner, Probe, QueryScratch, QueryShape, ShapeResult, Strategy, SurfaceIndex,
+        OctopusCon, Planner, Probe, QueryScratch, QueryShape, ShapeResult, Strategy,
     };
     pub use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Region, Vec3, VertexId};
     pub use octopus_index::{DynamicIndex, LinearScan};

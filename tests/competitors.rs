@@ -151,7 +151,7 @@ fn end_to_end_monitor_loop_cross_checks() {
 
     let mesh = octopus::meshgen::neuron(octopus::meshgen::NeuroLevel::L1, 0.45).unwrap();
     let mut approaches = vec![
-        Approach::Octopus(Octopus::new(&mesh).unwrap()),
+        Approach::octopus(Octopus::new(&mesh).unwrap(), &mesh),
         Approach::Index(Box::new(LinearScan::new())),
         Approach::Index(Box::new(Octree::with_bucket_capacity(512))),
         Approach::Index(Box::new(LurTree::with_fanout(32))),

@@ -11,7 +11,7 @@ use octopus_bench::workload::QueryGen;
 
 fn exact_pair(mesh: &Mesh) -> Vec<Approach> {
     vec![
-        Approach::Octopus(Octopus::new(mesh).unwrap()),
+        Approach::octopus(Octopus::new(mesh).unwrap(), mesh),
         Approach::Index(Box::new(LinearScan::new())),
     ]
 }
@@ -39,7 +39,7 @@ fn convex_family_with_octopus_con() {
     let mesh = octopus::meshgen::basin(BasinResolution::Sf2, 0.4).unwrap();
     let mut approaches = vec![
         Approach::OctopusCon(octopus::core::OctopusCon::new(&mesh)),
-        Approach::Octopus(Octopus::new(&mesh).unwrap()),
+        Approach::octopus(Octopus::new(&mesh).unwrap(), &mesh),
         Approach::Index(Box::new(LinearScan::new())),
     ];
     let gen = QueryGen::new(&mesh, 2);
@@ -99,11 +99,11 @@ fn restructuring_scenario_through_the_runner() {
     // Final-state manual cross-check against the active-vertex scan.
     let mesh = sim.mesh();
     let q = Aabb::cube(mesh.bounding_box().center(), 0.2);
-    let Approach::Octopus(o) = &mut octopus_only[0] else {
+    let Approach::Octopus(o, scratch) = &mut octopus_only[0] else {
         panic!("octopus")
     };
     let mut out = Vec::new();
-    o.query(mesh, &q, &mut out);
+    o.query_with(scratch, mesh, &q, Probe::Surface, &mut out);
     out.sort_unstable();
     let expected: Vec<VertexId> = mesh
         .positions()
@@ -122,7 +122,7 @@ fn planner_switches_strategy_with_query_size() {
     // *calibrated* model on this coarse quick-scale mesh (S ≈ 0.4) can
     // legitimately conclude OCTOPUS never wins (crossover clamps to 0) —
     // machine-dependent, so not a stable test premise.
-    let data = Characteristics::of(&mesh, &SurfaceIndex::build(&mesh).unwrap());
+    let data = Characteristics::of(&mesh, mesh.surface().unwrap().len());
     let planner = Planner::new(&mesh, CostModel::paper_constants(), 10);
     let bounds = mesh.bounding_box();
     let tiny = planner.decide(data, &Aabb::cube(bounds.center(), 0.02));

@@ -1,5 +1,5 @@
 //! THE core invariant of the reproduction:
-//! `Octopus::query` returns exactly the linear-scan ground truth — on
+//! `Octopus::query_with` returns exactly the linear-scan ground truth — on
 //! arbitrary (random, non-convex, multi-component) meshes, under
 //! arbitrary deformation, for arbitrary queries.
 
@@ -57,10 +57,11 @@ proptest! {
     ) {
         let mesh = random_mesh(5, fill, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
         let q = Aabb::cube(Point3::new(cx, cy, cz), half);
         let mut out = Vec::new();
-        octopus.query(&mesh, &q, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
         out.sort_unstable();
         prop_assert_eq!(out, scan(&mesh, &q));
     }
@@ -76,7 +77,8 @@ proptest! {
     ) {
         let mesh = random_mesh(4, 0.7, seed);
         prop_assume!(mesh.num_vertices() > 0);
-        let mut octopus = Octopus::new(&mesh).unwrap();
+        let octopus = Octopus::new(&mesh).unwrap();
+        let mut scratch = octopus.make_scratch(&mesh);
         let mut sim = Simulation::new(
             mesh,
             Box::new(SmoothRandomField::new(amplitude, 3, seed ^ 0xF00D)),
@@ -85,7 +87,7 @@ proptest! {
         let mesh = sim.mesh();
         let q = Aabb::cube(Point3::splat(0.5), half);
         let mut out = Vec::new();
-        octopus.query(mesh, &q, &mut out);
+        octopus.query_with(&mut scratch, mesh, &q, Probe::Surface, &mut out);
         out.sort_unstable();
         prop_assert_eq!(out, scan(mesh, &q));
     }
@@ -254,12 +256,13 @@ fn fig3_disjoint_submesh_case() {
         mesh.num_vertices() > 100,
         "torus must be meaningfully meshed"
     );
-    let mut octopus = Octopus::new(&mesh).unwrap();
+    let octopus = Octopus::new(&mesh).unwrap();
+    let mut scratch = octopus.make_scratch(&mesh);
     // A slab through the hole cuts the ring into two disjoint arcs: a
     // crawl from a single start vertex would miss one of them.
     let q = Aabb::new(Point3::new(0.0, 0.45, 0.0), Point3::new(1.0, 0.55, 1.0));
     let mut out = Vec::new();
-    let stats = octopus.query(&mesh, &q, &mut out);
+    let stats = octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
     out.sort_unstable();
     let expected = scan(&mesh, &q);
     assert_eq!(out, expected);
@@ -307,11 +310,12 @@ fn octopus_on_hex_meshes() {
     let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
     let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 6, 6, 6);
     let mesh = octopus::meshgen::hex::hexahedralize(&region).unwrap();
-    let mut octopus = Octopus::new(&mesh).unwrap();
+    let octopus = Octopus::new(&mesh).unwrap();
+    let mut scratch = octopus.make_scratch(&mesh);
     for half in [0.1f32, 0.3, 0.7] {
         let q = Aabb::cube(Point3::splat(0.4), half);
         let mut out = Vec::new();
-        octopus.query(&mesh, &q, &mut out);
+        octopus.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
         out.sort_unstable();
         assert_eq!(out, scan(&mesh, &q), "half = {half}");
     }

@@ -100,10 +100,7 @@ proptest! {
             .map(|(i, _)| perm[i])
             .collect();
         expected.sort_unstable();
-        let mut octopus = Octopus::new(&sorted).unwrap();
-        let mut out = Vec::new();
-        octopus.query(&sorted, &q, &mut out);
-        out.sort_unstable();
+        let out = octopus_testkit::sequential_reference(&sorted, &[q]).remove(0);
         prop_assert_eq!(out, expected);
     }
 
@@ -114,9 +111,9 @@ proptest! {
         let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 5, 5, 5);
         let mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
-        let surface = SurfaceIndex::build(&mesh).unwrap();
+        let surface = mesh.surface().unwrap();
         let planner = Planner::new(&mesh, CostModel::paper_constants(), 6);
-        let data = Characteristics::of(&mesh, &surface);
+        let data = Characteristics::of(&mesh, surface.len());
         let mut rng = octopus::geom::rng::SplitMix64::new(seed);
         let q = Aabb::cube(
             Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),

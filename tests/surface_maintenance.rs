@@ -1,22 +1,45 @@
-//! Surface invariance and incremental maintenance:
-//! deformation never changes the surface; restructuring deltas applied to
-//! a [`SurfaceIndex`] always equal a from-scratch rebuild.
+//! Surface invariance and incremental maintenance (§IV-E): the surface
+//! is a pure function of connectivity. Deformation never changes it, and
+//! the executor derived from each restructuring delta
+//! ([`Octopus::restructured`]) holds exactly the surface a fresh
+//! extraction finds — the executor's per-component lists are its only
+//! copy of it. The executor stays exact (or, where Algorithm 1's
+//! documented blind spot applies, never wrong) through restructuring.
 
+use octopus::core::PhaseTimings;
 use octopus::prelude::*;
-use octopus_testkit::random_mesh;
+use octopus_testkit::{random_mesh, sorted};
 use proptest::prelude::*;
 
-fn sorted_ids(idx: &SurfaceIndex) -> Vec<VertexId> {
-    let mut v = idx.ids().to_vec();
-    v.sort_unstable();
-    v
+/// The executor's surface, ascending.
+fn surface_of(octopus: &Octopus) -> Vec<VertexId> {
+    sorted(octopus.surface().collect())
+}
+
+/// `octopus`'s answer to `q` on `mesh` under the full surface probe.
+fn full_probe(octopus: &Octopus, mesh: &Mesh, q: &Aabb) -> (Vec<VertexId>, PhaseTimings) {
+    let mut out = Vec::new();
+    let mut scratch = octopus.make_scratch(mesh);
+    let stats = octopus.query_with(&mut scratch, mesh, q, Probe::Surface, &mut out);
+    (out, stats)
+}
+
+/// A live cell of `mesh`, drawn from `rng`.
+fn live_cell(mesh: &Mesh, rng: &mut octopus::geom::rng::SplitMix64) -> u32 {
+    loop {
+        let c = rng.index(mesh.cell_capacity()) as u32;
+        if mesh.is_cell_alive(c) {
+            return c;
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Deformation invariance: any in-place position rewrite leaves the
-    /// extracted surface identical.
+    /// extracted surface identical, and the executor built before it
+    /// holds that surface with no maintenance call.
     #[test]
     fn deformation_never_changes_the_surface(
         seed in 0u64..5_000,
@@ -25,6 +48,7 @@ proptest! {
     ) {
         let mut mesh = random_mesh(4, 0.7, seed);
         prop_assume!(mesh.num_vertices() > 0);
+        let octopus = Octopus::new(&mesh).unwrap();
         let before = mesh.surface().unwrap().vertices().to_vec();
         for p in mesh.positions_mut() {
             p.x = p.x * scale_x + offset;
@@ -33,10 +57,12 @@ proptest! {
         }
         let after = mesh.surface().unwrap();
         prop_assert_eq!(after.vertices(), &before[..]);
+        prop_assert_eq!(surface_of(&octopus), before);
     }
 
-    /// Incremental maintenance: random remove/refine sequences keep the
-    /// delta-maintained surface index equal to a rebuild.
+    /// Incremental maintenance: after every operation of a random
+    /// remove/refine sequence, the executor derived from the delta holds
+    /// exactly the surface a rebuild extracts.
     #[test]
     fn deltas_equal_rebuild_after_random_restructuring(
         seed in 0u64..5_000,
@@ -45,28 +71,27 @@ proptest! {
         let mut mesh = random_mesh(4, 0.85, seed);
         prop_assume!(mesh.num_cells() > ops);
         mesh.enable_restructuring().unwrap();
-        let mut idx = SurfaceIndex::build(&mesh).unwrap();
+        let mut octopus = Octopus::new(&mesh).unwrap();
         let mut rng = octopus::geom::rng::SplitMix64::new(seed ^ 0x5EED);
-        for _ in 0..ops {
+        for op in 0..ops {
             if mesh.num_cells() <= 1 {
                 break;
             }
-            // Pick a live cell.
-            let cell = loop {
-                let c = rng.index(mesh.cell_capacity()) as u32;
-                if mesh.is_cell_alive(c) {
-                    break c;
-                }
-            };
+            let cell = live_cell(&mesh, &mut rng);
             let delta = if rng.chance(0.5) {
                 mesh.remove_cell(cell).unwrap()
             } else {
                 mesh.refine_tet(cell).unwrap().1
             };
-            idx.apply_delta(&delta);
+            octopus = octopus.restructured(&mesh, &delta);
+            let rebuilt = mesh.surface().unwrap();
+            prop_assert_eq!(
+                surface_of(&octopus),
+                rebuilt.vertices(),
+                "op {}: the derived surface diverged from a rebuild",
+                op
+            );
         }
-        let rebuilt = SurfaceIndex::build(&mesh).unwrap();
-        prop_assert_eq!(sorted_ids(&idx), sorted_ids(&rebuilt));
     }
 
     /// OCTOPUS remains exact after restructuring when fed the deltas.
@@ -91,19 +116,12 @@ proptest! {
         let mut octopus = Octopus::new(&mesh).unwrap();
         let mut rng = octopus::geom::rng::SplitMix64::new(seed ^ 0xB0B);
         for _ in 0..ops {
-            let cell = loop {
-                let c = rng.index(mesh.cell_capacity()) as u32;
-                if mesh.is_cell_alive(c) {
-                    break c;
-                }
-            };
+            let cell = live_cell(&mesh, &mut rng);
             let delta = mesh.remove_cell(cell).unwrap();
-            octopus.on_restructure(&mesh, &delta);
+            octopus = octopus.restructured(&mesh, &delta);
         }
         let q = Aabb::cube(Point3::splat(0.5), half);
-        let mut out = Vec::new();
-        octopus.query(&mesh, &q, &mut out);
-        out.sort_unstable();
+        let out = sorted(full_probe(&octopus, &mesh, &q).0);
         // Ground truth over *active* vertices: cell removal may orphan
         // vertices, which leave the mesh (see Mesh::is_vertex_active).
         let expected: Vec<VertexId> = mesh
@@ -132,22 +150,16 @@ proptest! {
         let mut octopus = Octopus::new(&mesh).unwrap();
         let mut rng = octopus::geom::rng::SplitMix64::new(seed ^ 0xB0B);
         for _ in 0..ops {
-            let cell = loop {
-                let c = rng.index(mesh.cell_capacity()) as u32;
-                if mesh.is_cell_alive(c) {
-                    break c;
-                }
-            };
+            let cell = live_cell(&mesh, &mut rng);
             let delta = if rng.chance(0.6) {
                 mesh.remove_cell(cell).unwrap()
             } else {
                 mesh.refine_tet(cell).unwrap().1
             };
-            octopus.on_restructure(&mesh, &delta);
+            octopus = octopus.restructured(&mesh, &delta);
         }
         let q = Aabb::cube(Point3::splat(0.5), half);
-        let mut out = Vec::new();
-        octopus.query(&mesh, &q, &mut out);
+        let (out, _) = full_probe(&octopus, &mesh, &q);
         for &v in &out {
             prop_assert!(mesh.is_vertex_active(v));
             prop_assert!(q.contains(mesh.position(v)));
@@ -168,12 +180,7 @@ proptest! {
             if mesh.num_cells() <= 1 {
                 break;
             }
-            let cell = loop {
-                let c = rng.index(mesh.cell_capacity()) as u32;
-                if mesh.is_cell_alive(c) {
-                    break c;
-                }
-            };
+            let cell = live_cell(&mesh, &mut rng);
             if rng.chance(0.5) {
                 mesh.remove_cell(cell).unwrap();
             } else {
@@ -203,23 +210,16 @@ fn inherited_algorithm1_gap_is_pinned() {
     let mut octopus = Octopus::new(&mesh).unwrap();
     let mut rng = octopus::geom::rng::SplitMix64::new(seed ^ 0xB0B);
     for _ in 0..ops {
-        let cell = loop {
-            let c = rng.index(mesh.cell_capacity()) as u32;
-            if mesh.is_cell_alive(c) {
-                break c;
-            }
-        };
+        let cell = live_cell(&mesh, &mut rng);
         let delta = if rng.chance(0.6) {
             mesh.remove_cell(cell).unwrap()
         } else {
             mesh.refine_tet(cell).unwrap().1
         };
-        octopus.on_restructure(&mesh, &delta);
+        octopus = octopus.restructured(&mesh, &delta);
     }
     let q = Aabb::cube(Point3::splat(0.5), half);
-    let mut out = Vec::new();
-    octopus.query(&mesh, &q, &mut out);
-    out.sort_unstable();
+    let out = sorted(full_probe(&octopus, &mesh, &q).0);
     let expected: Vec<VertexId> = mesh
         .positions()
         .iter()
@@ -273,7 +273,7 @@ fn component_aware_walk_finds_interior_of_other_component() {
     let mut mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
     let (comp, n) = mesh.adjacency().connected_components();
     assert_eq!(n, 2, "two disjoint bars");
-    let mut octopus = Octopus::new(&mesh).unwrap();
+    let octopus = Octopus::new(&mesh).unwrap();
     let surface = mesh.surface().unwrap();
 
     // Deformation step: bulge ALL of B's surface vertices far out of the
@@ -289,9 +289,8 @@ fn component_aware_walk_finds_interior_of_other_component() {
     // Query: covers bar A entirely (surface seeds) and B's (former)
     // interior region.
     let q = Aabb::new(Point3::new(-0.5, -0.5, -0.5), Point3::new(8.4, 5.5, 5.5));
-    let mut out = Vec::new();
-    let stats = octopus.query(&mesh, &q, &mut out);
-    out.sort_unstable();
+    let (out, stats) = full_probe(&octopus, &mesh, &q);
+    let out = sorted(out);
     let expected: Vec<VertexId> = mesh
         .positions()
         .iter()
@@ -319,4 +318,55 @@ fn component_aware_walk_finds_interior_of_other_component() {
         stats.walk_visited > 0,
         "the walk must have run for component B"
     );
+}
+
+/// Deterministic surface transition: refining an all-interior tet adds a
+/// centroid that is *not* on the surface (the delta leaves the surface
+/// alone), and removing one of the sub-tets then promotes that centroid
+/// onto the surface — the delta stream reports both facts exactly, and
+/// the executor derived from each holds the rebuilt surface.
+#[test]
+fn interior_refinement_then_removal_promotes_centroid() {
+    let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
+    let mut mesh =
+        octopus::meshgen::tet::tetrahedralize(&VoxelRegion::solid_box(&bounds, 3, 3, 3)).unwrap();
+    mesh.enable_restructuring().unwrap();
+    let mut octopus = Octopus::new(&mesh).unwrap();
+    let rebuilt = |mesh: &Mesh| mesh.surface().unwrap().vertices().to_vec();
+
+    // The centre voxel's tets touch only interior vertices.
+    let surface = surface_of(&octopus);
+    let interior = (0..mesh.cell_capacity() as u32)
+        .find(|&c| {
+            mesh.is_cell_alive(c)
+                && mesh
+                    .cell(c)
+                    .iter()
+                    .all(|v| surface.binary_search(v).is_err())
+        })
+        .expect("a 3x3x3 solid box has an all-interior cell");
+
+    let (centroid, delta) = mesh.refine_tet(interior).unwrap();
+    octopus = octopus.restructured(&mesh, &delta);
+    assert!(
+        !octopus.surface().any(|v| v == centroid),
+        "centroid of an interior tet must not join the surface"
+    );
+    assert_eq!(surface_of(&octopus), rebuilt(&mesh));
+
+    // Removing one sub-tet leaves the centroid's other faces exposed.
+    let sub = (0..mesh.cell_capacity() as u32)
+        .find(|&c| mesh.is_cell_alive(c) && mesh.cell(c).contains(&centroid))
+        .expect("refinement created sub-tets referencing the centroid");
+    let delta = mesh.remove_cell(sub).unwrap();
+    assert!(
+        delta.added.contains(&centroid),
+        "removal must report the promotion"
+    );
+    octopus = octopus.restructured(&mesh, &delta);
+    assert!(
+        octopus.surface().any(|v| v == centroid),
+        "centroid must now be a surface vertex"
+    );
+    assert_eq!(surface_of(&octopus), rebuilt(&mesh));
 }
