@@ -9,7 +9,9 @@
 //! the structure. A query then visits only the cells overlapping its
 //! box dilated by the **reach**: the largest per-axis distance any
 //! bucketed vertex of the snapshot being queried lies from its anchor
-//! ([`SurfaceGrid::reach`], one O(S) pass per snapshot).
+//! ([`SurfaceGrid::reach`], one O(S) pass per snapshot — which the
+//! service runs at hand-off, on the simulation thread that has just
+//! written the snapshot's positions, so no query waits for it).
 //!
 //! **Exactness** is independent of any policy. A surface vertex inside
 //! the box `q` at its current position `p` has its anchor `a` within

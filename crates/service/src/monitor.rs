@@ -26,7 +26,13 @@
 //! slot's mesh with it as position array
 //! ([`octopus_mesh::Mesh::with_positions`]). Positions move once per
 //! step — the simulation thread's copy, overlapped with queries — and
-//! the monitor thread copies and allocates nothing. On the rare
+//! the monitor thread copies and allocates nothing. The producer also
+//! measures what it hands off, while the buffer is hot in its cache:
+//! the command carries the latest slot's surface grid and the standing
+//! queries' anchor, and the update carries back the buffer's reach
+//! against that grid and its drift against that anchor, so no request
+//! and no publish pays an O(S) or O(V) pass over a buffer the other
+//! core has just written. On the rare
 //! restructuring step (detected exactly via the mesh's
 //! [`octopus_mesh::Mesh::restructure_epoch`]) it sends its own mesh's
 //! connectivity handles around the same buffer, plus the step's surface
@@ -79,15 +85,23 @@
 //! dropped, the added ones filed at the slot's positions, the component
 //! bounds taken again under the new labels; the other ids keep their
 //! anchors).
-//! Deformation does not maintain it: when a slot is first resolved for
-//! a request its *reach* — how far its positions lie from the grid's
-//! anchors — is measured once (O(S)) and cached, and the probe dilates
-//! by it, which keeps every answer exact at any drift. When the newest
-//! slot's reach has outgrown one grid cell the grid is rebuilt from
-//! that slot and later slots inherit it; an older pinned slot keeps the
-//! grid it was born with. A slot no finite reach bounds (a NaN/∞
-//! surface position) is answered by the full surface probe and never
-//! rebuilds: its positions must not become anchors.
+//! Deformation does not maintain it: a slot's *reach* — how far its
+//! positions lie from the grid's anchors, one O(S) pass — is measured
+//! once and the probe dilates by it, which keeps every answer exact at
+//! any drift. For a deformation step the simulation thread measures it
+//! against the grid its command carried, and the monitor takes the
+//! value when that grid (by pointer — the update holds it, so the
+//! address cannot be reused) is still the one the new slot inherits.
+//! Every other slot — the ingest slot, a restructure (its grid is
+//! patched on this side), a re-layout, a step whose grid was rebuilt
+//! while it was in flight — has its reach measured by the first
+//! request that resolves it, counted in `surface_grid_reach_lazy_total`.
+//! When the newest slot's reach has outgrown one grid cell — at
+//! publish, or at that first request — the grid is rebuilt from that
+//! slot and later slots inherit it; an older pinned slot keeps the grid
+//! it was born with. A slot no finite reach bounds (a NaN/∞ surface
+//! position) is answered by the full surface probe and never rebuilds:
+//! its positions must not become anchors.
 //!
 //! **Reclamation and back-pressure.** Publishing into a full ring
 //! recycles the *oldest* slot — deterministically, and only when no
@@ -160,8 +174,10 @@ use crate::batch::{ParallelExecutor, QueryResult};
 use crate::engine::{BatchEngine, BatchEngineConfig, EngineReport};
 use crate::recycle::RecycleStats;
 use crate::snapshot::Snapshot;
-use crate::subscribe::{ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats};
-use crate::telemetry::{SeedCacheStats, ServiceTelemetry};
+use crate::subscribe::{
+    max_displacement, ResultDelta, SubscriptionId, SubscriptionRegistry, SubscriptionStats,
+};
+use crate::telemetry::{SeedCacheStats, ServiceTelemetry, SimMetrics};
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 use octopus_core::layout::{curve_permutation, CurveKind};
 use octopus_core::{
@@ -176,7 +192,7 @@ use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -418,9 +434,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 enum Cmd {
     /// Advance one step, recycling `reuse` as the outgoing positions
-    /// buffer (it comes back unfilled if the step fails).
+    /// buffer (it comes back unfilled if the step fails), and measure
+    /// the filled buffer for the monitor: its reach against `grid` (the
+    /// latest slot's when the command was sent) on a deformation step,
+    /// and its drift against the standing queries' `anchor` (with the
+    /// anchor's generation; `None` without subscriptions) on any step.
     Step {
         reuse: Option<Vec<Point3>>,
+        grid: Arc<SurfaceGrid>,
+        anchor: Option<(Arc<Vec<Point3>>, u64)>,
     },
     /// Relabel the simulation's vertices (layout policy re-application).
     /// Sent only while the pipeline is drained — the channel orders it
@@ -431,14 +453,27 @@ enum Cmd {
 
 enum Update {
     /// Deformation only: positions changed, connectivity did not.
-    Deformed { step: u32, positions: Vec<Point3> },
+    /// `reach` is [`SurfaceGrid::reach`] of `positions` against `grid`,
+    /// the command's grid, held here until the monitor has compared it
+    /// with the grid the new slot inherits (so no other grid can have
+    /// taken its address). `drift` is the standing queries' `D` with
+    /// the generation of the anchor it was measured against.
+    Deformed {
+        step: u32,
+        positions: Vec<Point3>,
+        grid: Arc<SurfaceGrid>,
+        reach: f32,
+        drift: Option<(u64, f32)>,
+    },
     /// Restructuring fired: the simulation's connectivity handles
     /// around the positions buffer ([`Mesh::with_positions`], without
-    /// the simulation's face table) + surface delta replay.
+    /// the simulation's face table) + surface delta replay. `drift` as
+    /// for a deformation, over the ids the anchor holds.
     Restructured {
         step: u32,
         mesh: Mesh,
         delta: SurfaceDelta,
+        drift: Option<(u64, f32)>,
     },
     /// The step failed recoverably: the simulation thread is alive and
     /// its state untouched (e.g. an injected restructure failure).
@@ -480,9 +515,11 @@ struct Slot {
     /// slots that inherited it, replaced wherever `exec` is and when
     /// the newest slot's reach outgrows a cell.
     grid: Arc<SurfaceGrid>,
-    /// [`SurfaceGrid::reach`] of `mesh` against `grid`, measured when
-    /// the slot is first resolved for a request (`None` until then, and
-    /// `∞` when nothing bounds it).
+    /// [`SurfaceGrid::reach`] of `mesh` against `grid` (`∞` when
+    /// nothing bounds it): measured by the simulation thread for a
+    /// deformation step whose grid is still the one its command
+    /// carried, otherwise by the first request that resolves the slot
+    /// (`None` until then).
     reach: Option<f32>,
     /// Ingest-time id → this slot's id space (`None` under
     /// [`LayoutPolicy::Preserve`]); shared across slots until a
@@ -510,6 +547,28 @@ impl Slot {
             mesh: &self.mesh,
             exec: &self.exec,
             probe,
+        }
+    }
+
+    /// Takes `reach`, measured against `self.grid`. The newest slot
+    /// whose finite reach has outgrown one cell rebuilds its grid from
+    /// its own positions instead (anchors = now) for every later slot
+    /// to inherit — under a bounded displacement field this never fires
+    /// after set-up, under a monotone one every few steps at O(S). Only
+    /// a *finite* reach rebuilds: a slot with a non-finite surface
+    /// position would only anchor the new grid at it and leave every
+    /// later slot unbounded too, so it keeps the old anchors, is
+    /// answered by the full probe, and the grid is back the moment the
+    /// positions are finite again.
+    fn settle_reach(&mut self, reach: f32, newest: bool, stats: &mut SeedCacheStats) {
+        if newest && reach.is_finite() && reach > self.grid.cell() {
+            self.grid = build_grid(&self.exec, &self.mesh);
+            stats.stale += 1;
+            stats.insertions += 1;
+            // Every surface position is finite and is its own anchor.
+            self.reach = Some(0.0);
+        } else {
+            self.reach = Some(reach);
         }
     }
 
@@ -625,6 +684,9 @@ pub struct MonitorLoop {
     /// What the surface grids did so far (see
     /// [`MonitorLoop::seed_cache_stats`]).
     grid_stats: SeedCacheStats,
+    /// Slots whose reach a request had to measure (no measured reach
+    /// came with them).
+    reach_lazy: u64,
     /// Standing queries answered with incremental deltas, and the
     /// anchor their drift bound is measured from (see
     /// [`crate::subscribe`]).
@@ -632,6 +694,10 @@ pub struct MonitorLoop {
     /// Registry handles wired through every layer by
     /// [`MonitorLoop::attach_telemetry`]; `None` records nothing.
     telemetry: Option<ServiceTelemetry>,
+    /// The simulation thread's own histograms, shared with it (and
+    /// with every replacement [`MonitorLoop::restart_simulation`]
+    /// starts): set by the first attach, empty until then.
+    sim_metrics: Arc<OnceLock<SimMetrics>>,
 }
 
 impl MonitorLoop {
@@ -675,7 +741,8 @@ impl MonitorLoop {
         let step = sim.current_step();
         let scratch = exec.make_scratch(&mesh);
         let fault = Arc::new(FaultCell::new());
-        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &fault);
+        let sim_metrics = Arc::new(OnceLock::new());
+        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &fault, &sim_metrics);
         let mut slots = VecDeque::with_capacity(depth);
         slots.push_back(Slot {
             step,
@@ -708,8 +775,10 @@ impl MonitorLoop {
                 insertions: 1,
                 ..SeedCacheStats::default()
             },
+            reach_lazy: 0,
             subs: SubscriptionRegistry::default(),
             telemetry: None,
+            sim_metrics,
         })
     }
 
@@ -718,16 +787,19 @@ impl MonitorLoop {
     /// (future ring generations inherit the handles through
     /// [`octopus_core::Octopus::restructured`]), the worker pool and
     /// batch executor, and the batch engine — whether already attached
-    /// or attached later via [`MonitorLoop::set_batch_engine`]. From
-    /// here on, queries, steps, re-layouts and subscription polls
-    /// record into `registry`; read them back with
-    /// [`MonitorLoop::telemetry_snapshot`].
+    /// or attached later via [`MonitorLoop::set_batch_engine`] — and the
+    /// simulation thread, which times its own steps and hand-offs
+    /// (`sim_step_ns`, `sim_handoff_ns`; like the pool's, its handles
+    /// are set by the first attach and kept). From here on, queries,
+    /// steps, re-layouts and subscription polls record into `registry`;
+    /// read them back with [`MonitorLoop::telemetry_snapshot`].
     pub fn attach_telemetry(&mut self, registry: &Registry) -> &ServiceTelemetry {
         let t = ServiceTelemetry::register(registry);
         for slot in &self.slots {
             slot.exec.attach_metrics(&t.executor);
         }
         self.pool.attach_metrics(&t.pool);
+        let _ = self.sim_metrics.set(t.sim.clone());
         if let Some(engine) = &mut self.engine {
             engine.attach_metrics(&t.engine);
         }
@@ -753,7 +825,7 @@ impl MonitorLoop {
         t.monitor.ring_occupancy.set_u64(self.slots.len() as u64);
         t.monitor.ring_in_flight.set_u64(self.in_flight as u64);
         let latest = self.slots.back().expect("ring is never empty");
-        t.monitor.sync_grid(&self.grid_stats);
+        t.monitor.sync_grid(&self.grid_stats, self.reach_lazy);
         if let Some(reach) = latest.reach {
             t.monitor
                 .grid_reach
@@ -808,9 +880,12 @@ impl MonitorLoop {
 
     /// Kicks off the next simulation step on the simulation thread and
     /// returns immediately; queries keep answering against the retained
-    /// snapshots while it runs. No-op when the pipeline is already
-    /// `depth` steps ahead, or while a re-layout is pending and cannot
-    /// be applied yet (draining back-pressure).
+    /// snapshots while it runs. The command carries the latest slot's
+    /// grid and, while subscriptions exist, the standing queries'
+    /// anchor: the simulation thread measures the step's reach and
+    /// drift against them over the buffer it fills. No-op when the
+    /// pipeline is already `depth` steps ahead, or while a re-layout is
+    /// pending and cannot be applied yet (draining back-pressure).
     pub fn begin_step(&mut self) -> Result<(), ServiceError> {
         self.check_sim_alive()?;
         if self.relayout_pending && !self.try_apply_pending_relayout()? {
@@ -819,9 +894,13 @@ impl MonitorLoop {
         if self.in_flight >= self.depth {
             return Ok(());
         }
-        let reuse = self.spare_bufs.pop();
+        let cmd = Cmd::Step {
+            reuse: self.spare_bufs.pop(),
+            grid: Arc::clone(&self.latest().grid),
+            anchor: self.subs.anchor_for_step(),
+        };
         self.cmd_tx
-            .send(Cmd::Step { reuse })
+            .send(cmd)
             .map_err(|_| ServiceError::SimulationStopped)?;
         self.in_flight += 1;
         Ok(())
@@ -862,13 +941,15 @@ impl MonitorLoop {
 
     /// Waits for the oldest in-flight step and publishes its state into
     /// the ring (on a deformation step the received position buffer
-    /// becomes the new slot's position array — no copy, no allocation;
-    /// on a restructuring step the received mesh + a
-    /// surface-delta-derived executor). When the ring is at capacity
-    /// the oldest retained slot is recycled — deterministically, and
-    /// only if no query pin holds it ([`ServiceError::RingFull`]
-    /// otherwise; the update stays queued and the call can be retried
-    /// after unpinning). Returns the ring's new latest step number.
+    /// becomes the new slot's position array — no copy, no allocation —
+    /// with the reach the simulation thread measured, when its grid is
+    /// still the one the slot inherits; on a restructuring step the
+    /// received mesh + a surface-delta-derived executor). When the ring
+    /// is at capacity the oldest retained slot is recycled —
+    /// deterministically, and only if no query pin holds it
+    /// ([`ServiceError::RingFull`] otherwise; the update stays queued
+    /// and the call can be retried after unpinning). Returns the ring's
+    /// new latest step number.
     pub fn finish_step(&mut self) -> Result<u32, ServiceError> {
         if self.in_flight == 0 {
             return Err(ServiceError::NoStepInFlight);
@@ -938,13 +1019,19 @@ impl MonitorLoop {
         self.in_flight -= 1;
         let absorb_start = Instant::now();
         match update {
-            Update::Deformed { step, positions } => {
-                self.subs.deformed(&positions);
+            Update::Deformed {
+                step,
+                positions,
+                grid: measured_grid,
+                reach,
+                drift,
+            } => {
+                self.subs.deformed(&positions, drift);
                 let latest = self.slots.back().expect("ring is never empty");
                 // The hand-over: the buffer the simulation filled is the
                 // new slot's position array; everything else it shares
                 // with the latest slot. Nothing is copied.
-                let slot = Slot {
+                let mut slot = Slot {
                     step,
                     mesh: latest.mesh.with_positions(positions),
                     exec: Arc::clone(&latest.exec),
@@ -953,12 +1040,28 @@ impl MonitorLoop {
                     translation: latest.translation.clone(),
                     pins: 0,
                 };
+                // The simulation measured the reach against the grid
+                // this slot inherits, unless that grid was replaced
+                // since the command left; then a request measures it.
+                if Arc::ptr_eq(&measured_grid, &slot.grid) {
+                    debug_assert_eq!(
+                        reach.to_bits(),
+                        slot.grid.reach(slot.mesh.positions()).to_bits(),
+                        "the reach measured on the simulation thread is not this slot's"
+                    );
+                    slot.settle_reach(reach, true, &mut self.grid_stats);
+                }
                 self.push_slot(slot);
                 if let Some(t) = &self.telemetry {
                     t.monitor.publish_ns.record_duration(absorb_start.elapsed());
                 }
             }
-            Update::Restructured { step, mesh, delta } => {
+            Update::Restructured {
+                step,
+                mesh,
+                delta,
+                drift,
+            } => {
                 let latest = self.slots.back().expect("ring is never empty");
                 // Derive (not mutate): older retained slots keep their
                 // connectivity's executor and its grid.
@@ -997,7 +1100,7 @@ impl MonitorLoop {
                 // Told while the appended ids are still the tail of the
                 // id space: the re-layout this event may trigger
                 // relabels them.
-                self.subs.restructured(&mesh);
+                self.subs.restructured(&mesh, drift);
                 self.push_slot(Slot {
                     step,
                     mesh,
@@ -1301,37 +1404,27 @@ impl MonitorLoop {
         Ok(())
     }
 
-    /// Where a slot becomes a [`Snapshot`]: the first request against it
-    /// measures its reach against its grid. When that is the newest
-    /// slot and the reach has outgrown one cell, the grid is rebuilt
-    /// from the slot (anchors = now) for it and every later slot to
-    /// inherit — under a bounded displacement field this never fires
-    /// after set-up, under a monotone one every few steps at O(S).
-    /// Only a *finite* reach rebuilds: a slot with a non-finite surface
-    /// position would only anchor the new grid at it and leave every
-    /// later slot unbounded too, so it keeps the old anchors, is
-    /// answered by the full probe, and the grid is back the moment the
-    /// positions are finite again.
+    /// Where a slot becomes a [`Snapshot`]. A slot that came without a
+    /// measured reach — the ingest slot, a restructure, a re-layout, a
+    /// deformation step whose grid was replaced while it was in flight
+    /// — has it measured here, by the first request against it (counted
+    /// in `reach_lazy`), and settled as at publish: the newest slot
+    /// rebuilds its grid when the reach has outgrown a cell.
     ///
-    /// Over the two fields it touches, so that the snapshot borrows the
+    /// Over the fields it touches, so that the snapshot borrows the
     /// ring alone and the caller keeps the engine, pool and scratch.
     fn resolve<'a>(
         slots: &'a mut VecDeque<Slot>,
         stats: &mut SeedCacheStats,
+        reach_lazy: &mut u64,
         slot: usize,
     ) -> Snapshot<'a> {
         let newest = slot + 1 == slots.len();
         let s = &mut slots[slot];
         if s.reach.is_none() {
-            let mut reach = s.grid.reach(s.mesh.positions());
-            if newest && reach.is_finite() && reach > s.grid.cell() {
-                s.grid = build_grid(&s.exec, &s.mesh);
-                stats.stale += 1;
-                stats.insertions += 1;
-                // Every surface position is finite and is its own anchor.
-                reach = 0.0;
-            }
-            s.reach = Some(reach);
+            *reach_lazy += 1;
+            let reach = s.grid.reach(s.mesh.positions());
+            s.settle_reach(reach, newest, stats);
         }
         s.view()
     }
@@ -1352,7 +1445,12 @@ impl MonitorLoop {
     fn serve(&mut self, slot: usize, queries: &[Aabb]) -> Vec<QueryResult> {
         let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
         let _span = tracer.as_ref().map(|tr| tr.span("monitor.query_batch"));
-        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, slot);
+        let snap = Self::resolve(
+            &mut self.slots,
+            &mut self.grid_stats,
+            &mut self.reach_lazy,
+            slot,
+        );
         let (results, scanned) = match &mut self.engine {
             Some(engine) => {
                 let results = engine.execute(&mut self.pool, &snap, queries);
@@ -1413,7 +1511,12 @@ impl MonitorLoop {
     /// still exact, never fast).
     pub fn subscribe_with_band(&mut self, q: &Aabb, band: f32) -> SubscriptionId {
         let latest = self.slots.len() - 1;
-        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
+        let snap = Self::resolve(
+            &mut self.slots,
+            &mut self.grid_stats,
+            &mut self.reach_lazy,
+            latest,
+        );
         self.subs.subscribe(*q, band, &snap, &mut self.scratch)
     }
 
@@ -1438,10 +1541,15 @@ impl MonitorLoop {
             .as_ref()
             .map(|tr| tr.span("monitor.poll_subscriptions"));
         let latest = self.slots.len() - 1;
-        // Only a crawl probes: a poll of delta paths alone leaves the
-        // slot's reach to the first request that needs it.
+        // Only a crawl probes: a poll of delta paths alone does not
+        // measure a reach the slot came without.
         let snap = if self.subs.must_crawl() {
-            Self::resolve(&mut self.slots, &mut self.grid_stats, latest)
+            Self::resolve(
+                &mut self.slots,
+                &mut self.grid_stats,
+                &mut self.reach_lazy,
+                latest,
+            )
         } else {
             self.slots[latest].view()
         };
@@ -1471,7 +1579,12 @@ impl MonitorLoop {
     /// batches only). A single shape is a batch of one.
     pub fn query_shapes(&mut self, shapes: &[QueryShape]) -> Vec<ShapeQueryResult> {
         let latest = self.slots.len() - 1;
-        let snap = Self::resolve(&mut self.slots, &mut self.grid_stats, latest);
+        let snap = Self::resolve(
+            &mut self.slots,
+            &mut self.grid_stats,
+            &mut self.reach_lazy,
+            latest,
+        );
         let answers = shapes
             .iter()
             .map(|shape| {
@@ -1543,7 +1656,7 @@ impl MonitorLoop {
         let resume_step = self.latest().step;
         let mut sim = make(&self.latest().mesh)?;
         sim.resume_from(resume_step);
-        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &self.fault);
+        let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &self.fault, &self.sim_metrics);
         self.cmd_tx = cmd_tx;
         self.upd_rx = upd_rx;
         self.handle = Some(handle);
@@ -1662,17 +1775,20 @@ impl Drop for MonitorLoop {
 /// state, or the rendered payload of the panic that ended it.
 type SimHandle = JoinHandle<Result<Simulation, String>>;
 
-/// Starts `sim` on its own thread ([`sim_thread`], consulting `fault`)
-/// and returns the command sender, the update receiver and the handle —
-/// at construction and on every restart.
+/// Starts `sim` on its own thread ([`sim_thread`], consulting `fault`
+/// and recording into `metrics` once they are set) and returns the
+/// command sender, the update receiver and the handle — at
+/// construction and on every restart.
 fn spawn_sim(
     sim: Simulation,
     fault: &Arc<FaultCell>,
+    metrics: &Arc<OnceLock<SimMetrics>>,
 ) -> (Sender<Cmd>, Receiver<Update>, SimHandle) {
     let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
     let (upd_tx, upd_rx) = std::sync::mpsc::channel();
     let fault = Arc::clone(fault);
-    let handle = std::thread::spawn(move || sim_thread(sim, &cmd_rx, &upd_tx, &fault));
+    let metrics = Arc::clone(metrics);
+    let handle = std::thread::spawn(move || sim_thread(sim, &cmd_rx, &upd_tx, &fault, &metrics));
     (cmd_tx, upd_rx, handle)
 }
 
@@ -1692,6 +1808,13 @@ fn join_sim(handle: SimHandle) -> Result<Simulation, String> {
 /// one that did sends the simulation mesh's connectivity handles around
 /// the same buffer.
 ///
+/// The producer measures what it hands off, over the buffer it has just
+/// filled: a deformation step's reach against the command's grid, and
+/// on any step the drift against the command's anchor (whose `Arc` is
+/// dropped before the update is sent, so the registry can move the
+/// anchor in place). The monitor takes each value only if it is still
+/// of the grid or anchor generation it would measure against.
+///
 /// Supervised: the step computation runs under `catch_unwind`, so a
 /// panic (genuine or injected) is reported to the monitor as
 /// [`Update::Panicked`] and returned as `Err(payload)` instead of
@@ -1706,11 +1829,17 @@ fn sim_thread(
     cmd_rx: &Receiver<Cmd>,
     upd_tx: &Sender<Update>,
     fault: &FaultCell,
+    metrics: &OnceLock<SimMetrics>,
 ) -> Result<Simulation, String> {
     let mut last_epoch = sim.restructure_epoch();
     while let Ok(cmd) = cmd_rx.recv() {
-        let reuse = match cmd {
-            Cmd::Step { reuse } => reuse,
+        let received = Instant::now();
+        let (reuse, grid, anchor) = match cmd {
+            Cmd::Step {
+                reuse,
+                grid,
+                anchor,
+            } => (reuse, grid, anchor),
             Cmd::Relayout(perm) => {
                 sim.permute_vertices(&perm);
                 continue;
@@ -1740,24 +1869,40 @@ fn sim_thread(
                 if let Some(msg) = injected_panic {
                     panic!("{msg}");
                 }
-                sim.step_outcome()
+                let step_start = Instant::now();
+                let outcome = sim.step_outcome();
+                if let Some(m) = metrics.get() {
+                    m.step_ns.record_duration(step_start.elapsed());
+                }
+                outcome
             })),
         };
         let update = match stepped {
             Ok(Ok(outcome)) => {
                 let mut positions = reuse.unwrap_or_default();
                 sim.snapshot_positions_into(&mut positions);
+                // Vertices are only ever appended, so the anchor's ids
+                // are a prefix of the new positions.
+                let drift = anchor.and_then(|(anchor, generation)| {
+                    let held = positions.get(..anchor.len())?;
+                    Some((generation, max_displacement(&anchor, held)))
+                });
                 if outcome.restructure_epoch != last_epoch {
                     last_epoch = outcome.restructure_epoch;
                     Update::Restructured {
                         step: outcome.step,
                         mesh: sim.mesh().with_positions(positions),
                         delta: outcome.delta,
+                        drift,
                     }
                 } else {
+                    let reach = grid.reach(&positions);
                     Update::Deformed {
                         step: outcome.step,
                         positions,
+                        grid,
+                        reach,
+                        drift,
                     }
                 }
             }
@@ -1769,6 +1914,9 @@ fn sim_thread(
                 return Err(msg);
             }
         };
+        if let Some(m) = metrics.get() {
+            m.handoff_ns.record_duration(received.elapsed());
+        }
         if upd_tx.send(update).is_err() {
             break; // Monitor dropped; stop quietly.
         }

@@ -20,7 +20,17 @@
 //! The registry keeps one copy of the positions, the *anchor*, and per
 //! absorbed step one number: `D(t) = max_v |p_t(v) − anchor(v)|`, an
 //! O(V) pass (`max_displacement`) paid only while subscriptions
-//! exist. A subscription rebuilt at step `r` stores `ref = D(r)`; by
+//! exist, and paid by the producer: the anchor is shared (an `Arc`)
+//! with a generation counter, [`crate::MonitorLoop::begin_step`] sends
+//! both with the step, and the simulation thread measures `D` over the
+//! buffer it has just filled. The generation is bumped at every change
+//! of the anchor — the first subscribe, the last unsubscribe, a
+//! re-anchoring rebuild, a restructure's extension and a re-layout's
+//! relabelling — and the registry takes the measured value only while
+//! the generation it came with is still current; otherwise (the anchor
+//! moved while the step was in flight) it measures the pass itself. A
+//! maximum is exact in any order, so either way `D` is bit-identical.
+//! A subscription rebuilt at step `r` stores `ref = D(r)`; by
 //! the triangle inequality through the anchor no vertex is farther than
 //! `δ = ref + D(t)` from where it was at `r`. The anchor may move at
 //! any time without invalidating anybody: moving it at `t` adds `D(t)`
@@ -94,6 +104,7 @@ use crate::snapshot::Snapshot;
 use octopus_core::QueryScratch;
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
+use std::sync::Arc;
 
 /// Opaque handle of a standing query registered with
 /// [`crate::MonitorLoop::subscribe`].
@@ -227,8 +238,12 @@ pub(crate) struct SubscriptionRegistry {
     /// Recycled crawl-output buffer for rebuilds.
     buf: Vec<VertexId>,
     /// The positions `drift` is measured from, in the newest snapshot's
-    /// id space; empty without subscriptions.
-    anchor: Vec<Point3>,
+    /// id space; empty without subscriptions. Shared with the steps in
+    /// flight that measure against it.
+    anchor: Arc<Vec<Point3>>,
+    /// Bumped at every change of `anchor`: a drift measured against
+    /// another generation is not this anchor's.
+    generation: u64,
     /// `D` of the newest absorbed step.
     drift: f32,
     reanchors: u64,
@@ -258,27 +273,57 @@ impl SubscriptionRegistry {
         self.patched_events
     }
 
+    /// What a step needs to measure `D` on the simulation thread: the
+    /// anchor and its generation (`None` without subscriptions, when
+    /// nothing is measured).
+    pub(crate) fn anchor_for_step(&self) -> Option<(Arc<Vec<Point3>>, u64)> {
+        (!self.subs.is_empty()).then(|| (Arc::clone(&self.anchor), self.generation))
+    }
+
+    /// `D` of `positions` (the anchor's ids, at the newest step): the
+    /// `(generation, D)` the simulation thread measured when it was
+    /// measured against this anchor, else one pass here.
+    fn drift_of(&self, positions: &[Point3], measured: Option<(u64, f32)>) -> f32 {
+        match measured {
+            Some((generation, drift)) if generation == self.generation => {
+                debug_assert_eq!(
+                    drift.to_bits(),
+                    max_displacement(&self.anchor, positions).to_bits(),
+                    "the drift measured on the simulation thread is not this anchor's"
+                );
+                drift
+            }
+            _ => max_displacement(&self.anchor, positions),
+        }
+    }
+
     /// The newest step's positions, as its deformation update is
-    /// absorbed: measures `D`. Costs nothing without subscriptions.
-    pub(crate) fn deformed(&mut self, positions: &[Point3]) {
+    /// absorbed, and the `(generation, D)` the simulation thread
+    /// measured for them: sets `D`. Costs nothing without
+    /// subscriptions.
+    pub(crate) fn deformed(&mut self, positions: &[Point3], measured: Option<(u64, f32)>) {
         if !self.subs.is_empty() {
-            self.drift = max_displacement(&self.anchor, positions);
+            self.drift = self.drift_of(positions, measured);
         }
     }
 
     /// The newest step's mesh, as its restructuring update is absorbed
-    /// and before a re-layout can relabel it: measures `D` over the ids
-    /// that existed, anchors the appended ones where they were born and
-    /// patches every candidate list (invariant 2) — O(candidates + new
-    /// ids), no crawl.
-    pub(crate) fn restructured(&mut self, mesh: &Mesh) {
+    /// and before a re-layout can relabel it, and the `(generation, D)`
+    /// the simulation thread measured over the ids that existed: sets
+    /// `D`, anchors the appended ids where they were born and patches
+    /// every candidate list (invariant 2) — O(candidates + new ids), no
+    /// crawl.
+    pub(crate) fn restructured(&mut self, mesh: &Mesh, measured: Option<(u64, f32)>) {
         if self.subs.is_empty() {
             return;
         }
         let positions = mesh.positions();
         let born = self.anchor.len();
-        self.drift = max_displacement(&self.anchor, &positions[..born]);
-        self.anchor.extend_from_slice(&positions[born..]);
+        self.drift = self.drift_of(&positions[..born], measured);
+        if born < positions.len() {
+            Arc::make_mut(&mut self.anchor).extend_from_slice(&positions[born..]);
+            self.generation += 1;
+        }
         for sub in &mut self.subs {
             let owed_left = &mut sub.owed_left;
             sub.candidates.retain(|c| {
@@ -315,7 +360,7 @@ impl SubscriptionRegistry {
         self.next_id += 1;
         if self.subs.is_empty() {
             // Nothing was being measured: the anchor starts here.
-            self.anchor.extend_from_slice(snap.mesh.positions());
+            self.set_anchor(snap.mesh.positions());
         }
         self.subs.push(Subscription {
             id,
@@ -345,10 +390,24 @@ impl SubscriptionRegistry {
         self.retired.full_refreshes += gone.full_refreshes;
         self.retired.retested += gone.retested;
         if self.subs.is_empty() {
-            self.anchor = Vec::new();
+            self.anchor = Arc::default();
+            self.generation += 1;
             self.drift = 0.0;
         }
         true
+    }
+
+    /// Moves the anchor to `positions`: in place unless a step in
+    /// flight still reads the old one.
+    fn set_anchor(&mut self, positions: &[Point3]) {
+        match Arc::get_mut(&mut self.anchor) {
+            Some(anchor) => {
+                anchor.clear();
+                anchor.extend_from_slice(positions);
+            }
+            None => self.anchor = Arc::new(positions.to_vec()),
+        }
+        self.generation += 1;
     }
 
     /// Applies a re-layout permutation (old id → new id) to every
@@ -363,7 +422,8 @@ impl SubscriptionRegistry {
         for (old, &new) in perm.iter().enumerate() {
             anchor[new as usize] = self.anchor[old];
         }
-        self.anchor = anchor;
+        self.anchor = Arc::new(anchor);
+        self.generation += 1;
         for sub in &mut self.subs {
             for c in &mut sub.candidates {
                 c.v = perm[c.v as usize];
@@ -456,7 +516,7 @@ impl SubscriptionRegistry {
             for sub in &mut self.subs {
                 sub.ref_drift = sum_up(sub.ref_drift, self.drift);
             }
-            self.anchor.copy_from_slice(positions);
+            self.set_anchor(positions);
             self.drift = 0.0;
             self.reanchors += 1;
         }
@@ -536,7 +596,9 @@ fn diff_sorted(old: &[VertexId], new: &[VertexId]) -> (Vec<VertexId>, Vec<Vertex
 
 /// Largest per-vertex distance between two position arrays of the same
 /// length — one O(V) pass (squared distances; one sqrt at the end):
-/// the drift `D` of `after` against the anchor `before`.
+/// the drift `D` of `after` against the anchor `before`. Run by the
+/// simulation thread over the buffer it hands off, and here whenever
+/// that measurement is not of the current anchor.
 ///
 /// A non-finite distance (a vertex at NaN/∞ on either side) compares
 /// false against every maximum, so it is tracked separately and
@@ -548,7 +610,7 @@ fn diff_sorted(old: &[VertexId], new: &[VertexId]) -> (Vec<VertexId>, Vec<Vertex
 /// serial dependency chain: 163 µs against 118 µs on 90 k vertices). A
 /// maximum is exact in any order, so the value is bit-identical to the
 /// one-accumulator loop's.
-fn max_displacement(before: &[Point3], after: &[Point3]) -> f32 {
+pub(crate) fn max_displacement(before: &[Point3], after: &[Point3]) -> f32 {
     debug_assert_eq!(before.len(), after.len());
     let mut max_sq = [0.0f32; DISPLACEMENT_LANES];
     let mut finite = [true; DISPLACEMENT_LANES];

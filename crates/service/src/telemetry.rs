@@ -231,8 +231,11 @@ pub struct MonitorMetrics {
     /// (what a connectivity event costs the serving side).
     pub(crate) restructure_ns: Histogram,
     /// `ring_publish_ns` — time to absorb a deformation update, from
-    /// update received to slot pushed: the standing queries' drift pass
-    /// plus the buffer hand-over (what a step costs the serving side).
+    /// update received to slot pushed: the buffer hand-over, plus a grid
+    /// rebuild when the measured reach outgrew a cell, plus the
+    /// standing queries' drift pass only when the simulation thread
+    /// measured against an anchor that has moved since (what a step
+    /// costs the serving side).
     pub(crate) publish_ns: Histogram,
     /// `surface_grid_{probes,fallbacks,rebuilds}_total` — queries probed
     /// through the surface grid, queries that fell back to the full
@@ -240,10 +243,14 @@ pub struct MonitorMetrics {
     pub(crate) grid_probes: Counter,
     pub(crate) grid_fallbacks: Counter,
     pub(crate) grid_rebuilds: Counter,
+    /// `surface_grid_reach_lazy_total` — slots whose reach a request had
+    /// to measure because none came with the slot: the ingest slot,
+    /// restructures, re-layouts, and deformation steps whose grid was
+    /// replaced while they were in flight.
+    pub(crate) grid_reach_lazy: Counter,
     /// `surface_grid_reach` gauge — the newest snapshot's reach in cell
-    /// edges (what the probes dilate by; a rebuild fires above 1), as of
-    /// its last query — and `surface_grid_bytes`, the newest grid's heap
-    /// bytes.
+    /// edges (what the probes dilate by; a rebuild fires above 1), once
+    /// known — and `surface_grid_bytes`, the newest grid's heap bytes.
     pub(crate) grid_reach: Gauge,
     pub(crate) grid_bytes: Gauge,
     /// `drift_meter` gauge — largest distance of any vertex from the
@@ -281,6 +288,7 @@ pub struct MonitorMetrics {
     synced_patched_events: u64,
     /// Cumulative grid counters already published.
     synced_grid: SeedCacheStats,
+    synced_reach_lazy: u64,
 }
 
 impl MonitorMetrics {
@@ -298,6 +306,7 @@ impl MonitorMetrics {
             grid_probes: registry.counter("surface_grid_probes_total"),
             grid_fallbacks: registry.counter("surface_grid_fallbacks_total"),
             grid_rebuilds: registry.counter("surface_grid_rebuilds_total"),
+            grid_reach_lazy: registry.counter("surface_grid_reach_lazy_total"),
             grid_reach: registry.gauge("surface_grid_reach"),
             grid_bytes: registry.gauge("surface_grid_bytes"),
             drift_meter: registry.gauge("drift_meter"),
@@ -316,17 +325,22 @@ impl MonitorMetrics {
             synced_reanchors: 0,
             synced_patched_events: 0,
             synced_grid: SeedCacheStats::default(),
+            synced_reach_lazy: 0,
         }
     }
 
-    /// Publish the surface grid's cumulative counters: registry counters
-    /// advance by the delta since the last sync.
-    pub(crate) fn sync_grid(&mut self, stats: &SeedCacheStats) {
+    /// Publish the surface grid's cumulative counters and the count of
+    /// lazily measured reaches: registry counters advance by the delta
+    /// since the last sync.
+    pub(crate) fn sync_grid(&mut self, stats: &SeedCacheStats, reach_lazy: u64) {
         self.grid_probes.add(stats.hits - self.synced_grid.hits);
         self.grid_fallbacks
             .add(stats.misses - self.synced_grid.misses);
         self.grid_rebuilds.add(stats.stale - self.synced_grid.stale);
         self.synced_grid = *stats;
+        self.grid_reach_lazy
+            .add(reach_lazy - self.synced_reach_lazy);
+        self.synced_reach_lazy = reach_lazy;
     }
 
     /// Publish the subscription registry's cumulative counters (delta
@@ -353,6 +367,29 @@ impl MonitorMetrics {
     }
 }
 
+/// Simulation-thread metrics, recorded on that thread (the monitor
+/// shares them with it through a cell set at attach; see
+/// [`crate::MonitorLoop::attach_telemetry`]).
+#[derive(Clone)]
+pub(crate) struct SimMetrics {
+    /// `sim_step_ns` — the simulation's own step (`step_outcome`), as
+    /// the simulation thread runs it beside the queries.
+    pub(crate) step_ns: Histogram,
+    /// `sim_handoff_ns` — from a step command received to its update
+    /// sent: the step, the position copy and the hand-off measurements
+    /// (grid reach, standing-query drift).
+    pub(crate) handoff_ns: Histogram,
+}
+
+impl SimMetrics {
+    fn register(registry: &Registry) -> SimMetrics {
+        SimMetrics {
+            step_ns: registry.histogram("sim_step_ns"),
+            handoff_ns: registry.histogram("sim_handoff_ns"),
+        }
+    }
+}
+
 /// Everything the service layer records, bundled: built once from a
 /// [`Registry`] and fanned out to the pool, the batch executor, the
 /// engine and the monitor (see [`crate::MonitorLoop::attach_telemetry`]).
@@ -369,6 +406,8 @@ pub struct ServiceTelemetry {
     pub(crate) monitor: MonitorMetrics,
     /// Admission queue/shedding/back-pressure metrics.
     pub(crate) admission: AdmissionMetrics,
+    /// Step and hand-off timings of the simulation thread.
+    pub(crate) sim: SimMetrics,
     /// The registry's span tracer.
     pub(crate) tracer: Tracer,
 }
@@ -383,6 +422,7 @@ impl ServiceTelemetry {
             engine: EngineMetrics::register(registry),
             monitor: MonitorMetrics::register(registry),
             admission: AdmissionMetrics::register(registry),
+            sim: SimMetrics::register(registry),
             tracer: registry.tracer(),
         }
     }

@@ -2,14 +2,20 @@
 //! step while up to K further steps compute ahead — and every answer
 //! matches a stop-the-world reference run exactly, including across
 //! restructuring steps (surface-delta-derived per-slot executors) and
-//! mid-run re-layouts (pipeline drained first, ring truncated).
+//! mid-run re-layouts (pipeline drained first, ring truncated). The
+//! position hand-off: buffers rotate, slots share connectivity by
+//! pointer, and the simulation thread measures each step's grid reach
+//! so that requests measure only the slots whose grid changed while
+//! they were in flight.
 
-use octopus_geom::{Aabb, Point3, VertexId};
+use octopus_geom::{Aabb, Point3, Vec3, VertexId};
 use octopus_service::{
     BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError,
 };
-use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
-use octopus_testkit::{box_mesh, reference_run, sorted, step_queries, FailPoint};
+use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
+use octopus_telemetry::Registry;
+use octopus_testkit::{box_mesh, reference_run, scan_active, sorted, step_queries, FailPoint};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The ring-depth property: a pipelined run at depth K, with queries
@@ -165,6 +171,131 @@ fn deformation_publish_rotates_a_fixed_set_of_position_buffers() {
             warm,
             "depth {depth}: a publish after warm-up allocated: {distinct_after:?}"
         );
+    }
+}
+
+/// The rest state translated by `step` times a fixed vector: drift that
+/// only grows, so the reach outgrows a grid cell every few steps.
+struct Translate(Vec3);
+
+impl Deformation for Translate {
+    fn name(&self) -> &'static str {
+        "translate"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        for (p, r) in positions.iter_mut().zip(rest) {
+            *p = *r + self.0 * step as f32;
+        }
+    }
+}
+
+/// The producer measures what it hands off: the simulation thread
+/// measures every deformation step's reach against the grid its command
+/// carried, and a request measures a slot's reach only when that grid
+/// was replaced between the step's `begin_step` and its `finish_step`
+/// (here by a drift rebuild, at depth 3, while two steps were in
+/// flight behind the rebuilt one), or for the ingest slot. Overlapped
+/// loops at depths 1 and 3 and a lockstep loop, under a bounded field
+/// and a monotone one: every retained step's answers equal the scan,
+/// and `surface_grid_reach_lazy_total` counts exactly those slots.
+#[test]
+fn requests_measure_only_the_reaches_the_simulation_could_not() {
+    const STEPS: u32 = 24;
+    for monotone in [false, true] {
+        for (depth, lockstep) in [(1usize, false), (3, false), (1, true)] {
+            let ctx = format!("monotone {monotone}, depth {depth}, lockstep {lockstep}");
+            let field: Box<dyn Deformation> = if monotone {
+                Box::new(Translate(Vec3::new(0.11, -0.07, 0.05)))
+            } else {
+                Box::new(SmoothRandomField::new(0.01, 3, 0x6121D))
+            };
+            let sim = Simulation::new(box_mesh(6), field);
+            let mut monitor =
+                MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, depth).unwrap();
+            let registry = Registry::new();
+            monitor.attach_telemetry(&registry);
+            let installed = |m: &MonitorLoop| m.seed_cache_stats().unwrap().insertions;
+            // Grids installed so far when each step in flight was
+            // commanded, oldest first: a grid is replaced only by an
+            // installation.
+            let mut commanded: VecDeque<u64> = VecDeque::new();
+            let begin = |m: &mut MonitorLoop, commanded: &mut VecDeque<u64>| {
+                let started = if lockstep {
+                    m.begin_step().unwrap();
+                    1
+                } else {
+                    m.fill_pipeline().unwrap()
+                };
+                commanded.extend(std::iter::repeat_n(installed(m), started));
+            };
+            // The ingest slot comes without a reach: the first request
+            // measures it.
+            let ingest = monitor.query_batch(&step_queries(0));
+            monitor.recycle(ingest);
+            let mut lazy = 1;
+            if !lockstep {
+                begin(&mut monitor, &mut commanded);
+            }
+            for step in 1..=STEPS {
+                if lockstep {
+                    begin(&mut monitor, &mut commanded);
+                }
+                let at_begin = commanded.pop_front().expect("a step in flight");
+                if installed(&monitor) != at_begin {
+                    lazy += 1;
+                }
+                assert_eq!(monitor.finish_step().unwrap(), step, "{ctx}");
+                if !lockstep && step < STEPS {
+                    begin(&mut monitor, &mut commanded);
+                }
+                // Boxes that follow the mesh, asked of every retained
+                // step, so that every slot is resolved once.
+                let bounds = monitor.snapshot().bounding_box();
+                let e = bounds.extent();
+                let queries = [
+                    Aabb::cube(bounds.center(), 0.25 * e.x),
+                    Aabb::new(bounds.min, bounds.center()),
+                    Aabb::cube(bounds.max, 0.3 * e.x),
+                ];
+                for s in monitor.retained_steps() {
+                    let results = monitor.query_batch_at(s, &queries).unwrap();
+                    let mesh = monitor.snapshot_at(s).unwrap();
+                    for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
+                        assert_eq!(
+                            sorted(r.vertices.clone()),
+                            scan_active(mesh, q),
+                            "{ctx}: step {step}, retained step {s}, box {i}"
+                        );
+                    }
+                    monitor.recycle(results);
+                }
+                let telemetry = monitor.telemetry_snapshot().unwrap();
+                assert_eq!(
+                    telemetry.counter("surface_grid_reach_lazy_total"),
+                    lazy,
+                    "{ctx}: step {step}"
+                );
+                assert!(
+                    telemetry.gauge("surface_grid_reach") <= 1.0,
+                    "{ctx}: step {step}: the newest slot serves past its rebuild threshold"
+                );
+            }
+            let stats = monitor.seed_cache_stats().unwrap();
+            assert_eq!(stats.stale > 0, monotone, "{ctx}: premise: {stats:?}");
+            // Only a rebuild with steps in flight behind it strands
+            // them; at depth 1 nothing is ever in flight behind one.
+            if depth == 1 || !monotone {
+                assert_eq!(lazy, 1, "{ctx}: {stats:?}");
+            } else {
+                assert!(lazy > 1, "{ctx}: premise: {stats:?}");
+            }
+            let telemetry = monitor.telemetry_snapshot().unwrap();
+            for name in ["sim_step_ns", "sim_handoff_ns"] {
+                let h = telemetry.histogram(name).unwrap();
+                assert!(h.count >= u64::from(STEPS), "{ctx}: {name} {h:?}");
+            }
+        }
     }
 }
 

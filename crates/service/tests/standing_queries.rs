@@ -700,6 +700,91 @@ fn a_creeping_field_refreshes_no_more_often_than_the_summed_meter() {
     }
 }
 
+/// The rest state on even steps, translated by a fixed vector on odd
+/// ones: an anchor taken on one parity is exactly as far from every
+/// position of the other as the vector is long, and at exactly 0 from
+/// its own — so a drift measured against the anchor before a move reads
+/// 0 where the anchor after it reads the full shift.
+struct Flicker(Vec3);
+
+impl Deformation for Flicker {
+    fn name(&self) -> &'static str {
+        "flicker"
+    }
+
+    fn apply_step(&mut self, step: u32, rest: &[Point3], positions: &mut [Point3]) {
+        let shift = if step % 2 == 1 { self.0 } else { Vec3::ZERO };
+        for (p, r) in positions.iter_mut().zip(rest) {
+            *p = *r + shift;
+        }
+    }
+}
+
+#[test]
+fn a_drift_measured_against_a_moved_anchor_is_discarded() {
+    // Ring depth 2: every poll runs with the next step already
+    // commanded, carrying the anchor generation of before the poll. The
+    // anchor then moves under it three ways — a subscribe that
+    // re-anchors (step 3), the last unsubscribe and a resubscribe
+    // (step 8), a refresh poll (from step 13 on) — each time onto the
+    // other parity of `Flicker`, so the in-flight step's drift against
+    // the old anchor is 0 while the true one is the full shift. Taking
+    // it would leave the re-anchored subscription re-testing nothing
+    // and its mirror behind the scan; in debug builds the monitor also
+    // re-measures every drift it takes and asserts bit equality.
+    let shift = Vec3::new(0.2, 0.15, 0.1);
+    let sim = simulation(4, Box::new(Flicker(shift)), None);
+    let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    let registry = Registry::new();
+    monitor.attach_telemetry(&registry);
+    let reanchors = |m: &mut MonitorLoop| {
+        m.telemetry_snapshot()
+            .unwrap()
+            .counter("standing_reanchors_total")
+    };
+    // Wider than an edge (0.2), narrower than the shift: used up by
+    // every step.
+    let narrow = 0.25;
+    let boxes = standing_boxes();
+    let mut mirrors = vec![Mirror::subscribe(&mut monitor, boxes[0], None)];
+    let mut refreshes_in_flight = 0;
+    for step in 1..=20 {
+        let before = reanchors(&mut monitor);
+        step_and_check(&mut monitor, &mut mirrors, step, "moved anchor");
+        assert_eq!(monitor.in_flight(), 1, "step {step}: premise");
+        if reanchors(&mut monitor) > before {
+            assert!(step >= 13, "step {step}: only the narrow band refreshes");
+            refreshes_in_flight += 1;
+        }
+        match step {
+            3 => {
+                let before = reanchors(&mut monitor);
+                mirrors.push(Mirror::subscribe(&mut monitor, boxes[1], None));
+                assert_eq!(
+                    reanchors(&mut monitor),
+                    before + 1,
+                    "premise: it re-anchors"
+                );
+            }
+            8 => {
+                for m in mirrors.drain(..) {
+                    assert!(monitor.unsubscribe(m.id));
+                }
+                assert_eq!(monitor.subscriptions(), 0);
+                mirrors.push(Mirror::subscribe(&mut monitor, boxes[2], None));
+            }
+            12 => mirrors.push(Mirror::subscribe(&mut monitor, boxes[0], Some(narrow))),
+            _ => {}
+        }
+    }
+    assert_eq!(
+        refreshes_in_flight, 8,
+        "every poll from step 13 on re-anchors"
+    );
+    let narrow_stats = monitor.subscription_stats(mirrors[1].id).unwrap();
+    assert_eq!(narrow_stats.full_refreshes, 1 + 8, "{narrow_stats:?}");
+}
+
 #[test]
 fn connectivity_events_patch_the_candidate_list() {
     // Named cases (iv) and (v). The box holds the whole mesh, so every

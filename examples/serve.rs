@@ -563,6 +563,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("surface_grid_fallbacks_total"),
         candidates.count
     );
+    // The simulation thread measures each deformation step's reach
+    // against the grid its command carried. A request measures it only
+    // for a slot that came without one: the ingest slot, a restructure,
+    // a re-layout, and a step whose grid was replaced while it was in
+    // flight. A re-layout waits for a drained pipeline, so it strands
+    // no step in flight; a restructure strands at most `depth − 1`, a
+    // drift rebuild too. More lazy slots than that mean the hand-off
+    // path stopped being taken.
+    let restructures = telemetry
+        .histogram("ring_restructure_ns")
+        .map_or(0, |h| h.count);
+    let (relayouts, rebuilds) = (
+        telemetry.counter("ring_relayouts_total"),
+        telemetry.counter("surface_grid_rebuilds_total"),
+    );
+    let reach_lazy = telemetry.counter("surface_grid_reach_lazy_total");
+    let in_flight_behind = depth as u64 - 1;
+    let lazy_bound =
+        1 + relayouts + restructures * (1 + in_flight_behind) + rebuilds * in_flight_behind;
+    println!(
+        "  hand-off: {reach_lazy} slot reach(es) measured by a request, bound {lazy_bound} \
+         (ingest, {restructures} restructure(s), {relayouts} re-layout(s), {rebuilds} drift \
+         rebuild(s), {in_flight_behind} step(s) in flight behind each)"
+    );
+    assert!(
+        reach_lazy <= lazy_bound,
+        "requests measured {reach_lazy} slot reaches, more than the {lazy_bound} slots \
+         that come without one"
+    );
     let patched_events = telemetry.counter("standing_patched_events_total");
     println!(
         "  standing query: {} polls, {} on the delta path (hit rate {:.0}%), {} full \
@@ -628,6 +657,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "surface_grid_probes_total",
         "surface_grid_fallbacks_total",
         "surface_grid_rebuilds_total",
+        "surface_grid_reach_lazy_total",
         "surface_grid_reach",
         "surface_grid_bytes",
         "surface_grid_candidates",
@@ -644,6 +674,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deadline_miss_total",
         "retry_after_total",
         "sim_restarts_total",
+        "sim_step_ns",
+        "sim_handoff_ns",
     ] {
         assert!(
             telemetry.has_family(family),
@@ -709,6 +741,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .histogram("ring_publish_ns")
         .expect("publish cost must be in the snapshot");
     assert!(publish.count > 0, "no deformation step was published");
+    let (sim_step, sim_handoff) = (
+        telemetry
+            .histogram("sim_step_ns")
+            .expect("the simulation thread times its steps"),
+        telemetry
+            .histogram("sim_handoff_ns")
+            .expect("the simulation thread times its hand-offs"),
+    );
+    assert!(
+        sim_step.count > 0 && sim_handoff.count >= sim_step.count,
+        "the simulation thread recorded {} steps and {} hand-offs",
+        sim_step.count,
+        sim_handoff.count
+    );
+    // Means: a step and its hand-off fall in the same power-of-two
+    // bucket, where the quantiles would read the same.
+    println!(
+        "    sim thread: {} steps, mean {:.1}µs; {} hand-offs (step + copy + reach and drift), \
+         mean {:.1}µs",
+        sim_step.count,
+        sim_step.sum as f64 / sim_step.count as f64 / 1e3,
+        sim_handoff.count,
+        sim_handoff.sum as f64 / sim_handoff.count as f64 / 1e3
+    );
     println!(
         "    monitor: {} steps ({} deformation publishes, median {:.1}µs), {} re-layouts, \
          {} pin waits; grid {:.1} KiB at reach {:.2} cells, delta path {:.0}%",
