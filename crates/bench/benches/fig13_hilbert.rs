@@ -161,15 +161,18 @@ fn main() {
         );
     }
 
-    // Why the crawl hot path is branchless: under a branchy crawl
-    // identity won every time, and the confounder was never memory — it
-    // was the visited-check branch, whose outcome under the generator
-    // order correlates with BFS wave arrival (predictable) and under
-    // any locality-optimised order does not (a coin flip per
-    // neighbour). Without that branch the clock follows the cache-line
+    // Why the crawl filters neighbours without a branch: a crawl that
+    // branches per neighbour on "already visited" let identity tie or
+    // win, and the confounder was never memory — it was that branch,
+    // whose outcome under the generator order correlates with BFS wave
+    // arrival (predictable) and under any locality-optimised order does
+    // not (a coin flip per neighbour). The shared-frontier crawl writes
+    // every neighbour into a buffer, bumps the count by 0 or 1 on its
+    // mask, and handles only the new ones, loading no position for a
+    // neighbour already seen. Then the clock follows the cache-line
     // metric: fewer extra lines per vertex means a faster crawl.
     let diagnosis = format!(
-        "with the branchless crawl over the position array the clock follows the \
+        "with the crawl's branch-free neighbour filter the clock follows the \
          cache-line metric: identity touches {:.2} extra lines/vertex, hilbert {:.2}, \
          and hilbert crawls {:.2}x faster than identity.",
         entries[1].extra_lines, entries[3].extra_lines, entries[3].speedup_vs_identity,

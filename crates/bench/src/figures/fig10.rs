@@ -3,9 +3,9 @@
 //! (a) per-phase execution-time breakdown across dataset sizes;
 //! (b) memory footprint vs number of query results — fixed part (the
 //! executor: 4 B/vertex component labels and the per-component surface
-//! lists; plus the scratch's 4 B/vertex visited stamps) and
-//! result-proportional part (the crawl queue) — plus the one-time build
-//! cost of the executor (§VI-A text).
+//! lists; plus the scratch's crawl masks, 16 B/vertex) and
+//! result-proportional part (the crawl queue and touched list) — plus
+//! the one-time build cost of the executor (§VI-A text).
 
 use super::FigureOutput;
 use crate::runner::{fixed_selectivity_supplier, run_scenario, Approach};
@@ -59,12 +59,11 @@ pub fn run(config: &Config) -> FigureOutput {
     // ---- (b): memory footprint vs result count.
     let mut mem_table = Table::new(
         "Fig. 10(b): memory footprint vs number of query results",
-        &["Results", "Footprint [KiB]", "fixed [KiB]", "queue [KiB]"],
+        &["Results", "Footprint [KiB]", "fixed [KiB]", "queues [KiB]"],
     );
     {
         let mesh = neuron(NeuroLevel::L5, config.scale).expect("neuron generation");
         let n = mesh.num_vertices() as f64;
-        let stamps = mesh.num_vertices() * std::mem::size_of::<u32>();
         let mut gen = QueryGen::new(&mesh, config.seed ^ 0xAB);
         for fraction in [0.002f64, 0.01, 0.05, 0.15, 0.3] {
             // Fresh executor per point: footprint reflects this workload only.
@@ -79,7 +78,7 @@ pub fn run(config: &Config) -> FigureOutput {
                 results += out.len();
             }
             let total = octopus.memory_bytes() + scratch.memory_bytes();
-            let fixed = octopus.memory_bytes() + stamps;
+            let fixed = octopus.memory_bytes() + scratch.mask_bytes();
             mem_table.push_row(vec![
                 results.to_string(),
                 format!("{:.1}", total as f64 / 1024.0),
@@ -103,7 +102,8 @@ pub fn run(config: &Config) -> FigureOutput {
             "Paper Fig. 10(b): footprint ∝ results (1.9 MB traversal state + 27 MB \
              surface index for 480 k results on 208 M vertices). That fully result-\
              proportional footprint corresponds to a hash-set visited set we do not carry: \
-             the epoch stamps are a fixed 4 B/vertex and only the crawl queue grows. \
+             the crawl's two u64 member masks are a fixed 16 B/vertex, read from the \
+             scratch, and only the crawl queue and its touched list grow. \
              Our fixed part has no hash table: the surface is kept as per-component \
              id lists beside a 4 B/vertex component label, which the paper's executor \
              does not have."

@@ -8,8 +8,8 @@
 //! simulation." Visualization monitors tolerate the (usually tiny)
 //! accuracy loss — Fig. 12 quantifies the trade-off.
 
-use crate::crawler::Crawler;
-use crate::executor::{closest_of, PhaseTimings};
+use crate::executor::{closest_of, greedy_walk, PhaseTimings};
+use crate::frontier::GroupScratch;
 use octopus_geom::mem::gather;
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, VertexId};
@@ -25,7 +25,8 @@ pub struct ApproxOctopus {
     /// Fraction of the surface retained.
     fraction: f64,
     full_surface_len: usize,
-    crawler: Crawler,
+    /// The crawl's scratch; every query is a group of one.
+    crawl: GroupScratch,
 }
 
 impl ApproxOctopus {
@@ -49,7 +50,7 @@ impl ApproxOctopus {
             sample: ids,
             fraction,
             full_surface_len,
-            crawler: Crawler::new(mesh.num_vertices()),
+            crawl: GroupScratch::default(),
         })
     }
 
@@ -75,43 +76,45 @@ impl ApproxOctopus {
     pub fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
         let mut stats = PhaseTimings::default();
         let positions = mesh.positions();
-        self.crawler.begin_query(mesh.num_vertices());
+        let results = std::slice::from_mut(out);
+        self.crawl.begin_group(mesh.num_vertices(), 0, 1);
 
         // Two-pass probe over the sample: the executor's gather first,
         // the closest-vertex search only when nothing seeded.
         let t0 = Instant::now();
-        let mut seeds = 0usize;
         gather(&self.sample, positions, |v, p| {
-            if q.contains(p) && self.crawler.seed(v, out) {
-                seeds += 1;
+            if q.contains(p) {
+                // The sample holds each surface id once.
+                self.crawl.seed_fresh(v, 1, results);
             }
         });
-        stats.start_vertices = seeds;
+        stats.start_vertices = self.crawl.per_seeds[0];
         stats.surface_probe = t0.elapsed();
 
-        if seeds == 0 {
+        if stats.start_vertices == 0 {
             let t1 = Instant::now();
             if let Some(sv) = closest_of(self.sample.iter(), positions, q) {
-                if let Some(inside) = self.crawler.directed_walk(mesh, q, sv) {
-                    self.crawler.seed(inside, out);
+                let (found, steps, _) = greedy_walk(mesh, q, sv);
+                stats.walk_visited = steps;
+                if let Some(inside) = found {
+                    self.crawl.seed(inside, 1, results);
                     stats.start_vertices = 1;
                 }
             }
-            stats.walk_visited = self.crawler.walk_visited;
             stats.directed_walk = t1.elapsed();
         }
 
         let t2 = Instant::now();
-        self.crawler.crawl(mesh, q, out);
+        self.crawl.crawl(mesh, std::slice::from_ref(q), results);
         stats.crawling = t2.elapsed();
-        stats.crawl_visited = self.crawler.crawl_visited;
+        stats.crawl_visited = self.crawl.per_visited[0];
         stats.results = out.len();
         stats
     }
 
     /// Heap bytes of sample + scratch.
     pub fn memory_bytes(&self) -> usize {
-        self.sample.capacity() * std::mem::size_of::<VertexId>() + self.crawler.memory_bytes()
+        self.sample.capacity() * std::mem::size_of::<VertexId>() + self.crawl.memory_bytes()
     }
 }
 

@@ -9,8 +9,8 @@
 //! chooses a starting point; correctness comes from the walk + crawl on
 //! live data.
 
-use crate::crawler::Crawler;
-use crate::executor::PhaseTimings;
+use crate::executor::{greedy_walk, PhaseTimings};
+use crate::frontier::GroupScratch;
 use octopus_geom::{Aabb, VertexId};
 use octopus_index::{DynamicIndex, UniformGrid};
 use octopus_mesh::Mesh;
@@ -24,7 +24,8 @@ pub const DEFAULT_GRID_RESOLUTION: usize = 10;
 #[derive(Debug)]
 pub struct OctopusCon {
     grid: UniformGrid,
-    crawler: Crawler,
+    /// The crawl's scratch; every query is a group of one.
+    crawl: GroupScratch,
 }
 
 impl OctopusCon {
@@ -40,7 +41,7 @@ impl OctopusCon {
         let bounds = mesh.bounding_box();
         OctopusCon {
             grid: UniformGrid::build(mesh.positions(), &bounds, res),
-            crawler: Crawler::new(mesh.num_vertices()),
+            crawl: GroupScratch::default(),
         }
     }
 
@@ -58,29 +59,31 @@ impl OctopusCon {
     /// geometry). On non-convex meshes use [`crate::Octopus`].
     pub fn query(&mut self, mesh: &Mesh, q: &Aabb, out: &mut Vec<VertexId>) -> PhaseTimings {
         let mut stats = PhaseTimings::default();
-        self.crawler.begin_query(mesh.num_vertices());
+        let results = std::slice::from_mut(out);
+        self.crawl.begin_group(mesh.num_vertices(), 0, 1);
 
         let t0 = Instant::now();
         if let Some(start) = self.grid.stale_start_vertex(q.center()) {
-            if let Some(inside) = self.crawler.directed_walk(mesh, q, start) {
-                self.crawler.seed(inside, out);
+            let (found, steps, _) = greedy_walk(mesh, q, start);
+            stats.walk_visited = steps;
+            if let Some(inside) = found {
+                self.crawl.seed(inside, 1, results);
                 stats.start_vertices = 1;
             }
         }
-        stats.walk_visited = self.crawler.walk_visited;
         stats.directed_walk = t0.elapsed();
 
         let t1 = Instant::now();
-        self.crawler.crawl(mesh, q, out);
+        self.crawl.crawl(mesh, std::slice::from_ref(q), results);
         stats.crawling = t1.elapsed();
-        stats.crawl_visited = self.crawler.crawl_visited;
+        stats.crawl_visited = self.crawl.per_visited[0];
         stats.results = out.len();
         stats
     }
 
     /// Heap bytes: grid + traversal scratch.
     pub fn memory_bytes(&self) -> usize {
-        self.grid.memory_bytes() + self.crawler.memory_bytes()
+        self.grid.memory_bytes() + self.crawl.memory_bytes()
     }
 }
 

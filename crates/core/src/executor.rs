@@ -1,7 +1,6 @@
 //! The OCTOPUS query executor (Algorithm 1).
 
-use crate::crawler::{greedy_walk, Crawler, EpochStamps};
-use crate::frontier::{GroupScratch, MAX_GROUP};
+use crate::frontier::{for_each_bit, GroupScratch};
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 use crate::surface_grid::SurfaceGrid;
@@ -129,44 +128,32 @@ pub struct Octopus {
     metrics: OnceLock<Arc<ExecutorMetrics>>,
 }
 
-/// Per-thread scratch state for query execution: the crawl's visited
-/// set / BFS queue plus the per-component seeding stamps, and the
-/// shared-frontier group crawl's member masks (no epoch: zero outside a
-/// group, each group zeroing the vertices it touched when the next one
-/// begins) and its look-ahead queue. Obtained from
+/// Per-thread scratch state for query execution: the crawl's member
+/// masks (no epoch: zero outside a query, each crawl zeroing the
+/// vertices it touched when it ends), its look-ahead queue and the
+/// per-component seeding masks. A single query is a group
+/// of one, so every entry point uses the same state. Obtained from
 /// [`Octopus::make_scratch`]; every scratch may serve any number of
 /// queries and groups, in any order, against the `Octopus` it came from.
 #[derive(Debug)]
 pub struct QueryScratch {
-    crawler: Crawler,
-    /// Per-component "has a seed" stamps for the current query.
-    seeded: EpochStamps,
-    /// The group crawl's state: empty until the first group of ≥ 2, and
-    /// boxed so the scratch of sequential callers, which never run a
-    /// group, stays small.
-    group: Box<GroupScratch>,
+    group: GroupScratch,
     /// Reusable staging buffer for the shape queries (k-nearest
-    /// candidate sets, aggregate seed lists) so they stay
-    /// allocation-free in steady state like the box path.
+    /// candidate sets, aggregate members) so they stay allocation-free
+    /// in steady state like the box path.
     shape_buf: Vec<VertexId>,
 }
 
 impl QueryScratch {
-    fn new(num_vertices: usize, components: usize) -> QueryScratch {
-        QueryScratch {
-            crawler: Crawler::new(num_vertices),
-            seeded: EpochStamps::with_len(components),
-            group: Box::default(),
-            shape_buf: Vec::new(),
-        }
-    }
-
     /// Heap bytes of the scratch structures.
     pub fn memory_bytes(&self) -> usize {
-        self.crawler.memory_bytes()
-            + self.seeded.heap_bytes()
-            + self.group.memory_bytes()
-            + self.shape_buf.capacity() * std::mem::size_of::<VertexId>()
+        self.group.memory_bytes() + self.shape_buf.capacity() * std::mem::size_of::<VertexId>()
+    }
+
+    /// The part of [`QueryScratch::memory_bytes`] sized by the mesh
+    /// rather than by results: the crawl's two `u64` masks per vertex.
+    pub fn mask_bytes(&self) -> usize {
+        self.group.mask_bytes()
     }
 }
 
@@ -610,11 +597,15 @@ impl Octopus {
         })
     }
 
-    /// Creates a query scratch for `mesh`. Callers give each thread its
-    /// own scratch and share the executor itself behind `&Octopus` (see
-    /// [`Octopus::query_with`]).
-    pub fn make_scratch(&self, mesh: &Mesh) -> QueryScratch {
-        QueryScratch::new(mesh.num_vertices(), self.components.count())
+    /// Creates a query scratch for `mesh`; it sizes itself on its first
+    /// query and grows when a later mesh has more vertices. Callers give
+    /// each thread its own scratch and share the executor itself behind
+    /// `&Octopus` (see [`Octopus::query_with`]).
+    pub fn make_scratch(&self, _mesh: &Mesh) -> QueryScratch {
+        QueryScratch {
+            group: GroupScratch::default(),
+            shape_buf: Vec::new(),
+        }
     }
 
     /// Number of surface vertices, S — the probe-cost factor of Eq. 1.
@@ -757,7 +748,9 @@ impl Octopus {
     /// Implements Algorithm 1: **surface probe** (the ids `probe`
     /// visits — all surface vertices under [`Probe::Surface`], the
     /// paper's probe; those inside the region seed the crawl) →
-    /// **directed walk** → **crawling** (BFS bounded by the region).
+    /// **directed walk** → **crawling** (BFS bounded by the region). It
+    /// runs as a group of one of [`Octopus::query_group`]'s: the same
+    /// probe, walks and crawl kernel.
     ///
     /// Monomorphised per region type, so the box path pays nothing for
     /// the generality: probe and crawl test the region's containment,
@@ -786,15 +779,15 @@ impl Octopus {
         probe: Probe<'_>,
         out: &mut Vec<VertexId>,
     ) -> PhaseTimings {
-        let t = run_query(&self.components, scratch, mesh, region, out, probe);
+        let t = self.run_one(scratch, mesh, region, probe, out);
         self.note(ExecMode::Fresh, &t);
         t
     }
 
     /// Answers any [`QueryShape`] — the one entry for every shape: a box
     /// or convex region runs [`Octopus::query_with`], k-NN the exact
-    /// expanding-cube search (`run_knn`), an aggregate the
-    /// materialisation-free fold (`run_aggregate`). Every box query the
+    /// expanding-cube search (`run_knn`), an aggregate a fold over the
+    /// scratch's recycled id buffer (`run_aggregate`). Every box query the
     /// shape reduces to is seeded by `probe`; the monitor serves shape
     /// batches through it.
     pub fn query_shape(
@@ -822,29 +815,26 @@ impl Octopus {
         (ShapeResult::Vertices(out), t)
     }
 
-    /// Executes a **group** of ≤ [`MAX_GROUP`] box queries under one
-    /// [`Probe`], appending query `i`'s result to `results[i]` and
-    /// writing its statistics to `timings[i]` — the probed entry point
-    /// the service's plan runner calls once per group. The crawl is
-    /// picked from the group size:
+    /// Executes a **group** of ≤ [`MAX_GROUP`](crate::MAX_GROUP) box
+    /// queries under one [`Probe`], appending query `i`'s result to
+    /// `results[i]` and writing its statistics to `timings[i]` — the
+    /// probed entry point the service's plan runner calls once per group. A group of any
+    /// size, one included, runs one shared-frontier crawl: a single
+    /// probe pass tested against the group's union box first and the
+    /// members second, per-query component-aware directed walks, and
+    /// one BFS over the members' regions with a per-vertex membership
+    /// bitmask, so a vertex inside k overlapping queries is loaded and
+    /// expanded once, not k times. A group of one is recorded as
+    /// [`ExecMode::Fresh`], like [`Octopus::query_with`].
     ///
-    /// * **One query** runs [`Octopus::query_with`] (sequential
-    ///   branchless crawl), seeded from `probe`.
-    /// * **Two or more** run one shared-frontier crawl: a single probe
-    ///   pass tested against the group's union box first and the members
-    ///   second, per-query component-aware directed walks, and one BFS
-    ///   over the union region with a per-vertex membership bitmask, so
-    ///   a vertex inside k overlapping queries is loaded and expanded
-    ///   once, not k times.
-    ///
-    /// Per-query results are identical (as sets, and deterministically
-    /// ordered) to running [`Octopus::query_with`] per query, and so are the
-    /// per-query work counters of `timings` (`start_vertices`,
-    /// `walk_visited`, `crawl_visited`, `results`). **Shared phases are
-    /// attributed to the group's first member**: the wall times of the
-    /// probe, the walks and the crawl are paid once per group, so they
-    /// sit on `timings[0]` and are zero on the other members — summing a
-    /// batch's timings then sums real time.
+    /// Per-query results are identical (as sets) to running
+    /// [`Octopus::query_with`] per query, and so are the per-query work
+    /// counters of `timings` (`start_vertices`, `walks`,
+    /// `walks_pruned`, `walk_visited`, `crawl_visited`, `results`).
+    /// **Shared phases are attributed to the group's first member**:
+    /// the wall times of the probe, the walks and the crawl are paid
+    /// once per group, so they sit on `timings[0]` and are zero on the
+    /// other members — summing a batch's timings then sums real time.
     ///
     /// Returns the number of distinct traversal events of the crawl
     /// (each costing one neighbour-list scan or one boundary position
@@ -877,20 +867,14 @@ impl Octopus {
     ) -> usize {
         assert_eq!(results.len(), queries.len(), "one result list per query");
         assert_eq!(timings.len(), queries.len(), "one timing record per query");
-        match queries {
-            [] => 0,
-            [q] => {
-                timings[0] = self.query_with(scratch, mesh, q, probe, &mut results[0]);
-                timings[0].crawl_visited
-            }
-            _ => {
-                self.run_group(&mut scratch.group, mesh, queries, probe, results, timings);
-                if let Some(m) = self.metrics.get() {
-                    m.record_group(timings);
-                }
-                scratch.group.shared_visited()
-            }
+        if queries.is_empty() {
+            return 0;
         }
+        self.run_group(scratch, mesh, queries, probe, results, timings);
+        if let Some(m) = self.metrics.get() {
+            m.record_group(timings);
+        }
+        scratch.group.shared_visited()
     }
 
     /// Heap bytes of the executor: a component label per vertex and the
@@ -1020,168 +1004,61 @@ impl Probe<'_> {
     }
 }
 
-/// Algorithm 1 over split borrows: the immutable `components` (and
-/// their surface lists) may be shared across threads while each worker
-/// drives its own `scratch`.
-fn run_query<R: Region>(
-    components: &ComponentMap,
-    scratch: &mut QueryScratch,
-    mesh: &Mesh,
-    q: &R,
-    out: &mut Vec<VertexId>,
-    probe: Probe<'_>,
-) -> PhaseTimings {
-    let mut stats = run_seeding(components, scratch, mesh, q, out, probe);
-
-    // Phase 3: crawling.
-    let t2 = Instant::now();
-    scratch.crawler.crawl(mesh, q, out);
-    stats.crawling = t2.elapsed();
-    stats.crawl_visited = scratch.crawler.crawl_visited;
-    stats.results = out.len();
-    stats
-}
-
-/// The seeding phases of Algorithm 1 (probe + walks): `out` holds the
-/// seed set on return and the caller owns the crawl.
-fn run_seeding<R: Region>(
-    components: &ComponentMap,
-    scratch: &mut QueryScratch,
-    mesh: &Mesh,
-    q: &R,
-    out: &mut Vec<VertexId>,
-    probe: Probe<'_>,
-) -> PhaseTimings {
-    let mut stats = PhaseTimings::default();
-    scratch.crawler.begin_query(mesh.num_vertices());
-    scratch.seeded.begin(components.count());
-    let mut seeds = QuerySeeds {
-        q,
-        crawler: &mut scratch.crawler,
-        seeded: &mut scratch.seeded,
-        out,
-        start_vertices: 0,
-    };
-    // Phase 1: the surface probe.
-    let t0 = Instant::now();
-    stats.grid_candidates = probe_seeds(probe, components, mesh.positions(), &mut seeds);
-    stats.surface_probe = t0.elapsed();
-    // Phase 2: walks into the components phase 1 left seedless.
-    let walks = std::slice::from_mut(&mut stats);
-    let walk_time = walk_seedless(probe, components, mesh, &mut seeds, walks);
-    stats.directed_walk = walk_time;
-    stats.start_vertices = seeds.start_vertices;
-    stats
-}
-
 /// Where the seeding phases of Algorithm 1 put what they find, for the
-/// members of one run: a single query ([`QuerySeeds`]) or a group
-/// ([`GroupSeeds`]). Phase 1 ([`probe_seeds`]) and phase 2
-/// ([`walk_seedless`]) are written once against it and monomorphise to
-/// each form's own loop. Member `j` is bit `j` of a mask.
-trait Seeds {
-    type Region: Region;
-    /// Member `j`'s region.
-    fn region(&self, j: usize) -> &Self::Region;
-    /// The bounds phase 1 probes: every member's region lies inside.
-    fn bounds(&self) -> Aabb;
-    /// The members whose region contains `p`.
-    fn members(&self, p: Point3) -> u64;
-    /// Seeds `v`, known inside the regions of the members in `mask`.
-    fn seed(&mut self, v: VertexId, mask: u64);
-    /// Records that phase 1 seeded the members in `mask` in component
-    /// `c`.
-    fn mark_component(&mut self, c: usize, mask: u64);
-    /// Whether phase 1 seeded member `j` in component `c`.
-    fn component_seeded(&self, c: usize, j: usize) -> bool;
-}
-
-/// One query's seeds: the sequential crawler's frontier, and a stamp
-/// per component phase 1 seeded.
-struct QuerySeeds<'a, R> {
-    q: &'a R,
-    crawler: &'a mut Crawler,
-    seeded: &'a mut EpochStamps,
-    out: &'a mut Vec<VertexId>,
-    start_vertices: usize,
-}
-
-impl<R: Region> Seeds for QuerySeeds<'_, R> {
-    type Region = R;
-
-    fn region(&self, _: usize) -> &R {
-        self.q
-    }
-
-    fn bounds(&self) -> Aabb {
-        self.q.bounds()
-    }
-
-    fn members(&self, p: Point3) -> u64 {
-        u64::from(self.q.contains(p))
-    }
-
-    fn seed(&mut self, v: VertexId, _: u64) {
-        if self.crawler.seed(v, self.out) {
-            self.start_vertices += 1;
-        }
-    }
-
-    fn mark_component(&mut self, c: usize, _: u64) {
-        self.seeded.mark(c);
-    }
-
-    fn component_seeded(&self, c: usize, _: usize) -> bool {
-        self.seeded.is_marked(c)
-    }
-}
-
-/// A group's seeds: the shared frontier's member masks. Phase 1 tests
-/// the group's union box first, so an out-of-group vertex costs one
-/// test instead of k.
-struct GroupSeeds<'a> {
-    queries: &'a [Aabb],
+/// members of one group (a single query is a group of one): the shared
+/// frontier's member masks. Phase 1 ([`probe_seeds`]) tests the union
+/// of the members' bounds first, so a vertex outside the group costs
+/// one test instead of k; phase 2 ([`walk_seedless`]) walks per member.
+/// Member `j` is bit `j` of a mask.
+struct GroupSeeds<'a, R> {
+    queries: &'a [R],
     union: Aabb,
+    /// The members whose region is the union box itself: the union
+    /// test answers for them, so only the `others` are tested one by
+    /// one (a lone box pays one test per probed id).
+    covered: u64,
+    others: u64,
     group: &'a mut GroupScratch,
     results: &'a mut [Vec<VertexId>],
 }
 
-impl Seeds for GroupSeeds<'_> {
-    type Region = Aabb;
-
-    fn region(&self, j: usize) -> &Aabb {
-        &self.queries[j]
+impl<'a, R: Region> GroupSeeds<'a, R> {
+    fn new(
+        queries: &'a [R],
+        group: &'a mut GroupScratch,
+        results: &'a mut [Vec<VertexId>],
+    ) -> Self {
+        let union = queries.iter().map(R::bounds).reduce(|a, b| a.union(&b));
+        let union = union.unwrap_or(Aabb::EMPTY);
+        let (mut covered, mut others) = (0, 0);
+        for (j, q) in queries.iter().enumerate() {
+            if q.as_box() == Some(union) {
+                covered |= 1 << j;
+            } else {
+                others |= 1 << j;
+            }
+        }
+        GroupSeeds {
+            queries,
+            union,
+            covered,
+            others,
+            group,
+            results,
+        }
     }
 
-    fn bounds(&self) -> Aabb {
-        self.union
-    }
-
+    /// The members whose region contains `p`.
+    #[inline]
     fn members(&self, p: Point3) -> u64 {
         let mut mask = 0;
         if self.union.contains(p) {
-            for (j, q) in self.queries.iter().enumerate() {
-                mask |= u64::from(q.contains(p)) << j;
-            }
+            mask = self.covered;
+            for_each_bit(self.others, |j| {
+                mask |= u64::from(self.queries[j].contains(p)) << j;
+            });
         }
         mask
-    }
-
-    fn seed(&mut self, v: VertexId, mask: u64) {
-        let mut bits = mask;
-        while bits != 0 {
-            let bit = bits.trailing_zeros();
-            bits &= bits - 1;
-            self.group.seed(v, bit, self.results);
-        }
-    }
-
-    fn mark_component(&mut self, c: usize, mask: u64) {
-        self.group.mark_component(c, mask);
-    }
-
-    fn component_seeded(&self, c: usize, j: usize) -> bool {
-        self.group.component_seeded(c, j as u32)
     }
 }
 
@@ -1202,19 +1079,21 @@ impl Seeds for GroupSeeds<'_> {
 /// iteration — measured 5–7 % on the probe of a four-member group over
 /// 39 k surface ids, 2 % of an `analysis-burst` request.
 #[inline(never)]
-fn probe_seeds<S: Seeds>(
+fn probe_seeds<R: Region>(
     probe: Probe<'_>,
     components: &ComponentMap,
     positions: &[Point3],
-    seeds: &mut S,
+    seeds: &mut GroupSeeds<'_, R>,
 ) -> usize {
-    let bounds = seeds.bounds();
+    let bounds = seeds.union;
     let surface = &components.surface_by_component;
     probe.run(surface, positions, &bounds, |v, p| {
         let mask = seeds.members(p);
         if mask != 0 {
-            seeds.seed(v, mask);
-            seeds.mark_component(components.component_of[v as usize] as usize, mask);
+            // The probe visits each surface id once.
+            seeds.group.seed_fresh(v, mask, seeds.results);
+            let c = components.component_of[v as usize] as usize;
+            seeds.group.mark_component(c, mask);
         }
     })
 }
@@ -1225,18 +1104,19 @@ fn probe_seeds<S: Seeds>(
 /// walked — unless the probe's bound rules it out. The counters go to
 /// the member's `timings`; returns the wall time from the first walk
 /// that ran.
-fn walk_seedless<S: Seeds>(
+fn walk_seedless<R: Region>(
     probe: Probe<'_>,
     components: &ComponentMap,
     mesh: &Mesh,
-    seeds: &mut S,
+    seeds: &mut GroupSeeds<'_, R>,
     timings: &mut [PhaseTimings],
 ) -> Duration {
     let mut started = None;
-    for (j, t) in timings.iter_mut().enumerate() {
-        let bounds = seeds.region(j).bounds();
+    let queries = seeds.queries;
+    for (j, (t, q)) in timings.iter_mut().zip(queries).enumerate() {
+        let bounds = q.bounds();
         for c in 0..components.count() {
-            if seeds.component_seeded(c, j) {
+            if seeds.group.component_seeded(c, j) {
                 continue;
             }
             if !probe.reaches(c, &bounds) {
@@ -1245,10 +1125,10 @@ fn walk_seedless<S: Seeds>(
             }
             started.get_or_insert_with(Instant::now);
             t.walks += 1;
-            let (found, steps) = walk_component(components, c, mesh, seeds.region(j));
+            let (found, steps) = walk_component(components, c, mesh, q);
             t.walk_visited += steps;
             if let Some(inside) = found {
-                seeds.seed(inside, 1 << j);
+                seeds.group.seed(inside, 1 << j, seeds.results);
             }
         }
     }
@@ -1296,31 +1176,73 @@ fn walk_component<R: Region>(
     (None, steps)
 }
 
+/// One greedy directed walk (§IV-D): from `start`, repeatedly move to
+/// the neighbour strictly closest to `q` until a vertex inside `q` is
+/// found or no neighbour improves the distance. Returns `(found vertex,
+/// vertices stepped through, squared distance at termination)` — the
+/// distance is `0.0` on success and gates the caller's retry heuristics
+/// on failure.
+///
+/// Termination: the distance to `q` strictly decreases every step, so
+/// the walk can never revisit a vertex. Shared by the component walk
+/// (one walk per (member, unseeded component) pair),
+/// [`crate::OctopusCon`] and [`crate::ApproxOctopus`].
+///
+/// Generic over [`Region`]: the walk only compares distances, so any
+/// guidance metric that is zero exactly on containment preserves both
+/// termination and the found-vertex contract (see
+/// [`octopus_geom::ConvexRegion`]'s lower-bound distance).
+pub(crate) fn greedy_walk<R: Region>(
+    mesh: &Mesh,
+    q: &R,
+    start: VertexId,
+) -> (Option<VertexId>, usize, f32) {
+    let positions = mesh.positions();
+    let mut steps = 0usize;
+    let mut cur = start;
+    let mut cur_dist = q.dist_sq(positions[cur as usize]);
+    loop {
+        steps += 1;
+        if cur_dist == 0.0 {
+            return (Some(cur), steps, 0.0);
+        }
+        let mut best = cur;
+        let mut best_dist = cur_dist;
+        for &w in mesh.neighbors(cur) {
+            let d = q.dist_sq(positions[w as usize]);
+            if d < best_dist {
+                best = w;
+                best_dist = d;
+            }
+        }
+        if best == cur {
+            // Local minimum: no neighbour is closer (Algorithm 1's
+            // `minDistance = oldMinDistance` break).
+            return (None, steps, cur_dist);
+        }
+        cur = best;
+        cur_dist = best_dist;
+    }
+}
+
 impl Octopus {
-    /// The shared-frontier group query (see [`Octopus::query_group`]).
-    fn run_group(
+    /// Algorithm 1 for a group of 1 ≤ k ≤ [`MAX_GROUP`](crate::MAX_GROUP) regions (see
+    /// [`Octopus::query_group`]): one probe, per-member walks, one
+    /// shared-frontier crawl.
+    fn run_group<R: Region>(
         &self,
-        group: &mut GroupScratch,
+        scratch: &mut QueryScratch,
         mesh: &Mesh,
-        queries: &[Aabb],
+        queries: &[R],
         probe: Probe<'_>,
         results: &mut [Vec<VertexId>],
         timings: &mut [PhaseTimings],
     ) {
-        assert!(
-            queries.len() <= MAX_GROUP,
-            "group of {} exceeds MAX_GROUP = {MAX_GROUP}",
-            queries.len()
-        );
         let components = &self.components;
+        let group = &mut scratch.group;
         group.begin_group(mesh.num_vertices(), components.count(), queries.len());
         timings.fill(PhaseTimings::default());
-        let mut seeds = GroupSeeds {
-            queries,
-            union: queries.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q)),
-            group: &mut *group,
-            results: &mut *results,
-        };
+        let mut seeds = GroupSeeds::new(queries, &mut *group, &mut *results);
         // Phase 1: the shared probe; phase 2: per-member walks.
         let t0 = Instant::now();
         let grid_candidates = probe_seeds(probe, components, mesh.positions(), &mut seeds);
@@ -1342,6 +1264,22 @@ impl Octopus {
         first.grid_candidates = grid_candidates;
         first.directed_walk = walk_time;
         first.crawling = crawl_time;
+    }
+
+    /// [`Octopus::run_group`] for one region, appending to `out`.
+    fn run_one<R: Region>(
+        &self,
+        scratch: &mut QueryScratch,
+        mesh: &Mesh,
+        region: &R,
+        probe: Probe<'_>,
+        out: &mut Vec<VertexId>,
+    ) -> PhaseTimings {
+        let mut t = PhaseTimings::default();
+        let regions = std::slice::from_ref(region);
+        let (results, timings) = (std::slice::from_mut(out), std::slice::from_mut(&mut t));
+        self.run_group(scratch, mesh, regions, probe, results, timings);
+        t
     }
 }
 
@@ -1422,7 +1360,7 @@ fn run_knn(
     loop {
         buf.clear();
         let cube = Aabb::cube(point, r);
-        let stats = run_query(components, scratch, mesh, &cube, &mut buf, probe);
+        let stats = octopus.run_one(scratch, mesh, &cube, probe, &mut buf);
         total.accumulate(&stats);
         let r_sq = r * r;
         let within = buf
@@ -1451,12 +1389,11 @@ fn run_knn(
 
 /// Aggregate query over `q`: the count (and, for
 /// [`AggregateKind::Centroid`], the mean position) of the vertices
-/// inside `q`, computed **without materialising the result set** —
-/// seeds-only Algorithm 1, then a crawl that folds straight into the
-/// accumulator, so a huge aggregate costs no result memory at all.
-/// Equal, by construction, to aggregating [`Octopus::query_with`]'s
-/// materialised ids (the differential suite asserts it). Served as
-/// [`QueryShape::Aggregate`].
+/// inside `q`. The query runs as a group of one into the scratch's
+/// recycled staging buffer, which is then folded, so an aggregate
+/// allocates nothing in steady state and hands no id list out. Equal,
+/// by construction, to aggregating [`Octopus::query_with`]'s ids (the
+/// differential suite asserts it). Served as [`QueryShape::Aggregate`].
 fn run_aggregate(
     octopus: &Octopus,
     scratch: &mut QueryScratch,
@@ -1465,34 +1402,23 @@ fn run_aggregate(
     kind: AggregateKind,
     probe: Probe<'_>,
 ) -> (AggregateValue, PhaseTimings) {
-    let mut seeds = std::mem::take(&mut scratch.shape_buf);
-    seeds.clear();
-    let mut stats = run_seeding(&octopus.components, scratch, mesh, q, &mut seeds, probe);
-    let t = Instant::now();
-    let positions = mesh.positions();
-    let want_centroid = kind == AggregateKind::Centroid;
-    let mut count = 0usize;
-    // f64 accumulation: a billion-f32 sum in f32 would lose the
-    // centroid entirely.
-    let mut sum = [0f64; 3];
-    let mut fold = |v: VertexId| {
-        count += 1;
-        if want_centroid {
+    let mut buf = std::mem::take(&mut scratch.shape_buf);
+    buf.clear();
+    let mut stats = octopus.run_one(scratch, mesh, q, probe, &mut buf);
+    let count = buf.len();
+    let centroid = (kind == AggregateKind::Centroid && count > 0).then(|| {
+        // f64 accumulation: a billion-f32 sum in f32 would lose the
+        // centroid entirely.
+        let t = Instant::now();
+        let positions = mesh.positions();
+        let mut sum = [0f64; 3];
+        for &v in &buf {
             let p = positions[v as usize];
             sum[0] += f64::from(p.x);
             sum[1] += f64::from(p.y);
             sum[2] += f64::from(p.z);
         }
-    };
-    for &v in &seeds {
-        fold(v);
-    }
-    scratch.crawler.crawl_with(mesh, q, &mut fold);
-    stats.crawling = t.elapsed();
-    stats.crawl_visited = scratch.crawler.crawl_visited;
-    stats.results = count;
-    scratch.shape_buf = seeds;
-    let centroid = (want_centroid && count > 0).then(|| {
+        stats.crawling += t.elapsed();
         let n = count as f64;
         Point3::new(
             (sum[0] / n) as f32,
@@ -1500,6 +1426,7 @@ fn run_aggregate(
             (sum[2] / n) as f32,
         )
     });
+    scratch.shape_buf = buf;
     (AggregateValue { count, centroid }, stats)
 }
 
@@ -1786,7 +1713,7 @@ mod tests {
         (results, timings, shared)
     }
 
-    /// A group of one under `probe`: the entry point's single-query arm.
+    /// A group of one under `probe`, through the group entry point.
     fn probed(
         o: &Octopus,
         scratch: &mut QueryScratch,
@@ -1846,16 +1773,60 @@ mod tests {
             .collect()
     }
 
+    /// What Algorithm 1 answers for `q`, with no frontier code: the
+    /// full probe's seeds (surface ids inside `q`), one component walk
+    /// per component they miss, then a `HashSet` + `VecDeque` BFS.
+    /// Returns the sorted result, the seed count and the crawl's visits
+    /// (pops plus neighbours marked outside `q`).
+    fn reference_bfs(o: &Octopus, mesh: &Mesh, q: &Aabb) -> (Vec<VertexId>, usize, usize) {
+        use std::collections::HashSet;
+        let positions = mesh.positions();
+        let (labels, lists) = o.component_map();
+        let mut seen = HashSet::new();
+        let mut queue = VecDeque::new();
+        let mut seeded = HashSet::new();
+        for v in o.surface() {
+            if q.contains(positions[v as usize]) {
+                seeded.insert(labels[v as usize] as usize);
+                if seen.insert(v) {
+                    queue.push_back(v);
+                }
+            }
+        }
+        for c in (0..lists.len()).filter(|c| !seeded.contains(c)) {
+            if let (Some(v), _) = walk_component(&o.components, c, mesh, q) {
+                if seen.insert(v) {
+                    queue.push_back(v);
+                }
+            }
+        }
+        let start_vertices = queue.len();
+        let mut result: Vec<VertexId> = queue.iter().copied().collect();
+        let mut visited = 0;
+        while let Some(v) = queue.pop_front() {
+            visited += 1;
+            for &w in mesh.neighbors(v) {
+                if !seen.insert(w) {
+                    continue;
+                }
+                if q.contains(positions[w as usize]) {
+                    result.push(w);
+                    queue.push_back(w);
+                } else {
+                    visited += 1;
+                }
+            }
+        }
+        result.sort_unstable();
+        (result, start_vertices, visited)
+    }
+
+    /// [`reference_bfs`]'s sorted results for every query.
     fn group_reference(mesh: &Mesh, queries: &[Aabb]) -> Vec<Vec<VertexId>> {
         let o = Octopus::new(mesh).unwrap();
         queries
             .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                full_probe(&o, mesh, q, &mut out);
-                out.sort_unstable();
-                out
-            })
+            .map(|q| reference_bfs(&o, mesh, q).0)
             .collect()
     }
 
@@ -1869,8 +1840,11 @@ mod tests {
             // Include an interior query and a miss.
             queries.push(Aabb::new(Point3::splat(0.4), Point3::splat(0.6)));
             queries.push(Aabb::new(Point3::splat(5.0), Point3::splat(6.0)));
-            let expected = group_reference(&mesh, &queries);
             let o = Octopus::new(&mesh).unwrap();
+            let expected: Vec<_> = queries
+                .iter()
+                .map(|q| reference_bfs(&o, &mesh, q))
+                .collect();
             let mut scratch = o.make_scratch(&mesh);
             let grid = o.surface_grid(mesh.positions(), 0.1);
             let reach = grid.reach(mesh.positions());
@@ -1878,19 +1852,20 @@ mod tests {
                 ("surface", Probe::Surface),
                 ("grid", Probe::Grid { grid: &grid, reach }),
             ];
-            // What each member's seeding and crawl did, as `query_with`
-            // counts it for the query alone.
-            let work = |t: &PhaseTimings| {
-                let walks = (t.walks, t.walks_pruned, t.walk_visited);
-                (t.start_vertices, walks, t.crawl_visited, t.results)
-            };
+            let walks = |t: &PhaseTimings| (t.walks, t.walks_pruned, t.walk_visited);
             for (name, probe) in probes {
                 let (results, timings, _) = grouped(&o, &mut scratch, &mesh, &queries, probe);
                 for (j, (got, want)) in results.into_iter().zip(&expected).enumerate() {
-                    assert_eq!(&got, want, "{name}: query {j}");
+                    // Results, seeds and crawl visits against the
+                    // reference BFS; the walks against the query alone.
+                    let t = &timings[j];
+                    let (ids, seeds, visited) = want;
+                    assert_eq!(&got, ids, "{name}: query {j}");
+                    let counts = (t.start_vertices, t.crawl_visited, t.results);
+                    assert_eq!(counts, (*seeds, *visited, ids.len()), "{name}: query {j}");
                     let mut out = Vec::new();
                     let alone = o.query_with(&mut scratch, &mesh, &queries[j], probe, &mut out);
-                    assert_eq!(work(&timings[j]), work(&alone), "{name}: query {j}");
+                    assert_eq!(walks(t), walks(&alone), "{name}: query {j}");
                     walked += alone.walks;
                     pruned += alone.walks_pruned;
                 }
@@ -1910,19 +1885,20 @@ mod tests {
             })
             .collect();
         let o = Octopus::new(&mesh).unwrap();
-        let sequential: Vec<PhaseTimings> = queries
+        let reference: Vec<_> = queries
             .iter()
-            .map(|q| full_probe(&o, &mesh, q, &mut Vec::new()))
+            .map(|q| reference_bfs(&o, &mesh, q))
             .collect();
-        let independent: usize = sequential.iter().map(|t| t.crawl_visited).sum();
+        let independent: usize = reference.iter().map(|r| r.2).sum();
 
         let mut scratch = o.make_scratch(&mesh);
         let (_, timings, shared) = grouped(&o, &mut scratch, &mesh, &queries, Probe::Surface);
-        // Per-member attribution reproduces the sequential counters...
-        for (j, (got, want)) in timings.iter().zip(&sequential).enumerate() {
-            assert_eq!(got.crawl_visited, want.crawl_visited, "member {j}");
-            assert_eq!(got.start_vertices, want.start_vertices, "member {j}");
-            assert_eq!(got.walk_visited, want.walk_visited, "member {j}");
+        // Per-member attribution reproduces the independent BFS...
+        for (j, (got, (_, seeds, visited))) in timings.iter().zip(&reference).enumerate() {
+            assert_eq!(got.crawl_visited, *visited, "member {j}");
+            assert_eq!(got.start_vertices, *seeds, "member {j}");
+            let alone = full_probe(&o, &mesh, &queries[j], &mut Vec::new());
+            assert_eq!(got.walk_visited, alone.walk_visited, "member {j}");
         }
         // ...the shared wall times sit on the first member only...
         assert!(timings[0].surface_probe > Duration::ZERO);
@@ -1975,6 +1951,34 @@ mod tests {
             let (single, _) = probed(&o, &mut scratch, &mesh, &queries[0], Probe::Surface);
             assert_eq!(single, first[0], "round {round}: group of one");
         }
+    }
+
+    #[test]
+    fn greedy_walk_reaches_query_on_convex_mesh() {
+        let mesh = box_mesh(6);
+        let q = Aabb::new(Point3::splat(0.4), Point3::splat(0.6));
+        // Start from the far corner (vertex at (0,0,0) exists in lattice).
+        let (found, steps, dist) = greedy_walk(&mesh, &q, 0);
+        let found = found.expect("walk must reach the query");
+        assert!(q.contains(mesh.position(found)));
+        assert!(steps > 1);
+        assert_eq!(dist, 0.0);
+    }
+
+    #[test]
+    fn greedy_walk_returns_none_for_disjoint_query() {
+        let mesh = box_mesh(4);
+        let q = Aabb::new(Point3::splat(5.0), Point3::splat(6.0));
+        let (found, _, dist) = greedy_walk(&mesh, &q, 0);
+        assert_eq!(found, None);
+        assert!(dist > 0.0);
+    }
+
+    #[test]
+    fn greedy_walk_starting_inside_returns_immediately() {
+        let mesh = box_mesh(4);
+        let q = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
+        assert_eq!(greedy_walk(&mesh, &q, 3), (Some(3), 1, 0.0));
     }
 
     #[test]

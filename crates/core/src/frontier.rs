@@ -1,14 +1,17 @@
-//! The shared-frontier group crawl: one BFS over a group of overlapping
-//! queries, driven by [`crate::Octopus::query_group`] for groups of two
-//! or more (a single query runs the sequential crawl instead).
+//! The crawl (§IV-B): one BFS over a group of one or more queries on a
+//! shared frontier, driven by [`crate::Octopus::query_group`] and every
+//! other query entry — a single box, a k-NN cube, an aggregate, a
+//! convex region, [`crate::OctopusCon`] and [`crate::ApproxOctopus`]
+//! each crawl as a group of one.
 //!
 //! On a mesh larger than cache the crawl is bound by memory, not
 //! instructions, so its loop is cut to the loads it needs: the usual
-//! neighbour test reads one `u64` mask (no epoch beside it), the queue
-//! is a plain `Vec`, and each pop hints the adjacency of the entries
-//! that will be popped 8 and 16 pops later.
+//! neighbour test reads one `u64` mask (no epoch beside it) and a
+//! neighbour already seen costs no position load, the queue is a plain
+//! `Vec`, and each pop hints the adjacency of the entries that will be
+//! popped 8 and 16 pops later.
 
-use octopus_geom::{Aabb, VertexId};
+use octopus_geom::{Region, VertexId};
 use octopus_mesh::Mesh;
 
 /// Maximum queries per overlap group of the shared-frontier batch crawl:
@@ -17,30 +20,31 @@ use octopus_mesh::Mesh;
 /// fall back to per-query handling above it).
 pub const MAX_GROUP: usize = 64;
 
-/// Scratch state for the **shared-frontier group crawl**: one BFS over a
-/// group of ≤ [`MAX_GROUP`] overlapping queries with a per-vertex
-/// membership bitmask, so a vertex inside k overlapping queries is
-/// expanded once, not k times.
+/// Scratch state for the **shared-frontier crawl**: one BFS over a group
+/// of 1 ≤ k ≤ [`MAX_GROUP`] queries with a per-vertex membership
+/// bitmask, so a vertex inside k overlapping queries is expanded once,
+/// not k times.
 ///
-/// Per-query crawl semantics are preserved bit by bit: a vertex is
-/// marked/collected for member `j` exactly when the sequential crawl of
-/// query `j` alone would have marked/collected it (reached from `j`'s
-/// seeds through vertices inside `q_j`), so demultiplexed results equal
-/// the per-query baseline. The sharing shows up in the *event* counters:
+/// Per-query crawl semantics hold bit by bit: a vertex is
+/// marked/collected for member `j` exactly when a BFS of query `j`
+/// alone would have marked/collected it (reached from `j`'s seeds
+/// through vertices inside `q_j`), so demultiplexed results equal the
+/// per-query answers. The sharing shows up in the *event* counters:
 /// `expansions` + `rejected` count distinct traversal events (each
 /// costing one neighbour-list scan or one position load), while the
 /// per-member counters sum to what k independent crawls would have
-/// paid.
+/// paid (for a group of one the two agree).
 ///
 /// The vertex masks carry no epoch: `visited` and `pending` read zero
 /// outside a group, so the common neighbour test — nothing new for any
-/// member, most tests on overlapping bursts — is one 8-byte load.
-/// The `touched` list records every vertex whose `visited` left zero,
-/// and [`GroupScratch::begin_group`] zeroes exactly those, so starting
-/// a group costs what the last one touched. Component masks keep a
-/// per-group epoch instead (`comp_stamp`): clearing them all per group
-/// would cost O(components). Sized lazily on first use: a scratch that
-/// only ever runs single queries holds no heap memory here.
+/// member — is one 8-byte load. Every vertex whose `visited` left zero
+/// is on the queue or, when it was never queued, on the `touched` list:
+/// the crawl zeroes exactly those when it ends, while their lines are
+/// still in cache, and [`GroupScratch::begin_group`] whatever a group
+/// that was never crawled left, so a group costs what it touched.
+/// Component masks keep a per-group epoch instead (`comp_stamp`):
+/// clearing them all per group would cost O(components). The masks
+/// are sized by the first group on a mesh and grow with it.
 #[derive(Debug, Default)]
 pub(crate) struct GroupScratch {
     /// Member bits that have marked this vertex (inside or boundary).
@@ -48,11 +52,13 @@ pub(crate) struct GroupScratch {
     /// Member bits waiting to expand from this vertex (≠ 0 ⇔ queued).
     pending: Vec<u64>,
     /// Every vertex whose `visited` went from 0 to non-zero this group
-    /// (a vertex with pending bits is visited, so this covers both).
+    /// without being queued at that moment (the queue names the rest).
     touched: Vec<VertexId>,
     /// The BFS queue: a plain `Vec` read from a head index, so the
     /// crawl can look ahead at the entries it will expand next.
     queue: Vec<VertexId>,
+    /// The popped vertex's neighbours new to a member it expands for.
+    fresh: Vec<VertexId>,
     /// Epoch of the current group, gating `comp_seeded`.
     epoch: u32,
     /// Per-component epoch gating `comp_seeded`.
@@ -61,9 +67,9 @@ pub(crate) struct GroupScratch {
     comp_seeded: Vec<u64>,
     /// Per-member seed counts (crawl entry points) for the current group.
     pub(crate) per_seeds: Vec<usize>,
-    /// Per-member visited counts, matching the sequential
-    /// `PhaseTimings::crawl_visited` convention (expansions + rejected
-    /// boundary marks, attributed to each member they served).
+    /// Per-member visited counts, the `PhaseTimings::crawl_visited`
+    /// convention (expansions + rejected boundary marks, attributed to
+    /// each member they served).
     pub(crate) per_visited: Vec<usize>,
     /// Distinct expansion events of the shared BFS — each popped vertex
     /// counts once, however many member queries it served.
@@ -79,19 +85,29 @@ const OFFSETS_AHEAD: usize = 16;
 /// vertex's neighbour list (its offsets were hinted earlier).
 const NEIGHBORS_AHEAD: usize = 8;
 
+/// Calls `f(bit)` for every set bit of `mask`, lowest first.
+#[inline]
+pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
 impl GroupScratch {
     /// Prepares for a new group of `k ≤ MAX_GROUP` queries over a mesh
     /// with `num_vertices` vertices and `num_components` connected
-    /// components. Costs what the previous group touched (plus O(V) on
-    /// a resize, O(components) on the rare epoch wrap).
+    /// components. Costs what the previous group touched when it was
+    /// never crawled, nothing otherwise (plus O(V) on a resize,
+    /// O(components) on the rare epoch wrap).
     pub(crate) fn begin_group(&mut self, num_vertices: usize, num_components: usize, k: usize) {
         assert!(
             k <= MAX_GROUP,
             "group of {k} exceeds the {MAX_GROUP} mask bits"
         );
-        // Reset before any resize: the touched ids index the arrays as
-        // the last group's mesh sized them.
-        for &v in &self.touched {
+        // Reset before any resize: the queued and touched ids index the
+        // arrays as the last group's mesh sized them.
+        for &v in self.queue.iter().chain(&self.touched) {
             self.visited[v as usize] = 0;
             self.pending[v as usize] = 0;
         }
@@ -116,27 +132,45 @@ impl GroupScratch {
         self.rejected = 0;
     }
 
-    /// Seeds vertex `v` (known inside member `bit`'s query) into the
-    /// shared frontier; appends it to that member's result list when
-    /// fresh. Returns whether it was fresh for that member.
-    pub(crate) fn seed(&mut self, v: VertexId, bit: u32, results: &mut [Vec<VertexId>]) -> bool {
+    /// Seeds vertex `v`, known inside the queries of the members in
+    /// `mask`, into the shared frontier: appended to the result list of
+    /// each member it is fresh for, and queued when fresh for any.
+    /// Only `visited` is written: seeding comes before the crawl, so a
+    /// seed's pending bits are its visited bits, and
+    /// [`GroupScratch::crawl`] sets them from there — one mask line per
+    /// seed in the probe instead of two.
+    #[inline]
+    pub(crate) fn seed(&mut self, v: VertexId, mask: u64, results: &mut [Vec<VertexId>]) {
         let i = v as usize;
-        let m = 1u64 << bit;
         let seen = self.visited[i];
-        if seen & m != 0 {
-            return false;
+        let new = mask & !seen;
+        if new == 0 {
+            return;
         }
         if seen == 0 {
-            self.touched.push(v);
-        }
-        self.visited[i] = seen | m;
-        results[bit as usize].push(v);
-        self.per_seeds[bit as usize] += 1;
-        if self.pending[i] == 0 {
             self.queue.push(v);
         }
-        self.pending[i] |= m;
-        true
+        self.visited[i] = seen | new;
+        for_each_bit(new, |bit| {
+            results[bit].push(v);
+            self.per_seeds[bit] += 1;
+        });
+    }
+
+    /// [`GroupScratch::seed`] for a vertex no earlier seed of this group
+    /// marked: a probe visits each surface id once, so what it seeds is
+    /// fresh for every member in `mask`. One store to the vertex's mask
+    /// and no load, so the probe never waits on that line.
+    #[inline]
+    pub(crate) fn seed_fresh(&mut self, v: VertexId, mask: u64, results: &mut [Vec<VertexId>]) {
+        let i = v as usize;
+        debug_assert_eq!(self.visited[i], 0, "seeded twice");
+        self.visited[i] = mask;
+        self.queue.push(v);
+        for_each_bit(mask, |bit| {
+            results[bit].push(v);
+            self.per_seeds[bit] += 1;
+        });
     }
 
     /// Records that members in `mask` obtained a probe seed in component
@@ -150,23 +184,37 @@ impl GroupScratch {
         self.comp_seeded[c] |= mask;
     }
 
-    /// True when member `bit` has a probe seed in component `c`.
+    /// True when member `j` has a probe seed in component `c`.
     #[inline]
-    pub(crate) fn component_seeded(&self, c: usize, bit: u32) -> bool {
-        self.comp_stamp[c] == self.epoch && self.comp_seeded[c] & (1u64 << bit) != 0
+    pub(crate) fn component_seeded(&self, c: usize, j: usize) -> bool {
+        self.comp_stamp[c] == self.epoch && self.comp_seeded[c] & (1u64 << j) != 0
     }
 
-    /// The shared crawl: one level-less BFS over the union region. Each
+    /// The crawl: one level-less BFS over the members' regions. Each
     /// queue entry expands once per wave of newly arrived member bits;
     /// neighbours are tested against exactly the members that reached
     /// them, and fresh inside-members are demultiplexed into `results`.
+    /// An edge is never followed past a vertex outside a member's
+    /// region, so the work is proportional to the results times the
+    /// mesh degree, not to the dataset.
+    ///
+    /// Generic over [`Region`] (monomorphised: the box path pays
+    /// nothing for convex regions). Positions are read in place, from
+    /// the array the simulation wrote, and only for a neighbour new to
+    /// some member: how many lines a crawl touches is set by the vertex
+    /// *order* (see `crate::layout`), not by a copy of the coordinates.
     ///
     /// Popping a vertex hints the CSR offsets of the entry
     /// `OFFSETS_AHEAD` (16) places further down the queue and the
     /// neighbour list of the one `NEIGHBORS_AHEAD` (8) places down, so
     /// the adjacency of the next expansions is already on its way when
     /// they come up.
-    pub(crate) fn crawl(&mut self, mesh: &Mesh, queries: &[Aabb], results: &mut [Vec<VertexId>]) {
+    pub(crate) fn crawl<R: Region>(
+        &mut self,
+        mesh: &Mesh,
+        queries: &[R],
+        results: &mut [Vec<VertexId>],
+    ) {
         let positions = mesh.positions();
         let adjacency = mesh.adjacency();
         // The fields as locals: stores through the mask slices cannot
@@ -176,6 +224,13 @@ impl GroupScratch {
         let per_visited = &mut self.per_visited[..];
         let touched = &mut self.touched;
         let queue = &mut self.queue;
+        let fresh = &mut self.fresh;
+        // The queue holds exactly the seeds, each once: each expands
+        // for the members it was seeded for.
+        debug_assert!(queue.iter().all(|&v| pending[v as usize] == 0));
+        for &v in queue.iter() {
+            pending[v as usize] = visited[v as usize];
+        }
         let (mut head, mut rejected) = (0usize, 0usize);
         while let Some(&v) = queue.get(head) {
             if let Some(&ahead) = queue.get(head + OFFSETS_AHEAD) {
@@ -189,42 +244,45 @@ impl GroupScratch {
             let m = pending[i];
             pending[i] = 0;
             debug_assert!(m != 0, "queued vertex must have pending bits");
-            let mut pop_bits = m;
-            while pop_bits != 0 {
-                let bit = pop_bits.trailing_zeros() as usize;
-                pop_bits &= pop_bits - 1;
-                per_visited[bit] += 1;
+            for_each_bit(m, |bit| per_visited[bit] += 1);
+            // Whether a neighbour is new is decided by the wavefront,
+            // which under a locality-optimised order is uncorrelated
+            // with the order of the neighbour list: a branch on it is a
+            // coin flip. So the list is first filtered without one —
+            // every neighbour written, the count bumped by 0 or 1 —
+            // and only the new ones are handled.
+            let neighbors = adjacency.neighbors(v);
+            if fresh.len() < neighbors.len() {
+                fresh.resize(neighbors.len(), 0);
             }
-            for &w in adjacency.neighbors(v) {
+            let mut n = 0;
+            for &w in neighbors {
+                fresh[n] = w;
+                n += usize::from(m & !visited[w as usize] != 0);
+            }
+            for &w in &fresh[..n] {
                 let wi = w as usize;
                 let seen = visited[wi];
                 let new = m & !seen;
-                if new == 0 {
-                    continue;
-                }
-                if seen == 0 {
-                    touched.push(w);
-                }
                 visited[wi] = seen | new;
                 let p = positions[wi];
                 let mut enq = 0u64;
-                let mut bits = new;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    if queries[bit as usize].contains(p) {
+                for_each_bit(new, |bit| {
+                    if queries[bit].contains_coords(p.x, p.y, p.z) {
                         enq |= 1u64 << bit;
-                        results[bit as usize].push(w);
+                        results[bit].push(w);
                     } else {
-                        // Boundary mark, per the sequential convention.
-                        per_visited[bit as usize] += 1;
+                        // A boundary mark counts as a visit.
+                        per_visited[bit] += 1;
                     }
-                }
+                });
                 if enq != 0 {
                     if pending[wi] == 0 {
                         queue.push(w);
                     }
                     pending[wi] |= enq;
+                } else if seen == 0 {
+                    touched.push(w);
                 }
                 rejected += usize::from(enq != new);
             }
@@ -232,6 +290,13 @@ impl GroupScratch {
         // Each pop is one expansion event.
         self.expansions += head;
         self.rejected += rejected;
+        // Every pop zeroed its pending bits: the visited masks are all
+        // that is left to clear, on lines this crawl just touched.
+        for &v in queue.iter().chain(touched.iter()) {
+            visited[v as usize] = 0;
+        }
+        queue.clear();
+        touched.clear();
     }
 
     /// Distinct traversal events of the last shared crawl — the
@@ -241,15 +306,26 @@ impl GroupScratch {
         self.expansions + self.rejected
     }
 
-    /// Heap bytes of the scratch structures.
-    pub(crate) fn memory_bytes(&self) -> usize {
+    /// Heap bytes of the per-vertex masks: 16 B per vertex of the
+    /// largest mesh crawled, whatever the result sizes.
+    pub(crate) fn mask_bytes(&self) -> usize {
         (self.visited.capacity() + self.pending.capacity()) * std::mem::size_of::<u64>()
-            + (self.touched.capacity() + self.queue.capacity()) * std::mem::size_of::<VertexId>()
+    }
+
+    /// Heap bytes of the scratch structures: the masks, plus the queue
+    /// and touched list (which grow with the results), the neighbour
+    /// filter's buffer and the component masks.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.mask_bytes()
+            + (self.touched.capacity() + self.queue.capacity() + self.fresh.capacity())
+                * std::mem::size_of::<VertexId>()
             + self.comp_stamp.capacity() * std::mem::size_of::<u32>()
             + self.comp_seeded.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Test hook mirroring `EpochStamps::force_epoch`.
+    /// Test hook: jump the component epoch (e.g. next to the wrap
+    /// point), simulating the billions of groups that would get it
+    /// there naturally.
     #[cfg(test)]
     pub(crate) fn force_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
@@ -259,7 +335,7 @@ impl GroupScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octopus_geom::Point3;
+    use octopus_geom::{Aabb, Point3};
     use octopus_meshgen::voxel::VoxelRegion;
 
     fn box_mesh(n: usize) -> Mesh {
@@ -287,7 +363,7 @@ mod tests {
             let inside = scan(mesh, q);
             let take = if all_inside { inside.len() } else { 1 };
             for &v in &inside[..take] {
-                g.seed(v, j as u32, &mut results);
+                g.seed(v, 1 << j, &mut results);
             }
         }
         results
@@ -302,6 +378,112 @@ mod tests {
             r.sort_unstable();
         }
         results
+    }
+
+    /// A group of one crawled from its first inside vertex.
+    fn crawled_alone(g: &mut GroupScratch, mesh: &Mesh, q: &Aabb) -> Vec<VertexId> {
+        crawled(g, mesh, std::slice::from_ref(q)).remove(0)
+    }
+
+    #[test]
+    fn crawl_collects_exactly_the_contained_vertices() {
+        let mesh = box_mesh(5);
+        let q = Aabb::new(Point3::splat(0.15), Point3::splat(0.75));
+        let mut g = GroupScratch::default();
+        assert_eq!(crawled_alone(&mut g, &mesh, &q), scan(&mesh, &q));
+        // Every pop and every boundary mark is one event of the one
+        // member: the shared and the per-member counts agree.
+        assert_eq!(g.shared_visited(), g.per_visited[0]);
+        assert_eq!(g.per_seeds, [1]);
+    }
+
+    #[test]
+    fn nan_vertex_is_never_reported_and_does_not_block_the_crawl() {
+        let mut mesh = box_mesh(4);
+        let q = Aabb::new(Point3::splat(-0.1), Point3::splat(1.1));
+        let center = Point3::splat(0.5);
+        let poisoned = (0..mesh.num_vertices() as VertexId)
+            .find(|&v| mesh.position(v) == center)
+            .expect("a 4³ lattice has a vertex at the centre");
+        let around = mesh.neighbors(poisoned).to_vec();
+        // Each coordinate alone must fail containment.
+        for axis in 0..3 {
+            let mut p = center;
+            match axis {
+                0 => p.x = f32::NAN,
+                1 => p.y = f32::NAN,
+                _ => p.z = f32::NAN,
+            }
+            mesh.positions_mut()[poisoned as usize] = p;
+            let mut g = GroupScratch::default();
+            let got = crawled_alone(&mut g, &mesh, &q);
+            // `scan` applies the same closed comparisons, so it skips
+            // the NaN vertex too: everything else is reached around it.
+            assert_eq!(got, scan(&mesh, &q), "axis {axis}");
+            assert!(!got.contains(&poisoned), "axis {axis}");
+            assert_eq!(got.len(), mesh.num_vertices() - 1, "axis {axis}");
+            assert!(around.iter().all(|w| got.contains(w)), "axis {axis}");
+        }
+    }
+
+    #[test]
+    fn consecutive_queries_reuse_scratch_state_correctly() {
+        let mesh = box_mesh(4);
+        let mut g = GroupScratch::default();
+        for step in 0..5 {
+            let lo = 0.1 + 0.05 * step as f32;
+            let q = Aabb::new(Point3::splat(lo), Point3::splat(lo + 0.5));
+            assert_eq!(
+                crawled_alone(&mut g, &mesh, &q),
+                scan(&mesh, &q),
+                "query {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn seed_deduplicates_per_member() {
+        let mesh = box_mesh(2);
+        let mut g = GroupScratch::default();
+        g.begin_group(mesh.num_vertices(), 1, 2);
+        let mut results = vec![Vec::new(); 2];
+        g.seed(5, 0b01, &mut results);
+        g.seed(5, 0b01, &mut results);
+        g.seed(5, 0b11, &mut results);
+        assert_eq!(results, [vec![5], vec![5]]);
+        assert_eq!(g.per_seeds, [1, 1]);
+        assert_eq!(g.queue, [5], "queued once for both members");
+    }
+
+    #[test]
+    fn masks_grow_after_restructuring_adds_vertices() {
+        let mut mesh = box_mesh(2);
+        let mut g = GroupScratch::default();
+        let q = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
+        let _ = crawled_alone(&mut g, &mesh, &q);
+        mesh.enable_restructuring().unwrap();
+        mesh.refine_tet(0).unwrap(); // adds a vertex
+        assert_eq!(crawled_alone(&mut g, &mesh, &q), scan(&mesh, &q));
+    }
+
+    #[test]
+    fn component_epoch_wrap_does_not_alias_stale_marks() {
+        // Component 0 is marked at epoch 1; after the u32 counter wraps
+        // the epoch is 1 again. Without the wrap-clear the stale stamp
+        // would read as "seeded" and phase 2 would skip a walk.
+        let mut g = GroupScratch::default();
+        g.begin_group(4, 2, 1);
+        g.mark_component(0, 1);
+        assert!(g.component_seeded(0, 0) && !g.component_seeded(1, 0));
+        g.force_epoch(u32::MAX);
+        for round in 0..3 {
+            g.begin_group(4, 2, 1);
+            assert!(!g.component_seeded(0, 0), "round {round} after the wrap");
+        }
+        // Pristine component slots read as unseeded too.
+        let mut g = GroupScratch::default();
+        g.begin_group(4, 3, 1);
+        assert!(!(0..3).any(|c| g.component_seeded(c, 0)));
     }
 
     #[test]
@@ -325,7 +507,7 @@ mod tests {
         // pending bits; the group then ends without a crawl.
         let mut g = GroupScratch::default();
         seeded(&mut g, &mesh, &left, true);
-        assert!(g.touched.len() > mesh.num_vertices() / 4);
+        assert!(g.queue.len() > mesh.num_vertices() / 4);
         assert_eq!(crawled(&mut g, &mesh, &right), want);
         assert_eq!(g.per_visited, fresh.per_visited);
         assert_eq!(g.shared_visited(), fresh.shared_visited());

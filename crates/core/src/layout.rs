@@ -88,12 +88,12 @@ pub fn morton_layout(mesh: &Mesh) -> (Mesh, Vec<VertexId>) {
 const IDS_PER_LINE: usize = 16;
 
 /// The modelled 64-byte line vertex `v` lands on: 16 consecutive ids
-/// share one. That is what the crawl's 4-byte per-vertex arrays (the
-/// visited stamps, the CSR offsets) pack. Positions are 12 bytes — 5⅓
-/// per line — and are read in place from an array that is
-/// id-contiguous too, so the order that packs a neighbourhood into few
-/// 16-id lines packs its positions as well; fig. 13 shows the crawl
-/// clock following the 16-id count.
+/// share one. That is what the crawl's 4-byte per-vertex array (the
+/// CSR offsets) packs. The crawl's member masks are 8 bytes and
+/// positions 12 — 8 and 5⅓ per line — and both are id-contiguous, so
+/// the order that packs a neighbourhood into few 16-id lines packs
+/// them as well; fig. 13 shows the crawl clock following the 16-id
+/// count.
 #[inline]
 pub fn cache_line_of(v: VertexId) -> u32 {
     v / IDS_PER_LINE as VertexId

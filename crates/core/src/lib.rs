@@ -25,9 +25,9 @@
 //! ([`Octopus::surface_grid`]) — the walk one per-component loop,
 //! skipped for the components the grid's bounds put out of the
 //! query's reach; the two differ only in where a seed is recorded.
-//! The crawl is picked from the number of queries run together
-//! ([`Octopus::query_group`]: sequential BFS for one, shared frontier
-//! for more).
+//! The crawl is one kernel: a BFS on a shared frontier over a group of
+//! queries ([`Octopus::query_group`]), a single query being a group of
+//! one.
 //!
 //! Variants and tooling:
 //!
@@ -52,7 +52,6 @@
 pub mod approx;
 pub mod con;
 pub mod cost_model;
-mod crawler;
 pub mod executor;
 pub mod fault;
 pub mod frontier;

@@ -123,11 +123,15 @@ impl ExecutorMetrics {
     }
 
     /// Record one shared-frontier group execution, `members` holding
-    /// one timings record per member query (at least one). The first
-    /// member's carry the group's shared phases: they are paid once, so
-    /// they land in the phase histograms once. Walks are counted per
-    /// member.
+    /// one timings record per member query (at least one). A group of
+    /// one is a fresh query and recorded as one ([`ExecMode::Fresh`]).
+    /// Otherwise the first member's record carries the group's shared
+    /// phases: they are paid once, so they land in the phase histograms
+    /// once. Walks are counted per member.
     pub fn record_group(&self, members: &[PhaseTimings]) {
+        if let [alone] = members {
+            return self.record(ExecMode::Fresh, alone);
+        }
         self.queries.add(members.len() as u64);
         for t in members {
             self.record_walks(t);

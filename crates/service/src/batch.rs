@@ -35,8 +35,8 @@ pub struct QueryResult {
 
 /// How one [`Group`] of a plan executes.
 pub(crate) enum Route {
-    /// One [`Octopus::query_group`] call (sequential crawl for a
-    /// singleton, shared frontier for more) under the snapshot's probe.
+    /// One [`Octopus::query_group`] call under the snapshot's probe: a
+    /// shared-frontier crawl, a singleton being a group of one.
     Crawl,
     /// One shared pass over the positions, testing every member.
     Scan,

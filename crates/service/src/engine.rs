@@ -18,10 +18,10 @@
 //! 2. **Run.** Groups execute in parallel over the worker pool, stolen
 //!    in curve order. A crawl group is one
 //!    [`octopus_core::Octopus::query_group`] call under the snapshot's
-//!    probe: the sequential crawl for a singleton, for k ≥ 2 one probe
-//!    over the union box and one BFS with a per-vertex membership
-//!    bitmask, results demultiplexed per query — a vertex inside k
-//!    overlapping queries is visited once, not k times. A scan group is
+//!    probe, a singleton being a group of one: one probe over the union
+//!    box and one BFS with a per-vertex membership bitmask, results
+//!    demultiplexed per query — a vertex inside k overlapping queries
+//!    is visited once, not k times. A scan group is
 //!    one pass over the positions, testing every member.
 //! 3. **Absorb.** The batch's [`EngineReport`] is drawn up, and the
 //!    attached telemetry records grouping, routing, sharing and planner
