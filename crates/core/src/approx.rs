@@ -84,8 +84,7 @@ impl ApproxOctopus {
         let t0 = Instant::now();
         gather(&self.sample, positions, |v, p| {
             if q.contains(p) {
-                // The sample holds each surface id once.
-                self.crawl.seed_fresh(v, 1, results);
+                self.crawl.seed(v, 1, results);
             }
         });
         stats.start_vertices = self.crawl.per_seeds[0];

@@ -1,6 +1,6 @@
 //! The OCTOPUS query executor (Algorithm 1).
 
-use crate::frontier::{for_each_bit, GroupScratch};
+use crate::frontier::GroupScratch;
 use crate::metrics::{ExecMode, ExecutorMetrics};
 use crate::shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 use crate::surface_grid::SurfaceGrid;
@@ -597,13 +597,15 @@ impl Octopus {
         })
     }
 
-    /// Creates a query scratch for `mesh`; it sizes itself on its first
-    /// query and grows when a later mesh has more vertices. Callers give
-    /// each thread its own scratch and share the executor itself behind
-    /// `&Octopus` (see [`Octopus::query_with`]).
-    pub fn make_scratch(&self, _mesh: &Mesh) -> QueryScratch {
+    /// Creates a query scratch sized for `mesh`, so no query pays for
+    /// the per-vertex masks; it grows when a later mesh has more
+    /// vertices. Callers give each thread its own scratch and share the
+    /// executor itself behind `&Octopus` (see [`Octopus::query_with`]).
+    pub fn make_scratch(&self, mesh: &Mesh) -> QueryScratch {
+        let mut group = GroupScratch::default();
+        group.begin_group(mesh.num_vertices(), self.components.count(), 0);
         QueryScratch {
-            group: GroupScratch::default(),
+            group,
             shape_buf: Vec::new(),
         }
     }
@@ -1013,11 +1015,6 @@ impl Probe<'_> {
 struct GroupSeeds<'a, R> {
     queries: &'a [R],
     union: Aabb,
-    /// The members whose region is the union box itself: the union
-    /// test answers for them, so only the `others` are tested one by
-    /// one (a lone box pays one test per probed id).
-    covered: u64,
-    others: u64,
     group: &'a mut GroupScratch,
     results: &'a mut [Vec<VertexId>],
 }
@@ -1030,19 +1027,9 @@ impl<'a, R: Region> GroupSeeds<'a, R> {
     ) -> Self {
         let union = queries.iter().map(R::bounds).reduce(|a, b| a.union(&b));
         let union = union.unwrap_or(Aabb::EMPTY);
-        let (mut covered, mut others) = (0, 0);
-        for (j, q) in queries.iter().enumerate() {
-            if q.as_box() == Some(union) {
-                covered |= 1 << j;
-            } else {
-                others |= 1 << j;
-            }
-        }
         GroupSeeds {
             queries,
             union,
-            covered,
-            others,
             group,
             results,
         }
@@ -1053,10 +1040,9 @@ impl<'a, R: Region> GroupSeeds<'a, R> {
     fn members(&self, p: Point3) -> u64 {
         let mut mask = 0;
         if self.union.contains(p) {
-            mask = self.covered;
-            for_each_bit(self.others, |j| {
-                mask |= u64::from(self.queries[j].contains(p)) << j;
-            });
+            for (j, q) in self.queries.iter().enumerate() {
+                mask |= u64::from(q.contains(p)) << j;
+            }
         }
         mask
     }
@@ -1090,8 +1076,7 @@ fn probe_seeds<R: Region>(
     probe.run(surface, positions, &bounds, |v, p| {
         let mask = seeds.members(p);
         if mask != 0 {
-            // The probe visits each surface id once.
-            seeds.group.seed_fresh(v, mask, seeds.results);
+            seeds.group.seed(v, mask, seeds.results);
             let c = components.component_of[v as usize] as usize;
             seeds.group.mark_component(c, mask);
         }

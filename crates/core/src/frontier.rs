@@ -44,7 +44,7 @@ pub const MAX_GROUP: usize = 64;
 /// that was never crawled left, so a group costs what it touched.
 /// Component masks keep a per-group epoch instead (`comp_stamp`):
 /// clearing them all per group would cost O(components). The masks
-/// are sized by the first group on a mesh and grow with it.
+/// are sized for the mesh when the scratch is made and grow with it.
 #[derive(Debug, Default)]
 pub(crate) struct GroupScratch {
     /// Member bits that have marked this vertex (inside or boundary).
@@ -87,7 +87,7 @@ const NEIGHBORS_AHEAD: usize = 8;
 
 /// Calls `f(bit)` for every set bit of `mask`, lowest first.
 #[inline]
-pub(crate) fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
+fn for_each_bit(mut mask: u64, mut f: impl FnMut(usize)) {
     while mask != 0 {
         f(mask.trailing_zeros() as usize);
         mask &= mask - 1;
@@ -152,22 +152,6 @@ impl GroupScratch {
         }
         self.visited[i] = seen | new;
         for_each_bit(new, |bit| {
-            results[bit].push(v);
-            self.per_seeds[bit] += 1;
-        });
-    }
-
-    /// [`GroupScratch::seed`] for a vertex no earlier seed of this group
-    /// marked: a probe visits each surface id once, so what it seeds is
-    /// fresh for every member in `mask`. One store to the vertex's mask
-    /// and no load, so the probe never waits on that line.
-    #[inline]
-    pub(crate) fn seed_fresh(&mut self, v: VertexId, mask: u64, results: &mut [Vec<VertexId>]) {
-        let i = v as usize;
-        debug_assert_eq!(self.visited[i], 0, "seeded twice");
-        self.visited[i] = mask;
-        self.queue.push(v);
-        for_each_bit(mask, |bit| {
             results[bit].push(v);
             self.per_seeds[bit] += 1;
         });

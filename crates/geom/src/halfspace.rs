@@ -40,13 +40,6 @@ pub trait Region {
     fn contains_coords(&self, x: f32, y: f32, z: f32) -> bool {
         self.contains(Point3::new(x, y, z))
     }
-    /// The region as a box when it is exactly one (containment is the
-    /// box's), else `None`: a containment test of that box then answers
-    /// for the region.
-    #[inline]
-    fn as_box(&self) -> Option<Aabb> {
-        None
-    }
 }
 
 impl Region for Aabb {
@@ -65,10 +58,6 @@ impl Region for Aabb {
     #[inline]
     fn bounds(&self) -> Aabb {
         *self
-    }
-    #[inline]
-    fn as_box(&self) -> Option<Aabb> {
-        Some(*self)
     }
 }
 
