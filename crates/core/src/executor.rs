@@ -681,7 +681,7 @@ impl Octopus {
     /// newer steps restructure ahead of them.
     ///
     /// Only `mesh`'s adjacency and restructure epoch are read, never
-    /// its surface or face table: a [`Mesh::snapshot`] is all the ring
+    /// its surface or restructuring state: a [`Mesh::snapshot`] is all the ring
     /// needs to hand in, and the executor's own lists are from here on
     /// the only holder of S on the serving side. Telemetry carries
     /// over: every ring generation keeps recording into the same metric

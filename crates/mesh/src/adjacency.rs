@@ -68,8 +68,6 @@ impl Csr {
         packed.sort_unstable();
         packed.dedup();
 
-        // Global offsets first: each block is then its slice of the
-        // sorted pairs, and its starts are made relative to its first.
         let mut starts = vec![0u32; n + 1];
         for &p in &packed {
             starts[(p >> 32) as usize + 1] += 1;
@@ -77,13 +75,60 @@ impl Csr {
         for i in 0..n {
             starts[i + 1] += starts[i];
         }
+        Csr::from_global_starts(starts, &packed, |p| p as VertexId)
+    }
+
+    /// Builds the CSR whose list `v` holds the targets of the pairs
+    /// with source `v`, in the order the pairs come: one counting pass
+    /// sizes the lists, a second scatters into them, and nothing is
+    /// sorted — so each source's targets must come ascending and
+    /// without repeats. A walk over a mesh's live cells, ascending by
+    /// id, gives every vertex its cells that way (the vertex→cell
+    /// incidence of restructuring mode).
+    ///
+    /// `n` is the vertex count; every source must be `< n`.
+    pub(crate) fn from_ordered_pairs(
+        n: usize,
+        pairs: impl Iterator<Item = (VertexId, VertexId)> + Clone,
+    ) -> Csr {
+        // List `v` is `targets[ends[v]..ends[v + 1]]` once filled:
+        // counted two slots up, so that the prefix sum leaves its start
+        // in `ends[v + 1]` and the scatter, advancing it, leaves its end
+        // there.
+        let mut ends = vec![0u32; n + 2];
+        for (v, _) in pairs.clone() {
+            ends[v as usize + 2] += 1;
+        }
+        for v in 2..ends.len() {
+            ends[v] += ends[v - 1];
+        }
+        let mut targets = vec![0; ends[n + 1] as usize];
+        for (v, t) in pairs {
+            let end = &mut ends[v as usize + 1];
+            targets[*end as usize] = t;
+            *end += 1;
+        }
+        ends.pop();
+        Csr::from_global_starts(ends, &targets, |t| t)
+    }
+
+    /// Cuts lists laid out one after another into blocks: list `v` is
+    /// `flat[starts[v]..starts[v + 1]]` (`n + 1` global starts), and
+    /// `target` reads a vertex id off an entry. Each block is its slice
+    /// of `flat`, and its starts are made relative to its first.
+    fn from_global_starts<T: Copy>(
+        mut starts: Vec<u32>,
+        flat: &[T],
+        target: impl Fn(T) -> VertexId,
+    ) -> Csr {
+        let n = starts.len() - 1;
         let firsts = (0..n).step_by(VERTICES_PER_BLOCK);
         let blocks = firsts
             .clone()
             .map(|first| {
                 let end = (first + VERTICES_PER_BLOCK).min(n);
-                let pairs = &packed[starts[first] as usize..starts[end] as usize];
-                pairs.iter().map(|&p| p as VertexId).collect()
+                let entries = &flat[starts[first] as usize..starts[end] as usize];
+                entries.iter().map(|&e| target(e)).collect()
             })
             .collect();
         // Last block first, so that each block's base is still global
@@ -213,8 +258,9 @@ impl Csr {
     ///
     /// Each list is sorted (strictly ascending — duplicates were
     /// dedup'ed) as a *by-product* of the packed `(src, dst)` sort in
-    /// [`Csr::from_undirected_edges`] and [`Csr::splice`], and of the
-    /// per-list sort in [`Csr::permuted`]; [`Csr::has_edge`]'s binary
+    /// [`Csr::from_undirected_edges`] and [`Csr::splice`], of the
+    /// per-list sort in [`Csr::permuted`], and of the caller's order in
+    /// `from_ordered_pairs`; [`Csr::has_edge`]'s binary
     /// search depends on it, so any construction path that skips the
     /// sort must fail loudly here rather than silently degrade
     /// `has_edge` to garbage answers.

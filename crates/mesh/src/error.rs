@@ -46,7 +46,8 @@ pub enum MeshError {
         /// Offending cell id.
         cell: CellId,
     },
-    /// Operation requires the face table (restructuring mode); call
+    /// Operation requires restructuring mode (the vertex→cell incidence
+    /// and boundary counts); call
     /// [`crate::Mesh::enable_restructuring`] first.
     RestructuringDisabled,
     /// Operation is only defined for a specific cell kind.

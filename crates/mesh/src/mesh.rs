@@ -1,7 +1,7 @@
 //! The in-memory dynamic mesh.
 
 use crate::soa::PositionBlocks;
-use crate::surface::FaceTable;
+use crate::surface::match_faces;
 use crate::{CellKind, Csr, FaceKey, MeshError, Surface};
 use octopus_geom::{Aabb, CellId, Point3, VertexId};
 use std::sync::Arc;
@@ -53,34 +53,38 @@ impl SurfaceDelta {
 ///   per-time-step massive update.
 /// * **Restructuring** — [`Mesh::remove_cell`] / [`Mesh::refine_tet`]
 ///   change connectivity. These require [`Mesh::enable_restructuring`]
-///   (which builds the persistent global face list) and return a
-///   [`SurfaceDelta`] for incremental surface-index maintenance. Each
-///   operation patches the adjacency lists of the touched cell's own
-///   vertices, finding the cells around them through the face table;
-///   nothing is rebuilt from, or scanned in, the cell array.
+///   (which builds the vertex→cell incidence, [`Mesh::vertex_cells`],
+///   and the per-vertex boundary-face counts) and return a
+///   [`SurfaceDelta`] for incremental surface-index maintenance. An
+///   operation reads each affected face's cell count off its corners'
+///   incidence rows, and patches the incidence rows and adjacency
+///   lists of the touched cells' own vertices only; nothing is rebuilt
+///   from, or scanned in, the cell array. The paper's global face list
+///   (§IV-E2) is not kept: faces are matched only by an extraction.
 ///
 /// **A mesh owns its positions and shares everything else.** The cell
 /// arrays (in blocks of [`CELLS_PER_BLOCK`] cells, each behind its own
 /// handle), the CSR (its neighbour lists in blocks of
 /// [`VERTICES_PER_BLOCK`](crate::adjacency::VERTICES_PER_BLOCK)
-/// vertices, likewise) and the restructuring state (the [`FaceTable`]'s
-/// per-vertex buckets) sit behind shared handles, so [`Mesh::snapshot`],
-/// [`Mesh::with_positions`] and `clone()` copy the position array and
-/// nothing more — deformation never touches what they share. A
-/// restructuring operation copies on write: where a handle is shared
-/// it copies the cell blocks it writes (the tombstoned cell's, the
-/// tail the new cells go to), the CSR's starts and block handles and
-/// the face table once, and it rebuilds only the adjacency blocks that
-/// hold a vertex it touched, so no holder sees another's edit. Sharing
-/// shows only in pointer identity, cost and memory.
+/// vertices, likewise) and the restructuring state (the incidence, a
+/// CSR in the same blocks, and the counts) sit behind shared handles,
+/// so [`Mesh::snapshot`], [`Mesh::with_positions`] and `clone()` copy
+/// the position array and nothing more — deformation never touches
+/// what they share. A restructuring operation copies on write: where a
+/// handle is shared it copies the cell blocks it writes (the
+/// tombstoned cell's, the tail the new cells go to), the two CSRs'
+/// starts and block handles and the counts once, and it rebuilds only
+/// the adjacency and incidence blocks that hold a vertex it touched, so
+/// no holder sees another's edit. Sharing shows only in pointer
+/// identity, cost and memory.
 #[derive(Debug)]
 pub struct Mesh {
     kind: CellKind,
     positions: Vec<Point3>,
     cells: Arc<Cells>,
     adjacency: Arc<Csr>,
-    /// Restructuring mode state: global face list + per-vertex count of
-    /// boundary faces (surface membership ⇔ count > 0).
+    /// Restructuring mode state: the vertex→cell incidence and the
+    /// boundary-face counts.
     restructure: Option<Arc<RestructureState>>,
     /// Monotone count of committed restructuring operations — the
     /// connectivity generation. Deformation never advances it, so any
@@ -253,10 +257,19 @@ impl<'a> Iterator for LiveCells<'a> {
     }
 }
 
+/// What restructuring mode keeps beside the connectivity. Snapshots
+/// leave it behind.
 #[derive(Clone, Debug)]
 struct RestructureState {
-    faces: FaceTable,
+    /// The vertex→cell incidence: row `v` lists, ascending, the ids of
+    /// the live cells that contain `v`. Its entries are cell ids, not
+    /// vertex ids.
+    vertex_cells: Csr,
+    /// Per-vertex count of boundary faces (surface membership ⇔
+    /// count > 0).
     boundary_face_count: Vec<u32>,
+    /// Faces exactly one live cell has.
+    num_boundary_faces: usize,
 }
 
 /// A copy of the positions sharing everything else, the restructuring
@@ -278,10 +291,11 @@ impl Mesh {
     /// [`Mesh::restructure_epoch`] — carried over) but reports
     /// [`Mesh::restructuring_enabled`] `false`: its [`Mesh::surface`]
     /// is a from-scratch extraction, and restructuring it needs
-    /// [`Mesh::enable_restructuring`] first, which files every face of
-    /// every live cell again (≈ 13 ms on the 117 k-cell L3 × 0.8
-    /// benchmark mesh). Holders that need the surface keep a
-    /// delta-maintained index instead of asking the snapshot.
+    /// [`Mesh::enable_restructuring`] first, which matches every face of
+    /// every live cell again and rebuilds the incidence (≈ 13 ms on the
+    /// 117 k-cell L3 × 0.8 benchmark mesh). Holders that need the
+    /// surface keep a delta-maintained index instead of asking the
+    /// snapshot.
     pub fn snapshot(&self) -> Mesh {
         self.with_positions(self.positions.clone())
     }
@@ -499,7 +513,7 @@ impl Mesh {
     /// Extracts the current surface.
     ///
     /// In restructuring mode this reads the maintained per-vertex boundary
-    /// counts and the face table's boundary counter (O(V)); otherwise it
+    /// counts and boundary-face total (O(V)); otherwise it
     /// runs the global-face-list extraction (§IV-E1, O(cells): two
     /// passes over the cells and a sort of short buckets, see
     /// [`crate::surface`]).
@@ -507,7 +521,7 @@ impl Mesh {
         if let Some(rs) = &self.restructure {
             Ok(Surface::from_membership_with_faces(
                 rs.boundary_face_count.iter().map(|&c| c > 0).collect(),
-                rs.faces.num_boundary_faces(),
+                rs.num_boundary_faces,
             ))
         } else {
             Surface::extract(
@@ -518,25 +532,38 @@ impl Mesh {
         }
     }
 
-    /// Enables restructuring mode: builds the persistent global face list
-    /// ([`FaceTable::build`]) and per-vertex boundary-face counts.
-    /// Idempotent.
+    /// Enables restructuring mode: takes the per-vertex boundary-face
+    /// counts from one face matching ([`Surface::extract`]'s, which
+    /// rejects a non-manifold mesh alike) and builds the vertex→cell
+    /// incidence ([`Mesh::vertex_cells`]) in one counting pass over the
+    /// live cells. Idempotent.
     pub fn enable_restructuring(&mut self) -> Result<(), MeshError> {
         if self.restructure.is_some() {
             return Ok(());
         }
-        let faces = FaceTable::build(self.kind, self.live_cells())?;
-        let mut boundary_face_count = vec![0u32; self.positions.len()];
-        for key in faces.boundary_faces() {
-            for &v in key.vertices() {
+        let n = self.positions.len();
+        let mut boundary_face_count = vec![0u32; n];
+        let cells = self.live_cells().map(|(_, cell)| cell);
+        let num_boundary_faces = match_faces(self.kind, n, cells, |face| {
+            for &v in face.vertices() {
                 boundary_face_count[v as usize] += 1;
             }
-        }
+        })?;
         self.restructure = Some(Arc::new(RestructureState {
-            faces,
+            vertex_cells: build_vertex_cells(n, &self.cells, self.kind),
             boundary_face_count,
+            num_boundary_faces,
         }));
         Ok(())
+    }
+
+    /// The vertex→cell incidence of restructuring mode (`None`
+    /// otherwise): row `v` — [`Csr::neighbors`]`(v)` — lists, ascending,
+    /// the ids of the live cells that contain `v`. Its entries are cell
+    /// ids. It is kept in the adjacency's copy-on-write blocks, so an
+    /// operation rewrites only its touched vertices' blocks.
+    pub fn vertex_cells(&self) -> Option<&Csr> {
+        self.restructure.as_ref().map(|rs| &rs.vertex_cells)
     }
 
     /// True when restructuring mode is active.
@@ -605,9 +632,6 @@ impl Mesh {
         }
         let e = self.positions.len() as VertexId;
         self.positions.push(centroid);
-        if let Some(rs) = &mut self.restructure {
-            Arc::make_mut(rs).boundary_face_count.push(0);
-        }
         let [a, b, cc, d] = cell;
         let new_cells = [[a, b, cc, e], [a, b, d, e], [a, cc, d, e], [b, cc, d, e]];
         let delta = self.apply_restructure(&[c], &new_cells.map(|t| t.to_vec()))?;
@@ -615,28 +639,25 @@ impl Mesh {
     }
 
     /// Transactionally removes `remove` cells and appends `add` cells,
-    /// maintaining the face table and boundary counts, and returning the
-    /// net surface delta. The adjacency is patched, not rebuilt: every
-    /// edge a removed or added cell can create or destroy has both
-    /// endpoints among that cell's vertices, so only those vertices'
-    /// lists are recomputed (see [`Mesh::patch_adjacency`]). Debug
-    /// builds cross-check the patch against the full rebuild.
+    /// maintaining the incidence and boundary counts, and returning the
+    /// net surface delta. Every check — the added cells' ids and the
+    /// faces they would give a third cell — runs before anything is
+    /// mutated. A face's boundary status is read off the incidence
+    /// ([`Mesh::face_cell_count`]), before and after. The incidence and
+    /// the adjacency are patched, not rebuilt: a removed or added cell
+    /// changes only its own vertices' rows and lists (see
+    /// [`Mesh::patch_adjacency`]). Debug builds cross-check both
+    /// against the full rebuild.
     fn apply_restructure(
         &mut self,
         remove: &[CellId],
         add: &[Vec<VertexId>],
     ) -> Result<SurfaceDelta, MeshError> {
-        // Copy-on-write: a handle some snapshot or clone still shares is
-        // copied here, once; an unshared one is edited in place.
-        let rs = Arc::make_mut(
-            self.restructure
-                .as_mut()
-                .ok_or(MeshError::RestructuringDisabled)?,
-        );
-        let cells = Arc::make_mut(&mut self.cells);
-        let arity = self.kind.arity();
-
-        // Validate additions before mutating anything.
+        if self.restructure.is_none() {
+            return Err(MeshError::RestructuringDisabled);
+        }
+        let (kind, arity, n) = (self.kind, self.kind.arity(), self.positions.len());
+        let first_new = self.cells.len as CellId;
         for cell in add {
             if cell.len() != arity {
                 return Err(MeshError::RaggedCellArray {
@@ -645,53 +666,69 @@ impl Mesh {
                 });
             }
             for (li, &v) in cell.iter().enumerate() {
-                if v as usize >= self.positions.len() {
+                if v as usize >= n {
                     return Err(MeshError::VertexOutOfRange {
-                        cell: cells.len as CellId,
+                        cell: first_new,
                         vertex: v,
-                        num_vertices: self.positions.len(),
+                        num_vertices: n,
                     });
                 }
                 if cell[..li].contains(&v) {
                     return Err(MeshError::DegenerateCell {
-                        cell: cells.len as CellId,
+                        cell: first_new,
                         vertex: v,
                     });
                 }
             }
         }
 
-        // Record the boundary status of every affected face up front
-        // (a few dozen at most: a linear look-up beats hashing them).
-        let mut affected: Vec<(FaceKey, bool)> = Vec::new();
-        let removed = remove.iter().map(|&c| cells.get(arity, c));
-        for cell in removed.clone().chain(add.iter().map(Vec::as_slice)) {
-            for key in self.kind.face_keys(cell) {
-                if !affected.iter().any(|(k, _)| *k == key) {
-                    affected.push((key, rs.faces.is_boundary(&key)));
+        // Every affected face's cell count before and after (a few dozen
+        // faces at most: a linear look-up beats hashing them). Removals
+        // first, then the additions in order: the first face an
+        // addition would give a third cell is the error.
+        let mut affected: Vec<(FaceKey, usize, usize)> = Vec::new();
+        let removed = remove.iter().map(|&c| self.cell(c));
+        let cells = removed.chain(add.iter().map(Vec::as_slice));
+        for (i, cell) in cells.enumerate() {
+            for key in kind.face_keys(cell) {
+                let at = affected.iter().position(|(k, ..)| *k == key);
+                let at = at.unwrap_or_else(|| {
+                    let before = self.face_cell_count(key);
+                    affected.push((key, before, before));
+                    affected.len() - 1
+                });
+                let after = &mut affected[at].2;
+                if i < remove.len() {
+                    *after -= 1;
+                } else if *after == 2 {
+                    return Err(MeshError::NonManifoldFace {
+                        face: key,
+                        count: 3,
+                    });
+                } else {
+                    *after += 1;
                 }
             }
         }
 
-        // Apply to the face table.
-        for (&c, cell) in remove.iter().zip(removed.clone()) {
-            rs.faces.remove_cell(self.kind, c, cell);
-        }
-        let first_new_id = cells.len as CellId;
-        for (i, cell) in add.iter().enumerate() {
-            rs.faces
-                .insert_cell(self.kind, first_new_id + i as CellId, cell)?;
-        }
-
-        // Diff boundary status → per-vertex counts → surface delta.
+        // Boundary status changes → per-vertex counts → surface delta.
+        // Copy-on-write: a handle some clone still shares is copied
+        // here, once; an unshared one is edited in place.
+        let rs = Arc::make_mut(self.restructure.as_mut().expect("checked above"));
+        rs.boundary_face_count.resize(n, 0);
         let mut delta = SurfaceDelta {
             ops: 1,
             ..SurfaceDelta::default()
         };
-        for (key, was_boundary) in &affected {
-            let is_boundary = rs.faces.is_boundary(key);
-            if *was_boundary == is_boundary {
+        for &(key, before, after) in &affected {
+            let is_boundary = after == 1;
+            if (before == 1) == is_boundary {
                 continue;
+            }
+            if is_boundary {
+                rs.num_boundary_faces += 1;
+            } else {
+                rs.num_boundary_faces -= 1;
             }
             for &v in key.vertices() {
                 let cnt = &mut rs.boundary_face_count[v as usize];
@@ -714,7 +751,12 @@ impl Mesh {
         delta.removed.dedup();
 
         // Commit the cell array changes.
-        delta.touched = removed.flatten().copied().collect();
+        let cells = Arc::make_mut(&mut self.cells);
+        delta.touched = remove
+            .iter()
+            .flat_map(|&c| cells.get(arity, c))
+            .copied()
+            .collect();
         for &c in remove {
             cells.kill(c);
         }
@@ -724,6 +766,29 @@ impl Mesh {
         }
         delta.touched.sort_unstable();
         delta.touched.dedup();
+
+        // A touched vertex's row: its old cells still alive, then the
+        // new cells that contain it — ids past every old one, so the row
+        // stays ascending.
+        let rows: Vec<(VertexId, CellId)> = delta
+            .touched
+            .iter()
+            .flat_map(|&v| {
+                let kept = list(&rs.vertex_cells, v)
+                    .iter()
+                    .copied()
+                    .filter(|&c| cells.is_alive(c));
+                let new = (first_new..)
+                    .zip(add)
+                    .filter(move |(_, cell)| cell.contains(&v));
+                kept.chain(new.map(|(c, _)| c)).map(move |c| (v, c))
+            })
+            .collect();
+        rs.vertex_cells.splice(n, &delta.touched, rows.into_iter());
+        debug_assert!(
+            rs.vertex_cells == build_vertex_cells(n, cells, kind),
+            "patched incidence diverged from the rebuild"
+        );
 
         delta.cut = self.patch_adjacency(&delta.touched);
         debug_assert!(
@@ -739,9 +804,27 @@ impl Mesh {
         Ok(delta)
     }
 
+    /// The number of live cells that have face `key`: of the cells in
+    /// every corner's incidence row, those with `key` among their
+    /// faces (four corners of a hexahedron can also span a diagonal
+    /// plane of it).
+    fn face_cell_count(&self, key: FaceKey) -> usize {
+        let vertex_cells = self.vertex_cells().expect("restructuring mode");
+        let (&first, rest) = key.vertices().split_first().expect("a face has corners");
+        list(vertex_cells, first)
+            .iter()
+            .filter(|&&c| {
+                rest.iter()
+                    .all(|&u| list(vertex_cells, u).binary_search(&c).is_ok())
+                    && self.kind.face_keys(self.cell(c)).any(|k| k == key)
+            })
+            .count()
+    }
+
     /// Recomputes the neighbour lists of the `touched` vertices (sorted,
-    /// distinct) from the live cells that contain them and splices them
-    /// into the CSR in place ([`Csr::splice`]): only the blocks of
+    /// distinct) from the live cells that contain them — their rows of
+    /// the already patched incidence — and splices them into the CSR in
+    /// place ([`Csr::splice`]): only the blocks of
     /// [`VERTICES_PER_BLOCK`](crate::adjacency::VERTICES_PER_BLOCK)
     /// vertices that hold a touched vertex are rebuilt. A CSR some
     /// snapshot still shares is copied first — its starts and block
@@ -753,66 +836,38 @@ impl Mesh {
     ///
     /// Returns the edges the patch deleted (smaller id first,
     /// ascending): the old lists' entries the new lists lack.
-    ///
-    /// The cells are found through the face table, in buckets around
-    /// each touched vertex `v` ([`FaceTable::cells_around`]). A live
-    /// cell containing `v` has a face containing `v`, filed under that
-    /// face's smallest vertex `s`, and `s` is `v` itself, a vertex the
-    /// operation touched (when the cell is new), or — the cell being
-    /// old — reachable from `v` over edges of the adjacency before the
-    /// operation: in one hop on a tetrahedron, whose vertices are
-    /// pairwise joined, in at most two on a hexahedron, where `s` can be
-    /// the far corner of a quad. No incidence structure is kept for it
-    /// and no cell is visited that does not share a face with `v`.
     fn patch_adjacency(&mut self, touched: &[VertexId]) -> Vec<(VertexId, VertexId)> {
-        let kind = self.kind;
+        let (kind, arity) = (self.kind, self.kind.arity());
         let old = &*self.adjacency;
-        let faces = &self
-            .restructure
-            .as_ref()
-            .expect("an operation runs in restructuring mode")
-            .faces;
-        let old_neighbors = |v: VertexId| {
-            if (v as usize) < old.num_vertices() {
-                old.neighbors(v)
-            } else {
-                &[]
-            }
-        };
-        let (mut lower, mut around) = (Vec::new(), Vec::new());
-        for &v in touched {
-            lower.clear();
-            lower.extend(touched.iter().take_while(|&&u| u < v));
-            for &w in old_neighbors(v) {
-                lower.push(w);
-                if kind == CellKind::Hex8 {
-                    lower.extend(old_neighbors(w).iter().filter(|&&u| u < v));
-                }
-            }
-            lower.retain(|&u| u < v);
-            lower.sort_unstable();
-            lower.dedup();
-            faces.cells_around(v, &lower, &mut around);
-        }
-        around.sort_unstable();
-        around.dedup();
         // Every edge the splice can delete, kept below if it survives.
         let mut cut: Vec<(VertexId, VertexId)> = touched
             .iter()
             .flat_map(|&v| {
-                old_neighbors(v)
+                list(old, v)
                     .iter()
                     .filter(move |&&w| v < w)
                     .map(move |&w| (v, w))
             })
             .collect();
-        let arity = kind.arity();
+        let vertex_cells = &self
+            .restructure
+            .as_ref()
+            .expect("an operation runs in restructuring mode")
+            .vertex_cells;
         let cells = &*self.cells;
-        let directed = around
-            .iter()
-            .flat_map(|&c| kind.edges(cells.get(arity, c)))
-            .flat_map(|(a, b)| [(a, b), (b, a)])
-            .filter(|(src, _)| touched.binary_search(src).is_ok());
+        let directed = touched.iter().flat_map(|&v| {
+            vertex_cells.neighbors(v).iter().flat_map(move |&c| {
+                kind.edges(cells.get(arity, c)).filter_map(move |(a, b)| {
+                    if a == v {
+                        Some((v, b))
+                    } else if b == v {
+                        Some((v, a))
+                    } else {
+                        None
+                    }
+                })
+            })
+        });
         let adjacency = Arc::make_mut(&mut self.adjacency);
         adjacency.splice(self.positions.len(), touched, directed);
         cut.retain(|&(v, w)| !adjacency.has_edge(v, w));
@@ -841,23 +896,26 @@ impl Mesh {
         for (old, &new) in perm.iter().enumerate() {
             positions[new as usize] = self.positions[old];
         }
-        // Relabelled, not rebuilt: the face table's canonical keys
-        // change with the labels, so re-keying it is inherent; the
-        // per-vertex counts just move with their vertices.
+        let cells = self.cells.relabelled(perm);
+        // Cell ids do not change, so row `perm[v]` of the incidence is
+        // old row `v`: a counting rebuild from the relabelled cells
+        // moves every row. The per-vertex counts move with their
+        // vertices.
         let restructure = self.restructure.as_ref().map(|rs| {
             let mut boundary_face_count = vec![0u32; n];
             for (old, &new) in perm.iter().enumerate() {
                 boundary_face_count[new as usize] = rs.boundary_face_count[old];
             }
             Arc::new(RestructureState {
-                faces: rs.faces.permuted(perm),
+                vertex_cells: build_vertex_cells(n, &cells, self.kind),
                 boundary_face_count,
+                num_boundary_faces: rs.num_boundary_faces,
             })
         });
         Mesh {
             kind: self.kind,
             positions,
-            cells: Arc::new(self.cells.relabelled(perm)),
+            cells: Arc::new(cells),
             adjacency: Arc::new(self.adjacency.permuted(perm)),
             restructure,
             restructure_epoch: self.restructure_epoch,
@@ -875,7 +933,7 @@ impl Mesh {
             + self.cells.memory_bytes()
             + self.adjacency.memory_bytes();
         if let Some(rs) = &self.restructure {
-            total += rs.faces.memory_bytes()
+            total += rs.vertex_cells.memory_bytes()
                 + rs.boundary_face_count.capacity() * std::mem::size_of::<u32>();
         }
         total
@@ -891,6 +949,27 @@ fn build_adjacency<'a>(
     cells: impl Iterator<Item = &'a [VertexId]>,
 ) -> Csr {
     Csr::from_undirected_edges(n, cells.flat_map(|cell| kind.edges(cell)))
+}
+
+/// Builds the vertex→cell incidence of the live `cells` over `n`
+/// vertices: one counting pass, no sort (the cells come ascending, so
+/// every row does too). Enabling restructuring and relabelling run it;
+/// debug builds check every operation's patch against it.
+fn build_vertex_cells(n: usize, cells: &Cells, kind: CellKind) -> Csr {
+    let pairs = cells
+        .live(kind.arity())
+        .flat_map(|(c, cell)| cell.iter().map(move |&v| (v, c)));
+    Csr::from_ordered_pairs(n, pairs)
+}
+
+/// `v`'s list in `csr`, empty for a vertex it does not have yet (one an
+/// operation appends).
+fn list(csr: &Csr, v: VertexId) -> &[VertexId] {
+    if (v as usize) < csr.num_vertices() {
+        csr.neighbors(v)
+    } else {
+        &[]
+    }
 }
 
 #[cfg(test)]
@@ -1019,6 +1098,32 @@ mod tests {
     }
 
     #[test]
+    fn an_addition_that_gives_a_face_a_third_cell_changes_nothing() {
+        let positions = (0..7).map(|i| p(i as f32, (i % 2) as f32, 0.0)).collect();
+        let mut m = Mesh::from_tets(positions, vec![[0, 1, 2, 3], [4, 1, 2, 3]]).unwrap();
+        m.enable_restructuring().unwrap();
+        let copy = m.clone();
+        // Without cell 0, face (1, 2, 3) has cell 1; the two additions
+        // would give it a second and a third.
+        let err = m
+            .apply_restructure(&[0], &[vec![5, 1, 2, 3], vec![6, 1, 2, 3]])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::NonManifoldFace {
+                face: FaceKey::tri(1, 2, 3),
+                count: 3
+            }
+        );
+        // Checked before anything was written: nothing was even unshared.
+        let (rs, held) = (m.restructure.as_ref(), copy.restructure.as_ref());
+        assert!(Arc::ptr_eq(rs.unwrap(), held.unwrap()));
+        assert!(Arc::ptr_eq(&m.cells, &copy.cells) && Arc::ptr_eq(&m.adjacency, &copy.adjacency));
+        assert_eq!((m.num_cells(), m.restructure_epoch()), (2, 0));
+        assert_eq!(m.surface().unwrap().vertices(), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn refine_is_tet_only() {
         let positions = (0..8)
             .map(|i| p((i & 1) as f32, ((i >> 1) & 1) as f32, ((i >> 2) & 1) as f32))
@@ -1091,15 +1196,9 @@ mod tests {
             } else {
                 m.refine_tet(c).unwrap();
             }
-            let faces = &m.restructure.as_ref().unwrap().faces;
             let fresh =
                 Surface::extract(m.kind(), m.num_vertices(), m.live_cells().map(|(_, c)| c))
                     .unwrap();
-            assert_eq!(
-                faces.num_boundary_faces(),
-                faces.boundary_faces().count(),
-                "op {op}"
-            );
             let maintained = m.surface().unwrap();
             assert_eq!(
                 maintained.num_boundary_faces(),
@@ -1304,7 +1403,7 @@ mod tests {
         assert!(snap.is_cell_alive(0));
         assert_eq!(snap.neighbors(0), &[1, 2, 3]);
         assert_eq!((m.num_cells(), m.num_vertices()), (5, 6));
-        // A clone's face table is its own from its first op on.
+        // A clone's incidence is its own from its first op on.
         let mut copy = m.clone();
         copy.remove_cell(1).unwrap();
         assert!(m.is_cell_alive(1) && !copy.is_cell_alive(1));

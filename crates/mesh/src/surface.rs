@@ -28,14 +28,12 @@
 //! space-filling-curve relabelling gives neither (155 M, largest 72)
 //! and takes ≈ 1.3 × as long.
 //!
-//! [`FaceTable`] is the persistent variant kept alive in *restructuring
-//! mode*, with the same filing kept permanently: it supports
-//! O(faces-per-cell) cell insertion/removal and answers "is this face
-//! boundary" / "which cell is the twin" queries by scanning one short
-//! bucket, from which [`crate::Mesh`] derives exact surface deltas, and
-//! "which cells contain this vertex" by scanning the few buckets its
-//! faces can be filed under ([`FaceTable::cells_around`]), from which it
-//! patches the adjacency.
+//! The face list lives only as long as one extraction. Restructuring
+//! mode keeps cells, not faces: [`crate::Mesh`] holds a vertex→cell
+//! incidence (row `v` lists the live cells that contain `v`), and a
+//! face's cell count is the number of cells in all its corners' rows
+//! that have it among their faces. Its per-vertex boundary-face counts
+//! start from this module's matching (`match_faces`).
 
 use crate::{CellKind, FaceKey, MeshError};
 use octopus_geom::{CellId, VertexId};
@@ -84,19 +82,16 @@ impl Surface {
     ) -> Result<Surface, MeshError> {
         // relaxed: a statistic; it publishes no other data.
         EXTRACT_CALLS.fetch_add(1, Ordering::Relaxed);
-        // A triangle's two remaining ids pack into one integer, which
-        // sorts faster than an array (L5: 65 ms against 115) and files
-        // in 8 B; a quad keeps its three as they are.
-        match kind {
-            CellKind::Tet4 => match_filed(
-                kind,
-                num_vertices,
-                cells,
-                |key| (key.0[1] as u64) << 32 | key.0[2] as u64,
-                |v, t| join(v, [(t >> 32) as VertexId, t as VertexId, FaceKey::NONE]),
-            ),
-            CellKind::Hex8 => match_filed(kind, num_vertices, cells, |key| split(key).1, join),
-        }
+        let mut is_surface = vec![false; num_vertices];
+        let num_boundary_faces = match_faces(kind, num_vertices, cells, |face| {
+            for &u in face.vertices() {
+                is_surface[u as usize] = true;
+            }
+        })?;
+        Ok(Surface::from_membership_with_faces(
+            is_surface,
+            num_boundary_faces,
+        ))
     }
 
     /// How many times [`Surface::extract`] has run in this process.
@@ -110,7 +105,7 @@ impl Surface {
     }
 
     /// Builds a surface directly from a membership bitmap and its
-    /// boundary-face count (as maintained by [`FaceTable`] in
+    /// boundary-face count (as [`crate::Mesh`] maintains them in
     /// restructuring mode).
     pub fn from_membership_with_faces(is_surface: Vec<bool>, num_boundary_faces: usize) -> Surface {
         let vertices = (0..is_surface.len() as u32)
@@ -164,18 +159,52 @@ impl Surface {
     }
 }
 
-/// [`Surface::extract`]'s counting sort (module docs): files what
-/// `pack` keeps of every face under the face's smallest vertex, sorts
-/// each bucket and reads the surface off the run lengths. `pack` drops
-/// a canonical key's first id — keys equal in it must stay equal, and
-/// only those — and `unpack` puts it back.
+/// [`Surface::extract`]'s face matching (module docs): hands every
+/// boundary face to `boundary` and returns how many there are, or the
+/// extraction's error. Restructuring mode starts its maintained
+/// per-vertex counts from it.
+pub(crate) fn match_faces<'a>(
+    kind: CellKind,
+    num_vertices: usize,
+    cells: impl Iterator<Item = &'a [VertexId]> + Clone,
+    boundary: impl FnMut(FaceKey),
+) -> Result<usize, MeshError> {
+    // A triangle's two remaining ids pack into one integer, which
+    // sorts faster than an array (L5: 65 ms against 115) and files
+    // in 8 B; a quad keeps its three as they are.
+    match kind {
+        CellKind::Tet4 => match_filed(
+            kind,
+            num_vertices,
+            cells,
+            |key| (key.0[1] as u64) << 32 | key.0[2] as u64,
+            |v, t| join(v, [(t >> 32) as VertexId, t as VertexId, FaceKey::NONE]),
+            boundary,
+        ),
+        CellKind::Hex8 => match_filed(
+            kind,
+            num_vertices,
+            cells,
+            |key| split(key).1,
+            join,
+            boundary,
+        ),
+    }
+}
+
+/// The counting sort (module docs): files what `pack` keeps of every
+/// face under the face's smallest vertex, sorts each bucket and hands
+/// the runs of one to `boundary`. `pack` drops a canonical key's first
+/// id — keys equal in it must stay equal, and only those — and
+/// `unpack` puts it back.
 fn match_filed<'a, T: Copy + Default + Ord>(
     kind: CellKind,
     num_vertices: usize,
     cells: impl Iterator<Item = &'a [VertexId]> + Clone,
     pack: impl Fn(FaceKey) -> T,
     unpack: impl Fn(usize, T) -> FaceKey,
-) -> Result<Surface, MeshError> {
+    mut boundary: impl FnMut(FaceKey),
+) -> Result<usize, MeshError> {
     // Bucket `v` is `tails[ends[v]..ends[v + 1]]` once filled: counted
     // two slots up, so that the prefix sum leaves bucket `v`'s start in
     // `ends[v + 1]` and the scatter, advancing it, leaves its end there.
@@ -203,7 +232,6 @@ fn match_filed<'a, T: Copy + Default + Ord>(
             *end += 1;
         }
     }
-    let mut is_surface = vec![false; num_vertices];
     let mut num_boundary_faces = 0;
     for v in 0..num_vertices {
         let bucket = &mut tails[ends[v]..ends[v + 1]];
@@ -215,276 +243,14 @@ fn match_filed<'a, T: Copy + Default + Ord>(
             match run.len() {
                 1 => {
                     num_boundary_faces += 1;
-                    for &u in face.vertices() {
-                        is_surface[u as usize] = true;
-                    }
+                    boundary(face);
                 }
                 2 => {}
                 count => return Err(MeshError::NonManifoldFace { face, count }),
             }
         }
     }
-    Ok(Surface::from_membership_with_faces(
-        is_surface,
-        num_boundary_faces,
-    ))
-}
-
-/// One face of a [`FaceTable`] bucket: the key's ids after the smallest
-/// (which the bucket implies) and the 1–2 cells referencing the face.
-/// 24 B, so a bucket scan reads a few consecutive cache lines.
-#[derive(Clone, Copy, Debug)]
-struct FaceRec {
-    tail: Tail,
-    cells: [CellId; 2],
-    count: u8,
-}
-
-/// Persistent global face list for restructuring mode (§IV-E2).
-///
-/// `buckets[v]` holds the faces whose smallest vertex is `v`, in no
-/// particular order; every look-up is a linear scan of that one
-/// contiguous bucket and no key is hashed. On the L5 benchmark mesh a
-/// bucket holds 11 records on average and at most 21 in generator
-/// order, 36 in Hilbert order (L3 × 0.8: 10, 21, 36). Buckets exist up
-/// to the largest smallest-vertex seen — a vertex that is the smallest
-/// of no face (a refinement's centroid, always the largest id) needs
-/// none.
-///
-/// Vertex ids are not range-checked here: [`crate::Mesh`] validates a
-/// cell before the table sees it, and the bucket list grows to whatever
-/// smallest-vertex id it is given.
-#[derive(Clone, Debug, Default)]
-pub struct FaceTable {
-    buckets: Vec<Vec<FaceRec>>,
-    /// Distinct faces tracked.
-    len: usize,
-    /// Of which referenced by exactly one cell.
-    boundary: usize,
-}
-
-impl FaceTable {
-    /// Builds the table from all live cells: a counting pass sizes
-    /// every bucket for the face occurrences filed under it (an
-    /// interior face occurs twice and is stored once, so up to half a
-    /// bucket's capacity stays spare — what later insertions use), so
-    /// the insertions that follow never reallocate.
-    pub fn build<'a>(
-        kind: CellKind,
-        cells: impl Iterator<Item = (CellId, &'a [VertexId])> + Clone,
-    ) -> Result<FaceTable, MeshError> {
-        let mut filed: Vec<usize> = Vec::new();
-        for (_, cell) in cells.clone() {
-            for key in kind.face_keys(cell) {
-                let v = key.0[0] as usize;
-                if v >= filed.len() {
-                    filed.resize(v + 1, 0);
-                }
-                filed[v] += 1;
-            }
-        }
-        let mut table = FaceTable {
-            buckets: filed.into_iter().map(Vec::with_capacity).collect(),
-            len: 0,
-            boundary: 0,
-        };
-        for (id, cell) in cells {
-            table.insert_cell(kind, id, cell)?;
-        }
-        Ok(table)
-    }
-
-    /// The table of the same cells after a vertex relabelling (vertex
-    /// `old` becomes `perm[old]`; cell ids are unchanged). The canonical
-    /// keys change with the labels, so every record is re-filed — into
-    /// buckets presized by a counting pass, with no twin matching or
-    /// manifold check to redo.
-    pub fn permuted(&self, perm: &[VertexId]) -> FaceTable {
-        let refile = |v: usize, rec: &FaceRec| split(join(v, rec.tail).permuted(perm));
-        let mut filed = vec![0usize; perm.len()];
-        for (v, bucket) in self.buckets.iter().enumerate() {
-            for rec in bucket {
-                filed[refile(v, rec).0] += 1;
-            }
-        }
-        let mut buckets: Vec<Vec<FaceRec>> = filed.into_iter().map(Vec::with_capacity).collect();
-        for (v, bucket) in self.buckets.iter().enumerate() {
-            for rec in bucket {
-                let (to, tail) = refile(v, rec);
-                buckets[to].push(FaceRec { tail, ..*rec });
-            }
-        }
-        FaceTable {
-            buckets,
-            len: self.len,
-            boundary: self.boundary,
-        }
-    }
-
-    #[inline]
-    fn find(&self, key: &FaceKey) -> Option<&FaceRec> {
-        let (v, tail) = split(*key);
-        self.buckets.get(v)?.iter().find(|rec| rec.tail == tail)
-    }
-
-    /// Registers all faces of a cell. A face already referenced by two
-    /// cells is rejected as [`MeshError::NonManifoldFace`] with
-    /// `count: 3` — this is the third insertion, whatever further cells
-    /// would follow; the faces registered before it stay registered.
-    ///
-    /// A smallest-vertex id beyond the bucket list grows the list, as
-    /// the first face filed under any vertex does.
-    pub fn insert_cell(
-        &mut self,
-        kind: CellKind,
-        id: CellId,
-        cell: &[VertexId],
-    ) -> Result<(), MeshError> {
-        for key in kind.face_keys(cell) {
-            let (v, tail) = split(key);
-            if v >= self.buckets.len() {
-                self.buckets.resize_with(v + 1, Vec::new);
-            }
-            let bucket = &mut self.buckets[v];
-            match bucket.iter_mut().find(|rec| rec.tail == tail) {
-                Some(rec) if rec.count >= 2 => {
-                    return Err(MeshError::NonManifoldFace {
-                        face: key,
-                        count: 3,
-                    });
-                }
-                Some(rec) => {
-                    rec.cells[1] = id;
-                    rec.count = 2;
-                    self.boundary -= 1;
-                }
-                None => {
-                    bucket.push(FaceRec {
-                        tail,
-                        cells: [id, CellId::MAX],
-                        count: 1,
-                    });
-                    self.len += 1;
-                    self.boundary += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Unregisters all faces of a cell. Faces dropping to zero
-    /// occurrences are deleted.
-    pub fn remove_cell(&mut self, kind: CellKind, id: CellId, cell: &[VertexId]) {
-        for key in kind.face_keys(cell) {
-            let (v, tail) = split(key);
-            let Some(bucket) = self.buckets.get_mut(v) else {
-                continue;
-            };
-            let Some(at) = bucket.iter().position(|rec| rec.tail == tail) else {
-                continue;
-            };
-            let rec = &mut bucket[at];
-            if rec.count == 2 {
-                // Keep the surviving twin in slot 0.
-                if rec.cells[0] == id {
-                    rec.cells[0] = rec.cells[1];
-                }
-                rec.cells[1] = CellId::MAX;
-                rec.count = 1;
-                self.boundary += 1;
-            } else {
-                bucket.swap_remove(at);
-                self.len -= 1;
-                self.boundary -= 1;
-            }
-        }
-    }
-
-    /// Occurrence count of a face (0 when absent).
-    #[inline]
-    pub fn count(&self, key: &FaceKey) -> usize {
-        self.find(key).map_or(0, |r| r.count as usize)
-    }
-
-    /// True when the face occurs exactly once (is on the surface).
-    #[inline]
-    pub fn is_boundary(&self, key: &FaceKey) -> bool {
-        self.count(key) == 1
-    }
-
-    /// Appends to `out` the cells of every face containing `v` that is
-    /// filed under `v` or under a vertex of `lower` — every live cell
-    /// containing `v` when `lower` holds every smaller vertex a face
-    /// containing `v` can be filed under (its smallest vertex). A cell
-    /// comes once per such face, so `out` may repeat it. This is how a
-    /// restructuring operation finds the cells around the vertices it
-    /// touched ([`crate::Mesh`]'s adjacency patch): by scanning a few
-    /// short buckets, without a per-vertex incidence list.
-    pub fn cells_around(&self, v: VertexId, lower: &[VertexId], out: &mut Vec<CellId>) {
-        for &u in std::iter::once(&v).chain(lower) {
-            for rec in self.buckets.get(u as usize).into_iter().flatten() {
-                if u == v || rec.tail.contains(&v) {
-                    out.extend_from_slice(&rec.cells[..usize::from(rec.count)]);
-                }
-            }
-        }
-    }
-
-    /// The cell on the other side of `key` from `cell`, if any.
-    pub fn twin(&self, key: &FaceKey, cell: CellId) -> Option<CellId> {
-        let rec = self.find(key)?;
-        if rec.count < 2 {
-            return None;
-        }
-        if rec.cells[0] == cell {
-            Some(rec.cells[1])
-        } else if rec.cells[1] == cell {
-            Some(rec.cells[0])
-        } else {
-            None
-        }
-    }
-
-    /// Number of distinct faces tracked.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no faces are tracked.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates boundary faces (count == 1), ascending by smallest
-    /// vertex.
-    pub fn boundary_faces(&self) -> impl Iterator<Item = FaceKey> + '_ {
-        self.buckets.iter().enumerate().flat_map(|(v, bucket)| {
-            bucket
-                .iter()
-                .filter(|rec| rec.count == 1)
-                .map(move |rec| join(v, rec.tail))
-        })
-    }
-
-    /// Number of boundary faces — `boundary_faces().count()`, kept as a
-    /// counter by the two functions that change a face's count.
-    #[inline]
-    pub fn num_boundary_faces(&self) -> usize {
-        self.boundary
-    }
-
-    /// Heap usage in bytes: one bucket header per vertex up to the
-    /// largest smallest-vertex id, plus every bucket's capacity.
-    pub fn memory_bytes(&self) -> usize {
-        self.buckets.capacity() * std::mem::size_of::<Vec<FaceRec>>()
-            + self
-                .buckets
-                .iter()
-                .map(|bucket| bucket.capacity() * std::mem::size_of::<FaceRec>())
-                .sum::<usize>()
-    }
+    Ok(num_boundary_faces)
 }
 
 #[cfg(test)]
@@ -537,19 +303,6 @@ mod tests {
                 MeshError::NonManifoldFace {
                     face: shared,
                     count: sharing
-                }
-            );
-            // The table rejects the third insertion, whatever follows.
-            let err = FaceTable::build(
-                CellKind::Tet4,
-                cells.iter().enumerate().map(|(i, c)| (i as u32, &c[..])),
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                MeshError::NonManifoldFace {
-                    face: shared,
-                    count: 3
                 }
             );
         }
@@ -607,78 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn face_table_files_an_id_beyond_its_buckets() {
-        let mut t = FaceTable::default();
-        t.insert_cell(CellKind::Tet4, 0, &[40, 41, 42, 43]).unwrap();
-        assert_eq!((t.len(), t.num_boundary_faces()), (4, 4));
-        assert!(t.is_boundary(&FaceKey::tri(41, 42, 43)));
-        assert_eq!(t.count(&FaceKey::tri(50, 51, 52)), 0);
-        t.remove_cell(CellKind::Tet4, 0, &[40, 41, 42, 43]);
-        assert!(t.is_empty());
-        assert_eq!(t.num_boundary_faces(), 0);
-    }
-
-    #[test]
     fn unreferenced_vertices_are_not_surface() {
         let cells = [[0u32, 1, 2, 3]];
         let s = Surface::extract(CellKind::Tet4, 6, cells.iter().map(|c| &c[..])).unwrap();
         assert!(!s.contains(4));
         assert!(!s.contains(5));
         assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn face_table_tracks_counts_and_twins() {
-        let cells = two_tets();
-        let t = FaceTable::build(
-            CellKind::Tet4,
-            cells.iter().enumerate().map(|(i, c)| (i as u32, &c[..])),
-        )
-        .unwrap();
-        let shared = FaceKey::tri(1, 2, 3);
-        assert_eq!(t.count(&shared), 2);
-        assert!(!t.is_boundary(&shared));
-        assert_eq!(t.twin(&shared, 0), Some(1));
-        assert_eq!(t.twin(&shared, 1), Some(0));
-        let outer = FaceKey::tri(0, 1, 2);
-        assert!(t.is_boundary(&outer));
-        assert_eq!(t.twin(&outer, 0), None);
-        assert_eq!(t.len(), 7); // 8 face slots, 1 shared
-        assert_eq!(t.boundary_faces().count(), 6);
-    }
-
-    #[test]
-    fn face_table_removal_exposes_twin_face() {
-        let cells = two_tets();
-        let mut t = FaceTable::build(
-            CellKind::Tet4,
-            cells.iter().enumerate().map(|(i, c)| (i as u32, &c[..])),
-        )
-        .unwrap();
-        let shared = FaceKey::tri(1, 2, 3);
-        t.remove_cell(CellKind::Tet4, 0, &cells[0]);
-        assert_eq!(t.count(&shared), 1, "shared face becomes boundary");
-        assert!(t.is_boundary(&shared));
-        assert_eq!(
-            t.count(&FaceKey::tri(0, 1, 2)),
-            0,
-            "cell-0 outer face disappears"
-        );
-        assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn face_table_reinsert_restores_counts() {
-        let cells = two_tets();
-        let mut t = FaceTable::build(
-            CellKind::Tet4,
-            cells.iter().enumerate().map(|(i, c)| (i as u32, &c[..])),
-        )
-        .unwrap();
-        t.remove_cell(CellKind::Tet4, 1, &cells[1]);
-        t.insert_cell(CellKind::Tet4, 1, &cells[1]).unwrap();
-        assert_eq!(t.count(&FaceKey::tri(1, 2, 3)), 2);
-        assert_eq!(t.len(), 7);
     }
 
     #[test]

@@ -1,28 +1,32 @@
-//! Restructuring and relabelling derive the adjacency from the old one
-//! (a local list patch, a per-list relabel); this suite holds both to
-//! the oracle they replaced: `Csr::from_undirected_edges` over the live
-//! cells, compared bit for bit (offsets and targets) after *every*
-//! operation. CI runs the crate's suites under `--release` too, where
-//! the in-crate `debug_assertions` cross-check is compiled out.
+//! Restructuring and relabelling derive the adjacency and the
+//! vertex→cell incidence from the old ones (a local row patch, a
+//! per-list relabel, a counting rebuild); this suite holds both to
+//! rebuilds from the live cells after *every* operation: the adjacency
+//! to `Csr::from_undirected_edges`, compared bit for bit (offsets and
+//! targets), and every incidence row to the ascending list of the live
+//! cells that contain its vertex. CI runs the crate's suites under
+//! `--release` too, where the in-crate `debug_assertions` cross-checks
+//! are compiled out.
 //!
-//! The patch finds the cells around the touched vertices through the
-//! face table, in the buckets their faces can be filed under: one hop
-//! from a touched vertex on tetrahedra, two on hexahedra, where a quad
-//! can be filed under the vertex diagonally across from it
-//! ([`hex_face_filed_under_the_far_corner`] is the case a one-hop
-//! look-up misses). The op sequences run on lattices of both kinds and
-//! on the `meshgen` neuron mesh.
+//! The patch reads the cells around each touched vertex off its
+//! incidence row, so a cell whose faces at the vertex all lead with
+//! another corner counts like any other
+//! ([`hex_face_filed_under_the_far_corner`] is such a case, which a
+//! look-up by the faces filed under nearby vertices would miss). The
+//! op sequences run on lattices of both kinds and on the `meshgen`
+//! neuron mesh.
 //!
 //! The same op sequences hold the vertex set to what standing queries
 //! patch their candidate lists by ([`VertexLedger`]): restructuring
 //! only ever orphans existing vertices and appends new ids. And they
 //! hold the sharing contract ([`Held`]): a snapshot or clone taken
-//! mid-sequence shares the connectivity it was taken from, no later
-//! operation on the source writes through to it, and the source copies
-//! only the cell blocks and adjacency blocks its operations write —
-//! every other block stays shared by pointer. On a mesh nobody shares,
-//! an operation splices the adjacency in place and copies no block it
-//! did not write.
+//! mid-sequence shares the connectivity it was taken from (a clone the
+//! incidence too), no later operation on the source writes through to
+//! it, and the source copies only the cell blocks, adjacency blocks and
+//! incidence blocks its operations write — every other block stays
+//! shared by pointer. On a mesh nobody shares, an operation splices the
+//! adjacency and the incidence in place and copies no block it did not
+//! write.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Point3, VertexId};
@@ -111,11 +115,35 @@ fn rebuilt_adjacency(mesh: &Mesh) -> Csr {
     )
 }
 
-/// Adjacency ≡ rebuild, and the maintained surface ≡ extraction.
+/// The incidence oracle: every vertex's live cells, ascending.
+fn rebuilt_vertex_cells(mesh: &Mesh) -> Vec<Vec<u32>> {
+    let mut rows = vec![Vec::new(); mesh.num_vertices()];
+    for (c, cell) in mesh.live_cells() {
+        for &v in cell {
+            rows[v as usize].push(c);
+        }
+    }
+    rows
+}
+
+/// Every row of `mesh`'s incidence, copied out.
+fn vertex_cell_rows(mesh: &Mesh) -> Vec<Vec<u32>> {
+    let rows = mesh.vertex_cells().expect("restructuring mode");
+    (0..rows.num_vertices() as VertexId)
+        .map(|v| rows.neighbors(v).to_vec())
+        .collect()
+}
+
+/// Adjacency and incidence ≡ rebuild, and the maintained surface ≡
+/// extraction.
 fn assert_matches_rebuild(mesh: &Mesh, ctx: &str) {
     assert!(
         mesh.adjacency() == &rebuilt_adjacency(mesh),
         "{ctx}: patched adjacency differs from the rebuild"
+    );
+    assert!(
+        vertex_cell_rows(mesh) == rebuilt_vertex_cells(mesh),
+        "{ctx}: patched incidence differs from the rebuild"
     );
     let extracted = Surface::extract(
         mesh.kind(),
@@ -178,9 +206,12 @@ struct Held {
     cells: Vec<Vec<VertexId>>,
     live_cells: Vec<(u32, Vec<VertexId>)>,
     neighbors: Vec<Vec<VertexId>>,
+    /// The incidence rows of a clone (a snapshot has none).
+    vertex_cells: Option<Vec<Vec<u32>>>,
     epoch: u64,
     /// Blocks the source's operations wrote since — cell blocks and
-    /// adjacency blocks: the only ones it may have copied.
+    /// adjacency blocks (the incidence's are the same vertices'): the
+    /// only ones it may have copied.
     written: Written,
 }
 
@@ -198,10 +229,14 @@ impl Written {
     }
 }
 
-/// The address of adjacency block `b`: its first vertex's list starts it.
+/// The address of block `b` of a CSR: its first vertex's list starts it.
+fn block(csr: &Csr, b: usize) -> *const VertexId {
+    csr.neighbors((b * VERTICES_PER_BLOCK) as VertexId).as_ptr()
+}
+
+/// The address of adjacency block `b`.
 fn adjacency_block(mesh: &Mesh, b: usize) -> *const VertexId {
-    mesh.neighbors((b * VERTICES_PER_BLOCK) as VertexId)
-        .as_ptr()
+    block(mesh.adjacency(), b)
 }
 
 impl Held {
@@ -217,6 +252,11 @@ impl Held {
                 && std::ptr::eq(mesh.cell(0), source.cell(0)),
             "{ctx}: taking a snapshot copied connectivity"
         );
+        assert_eq!(
+            mesh.vertex_cells().map(|rows| rows as *const Csr),
+            (!nth.is_multiple_of(2)).then(|| source.vertex_cells().unwrap() as *const Csr),
+            "{ctx}: a clone shares the incidence, a snapshot leaves it behind"
+        );
         Held {
             taken_at: ctx.to_string(),
             positions: mesh.positions().to_vec(),
@@ -228,6 +268,9 @@ impl Held {
             neighbors: (0..mesh.num_vertices() as VertexId)
                 .map(|v| mesh.neighbors(v).to_vec())
                 .collect(),
+            vertex_cells: mesh
+                .restructuring_enabled()
+                .then(|| vertex_cell_rows(&mesh)),
             epoch: mesh.restructure_epoch(),
             mesh,
             written: Written::default(),
@@ -250,11 +293,15 @@ impl Held {
             assert_eq!(mesh.neighbors(v), &list[..], "taken {at}: vertex {v}");
             assert_eq!(mesh.is_vertex_active(v), !list.is_empty(), "taken {at}");
         }
+        if let Some(rows) = &self.vertex_cells {
+            assert!(vertex_cell_rows(mesh) == *rows, "taken {at}: incidence");
+        }
     }
 
     /// `source` — the mesh this one was taken from, since operated on —
-    /// still shares every cell block and every adjacency block no
-    /// operation wrote, and none that one did.
+    /// still shares every cell block, every adjacency block and (a
+    /// clone) every incidence block no operation wrote, and none that
+    /// one did.
     fn assert_shares_unwritten_blocks(&self, source: &Mesh) {
         let written = &self.written;
         for b in 0..self.cell_capacity.div_ceil(CELLS_PER_BLOCK) {
@@ -277,6 +324,16 @@ impl Held {
                 self.taken_at,
                 written.adjacency
             );
+            if let Some(rows) = self.mesh.vertex_cells() {
+                let shared = block(rows, b) == block(source.vertex_cells().unwrap(), b);
+                assert_eq!(
+                    shared,
+                    !written.adjacency.contains(&b),
+                    "taken {}: incidence block {b} (written: {:?})",
+                    self.taken_at,
+                    written.adjacency
+                );
+            }
         }
     }
 }
@@ -480,25 +537,32 @@ fn neuron_patch_equals_rebuild_after_every_op() {
     }
 }
 
-/// On a mesh nobody shares, an operation edits the CSR in place — the
-/// same handle — and every adjacency block it did not write keeps its
-/// address: no block is copied.
+/// On a mesh nobody shares, an operation edits the adjacency and the
+/// incidence in place — the same handles — and every block of either it
+/// did not write keeps its address: no block is copied.
 #[test]
 fn an_op_on_an_unshared_mesh_copies_no_block() {
     let mut mesh = neuron(NeuroLevel::L1, 0.4).unwrap();
     mesh.enable_restructuring().unwrap();
     let mut rng = SplitMix64::new(3);
+    fn csrs(mesh: &Mesh) -> [&Csr; 2] {
+        [mesh.adjacency(), mesh.vertex_cells().unwrap()]
+    }
     for op in 0..30 {
-        let csr: *const Csr = mesh.adjacency();
+        let handles = csrs(&mesh).map(|csr| csr as *const Csr);
         let blocks: Vec<_> = (0..mesh.num_vertices().div_ceil(VERTICES_PER_BLOCK))
-            .map(|b| adjacency_block(&mesh, b))
+            .map(|b| csrs(&mesh).map(|csr| block(csr, b)))
             .collect();
         let (what, written) = random_op(&mut mesh, &mut rng);
-        assert!(std::ptr::eq(mesh.adjacency(), csr), "op {op} ({what})");
+        assert_eq!(
+            csrs(&mesh).map(|csr| csr as *const Csr),
+            handles,
+            "op {op} ({what})"
+        );
         for (b, &before) in blocks.iter().enumerate() {
             if !written.adjacency.contains(&b) {
                 assert_eq!(
-                    adjacency_block(&mesh, b),
+                    csrs(&mesh).map(|csr| block(csr, b)),
                     before,
                     "op {op} ({what}): block {b}"
                 );
@@ -511,10 +575,11 @@ fn an_op_on_an_unshared_mesh_copies_no_block() {
 
 /// Two hexahedra sharing one vertex `v`, numbered so that each of the
 /// three quads of the kept hexahedron at `v` has the corner diagonally
-/// across from `v` as its smallest id: its faces at `v` are filed under
-/// vertices that are neither `v`, nor `v`'s neighbours, nor touched by
-/// removing the other hexahedron — two hops away. A one-hop look-up
-/// loses the kept cell's edges from `v`'s list.
+/// across from `v` as its smallest id: no face of it at `v` leads with
+/// `v`, a neighbour of `v` or a vertex the removal of the other
+/// hexahedron touched. A look-up by the faces filed under nearby
+/// vertices would lose the kept cell's edges from `v`'s list; `v`'s
+/// incidence row lists the cell whatever its faces lead with.
 #[test]
 fn hex_face_filed_under_the_far_corner() {
     let corner = |x: f32, y: f32, z: f32| p(x, y, z);

@@ -1,20 +1,21 @@
-//! `Surface::extract` and `FaceTable` file every face under its
-//! smallest vertex and match it there (see `octopus_mesh::surface`).
-//! This suite holds both to the algorithm they replaced — one global
-//! `HashMap` over canonical face keys, kept here as the oracle — on
-//! seeded inputs: tet soups glued face to face, `meshgen` voxel meshes
-//! of both cell kinds, each of them relabelled, with unreferenced ids,
-//! with non-manifold faces injected, and under random table edits.
-//! CI runs it in debug and in release.
+//! `Surface::extract` files every face under its smallest vertex and
+//! matches it there (see `octopus_mesh::surface`); a mesh in
+//! restructuring mode starts from that matching's counts and then reads
+//! each face's cell count off its vertex→cell incidence. This suite
+//! holds both to the algorithm they replaced — one global `HashMap`
+//! over canonical face keys, kept here as the oracle — on seeded
+//! inputs: tet soups glued face to face, `meshgen` voxel meshes of both
+//! cell kinds, each of them relabelled, with unreferenced ids, with
+//! non-manifold faces injected, and under random restructuring
+//! operations. CI runs it in debug and in release.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3};
-use octopus_mesh::surface::FaceTable;
-use octopus_mesh::{CellId, CellKind, FaceKey, Mesh, MeshError, Surface, VertexId};
+use octopus_mesh::{CellKind, FaceKey, Mesh, MeshError, Surface, VertexId};
 use octopus_meshgen::hex::hexahedralize;
 use octopus_meshgen::tet::tetrahedralize;
 use octopus_meshgen::VoxelRegion;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Seeded cases per property.
 const CASES: u64 = 64;
@@ -39,12 +40,17 @@ impl Soup {
         self.flat.chunks_exact(self.kind.arity())
     }
 
-    fn numbered(&self) -> impl Iterator<Item = (CellId, &[VertexId])> + Clone {
-        self.cells().enumerate().map(|(i, c)| (i as CellId, c))
-    }
-
     fn extract(&self) -> Result<Surface, MeshError> {
         Surface::extract(self.kind, self.num_vertices, self.cells())
+    }
+
+    /// The cells as a mesh (every vertex at the origin) in
+    /// restructuring mode, or the error enabling it gave.
+    fn restructuring_mesh(&self) -> Result<Mesh, MeshError> {
+        let positions = vec![Point3::ORIGIN; self.num_vertices];
+        let mut mesh = Mesh::from_flat(self.kind, positions, self.flat.clone())?;
+        mesh.enable_restructuring()?;
+        Ok(mesh)
     }
 
     /// The same cells in another order.
@@ -93,59 +99,46 @@ fn oracle(soup: &Soup) -> Oracle {
     }
 }
 
+/// `got` is the surface of `soup` the oracle found: the same members
+/// and as many boundary faces.
+fn assert_surface_is_the_oracles(got: &Surface, soup: &Soup, ctx: &str) {
+    let want = oracle(soup);
+    assert!(
+        want.offending.is_empty(),
+        "{ctx}: accepted {want_off:?}",
+        want_off = want.offending
+    );
+    let members: Vec<VertexId> = (0..soup.num_vertices as VertexId)
+        .filter(|&v| want.is_surface[v as usize])
+        .collect();
+    assert_eq!(got.vertices(), &members[..], "{ctx}: vertices");
+    assert_eq!(got.num_boundary_faces(), want.boundary_faces, "{ctx}");
+    assert_eq!(got.len(), members.len(), "{ctx}");
+    for v in 0..soup.num_vertices as VertexId {
+        assert_eq!(got.contains(v), want.is_surface[v as usize], "{ctx}: {v}");
+    }
+}
+
 /// `Surface::extract` ≡ oracle: the same surface, or the same rejection.
 fn assert_extract_matches_oracle(soup: &Soup, ctx: &str) {
-    let want = oracle(soup);
     match soup.extract() {
-        Ok(got) => {
-            assert!(
-                want.offending.is_empty(),
-                "{ctx}: accepted {want_off:?}",
-                want_off = want.offending
-            );
-            let members: Vec<VertexId> = (0..soup.num_vertices as VertexId)
-                .filter(|&v| want.is_surface[v as usize])
-                .collect();
-            assert_eq!(got.vertices(), &members[..], "{ctx}: vertices");
-            assert_eq!(got.num_boundary_faces(), want.boundary_faces, "{ctx}");
-            assert_eq!(got.len(), members.len(), "{ctx}");
-            for v in 0..soup.num_vertices as VertexId {
-                assert_eq!(got.contains(v), want.is_surface[v as usize], "{ctx}: {v}");
-            }
-        }
+        Ok(got) => assert_surface_is_the_oracles(&got, soup, ctx),
         Err(MeshError::NonManifoldFace { face, count }) => {
-            assert_eq!(want.offending.first(), Some(&(face, count)), "{ctx}");
+            assert_eq!(
+                oracle(soup).offending.first(),
+                Some(&(face, count)),
+                "{ctx}"
+            );
         }
         Err(other) => panic!("{ctx}: {other}"),
     }
 }
 
-/// (d): the table's boundary faces mark exactly the extraction's
-/// vertices, and there are as many as it counted.
-fn assert_table_marks_the_extracted_surface(soup: &Soup, ctx: &str) {
-    let table = FaceTable::build(soup.kind, soup.numbered()).unwrap();
-    let surface = soup.extract().unwrap();
-    let marked: BTreeSet<VertexId> = table
-        .boundary_faces()
-        .flat_map(|key| key.vertices().to_vec())
-        .collect();
-    assert!(
-        marked
-            .iter()
-            .copied()
-            .eq(surface.vertices().iter().copied()),
-        "{ctx}"
-    );
-    assert_eq!(
-        table.num_boundary_faces(),
-        surface.num_boundary_faces(),
-        "{ctx}"
-    );
-    assert_eq!(
-        table.boundary_faces().count(),
-        surface.num_boundary_faces(),
-        "{ctx}"
-    );
+/// The surface `mesh` maintains in restructuring mode ≡ the oracle's
+/// over its live cells.
+fn assert_maintained_surface_matches_oracle(mesh: &Mesh, ctx: &str) {
+    assert!(mesh.restructuring_enabled(), "{ctx}");
+    assert_surface_is_the_oracles(&mesh.surface().unwrap(), &Soup::of(mesh), ctx);
 }
 
 /// Tets glued face to face from one seed tet: each step either glues a
@@ -239,7 +232,8 @@ fn extract_matches_the_oracle_on_glued_tets() {
         let soup = glued_tets(&mut rng);
         assert_extract_matches_oracle(&soup, &format!("seed {seed}"));
         assert_extract_matches_oracle(&soup.shuffled(&mut rng), &format!("seed {seed} shuffled"));
-        assert_table_marks_the_extracted_surface(&soup, &format!("seed {seed}"));
+        let mesh = soup.restructuring_mesh().unwrap();
+        assert_maintained_surface_matches_oracle(&mesh, &format!("seed {seed}"));
     }
 }
 
@@ -248,14 +242,16 @@ fn extract_matches_the_oracle_on_voxel_meshes_permuted_and_not() {
     for seed in 0..CASES {
         for kind in [CellKind::Tet4, CellKind::Hex8] {
             let mut rng = SplitMix64::new(seed);
-            let mesh = voxel_mesh(&mut rng, kind);
+            let mut mesh = voxel_mesh(&mut rng, kind);
             let ctx = format!("seed {seed} {}", kind.name());
             assert_extract_matches_oracle(&Soup::of(&mesh), &ctx);
-            assert_table_marks_the_extracted_surface(&Soup::of(&mesh), &ctx);
+            mesh.enable_restructuring().unwrap();
+            assert_maintained_surface_matches_oracle(&mesh, &ctx);
             let perm = random_permutation(mesh.num_vertices(), &mut rng);
-            let permuted = Soup::of(&mesh.permute_vertices(&perm));
+            let relabelled = mesh.permute_vertices(&perm);
+            let permuted = Soup::of(&relabelled);
             assert_extract_matches_oracle(&permuted, &format!("{ctx} permuted"));
-            assert_table_marks_the_extracted_surface(&permuted, &format!("{ctx} permuted"));
+            assert_maintained_surface_matches_oracle(&relabelled, &format!("{ctx} permuted"));
             // Surface membership belongs to the vertex, not to its label.
             let (before, after) = (mesh.surface().unwrap(), permuted.extract().unwrap());
             for v in 0..mesh.num_vertices() as VertexId {
@@ -280,7 +276,8 @@ fn extract_handles_empty_inputs_and_unreferenced_ids() {
             };
             assert_extract_matches_oracle(&none, "no cells");
             assert!(none.extract().unwrap().is_empty());
-            assert!(FaceTable::build(kind, none.numbered()).unwrap().is_empty());
+            let mesh = none.restructuring_mesh().unwrap();
+            assert_maintained_surface_matches_oracle(&mesh, "no cells");
         }
     }
     // One tet in the middle of the id space: buckets 0–2 and 7–11 empty.
@@ -291,6 +288,7 @@ fn extract_handles_empty_inputs_and_unreferenced_ids() {
     };
     assert_extract_matches_oracle(&lone, "lone tet");
     assert_eq!(lone.extract().unwrap().vertices(), &[3, 4, 5, 6]);
+    assert_maintained_surface_matches_oracle(&lone.restructuring_mesh().unwrap(), "lone tet");
 }
 
 #[test]
@@ -314,143 +312,44 @@ fn nonmanifold_injections_are_rejected_with_the_oracles_face_and_count() {
             expected,
             "seed {seed} shuffled"
         );
-        // The table stops at some third insertion, of a face the
-        // oracle lists.
-        match FaceTable::build(soup.kind, shuffled.numbered()) {
-            Err(MeshError::NonManifoldFace { face, count: 3 }) => {
-                assert!(
-                    want.offending.iter().any(|(k, _)| *k == face),
-                    "seed {seed}"
-                );
-            }
-            other => panic!("seed {seed}: {other:?}"),
-        }
-    }
-}
-
-/// The table's model: every face with the cells referencing it.
-type Model = HashMap<FaceKey, Vec<CellId>>;
-
-/// Every observation the table offers, against the model, for each of
-/// `probes` (faces present and faces long gone).
-fn assert_table_matches_model(
-    table: &FaceTable,
-    model: &Model,
-    probes: &BTreeSet<FaceKey>,
-    ctx: &str,
-) {
-    assert_eq!(table.len(), model.len(), "{ctx}: len");
-    assert_eq!(table.is_empty(), model.is_empty(), "{ctx}: is_empty");
-    let boundary: BTreeSet<FaceKey> = model
-        .iter()
-        .filter(|(_, cells)| cells.len() == 1)
-        .map(|(key, _)| *key)
-        .collect();
-    let listed: Vec<FaceKey> = table.boundary_faces().collect();
-    assert_eq!(
-        listed.len(),
-        boundary.len(),
-        "{ctx}: a boundary face listed twice"
-    );
-    assert_eq!(
-        listed.into_iter().collect::<BTreeSet<_>>(),
-        boundary,
-        "{ctx}"
-    );
-    assert_eq!(table.num_boundary_faces(), boundary.len(), "{ctx}");
-    let absent: &[CellId] = &[];
-    for key in probes {
-        let cells = model.get(key).map_or(absent, |cells| &cells[..]);
-        assert_eq!(table.count(key), cells.len(), "{ctx}: count {key:?}");
-        assert_eq!(table.is_boundary(key), cells.len() == 1, "{ctx}: {key:?}");
-        match *cells {
-            [a, b] => {
-                assert_eq!(table.twin(key, a), Some(b), "{ctx}: twin {key:?}");
-                assert_eq!(table.twin(key, b), Some(a), "{ctx}: twin {key:?}");
-            }
-            [a] => assert_eq!(table.twin(key, a), None, "{ctx}: twin of a boundary face"),
-            _ => {}
-        }
+        // Restructuring mode starts from the same matching, so it
+        // refuses alike.
         assert_eq!(
-            table.twin(key, CellId::MAX - 1),
-            None,
-            "{ctx}: a cell not on {key:?}"
+            shuffled.restructuring_mesh().unwrap_err(),
+            expected,
+            "seed {seed} restructuring"
         );
     }
 }
 
 #[test]
-fn face_table_matches_a_model_under_random_edits() {
+fn maintained_surface_matches_the_oracle_under_random_operations() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
-        let soup = match seed % 3 {
-            0 => glued_tets(&mut rng),
-            1 => Soup::of(&voxel_mesh(&mut rng, CellKind::Tet4)),
-            _ => Soup::of(&voxel_mesh(&mut rng, CellKind::Hex8)),
+        let mut mesh = match seed % 3 {
+            0 => glued_tets(&mut rng).restructuring_mesh().unwrap(),
+            1 => voxel_mesh(&mut rng, CellKind::Tet4),
+            _ => voxel_mesh(&mut rng, CellKind::Hex8),
         };
-        let kind = soup.kind;
-        let cells: Vec<&[VertexId]> = soup.cells().collect();
-        let probes: BTreeSet<FaceKey> = cells.iter().flat_map(|c| kind.face_keys(c)).collect();
-        // Starts without a bucket: every early insertion files beyond
-        // the current bucket list.
-        let mut table = FaceTable::default();
-        let mut model = Model::new();
-        let mut inserted = vec![false; cells.len()];
-        let edit = |table: &mut FaceTable, model: &mut Model, inserted: &mut [bool], c: usize| {
-            if inserted[c] {
-                table.remove_cell(kind, c as CellId, cells[c]);
-                for key in kind.face_keys(cells[c]) {
-                    let sharing = model.get_mut(&key).expect("a face of an inserted cell");
-                    sharing.retain(|&id| id != c as CellId);
-                    if sharing.is_empty() {
-                        model.remove(&key);
-                    }
-                }
+        mesh.enable_restructuring().unwrap();
+        // Past the last cell on the smaller meshes; relabelled halfway.
+        let ops = 60;
+        for op in 0..ops {
+            if mesh.num_cells() == 0 {
+                break;
+            }
+            if op == ops / 2 {
+                let perm = random_permutation(mesh.num_vertices(), &mut rng);
+                mesh = mesh.permute_vertices(&perm);
+            }
+            let live: Vec<u32> = mesh.live_cells().map(|(c, _)| c).collect();
+            let c = live[rng.index(live.len())];
+            if mesh.kind() == CellKind::Tet4 && rng.chance(0.3) {
+                mesh.refine_tet(c).unwrap();
             } else {
-                table.insert_cell(kind, c as CellId, cells[c]).unwrap();
-                for key in kind.face_keys(cells[c]) {
-                    model.entry(key).or_default().push(c as CellId);
-                }
+                mesh.remove_cell(c).unwrap();
             }
-            inserted[c] = !inserted[c];
-        };
-        for op in 0..3 * cells.len() {
-            let c = rng.index(cells.len());
-            edit(&mut table, &mut model, &mut inserted, c);
-            assert_table_matches_model(&table, &model, &probes, &format!("seed {seed} op {op}"));
+            assert_maintained_surface_matches_oracle(&mesh, &format!("seed {seed} op {op}"));
         }
-        // Down to the empty table, then every cell back in.
-        for c in 0..cells.len() {
-            if inserted[c] {
-                edit(&mut table, &mut model, &mut inserted, c);
-            }
-        }
-        assert!(table.is_empty() && model.is_empty(), "seed {seed}");
-        assert_table_matches_model(&table, &model, &probes, &format!("seed {seed} emptied"));
-        for c in 0..cells.len() {
-            edit(&mut table, &mut model, &mut inserted, c);
-        }
-        assert_table_matches_model(&table, &model, &probes, &format!("seed {seed} refilled"));
-
-        // `permuted` ≡ `build` of the relabelled cells ≡ the relabelled
-        // model.
-        let perm = random_permutation(soup.num_vertices, &mut rng);
-        let relabelled = Soup {
-            flat: soup.flat.iter().map(|&v| perm[v as usize]).collect(),
-            ..soup
-        };
-        let model: Model = model
-            .into_iter()
-            .map(|(key, sharing)| (key.permuted(&perm), sharing))
-            .collect();
-        let probes: BTreeSet<FaceKey> = probes.iter().map(|key| key.permuted(&perm)).collect();
-        assert_table_matches_model(
-            &table.permuted(&perm),
-            &model,
-            &probes,
-            &format!("seed {seed} permuted"),
-        );
-        let rebuilt = FaceTable::build(kind, relabelled.numbered()).unwrap();
-        assert_table_matches_model(&rebuilt, &model, &probes, &format!("seed {seed} rebuilt"));
     }
 }

@@ -48,13 +48,15 @@
 //! and the CSR (inside its [`Mesh`] — shared with the [`Simulation`]'s
 //! mesh too, whose next restructuring operation copies only the cell
 //! blocks it writes and leaves the ring's untouched), the executor, the
-//! surface grid and the id translation. The face table (the per-vertex
-//! buckets restructuring operations file faces in and find the cells
-//! around a vertex by) lives only in the simulation's mesh; no ring
-//! slot carries one. The serving side's knowledge of the surface and of
-//! the connected components is each slot executor's component map,
-//! whose per-component surface lists a restructure patches from the
-//! delta (the planner reads S off them as well). After set-up nothing
+//! surface grid and the id translation (which a restructure leaves as
+//! it is: the ids it appends map to themselves). The restructuring
+//! state (the vertex→cell incidence operations read face counts and
+//! the cells around a vertex from, and the boundary counts) lives only
+//! in the simulation's mesh; no ring slot carries it. The serving
+//! side's knowledge of the surface and of the connected components is
+//! each slot executor's component map, whose per-component surface
+//! lists a restructure patches from the delta (the planner reads S off
+//! them as well). After set-up nothing
 //! on this side extracts a surface, rebuilds an adjacency or copies
 //! one: a restructure costs the delta, a re-layout a relabelling.
 //!
@@ -467,8 +469,8 @@ enum Update {
     },
     /// Restructuring fired: the simulation's connectivity handles
     /// around the positions buffer ([`Mesh::with_positions`], without
-    /// the simulation's face table) + surface delta replay. `drift` as
-    /// for a deformation, over the ids the anchor holds.
+    /// the simulation's restructuring state) + surface delta replay.
+    /// `drift` as for a deformation, over the ids the anchor holds.
     Restructured {
         step: u32,
         mesh: Mesh,
@@ -522,8 +524,9 @@ struct Slot {
     /// (`None` until then).
     reach: Option<f32>,
     /// Ingest-time id → this slot's id space (`None` under
-    /// [`LayoutPolicy::Preserve`]); shared across slots until a
-    /// restructuring extension or re-layout changes it.
+    /// [`LayoutPolicy::Preserve`]); an id at or past its length maps to
+    /// itself — restructuring appends ids at the end of both spaces —
+    /// so every slot since the last re-layout shares one map.
     translation: Option<Arc<Vec<VertexId>>>,
     /// Outstanding query pins ([`MonitorLoop::pin_step`]): while
     /// non-zero the slot is neither evicted nor re-laid-out.
@@ -581,7 +584,11 @@ impl Slot {
                 num_vertices,
             });
         }
-        Ok(self.translation.as_ref().map_or(v, |t| t[v as usize]))
+        Ok(self
+            .translation
+            .as_ref()
+            .and_then(|t| t.get(v as usize).copied())
+            .unwrap_or(v))
     }
 }
 
@@ -1083,19 +1090,8 @@ impl MonitorLoop {
                 self.grid_stats.insertions += 1;
                 // Restructuring appends new vertices at the end of the
                 // id space in both the original and the permuted run,
-                // so the translation extends with identity entries.
-                let translation = latest.translation.as_ref().map(|t| {
-                    let n = mesh.num_vertices();
-                    if t.len() < n {
-                        let mut v: Vec<VertexId> = (**t).clone();
-                        while v.len() < n {
-                            v.push(v.len() as VertexId);
-                        }
-                        Arc::new(v)
-                    } else {
-                        Arc::clone(t)
-                    }
-                });
+                // where the shared map reads them as themselves.
+                let translation = latest.translation.clone();
                 self.restructures_since_layout += 1;
                 // Told while the appended ids are still the tail of the
                 // id space: the re-layout this event may trigger
@@ -1244,9 +1240,12 @@ impl MonitorLoop {
         latest.grid = build_grid(&latest.exec, &latest.mesh);
         latest.reach = None;
         self.grid_stats.insertions += 1;
+        // Composed over every current vertex, the ones appended since
+        // the last re-layout (past the old map's end) included.
         if let Some(t) = &latest.translation {
+            let old = |v: usize| t.get(v).map_or(v, |&w| w as usize);
             latest.translation = Some(Arc::new(
-                t.iter().map(|&v| perm[v as usize]).collect::<Vec<_>>(),
+                (0..perm.len()).map(|v| perm[old(v)]).collect::<Vec<_>>(),
             ));
         }
         // Subscriptions survive a re-layout: their ids and the anchor
@@ -1333,24 +1332,6 @@ impl MonitorLoop {
         Ok(&self.slot_at(step)?.mesh)
     }
 
-    /// Cumulative id map for the latest snapshot, ingest-time id →
-    /// current id (`None` under [`LayoutPolicy::Preserve`]). Vertices
-    /// added by restructuring extend the map with identity entries, so
-    /// it always covers the snapshot's full vertex set.
-    pub fn vertex_translation(&self) -> Option<&[VertexId]> {
-        self.latest().translation.as_ref().map(|t| t.as_slice())
-    }
-
-    /// The id map in force at a retained `step` (re-layouts change it
-    /// mid-run, so older slots may carry an earlier mapping).
-    pub fn vertex_translation_at(&self, step: u32) -> Result<Option<&[VertexId]>, ServiceError> {
-        Ok(self
-            .slot_at(step)?
-            .translation
-            .as_ref()
-            .map(|t| t.as_slice()))
-    }
-
     /// Maps an ingest-time vertex id to the latest snapshot's id space
     /// (identity under [`LayoutPolicy::Preserve`]). An id at or past the
     /// snapshot's vertex count is [`ServiceError::VertexOutOfRange`]
@@ -1360,7 +1341,8 @@ impl MonitorLoop {
     }
 
     /// [`MonitorLoop::translate_vertex`] against the id space of a
-    /// retained `step`.
+    /// retained `step` (re-layouts change the map mid-run, so an older
+    /// slot may answer by an earlier one).
     pub fn translate_vertex_at(&self, step: u32, v: VertexId) -> Result<VertexId, ServiceError> {
         self.slot_at(step)?.translate(v)
     }
@@ -1637,9 +1619,9 @@ impl MonitorLoop {
     /// space (post-layout); its rest configuration restarts at the
     /// snapshot positions, which is inherent to resuming from a
     /// snapshot rather than replaying the lost trajectory. Ring
-    /// snapshots carry no face table, so a factory that restructures
-    /// goes through [`Simulation::with_restructuring`] as at ingest,
-    /// which rebuilds the table for the new simulation's own mesh.
+    /// snapshots carry no restructuring state, so a factory that
+    /// restructures goes through [`Simulation::with_restructuring`] as
+    /// at ingest, which rebuilds it for the new simulation's own mesh.
     pub fn restart_simulation<F>(&mut self, make: F) -> Result<u32, ServiceError>
     where
         F: FnOnce(&Mesh) -> Result<Simulation, MeshError>,

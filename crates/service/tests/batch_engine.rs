@@ -395,17 +395,18 @@ fn assert_relayout_lifecycle(
             reference = reference.restructured(sim.mesh(), &outcome.delta);
             restructures += 1;
         }
-        let translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
         let batch = monitor.query_batch(queries);
         for (i, q) in queries.iter().enumerate() {
             let single = monitor.query_batch(std::slice::from_ref(q));
             timings.push(single[0].timings);
             timings.push(batch[i].timings);
             let want = sequential_answers(&reference, sim.mesh(), std::slice::from_ref(q));
-            let want = sorted(match &translation {
-                Some(t) => want[0].iter().map(|&v| t[v as usize]).collect(),
-                None => want[0].clone(),
-            });
+            let want = sorted(
+                want[0]
+                    .iter()
+                    .map(|&v| monitor.translate_vertex(v).unwrap())
+                    .collect(),
+            );
             for (path, got) in [("batch", &batch[i]), ("single", &single[0])] {
                 assert_eq!(
                     sorted(got.vertices.clone()),

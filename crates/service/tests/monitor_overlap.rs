@@ -685,7 +685,6 @@ fn hilbert_layout_policy_matches_reference_through_translation() {
         1,
     )
     .unwrap();
-    assert!(monitor.vertex_translation().is_some());
 
     for step in 1..=steps {
         monitor.begin_step().unwrap();
@@ -710,12 +709,12 @@ fn hilbert_layout_policy_matches_reference_through_translation() {
         "4 restructuring events at threshold 2 must trigger a re-layout"
     );
     // The translation is a bijection over the final vertex set.
-    let t = monitor.vertex_translation().unwrap();
-    assert_eq!(t.len(), monitor.snapshot().num_vertices());
-    let mut seen = vec![false; t.len()];
-    for &v in t {
-        assert!(!seen[v as usize], "translation must stay bijective");
-        seen[v as usize] = true;
+    let n = monitor.snapshot().num_vertices();
+    let mut seen = vec![false; n];
+    for v in 0..n as VertexId {
+        let t = monitor.translate_vertex(v).unwrap();
+        assert!(!seen[t as usize], "translation must stay bijective");
+        seen[t as usize] = true;
     }
 }
 
@@ -781,8 +780,9 @@ fn preserve_policy_is_the_identity_translation() {
     let mesh = box_mesh(3);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 2)));
     let mut monitor = MonitorLoop::new(sim, 1).unwrap();
-    assert!(monitor.vertex_translation().is_none());
-    assert_eq!(monitor.translate_vertex(17).unwrap(), 17);
+    for v in 0..monitor.snapshot().num_vertices() as VertexId {
+        assert_eq!(monitor.translate_vertex(v).unwrap(), v);
+    }
     assert_eq!(monitor.relayouts(), 0);
     // Preserve has no curve: a re-layout request is meaningless.
     assert!(!monitor.request_relayout().unwrap());

@@ -73,23 +73,11 @@ impl Mirror {
     }
 }
 
-/// Composes the `ingest → id` maps from before and after a re-layout
-/// into the `old id → new id` permutation the re-layout applied. A
-/// restructure in the same window appends vertices (the monitor extends
-/// its translation with identity entries), so `before` may be shorter —
-/// pad it the same way.
-fn relayout_map(before: &[VertexId], after: &[VertexId]) -> Vec<VertexId> {
-    assert!(before.len() <= after.len(), "vertices are never removed");
-    let mut map = vec![0 as VertexId; after.len()];
-    for (i, &new) in after.iter().enumerate() {
-        let old = if i < before.len() {
-            before[i]
-        } else {
-            i as VertexId
-        };
-        map[old as usize] = new;
-    }
-    map
+/// The monitor's `ingest → id` map over the latest snapshot's vertices.
+fn ingest_map(monitor: &MonitorLoop) -> Vec<VertexId> {
+    (0..monitor.snapshot().num_vertices() as VertexId)
+        .map(|v| monitor.translate_vertex(v).unwrap())
+        .collect()
 }
 
 /// One step of every suite below: advances the ring to `step`, carries
@@ -104,15 +92,19 @@ fn step_and_check(
     step: u32,
     ctx: &str,
 ) -> Vec<(SubscriptionId, ResultDelta)> {
-    let translation_before = monitor.vertex_translation().map(<[VertexId]>::to_vec);
+    let before = ingest_map(monitor);
     let relayouts_before = monitor.relayouts();
     monitor.fill_pipeline().unwrap();
     assert_eq!(monitor.finish_step().unwrap(), step);
     if monitor.relayouts() > relayouts_before {
-        let map = relayout_map(
-            &translation_before.expect("re-layout requires a curve policy"),
-            monitor.vertex_translation().unwrap(),
-        );
+        // The re-layout's `old id → new id` permutation. A restructure
+        // in the same window appended ids, which the old map read as
+        // themselves.
+        let after = ingest_map(monitor);
+        let mut map = vec![0 as VertexId; after.len()];
+        for (i, &new) in after.iter().enumerate() {
+            map[before.get(i).map_or(i, |&old| old as usize)] = new;
+        }
         for m in mirrors.iter_mut() {
             m.translate(&map);
         }

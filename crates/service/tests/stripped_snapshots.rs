@@ -1,10 +1,11 @@
 //! Ring snapshots carry positions and connectivity, nothing else: the
-//! face table stays with the simulation, and the serving side's surface
-//! is each slot executor's delta-maintained index. These tests hold the
-//! service to that contract where it could leak: old generations kept
-//! alive by a pin while newer ones restructure and a re-layout waits
-//! (each probed through the surface grid of its own generation), a
-//! simulation restarted from a face-table-free snapshot, and a
+//! restructuring state (the vertex→cell incidence and boundary counts)
+//! stays with the simulation, and the serving side's surface is each
+//! slot executor's delta-maintained index. These tests hold the service
+//! to that contract where it could leak: old generations kept alive by
+//! a pin while newer ones restructure and a re-layout waits (each
+//! probed through the surface grid of its own generation), a
+//! simulation restarted from a snapshot without that state, and a
 //! re-layout whose hand-over to the simulation fails.
 
 use octopus_geom::{Aabb, Point3, VertexId};
@@ -85,11 +86,13 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
         monitor.begin_step().unwrap();
         let pinned = monitor.finish_step().unwrap();
         monitor.pin_step(pinned).unwrap();
-        let pinned_ids = monitor
-            .vertex_translation_at(pinned)
-            .unwrap()
-            .unwrap()
-            .to_vec();
+        let ids_at = |monitor: &MonitorLoop, step: u32| -> Vec<VertexId> {
+            let n = monitor.snapshot_at(step).unwrap().num_vertices() as VertexId;
+            (0..n)
+                .map(|v| monitor.translate_vertex_at(step, v).unwrap())
+                .collect()
+        };
+        let pinned_ids = ids_at(&monitor, pinned);
         assert_exact_at(&mut monitor, pinned, "freshly pinned");
         // What the pinned slot holds, by address: later restructures
         // publish new connectivity, they never write into this one.
@@ -127,10 +130,7 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
         // its id space and its answers.
         assert!(!monitor.request_relayout().unwrap());
         assert!(monitor.relayout_pending());
-        assert_eq!(
-            monitor.vertex_translation_at(pinned).unwrap().unwrap(),
-            &pinned_ids[..]
-        );
+        assert_eq!(ids_at(&monitor, pinned), pinned_ids);
         assert_exact_at(&mut monitor, pinned, "re-layout pending");
 
         monitor.unpin_step(pinned).unwrap();
@@ -213,7 +213,7 @@ fn restart_from_a_stripped_snapshot_restructures_again() {
         let sim = monitor.shutdown().unwrap();
         assert!(
             sim.mesh().restructuring_enabled(),
-            "the face table lives in the simulation's mesh"
+            "the incidence lives in the simulation's mesh"
         );
     });
 }
@@ -240,7 +240,12 @@ fn failed_relayout_keeps_monitor_and_simulation_in_one_id_space() {
         assert!(monitor.finish_step().is_err());
         monitor.clear_fault_hook();
 
-        let translation: Vec<VertexId> = monitor.vertex_translation().unwrap().to_vec();
+        let ids = |monitor: &MonitorLoop| -> Vec<VertexId> {
+            (0..monitor.snapshot().num_vertices() as VertexId)
+                .map(|v| monitor.translate_vertex(v).unwrap())
+                .collect()
+        };
+        let translation = ids(&monitor);
         let positions = monitor.snapshot().positions().to_vec();
         assert!(matches!(
             monitor.request_relayout(),
@@ -251,14 +256,8 @@ fn failed_relayout_keeps_monitor_and_simulation_in_one_id_space() {
             monitor.relayout_pending(),
             "the request survives the failure"
         );
-        assert_eq!(monitor.vertex_translation().unwrap(), &translation[..]);
+        assert_eq!(ids(&monitor), translation);
         assert_eq!(monitor.snapshot().positions(), &positions[..]);
-        for v in 0..translation.len() as VertexId {
-            assert_eq!(
-                monitor.translate_vertex(v).unwrap(),
-                translation[v as usize]
-            );
-        }
 
         // The restarted simulation takes the pending relabelling at its
         // first step boundary; from then on every published snapshot is

@@ -152,7 +152,7 @@ mod tests {
         let mut m = small_mesh();
         let mut s = RestructureSchedule::new(1, 4, 123);
         // Maintain membership incrementally from deltas and compare with
-        // the mesh's own (face-table-backed) surface each round.
+        // the mesh's own (incidence-maintained) surface each round.
         let mut membership: Vec<bool> = {
             let surf = m.surface().unwrap();
             (0..m.num_vertices() as u32)

@@ -198,11 +198,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m_fmt(mesh.num_cells())
     );
     // A *repeated* monitoring batch: the same 16 boxes are asked at
-    // every step (the monitoring workload the temporal seed cache
-    // exists for), so from step 2 on the batch engine warm-starts each
-    // query from the previous step's boundary-vertex sample instead of
-    // probing the surface — and the stop-the-world replay below
-    // proves the answers identical anyway.
+    // every step, the way a monitoring client asks. Each step's batch
+    // is answered from that step's snapshot alone — grouped, probed
+    // through the surface grid and crawled on shared frontiers — and
+    // the stop-the-world replay below proves the answers identical.
     let mut gen = QueryGen::new(&mesh, 0xC0FFEE);
     let batch: Vec<Aabb> = gen.batch_with_selectivity(16, 0.002);
     let schedule: Vec<Vec<Aabb>> = (0..steps).map(|_| batch.clone()).collect();
@@ -238,13 +237,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .subscription_result(sub_id)
         .expect("live subscription")
         .to_vec();
-    let mut sub_translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
+    // The monitor's ingest → current id map over the latest snapshot
+    // (the identity under `preserve`).
+    let ingest_map = |monitor: &MonitorLoop| -> Vec<VertexId> {
+        (0..monitor.snapshot().num_vertices() as VertexId)
+            .map(|v| monitor.translate_vertex(v).expect("an id of the snapshot"))
+            .collect()
+    };
+    let mut sub_translation = ingest_map(&monitor);
     let mut sub_relayouts = monitor.relayouts();
     let spawned_at_start = octopus::service::threads_spawned_total();
     let mut overlapped: Vec<Vec<Vec<VertexId>>> = Vec::new();
     // The id translation changes on re-layout; snapshot it per step so
     // the reference comparison uses the mapping that was in force.
-    let mut translations: Vec<Option<Vec<VertexId>>> = Vec::new();
+    let mut translations: Vec<Vec<VertexId>> = Vec::new();
     let mut query_busy = Duration::ZERO;
     let mut ring_checks = 0usize;
     let mut recoveries = 0u32;
@@ -293,7 +299,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if step < steps {
             monitor.fill_pipeline()?; // steps N+1…N+K compute while we answer N
         }
-        translations.push(monitor.vertex_translation().map(<[VertexId]>::to_vec));
+        translations.push(ingest_map(&monitor));
         let tq = Instant::now();
         let ticket = monitor.enqueue(0, schedule[step as usize - 1].clone(), None)?;
         let mut drained = monitor.drain_admitted(1)?;
@@ -320,31 +326,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Standing-query poll. A re-layout since the last poll moved
         // every id: compose the old and new ingest translations into
         // the permutation and push the mirror through it first.
+        // A restructure in the same window appended ids, which the old
+        // map read as themselves.
+        let after = translations.last().expect("pushed above");
         if monitor.relayouts() > sub_relayouts {
-            let before = sub_translation
-                .as_deref()
-                .expect("re-layout implies a curve policy");
-            let after = monitor
-                .vertex_translation()
-                .expect("re-layout implies a curve policy");
             let mut map = vec![0 as VertexId; after.len()];
             for (i, &new) in after.iter().enumerate() {
-                // A restructure in the same window appended vertices;
-                // the monitor extends its translation with identity
-                // entries, so pad `before` the same way.
-                let old = if i < before.len() {
-                    before[i]
-                } else {
-                    i as VertexId
-                };
-                map[old as usize] = new;
+                map[sub_translation.get(i).map_or(i, |&old| old as usize)] = new;
             }
             for v in &mut sub_members {
                 *v = map[*v as usize];
             }
             sub_relayouts = monitor.relayouts();
         }
-        sub_translation = monitor.vertex_translation().map(<[VertexId]>::to_vec);
+        sub_translation.clone_from(after);
         for (id, delta) in monitor.poll_subscriptions() {
             assert_eq!(id, sub_id);
             sub_members.retain(|v| !delta.left.contains(v));
@@ -462,13 +457,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // that was in force at this step (identity under `preserve`).
         let b: Vec<Vec<VertexId>> = b
             .iter()
-            .map(|q| match &translations[step] {
-                Some(t) => {
-                    let mut v: Vec<VertexId> = q.iter().map(|&x| t[x as usize]).collect();
-                    v.sort_unstable();
-                    v
-                }
-                None => q.clone(),
+            .map(|q| {
+                let t = &translations[step];
+                let mut v: Vec<VertexId> = q.iter().map(|&x| t[x as usize]).collect();
+                v.sort_unstable();
+                v
             })
             .collect();
         assert_eq!(
