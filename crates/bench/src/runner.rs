@@ -270,12 +270,6 @@ pub fn fixed_selectivity_supplier(
     move |_step, _mesh| gen.batch_with_selectivity(n, selectivity)
 }
 
-/// Convenience: the standard sensitivity-analysis setup (§V-C): 15
-/// uniform random queries of selectivity 0.1 % per step.
-pub fn standard_supplier(mesh: &Mesh, seed: u64) -> impl FnMut(u32, &Mesh) -> Vec<Aabb> {
-    fixed_selectivity_supplier(QueryGen::new(mesh, seed), 15, 0.001)
-}
-
 /// Deterministic per-figure RNG.
 pub fn figure_rng(config: &crate::Config, figure: u64) -> SplitMix64 {
     SplitMix64::new(config.seed ^ (figure << 48))

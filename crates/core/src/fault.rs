@@ -8,7 +8,8 @@
 //! `FailPoint` in `octopus-testkit`), the hook decides per site whether
 //! to proceed, panic, delay, fail, or deny — which is how the chaos
 //! suites prove that the monitor survives worker panics, sim-thread
-//! panics, delayed steps, forced `RingFull` windows, and failed
+//! panics, delayed steps, forced pinned-ring windows (`RetryAfter` with
+//! cause `RingPinned`), and failed
 //! restructures without losing exactness or liveness.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,8 +39,9 @@ pub enum FaultSite {
         step: u32,
     },
     /// The monitor is about to publish a finished step into the
-    /// snapshot ring. [`FaultAction::Deny`] here forces a `RingFull`
-    /// back-pressure window without needing a real pinned reader.
+    /// snapshot ring. [`FaultAction::Deny`] here forces a pinned-ring
+    /// back-pressure window (`RetryAfter` with cause `RingPinned` at the
+    /// oldest retained step) without needing a real pinned reader.
     RingPublish {
         /// Newest step currently published in the ring.
         latest_step: u32,

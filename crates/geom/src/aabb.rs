@@ -42,15 +42,6 @@ impl Aabb {
         Aabb { min, max }
     }
 
-    /// Creates a box from two arbitrary corners (sorted per component).
-    #[inline]
-    pub fn from_corners(a: Point3, b: Point3) -> Self {
-        Aabb {
-            min: a.min(b),
-            max: a.max(b),
-        }
-    }
-
     /// Creates a cube centred at `center` with the given half-extent.
     #[inline]
     pub fn cube(center: Point3, half: f32) -> Self {
@@ -292,13 +283,6 @@ mod tests {
         let b = unit();
         assert_eq!(e.union(&b), b);
         assert!(!e.contains(Point3::ORIGIN));
-    }
-
-    #[test]
-    fn from_corners_sorts_components() {
-        let b = Aabb::from_corners(Point3::new(1.0, -1.0, 3.0), Point3::new(0.0, 2.0, -3.0));
-        assert_eq!(b.min, Point3::new(0.0, -1.0, -3.0));
-        assert_eq!(b.max, Point3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

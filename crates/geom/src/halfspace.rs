@@ -145,15 +145,6 @@ impl ConvexRegion {
     pub fn new(bounds: Aabb, halfspaces: Vec<Halfspace>) -> ConvexRegion {
         ConvexRegion { bounds, halfspaces }
     }
-
-    /// A box query expressed as a (degenerate) convex region.
-    #[inline]
-    pub fn from_box(bounds: Aabb) -> ConvexRegion {
-        ConvexRegion {
-            bounds,
-            halfspaces: Vec::new(),
-        }
-    }
 }
 
 impl Region for ConvexRegion {
@@ -232,10 +223,6 @@ mod tests {
         assert!(r.contains(Point3::new(0.2, 0.2, 0.9)));
         assert!(!r.contains(Point3::new(0.9, 0.9, 0.5))); // cut by the plane
         assert!(!r.contains(Point3::new(0.2, 0.2, 1.1))); // outside the box
-                                                          // Degenerate region == its box.
-        let b = ConvexRegion::from_box(unit());
-        assert!(b.contains(Point3::splat(1.0)));
-        assert!(!b.contains(Point3::splat(1.01)));
     }
 
     #[test]

@@ -83,14 +83,6 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
-    /// Derives an independent child stream (for per-step reseeding — the
-    /// paper's updates are *unpredictable*, which we model by drawing a
-    /// fresh field phase each time step).
-    #[inline]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ 0x6a09_e667_f3bc_c909)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -171,13 +163,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle of 100 elements should not be identity");
-    }
-
-    #[test]
-    fn fork_streams_are_unequal() {
-        let mut r = SplitMix64::new(11);
-        let mut c1 = r.fork();
-        let mut c2 = r.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

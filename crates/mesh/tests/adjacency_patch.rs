@@ -340,8 +340,8 @@ impl Held {
 
 /// Takes a [`Held`] every [`HOLD_EVERY`] ops, runs `ops` random ops on
 /// `mesh` (fewer once one cell is left), checks the patch against the
-/// rebuild and the vertex ledger after each, then holds every snapshot
-/// to what it answered and to the blocks it shares with `mesh`.
+/// rebuild, the vertex ledger and every snapshot's shared blocks after
+/// each, then holds every snapshot to what it answered.
 fn run_sequence(mut mesh: Mesh, rng: &mut SplitMix64, ops: usize, ctx: &str) {
     let mut ledger = VertexLedger::new(&mesh);
     let mut held: Vec<Held> = Vec::new();
@@ -359,10 +359,12 @@ fn run_sequence(mut mesh: Mesh, rng: &mut SplitMix64, ops: usize, ctx: &str) {
         let ctx = format!("{ctx} op {op} ({what})");
         assert_matches_rebuild(&mesh, &ctx);
         ledger.observe(&mesh, &ctx);
+        for h in &held {
+            h.assert_shares_unwritten_blocks(&mesh);
+        }
     }
     for h in &held {
         h.assert_untouched();
-        h.assert_shares_unwritten_blocks(&mesh);
     }
 }
 
@@ -437,6 +439,13 @@ fn assert_delta_accounts(old: &Csr, mesh: &Mesh, delta: &SurfaceDelta, ctx: &str
     assert_eq!(delta.cut, cut, "{ctx}: cut edges");
 }
 
+/// Lattice sizes (cells a side) the op sequences draw from: up to
+/// three, whose ≤ 64 vertices fit one adjacency and incidence block,
+/// and seven, whose 512 vertices fill two — a third once a refinement
+/// appends one — so that an op which rewrote every block would show in
+/// [`Held`]'s sharing checks.
+const LATTICES: [usize; 4] = [1, 2, 3, 7];
+
 fn shuffled_identity(n: usize, rng: &mut SplitMix64) -> Vec<VertexId> {
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
     rng.shuffle(&mut perm);
@@ -449,7 +458,8 @@ proptest! {
     /// Seeded random `remove_cell` / `refine_tet` sequences on a tet
     /// grid, run until one cell is left.
     #[test]
-    fn tet_patch_equals_rebuild_after_every_op(n in 1usize..4, seed in 0u64..10_000) {
+    fn tet_patch_equals_rebuild_after_every_op(size in 0usize..4, seed in 0u64..10_000) {
+        let n = LATTICES[size];
         let mut mesh = tet_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);
@@ -460,7 +470,8 @@ proptest! {
     /// pairs: the patch must enumerate edges, not pairs), until one
     /// cell is left.
     #[test]
-    fn hex_patch_equals_rebuild_after_every_op(n in 1usize..4, seed in 0u64..10_000) {
+    fn hex_patch_equals_rebuild_after_every_op(size in 0usize..4, seed in 0u64..10_000) {
+        let n = LATTICES[size];
         let mut mesh = hex_grid(n);
         mesh.enable_restructuring().unwrap();
         let mut rng = SplitMix64::new(seed);

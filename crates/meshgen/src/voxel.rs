@@ -68,12 +68,6 @@ impl VoxelRegion {
         (self.nx, self.ny, self.nz)
     }
 
-    /// Voxel edge length.
-    #[inline]
-    pub fn cell_size(&self) -> f32 {
-        self.cell
-    }
-
     /// Grid origin (minimum corner of voxel `(0, 0, 0)`).
     #[inline]
     pub fn origin(&self) -> Point3 {
@@ -155,7 +149,6 @@ mod tests {
         assert!((far.x - 1.0).abs() < 1e-6);
         assert!((far.y - 1.0).abs() < 1e-6);
         assert!((far.z - 1.0).abs() < 1e-6);
-        assert!((r.cell_size() - 0.25).abs() < 1e-7);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Admission control in front of the monitor's query paths.
 //!
-//! The monitor alone assumes a well-behaved client: nothing bounds how
-//! much query work piles onto the worker pool, and the only
-//! back-pressure signal is [`crate::ServiceError::RingFull`]. Under
-//! heavy multi-tenant traffic that is not enough — the serving stack
+//! Unless something bounds it, query work piles onto the worker pool
+//! as fast as clients send it, and a pinned ring tells no client to
+//! slow down. Under heavy multi-tenant traffic the serving stack
 //! needs **bounded queues** (reject early, not after memory is spent),
 //! **fairness** (one chatty tenant must not starve the rest), and
 //! **deadline shedding** (work nobody is waiting for anymore must never
@@ -25,11 +24,13 @@
 //!   pool, counts it and reports it in the drain outcome so the caller
 //!   can notify the client.
 //!
-//! The monitor front-end is [`crate::MonitorLoop::set_admission`] /
-//! [`crate::MonitorLoop::enqueue`] /
-//! [`crate::MonitorLoop::drain_admitted`]; with admission attached,
-//! ring back-pressure is also surfaced as `RetryAfter` instead of the
-//! raw `RingFull`.
+//! Every monitor owns one front, built at set-up with the default
+//! configuration ([`crate::MonitorLoop::set_admission`] replaces it);
+//! its entries are [`crate::MonitorLoop::enqueue`] /
+//! [`crate::MonitorLoop::drain_admitted`]. Ring back-pressure surfaces
+//! through it too: as `RetryAfter` with cause
+//! [`Overload::RingPinned`], counted in
+//! [`AdmissionStats::ring_pinned`].
 //!
 //! [`AdmissionStats`] is the only count of what the front did. Attached
 //! telemetry mirrors it — `admission_{enqueued,admitted,shed}_total`,
@@ -306,16 +307,15 @@ impl Admission {
         self.stats
     }
 
-    /// Counts a ring-back-pressure conversion (`RingFull` →
-    /// `RetryAfter`).
+    /// Counts a ring-back-pressure refusal (`RetryAfter` with cause
+    /// [`Overload::RingPinned`]).
     pub(crate) fn note_retry_after(&mut self) {
         self.stats.ring_pinned += 1;
     }
 }
 
 /// Caller-side bounded exponential backoff for
-/// [`crate::ServiceError::RetryAfter`] /
-/// [`crate::ServiceError::RingFull`] back-pressure: delays double from
+/// [`crate::ServiceError::RetryAfter`] back-pressure: delays double from
 /// `base` up to `cap`, honouring the server's `suggested_backoff` when
 /// it is larger.
 #[derive(Clone, Copy, Debug)]
@@ -529,9 +529,18 @@ mod tests {
         let mut calls = 0;
         let out: Result<(), _> = b.run(3, || {
             calls += 1;
-            Err(ServiceError::RingFull { pinned_step: 1 })
+            Err(ServiceError::RetryAfter {
+                suggested_backoff: Duration::ZERO,
+                cause: Overload::RingPinned { pinned_step: 1 },
+            })
         });
-        assert!(matches!(out, Err(ServiceError::RingFull { .. })));
+        assert!(matches!(
+            out,
+            Err(ServiceError::RetryAfter {
+                cause: Overload::RingPinned { pinned_step: 1 },
+                ..
+            })
+        ));
         assert_eq!(calls, 4, "initial attempt + 3 retries");
     }
 }

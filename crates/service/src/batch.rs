@@ -5,11 +5,11 @@
 //! one [`Snapshot`]: groups of batch indices, each with a [`Route`],
 //! claimed by the workers off one atomic cursor and reassembled in
 //! input order ([`ParallelExecutor::run_plan`]); crawl-routed groups
-//! seed from the snapshot's probe. The engine-less request path runs
-//! the plan of singletons ([`ParallelExecutor::execute_batch`] is that
-//! plan on the full surface probe, for callers without a snapshot); the
-//! batch engine ([`crate::BatchEngine`]) plans overlap groups and scan
-//! routes and runs them through the same function.
+//! seed from the snapshot's probe. The batch engine
+//! ([`crate::BatchEngine`]) plans every request's overlap groups and
+//! scan routes; [`ParallelExecutor::execute_batch`] runs the plan of
+//! singletons on the full surface probe, for callers without a
+//! snapshot or an engine.
 
 use crate::pool::{Task, WorkerPool};
 use crate::recycle::{RecycleStats, ResultRecycler};
@@ -296,23 +296,24 @@ impl ParallelExecutor {
             exec: octopus,
             probe: Probe::Surface,
         };
-        self.execute_singletons(&snap, queries)
-    }
-
-    /// The plan of singletons against `snap`, under its probe: the
-    /// request path of a monitor without a batch engine.
-    pub(crate) fn execute_singletons(
-        &mut self,
-        snap: &Snapshot<'_>,
-        queries: &[Aabb],
-    ) -> Vec<QueryResult> {
         let groups = (0..queries.len() as u32)
             .map(|i| Group {
                 members: vec![i],
                 route: Route::Crawl,
             })
             .collect();
-        self.run_plan(snap, queries, &Plan { groups }).results
+        self.run_plan(&snap, queries, &Plan { groups }).results
+    }
+
+    /// The first worker's traversal scratch, for the monitor's
+    /// sequential paths (standing-query crawls, shape batches). They
+    /// run between plans, never beside one, so borrowing it spares the
+    /// monitor a second per-vertex scratch.
+    pub(crate) fn scratch(&mut self, exec: &Octopus, mesh: &Mesh) -> &mut QueryScratch {
+        if self.workers.is_empty() {
+            self.workers.push(Worker::new(exec.make_scratch(mesh)));
+        }
+        &mut self.workers[0].scratch
     }
 
     /// The fan-out: the plan's groups are claimed by the workers off an

@@ -3,8 +3,8 @@
 //!
 //! The engine owns what only it knows — how to *plan* a batch and what
 //! to *absorb* from its execution — around the one plan runner
-//! ([`crate::ParallelExecutor`]'s fan-out, shared with the engine-less
-//! path):
+//! ([`crate::ParallelExecutor`]'s fan-out, which also runs the plan of
+//! singletons behind [`crate::ParallelExecutor::execute_batch`]):
 //!
 //! 1. **Plan.** The batch is sorted by the Hilbert key of each query's
 //!    centroid ([`octopus_geom::hilbert::hilbert_center_key`]) and swept
@@ -79,8 +79,9 @@ pub struct EngineReport {
 }
 
 /// The batch query engine (see the module docs). One engine serves one
-/// monitored dataset; [`crate::MonitorLoop::set_batch_engine`] wires it
-/// into the monitor's request path, and it can be driven standalone
+/// monitored dataset: the monitor builds one at set-up and plans every
+/// box request with it ([`crate::MonitorLoop::set_batch_engine`]
+/// replaces it), and it can be driven standalone
 /// against any [`Snapshot`] via [`BatchEngine::execute`].
 #[derive(Debug)]
 pub struct BatchEngine {

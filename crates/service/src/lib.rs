@@ -53,8 +53,8 @@
 //!   crawl) per its Eq.-6 decision instead of one global mode. The
 //!   engine only *plans* a batch and *absorbs* what its run produced
 //!   (the [`EngineReport`], telemetry); the run itself is the plan
-//!   runner's. [`MonitorLoop::set_batch_engine`] wires it into the
-//!   monitor's request path.
+//!   runner's. Every monitor plans its box requests with one, built at
+//!   set-up ([`MonitorLoop::set_batch_engine`] replaces it).
 //!
 //! **One request path.** A request is a batch — a single query is a
 //! batch of one — and each kind has one entry: box batches through
@@ -62,11 +62,13 @@
 //! admitted through [`MonitorLoop::enqueue`] /
 //! [`MonitorLoop::drain_admitted`]; each resolves a ring slot to a
 //! [`Snapshot`] (measuring its grid reach on first use), plans the batch
-//! (the engine's plan, or the plan of singletons), runs it on the pool
-//! under the snapshot's probe and hands the caller results to
-//! [`MonitorLoop::recycle`]. Two more entries reach the executor, under
-//! the same probe: [`MonitorLoop::query_shapes`], the sequential shape
-//! dispatch below, and [`MonitorLoop::subscribe`] /
+//! (the engine's plan), runs it on the pool under the snapshot's probe
+//! and hands the caller results to [`MonitorLoop::recycle`]. Every
+//! back-pressure source answers with one error,
+//! [`ServiceError::RetryAfter`], its [`Overload`] naming the cause. Two
+//! more entries reach the executor, under the same probe and on the
+//! pool's first worker scratch: [`MonitorLoop::query_shapes`], the
+//! sequential shape dispatch below, and [`MonitorLoop::subscribe`] /
 //! [`MonitorLoop::poll_subscriptions`], whose refreshes crawl.
 //!
 //! * **Standing queries** ([`MonitorLoop::subscribe`]) — a registered

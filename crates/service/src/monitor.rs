@@ -110,8 +110,9 @@
 //! outstanding query pins it ([`MonitorLoop::pin_step`] /
 //! [`MonitorLoop::unpin_step`]). A pinned oldest slot back-pressures
 //! the pipeline: [`MonitorLoop::finish_step`] returns
-//! [`ServiceError::RingFull`] until the pin is released, and
-//! [`MonitorLoop::begin_step`] refuses to run more than K steps ahead.
+//! [`ServiceError::RetryAfter`] with cause [`Overload::RingPinned`]
+//! until the pin is released, and [`MonitorLoop::begin_step`] refuses
+//! to run more than K steps ahead.
 //! Each slot counts its own pins. Only the monitor changes them, through
 //! `&mut self`, so no pin can land between the check that the oldest
 //! slot is unpinned and its eviction.
@@ -140,9 +141,11 @@
 //! [`MonitorLoop::restart_simulation`] builds a replacement simulation
 //! from the newest published snapshot (continuing the step numbering).
 //! [`MonitorLoop::shutdown`] reports the join outcome instead of
-//! discarding it. [`MonitorLoop::set_admission`] fronts the query paths
-//! with bounded, fair, deadline-shedding queues and converts ring
-//! back-pressure into structured [`ServiceError::RetryAfter`] responses.
+//! discarding it. The admission front ([`MonitorLoop::enqueue`] /
+//! [`MonitorLoop::drain_admitted`]) queues box batches in bounded,
+//! fair, deadline-shedding queues; every back-pressure source — a full
+//! queue, a pinned ring — answers with one structured
+//! [`ServiceError::RetryAfter`].
 //!
 //! # Failure-mode catalogue
 //!
@@ -156,9 +159,7 @@
 //! | [`ServiceError::SimulationFailed`] | The sim thread **panicked**; the message is the panic payload. Retained snapshots remain queryable; in-flight steps are lost. | Keep serving reads from retained steps; call [`MonitorLoop::restart_simulation`] to resume stepping from the newest snapshot, then re-fill the pipeline. |
 //! | [`ServiceError::SimulationAlive`] | [`MonitorLoop::restart_simulation`] was called while the sim thread is healthy. | Don't restart a healthy simulation; use [`MonitorLoop::shutdown`] first if a swap is really intended. |
 //! | [`ServiceError::NoStepInFlight`] | [`MonitorLoop::finish_step`] without a prior [`MonitorLoop::begin_step`]. | Fix the driving loop (begin before finish). |
-//! | [`ServiceError::RingFull`] | Publishing needs to recycle the oldest slot but a query pin holds it (or a fault hook denied the publish). Only surfaced **without** admission attached. | Unpin (or finish) the pinned step, then retry `finish_step`; the update stays queued, nothing is lost. |
-//! | [`ServiceError::RetryAfter`] | Back-pressure with admission attached: a tenant queue is full ([`Overload::QueueFull`]) or the ring is pinned ([`Overload::RingPinned`]). | Wait `suggested_backoff` (or use [`crate::Backoff::run`]) and retry; shed load upstream if it keeps happening. |
-//! | [`ServiceError::AdmissionDisabled`] | [`MonitorLoop::enqueue`]/[`MonitorLoop::drain_admitted`] without [`MonitorLoop::set_admission`]. | Attach admission first, or use the direct `query_batch` paths. |
+//! | [`ServiceError::RetryAfter`] | Back-pressure, from every source: a tenant queue is full ([`Overload::QueueFull`], refused by [`MonitorLoop::enqueue`]), or publishing needs to recycle the oldest slot but a query pin holds it or a fault hook denied the publish ([`Overload::RingPinned`], refused by [`MonitorLoop::finish_step`]; the update stays queued). Each is counted in [`crate::AdmissionStats`]. | Wait `suggested_backoff` (or use [`crate::Backoff::run`]) and retry — after unpinning (or finishing with) the pinned step, for a pinned ring; shed load upstream if it keeps happening. |
 //! | [`ServiceError::StepNotRetained`] | Query targeted a step outside the ring's retained window. | Re-issue against [`MonitorLoop::retained_steps`]; deepen the ring if the window is too short. |
 //! | [`ServiceError::StepNotPinned`] | [`MonitorLoop::unpin_step`] on a step with no pins. | Fix pin/unpin pairing in the caller. |
 //! | [`ServiceError::VertexOutOfRange`] | [`MonitorLoop::translate_vertex`] / [`MonitorLoop::translate_vertex_at`] got an id at or past the snapshot's vertex count, under any layout policy. | Fix the caller: pass an id below the [`Mesh::num_vertices`] of the step asked ([`MonitorLoop::snapshot_at`]). |
@@ -182,9 +183,7 @@ use crate::subscribe::{
 use crate::telemetry::{SeedCacheStats, ServiceTelemetry, SimMetrics};
 use octopus_core::fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 use octopus_core::layout::{curve_permutation, CurveKind};
-use octopus_core::{
-    Octopus, PhaseTimings, Probe, QueryScratch, QueryShape, ShapeResult, SurfaceGrid,
-};
+use octopus_core::{Octopus, PhaseTimings, Probe, QueryShape, ShapeResult, SurfaceGrid};
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::{Mesh, MeshError, SurfaceDelta};
 use octopus_sim::Simulation;
@@ -310,25 +309,15 @@ pub enum ServiceError {
     SimulationAlive,
     /// Back-pressure: the operation was refused *before doing any
     /// work*; retry after the suggested backoff (see
-    /// [`crate::Backoff`]). Only produced while admission is attached.
+    /// [`crate::Backoff`]).
     RetryAfter {
         /// How long the caller should wait before retrying.
         suggested_backoff: Duration,
         /// What resource is saturated.
         cause: Overload,
     },
-    /// An admission API was used without
-    /// [`MonitorLoop::set_admission`].
-    AdmissionDisabled,
     /// `finish_step` was called with no step in flight.
     NoStepInFlight,
-    /// The ring needs to recycle its oldest slot to publish the next
-    /// step, but an outstanding query pin holds it. Unpin (or query and
-    /// release) the step, then retry.
-    RingFull {
-        /// The pinned oldest step blocking reclamation.
-        pinned_step: u32,
-    },
     /// The requested step is outside the ring's retained window.
     StepNotRetained {
         /// The step that was asked for.
@@ -368,14 +357,7 @@ impl std::fmt::Display for ServiceError {
                 suggested_backoff,
                 cause,
             } => write!(f, "overloaded ({cause}); retry after {suggested_backoff:?}"),
-            ServiceError::AdmissionDisabled => {
-                write!(f, "admission control is not attached (set_admission)")
-            }
             ServiceError::NoStepInFlight => write!(f, "no simulation step in flight"),
-            ServiceError::RingFull { pinned_step } => write!(
-                f,
-                "snapshot ring is full and its oldest step {pinned_step} is pinned"
-            ),
             ServiceError::StepNotRetained {
                 step,
                 oldest,
@@ -410,7 +392,6 @@ impl ServiceError {
             ServiceError::RetryAfter {
                 suggested_backoff, ..
             } => Some(*suggested_backoff),
-            ServiceError::RingFull { .. } => Some(Duration::ZERO),
             _ => None,
         }
     }
@@ -657,21 +638,18 @@ pub struct MonitorLoop {
     /// Shared fault-injection slot: the sim thread and the ring publish
     /// path consult it; disarmed it costs one relaxed load per site.
     fault: Arc<FaultCell>,
-    /// Admission front (bounded fair queues + deadline shedding);
-    /// `None` until [`MonitorLoop::set_admission`]. With admission
-    /// attached, ring back-pressure surfaces as
-    /// [`ServiceError::RetryAfter`].
-    admission: Option<Admission>,
+    /// Admission front (bounded fair queues + deadline shedding) and
+    /// the count of every back-pressure refusal, ring pins included.
+    admission: Admission,
     /// Ring depth K: max retained snapshots and max in-flight steps.
     depth: usize,
     /// Retained snapshots, oldest at the front; steps are contiguous.
     slots: VecDeque<Slot>,
     /// Steps commanded but not yet absorbed (≤ `depth`).
     in_flight: usize,
+    /// The plan runner; its first worker's scratch also serves the
+    /// sequential paths (standing queries, shapes).
     pool: ParallelExecutor,
-    /// Scratch for the sequential query paths (resizes itself across
-    /// slots of different vertex/component counts).
-    scratch: QueryScratch,
     /// Recycled position buffers for the sim thread's hand-offs: the
     /// storage of retired slots.
     spare_bufs: Vec<Vec<Point3>>,
@@ -684,10 +662,8 @@ pub struct MonitorLoop {
     /// boundary.
     relayout_pending: bool,
     /// The batch query engine (overlap grouping + shared frontiers +
-    /// planner routing); `None` until
-    /// [`MonitorLoop::set_batch_engine`] attaches one, in which case
-    /// the batch and sequential query paths route through it.
-    engine: Option<BatchEngine>,
+    /// planner routing) that plans every box request.
+    engine: BatchEngine,
     /// What the surface grids did so far (see
     /// [`MonitorLoop::seed_cache_stats`]).
     grid_stats: SeedCacheStats,
@@ -746,7 +722,7 @@ impl MonitorLoop {
         let mesh = sim.mesh().snapshot();
         let grid = build_grid(&exec, &mesh);
         let step = sim.current_step();
-        let scratch = exec.make_scratch(&mesh);
+        let engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
         let fault = Arc::new(FaultCell::new());
         let sim_metrics = Arc::new(OnceLock::new());
         let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &fault, &sim_metrics);
@@ -766,18 +742,17 @@ impl MonitorLoop {
             handle: Some(handle),
             sim_state: SimState::Running,
             fault,
-            admission: None,
+            admission: Admission::new(AdmissionConfig::default()),
             depth,
             slots,
             in_flight: 0,
             pool: ParallelExecutor::new(threads),
-            scratch,
             spare_bufs: Vec::new(),
             policy,
             restructures_since_layout: 0,
             relayouts: 0,
             relayout_pending: false,
-            engine: None,
+            engine,
             grid_stats: SeedCacheStats {
                 insertions: 1,
                 ..SeedCacheStats::default()
@@ -793,8 +768,8 @@ impl MonitorLoop {
     /// through every layer: the executors of all retained snapshots
     /// (future ring generations inherit the handles through
     /// [`octopus_core::Octopus::restructured`]), the worker pool and
-    /// batch executor, and the batch engine — whether already attached
-    /// or attached later via [`MonitorLoop::set_batch_engine`] — and the
+    /// batch executor, and the batch engine — the current one and any
+    /// that [`MonitorLoop::set_batch_engine`] installs later — and the
     /// simulation thread, which times its own steps and hand-offs
     /// (`sim_step_ns`, `sim_handoff_ns`; like the pool's, its handles
     /// are set by the first attach and kept). From here on, queries,
@@ -807,9 +782,7 @@ impl MonitorLoop {
         }
         self.pool.attach_metrics(&t.pool);
         let _ = self.sim_metrics.set(t.sim.clone());
-        if let Some(engine) = &mut self.engine {
-            engine.attach_metrics(&t.engine);
-        }
+        self.engine.attach_metrics(&t.engine);
         self.telemetry = Some(t);
         self.publish_gauges();
         self.telemetry.as_ref().expect("just attached")
@@ -842,19 +815,19 @@ impl MonitorLoop {
             .grid_bytes
             .set_u64(latest.grid.memory_bytes() as u64);
         t.monitor.sync_subscriptions(&self.subs);
-        if let Some(adm) = &self.admission {
-            t.admission.sync(&adm.stats());
-        }
+        t.admission.sync(&self.admission.stats());
         let _ = latest.exec.publish_memory();
     }
 
-    /// Attaches a [`BatchEngine`] built for the latest snapshot: every
-    /// box query — single, batch, pinned-step or admitted — is from then
-    /// on planned by it (overlap grouping, shared-frontier crawls,
-    /// Eq.-6 planner routing), returning exactly what the engine-less
-    /// plan of singletons returns. Nothing else changes hands: the
-    /// probe is the snapshot's with or without an engine, and standing
-    /// queries keep their delta path across an attach.
+    /// Replaces the batch engine — built at set-up with
+    /// [`BatchEngineConfig::default`] — with one of configuration `cfg`
+    /// built for the latest snapshot. It plans every box query from
+    /// then on — single, batch, pinned-step or admitted (overlap
+    /// grouping, shared-frontier crawls, Eq.-6 planner routing when
+    /// `cfg.use_planner`), returning exactly what the sequential
+    /// executor returns. Nothing else changes hands: the probe is the
+    /// snapshot's, and standing queries keep their delta path across
+    /// the swap.
     ///
     /// Cannot fail: the planner builds its histogram here and reads S
     /// and M per batch off the slot asked, extracting nothing; the
@@ -865,14 +838,14 @@ impl MonitorLoop {
         if let Some(t) = &self.telemetry {
             engine.attach_metrics(&t.engine);
         }
-        self.engine = Some(engine);
+        self.engine = engine;
         Ok(())
     }
 
-    /// What the engine did with the last batch (`None` without an
-    /// engine).
+    /// What the engine did with the last batch (always `Some`; the
+    /// `Option` is what existing callers match on).
     pub fn engine_report(&self) -> Option<EngineReport> {
-        self.engine.as_ref().map(|e| *e.report())
+        Some(*self.engine.report())
     }
 
     /// The surface grid's counters, under the name and in the struct
@@ -954,16 +927,16 @@ impl MonitorLoop {
     /// received mesh + a surface-delta-derived executor). When the ring
     /// is at capacity the oldest retained slot is recycled —
     /// deterministically, and only if no query pin holds it
-    /// ([`ServiceError::RingFull`] otherwise; the update stays queued
-    /// and the call can be retried after unpinning). Returns the ring's
-    /// new latest step number.
+    /// ([`ServiceError::RetryAfter`] with cause [`Overload::RingPinned`]
+    /// otherwise; the update stays queued and the call can be retried
+    /// after unpinning). Returns the ring's new latest step number.
     pub fn finish_step(&mut self) -> Result<u32, ServiceError> {
         if self.in_flight == 0 {
             return Err(ServiceError::NoStepInFlight);
         }
         let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
         let _span = tracer.as_ref().map(|tr| tr.span("monitor.finish_step"));
-        // Fault site: a `Deny` here forces a `RingFull` back-pressure
+        // Fault site: a `Deny` here forces a pinned-ring back-pressure
         // window (the update stays queued, exactly like a real pinned
         // slot; a later retry publishes it).
         if self.fault.armed() {
@@ -972,33 +945,24 @@ impl MonitorLoop {
             };
             if matches!(self.fault.fire(site), FaultAction::Deny) {
                 let pinned_step = self.slots.front().expect("ring is never empty").step;
-                if let Some(t) = &self.telemetry {
-                    t.monitor.pin_waits.inc();
-                }
-                let e = ServiceError::RingFull { pinned_step };
-                return Err(self.map_backpressure(e));
+                return Err(self.ring_pinned(pinned_step));
             }
         }
-        if let Err(e) = self.absorb_one() {
-            return Err(self.map_backpressure(e));
-        }
+        self.absorb_one()?;
         self.try_apply_pending_relayout()?;
         self.publish_gauges();
         Ok(self.snapshot_step())
     }
 
-    /// With admission attached, converts raw ring back-pressure into
-    /// the structured retry contract; other errors pass through.
-    fn map_backpressure(&mut self, e: ServiceError) -> ServiceError {
-        let ServiceError::RingFull { pinned_step } = e else {
-            return e;
-        };
-        let Some(adm) = &mut self.admission else {
-            return ServiceError::RingFull { pinned_step };
-        };
-        adm.note_retry_after();
+    /// Ring back-pressure — the oldest slot of step `pinned_step` cannot
+    /// be recycled — as the structured retry contract, counted.
+    fn ring_pinned(&mut self, pinned_step: u32) -> ServiceError {
+        if let Some(t) = &self.telemetry {
+            t.monitor.pin_waits.inc();
+        }
+        self.admission.note_retry_after();
         ServiceError::RetryAfter {
-            suggested_backoff: adm.suggested_backoff(0),
+            suggested_backoff: self.admission.suggested_backoff(0),
             cause: Overload::RingPinned { pinned_step },
         }
     }
@@ -1009,12 +973,8 @@ impl MonitorLoop {
         // A full ring evicts its oldest slot, which a pin forbids.
         let oldest = self.slots.front().expect("ring is never empty");
         if self.slots.len() == self.depth && oldest.pins > 0 {
-            if let Some(t) = &self.telemetry {
-                t.monitor.pin_waits.inc();
-            }
-            return Err(ServiceError::RingFull {
-                pinned_step: oldest.step,
-            });
+            let pinned_step = oldest.step;
+            return Err(self.ring_pinned(pinned_step));
         }
         let update = match self.upd_rx.recv() {
             Ok(u) => u,
@@ -1278,7 +1238,7 @@ impl MonitorLoop {
             return Ok(false);
         }
         while self.in_flight > 0 {
-            // Cannot hit `RingFull`: nothing is pinned.
+            // Cannot be refused for a pinned ring: nothing is pinned.
             self.absorb_one()?;
         }
         self.apply_relayout()?;
@@ -1366,7 +1326,7 @@ impl MonitorLoop {
     }
 
     /// Pins the snapshot of `step`: the slot will not be recycled (the
-    /// pipeline back-pressures with [`ServiceError::RingFull`] instead)
+    /// pipeline back-pressures with [`Overload::RingPinned`] instead)
     /// and no re-layout will invalidate its id space until every pin is
     /// released. Pins nest (a counter per slot).
     pub fn pin_step(&mut self, step: u32) -> Result<(), ServiceError> {
@@ -1394,7 +1354,7 @@ impl MonitorLoop {
     /// rebuilds its grid when the reach has outgrown a cell.
     ///
     /// Over the fields it touches, so that the snapshot borrows the
-    /// ring alone and the caller keeps the engine, pool and scratch.
+    /// ring alone and the caller keeps the engine and the pool.
     fn resolve<'a>(
         slots: &'a mut VecDeque<Slot>,
         stats: &mut SeedCacheStats,
@@ -1421,9 +1381,9 @@ impl MonitorLoop {
     }
 
     /// The one box-query path: resolve the slot's snapshot (and its
-    /// reach), plan the batch (the attached engine's plan, or the plan
-    /// of singletons), and run it on the pool under the snapshot's
-    /// probe. The caller owns the results and recycles them.
+    /// reach), plan the batch with the engine, and run it on the pool
+    /// under the snapshot's probe. The caller owns the results and
+    /// recycles them.
     fn serve(&mut self, slot: usize, queries: &[Aabb]) -> Vec<QueryResult> {
         let tracer = self.telemetry.as_ref().map(|t| t.tracer.clone());
         let _span = tracer.as_ref().map(|tr| tr.span("monitor.query_batch"));
@@ -1433,27 +1393,22 @@ impl MonitorLoop {
             &mut self.reach_lazy,
             slot,
         );
-        let (results, scanned) = match &mut self.engine {
-            Some(engine) => {
-                let results = engine.execute(&mut self.pool, &snap, queries);
-                (results, engine.report().scan_queries)
-            }
-            None => (self.pool.execute_singletons(&snap, queries), 0),
-        };
+        let results = self.engine.execute(&mut self.pool, &snap, queries);
         // Scan-routed queries probe nothing.
-        Self::count_probed(&mut self.grid_stats, snap.probe, queries.len() - scanned);
+        let probed = queries.len() - self.engine.report().scan_queries;
+        Self::count_probed(&mut self.grid_stats, snap.probe, probed);
         results
     }
 
-    /// Answers a batch against the latest snapshot on the worker pool —
+    /// Answers a batch against the latest snapshot on the worker pool,
     /// planned by the batch engine (overlap grouping, shared frontiers,
-    /// planner routing) when one is attached.
+    /// planner routing).
     pub fn query_batch(&mut self, queries: &[Aabb]) -> Vec<QueryResult> {
         self.serve(self.slots.len() - 1, queries)
     }
 
     /// Answers a batch against the snapshot retained for `step` on the
-    /// worker pool (engine-planned when a batch engine is attached).
+    /// worker pool, planned by the batch engine.
     pub fn query_batch_at(
         &mut self,
         step: u32,
@@ -1499,7 +1454,8 @@ impl MonitorLoop {
             &mut self.reach_lazy,
             latest,
         );
-        self.subs.subscribe(*q, band, &snap, &mut self.scratch)
+        let scratch = self.pool.scratch(snap.exec, snap.mesh);
+        self.subs.subscribe(*q, band, &snap, scratch)
     }
 
     /// Cancels a standing query; returns whether it existed.
@@ -1535,7 +1491,8 @@ impl MonitorLoop {
         } else {
             self.slots[latest].view()
         };
-        let deltas = self.subs.poll_all(&snap, &mut self.scratch);
+        let scratch = self.pool.scratch(snap.exec, snap.mesh);
+        let deltas = self.subs.poll_all(&snap, scratch);
         if let Some(t) = &mut self.telemetry {
             t.monitor.sync_subscriptions(&self.subs);
         }
@@ -1556,9 +1513,8 @@ impl MonitorLoop {
     /// Answers a heterogeneous shape batch against the latest snapshot,
     /// in input order: the slot is resolved once, and every shape runs
     /// the sequential [`octopus_core::Octopus::query_shape`] dispatch
-    /// under its probe, each box it reduces to seeded by that probe —
-    /// with or without a batch engine attached (the engine plans box
-    /// batches only). A single shape is a batch of one.
+    /// under its probe, each box it reduces to seeded by that probe (the
+    /// engine plans box batches only). A single shape is a batch of one.
     pub fn query_shapes(&mut self, shapes: &[QueryShape]) -> Vec<ShapeQueryResult> {
         let latest = self.slots.len() - 1;
         let snap = Self::resolve(
@@ -1567,12 +1523,12 @@ impl MonitorLoop {
             &mut self.reach_lazy,
             latest,
         );
+        let scratch = self.pool.scratch(snap.exec, snap.mesh);
         let answers = shapes
             .iter()
             .map(|shape| {
                 let (result, timings) =
-                    snap.exec
-                        .query_shape(&mut self.scratch, snap.mesh, shape, snap.probe);
+                    snap.exec.query_shape(scratch, snap.mesh, shape, snap.probe);
                 ShapeQueryResult { result, timings }
             })
             .collect();
@@ -1666,31 +1622,25 @@ impl MonitorLoop {
         self.pool.disarm_faults();
     }
 
-    /// Attaches the admission front: queries may then be queued per
-    /// tenant via [`MonitorLoop::enqueue`] and executed in fair
-    /// (round-robin) order via [`MonitorLoop::drain_admitted`]; ring
-    /// back-pressure surfaces as [`ServiceError::RetryAfter`] from here
-    /// on. A second call replaces the front, queued batches and
-    /// counters included; the telemetry counters mirroring them keep
-    /// rising across the swap.
+    /// Replaces the admission front — built at set-up with
+    /// [`AdmissionConfig::default`] — with a fresh one of configuration
+    /// `cfg`: queued batches and counters go with the old front, whose
+    /// mirroring telemetry counters keep rising across the swap.
+    /// Queries are queued per tenant via [`MonitorLoop::enqueue`] and
+    /// executed in fair (round-robin) order via
+    /// [`MonitorLoop::drain_admitted`].
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
         self.publish_gauges();
         if let Some(t) = &mut self.telemetry {
             t.admission.rebase();
         }
-        self.admission = Some(Admission::new(cfg));
+        self.admission = Admission::new(cfg);
     }
 
-    /// Admission counters (`None` without admission attached).
+    /// Admission counters (always `Some`; the `Option` is what existing
+    /// callers match on).
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.admission.as_ref().map(Admission::stats)
-    }
-
-    /// The attached admission front, or [`ServiceError::AdmissionDisabled`].
-    fn admission_mut(&mut self) -> Result<&mut Admission, ServiceError> {
-        self.admission
-            .as_mut()
-            .ok_or(ServiceError::AdmissionDisabled)
+        Some(self.admission.stats())
     }
 
     /// Queues a query batch for `tenant` behind admission control.
@@ -1704,13 +1654,13 @@ impl MonitorLoop {
         queries: Vec<Aabb>,
         deadline: Option<Duration>,
     ) -> Result<TicketId, ServiceError> {
-        self.admission_mut()?
+        self.admission
             .enqueue(tenant, queries, deadline, Instant::now())
     }
 
     /// Dequeues up to `max_batches` batches in fair order,
-    /// executes each against the latest snapshot (through the batch
-    /// engine when attached), and reports both the executed batches and
+    /// executes each against the latest snapshot (planned by the batch
+    /// engine), and reports both the executed batches and
     /// everything deadline shedding dropped on the way. Recycle each
     /// batch's buffers via [`MonitorLoop::recycle`].
     pub fn drain_admitted(&mut self, max_batches: usize) -> Result<DrainOutcome, ServiceError> {
@@ -1719,7 +1669,7 @@ impl MonitorLoop {
         // still queued in it — in place.
         let mut out = DrainOutcome::default();
         while out.batches.len() < max_batches {
-            let Some(a) = self.admission_mut()?.next_admitted(Instant::now()) else {
+            let Some(a) = self.admission.next_admitted(Instant::now()) else {
                 break;
             };
             let results = self.serve(self.slots.len() - 1, &a.queries);
@@ -1730,7 +1680,7 @@ impl MonitorLoop {
                 results,
             });
         }
-        out.shed = self.admission_mut()?.take_shed();
+        out.shed = self.admission.take_shed();
         Ok(out)
     }
 }

@@ -219,8 +219,9 @@ pub struct MonitorMetrics {
     /// slots and monitor-visible (published, un-reclaimed) snapshots.
     pub(crate) ring_occupancy: Gauge,
     pub(crate) ring_in_flight: Gauge,
-    /// `ring_pin_wait_total` — steps refused with `RingFull` (pinned
-    /// snapshots exerting back-pressure on the simulator).
+    /// `ring_pin_wait_total` — steps refused with `RetryAfter` for a
+    /// pinned ring (pinned snapshots exerting back-pressure on the
+    /// simulator).
     pub(crate) pin_waits: Counter,
     /// `ring_relayouts_total` + `ring_relayout_ns` — layout-policy
     /// re-permutations and their durations.

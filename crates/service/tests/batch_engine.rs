@@ -468,10 +468,17 @@ impl Deformation for Translate {
     }
 }
 
-/// Steps `monitor` `steps` times; after each step a batch is answered
-/// and compared with a scan of the snapshot, and the newest slot's
-/// reach (in cells, as the gauge publishes it) is handed to `check`.
-fn assert_grid_lifecycle(monitor: &mut MonitorLoop, steps: u32, check: impl Fn(u32, f64)) {
+/// Steps `monitor` `steps` times; after each step a batch of three
+/// boxes — pairwise disjoint when `apart`, otherwise overlapping — is
+/// answered and compared with a scan of the snapshot, and the newest
+/// slot's reach (in cells, as the gauge publishes it) is handed to
+/// `check`.
+fn assert_grid_lifecycle(
+    monitor: &mut MonitorLoop,
+    steps: u32,
+    apart: bool,
+    check: impl Fn(u32, f64),
+) {
     let registry = Registry::new();
     monitor.attach_telemetry(&registry);
     for step in 1..=steps {
@@ -480,11 +487,19 @@ fn assert_grid_lifecycle(monitor: &mut MonitorLoop, steps: u32, check: impl Fn(u
         // Boxes that follow the mesh, wherever it has gone.
         let bounds = monitor.snapshot().bounding_box();
         let e = bounds.extent();
-        let queries = [
-            Aabb::cube(bounds.center(), 0.25 * e.x),
-            Aabb::new(bounds.min, bounds.center()),
-            Aabb::cube(bounds.max, 0.3 * e.x),
-        ];
+        let queries = if apart {
+            [
+                Aabb::cube(bounds.min, 0.2 * e.x),
+                Aabb::cube(bounds.center(), 0.15 * e.x),
+                Aabb::cube(bounds.max, 0.2 * e.x),
+            ]
+        } else {
+            [
+                Aabb::cube(bounds.center(), 0.25 * e.x),
+                Aabb::new(bounds.min, bounds.center()),
+                Aabb::cube(bounds.max, 0.3 * e.x),
+            ]
+        };
         let results = monitor.query_batch(&queries);
         for (i, (r, q)) in results.iter().zip(&queries).enumerate() {
             assert_eq!(
@@ -503,18 +518,17 @@ fn assert_grid_lifecycle(monitor: &mut MonitorLoop, steps: u32, check: impl Fn(u
 /// serves every step: nothing is rebuilt, nothing falls back.
 #[test]
 fn grid_never_rebuilds_under_a_bounded_field() {
-    for with_engine in [false, true] {
+    for apart in [true, false] {
         let sim = Simulation::new(
             box_mesh(6),
             Box::new(SmoothRandomField::new(0.01, 3, 0x6121D)),
         );
         let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-        if with_engine {
-            monitor
-                .set_batch_engine(BatchEngineConfig { use_planner: false })
-                .unwrap();
-        }
-        assert_grid_lifecycle(&mut monitor, 50, |step, reach| {
+        // Eq. 6 would scan these boxes on so small a mesh.
+        monitor
+            .set_batch_engine(BatchEngineConfig { use_planner: false })
+            .unwrap();
+        assert_grid_lifecycle(&mut monitor, 50, apart, |step, reach| {
             assert!(reach > 0.0 && reach <= 1.0, "step {step}: reach {reach}");
         });
         let stats = monitor.seed_cache_stats().unwrap();
@@ -527,12 +541,13 @@ fn grid_never_rebuilds_under_a_bounded_field() {
         assert_eq!(telemetry.counter("surface_grid_rebuilds_total"), 0);
         assert!(telemetry.gauge("surface_grid_bytes") > 0.0);
         let candidates = telemetry.histogram("surface_grid_candidates").unwrap();
-        // One record per grid probe: a query each without an engine,
-        // an overlap group each with one.
-        if with_engine {
-            assert!((50..=150).contains(&candidates.count), "{candidates:?}");
-        } else {
+        // One record per grid probe, an overlap group each: a query
+        // each when the boxes lie apart, at most two groups a batch
+        // when the first two overlap.
+        if apart {
             assert_eq!(candidates.count, 150);
+        } else {
+            assert!((50..=100).contains(&candidates.count), "{candidates:?}");
         }
     }
 }
@@ -547,7 +562,10 @@ fn grid_rebuilds_under_a_monotone_field() {
         Box::new(Translate(Point3::new(0.11, -0.07, 0.05))),
     );
     let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
-    assert_grid_lifecycle(&mut monitor, 30, |step, reach| {
+    monitor
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
+        .unwrap();
+    assert_grid_lifecycle(&mut monitor, 30, false, |step, reach| {
         assert!(reach <= 1.0, "step {step}: reach {reach} cells");
     });
     let stats = monitor.seed_cache_stats().unwrap();
@@ -604,6 +622,9 @@ fn a_poisoned_snapshot_never_reanchors_the_grid() {
         }),
     );
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    monitor
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
+        .unwrap();
     let q = Aabb::new(Point3::splat(-0.1), Point3::splat(0.45));
     let (mut probes, mut fallbacks) = (0, 0);
     for step in 1..=10u32 {
@@ -691,6 +712,9 @@ fn component_bounds_follow_a_drift_rebuild() {
     let velocity = Point3::new(0.13, -0.06, 0.04);
     let sim = Simulation::new(mesh, Box::new(Translate(velocity)));
     let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
+    monitor
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
+        .unwrap();
     let (mut found, mut rebuilds) = (0, 0);
     for step in 1..=12u32 {
         monitor.begin_step().unwrap();
@@ -1009,11 +1033,12 @@ fn churn_rounds_route_each_batch_by_its_own_snapshot() {
 }
 
 /// The shape entry point: `MonitorLoop::query_shapes` over every shape
-/// kind equals brute force over the snapshot's active vertices, with
-/// and without a batch engine attached, before and after a
-/// restructuring step.
+/// kind equals brute force over the snapshot's active vertices, before
+/// and after a restructuring step — on a pool that has run no plan yet
+/// and with a box batch run before every shape batch (the shapes
+/// borrow the scratch that batch's crawls used).
 #[test]
-fn query_shapes_match_brute_force_with_and_without_an_engine() {
+fn query_shapes_match_brute_force_with_and_without_box_batches_between() {
     let centre = Point3::splat(0.45);
     let region = Aabb::cube(centre, 0.3);
     let clipped = ConvexRegion::new(
@@ -1040,28 +1065,28 @@ fn query_shapes_match_brute_force_with_and_without_an_engine() {
             kind: AggregateKind::Centroid,
         },
     ];
-    for with_engine in [false, true] {
+    for batches_between in [false, true] {
         let mut base = box_mesh(5);
         base.enable_restructuring().unwrap();
         let sim = Simulation::new(base, Box::new(SmoothRandomField::new(0.006, 3, 0x5A)))
             .with_restructuring(RestructureSchedule::new(2, 2, 0xC4))
             .unwrap();
         let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-        if with_engine {
-            monitor
-                .set_batch_engine(BatchEngineConfig::default())
-                .unwrap();
-        }
         let ingest_epoch = monitor.snapshot().restructure_epoch();
         for step in 0..=2u32 {
             if step > 0 {
                 monitor.begin_step().unwrap();
                 monitor.finish_step().unwrap();
             }
+            if batches_between {
+                let boxes = [Aabb::cube(Point3::splat(0.3), 0.2), region];
+                let results = monitor.query_batch(&boxes);
+                monitor.recycle(results);
+            }
             let answers = monitor.query_shapes(&shapes);
             let mesh = monitor.snapshot();
             for (i, (shape, answer)) in shapes.iter().zip(&answers).enumerate() {
-                let ctx = format!("engine {with_engine}, step {step}, shape {i}");
+                let ctx = format!("batches between {batches_between}, step {step}, shape {i}");
                 let ids = || sorted(answer.result.vertices().expect("an id list").to_vec());
                 match shape {
                     QueryShape::Box(q) => assert_eq!(ids(), scan_active(mesh, q), "{ctx}"),

@@ -1,6 +1,6 @@
 //! Chaos suite: the service layer survives every injected fault class
 //! — worker-task panics, sim-thread panics, delayed steps, forced
-//! `RingFull` windows, failed restructures — with **exact** results
+//! pinned-ring windows, failed restructures — with **exact** results
 //! against a fault-free reference, bounded liveness (every test runs
 //! under a watchdog; a deadlock fails fast instead of hanging CI), no
 //! lost result buffers (the recycler's counters stay coherent), and
@@ -240,7 +240,7 @@ fn delayed_step_changes_nothing_but_time() {
 }
 
 // ---------------------------------------------------------------------
-// Fault class 4: forced RingFull window → RetryAfter → backoff retry.
+// Fault class 4: forced pinned-ring window → RetryAfter → backoff retry.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -269,10 +269,10 @@ fn forced_ring_full_surfaces_retry_after_and_backoff_recovers() {
         let err = monitor.finish_step().expect_err("denied publish");
         let ServiceError::RetryAfter {
             suggested_backoff,
-            cause: Overload::RingPinned { .. },
+            cause: Overload::RingPinned { pinned_step: 0 },
         } = &err
         else {
-            panic!("admission converts RingFull to RetryAfter, got {err:?}");
+            panic!("a denied publish is RetryAfter(RingPinned at step 0), got {err:?}");
         };
         assert!(*suggested_backoff > Duration::ZERO);
         assert_eq!(err.retry_hint(), Some(*suggested_backoff));
@@ -543,6 +543,11 @@ fn admission_front_survives_a_contained_worker_panic() {
 // show up in the metric families).
 // ---------------------------------------------------------------------
 
+/// One back-pressure contract on a monitor that never called
+/// `set_admission`: a full tenant queue, a pinned oldest slot and a
+/// denied ring publish each come back as `RetryAfter` with their own
+/// [`Overload`] cause, bump their own [`AdmissionStats`] counter, and
+/// succeed on retry once the cause is gone.
 #[test]
 fn shed_and_queue_full_counts_are_exact() {
     with_watchdog("admission_counts", WATCHDOG, || {
@@ -551,12 +556,21 @@ fn shed_and_queue_full_counts_are_exact() {
         let mut monitor =
             MonitorLoop::with_config(make_sim(mesh, 61), 2, LayoutPolicy::Preserve, 2).unwrap();
         monitor.attach_telemetry(&registry);
-        monitor.set_admission(AdmissionConfig {
-            queue_capacity: 2,
-            ..AdmissionConfig::default()
-        });
+        let capacity = AdmissionConfig::default().queue_capacity;
+        let refused_with = |e: ServiceError| match e {
+            ServiceError::RetryAfter {
+                suggested_backoff,
+                cause,
+            } => {
+                assert!(suggested_backoff > Duration::ZERO, "{cause}");
+                assert_eq!(e.retry_hint(), Some(suggested_backoff));
+                cause
+            }
+            other => panic!("expected RetryAfter, got {other:?}"),
+        };
 
-        // Two expired batches (shed at drain), one live, one refused.
+        // A full tenant queue: two expired batches (shed at drain), the
+        // rest live, then one refused.
         monitor
             .enqueue(0, step_queries(1), Some(Duration::ZERO))
             .unwrap();
@@ -564,43 +578,92 @@ fn shed_and_queue_full_counts_are_exact() {
             .enqueue(1, step_queries(2), Some(Duration::ZERO))
             .unwrap();
         monitor.enqueue(0, step_queries(3), None).unwrap();
-        monitor.enqueue(1, step_queries(4), None).unwrap();
-        let refused = monitor.enqueue(1, step_queries(5), None);
-        assert!(
-            matches!(
-                refused,
-                Err(ServiceError::RetryAfter {
-                    cause: Overload::QueueFull { tenant: 1, .. },
-                    ..
-                })
-            ),
+        for _ in 1..capacity {
+            monitor.enqueue(1, step_queries(4), None).unwrap();
+        }
+        let refused = monitor.enqueue(1, step_queries(5), None).unwrap_err();
+        assert_eq!(
+            refused_with(refused),
+            Overload::QueueFull {
+                tenant: 1,
+                depth: capacity
+            },
             "bounded queue refuses with structured back-pressure"
         );
+        assert_eq!(monitor.admission_stats().unwrap().rejected, 1);
 
         std::thread::sleep(Duration::from_millis(2)); // deadlines pass
         let out = monitor.drain_admitted(usize::MAX).unwrap();
-        assert_eq!(out.batches.len(), 2, "live batches executed");
+        assert_eq!(out.batches.len(), capacity, "live batches executed");
         assert_eq!(out.shed.len(), 2, "expired batches reported shed");
-        for b in &out.batches {
-            let step = monitor.snapshot_step();
-            assert_eq!(b.step, step);
-            monitor.recycle(b.results.clone());
+        for b in out.batches {
+            assert_eq!(b.step, monitor.snapshot_step());
+            monitor.recycle(b.results);
+        }
+        // The queue drained: the refused batch is accepted now.
+        monitor.enqueue(1, step_queries(5), None).unwrap();
+        let out = monitor.drain_admitted(usize::MAX).unwrap();
+        assert_eq!(out.batches.len(), 1, "the retried batch executed");
+        for b in out.batches {
+            monitor.recycle(b.results);
         }
 
+        // A pinned oldest slot: the ring holds steps 0 and 1, and
+        // publishing step 2 would evict the pinned step 0.
+        monitor.begin_step().unwrap();
+        assert_eq!(monitor.finish_step().unwrap(), 1);
+        monitor.pin_step(0).unwrap();
+        monitor.begin_step().unwrap();
+        let refused = monitor.finish_step().unwrap_err();
+        assert_eq!(
+            refused_with(refused),
+            Overload::RingPinned { pinned_step: 0 }
+        );
+        assert_eq!(monitor.admission_stats().unwrap().ring_pinned, 1);
+        monitor.unpin_step(0).unwrap();
+        assert_eq!(monitor.finish_step().unwrap(), 2, "unpinned, it publishes");
+
+        // A denied ring publish: the same cause, naming the oldest
+        // retained step, and the same counter.
+        let fp = Arc::new(FailPoint::new().deny_ring_publishes(1));
+        monitor.set_fault_hook(Arc::clone(&fp) as Arc<_>);
+        monitor.begin_step().unwrap();
+        let refused = monitor.finish_step().unwrap_err();
+        assert_eq!(
+            refused_with(refused),
+            Overload::RingPinned { pinned_step: 1 }
+        );
+        assert_eq!(fp.ring_denials(), 1);
+        assert_eq!(monitor.admission_stats().unwrap().ring_pinned, 2);
+        monitor.clear_fault_hook();
+        assert_eq!(
+            monitor.finish_step().unwrap(),
+            3,
+            "the window over, it publishes"
+        );
+
         let stats = monitor.admission_stats().unwrap();
-        assert_eq!(stats.enqueued, 4);
-        assert_eq!(stats.admitted, 2);
+        assert_eq!(stats.enqueued, capacity as u64 + 3);
+        assert_eq!(stats.admitted, capacity as u64 + 1);
         assert_eq!(stats.shed_tickets, 2);
         assert_eq!(stats.deadline_misses, 6, "3 queries per shed batch");
         assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.ring_pinned, 2);
         assert_eq!(stats.queue_depth, 0);
 
         let snap = monitor.telemetry_snapshot().unwrap();
         assert_eq!(snap.counter("admission_shed_total"), 2);
         assert_eq!(snap.counter("deadline_miss_total"), 6);
-        assert_eq!(snap.counter("retry_after_total"), 1);
-        assert_eq!(snap.counter("admission_enqueued_total"), 4);
-        assert_eq!(snap.counter("admission_admitted_total"), 2);
+        assert_eq!(snap.counter("retry_after_total"), 3);
+        assert_eq!(snap.counter("ring_pin_wait_total"), 2);
+        assert_eq!(
+            snap.counter("admission_enqueued_total"),
+            capacity as u64 + 3
+        );
+        assert_eq!(
+            snap.counter("admission_admitted_total"),
+            capacity as u64 + 1
+        );
         monitor.shutdown().unwrap();
     });
 }

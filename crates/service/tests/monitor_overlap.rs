@@ -10,7 +10,7 @@
 
 use octopus_geom::{Aabb, Point3, Vec3, VertexId};
 use octopus_service::{
-    BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError,
+    BatchEngineConfig, LayoutPolicy, MonitorLoop, Overload, RelayoutTrigger, ServiceError,
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
@@ -399,17 +399,15 @@ fn no_query_path_builds_the_position_mirror() {
         let results = monitor.query_batch(&batch);
         assert_eq!(results[2].vertices.len(), monitor.snapshot().num_vertices());
         monitor.recycle(results);
-        if let Some(report) = monitor.engine_report() {
-            assert_eq!(report.grouped_queries, 2, "{report:?}");
-            assert_eq!(report.scan_queries, 1, "{report:?}");
-        }
+        let report = monitor.engine_report().unwrap();
+        assert_eq!(report.grouped_queries, 2, "{report:?}");
+        assert_eq!(report.scan_queries, 1, "{report:?}");
         assert_eq!(
             monitor.snapshot().memory_bytes(),
             untouched,
             "step {step}: a query path grew the snapshot mesh"
         );
     }
-    assert!(monitor.engine_report().is_some());
 }
 
 #[test]
@@ -517,8 +515,11 @@ fn pinning_backpressures_and_releases() {
     // Publishing step 5 would recycle the pinned oldest slot: refused,
     // deterministically, with the update left queued.
     match monitor.finish_step() {
-        Err(ServiceError::RingFull { pinned_step: 2 }) => {}
-        other => panic!("expected RingFull for pinned step 2, got {other:?}"),
+        Err(ServiceError::RetryAfter {
+            cause: Overload::RingPinned { pinned_step: 2 },
+            ..
+        }) => {}
+        other => panic!("expected RetryAfter(RingPinned) for pinned step 2, got {other:?}"),
     }
     assert_eq!(monitor.snapshot_step(), 4, "nothing was absorbed");
     assert_eq!(monitor.retained_steps(), 2..=4);
@@ -536,7 +537,10 @@ fn pinning_backpressures_and_releases() {
     monitor.unpin_step(2).unwrap();
     assert!(matches!(
         monitor.finish_step(),
-        Err(ServiceError::RingFull { pinned_step: 2 })
+        Err(ServiceError::RetryAfter {
+            cause: Overload::RingPinned { pinned_step: 2 },
+            ..
+        })
     ));
     // … the second releases the last pin — a third finds none …
     monitor.unpin_step(2).unwrap();
@@ -726,6 +730,11 @@ fn overlapped_monitor_matches_stop_the_world_run() {
 
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 77)));
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    // The reference crawls; Eq. 6 would scan the broad box, which also
+    // finds what Algorithm 1's gap leaves out of the crawl.
+    monitor
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
+        .unwrap();
     // Pipelined loop: while step N+1 computes on the simulation thread,
     // step N's queries are answered against the snapshot.
     monitor.begin_step().unwrap();

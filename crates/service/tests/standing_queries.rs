@@ -17,7 +17,8 @@
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, Vec3, VertexId};
 use octopus_service::{
-    LayoutPolicy, MonitorLoop, RelayoutTrigger, ResultDelta, SubscriptionId, SubscriptionStats,
+    BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ResultDelta, SubscriptionId,
+    SubscriptionStats,
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
@@ -320,6 +321,11 @@ fn zero_band_subscription_is_exact_but_never_fast() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 7)));
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
+    // The plain query below must crawl, as the refresh does: Eq. 6
+    // would scan so broad a box.
+    monitor
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
+        .unwrap();
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
     let id = monitor.subscribe_with_band(&q, 0.0);
     for step in 1..=6 {
@@ -478,7 +484,7 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
     // Planner off: on a mesh this small Eq. 6 would scan-route the box
     // past the probe under test.
     monitor
-        .set_batch_engine(octopus_service::BatchEngineConfig { use_planner: false })
+        .set_batch_engine(BatchEngineConfig { use_planner: false })
         .unwrap();
     let mut mirror = Mirror::subscribe(&mut monitor, q, None);
     let id = mirror.id;

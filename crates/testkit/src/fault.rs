@@ -45,7 +45,7 @@ pub struct FailPoint {
     /// Refuse a scheduled restructure firing at this step (one-shot,
     /// same encoding as `sim_fail_step`).
     restructure_fail_step: AtomicU64,
-    /// Deny the next N ring publishes (forced `RingFull` window).
+    /// Deny the next N ring publishes (forced pinned-ring window).
     ring_denials_left: AtomicU64,
 
     worker_tasks_seen: AtomicU64,
@@ -104,7 +104,8 @@ impl FailPoint {
     }
 
     /// Deny the next `times` ring publishes — a forced back-pressure
-    /// window surfacing as `RingFull` / `RetryAfter` to callers.
+    /// window surfacing as `RetryAfter` with cause `RingPinned` (the
+    /// oldest retained step) to callers.
     pub fn deny_ring_publishes(self, times: u64) -> FailPoint {
         // relaxed: single-threaded builder (see fail_sim_at).
         self.ring_denials_left.store(times, Ordering::Relaxed);

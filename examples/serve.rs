@@ -49,7 +49,8 @@
 //!    [`FailPoint`](octopus_testkit::FailPoint) plan is armed: a
 //!    worker-task panic (batch reissued), a delayed step, a refused
 //!    step, a refused restructure (both retried), and a forced
-//!    `RingFull` window (ridden out with [`octopus::service::Backoff`])
+//!    pinned-ring window — `RetryAfter` with cause `RingPinned` —
+//!    (ridden out with [`octopus::service::Backoff`])
 //!    — plus a supervisor drill where an injected sim-thread panic is
 //!    surfaced and [`MonitorLoop::restart_simulation`] resumes from the
 //!    newest snapshot. The run asserts full recovery: the equivalence
@@ -61,7 +62,7 @@
 
 use octopus::mesh::MeshError;
 use octopus::prelude::*;
-use octopus::service::{AdmissionConfig, Backoff, LayoutPolicy, RelayoutTrigger, ServiceError};
+use octopus::service::{Backoff, LayoutPolicy, RelayoutTrigger, ServiceError};
 use octopus::sim::{RestructureSchedule, SmoothRandomField};
 use octopus::telemetry::Registry;
 use octopus_bench::workload::QueryGen;
@@ -76,7 +77,7 @@ const FIELD_SEED: u64 = 0x0C70_9005;
 const RESTRUCTURE_EVERY: u32 = 7;
 
 /// Finishes the oldest in-flight step, riding out injected turbulence:
-/// `RetryAfter`/`RingFull` back-pressure is retried on the backoff
+/// `RetryAfter` back-pressure is retried on the backoff
 /// schedule, and an injected step refusal (`Mesh(External)`) re-begins
 /// the refused step. Anything else propagates. Returns the published
 /// step and counts each recovery.
@@ -212,21 +213,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // ---- Overlapped (pipelined) run -------------------------------
+    // Every box batch is planned by the monitor's batch engine:
+    // overlap grouping + shared frontiers + Eq.-6 planner routing.
     let mut monitor = MonitorLoop::with_config(make_sim(mesh.clone())?, workers, policy, depth)?;
-    // Batch query engine: overlap grouping + shared frontiers + Eq.-6
-    // planner routing, wired into `query_batch`/`query_batch_at`.
-    monitor.set_batch_engine(octopus::service::BatchEngineConfig::default())?;
     // One lock-free registry observes every layer — executor phases,
     // pool scheduling, engine grouping, planner routing, the snapshot
     // ring and the standing queries — and feeds the span tracer whose
     // chrome://tracing export is checked at the end of the run.
     let registry = Registry::new();
     monitor.attach_telemetry(&registry);
-    // Admission front: every batch below is enqueued for tenant 0 and
-    // drained in fair order rather than executed directly, so the
-    // serving loop exercises the bounded-queue path (and its metric
-    // families) even when nothing sheds.
-    monitor.set_admission(AdmissionConfig::default());
+    // Admission front (the monitor's default one): every batch below is
+    // enqueued for tenant 0 and drained in fair order rather than
+    // executed directly, so the serving loop exercises the
+    // bounded-queue path (and its metric families) even when nothing
+    // sheds.
     // Standing query: the first monitoring box is also subscribed. A
     // client-side mirror applies every polled delta (translating ids
     // across re-layouts) and is checked against a full scan of each
@@ -260,7 +260,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // fault plan over the serving loop itself — a delayed step, a
     // refused step, a refused restructure (both retried; the sim never
     // advances on refusal, so the trajectory is unchanged) and a forced
-    // two-deny RingFull window ridden out by the backoff helper.
+    // two-deny pinned-ring window (`RetryAfter` with cause
+    // `RingPinned`) ridden out by the backoff helper.
     let fail_point = if inject_faults {
         let wp = Arc::new(FailPoint::new().worker_panic_on_task(1));
         monitor.set_fault_hook(Arc::clone(&wp) as Arc<_>);
@@ -396,7 +397,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             1,
             "the refused restructure fired"
         );
-        assert_eq!(fp.ring_denials(), 2, "the RingFull window fired");
+        assert_eq!(fp.ring_denials(), 2, "the pinned-ring window fired");
         assert!(
             recoveries >= 4,
             "every injected fault was recovered from ({recoveries} recoveries)"
@@ -406,11 +407,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              2 ring denials — {recoveries} recoveries, all exact ✓"
         );
     }
-    let admission_stats = monitor.admission_stats().expect("admission attached");
+    let admission_stats = monitor.admission_stats().expect("always reported");
     let recycle_stats = monitor.recycle_stats();
     let relayouts = monitor.relayouts();
     let grid_stats = monitor.seed_cache_stats().expect("always reported");
-    let engine_report = monitor.engine_report().expect("engine attached");
+    let engine_report = monitor.engine_report().expect("always reported");
     let sub_stats = monitor
         .subscription_stats(sub_id)
         .expect("live subscription");
@@ -497,6 +498,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(admission_stats.shed_tickets, 0);
     assert_eq!(admission_stats.rejected, 0);
     assert_eq!(admission_stats.queue_depth, 0);
+    // Each denied publish came back as one `RetryAfter(RingPinned)`.
+    let denials = fail_point.as_ref().map_or(0, |fp| fp.ring_denials());
+    assert_eq!(admission_stats.ring_pinned, denials);
     println!(
         "  admission: {} batches enqueued → {} admitted in fair order, 0 shed, 0 refused{}",
         admission_stats.enqueued,
