@@ -12,7 +12,10 @@
 
 use crate::cost_model::{CostModel, SpeedupTerms};
 use octopus_geom::Aabb;
-use octopus_index::{HistogramGrid, SelectivityHistogram};
+use octopus_index::HistogramGrid;
+/// The histogram [`Planner::from_parts`] takes, for callers that build
+/// it from bounds they already hold.
+pub use octopus_index::SelectivityHistogram;
 use octopus_mesh::Mesh;
 
 /// The strategy chosen for a query.

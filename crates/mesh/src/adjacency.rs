@@ -91,10 +91,9 @@ impl Csr {
         n: usize,
         pairs: impl Iterator<Item = (VertexId, VertexId)> + Clone,
     ) -> Csr {
-        // List `v` is `targets[ends[v]..ends[v + 1]]` once filled:
-        // counted two slots up, so that the prefix sum leaves its start
-        // in `ends[v + 1]` and the scatter, advancing it, leaves its end
-        // there.
+        // List `v` ends at `ends[v + 1]` once filled: counted two slots
+        // up, so that the prefix sum leaves its start in `ends[v + 1]`
+        // and the scatter, advancing it, leaves its end there.
         let mut ends = vec![0u32; n + 2];
         for (v, _) in pairs.clone() {
             ends[v as usize + 2] += 1;
@@ -102,38 +101,63 @@ impl Csr {
         for v in 2..ends.len() {
             ends[v] += ends[v - 1];
         }
-        let mut targets = vec![0; ends[n + 1] as usize];
+        // Every block is allocated at its final length and the pairs
+        // are scattered into it, so the lists never also exist as one
+        // array: the build's only transients are the block bases and
+        // handles.
+        let firsts = (0..n).step_by(VERTICES_PER_BLOCK);
+        let bases: Vec<u32> = firsts.clone().map(|first| ends[first + 1]).collect();
+        let mut blocks: Vec<Arc<[VertexId]>> = firsts
+            .map(|first| {
+                let end = (first + VERTICES_PER_BLOCK).min(n);
+                let len = ends[end + 1] - ends[first + 1];
+                std::iter::repeat_n(0, len as usize).collect()
+            })
+            .collect();
+        let mut lists: Vec<&mut [VertexId]> = blocks
+            .iter_mut()
+            .map(|block| Arc::get_mut(block).expect("a block just built is not shared"))
+            .collect();
         for (v, t) in pairs {
+            let b = v as usize >> BLOCK_SHIFT;
             let end = &mut ends[v as usize + 1];
-            targets[*end as usize] = t;
+            lists[b][(*end - bases[b]) as usize] = t;
             *end += 1;
         }
         ends.pop();
-        Csr::from_global_starts(ends, &targets, |t| t)
+        Csr::from_blocks(ends, blocks)
     }
 
     /// Cuts lists laid out one after another into blocks: list `v` is
     /// `flat[starts[v]..starts[v + 1]]` (`n + 1` global starts), and
     /// `target` reads a vertex id off an entry. Each block is its slice
-    /// of `flat`, and its starts are made relative to its first.
+    /// of `flat`.
     fn from_global_starts<T: Copy>(
-        mut starts: Vec<u32>,
+        starts: Vec<u32>,
         flat: &[T],
         target: impl Fn(T) -> VertexId,
     ) -> Csr {
         let n = starts.len() - 1;
-        let firsts = (0..n).step_by(VERTICES_PER_BLOCK);
-        let blocks = firsts
-            .clone()
+        let blocks = (0..n)
+            .step_by(VERTICES_PER_BLOCK)
             .map(|first| {
                 let end = (first + VERTICES_PER_BLOCK).min(n);
                 let entries = &flat[starts[first] as usize..starts[end] as usize];
                 entries.iter().map(|&e| target(e)).collect()
             })
             .collect();
+        Csr::from_blocks(starts, blocks)
+    }
+
+    /// The CSR of `blocks` (block `b` holds the lists of vertices
+    /// `b * VERTICES_PER_BLOCK..`, one after another) and the `n + 1`
+    /// global starts of its lists, which it makes relative to each
+    /// block's first.
+    fn from_blocks(mut starts: Vec<u32>, blocks: Vec<Arc<[VertexId]>>) -> Csr {
+        let n = starts.len() - 1;
         // Last block first, so that each block's base is still global
         // when it is subtracted; the last block's range takes `starts[n]`.
-        for first in firsts.rev() {
+        for first in (0..n).step_by(VERTICES_PER_BLOCK).rev() {
             let end = (first + VERTICES_PER_BLOCK).min(n);
             let base = starts[first];
             let upto = if end == n { n + 1 } else { end };

@@ -59,6 +59,9 @@ pub enum MeshError {
     },
     /// The mesh would exceed `u32` vertex ids.
     TooManyVertices,
+    /// The face matching would file more cells than its `u32` bucket
+    /// offsets reach (more than ≈ 2³¹ tetrahedra).
+    TooManyCells,
     /// A failure originating outside the mesh layer, propagated through
     /// a mesh-returning path (e.g. a fault-injection hook refusing a
     /// scheduled restructure, or an I/O layer wrapping its own error).
@@ -113,6 +116,7 @@ impl std::fmt::Display for MeshError {
                 )
             }
             MeshError::TooManyVertices => write!(f, "mesh exceeds u32 vertex id space"),
+            MeshError::TooManyCells => write!(f, "mesh has too many cells to match its faces"),
             MeshError::External(msg) => write!(f, "external failure: {msg}"),
         }
     }

@@ -10,8 +10,10 @@
 //!   neighbouring vertices");
 //! * the **global face list** machinery (§IV-E1): a face belongs to the
 //!   mesh surface iff exactly one cell references it — matched in one
-//!   extraction ([`Surface::extract`]), and in restructuring mode read
-//!   off a maintained vertex→cell incidence ([`Mesh::vertex_cells`]).
+//!   extraction ([`Surface::extract`], which files cell ids under the
+//!   faces' smallest vertices and never holds the list of faces), and
+//!   in restructuring mode read off a maintained vertex→cell incidence
+//!   ([`Mesh::vertex_cells`]).
 //!
 //! Deformation (position changes) never touches connectivity, so surface
 //! and adjacency stay valid across time steps — the key property OCTOPUS

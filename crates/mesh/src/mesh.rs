@@ -515,8 +515,8 @@ impl Mesh {
     /// In restructuring mode this reads the maintained per-vertex boundary
     /// counts and boundary-face total (O(V)); otherwise it
     /// runs the global-face-list extraction (§IV-E1, O(cells): two
-    /// passes over the cells and a sort of short buckets, see
-    /// [`crate::surface`]).
+    /// passes over the cells to file their ids, one read of each filed
+    /// cell and a sort of short buckets, see [`crate::surface`]).
     pub fn surface(&self) -> Result<Surface, MeshError> {
         if let Some(rs) = &self.restructure {
             Ok(Surface::from_membership_with_faces(
@@ -524,11 +524,9 @@ impl Mesh {
                 rs.num_boundary_faces,
             ))
         } else {
-            Surface::extract(
-                self.kind,
-                self.positions.len(),
-                self.live_cells().map(|(_, c)| c),
-            )
+            Surface::extract(self.kind, self.positions.len(), self.live_cells(), |c| {
+                self.cell(c)
+            })
         }
     }
 
@@ -543,8 +541,8 @@ impl Mesh {
         }
         let n = self.positions.len();
         let mut boundary_face_count = vec![0u32; n];
-        let cells = self.live_cells().map(|(_, cell)| cell);
-        let num_boundary_faces = match_faces(self.kind, n, cells, |face| {
+        let cell = |c| self.cell(c);
+        let num_boundary_faces = match_faces(self.kind, n, self.live_cells(), cell, |face| {
             for &v in face.vertices() {
                 boundary_face_count[v as usize] += 1;
             }
@@ -1093,7 +1091,7 @@ mod tests {
         let s = m.surface().unwrap();
         assert!(!s.contains(5));
         // Delta-maintained membership matches a from-scratch extraction.
-        let fresh = Surface::extract(CellKind::Tet4, 6, m.live_cells().map(|(_, c)| c)).unwrap();
+        let fresh = Surface::extract(CellKind::Tet4, 6, m.live_cells(), |c| m.cell(c)).unwrap();
         assert_eq!(s.vertices(), fresh.vertices());
     }
 
@@ -1166,9 +1164,8 @@ mod tests {
         for op in ops {
             op(&mut m);
             let maintained = m.surface().unwrap();
-            let fresh =
-                Surface::extract(m.kind(), m.num_vertices(), m.live_cells().map(|(_, c)| c))
-                    .unwrap();
+            let fresh = Surface::extract(m.kind(), m.num_vertices(), m.live_cells(), |c| m.cell(c))
+                .unwrap();
             assert_eq!(maintained.vertices(), fresh.vertices());
         }
     }
@@ -1196,9 +1193,8 @@ mod tests {
             } else {
                 m.refine_tet(c).unwrap();
             }
-            let fresh =
-                Surface::extract(m.kind(), m.num_vertices(), m.live_cells().map(|(_, c)| c))
-                    .unwrap();
+            let fresh = Surface::extract(m.kind(), m.num_vertices(), m.live_cells(), |c| m.cell(c))
+                .unwrap();
             let maintained = m.surface().unwrap();
             assert_eq!(
                 maintained.num_boundary_faces(),

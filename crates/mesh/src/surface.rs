@@ -4,36 +4,38 @@
 //! [global face] list, i.e. there exists no adjacent polyhedron that
 //! shares face `F`." Two cells share a face iff they produce the same
 //! canonical [`FaceKey`], and equal keys have equal smallest vertices —
-//! so the list is never built as one global table: every face is
-//! *filed under its smallest vertex* (`key.0[0]`) and matched only
-//! against the faces filed there. The smallest vertex is the id a
-//! canonical key already leads with, so filing is one array index, the
-//! record need not store it (the bucket implies it), and a bucket
-//! holds what the cells around one vertex contribute: on the L5
-//! benchmark mesh (218 k vertices, 4.76 M face occurrences, 2.42 M
-//! distinct faces) 22 occurrences on average.
+//! so the list is never built, neither as one global table nor as one
+//! array of faces: every face is matched only against the faces that
+//! lead with the same smallest vertex, and what is filed under that
+//! vertex is not the faces but the *cells* that have one there.
 //!
-//! [`Surface::extract`] is a counting sort over that filing. One pass
-//! over the cells counts occurrences per smallest vertex, a prefix sum
-//! turns the counts into bucket offsets, a second pass scatters what is
-//! left of each key into one transient array (8 B per triangle, 12 B
-//! per quad: 38 MB on L5, freed on return), and each bucket is sorted
-//! and read off in runs of equal keys. A run of 1 is a boundary face
-//! (its vertices are surface vertices), a run of 2 an interior face, a
-//! longer run a [`MeshError::NonManifoldFace`]. Nothing is hashed and
-//! nothing grows; L5 takes ≈ 70 ms where the hash map it replaced took
-//! ≈ 1.2 s and peaked 110 MiB higher. What the vertex *order* costs is
-//! the in-bucket sort: a generator's ids give buckets that are evenly
-//! sized and arrive sorted (L5: Σ size² 113 M, largest 38), a
-//! space-filling-curve relabelling gives neither (155 M, largest 72)
-//! and takes ≈ 1.3 × as long.
+//! [`Surface::extract`] is a counting sort of cell ids. A cell is filed
+//! under each distinct smallest vertex of its faces — a tetrahedron
+//! with corners `a < b < c < d` under `a` (three faces) and `b` (the
+//! fourth), 8 B a tet where its filed faces took 32 B; a hexahedron under
+//! two to four vertices. One pass over the cells counts the filings per
+//! vertex, a prefix sum turns the counts into `u32` bucket offsets
+//! (checked: [`MeshError::TooManyCells`]), and a second pass scatters
+//! the cell ids. Then each bucket `v` in turn reads its cells back by
+//! id, regenerates only the faces that lead with `v`, sorts them in a
+//! scratch sized to the largest bucket and reads them off in runs of
+//! equal keys. A run of 1 is a boundary face (its vertices are surface
+//! vertices), a run of 2 an interior face, a longer run a
+//! [`MeshError::NonManifoldFace`]. On the L5 benchmark mesh (1.19 M
+//! tets, 218 k vertices) the transient is 9.5 MB of filed ids and
+//! 0.9 MB of offsets, where the face array was 38 MB; nothing is
+//! hashed and nothing grows. What the vertex *order* costs is the
+//! bucket pass: a generator's ids keep a bucket's cells close together
+//! in the cell array and its faces few, a space-filling-curve
+//! relabelling scatters both (≈ 1.5 × the time on L5).
 //!
-//! The face list lives only as long as one extraction. Restructuring
-//! mode keeps cells, not faces: [`crate::Mesh`] holds a vertex→cell
-//! incidence (row `v` lists the live cells that contain `v`), and a
-//! face's cell count is the number of cells in all its corners' rows
-//! that have it among their faces. Its per-vertex boundary-face counts
-//! start from this module's matching (`match_faces`).
+//! The face list lives only as long as one extraction's bucket.
+//! Restructuring mode keeps cells, not faces: [`crate::Mesh`] holds a
+//! vertex→cell incidence (row `v` lists the live cells that contain
+//! `v`), and a face's cell count is the number of cells in all its
+//! corners' rows that have it among their faces. Its per-vertex
+//! boundary-face counts start from this module's matching
+//! (`match_faces`).
 
 use crate::{CellKind, FaceKey, MeshError};
 use octopus_geom::{CellId, VertexId};
@@ -42,20 +44,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Process-wide count of [`Surface::extract`] runs.
 static EXTRACT_CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// What a face key keeps once it is filed under its smallest vertex:
-/// `key.0[1..]` (a triangle's last slot is [`FaceKey::NONE`]).
-type Tail = [VertexId; 3];
-
-#[inline]
-fn split(key: FaceKey) -> (usize, Tail) {
-    let [v, a, b, c] = key.0;
-    (v as usize, [a, b, c])
-}
-
-#[inline]
-fn join(v: usize, tail: Tail) -> FaceKey {
-    FaceKey([v as VertexId, tail[0], tail[1], tail[2]])
-}
+/// Faces a cell can have under one bucket: those around its smallest
+/// corner, three in either cell kind.
+const MAX_FACES_AT: usize = 3;
 
 /// The set of surface (boundary) vertices of a mesh.
 #[derive(Clone, Debug, Default)]
@@ -68,22 +59,25 @@ pub struct Surface {
 impl Surface {
     /// Extracts the surface of the cell collection.
     ///
-    /// `num_vertices` bounds vertex ids; `cells` yields each cell's global
-    /// vertex ids and is walked twice (count, then scatter — see the
-    /// module docs). Returns [`MeshError::VertexOutOfRange`] for an id
-    /// `>= num_vertices` (`cell` is the cell's position in `cells`), and
+    /// `num_vertices` bounds vertex ids; `cells` yields each live cell's
+    /// id and global vertex ids and is walked twice (count, then file —
+    /// see the module docs), and `cell` reads a cell back by its id.
+    /// A cell's corners must be distinct, as a [`crate::Mesh`]'s are.
+    /// Returns [`MeshError::VertexOutOfRange`] for an id
+    /// `>= num_vertices` (`cell` is the id `cells` gave), and
     /// [`MeshError::NonManifoldFace`] when a face is shared by more than
     /// two cells: of all such faces the smallest key, with the number
     /// of cells that share it — the same answer in any cell order.
     pub fn extract<'a>(
         kind: CellKind,
         num_vertices: usize,
-        cells: impl Iterator<Item = &'a [VertexId]> + Clone,
+        cells: impl Iterator<Item = (CellId, &'a [VertexId])> + Clone,
+        cell: impl Fn(CellId) -> &'a [VertexId],
     ) -> Result<Surface, MeshError> {
         // relaxed: a statistic; it publishes no other data.
         EXTRACT_CALLS.fetch_add(1, Ordering::Relaxed);
         let mut is_surface = vec![false; num_vertices];
-        let num_boundary_faces = match_faces(kind, num_vertices, cells, |face| {
+        let num_boundary_faces = match_faces(kind, num_vertices, cells, cell, |face| {
             for &u in face.vertices() {
                 is_surface[u as usize] = true;
             }
@@ -161,85 +155,79 @@ impl Surface {
 
 /// [`Surface::extract`]'s face matching (module docs): hands every
 /// boundary face to `boundary` and returns how many there are, or the
-/// extraction's error. Restructuring mode starts its maintained
-/// per-vertex counts from it.
+/// extraction's error. `cells` lists the live cells with their ids and
+/// `cell` reads one back by id. Restructuring mode starts its
+/// maintained per-vertex counts from it.
 pub(crate) fn match_faces<'a>(
     kind: CellKind,
     num_vertices: usize,
-    cells: impl Iterator<Item = &'a [VertexId]> + Clone,
+    cells: impl Iterator<Item = (CellId, &'a [VertexId])> + Clone,
+    cell: impl Fn(CellId) -> &'a [VertexId],
     boundary: impl FnMut(FaceKey),
 ) -> Result<usize, MeshError> {
-    // A triangle's two remaining ids pack into one integer, which
-    // sorts faster than an array (L5: 65 ms against 115) and files
-    // in 8 B; a quad keeps its three as they are.
     match kind {
-        CellKind::Tet4 => match_filed(
-            kind,
-            num_vertices,
-            cells,
-            |key| (key.0[1] as u64) << 32 | key.0[2] as u64,
-            |v, t| join(v, [(t >> 32) as VertexId, t as VertexId, FaceKey::NONE]),
-            boundary,
-        ),
-        CellKind::Hex8 => match_filed(
-            kind,
-            num_vertices,
-            cells,
-            |key| split(key).1,
-            join,
-            boundary,
-        ),
+        CellKind::Tet4 => match_filed::<Tets>(num_vertices, cells, cell, boundary),
+        CellKind::Hex8 => match_filed::<Hexes>(num_vertices, cells, cell, boundary),
     }
 }
 
-/// The counting sort (module docs): files what `pack` keeps of every
-/// face under the face's smallest vertex, sorts each bucket and hands
-/// the runs of one to `boundary`. `pack` drops a canonical key's first
-/// id — keys equal in it must stay equal, and only those — and
-/// `unpack` puts it back.
-fn match_filed<'a, T: Copy + Default + Ord>(
-    kind: CellKind,
+/// The filing (module docs): files every cell's id under each bucket
+/// `F` names for it, then, one bucket at a time, regenerates the faces
+/// its cells have there, sorts them and hands the runs of one to
+/// `boundary`.
+fn match_filed<'a, F: Faces>(
     num_vertices: usize,
-    cells: impl Iterator<Item = &'a [VertexId]> + Clone,
-    pack: impl Fn(FaceKey) -> T,
-    unpack: impl Fn(usize, T) -> FaceKey,
+    cells: impl Iterator<Item = (CellId, &'a [VertexId])> + Clone,
+    cell: impl Fn(CellId) -> &'a [VertexId],
     mut boundary: impl FnMut(FaceKey),
 ) -> Result<usize, MeshError> {
-    // Bucket `v` is `tails[ends[v]..ends[v + 1]]` once filled: counted
+    // Bucket `v` is `filed[ends[v]..ends[v + 1]]` once filled: counted
     // two slots up, so that the prefix sum leaves bucket `v`'s start in
     // `ends[v + 1]` and the scatter, advancing it, leaves its end there.
-    let mut ends = vec![0usize; num_vertices + 2];
-    for (ci, cell) in cells.clone().enumerate() {
-        if let Some(&vertex) = cell.iter().find(|&&v| v as usize >= num_vertices) {
+    let mut ends = vec![0u32; num_vertices + 2];
+    for (c, vertices) in cells.clone() {
+        if let Some(&vertex) = vertices.iter().find(|&&v| v as usize >= num_vertices) {
             return Err(MeshError::VertexOutOfRange {
-                cell: ci as CellId,
+                cell: c,
                 vertex,
                 num_vertices,
             });
         }
-        for key in kind.face_keys(cell) {
-            ends[key.0[0] as usize + 2] += 1;
+        for v in F::buckets(vertices) {
+            ends[v as usize + 2] += 1;
         }
     }
+    let mut largest = 0;
     for v in 2..ends.len() {
-        ends[v] += ends[v - 1];
+        largest = largest.max(ends[v]);
+        ends[v] = ends[v]
+            .checked_add(ends[v - 1])
+            .ok_or(MeshError::TooManyCells)?;
     }
-    let mut tails = vec![T::default(); ends[num_vertices + 1]];
-    for cell in cells {
-        for key in kind.face_keys(cell) {
-            let end = &mut ends[key.0[0] as usize + 1];
-            tails[*end] = pack(key);
+    let mut filed: Vec<CellId> = vec![0; ends[num_vertices + 1] as usize];
+    for (c, vertices) in cells {
+        for v in F::buckets(vertices) {
+            let end = &mut ends[v as usize + 1];
+            filed[*end as usize] = c;
             *end += 1;
         }
     }
+    // One bucket's faces at a time: sized by the largest bucket,
+    // reused by every bucket.
+    let mut scratch = vec![F::Tail::default(); MAX_FACES_AT * largest as usize];
     let mut num_boundary_faces = 0;
-    for v in 0..num_vertices {
-        let bucket = &mut tails[ends[v]..ends[v + 1]];
-        bucket.sort_unstable();
+    for v in 0..num_vertices as VertexId {
+        let bucket = ends[v as usize] as usize..ends[v as usize + 1] as usize;
+        let mut len = 0;
+        for &c in &filed[bucket] {
+            len += F::faces_under(cell(c), v, &mut scratch[len..len + MAX_FACES_AT]);
+        }
+        let here = &mut scratch[..len];
+        here.sort_unstable();
         // Ascending buckets, ascending runs: the first offending face
         // met is the smallest one.
-        for run in bucket.chunk_by(|a, b| a == b) {
-            let face = unpack(v, run[0]);
+        for run in here.chunk_by(|a, b| a == b) {
+            let face = F::key(v, run[0]);
             match run.len() {
                 1 => {
                     num_boundary_faces += 1;
@@ -253,6 +241,121 @@ fn match_filed<'a, T: Copy + Default + Ord>(
     Ok(num_boundary_faces)
 }
 
+/// A cell kind's faces as the filing reads them: which buckets a cell
+/// goes under, and which faces it has in each.
+trait Faces {
+    /// What a face's canonical key keeps once the bucket implies its
+    /// smallest vertex: keys equal in it must stay equal, and only
+    /// those.
+    type Tail: Copy + Default + Ord;
+
+    /// The distinct smallest vertices of `cell`'s faces. A cell filed
+    /// twice under one vertex would count its faces there twice.
+    fn buckets(cell: &[VertexId]) -> impl Iterator<Item = VertexId>;
+
+    /// Writes what `Self::Tail` keeps of each of `cell`'s faces whose
+    /// smallest vertex is `v` to the front of `out` and returns how many
+    /// there are (at most [`MAX_FACES_AT`]: the faces around a corner).
+    fn faces_under(cell: &[VertexId], v: VertexId, out: &mut [Self::Tail]) -> usize;
+
+    /// The face with smallest vertex `v` and `tail`.
+    fn key(v: VertexId, tail: Self::Tail) -> FaceKey;
+}
+
+/// Tetrahedra. With corners `a < b < c < d`, three faces lead with `a`
+/// and the fourth, `(b, c, d)`, with `b`; a triangle's other two ids
+/// pack into one integer, which sorts faster than an array.
+struct Tets;
+
+impl Tets {
+    /// The corners ascending.
+    #[inline]
+    fn sorted(cell: &[VertexId]) -> [VertexId; 4] {
+        let minmax = |x: VertexId, y: VertexId| (x.min(y), x.max(y));
+        let (a, b) = minmax(cell[0], cell[1]);
+        let (c, d) = minmax(cell[2], cell[3]);
+        let (a, c) = minmax(a, c);
+        let (b, d) = minmax(b, d);
+        let (b, c) = minmax(b, c);
+        [a, b, c, d]
+    }
+
+    #[inline]
+    fn pack(b: VertexId, c: VertexId) -> u64 {
+        (b as u64) << 32 | c as u64
+    }
+}
+
+impl Faces for Tets {
+    type Tail = u64;
+
+    #[inline]
+    fn buckets(cell: &[VertexId]) -> impl Iterator<Item = VertexId> {
+        let [a, b, _, _] = Tets::sorted(cell);
+        [a, b].into_iter()
+    }
+
+    #[inline]
+    fn faces_under(cell: &[VertexId], v: VertexId, out: &mut [u64]) -> usize {
+        // Written in full either way, so that which case it is costs
+        // no branch: under `b`, only `(c, d)` counts.
+        let [a, b, c, d] = Tets::sorted(cell);
+        let under_a = v == a;
+        out[0] = if under_a {
+            Tets::pack(b, c)
+        } else {
+            Tets::pack(c, d)
+        };
+        out[1] = Tets::pack(b, d);
+        out[2] = Tets::pack(c, d);
+        if under_a {
+            3
+        } else {
+            1
+        }
+    }
+
+    #[inline]
+    fn key(v: VertexId, tail: u64) -> FaceKey {
+        FaceKey([v, (tail >> 32) as VertexId, tail as VertexId, FaceKey::NONE])
+    }
+}
+
+/// Hexahedra, through [`CellKind::face_keys`]: the smallest corner
+/// leads three faces, and each of the other three leads with its own
+/// smallest corner, which they may share — a hex files under two to
+/// four vertices.
+struct Hexes;
+
+impl Faces for Hexes {
+    type Tail = [VertexId; 3];
+
+    fn buckets(cell: &[VertexId]) -> impl Iterator<Item = VertexId> {
+        let mut under = [0; 6];
+        let mut len = 0;
+        for key in CellKind::Hex8.face_keys(cell) {
+            if !under[..len].contains(&key.0[0]) {
+                under[len] = key.0[0];
+                len += 1;
+            }
+        }
+        under.into_iter().take(len)
+    }
+
+    fn faces_under(cell: &[VertexId], v: VertexId, out: &mut [[VertexId; 3]]) -> usize {
+        let mut len = 0;
+        for key in CellKind::Hex8.face_keys(cell).filter(|key| key.0[0] == v) {
+            out[len] = [key.0[1], key.0[2], key.0[3]];
+            len += 1;
+        }
+        len
+    }
+
+    fn key(v: VertexId, [a, b, c]: [VertexId; 3]) -> FaceKey {
+        FaceKey([v, a, b, c])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,10 +365,21 @@ mod tests {
         vec![[0, 1, 2, 3], [4, 1, 2, 3]]
     }
 
+    /// `cells` as [`Surface::extract`] takes them: cell `i` has id `i`.
+    fn extract_tets(num_vertices: usize, cells: &[[u32; 4]]) -> Result<Surface, MeshError> {
+        let listed = cells.iter().enumerate();
+        Surface::extract(
+            CellKind::Tet4,
+            num_vertices,
+            listed.map(|(c, cell)| (c as CellId, &cell[..])),
+            |c| &cells[c as usize],
+        )
+    }
+
     #[test]
     fn two_glued_tets_share_one_interior_face() {
         let cells = two_tets();
-        let s = Surface::extract(CellKind::Tet4, 5, cells.iter().map(|c| &c[..])).unwrap();
+        let s = extract_tets(5, &cells).unwrap();
         // 8 faces total, 1 interior (1,2,3) counted twice → 6 boundary.
         assert_eq!(s.num_boundary_faces(), 6);
         // Every vertex is on the boundary (1,2,3 are on outer faces too).
@@ -276,7 +390,7 @@ mod tests {
     #[test]
     fn single_tet_is_all_surface() {
         let cells = [[0u32, 1, 2, 3]];
-        let s = Surface::extract(CellKind::Tet4, 4, cells.iter().map(|c| &c[..])).unwrap();
+        let s = extract_tets(4, &cells).unwrap();
         assert_eq!(s.num_boundary_faces(), 4);
         assert_eq!(s.vertices(), &[0, 1, 2, 3]);
     }
@@ -285,12 +399,8 @@ mod tests {
     fn nonmanifold_face_is_rejected() {
         // Three tets all sharing face (1,2,3).
         let cells = [[0u32, 1, 2, 3], [4, 1, 2, 3], [5, 1, 2, 3]];
-        let err = Surface::extract(CellKind::Tet4, 6, cells.iter().map(|c| &c[..])).unwrap_err();
+        let err = extract_tets(6, &cells).unwrap_err();
         assert!(matches!(err, MeshError::NonManifoldFace { .. }));
-    }
-
-    fn extract_tets(num_vertices: usize, cells: &[[u32; 4]]) -> Result<Surface, MeshError> {
-        Surface::extract(CellKind::Tet4, num_vertices, cells.iter().map(|c| &c[..]))
     }
 
     #[test]
@@ -362,7 +472,7 @@ mod tests {
     #[test]
     fn unreferenced_vertices_are_not_surface() {
         let cells = [[0u32, 1, 2, 3]];
-        let s = Surface::extract(CellKind::Tet4, 6, cells.iter().map(|c| &c[..])).unwrap();
+        let s = extract_tets(6, &cells).unwrap();
         assert!(!s.contains(4));
         assert!(!s.contains(5));
         assert_eq!(s.len(), 4);
@@ -378,7 +488,7 @@ mod tests {
 
     #[test]
     fn empty_surface() {
-        let s = Surface::extract(CellKind::Tet4, 0, std::iter::empty()).unwrap();
+        let s = extract_tets(0, &[]).unwrap();
         assert!(s.is_empty());
         assert_eq!(s.ratio(), 0.0);
     }

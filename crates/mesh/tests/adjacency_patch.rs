@@ -145,11 +145,9 @@ fn assert_matches_rebuild(mesh: &Mesh, ctx: &str) {
         vertex_cell_rows(mesh) == rebuilt_vertex_cells(mesh),
         "{ctx}: patched incidence differs from the rebuild"
     );
-    let extracted = Surface::extract(
-        mesh.kind(),
-        mesh.num_vertices(),
-        mesh.live_cells().map(|(_, cell)| cell),
-    )
+    let extracted = Surface::extract(mesh.kind(), mesh.num_vertices(), mesh.live_cells(), |c| {
+        mesh.cell(c)
+    })
     .unwrap();
     assert_eq!(
         mesh.surface().unwrap().vertices(),

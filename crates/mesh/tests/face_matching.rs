@@ -1,17 +1,19 @@
-//! `Surface::extract` files every face under its smallest vertex and
-//! matches it there (see `octopus_mesh::surface`); a mesh in
+//! `Surface::extract` files every cell under the smallest vertices of
+//! its faces and matches each face in its smallest vertex's bucket
+//! (see `octopus_mesh::surface`); a mesh in
 //! restructuring mode starts from that matching's counts and then reads
 //! each face's cell count off its vertex→cell incidence. This suite
 //! holds both to the algorithm they replaced — one global `HashMap`
 //! over canonical face keys, kept here as the oracle — on seeded
-//! inputs: tet soups glued face to face, `meshgen` voxel meshes of both
-//! cell kinds, each of them relabelled, with unreferenced ids, with
-//! non-manifold faces injected, and under random restructuring
-//! operations. CI runs it in debug and in release.
+//! inputs: tet soups glued face to face, fans of hundreds of tets in
+//! one bucket, hexes filed under one vertex from three faces, `meshgen`
+//! voxel meshes of both cell kinds, each of them relabelled, with
+//! unreferenced ids, with non-manifold faces injected, and under random
+//! restructuring operations. CI runs it in debug and in release.
 
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3};
-use octopus_mesh::{CellKind, FaceKey, Mesh, MeshError, Surface, VertexId};
+use octopus_mesh::{CellId, CellKind, FaceKey, Mesh, MeshError, Surface, VertexId};
 use octopus_meshgen::hex::hexahedralize;
 use octopus_meshgen::tet::tetrahedralize;
 use octopus_meshgen::VoxelRegion;
@@ -40,8 +42,20 @@ impl Soup {
         self.flat.chunks_exact(self.kind.arity())
     }
 
+    /// Cell `c`: the `c`-th of [`Soup::cells`].
+    fn cell(&self, c: CellId) -> &[VertexId] {
+        let arity = self.kind.arity();
+        &self.flat[c as usize * arity..(c as usize + 1) * arity]
+    }
+
     fn extract(&self) -> Result<Surface, MeshError> {
-        Surface::extract(self.kind, self.num_vertices, self.cells())
+        let listed = self.cells().enumerate();
+        Surface::extract(
+            self.kind,
+            self.num_vertices,
+            listed.map(|(c, cell)| (c as CellId, cell)),
+            |c| self.cell(c),
+        )
     }
 
     /// The cells as a mesh (every vertex at the origin) in
@@ -222,6 +236,100 @@ fn inject_nonmanifold(soup: &mut Soup, rng: &mut SplitMix64) {
                 .extend((0..fresh).map(|i| (soup.num_vertices + i) as VertexId));
             soup.num_vertices += fresh;
         }
+    }
+}
+
+/// `k` tets around the edge `(0, 1)`, each glued to the next on a face
+/// `(0, 1, x)`, closed into a ring or left open: every cell is filed
+/// under vertex 0, so one bucket holds all `k` of them and `3k` faces.
+fn fan(k: usize, closed: bool) -> Soup {
+    let rim = |i: usize| (2 + i % k) as VertexId;
+    let cells = (0..if closed { k } else { k - 1 }).map(|i| [0, 1, rim(i), rim(i + 1)]);
+    Soup {
+        kind: CellKind::Tet4,
+        num_vertices: 2 + k,
+        flat: cells.flatten().collect(),
+    }
+}
+
+/// `pairs` pairs of hexes, each pair glued on one face. Each hex's
+/// smallest corner leads three of its faces and the far corner leads
+/// the other three, so each hex files under two vertices from three
+/// faces each; the glued face is matched in the bucket that both hexes
+/// of a pair file under from three faces.
+fn glued_hex_pairs(pairs: usize, rng: &mut SplitMix64) -> Soup {
+    let mut flat = Vec::new();
+    let mut next: VertexId = 0;
+    for _ in 0..pairs {
+        // Unreferenced ids between the pairs.
+        next += rng.index(3) as VertexId;
+        // VTK order. `lower`: corner 0 is 0 and the far corner 6 is 1;
+        // `upper`, glued on `lower`'s top face (corners 4–7): its corner
+        // 2 is 1 and the far corner 4 is 2.
+        let lower = [0, 3, 4, 5, 6, 7, 1, 8].map(|k| next + k);
+        let upper = [6, 7, 1, 8, 2, 9, 10, 11].map(|k| next + k);
+        for hex in [lower, upper] {
+            let keys: Vec<FaceKey> = CellKind::Hex8.face_keys(&hex).collect();
+            let least = hex.iter().min().unwrap();
+            let led = keys.iter().filter(|k| k.0[0] == *least).count();
+            let rest: Vec<VertexId> = keys.iter().map(|k| k.0[0]).filter(|v| v != least).collect();
+            assert!(led == 3 && rest.len() == 3 && rest.iter().all(|&v| v == rest[0]));
+            flat.extend(hex);
+        }
+        next += 12;
+    }
+    Soup {
+        kind: CellKind::Hex8,
+        num_vertices: next as usize,
+        flat,
+    }
+}
+
+#[test]
+fn a_fan_of_hundreds_of_tets_under_one_vertex_matches_the_oracle() {
+    let mut rng = SplitMix64::new(7);
+    for (k, closed) in [(300, true), (457, false), (1000, true)] {
+        let soup = fan(k, closed);
+        let ctx = format!("fan of {k}, closed {closed}");
+        assert_extract_matches_oracle(&soup, &ctx);
+        assert_eq!(soup.extract().unwrap().len(), k + 2, "{ctx}");
+        assert_extract_matches_oracle(&soup.shuffled(&mut rng), &format!("{ctx} shuffled"));
+        let mesh = soup.restructuring_mesh().unwrap();
+        assert_maintained_surface_matches_oracle(&mesh, &ctx);
+        // A face shared by three cells in the big bucket is still found.
+        let mut broken = soup.shuffled(&mut rng);
+        inject_nonmanifold(&mut broken, &mut rng);
+        let (face, count) = *oracle(&broken).offending.first().unwrap();
+        let expected = MeshError::NonManifoldFace { face, count };
+        assert_eq!(broken.extract().unwrap_err(), expected, "{ctx}");
+        assert_eq!(broken.restructuring_mesh().unwrap_err(), expected, "{ctx}");
+    }
+}
+
+#[test]
+fn hexes_filed_under_one_vertex_from_three_faces_match_the_oracle() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let soup = glued_hex_pairs(1 + rng.index(8), &mut rng);
+        let ctx = format!("seed {seed}");
+        assert_extract_matches_oracle(&soup, &ctx);
+        // Two hexes a pair, one face each glued: 10 of their 12 faces
+        // are boundary.
+        let pairs = soup.flat.len() / 16;
+        assert_eq!(
+            soup.extract().unwrap().num_boundary_faces(),
+            10 * pairs,
+            "{ctx}"
+        );
+        assert_extract_matches_oracle(&soup.shuffled(&mut rng), &format!("{ctx} shuffled"));
+        let mesh = soup.restructuring_mesh().unwrap();
+        assert_maintained_surface_matches_oracle(&mesh, &ctx);
+        let mut broken = soup.shuffled(&mut rng);
+        inject_nonmanifold(&mut broken, &mut rng);
+        let (face, count) = *oracle(&broken).offending.first().unwrap();
+        let expected = MeshError::NonManifoldFace { face, count };
+        assert_eq!(broken.extract().unwrap_err(), expected, "{ctx}");
+        assert_eq!(broken.restructuring_mesh().unwrap_err(), expected, "{ctx}");
     }
 }
 

@@ -35,6 +35,7 @@
 use crate::batch::{Group, ParallelExecutor, Plan, QueryResult, Route};
 use crate::snapshot::Snapshot;
 use crate::telemetry::EngineMetrics;
+use octopus_core::planner::SelectivityHistogram;
 use octopus_core::{Characteristics, CostModel, Decision, Planner, Strategy, MAX_GROUP};
 use octopus_geom::hilbert::hilbert_center_key;
 use octopus_geom::Aabb;
@@ -100,10 +101,14 @@ impl BatchEngine {
     /// snapshot the batch runs against, so attaching an engine extracts
     /// nothing.
     pub fn new(cfg: BatchEngineConfig, mesh: &Mesh) -> BatchEngine {
+        // One bounding-box pass: the histogram covers the same bounds
+        // as the scheduler's keys.
         let bounds = mesh.bounding_box();
-        let planner = cfg
-            .use_planner
-            .then(|| Planner::new(mesh, CostModel::paper_constants(), PLANNER_HIST_RES));
+        let planner = cfg.use_planner.then(|| {
+            let histogram =
+                SelectivityHistogram::build(mesh.positions(), &bounds, PLANNER_HIST_RES);
+            Planner::from_parts(CostModel::paper_constants(), histogram)
+        });
         BatchEngine {
             planner,
             key_bounds: bounds,
@@ -252,4 +257,24 @@ fn sweep_groups(queries: &[Aabb], bounds: &Aabb) -> Vec<Vec<u32>> {
         }
     }
     groups
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use octopus_testkit::box_mesh;
+
+    #[test]
+    fn the_engine_plans_with_the_planner_its_mesh_builds() {
+        let mesh = box_mesh(6);
+        let engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
+        let own = Planner::new(&mesh, CostModel::paper_constants(), PLANNER_HIST_RES);
+        // `Debug` prints every float round-trip exact: equal text is
+        // an equal histogram, bit for bit, so equal decisions.
+        assert_eq!(format!("{:?}", engine.planner), format!("{:?}", Some(own)));
+        assert_eq!(
+            format!("{:?}", engine.key_bounds),
+            format!("{:?}", mesh.bounding_box())
+        );
+    }
 }

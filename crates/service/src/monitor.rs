@@ -512,6 +512,9 @@ struct Slot {
     /// Outstanding query pins ([`MonitorLoop::pin_step`]): while
     /// non-zero the slot is neither evicted nor re-laid-out.
     pins: u32,
+    /// [`typical_edge`] of `mesh`, measured the first time a grid build
+    /// or a subscription asks ([`Slot::typical_edge`]).
+    typical_edge: Option<f32>,
 }
 
 impl Slot {
@@ -546,7 +549,7 @@ impl Slot {
     /// positions are finite again.
     fn settle_reach(&mut self, reach: f32, newest: bool, stats: &mut SeedCacheStats) {
         if newest && reach.is_finite() && reach > self.grid.cell() {
-            self.grid = build_grid(&self.exec, &self.mesh);
+            self.rebuild_grid();
             stats.stale += 1;
             stats.insertions += 1;
             // Every surface position is finite and is its own anchor.
@@ -554,6 +557,20 @@ impl Slot {
         } else {
             self.reach = Some(reach);
         }
+    }
+
+    /// [`typical_edge`] of the slot's mesh: one bounding-box pass, the
+    /// first time it is asked.
+    fn typical_edge(&mut self) -> f32 {
+        *self
+            .typical_edge
+            .get_or_insert_with(|| typical_edge(&self.mesh))
+    }
+
+    /// Replaces the grid with one anchored at the slot's own positions.
+    fn rebuild_grid(&mut self) {
+        let edge = self.typical_edge();
+        self.grid = build_grid(&self.exec, &self.mesh, edge);
     }
 
     /// Maps ingest-time id `v` into this slot's id space.
@@ -593,10 +610,12 @@ const GRID_CELL_EDGES: f32 = 4.0;
 const DEFAULT_BAND_EDGES: f32 = 8.0;
 
 /// The surface grid of `exec` anchored at `mesh`'s positions — surface
-/// ids bucketed, components bounded. The single site behind set-up,
-/// re-layout and drift rebuild; a restructure patches the grid instead.
-fn build_grid(exec: &Octopus, mesh: &Mesh) -> Arc<SurfaceGrid> {
-    Arc::new(exec.surface_grid(mesh.positions(), GRID_CELL_EDGES * typical_edge(mesh)))
+/// ids bucketed, components bounded — in cells of [`GRID_CELL_EDGES`]
+/// times `edge`, `mesh`'s [`typical_edge`]. The single site behind
+/// set-up, re-layout and drift rebuild; a restructure patches the grid
+/// instead.
+fn build_grid(exec: &Octopus, mesh: &Mesh, edge: f32) -> Arc<SurfaceGrid> {
+    Arc::new(exec.surface_grid(mesh.positions(), GRID_CELL_EDGES * edge))
 }
 
 /// A shape query's answer plus its phase timings — the heterogeneous
@@ -720,7 +739,8 @@ impl MonitorLoop {
         // maintained counts; the ring then keeps the stripped copy.
         let exec = Arc::new(Octopus::new(sim.mesh())?);
         let mesh = sim.mesh().snapshot();
-        let grid = build_grid(&exec, &mesh);
+        let edge = typical_edge(&mesh);
+        let grid = build_grid(&exec, &mesh, edge);
         let step = sim.current_step();
         let engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
         let fault = Arc::new(FaultCell::new());
@@ -735,6 +755,7 @@ impl MonitorLoop {
             reach: None,
             translation,
             pins: 0,
+            typical_edge: Some(edge),
         });
         Ok(MonitorLoop {
             cmd_tx,
@@ -1006,6 +1027,7 @@ impl MonitorLoop {
                     reach: None,
                     translation: latest.translation.clone(),
                     pins: 0,
+                    typical_edge: None,
                 };
                 // The simulation measured the reach against the grid
                 // this slot inherits, unless that grid was replaced
@@ -1065,6 +1087,7 @@ impl MonitorLoop {
                     reach: None,
                     translation,
                     pins: 0,
+                    typical_edge: None,
                 });
                 if let Some(t) = &self.telemetry {
                     t.monitor
@@ -1197,7 +1220,9 @@ impl MonitorLoop {
         // relabelled through the permutation, not rebuilt (the slot
         // mesh could only offer a from-scratch extraction).
         latest.exec = Arc::new(latest.exec.relabelled(&latest.mesh, &perm));
-        latest.grid = build_grid(&latest.exec, &latest.mesh);
+        // A relabelling keeps the bounding box and the vertex count, so
+        // the slot's typical edge stands.
+        latest.rebuild_grid();
         latest.reach = None;
         self.grid_stats.insertions += 1;
         // Composed over every current vertex, the ones appended since
@@ -1439,7 +1464,8 @@ impl MonitorLoop {
     /// [`MonitorLoop::poll_subscriptions`] calls return only the
     /// entered/left deltas.
     pub fn subscribe(&mut self, q: &Aabb) -> SubscriptionId {
-        let band = DEFAULT_BAND_EDGES * typical_edge(&self.latest().mesh);
+        let latest = self.slots.back_mut().expect("ring is never empty");
+        let band = DEFAULT_BAND_EDGES * latest.typical_edge();
         self.subscribe_with_band(q, band)
     }
 
@@ -1854,4 +1880,37 @@ fn sim_thread(
         }
     }
     Ok(sim)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use octopus_sim::SmoothRandomField;
+    use octopus_testkit::box_mesh;
+
+    #[test]
+    fn subscriptions_on_one_slot_share_its_typical_edge_with_the_grid() {
+        let sim = Simulation::new(box_mesh(5), Box::new(SmoothRandomField::new(0.01, 3, 42)));
+        let mut monitor = MonitorLoop::new(sim, 1).unwrap();
+        let edge = typical_edge(&monitor.latest().mesh);
+        assert_eq!(monitor.latest().typical_edge, Some(edge));
+        assert_eq!(
+            monitor.latest().grid.cell().to_bits(),
+            (GRID_CELL_EDGES * edge).to_bits()
+        );
+        let a = monitor.subscribe(&Aabb::cube(Point3::splat(0.3), 0.2));
+        let b = monitor.subscribe(&Aabb::cube(Point3::splat(0.6), 0.1));
+        let band = |monitor: &MonitorLoop, id| monitor.subs.band(id).unwrap().to_bits();
+        assert_eq!(band(&monitor, a), band(&monitor, b));
+        assert_eq!(band(&monitor, a), (DEFAULT_BAND_EDGES * edge).to_bits());
+        // A slot a step published measures its own edge, once.
+        monitor.begin_step().unwrap();
+        monitor.finish_step().unwrap();
+        let c = monitor.subscribe(&Aabb::cube(Point3::splat(0.5), 0.2));
+        let d = monitor.subscribe(&Aabb::cube(Point3::splat(0.4), 0.3));
+        let moved = typical_edge(&monitor.latest().mesh);
+        assert_eq!(monitor.latest().typical_edge, Some(moved));
+        assert_eq!(band(&monitor, c), band(&monitor, d));
+        assert_eq!(band(&monitor, c), (DEFAULT_BAND_EDGES * moved).to_bits());
+    }
 }

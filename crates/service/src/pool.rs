@@ -317,20 +317,18 @@ mod tests {
 
     #[test]
     fn single_thread_pool_spawns_nothing_and_runs_inline() {
-        let before = threads_spawned_total();
+        // Both properties are read off this pool and this thread: the
+        // process-wide spawn count moves whenever a sibling test builds
+        // a pool, so it cannot show that this one built none.
         let pool = WorkerPool::new(1);
         assert_eq!(pool.worker_threads(), 0);
-        assert_eq!(threads_spawned_total(), before);
-        let hits = AtomicUsize::new(0);
+        let caller = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(Vec::new());
         pool.run(vec![
-            Box::new(|| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }) as Task<'_>,
-            Box::new(|| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }) as Task<'_>,
+            Box::new(|| ran_on.lock().unwrap().push(std::thread::current().id())) as Task<'_>,
+            Box::new(|| ran_on.lock().unwrap().push(std::thread::current().id())) as Task<'_>,
         ]);
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(ran_on.into_inner().unwrap(), vec![caller, caller]);
     }
 
     #[test]

@@ -444,6 +444,12 @@ impl SubscriptionRegistry {
             .map(|s| s.members.as_slice())
     }
 
+    /// The drift band subscription `id` was registered with.
+    #[cfg(test)]
+    pub(crate) fn band(&self, id: SubscriptionId) -> Option<f32> {
+        self.subs.iter().find(|s| s.id == id.0).map(|s| s.band)
+    }
+
     pub(crate) fn stats(&self, id: SubscriptionId) -> Option<SubscriptionStats> {
         self.subs.iter().find(|s| s.id == id.0).map(|s| s.stats)
     }
