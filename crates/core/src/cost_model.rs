@@ -53,24 +53,6 @@ pub struct CostModel {
     pub cp: f64,
 }
 
-/// The selectivity-independent factors of Eq. 5 for one dataset — see
-/// [`CostModel::speedup_terms`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpeedupTerms {
-    /// `(C_P/C_S) · S` — the probe term.
-    pub probe: f64,
-    /// `M · C_R/C_S` — the crawl term per unit selectivity.
-    pub crawl_per_sel: f64,
-}
-
-impl SpeedupTerms {
-    /// Eq. 5 at `selectivity`: `1 / (probe + crawl_per_sel · sel)`.
-    #[inline]
-    pub fn eval(&self, selectivity: f64) -> f64 {
-        1.0 / (self.probe + self.crawl_per_sel * selectivity)
-    }
-}
-
 impl CostModel {
     /// Builds the paper's two-constant model (`C_P = C_S`), e.g.
     /// `CostModel::new(6.6e-9, 2.7e-8)`.
@@ -216,19 +198,7 @@ impl CostModel {
     /// scan: `1 / ((C_P/C_S)·S + M × sel × C_R/C_S)`. Independent of `V`;
     /// reduces to the paper's Eq. 5 when `C_P = C_S`.
     pub fn speedup(&self, s: f64, m: f64, selectivity: f64) -> f64 {
-        self.speedup_terms(s, m).eval(selectivity)
-    }
-
-    /// Hoists the selectivity-independent parts of Eq. 5 for a fixed
-    /// dataset `(S, M)`: evaluating a whole batch of selectivities then
-    /// costs one multiply-add and one division each, instead of
-    /// re-deriving the `C` ratios per query. `speedup` routes through
-    /// this, so batched and per-query evaluations are bit-identical.
-    pub fn speedup_terms(&self, s: f64, m: f64) -> SpeedupTerms {
-        SpeedupTerms {
-            probe: (self.cp / self.cs) * s,
-            crawl_per_sel: m * self.cr / self.cs,
-        }
+        1.0 / ((self.cp / self.cs) * s + m * self.cr / self.cs * selectivity)
     }
 
     /// Eq. 6 (refined) — the selectivity below which OCTOPUS beats the
@@ -333,6 +303,52 @@ mod tests {
         assert!(m.cs > 1e-11 && m.cs < 1e-5, "cs = {}", m.cs);
         assert!(m.cr > 1e-11 && m.cr < 1e-5, "cr = {}", m.cr);
         assert!(m.cp > 1e-11 && m.cp < 1e-5, "cp = {}", m.cp);
+        // Whatever this machine measures, Eq. 5 and 6 stay well formed
+        // for the mesh it was measured on.
+        let (s, deg) = surface_ratio_and_degree(&mesh, &crate::Octopus::new(&mesh).unwrap());
+        assert!(m.speedup(s, deg, 0.001).is_finite());
+        assert!(m.crossover_selectivity(s, deg) >= 0.0);
+    }
+
+    /// S off the executor's surface count and M off the adjacency.
+    fn surface_ratio_and_degree(mesh: &Mesh, octopus: &crate::Octopus) -> (f64, f64) {
+        (
+            octopus.surface_len() as f64 / mesh.num_vertices() as f64,
+            mesh.adjacency().average_degree(),
+        )
+    }
+
+    #[test]
+    fn coarsening_raises_s_and_shrinks_the_crossover() {
+        // Removing random cells of a solid box until a fifth is left
+        // (the executor derived from the deltas, as a monitor does)
+        // raises the surface-to-volume ratio, which must shrink Eq. 6's
+        // crossover.
+        let mut mesh = box_mesh(6);
+        mesh.enable_restructuring().unwrap();
+        let mut octopus = crate::Octopus::new(&mesh).unwrap();
+        let (s0, m0) = surface_ratio_and_degree(&mesh, &octopus);
+        let mut rng = octopus_geom::rng::SplitMix64::new(0xFEED);
+        let target = mesh.num_cells() / 5;
+        while mesh.num_cells() > target {
+            let c = rng.index(mesh.cell_capacity()) as u32;
+            if mesh.is_cell_alive(c) {
+                let delta = mesh.remove_cell(c).unwrap();
+                octopus = octopus.restructured(&mesh, &delta);
+            }
+        }
+        let (s1, m1) = surface_ratio_and_degree(&mesh, &octopus);
+        assert_eq!(s1, mesh.surface().unwrap().ratio());
+        assert!(s1 > s0, "coarsening must raise S: {s0} -> {s1}");
+        let model = CostModel::paper_constants();
+        let (before, after) = (
+            model.crossover_selectivity(s0, m0),
+            model.crossover_selectivity(s1, m1),
+        );
+        assert!(
+            after < before,
+            "a higher S must shrink the crossover: {before} -> {after}"
+        );
     }
 
     #[test]

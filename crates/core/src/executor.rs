@@ -22,8 +22,10 @@ pub struct PhaseTimings {
     /// more. The field stays because the repository benchmark's
     /// recorder reads it; it goes when a benchmark change drops it.
     pub cache_probe: Duration,
-    /// Time spent in a planner-routed shared linear scan (zero on the
-    /// probe/crawl path).
+    /// Always zero: every box is answered by the crawl, and no query is
+    /// routed to a linear scan any more. The field stays because the
+    /// repository benchmark's recorder reads it; it goes when a
+    /// benchmark change drops it.
     pub linear_scan: Duration,
     /// Time spent in directed walks: from the first walk that ran to
     /// the end of phase 2, zero when `walks` is (every component was

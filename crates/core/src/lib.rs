@@ -37,10 +37,9 @@
 //!   probes a sample of the surface, trading accuracy for probe time.
 //! * [`layout`] — the Hilbert data-layout optimisation (§IV-H1).
 //! * [`CostModel`] — the analytical model (Eq. 1–6) with on-machine
-//!   calibration of the `C_S`/`C_R` constants.
-//! * [`Planner`] — the Eq.-6 decision rule (OCTOPUS vs. linear scan)
-//!   driven by histogram selectivity estimates and the
-//!   [`Characteristics`] (S, M) of the snapshot queried.
+//!   calibration of the `C_S`/`C_R` constants. Eq. 5/6 advise when
+//!   OCTOPUS beats the linear scan (§IV-G); no query is routed by them,
+//!   so every box is answered by the crawl.
 //! * [`QueryShape`] — query shapes beyond the box: bounded convex
 //!   regions, exact k-nearest-neighbour, and materialisation-free
 //!   aggregates, all running on the same probe → walk → crawl
@@ -57,7 +56,6 @@ pub mod fault;
 pub mod frontier;
 pub mod layout;
 pub mod metrics;
-pub mod planner;
 pub mod shape;
 pub mod surface_grid;
 
@@ -68,6 +66,5 @@ pub use executor::{Octopus, PhaseTimings, Probe, QueryScratch};
 pub use fault::{FaultAction, FaultCell, FaultHook, FaultSite};
 pub use frontier::MAX_GROUP;
 pub use metrics::{ExecMode, ExecutorMetrics};
-pub use planner::{Characteristics, Decision, Planner, Strategy};
 pub use shape::{AggregateKind, AggregateValue, QueryShape, ShapeResult};
 pub use surface_grid::SurfaceGrid;

@@ -51,10 +51,9 @@ impl ExecMode {
 /// metric catalogue in the workspace README ("Telemetry").
 pub struct ExecutorMetrics {
     /// Per-phase wall-time histograms (ns): surface_probe,
-    /// linear_scan, directed_walk, crawling. A phase is recorded only
+    /// directed_walk, crawling. A phase is recorded only
     /// when it actually ran (non-zero duration).
     phase_surface_probe_ns: Histogram,
-    phase_linear_scan_ns: Histogram,
     phase_directed_walk_ns: Histogram,
     phase_crawling_ns: Histogram,
     /// Whole-query latency keyed by [`ExecMode`].
@@ -87,7 +86,6 @@ impl ExecutorMetrics {
     pub fn register(registry: &Registry) -> Arc<ExecutorMetrics> {
         Arc::new(ExecutorMetrics {
             phase_surface_probe_ns: registry.histogram("executor_phase_ns_surface_probe"),
-            phase_linear_scan_ns: registry.histogram("executor_phase_ns_linear_scan"),
             phase_directed_walk_ns: registry.histogram("executor_phase_ns_directed_walk"),
             phase_crawling_ns: registry.histogram("executor_phase_ns_crawling"),
             query_ns: MODES
@@ -153,7 +151,6 @@ impl ExecutorMetrics {
         }
         for (histogram, phase) in [
             (&self.phase_surface_probe_ns, t.surface_probe),
-            (&self.phase_linear_scan_ns, t.linear_scan),
             (&self.phase_directed_walk_ns, t.directed_walk),
             (&self.phase_crawling_ns, t.crawling),
         ] {
@@ -161,15 +158,6 @@ impl ExecutorMetrics {
                 histogram.record_duration(phase);
             }
         }
-    }
-
-    /// Record one member of a planner-routed shared linear scan, which
-    /// bypassed the probe/walk/crawl machinery entirely (the pass's
-    /// wall time sits on the scan group's first member).
-    pub fn record_scan(&self, t: &PhaseTimings) {
-        self.queries.inc();
-        self.record_phases(t);
-        self.results.record(t.results as u64);
     }
 
     /// Record how the component map followed one restructure or
@@ -230,10 +218,10 @@ mod tests {
                 .count,
             1
         );
-        assert!(snap
-            .histogram("executor_phase_ns_linear_scan")
-            .unwrap()
-            .is_empty());
+        assert_eq!(
+            snap.histogram("executor_phase_ns_crawling").unwrap().count,
+            1
+        );
         assert_eq!(snap.histogram("surface_grid_candidates").unwrap().sum, 40);
         assert_eq!(snap.histogram("executor_query_ns_fresh").unwrap().count, 1);
         assert_eq!(snap.histogram("executor_results").unwrap().sum, 5);

@@ -4,7 +4,7 @@
 //! A [`ConvexRegion`] is the intersection of an [`Aabb`] with a set of
 //! [`Halfspace`]s. Keeping an explicit bounding box (rather than deriving
 //! one from the planes) gives every region a finite extent, which the
-//! directed walk, the planner's selectivity histogram and the batch
+//! directed walk, the cost model's selectivity histogram and the batch
 //! engine's Hilbert sweep all rely on.
 
 use crate::{Aabb, Point3, Vec3};

@@ -8,23 +8,6 @@
 
 use octopus_geom::{Aabb, Point3};
 
-/// Per-batch invariants of a histogram probe, hoisted once by
-/// [`SelectivityHistogram::grid`]: clamped per-axis extents and bucket
-/// sizes. Tied to the histogram it came from — feeding it to another
-/// histogram gives garbage estimates (but no UB).
-#[derive(Clone, Copy, Debug)]
-pub struct HistogramGrid {
-    /// Per-axis domain extent, clamped away from zero.
-    len: [f32; 3],
-    /// Per-axis bucket size.
-    bucket: [f32; 3],
-    /// Reciprocal bucket volume (buckets are equi-width, so one value
-    /// serves every partial-overlap interpolation — the division the
-    /// naive path re-pays per visited bucket). `0.0` flags a degenerate
-    /// (flat) domain, which falls back to the exact overlap test.
-    inv_bucket_vol: f64,
-}
-
 /// A 3-D equi-width histogram of vertex counts.
 #[derive(Clone, Debug)]
 pub struct SelectivityHistogram {
@@ -64,64 +47,32 @@ impl SelectivityHistogram {
         idx[0] + res * (idx[1] + res * idx[2])
     }
 
-    /// Precomputes the per-probe invariants — grid extents and bucket
-    /// sizes, which [`SelectivityHistogram::estimate_selectivity`] would
-    /// otherwise re-derive (including three divisions per visited
-    /// bucket) on every call. Build one per *batch* and feed it to
-    /// [`SelectivityHistogram::estimate_selectivity_with`]; the
-    /// single-query path builds a throwaway one, so both paths compute
-    /// bit-identical estimates.
-    pub fn grid(&self) -> HistogramGrid {
-        let e = self.bounds.extent();
-        let r = self.res as f32;
-        let bucket = [e.x / r, e.y / r, e.z / r];
-        let vol = f64::from(bucket[0]) * f64::from(bucket[1]) * f64::from(bucket[2]);
-        HistogramGrid {
-            len: [
-                e.x.max(f32::MIN_POSITIVE),
-                e.y.max(f32::MIN_POSITIVE),
-                e.z.max(f32::MIN_POSITIVE),
-            ],
-            bucket,
-            inv_bucket_vol: if vol > 0.0 { 1.0 / vol } else { 0.0 },
-        }
-    }
-
-    /// Bounds of bucket `(x, y, z)` under precomputed bucket sizes.
-    #[inline]
-    fn bucket_bounds(&self, g: &HistogramGrid, x: usize, y: usize, z: usize) -> Aabb {
-        let [sx, sy, sz] = g.bucket;
-        let min = Point3::new(
-            self.bounds.min.x + x as f32 * sx,
-            self.bounds.min.y + y as f32 * sy,
-            self.bounds.min.z + z as f32 * sz,
-        );
-        Aabb::new(min, Point3::new(min.x + sx, min.y + sy, min.z + sz))
-    }
-
     /// Estimated fraction of vertices inside `q` (the `Selectivity%`
     /// input of Eq. 2–6), in `[0, 1]`.
     pub fn estimate_selectivity(&self, q: &Aabb) -> f64 {
-        self.estimate_selectivity_with(&self.grid(), q)
-    }
-
-    /// [`SelectivityHistogram::estimate_selectivity`] with the per-batch
-    /// invariants hoisted into a caller-held [`HistogramGrid`] — the
-    /// batch-probe entry point `Planner::decide_batch` uses (one `grid()`
-    /// per batch instead of one per query).
-    #[inline]
-    pub fn estimate_selectivity_with(&self, g: &HistogramGrid, q: &Aabb) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let r = self.res;
+        let e = self.bounds.extent();
+        // Per-axis domain extent (clamped away from zero) and bucket size.
+        let len = [
+            e.x.max(f32::MIN_POSITIVE),
+            e.y.max(f32::MIN_POSITIVE),
+            e.z.max(f32::MIN_POSITIVE),
+        ];
+        let [sx, sy, sz] = [e.x / r as f32, e.y / r as f32, e.z / r as f32];
+        // Buckets are equi-width, so one reciprocal volume serves every
+        // partial-overlap interpolation. `0.0` flags a degenerate (flat)
+        // domain, which falls back to the exact overlap test.
+        let vol = f64::from(sx) * f64::from(sy) * f64::from(sz);
+        let inv_bucket_vol = if vol > 0.0 { 1.0 / vol } else { 0.0 };
         // Bucket index range overlapped by q.
         let mut lo = [0usize; 3];
         let mut hi = [0usize; 3];
         for axis in 0..3 {
-            let len = g.len[axis];
-            let t0 = ((q.min[axis] - self.bounds.min[axis]) / len * r as f32).floor();
-            let t1 = ((q.max[axis] - self.bounds.min[axis]) / len * r as f32).floor();
+            let t0 = ((q.min[axis] - self.bounds.min[axis]) / len[axis] * r as f32).floor();
+            let t1 = ((q.max[axis] - self.bounds.min[axis]) / len[axis] * r as f32).floor();
             lo[axis] = (t0.max(0.0) as usize).min(r - 1);
             hi[axis] = (t1.max(0.0) as usize).min(r - 1);
         }
@@ -133,17 +84,18 @@ impl SelectivityHistogram {
                     if count == 0 {
                         continue;
                     }
-                    let b = self.bucket_bounds(g, x, y, z);
-                    // Equi-width buckets: one precomputed reciprocal
-                    // replaces the per-bucket volume division of
-                    // `overlap_fraction` (degenerate domains fall back
-                    // to the exact test).
-                    let frac = if g.inv_bucket_vol > 0.0 {
+                    let min = Point3::new(
+                        self.bounds.min.x + x as f32 * sx,
+                        self.bounds.min.y + y as f32 * sy,
+                        self.bounds.min.z + z as f32 * sz,
+                    );
+                    let b = Aabb::new(min, Point3::new(min.x + sx, min.y + sy, min.z + sz));
+                    let frac = if inv_bucket_vol > 0.0 {
                         let inter = b.intersection(q);
                         if inter.is_empty() {
                             0.0
                         } else {
-                            (inter.volume() * g.inv_bucket_vol).clamp(0.0, 1.0)
+                            (inter.volume() * inv_bucket_vol).clamp(0.0, 1.0)
                         }
                     } else {
                         b.overlap_fraction(q)
@@ -175,9 +127,8 @@ mod tests {
         Aabb::new(Point3::ORIGIN, Point3::splat(1.0))
     }
 
-    /// Reference estimator: grid geometry re-derived per query, bucket
-    /// sizes re-divided per visited bucket and the exact
-    /// `overlap_fraction` per bucket — no [`HistogramGrid`].
+    /// Reference estimator: bucket sizes re-divided per visited bucket
+    /// and the exact `overlap_fraction` per bucket.
     fn estimate_selectivity_naive(h: &SelectivityHistogram, q: &Aabb) -> f64 {
         if h.total == 0 {
             return 0.0;
@@ -216,20 +167,59 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_estimate_equals_the_naive_reference() {
-        // The hoisted path multiplies by a precomputed reciprocal of the
+    fn estimate_equals_the_naive_reference() {
+        // The estimate multiplies by a precomputed reciprocal of the
         // exact bucket volume where the reference divides per bucket, so
         // the two agree at f32 precision, not bit for bit.
         let pts = random_points(20_000, 54);
         let h = SelectivityHistogram::build(&pts, &unit_bounds(), 8);
         for i in 1..=32 {
             let q = Aabb::cube(Point3::new(0.03 * i as f32, 0.5, 0.5), 0.012 * i as f32);
-            let (hoisted, naive) = (
+            let (estimate, naive) = (
                 h.estimate_selectivity(&q),
                 estimate_selectivity_naive(&h, &q),
             );
-            let rel = (hoisted - naive).abs() / naive.max(1e-300);
-            assert!(rel < 1e-5, "query {i}: {hoisted} vs {naive}");
+            let rel = (estimate - naive).abs() / naive.max(1e-300);
+            assert!(rel < 1e-5, "query {i}: {estimate} vs {naive}");
+        }
+    }
+
+    #[test]
+    fn estimate_grows_with_a_cube_around_a_fixed_centre() {
+        // The figure harness bisects a cube's half-extent against this
+        // estimate, which is sound only if growing the cube never lowers
+        // it: on random points and on an 11³ lattice with vertices on
+        // the bucket faces, for centres on a bucket corner, inside a
+        // bucket and at the domain's corner, out past the bounds.
+        let lattice: Vec<Point3> = (0..11 * 11 * 11)
+            .map(|i| {
+                let c = |k: usize| k as f32 / 10.0;
+                Point3::new(c(i % 11), c(i / 11 % 11), c(i / 121))
+            })
+            .collect();
+        for pts in [random_points(5_000, 55), lattice] {
+            let h = SelectivityHistogram::build(&pts, &unit_bounds(), 8);
+            for center in [
+                Point3::splat(0.5),
+                Point3::new(0.31, 0.77, 0.12),
+                Point3::ORIGIN,
+            ] {
+                let mut last = 0.0;
+                for i in 1..=50 {
+                    let q = Aabb::cube(center, 0.02 * i as f32);
+                    let s = h.estimate_selectivity(&q);
+                    assert!(
+                        s >= last,
+                        "{center:?} half {}: {s} < {last}",
+                        0.02 * i as f32
+                    );
+                    last = s;
+                }
+                assert!(
+                    (last - 1.0).abs() < 1e-9,
+                    "{center:?}: the sweep ends at {last}"
+                );
+            }
         }
     }
 

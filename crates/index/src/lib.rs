@@ -40,7 +40,7 @@ pub mod rtree;
 mod traits;
 
 pub use grid::UniformGrid;
-pub use histogram::{HistogramGrid, SelectivityHistogram};
+pub use histogram::SelectivityHistogram;
 pub use linear_scan::LinearScan;
 pub use lur::LurTree;
 pub use octree::Octree;

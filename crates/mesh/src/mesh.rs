@@ -88,8 +88,8 @@ pub struct Mesh {
     restructure: Option<Arc<RestructureState>>,
     /// Monotone count of committed restructuring operations — the
     /// connectivity generation. Deformation never advances it, so any
-    /// consumer caching connectivity-derived state (planner crossover,
-    /// surface statistics, snapshot executors) can compare epochs
+    /// consumer caching connectivity-derived state (the Eq.-6
+    /// crossover, surface statistics, snapshot executors) can compare epochs
     /// instead of diffing the mesh.
     restructure_epoch: u64,
 }
@@ -576,8 +576,8 @@ impl Mesh {
     /// relabelling ([`Mesh::permute_vertices`]) carries it over
     /// unchanged — two meshes with equal epochs in the same lineage
     /// have identical connectivity up to the relabelling. Consumers
-    /// that cache connectivity-derived state (the Eq.-6 planner
-    /// crossover, surface statistics) compare epochs to detect
+    /// that cache connectivity-derived state (the Eq.-6 crossover,
+    /// surface statistics) compare epochs to detect
     /// staleness instead of re-deriving per call. Standing queries do
     /// not: the monitor tells them of each restructured step as it
     /// absorbs it (which it detects by this epoch), and they rely on

@@ -1,13 +1,14 @@
 //! The parallel plan runner: a persistent worker pool over a shared
 //! `&Octopus`, allocation-free in steady state.
 //!
-//! Every box query the service answers is a [`Plan`] run here against
-//! one [`Snapshot`]: groups of batch indices, each with a [`Route`],
-//! claimed by the workers off one atomic cursor and reassembled in
-//! input order ([`ParallelExecutor::run_plan`]); crawl-routed groups
-//! seed from the snapshot's probe. The batch engine
-//! ([`crate::BatchEngine`]) plans every request's overlap groups and
-//! scan routes; [`ParallelExecutor::execute_batch`] runs the plan of
+//! Every box query the service answers is part of a plan run here
+//! against one [`Snapshot`]: groups of batch indices that cover every
+//! index exactly once, each one [`Octopus::query_group`] crawl seeded
+//! from the snapshot's probe (a singleton being a group of one),
+//! claimed by the workers off one atomic cursor in plan order and
+//! reassembled in input order ([`ParallelExecutor::run_plan`]). The
+//! batch engine ([`crate::BatchEngine`]) plans every request's overlap
+//! groups; [`ParallelExecutor::execute_batch`] runs the plan of
 //! singletons on the full surface probe, for callers without a
 //! snapshot or an engine.
 
@@ -21,7 +22,6 @@ use octopus_geom::{Aabb, VertexId};
 use octopus_mesh::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One query's answer: the matching vertex ids plus the per-phase
 /// execution statistics.
@@ -33,29 +33,7 @@ pub struct QueryResult {
     pub timings: PhaseTimings,
 }
 
-/// How one [`Group`] of a plan executes.
-pub(crate) enum Route {
-    /// One [`Octopus::query_group`] call under the snapshot's probe: a
-    /// shared-frontier crawl, a singleton being a group of one.
-    Crawl,
-    /// One shared pass over the positions, testing every member.
-    Scan,
-}
-
-/// Queries of one batch that execute together.
-pub(crate) struct Group {
-    /// Indices into the batch.
-    pub(crate) members: Vec<u32>,
-    pub(crate) route: Route,
-}
-
-/// The execution plan of one batch: its groups cover every batch index
-/// exactly once, and the workers claim them in this order.
-pub(crate) struct Plan {
-    pub(crate) groups: Vec<Group>,
-}
-
-/// What running a [`Plan`] produced.
+/// What running a plan produced.
 pub(crate) struct PlanRun {
     /// Per-query results, in input order.
     pub(crate) results: Vec<QueryResult>,
@@ -100,10 +78,9 @@ impl Worker {
         &mut self,
         snap: &Snapshot<'_>,
         queries: &[Aabb],
-        group: &Group,
+        members: &[u32],
         recycler: &ResultRecycler,
     ) {
-        let members = &group.members;
         self.claimed += 1;
         self.boxes.clear();
         self.boxes
@@ -113,71 +90,22 @@ impl Worker {
         self.timings.clear();
         self.timings.resize(members.len(), PhaseTimings::default());
 
-        match &group.route {
-            Route::Scan => {
-                scan_group(snap.mesh, &self.boxes, &mut self.bufs, &mut self.timings);
-                if let Some(m) = snap.exec.metrics() {
-                    for t in &self.timings {
-                        m.record_scan(t);
-                    }
-                }
-            }
-            Route::Crawl => {
-                let shared = snap.exec.query_group(
-                    &mut self.scratch,
-                    snap.mesh,
-                    &self.boxes,
-                    snap.probe,
-                    &mut self.bufs,
-                    &mut self.timings,
-                );
-                if members.len() >= 2 {
-                    self.shared_visited += shared;
-                }
-            }
+        let shared = snap.exec.query_group(
+            &mut self.scratch,
+            snap.mesh,
+            &self.boxes,
+            snap.probe,
+            &mut self.bufs,
+            &mut self.timings,
+        );
+        if members.len() >= 2 {
+            self.shared_visited += shared;
         }
 
         let results = self.bufs.drain(..).zip(&self.timings);
         for (&i, (vertices, &timings)) in members.iter().zip(results) {
             self.staged.push((i, QueryResult { vertices, timings }));
         }
-    }
-}
-
-/// One shared linear scan over the positions, demultiplexed into the
-/// member `boxes`; the pass's wall time is attributed to the first
-/// member, so batch aggregation sums real time. Matches crawl semantics
-/// on orphaned vertices: range queries are defined over *active*
-/// vertices, so zero-degree position slots left behind by restructuring
-/// are skipped.
-fn scan_group(
-    mesh: &Mesh,
-    boxes: &[Aabb],
-    results: &mut [Vec<VertexId>],
-    timings: &mut [PhaseTimings],
-) {
-    let t0 = Instant::now();
-    let union = boxes.iter().fold(Aabb::EMPTY, |acc, q| acc.union(q));
-    // One pass over the positions in place. The union box rejects most
-    // vertices of a selective group in one branchless test; per-member
-    // routing runs only on the survivors. A NaN coordinate fails every
-    // closed comparison, so such a vertex is in no result.
-    for (v, &p) in mesh.positions().iter().enumerate() {
-        let v = v as VertexId;
-        if !union.contains(p) || mesh.neighbors(v).is_empty() {
-            continue;
-        }
-        for (q, out) in boxes.iter().zip(results.iter_mut()) {
-            if q.contains(p) {
-                out.push(v);
-            }
-        }
-    }
-    for (t, r) in timings.iter_mut().zip(results.iter()) {
-        t.results = r.len();
-    }
-    if let Some(first) = timings.first_mut() {
-        first.linear_scan = t0.elapsed();
     }
 }
 
@@ -296,13 +224,8 @@ impl ParallelExecutor {
             exec: octopus,
             probe: Probe::Surface,
         };
-        let groups = (0..queries.len() as u32)
-            .map(|i| Group {
-                members: vec![i],
-                route: Route::Crawl,
-            })
-            .collect();
-        self.run_plan(&snap, queries, &Plan { groups }).results
+        let groups: Vec<Vec<u32>> = (0..queries.len() as u32).map(|i| vec![i]).collect();
+        self.run_plan(&snap, queries, &groups).results
     }
 
     /// The first worker's traversal scratch, for the monitor's
@@ -316,17 +239,17 @@ impl ParallelExecutor {
         &mut self.workers[0].scratch
     }
 
-    /// The fan-out: the plan's groups are claimed by the workers off an
-    /// atomic cursor (stolen in plan order), each group executes per its
-    /// route into leased result buffers, and everything is reassembled
+    /// The fan-out: the plan's `groups` are claimed by the workers off
+    /// an atomic cursor (stolen in plan order), each group crawls into
+    /// leased result buffers, and everything is reassembled
     /// in input order.
     pub(crate) fn run_plan(
         &mut self,
         snap: &Snapshot<'_>,
         queries: &[Aabb],
-        plan: &Plan,
+        groups: &[Vec<u32>],
     ) -> PlanRun {
-        let fan_out = self.threads().min(plan.groups.len()).max(1);
+        let fan_out = self.threads().min(groups.len()).max(1);
         while self.workers.len() < fan_out {
             self.workers
                 .push(Worker::new(snap.exec.make_scratch(snap.mesh)));
@@ -350,7 +273,7 @@ impl ParallelExecutor {
                         // results flow back through the pool's channel,
                         // which provides the ordering.
                         let g = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = plan.groups.get(g) else {
+                        let Some(group) = groups.get(g) else {
                             break;
                         };
                         worker.run_group(snap, queries, group, recycler);
@@ -364,11 +287,7 @@ impl ParallelExecutor {
         if let Some(m) = &self.metrics {
             // Anything a worker claimed above an equal share was stolen
             // from a slower worker's notional allotment.
-            m.record_steals(
-                workers.iter().map(|w| w.claimed),
-                plan.groups.len(),
-                fan_out,
-            );
+            m.record_steals(workers.iter().map(|w| w.claimed), groups.len(), fan_out);
         }
 
         // Reassemble in input order through the persistent slot buffer.

@@ -10,7 +10,7 @@
 //!   submissions, not `thread::scope` spawns, so steady state performs
 //!   zero thread spawns.
 //! * [`ParallelExecutor`] — the **plan runner**: every box query the
-//!   crate answers is a plan (groups of queries, each with a route)
+//!   crate answers is a plan (groups of queries, each one crawl)
 //!   run against one [`Snapshot`], fanned out over the pool by one
 //!   work-stealing cursor and reassembled in input order. The epoch-stamped scratch
 //!   design makes per-worker state reuse free: workers share one
@@ -43,18 +43,17 @@
 //!   exact at any drift, never maintained by deformation, rebuilt with
 //!   the executor and when the newest slot has drifted past one cell.
 //!
-//! * [`BatchEngine`] — the **batch planner**: incoming batches are
+//! * [`BatchEngine`] — the **batch scheduler**: incoming batches are
 //!   sorted by the Hilbert key of each query's centroid and swept into
 //!   *overlap groups*; each group of ≥ 2 intersecting queries runs one
 //!   **shared-frontier crawl** (one probe and one BFS over the union
 //!   region with a per-vertex membership bitmask — a vertex inside k
-//!   overlapping queries is visited once, not k times), and
-//!   `Planner::decide_batch` routes each group (shared linear scan vs.
-//!   crawl) per its Eq.-6 decision instead of one global mode. The
-//!   engine only *plans* a batch and *absorbs* what its run produced
-//!   (the [`EngineReport`], telemetry); the run itself is the plan
-//!   runner's. Every monitor plans its box requests with one, built at
-//!   set-up ([`MonitorLoop::set_batch_engine`] replaces it).
+//!   overlapping queries is visited once, not k times). Every group
+//!   crawls: no box is routed to a linear scan, so each box has one
+//!   answer. The engine only *plans* a batch and *absorbs* what its
+//!   run produced (the [`EngineReport`], telemetry); the run itself is
+//!   the plan runner's. Every monitor plans its box requests with one,
+//!   built at set-up ([`MonitorLoop::set_batch_engine`] rebuilds it).
 //!
 //! **One request path.** A request is a batch — a single query is a
 //! batch of one — and each kind has one entry: box batches through
@@ -90,7 +89,7 @@
 //! `--cfg octopus_model`. The snapshot ring and the admission front are
 //! plain state the monitor owns. Results are bit-identical to the
 //! sequential executor (the crate's property suite verifies batch and
-//! engine-routed execution against
+//! engine-planned execution against
 //! [`octopus_core::Octopus::query_with`] on random and layout-permuted
 //! meshes).
 

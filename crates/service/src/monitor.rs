@@ -55,8 +55,7 @@
 //! in the simulation's mesh; no ring slot carries it. The serving
 //! side's knowledge of the surface and of the connected components is
 //! each slot executor's component map, whose per-component surface
-//! lists a restructure patches from the delta (the planner reads S off
-//! them as well). After set-up nothing
+//! lists a restructure patches from the delta. After set-up nothing
 //! on this side extracts a surface, rebuilds an adjacency or copies
 //! one: a restructure costs the delta, a re-layout a relabelling.
 //!
@@ -680,8 +679,8 @@ pub struct MonitorLoop {
     /// pins release, then the permutation is applied at a step
     /// boundary.
     relayout_pending: bool,
-    /// The batch query engine (overlap grouping + shared frontiers +
-    /// planner routing) that plans every box request.
+    /// The batch query engine (overlap grouping + shared frontiers)
+    /// that plans every box request.
     engine: BatchEngine,
     /// What the surface grids did so far (see
     /// [`MonitorLoop::seed_cache_stats`]).
@@ -742,7 +741,7 @@ impl MonitorLoop {
         let edge = typical_edge(&mesh);
         let grid = build_grid(&exec, &mesh, edge);
         let step = sim.current_step();
-        let engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
+        let engine = BatchEngine::new(&mesh);
         let fault = Arc::new(FaultCell::new());
         let sim_metrics = Arc::new(OnceLock::new());
         let (cmd_tx, upd_rx, handle) = spawn_sim(sim, &fault, &sim_metrics);
@@ -840,22 +839,20 @@ impl MonitorLoop {
         let _ = latest.exec.publish_memory();
     }
 
-    /// Replaces the batch engine — built at set-up with
-    /// [`BatchEngineConfig::default`] — with one of configuration `cfg`
-    /// built for the latest snapshot. It plans every box query from
-    /// then on — single, batch, pinned-step or admitted (overlap
-    /// grouping, shared-frontier crawls, Eq.-6 planner routing when
-    /// `cfg.use_planner`), returning exactly what the sequential
-    /// executor returns. Nothing else changes hands: the probe is the
-    /// snapshot's, and standing queries keep their delta path across
-    /// the swap.
+    /// Rebuilds the batch engine for the latest snapshot, carrying the
+    /// attached telemetry over. It plans every box query from then on —
+    /// single, batch, pinned-step or admitted — returning exactly what
+    /// the sequential executor returns. Nothing else changes hands: the
+    /// probe is the snapshot's, and standing queries keep their delta
+    /// path across the swap.
     ///
-    /// Cannot fail: the planner builds its histogram here and reads S
-    /// and M per batch off the slot asked, extracting nothing; the
-    /// `Result` is what existing callers match on.
-    pub fn set_batch_engine(&mut self, cfg: BatchEngineConfig) -> Result<(), ServiceError> {
-        let latest = self.latest();
-        let mut engine = BatchEngine::new(cfg, &latest.mesh);
+    /// The engine has nothing to configure and is attached at set-up,
+    /// so this only rebuilds the default. It stays, with its
+    /// field-less `_cfg` and its `Result` (never `Err`), only because
+    /// the repository benchmark's adapter calls it; it goes when a
+    /// benchmark change drops that call.
+    pub fn set_batch_engine(&mut self, _cfg: BatchEngineConfig) -> Result<(), ServiceError> {
+        let mut engine = BatchEngine::new(&self.latest().mesh);
         if let Some(t) = &self.telemetry {
             engine.attach_metrics(&t.engine);
         }
@@ -1419,15 +1416,12 @@ impl MonitorLoop {
             slot,
         );
         let results = self.engine.execute(&mut self.pool, &snap, queries);
-        // Scan-routed queries probe nothing.
-        let probed = queries.len() - self.engine.report().scan_queries;
-        Self::count_probed(&mut self.grid_stats, snap.probe, probed);
+        Self::count_probed(&mut self.grid_stats, snap.probe, queries.len());
         results
     }
 
     /// Answers a batch against the latest snapshot on the worker pool,
-    /// planned by the batch engine (overlap grouping, shared frontiers,
-    /// planner routing).
+    /// planned by the batch engine (overlap grouping, shared frontiers).
     pub fn query_batch(&mut self, queries: &[Aabb]) -> Vec<QueryResult> {
         self.serve(self.slots.len() - 1, queries)
     }

@@ -102,32 +102,22 @@ impl PoolMetrics {
     }
 }
 
-/// Batch-engine metrics: grouping, routing, shared-frontier savings
-/// and planner mis-routes.
+/// Batch-engine metrics: grouping and shared-frontier savings.
 #[derive(Clone)]
 pub struct EngineMetrics {
     /// `engine_batches_total`.
     pub(crate) batches: Counter,
     /// `engine_group_size` — members per overlap group.
     pub(crate) group_size: Histogram,
-    /// `engine_grouped_queries_total` / `engine_scan_queries_total` —
-    /// per-route query counts.
+    /// `engine_grouped_queries_total` — queries that ran inside a
+    /// shared-frontier group of two or more.
     pub(crate) grouped_queries: Counter,
-    pub(crate) scan_queries: Counter,
     /// `engine_shared_visited_total` / `engine_attributed_visited_total`
     /// / `engine_frontier_savings_total` — shared-frontier accounting
     /// (savings = attributed − shared).
     pub(crate) shared_visited: Counter,
     pub(crate) attributed_visited: Counter,
     pub(crate) frontier_savings: Counter,
-    /// `planner_decisions_octopus_total` / `planner_decisions_scan_total`
-    /// — Eq.-6 routing decisions.
-    pub(crate) planner_octopus: Counter,
-    pub(crate) planner_scan: Counter,
-    /// `planner_misroutes_total` — decisions whose *measured*
-    /// selectivity fell on the other side of the crossover than the
-    /// estimate (the decision-vs-actual-winner counter).
-    pub(crate) planner_misroutes: Counter,
 }
 
 impl EngineMetrics {
@@ -137,13 +127,9 @@ impl EngineMetrics {
             batches: registry.counter("engine_batches_total"),
             group_size: registry.histogram("engine_group_size"),
             grouped_queries: registry.counter("engine_grouped_queries_total"),
-            scan_queries: registry.counter("engine_scan_queries_total"),
             shared_visited: registry.counter("engine_shared_visited_total"),
             attributed_visited: registry.counter("engine_attributed_visited_total"),
             frontier_savings: registry.counter("engine_frontier_savings_total"),
-            planner_octopus: registry.counter("planner_decisions_octopus_total"),
-            planner_scan: registry.counter("planner_decisions_scan_total"),
-            planner_misroutes: registry.counter("planner_misroutes_total"),
         }
     }
 }
@@ -401,7 +387,7 @@ pub struct ServiceTelemetry {
     pub(crate) executor: Arc<ExecutorMetrics>,
     /// Pool submission/lifecycle metrics.
     pub(crate) pool: PoolMetrics,
-    /// Engine grouping/routing metrics.
+    /// Engine grouping and shared-frontier metrics.
     pub(crate) engine: EngineMetrics,
     /// Ring/drift/standing-query metrics.
     pub(crate) monitor: MonitorMetrics,

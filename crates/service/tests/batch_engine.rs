@@ -1,5 +1,5 @@
 //! Property suite of the batch query engine: shared-frontier overlap
-//! groups + Eq.-6 planner routing, under the full surface probe and
+//! groups, under the full surface probe and
 //! under the surface grid's, must return, per query, exactly what the
 //! sequential `Octopus::query_with` returns — on random meshes and
 //! workloads, across deformation and restructuring steps, mid-run
@@ -13,25 +13,24 @@
 //! restructure, re-layout and drift rebuild.
 
 use octopus_core::{
-    AggregateKind, Characteristics, CostModel, Decision, ExecutorMetrics, Octopus, PhaseTimings,
-    Planner, Probe, QueryShape, ShapeResult, Strategy, SurfaceGrid,
+    AggregateKind, ExecutorMetrics, Octopus, PhaseTimings, Probe, QueryShape, ShapeResult,
+    SurfaceGrid,
 };
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Vec3, VertexId};
 use octopus_mesh::Mesh;
 use octopus_meshgen::{neuron, NeuroLevel};
 use octopus_service::{
-    BatchEngine, BatchEngineConfig, EngineMetrics, EngineReport, LayoutPolicy, MonitorLoop,
-    ParallelExecutor, QueryResult, RelayoutTrigger, Snapshot,
+    BatchEngine, EngineMetrics, EngineReport, LayoutPolicy, MonitorLoop, ParallelExecutor,
+    QueryResult, RelayoutTrigger, Snapshot,
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
 use octopus_testkit::{
-    box_mesh, knn_scan, mixed_workload, scan_active, scan_region, sequential_answers,
-    sequential_reference, sorted,
+    assert_scan_up_to_gap, box_mesh, knn_scan, mixed_workload, scan_active, scan_region,
+    sequential_answers, sequential_reference, sorted,
 };
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 /// `mesh` as the engine sees a retained step, under `probe`.
 fn static_snapshot<'a>(exec: &'a Octopus, mesh: &'a Mesh, probe: Probe<'a>) -> Snapshot<'a> {
@@ -100,8 +99,8 @@ fn grid_for(mesh: &Mesh, cell: f32) -> SurfaceGrid {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Engine ≡ sequential on random meshes/workloads, planner +
-    /// grouping enabled, under both probes (static snapshot).
+    /// Engine ≡ sequential on random meshes/workloads, grouping
+    /// enabled, under both probes (static snapshot).
     #[test]
     fn engine_matches_sequential_on_random_workloads(
         n in 3usize..7,
@@ -116,7 +115,7 @@ proptest! {
             box_mesh(n)
         };
         let queries = mixed_workload(&mesh, seed, clusters, 4);
-        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
+        let mut engine = BatchEngine::new(&mesh);
         let mut pool = ParallelExecutor::new(workers);
         let grid = grid_for(&mesh, 0.2);
         let full =
@@ -124,10 +123,7 @@ proptest! {
         let cells =
             assert_engine_equivalent(&mut engine, &mut pool, &mesh, Some(&grid), &queries, "grid");
         prop_assert_eq!(full, 0, "the full probe visits no grid cell");
-        prop_assert!(
-            cells > 0 || engine.report().scan_queries == queries.len(),
-            "crawl-routed queries must have probed through the grid"
-        );
+        prop_assert!(cells > 0, "every query must have probed through the grid");
     }
 
     /// Engine ≡ sequential across deformation steps: a grid anchored at
@@ -138,7 +134,7 @@ proptest! {
     ) {
         let mut mesh = box_mesh(6);
         let queries = mixed_workload(&mesh, seed, 2, 3);
-        let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
+        let mut engine = BatchEngine::new(&mesh);
         let mut pool = ParallelExecutor::new(2);
         let grid = grid_for(&mesh, 0.2);
         let mut rng = SplitMix64::new(seed ^ 0xD1F7);
@@ -159,12 +155,11 @@ proptest! {
     }
 
     /// The full monitor path — snapshot ring (K ∈ {1, 3}), restructuring
-    /// steps, engine-routed batches — against a stop-the-world replay.
-    /// The planner is left off here: Eq.-6 scan routing is validated on
-    /// deformation-only workloads below, because on restructure-carved
-    /// meshes a linear scan can (correctly) find concave-pocket vertices
-    /// that Algorithm 1 itself misses — the baseline's documented gap,
-    /// not the engine's.
+    /// steps, engine-planned batches — against a stop-the-world replay
+    /// that crawls too: on restructure-carved meshes a linear scan can
+    /// find concave-pocket vertices that Algorithm 1 itself misses (the
+    /// gap `inherited_algorithm1_gap_is_pinned` pins), so the replay,
+    /// not a scan, is the reference.
     #[test]
     fn monitor_engine_matches_stop_the_world_with_restructuring(
         depth_pick in proptest::bool::ANY,
@@ -187,7 +182,6 @@ proptest! {
             LayoutPolicy::Preserve,
             depth,
         ).unwrap();
-        monitor.set_batch_engine(BatchEngineConfig { use_planner: false }).unwrap();
 
         let mut sim = make_sim(base);
         let mut reference = Octopus::new(sim.mesh()).unwrap();
@@ -234,22 +228,20 @@ proptest! {
     }
 }
 
-/// Planner routing (incl. the shared linear scan and the hoisted
-/// `decide_batch`) on a deformation-only workload: big queries cross the
-/// Eq.-6 crossover and route to the scan, small ones crawl — all exact,
-/// and all of them — scan-routed included — visible to the executor's
-/// telemetry.
+/// Broad boxes crawl like narrow ones: on a deformation-only workload
+/// with two boxes covering most of the mesh, every answer is exact, no
+/// query is routed to a scan, clustered queries share frontiers, and
+/// every query of the batch is visible to the executor's telemetry.
 #[test]
-fn planner_routed_batches_match_sequential() {
+fn broad_and_clustered_batches_crawl_and_match_sequential() {
     let mesh = box_mesh(8);
     let mut queries = mixed_workload(&mesh, 0xA11C, 2, 4);
-    // Broad queries: high selectivity ⇒ LinearScan decisions.
     queries.push(Aabb::new(Point3::splat(-0.1), Point3::splat(1.1)));
     queries.push(Aabb::new(Point3::splat(0.1), Point3::splat(0.95)));
     let registry = Registry::new();
     let octopus = Octopus::new(&mesh).unwrap();
     octopus.attach_metrics(&ExecutorMetrics::register(&registry));
-    let mut engine = BatchEngine::new(BatchEngineConfig::default(), &mesh);
+    let mut engine = BatchEngine::new(&mesh);
     engine.attach_metrics(&EngineMetrics::register(&registry));
     let mut pool = ParallelExecutor::new(3);
     assert_engine_equivalent_at(
@@ -257,28 +249,16 @@ fn planner_routed_batches_match_sequential() {
         &mut pool,
         &static_snapshot(&octopus, &mesh, Probe::Surface),
         &queries,
-        "planner-routed",
+        "broad and clustered",
     );
     let telemetry = registry.snapshot();
     assert_eq!(
         telemetry.counter("executor_queries_total"),
         queries.len() as u64,
-        "every query of the batch is an executed query, whatever its route"
-    );
-    assert!(telemetry.counter("engine_scan_queries_total") >= 2);
-    assert!(
-        telemetry
-            .histogram("executor_phase_ns_linear_scan")
-            .unwrap()
-            .count
-            >= 1,
-        "the shared scan pass must land in the linear-scan phase histogram"
+        "every query of the batch is an executed query"
     );
     let report = engine.report();
-    assert!(
-        report.scan_queries >= 2,
-        "broad queries must route to the shared scan: {report:?}"
-    );
+    assert_eq!(report.scan_queries, 0, "every box crawls: {report:?}");
     assert!(
         report.grouped_queries > 0,
         "clustered queries must share frontiers: {report:?}"
@@ -320,9 +300,7 @@ fn shared_frontier_visits_fewer_vertices_on_overlapping_batch() {
         independent += t.crawl_visited;
     }
 
-    // Planner off isolates the shared-frontier counter (no scan
-    // rerouting).
-    let mut engine = BatchEngine::new(BatchEngineConfig { use_planner: false }, &mesh);
+    let mut engine = BatchEngine::new(&mesh);
     let mut pool = ParallelExecutor::new(2);
     assert_engine_equivalent(&mut engine, &mut pool, &mesh, None, &queries, "overlap-64");
     let report = *engine.report();
@@ -376,9 +354,6 @@ fn assert_relayout_lifecycle(
         trigger: RelayoutTrigger::AfterRestructures(relayout_after),
     };
     let mut monitor = MonitorLoop::with_config(make_sim(base.clone()), 2, policy, 1).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
 
     let mut sim = make_sim(base);
     let mut reference = Octopus::new(sim.mesh()).unwrap();
@@ -524,10 +499,6 @@ fn grid_never_rebuilds_under_a_bounded_field() {
             Box::new(SmoothRandomField::new(0.01, 3, 0x6121D)),
         );
         let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-        // Eq. 6 would scan these boxes on so small a mesh.
-        monitor
-            .set_batch_engine(BatchEngineConfig { use_planner: false })
-            .unwrap();
         assert_grid_lifecycle(&mut monitor, 50, apart, |step, reach| {
             assert!(reach > 0.0 && reach <= 1.0, "step {step}: reach {reach}");
         });
@@ -562,9 +533,6 @@ fn grid_rebuilds_under_a_monotone_field() {
         Box::new(Translate(Point3::new(0.11, -0.07, 0.05))),
     );
     let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
     assert_grid_lifecycle(&mut monitor, 30, false, |step, reach| {
         assert!(reach <= 1.0, "step {step}: reach {reach} cells");
     });
@@ -622,9 +590,6 @@ fn a_poisoned_snapshot_never_reanchors_the_grid() {
         }),
     );
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
     let q = Aabb::new(Point3::splat(-0.1), Point3::splat(0.45));
     let (mut probes, mut fallbacks) = (0, 0);
     for step in 1..=10u32 {
@@ -712,9 +677,6 @@ fn component_bounds_follow_a_drift_rebuild() {
     let velocity = Point3::new(0.13, -0.06, 0.04);
     let sim = Simulation::new(mesh, Box::new(Translate(velocity)));
     let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
     let (mut found, mut rebuilds) = (0, 0);
     for step in 1..=12u32 {
         monitor.begin_step().unwrap();
@@ -846,9 +808,6 @@ fn engine_serves_retained_ring_steps_exactly() {
         |mesh: Mesh| Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 0x77)));
     let mut monitor =
         MonitorLoop::with_config(make_sim(base.clone()), 2, LayoutPolicy::Preserve, depth).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig::default())
-        .unwrap();
     let queries = [
         Aabb::cube(Point3::splat(0.5), 0.2),
         Aabb::cube(Point3::splat(0.3), 0.15),
@@ -881,50 +840,25 @@ fn engine_serves_retained_ring_steps_exactly() {
     }
 }
 
-/// Checks one engine-routed batch answered against `mesh`: `decisions`
-/// are the routes an independent planner took under `mesh`'s own S and
-/// M. Scan-routed answers equal a scan of the active vertices;
-/// crawl-routed ones may differ only by Algorithm 1's blind spot — a
-/// subset of the scan in which no missing vertex has a returned
-/// neighbour. The engine's report must count what it routed.
-fn assert_routed_batch(
+/// Checks one engine-planned batch answered against `mesh`: every
+/// answer is the crawl's, equal to a scan of the active vertices up to
+/// Algorithm 1's blind spot. The engine's report must count the batch,
+/// and no query routed to a scan.
+fn assert_crawled_batch(
     mesh: &Mesh,
     queries: &[Aabb],
-    decisions: &[Decision],
     results: &[QueryResult],
     report: EngineReport,
     ctx: &str,
 ) {
     assert_eq!(results.len(), queries.len(), "{ctx}");
-    for (i, ((q, d), r)) in queries.iter().zip(decisions).zip(results).enumerate() {
+    for (i, (q, r)) in queries.iter().zip(results).enumerate() {
         let got = sorted(r.vertices.clone());
-        let want = scan_active(mesh, q);
-        if d.strategy == Strategy::LinearScan {
-            assert_eq!(got, want, "{ctx}: scan-routed query {i}");
-            continue;
-        }
-        let returned: HashSet<VertexId> = got.iter().copied().collect();
-        assert!(
-            got.iter().all(|v| want.binary_search(v).is_ok()),
-            "{ctx}: crawl-routed query {i} returned a vertex the scan did not"
-        );
-        for &v in want.iter().filter(|v| !returned.contains(v)) {
-            assert!(
-                !mesh.neighbors(v).iter().any(|w| returned.contains(w)),
-                "{ctx}: crawl-routed query {i} missed {v} beside a returned neighbour"
-            );
-        }
+        assert_scan_up_to_gap(mesh, q, &got, &format!("{ctx}: query {i}"));
     }
-    let scanned = decisions
-        .iter()
-        .filter(|d| d.strategy == Strategy::LinearScan)
-        .count();
     assert_eq!(report.queries, queries.len(), "{ctx}: {report:?}");
-    assert_eq!(report.scan_queries, scanned, "{ctx}: {report:?}");
-    assert!(
-        report.grouped_queries <= queries.len() - scanned,
-        "{ctx}: only crawl-routed queries share a frontier: {report:?}"
-    );
+    assert_eq!(report.scan_queries, 0, "{ctx}: {report:?}");
+    assert!(report.grouped_queries <= queries.len(), "{ctx}: {report:?}");
     assert!(
         (1..=queries.len()).contains(&report.groups),
         "{ctx}: {report:?}"
@@ -934,14 +868,14 @@ fn assert_routed_batch(
     }
 }
 
-/// The churn request shape with the planner on: ring depth 2,
-/// restructuring every 3rd step, one re-layout, and each round a
-/// latest-step batch plus a batch pinned to the oldest retained step.
-/// Every batch is routed under the S and M of the slot it asks — after
-/// a restructure the two batches of a round see different generations
-/// — and every answer is checked against a scan of that slot.
+/// The churn request shape: ring depth 2, restructuring every 3rd
+/// step, one re-layout, and each round a latest-step batch plus a batch
+/// pinned to the oldest retained step. Every batch is answered from the
+/// slot it asks — after a restructure the two batches of a round see
+/// different connectivity generations — and every answer is checked
+/// against a scan of that slot.
 #[test]
-fn churn_rounds_route_each_batch_by_its_own_snapshot() {
+fn churn_rounds_answer_each_batch_from_its_own_snapshot() {
     let mut base = box_mesh(7);
     base.enable_restructuring().unwrap();
     let sim = Simulation::new(base, Box::new(SmoothRandomField::new(0.006, 3, 0xC0)))
@@ -951,55 +885,24 @@ fn churn_rounds_route_each_batch_by_its_own_snapshot() {
         trigger: RelayoutTrigger::AfterRestructures(2),
     };
     let mut monitor = MonitorLoop::with_config(sim, 2, policy, 2).unwrap();
-    monitor
-        .set_batch_engine(BatchEngineConfig::default())
-        .unwrap();
-    // What the engine's planner is: paper constants over a histogram of
-    // the positions at attach.
-    let planner = Planner::new(monitor.snapshot(), CostModel::paper_constants(), 8);
-    let characteristics = |mesh: &Mesh| Characteristics::of(mesh, mesh.surface().unwrap().len());
-    let decide = |mesh: &Mesh, queries: &[Aabb]| {
-        let data = characteristics(mesh);
-        (planner.decide_batch(data, queries), data)
-    };
-    let ingest = characteristics(monitor.snapshot());
-    // Nested boxes whose estimates straddle the crossover as
-    // restructuring moves it.
+    // Nested boxes, up to broad ones that share one frontier.
     let sweep: Vec<Aabb> = (0..24)
         .map(|i| Aabb::cube(Point3::splat(0.5), 0.08 + 0.0015 * i as f32))
         .collect();
 
-    let (mut scanned, mut crawled, mut split_rounds, mut moved) = (0, 0, 0, 0);
+    let mut split_rounds = 0;
     for step in 1..=10u32 {
         monitor.begin_step().unwrap();
         monitor.finish_step().unwrap();
 
         let mut fresh = mixed_workload(monitor.snapshot(), u64::from(step), 3, 3);
         fresh.extend_from_slice(&sweep);
-        let (decisions, latest) = decide(monitor.snapshot(), &fresh);
-        moved += fresh
-            .iter()
-            .zip(&decisions)
-            .filter(|(q, d)| planner.decide(ingest, q).strategy != d.strategy)
-            .count();
         let results = monitor.query_batch(&fresh);
         let ctx = format!("step {step}, latest");
         let report = monitor.engine_report().unwrap();
-        assert_routed_batch(
-            monitor.snapshot(),
-            &fresh,
-            &decisions,
-            &results,
-            report,
-            &ctx,
-        );
+        assert_crawled_batch(monitor.snapshot(), &fresh, &results, report, &ctx);
         monitor.recycle(results);
-        for d in &decisions {
-            match d.strategy {
-                Strategy::LinearScan => scanned += 1,
-                Strategy::Octopus => crawled += 1,
-            }
-        }
+        let latest = monitor.snapshot().restructure_epoch();
 
         let oldest = *monitor.retained_steps().start();
         let mut old = mixed_workload(monitor.snapshot(), u64::from(step) ^ 0x01D, 2, 2);
@@ -1007,28 +910,19 @@ fn churn_rounds_route_each_batch_by_its_own_snapshot() {
         monitor.pin_step(oldest).unwrap();
         let results = monitor.query_batch_at(oldest, &old).unwrap();
         let mesh = monitor.snapshot_at(oldest).unwrap();
-        let (decisions, pinned) = decide(mesh, &old);
         let ctx = format!("step {step}, pinned step {oldest}");
         let report = monitor.engine_report().unwrap();
-        assert_routed_batch(mesh, &old, &decisions, &results, report, &ctx);
-        monitor.recycle(results);
-        monitor.unpin_step(oldest).unwrap();
-        if pinned != latest {
+        assert_crawled_batch(mesh, &old, &results, report, &ctx);
+        if mesh.restructure_epoch() != latest {
             split_rounds += 1;
         }
+        monitor.recycle(results);
+        monitor.unpin_step(oldest).unwrap();
     }
     assert_eq!(monitor.relayouts(), 1, "the schedule re-lays out once");
     assert!(
         split_rounds >= 2,
         "restructure rounds must ask two generations"
-    );
-    assert!(
-        scanned > 0 && crawled > 0,
-        "both routes must run: {scanned} scan-routed, {crawled} crawl-routed"
-    );
-    assert!(
-        moved > 0,
-        "some box must route differently under the restructured S and M"
     );
 }
 

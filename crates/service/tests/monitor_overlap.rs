@@ -366,8 +366,8 @@ fn restructuring_and_refused_steps_keep_the_buffers_rotating() {
 
 /// No query path derives anything from the positions: the mesh of the
 /// newest slot reaches exactly as many heap bytes after singleton
-/// queries, a grouped engine batch and a planner-routed shared scan as
-/// before them (`Mesh::memory_bytes` counts the blocked-SoA mirror's
+/// queries and a grouped engine batch with a whole-mesh box as before
+/// them (`Mesh::memory_bytes` counts the blocked-SoA mirror's
 /// capacity, so a path that still built it shows here; the shared
 /// connectivity is in both readings, and every position array of this
 /// restructure-free run is exactly as long as the mesh).
@@ -376,8 +376,8 @@ fn no_query_path_builds_the_position_mirror() {
     let sim = Simulation::new(box_mesh(12), Box::new(SmoothRandomField::new(0.01, 3, 21)));
     let mut monitor = MonitorLoop::with_config(sim, 2, LayoutPolicy::Preserve, 2).unwrap();
     let untouched = monitor.snapshot().memory_bytes();
-    // Two overlapping boxes (one shared-frontier group) and one box
-    // wide enough for Eq. 6 to prefer the shared scan.
+    // Two overlapping boxes and a whole-mesh box over both: one
+    // shared-frontier group, the broad box crawled like the others.
     let batch = [
         Aabb::cube(Point3::splat(0.4), 0.08),
         Aabb::cube(Point3::splat(0.45), 0.08),
@@ -400,8 +400,11 @@ fn no_query_path_builds_the_position_mirror() {
         assert_eq!(results[2].vertices.len(), monitor.snapshot().num_vertices());
         monitor.recycle(results);
         let report = monitor.engine_report().unwrap();
-        assert_eq!(report.grouped_queries, 2, "{report:?}");
-        assert_eq!(report.scan_queries, 1, "{report:?}");
+        assert_eq!(report.grouped_queries, 3, "{report:?}");
+        assert_eq!(
+            report.scan_queries, 0,
+            "the whole-mesh box crawls: {report:?}"
+        );
         assert_eq!(
             monitor.snapshot().memory_bytes(),
             untouched,
@@ -730,11 +733,9 @@ fn overlapped_monitor_matches_stop_the_world_run() {
 
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 77)));
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    // The reference crawls; Eq. 6 would scan the broad box, which also
-    // finds what Algorithm 1's gap leaves out of the crawl.
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
+    // The reference crawls, as every box request does: a scan of the
+    // broad box would also find what Algorithm 1's gap
+    // (`inherited_algorithm1_gap_is_pinned`) leaves out of both.
     // Pipelined loop: while step N+1 computes on the simulation thread,
     // step N's queries are answered against the snapshot.
     monitor.begin_step().unwrap();

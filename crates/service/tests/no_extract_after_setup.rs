@@ -1,15 +1,15 @@
 //! After set-up the serving side never extracts a surface from the
-//! cells: restructures replay a delta, re-layouts relabel, the planner
-//! reads S off the slot executor's index. `Surface::extract_calls` is a
-//! process-wide counter, so this check owns its test binary (one test,
-//! no concurrent set-ups to blame).
+//! cells: restructures replay a delta, re-layouts relabel, and a
+//! rebuilt batch engine reads only a bounding box.
+//! `Surface::extract_calls` is a process-wide counter, so this check
+//! owns its test binary (one test, no concurrent set-ups to blame).
 
 use octopus_geom::{Aabb, Point3};
 use octopus_mesh::Surface;
 use octopus_service::{BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger};
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
-use octopus_testkit::{box_mesh, scan_active, sorted};
+use octopus_testkit::{assert_scan_up_to_gap, box_mesh, scan_active, sequential_reference, sorted};
 
 #[test]
 fn no_service_call_extracts_a_surface_after_setup() {
@@ -32,7 +32,7 @@ fn no_service_call_extracts_a_surface_after_setup() {
     let sub = monitor.subscribe(&boxes[1]);
 
     // Set-up is over: from here on, not one extraction.
-    let extractions = Surface::extract_calls();
+    let mut extractions = Surface::extract_calls();
     for step in 1..=10 {
         monitor.begin_step().unwrap();
         assert_eq!(monitor.finish_step().unwrap(), step);
@@ -50,11 +50,22 @@ fn no_service_call_extracts_a_surface_after_setup() {
             extractions,
             "step {step} reached Surface::extract"
         );
-        // The referee runs after the counter check: `scan_active` never
-        // extracts, but keep the accounting obviously clean.
-        for (q, got) in boxes.iter().zip(&got) {
-            assert_eq!(got, &scan_active(monitor.snapshot(), q), "step {step}");
-        }
+        // The referees run after the counter check. The broad box
+        // equals the scan. The narrow one crawls to where restructuring
+        // carved the mesh, and Algorithm 1's gap leaves vertices out of
+        // it at steps 7 and 8 (see `inherited_algorithm1_gap_is_pinned`):
+        // it equals a fresh sequential executor's crawl exactly, and the
+        // scan up to the gap. The fresh executor extracts its own
+        // surface, so the count restarts after it.
+        let ctx = format!("step {step}");
+        assert_eq!(got[0], scan_active(monitor.snapshot(), &boxes[0]), "{ctx}");
+        assert_scan_up_to_gap(monitor.snapshot(), &boxes[1], &got[1], &ctx);
+        let fresh = sequential_reference(monitor.snapshot(), &boxes[1..]);
+        assert_eq!(
+            got[1], fresh[0],
+            "{ctx}: the engine and a fresh crawl differ"
+        );
+        extractions = Surface::extract_calls();
         assert_eq!(
             monitor.subscription_result(sub).unwrap(),
             scan_active(monitor.snapshot(), &boxes[1])

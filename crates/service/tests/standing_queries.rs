@@ -17,8 +17,7 @@
 use octopus_geom::rng::SplitMix64;
 use octopus_geom::{Aabb, Point3, Vec3, VertexId};
 use octopus_service::{
-    BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ResultDelta, SubscriptionId,
-    SubscriptionStats,
+    LayoutPolicy, MonitorLoop, RelayoutTrigger, ResultDelta, SubscriptionId, SubscriptionStats,
 };
 use octopus_sim::{Deformation, RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_telemetry::Registry;
@@ -321,11 +320,6 @@ fn zero_band_subscription_is_exact_but_never_fast() {
     let mesh = box_mesh(4);
     let sim = Simulation::new(mesh, Box::new(SmoothRandomField::new(0.01, 3, 7)));
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    // The plain query below must crawl, as the refresh does: Eq. 6
-    // would scan so broad a box.
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
     let q = Aabb::cube(Point3::splat(0.5), 0.25);
     let id = monitor.subscribe_with_band(&q, 0.0);
     for step in 1..=6 {
@@ -333,8 +327,9 @@ fn zero_band_subscription_is_exact_but_never_fast() {
         monitor.finish_step().unwrap();
         monitor.poll_subscriptions();
         // A zero band degenerates to re-running the plain query every
-        // poll: compare against exactly that (not the scan — the plain
-        // crawl's documented corner-island gap applies to both equally).
+        // poll: compare against exactly that. Both crawl, so Algorithm
+        // 1's gap (`inherited_algorithm1_gap_is_pinned`) applies to
+        // both equally; a scan would also return what it leaves out.
         let fresh = monitor.query_batch(&[q]);
         assert_eq!(
             monitor.subscription_result(id).unwrap(),
@@ -481,11 +476,6 @@ fn non_finite_displacement_forces_the_exact_refresh_path() {
         }),
     );
     let mut monitor = MonitorLoop::new(sim, 2).unwrap();
-    // Planner off: on a mesh this small Eq. 6 would scan-route the box
-    // past the probe under test.
-    monitor
-        .set_batch_engine(BatchEngineConfig { use_planner: false })
-        .unwrap();
     let mut mirror = Mirror::subscribe(&mut monitor, q, None);
     let id = mirror.id;
     assert!(mirror.members.contains(&centre), "test premise");

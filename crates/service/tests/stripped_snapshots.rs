@@ -10,9 +10,7 @@
 
 use octopus_geom::{Aabb, Point3, VertexId};
 use octopus_mesh::Mesh;
-use octopus_service::{
-    BatchEngineConfig, LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError,
-};
+use octopus_service::{LayoutPolicy, MonitorLoop, RelayoutTrigger, ServiceError};
 use octopus_sim::{RestructureSchedule, Simulation, SmoothRandomField};
 use octopus_testkit::{box_mesh, scan_active, sorted, with_watchdog, FailPoint};
 use std::sync::Arc;
@@ -72,12 +70,6 @@ fn pinned_old_generation_stays_exact_across_restructures_and_relayout() {
             trigger: RelayoutTrigger::Never,
         };
         let mut monitor = MonitorLoop::with_config(sim, 2, policy, 3).unwrap();
-        // Planner off: Eq. 6 would send boxes this wide on a mesh this
-        // small to the shared scan, past the executors and grids under
-        // test.
-        monitor
-            .set_batch_engine(BatchEngineConfig { use_planner: false })
-            .unwrap();
         assert!(
             !monitor.snapshot().restructuring_enabled(),
             "the ingest slot is already a stripped snapshot"

@@ -1,12 +1,14 @@
 //! The analytical cost model in practice (§IV-G, Eq. 1–6): calibrate
 //! `C_S` / `C_R` / `C_P` on this machine, predict speedups and the
-//! scan-vs-OCTOPUS crossover, and let the [`Planner`] decide per query.
+//! scan-vs-OCTOPUS crossover, and advise per query from a histogram
+//! selectivity estimate (the paper's reference \[2\]).
 //!
 //! ```text
 //! cargo run --release --example cost_model_advisor
 //! ```
 
 use octopus::geom::rng::SplitMix64;
+use octopus::index::SelectivityHistogram;
 use octopus::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,14 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         crossover * 100.0
     );
 
-    // The planner applies Eq. 6 per query using histogram selectivity,
-    // with S read off the executor's surface size (no second extraction).
+    // Eq. 6 per query, on a histogram selectivity estimate, with S read
+    // off the executor's surface size (no second extraction); the
+    // advised path answers the box.
     let engine = Octopus::new(&mesh)?;
     let mut scratch = engine.make_scratch(&mesh);
-    let planner = Planner::new(&mesh, model, 12);
-    let data = Characteristics::of(&mesh, engine.surface_len());
-    let scan = LinearScan::new();
     let bounds = mesh.bounding_box();
+    let histogram = SelectivityHistogram::build(mesh.positions(), &bounds, 12);
+    let s = engine.surface_len() as f64 / mesh.num_vertices() as f64;
+    let m = mesh.adjacency().average_degree();
+    let crossover = model.crossover_selectivity(s, m);
+    let scan = LinearScan::new();
     let mut rng = SplitMix64::new(5);
 
     println!("\nper-query decisions:");
@@ -64,19 +69,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rng.range_f32(bounds.min.z, bounds.max.z),
         );
         let q = Aabb::cube(c, rng.range_f32(0.02, 0.45));
-        let d = planner.decide(data, &q);
+        let sel = histogram.estimate_selectivity(&q);
+        let octopus_wins = sel < crossover;
         let mut out = Vec::new();
-        match d.strategy {
-            Strategy::Octopus => {
-                engine.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
-            }
-            Strategy::LinearScan => scan.query(&q, mesh.positions(), &mut out),
+        if octopus_wins {
+            engine.query_with(&mut scratch, &mesh, &q, Probe::Surface, &mut out);
+        } else {
+            scan.query(&q, mesh.positions(), &mut out);
         }
         println!(
-            "  est. sel {:>7.3}% -> {:?} (predicted speedup {:>5.2}x), {} results",
-            d.estimated_selectivity * 100.0,
-            d.strategy,
-            d.predicted_speedup,
+            "  est. sel {:>7.3}% -> {} (predicted speedup {:>5.2}x), {} results",
+            sel * 100.0,
+            if octopus_wins {
+                "Octopus"
+            } else {
+                "LinearScan"
+            },
+            model.speedup(s, m, sel),
             out.len()
         );
     }

@@ -31,7 +31,7 @@
 //!    the memory order, not the answers;
 //! 5. the whole run is observed through one lock-free telemetry
 //!    [`Registry`](octopus::telemetry::Registry): executor phase
-//!    histograms, pool queue depth, engine/planner counters, the
+//!    histograms, pool queue depth, engine counters, the
 //!    surface grid's probe counters and reach, and the standing-query
 //!    hit rate all land in a single
 //!    [`TelemetrySnapshot`](octopus::telemetry::TelemetrySnapshot) —
@@ -214,10 +214,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Overlapped (pipelined) run -------------------------------
     // Every box batch is planned by the monitor's batch engine:
-    // overlap grouping + shared frontiers + Eq.-6 planner routing.
+    // overlap grouping + shared frontiers, every box crawled.
     let mut monitor = MonitorLoop::with_config(make_sim(mesh.clone())?, workers, policy, depth)?;
     // One lock-free registry observes every layer — executor phases,
-    // pool scheduling, engine grouping, planner routing, the snapshot
+    // pool scheduling, engine grouping, the snapshot
     // ring and the standing queries — and feeds the span tracer whose
     // chrome://tracing export is checked at the end of the run.
     let registry = Registry::new();
@@ -520,7 +520,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  surface grid: {} queries probed / {} fell back / {} rebuilds of {} installed; \
          {:.0} of {} surface ids visited per probe; \
-         last batch: {} group(s), {} grouped, {} scan-routed",
+         last batch: {} group(s), {} grouped",
         grid_stats.hits,
         grid_stats.misses,
         grid_stats.stale,
@@ -528,8 +528,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         candidates.sum as f64 / candidates.count.max(1) as f64,
         octopus.surface_len(),
         engine_report.groups,
-        engine_report.grouped_queries,
-        engine_report.scan_queries
+        engine_report.grouped_queries
     );
     let (walks, walks_pruned) = (
         telemetry.counter("executor_walks_total"),
@@ -554,7 +553,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("surface_grid_probes_total") > 0
             && telemetry.counter("surface_grid_fallbacks_total") == 0
             && candidates.count > 0,
-        "every crawl-routed query must probe through the surface grid \
+        "every query must probe through the surface grid \
          (snapshot: {} probed, {} fell back, {} probes recorded)",
         telemetry.counter("surface_grid_probes_total"),
         telemetry.counter("surface_grid_fallbacks_total"),
@@ -650,7 +649,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "executor_component_rebuilds_total",
         "pool_",
         "engine_",
-        "planner_decisions_",
         "surface_grid_probes_total",
         "surface_grid_fallbacks_total",
         "surface_grid_rebuilds_total",
@@ -681,7 +679,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let phase_ns: u64 = [
         "executor_phase_ns_surface_probe",
-        "executor_phase_ns_linear_scan",
         "executor_phase_ns_directed_walk",
         "executor_phase_ns_crawling",
     ]
@@ -724,15 +721,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         telemetry.counter("pool_steals_total")
     );
     println!(
-        "    engine: {} batches, {} grouped / {} scan-routed queries, {} frontier probes saved; \
-         planner: {} octopus / {} scan decisions, {} misroutes",
+        "    engine: {} batches, {} grouped queries, {} frontier probes saved",
         telemetry.counter("engine_batches_total"),
         telemetry.counter("engine_grouped_queries_total"),
-        telemetry.counter("engine_scan_queries_total"),
-        telemetry.counter("engine_frontier_savings_total"),
-        telemetry.counter("planner_decisions_octopus_total"),
-        telemetry.counter("planner_decisions_scan_total"),
-        telemetry.counter("planner_misroutes_total")
+        telemetry.counter("engine_frontier_savings_total")
     );
     let publish = telemetry
         .histogram("ring_publish_ns")

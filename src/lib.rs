@@ -19,7 +19,7 @@
 //!   R-tree, LUR-Tree, QU-Trade, stale uniform grid);
 //! * [`core`] — OCTOPUS itself: [`prelude::Octopus`],
 //!   [`prelude::OctopusCon`], [`prelude::ApproxOctopus`], the Hilbert
-//!   layout, the cost model and planner, and the query shapes beyond
+//!   layout, the cost model (Eq. 1–6), and the query shapes beyond
 //!   boxes ([`prelude::QueryShape`]: convex regions, k-nearest-
 //!   neighbour, aggregates);
 //! * [`service`] — concurrent query serving: the persistent worker
@@ -70,8 +70,8 @@ pub use octopus_telemetry as telemetry;
 /// The most common imports in one place.
 pub mod prelude {
     pub use octopus_core::{
-        AggregateKind, AggregateValue, ApproxOctopus, Characteristics, CostModel, Octopus,
-        OctopusCon, Planner, Probe, QueryScratch, QueryShape, ShapeResult, Strategy,
+        AggregateKind, AggregateValue, ApproxOctopus, CostModel, Octopus, OctopusCon, Probe,
+        QueryScratch, QueryShape, ShapeResult,
     };
     pub use octopus_geom::{Aabb, ConvexRegion, Halfspace, Point3, Region, Vec3, VertexId};
     pub use octopus_index::{DynamicIndex, LinearScan};

@@ -3,6 +3,7 @@
 //! approaches), including a restructuring scenario driven through the
 //! bench runner.
 
+use octopus::index::SelectivityHistogram;
 use octopus::meshgen::{AnimationKind, BasinResolution, NeuroLevel};
 use octopus::prelude::*;
 use octopus::sim::{RestructureSchedule, ShearWave, SmoothRandomField, SpineAdjust, TravelingWave};
@@ -116,24 +117,35 @@ fn restructuring_scenario_through_the_runner() {
 }
 
 #[test]
-fn planner_switches_strategy_with_query_size() {
+fn eq6_advice_switches_with_query_size() {
     let mesh = octopus::meshgen::basin(BasinResolution::Sf2, 0.4).unwrap();
-    // Fixed (paper) constants keep the decision deterministic; a
+    // Fixed (paper) constants keep the advice deterministic; a
     // *calibrated* model on this coarse quick-scale mesh (S ≈ 0.4) can
     // legitimately conclude OCTOPUS never wins (crossover clamps to 0) —
     // machine-dependent, so not a stable test premise.
-    let data = Characteristics::of(&mesh, mesh.surface().unwrap().len());
-    let planner = Planner::new(&mesh, CostModel::paper_constants(), 10);
+    let (s, m) = (
+        mesh.surface().unwrap().len() as f64 / mesh.num_vertices() as f64,
+        mesh.adjacency().average_degree(),
+    );
     let bounds = mesh.bounding_box();
-    let tiny = planner.decide(data, &Aabb::cube(bounds.center(), 0.02));
-    let huge = planner.decide(data, &bounds);
-    assert_eq!(tiny.strategy, Strategy::Octopus);
-    assert_eq!(huge.strategy, Strategy::LinearScan);
-    assert!(tiny.predicted_speedup > huge.predicted_speedup);
+    let histogram = SelectivityHistogram::build(mesh.positions(), &bounds, 10);
+    let model = CostModel::paper_constants();
+    let crossover = model.crossover_selectivity(s, m);
+    let tiny = histogram.estimate_selectivity(&Aabb::cube(bounds.center(), 0.02));
+    let huge = histogram.estimate_selectivity(&bounds);
+    assert!(
+        tiny < crossover,
+        "a tiny box is OCTOPUS's: {tiny} vs {crossover}"
+    );
+    assert!(
+        huge >= crossover,
+        "the whole mesh is the scan's: {huge} vs {crossover}"
+    );
+    assert!(model.speedup(s, m, tiny) > model.speedup(s, m, huge));
 
-    // The calibrated model still yields a well-formed, self-consistent
-    // decision (whatever it is on this machine).
-    let calibrated = Planner::new(&mesh, CostModel::calibrate(&mesh, 1), 10);
-    let d = calibrated.decide(data, &Aabb::cube(bounds.center(), 0.02));
-    assert!(d.predicted_speedup.is_finite() && d.crossover_selectivity >= 0.0);
+    // The calibrated model still yields well-formed advice (whatever it
+    // is on this machine).
+    let calibrated = CostModel::calibrate(&mesh, 1);
+    assert!(calibrated.speedup(s, m, tiny).is_finite());
+    assert!(calibrated.crossover_selectivity(s, m) >= 0.0);
 }

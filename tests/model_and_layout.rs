@@ -104,26 +104,32 @@ proptest! {
         prop_assert_eq!(out, expected);
     }
 
-    /// Planner decisions are always consistent with Eq. 6 and the
-    /// histogram estimate.
+    /// The Eq.-6 advice on a histogram estimate agrees with Eq. 5 at
+    /// that estimate: below the crossover OCTOPUS is predicted faster
+    /// than the scan, above it slower.
     #[test]
-    fn planner_consistency(seed in 0u64..1_000, half in 0.01f32..0.9) {
+    fn eq6_advice_agrees_with_eq5(seed in 0u64..1_000, half in 0.01f32..0.9) {
         let bounds = Aabb::new(Point3::ORIGIN, Point3::splat(1.0));
         let region = octopus::meshgen::voxel::VoxelRegion::solid_box(&bounds, 5, 5, 5);
         let mesh = octopus::meshgen::tet::tetrahedralize(&region).unwrap();
-        let surface = mesh.surface().unwrap();
-        let planner = Planner::new(&mesh, CostModel::paper_constants(), 6);
-        let data = Characteristics::of(&mesh, surface.len());
+        let s = mesh.surface().unwrap().ratio();
+        let m = mesh.adjacency().average_degree();
+        let histogram =
+            octopus::index::SelectivityHistogram::build(mesh.positions(), &mesh.bounding_box(), 6);
+        let model = CostModel::paper_constants();
         let mut rng = octopus::geom::rng::SplitMix64::new(seed);
         let q = Aabb::cube(
             Point3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
             half,
         );
-        let d = planner.decide(data, &q);
-        let expect_octopus = d.estimated_selectivity < d.crossover_selectivity;
-        prop_assert_eq!(
-            matches!(d.strategy, octopus::prelude::Strategy::Octopus),
-            expect_octopus
-        );
+        let sel = histogram.estimate_selectivity(&q);
+        prop_assert!((0.0..=1.0).contains(&sel));
+        let crossover = model.crossover_selectivity(s, m);
+        let speedup = model.speedup(s, m, sel);
+        if sel < crossover {
+            prop_assert!(speedup > 1.0 - 1e-9, "sel {} < {}: speedup {}", sel, crossover, speedup);
+        } else {
+            prop_assert!(speedup < 1.0 + 1e-9, "sel {} >= {}: speedup {}", sel, crossover, speedup);
+        }
     }
 }
